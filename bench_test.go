@@ -167,98 +167,6 @@ func BenchmarkE5MessageFanIn(b *testing.B) {
 	b.ReportMetric(rate, "fanin-msgs/s")
 }
 
-// BenchmarkCrossClusterFanIn measures inter-cluster message throughput on
-// the sharded heap: four senders, each in its own cluster, fan into one
-// collector on cluster 1, so every data message is encoded into the sender's
-// heap shard, routed, and decoded into the collector's shard by the
-// destination router.  One benchmark op is a round of 4x64 routed messages;
-// the headline metric is routed messages per second.
-func BenchmarkCrossClusterFanIn(b *testing.B) {
-	const senders = 4
-	const perSender = 64
-	// The flight recorder rides along as in production: it is always on, so
-	// the benchmark (and the checked-in baseline) price in its cost.
-	vm, err := pisces.NewVM(pisces.SimpleConfiguration(senders+1, 2), pisces.Options{
-		AcceptTimeout:  60 * time.Second,
-		FlightRecorder: pisces.NewFlightRecorder(0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer vm.Shutdown()
-
-	ready := make(chan pisces.TaskID, senders+1)
-	roundDone := make(chan struct{})
-	vm.Register("collector", func(t *pisces.Task) {
-		ready <- t.ID()
-		for {
-			m, err := t.AcceptOne("go", "stop")
-			if err != nil || m.Type == "stop" {
-				return
-			}
-			res, err := t.AcceptN(senders*perSender, "datum")
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			t.RecycleAccept(res)
-			roundDone <- struct{}{}
-		}
-	})
-	vm.Register("sender", func(t *pisces.Task) {
-		ready <- t.ID()
-		for {
-			m, err := t.AcceptOne("go", "stop")
-			if err != nil || m.Type == "stop" {
-				return
-			}
-			to := pisces.MustID(m.Arg(0))
-			for i := 0; i < perSender; i++ {
-				if err := t.Send(to, "datum", pisces.Int(int64(i)), pisces.Str("cross-cluster payload")); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-	})
-
-	collectorID, err := vm.Initiate("collector", pisces.OnCluster(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var senderIDs []pisces.TaskID
-	for i := 0; i < senders; i++ {
-		id, err := vm.Initiate("sender", pisces.OnCluster(2+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		senderIDs = append(senderIDs, id)
-	}
-	for i := 0; i < senders+1; i++ {
-		<-ready
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range senderIDs {
-			if err := vm.SendFromUser(id, "go", pisces.ID(collectorID)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := vm.SendFromUser(collectorID, "go"); err != nil {
-			b.Fatal(err)
-		}
-		<-roundDone
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*senders*perSender)/b.Elapsed().Seconds(), "routed-msgs/s")
-	for _, id := range append(append([]pisces.TaskID(nil), senderIDs...), collectorID) {
-		_ = vm.SendFromUser(id, "stop")
-	}
-	vm.WaitIdle()
-}
-
 // BenchmarkE6WindowPartitioning regenerates the Section 8 window-vs-shipping
 // comparison and reports the traffic ratio.
 func BenchmarkE6WindowPartitioning(b *testing.B) {
@@ -364,86 +272,6 @@ func BenchmarkForceSplit(b *testing.B) {
 		b.Fatal(err)
 	}
 	<-done
-}
-
-// BenchmarkPFIInterpret measures the interpreter's end-to-end CompileSource
-// + Run path on a pre-booted VM, exactly as `pisces run` drives it.  Since
-// the compiled-program cache, CompileSource is a cache hit after the first
-// iteration, so in steady state this tracks cache lookup + execution (task
-// initiation, a DO loop, message send/accept); BenchmarkPFICompileOnly
-// isolates the real compile pipeline and BenchmarkPFIRunCached the pure
-// execution half.  Later PRs use all three to track interpreter regressions.
-func BenchmarkPFIInterpret(b *testing.B) {
-	vm, err := pisces.NewVM(pisces.SimpleConfiguration(2, 4), pisces.Options{
-		AcceptTimeout:  30 * time.Second,
-		FlightRecorder: pisces.NewFlightRecorder(0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer vm.Shutdown()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog, err := pisces.CompileSource(pfiBenchSource)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := prog.Run(vm, pisces.InterpretOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// pfiBenchSource is the fixed program used by the PFI pipeline benchmarks:
-// task initiation, a DO loop, and a message send/accept round trip.
-const pfiBenchSource = `TASKTYPE MAIN
-      INTEGER I, S
-      S = 0
-      DO 10 I = 1, 100
-      S = S + I * I
-10    CONTINUE
-      ON ANY INITIATE ECHO(S)
-      ACCEPT 1 OF REPLY
-END TASKTYPE
-TASKTYPE ECHO(V)
-      INTEGER V
-      TO PARENT SEND REPLY(V)
-END TASKTYPE
-`
-
-// BenchmarkPFICompileOnly measures the full compilation pipeline — lexing,
-// parsing, slot resolution, closure code generation — with the compiled-code
-// cache bypassed, so compile cost is tracked separately from execution.
-func BenchmarkPFICompileOnly(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := pisces.CompileSourceUncached(pfiBenchSource); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPFIRunCached measures pure execution: the program is compiled
-// once and re-Run on a warm VM, the steady state of `pisces run -repeat` and
-// of any embedding that reuses a compiled program.
-func BenchmarkPFIRunCached(b *testing.B) {
-	vm, err := pisces.NewVM(pisces.SimpleConfiguration(2, 4), pisces.Options{AcceptTimeout: 30 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer vm.Shutdown()
-	prog, err := pisces.CompileSource(pfiBenchSource)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := prog.Run(vm, pisces.InterpretOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPreprocessor measures the Pisces Fortran preprocessor on a small

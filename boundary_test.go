@@ -1,0 +1,29 @@
+package pisces_test
+
+import (
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestRuntimeDoesNotImportPaperReproduction pins the layering the roadmap
+// states: internal/schedule, exec and experiments are the paper reproduction
+// (§3 baseline, §11 menu, E1–E8) and sit above the runtime, so nothing in
+// the import closure of the runtime packages may reach them.
+func TestRuntimeDoesNotImportPaperReproduction(t *testing.T) {
+	runtime := []string{"./internal/core", "./internal/node", "./internal/serve", "./internal/pfi", "./internal/obs"}
+	out, err := exec.Command("go", append([]string{"list", "-deps"}, runtime...)...).Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) < len(runtime) {
+		t.Fatalf("go list -deps printed %d packages for %d roots", len(deps), len(runtime))
+	}
+	for _, dep := range deps {
+		switch dep {
+		case "repro/internal/schedule", "repro/internal/exec", "repro/internal/experiments":
+			t.Errorf("runtime packages import %s", dep)
+		}
+	}
+}

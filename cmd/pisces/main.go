@@ -197,8 +197,7 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		"inject deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
 	acceptTimeout := fs.Duration("accept-timeout", 30*time.Second,
 		"system-provided timeout for ACCEPT statements without a DELAY clause")
-	wire := addWireFlags(fs) // batched wire path knobs; -nodes runs only
-	ha := addHAFlags(fs)     // fault-tolerant mesh knobs; -nodes runs only
+	ha := addHAFlags(fs) // fault-tolerant mesh knobs; -nodes runs only
 	// The FlagSet's own printing is suppressed so parse errors surface exactly
 	// once (through main's error path) and -h exits 0 with the usage text.
 	fs.SetOutput(io.Discard)
@@ -219,6 +218,12 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: pisces run [flags] <program.pf>")
 	}
+	if *nodes < 1 {
+		return fmt.Errorf("-nodes must be at least 1")
+	}
+	if err := ha.validate(); err != nil {
+		return err
+	}
 	if *nodes > 1 {
 		// Distributed mode is a different execution path: real processes and
 		// real sockets, so the single-process-only conveniences are refused
@@ -231,10 +236,7 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		case *traceEvents != "":
 			return fmt.Errorf("-nodes does not support -trace (trace events are per node)")
 		}
-		if err := ha.validate(); err != nil {
-			return err
-		}
-		return runDistributed(*nodes, *clusters, *slots, *forces, *mainTT, *showStats, *traceOut, *blackboxOut, *acceptTimeout, wire, ha, fs.Arg(0), out)
+		return runDistributed(*nodes, *clusters, *slots, *forces, *mainTT, *showStats, *traceOut, *blackboxOut, *acceptTimeout, ha, fs.Arg(0), out)
 	}
 	if *ha.enabled {
 		return fmt.Errorf("-ha requires -nodes (fault tolerance spans node processes)")

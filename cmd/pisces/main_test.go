@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,6 +156,41 @@ func TestRunInterpretsExampleProgram(t *testing.T) {
 	}
 	if err := runInterpreted([]string{"-main", "NOSUCH", example}, &out); err == nil {
 		t.Error("unknown -main tasktype accepted")
+	}
+}
+
+// TestRunFlagRefusals pins the "refused rather than silently ignored" rule:
+// a flag combination the chosen execution path cannot honour is an error
+// naming the flag, never a successful run with the flag dropped.  The retired
+// wire-path switches are refused by the flag parser itself.
+func TestRunFlagRefusals(t *testing.T) {
+	example := filepath.Join("..", "..", "examples", "sumsq.pf")
+	serve := func(args []string) error { return runServe(args, io.Discard) }
+	run := func(args []string) error { return runInterpreted(args, io.Discard) }
+	for _, tc := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+		want string
+	}{
+		{"nodes 0", run, []string{"-nodes", "0", "-heartbeat-interval", "5ms", example}, "-nodes must be at least 1"},
+		{"heartbeat without ha", run, []string{"-heartbeat-interval", "5ms", example}, "require -ha"},
+		{"nodes with sim", run, []string{"-nodes", "2", "-sim", example}, "incompatible with -sim"},
+		{"nodes with repeat", run, []string{"-nodes", "2", "-repeat", "2", example}, "does not support -repeat"},
+		{"nodes with trace", run, []string{"-nodes", "2", "-trace", "MSG-SEND", example}, "does not support -trace"},
+		{"ha without nodes", run, []string{"-ha", example}, "-ha requires -nodes"},
+		{"run wire-batch", run, []string{"-wire-batch", "off", example}, "flag provided but not defined"},
+		{"serve wire-credit-window", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-wire-credit-window", "1", example}, "flag provided but not defined"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cmd(tc.args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v: got error %v, want one containing %q", tc.args, err, tc.want)
+			}
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("diagnostic is not one line: %q", err)
+			}
+		})
 	}
 }
 

@@ -33,56 +33,6 @@ import (
 // streams to the caller's stdout unmodified, and relays the children's
 // output to stderr with a [node i] prefix.
 
-// wireFlags holds the batched-wire-path knobs shared by "pisces serve" and
-// "pisces run -nodes".  The -wire-batch default honours PISCES_WIRE_BATCH
-// ("on"/"off") so the CI smoke matrix can force a whole forked mesh on or
-// off through the environment without touching every command line.
-type wireFlags struct {
-	mode   *string
-	bytes  *int
-	delay  *time.Duration
-	window *int
-}
-
-func addWireFlags(fs *flag.FlagSet) *wireFlags {
-	def := os.Getenv("PISCES_WIRE_BATCH")
-	if def == "" {
-		def = "on"
-	}
-	return &wireFlags{
-		mode: fs.String("wire-batch", def,
-			"frame coalescing on the node wire path: on packs many frames per write syscall, off flushes every frame before Send returns (default honours PISCES_WIRE_BATCH)"),
-		bytes: fs.Int("wire-batch-bytes", 0, "target batch buffer size in bytes (0 = 64KiB)"),
-		delay: fs.Duration("wire-batch-delay", 0,
-			"longest a partial batch lingers waiting for more frames; 0 flushes as soon as the writer is free"),
-		window: fs.Int("wire-credit-window", 0,
-			"per-lane flow-control window in frames (0 = 1024; negative disables flow control)"),
-	}
-}
-
-func (w *wireFlags) config() (node.WireConfig, error) {
-	cfg := node.WireConfig{BatchBytes: *w.bytes, BatchDelay: *w.delay, CreditWindow: *w.window}
-	switch *w.mode {
-	case "on":
-	case "off":
-		cfg.Unbatched = true
-	default:
-		return cfg, fmt.Errorf("-wire-batch: %q (want on or off)", *w.mode)
-	}
-	return cfg, nil
-}
-
-// serveArgs forwards the knobs to a forked follower so every node of the
-// mesh runs the same wire settings.
-func (w *wireFlags) serveArgs() []string {
-	return []string{
-		"-wire-batch", *w.mode,
-		"-wire-batch-bytes", strconv.Itoa(*w.bytes),
-		"-wire-batch-delay", w.delay.String(),
-		"-wire-credit-window", strconv.Itoa(*w.window),
-	}
-}
-
 // haFlags holds the fault-tolerance knobs shared by "pisces serve" and
 // "pisces run -nodes".  Every node of a mesh must run the same settings.
 type haFlags struct {
@@ -161,7 +111,6 @@ func runServe(args []string, out io.Writer) error {
 		"write this node's runtime spans (including HA recovery) to this file as Chrome trace-event JSON")
 	blackboxOut := fs.String("blackbox-out", "",
 		"write a flight-recorder dump into this directory on failure paths (HA rebalance, drain timeout, limit violation)")
-	wire := addWireFlags(fs)
 	ha := addHAFlags(fs)
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
@@ -184,10 +133,6 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 	cfg, err := buildConfiguration("", *clusters, *slots, *forces, "")
-	if err != nil {
-		return err
-	}
-	wireCfg, err := wire.config()
 	if err != nil {
 		return err
 	}
@@ -215,7 +160,7 @@ func runServe(args []string, out io.Writer) error {
 		Config: cfg, Source: string(src), Main: *mainTT,
 		Out: out, Log: os.Stderr,
 		AcceptTimeout: *acceptTimeout, ConnectTimeout: *connectTimeout,
-		Metrics: reg, Wire: wireCfg, BlackboxDir: *blackboxOut,
+		Metrics: reg, BlackboxDir: *blackboxOut,
 	}
 	ha.apply(&o)
 	n, err := node.Start(o)
@@ -292,16 +237,12 @@ func splitAddrs(peers string) []string {
 
 // runDistributed implements "pisces run -nodes N": fork the follower node
 // processes, run node 0 inline, and reap the children.
-func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats bool, traceOut, blackboxOut string, acceptTimeout time.Duration, wire *wireFlags, ha *haFlags, file string, out io.Writer) error {
+func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats bool, traceOut, blackboxOut string, acceptTimeout time.Duration, ha *haFlags, file string, out io.Writer) error {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		return err
 	}
 	cfg, err := buildConfiguration("", clusters, slots, forces, "")
-	if err != nil {
-		return err
-	}
-	wireCfg, err := wire.config()
 	if err != nil {
 		return err
 	}
@@ -346,7 +287,6 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 			"-clusters", strconv.Itoa(clusters), "-slots", strconv.Itoa(slots),
 			"-accept-timeout", acceptTimeout.String(),
 		}
-		args = append(args, wire.serveArgs()...)
 		args = append(args, ha.serveArgs()...)
 		if blackboxOut != "" {
 			args = append(args, "-blackbox-out", blackboxOut)
@@ -390,7 +330,7 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 		Config: cfg, Source: string(src), Main: mainTT,
 		Out: out, Log: os.Stderr,
 		AcceptTimeout: acceptTimeout, ConnectTimeout: 30 * time.Second,
-		Metrics: reg, Wire: wireCfg, BlackboxDir: blackboxOut,
+		Metrics: reg, BlackboxDir: blackboxOut,
 	}
 	ha.apply(&o)
 	n, err := node.Start(o)

@@ -20,7 +20,7 @@ func TestMeshTraceCrossNodeFlows(t *testing.T) {
 	src := corpusSource(t, "crosscluster.pf")
 	cfg := config.Simple(2, 4)
 	var out bytes.Buffer
-	nodes := startMesh(t, 2, cfg, src, &out, nil, func(i int, o *node.Options) {
+	nodes := startMesh(t, 2, cfg, src, &out, func(i int, o *node.Options) {
 		reg := obs.New()
 		reg.Enable(obs.Spans)
 		o.Metrics = reg

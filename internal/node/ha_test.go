@@ -73,7 +73,7 @@ func TestHAKillNodeMatchesSingleProcess(t *testing.T) {
 	reg.Enable(obs.Metrics)
 	var out bytes.Buffer
 	var logs [3]bytes.Buffer
-	nodes := startMesh(t, 3, cfg, haKillSource, &out, nil, func(i int, o *node.Options) {
+	nodes := startMesh(t, 3, cfg, haKillSource, &out, func(i int, o *node.Options) {
 		o.HA = true
 		o.CheckpointInterval = 50 * time.Millisecond
 		o.Log = &logs[i]
@@ -167,7 +167,7 @@ func TestHAMeshSurvivesWithoutFailure(t *testing.T) {
 	want := singleProcessOutput(t, cfg, src)
 
 	var out bytes.Buffer
-	nodes := startMesh(t, 2, cfg, src, &out, nil, func(i int, o *node.Options) {
+	nodes := startMesh(t, 2, cfg, src, &out, func(i int, o *node.Options) {
 		o.HA = true
 		o.CheckpointInterval = 20 * time.Millisecond
 	})

@@ -55,9 +55,8 @@ type Options struct {
 	// a metric snapshot to every drain ack, so the coordinator can print one
 	// merged cluster-wide view (FollowerSnapshots).
 	Metrics *obs.Registry
-	// Wire tunes the batched wire path (batch buffer size, linger, credit
-	// window); the zero value selects the defaults documented on WireConfig.
-	// Every node of a mesh should run the same settings.
+	// Wire sizes the batched wire path (batch buffer, credit window); the
+	// zero value is the production setting, other values are for tests.
 	Wire WireConfig
 	// HA enables fault tolerance: peer heartbeats and failure detection,
 	// periodic checkpoints streamed to a buddy node, sender-side frame
@@ -767,7 +766,7 @@ func (n *Node) idleWithin(d time.Duration) bool {
 // deliver stage — node 0 sends nothing but control frames after its program
 // finished, so blocking here cannot starve a message the idle wait depends
 // on.  Outbound batches are flushed before the counts are read, so a frame
-// lingering in an open batch cannot be reported sent-but-unreceivable for
+// waiting in an open batch cannot be reported sent-but-unreceivable for
 // the whole round.
 func (n *Node) answerDrain(epoch uint32) {
 	idle := n.idleWithin(2 * time.Second)

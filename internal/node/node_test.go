@@ -51,7 +51,7 @@ func singleProcessOutput(t testing.TB, cfg *config.Configuration, src string) st
 
 // startMesh boots an n-node mesh in-process over loopback TCP and returns
 // the nodes, node 0 first.  Listeners are bound up front so no port races.
-func startMesh(t testing.TB, nodes int, cfg *config.Configuration, src string, out *bytes.Buffer, register func(*core.VM), mutate ...func(i int, o *node.Options)) []*node.Node {
+func startMesh(t testing.TB, nodes int, cfg *config.Configuration, src string, out *bytes.Buffer, mutate ...func(i int, o *node.Options)) []*node.Node {
 	t.Helper()
 	listeners := make([]net.Listener, nodes)
 	addrs := make([]string, nodes)
@@ -72,7 +72,7 @@ func startMesh(t testing.TB, nodes int, cfg *config.Configuration, src string, o
 			defer wg.Done()
 			o := node.Options{
 				NodeID: i, Addrs: addrs, Listener: listeners[i],
-				Config: cfg, Source: src, Register: register,
+				Config: cfg, Source: src,
 				AcceptTimeout:  30 * time.Second,
 				ConnectTimeout: 20 * time.Second,
 			}
@@ -157,7 +157,7 @@ func TestCrossClusterDistributedMatchesSingleProcess(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	nodes := startMesh(t, 2, cfg, src, &out, nil)
+	nodes := startMesh(t, 2, cfg, src, &out)
 	runDistributed(t, nodes)
 	if got := out.String(); got != want {
 		t.Fatalf("distributed output differs:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -173,7 +173,7 @@ func TestSumsqDistributedMatchesSingleProcess(t *testing.T) {
 	want := singleProcessOutput(t, cfg, src)
 
 	var out bytes.Buffer
-	nodes := startMesh(t, 2, cfg, src, &out, nil)
+	nodes := startMesh(t, 2, cfg, src, &out)
 	runDistributed(t, nodes)
 	if got := out.String(); got != want {
 		t.Fatalf("distributed output differs:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -188,7 +188,7 @@ func TestThreeNodeMesh(t *testing.T) {
 	want := singleProcessOutput(t, cfg, src)
 
 	var out bytes.Buffer
-	nodes := startMesh(t, 3, cfg, src, &out, nil)
+	nodes := startMesh(t, 3, cfg, src, &out)
 	runDistributed(t, nodes)
 	if got := out.String(); got != want {
 		t.Fatalf("distributed output differs:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -279,7 +279,7 @@ func TestDistributedMetricsAggregation(t *testing.T) {
 		regs[i].Enable(obs.Metrics | obs.Spans)
 	}
 	var out bytes.Buffer
-	nodes := startMesh(t, 2, cfg, src, &out, nil, func(i int, o *node.Options) {
+	nodes := startMesh(t, 2, cfg, src, &out, func(i int, o *node.Options) {
 		o.Metrics = regs[i]
 	})
 	runDistributed(t, nodes)

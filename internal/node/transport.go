@@ -26,8 +26,7 @@ import (
 //     While the writer is in the syscall, new frames accumulate in the next
 //     batch, so coalescing adapts to load with no mandatory latency: an idle
 //     lane flushes a lone frame immediately, a busy lane packs hundreds of
-//     frames per syscall.  WireConfig.BatchDelay optionally lingers a
-//     partial batch to trade latency for fewer, larger writes.
+//     frames per syscall.
 //  2. Zero-copy batch encode.  The frame encoder writes DIRECTLY from the
 //     sender's heap-shard arena into the batch buffer (BeginFrame/EndFrame
 //     backfill the length prefix), so payload bytes are copied exactly once.
@@ -46,29 +45,20 @@ import (
 // concatenated length-prefixed frames), so the receiver's framing layer is
 // unchanged; batching is invisible to the protocol apart from fCredit.
 
-// WireConfig tunes the batched wire path.  The zero value selects defaults;
-// every node of a mesh should run the same values (the settings are
-// per-process, not negotiated).
+// WireConfig sizes the batched wire path.  The zero value is the production
+// setting (64 KiB batches, a 1024-frame window), fixed since the batching
+// measurement found no workload wanting another; the fields exist so tests
+// can reach the frame-larger-than-buffer and window-of-1 boundaries.
 type WireConfig struct {
-	// BatchBytes is the target batch-buffer size: the writer stops lingering
-	// once the open batch reaches it, and recycled buffers are capped near
-	// it.  A single frame larger than BatchBytes still travels — the batch
-	// buffer grows for it and is written whole.  <= 0 means 64 KiB.
+	// BatchBytes is the nominal batch-buffer size: a written buffer is
+	// recycled only while its capacity stays within 4x of it.  A single
+	// frame larger than BatchBytes still travels — the batch buffer grows
+	// for it and is written whole.  <= 0 means 64 KiB.
 	BatchBytes int
-	// BatchDelay is the longest a partial batch may linger waiting for more
-	// frames before the writer flushes it.  0 flushes as soon as the writer
-	// is free (natural coalescing: batching then comes only from frames that
-	// arrive while the previous write syscall runs, which costs no latency).
-	// Values in the 50–200µs range trade that latency for larger batches.
-	BatchDelay time.Duration
 	// CreditWindow is the per-lane flow-control window: how many credited
 	// data frames may be in flight toward a peer before Send stalls waiting
-	// for the receiver's credit grants.  0 means 1024; negative disables
-	// flow control (unbounded sender queues — benchmarks only).
+	// for the receiver's credit grants.  <= 0 means 1024.
 	CreditWindow int
-	// Unbatched forces PR 5 semantics: every frame is flushed to the kernel
-	// before Send returns.  For A/B comparison and the dist-smoke matrix.
-	Unbatched bool
 }
 
 const (
@@ -89,11 +79,8 @@ func (c WireConfig) withDefaults() WireConfig {
 	if c.BatchBytes <= 0 {
 		c.BatchBytes = defaultBatchBytes
 	}
-	switch {
-	case c.CreditWindow == 0:
+	if c.CreditWindow <= 0 {
 		c.CreditWindow = defaultCreditWindow
-	case c.CreditWindow < 0:
-		c.CreditWindow = 0 // disabled
 	}
 	return c
 }
@@ -109,15 +96,13 @@ type peer struct {
 	mu   sync.Mutex
 	cond *sync.Cond // writer wake-ups, credit grants, flush/write completion
 
-	batch    []byte    // open batch: concatenated length-prefixed frames
-	spare    []byte    // recycled buffer for the next batch (double buffering)
-	frames   int       // frames in the open batch
-	counted  int       // of those, frames counted in transport.sent (loss accounting)
-	openedAt time.Time // when the open batch got its first frame (linger deadline)
-	flushReq bool      // flush the open batch now, regardless of linger
-	writing  bool      // the writer is inside conn.Write
-	closed   bool
-	err      error
+	batch   []byte // open batch: concatenated length-prefixed frames
+	spare   []byte // recycled buffer for the next batch (double buffering)
+	frames  int    // frames in the open batch
+	counted int    // of those, frames counted in transport.sent (loss accounting)
+	writing bool   // the writer is inside conn.Write
+	closed  bool
+	err     error
 
 	credits int // remaining flow-control credits toward this peer
 
@@ -148,12 +133,11 @@ type peer struct {
 // once, straight from their source into the batch buffer).  A credited frame
 // consumes one flow-control credit and may stall here until the receiver
 // grants more; a counted frame participates in the drain protocol's global
-// sent/recv balance.  In Unbatched mode the call additionally waits for the
-// frame to reach the kernel, restoring flush-per-frame semantics.
+// sent/recv balance.
 func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, encode func(batch []byte) []byte) error {
 	metrics := tr.reg.Has(obs.Metrics)
 	p.mu.Lock()
-	if credited && tr.cfg.CreditWindow > 0 && !p.dead && p.credits <= 0 {
+	if credited && !p.dead && p.credits <= 0 {
 		// A stall is a flow-control anomaly worth forensics: record which
 		// peer's window ran dry before blocking.
 		tr.reg.Recorder().Record(p.id, msgcodec.EvCreditStall, 0, int64(p.id), 0)
@@ -187,7 +171,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.mu.Unlock()
 		return net.ErrClosed
 	}
-	if credited && tr.cfg.CreditWindow > 0 {
+	if credited {
 		p.credits--
 	}
 	start := len(p.batch)
@@ -199,9 +183,6 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.mu.Unlock()
 		return err
 	}
-	if start == 0 {
-		p.openedAt = time.Now()
-	}
 	p.frames++
 	if counted {
 		p.counted++
@@ -211,14 +192,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		}
 	}
 	nbytes := len(p.batch) - start
-	if tr.cfg.Unbatched {
-		p.flushReq = true
-		p.cond.Broadcast()
-		for (len(p.batch) > 0 || p.writing) && p.err == nil {
-			p.cond.Wait()
-		}
-		err = p.err
-	} else if start == 0 {
+	if start == 0 {
 		p.cond.Broadcast() // first frame of a batch: wake the writer
 	}
 	p.mu.Unlock()
@@ -226,7 +200,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.txFrames.Inc()
 		p.txBytes.Add(int64(nbytes))
 	}
-	return err
+	return nil
 }
 
 // writeLoop is the peer's writer goroutine: it swaps the open batch out and
@@ -255,30 +229,10 @@ func (p *peer) writeLoop(tr *transport) {
 			p.mu.Unlock()
 			return
 		}
-		// Optional linger: give a partial batch up to BatchDelay to fill
-		// before paying the syscall.  Flush requests, errors, and close all
-		// cut the linger short.
-		if d := tr.cfg.BatchDelay; d > 0 {
-			deadline := p.openedAt.Add(d)
-			for len(p.batch) < tr.cfg.BatchBytes && !p.flushReq && p.err == nil && !p.closed {
-				wait := time.Until(deadline)
-				if wait <= 0 {
-					break
-				}
-				p.mu.Unlock()
-				time.Sleep(wait)
-				p.mu.Lock()
-			}
-			if p.err != nil {
-				p.mu.Unlock()
-				continue // top of loop handles the error exit
-			}
-		}
 		buf, frames, counted := p.batch, p.frames, p.counted
 		p.batch = p.spare[:0]
 		p.spare = nil
 		p.frames, p.counted = 0, 0
-		p.flushReq = false
 		p.writing = true
 		p.mu.Unlock()
 
@@ -315,7 +269,7 @@ func (p *peer) writeLoop(tr *transport) {
 		} else if p.spare == nil && cap(buf) <= 4*tr.cfg.BatchBytes {
 			p.spare = buf[:0] // keep modest buffers; let outliers be collected
 		}
-		p.cond.Broadcast() // wake Flush/Unbatched waiters (and error out senders)
+		p.cond.Broadcast() // wake Flush waiters (and error out senders)
 		p.mu.Unlock()
 	}
 }
@@ -324,8 +278,6 @@ func (p *peer) writeLoop(tr *transport) {
 // been handed to the kernel (or the lane has failed).
 func (p *peer) flush() {
 	p.mu.Lock()
-	p.flushReq = true
-	p.cond.Broadcast()
 	for (len(p.batch) > 0 || p.writing) && p.err == nil {
 		p.cond.Wait()
 	}
@@ -550,7 +502,7 @@ func (tr *transport) sendControl(node int, payload []byte) error {
 // grantCredits returns n delivered-frame credits to the peer; called from
 // the node's delivery stage as frames land in the VM.
 func (tr *transport) grantCredits(node int, n int) {
-	if n <= 0 || tr.cfg.CreditWindow <= 0 {
+	if n <= 0 {
 		return
 	}
 	if err := tr.sendControl(node, encodeCredit(uint32(n))); err == nil && tr.reg.Has(obs.Metrics) {
@@ -576,8 +528,8 @@ func (tr *transport) addCredits(node int, n uint32) {
 
 // Flush implements core.Transport: it blocks until every frame accepted
 // before the call has been handed to the kernel.  With batching this is a
-// real wait (an open batch may still be lingering), which is what keeps the
-// VM's shutdown and user-output flushes honest.
+// real wait (an open batch may not have reached the writer yet), which is
+// what keeps the VM's shutdown and user-output flushes honest.
 func (tr *transport) Flush() {
 	for _, p := range tr.allPeers() {
 		p.flush()

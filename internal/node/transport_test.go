@@ -18,10 +18,9 @@ import (
 // the single-process output byte-for-byte.  The variants pin the transport
 // edges the defaults never hit: a credit window of 1 (every data frame waits
 // for the receiver's grant — only the stage-empty grant rule makes this make
-// progress), batching forced off (flush-per-frame PR 5 semantics), a batch
-// buffer smaller than a single frame (crosscluster.pf ships array arguments
-// well over 24 bytes, so every frame overflows the buffer and must travel
-// whole), and a lingering writer whose partial batches wait out a deadline.
+// progress) and a batch buffer smaller than a single frame (crosscluster.pf
+// ships array arguments well over 24 bytes, so every frame overflows the
+// buffer and must travel whole).
 func TestWireConfigVariantsMatchSingleProcess(t *testing.T) {
 	src := corpusSource(t, "crosscluster.pf")
 	cfg := config.Simple(2, 4)
@@ -35,15 +34,12 @@ func TestWireConfigVariantsMatchSingleProcess(t *testing.T) {
 		wire node.WireConfig
 	}{
 		{"credit-window-1", node.WireConfig{CreditWindow: 1}},
-		{"unbatched", node.WireConfig{Unbatched: true}},
 		{"frame-bigger-than-batch-buffer", node.WireConfig{BatchBytes: 24, CreditWindow: 2}},
-		{"linger", node.WireConfig{BatchBytes: 256, BatchDelay: 2 * time.Millisecond, CreditWindow: 4}},
-		{"no-flow-control", node.WireConfig{CreditWindow: -1}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			var out bytes.Buffer
-			nodes := startMesh(t, 2, cfg, src, &out, nil, func(i int, o *node.Options) {
+			nodes := startMesh(t, 2, cfg, src, &out, func(i int, o *node.Options) {
 				o.Wire = v.wire
 			})
 			runDistributed(t, nodes)
