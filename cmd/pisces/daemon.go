@@ -94,6 +94,22 @@ func runDaemon(args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: pisces serve [flags]  (daemon mode takes no program file; POST them to /programs)")
 	}
+	// 0 selects a flag's documented default; a negative size or quota has no
+	// meaning and is refused rather than silently replaced by that default
+	// (or, for a limit, read as "unlimited").
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"clusters", int64(*clusters)}, {"slots", int64(*slots)},
+		{"max-programs", int64(*maxPrograms)}, {"queue-depth", int64(*queueDepth)}, {"cache-bytes", *cacheBytes},
+		{"limit-heap-bytes", *limitHeap}, {"limit-tasks", *limitTasks},
+		{"limit-wallclock", int64(*limitWall)}, {"limit-output-bytes", *limitOutput},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must not be negative", f.name)
+		}
+	}
 	cfg := serve.Config{
 		Clusters:   *clusters,
 		Slots:      *slots,

@@ -77,11 +77,12 @@ func TestMultiProcessSmoke(t *testing.T) {
 
 // TestMultiProcessObservability is the observability acceptance test for
 // distributed runs: "pisces run -nodes 2 -stats" prints ONE merged
-// cluster-wide metric view that includes the followers' piggybacked
-// snapshots (labelled per node with its hosted clusters, with both ends of
-// every wire lane), and -trace-out produces a valid Chrome trace with spans
-// from at least three layers: pfi task execution, router lane delivery, and
-// node transport.
+// cluster-wide metric view — two tables, nothing per-node beside them — that
+// includes the followers' piggybacked snapshots (labelled per node with its
+// hosted clusters, with both ends of every wire lane, and the interpreter's
+// counters summed to what the single-process run reports), and -trace-out
+// produces a valid Chrome trace with spans from at least three layers: pfi
+// task execution, cross-cluster delivery, and node transport.
 func TestMultiProcessObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and forks real node processes")
@@ -97,6 +98,18 @@ func TestMultiProcessObservability(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("distributed -stats output missing %q:\n%s", want, out)
+		}
+	}
+	if n := countTables(out); n != 2 {
+		t.Errorf("distributed -stats printed %d tables, want 2:\n%s", n, out)
+	}
+	// Interpreter work is summed across the mesh: the merged counters equal
+	// the single-process run's (node 0 alone runs 1 of the 5 tasks).
+	single := runBinary(t, bin, "run", "-stats", prog)
+	for _, name := range []string{"pfi.statements", "pfi.tasks.started", "pfi.sends", "pfi.loop.iterations"} {
+		s, d := statValue(single, name), statValue(out, name)
+		if s == "" || s != d {
+			t.Errorf("%s: single-process %q, 2-node merged %q; want equal and present", name, s, d)
 		}
 	}
 
@@ -134,6 +147,17 @@ func TestMultiProcessObservability(t *testing.T) {
 			t.Errorf("trace file has no spans from the %s layer (lanes: %v)", l, layers)
 		}
 	}
+}
+
+// statValue returns the value column of the named row of a -stats counter
+// table, "" if the row is absent.
+func statValue(out, name string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			return f[1]
+		}
+	}
+	return ""
 }
 
 // TestMultiProcessThreeNodes spreads three clusters over three processes.

@@ -182,9 +182,9 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	forces := fs.String("forces", "", "comma-separated secondary PEs for cluster 1 forces")
 	traceEvents := fs.String("trace", "", "comma-separated trace events to enable")
 	mainTT := fs.String("main", "", "entry tasktype (default MAIN, else the first tasktype)")
-	showStats := fs.Bool("stats", false, "print the interpreter activity counters and runtime metric histograms after the run")
+	showStats := fs.Bool("stats", false, "print one metric report after the run: counters (interpreter activity as pfi.*) and distributions")
 	traceOut := fs.String("trace-out", "",
-		"write runtime spans (task execution, router lane delivery, wire frames) to this file as Chrome trace-event JSON; open in Perfetto or chrome://tracing")
+		"write runtime spans (task execution, cross-cluster send and delivery, wire frames) to this file as Chrome trace-event JSON; open in Perfetto or chrome://tracing")
 	blackboxOut := fs.String("blackbox-out", "",
 		"write a flight-recorder dump into this directory when the run fails (limit violation, sim deadlock)")
 	repeat := fs.Int("repeat", 1, "run the program this many times on the same VM (compiled once)")
@@ -322,8 +322,9 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		err = prog.Run(vm, pisces.InterpretOptions{Main: *mainTT})
 	}
 	if *showStats {
-		printRunStats(out, prog, vm)
-		printMetricsTables(out, reg.Snapshot(), "runtime metrics")
+		snap := reg.Snapshot()
+		snap.Merge(prog.Snapshot())
+		printMetricsTables(out, snap, "runtime metrics")
 	}
 	if *traceOut != "" {
 		if werr := writeTraceFile(*traceOut, reg); werr != nil && err == nil {

@@ -107,6 +107,18 @@ func TestRunScriptedSession(t *testing.T) {
 	}
 }
 
+// countTables counts the report tables in a run's output by their rule lines
+// (a table is a title, a header row, a line of dashes, and its rows).
+func countTables(out string) int {
+	n := 0
+	for _, line := range strings.Split(out, "\n") {
+		if line != "" && strings.Trim(line, "-") == "" {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRunInterpretsExampleProgram is the golden test for the acceptance
 // path: "pisces run examples/sumsq.pf" interprets a Pisces Fortran program
 // end-to-end on the in-memory VM (INITIATE, SEND/ACCEPT, FORCESPLIT, and a
@@ -131,11 +143,15 @@ func TestRunInterpretsExampleProgram(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"WORKERS 4\n", "TOTAL 338350\n", "FORCE MEMBERS 3\n", "FORCE TOTAL 338350\n",
-		"interpreter activity", "forcesplits", "loop.iterations",
+		"pfi.forcesplits", "pfi.loop.iterations", "pfi.stmt.ns",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("pisces run -forces output missing %q:\n%s", want, got)
 		}
+	}
+	// -stats is one report: a counter table and a distribution table.
+	if n := countTables(got); n != 2 {
+		t.Errorf("pisces run -stats printed %d tables, want 2:\n%s", n, got)
 	}
 
 	// -trace attaches a sink, so enabled events actually display.
@@ -189,6 +205,25 @@ func TestRunFlagRefusals(t *testing.T) {
 			}
 			if strings.Contains(err.Error(), "\n") {
 				t.Fatalf("diagnostic is not one line: %q", err)
+			}
+		})
+	}
+}
+
+// TestDaemonFlagRefusals: a negative size or quota on "pisces serve -addr"
+// fails flag validation with a one-line diagnostic instead of starting a
+// daemon with the value silently replaced (or a default limit read as
+// unlimited).  The refusal precedes the listen, so no port is ever bound.
+func TestDaemonFlagRefusals(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"-max-programs", "-1"}, {"-queue-depth", "-1"}, {"-cache-bytes", "-5"},
+		{"-limit-heap-bytes", "-5"}, {"-limit-tasks", "-1"}, {"-limit-output-bytes", "-1"},
+		{"-limit-wallclock", "-1s"}, {"-clusters", "-1"}, {"-slots", "-1"},
+	} {
+		t.Run(tc[0], func(t *testing.T) {
+			err := runDaemon([]string{"-addr", "127.0.0.1:0", tc[0], tc[1]}, io.Discard)
+			if want := tc[0] + " must not be negative"; err == nil || err.Error() != want {
+				t.Fatalf("%s %s: got error %v, want %q", tc[0], tc[1], err, want)
 			}
 		})
 	}

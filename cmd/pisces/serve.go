@@ -16,11 +16,8 @@ import (
 	"sync"
 	"time"
 
-	pisces "repro"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/pfi"
-	"repro/internal/stats"
 )
 
 // Distributed mode.
@@ -97,7 +94,7 @@ func runServe(args []string, out io.Writer) error {
 	slots := fs.Int("slots", 4, "user-task slots per cluster")
 	forces := fs.String("forces", "", "comma-separated secondary PEs for cluster 1 forces")
 	mainTT := fs.String("main", "", "entry tasktype (node 0; default MAIN, else the first tasktype)")
-	showStats := fs.Bool("stats", false, "print interpreter, router-lane, and runtime metric summaries after the run (node 0)")
+	showStats := fs.Bool("stats", false, "print the mesh-wide metric report after the run: counters (interpreter activity as pfi.*) and distributions, every node's snapshot summed (node 0)")
 	collectMetrics := fs.Bool("metrics", false,
 		"collect runtime metrics even without printing them, so drain acks carry this node's snapshot to the coordinator")
 	collectTrace := fs.Bool("trace-collect", false,
@@ -179,8 +176,6 @@ func runServe(args []string, out io.Writer) error {
 			runErr = err
 		}
 		if *showStats {
-			printRunStats(out, n.Program(), n.VM())
-			printTransportStats(out, n)
 			printMeshMetrics(out, n)
 		}
 	}
@@ -214,15 +209,6 @@ func writeMeshTraceFile(path string, n *node.Node) error {
 		return err
 	}
 	return f.Close()
-}
-
-// printTransportStats renders the node transport's frame counters.
-func printTransportStats(w io.Writer, n *node.Node) {
-	sent, recv := n.TransportCounts()
-	cs := stats.NewCounters()
-	cs.Counter("wire.frames.sent").Add(int64(sent))
-	cs.Counter("wire.frames.received").Add(int64(recv))
-	fmt.Fprint(w, cs.Table("node transport (wire frames)").String())
 }
 
 func splitAddrs(peers string) []string {
@@ -345,8 +331,6 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 		runErr = err
 	}
 	if showStats {
-		printRunStats(out, n.Program(), n.VM())
-		printTransportStats(out, n)
 		printMeshMetrics(out, n)
 	}
 	if traceOut != "" {
@@ -387,22 +371,8 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 	return runErr
 }
 
-// printRunStats renders the interpreter activity counters and the router
-// lane observability (enqueue/inline/backlog-drain counts and current depth
-// per (source, destination) cluster lane) through stats.Counters, so the
-// pisces run summary shows where cross-cluster traffic flowed.  The runtime
-// metric registry prints separately (printMetricsTables /
-// printMeshMetrics), because in distributed runs the per-node snapshot is
-// folded into one merged mesh view instead of printing on its own.
-func printRunStats(w io.Writer, prog *pfi.Program, vm *pisces.VM) {
-	if prog != nil {
-		fmt.Fprint(w, prog.StatsTable())
-	}
-	fmt.Fprint(w, routerStatsTable(vm))
-}
-
 // printMetricsTables renders one metric snapshot's counter and histogram
-// tables.
+// tables: the whole of what -stats prints.
 func printMetricsTables(w io.Writer, snap *obs.Snapshot, title string) {
 	for _, t := range snap.Tables(title) {
 		fmt.Fprint(w, t.String())
@@ -417,12 +387,11 @@ func printMetricsTables(w io.Writer, snap *obs.Snapshot, title string) {
 // node.rx.*) come out directional, so the merged table shows both endpoints
 // of every lane without collisions.
 func printMeshMetrics(w io.Writer, n *node.Node) {
-	reg := n.Obs()
-	if !reg.Has(obs.Metrics) {
+	if !n.Obs().Has(obs.Metrics) {
 		return
 	}
 	topo := n.Topology()
-	merged := reg.Snapshot()
+	merged := n.Snapshot()
 	labels := []string{fmt.Sprintf("node 0 (clusters %v)", topo.Clusters(0))}
 	snaps := n.FollowerSnapshots()
 	ids := make([]int, 0, len(snaps))
@@ -435,24 +404,6 @@ func printMeshMetrics(w io.Writer, n *node.Node) {
 		labels = append(labels, fmt.Sprintf("node %d (clusters %v)", id, topo.Clusters(id)))
 	}
 	printMetricsTables(w, merged, "mesh runtime metrics: "+strings.Join(labels, ", "))
-}
-
-// routerStatsTable renders vm.RouterStats as a stats.Counters table; empty
-// on single-cluster machines (no lanes).
-func routerStatsTable(vm *pisces.VM) string {
-	lanes := vm.RouterStats()
-	if len(lanes) == 0 {
-		return ""
-	}
-	cs := stats.NewCounters()
-	for _, l := range lanes {
-		p := fmt.Sprintf("lane.c%d->c%d.", l.Src, l.Dst)
-		cs.Counter(p + "inline").Add(l.Inline)
-		cs.Counter(p + "enqueued").Add(l.Enqueued)
-		cs.Counter(p + "drained").Add(l.Drained)
-		cs.Counter(p + "depth").Add(int64(l.Depth))
-	}
-	return cs.Table("router lanes (messages)").String()
 }
 
 // prefixWriter relays a child process's output line by line with a node

@@ -112,11 +112,6 @@ type clusterRT struct {
 	// Intra-cluster message traffic allocates and frees exclusively on it, so
 	// senders in different clusters never contend on one allocator lock.
 	heap *memory.Allocator
-	// router holds this cluster's inbound cross-cluster lanes, keyed by
-	// source cluster number: each lane receives wire-encoded bytes from one
-	// cluster and decodes them into the shard.  Nil on single-cluster
-	// machines, where every send is intra-cluster; read-only after boot.
-	router map[int]*clusterRouter
 
 	controllerID TaskID
 	terminal     bool // hosts the user and file controllers

@@ -17,7 +17,7 @@ const (
 	costSendPacket = 2
 	// costAcceptMsg is charged to the receiver per accepted message.
 	costAcceptMsg = 8
-	// costRouteMsg is charged to the destination cluster's router per
+	// costRouteMsg is charged to the destination cluster's primary PE per
 	// cross-cluster message, for decoding the wire form into the destination
 	// heap shard (plus costSendPacket per packet moved between shards).
 	costRouteMsg = 6

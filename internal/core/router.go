@@ -2,154 +2,62 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/backend"
-	"repro/internal/memory"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
 )
 
 // Cross-cluster message routing.
 //
-// The message heap is sharded per cluster (see clusterRT.heap), so a message
-// cannot simply be charged to "the heap" any more: intra-cluster sends
-// allocate on the one shard both tasks share, while an inter-cluster send
-// has to move the argument bytes from the sender's shard to the receiver's.
-// That move is exactly the wire path of the FLEX/32 run-time — "messages
-// consist of a header and a list of packets containing the arguments"
-// (Section 11) — so it goes through msgcodec for real: the sender encodes the
-// argument list into its own shard, and the destination cluster's router
-// decodes the bytes into a fresh message charged to the destination shard.
-// Header fields that never leave the run-time (type, sender, sequence number,
-// the initiate-reply linkage) travel alongside the packet bytes, the way the
-// original header carried queue linkage next to the packets.
+// The message heap is sharded per cluster (see clusterRT.heap), so an
+// inter-cluster send has to move the argument bytes from the sender's shard
+// to the receiver's.  That move is the wire path of the FLEX/32 run-time —
+// "messages consist of a header and a list of packets containing the
+// arguments" (Section 11) — and, as there, it is a run-time call made by the
+// sending task, not a process of its own: the sender encodes the argument
+// list into its own shard with msgcodec, reserves the message's storage on
+// the destination shard, decodes the bytes into a fresh message that owns
+// that storage, and queues it on the receiver.  Header fields that never
+// leave the run-time (type, sender, sequence number, the initiate-reply
+// linkage) travel alongside the packet bytes, the way the original header
+// carried queue linkage next to the packets.
 //
-// Every cluster of a multi-cluster machine runs one router lane per source
-// cluster (a task woken through a backend event), so deterministic (-sim)
-// runs schedule router hops exactly like any other task and replay them
-// byte-identically from the seed.  One lane per (source, destination) pair
-// keeps messages between a given pair of tasks in send order while letting
-// traffic from different clusters decode concurrently — a single lane per
-// destination would serialise a fan-in that the senders produced in
-// parallel.  The router does not occupy the destination PE's CPU — on the
-// FLEX/32 the inter-cluster copy was the shared-memory bus at work, not a
-// process competing for the receiver's processor — but the decode cost is
-// still charged to the destination cluster's primary PE clock so
-// simulated-time experiments see the transfer.
+// Per-sender order needs no machinery: a task is serial, so its next send
+// cannot start before its previous one has been queued on the receiver, and
+// the receiver's in-queue is FIFO.  Sends by different tasks are unordered
+// with respect to each other, as concurrent direct sends always were.  The
+// copy does not occupy the destination PE's CPU — on the FLEX/32 it was the
+// shared-memory bus at work, not a process competing for the receiver's
+// processor — but its cost is charged to the destination cluster's primary
+// PE clock so simulated-time experiments see the transfer.
 
-// routerBatch bounds how many queued wire messages the router takes per lock
-// acquisition.  Draining in small batches keeps the queue lock cheap under
-// fan-in bursts without letting one drain hold the destination PE for an
-// unbounded stretch.
-const routerBatch = 16
-
-// wireMsg is one cross-cluster message in flight: codec-encoded argument
-// bytes in the source cluster's heap shard, plus the header fields the router
-// needs to rebuild the message on the destination side.  dest is the
-// receiving task's record, resolved once on the send side; its in-queue's
-// closed flag is the liveness check at delivery time.
-type wireMsg struct {
-	dest    *taskRec
+// inbound is the header of one cross-cluster message at delivery: the fields
+// that travel beside the codec-encoded argument bytes.
+type inbound struct {
 	msgType string
 	sender  TaskID
 	seq     uint64
 	sendSeq uint64 // HA send sequence number (0 = unsequenced)
 	edge    uint64 // causal edge id stamped at the send site
-
-	srcHeap *memory.Allocator // source shard holding the wire bytes
-	off     int               // allocation offset in srcHeap
-	destOff int               // storage reserved on the destination shard at send time
-	size    int               // charged bytes (header + packets model)
-	wireLen int               // codec bytes actually written at off
-
 	// reply carries the initiate-reply linkage for routed initiate requests.
 	reply *initReply
-	// flush, when non-nil, marks a barrier token: the router opens the gate
-	// once everything enqueued before it has been delivered.  No payload.
-	flush backend.Gate
-	// enq is the backend-clock enqueue time, stamped only when metrics are
-	// enabled and the message took the queued (non-inline) path; the drain
-	// observes enqueue->delivery lane queue time from it.
-	enq time.Time
 }
 
-// clusterRouter delivers inbound cross-cluster messages for one destination
-// cluster from one source cluster.
-//
-// Delivery has two modes.  When the lane has no backlog (empty queue, no
-// batch in flight), the sending task delivers its own message inline — the
-// common uncongested case, and the one that keeps concurrent senders
-// decoding in parallel instead of funnelling through one task.  When the
-// lane has backlog, messages queue and the lane task drains them in small
-// batches.
-//
-// The ordering contract is per sender task: a task's messages to a given
-// receiver arrive in send order.  A sending task is itself serial, so its
-// next send cannot start while its previous inline delivery is still in
-// progress; and the inline path is taken only when the queue is empty AND no
-// batch is being delivered, so a sender whose earlier message is still
-// queued (or in a batch) can never leapfrog it.  Concurrent inline
-// deliveries by different senders are unordered with respect to each other,
-// exactly as concurrent direct sends always were.
-type clusterRouter struct {
-	vm   *VM
-	cl   *clusterRT // destination cluster this lane serves
-	src  int        // source cluster this lane receives from
-	wake backend.Event
-	done backend.Gate
-
-	mu       sync.Mutex
-	q        []wireMsg
-	batching bool // the lane task is delivering a taken batch
-	closed   bool
-
-	// Lane observability (vm.RouterStats): inline deliveries by sending
-	// tasks, messages queued for the lane task, and backlog messages the
-	// lane task drained.  Guarded by mu; bumping them costs nothing extra
-	// because every path below already holds it.
-	statInline   int64
-	statEnqueued int64
-	statDrained  int64
-}
-
-// startRouters spawns the router lanes: for every destination cluster, one
-// lane per other (source) cluster, in (destination, source) order so spawn
-// order is deterministic.  Single-cluster machines skip routing entirely:
-// every send is intra-cluster.
-func (vm *VM) startRouters() error {
-	nums := vm.clusterNumbers()
-	if len(nums) < 2 {
-		return nil
-	}
-	for _, n := range nums {
-		cl, _ := vm.cluster(n)
-		cl.router = make(map[int]*clusterRouter, len(nums)-1)
-		for _, src := range nums {
-			if src == n {
-				continue
-			}
-			r := &clusterRouter{vm: vm, cl: cl, src: src, wake: vm.backend.NewEvent(), done: vm.backend.NewGate()}
-			vm.backend.Spawn(fmt.Sprintf("pisces.router/c%d-c%d", src, n), r.run)
-			cl.router[src] = r
-			vm.routers = append(vm.routers, r)
-		}
-	}
-	return nil
-}
-
-// routeMessage sends one message across clusters: the argument list is
-// codec-encoded into the sender's heap shard, the message's storage on the
-// destination shard is reserved, and the wire bytes are handed to the
-// destination cluster's router.  Reserving the destination storage here —
-// not at delivery — keeps the pre-shard error contract: a send that the
-// receiving cluster cannot hold fails with ErrHeapExhausted at the sender
-// instead of vanishing in flight.  It returns the charged byte size so the
-// caller can charge send ticks; both allocations are owned by the router
-// from here on.  from is the sending cluster (it must differ from the
-// destination's), dest the receiving task's record.
+// routeMessage sends one message across clusters, in the sending task: the
+// argument list is codec-encoded into the sender's heap shard, the message's
+// storage on the destination shard is reserved, and the wire bytes are
+// decoded into it and queued on the receiver.  Reserving the destination
+// storage before delivery keeps the pre-shard error contract: a send that the
+// receiving cluster cannot hold fails with ErrHeapExhausted at the sender.
+// It returns the charged byte size so the caller can charge send ticks.  from
+// is the sending cluster (it must differ from the destination's), dest the
+// receiving task's record.
 func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sender TaskID, args []Value, seq, sendSeq uint64, reply *initReply) (int, error) {
+	if vm.routeClosed.Load() {
+		reply.deliver(NilTask)
+		return 0, ErrVMTerminated
+	}
 	var spanT0 time.Time
 	if vm.spansOn() {
 		spanT0 = vm.om.reg.Now()
@@ -162,6 +70,9 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 	if err != nil {
 		return 0, vm.heapErr(err)
 	}
+	// The in-flight copy lives in the sender's shard only for the duration of
+	// this call: delivered or not, it is recovered on return.
+	defer from.heap.Free(off)
 	// Encode straight into the shard's arena: the packet-model size always
 	// bounds the wire size (a packet holds more than an argument's wire
 	// overhead), so the append never outgrows the allocation.
@@ -175,220 +86,114 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
 	}
 	if err != nil {
-		_ = from.heap.Free(off)
 		return 0, err
 	}
 	if len(wire) > size {
-		_ = from.heap.Free(off)
 		return 0, fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
 	}
-	destOff, err := dest.cluster.heap.Alloc(size)
+	destHeap := dest.cluster.heap
+	destOff, err := destHeap.Alloc(size)
 	if err != nil {
-		_ = from.heap.Free(off)
 		return 0, vm.heapErr(err)
 	}
-	// The destination-shard reservation is this message's heap charge (the
-	// delivered message takes ownership of it in deliver, not through
-	// chargeMessageOn), so count it here to keep charge/recover balanced.
-	if vm.metricsOn() {
-		vm.om.heapCharges.Inc()
-		vm.om.heapMsgBytes.Observe(int64(size))
-	}
-	edge := vm.newEdge()
+	in := inbound{msgType: msgType, sender: sender, seq: seq, sendSeq: sendSeq, edge: vm.newEdge(), reply: reply}
 	if reply != nil {
-		reply.edge = edge
-	}
-	w := wireMsg{
-		dest: dest, msgType: msgType, sender: sender, seq: seq, sendSeq: sendSeq, edge: edge,
-		srcHeap: from.heap, off: off, destOff: destOff, size: size, wireLen: len(wire),
-		reply: reply,
+		reply.edge = in.edge
 	}
 	// The send-side half of the causal pair: a flight-recorder event and, when
-	// spans are live, a small send span the flow arrow starts inside.
-	vm.om.rec.Record(from.cfg.Number, msgcodec.EvSend, edge,
-		int64(from.cfg.Number), int64(dest.cluster.cfg.Number))
+	// spans are live, a small send span the flow arrow starts inside; the
+	// arrow ends inside the deliver span below.
+	src, dst := from.cfg.Number, dest.cluster.cfg.Number
+	vm.om.rec.Record(src, msgcodec.EvSend, in.edge, int64(src), int64(dst))
+	var deliverT0 time.Time
 	if !spanT0.IsZero() {
-		lane := fmt.Sprintf("send/c%d", from.cfg.Number)
+		lane := fmt.Sprintf("send/c%d", src)
 		vm.om.reg.Span(lane, "send "+msgType, spanT0)
-		vm.om.reg.Flow(edge, lane, obs.FlowStart, spanT0)
+		vm.om.reg.Flow(in.edge, lane, obs.FlowStart, spanT0)
+		deliverT0 = vm.om.reg.Now()
 	}
-	if !dest.cluster.router[from.cfg.Number].send(w) {
-		_ = from.heap.Free(off)
-		_ = dest.cluster.heap.Free(destOff)
-		reply.deliver(NilTask)
-		return 0, ErrVMTerminated
+	err = vm.deliverInbound(dest, &in, wire, destOff, size)
+	if !deliverT0.IsZero() {
+		vm.deliverSpan(fmt.Sprintf("router/c%d->c%d", src, dst), msgType, in.edge, obs.FlowEnd, deliverT0)
+	}
+	if err != nil {
+		// Unreachable for run-time-encoded messages (the reservation rules out
+		// the heap, so only a codec disagreement gets here): the reservation
+		// never became a message, so it goes back uncounted.
+		_ = destHeap.Free(destOff)
+		return 0, fmt.Errorf("core: cluster %d: corrupt wire message %s from %s: %w", dst, msgType, sender, err)
 	}
 	return size, nil
 }
 
-// send hands one wire message to the lane: delivered inline by the calling
-// task when the lane has no backlog, queued for the lane task otherwise.  It
-// reports false if the lane has already been stopped (VM shutdown).
-func (r *clusterRouter) send(w wireMsg) bool {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	if len(r.q) == 0 && !r.batching {
-		r.statInline++
-		r.mu.Unlock()
-		r.deliver(&w)
-		return true
-	}
-	if r.vm.metricsOn() {
-		w.enq = r.vm.om.reg.Now()
-	}
-	r.q = append(r.q, w)
-	r.statEnqueued++
-	r.mu.Unlock()
-	r.wake.Pulse()
-	return true
+// deliverSpan closes one delivery's span on its "router/..." trace lane and
+// binds the message's causal flow to it, so the viewer draws the arrow from
+// the send span to this slice.
+func (vm *VM) deliverSpan(lane, msgType string, edge uint64, phase byte, t0 time.Time) {
+	vm.om.reg.Span(lane, "deliver "+msgType, t0)
+	vm.om.reg.Flow(edge, lane, phase, t0)
 }
 
-// enqueue appends one wire message for the lane task without the inline fast
-// path (used by flush tokens, which must observe queue order strictly).  It
-// reports false if the lane has already been stopped.
-func (r *clusterRouter) enqueue(w wireMsg) bool {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return false
-	}
-	r.q = append(r.q, w)
-	r.statEnqueued++
-	r.mu.Unlock()
-	r.wake.Pulse()
-	return true
-}
+// chargeAtDelivery, passed as deliverInbound's reserved offset, says no
+// destination storage was reserved for the message.
+const chargeAtDelivery = -1
 
-// run is the router task body: wait for wire messages, drain them in small
-// batches, exit once stopped and fully drained.  Waiting goes through the
-// backend event, so the wait is scheduler-visible under a deterministic
-// backend; the done gate is opened on exit for stop to wait on.
-func (r *clusterRouter) run() {
-	defer r.done.Open()
-	batch := make([]wireMsg, 0, routerBatch)
-	for {
-		r.mu.Lock()
-		for len(r.q) == 0 {
-			if r.closed {
-				r.mu.Unlock()
-				return
-			}
-			r.mu.Unlock()
-			r.wake.Wait()
-			r.mu.Lock()
-		}
-		r.batching = true
-		n := len(r.q)
-		if n > routerBatch {
-			n = routerBatch
-		}
-		batch = append(batch[:0], r.q[:n]...)
-		r.statDrained += int64(n)
-		rest := copy(r.q, r.q[n:])
-		for i := rest; i < len(r.q); i++ {
-			r.q[i] = wireMsg{} // drop heap/gate references
-		}
-		r.q = r.q[:rest]
-		r.mu.Unlock()
-		for i := range batch {
-			r.deliver(&batch[i])
-			batch[i] = wireMsg{}
-		}
-		r.mu.Lock()
-		r.batching = false
-		r.mu.Unlock()
-	}
-}
-
-// deliver decodes one wire message into the destination shard and queues it
-// on the destination task.  The wire bytes are freed from the source shard
-// unconditionally — delivered or dropped, the in-flight copy is recovered.
-func (r *clusterRouter) deliver(w *wireMsg) {
-	if w.flush != nil {
-		w.flush.Open()
-		return
-	}
-	metrics, spans := r.vm.metricsOn(), r.vm.spansOn()
-	var obsT0 time.Time
-	if metrics || spans {
-		obsT0 = r.vm.om.reg.Now()
-		if metrics && !w.enq.IsZero() {
-			r.vm.om.laneQueue.ObserveDuration(obsT0.Sub(w.enq))
-		}
-	}
-	args, derr := msgcodec.Decode(w.srcHeap.Bytes(w.off, w.wireLen))
+// deliverInbound is the one delivery tail every cross-cluster message takes,
+// whether it was encoded a moment ago by a task of this VM or arrived in a
+// wire frame: decode the argument bytes, give the message its storage on the
+// destination shard, charge the transfer to the destination PE, and queue it
+// on the receiving task.  reserved is the offset of size bytes the sender
+// reserved on rec's shard (routeMessage), or chargeAtDelivery to charge the
+// shard here (inbound frames, whose sender could not).  The heap charge is
+// counted at the moment the message takes ownership of its storage, so a
+// failure before that point — the only kind that returns an error — leaves
+// charge/recover balanced and the reservation with the caller; the reply of
+// a routed initiate is failed here on every path that drops the message.
+func (vm *VM) deliverInbound(rec *taskRec, in *inbound, payload []byte, reserved, size int) error {
+	var t0 time.Time
+	metrics := vm.metricsOn()
 	if metrics {
-		r.vm.om.decodeNS.ObserveDuration(r.vm.om.reg.Now().Sub(obsT0))
+		t0 = vm.om.reg.Now()
 	}
-	if spans {
-		defer func() {
-			lane := fmt.Sprintf("router/c%d->c%d", r.src, r.cl.cfg.Number)
-			r.vm.om.reg.Span(lane, "deliver "+w.msgType, obsT0)
-			// End the causal flow inside the deliver span: the viewer draws
-			// the arrow from the send span to this slice.
-			r.vm.om.reg.Flow(w.edge, lane, obs.FlowEnd, obsT0)
-		}()
+	args, err := msgcodec.Decode(payload)
+	if metrics {
+		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
-	_ = w.srcHeap.Free(w.off)
-	if derr != nil {
-		// Unreachable for run-time-encoded messages; surface loudly rather
-		// than lose traffic silently if the codec and router ever disagree.
-		_ = r.cl.heap.Free(w.destOff)
-		r.vm.userPrintf("pisces: router cluster %d: corrupt wire message %s from %s: %v\n",
-			r.cl.cfg.Number, w.msgType, w.sender, derr)
-		w.reply.deliver(NilTask)
-		return
+	if err != nil {
+		in.reply.deliver(NilTask)
+		return err
+	}
+	msg := newMessage(in.msgType, in.sender, args, in.seq)
+	msg.sendSeq = in.sendSeq
+	msg.edge = in.edge
+	msg.reply = in.reply
+	if reserved != chargeAtDelivery {
+		vm.adoptStorage(msg, rec.cluster.heap, reserved, size)
+	} else if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
+		recycleMessage(msg)
+		in.reply.deliver(NilTask)
+		return err
 	}
 	// Charge the transfer to the destination PE's clock without occupying its
-	// CPU: the inter-cluster copy is bus work, not receiver computation.
-	r.cl.primary.Charge(int64(costRouteMsg + costSendPacket*((w.size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-
-	// The destination-shard storage was reserved at send time; the message
-	// just takes ownership of it here.
-	msg := newMessage(w.msgType, w.sender, args, w.seq)
-	msg.sendSeq = w.sendSeq
-	msg.edge = w.edge
-	msg.reply = w.reply
-	msg.heapOff, msg.heapBytes, msg.heapShard = w.destOff, w.size, r.cl.heap
-	switch w.dest.queue.put(msg) {
+	// CPU: the inter-cluster copy is bus (or network) work, not receiver
+	// computation.
+	rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
+	switch rec.queue.put(msg) {
 	case putOK:
 	case putDup:
 		// HA duplicate suppression: the receiver admitted this send sequence
-		// number in a previous life; drop the re-delivery.
-		r.vm.releaseMessage(msg)
+		// number in a previous life (replayed sender or re-delivered
+		// retention); the original delivery stands.
+		vm.releaseMessage(msg)
 		recycleMessage(msg)
 	case putClosed:
 		// Receiver terminated while the message was in flight (or, for an
 		// initiate request, the VM is shutting down): the send already
 		// succeeded from the sender's point of view, the message is dropped
 		// like any message queued at a task's termination.
-		r.vm.releaseMessage(msg)
+		vm.releaseMessage(msg)
 		recycleMessage(msg)
-		w.reply.deliver(NilTask)
+		in.reply.deliver(NilTask)
 	}
-}
-
-// flushRouters blocks until every wire message enqueued before the call has
-// been delivered, by pushing a flush token through each router's queue.
-func (vm *VM) flushRouters() {
-	for _, r := range vm.routers {
-		g := vm.backend.NewGate()
-		if r.enqueue(wireMsg{flush: g}) {
-			g.Wait()
-		}
-	}
-}
-
-// stop drains the router and waits for its task to exit.  Pending wire
-// messages are still delivered (or their storage recovered) before the task
-// returns, so shutdown leaves every heap shard empty of in-flight traffic.
-func (r *clusterRouter) stop() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	r.wake.Pulse()
-	r.done.Wait()
+	return nil
 }

@@ -1,13 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/flex"
 	"repro/internal/msgcodec"
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestCrossClusterCodecRoundTrip sends every argument kind across a cluster
@@ -250,4 +257,180 @@ func TestCrossClusterSendHeapExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm.WaitIdle()
+}
+
+// streamPerSender runs the ordering workload on the given backend: two source
+// tasks on cluster 1 and two on cluster 2 each stream numbered messages to
+// one sink on cluster 3.  With no routing task between them, per-sender order
+// rests on two facts only — a task is serial and the in-queue is FIFO — so
+// the sink must see every sender's numbers strictly ascending, whatever the
+// interleaving between senders.
+func streamPerSender(t *testing.T, b backend.Backend) {
+	t.Helper()
+	const perSender, senders = 150, 4
+	vm, err := NewVM(config.Simple(3, 4), Options{AcceptTimeout: 30 * time.Second, Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Results travel through a mutex, not a channel: under the sim backend a
+	// task blocked on a Go channel is invisible to the scheduler.
+	var mu sync.Mutex
+	var problems []string
+	next := make(map[TaskID]int64)
+	vm.Register("sink", func(task *Task) {
+		for i := 0; i < perSender*senders; i++ {
+			m, err := task.AcceptOne("num")
+			if err != nil {
+				mu.Lock()
+				problems = append(problems, err.Error())
+				mu.Unlock()
+				return
+			}
+			mu.Lock()
+			if got := MustInt(m.Args[0]); got != next[m.Sender] {
+				problems = append(problems, fmt.Sprintf("sender %s: got %d, want %d", m.Sender, got, next[m.Sender]))
+			}
+			next[m.Sender]++
+			mu.Unlock()
+		}
+	})
+	vm.Register("source", func(task *Task) {
+		to := MustID(task.Arg(0))
+		for i := 0; i < perSender; i++ {
+			if err := task.Send(to, "num", Int(int64(i))); err != nil {
+				mu.Lock()
+				problems = append(problems, err.Error())
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	sink, err := vm.Initiate("sink", OnCluster(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range []int{1, 2, 1, 2} {
+		if _, err := vm.Initiate("source", OnCluster(cl), ID(sink)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm.WaitIdle()
+	vm.Shutdown()
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range problems {
+		t.Error(p)
+	}
+	if len(next) != senders {
+		t.Fatalf("sink heard from %d senders, want %d", len(next), senders)
+	}
+	for id, n := range next {
+		if n != perSender {
+			t.Errorf("sender %s delivered %d messages, want %d", id, n, perSender)
+		}
+	}
+}
+
+// TestCrossClusterPerSenderOrder pins per-sender FIFO across clusters on the
+// goroutine backend (run it under -race) and across 32 simulator seeds.
+func TestCrossClusterPerSenderOrder(t *testing.T) {
+	t.Run("goroutines", func(t *testing.T) { streamPerSender(t, backend.Default()) })
+	t.Run("sim", func(t *testing.T) {
+		for seed := int64(1); seed <= 32; seed++ {
+			streamPerSender(t, sim.New(seed))
+		}
+	})
+}
+
+// TestCrossClusterPrintLandsBeforeFlushReturns: terminal output sent from
+// another cluster is delivered by the printing task itself, so once the task
+// has returned from its prints, FlushUserOutput has only the user controller's
+// own in-queue to wait for — the text is in the writer when it returns.
+func TestCrossClusterPrintLandsBeforeFlushReturns(t *testing.T) {
+	var out bytes.Buffer
+	vm, err := NewVM(config.Simple(2, 2), Options{AcceptTimeout: 30 * time.Second, UserOutput: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Shutdown()
+	const lines = 50
+	printed := make(chan struct{})
+	vm.Register("chatty", func(task *Task) {
+		for i := 0; i < lines; i++ {
+			task.Printf("line %d\n", i)
+		}
+		close(printed)
+		_, _ = task.AcceptOne("quit") // stay alive: the flush must not depend on task exit
+	})
+	id, err := vm.Initiate("chatty", OnCluster(2)) // the user controller lives on cluster 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-printed
+	vm.FlushUserOutput()
+	var want strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&want, "line %d\n", i)
+	}
+	if out.String() != want.String() {
+		t.Errorf("after FlushUserOutput the writer holds %q, want all %d lines in order", out.String(), lines)
+	}
+	if err := vm.SendFromUser(id, "quit"); err != nil {
+		t.Fatal(err)
+	}
+	vm.WaitIdle()
+}
+
+// TestRouteAfterShutdownAndCorruptFrameBalance covers the two paths on which
+// a cross-cluster message is refused after storage was (or could have been)
+// set aside for it: a send issued once Shutdown has closed routing fails with
+// ErrVMTerminated and fails its initiate reply, a corrupt inbound frame is
+// dropped with an error — and in both cases no shard holds a byte afterwards
+// and every counted heap charge has its recover.
+func TestRouteAfterShutdownAndCorruptFrameBalance(t *testing.T) {
+	reg := obs.New()
+	reg.Enable(obs.Metrics)
+	vm, err := NewVM(config.Simple(2, 2), Options{AcceptTimeout: 30 * time.Second, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.Register("parked", func(task *Task) { _, _ = task.AcceptOne("never") })
+	id, err := vm.Initiate("parked", OnCluster(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := vm.lookupTask(id)
+	if !ok {
+		t.Fatalf("task %s not registered after Initiate returned", id)
+	}
+	from, _ := vm.cluster(1)
+
+	bad := WireFrame{Kind: FrameMessage, Src: 1, Dst: 2, Dest: id, Type: "junk", Payload: []byte{0xff, 0xff, 0xff, 0xff, 0xff}}
+	if err := vm.DeliverWire(&bad); err == nil {
+		t.Error("DeliverWire accepted a corrupt payload")
+	}
+
+	vm.Shutdown()
+
+	reply := newInitReply(vm.backend)
+	_, err = vm.routeMessage(from, rec, "late", vm.userCtrl, []Value{Int(1), Str("too late")}, vm.msgSeq.Add(1), 0, reply)
+	if !errors.Is(err, ErrVMTerminated) {
+		t.Errorf("send after Shutdown: err = %v, want ErrVMTerminated", err)
+	}
+	if got := reply.wait(); !got.IsNil() {
+		t.Errorf("refused send delivered reply %s, want NilTask", got)
+	}
+	for i, shard := range vm.Machine().Shared().HeapShards() {
+		if in := shard.InUse(); in != 0 {
+			t.Errorf("heap shard %d holds %d bytes after shutdown", i, in)
+		}
+	}
+	counters := make(map[string]int64)
+	for _, c := range reg.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	if c, r := counters["core.heap.charge"], counters["core.heap.recover"]; c == 0 || c != r {
+		t.Errorf("core.heap.charge = %d, core.heap.recover = %d; want equal and non-zero", c, r)
+	}
 }

@@ -275,7 +275,7 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 // sendInternal performs the shared-memory allocation, delivery, tracing, and
 // tick charging of one message send.  An intra-cluster send touches only its
 // own cluster's heap shard; a cross-cluster send is codec-encoded into the
-// sender's shard and handed to the destination cluster's router.
+// sender's shard and decoded into the destination cluster's by this task.
 func (t *Task) sendInternal(to TaskID, msgType string, args []Value, sendSeq uint64) error {
 	from := t.rec.cluster
 	if t.vm.wireRemote(from, to.Cluster) {

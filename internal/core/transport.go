@@ -13,18 +13,17 @@ import (
 
 // Cross-cluster transport seam.
 //
-// PR 4 made every cross-cluster message travel as real msgcodec wire bytes
-// between per-cluster heap shards, but both ends still lived in one process:
-// the router lanes in router.go moved the bytes.  This file extracts the seam
-// those lanes sat behind into a Transport interface, so a PISCES machine can
-// be partitioned across OS processes ("nodes", internal/node): each VM hosts
-// a subset of the configured clusters, and a frame whose destination cluster
-// is hosted elsewhere is handed to the VM's remote Transport instead of a
-// router lane.  The in-process delivery path — decode the wire bytes, charge
-// the destination shard, queue on the destination task — is itself exposed as
-// the loopback Transport, which is both the degenerate single-process
-// implementation and the inbound half every remote transport delivers
-// through.
+// Every cross-cluster message travels as real msgcodec wire bytes between
+// per-cluster heap shards; between two clusters of one process the sending
+// task moves the bytes itself (router.go).  This file is the seam that lets a
+// PISCES machine be partitioned across OS processes ("nodes", internal/node):
+// each VM hosts a subset of the configured clusters, and a frame whose
+// destination cluster is hosted elsewhere is handed to the VM's remote
+// Transport instead of being delivered in place.  The in-process delivery
+// path — decode the wire bytes, charge the destination shard, queue on the
+// destination task — is itself exposed as the loopback Transport, which is
+// both the degenerate single-process implementation and the inbound half
+// every remote transport delivers through.
 //
 // Hosting is structural, not partial: every node boots the FULL configuration
 // (all clusters, all controllers), so system-table layout, heap shards, and —
@@ -111,10 +110,10 @@ type Transport interface {
 // loopback is the in-process Transport: frames are delivered straight into
 // the hosted destination cluster.  It is the inbound half remote transports
 // deliver through (their reader calls vm.DeliverWire, which is Send here)
-// and the delegation target of the fault-injecting transport.  The
-// shard-resident fast path for sends between two locally hosted clusters
-// lives in router.go (routeMessage) and does not pass through this generic
-// entry.
+// and the delegation target of the fault-injecting transport.  Sends between
+// two locally hosted clusters encode into the sender's shard and reserve the
+// receiver's (routeMessage in router.go) instead of passing through this
+// generic entry; both end in the same deliverInbound.
 type loopback struct{ vm *VM }
 
 // Send delivers one frame to the destination cluster hosted by this VM.
@@ -127,11 +126,10 @@ func (l *loopback) SendReply(dst int, replyID uint64, id TaskID) error {
 	return nil
 }
 
-// Flush waits for the router lanes to drain (generic sends deliver
-// synchronously, so only lane traffic can be outstanding).
-func (l *loopback) Flush() { l.vm.flushRouters() }
+// Flush has nothing to wait for: Send delivers synchronously.
+func (l *loopback) Flush() {}
 
-// Close is a no-op: the lanes are stopped by VM.Shutdown.
+// Close is a no-op: the loopback holds no resources of its own.
 func (l *loopback) Close() error { return nil }
 
 // Loopback returns the VM's in-process transport: the delivery path every
@@ -237,7 +235,7 @@ func (vm *VM) replyTransport() Transport {
 
 // routeRemote sends one cross-cluster message through the remote Transport:
 // the argument list is codec-encoded into the sender's heap shard (modelling
-// the outbound copy exactly like the in-process router path) and the frame is
+// the outbound copy exactly like the in-process path) and the frame is
 // handed to the transport, which must copy or transmit the payload before
 // returning; the shard bytes are then recovered.  The destination shard is
 // charged by the receiving node at delivery — a remote receiver's heap
@@ -373,78 +371,39 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 		reply.deliver(NilTask)
 		return nil
 	}
-	// Inbound router half: a remote frame's decode+charge+queue is the same
-	// layer a lane's deliver is for in-process traffic, so it carries the same
-	// metrics and a router-lane span (lane "router/c<dst><-wire").
-	metrics, spans := vm.metricsOn(), vm.spansOn()
-	var obsT0 time.Time
-	if metrics || spans {
-		obsT0 = vm.om.reg.Now()
+	// An inbound frame's decode+charge+queue is the same layer routeMessage's
+	// delivery is for in-process traffic, so it carries the same metrics and
+	// a deliver span (trace lane "router/c<dst><-wire").
+	var spanT0 time.Time
+	if vm.spansOn() {
+		spanT0 = vm.om.reg.Now()
 	}
-	if spans {
-		edge, stepping, dst, msgType := f.Edge, f.ReplyID != 0, f.Dest.Cluster, f.Type
-		defer func() {
-			lane := fmt.Sprintf("router/c%d<-wire", dst)
-			vm.om.reg.Span(lane, "deliver "+msgType, obsT0)
-			// A routed initiate still owes its sender a reply frame, so the
-			// flow steps through here and ends when the reply lands back on
-			// the requesting node; plain messages end here.
-			phase := obs.FlowEnd
-			if stepping {
-				phase = obs.FlowStep
-			}
-			vm.om.reg.Flow(edge, lane, phase, obsT0)
-		}()
-	}
-	args, err := msgcodec.Decode(f.Payload)
-	if metrics {
-		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
+	in := inbound{msgType: f.Type, sender: f.Sender, seq: vm.msgSeq.Add(1), sendSeq: f.SendSeq, edge: f.Edge, reply: reply}
+	err := vm.deliverInbound(rec, &in, f.Payload, chargeAtDelivery, 0)
+	if !spanT0.IsZero() {
+		// A routed initiate still owes its sender a reply frame, so the flow
+		// steps through here and ends when the reply lands back on the
+		// requesting node; plain messages end here.
+		phase := obs.FlowEnd
+		if f.ReplyID != 0 {
+			phase = obs.FlowStep
+		}
+		vm.deliverSpan(fmt.Sprintf("router/c%d<-wire", f.Dest.Cluster), f.Type, f.Edge, phase, spanT0)
 	}
 	if err != nil {
-		// Unreachable for run-time-encoded frames; surface loudly rather
-		// than lose traffic silently if a peer and this node ever disagree.
-		vm.userPrintf("pisces: node: corrupt wire frame %s from %s: %v\n", f.Type, f.Sender, err)
-		reply.deliver(NilTask)
-		return err
+		// A remote receiver's failure cannot reach the sender: the frame is
+		// dropped here, loudly.  (A decode failure is unreachable for
+		// run-time-encoded frames.)
+		vm.userPrintf("pisces: node: dropping %s from %s for %s: %v\n", f.Type, f.Sender, f.Dest, err)
 	}
-	msg := newMessage(f.Type, f.Sender, args, vm.msgSeq.Add(1))
-	msg.sendSeq = f.SendSeq
-	msg.edge = f.Edge
-	msg.reply = reply
-	if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
-		recycleMessage(msg)
-		vm.userPrintf("pisces: node: dropping %s for %s: %v\n", f.Type, f.Dest, err)
-		reply.deliver(NilTask)
-		return err
-	}
-	// Charge the transfer to the destination PE's clock without occupying its
-	// CPU, exactly like the in-process router: the inter-cluster copy is bus
-	// (here: network) work, not receiver computation.
-	rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-	switch rec.queue.put(msg) {
-	case putOK:
-	case putDup:
-		// Duplicate of a frame admitted before a recovery (replayed sender or
-		// re-delivered retention): the original delivery stands.
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-	case putClosed:
-		vm.releaseMessage(msg)
-		rep := msg.reply
-		recycleMessage(msg)
-		rep.deliver(NilTask)
-	}
-	return nil
+	return err
 }
 
 // deliverWireBroadcast fans an inbound broadcast frame out to every hosted
-// user task, in taskid order so deterministic backends replay it.
+// user task, in taskid order so deterministic backends replay it.  Each
+// receiver decodes its own copy of the arguments, exactly as it would for a
+// cross-cluster broadcast inside one process.
 func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
-	args, err := msgcodec.Decode(f.Payload)
-	if err != nil {
-		vm.userPrintf("pisces: node: corrupt broadcast frame %s from %s: %v\n", f.Type, f.Sender, err)
-		return err
-	}
 	vm.mu.Lock()
 	var targets []*taskRec
 	for id, rec := range vm.tasks {
@@ -461,22 +420,17 @@ func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 	}
 	vm.mu.Unlock()
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id.less(targets[j].id) })
+	var firstErr error
 	for _, rec := range targets {
-		msg := newMessage(f.Type, f.Sender, args, vm.msgSeq.Add(1))
-		msg.sendSeq = f.SendSeq
-		msg.edge = f.Edge
-		if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
-			recycleMessage(msg)
-			vm.userPrintf("pisces: node: dropping broadcast %s for %s: %v\n", f.Type, rec.id, err)
-			continue
-		}
-		rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-		if rec.queue.put(msg) != putOK {
-			vm.releaseMessage(msg)
-			recycleMessage(msg)
+		in := inbound{msgType: f.Type, sender: f.Sender, seq: vm.msgSeq.Add(1), sendSeq: f.SendSeq, edge: f.Edge}
+		if err := vm.deliverInbound(rec, &in, f.Payload, chargeAtDelivery, 0); err != nil {
+			vm.userPrintf("pisces: node: dropping broadcast %s from %s for %s: %v\n", f.Type, f.Sender, rec.id, err)
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-	return nil
+	return firstErr
 }
 
 // DeliverWireReply resolves an inbound initiate-reply frame against the
@@ -499,51 +453,19 @@ func (vm *VM) DeliverWireReply(replyID uint64, id TaskID) {
 	r.deliver(id)
 }
 
-// flushTransports lands in-flight cross-cluster traffic: the in-process
-// router lanes always, and the remote transport when one is configured.
+// flushTransports lands in-flight cross-cluster traffic.  Sends between
+// hosted clusters are delivered before they return, so only a remote
+// transport (a socket batch, a fault injector's delay line) can hold any.
 func (vm *VM) flushTransports() {
-	vm.flushRouters()
 	if vm.remote != nil {
 		vm.remote.Flush()
 	}
 }
 
-// recordRouted traces one outbound remote send like a lane delivery would.
+// recordRouted traces one outbound remote send.
 func (vm *VM) recordRouted(from *clusterRT, sender, to TaskID, msgType string, size int) {
 	if vm.tracing(trace.MsgSend) && from != nil {
 		vm.record(trace.MsgSend, sender, to, from.primary,
 			fmt.Sprintf("msgtype=%s routed=remote bytes=%d", msgType, size))
 	}
-}
-
-// LaneStats is the observable state of one in-process router lane (the
-// (Src, Dst) cluster pair it serves): how many messages the sending tasks
-// delivered inline, how many were queued for the lane task, how many the
-// lane task drained from backlog, and the current queue depth.
-type LaneStats struct {
-	Src, Dst                  int
-	Inline, Enqueued, Drained int64
-	Depth                     int
-}
-
-// RouterStats returns per-lane router counters in (Dst, Src) order, for the
-// pisces run summary and tests.
-func (vm *VM) RouterStats() []LaneStats {
-	var out []LaneStats
-	for _, r := range vm.routers {
-		r.mu.Lock()
-		out = append(out, LaneStats{
-			Src: r.src, Dst: r.cl.cfg.Number,
-			Inline: r.statInline, Enqueued: r.statEnqueued, Drained: r.statDrained,
-			Depth: len(r.q),
-		})
-		r.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dst != out[j].Dst {
-			return out[i].Dst < out[j].Dst
-		}
-		return out[i].Src < out[j].Src
-	})
-	return out
 }

@@ -145,9 +145,9 @@ type VM struct {
 	started   bool
 	stopped   bool
 
-	// routers holds the per-cluster cross-cluster message routers in cluster
-	// order (empty on single-cluster machines).
-	routers []*clusterRouter
+	// routeClosed refuses cross-cluster sends once Shutdown has landed all
+	// traffic and is about to stop the controllers (see routeMessage).
+	routeClosed atomic.Bool
 
 	// Distributed-mode state (see transport.go): the hosted cluster set (nil
 	// hosts everything), the remote transport for clusters hosted elsewhere,
@@ -232,7 +232,6 @@ type vmObs struct {
 	heapRecovers *obs.Counter   // core.heap.recover: message storage recovered
 	heapMsgBytes *obs.Histogram // core.heap.msg.bytes: charged message sizes
 	acceptWait   *obs.Histogram // core.accept.wait.ns: time blocked in ACCEPT
-	laneQueue    *obs.Histogram // router.lane.queue.ns: enqueue -> drain delivery
 	encodeNS     *obs.Histogram // codec.encode.ns: argument packet encode time
 	decodeNS     *obs.Histogram // codec.decode.ns: argument packet decode time
 }
@@ -247,7 +246,6 @@ func (o *vmObs) init(reg *obs.Registry, b backend.Backend) {
 	o.heapRecovers = reg.Counter("core.heap.recover")
 	o.heapMsgBytes = reg.Histogram("core.heap.msg.bytes", "B")
 	o.acceptWait = reg.Histogram("core.accept.wait.ns", "ns")
-	o.laneQueue = reg.Histogram("router.lane.queue.ns", "ns")
 	o.encodeNS = reg.Histogram("codec.encode.ns", "ns")
 	o.decodeNS = reg.Histogram("codec.decode.ns", "ns")
 }
@@ -376,7 +374,7 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 
 	// Shard the message heap per cluster so intra-cluster sends only ever
 	// touch their own cluster's allocator lock; cross-cluster traffic moves
-	// between shards through the wire routers started below.
+	// between shards through the wire codec (router.go).
 	nums := cfg.ClusterNumbers()
 	if err := machine.Shared().ShardHeap(len(nums)); err != nil {
 		return nil, fmt.Errorf("core: sharding message heap: %w", err)
@@ -405,14 +403,7 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 		}
 	}
 
-	// Controllers first, routers second: if controller start-up fails the VM
-	// is abandoned, and no router lane goroutines have been spawned yet to
-	// leak.  Nothing routes until NewVMOn has returned — boot performs no
-	// cross-cluster sends.
 	if err := vm.startControllers(); err != nil {
-		return nil, err
-	}
-	if err := vm.startRouters(); err != nil {
 		return nil, err
 	}
 	vm.mu.Lock()
@@ -668,8 +659,8 @@ func (vm *VM) FlushUserOutput() {
 		return
 	}
 	// Land in-flight cross-cluster traffic first: a task's terminal output
-	// may still be wire bytes in a router queue (or a fault-injecting
-	// transport's delay line), and "queued before the call" includes those.
+	// may still sit in a fault-injecting transport's delay line, and "queued
+	// before the call" includes that.
 	vm.flushTransports()
 	gate := vm.backend.NewGate()
 	msg := newMessage(msgUserSync, vm.userCtrl, nil, vm.msgSeq.Add(1))
@@ -740,9 +731,9 @@ func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
 // the destination cluster's heap shard for it like any other message.  from
 // is the sending task's cluster, or nil when the sender is the execution
 // environment; a cross-cluster system message travels through the wire codec
-// and the destination's router exactly like user traffic.  On failure (and on
-// the routed path, where the router rebuilds the message on the destination
-// side) the message header is recycled; the caller must not reuse it.
+// exactly like user traffic.  On failure (and on the routed path, where the
+// message is rebuilt on the destination side) the message header is recycled;
+// the caller must not reuse it.
 func (vm *VM) deliverSystem(from *clusterRT, dest TaskID, msg *Message) error {
 	if vm.wireRemote(from, dest.Cluster) {
 		// Intercepted traffic to a locally hosted task keeps the direct
@@ -800,6 +791,16 @@ func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message) error {
 	if err != nil {
 		return vm.heapErr(err)
 	}
+	vm.adoptStorage(msg, heap, off, size)
+	return nil
+}
+
+// adoptStorage makes the message the owner of size bytes at off on the given
+// shard and counts the charge; releaseMessage is its inverse.  Counting at
+// the transfer of ownership — not at the allocation — is what keeps
+// core.heap.charge and core.heap.recover balanced on paths that reserve
+// storage and then fail before a message exists.
+func (vm *VM) adoptStorage(msg *Message, heap *memory.Allocator, off, size int) {
 	msg.heapOff = off
 	msg.heapBytes = size
 	msg.heapShard = heap
@@ -807,7 +808,6 @@ func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message) error {
 		vm.om.heapCharges.Inc()
 		vm.om.heapMsgBytes.Observe(int64(size))
 	}
-	return nil
 }
 
 // releaseMessage frees the message's shared-memory footprint from the shard
@@ -900,16 +900,12 @@ func (vm *VM) Shutdown() {
 	vm.failPendingReplies()
 
 	// Land whatever a latency-injecting remote transport still holds, then
-	// stop the in-process routers: no user task can send any more, and
-	// everything still in flight must land (terminal output especially) or
-	// be recovered before the controllers are told to exit — a print
-	// delivered after the user controller's shutdown message would be lost.
-	if vm.remote != nil {
-		vm.remote.Flush()
-	}
-	for _, r := range vm.routers {
-		r.stop()
-	}
+	// refuse further cross-cluster sends: no user task can send any more, and
+	// everything still in flight must land (terminal output especially)
+	// before the controllers are told to exit — a print delivered after the
+	// user controller's shutdown message would be lost.
+	vm.flushTransports()
+	vm.routeClosed.Store(true)
 
 	// Stop the controllers.
 	for _, rec := range all {

@@ -451,13 +451,21 @@ func (n *Node) Program() *pfi.Program { return n.prog }
 // Topology returns the cluster-to-node assignment.
 func (n *Node) Topology() Topology { return n.topo }
 
-// TransportCounts reports the wire frames this node sent and received
-// (messages, broadcasts, and initiate replies; control frames excluded).
-func (n *Node) TransportCounts() (sent, recv uint64) { return n.tr.counts() }
-
 // Obs returns the node's observability registry (never nil; shared with the
 // VM and the transport).
 func (n *Node) Obs() *obs.Registry { return n.reg }
+
+// Snapshot captures this node's metrics: the registry shared with the VM and
+// the transport, plus the interpreter's activity counters as pfi.<name>.
+// Followers ship it on every drain ack, so the coordinator's merged view sums
+// interpreter work across the mesh like every other counter.
+func (n *Node) Snapshot() *obs.Snapshot {
+	s := n.reg.Snapshot()
+	if n.prog != nil {
+		s.Merge(n.prog.Snapshot())
+	}
+	return s
+}
 
 // FollowerSnapshots returns the latest metric snapshot received from each
 // follower during drain rounds (coordinator only; empty when metrics are off
@@ -777,7 +785,7 @@ func (n *Node) answerDrain(epoch uint32) {
 	// final summary covers the whole mesh.  Skipped (empty blob) when metrics
 	// are off — the drain protocol itself stays snapshot-free.
 	if n.reg.Has(obs.Metrics) {
-		ack.stats = n.reg.Snapshot().Encode()
+		ack.stats = n.Snapshot().Encode()
 	}
 	if n.reg.Has(obs.Spans) {
 		ack.trace = obs.EncodeTrace(n.reg.Trace(0, ""))

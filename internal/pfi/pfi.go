@@ -261,9 +261,16 @@ func (p *Program) TaskTypes() []string {
 // Counters returns the interpreter's activity counters.
 func (p *Program) Counters() *stats.Counters { return p.counters }
 
-// StatsTable renders the interpreter counters as a report table.
-func (p *Program) StatsTable() string {
-	return p.counters.Table("interpreter activity").String()
+// Snapshot returns the interpreter counters as pfi.<name> counters, ready to
+// Merge into a run's metric snapshot: they count with or without a metrics
+// registry, so they join it at snapshot time rather than living in one.
+func (p *Program) Snapshot() *obs.Snapshot {
+	s := &obs.Snapshot{}
+	for name, v := range p.counters.Snapshot() {
+		s.Counters = append(s.Counters, obs.CounterSnap{Name: "pfi." + name, Value: v})
+	}
+	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
+	return s
 }
 
 // Err returns the first run-time error any interpreted task hit, if any.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -27,13 +28,21 @@ type LimitsSpec struct {
 	OutputBytes int64 `json:"output_bytes,omitempty"`
 }
 
-func (l LimitsSpec) limits() core.Limits {
+// limits converts the wire form.  A wall clock whose nanosecond count does
+// not fit a time.Duration is refused here — the multiplication would wrap it
+// into an arbitrary (possibly negative, hence unlimited) value; the sign of
+// every field is Manager.Submit's to judge.
+func (l LimitsSpec) limits() (core.Limits, error) {
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	if l.WallClockMS > maxMS || l.WallClockMS < -maxMS {
+		return core.Limits{}, fmt.Errorf("%w: wall_clock_ms %d overflows", ErrInvalidLimit, l.WallClockMS)
+	}
 	return core.Limits{
 		HeapBytes:   l.HeapBytes,
 		MaxTasks:    l.MaxTasks,
 		WallClock:   time.Duration(l.WallClockMS) * time.Millisecond,
 		OutputBytes: l.OutputBytes,
-	}
+	}, nil
 }
 
 // StatusResponse is the GET /programs/{id}/status (and POST /programs) body.
@@ -103,12 +112,11 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	s, err := m.Submit(Request{
-		Tenant: req.Tenant,
-		Source: req.Source,
-		Main:   req.Main,
-		Limits: req.Limits.limits(),
-	})
+	var s *Session
+	limits, err := req.Limits.limits()
+	if err == nil {
+		s, err = m.Submit(Request{Tenant: req.Tenant, Source: req.Source, Main: req.Main, Limits: limits})
+	}
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		http.Error(w, err.Error(), http.StatusTooManyRequests)

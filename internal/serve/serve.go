@@ -40,6 +40,11 @@ var (
 	ErrDraining = errors.New("serve: draining, not accepting submissions")
 	// ErrNoSource is returned by Submit for an empty program.
 	ErrNoSource = errors.New("serve: empty program source")
+	// ErrInvalidLimit is returned for a submission carrying a limit no
+	// tenant may ask for: core reads any value <= 0 as "unlimited", so a
+	// negative field would override the daemon's default quota instead of
+	// inheriting it the way 0 does.
+	ErrInvalidLimit = errors.New("serve: invalid limit")
 )
 
 // State is a session's position in its lifecycle.
@@ -279,8 +284,20 @@ func New(cfg Config) *Manager {
 // Cache returns the compile cache shared by this manager's tenants.
 func (m *Manager) Cache() *pfi.UnitCache { return m.cache }
 
-// mergeLimits fills zero fields of l from the manager defaults.
-func (m *Manager) mergeLimits(l core.Limits) core.Limits {
+// mergeLimits fills zero fields of l from the manager defaults and refuses
+// negative ones.
+func (m *Manager) mergeLimits(l core.Limits) (core.Limits, error) {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"heap bytes", l.HeapBytes}, {"max tasks", l.MaxTasks},
+		{"wall clock", int64(l.WallClock)}, {"output bytes", l.OutputBytes},
+	} {
+		if f.v < 0 {
+			return l, fmt.Errorf("%w: %s %d is negative (0 inherits the daemon default)", ErrInvalidLimit, f.name, f.v)
+		}
+	}
 	d := m.cfg.DefaultLimits
 	if l.HeapBytes == 0 {
 		l.HeapBytes = d.HeapBytes
@@ -294,20 +311,24 @@ func (m *Manager) mergeLimits(l core.Limits) core.Limits {
 	if l.OutputBytes == 0 {
 		l.OutputBytes = d.OutputBytes
 	}
-	return l
+	return l, nil
 }
 
 // Submit admits one program submission: on success the session is queued
-// and its id allocated.  Fails fast with ErrQueueFull or ErrDraining.
+// and its id allocated.  Fails fast with ErrQueueFull or ErrDraining; a
+// malformed request (ErrNoSource, ErrInvalidLimit) admits nothing.
 func (m *Manager) Submit(req Request) (*Session, error) {
 	if req.Source == "" {
 		return nil, ErrNoSource
+	}
+	limits, err := m.mergeLimits(req.Limits)
+	if err != nil {
+		return nil, err
 	}
 	if m.draining.Load() {
 		m.mRejected.Inc()
 		return nil, ErrDraining
 	}
-	limits := m.mergeLimits(req.Limits)
 	outCap := m.cfg.MaxOutputBytes
 	if limits.OutputBytes > 0 && limits.OutputBytes+1024 < outCap {
 		// The VM drops output past the quota; the +1KiB slack keeps the

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 const helloSrc = `TASKTYPE MAIN
@@ -97,10 +101,37 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	m := New(Config{MaxActive: 1})
+	m := New(Config{MaxActive: 1, DefaultLimits: core.Limits{MaxTasks: 3}})
 	defer drainAll(t, m)
 	if _, err := m.Submit(Request{}); !errors.Is(err, ErrNoSource) {
 		t.Fatalf("empty submit error = %v; want ErrNoSource", err)
+	}
+	// core reads any limit <= 0 as unlimited, so a negative field would
+	// override the daemon default that 0 inherits: each is refused, typed,
+	// and leaves nothing in the session table.
+	_, corpus := corpusPrograms(t)
+	for name, l := range map[string]core.Limits{
+		"heap":   {HeapBytes: -1},
+		"tasks":  {MaxTasks: -1},
+		"wall":   {WallClock: -time.Millisecond},
+		"output": {OutputBytes: -1},
+	} {
+		if _, err := m.Submit(Request{Source: corpus["fanin.pf"], Limits: l}); !errors.Is(err, ErrInvalidLimit) {
+			t.Errorf("negative %s limit: err = %v; want ErrInvalidLimit", name, err)
+		}
+	}
+	if n := len(m.Sessions()); n != 0 {
+		t.Fatalf("%d sessions admitted by refused submissions", n)
+	}
+	// The escape the check closes: fanin initiates six workers, so under the
+	// default of 3 tasks it must fail on quota however the field is spelled.
+	s, err := m.Submit(Request{Source: corpus["fanin.pf"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSession(t, s)
+	if st, serr := s.State(); st != StateFailed || !strings.Contains(fmt.Sprint(serr), "tasks") {
+		t.Fatalf("fanin under DefaultLimits{MaxTasks: 3}: state = %q err = %v; want failed on the tasks quota", st, serr)
 	}
 }
 
@@ -376,6 +407,21 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 	}
 	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: ""}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty POST = %d; want 400", resp.StatusCode)
+	}
+	// Negative limits — and a wall clock that would wrap time.Duration into
+	// one — are malformed requests, answered before the queue is consulted.
+	before := len(m.Sessions())
+	for _, l := range []LimitsSpec{
+		{HeapBytes: -1}, {MaxTasks: -1}, {OutputBytes: -1}, {WallClockMS: -1},
+		{WallClockMS: math.MaxInt64/int64(time.Millisecond) + 1},
+		{WallClockMS: math.MaxInt64}, {WallClockMS: math.MinInt64},
+	} {
+		if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: helloSrc, Limits: l}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST with limits %+v = %d; want 400", l, resp.StatusCode)
+		}
+	}
+	if n := len(m.Sessions()); n != before {
+		t.Fatalf("refused limits admitted %d sessions", n-before)
 	}
 
 	drainAll(t, m)

@@ -21,13 +21,12 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.n.Load() }
 
-// Counters is a named set of activity counters.  Registration order is
-// remembered so reports render deterministically.  It backs the interpreter
-// counters of internal/pfi and is reusable by any subsystem that wants cheap
-// named counters with table rendering.
+// Counters is a named set of activity counters.  It backs the interpreter
+// counters of internal/pfi, which count whether or not a metrics registry is
+// collecting; pfi.Program.Snapshot folds them into the run's metric snapshot
+// for reporting.
 type Counters struct {
 	mu     sync.Mutex
-	order  []string
 	byName map[string]*Counter
 }
 
@@ -46,7 +45,6 @@ func (s *Counters) Counter(name string) *Counter {
 	}
 	c := &Counter{}
 	s.byName[name] = c
-	s.order = append(s.order, name)
 	return c
 }
 
@@ -61,13 +59,6 @@ func (s *Counters) Get(name string) int64 {
 	return c.Load()
 }
 
-// Names returns the registered counter names in registration order.
-func (s *Counters) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
 // Snapshot returns the current value of every registered counter.
 func (s *Counters) Snapshot() map[string]int64 {
 	s.mu.Lock()
@@ -77,14 +68,4 @@ func (s *Counters) Snapshot() map[string]int64 {
 		out[name] = c.Load()
 	}
 	return out
-}
-
-// Table renders the counters as a fixed-width report table in registration
-// order.
-func (s *Counters) Table(title string) *Table {
-	t := NewTable(title, "counter", "count")
-	for _, name := range s.Names() {
-		t.AddRowf(name, s.Get(name))
-	}
-	return t
 }
