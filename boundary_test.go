@@ -27,3 +27,29 @@ func TestRuntimeDoesNotImportPaperReproduction(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyMsgcodecImportsEncodingBinary pins the one-wire-cursor rule: how a
+// length-checked big-endian field comes off a peer's bytes is decided in
+// internal/msgcodec and nowhere else, so no other package's non-test code
+// reaches for encoding/binary.
+func TestOnlyMsgcodecImportsEncodingBinary(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}{{range .Imports}} {{.}}{{end}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 10 {
+		t.Fatalf("go list printed %d packages", len(lines))
+	}
+	for _, line := range lines {
+		pkg, imports, _ := strings.Cut(line, " ")
+		if pkg == "repro/internal/msgcodec" {
+			continue
+		}
+		for _, imp := range strings.Fields(imports) {
+			if imp == "encoding/binary" {
+				t.Errorf("%s imports encoding/binary; read wire bytes through msgcodec's Cursor and Append* instead", pkg)
+			}
+		}
+	}
+}

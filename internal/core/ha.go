@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -322,7 +321,7 @@ func (vm *VM) Checkpoint(clusters ...int) ([]byte, error) {
 	}
 	nums := append([]int(nil), clusters...)
 	sort.Ints(nums)
-	sections := [][]byte{binary.BigEndian.AppendUint32(nil, haCkptFormat)}
+	sections := [][]byte{msgcodec.AppendU32(nil, haCkptFormat)}
 	for _, n := range nums {
 		cl, ok := vm.cluster(n)
 		if !ok {
@@ -746,138 +745,54 @@ func (vm *VM) PlanRestoredInit(cluster int, parent TaskID, seq uint64, id TaskID
 // checkpoint container.
 const haCkptFormat = 1
 
-func haAppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func haAppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func haAppendString(b []byte, s string) []byte {
-	b = haAppendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func haAppendTaskID(b []byte, t TaskID) []byte {
-	b = haAppendU32(b, uint32(int32(t.Cluster)))
-	b = haAppendU32(b, uint32(int32(t.Slot)))
-	return haAppendU32(b, uint32(int32(t.Unique)))
-}
-
-func haAppendArgs(b []byte, args []Value) ([]byte, error) {
-	blob, err := msgcodec.Encode(args)
-	if err != nil {
-		return nil, err
-	}
-	b = haAppendU32(b, uint32(len(blob)))
-	return append(b, blob...), nil
-}
-
-var errHACorrupt = fmt.Errorf("core: corrupt checkpoint section")
-
-func haTakeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, errHACorrupt
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
-}
-
-func haTakeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errHACorrupt
-	}
-	return binary.BigEndian.Uint64(b), b[8:], nil
-}
-
-func haTakeString(b []byte) (string, []byte, error) {
-	n, b, err := haTakeU32(b)
-	if err != nil || int(n) > len(b) {
-		return "", nil, errHACorrupt
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func haTakeTaskID(b []byte) (TaskID, []byte, error) {
-	var t TaskID
-	var v uint32
-	var err error
-	if v, b, err = haTakeU32(b); err != nil {
-		return t, nil, err
-	}
-	t.Cluster = int(int32(v))
-	if v, b, err = haTakeU32(b); err != nil {
-		return t, nil, err
-	}
-	t.Slot = int(int32(v))
-	if v, b, err = haTakeU32(b); err != nil {
-		return t, nil, err
-	}
-	t.Unique = int(int32(v))
-	return t, b, nil
-}
-
-func haTakeArgs(b []byte) ([]Value, []byte, error) {
-	n, b, err := haTakeU32(b)
-	if err != nil || int(n) > len(b) {
-		return nil, nil, errHACorrupt
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	args, err := msgcodec.Decode(b[:n])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%v: %v", errHACorrupt, err)
-	}
-	return args, b[n:], nil
-}
+// The section body is positional big-endian, written with msgcodec's Append*
+// functions and read back through its wire cursor: taskids are 12 bytes,
+// strings and argument lists sit behind a u32 length, and every list behind
+// a u32 count that the cursor holds against the bytes present — at least
+// the element's fixed part each — before anything is sized from it.
 
 func haAppendMsg(b []byte, m *haMsg) ([]byte, error) {
-	b = haAppendString(b, m.Type)
-	b = haAppendTaskID(b, m.Sender)
-	b = haAppendU64(b, m.SendSeq)
-	return haAppendArgs(b, m.Args)
+	b = m.Sender.AppendWire(msgcodec.AppendStr32(b, m.Type))
+	return msgcodec.AppendArgs(msgcodec.AppendU64(b, m.SendSeq), m.Args)
 }
 
-func haTakeMsg(b []byte) (haMsg, []byte, error) {
-	var m haMsg
-	var err error
-	if m.Type, b, err = haTakeString(b); err != nil {
-		return m, nil, err
+// haMsgMin is the fixed part of an encoded haMsg: two u32 lengths, a taskid
+// and the u64 send sequence number.
+const haMsgMin = 4 + 12 + 8 + 4
+
+func haTakeMsgs(c *msgcodec.Cursor) []haMsg {
+	n := c.Count(haMsgMin)
+	if n == 0 {
+		return nil
 	}
-	if m.Sender, b, err = haTakeTaskID(b); err != nil {
-		return m, nil, err
+	msgs := make([]haMsg, 0, n)
+	for ; n > 0; n-- {
+		msgs = append(msgs, haMsg{Type: c.Str32(), Sender: ReadTaskID(c), SendSeq: c.U64(), Args: c.Args()})
 	}
-	if m.SendSeq, b, err = haTakeU64(b); err != nil {
-		return m, nil, err
-	}
-	if m.Args, b, err = haTakeArgs(b); err != nil {
-		return m, nil, err
-	}
-	return m, b, nil
+	return msgs
 }
 
 func encodeClusterCkpt(cs haCkptCluster) ([]byte, error) {
 	var err error
-	b := haAppendU32(nil, uint32(cs.number))
-	b = haAppendU32(b, uint32(len(cs.initMap)))
+	b := msgcodec.AppendI32(nil, cs.number)
+	b = msgcodec.AppendU32(b, uint32(len(cs.initMap)))
 	for _, e := range cs.initMap {
-		b = haAppendTaskID(b, e.key.parent)
-		b = haAppendU64(b, e.key.seq)
-		b = haAppendTaskID(b, e.child)
+		b = msgcodec.AppendU64(e.key.parent.AppendWire(b), e.key.seq)
+		b = e.child.AppendWire(b)
 	}
-	b = haAppendU32(b, uint32(len(cs.pending)))
+	b = msgcodec.AppendU32(b, uint32(len(cs.pending)))
 	for _, p := range cs.pending {
-		b = haAppendTaskID(b, p.key.parent)
-		b = haAppendU64(b, p.key.seq)
-		b = haAppendString(b, p.tasktype)
-		b = haAppendTaskID(b, p.parent)
-		if b, err = haAppendArgs(b, p.args); err != nil {
+		b = msgcodec.AppendU64(p.key.parent.AppendWire(b), p.key.seq)
+		b = p.parent.AppendWire(msgcodec.AppendStr32(b, p.tasktype))
+		if b, err = msgcodec.AppendArgs(b, p.args); err != nil {
 			return nil, err
 		}
 	}
-	b = haAppendU32(b, uint32(len(cs.tasks)))
+	b = msgcodec.AppendU32(b, uint32(len(cs.tasks)))
 	for i := range cs.tasks {
 		ts := &cs.tasks[i]
-		b = haAppendTaskID(b, ts.id)
-		b = haAppendString(b, ts.tasktype)
-		b = haAppendTaskID(b, ts.parent)
-		if b, err = haAppendArgs(b, ts.args); err != nil {
+		b = msgcodec.AppendStr32(ts.id.AppendWire(b), ts.tasktype)
+		if b, err = msgcodec.AppendArgs(ts.parent.AppendWire(b), ts.args); err != nil {
 			return nil, err
 		}
 		floors := make([]TaskID, 0, len(ts.floors))
@@ -885,12 +800,11 @@ func encodeClusterCkpt(cs haCkptCluster) ([]byte, error) {
 			floors = append(floors, k)
 		}
 		sort.Slice(floors, func(i, j int) bool { return floors[i].less(floors[j]) })
-		b = haAppendU32(b, uint32(len(floors)))
+		b = msgcodec.AppendU32(b, uint32(len(floors)))
 		for _, k := range floors {
-			b = haAppendTaskID(b, k)
-			b = haAppendU64(b, ts.floors[k])
+			b = msgcodec.AppendU64(k.AppendWire(b), ts.floors[k])
 		}
-		b = haAppendU32(b, uint32(len(ts.log)))
+		b = msgcodec.AppendU32(b, uint32(len(ts.log)))
 		for _, rec := range ts.log {
 			var flags byte
 			if rec.open {
@@ -899,15 +813,14 @@ func encodeClusterCkpt(cs haCkptCluster) ([]byte, error) {
 			if rec.timedOut {
 				flags |= 2
 			}
-			b = append(b, flags)
-			b = haAppendU32(b, uint32(len(rec.msgs)))
+			b = msgcodec.AppendU32(append(b, flags), uint32(len(rec.msgs)))
 			for j := range rec.msgs {
 				if b, err = haAppendMsg(b, &rec.msgs[j]); err != nil {
 					return nil, err
 				}
 			}
 		}
-		b = haAppendU32(b, uint32(len(ts.queue)))
+		b = msgcodec.AppendU32(b, uint32(len(ts.queue)))
 		for j := range ts.queue {
 			if b, err = haAppendMsg(b, &ts.queue[j]); err != nil {
 				return nil, err
@@ -918,142 +831,54 @@ func encodeClusterCkpt(cs haCkptCluster) ([]byte, error) {
 }
 
 func decodeClusterCkpt(b []byte) (haCkptCluster, error) {
-	var cs haCkptCluster
-	var v uint32
-	var err error
-	if v, b, err = haTakeU32(b); err != nil {
-		return cs, err
+	c := msgcodec.NewCursor(b)
+	cs := haCkptCluster{number: c.I32()}
+	for n := c.Count(12 + 8 + 12); n > 0; n-- {
+		cs.initMap = append(cs.initMap, haCkptInitEntry{key: initKey{parent: ReadTaskID(&c), seq: c.U64()}, child: ReadTaskID(&c)})
 	}
-	cs.number = int(v)
-	if v, b, err = haTakeU32(b); err != nil {
-		return cs, err
+	for n := c.Count(12 + 8 + 4 + 12 + 4); n > 0; n-- {
+		cs.pending = append(cs.pending, haCkptPending{
+			key:      initKey{parent: ReadTaskID(&c), seq: c.U64()},
+			tasktype: c.Str32(), parent: ReadTaskID(&c), args: c.Args(),
+		})
 	}
-	for i := 0; i < int(v); i++ {
-		var e haCkptInitEntry
-		if e.key.parent, b, err = haTakeTaskID(b); err != nil {
-			return cs, err
+	for n := c.Count(12 + 4 + 12 + 4 + 3*4); n > 0; n-- {
+		ts := haCkptTask{id: ReadTaskID(&c), tasktype: c.Str32(), parent: ReadTaskID(&c), args: c.Args()}
+		nf := c.Count(12 + 8)
+		ts.floors = make(map[TaskID]uint64, nf)
+		for ; nf > 0; nf-- {
+			k := ReadTaskID(&c)
+			ts.floors[k] = c.U64()
 		}
-		if e.key.seq, b, err = haTakeU64(b); err != nil {
-			return cs, err
+		for nl := c.Count(1 + 4); nl > 0; nl-- {
+			flags := c.U8()
+			ts.log = append(ts.log, &haAccRecord{open: flags&1 != 0, timedOut: flags&2 != 0, msgs: haTakeMsgs(&c)})
 		}
-		if e.child, b, err = haTakeTaskID(b); err != nil {
-			return cs, err
-		}
-		cs.initMap = append(cs.initMap, e)
-	}
-	if v, b, err = haTakeU32(b); err != nil {
-		return cs, err
-	}
-	for i := 0; i < int(v); i++ {
-		var p haCkptPending
-		if p.key.parent, b, err = haTakeTaskID(b); err != nil {
-			return cs, err
-		}
-		if p.key.seq, b, err = haTakeU64(b); err != nil {
-			return cs, err
-		}
-		if p.tasktype, b, err = haTakeString(b); err != nil {
-			return cs, err
-		}
-		if p.parent, b, err = haTakeTaskID(b); err != nil {
-			return cs, err
-		}
-		if p.args, b, err = haTakeArgs(b); err != nil {
-			return cs, err
-		}
-		cs.pending = append(cs.pending, p)
-	}
-	if v, b, err = haTakeU32(b); err != nil {
-		return cs, err
-	}
-	for i := 0; i < int(v); i++ {
-		var ts haCkptTask
-		if ts.id, b, err = haTakeTaskID(b); err != nil {
-			return cs, err
-		}
-		if ts.tasktype, b, err = haTakeString(b); err != nil {
-			return cs, err
-		}
-		if ts.parent, b, err = haTakeTaskID(b); err != nil {
-			return cs, err
-		}
-		if ts.args, b, err = haTakeArgs(b); err != nil {
-			return cs, err
-		}
-		var n uint32
-		if n, b, err = haTakeU32(b); err != nil {
-			return cs, err
-		}
-		ts.floors = make(map[TaskID]uint64, n)
-		for j := 0; j < int(n); j++ {
-			var k TaskID
-			var f uint64
-			if k, b, err = haTakeTaskID(b); err != nil {
-				return cs, err
-			}
-			if f, b, err = haTakeU64(b); err != nil {
-				return cs, err
-			}
-			ts.floors[k] = f
-		}
-		if n, b, err = haTakeU32(b); err != nil {
-			return cs, err
-		}
-		for j := 0; j < int(n); j++ {
-			if len(b) < 1 {
-				return cs, errHACorrupt
-			}
-			rec := &haAccRecord{open: b[0]&1 != 0, timedOut: b[0]&2 != 0}
-			b = b[1:]
-			var nm uint32
-			if nm, b, err = haTakeU32(b); err != nil {
-				return cs, err
-			}
-			for k := 0; k < int(nm); k++ {
-				var m haMsg
-				if m, b, err = haTakeMsg(b); err != nil {
-					return cs, err
-				}
-				rec.msgs = append(rec.msgs, m)
-			}
-			ts.log = append(ts.log, rec)
-		}
-		if n, b, err = haTakeU32(b); err != nil {
-			return cs, err
-		}
-		for j := 0; j < int(n); j++ {
-			var m haMsg
-			if m, b, err = haTakeMsg(b); err != nil {
-				return cs, err
-			}
-			ts.queue = append(ts.queue, m)
-		}
+		ts.queue = haTakeMsgs(&c)
 		cs.tasks = append(cs.tasks, ts)
 	}
-	if len(b) != 0 {
-		return cs, errHACorrupt
-	}
-	return cs, nil
+	return cs, c.Done()
 }
 
 // decodeCheckpointBlob unwraps the msgcodec container and decodes every
-// cluster section.
+// cluster section.  Every failure wraps msgcodec.ErrCorrupt.
 func decodeCheckpointBlob(blob []byte) ([]haCkptCluster, error) {
 	sections, err := msgcodec.DecodeCheckpoint(blob)
 	if err != nil {
 		return nil, err
 	}
 	if len(sections) < 1 {
-		return nil, errHACorrupt
+		return nil, fmt.Errorf("%w: checkpoint has no format section", msgcodec.ErrCorrupt)
 	}
-	if v, _, err := haTakeU32(sections[0]); err != nil || v != haCkptFormat {
-		return nil, fmt.Errorf("core: checkpoint format %d not supported", v)
+	c := msgcodec.NewCursor(sections[0])
+	if v := c.U32(); c.Done() != nil || v != haCkptFormat {
+		return nil, fmt.Errorf("%w: checkpoint format %d not supported", msgcodec.ErrCorrupt, v)
 	}
 	out := make([]haCkptCluster, 0, len(sections)-1)
-	for _, sec := range sections[1:] {
+	for i, sec := range sections[1:] {
 		cs, err := decodeClusterCkpt(sec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: checkpoint section %d: %w", i+1, err)
 		}
 		out = append(out, cs)
 	}

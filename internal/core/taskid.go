@@ -93,3 +93,10 @@ func (t TaskID) codecValue() msgcodec.TaskIDValue {
 func taskIDFromCodec(v msgcodec.TaskIDValue) TaskID {
 	return TaskID{Cluster: int(v.Cluster), Slot: int(v.Slot), Unique: int(v.Unique)}
 }
+
+// AppendWire appends the taskid's 12-byte wire form (checkpoint sections and
+// node protocol frames).
+func (t TaskID) AppendWire(b []byte) []byte { return msgcodec.AppendTaskID(b, t.codecValue()) }
+
+// ReadTaskID reads a taskid's wire form off a cursor.
+func ReadTaskID(c *msgcodec.Cursor) TaskID { return taskIDFromCodec(c.TaskID()) }

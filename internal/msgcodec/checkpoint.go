@@ -1,9 +1,6 @@
 package msgcodec
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Checkpoint container framing.
 //
@@ -50,62 +47,46 @@ func EncodeCheckpoint(sections [][]byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: checkpoint container %d bytes exceeds maximum %d", ErrCorrupt, total, MaxCheckpointBytes)
 	}
 	out := make([]byte, 0, total)
-	out = binary.BigEndian.AppendUint32(out, checkpointMagic)
-	out = binary.BigEndian.AppendUint16(out, CheckpointVersion)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(sections)))
+	out = AppendU32(out, checkpointMagic)
+	out = AppendU16(out, CheckpointVersion)
+	out = AppendU32(out, uint32(len(sections)))
 	for _, s := range sections {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
+		out = AppendBytes32(out, s)
 	}
 	return out, nil
 }
 
 // DecodeCheckpoint splits a checkpoint container back into its sections.
 // The returned section slices alias data.  Truncated, oversized, or
-// trailing-garbage containers are rejected with ErrCorrupt; every bound is
-// checked before the value it guards is used for slicing or allocation.
+// trailing-garbage containers are rejected with ErrCorrupt; the section
+// count and every section length go through the cursor's Count, which holds
+// them against the bytes present before they size or slice anything.
 func DecodeCheckpoint(data []byte) ([][]byte, error) {
 	if len(data) > MaxCheckpointBytes {
 		return nil, fmt.Errorf("%w: checkpoint container %d bytes exceeds maximum %d", ErrCorrupt, len(data), MaxCheckpointBytes)
 	}
-	if len(data) < 10 {
+	c := NewCursor(data)
+	magic, version := c.U32(), c.U16()
+	switch {
+	case c.Err() != nil:
 		return nil, fmt.Errorf("%w: checkpoint header truncated (%d bytes)", ErrCorrupt, len(data))
-	}
-	if binary.BigEndian.Uint32(data) != checkpointMagic {
+	case magic != checkpointMagic:
 		return nil, fmt.Errorf("%w: bad checkpoint magic", ErrCorrupt)
+	case version != CheckpointVersion:
+		return nil, fmt.Errorf("%w: checkpoint version %d, want %d", ErrCorrupt, version, CheckpointVersion)
 	}
-	if v := binary.BigEndian.Uint16(data[4:]); v != CheckpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint version %d, want %d", ErrCorrupt, v, CheckpointVersion)
-	}
-	count := binary.BigEndian.Uint32(data[6:])
+	// Each section costs at least its 4-byte length prefix.
+	count := c.Count(4)
 	if count > maxCheckpointSections {
 		return nil, fmt.Errorf("%w: checkpoint section count %d exceeds maximum %d", ErrCorrupt, count, maxCheckpointSections)
 	}
-	data = data[10:]
-	// The remaining bytes bound the believable section count: each section
-	// costs at least its 4-byte length prefix.  Checking before make()
-	// prevents a forged count from sizing a huge slice.
-	if int(count) > len(data)/4+1 {
-		return nil, fmt.Errorf("%w: checkpoint section count %d exceeds container size", ErrCorrupt, count)
-	}
 	sections := make([][]byte, 0, count)
-	for i := 0; i < int(count); i++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("%w: checkpoint section %d length prefix truncated", ErrCorrupt, i)
-		}
-		n := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		if n > MaxCheckpointBytes {
-			return nil, fmt.Errorf("%w: checkpoint section %d length %d exceeds maximum %d", ErrCorrupt, i, n, MaxCheckpointBytes)
-		}
-		if int(n) > len(data) {
-			return nil, fmt.Errorf("%w: checkpoint section %d length %d, only %d bytes left", ErrCorrupt, i, n, len(data))
-		}
-		sections = append(sections, data[:n:n])
-		data = data[n:]
+	for ; count > 0; count-- {
+		sec := c.Bytes(c.Count(1))
+		sections = append(sections, sec[:len(sec):len(sec)])
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after checkpoint sections", ErrCorrupt, len(data))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("checkpoint sections: %w", err)
 	}
 	return sections, nil
 }

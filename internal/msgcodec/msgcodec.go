@@ -239,9 +239,9 @@ func (a Arg) appendPayload(dst []byte) []byte {
 	case KindCharacter:
 		return append(dst, a.Character...)
 	case KindTaskID:
-		return appendTaskID(dst, a.TaskID)
+		return AppendTaskID(dst, a.TaskID)
 	case KindWindow:
-		dst = appendTaskID(dst, a.Window.Owner)
+		dst = AppendTaskID(dst, a.Window.Owner)
 		dst = appendInt32(dst, a.Window.ArrayID)
 		dst = appendInt32(dst, a.Window.Row1)
 		dst = appendInt32(dst, a.Window.Row2)
@@ -261,7 +261,8 @@ func (a Arg) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func appendTaskID(b []byte, t TaskIDValue) []byte {
+// AppendTaskID appends the 12-byte taskid triple (Cursor.TaskID).
+func AppendTaskID(b []byte, t TaskIDValue) []byte {
 	b = appendInt32(b, t.Cluster)
 	b = appendInt32(b, t.Slot)
 	return appendInt32(b, t.Unique)

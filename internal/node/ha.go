@@ -1,8 +1,6 @@
 package node
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/msgcodec"
 )
@@ -51,7 +49,7 @@ func (tr *transport) setHA() {
 }
 
 // countRecv counts one delivered counted frame from the given source lane
-// (tr.nodeID for a buddy's local replay).
+// (the node itself for a buddy's local replay).
 func (tr *transport) countRecv(from int) {
 	tr.recv.Add(1)
 	if tr.haRetain && from >= 0 && from < len(tr.recvFrom) {
@@ -205,14 +203,14 @@ func (tr *transport) noteInitReply(replyID uint64, id core.TaskID) {
 }
 
 // replayRetained hands every frame retained toward the dead node to the
-// adopting buddy — onto the buddy's lane, or straight into the local VM when
-// this node IS the buddy — then reroutes the dead node's clusters.  Each
-// annotated initiate request is preceded by its restore plan so the
-// controller re-creates the task under its recorded id.  The caller must
-// hold routeMu exclusively: that is what guarantees the replayed backlog
+// adopting buddy — onto the buddy's lane, or through local (the node's own
+// deliver path) when this node IS the buddy — then reroutes the dead node's
+// clusters.  Each annotated initiate request is preceded by its restore plan
+// so the controller re-creates the task under its recorded id.  The caller
+// must hold routeMu exclusively: that is what guarantees the replayed backlog
 // precedes every newly routed frame on the buddy's lane, the order the
 // restored admission floors assume.  Returns the number of frames replayed.
-func (tr *transport) replayRetained(dead, buddy int, vm *core.VM) (int, error) {
+func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) error) (int, error) {
 	tr.mu.Lock()
 	pd := tr.peers[dead]
 	tr.mu.Unlock()
@@ -225,16 +223,24 @@ func (tr *transport) replayRetained(dead, buddy int, vm *core.VM) (int, error) {
 	pd.replayed = true
 	pd.mu.Unlock()
 
-	local := buddy == tr.nodeID
-	var pb *peer
-	if !local {
-		var err error
-		pb, err = tr.peerFor(buddy)
+	put := local
+	if buddy != tr.nodeID {
+		pb, err := tr.peerFor(buddy)
 		if err != nil {
 			return 0, err
 		}
+		// The one enqueue that overrides its frame's row: uncredited (the
+		// replay must not stall on a window the busy buddy has not refilled)
+		// and uncounted (the original enqueue already counted these frames
+		// sent; the buddy counts them received).
+		put = func(payload []byte) error {
+			return pb.enqueue(tr, false, false, 0, func(batch []byte) []byte {
+				return append(batch, payload...)
+			})
+		}
 	}
 	var firstErr error
+	var m frame
 	for _, rf := range frames {
 		if rf.replyID != 0 {
 			tr.pendMu.Lock()
@@ -242,65 +248,19 @@ func (tr *transport) replayRetained(dead, buddy int, vm *core.VM) (int, error) {
 			delete(tr.pendInit, rf.replyID)
 			tr.pendMu.Unlock()
 			if id != core.NilTask {
-				if f, err := decodeDataFrameHeader(rf.payload); err == nil {
-					if local {
-						_ = vm.PlanRestoredInit(f.Dst, f.Sender, f.SendSeq, id)
-					} else {
-						plan := encodeRestorePlan(f.Dst, f.Sender, f.SendSeq, id)
-						if err := pb.enqueue(tr, false, false, 0, func(batch []byte) []byte {
-							return append(batch, plan...)
-						}); err != nil && firstErr == nil {
-							firstErr = err
-						}
+				// The routing header of the retained request frame names the
+				// initiate the plan is for.
+				if _, err := decodeFrame(&m, rf.payload); err == nil {
+					if err := put(encodeRestorePlan(m.msg.Dst, m.msg.Sender, m.msg.SendSeq, id)); err != nil && firstErr == nil {
+						firstErr = err
 					}
 				}
 			}
 		}
-		if local {
-			if err := tr.deliverLocal(rf.payload, vm); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		// Uncredited (the replay must not stall on a window the busy buddy
-		// has not refilled) and uncounted (the original enqueue already
-		// counted these frames sent; the buddy counts them received).
-		payload := rf.payload
-		if err := pb.enqueue(tr, false, false, 0, func(batch []byte) []byte {
-			return append(batch, payload...)
-		}); err != nil && firstErr == nil {
+		if err := put(rf.payload); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	tr.reroute[dead] = buddy
 	return len(frames), firstErr
-}
-
-// deliverLocal is the buddy's local half of a replay: decode one retained
-// frame and feed it to the (already restored) VM, counting it received on
-// this node's own lane so the drain balance matches the original send count.
-func (tr *transport) deliverLocal(payload []byte, vm *core.VM) error {
-	if len(payload) == 0 {
-		return errProto
-	}
-	kind, body := payload[0], payload[1:]
-	switch kind {
-	case fMsg, fBcast:
-		var f core.WireFrame
-		if err := decodeWireFrameInto(&f, kind, body); err != nil {
-			return err
-		}
-		tr.countRecv(tr.nodeID)
-		return vm.DeliverWire(&f)
-	case fInitReply:
-		replyID, id, err := decodeInitReply(body)
-		if err != nil {
-			return err
-		}
-		tr.countRecv(tr.nodeID)
-		vm.DeliverWireReply(replyID, id)
-		return nil
-	default:
-		return fmt.Errorf("node %d: retained frame of unexpected type 0x%02x", tr.nodeID, kind)
-	}
 }

@@ -268,8 +268,15 @@ func (n *Node) finishRebalance(dead, buddy int) {
 	if n.reg.Has(obs.Spans) {
 		t0 = n.reg.Now()
 	}
+	// On the buddy the backlog takes the same deliver path as frames off a
+	// lane, counted received on the node's own lane so the drain balance
+	// matches the original send count.
+	var m frame
 	n.tr.routeMu.Lock()
-	replayed, err := n.tr.replayRetained(dead, buddy, n.vm)
+	replayed, err := n.tr.replayRetained(dead, buddy, func(payload []byte) error {
+		_, err := n.deliver(n.opts.NodeID, payload, &m)
+		return err
+	})
 	n.tr.routeMu.Unlock()
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: replaying retained frames for node %d: %v\n", n.opts.NodeID, dead, err)

@@ -421,10 +421,13 @@ func readHello(conn net.Conn) (hello, error) {
 	if err != nil {
 		return hello{}, err
 	}
-	if len(payload) == 0 || payload[0] != fHello {
-		return hello{}, fmt.Errorf("node: handshake: expected hello frame")
+	var m frame
+	if row, err := decodeFrame(&m, payload); err != nil {
+		return hello{}, fmt.Errorf("node: handshake: %s frame: %w", row.name, err)
+	} else if m.kind != fHello {
+		return hello{}, fmt.Errorf("node: handshake: expected hello frame, got %s", row.name)
 	}
-	return decodeHello(payload[1:])
+	return m.hello, nil
 }
 
 func (n *Node) validateHello(h hello) error {
@@ -592,141 +595,32 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 	}
 }
 
-// deliverLoop is the VM half of one peer's inbound pipeline: it decodes each
-// frame and delivers it, in arrival (per-sender FIFO) order, returning the
-// buffer to the reader afterwards.  It also runs the receiver side of the
-// credit protocol: credits for delivered data frames go back to the sender
-// in chunks, or immediately whenever the stage runs dry — so a sender whose
-// window is smaller than the chunk never stalls waiting for a grant that
-// isn't coming.  The loop drains until the reader closes the stage; protocol
+// deliverLoop is the VM half of one peer's inbound pipeline: it hands each
+// frame to deliver (decode + the kind's handler, proto.go), in arrival
+// (per-sender FIFO) order, returning the buffer to the reader afterwards.
+// It also runs the receiver side of the credit protocol: credits for
+// delivered data frames go back to the sender in chunks, or immediately
+// whenever the stage runs dry — so a sender whose window is smaller than the
+// chunk never stalls waiting for a grant that isn't coming.  The loop drains until the reader closes the stage; protocol
 // frames (even fShutdown) must not end it early, or a full stage would wedge
 // the reader.
 func (n *Node) deliverLoop(from int, work <-chan []byte, free chan<- []byte) {
 	defer n.readers.Done()
 	rxLane := fmt.Sprintf("node/%d rx<-n%d", n.opts.NodeID, from)
-	pending := 0             // delivered-but-ungranted credited frames
-	var frame core.WireFrame // reused per frame; DeliverWire does not retain it
+	pending := 0 // delivered-but-ungranted credited frames
+	var m frame  // reused per frame; no handler retains it
 	for payload := range work {
 		metrics := n.reg.Has(obs.Metrics)
 		var deliverT0 time.Time
 		if metrics || n.reg.Has(obs.Spans) {
 			deliverT0 = n.reg.Now()
 		}
-		kind, body := payload[0], payload[1:]
-		switch kind {
-		case fMsg, fBcast:
-			if err := decodeWireFrameInto(&frame, kind, body); err != nil {
-				fmt.Fprintf(n.opts.Log, "node %d: bad frame from node %d: %v\n", n.opts.NodeID, from, err)
-				break
-			}
-			n.tr.countRecv(from)
-			_ = n.vm.DeliverWire(&frame)
+		if row, err := n.deliver(from, payload, &m); err == nil && row.credited {
 			pending++
 			if metrics {
 				n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
 			}
-			n.reg.Span(rxLane, "rx "+frame.Type, deliverT0)
-		case fInitReply:
-			replyID, id, err := decodeInitReply(body)
-			if err != nil {
-				fmt.Fprintf(n.opts.Log, "node %d: bad initiate reply from node %d: %v\n", n.opts.NodeID, from, err)
-				break
-			}
-			n.tr.countRecv(from)
-			// Record the assigned taskid on the retained request frame (if it
-			// is still retained), so a post-death replay re-creates the task
-			// under the identity the parent already holds.
-			n.tr.noteInitReply(replyID, id)
-			n.vm.DeliverWireReply(replyID, id)
-		case fCredit:
-			if c, err := decodeCredit(body); err == nil {
-				n.tr.addCredits(from, c)
-			}
-		case fDrain:
-			epoch, err := decodeDrain(body)
-			if err != nil {
-				break
-			}
-			n.answerDrain(epoch)
-		case fDrainAck:
-			ack, err := decodeDrainAck(body)
-			if err != nil {
-				break
-			}
-			// A follower with metrics enabled piggybacks its current metric
-			// snapshot; keep the latest per node for the merged view.
-			if len(ack.stats) > 0 {
-				if snap, err := obs.DecodeSnapshot(ack.stats); err == nil {
-					n.snapMu.Lock()
-					n.followerSnap[ack.from] = snap
-					n.snapMu.Unlock()
-				} else {
-					fmt.Fprintf(n.opts.Log, "node %d: bad stats blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
-				}
-			}
-			// Same piggyback pattern for span/flow traces: keep the latest
-			// blob per follower for the merged mesh trace.
-			if len(ack.trace) > 0 {
-				if tr, err := obs.DecodeTrace(ack.trace); err == nil {
-					n.snapMu.Lock()
-					n.followerTrace[ack.from] = tr
-					n.snapMu.Unlock()
-				} else {
-					fmt.Fprintf(n.opts.Log, "node %d: bad trace blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
-				}
-			}
-			select {
-			case n.acks <- ack:
-			default: // a stale round's ack nobody is collecting
-			}
-		case fHeartbeat:
-			// Sign-of-life only; the readLoop already fed the detector.
-		case fCkpt:
-			_, epoch, blob, err := decodeCkpt(body)
-			if err != nil {
-				fmt.Fprintf(n.opts.Log, "node %d: bad checkpoint from node %d: %v\n", n.opts.NodeID, from, err)
-				break
-			}
-			// storeCheckpoint copies the blob: the payload buffer is recycled.
-			n.storeCheckpoint(from, epoch, blob)
-		case fCkptAck:
-			if _, epoch, err := decodeCkptAck(body); err == nil {
-				n.broadcastMarks(epoch)
-			}
-		case fCkptMark:
-			if _, count, err := decodeCkptMark(body); err == nil {
-				n.tr.ackRetained(from, count)
-			}
-		case fRebalance, fRebalanceReady:
-			dead, buddy, err := decodeRebalance(body)
-			if err != nil {
-				break
-			}
-			// Off the deliver stage: a rebalance blocks on the route lock and
-			// (on the buddy) the restore, while senders holding the route lock
-			// shared may be waiting on credits only this loop can deliver.
-			ready := kind == fRebalanceReady
-			n.readers.Add(1)
-			go func() {
-				defer n.readers.Done()
-				if ready {
-					n.handleRebalanceReady(dead, buddy)
-				} else {
-					n.handleRebalance(dead, buddy)
-				}
-			}()
-		case fRestorePlan:
-			cluster, parent, seq, id, err := decodeRestorePlan(body)
-			if err != nil {
-				break
-			}
-			if err := n.vm.PlanRestoredInit(cluster, parent, seq, id); err != nil {
-				fmt.Fprintf(n.opts.Log, "node %d: restore plan from node %d: %v\n", n.opts.NodeID, from, err)
-			}
-		case fShutdown:
-			n.signalShutdown()
-		default:
-			fmt.Fprintf(n.opts.Log, "node %d: unknown frame type 0x%02x from node %d\n", n.opts.NodeID, kind, from)
+			n.reg.Span(rxLane, "rx "+m.msg.Type, deliverT0)
 		}
 		if pending > 0 && (pending >= creditGrantChunk || len(work) == 0) {
 			n.tr.grantCredits(from, pending)

@@ -1,113 +1,134 @@
 package node
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/msgcodec"
+	"repro/internal/obs"
 )
 
 // Node wire protocol: every TCP frame is a length-prefixed payload
-// (msgcodec.WriteFrame/ReadFrame) whose first byte selects one of the frame
-// types below.  Message bodies are the same msgcodec argument encoding the
-// in-process routers move between heap shards; the surrounding fields are
-// the run-time header that travels alongside the packets.
+// (msgcodec.WriteFrame/ReadFrame) whose first byte selects a row of
+// frameTable; the rest is the row's positional body.  Integers are
+// big-endian, node ids, cluster numbers and taskid fields 32-bit, strings
+// behind a u16 length (msgcodec's wire cursor reads them, its Append*
+// functions write them).  Message bodies are the same msgcodec argument
+// encoding the in-process routers move between heap shards.
 //
-// Integers are big-endian; strings carry a u16 length.  The protocol is
-// deliberately positional and versioned through the handshake fingerprint:
-// two nodes built from different sources refuse each other at fHello.
-
-// Version 3 added the fCredit control frame (credit-based flow control for
-// the batched wire path).  Version 4 is the fault-tolerance revision: fMsg
-// and fBcast carry the sender's HA send sequence number (duplicate
-// suppression across a recovery replay breaks silently without it, so the
-// field is unconditional), and the 0x09–0x0e control frames implement
-// heartbeats, buddy checkpoint streaming, and partition rebalancing.
-// Version 5 is the causal-tracing revision: fMsg and fBcast carry the
-// sender's 64-bit causal edge id, and drain acks piggyback the follower's
-// span/flow trace blob next to the metric snapshot so the coordinator can
-// merge a cross-node Chrome trace.  An older peer would mis-parse every data
-// frame, so the handshake refuses the mix.
+// Version 5: fMsg and fBcast carry the sender's HA send sequence number
+// (duplicate suppression across a recovery replay) and 64-bit causal edge id
+// (cross-node traces), both unconditionally; data frames are credited
+// (fCredit); 0x09–0x0f are the fault-tolerance control frames; drain acks
+// piggyback the follower's metric snapshot and span/flow trace.  The
+// handshake refuses any other version — and, through the fingerprint, any
+// peer built from a different configuration, topology or program.
 const protoVersion = 5
 
-// Frame type bytes.
+// Frame kind bytes; frameTable describes each.
 const (
-	fHello          = 0x01 // handshake: version, node id, fingerprint, topology
-	fMsg            = 0x02 // routed message (core.FrameMessage)
-	fBcast          = 0x03 // broadcast fan-out (core.FrameBroadcast)
-	fInitReply      = 0x04 // reply to a routed initiate request
-	fDrain          = 0x05 // coordinator -> follower: report quiescence
-	fDrainAck       = 0x06 // follower -> coordinator: idle flag + frame counts
-	fShutdown       = 0x07 // coordinator -> follower: shut the VM down and exit
-	fCredit         = 0x08 // receiver -> sender: delivered-frame credits for this lane
-	fHeartbeat      = 0x09 // uncredited liveness beacon, sent every heartbeat interval
-	fCkpt           = 0x0a // node -> buddy: checkpoint blob of the sender's clusters
-	fCkptAck        = 0x0b // buddy -> node: the checkpoint epoch is safely held
-	fCkptMark       = 0x0c // node -> every peer: delivered-frame high-water mark; drop retention below it
-	fRebalance      = 0x0d // leader -> everyone: a node is dead, its buddy takes over
-	fRebalanceReady = 0x0e // buddy -> everyone: the partition is restored; retarget and replay
-	fRestorePlan    = 0x0f // replayer -> buddy: re-create this initiate's task under its old id
+	fHello          = 0x01
+	fMsg            = 0x02
+	fBcast          = 0x03
+	fInitReply      = 0x04
+	fDrain          = 0x05
+	fDrainAck       = 0x06
+	fShutdown       = 0x07
+	fCredit         = 0x08
+	fHeartbeat      = 0x09
+	fCkpt           = 0x0a
+	fCkptAck        = 0x0b
+	fCkptMark       = 0x0c
+	fRebalance      = 0x0d
+	fRebalanceReady = 0x0e
+	fRestorePlan    = 0x0f
 )
 
-var errProto = fmt.Errorf("node: malformed protocol frame")
-
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
+// frameRow is everything the node knows about one frame kind.  A credited
+// frame consumes one of its lane's flow-control credits, which the receiver
+// grants back once the frame reached its VM; a counted frame takes part in
+// the drain protocol's global sent/recv balance and in HA retention.  decode
+// reads the body into the frame's fields; handle acts on them on the
+// receiving node.
+type frameRow struct {
+	name     string
+	credited bool
+	counted  bool
+	layout   string // the body, for README's frame table
+	decode   func(m *frame, body []byte) error
+	handle   func(n *Node, from int, m *frame)
 }
 
-func appendTaskID(b []byte, t core.TaskID) []byte {
-	b = appendU32(b, uint32(int32(t.Cluster)))
-	b = appendU32(b, uint32(int32(t.Slot)))
-	return appendU32(b, uint32(int32(t.Unique)))
+// frameTable is indexed by kind byte; row 0 stands in for every byte that is
+// not a kind.  A new frame kind is one row here (and one in README).  Filled
+// in by init because the handlers reach back to the table through the
+// transport.
+var frameTable [fRestorePlan + 1]frameRow
+
+func init() {
+	frameTable = [...]frameRow{
+		0:               {"unknown", false, false, "", decodeUnknown, nil},
+		fHello:          {"hello", false, false, "i32 version, i32 node, 32-byte fingerprint, topology", decodeHello, (*Node).handleHello},
+		fMsg:            {"msg", true, true, "i32 src, i32 dst, taskid dest, taskid sender, u64 seq, u64 sendSeq, u64 replyID, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
+		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 seq, u64 sendSeq, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
+		fInitReply:      {"init-reply", false, true, "u64 replyID, taskid id", decodeInitReply, (*Node).handleInitReply},
+		fDrain:          {"drain", false, false, "u32 epoch", decodeDrain, (*Node).handleDrain},
+		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, u8 idle, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
+		fShutdown:       {"shutdown", false, false, "", decodeEmpty, (*Node).handleShutdown},
+		fCredit:         {"credit", false, false, "u32 count", decodeCredit, (*Node).handleCredit},
+		fHeartbeat:      {"heartbeat", false, false, "i32 from", decodeHeartbeat, (*Node).handleHeartbeat},
+		fCkpt:           {"ckpt", false, false, "i32 from, u64 epoch, checkpoint", decodeCkpt, (*Node).handleCkpt},
+		fCkptAck:        {"ckpt-ack", false, false, "i32 from, u64 epoch", decodeCkptAck, (*Node).handleCkptAck},
+		fCkptMark:       {"ckpt-mark", false, false, "i32 from, u64 count", decodeCkptMark, (*Node).handleCkptMark},
+		fRebalance:      {"rebalance", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
+		fRebalanceReady: {"rebalance-ready", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
+		fRestorePlan:    {"restore-plan", false, false, "i32 cluster, taskid parent, u64 seq, taskid id", decodeRestorePlan, (*Node).handleRestorePlan},
+	}
 }
 
-func takeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, errProto
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
+// frame is one decoded protocol frame: its kind and the union of the fields
+// the kinds carry (each row's layout says which).  Byte slices and the
+// message payload alias the decoded buffer.  A delivery loop reuses one frame
+// for its whole lifetime, so fields of other kinds hold stale values.
+type frame struct {
+	kind        byte
+	msg         core.WireFrame // fMsg, fBcast
+	hello       hello          // fHello
+	ack         drainAck       // fDrainAck
+	from        int            // fHeartbeat, fCkpt, fCkptAck, fCkptMark: the sender names itself
+	epoch       uint64         // fDrain, fCkpt, fCkptAck
+	count       uint64         // fCredit, fCkptMark
+	blob        []byte         // fCkpt
+	dead, buddy int            // fRebalance, fRebalanceReady
+	replyID     uint64         // fInitReply
+	id          core.TaskID    // fInitReply, fRestorePlan
+	cluster     int            // fRestorePlan
+	parent      core.TaskID    // fRestorePlan
+	seq         uint64         // fRestorePlan
 }
 
-func takeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errProto
+// decodeFrame decodes a frame payload (kind byte + body) into m and returns
+// the kind's row — also on failure, for the diagnostic.  Every error wraps
+// msgcodec.ErrCorrupt.
+func decodeFrame(m *frame, payload []byte) (*frameRow, error) {
+	row := &frameTable[0]
+	if len(payload) == 0 {
+		return row, fmt.Errorf("%w: empty frame", msgcodec.ErrCorrupt)
 	}
-	return binary.BigEndian.Uint64(b), b[8:], nil
+	m.kind = payload[0]
+	if int(m.kind) < len(frameTable) {
+		row = &frameTable[m.kind]
+	}
+	return row, row.decode(m, payload[1:])
 }
 
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errProto
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errProto
-	}
-	return string(b[:n]), b[n:], nil
+func decodeUnknown(m *frame, _ []byte) error {
+	return fmt.Errorf("%w: frame type 0x%02x", msgcodec.ErrCorrupt, m.kind)
 }
 
-func takeTaskID(b []byte) (core.TaskID, []byte, error) {
-	var t core.TaskID
-	var v uint32
-	var err error
-	if v, b, err = takeU32(b); err != nil {
-		return t, nil, err
-	}
-	t.Cluster = int(int32(v))
-	if v, b, err = takeU32(b); err != nil {
-		return t, nil, err
-	}
-	t.Slot = int(int32(v))
-	if v, b, err = takeU32(b); err != nil {
-		return t, nil, err
-	}
-	t.Unique = int(int32(v))
-	return t, b, nil
+func decodeEmpty(_ *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	return c.Done()
 }
 
 // hello is the handshake payload.
@@ -119,144 +140,79 @@ type hello struct {
 }
 
 func encodeHello(h hello) []byte {
-	b := []byte{fHello}
-	b = appendU32(b, uint32(h.version))
-	b = appendU32(b, uint32(h.nodeID))
+	b := msgcodec.AppendI32([]byte{fHello}, h.version)
+	b = msgcodec.AppendI32(b, h.nodeID)
 	b = append(b, h.fingerprint[:]...)
 	return h.topo.appendTo(b)
 }
 
-func decodeHello(b []byte) (hello, error) {
-	var h hello
-	var v uint32
-	var err error
-	if v, b, err = takeU32(b); err != nil {
-		return h, err
+func decodeHello(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	h := &m.hello
+	h.version, h.nodeID = c.I32(), c.I32()
+	copy(h.fingerprint[:], c.Bytes(len(h.fingerprint)))
+	h.topo = decodeTopology(&c)
+	return c.Done()
+}
+
+// wireKind is the frame kind a core frame travels as.
+func wireKind(f *core.WireFrame) byte {
+	if f.Kind == core.FrameBroadcast {
+		return fBcast
 	}
-	h.version = int(v)
-	if v, b, err = takeU32(b); err != nil {
-		return h, err
-	}
-	h.nodeID = int(v)
-	if len(b) < len(h.fingerprint) {
-		return h, errProto
-	}
-	copy(h.fingerprint[:], b)
-	b = b[len(h.fingerprint):]
-	if h.topo, b, err = decodeTopology(b); err != nil {
-		return h, err
-	}
-	if len(b) != 0 {
-		return h, errProto
-	}
-	return h, nil
+	return fMsg
 }
 
 // encodeWireFrame serialises a core frame (fMsg or fBcast) into buf.
 func encodeWireFrame(buf []byte, f *core.WireFrame) []byte {
-	switch f.Kind {
-	case core.FrameBroadcast:
-		buf = append(buf, fBcast)
-		buf = appendU32(buf, uint32(f.Src))
-		buf = appendU32(buf, uint32(f.Dst))
-		buf = appendTaskID(buf, f.Sender)
-		buf = appendU64(buf, f.Seq)
-		buf = appendU64(buf, f.SendSeq)
-		buf = appendU64(buf, f.Edge)
-	default:
-		buf = append(buf, fMsg)
-		buf = appendU32(buf, uint32(f.Src))
-		buf = appendU32(buf, uint32(f.Dst))
-		buf = appendTaskID(buf, f.Dest)
-		buf = appendTaskID(buf, f.Sender)
-		buf = appendU64(buf, f.Seq)
-		buf = appendU64(buf, f.SendSeq)
-		buf = appendU64(buf, f.ReplyID)
-		buf = appendU64(buf, f.Edge)
+	kind := wireKind(f)
+	buf = append(buf, kind)
+	buf = msgcodec.AppendI32(buf, f.Src)
+	buf = msgcodec.AppendI32(buf, f.Dst)
+	if kind == fMsg {
+		buf = f.Dest.AppendWire(buf)
 	}
-	buf = appendString(buf, f.Type)
+	buf = f.Sender.AppendWire(buf)
+	buf = msgcodec.AppendU64(buf, f.Seq)
+	buf = msgcodec.AppendU64(buf, f.SendSeq)
+	if kind == fMsg {
+		buf = msgcodec.AppendU64(buf, f.ReplyID)
+	}
+	buf = msgcodec.AppendU64(buf, f.Edge)
+	buf = msgcodec.AppendStr16(buf, f.Type)
 	return append(buf, f.Payload...)
 }
 
-// decodeWireFrame reverses encodeWireFrame for the given frame type byte.
-// The returned frame's Payload aliases b.
-func decodeWireFrame(kind byte, b []byte) (*core.WireFrame, error) {
-	f := &core.WireFrame{}
-	if err := decodeWireFrameInto(f, kind, b); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// decodeWireFrameInto decodes into a caller-owned frame, so a delivery loop
-// can reuse one header for its whole lifetime instead of allocating per
-// frame (DeliverWire does not retain the frame).  f.Payload aliases b.
-func decodeWireFrameInto(f *core.WireFrame, kind byte, b []byte) error {
-	f.Dest, f.ReplyID = core.NilTask, 0
-	var v uint32
-	var err error
-	if v, b, err = takeU32(b); err != nil {
-		return err
-	}
-	f.Src = int(v)
-	if v, b, err = takeU32(b); err != nil {
-		return err
-	}
-	f.Dst = int(v)
-	switch kind {
-	case fBcast:
-		f.Kind = core.FrameBroadcast
-	case fMsg:
+// decodeData reverses encodeWireFrame.  Every field of m.msg is written, so
+// a reused frame carries nothing over; Payload aliases body.
+func decodeData(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	f := &m.msg
+	f.Kind, f.Dest, f.ReplyID = core.FrameBroadcast, core.NilTask, 0
+	f.Src, f.Dst = c.I32(), c.I32()
+	if m.kind == fMsg {
 		f.Kind = core.FrameMessage
-		if f.Dest, b, err = takeTaskID(b); err != nil {
-			return err
-		}
-	default:
-		return errProto
+		f.Dest = core.ReadTaskID(&c)
 	}
-	if f.Sender, b, err = takeTaskID(b); err != nil {
-		return err
+	f.Sender = core.ReadTaskID(&c)
+	f.Seq, f.SendSeq = c.U64(), c.U64()
+	if m.kind == fMsg {
+		f.ReplyID = c.U64()
 	}
-	if f.Seq, b, err = takeU64(b); err != nil {
-		return err
-	}
-	if f.SendSeq, b, err = takeU64(b); err != nil {
-		return err
-	}
-	if kind == fMsg {
-		if f.ReplyID, b, err = takeU64(b); err != nil {
-			return err
-		}
-	}
-	if f.Edge, b, err = takeU64(b); err != nil {
-		return err
-	}
-	if f.Type, b, err = takeString(b); err != nil {
-		return err
-	}
-	f.Payload = b
-	return nil
+	f.Edge = c.U64()
+	f.Type = c.Str16()
+	f.Payload = c.Rest()
+	return c.Err()
 }
 
 func encodeInitReply(buf []byte, replyID uint64, id core.TaskID) []byte {
-	buf = append(buf, fInitReply)
-	buf = appendU64(buf, replyID)
-	return appendTaskID(buf, id)
+	return id.AppendWire(msgcodec.AppendU64(append(buf, fInitReply), replyID))
 }
 
-func decodeInitReply(b []byte) (uint64, core.TaskID, error) {
-	replyID, b, err := takeU64(b)
-	if err != nil {
-		return 0, core.NilTask, err
-	}
-	id, b, err := takeTaskID(b)
-	if err != nil {
-		return 0, core.NilTask, err
-	}
-	if len(b) != 0 {
-		return 0, core.NilTask, errProto
-	}
-	return replyID, id, nil
+func decodeInitReply(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.replyID, m.id = c.U64(), core.ReadTaskID(&c)
+	return c.Done()
 }
 
 // encodeCredit builds a credit grant: the receiver returns n consumed
@@ -264,14 +220,20 @@ func decodeInitReply(b []byte) (uint64, core.TaskID, error) {
 // frames to its VM.  Credits ride the ordinary control-frame channel (the
 // receiver's outbound peer connection) and are themselves uncredited, so a
 // grant can never be blocked by the very window it replenishes.
-func encodeCredit(n uint32) []byte { return appendU32([]byte{fCredit}, n) }
+func encodeCredit(n uint32) []byte { return msgcodec.AppendU32([]byte{fCredit}, n) }
 
-func decodeCredit(b []byte) (uint32, error) {
-	n, b, err := takeU32(b)
-	if err != nil || len(b) != 0 {
-		return 0, errProto
-	}
-	return n, nil
+func decodeCredit(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.count = uint64(c.U32())
+	return c.Done()
+}
+
+func encodeDrain(epoch uint32) []byte { return msgcodec.AppendU32([]byte{fDrain}, epoch) }
+
+func decodeDrain(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.epoch = uint64(c.U32())
+	return c.Done()
 }
 
 // drainAck is a follower's answer to one drain round.  When the follower has
@@ -291,50 +253,49 @@ type drainAck struct {
 	trace []byte
 }
 
-func encodeDrain(epoch uint32) []byte { return appendU32([]byte{fDrain}, epoch) }
-
-func decodeDrain(b []byte) (uint32, error) {
-	epoch, b, err := takeU32(b)
-	if err != nil || len(b) != 0 {
-		return 0, errProto
+func encodeDrainAck(a drainAck) []byte {
+	b := msgcodec.AppendI32([]byte{fDrainAck}, a.from)
+	b = msgcodec.AppendU32(b, a.epoch)
+	b = msgcodec.AppendU64(b, a.sent)
+	b = msgcodec.AppendU64(b, a.recv)
+	if a.idle {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
-	return epoch, nil
+	return msgcodec.AppendBytes32(msgcodec.AppendBytes32(b, a.stats), a.trace)
 }
 
-// --- fault-tolerance control frames (protocol v4) ---------------------------
+func decodeDrainAck(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	a := &m.ack
+	a.from, a.epoch, a.sent, a.recv, a.idle = c.I32(), c.U32(), c.U64(), c.U64(), c.U8() != 0
+	a.stats, a.trace = c.Bytes(c.Count(1)), c.Bytes(c.Count(1))
+	return c.Done()
+}
 
 // encodeHeartbeat builds the liveness beacon.  The lane already identifies
 // the sender; the id travels anyway so a heartbeat is self-describing in a
 // packet capture.
-func encodeHeartbeat(from int) []byte { return appendU32([]byte{fHeartbeat}, uint32(from)) }
+func encodeHeartbeat(from int) []byte { return msgcodec.AppendI32([]byte{fHeartbeat}, from) }
 
-func decodeHeartbeat(b []byte) (int, error) {
-	v, b, err := takeU32(b)
-	if err != nil || len(b) != 0 {
-		return 0, errProto
-	}
-	return int(int32(v)), nil
+func decodeHeartbeat(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.from = c.I32()
+	return c.Done()
 }
 
 // encodeCkpt wraps one checkpoint blob for buddy streaming.  The blob bytes
 // are the msgcodec checkpoint container produced by core.VM.Checkpoint; the
 // node layer treats them as opaque.
 func encodeCkpt(from int, epoch uint64, blob []byte) []byte {
-	b := []byte{fCkpt}
-	b = appendU32(b, uint32(from))
-	b = appendU64(b, epoch)
-	return append(b, blob...)
+	return append(msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkpt}, from), epoch), blob...)
 }
 
-func decodeCkpt(b []byte) (from int, epoch uint64, blob []byte, err error) {
-	var v uint32
-	if v, b, err = takeU32(b); err != nil {
-		return 0, 0, nil, err
-	}
-	if epoch, b, err = takeU64(b); err != nil {
-		return 0, 0, nil, err
-	}
-	return int(int32(v)), epoch, b, nil
+func decodeCkpt(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.from, m.epoch, m.blob = c.I32(), c.U64(), c.Rest()
+	return c.Err()
 }
 
 // encodeCkptAck acknowledges that the buddy holds the given checkpoint epoch.
@@ -342,19 +303,13 @@ func decodeCkpt(b []byte) (from int, epoch uint64, blob []byte, err error) {
 // drop retained frames once the blob those frames' effects live in is safely
 // held by the node that would replay them.
 func encodeCkptAck(from int, epoch uint64) []byte {
-	return appendU64(appendU32([]byte{fCkptAck}, uint32(from)), epoch)
+	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkptAck}, from), epoch)
 }
 
-func decodeCkptAck(b []byte) (int, uint64, error) {
-	v, b, err := takeU32(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	epoch, b, err := takeU64(b)
-	if err != nil || len(b) != 0 {
-		return 0, 0, errProto
-	}
-	return int(int32(v)), epoch, nil
+func decodeCkptAck(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.from, m.epoch = c.I32(), c.U64()
+	return c.Done()
 }
 
 // encodeCkptMark is the retention high-water mark: "my acked checkpoint
@@ -362,37 +317,26 @@ func decodeCkptAck(b []byte) (int, uint64, error) {
 // them from retention".  Counts are per-lane and exact because both ends
 // number counted frames in the lane's FIFO order.
 func encodeCkptMark(from int, count uint64) []byte {
-	return appendU64(appendU32([]byte{fCkptMark}, uint32(from)), count)
+	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkptMark}, from), count)
 }
 
-func decodeCkptMark(b []byte) (int, uint64, error) {
-	v, b, err := takeU32(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	count, b, err := takeU64(b)
-	if err != nil || len(b) != 0 {
-		return 0, 0, errProto
-	}
-	return int(int32(v)), count, nil
+func decodeCkptMark(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.from, m.count = c.I32(), c.U64()
+	return c.Done()
 }
 
-// encodeRebalance is the leader's verdict: node `dead` is gone and node
-// `buddy` takes over its clusters.  encodeRebalanceReady is the buddy's
-// all-clear with the same payload shape.
+// encodeRebalance is the leader's verdict (fRebalance): node `dead` is gone
+// and node `buddy` takes over its clusters — or the buddy's all-clear
+// (fRebalanceReady) with the same body.
 func encodeRebalance(kind byte, dead, buddy int) []byte {
-	return appendU32(appendU32([]byte{kind}, uint32(dead)), uint32(buddy))
+	return msgcodec.AppendI32(msgcodec.AppendI32([]byte{kind}, dead), buddy)
 }
 
-func decodeRebalance(b []byte) (dead, buddy int, err error) {
-	var d, bd uint32
-	if d, b, err = takeU32(b); err != nil {
-		return 0, 0, err
-	}
-	if bd, b, err = takeU32(b); err != nil || len(b) != 0 {
-		return 0, 0, errProto
-	}
-	return int(int32(d)), int(int32(bd)), nil
+func decodeRebalance(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.dead, m.buddy = c.I32(), c.I32()
+	return c.Done()
 }
 
 // encodeRestorePlan carries one initiate-identity plan ahead of a replayed
@@ -401,101 +345,121 @@ func decodeRebalance(b []byte) (dead, buddy int, err error) {
 // already holds would dangle.  Travels on the same lane as the replayed
 // frames, so FIFO delivers the plan first.
 func encodeRestorePlan(cluster int, parent core.TaskID, seq uint64, id core.TaskID) []byte {
-	b := appendU32([]byte{fRestorePlan}, uint32(int32(cluster)))
-	b = appendTaskID(b, parent)
-	b = appendU64(b, seq)
-	return appendTaskID(b, id)
+	b := parent.AppendWire(msgcodec.AppendI32([]byte{fRestorePlan}, cluster))
+	return id.AppendWire(msgcodec.AppendU64(b, seq))
 }
 
-func decodeRestorePlan(b []byte) (cluster int, parent core.TaskID, seq uint64, id core.TaskID, err error) {
-	var v uint32
-	if v, b, err = takeU32(b); err != nil {
-		return
-	}
-	cluster = int(int32(v))
-	if parent, b, err = takeTaskID(b); err != nil {
-		return
-	}
-	if seq, b, err = takeU64(b); err != nil {
-		return
-	}
-	if id, b, err = takeTaskID(b); err != nil {
-		return
-	}
-	if len(b) != 0 {
-		err = errProto
-	}
-	return
+func decodeRestorePlan(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.cluster, m.parent, m.seq, m.id = c.I32(), core.ReadTaskID(&c), c.U64(), core.ReadTaskID(&c)
+	return c.Done()
 }
 
-// decodeDataFrameHeader peeks the routing header of a retained data frame
-// (the payload bytes the transport kept, without the length prefix) so the
-// rebalance path can rebuild initiate-plan information from the request
-// frames themselves.  Returns the frame with Payload aliasing b.
-func decodeDataFrameHeader(payload []byte) (*core.WireFrame, error) {
-	if len(payload) == 0 {
-		return nil, errProto
+// deliver decodes one inbound frame and runs its row's handler: the one path
+// every frame takes into this node, off a peer's lane (deliverLoop) or out of
+// retention during a buddy's local replay (from is then the node itself).
+// A malformed frame of any kind is dropped and logged here.
+func (n *Node) deliver(from int, payload []byte, m *frame) (*frameRow, error) {
+	row, err := decodeFrame(m, payload)
+	if err != nil {
+		fmt.Fprintf(n.opts.Log, "node %d: malformed %s frame from node %d: %v\n", n.opts.NodeID, row.name, from, err)
+		return row, err
 	}
-	return decodeWireFrame(payload[0], payload[1:])
+	row.handle(n, from, m)
+	return row, nil
 }
 
-func encodeDrainAck(a drainAck) []byte {
-	b := []byte{fDrainAck}
-	b = appendU32(b, uint32(a.from))
-	b = appendU32(b, a.epoch)
-	b = appendU64(b, a.sent)
-	b = appendU64(b, a.recv)
-	if a.idle {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendU32(b, uint32(len(a.stats)))
-	b = append(b, a.stats...)
-	b = appendU32(b, uint32(len(a.trace)))
-	return append(b, a.trace...)
+func (n *Node) handleHello(from int, _ *frame) {
+	fmt.Fprintf(n.opts.Log, "node %d: hello from node %d outside the handshake\n", n.opts.NodeID, from)
 }
 
-func decodeDrainAck(b []byte) (drainAck, error) {
-	var a drainAck
-	var v uint32
-	var err error
-	if v, b, err = takeU32(b); err != nil {
-		return a, err
+func (n *Node) handleData(from int, m *frame) {
+	n.tr.countRecv(from)
+	// A frame the VM cannot deliver is dropped there, loudly (the sender's
+	// SEND already succeeded); it still arrived, so it stays counted.
+	_ = n.vm.DeliverWire(&m.msg)
+}
+
+func (n *Node) handleInitReply(from int, m *frame) {
+	n.tr.countRecv(from)
+	if from != n.opts.NodeID {
+		// Record the assigned taskid on the retained request frame (if it is
+		// still retained), so a post-death replay re-creates the task under
+		// the identity the parent already holds.  Not on a local replay: the
+		// reply answers the dead node's request, whose reply ids are not this
+		// node's.
+		n.tr.noteInitReply(m.replyID, m.id)
 	}
-	a.from = int(v)
-	if a.epoch, b, err = takeU32(b); err != nil {
-		return a, err
+	n.vm.DeliverWireReply(m.replyID, m.id)
+}
+
+func (n *Node) handleDrain(_ int, m *frame) { n.answerDrain(uint32(m.epoch)) }
+
+func (n *Node) handleDrainAck(_ int, m *frame) {
+	ack := m.ack
+	ack.stats, ack.trace = nil, nil // alias the lane's buffer; decoded below
+	// A follower with metrics enabled piggybacks its current metric snapshot;
+	// keep the latest per node for the merged view.
+	if len(m.ack.stats) > 0 {
+		if snap, err := obs.DecodeSnapshot(m.ack.stats); err == nil {
+			n.snapMu.Lock()
+			n.followerSnap[ack.from] = snap
+			n.snapMu.Unlock()
+		} else {
+			fmt.Fprintf(n.opts.Log, "node %d: bad stats blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
+		}
 	}
-	if a.sent, b, err = takeU64(b); err != nil {
-		return a, err
+	// Same piggyback pattern for span/flow traces: keep the latest blob per
+	// follower for the merged mesh trace.
+	if len(m.ack.trace) > 0 {
+		if tr, err := obs.DecodeTrace(m.ack.trace); err == nil {
+			n.snapMu.Lock()
+			n.followerTrace[ack.from] = tr
+			n.snapMu.Unlock()
+		} else {
+			fmt.Fprintf(n.opts.Log, "node %d: bad trace blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
+		}
 	}
-	if a.recv, b, err = takeU64(b); err != nil {
-		return a, err
+	select {
+	case n.acks <- ack:
+	default: // a stale round's ack nobody is collecting
 	}
-	if len(b) < 1 {
-		return a, errProto
+}
+
+func (n *Node) handleShutdown(int, *frame) { n.signalShutdown() }
+
+func (n *Node) handleCredit(from int, m *frame) { n.tr.addCredits(from, uint32(m.count)) }
+
+// handleHeartbeat has nothing to do: the readLoop already fed the detector.
+func (n *Node) handleHeartbeat(int, *frame) {}
+
+// handleCkpt stores a peer's checkpoint (storeCheckpoint copies the blob: the
+// lane's buffer is recycled).
+func (n *Node) handleCkpt(from int, m *frame) { n.storeCheckpoint(from, m.epoch, m.blob) }
+
+func (n *Node) handleCkptAck(_ int, m *frame) { n.broadcastMarks(m.epoch) }
+
+func (n *Node) handleCkptMark(from int, m *frame) { n.tr.ackRetained(from, m.count) }
+
+// handleRebalanceFrame runs a rebalance verdict or all-clear off the deliver
+// stage: a rebalance blocks on the route lock and (on the buddy) the restore,
+// while senders holding the route lock shared may be waiting on credits only
+// the deliver stage can deliver.
+func (n *Node) handleRebalanceFrame(_ int, m *frame) {
+	ready, dead, buddy := m.kind == fRebalanceReady, m.dead, m.buddy
+	n.readers.Add(1)
+	go func() {
+		defer n.readers.Done()
+		if ready {
+			n.handleRebalanceReady(dead, buddy)
+		} else {
+			n.handleRebalance(dead, buddy)
+		}
+	}()
+}
+
+func (n *Node) handleRestorePlan(from int, m *frame) {
+	if err := n.vm.PlanRestoredInit(m.cluster, m.parent, m.seq, m.id); err != nil {
+		fmt.Fprintf(n.opts.Log, "node %d: restore plan from node %d: %v\n", n.opts.NodeID, from, err)
 	}
-	a.idle = b[0] != 0
-	b = b[1:]
-	if v, b, err = takeU32(b); err != nil {
-		return a, err
-	}
-	if len(b) < int(v) {
-		return a, errProto
-	}
-	if v > 0 {
-		a.stats = append([]byte(nil), b[:v]...)
-	}
-	b = b[v:]
-	if v, b, err = takeU32(b); err != nil {
-		return a, err
-	}
-	if len(b) != int(v) {
-		return a, errProto
-	}
-	if v > 0 {
-		a.trace = append([]byte(nil), b...)
-	}
-	return a, nil
 }

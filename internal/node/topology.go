@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/config"
+	"repro/internal/msgcodec"
 )
 
 // Topology is the static assignment of clusters to nodes, agreed during the
@@ -106,45 +107,29 @@ func (t Topology) String() string {
 
 // appendTo serialises the topology for the handshake frame.
 func (t Topology) appendTo(b []byte) []byte {
-	b = appendU32(b, uint32(t.Nodes))
-	b = appendU32(b, uint32(len(t.clusters)))
+	b = msgcodec.AppendI32(b, t.Nodes)
+	b = msgcodec.AppendU32(b, uint32(len(t.clusters)))
 	for _, c := range t.clusters {
-		b = appendU32(b, uint32(c))
-		b = appendU32(b, uint32(t.nodeOf[c]))
+		b = msgcodec.AppendI32(b, c)
+		b = msgcodec.AppendI32(b, t.nodeOf[c])
 	}
 	return b
 }
 
-// decodeTopology reverses appendTo, returning the remaining bytes.
-func decodeTopology(b []byte) (Topology, []byte, error) {
-	nodes, b, err := takeU32(b)
-	if err != nil {
-		return Topology{}, nil, err
+// decodeTopology reverses appendTo.  The count arrives from an
+// unauthenticated peer (the handshake runs before fingerprint validation);
+// Count holds it against the bytes present — 8 per entry — before it sizes
+// anything.
+func decodeTopology(c *msgcodec.Cursor) Topology {
+	t := Topology{Nodes: c.I32()}
+	n := c.Count(8)
+	t.clusters, t.nodeOf = make([]int, 0, n), make(map[int]int, n)
+	for ; n > 0; n-- {
+		cluster, owner := c.I32(), c.I32()
+		t.clusters = append(t.clusters, cluster)
+		t.nodeOf[cluster] = owner
 	}
-	n, b, err := takeU32(b)
-	if err != nil {
-		return Topology{}, nil, err
-	}
-	// The count arrives from an unauthenticated peer (the handshake runs
-	// before fingerprint validation): bound it by the bytes actually present
-	// — 8 per entry — before sizing any allocation, or a forged count could
-	// reserve gigabytes the same way an unchecked length prefix would.
-	if int(n) > len(b)/8 {
-		return Topology{}, nil, errProto
-	}
-	t := Topology{Nodes: int(nodes), nodeOf: make(map[int]int, n)}
-	for i := uint32(0); i < n; i++ {
-		var c, owner uint32
-		if c, b, err = takeU32(b); err != nil {
-			return Topology{}, nil, err
-		}
-		if owner, b, err = takeU32(b); err != nil {
-			return Topology{}, nil, err
-		}
-		t.clusters = append(t.clusters, int(c))
-		t.nodeOf[int(c)] = int(owner)
-	}
-	return t, b, nil
+	return t
 }
 
 // Fingerprint hashes everything two nodes must agree on before exchanging

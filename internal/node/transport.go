@@ -127,6 +127,13 @@ type peer struct {
 	txBytes  *obs.Counter
 }
 
+// send enqueues one frame of the given kind, credited and counted as the
+// kind's row in frameTable says.
+func (p *peer) send(tr *transport, kind byte, replyID uint64, encode func(batch []byte) []byte) error {
+	row := &frameTable[kind]
+	return p.enqueue(tr, row.credited, row.counted, replyID, encode)
+}
+
 // enqueue appends one frame to the peer's open batch and wakes the writer.
 // encode appends the frame payload to the batch (the length prefix is
 // reserved and backfilled around it, so payload bytes are copied exactly
@@ -423,13 +430,19 @@ func (tr *transport) ownerOf(cluster int) (int, error) {
 // copies actually handed to a live lane are counted sent, so a partial
 // broadcast failure leaves the drain protocol's books balanced.
 func (tr *transport) Send(f *core.WireFrame) error {
+	if len(f.Type) > msgcodec.MaxStr16 {
+		// The frame's type field has a u16 length; a longer name would wrap
+		// it and decode as a shorter type followed by garbage.
+		return fmt.Errorf("node %d: message type of %d bytes exceeds the wire format's %d", tr.nodeID, len(f.Type), msgcodec.MaxStr16)
+	}
+	kind := wireKind(f)
 	enc := func(batch []byte) []byte { return encodeWireFrame(batch, f) }
 	tr.routeMu.RLock()
 	defer tr.routeMu.RUnlock()
 	if f.Kind == core.FrameBroadcast && f.Dst == 0 {
 		var firstErr error
 		for _, p := range tr.allPeers() {
-			if err := p.enqueue(tr, true, true, 0, enc); err != nil && firstErr == nil {
+			if err := p.send(tr, kind, 0, enc); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -456,13 +469,13 @@ func (tr *transport) Send(f *core.WireFrame) error {
 	if err != nil {
 		return err
 	}
-	return p.enqueue(tr, true, true, f.ReplyID, enc)
+	return p.send(tr, kind, f.ReplyID, enc)
 }
 
 // SendReply carries a routed-initiate reply back to the node hosting the
 // requesting cluster.  Replies are counted in the drain balance but not
-// credited: they ride the control channel so a reply can never deadlock
-// against the data window it would unblock.
+// credited (fInitReply's row): they ride the control channel so a reply can
+// never deadlock against the data window it would unblock.
 func (tr *transport) SendReply(dst int, replyID uint64, id core.TaskID) error {
 	tr.routeMu.RLock()
 	defer tr.routeMu.RUnlock()
@@ -481,20 +494,20 @@ func (tr *transport) SendReply(dst int, replyID uint64, id core.TaskID) error {
 	if err != nil {
 		return err
 	}
-	return p.enqueue(tr, false, true, 0, func(batch []byte) []byte {
+	return p.send(tr, fInitReply, 0, func(batch []byte) []byte {
 		return encodeInitReply(batch, replyID, id)
 	})
 }
 
-// sendControl enqueues one protocol control frame (drain, drain ack,
-// shutdown, credit grant) on the given peer: uncredited and outside the
-// drain balance.
+// sendControl enqueues one already-encoded protocol control frame (drain,
+// drain ack, shutdown, credit grant, the HA frames) on the given peer; their
+// rows are all uncredited and outside the drain balance.
 func (tr *transport) sendControl(node int, payload []byte) error {
 	p, err := tr.peerFor(node)
 	if err != nil {
 		return err
 	}
-	return p.enqueue(tr, false, false, 0, func(batch []byte) []byte {
+	return p.send(tr, payload[0], 0, func(batch []byte) []byte {
 		return append(batch, payload...)
 	})
 }

@@ -137,3 +137,57 @@ func TestFaultTransportBatchWindow(t *testing.T) {
 		t.Fatalf("batch arrivals spread over %v, want one shared departure (ns-scale spacing)", spread)
 	}
 }
+
+// TestOversizeMessageTypeFailsTheSend runs the refusal end to end on a 2-node
+// mesh: a task's SEND of a message whose type name cannot fit the frame's
+// type field returns the error to the task, an ordinary message sent right
+// after still arrives, and the mesh drains — the refused frame left no
+// phantom in the sent/received balance.
+func TestOversizeMessageTypeFailsTheSend(t *testing.T) {
+	sendErr := make(chan error, 1)
+	got := make(chan string, 1)
+	register := func(vm *core.VM) {
+		vm.Register("sink", func(task *core.Task) {
+			if m, err := task.AcceptOne("ok"); err == nil {
+				got <- m.Type
+			}
+		})
+		vm.Register("source", func(task *core.Task) {
+			sink := core.MustID(task.Arg(0))
+			sendErr <- task.Send(sink, strings.Repeat("T", 70000), core.Int(1))
+			if err := task.Send(sink, "ok", core.Int(2)); err != nil {
+				t.Errorf("ordinary send after the refusal: %v", err)
+			}
+		})
+	}
+	nodes := startMesh(t, 2, config.Simple(2, 4), "", nil, func(i int, o *node.Options) { o.Register = register })
+	done := make(chan struct{})
+	go func() { defer close(done); _ = nodes[1].ServeUntilShutdown() }()
+	sink, err := nodes[1].VM().Initiate("sink", core.OnCluster(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].VM().Initiate("source", core.OnCluster(1), core.ID(sink)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-sendErr:
+		if err == nil || !strings.Contains(err.Error(), "message type of 70000 bytes") {
+			t.Fatalf("SEND of a 70000-byte type returned %v, want the wire format's refusal", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("source never sent")
+	}
+	select {
+	case typ := <-got:
+		if typ != "ok" {
+			t.Fatalf("sink accepted %q", typ)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the ordinary message after the refusal never arrived")
+	}
+	if err := nodes[0].Close(); err != nil {
+		t.Fatalf("mesh did not drain after a refused send: %v", err)
+	}
+	<-done
+}

@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
+
+	"repro/internal/msgcodec"
 )
 
 // Trace wire format: the blob a follower node attaches to its drain ack so
@@ -19,92 +20,36 @@ import (
 
 const traceWireVersion = 1
 
-var errTraceWire = fmt.Errorf("obs: malformed trace blob")
-
 // EncodeTrace serialises a process trace's spans and flows (Pid and Name are
 // the receiver's to assign; they do not travel).
 func EncodeTrace(p ProcessTrace) []byte {
-	b := []byte{traceWireVersion}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p.Spans)))
+	b := msgcodec.AppendU32([]byte{traceWireVersion}, uint32(len(p.Spans)))
 	for _, s := range p.Spans {
-		b = appendName(b, s.Lane)
-		b = appendName(b, s.Name)
-		b = binary.BigEndian.AppendUint64(b, uint64(s.Start))
-		b = binary.BigEndian.AppendUint64(b, uint64(s.Dur))
+		b = msgcodec.AppendStr16(msgcodec.AppendStr16(b, s.Lane), s.Name)
+		b = msgcodec.AppendI64(msgcodec.AppendI64(b, int64(s.Start)), int64(s.Dur))
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p.Flows)))
+	b = msgcodec.AppendU32(b, uint32(len(p.Flows)))
 	for _, f := range p.Flows {
-		b = binary.BigEndian.AppendUint64(b, f.Edge)
-		b = appendName(b, f.Lane)
-		b = append(b, f.Phase)
-		b = binary.BigEndian.AppendUint64(b, uint64(f.TS))
+		b = msgcodec.AppendStr16(msgcodec.AppendU64(b, f.Edge), f.Lane)
+		b = msgcodec.AppendI64(append(b, f.Phase), int64(f.TS))
 	}
-	b = binary.BigEndian.AppendUint64(b, uint64(p.Dropped))
-	return b
+	return msgcodec.AppendI64(b, p.Dropped)
 }
 
-// DecodeTrace reverses EncodeTrace.
+// DecodeTrace reverses EncodeTrace.  Every failure wraps msgcodec.ErrCorrupt.
 func DecodeTrace(b []byte) (ProcessTrace, error) {
 	var p ProcessTrace
-	if len(b) < 1 || b[0] != traceWireVersion {
-		return p, errTraceWire
+	c := msgcodec.NewCursor(b)
+	wireVersion(&c, "trace", traceWireVersion)
+	for n := c.Count(2 + 2 + 8 + 8); n > 0; n-- {
+		p.Spans = append(p.Spans, Span{Lane: c.Str16(), Name: c.Str16(), Start: time.Duration(c.I64()), Dur: time.Duration(c.I64())})
 	}
-	b = b[1:]
-	n, b, err := takeCount(b)
-	if err != nil {
-		return p, err
+	for n := c.Count(8 + 2 + 1 + 8); n > 0; n-- {
+		p.Flows = append(p.Flows, Flow{Edge: c.U64(), Lane: c.Str16(), Phase: c.U8(), TS: time.Duration(c.I64())})
 	}
-	for i := 0; i < n; i++ {
-		var s Span
-		if s.Lane, b, err = takeName(b); err != nil {
-			return p, err
-		}
-		if s.Name, b, err = takeName(b); err != nil {
-			return p, err
-		}
-		var v int64
-		if v, b, err = takeI64(b); err != nil {
-			return p, err
-		}
-		s.Start = time.Duration(v)
-		if v, b, err = takeI64(b); err != nil {
-			return p, err
-		}
-		s.Dur = time.Duration(v)
-		p.Spans = append(p.Spans, s)
-	}
-	if n, b, err = takeCount(b); err != nil {
-		return p, err
-	}
-	for i := 0; i < n; i++ {
-		var f Flow
-		if len(b) < 8 {
-			return p, errTraceWire
-		}
-		f.Edge = binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if f.Lane, b, err = takeName(b); err != nil {
-			return p, err
-		}
-		if len(b) < 1 {
-			return p, errTraceWire
-		}
-		f.Phase = b[0]
-		b = b[1:]
-		var v int64
-		if v, b, err = takeI64(b); err != nil {
-			return p, err
-		}
-		f.TS = time.Duration(v)
-		p.Flows = append(p.Flows, f)
-	}
-	var v int64
-	if v, b, err = takeI64(b); err != nil {
-		return p, err
-	}
-	p.Dropped = v
-	if len(b) != 0 {
-		return p, errTraceWire
+	p.Dropped = c.I64()
+	if err := c.Done(); err != nil {
+		return ProcessTrace{}, fmt.Errorf("obs: trace blob: %w", err)
 	}
 	return p, nil
 }

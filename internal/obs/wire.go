@@ -1,8 +1,9 @@
 package obs
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"repro/internal/msgcodec"
 )
 
 // Snapshot wire format: the blob a follower node attaches to its drain acks
@@ -19,145 +20,58 @@ import (
 
 const snapWireVersion = 1
 
-var errSnapWire = fmt.Errorf("obs: malformed snapshot blob")
-
 // Encode serialises the snapshot.
 func (s *Snapshot) Encode() []byte {
-	b := []byte{snapWireVersion}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Counters)))
+	b := msgcodec.AppendU32([]byte{snapWireVersion}, uint32(len(s.Counters)))
 	for _, c := range s.Counters {
-		b = appendName(b, c.Name)
-		b = binary.BigEndian.AppendUint64(b, uint64(c.Value))
+		b = msgcodec.AppendI64(msgcodec.AppendStr16(b, c.Name), c.Value)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Gauges)))
+	b = msgcodec.AppendU32(b, uint32(len(s.Gauges)))
 	for _, g := range s.Gauges {
-		b = appendName(b, g.Name)
-		b = binary.BigEndian.AppendUint64(b, uint64(g.Value))
+		b = msgcodec.AppendI64(msgcodec.AppendStr16(b, g.Name), g.Value)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Hists)))
+	b = msgcodec.AppendU32(b, uint32(len(s.Hists)))
 	for _, h := range s.Hists {
-		b = appendName(b, h.Name)
-		b = appendName(b, h.Unit)
-		b = binary.BigEndian.AppendUint64(b, uint64(h.Zeros))
-		b = binary.BigEndian.AppendUint64(b, uint64(h.Count))
-		b = binary.BigEndian.AppendUint64(b, uint64(h.Sum))
-		b = binary.BigEndian.AppendUint64(b, uint64(h.Max))
-		b = binary.BigEndian.AppendUint32(b, uint32(len(h.Buckets)))
+		b = msgcodec.AppendStr16(msgcodec.AppendStr16(b, h.Name), h.Unit)
+		for _, v := range [...]int64{h.Zeros, h.Count, h.Sum, h.Max} {
+			b = msgcodec.AppendI64(b, v)
+		}
+		b = msgcodec.AppendU32(b, uint32(len(h.Buckets)))
 		for _, bk := range h.Buckets {
-			b = append(b, bk.Index)
-			b = binary.BigEndian.AppendUint64(b, uint64(bk.Count))
+			b = msgcodec.AppendI64(append(b, bk.Index), bk.Count)
 		}
 	}
 	return b
 }
 
-// DecodeSnapshot reverses Encode.
+// DecodeSnapshot reverses Encode.  Every failure wraps msgcodec.ErrCorrupt.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	if len(b) < 1 || b[0] != snapWireVersion {
-		return nil, errSnapWire
-	}
-	b = b[1:]
+	c := msgcodec.NewCursor(b)
+	wireVersion(&c, "snapshot", snapWireVersion)
 	s := &Snapshot{}
-	n, b, err := takeCount(b)
-	if err != nil {
-		return nil, err
+	for n := c.Count(2 + 8); n > 0; n-- {
+		s.Counters = append(s.Counters, CounterSnap{Name: c.Str16(), Value: c.I64()})
 	}
-	for i := 0; i < n; i++ {
-		var c CounterSnap
-		if c.Name, b, err = takeName(b); err != nil {
-			return nil, err
-		}
-		if c.Value, b, err = takeI64(b); err != nil {
-			return nil, err
-		}
-		s.Counters = append(s.Counters, c)
+	for n := c.Count(2 + 8); n > 0; n-- {
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: c.Str16(), Value: c.I64()})
 	}
-	if n, b, err = takeCount(b); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var g GaugeSnap
-		if g.Name, b, err = takeName(b); err != nil {
-			return nil, err
-		}
-		if g.Value, b, err = takeI64(b); err != nil {
-			return nil, err
-		}
-		s.Gauges = append(s.Gauges, g)
-	}
-	if n, b, err = takeCount(b); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var h HistSnap
-		if h.Name, b, err = takeName(b); err != nil {
-			return nil, err
-		}
-		if h.Unit, b, err = takeName(b); err != nil {
-			return nil, err
-		}
-		if h.Zeros, b, err = takeI64(b); err != nil {
-			return nil, err
-		}
-		if h.Count, b, err = takeI64(b); err != nil {
-			return nil, err
-		}
-		if h.Sum, b, err = takeI64(b); err != nil {
-			return nil, err
-		}
-		if h.Max, b, err = takeI64(b); err != nil {
-			return nil, err
-		}
-		var nb int
-		if nb, b, err = takeCount(b); err != nil {
-			return nil, err
-		}
-		for j := 0; j < nb; j++ {
-			if len(b) < 1 {
-				return nil, errSnapWire
-			}
-			bk := BucketSnap{Index: b[0]}
-			b = b[1:]
-			if bk.Count, b, err = takeI64(b); err != nil {
-				return nil, err
-			}
-			h.Buckets = append(h.Buckets, bk)
+	for n := c.Count(2 + 2 + 4*8 + 4); n > 0; n-- {
+		h := HistSnap{Name: c.Str16(), Unit: c.Str16(), Zeros: c.I64(), Count: c.I64(), Sum: c.I64(), Max: c.I64()}
+		for nb := c.Count(1 + 8); nb > 0; nb-- {
+			h.Buckets = append(h.Buckets, BucketSnap{Index: c.U8(), Count: c.I64()})
 		}
 		s.Hists = append(s.Hists, h)
 	}
-	if len(b) != 0 {
-		return nil, errSnapWire
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("obs: snapshot blob: %w", err)
 	}
 	return s, nil
 }
 
-func appendName(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func takeName(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errSnapWire
+// wireVersion reads a blob's leading version byte and fails the cursor on
+// any other than want.
+func wireVersion(c *msgcodec.Cursor, what string, want uint8) {
+	if v := c.U8(); c.Err() == nil && v != want {
+		c.Fail(fmt.Errorf("%w: %s wire version %d, want %d", msgcodec.ErrCorrupt, what, v, want))
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errSnapWire
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func takeCount(b []byte) (int, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, errSnapWire
-	}
-	return int(binary.BigEndian.Uint32(b)), b[4:], nil
-}
-
-func takeI64(b []byte) (int64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errSnapWire
-	}
-	return int64(binary.BigEndian.Uint64(b)), b[8:], nil
 }
