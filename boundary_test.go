@@ -1,7 +1,9 @@
 package pisces_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -50,6 +52,32 @@ func TestOnlyMsgcodecImportsEncodingBinary(t *testing.T) {
 			if imp == "encoding/binary" {
 				t.Errorf("%s imports encoding/binary; read wire bytes through msgcodec's Cursor and Append* instead", pkg)
 			}
+		}
+	}
+}
+
+// TestOneFrontEndForPiscesFortran pins where Pisces Fortran text is read:
+// internal/pfc is the standalone Section 10 preprocessor — tokenizer,
+// expression parser and statement recogniser — and imports nothing else of
+// this repository (the Expr it shares with the interpreter must not drag
+// pfi or core in), and internal/pfi has no lexer or expression parser to
+// grow a second reading of the language in.
+func TestOneFrontEndForPiscesFortran(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports " "}}`, "./internal/pfc").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	if len(strings.Fields(string(out))) == 0 {
+		t.Fatal("go list printed no imports for internal/pfc")
+	}
+	for _, imp := range strings.Fields(string(out)) {
+		if strings.HasPrefix(imp, "repro/") {
+			t.Errorf("internal/pfc imports %s; the preprocessor stands alone", imp)
+		}
+	}
+	for _, name := range []string{"lexer.go", "expr.go"} {
+		if _, err := os.Stat(filepath.Join("internal", "pfi", name)); err == nil {
+			t.Errorf("internal/pfi/%s exists; tokenizing and expression parsing belong to internal/pfc", name)
 		}
 	}
 }

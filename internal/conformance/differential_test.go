@@ -24,11 +24,11 @@ func errLine(t *testing.T, err error) int {
 	return 0
 }
 
-// TestDifferentialCompile: the two consumers of Pisces Fortran — the pfc
-// preprocessor (paper's Section 10 tool chain) and the pfi interpreter —
+// TestDifferentialCompile: the two consumers of the one Pisces Fortran front
+// end — pfc.Emit (paper's Section 10 tool chain) and the pfi interpreter —
 // must agree on the corpus: every corpus program preprocesses if and only if
 // it compiles.  For this corpus that means both succeed everywhere; a
-// program one front end accepts and the other rejects is a fault in one of
+// program one consumer accepts and the other rejects is a fault in one of
 // them.
 func TestDifferentialCompile(t *testing.T) {
 	names, srcs := corpusPrograms(t)
@@ -37,19 +37,22 @@ func TestDifferentialCompile(t *testing.T) {
 		_, pfcErr := pfc.Preprocess(src, pfc.Options{})
 		_, pfiErr := pfi.CompileUncached(src)
 		if (pfcErr == nil) != (pfiErr == nil) {
-			t.Errorf("%s: front ends disagree: pfc err=%v, pfi err=%v", name, pfcErr, pfiErr)
+			t.Errorf("%s: consumers disagree: pfc err=%v, pfi err=%v", name, pfcErr, pfiErr)
 			continue
 		}
 		if pfcErr != nil {
-			t.Errorf("%s: corpus program rejected by both front ends: %v", name, pfcErr)
+			t.Errorf("%s: corpus program rejected by both consumers: %v", name, pfcErr)
 		}
 	}
 }
 
-// TestDifferentialDiagnostics: for malformed programs that both front ends
-// reject, the reported line numbers must agree — a schedule-bug reproduction
-// workflow hops between `piscesfc` and `pisces run`, and diverging line
-// numbers would send the user to the wrong statement.
+// TestDifferentialDiagnostics: what pfc.Parse rejects, both tools reject with
+// the very same diagnostic — `pisces run` reports the parser's *pfc.Error and
+// adds no reading of its own — so a workflow that hops between `piscesfc`
+// and `pisces run` is never sent to two different statements.  (With one
+// parser the lines cannot differ; what this still pins is that the
+// interpreter passes the parser's diagnostic through unchanged.  The line
+// numbers themselves are asserted in internal/pfc's TestParserErrors.)
 func TestDifferentialDiagnostics(t *testing.T) {
 	cases := map[string]string{
 		"unterminated accept":   "TASKTYPE T\n      ACCEPT 1 OF\n        M\n      DELAY 1.0 THEN\nEND TASKTYPE\n",
@@ -61,6 +64,10 @@ func TestDifferentialDiagnostics(t *testing.T) {
 		"shared common name":    "TASKTYPE T\n      SHARED COMMON FOO\nEND TASKTYPE\n",
 		"second stmt bad": "TASKTYPE T\n      PRINT *, 'OK'\n" +
 			"      ON ANY INITIATE\nEND TASKTYPE\n",
+		// Once rejected by `pisces run` only, and copied untranslated into
+		// `piscesfc`'s "standard Fortran".
+		"pisces object of logical if": "TASKTYPE T\n      IF (X .GT. 0) TO USER SEND M(1)\nEND TASKTYPE\n",
+		"labelled pisces statement":   "TASKTYPE T\n10    TO USER SEND M(1)\nEND TASKTYPE\n",
 	}
 	for name, src := range cases {
 		name, src := name, src
@@ -68,17 +75,18 @@ func TestDifferentialDiagnostics(t *testing.T) {
 			_, pfcErr := pfc.Preprocess(src, pfc.Options{})
 			_, pfiErr := pfi.CompileUncached(src)
 			if pfcErr == nil || pfiErr == nil {
-				t.Fatalf("expected both front ends to reject: pfc=%v pfi=%v", pfcErr, pfiErr)
+				t.Fatalf("expected both tools to reject: piscesfc=%v pisces run=%v", pfcErr, pfiErr)
 			}
-			if pl, il := errLine(t, pfcErr), errLine(t, pfiErr); pl != il {
-				t.Errorf("line numbers disagree: pfc line %d (%v) vs pfi line %d (%v)", pl, pfcErr, il, pfiErr)
+			var pe *pfc.Error
+			if !errors.As(pfiErr, &pe) || pfiErr.Error() != pfcErr.Error() {
+				t.Errorf("diagnostics differ: piscesfc %q vs pisces run %q", pfcErr, pfiErr)
 			}
 		})
 	}
 
 	// pfi performs whole-program checks pfc (a line-by-line translator) does
-	// not; those must still carry accurate line numbers even though they are
-	// pfi-only.
+	// not, and refuses lines pfc passes through as ordinary Fortran; both
+	// must still carry accurate line numbers.
 	pfiOnly := map[string]struct {
 		src  string
 		line int
@@ -104,7 +112,7 @@ func TestDifferentialDiagnostics(t *testing.T) {
 }
 
 // TestExamplesCompileBothWays keeps the shipped example programs valid for
-// both front ends (the corpus check above covers them too, via
+// both consumers (the corpus check above covers them too, via
 // corpusPrograms; this asserts it for the exact files on disk).
 func TestExamplesCompileBothWays(t *testing.T) {
 	for _, p := range []string{"../../examples/sumsq.pf", "../../examples/piscesfortran/program.pf"} {

@@ -180,6 +180,29 @@ func TestSumsqDistributedMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestCharacterArgumentsCrossNodesExactly: a character literal in INITIATE
+// and SEND arguments reaches a task on another node exactly as the source
+// wrote it — case, inner blanks, doubled quote, comma and parentheses.
+func TestCharacterArgumentsCrossNodesExactly(t *testing.T) {
+	src := `TASKTYPE MAIN
+      ON OTHER INITIATE ECHO('Mixed  case, (it''s)')
+      ACCEPT 1 OF BACK
+      PRINT *, MSGS('BACK', 1, 1)
+      PRINT *, MSGS('BACK', 1, 2)
+END TASKTYPE
+
+TASKTYPE ECHO(S)
+      TO PARENT SEND BACK(S, 'from  cluster', CLUSTER)
+END TASKTYPE
+`
+	var out bytes.Buffer
+	nodes := startMesh(t, 2, config.Simple(2, 4), src, &out)
+	runDistributed(t, nodes)
+	if got, want := out.String(), "Mixed  case, (it's)\nfrom  cluster\n"; got != want {
+		t.Fatalf("output %q, want %q", got, want)
+	}
+}
+
 // TestThreeNodeMesh runs a corpus program across three nodes so frames
 // cross more than one peer connection.
 func TestThreeNodeMesh(t *testing.T) {

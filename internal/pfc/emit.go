@@ -2,6 +2,7 @@ package pfc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -79,7 +80,7 @@ func (e *emitter) emitTaskType(tt *TaskTypeDef) error {
 	e.comment(fmt.Sprintf("---- tasktype %s ----", tt.Name))
 	header := "SUBROUTINE PT" + tt.Name
 	if len(tt.Params) > 0 {
-		header += "(" + strings.Join(UpperAll(tt.Params), ", ") + ")"
+		header += "(" + strings.Join(tt.Params, ", ") + ")"
 	}
 	e.stmt(header)
 	e.stmt("LOGICAL PSPRIM, PSTIME, PSDONE")
@@ -108,12 +109,18 @@ func (e *emitter) emitBody(body []Stmt) error {
 
 func (e *emitter) emitStmt(st Stmt) error {
 	switch st.Kind {
-	case StmtFortran:
-		return e.emitFortranLine(st)
 	case StmtInitiate:
-		return e.emitInitiate(st)
+		where := source(st.Where.Src)
+		e.comment(fmt.Sprintf("ON %s INITIATE %s", withOperand(placeWord[st.Place], where), st.Name))
+		e.emitStaged(st.Args)
+		e.call("INIT", quote(st.Name), quote(placeWord[st.Place]), orZero(where))
+		return nil
 	case StmtSend:
-		return e.emitSend(st)
+		where := source(st.Where.Src)
+		e.comment(fmt.Sprintf("TO %s SEND %s", withOperand(destWord[st.Dest], where), st.Name))
+		e.emitStaged(st.Args)
+		e.call("SEND", quote(st.Name), quote(destCall[st.Dest]), orZero(where))
+		return nil
 	case StmtAccept:
 		return e.emitAccept(st)
 	case StmtForceSplit:
@@ -131,29 +138,30 @@ func (e *emitter) emitStmt(st Stmt) error {
 	case StmtParseg:
 		return e.emitParseg(st)
 	case StmtSharedCommon:
-		e.raw(sharedCommonFortran(st.SharedCommon))
+		e.stmt("COMMON /" + st.Name + "/ " + declare(st.Decls, 0))
+		e.comment("PISCES: COMMON /" + st.Name + "/ is allocated in shared memory")
 		return nil
 	case StmtLockDecl:
-		e.stmt("INTEGER " + strings.Join(st.Names, ", "))
+		e.stmt("INTEGER " + declare(st.Decls, 0))
 		e.comment("PISCES: LOCK variable(s)")
 		return nil
 	case StmtTaskIDDecl:
-		e.raw(declareTriples(st.Names, 3))
+		e.stmt("INTEGER " + declare(st.Decls, 3))
 		e.comment("PISCES: TASKID variable(s)")
 		return nil
 	case StmtWindowDecl:
-		e.raw(declareTriples(st.Names, 8))
+		e.stmt("INTEGER " + declare(st.Decls, 8))
 		e.comment("PISCES: WINDOW variable(s)")
 		return nil
 	case StmtHandlerDecl:
-		e.stmt("EXTERNAL " + st.MsgType)
-		e.call("HNDL", quote(st.MsgType), st.MsgType)
+		e.stmt("EXTERNAL " + st.Name)
+		e.call("HNDL", quote(st.Name), st.Name)
 		return nil
 	case StmtSignalDecl:
-		e.call("SGNL", quote(st.MsgType))
+		e.call("SGNL", quote(st.Name))
 		return nil
-	default:
-		return errf(st.Line, "internal error: unknown statement kind %d", st.Kind)
+	default: // ordinary Fortran
+		return e.emitFortranLine(st)
 	}
 }
 
@@ -166,8 +174,7 @@ func (e *emitter) emitFortranLine(st Stmt) error {
 		}
 		return nil
 	}
-	label := statementLabel(st.Text)
-	if label != "" {
+	if label := st.Label; label != "" {
 		if loop, ok := e.pendingSelfsched[label]; ok {
 			delete(e.pendingSelfsched, label)
 			// The user's loop-terminating statement executes as the last
@@ -184,43 +191,12 @@ func (e *emitter) emitFortranLine(st Stmt) error {
 	return nil
 }
 
-func (e *emitter) emitInitiate(st Stmt) error {
-	e.comment(fmt.Sprintf("ON %s INITIATE %s", st.Placement, st.TaskType))
+// emitStaged stages the argument list of a SEND or INITIATE.
+func (e *emitter) emitStaged(args []Operand) {
 	e.call("MSG0")
-	for _, a := range st.Args {
-		e.call("MSGA", a)
+	for _, a := range args {
+		e.call("MSGA", source(a.Src))
 	}
-	kind, arg := placementCall(st.Placement)
-	e.call("INIT", quote(st.TaskType), quote(kind), arg)
-	return nil
-}
-
-func placementCall(p string) (kind, arg string) {
-	if strings.HasPrefix(p, "CLUSTER ") {
-		return "CLUSTER", strings.TrimSpace(strings.TrimPrefix(p, "CLUSTER "))
-	}
-	return p, "0"
-}
-
-func (e *emitter) emitSend(st Stmt) error {
-	e.comment(fmt.Sprintf("TO %s SEND %s", st.Dest, st.MsgType))
-	e.call("MSG0")
-	for _, a := range st.Args {
-		e.call("MSGA", a)
-	}
-	dest := st.Dest
-	switch {
-	case dest == "PARENT" || dest == "SELF" || dest == "SENDER" || dest == "USER" || dest == "ALL":
-		e.call("SEND", quote(st.MsgType), quote(dest), "0")
-	case strings.HasPrefix(dest, "TCONTR "):
-		e.call("SEND", quote(st.MsgType), quote("TCONTR"), strings.TrimSpace(strings.TrimPrefix(dest, "TCONTR ")))
-	case strings.HasPrefix(dest, "ALL CLUSTER "):
-		e.call("SEND", quote(st.MsgType), quote("ALLCLUSTER"), strings.TrimSpace(strings.TrimPrefix(dest, "ALL CLUSTER ")))
-	default:
-		// A TASKID variable or array element.
-		e.call("SEND", quote(st.MsgType), quote("TASKID"), dest)
-	}
-	return nil
 }
 
 func (e *emitter) emitAccept(st Stmt) error {
@@ -228,25 +204,17 @@ func (e *emitter) emitAccept(st Stmt) error {
 	e.comment("ACCEPT")
 	e.call("ACIN")
 	for _, ty := range acc.Types {
-		count := "0"
-		switch ty.Count {
-		case "":
-		case "ALL":
+		count := orZero(source(ty.Count.Src))
+		if ty.All {
 			count = "-1"
-		default:
-			count = ty.Count
 		}
 		e.call("ACTY", quote(ty.Name), count)
 	}
-	total := acc.Total
-	if total == "" {
-		total = "0"
-	}
-	delay := acc.Delay
+	delay := source(acc.Delay.Src)
 	if delay == "" {
 		delay = "-1"
 	}
-	e.call("ACGO", total, delay, "PSTIME")
+	e.call("ACGO", orZero(source(acc.Total.Src)), delay, "PSTIME")
 	if len(acc.OnTimeout) > 0 {
 		skip := e.newLabel()
 		e.stmt(fmt.Sprintf("IF (.NOT. PSTIME) GOTO %d", skip))
@@ -273,12 +241,12 @@ func (e *emitter) emitBarrier(st Stmt) error {
 }
 
 func (e *emitter) emitCritical(st Stmt) error {
-	e.comment("CRITICAL " + st.LockVar)
-	e.call("LOCK", st.LockVar)
+	e.comment("CRITICAL " + st.Name)
+	e.call("LOCK", st.Name)
 	if err := e.emitBody(st.Body); err != nil {
 		return err
 	}
-	e.call("UNLK", st.LockVar)
+	e.call("UNLK", st.Name)
 	return nil
 }
 
@@ -287,8 +255,9 @@ func (e *emitter) emitCritical(st Stmt) error {
 // unchanged.
 func (e *emitter) emitPresched(st Stmt) error {
 	e.comment(fmt.Sprintf("PRESCHED DO %s", st.DoLabel))
+	step := source(st.Step.Src)
 	e.stmt(fmt.Sprintf("DO %s %s = (%s) + (%sMEMB()-1)*(%s), %s, (%s)*%sNMEM()",
-		st.DoLabel, st.DoVar, st.DoLo, e.opts.prefix(), st.DoStep, st.DoHi, st.DoStep, e.opts.prefix()))
+		st.DoLabel, st.Name, source(st.Lo.Src), e.opts.prefix(), step, source(st.Hi.Src), step, e.opts.prefix()))
 	return nil
 }
 
@@ -298,8 +267,8 @@ func (e *emitter) emitSelfsched(st Stmt) error {
 	start := e.newLabel()
 	exit := e.newLabel()
 	e.comment(fmt.Sprintf("SELFSCHED DO %s", st.DoLabel))
-	e.call("SSIN", st.DoLo, st.DoHi, st.DoStep)
-	e.labeled(start, fmt.Sprintf("CALL %sSSNX(%s, PSDONE)", e.opts.prefix(), st.DoVar))
+	e.call("SSIN", source(st.Lo.Src), source(st.Hi.Src), source(st.Step.Src))
+	e.labeled(start, fmt.Sprintf("CALL %sSSNX(%s, PSDONE)", e.opts.prefix(), st.Name))
 	e.stmt(fmt.Sprintf("IF (PSDONE) GOTO %d", exit))
 	e.pendingSelfsched[st.DoLabel] = selfschedLoop{startLabel: start, exitLabel: exit}
 	return nil
@@ -337,22 +306,70 @@ func (e *emitter) emitRegistration(prog *Program) {
 	e.stmt("END")
 }
 
-// statementLabel returns the numeric statement label of a Fortran line, if
-// any (columns 1-5 in fixed form, or a leading integer in free-ish input).
-func statementLabel(line string) string {
-	trimmed := strings.TrimSpace(line)
-	i := 0
-	for i < len(trimmed) && trimmed[i] >= '0' && trimmed[i] <= '9' {
-		i++
+// source renders source text the way the generated Fortran spells it:
+// upper-cased, runs of blanks collapsed to one — except inside character
+// literals, which are copied exactly.
+func source(src string) string {
+	var b strings.Builder
+	quote, blank := byte(0), false
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == ' ' || c == '\t':
+			blank = true
+			continue
+		case c == '\'' || c == '"':
+			quote = c
+		case c >= 'a' && c <= 'z':
+			c -= 'a' - 'A'
+		}
+		if blank {
+			b.WriteByte(' ')
+			blank = false
+		}
+		b.WriteByte(c)
 	}
-	if i == 0 {
-		return ""
-	}
-	// Must be followed by whitespace and more text to be a labeled statement.
-	if i >= len(trimmed) || (trimmed[i] != ' ' && trimmed[i] != '\t') {
-		return ""
-	}
-	return trimmed[:i]
+	return b.String()
 }
 
-func quote(s string) string { return "'" + strings.ToUpper(s) + "'" }
+// withOperand spells a placement or destination form with its operand.
+func withOperand(word, where string) string {
+	if word == "" || where == "" {
+		return word + where
+	}
+	return word + " " + where
+}
+
+// orZero is the run-time library's spelling of an absent operand.
+func orZero(s string) string {
+	if s == "" {
+		return "0"
+	}
+	return s
+}
+
+// declare renders declaration entries.  With words > 0 every name gets that
+// many words of INTEGER storage (TASKID values occupy 3 integers, WINDOW
+// values 8): "W" becomes "W(8)", and an entry that already carries array
+// extents, such as "IDS(4)", becomes a two-dimensional block "IDS(3, 4)".
+func declare(items []DeclItem, words int) string {
+	parts := make([]string, len(items))
+	for i, d := range items {
+		text := source(d.Src)
+		switch j := strings.Index(text, "("); {
+		case words == 0:
+		case j >= 0 && strings.HasSuffix(text, ")"):
+			text = text[:j+1] + strconv.Itoa(words) + ", " + strings.TrimSpace(text[j+1:])
+		default:
+			text += "(" + strconv.Itoa(words) + ")"
+		}
+		parts[i] = text
+	}
+	return strings.Join(parts, ", ")
+}
+
+func quote(s string) string { return "'" + s + "'" }

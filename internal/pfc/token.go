@@ -1,11 +1,11 @@
-package pfi
+package pfc
 
 import (
 	"strconv"
 	"strings"
 )
 
-// tokKind classifies one expression token.
+// tokKind classifies one token of a statement line.
 type tokKind int
 
 const (
@@ -18,17 +18,22 @@ const (
 	tOp
 )
 
-// token is one lexed expression token.  Operator tokens carry a canonical
-// name in text: relational operators are normalised to EQ/NE/LT/LE/GT/GE
-// whether written as .EQ. or ==, and the logical operators to AND/OR/NOT/
-// EQV/NEQV.
+// token is one positioned token.  Operator tokens carry a canonical name in
+// text: relational operators are normalised to EQ/NE/LT/LE/GT/GE whether
+// written as .EQ. or ==, and the logical operators to AND/OR/NOT/EQV/NEQV.
+// pos and end are byte offsets into the line, so a run of tokens maps back to
+// its exact source slice.
 type token struct {
-	kind tokKind
-	text string // identifier (upper-cased) or canonical operator
-	i    int64
-	r    float64
-	b    bool
-	s    string
+	kind     tokKind
+	text     string // identifier (upper-cased), canonical operator, digits of an INTEGER, or the value of a CHARACTER literal
+	pos, end int
+	i        int64   // INTEGER value; 1 for .TRUE.
+	r        float64 // REAL value
+}
+
+// is reports whether the token is the given operator or (upper-case) word.
+func (t token) is(text string) bool {
+	return (t.kind == tOp || t.kind == tName) && t.text == text
 }
 
 // dottedWords are the keywords allowed between dots: operators plus the
@@ -39,71 +44,67 @@ var dottedWords = map[string]bool{
 	"TRUE": true, "FALSE": true,
 }
 
-// lexExpr tokenises one Fortran expression (or expression list).
-func lexExpr(src string, line int) ([]token, error) {
-	var toks []token
+// lex tokenises one statement line, appending to toks.  On an error the
+// tokens before the offending character are still returned, so a statement
+// label survives a line that cannot be read to its end.  Parentheses nested
+// past maxExprDepth end the line here, before a hostile megabyte of them is
+// turned into tokens for the expression parser to refuse.
+func lex(toks []token, src string, line int) ([]token, error) {
 	i := 0
 	n := len(src)
+	depth := 0
 	for i < n {
 		c := src[i]
+		tok := token{pos: i}
+		var err error
 		switch {
 		case c == ' ' || c == '\t':
 			i++
+			continue
 		case isLetter(c):
 			j := i + 1
 			for j < n && isIdentChar(src[j]) {
 				j++
 			}
-			toks = append(toks, token{kind: tName, text: strings.ToUpper(src[i:j])})
+			tok.kind, tok.text = tName, strings.ToUpper(src[i:j])
 			i = j
-		case isDigit(c):
-			tok, j, err := lexNumber(src, i, line)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, tok)
-			i = j
+		case isDigit(c) || (c == '.' && i+1 < n && isDigit(src[i+1])):
+			tok, i, err = lexNumber(src, i, line)
 		case c == '.':
-			if i+1 < n && isDigit(src[i+1]) {
-				tok, j, err := lexNumber(src, i, line)
-				if err != nil {
-					return nil, err
-				}
-				toks = append(toks, tok)
-				i = j
-				break
-			}
 			word, j, ok := dottedWordAt(src, i)
-			if !ok {
-				return nil, errf(line, "malformed dotted operator at %q", src[i:])
-			}
-			switch word {
-			case "TRUE":
-				toks = append(toks, token{kind: tLogic, b: true})
-			case "FALSE":
-				toks = append(toks, token{kind: tLogic, b: false})
+			switch {
+			case !ok:
+				err = errf(line, "malformed dotted operator at %q", src[i:])
+			case word == "TRUE":
+				tok.kind, tok.i = tLogic, 1
+			case word == "FALSE":
+				tok.kind = tLogic
 			default:
-				toks = append(toks, token{kind: tOp, text: word})
+				tok.kind, tok.text = tOp, word
 			}
 			i = j
 		case c == '\'' || c == '"':
-			s, j, err := lexString(src, i, line)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{kind: tStr, s: s})
-			i = j
+			tok.kind = tStr
+			tok.text, i, err = lexString(src, i, line)
 		default:
-			op, j, err := lexSymbol(src, i, line)
-			if err != nil {
-				return nil, err
+			tok.kind = tOp
+			tok.text, i = lexSymbol(src, i)
+			if depth += depthStep(tok); depth > maxExprDepth {
+				err = errNested(line)
 			}
-			toks = append(toks, token{kind: tOp, text: op})
-			i = j
 		}
+		if err != nil {
+			return toks, err
+		}
+		tok.end = i
+		toks = append(toks, tok)
 	}
-	return append(toks, token{kind: tEOF}), nil
+	return toks, nil
 }
+
+// doubleExponent rewrites a DOUBLE PRECISION exponent letter (1D1) for
+// strconv.
+var doubleExponent = strings.NewReplacer("D", "E", "d", "e")
 
 // lexNumber scans an integer or real literal starting at i.  A '.' ends the
 // number when it begins a dotted operator (so 1.EQ.2 lexes as 1 .EQ. 2).
@@ -138,18 +139,17 @@ func lexNumber(src string, i, line int) (token, int, error) {
 	}
 	text := src[i:j]
 	if isReal {
-		norm := strings.NewReplacer("D", "E", "d", "e").Replace(text)
-		v, err := strconv.ParseFloat(norm, 64)
+		v, err := strconv.ParseFloat(doubleExponent.Replace(text), 64)
 		if err != nil {
 			return token{}, 0, errf(line, "bad REAL literal %q", text)
 		}
-		return token{kind: tReal, r: v}, j, nil
+		return token{kind: tReal, pos: i, r: v}, j, nil
 	}
 	v, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {
 		return token{}, 0, errf(line, "bad INTEGER literal %q", text)
 	}
-	return token{kind: tInt, i: v}, j, nil
+	return token{kind: tInt, text: text, pos: i, i: v}, j, nil
 }
 
 // dottedWordAt reports whether src[i:] starts a .WORD. sequence with WORD in
@@ -194,33 +194,33 @@ func lexString(src string, i, line int) (string, int, error) {
 }
 
 // lexSymbol scans one symbolic operator, normalising modern relational forms
-// to the canonical dotted names.
-func lexSymbol(src string, i, line int) (string, int, error) {
+// to the canonical dotted names.  Any other character is a token of its own:
+// the statement recogniser can still find a statement's shape around text
+// (a substring's ':', a trailing '!') that no expression contains.
+func lexSymbol(src string, i int) (string, int) {
 	two := ""
 	if i+1 < len(src) {
 		two = src[i : i+2]
 	}
 	switch two {
 	case "**":
-		return "**", i + 2, nil
+		return "**", i + 2
 	case "==":
-		return "EQ", i + 2, nil
+		return "EQ", i + 2
 	case "/=":
-		return "NE", i + 2, nil
+		return "NE", i + 2
 	case "<=":
-		return "LE", i + 2, nil
+		return "LE", i + 2
 	case ">=":
-		return "GE", i + 2, nil
+		return "GE", i + 2
 	}
 	switch src[i] {
-	case '+', '-', '*', '/', '(', ')', ',':
-		return string(src[i]), i + 1, nil
 	case '<':
-		return "LT", i + 1, nil
+		return "LT", i + 1
 	case '>':
-		return "GT", i + 1, nil
+		return "GT", i + 1
 	}
-	return "", 0, errf(line, "unexpected character %q in expression", string(src[i]))
+	return src[i : i+1], i + 1
 }
 
 func isLetter(c byte) bool { return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') }

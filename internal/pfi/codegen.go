@@ -1,9 +1,9 @@
-// Closure code generation: the second compile phase that turns the parsed
-// statement/expression trees into pre-bound Go closures.  Every name is
-// resolved to a frame slot (see resolve.go), every operator to an opcode,
-// and every intrinsic to its implementation, so executing a statement walks
-// no tree, switches on no strings, and looks up no maps.  Constant
-// subexpressions are folded at compile time.
+// Closure code generation: turning pfc's parsed expression trees, and the
+// payloads of the statements compile.go walks, into pre-bound Go closures.
+// Every name is resolved to a frame slot (see resolve.go), every operator to
+// an opcode, and every intrinsic to its implementation, so executing a
+// statement walks no tree, switches on no strings, and looks up no maps.
+// Constant subexpressions are folded at compile time.
 package pfi
 
 import (
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pfc"
 )
 
 // cexpr is one compiled expression.
@@ -34,7 +35,8 @@ type cstmt struct {
 	collective bool
 }
 
-// taskCompiler compiles one tasktype's statements against its slot table.
+// taskCompiler compiles one tasktype's statements and expressions against
+// its slot table.
 type taskCompiler struct {
 	tab *slotTable
 }
@@ -48,248 +50,6 @@ func seqCollective(ns []cstmt) bool {
 		}
 	}
 	return false
-}
-
-// compileSeq compiles a statement sequence.
-func (tc *taskCompiler) compileSeq(ns []node) []cstmt {
-	out := make([]cstmt, len(ns))
-	for i := range ns {
-		out[i] = tc.compileStmt(&ns[i])
-	}
-	return out
-}
-
-// compileStmt compiles one statement node into its closure.
-func (tc *taskCompiler) compileStmt(n *node) cstmt {
-	s := cstmt{label: n.label, line: n.line}
-	switch n.kind {
-	case nAssign:
-		rhs := tc.compileExpr(n.rhs)
-		store := tc.compileStore(n.name, n.index)
-		s.run = func(st *execState) (ctl, error) {
-			v, err := rhs(st)
-			if err != nil {
-				return ctl{}, err
-			}
-			return ctlOK, store(st, v)
-		}
-
-	case nIf:
-		cond := tc.compileExpr(n.cond)
-		body := tc.compileSeq(n.body)
-		elseBody := tc.compileSeq(n.elseBody)
-		s.collective = seqCollective(body) || seqCollective(elseBody)
-		s.run = func(st *execState) (ctl, error) {
-			v, err := cond(st)
-			if err != nil {
-				return ctl{}, err
-			}
-			b, err := v.truth()
-			if err != nil {
-				return ctl{}, fmt.Errorf("IF condition: %v", err)
-			}
-			if b {
-				return st.execSeq(body)
-			}
-			return st.execSeq(elseBody)
-		}
-
-	case nDo:
-		d := &cdo{
-			store: tc.compileStore(n.name, nil),
-			lo:    tc.compileExpr(n.lo),
-			hi:    tc.compileExpr(n.hi),
-			step:  tc.compileExpr(n.step),
-			body:  tc.compileSeq(n.body),
-		}
-		s.collective = seqCollective(d.body)
-		s.run = func(st *execState) (ctl, error) { return st.execDo(d) }
-
-	case nGoto:
-		target := n.target
-		s.run = func(*execState) (ctl, error) { return ctl{kind: ctlGoto, label: target}, nil }
-
-	case nContinue:
-		s.run = func(*execState) (ctl, error) { return ctlOK, nil }
-
-	case nStop:
-		var stopX cexpr
-		if n.stopX != nil {
-			stopX = tc.compileExpr(n.stopX)
-		}
-		s.run = func(st *execState) (ctl, error) {
-			if stopX != nil {
-				v, err := stopX(st)
-				if err != nil {
-					return ctl{}, err
-				}
-				if err := st.printLine("STOP " + v.format()); err != nil {
-					return ctl{}, err
-				}
-			}
-			return ctl{kind: ctlStop}, nil
-		}
-
-	case nReturn:
-		s.run = func(*execState) (ctl, error) { return ctl{kind: ctlReturn}, nil }
-
-	case nPrint:
-		items := tc.compileExprs(n.items)
-		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execPrint(items) }
-
-	case nDecl:
-		items := tc.compileDeclItems(n.decls)
-		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execDecl(items) }
-
-	case nCall:
-		s.run = tc.compileCallStmt(n)
-
-	case nInitiate:
-		c := &cinitiate{tasktype: n.name, placement: n.placement, args: tc.compileSendArgs(n.items)}
-		if n.clusterX != nil {
-			c.clusterX = tc.compileExpr(n.clusterX)
-		}
-		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execInitiate(c) }
-
-	case nSend:
-		c := &csend{msgType: n.name, dest: n.dest, args: tc.compileSendArgs(n.items)}
-		if n.clusterX != nil {
-			c.clusterX = tc.compileExpr(n.clusterX)
-		}
-		if n.destX != nil {
-			c.destX = tc.compileExpr(n.destX)
-		}
-		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execSend(c) }
-
-	case nAccept:
-		a := &caccept{}
-		if n.accept.total != nil {
-			a.total = tc.compileExpr(n.accept.total)
-		}
-		for _, ty := range n.accept.types {
-			ct := cacceptType{name: ty.name, all: ty.all}
-			if ty.count != nil {
-				ct.count = tc.compileExpr(ty.count)
-			}
-			a.types = append(a.types, ct)
-		}
-		if n.accept.delay != nil {
-			a.delay = tc.compileExpr(n.accept.delay)
-		}
-		a.onTimeout = tc.compileSeq(n.accept.onTimeout)
-		s.collective = seqCollective(a.onTimeout)
-		s.run = func(st *execState) (ctl, error) { return st.execAccept(a) }
-
-	case nForce:
-		body := tc.compileSeq(n.body)
-		s.collective = seqCollective(body)
-		s.run = func(st *execState) (ctl, error) { return st.execForce(body) }
-
-	case nBarrier:
-		body := tc.compileSeq(n.body)
-		s.collective = true
-		s.run = func(st *execState) (ctl, error) { return st.execBarrier(body) }
-
-	case nCritical:
-		name := n.name
-		body := tc.compileSeq(n.body)
-		s.collective = seqCollective(body)
-		s.run = func(st *execState) (ctl, error) { return st.execCritical(name, body) }
-
-	case nPresched, nSelfsched:
-		c := &csched{
-			store:     tc.compileStore(n.name, nil),
-			lo:        tc.compileExpr(n.lo),
-			hi:        tc.compileExpr(n.hi),
-			step:      tc.compileExpr(n.step),
-			body:      tc.compileSeq(n.body),
-			selfsched: n.kind == nSelfsched,
-		}
-		s.collective = c.selfsched || seqCollective(c.body)
-		s.run = func(st *execState) (ctl, error) { return st.execScheduledDo(c) }
-
-	case nParseg:
-		segs := make([][]cstmt, len(n.segments))
-		for i, seg := range n.segments {
-			segs[i] = tc.compileSeq(seg)
-		}
-		for _, seg := range segs {
-			if seqCollective(seg) {
-				s.collective = true
-			}
-		}
-		s.run = func(st *execState) (ctl, error) { return st.execParseg(segs) }
-
-	case nSharedCommon:
-		name := n.name
-		items := tc.compileDeclItems(n.decls)
-		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execSharedCommon(name, items) }
-
-	case nLockDecl:
-		names := make([]string, len(n.decls))
-		for i, d := range n.decls {
-			names[i] = d.name
-		}
-		s.run = func(st *execState) (ctl, error) {
-			for _, name := range names {
-				if _, err := st.locks.get(st.t, name); err != nil {
-					return ctl{}, err
-				}
-			}
-			return ctlOK, nil
-		}
-
-	case nSignalDecl:
-		name := n.name
-		s.run = func(st *execState) (ctl, error) {
-			// Task.Signal mutates task-level state; inside a force only the
-			// primary (the member that may ACCEPT) registers the declaration —
-			// concurrent members would race on the task's signal table.
-			if st.m == nil || st.m.IsPrimary() {
-				st.t.Signal(name)
-			}
-			return ctlOK, nil
-		}
-
-	case nHandlerDecl:
-		// The interpreter has no Fortran handler subroutines; handler-declared
-		// message types are counted like signals and their arguments remain
-		// readable through the MSG* intrinsics after an ACCEPT.
-		s.run = func(*execState) (ctl, error) { return ctlOK, nil }
-
-	default:
-		kind := n.kind
-		s.run = func(*execState) (ctl, error) {
-			return ctl{}, fmt.Errorf("internal error: unknown node kind %d", kind)
-		}
-	}
-	return s
-}
-
-// compileCallStmt compiles CALL CHARGE/YIELD (the only supported CALLs,
-// validated at parse time).
-func (tc *taskCompiler) compileCallStmt(n *node) func(*execState) (ctl, error) {
-	if n.name == "CHARGE" {
-		arg := tc.compileExpr(n.items[0])
-		return func(st *execState) (ctl, error) {
-			ticks, err := st.evalInt(arg)
-			if err != nil {
-				return ctl{}, err
-			}
-			if st.m != nil {
-				st.m.Charge(ticks)
-			} else {
-				st.t.Charge(ticks)
-			}
-			return ctlOK, nil
-		}
-	}
-	return func(st *execState) (ctl, error) {
-		if st.m == nil {
-			st.t.Yield()
-		}
-		return ctlOK, nil
-	}
 }
 
 // compiled statement payloads --------------------------------------------------
@@ -309,7 +69,7 @@ type csched struct {
 	selfsched    bool
 }
 
-// cdeclItem is one compiled declaration entry.
+// cdeclItem is one compiled declaration entry with its array extents.
 type cdeclItem struct {
 	slot int
 	name string
@@ -320,17 +80,17 @@ type cdeclItem struct {
 // cinitiate is a compiled INITIATE statement.
 type cinitiate struct {
 	tasktype  string
-	placement placeKind
-	clusterX  cexpr
+	placement pfc.PlaceKind
+	where     cexpr // cluster number of a CLUSTER placement
 	args      []csendArg
 }
 
 // csend is a compiled SEND statement.
 type csend struct {
-	msgType         string
-	dest            destKind
-	clusterX, destX cexpr
-	args            []csendArg
+	msgType string
+	dest    pfc.DestKind
+	where   cexpr // cluster number or TASKID of the destination
+	args    []csendArg
 }
 
 // cacceptType is one compiled message-type entry of an ACCEPT.
@@ -350,91 +110,133 @@ type caccept struct {
 
 // --- declaration compilation --------------------------------------------------
 
-func (tc *taskCompiler) compileDeclItems(items []declItem) []cdeclItem {
-	out := make([]cdeclItem, len(items))
-	for i, d := range items {
-		out[i] = cdeclItem{
-			slot: tc.tab.slotOf(d.name),
-			name: d.name,
-			kind: d.kind,
-			dims: tc.compileExprs(d.dims),
+// compileDecls types a declaration's entries — kind k, or with k == kNone the
+// implicit (I-N) kind of each name — and compiles their extents.
+func (tc *taskCompiler) compileDecls(st *pfc.Stmt, k valKind) ([]cdeclItem, error) {
+	out := make([]cdeclItem, len(st.Decls))
+	for i, d := range st.Decls {
+		if len(d.Dims) > 2 {
+			return nil, errf(st.Line, "array %s must have one or two extents", d.Name)
+		}
+		out[i] = cdeclItem{slot: tc.tab.slotOf(d.Name), name: d.Name, kind: k}
+		if k == kNone {
+			out[i].kind = implicitKind(d.Name)
+		}
+		for _, dim := range d.Dims {
+			out[i].dims = append(out[i].dims, tc.compileExpr(dim))
 		}
 	}
-	return out
+	return out, nil
 }
 
 // --- expression compilation ---------------------------------------------------
 
-func (tc *taskCompiler) compileExprs(es []expr) []cexpr {
-	if len(es) == 0 {
+// compileOperands compiles a statement's expression list (nil when empty).
+func (tc *taskCompiler) compileOperands(ops []pfc.Operand) []cexpr {
+	if len(ops) == 0 {
 		return nil
 	}
-	out := make([]cexpr, len(es))
-	for i, e := range es {
-		out[i] = tc.compileExpr(e)
+	out := make([]cexpr, len(ops))
+	for i, op := range ops {
+		out[i] = tc.compileExpr(op.Expr)
 	}
 	return out
 }
 
+// compileOptional compiles an operand a statement may omit (nil when absent).
+func (tc *taskCompiler) compileOptional(op pfc.Operand) cexpr {
+	if op.Expr == nil {
+		return nil
+	}
+	return tc.compileExpr(op.Expr)
+}
+
 // compileExpr folds constant subexpressions, then generates the evaluation
 // closure.
-func (tc *taskCompiler) compileExpr(e expr) cexpr {
+func (tc *taskCompiler) compileExpr(e pfc.Expr) cexpr {
 	return tc.gen(foldExpr(e))
+}
+
+// litValue is the interpreter value of a literal constant.
+func litValue(l pfc.Lit) value {
+	switch l.Kind {
+	case pfc.LitInt:
+		return intVal(l.I)
+	case pfc.LitReal:
+		return realVal(l.R)
+	case pfc.LitLogical:
+		return boolVal(l.B)
+	}
+	return strVal(l.S)
+}
+
+// valueLit is the literal constant of a folded value (operators on literals
+// yield only the four literal kinds).
+func valueLit(v value) pfc.Lit {
+	switch v.kind {
+	case kInt:
+		return pfc.Lit{Kind: pfc.LitInt, I: v.i}
+	case kReal:
+		return pfc.Lit{Kind: pfc.LitReal, R: v.r}
+	case kBool:
+		return pfc.Lit{Kind: pfc.LitLogical, B: v.b}
+	}
+	return pfc.Lit{Kind: pfc.LitChar, S: v.s}
 }
 
 // foldExpr evaluates constant subtrees at compile time.  A constant subtree
 // whose evaluation errors (1/0 in dead code, say) is left to fail at run
 // time, preserving the interpreter's error placement.
-func foldExpr(e expr) expr {
+func foldExpr(e pfc.Expr) pfc.Expr {
 	switch e := e.(type) {
-	case unE:
-		x := foldExpr(e.x)
-		if lx, ok := x.(litE); ok {
+	case pfc.Unary:
+		x := foldExpr(e.X)
+		if lx, ok := x.(pfc.Lit); ok {
 			var v value
 			var err error
-			if e.op == "-" {
-				v, err = negVal(lx.v)
+			if e.Op == "-" {
+				v, err = negVal(litValue(lx))
 			} else {
-				v, err = notVal(lx.v)
+				v, err = notVal(litValue(lx))
 			}
 			if err == nil {
-				return litE{v: v}
+				return valueLit(v)
 			}
 		}
-		return unE{op: e.op, x: x}
-	case binE:
-		x, y := foldExpr(e.x), foldExpr(e.y)
-		if lx, ok := x.(litE); ok {
-			if ly, ok := y.(litE); ok {
-				if op, known := binOpCode[e.op]; known {
-					if v, err := applyBinary(op, lx.v, ly.v); err == nil {
-						return litE{v: v}
+		return pfc.Unary{Op: e.Op, X: x}
+	case pfc.Binary:
+		x, y := foldExpr(e.X), foldExpr(e.Y)
+		if lx, ok := x.(pfc.Lit); ok {
+			if ly, ok := y.(pfc.Lit); ok {
+				if op, known := binOpCode[e.Op]; known {
+					if v, err := applyBinary(op, litValue(lx), litValue(ly)); err == nil {
+						return valueLit(v)
 					}
 				}
 			}
 		}
-		return binE{op: e.op, x: x, y: y}
-	case callE:
-		args := make([]expr, len(e.args))
-		for i, a := range e.args {
+		return pfc.Binary{Op: e.Op, X: x, Y: y}
+	case pfc.Call:
+		args := make([]pfc.Expr, len(e.Args))
+		for i, a := range e.Args {
 			args[i] = foldExpr(a)
 		}
-		return callE{name: e.name, args: args}
+		return pfc.Call{Name: e.Name, Args: args}
 	default:
 		return e
 	}
 }
 
-func (tc *taskCompiler) gen(e expr) cexpr {
+func (tc *taskCompiler) gen(e pfc.Expr) cexpr {
 	switch e := e.(type) {
-	case litE:
-		v := e.v
+	case pfc.Lit:
+		v := litValue(e)
 		return func(*execState) (value, error) { return v, nil }
 
-	case nameE:
-		slot := tc.tab.slotOf(e.name)
-		name := e.name
-		fn := resolveIntrinsic(e.name)
+	case pfc.Name:
+		slot := tc.tab.slotOf(e.Name)
+		name := e.Name
+		fn := resolveIntrinsic(e.Name)
 		return func(st *execState) (value, error) {
 			b := &st.f.slots[slot]
 			if b.v.kind != kNone {
@@ -452,12 +254,12 @@ func (tc *taskCompiler) gen(e expr) cexpr {
 			return value{}, fmt.Errorf("variable %s used before it is set", name)
 		}
 
-	case callE:
+	case pfc.Call:
 		return tc.genCall(e)
 
-	case unE:
-		x := tc.gen(e.x)
-		if e.op == "-" {
+	case pfc.Unary:
+		x := tc.gen(e.X)
+		if e.Op == "-" {
 			return func(st *execState) (value, error) {
 				v, err := x(st)
 				if err != nil {
@@ -474,15 +276,15 @@ func (tc *taskCompiler) gen(e expr) cexpr {
 			return notVal(v)
 		}
 
-	case binE:
-		op, known := binOpCode[e.op]
+	case pfc.Binary:
+		op, known := binOpCode[e.Op]
 		if !known {
-			// A lexer/parser operator without an opcode is a compiler bug;
+			// A tokenizer/parser operator without an opcode is a compiler bug;
 			// fail loudly instead of miscompiling to the zero opcode.
-			err := fmt.Errorf("internal error: unknown operator %q", e.op)
+			err := fmt.Errorf("internal error: unknown operator %q", e.Op)
 			return func(*execState) (value, error) { return value{}, err }
 		}
-		x, y := tc.gen(e.x), tc.gen(e.y)
+		x, y := tc.gen(e.X), tc.gen(e.Y)
 		return func(st *execState) (value, error) {
 			xv, err := x(st)
 			if err != nil {
@@ -503,12 +305,12 @@ func (tc *taskCompiler) gen(e expr) cexpr {
 // call — Fortran syntax does not distinguish the two, so the closure checks
 // the slot's array binding first, then dispatches to the pre-resolved
 // intrinsic.
-func (tc *taskCompiler) genCall(e callE) cexpr {
-	slot := tc.tab.slotOf(e.name)
-	name := e.name
-	fn := resolveIntrinsic(e.name)
-	args := make([]cexpr, len(e.args))
-	for i, a := range e.args {
+func (tc *taskCompiler) genCall(e pfc.Call) cexpr {
+	slot := tc.tab.slotOf(e.Name)
+	name := e.Name
+	fn := resolveIntrinsic(e.Name)
+	args := make([]cexpr, len(e.Args))
+	for i, a := range e.Args {
 		args[i] = tc.gen(a)
 	}
 	return func(st *execState) (value, error) {
@@ -542,14 +344,11 @@ func (tc *taskCompiler) genCall(e callE) cexpr {
 
 // compileStore compiles an assignment target: a scalar/shared-cell name, or
 // an array element.
-func (tc *taskCompiler) compileStore(name string, index []expr) cstore {
+func (tc *taskCompiler) compileStore(name string, index []pfc.Operand) cstore {
 	slot := tc.tab.slotOf(name)
-	if index == nil {
+	idx := tc.compileOperands(index)
+	if idx == nil {
 		return func(st *execState, v value) error { return st.storeScalar(slot, v) }
-	}
-	idx := make([]cexpr, len(index))
-	for i, e := range index {
-		idx[i] = tc.compileExpr(e)
 	}
 	return func(st *execState, v value) error {
 		a := st.f.slots[slot].arr
@@ -571,12 +370,13 @@ func (tc *taskCompiler) compileStore(name string, index []expr) cstore {
 
 // compileSendArgs compiles message/initiation arguments; a bare array name
 // passes the whole array as an INTEGER or REAL array argument.
-func (tc *taskCompiler) compileSendArgs(items []expr) []csendArg {
+func (tc *taskCompiler) compileSendArgs(items []pfc.Operand) []csendArg {
 	out := make([]csendArg, len(items))
-	for i, e := range items {
-		if ne, ok := e.(nameE); ok {
-			slot := tc.tab.slotOf(ne.name)
-			name := ne.name
+	for i, item := range items {
+		e := item.Expr
+		if ne, ok := e.(pfc.Name); ok {
+			slot := tc.tab.slotOf(ne.Name)
+			name := ne.Name
 			inner := tc.compileExpr(e)
 			out[i] = func(st *execState) (core.Value, error) {
 				if a := st.f.slots[slot].arr; a != nil {

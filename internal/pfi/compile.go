@@ -1,186 +1,22 @@
 package pfi
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 
 	"repro/internal/pfc"
 )
 
-// nodeKind identifies one executable statement node.
-type nodeKind int
-
-const (
-	nAssign nodeKind = iota
-	nIf
-	nDo
-	nGoto
-	nContinue
-	nStop
-	nReturn
-	nPrint
-	nDecl
-	nCall
-	nInitiate
-	nSend
-	nAccept
-	nForce
-	nBarrier
-	nCritical
-	nPresched
-	nSelfsched
-	nParseg
-	nSharedCommon
-	nLockDecl
-	nSignalDecl
-	nHandlerDecl
-)
-
-// placeKind is the resolved INITIATE placement form.
-type placeKind int
-
-const (
-	placeAny placeKind = iota
-	placeOther
-	placeSame
-	placeCluster
-)
-
-// destKind is the resolved SEND destination form.
-type destKind int
-
-const (
-	destParent destKind = iota
-	destSelf
-	destSender
-	destUser
-	destAll
-	destAllCluster
-	destTContr
-	destExpr
-)
-
-// declItem is one declared name with optional array extents.
-type declItem struct {
-	name string
-	kind valKind
-	dims []expr
-}
-
-// acceptTypeNode is one message-type entry of an ACCEPT statement.
-type acceptTypeNode struct {
-	name  string
-	all   bool
-	count expr // nil: charge against the shared total
-}
-
-// acceptNode is a compiled ACCEPT statement.
-type acceptNode struct {
-	total     expr // nil when only per-type counts are given
-	types     []acceptTypeNode
-	delay     expr // nil: system-provided timeout
-	onTimeout []node
-}
-
-// node is one compiled, executable statement.
-type node struct {
-	kind  nodeKind
-	line  int
-	label string
-
-	name  string // assign/do variable, call/tasktype/msgtype/lock name
-	index []expr // assignment subscripts
-	rhs   expr   // assignment right-hand side
-	cond  expr   // IF condition
-
-	body     []node // IF-then, DO body, BARRIER/CRITICAL body, FORCESPLIT region
-	elseBody []node // IF-else
-
-	lo, hi, step expr // DO bounds
-
-	target string // GOTO label
-	items  []expr // PRINT items, CALL/INITIATE/SEND arguments
-	stopX  expr   // STOP message
-
-	decls []declItem
-
-	placement placeKind
-	clusterX  expr // CLUSTER <n> placement / TCONTR <n> / ALL CLUSTER <n>
-	dest      destKind
-	destX     expr
-
-	accept   *acceptNode
-	segments [][]node
-
-	// trailLabel is the statement label carried by a block IF's END IF line:
-	// a GOTO target that transfers to just after the block, materialised as a
-	// labelled CONTINUE following this node.
-	trailLabel string
-}
-
-// appendNode appends a compiled node, expanding a labelled block closer into
-// the trailing CONTINUE that serves as its GOTO target.
-func appendNode(ns []node, n node) []node {
-	ns = append(ns, n)
-	if n.trailLabel != "" {
-		ns = append(ns, node{kind: nContinue, line: n.line, label: n.trailLabel})
-	}
-	return ns
-}
-
-// fortranStmt is one ordinary Fortran statement line, label stripped.
-type fortranStmt struct {
-	label string
-	text  string
-	line  int
-}
-
-// item is one element of the flattened statement stream: either a structured
-// Pisces statement or an ordinary Fortran line.
-type item struct {
-	ps *pfc.Stmt
-	ft *fortranStmt
-}
-
-// flatten turns a pfc statement sequence into the interpreter's item stream,
-// splitting multi-line Fortran texts and dropping comments and blank lines.
-func flatten(body []pfc.Stmt) []item {
-	var out []item
-	for i := range body {
-		st := &body[i]
-		if st.Kind != pfc.StmtFortran {
-			out = append(out, item{ps: st})
-			continue
-		}
-		for _, line := range strings.Split(st.Text, "\n") {
-			if pfc.IsComment(line) || strings.TrimSpace(line) == "" {
-				continue
-			}
-			label, text := splitLabel(line)
-			if text == "" {
-				text = "CONTINUE"
-			}
-			out = append(out, item{ft: &fortranStmt{label: label, text: text, line: st.Line}})
-		}
-	}
-	return out
-}
-
-// splitLabel splits a leading numeric statement label from the statement
-// text.
-func splitLabel(line string) (label, text string) {
-	t := strings.TrimSpace(line)
-	i := 0
-	for i < len(t) && isDigit(t[i]) {
-		i++
-	}
-	if i == 0 || (i < len(t) && t[i] != ' ' && t[i] != '\t') {
-		return "", t
-	}
-	return t[:i], strings.TrimSpace(t[i:])
-}
-
+// compiler turns one statement sequence of a parsed program into closures,
+// in a single walk that is both the structure pass and the statement code
+// generator.  pfc.Parse hands over the ordinary Fortran lines of a body flat,
+// in source order; this walk nests them — DO loops up to their terminator
+// label or END DO, block IFs up to END IF, the FORCESPLIT region to the end
+// of its sequence — and emits each statement's closure as it goes.  It reads
+// no source text: every statement arrives typed from the one parser.
 type compiler struct {
-	items []item
+	tc    *taskCompiler
+	stmts []pfc.Stmt
 	pos   int
 	// closedLabels records DO-terminator labels already consumed by a nested
 	// loop, so nested DO loops sharing one terminator (legal Fortran 77)
@@ -195,876 +31,443 @@ type compiler struct {
 
 // compileBody compiles a complete statement sequence (a tasktype body or a
 // nested block body owned by a structured Pisces statement).
-func compileBody(body []pfc.Stmt) ([]node, error) {
-	c := &compiler{items: flatten(body)}
-	ns, stop, stopIt, err := c.compileSeq(nil)
-	if err != nil {
-		return nil, err
-	}
-	if stop != "" {
-		return nil, errf(stopIt.line, "%s without a matching opening statement", stop)
-	}
-	return ns, nil
+func (tc *taskCompiler) compileBody(body []pfc.Stmt) ([]cstmt, error) {
+	c := &compiler{tc: tc, stmts: body}
+	out, _, err := c.compileSeq()
+	return out, err
 }
 
-// compileSeq compiles statements until the stream ends or a block-closing
-// keyword in stops is reached (the closer is consumed and returned).
-func (c *compiler) compileSeq(stops map[string]bool) ([]node, string, fortranStmt, error) {
-	var ns []node
-	for c.pos < len(c.items) {
-		it := c.items[c.pos]
-		if it.ft != nil {
-			if head := blockStop(it.ft.text); head != "" {
-				if stops[head] {
-					c.pos++
-					return ns, head, *it.ft, nil
-				}
-				return nil, "", fortranStmt{}, errf(it.ft.line, "%s without a matching opening statement", head)
-			}
+// next returns the next executable statement without consuming it, skipping
+// comment and blank lines; nil at the end of the sequence.  A line pfc could
+// not structure surfaces its diagnostic here, in source order.
+func (c *compiler) next() (*pfc.Stmt, error) {
+	for ; c.pos < len(c.stmts); c.pos++ {
+		st := &c.stmts[c.pos]
+		if st.Err != nil {
+			return nil, st.Err
 		}
-		if it.ps != nil && it.ps.Kind == pfc.StmtForceSplit {
+		if st.Kind != pfc.StmtFortran {
+			return st, nil
+		}
+	}
+	return nil, nil
+}
+
+// closerName names the block-closing statements in diagnostics.
+var closerName = map[pfc.StmtKind]string{
+	pfc.StmtElseIf: "ELSEIF", pfc.StmtElse: "ELSE", pfc.StmtEndIf: "ENDIF", pfc.StmtEndDo: "ENDDO",
+}
+
+// compileSeq compiles statements until the sequence ends or a block closer
+// in stops is reached (the closer is consumed and returned).
+func (c *compiler) compileSeq(stops ...pfc.StmtKind) ([]cstmt, *pfc.Stmt, error) {
+	var out []cstmt
+	for {
+		st, err := c.next()
+		if st == nil {
+			return out, nil, err
+		}
+		if name, closer := closerName[st.Kind]; closer {
+			if slices.Contains(stops, st.Kind) {
+				c.pos++
+				return out, st, nil
+			}
+			return nil, nil, errf(st.Line, "%s without a matching opening statement", name)
+		}
+		if st.Kind == pfc.StmtForceSplit && c.loopDepth == 0 {
 			// FORCESPLIT: the remainder of the current sequence is the force
 			// region — all members run it, then the original task continues.
-			if c.loopDepth > 0 {
-				return nil, "", fortranStmt{}, errf(it.ps.Line, "FORCESPLIT is not allowed inside a DO loop body")
-			}
 			c.pos++
-			rest, stop, stopIt, err := c.compileSeq(stops)
+			region, stop, err := c.compileSeq(stops...)
 			if err != nil {
-				return nil, "", fortranStmt{}, err
+				return nil, nil, err
 			}
-			ns = append(ns, node{kind: nForce, line: it.ps.Line, body: rest})
-			return ns, stop, stopIt, nil
+			force := cstmt{line: st.Line, collective: seqCollective(region)}
+			force.run = func(st *execState) (ctl, error) { return st.execForce(region) }
+			return append(out, force), stop, nil
 		}
-		n, err := c.compileOne()
-		if err != nil {
-			return nil, "", fortranStmt{}, err
+		if out, err = c.compileOne(out); err != nil {
+			return nil, nil, err
 		}
-		ns = appendNode(ns, n)
 	}
-	return ns, "", fortranStmt{}, nil
-}
-
-// compileOne compiles the statement at the current position, consuming any
-// further lines its block structure owns.
-func (c *compiler) compileOne() (node, error) {
-	it := c.items[c.pos]
-	c.pos++
-	if it.ps != nil {
-		return c.compilePisces(it.ps)
-	}
-	return c.compileFortran(*it.ft)
-}
-
-// checkFreshTerminator rejects a loop whose terminator label was already
-// consumed by an earlier, disjoint loop: statement labels are unique per
-// program unit, and compiling on would silently give the new loop an empty
-// body.  (A loop opened while an enclosing loop with the same label is still
-// being compiled — the legal shared-terminator form — sees the label as not
-// yet consumed.)
-func (c *compiler) checkFreshTerminator(term string, line int) error {
-	if c.closedLabels == nil {
-		c.closedLabels = make(map[string]bool)
-	}
-	if c.closedLabels[term] {
-		return errf(line, "DO terminator label %s already used by an earlier loop", term)
-	}
-	return nil
 }
 
 // compileUntilLabel compiles a label-terminated loop body: statements up to
 // and including the one carrying the terminator label.  A terminator already
 // consumed by a nested loop (shared-terminator form, "DO 10 ... DO 10 ...
-// 10 CONTINUE") also closes this loop.
-func (c *compiler) compileUntilLabel(term string, line int) ([]node, error) {
-	var body []node
-	for {
-		if c.closedLabels[term] {
-			return body, nil
-		}
-		if c.pos >= len(c.items) {
-			return nil, errf(line, "DO loop terminator label %s not found", term)
-		}
-		it := c.items[c.pos]
-		isTerm := it.ft != nil && it.ft.label == term
-		n, err := c.compileOne()
+// 10 CONTINUE") also closes this loop.  A terminator consumed by an earlier,
+// disjoint loop is an error: statement labels are unique per program unit,
+// and compiling on would silently give the new loop an empty body.  (A loop
+// opened while an enclosing loop with the same label is still being compiled
+// — the legal shared-terminator form — sees the label as not yet consumed.)
+func (c *compiler) compileUntilLabel(term string, line int) ([]cstmt, error) {
+	if c.closedLabels == nil {
+		c.closedLabels = make(map[string]bool)
+	}
+	if c.closedLabels[term] {
+		return nil, errf(line, "DO terminator label %s already used by an earlier loop", term)
+	}
+	c.loopDepth++
+	defer func() { c.loopDepth-- }()
+	var body []cstmt
+	for !c.closedLabels[term] {
+		st, err := c.next()
 		if err != nil {
 			return nil, err
 		}
-		body = appendNode(body, n)
-		if isTerm {
+		if st == nil {
+			return nil, errf(line, "DO loop terminator label %s not found", term)
+		}
+		if body, err = c.compileOne(body); err != nil {
+			return nil, err
+		}
+		if st.Label == term {
 			c.closedLabels[term] = true
-			return body, nil
 		}
 	}
+	return body, nil
 }
 
-// blockStop classifies a Fortran line as a block-closing keyword: "ELSE",
-// "ELSEIF", "ENDIF", or "ENDDO" ("" for anything else).  Like the statement
-// keywords, closers are recognised with or without blanks ("ELSE IF(X)THEN"
-// and "ELSEIF (X) THEN" both close).
-func blockStop(text string) string {
-	if rest, ok := kwRest(text, "ELSEIF"); ok && strings.HasPrefix(rest, "(") {
-		return "ELSEIF"
-	}
-	if rest, ok := kwRest(text, "ELSE"); ok {
-		if rest == "" {
-			return "ELSE"
-		}
-		if sub, ok := kwRest(rest, "IF"); ok && strings.HasPrefix(sub, "(") {
-			return "ELSEIF"
-		}
-		return ""
-	}
-	if rest, ok := kwRest(text, "ENDIF"); ok && rest == "" {
-		return "ENDIF"
-	}
-	if rest, ok := kwRest(text, "ENDDO"); ok && rest == "" {
-		return "ENDDO"
-	}
-	if rest, ok := kwRest(text, "END"); ok {
-		if sub, ok := kwRest(rest, "IF"); ok && sub == "" {
-			return "ENDIF"
-		}
-		if sub, ok := kwRest(rest, "DO"); ok && sub == "" {
-			return "ENDDO"
-		}
-	}
-	return ""
+// continueAt is the labelled CONTINUE a labelled block closer stands for.
+func continueAt(closer *pfc.Stmt) cstmt {
+	return cstmt{run: runContinue, label: closer.Label, line: closer.Line}
 }
 
-// --- ordinary Fortran statements ---------------------------------------------
+func runContinue(*execState) (ctl, error) { return ctlOK, nil }
 
-// compileFortran compiles one ordinary Fortran statement (possibly consuming
-// further lines for DO and block-IF constructs).
-func (c *compiler) compileFortran(ft fortranStmt) (node, error) {
-	n, err := c.compileFortranInner(ft, true)
+// compileOne compiles the statement next() returned onto out, consuming it
+// and any further lines its block structure owns.
+func (c *compiler) compileOne(out []cstmt) ([]cstmt, error) {
+	st := &c.stmts[c.pos]
+	c.pos++
+	var s cstmt
+	var end *pfc.Stmt // the END IF of a block IF
+	var err error
+	if st.Kind == pfc.StmtIfThen {
+		if s, end, err = c.compileBlockIf(st); err == nil && end == nil {
+			err = errf(st.Line, "IF block is never closed by END IF")
+		}
+	} else {
+		s, err = c.compile(st)
+	}
 	if err != nil {
-		return node{}, err
+		return nil, err
 	}
-	n.label = ft.label
-	n.line = ft.line
-	return n, nil
+	s.line, s.label = st.Line, st.Label
+	out = append(out, s)
+	if end != nil && end.Label != "" {
+		// A label on the END IF is a GOTO target that transfers to just after
+		// the block.
+		out = append(out, continueAt(end))
+	}
+	return out, nil
 }
 
-// compileFortranInner compiles the statement text; blocks controls whether
-// multi-line constructs (block IF, DO) are allowed — they are not inside a
-// logical IF.
-func (c *compiler) compileFortranInner(ft fortranStmt, blocks bool) (node, error) {
-	text := ft.text
-	line := ft.line
-	if rest, ok := kwRest(text, "IF"); ok && strings.HasPrefix(rest, "(") {
-		return c.compileIf(rest, line, blocks)
-	}
-	if rest, ok := kwRest(text, "DO"); ok {
-		if !blocks {
-			return node{}, errf(line, "DO is not allowed in a logical IF")
-		}
-		return c.compileDo(rest, line)
-	}
-	if rest, ok := kwRest(text, "GOTO"); ok {
-		return compileGoto(rest, line)
-	}
-	if rest, ok := kwRest(text, "GO"); ok {
-		if sub, ok := kwRest(rest, "TO"); ok {
-			return compileGoto(sub, line)
-		}
-	}
-	if _, ok := kwRest(text, "CONTINUE"); ok {
-		return node{kind: nContinue}, nil
-	}
-	if rest, ok := kwRest(text, "STOP"); ok {
-		n := node{kind: nStop}
-		if strings.TrimSpace(rest) != "" {
-			e, err := parseExprString(rest, line)
+// compile compiles one statement (any but a block IF, which only compileOne
+// meets: it cannot be the object of a logical IF) into its closure.
+func (c *compiler) compile(st *pfc.Stmt) (cstmt, error) {
+	tc := c.tc
+	var s cstmt
+	var err error
+	switch st.Kind {
+	case pfc.StmtAssign:
+		rhs := tc.compileExpr(st.X.Expr)
+		store := tc.compileStore(st.Name, st.Args)
+		s.run = func(st *execState) (ctl, error) {
+			v, err := rhs(st)
 			if err != nil {
-				return node{}, err
+				return ctl{}, err
 			}
-			n.stopX = e
+			return ctlOK, store(st, v)
 		}
-		return n, nil
-	}
-	if _, ok := kwRest(text, "RETURN"); ok {
-		return node{kind: nReturn}, nil
-	}
-	if rest, ok := kwRest(text, "END"); ok && strings.TrimSpace(rest) == "" {
-		return node{kind: nReturn}, nil
-	}
-	if rest, ok := kwRest(text, "PRINT"); ok {
-		return compilePrint(rest, line)
-	}
-	if rest, ok := kwRest(text, "WRITE"); ok {
-		return compileWrite(rest, line)
-	}
-	if rest, ok := kwRest(text, "CALL"); ok {
-		return compileCall(rest, line)
-	}
-	for kw, k := range declKeywords {
-		if rest, ok := kwRest(text, kw); ok {
-			return compileDecl(kw, k, rest, line)
+
+	case pfc.StmtIf:
+		cond := tc.compileExpr(st.X.Expr)
+		object, err := c.compile(&st.Body[0])
+		if err != nil {
+			return s, err
 		}
+		object.line = st.Line
+		s = ifStmt(cond, []cstmt{object}, nil)
+
+	case pfc.StmtDo:
+		d := &cdo{
+			store: tc.compileStore(st.Name, nil),
+			lo:    tc.compileExpr(st.Lo.Expr),
+			hi:    tc.compileExpr(st.Hi.Expr),
+			step:  tc.compileExpr(st.Step.Expr),
+		}
+		if d.body, err = c.compileDoBody(st); err != nil {
+			return s, err
+		}
+		s.collective = seqCollective(d.body)
+		s.run = func(st *execState) (ctl, error) { return st.execDo(d) }
+
+	case pfc.StmtGoto:
+		target := st.DoLabel
+		s.run = func(*execState) (ctl, error) { return ctl{kind: ctlGoto, label: target}, nil }
+
+	case pfc.StmtContinue:
+		s.run = runContinue
+
+	case pfc.StmtStop:
+		stopX := tc.compileOptional(st.X)
+		s.run = func(st *execState) (ctl, error) {
+			if stopX != nil {
+				v, err := stopX(st)
+				if err != nil {
+					return ctl{}, err
+				}
+				if err := st.printLine("STOP " + v.format()); err != nil {
+					return ctl{}, err
+				}
+			}
+			return ctl{kind: ctlStop}, nil
+		}
+
+	case pfc.StmtReturn:
+		s.run = func(*execState) (ctl, error) { return ctl{kind: ctlReturn}, nil }
+
+	case pfc.StmtPrint:
+		items := tc.compileOperands(st.Args)
+		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execPrint(items) }
+
+	case pfc.StmtCall:
+		s.run, err = tc.compileCall(st)
+
+	case pfc.StmtDecl, pfc.StmtTaskIDDecl, pfc.StmtWindowDecl:
+		k := declKinds[st.Name] // kNone for DIMENSION: the implicit kinds
+		switch st.Kind {
+		case pfc.StmtTaskIDDecl:
+			k = kTaskID
+		case pfc.StmtWindowDecl:
+			k = kWindow
+		}
+		items, err := tc.compileDecls(st, k)
+		if err != nil {
+			return s, err
+		}
+		for _, it := range items {
+			if st.Name == "DIMENSION" && len(it.dims) == 0 {
+				return s, errf(st.Line, "DIMENSION entry %s needs array extents", it.name)
+			}
+		}
+		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execDecl(items) }
+
+	case pfc.StmtInitiate:
+		ci := &cinitiate{tasktype: st.Name, placement: st.Place, args: tc.compileSendArgs(st.Args), where: tc.compileOptional(st.Where)}
+		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execInitiate(ci) }
+
+	case pfc.StmtSend:
+		cs := &csend{msgType: st.Name, dest: st.Dest, args: tc.compileSendArgs(st.Args), where: tc.compileOptional(st.Where)}
+		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execSend(cs) }
+
+	case pfc.StmtAccept:
+		if len(st.Accept.Types) == 0 {
+			return s, errf(st.Line, "ACCEPT lists no message types")
+		}
+		a := &caccept{total: tc.compileOptional(st.Accept.Total)}
+		for _, ty := range st.Accept.Types {
+			a.types = append(a.types, cacceptType{name: ty.Name, all: ty.All, count: tc.compileOptional(ty.Count)})
+		}
+		a.delay = tc.compileOptional(st.Accept.Delay)
+		if a.onTimeout, err = tc.compileBody(st.Accept.OnTimeout); err != nil {
+			return s, err
+		}
+		s.collective = seqCollective(a.onTimeout)
+		s.run = func(st *execState) (ctl, error) { return st.execAccept(a) }
+
+	case pfc.StmtBarrier:
+		body, err := tc.compileBody(st.Body)
+		if err != nil {
+			return s, err
+		}
+		s.collective = true
+		s.run = func(st *execState) (ctl, error) { return st.execBarrier(body) }
+
+	case pfc.StmtCritical:
+		name := st.Name
+		body, err := tc.compileBody(st.Body)
+		if err != nil {
+			return s, err
+		}
+		s.collective = seqCollective(body)
+		s.run = func(st *execState) (ctl, error) { return st.execCritical(name, body) }
+
+	case pfc.StmtPreschedDo, pfc.StmtSelfschedDo:
+		cs := &csched{
+			store:     tc.compileStore(st.Name, nil),
+			lo:        tc.compileExpr(st.Lo.Expr),
+			hi:        tc.compileExpr(st.Hi.Expr),
+			step:      tc.compileExpr(st.Step.Expr),
+			selfsched: st.Kind == pfc.StmtSelfschedDo,
+		}
+		if cs.body, err = c.compileUntilLabel(st.DoLabel, st.Line); err != nil {
+			return s, err
+		}
+		s.collective = cs.selfsched || seqCollective(cs.body)
+		s.run = func(st *execState) (ctl, error) { return st.execScheduledDo(cs) }
+
+	case pfc.StmtParseg:
+		segs := make([][]cstmt, len(st.Segments))
+		for i, seg := range st.Segments {
+			if segs[i], err = tc.compileBody(seg); err != nil {
+				return s, err
+			}
+			s.collective = s.collective || seqCollective(segs[i])
+		}
+		s.run = func(st *execState) (ctl, error) { return st.execParseg(segs) }
+
+	case pfc.StmtSharedCommon:
+		name := st.Name
+		items, err := tc.compileDecls(st, kNone)
+		if err != nil {
+			return s, err
+		}
+		s.run = func(st *execState) (ctl, error) { return ctlOK, st.execSharedCommon(name, items) }
+
+	case pfc.StmtLockDecl:
+		names := make([]string, len(st.Decls))
+		for i, d := range st.Decls {
+			names[i] = d.Name
+		}
+		s.run = func(st *execState) (ctl, error) {
+			for _, name := range names {
+				if _, err := st.locks.get(st.t, name); err != nil {
+					return ctl{}, err
+				}
+			}
+			return ctlOK, nil
+		}
+
+	case pfc.StmtSignalDecl:
+		name := st.Name
+		s.run = func(st *execState) (ctl, error) {
+			// Task.Signal mutates task-level state; inside a force only the
+			// primary (the member that may ACCEPT) registers the declaration —
+			// concurrent members would race on the task's signal table.
+			if st.m == nil || st.m.IsPrimary() {
+				st.t.Signal(name)
+			}
+			return ctlOK, nil
+		}
+
+	case pfc.StmtHandlerDecl:
+		// The interpreter has no Fortran handler subroutines; handler-declared
+		// message types are counted like signals and their arguments remain
+		// readable through the MSG* intrinsics after an ACCEPT.
+		s.run = runContinue
+
+	case pfc.StmtForceSplit:
+		err = errf(st.Line, "FORCESPLIT is not allowed inside a DO loop body")
+
+	default: // a block closer where a loop body wanted a statement
+		err = errf(st.Line, "%s without a matching opening statement", closerName[st.Kind])
 	}
-	if rest, ok := kwRest(text, "DIMENSION"); ok {
-		return compileDimension(rest, line)
-	}
-	if _, ok := kwRest(text, "COMMON"); ok {
-		return node{}, errf(line, "plain COMMON is not supported by the interpreter; use SHARED COMMON")
-	}
-	if lhs, rhs, ok := splitAssign(text); ok {
-		return compileAssign(lhs, rhs, line)
-	}
-	return node{}, errf(line, "statement not supported by the interpreter: %q", text)
+	return s, err
 }
 
-var declKeywords = map[string]valKind{
+// ifStmt builds the closure of an IF in any form.
+func ifStmt(cond cexpr, body, elseBody []cstmt) cstmt {
+	return cstmt{
+		collective: seqCollective(body) || seqCollective(elseBody),
+		run: func(st *execState) (ctl, error) {
+			v, err := cond(st)
+			if err != nil {
+				return ctl{}, err
+			}
+			b, err := v.truth()
+			if err != nil {
+				return ctl{}, fmt.Errorf("IF condition: %v", err)
+			}
+			if b {
+				return st.execSeq(body)
+			}
+			return st.execSeq(elseBody)
+		},
+	}
+}
+
+// compileBlockIf nests "IF (..) THEN ... [ELSE IF (..) THEN ...] [ELSE ...]
+// END IF" from the arm at st on; an ELSE IF arm is one nested IF in the else
+// branch.  It returns the END IF that closed the block, nil if none did.
+func (c *compiler) compileBlockIf(st *pfc.Stmt) (cstmt, *pfc.Stmt, error) {
+	cond := c.tc.compileExpr(st.X.Expr)
+	body, stop, err := c.compileSeq(pfc.StmtElseIf, pfc.StmtElse, pfc.StmtEndIf)
+	var elseBody []cstmt
+	switch {
+	case err != nil || stop == nil:
+	case stop.Kind == pfc.StmtElseIf:
+		elif := stop
+		var arm cstmt
+		arm, stop, err = c.compileBlockIf(elif)
+		arm.line = elif.Line
+		elseBody = []cstmt{arm}
+	case stop.Kind == pfc.StmtElse:
+		elseBody, stop, err = c.compileSeq(pfc.StmtEndIf)
+	}
+	return ifStmt(cond, body, elseBody), stop, err
+}
+
+// compileDoBody compiles the body of either loop form: up to the labelled
+// terminator of "DO <label> V = ...", or to the END DO of "DO V = ...".
+func (c *compiler) compileDoBody(st *pfc.Stmt) ([]cstmt, error) {
+	if st.DoLabel != "" {
+		return c.compileUntilLabel(st.DoLabel, st.Line)
+	}
+	c.loopDepth++
+	body, end, err := c.compileSeq(pfc.StmtEndDo)
+	c.loopDepth--
+	switch {
+	case err != nil:
+		return nil, err
+	case end == nil:
+		return nil, errf(st.Line, "DO loop is never closed by END DO")
+	case end.Label != "":
+		// A labelled END DO is the loop's terminal statement: a GOTO to it
+		// from the body continues with the next iteration.
+		body = append(body, continueAt(end))
+	}
+	return body, nil
+}
+
+// declKinds maps the type keywords of a declaration to value kinds.
+var declKinds = map[string]valKind{
 	"INTEGER":   kInt,
 	"REAL":      kReal,
 	"LOGICAL":   kBool,
 	"CHARACTER": kStr,
 }
 
-// kwRest reports whether text begins with the keyword (case-insensitive, at a
-// word boundary) and returns the remaining text.
-func kwRest(text, kw string) (string, bool) {
-	if len(text) < len(kw) || !strings.EqualFold(text[:len(kw)], kw) {
-		return "", false
-	}
-	rest := text[len(kw):]
-	if rest != "" && isIdentChar(rest[0]) {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
-}
-
-// matchParen extracts a balanced parenthesised prefix "(...)" from s,
-// returning the inside and what follows.
-func matchParen(s string, line int) (inside, after string, err error) {
-	if s == "" || s[0] != '(' {
-		return "", "", errf(line, "expected a parenthesised expression in %q", s)
-	}
-	depth := 0
-	inStr := byte(0)
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		if inStr != 0 {
-			if ch == inStr {
-				inStr = 0
-			}
-			continue
-		}
-		switch ch {
-		case '\'', '"':
-			inStr = ch
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				return s[1:i], strings.TrimSpace(s[i+1:]), nil
-			}
-		}
-	}
-	return "", "", errf(line, "unbalanced parentheses in %q", s)
-}
-
-func (c *compiler) compileIf(rest string, line int, blocks bool) (node, error) {
-	condText, after, err := matchParen(rest, line)
-	if err != nil {
-		return node{}, err
-	}
-	cond, err := parseExprString(condText, line)
-	if err != nil {
-		return node{}, err
-	}
-	if strings.EqualFold(after, "THEN") {
-		if !blocks {
-			return node{}, errf(line, "block IF is not allowed in a logical IF")
-		}
-		return c.compileBlockIf(cond, line)
-	}
-	if after == "" {
-		return node{}, errf(line, "logical IF needs a statement after the condition")
-	}
-	inner, err := c.compileFortranInner(fortranStmt{text: after, line: line}, false)
-	if err != nil {
-		return node{}, err
-	}
-	inner.line = line
-	return node{kind: nIf, cond: cond, body: []node{inner}}, nil
-}
-
-func (c *compiler) compileBlockIf(cond expr, line int) (node, error) {
-	stops := map[string]bool{"ELSE": true, "ELSEIF": true, "ENDIF": true}
-	thenNodes, stop, stopIt, err := c.compileSeq(stops)
-	if err != nil {
-		return node{}, err
-	}
-	n := node{kind: nIf, cond: cond, body: thenNodes}
-	cur := &n
-	for stop == "ELSEIF" {
-		elifLine := stopIt.line
-		idx := strings.Index(stopIt.text, "(")
-		if idx < 0 {
-			return node{}, errf(elifLine, "ELSE IF needs a condition")
-		}
-		condText, after, err := matchParen(stopIt.text[idx:], elifLine)
-		if err != nil {
-			return node{}, err
-		}
-		if !strings.EqualFold(after, "THEN") {
-			return node{}, errf(elifLine, "ELSE IF must end with THEN")
-		}
-		c2, err := parseExprString(condText, elifLine)
-		if err != nil {
-			return node{}, err
-		}
-		var body []node
-		body, stop, stopIt, err = c.compileSeq(stops)
-		if err != nil {
-			return node{}, err
-		}
-		cur.elseBody = []node{{kind: nIf, line: elifLine, cond: c2, body: body}}
-		cur = &cur.elseBody[0]
-	}
-	if stop == "ELSE" {
-		elseNodes, stop2, stopIt2, err := c.compileSeq(map[string]bool{"ENDIF": true})
-		if err != nil {
-			return node{}, err
-		}
-		if stop2 != "ENDIF" {
-			return node{}, errf(line, "IF block is never closed by END IF")
-		}
-		cur.elseBody = elseNodes
-		n.trailLabel = stopIt2.label
-		return n, nil
-	}
-	if stop != "ENDIF" {
-		return node{}, errf(line, "IF block is never closed by END IF")
-	}
-	n.trailLabel = stopIt.label
-	return n, nil
-}
-
-// compileDo compiles both loop forms: "DO <label> V = lo, hi[, step]" with a
-// labelled terminator, and "DO V = lo, hi[, step]" closed by END DO.
-func (c *compiler) compileDo(rest string, line int) (node, error) {
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return node{}, errf(line, "malformed DO statement")
-	}
-	term := ""
-	control := rest
-	if isAllDigits(fields[0]) {
-		term = fields[0]
-		control = strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
-	}
-	doVar, lo, hi, step, err := parseDoControl(control, line)
-	if err != nil {
-		return node{}, err
-	}
-	c.loopDepth++
-	defer func() { c.loopDepth-- }()
-	var body []node
-	if term != "" {
-		if err := c.checkFreshTerminator(term, line); err != nil {
-			return node{}, err
-		}
-		body, err = c.compileUntilLabel(term, line)
-		if err != nil {
-			return node{}, err
-		}
-	} else {
-		var stop string
-		var stopIt fortranStmt
-		body, stop, stopIt, err = c.compileSeq(map[string]bool{"ENDDO": true})
-		if err != nil {
-			return node{}, err
-		}
-		if stop != "ENDDO" {
-			return node{}, errf(line, "DO loop is never closed by END DO")
-		}
-		if stopIt.label != "" {
-			// A labelled END DO is the loop's terminal statement: a GOTO to it
-			// from the body continues with the next iteration.
-			body = append(body, node{kind: nContinue, line: stopIt.line, label: stopIt.label})
-		}
-	}
-	return node{kind: nDo, name: doVar, lo: lo, hi: hi, step: step, body: body}, nil
-}
-
-// parseDoControl parses "V = lo, hi[, step]".
-func parseDoControl(control string, line int) (doVar string, lo, hi, step expr, err error) {
-	eq := strings.Index(control, "=")
-	if eq < 0 {
-		return "", nil, nil, nil, errf(line, "DO loop needs a control variable assignment")
-	}
-	doVar = strings.ToUpper(strings.TrimSpace(control[:eq]))
-	if doVar == "" || !isIdentName(doVar) {
-		return "", nil, nil, nil, errf(line, "bad DO control variable %q", doVar)
-	}
-	bounds, err := parseExprList(control[eq+1:], line)
-	if err != nil {
-		return "", nil, nil, nil, err
-	}
-	if len(bounds) < 2 || len(bounds) > 3 {
-		return "", nil, nil, nil, errf(line, "DO loop needs <var> = <lo>, <hi>[, <step>]")
-	}
-	lo, hi = bounds[0], bounds[1]
-	step = expr(litE{v: intVal(1)})
-	if len(bounds) == 3 {
-		step = bounds[2]
-	}
-	return doVar, lo, hi, step, nil
-}
-
-func compileGoto(rest string, line int) (node, error) {
-	target := strings.TrimSpace(rest)
-	if !isAllDigits(target) || target == "" {
-		return node{}, errf(line, "GOTO needs a statement label, got %q", rest)
-	}
-	return node{kind: nGoto, target: target}, nil
-}
-
-// compilePrint parses "PRINT *[, item...]".
-func compilePrint(rest string, line int) (node, error) {
-	if !strings.HasPrefix(rest, "*") {
-		return node{}, errf(line, "only list-directed PRINT *, ... is supported")
-	}
-	rest = strings.TrimSpace(rest[1:])
-	rest = strings.TrimPrefix(rest, ",")
-	items, err := parseExprList(rest, line)
-	if err != nil {
-		return node{}, err
-	}
-	return node{kind: nPrint, items: items}, nil
-}
-
-// compileWrite parses "WRITE(unit, fmt) item..." ignoring the control list
-// (all output is list-directed to the user terminal).
-func compileWrite(rest string, line int) (node, error) {
-	_, after, err := matchParen(rest, line)
-	if err != nil {
-		return node{}, err
-	}
-	items, err := parseExprList(after, line)
-	if err != nil {
-		return node{}, err
-	}
-	return node{kind: nPrint, items: items}, nil
-}
-
-// compileCall parses CALL: the interpreter supports the simulation intrinsics
-// CHARGE(ticks) and YIELD().
-func compileCall(rest string, line int) (node, error) {
-	name := rest
-	var args []expr
-	if i := strings.Index(rest, "("); i >= 0 {
-		inside, after, err := matchParen(rest[i:], line)
-		if err != nil {
-			return node{}, err
-		}
-		if after != "" {
-			return node{}, errf(line, "malformed CALL statement")
-		}
-		name = strings.TrimSpace(rest[:i])
-		args, err = parseExprList(inside, line)
-		if err != nil {
-			return node{}, err
-		}
-	}
-	name = strings.ToUpper(strings.TrimSpace(name))
-	switch name {
-	case "CHARGE":
-		if len(args) != 1 {
-			return node{}, errf(line, "CALL CHARGE needs one tick-count argument")
-		}
-	case "YIELD":
-		if len(args) != 0 {
-			return node{}, errf(line, "CALL YIELD takes no arguments")
-		}
-	default:
-		return node{}, errf(line, "CALL %s is not supported by the interpreter (subroutines cannot be interpreted)", name)
-	}
-	return node{kind: nCall, name: name, items: args}, nil
-}
-
-// compileDecl parses a type declaration statement.
-func compileDecl(kw string, k valKind, rest string, line int) (node, error) {
-	// CHARACTER*<n> length specifications are accepted and ignored.
-	if kw == "CHARACTER" && strings.HasPrefix(rest, "*") {
-		j := 1
-		for j < len(rest) && isDigit(rest[j]) {
-			j++
-		}
-		rest = strings.TrimSpace(rest[j:])
-	}
-	items, err := parseDeclItems(pfc.SplitArgs(rest), k, false, line)
-	if err != nil {
-		return node{}, err
-	}
-	return node{kind: nDecl, decls: items}, nil
-}
-
-func compileDimension(rest string, line int) (node, error) {
-	items, err := parseDeclItems(pfc.SplitArgs(rest), 0, true, line)
-	if err != nil {
-		return node{}, err
-	}
-	for i := range items {
-		if len(items[i].dims) == 0 {
-			return node{}, errf(line, "DIMENSION entry %s needs array extents", items[i].name)
-		}
-		items[i].kind = implicitKind(items[i].name)
-	}
-	return node{kind: nDecl, decls: items}, nil
-}
-
-// parseDeclItems parses declaration entries "NAME" or "NAME(d1[,d2])".
-func parseDeclItems(parts []string, k valKind, implicit bool, line int) ([]declItem, error) {
-	if len(parts) == 0 {
-		return nil, errf(line, "declaration lists no names")
-	}
-	var out []declItem
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, errf(line, "empty declaration entry")
-		}
-		e, err := parseExprString(part, line)
-		if err != nil {
-			return nil, err
-		}
-		kind := k
-		switch e := e.(type) {
-		case nameE:
-			if implicit {
-				kind = implicitKind(e.name)
-			}
-			out = append(out, declItem{name: e.name, kind: kind})
-		case callE:
-			if len(e.args) < 1 || len(e.args) > 2 {
-				return nil, errf(line, "array %s must have one or two extents", e.name)
-			}
-			if implicit {
-				kind = implicitKind(e.name)
-			}
-			out = append(out, declItem{name: e.name, kind: kind, dims: e.args})
-		default:
-			return nil, errf(line, "malformed declaration entry %q", part)
-		}
-	}
-	return out, nil
-}
-
-func compileAssign(lhs, rhs string, line int) (node, error) {
-	target, err := parseExprString(lhs, line)
-	if err != nil {
-		return node{}, err
-	}
-	rv, err := parseExprString(rhs, line)
-	if err != nil {
-		return node{}, err
-	}
-	switch target := target.(type) {
-	case nameE:
-		return node{kind: nAssign, name: target.name, rhs: rv}, nil
-	case callE:
-		return node{kind: nAssign, name: target.name, index: target.args, rhs: rv}, nil
-	}
-	return node{}, errf(line, "cannot assign to %q", lhs)
-}
-
-// splitAssign splits "lhs = rhs" at the first top-level '=' that is not part
-// of a relational operator.
-func splitAssign(text string) (lhs, rhs string, ok bool) {
-	depth := 0
-	inStr := byte(0)
-	for i := 0; i < len(text); i++ {
-		ch := text[i]
-		if inStr != 0 {
-			if ch == inStr {
-				inStr = 0
-			}
-			continue
-		}
-		switch ch {
-		case '\'', '"':
-			inStr = ch
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case '=':
-			if depth != 0 {
-				continue
-			}
-			if i+1 < len(text) && text[i+1] == '=' {
-				return "", "", false // == comparison, not assignment
-			}
-			if i > 0 && (text[i-1] == '<' || text[i-1] == '>' || text[i-1] == '/') {
-				continue
-			}
-			return strings.TrimSpace(text[:i]), strings.TrimSpace(text[i+1:]), true
-		}
-	}
-	return "", "", false
-}
-
-func isAllDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !isDigit(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func isIdentName(s string) bool {
-	if s == "" || !isLetter(s[0]) {
-		return false
-	}
-	for i := 1; i < len(s); i++ {
-		if !isIdentChar(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// --- Pisces statements -------------------------------------------------------
-
-func (c *compiler) compilePisces(st *pfc.Stmt) (node, error) {
-	switch st.Kind {
-	case pfc.StmtInitiate:
-		return compileInitiate(st)
-	case pfc.StmtSend:
-		return compileSend(st)
-	case pfc.StmtAccept:
-		return compileAccept(st)
-	case pfc.StmtBarrier:
-		body, err := compileBody(st.Body)
-		if err != nil {
-			return node{}, err
-		}
-		return node{kind: nBarrier, line: st.Line, body: body}, nil
-	case pfc.StmtCritical:
-		body, err := compileBody(st.Body)
-		if err != nil {
-			return node{}, err
-		}
-		return node{kind: nCritical, line: st.Line, name: strings.ToUpper(st.LockVar), body: body}, nil
-	case pfc.StmtPreschedDo, pfc.StmtSelfschedDo:
-		return c.compileScheduledDo(st)
-	case pfc.StmtParseg:
-		var segs [][]node
-		for _, seg := range st.Segments {
-			ns, err := compileBody(seg)
-			if err != nil {
-				return node{}, err
-			}
-			segs = append(segs, ns)
-		}
-		return node{kind: nParseg, line: st.Line, segments: segs}, nil
-	case pfc.StmtSharedCommon:
-		items, err := parseDeclItems(st.SharedCommon.Vars, 0, true, st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		return node{kind: nSharedCommon, line: st.Line, name: st.SharedCommon.Name, decls: items}, nil
-	case pfc.StmtLockDecl:
-		return node{kind: nLockDecl, line: st.Line, decls: namesToItems(st.Names)}, nil
-	case pfc.StmtTaskIDDecl:
-		items, err := parseDeclItems(st.Names, kTaskID, false, st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		return node{kind: nDecl, line: st.Line, decls: items}, nil
-	case pfc.StmtWindowDecl:
-		items, err := parseDeclItems(st.Names, kWindow, false, st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		return node{kind: nDecl, line: st.Line, decls: items}, nil
-	case pfc.StmtSignalDecl:
-		return node{kind: nSignalDecl, line: st.Line, name: st.MsgType}, nil
-	case pfc.StmtHandlerDecl:
-		return node{kind: nHandlerDecl, line: st.Line, name: st.MsgType}, nil
-	case pfc.StmtForceSplit:
-		return node{}, errf(st.Line, "FORCESPLIT is not allowed inside a DO loop body")
-	}
-	return node{}, errf(st.Line, "internal error: unhandled Pisces statement kind %d", st.Kind)
-}
-
-func compileInitiate(st *pfc.Stmt) (node, error) {
-	n := node{kind: nInitiate, line: st.Line, name: st.TaskType}
+// compileCall compiles CALL: the interpreter supports the simulation
+// intrinsics CHARGE(ticks) and YIELD().
+func (tc *taskCompiler) compileCall(st *pfc.Stmt) (func(*execState) (ctl, error), error) {
 	switch {
-	case st.Placement == "ANY":
-		n.placement = placeAny
-	case st.Placement == "OTHER":
-		n.placement = placeOther
-	case st.Placement == "SAME":
-		n.placement = placeSame
-	case strings.HasPrefix(st.Placement, "CLUSTER "):
-		n.placement = placeCluster
-		e, err := parseExprString(strings.TrimPrefix(st.Placement, "CLUSTER "), st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		n.clusterX = e
-	default:
-		return node{}, errf(st.Line, "bad INITIATE placement %q", st.Placement)
-	}
-	args, err := parseArgExprs(st.Args, st.Line)
-	if err != nil {
-		return node{}, err
-	}
-	n.items = args
-	return n, nil
-}
-
-func compileSend(st *pfc.Stmt) (node, error) {
-	n := node{kind: nSend, line: st.Line, name: st.MsgType}
-	switch {
-	case st.Dest == "PARENT":
-		n.dest = destParent
-	case st.Dest == "SELF":
-		n.dest = destSelf
-	case st.Dest == "SENDER":
-		n.dest = destSender
-	case st.Dest == "USER":
-		n.dest = destUser
-	case st.Dest == "ALL":
-		n.dest = destAll
-	case strings.HasPrefix(st.Dest, "ALL CLUSTER "):
-		n.dest = destAllCluster
-		e, err := parseExprString(strings.TrimPrefix(st.Dest, "ALL CLUSTER "), st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		n.clusterX = e
-	case strings.HasPrefix(st.Dest, "TCONTR "):
-		n.dest = destTContr
-		e, err := parseExprString(strings.TrimPrefix(st.Dest, "TCONTR "), st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		n.clusterX = e
-	default:
-		n.dest = destExpr
-		e, err := parseExprString(st.Dest, st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		n.destX = e
-	}
-	args, err := parseArgExprs(st.Args, st.Line)
-	if err != nil {
-		return node{}, err
-	}
-	n.items = args
-	return n, nil
-}
-
-func compileAccept(st *pfc.Stmt) (node, error) {
-	src := st.Accept
-	acc := &acceptNode{}
-	if strings.TrimSpace(src.Total) != "" {
-		e, err := parseExprString(src.Total, st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		acc.total = e
-	}
-	if len(src.Types) == 0 {
-		return node{}, errf(st.Line, "ACCEPT lists no message types")
-	}
-	for _, ty := range src.Types {
-		at := acceptTypeNode{name: ty.Name}
-		switch ty.Count {
-		case "":
-		case "ALL":
-			at.all = true
-		default:
-			e, err := parseExprString(ty.Count, st.Line)
+	case st.Name == "CHARGE" && len(st.Args) == 1:
+		arg := tc.compileExpr(st.Args[0].Expr)
+		return func(st *execState) (ctl, error) {
+			ticks, err := st.evalInt(arg)
 			if err != nil {
-				return node{}, err
+				return ctl{}, err
 			}
-			at.count = e
-		}
-		acc.types = append(acc.types, at)
+			if st.m != nil {
+				st.m.Charge(ticks)
+			} else {
+				st.t.Charge(ticks)
+			}
+			return ctlOK, nil
+		}, nil
+	case st.Name == "CHARGE":
+		return nil, errf(st.Line, "CALL CHARGE needs one tick-count argument")
+	case st.Name == "YIELD" && len(st.Args) == 0:
+		return func(st *execState) (ctl, error) {
+			if st.m == nil {
+				st.t.Yield()
+			}
+			return ctlOK, nil
+		}, nil
+	case st.Name == "YIELD":
+		return nil, errf(st.Line, "CALL YIELD takes no arguments")
 	}
-	if strings.TrimSpace(src.Delay) != "" {
-		e, err := parseExprString(src.Delay, st.Line)
-		if err != nil {
-			return node{}, err
-		}
-		acc.delay = e
-	}
-	if len(src.OnTimeout) > 0 {
-		body, err := compileBody(src.OnTimeout)
-		if err != nil {
-			return node{}, err
-		}
-		acc.onTimeout = body
-	}
-	return node{kind: nAccept, line: st.Line, accept: acc}, nil
-}
-
-// compileScheduledDo compiles PRESCHED DO and SELFSCHED DO: the pfc
-// recognizer parsed the header; the body lines follow in the stream up to the
-// terminator label.
-func (c *compiler) compileScheduledDo(st *pfc.Stmt) (node, error) {
-	kind := nPresched
-	if st.Kind == pfc.StmtSelfschedDo {
-		kind = nSelfsched
-	}
-	doVar := strings.ToUpper(st.DoVar)
-	if !isIdentName(doVar) {
-		return node{}, errf(st.Line, "bad scheduled DO control variable %q", st.DoVar)
-	}
-	lo, err := parseExprString(st.DoLo, st.Line)
-	if err != nil {
-		return node{}, err
-	}
-	hi, err := parseExprString(st.DoHi, st.Line)
-	if err != nil {
-		return node{}, err
-	}
-	step, err := parseExprString(st.DoStep, st.Line)
-	if err != nil {
-		return node{}, err
-	}
-	if err := c.checkFreshTerminator(st.DoLabel, st.Line); err != nil {
-		return node{}, err
-	}
-	c.loopDepth++
-	body, err := c.compileUntilLabel(st.DoLabel, st.Line)
-	c.loopDepth--
-	if err != nil {
-		return node{}, err
-	}
-	return node{kind: kind, line: st.Line, name: doVar, lo: lo, hi: hi, step: step, body: body}, nil
-}
-
-func parseArgExprs(args []string, line int) ([]expr, error) {
-	var out []expr
-	for _, a := range args {
-		e, err := parseExprString(a, line)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-func namesToItems(names []string) []declItem {
-	out := make([]declItem, len(names))
-	for i, n := range names {
-		out[i] = declItem{name: strings.ToUpper(n)}
-	}
-	return out
+	return nil, errf(st.Line, "CALL %s is not supported by the interpreter (subroutines cannot be interpreted)", st.Name)
 }

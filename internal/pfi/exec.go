@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/loops"
 	"repro/internal/obs"
+	"repro/internal/pfc"
 )
 
 // ctlKind is the control-flow outcome of executing a statement sequence.
@@ -371,14 +372,14 @@ func (st *execState) execInitiate(c *cinitiate) error {
 	}
 	var placement core.Placement
 	switch c.placement {
-	case placeAny:
+	case pfc.PlaceAny:
 		placement = core.Any()
-	case placeOther:
+	case pfc.PlaceOther:
 		placement = core.Other()
-	case placeSame:
+	case pfc.PlaceSame:
 		placement = core.Same()
-	case placeCluster:
-		cl, err := st.evalInt(c.clusterX)
+	case pfc.PlaceCluster:
+		cl, err := st.evalInt(c.where)
 		if err != nil {
 			return err
 		}
@@ -402,30 +403,30 @@ func (st *execState) execSend(c *csend) error {
 	}
 	st.p.cs.sends.Inc()
 	switch c.dest {
-	case destParent:
+	case pfc.DestParent:
 		return st.t.SendParent(c.msgType, args...)
-	case destSelf:
+	case pfc.DestSelf:
 		return st.t.SendSelf(c.msgType, args...)
-	case destSender:
+	case pfc.DestSender:
 		return st.t.SendSender(c.msgType, args...)
-	case destUser:
+	case pfc.DestUser:
 		return st.t.SendUser(c.msgType, args...)
-	case destAll:
+	case pfc.DestAll:
 		return st.t.Broadcast(c.msgType, args...)
-	case destAllCluster:
-		cl, err := st.evalInt(c.clusterX)
+	case pfc.DestAllCluster:
+		cl, err := st.evalInt(c.where)
 		if err != nil {
 			return err
 		}
 		return st.t.BroadcastCluster(int(cl), c.msgType, args...)
-	case destTContr:
-		cl, err := st.evalInt(c.clusterX)
+	case pfc.DestTContr:
+		cl, err := st.evalInt(c.where)
 		if err != nil {
 			return err
 		}
 		return st.t.SendTaskController(int(cl), c.msgType, args...)
 	default:
-		v, err := c.destX(st)
+		v, err := c.where(st)
 		if err != nil {
 			return err
 		}

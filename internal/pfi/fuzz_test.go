@@ -1,6 +1,7 @@
 package pfi
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,9 +38,24 @@ func fuzzSeedSources(f *testing.F) []string {
 	return srcs
 }
 
-// FuzzLex feeds arbitrary text lines through the expression lexer.  The
-// lexer must either tokenise or return an error — never panic — regardless
-// of input.
+// compileNeverPanics compiles src and checks the error's type: a parse
+// diagnostic is a *pfc.Error, everything the structure pass and the code
+// generator reject is a *pfi.Error.  CompileUncached keeps fuzz garbage out
+// of the process-wide compiled-unit cache.
+func compileNeverPanics(t *testing.T, src string) {
+	_, err := CompileUncached(src)
+	var pe *pfc.Error
+	var ie *Error
+	if err != nil && !errors.As(err, &pe) && !errors.As(err, &ie) {
+		t.Fatalf("compile error %v (%T) carries no source line", err, err)
+	}
+}
+
+// FuzzLex is the line-level fuzz target of the interpreter's front end: one
+// arbitrary line as the whole body of a task, through pfc.Parse and the
+// structure and code-generation passes.  (The tokenizer itself is fuzzed
+// where it lives, by internal/pfc's FuzzLex; mutating single lines reaches
+// statement forms that whole-program mutation in FuzzParse rarely does.)
 func FuzzLex(f *testing.F) {
 	for _, src := range fuzzSeedSources(f) {
 		for _, line := range strings.Split(src, "\n") {
@@ -51,17 +67,13 @@ func FuzzLex(f *testing.F) {
 	f.Add("1E+")
 	f.Add(".XYZ.")
 	f.Fuzz(func(t *testing.T, line string) {
-		toks, err := lexExpr(line, 1)
-		if err == nil && (len(toks) == 0 || toks[len(toks)-1].kind != tEOF) {
-			t.Fatalf("lexExpr(%q) returned no EOF token", line)
-		}
+		compileNeverPanics(t, "TASKTYPE T\n"+line+"\nEND TASKTYPE\n")
 	})
 }
 
 // FuzzParse feeds arbitrary program text through the full front end: the
-// pfc statement parser followed by the pfi slot/codegen compiler.  Both must
-// reject malformed programs with errors, never panic.  CompileUncached keeps
-// fuzz garbage out of the process-wide compiled-unit cache.
+// pfc parser followed by the pfi structure pass and code generator.  Both
+// must reject malformed programs with positioned errors, never panic.
 func FuzzParse(f *testing.F) {
 	for _, src := range fuzzSeedSources(f) {
 		f.Add(src)
@@ -69,10 +81,5 @@ func FuzzParse(f *testing.F) {
 	f.Add("TASKTYPE T\n      ACCEPT 1 OF\nEND TASKTYPE\n")
 	f.Add("TASKTYPE T\n      DO 10 I = 1,\n10    CONTINUE\nEND TASKTYPE\n")
 	f.Add("TASKTYPE T(")
-	f.Fuzz(func(t *testing.T, src string) {
-		if _, err := pfc.Parse(src); err != nil {
-			return // rejected cleanly at the statement level
-		}
-		_, _ = CompileUncached(src)
-	})
+	f.Fuzz(compileNeverPanics)
 }

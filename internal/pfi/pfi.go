@@ -3,8 +3,9 @@
 // in the loop.  Where internal/pfc translates a program into Fortran 77 plus
 // run-time-library calls (the paper's Section 10 tool chain for the real
 // FLEX/32), pfi closes the loop for the reproduction: both consume the same
-// statement-level AST from pfc.Parse, and pfi maps every Pisces statement
-// onto the Go run-time —
+// typed statement AST from pfc.Parse — the only code that reads Pisces
+// Fortran text; this package has no tokenizer and no expression parser — and
+// pfi maps every Pisces statement onto the Go run-time —
 //
 //	ON <placement> INITIATE <tasktype>(<args>)  -> Task.Initiate
 //	TO <dest> SEND <msgtype>(<args>)            -> Task.Send and friends
@@ -28,14 +29,19 @@
 // belong on ordinary Fortran lines (put a labelled CONTINUE before a Pisces
 // statement to make it a GOTO target).
 //
-// Compilation is a two-phase pipeline: the parse phase builds statement and
-// expression trees, and the slot/codegen phase (resolve.go, codegen.go)
-// resolves every name to a frame-slot index and emits pre-bound Go closures
-// with folded constants and pre-resolved intrinsic dispatch, so execution
-// performs no map lookups or string switches.  Compiled units are cached by
-// source text: compiling the same source again (a repeated `pisces run`, a
-// benchmark loop) skips lexing, parsing, and code generation entirely and
-// only allocates the per-Program run state (activity counters, error slot).
+// Compilation is pfc.Parse followed by one walk over each tasktype's
+// statements (compile.go) that nests the ordinary Fortran lines pfc leaves
+// flat — DO loops, block IFs, the FORCESPLIT region — resolves every name to
+// a frame-slot index (resolve.go) and emits pre-bound Go closures with folded
+// constants and pre-resolved intrinsic dispatch (codegen.go), so execution
+// performs no map lookups or string switches.  A line pfc could not
+// structure (FORMAT, DATA, plain COMMON, an expression outside the subset)
+// arrives as an opaque statement carrying its diagnostic, which is the
+// compile error if the line sits where it would execute.  Compiled units are
+// cached by source text: compiling the same source again (a repeated
+// `pisces run`, a benchmark loop) skips parsing and code generation entirely
+// and only allocates the per-Program run state (activity counters, error
+// slot).
 //
 // Inside a FORCESPLIT region, message and terminal statements (INITIATE,
 // SEND, ACCEPT, PRINT) are limited to the primary member, and a failing
@@ -69,7 +75,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Error is a compile- or run-time error with a source line number.
+// Error is a compile- or run-time error with a source line number: what the
+// structure walk, the code generator and execution reject.  Diagnostics
+// about the text of a statement are *pfc.Error, from the one parser.
 type Error struct {
 	Line int
 	Msg  string
@@ -165,8 +173,8 @@ func CompileUncached(src string) (*Program, error) {
 	return newProgram(u), nil
 }
 
-// compileUnit runs the full pipeline: parse, statement compilation, slot
-// resolution, and closure code generation.
+// compileUnit runs the full pipeline: pfc.Parse, then one walk per tasktype
+// that nests its statements, resolves names to slots, and generates closures.
 func compileUnit(src string) (*compiledUnit, error) {
 	parsed, err := pfc.Parse(src)
 	if err != nil {
@@ -180,22 +188,21 @@ func compileUnit(src string) (*compiledUnit, error) {
 		byName: make(map[string]*taskProgram),
 	}
 	for _, tt := range parsed.TaskTypes {
-		nodes, err := compileBody(tt.Body)
+		tc := &taskCompiler{tab: newSlotTable()}
+		paramSlots := make([]int, len(tt.Params))
+		for i, p := range tt.Params {
+			paramSlots[i] = tc.tab.slotOf(p)
+		}
+		body, err := tc.compileBody(tt.Body)
 		if err != nil {
 			return nil, fmt.Errorf("tasktype %s: %w", tt.Name, err)
 		}
-		tc := &taskCompiler{tab: newSlotTable()}
-		params := pfc.UpperAll(tt.Params)
-		paramSlots := make([]int, len(params))
-		for i, p := range params {
-			paramSlots[i] = tc.tab.slotOf(p)
-		}
 		tp := &taskProgram{
 			name:       tt.Name,
-			params:     params,
+			params:     tt.Params,
 			paramSlots: paramSlots,
 			tab:        tc.tab,
-			body:       tc.compileSeq(nodes),
+			body:       body,
 			line:       tt.Line,
 		}
 		if _, dup := u.byName[tp.name]; dup {

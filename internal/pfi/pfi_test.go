@@ -710,11 +710,48 @@ func TestCompileErrors(t *testing.T) {
 		"dup tasktype":       "TASKTYPE T\nEND TASKTYPE\nTASKTYPE T\nEND TASKTYPE\n",
 		"bad dotted op":      "TASKTYPE T\n      X = 1 .FOO. 2\nEND TASKTYPE\n",
 		"unterminated quote": "TASKTYPE T\n      PRINT *, 'OOPS\nEND TASKTYPE\n",
+		"pisces in if":       "TASKTYPE T\n      IF (1 .GT. 0) TO USER SEND M(1)\nEND TASKTYPE\n",
+		"labelled pisces":    "TASKTYPE T\n10    TO USER SEND M(1)\nEND TASKTYPE\n",
+		"hostile nesting":    "TASKTYPE T\n      X = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "\nEND TASKTYPE\n",
 	}
 	for name, src := range cases {
 		if _, err := Compile(src); err == nil {
 			t.Errorf("%s: expected a compile error", name)
 		}
+	}
+}
+
+// TestCharacterLiteralArgumentsSurvive: SEND and INITIATE arguments are
+// parsed from the source line itself, so a character literal arrives exactly
+// as written — case, inner blanks, doubled quotes, commas and parentheses —
+// the way PRINT always delivered it.
+func TestCharacterLiteralArgumentsSurvive(t *testing.T) {
+	cases := []struct{ literal, want string }{
+		{"'hello  world'", "hello  world"},
+		{"'Mixed Case'", "Mixed Case"},
+		{"'it''s'", "it's"},
+		{"'a, b'", "a, b"},
+		{"'f(x), (y'", "f(x), (y"},
+		{`"say 'hi'"`, "say 'hi'"},
+	}
+	for _, c := range cases {
+		src := "TASKTYPE MAIN\n" +
+			"      to self send msg( " + c.literal + " , 7)\n" +
+			"      ACCEPT 1 OF MSG\n" +
+			"      PRINT *, MSGS('MSG', 1, 1), MSGI('MSG', 1, 2)\n" +
+			"      ON SAME INITIATE KID(" + c.literal + ")\n" +
+			"      ACCEPT 1 OF BACK\n" +
+			"      PRINT *, MSGS('BACK', 1, 1)\n" +
+			"END TASKTYPE\n" +
+			"TASKTYPE KID(S)\n" +
+			"      TO PARENT SEND BACK(S)\n" +
+			"END TASKTYPE\n"
+		out, _, err := interpret(t, config.Simple(1, 2), src, Options{})
+		if err != nil {
+			t.Errorf("%s: %v", c.literal, err)
+			continue
+		}
+		wantLines(t, out, c.want+" 7", c.want)
 	}
 }
 
@@ -798,12 +835,7 @@ func TestExpressionEvaluation(t *testing.T) {
 	}
 	compiled := make(map[string]cexpr, len(cases))
 	for src := range cases {
-		e, err := parseExprString(src, 1)
-		if err != nil {
-			t.Errorf("%s: parse: %v", src, err)
-			continue
-		}
-		compiled[src] = tc.compileExpr(e)
+		compiled[src] = tc.compileExpr(mustParseExpr(t, src))
 	}
 	st.f = newFrame(tc.tab)
 	st.f.slots[nSlot].v = intVal(10)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/pfc"
 )
 
 // TestSlotTableAssignment drives the resolver directly: slots are dense,
@@ -146,17 +147,13 @@ func TestUndeclaredNameErrors(t *testing.T) {
 // is left to fail at run time only if executed.
 func TestConstantFolding(t *testing.T) {
 	tc := &taskCompiler{tab: newSlotTable()}
-	e, err := parseExprString("(1 + 2) * 3 - 2 ** 3", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded := foldExpr(e)
-	lit, ok := folded.(litE)
+	folded := foldExpr(mustParseExpr(t, "(1 + 2) * 3 - 2 ** 3"))
+	lit, ok := folded.(pfc.Lit)
 	if !ok {
-		t.Fatalf("foldExpr = %T, want litE", folded)
+		t.Fatalf("foldExpr = %T, want pfc.Lit", folded)
 	}
-	if lit.v.i != 1 {
-		t.Errorf("folded value = %d, want 1", lit.v.i)
+	if lit.I != 1 {
+		t.Errorf("folded value = %d, want 1", lit.I)
 	}
 
 	// Dead 1/0 must not become a compile error...
@@ -175,13 +172,19 @@ func TestConstantFolding(t *testing.T) {
 	wantLines(t, out, "OK")
 }
 
-func mustParseExpr(t *testing.T, src string) expr {
+// mustParseExpr parses src with the one expression parser there is, as the
+// right-hand side of an assignment.
+func mustParseExpr(t *testing.T, src string) pfc.Expr {
 	t.Helper()
-	e, err := parseExprString(src, 1)
+	prog, err := pfc.Parse("TASKTYPE T\n      X = " + src + "\nEND TASKTYPE\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	st := prog.TaskTypes[0].Body[0]
+	if st.Err != nil {
+		t.Fatal(st.Err)
+	}
+	return st.X.Expr
 }
 
 // TestCompileCacheSharesUnit: compiling the same source twice must reuse the

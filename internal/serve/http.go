@@ -93,8 +93,8 @@ func statusOf(s *Session) StatusResponse {
 //	                             ?wait=1 blocks until the session finishes
 //	GET  /programs/{id}/events   the session's flight-recorder events (JSON)
 //
-// Admission failures map to 429 (queue full) and 503 (draining); unknown
-// ids to 404.  The daemon mounts this on the same mux as the obs debug
+// Admission failures map to 429 (queue full) and 503 (draining), a body over
+// maxSubmitBytes to 413; unknown ids to 404.  The daemon mounts this on the same mux as the obs debug
 // endpoints, so one listener serves /programs, /metrics and /debug/pprof.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -106,9 +106,20 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a POST /programs body.  1 MiB is more than 700 times
+// the largest program checked into this repository; without a bound one
+// request can make the daemon buffer whatever a client cares to stream.
+const maxSubmitBytes = 1 << 20
+
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxSubmitBytes), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -408,6 +408,9 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: ""}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty POST = %d; want 400", resp.StatusCode)
 	}
+	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: "C" + strings.Repeat(" ", maxSubmitBytes)}); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST = %d; want 413", resp.StatusCode)
+	}
 	// Negative limits — and a wall clock that would wrap time.Duration into
 	// one — are malformed requests, answered before the queue is consulted.
 	before := len(m.Sessions())
