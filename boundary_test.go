@@ -1,6 +1,10 @@
 package pisces_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,5 +83,60 @@ func TestOneFrontEndForPiscesFortran(t *testing.T) {
 		if _, err := os.Stat(filepath.Join("internal", "pfi", name)); err == nil {
 			t.Errorf("internal/pfi/%s exists; tokenizing and expression parsing belong to internal/pfc", name)
 		}
+	}
+}
+
+// TestOneEmissionRoutinePerLayer pins the one-announcement-per-site rule: an
+// event reaches the flight-recorder ring and the flow capture only through
+// the emission routine — obs.Registry.Emit, which core's VM.emit forwards to
+// — so no non-test code outside internal/obs calls (*obs.Recorder).Record
+// (recognised by its five arguments; trace.Recorder.Record takes one) or a
+// Flow method, and inside internal/obs only event.go records.  bench/ is
+// the measuring harness: it times Record directly and is not walked.
+func TestOneEmissionRoutinePerLayer(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		slash := filepath.ToSlash(path)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			announces := sel.Sel.Name == "Record" && len(call.Args) == 5 || sel.Sel.Name == "Flow"
+			if announces && slash != "internal/obs/event.go" {
+				t.Errorf("%s: calls %s directly; announce through emit (obs.Registry.Emit) instead",
+					fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("walked %d non-test Go files; the rule is not looking at the repository", files)
 	}
 }

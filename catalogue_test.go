@@ -14,6 +14,7 @@ import (
 
 	pisces "repro"
 	"repro/internal/config"
+	"repro/internal/msgcodec"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -75,6 +76,61 @@ func TestMetricsCatalogueMatchesEmittedNames(t *testing.T) {
 	sort.Strings(drift)
 	for _, d := range drift {
 		t.Error(d)
+	}
+}
+
+// TestEventCatalogueMatchesKinds holds README's "Event catalogue" and the
+// event table in internal/obs to each other: every kind has a row, every row
+// names a kind, and a row's Section 12 label, black-box kind and span lane
+// are the ones the code's row carries ("—" where it carries none).
+func TestEventCatalogueMatchesKinds(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(readme), "**Event catalogue**")
+	if !ok {
+		t.Fatal(`README.md has no "**Event catalogue**" section`)
+	}
+	rows := make(map[string][]string)
+	for _, line := range strings.Split(after, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if len(rows) > 0 {
+				break
+			}
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if m := backticked.FindStringSubmatch(cells[0]); m != nil && len(cells) == 5 {
+			rows[m[1]] = cells
+		}
+	}
+	lane := strings.NewReplacer("%[1]d", "<A>", "%[2]d", "<B>")
+	for _, k := range obs.Kinds() {
+		cells, ok := rows[k.Name]
+		if !ok {
+			t.Errorf("event kind %q has no row in README's Event catalogue", k.Name)
+			continue
+		}
+		delete(rows, k.Name)
+		want := [3]string{"—", "—", "—"}
+		if k.Trace >= 0 {
+			want[0] = "`" + k.Trace.String() + "`"
+		}
+		if k.Box != 0 {
+			want[1] = "`" + msgcodec.EventKindName(k.Box) + "`"
+		}
+		if k.Lane != "" {
+			want[2] = "`" + lane.Replace(k.Lane) + "`"
+		}
+		for i, col := range []string{"§12 line", "black box", "span lane"} {
+			if cell := strings.TrimSpace(cells[i+1]); !strings.HasPrefix(cell, want[i]) {
+				t.Errorf("README's row for %q: %s cell is %q, the code's row says %s", k.Name, col, cell, want[i])
+			}
+		}
+	}
+	for name := range rows {
+		t.Errorf("README's Event catalogue lists %q, which is not an event kind", name)
 	}
 }
 

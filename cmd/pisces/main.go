@@ -137,14 +137,21 @@ func run(configPath string, clusters, slots int, forces, traceEvents, save strin
 		return nil
 	}
 
-	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout})
+	// Trace lines switched on from option 9 display on the terminal (Section
+	// 12); tasks emit them concurrently with the menu's own output, so all
+	// three go through one serialised writer.
+	term := &syncWriter{w: os.Stdout}
+	vm, err := pisces.NewVM(cfg, pisces.Options{
+		UserOutput: term,
+		TraceSinks: []pisces.TraceSink{pisces.WriterTraceSink{W: term}},
+	})
 	if err != nil {
 		return err
 	}
 	defer vm.Shutdown()
 	registerDemoTasks(vm)
 
-	env := pisces.NewEnvironment(vm, os.Stdout)
+	env := pisces.NewEnvironment(vm, term)
 	fmt.Print(cfg.String())
 	fmt.Print(pisces.ExecMenu())
 

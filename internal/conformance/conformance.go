@@ -148,6 +148,19 @@ func RunRecorded(src string, seed int64) Result {
 	return run(src, seed, false, nil, obs.NewRecorder(0, 0, 0))
 }
 
+// RunObserved is Run with every sink of the emission path on at once: the
+// Section 12 trace (all kinds, as in every harness run), the flight recorder,
+// and metrics plus spans.  It is the combination emit makes primary — one
+// event fanned to all three — which neither RunInstrumented (no recorder) nor
+// RunRecorded (no spans) covers; the sweep asserts it is schedule-transparent,
+// seed-stable, and that each artefact equals the one its single-sink run
+// produces, so no sink can see another.
+func RunObserved(src string, seed int64) Result {
+	reg := obs.New()
+	reg.Enable(obs.Metrics | obs.Spans)
+	return run(src, seed, false, reg, obs.NewRecorder(0, 0, 0))
+}
+
 // RunFault is Run with the node runtime's deterministic fault/latency
 // transport intercepting every cross-cluster message: frames pay seeded
 // virtual-clock delays (including retransmission faults) before delivery, so

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -97,5 +98,63 @@ func TestInstrumentedTracesFollowSchedule(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("8 seeds produced %d distinct instrumented traces; spans are not schedule-driven", len(distinct))
+	}
+}
+
+// TestAllSinksTransparentAndSeedStable sweeps the corpus with the Section 12
+// trace, the flight recorder, metrics and spans all on (RunObserved).  Being
+// watched by everything at once must change nothing — output, schedule and
+// trace-line sequence equal the plain run's — every artefact must equal what
+// the run with only its own sink on produces (the sinks share one event and
+// one clock but must not see each other), and a second run of the same seed
+// must reproduce all of them byte for byte.
+func TestAllSinksTransparentAndSeedStable(t *testing.T) {
+	names, srcs := Corpus()
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range []int64{0, 1, 5} {
+				plain := Run(srcs[name], seed)
+				if plain.Err != nil {
+					t.Fatalf("seed %d: %v", seed, plain.Err)
+				}
+				all := RunObserved(srcs[name], seed)
+				if all.Err != nil {
+					recordFailure(name, seed, "all-sinks run error: "+all.Err.Error())
+					t.Fatalf("seed %d with every sink on: %v", seed, all.Err)
+				}
+				if all.Output != plain.Output || all.Steps != plain.Steps {
+					recordFailure(name, seed, "all sinks on changed the output or the schedule")
+					t.Fatalf("seed %d: every sink on: %d steps, output\n%s\nplain: %d steps, output\n%s",
+						seed, all.Steps, all.Output, plain.Steps, plain.Output)
+				}
+				if strings.Join(all.Trace, "\n") != strings.Join(plain.Trace, "\n") {
+					recordFailure(name, seed, "all sinks on changed the Section 12 trace")
+					t.Fatalf("seed %d: trace lines differ with every sink on", seed)
+				}
+				for shard, in := range all.HeapShardsInUse {
+					if in != 0 {
+						t.Errorf("seed %d: %d heap bytes on shard %d after shutdown with every sink on", seed, in, shard)
+					}
+				}
+				instr, rec, again := RunInstrumented(srcs[name], seed), RunRecorded(srcs[name], seed), RunObserved(srcs[name], seed)
+				for _, c := range []struct {
+					what      string
+					got, want []byte
+				}{
+					{"blackbox dump vs the recorder-only run", all.RecorderDump, rec.RecorderDump},
+					{"chrome trace vs the spans-only run", all.ObsTrace, instr.ObsTrace},
+					{"metric snapshot vs the metrics-only run", all.ObsSnapshot, instr.ObsSnapshot},
+					{"blackbox dump vs a second run", all.RecorderDump, again.RecorderDump},
+					{"chrome trace vs a second run", all.ObsTrace, again.ObsTrace},
+					{"metric snapshot vs a second run", all.ObsSnapshot, again.ObsSnapshot},
+				} {
+					if len(c.got) == 0 || !bytes.Equal(c.got, c.want) {
+						recordFailure(name, seed, "all sinks on: "+c.what+" differs")
+						t.Errorf("seed %d: %s: %d bytes vs %d, not identical", seed, c.what, len(c.got), len(c.want))
+					}
+				}
+			}
+		})
 	}
 }

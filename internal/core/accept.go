@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/msgcodec"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Forever, used as the Delay of an AcceptSpec, waits indefinitely for the
@@ -329,17 +329,11 @@ func (t *Task) processAccepted(m *Message, res *AcceptResult) {
 	t.vm.releaseMessage(m)
 	t.Charge(int64(costAcceptMsg + costAcceptPacket*packets))
 	t.vm.msgsAccpt.Add(1)
-	if m.edge != 0 {
-		// Close the causal pair in the flight recorder: this accept consumed
-		// a routed message; the edge links it to the EvSend on the sender's
-		// node (possibly another process's dump).
-		t.vm.om.rec.Record(t.ID().Cluster, msgcodec.EvAccept, m.edge,
-			int64(t.ID().Cluster), int64(m.Sender.Cluster))
-	}
-	if t.vm.tracing(trace.MsgAccept) {
-		t.vm.record(trace.MsgAccept, t.ID(), m.Sender, t.rec.cluster.primary,
-			fmt.Sprintf("msgtype=%s args=%d", m.Type, len(m.Args)))
-	}
+	// For a routed message (edge != 0) this also closes the causal pair in
+	// the flight recorder: the edge links the accept to the send recorded on
+	// the sender's node (possibly another process's dump).
+	t.vm.emit(&obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(m.Sender),
+		Edge: m.edge, Type: m.Type, A: int64(len(m.Args))}, t.rec.cluster.primary)
 	if h, ok := t.handlers[m.Type]; ok {
 		h(t, m)
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/flex"
 	"repro/internal/memory"
 	"repro/internal/mmos"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // slotState is what occupies one slot of a cluster.
@@ -433,9 +433,7 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 	body := func(p *mmos.Proc) {
 		rec.setProc(p)
 		p.Charge(costTaskInit)
-		if vm.tracing(trace.TaskInit) {
-			vm.record(trace.TaskInit, id, req.parent, c.primary, "type="+tt.Name)
-		}
+		vm.emit(&obs.Event{Kind: obs.TaskInit, Task: obs.TaskRef(id), Peer: obs.TaskRef(req.parent), Type: tt.Name}, c.primary)
 		req.reply.deliver(id)
 		ctx := newTask(vm, rec, req.args)
 		defer vm.finishTask(rec, ctx)
@@ -486,7 +484,7 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 	if p := rec.getProc(); p != nil {
 		p.Charge(costTaskTerm)
 	}
-	vm.record(trace.TaskTerm, rec.id, NilTask, c.primary, info)
+	vm.emit(&obs.Event{Kind: obs.TaskTerm, Task: obs.TaskRef(rec.id), Type: info}, c.primary)
 
 	// Recover shared-memory storage of unaccepted messages and of any arrays
 	// the task still owns.

@@ -1,0 +1,66 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/config"
+	"repro/internal/obs"
+)
+
+// TestRoutedSendAcceptAllocs holds the production hot path — flight recorder
+// attached, trace, spans and metrics off — to the allocation count it had
+// before the announcement sites were folded behind emit: a ping-pong between
+// two clusters is two routed sends and two ACCEPTs a round, and half a round
+// allocated 13.00 at PR 16's parent (8cc4440).  An Event that escaped to the
+// heap at any of the four sites a message passes would show up here as +1.
+func TestRoutedSendAcceptAllocs(t *testing.T) {
+	const parentAllocs = 13.0
+
+	vm, err := NewVM(config.Simple(2, 2), Options{
+		AcceptTimeout:  30 * time.Second,
+		FlightRecorder: obs.NewRecorder(0, 0, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Shutdown()
+	vm.Register("echo", func(task *Task) {
+		for {
+			m, err := task.AcceptOne("ping")
+			if err != nil || m.Args[0].Integer < 0 {
+				return
+			}
+			if err := task.SendSender("pong", Int(0)); err != nil {
+				return
+			}
+		}
+	})
+	result := make(chan float64, 1)
+	vm.Register("prober", func(task *Task) {
+		to := MustID(task.Arg(0))
+		round := func() {
+			if err := task.Send(to, "ping", Int(1)); err != nil {
+				t.Errorf("send: %v", err)
+			}
+			if _, err := task.AcceptOne("pong"); err != nil {
+				t.Errorf("accept: %v", err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			round()
+		}
+		result <- testing.AllocsPerRun(2000, round) / 2
+		_ = task.Send(to, "ping", Int(-1))
+	})
+	echoID, err := vm.Initiate("echo", OnCluster(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.Initiate("prober", OnCluster(1), ID(echoID)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-result; got > parentAllocs {
+		t.Errorf("a routed send + ACCEPT allocates %.2f times, more than the %.2f it did before emit", got, parentAllocs)
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/flex"
 	"repro/internal/loops"
 	"repro/internal/mmos"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Lock is a Pisces Fortran LOCK variable: "Variables whose values are 'locks'
@@ -38,7 +38,7 @@ func (l *Lock) lockOn(p *mmos.Proc, holder TaskID, pe *flex.PE) {
 	if p != nil {
 		p.Charge(costLockOp)
 	}
-	l.vm.record(trace.Lock, holder, NilTask, pe, "lock="+l.name)
+	l.vm.emit(&obs.Event{Kind: obs.Lock, Task: obs.TaskRef(holder), Type: l.name}, pe)
 }
 
 // unlockOn releases the lock.
@@ -46,7 +46,7 @@ func (l *Lock) unlockOn(p *mmos.Proc, holder TaskID, pe *flex.PE) {
 	if p != nil {
 		p.Charge(costLockOp)
 	}
-	l.vm.record(trace.Unlock, holder, NilTask, pe, "lock="+l.name)
+	l.vm.emit(&obs.Event{Kind: obs.Unlock, Task: obs.TaskRef(holder), Type: l.name}, pe)
 	if !l.sem.Release() {
 		panic(fmt.Sprintf("core: unlock of %q which is not locked", l.name))
 	}
@@ -203,9 +203,7 @@ func (t *Task) ForceSplit(region func(*ForceMember)) error {
 	}
 
 	t.Charge(costForceSplit)
-	if t.vm.tracing(trace.ForceSplit) {
-		t.vm.record(trace.ForceSplit, t.ID(), NilTask, cl.primary, fmt.Sprintf("members=%d", members))
-	}
+	t.vm.emit(&obs.Event{Kind: obs.ForceSplit, Task: obs.TaskRef(t.ID()), A: int64(members)}, cl.primary)
 
 	wg := t.vm.backend.NewWaitGroup()
 	panics := make([]any, members)
@@ -315,9 +313,7 @@ func (m *ForceMember) Barrier(body func()) {
 	}).(*barrierInstance)
 
 	m.Charge(costBarrier)
-	if f.task.vm.tracing(trace.BarrierEnter) {
-		f.task.vm.record(trace.BarrierEnter, m.taskID, NilTask, m.pe, fmt.Sprintf("member=%d", m.index))
-	}
+	f.task.vm.emit(&obs.Event{Kind: obs.Barrier, Task: obs.TaskRef(m.taskID), A: int64(m.index)}, m.pe)
 
 	b.mu.Lock()
 	b.arrived++

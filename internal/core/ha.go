@@ -7,7 +7,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/mmos"
 	"repro/internal/msgcodec"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Fault tolerance (HA mode).
@@ -673,9 +673,7 @@ func (c *clusterRT) restoreTask(ts *haCkptTask, done backend.Gate) error {
 	body := func(p *mmos.Proc) {
 		rec.setProc(p)
 		p.Charge(costTaskInit)
-		if vm.tracing(trace.TaskInit) {
-			vm.record(trace.TaskInit, rec.id, rec.parent, c.primary, "type="+tt.Name+" restored")
-		}
+		vm.emit(&obs.Event{Kind: obs.TaskRestore, Task: obs.TaskRef(rec.id), Peer: obs.TaskRef(rec.parent), Type: tt.Name}, c.primary)
 		ctx := newTask(vm, rec, ts.args)
 		defer vm.finishTask(rec, ctx)
 		tt.Body(ctx)

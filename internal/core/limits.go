@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/memory"
-	"repro/internal/msgcodec"
+	"repro/internal/obs"
 )
 
 // Limits is a per-tenant resource policy for one VM.  The paper's run-time
@@ -86,7 +86,7 @@ func (vm *VM) recordLimit(e *LimitError) {
 	if !first {
 		return
 	}
-	vm.om.rec.Record(0, msgcodec.EvLimit, 0, limitResourceCode(e.Resource), e.Limit)
+	vm.emit(&obs.Event{Kind: obs.Limit, A: limitResourceCode(e.Resource), B: e.Limit}, nil)
 	vm.systemPrintf("*** PISCES: %v: terminating run\n", e)
 	for _, info := range vm.RunningTasks() {
 		if !info.Controller {

@@ -119,7 +119,7 @@ func TestVMMetricsDisabledByDefault(t *testing.T) {
 	if vm.Obs() == nil {
 		t.Fatal("Obs() is nil")
 	}
-	if vm.metricsOn() || vm.spansOn() {
+	if vm.Obs().Any(obs.Metrics | obs.Spans) {
 		t.Fatal("default registry has families enabled")
 	}
 	done := make(chan struct{})

@@ -58,10 +58,7 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 		reply.deliver(NilTask)
 		return 0, ErrVMTerminated
 	}
-	var spanT0 time.Time
-	if vm.spansOn() {
-		spanT0 = vm.om.reg.Now()
-	}
+	spanT0 := vm.om.reg.SpanStart()
 	size, err := encodedSize(args)
 	if err != nil {
 		return 0, err
@@ -103,19 +100,11 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 	// The send-side half of the causal pair: a flight-recorder event and, when
 	// spans are live, a small send span the flow arrow starts inside; the
 	// arrow ends inside the deliver span below.
-	src, dst := from.cfg.Number, dest.cluster.cfg.Number
-	vm.om.rec.Record(src, msgcodec.EvSend, in.edge, int64(src), int64(dst))
-	var deliverT0 time.Time
-	if !spanT0.IsZero() {
-		lane := fmt.Sprintf("send/c%d", src)
-		vm.om.reg.Span(lane, "send "+msgType, spanT0)
-		vm.om.reg.Flow(in.edge, lane, obs.FlowStart, spanT0)
-		deliverT0 = vm.om.reg.Now()
-	}
+	src, dst := int64(from.cfg.Number), int64(dest.cluster.cfg.Number)
+	vm.emit(&obs.Event{Kind: obs.Route, Edge: in.edge, Type: msgType, A: src, B: dst, Start: spanT0}, nil)
+	deliverT0 := vm.om.reg.SpanStart()
 	err = vm.deliverInbound(dest, &in, wire, destOff, size)
-	if !deliverT0.IsZero() {
-		vm.deliverSpan(fmt.Sprintf("router/c%d->c%d", src, dst), msgType, in.edge, obs.FlowEnd, deliverT0)
-	}
+	vm.emit(&obs.Event{Kind: obs.Deliver, Edge: in.edge, Type: msgType, A: src, B: dst, Start: deliverT0}, nil)
 	if err != nil {
 		// Unreachable for run-time-encoded messages (the reservation rules out
 		// the heap, so only a codec disagreement gets here): the reservation
@@ -124,14 +113,6 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 		return 0, fmt.Errorf("core: cluster %d: corrupt wire message %s from %s: %w", dst, msgType, sender, err)
 	}
 	return size, nil
-}
-
-// deliverSpan closes one delivery's span on its "router/..." trace lane and
-// binds the message's causal flow to it, so the viewer draws the arrow from
-// the send span to this slice.
-func (vm *VM) deliverSpan(lane, msgType string, edge uint64, phase byte, t0 time.Time) {
-	vm.om.reg.Span(lane, "deliver "+msgType, t0)
-	vm.om.reg.Flow(edge, lane, phase, t0)
 }
 
 // chargeAtDelivery, passed as deliverInbound's reserved offset, says no

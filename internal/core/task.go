@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/msgcodec"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // killSentinel is the panic value used to unwind a task that has been killed
@@ -170,9 +170,9 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 	if err := t.vm.deliverSystem(t.rec.cluster, cl.controllerID, msg); err != nil {
 		return err
 	}
-	if t.vm.tracing(trace.MsgSend) {
-		t.vm.record(trace.MsgSend, t.ID(), cl.controllerID, t.rec.cluster.primary,
-			fmt.Sprintf("msgtype=%s initiate=%s placement=%q", msgInitRequest, tasktype, placement))
+	if t.vm.watching(obs.MsgInitiate) {
+		t.vm.emit(&obs.Event{Kind: obs.MsgInitiate, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(cl.controllerID),
+			Type: tasktype, Detail: placement.String()}, t.rec.cluster.primary)
 	}
 	return nil
 }
@@ -298,7 +298,8 @@ func (t *Task) sendInternal(to TaskID, msgType string, args []Value, sendSeq uin
 		}
 		t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
 		t.vm.msgsSent.Add(1)
-		t.vm.recordRouted(from, t.ID(), to, msgType, size)
+		t.vm.emit(&obs.Event{Kind: obs.MsgSendRemote, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to),
+			Type: msgType, B: int64(size)}, from.primary)
 		return nil
 	}
 	rec, ok := t.vm.lookupTask(to)
@@ -344,10 +345,8 @@ func (t *Task) sendInternal(to TaskID, msgType string, args []Value, sendSeq uin
 	packets := (size - msgcodec.HeaderBytes) / msgcodec.PacketBytes
 	t.Charge(int64(costSendHeader + costSendPacket*packets))
 	t.vm.msgsSent.Add(1)
-	if t.vm.tracing(trace.MsgSend) {
-		t.vm.record(trace.MsgSend, t.ID(), to, from.primary,
-			fmt.Sprintf("msgtype=%s args=%d bytes=%d", msgType, len(args), size))
-	}
+	t.vm.emit(&obs.Event{Kind: obs.MsgSend, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to),
+		Type: msgType, A: int64(len(args)), B: int64(size)}, from.primary)
 	return nil
 }
 

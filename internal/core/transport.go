@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Cross-cluster transport seam.
@@ -253,9 +251,9 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 	src := vm.homeCluster()
 	var payload []byte
 	off := -1
-	metrics, spans := vm.metricsOn(), vm.spansOn()
-	var obsT0 time.Time
-	if metrics || spans {
+	metrics := vm.metricsOn()
+	obsT0 := vm.om.reg.SpanStart()
+	if metrics && obsT0.IsZero() {
 		obsT0 = vm.om.reg.Now()
 	}
 	if from != nil {
@@ -292,12 +290,7 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 		reply.edge = edge
 		f.ReplyID = vm.addPendingReply(reply)
 	}
-	vm.om.rec.Record(src, msgcodec.EvSend, edge, int64(src), int64(to.Cluster))
-	if spans {
-		lane := fmt.Sprintf("send/c%d", src)
-		vm.om.reg.Span(lane, "send "+msgType, obsT0)
-		vm.om.reg.Flow(edge, lane, obs.FlowStart, obsT0)
-	}
+	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: obsT0}, nil)
 	sendErr := vm.remote.Send(f)
 	replyID := f.ReplyID
 	wireFramePool.Put(f)
@@ -335,7 +328,7 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	// the fan-out) but no flow events: a flow with several ends renders as a
 	// tangle, not a path.
 	edge := vm.newEdge()
-	vm.om.rec.Record(from.cfg.Number, msgcodec.EvSend, edge, int64(from.cfg.Number), -1)
+	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(from.cfg.Number), B: -1}, nil)
 	f := &WireFrame{
 		Kind: FrameBroadcast, Src: from.cfg.Number, Dst: cluster,
 		Type: msgType, Sender: sender, Seq: vm.msgSeq.Add(1), SendSeq: sendSeq,
@@ -374,22 +367,17 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	// An inbound frame's decode+charge+queue is the same layer routeMessage's
 	// delivery is for in-process traffic, so it carries the same metrics and
 	// a deliver span (trace lane "router/c<dst><-wire").
-	var spanT0 time.Time
-	if vm.spansOn() {
-		spanT0 = vm.om.reg.Now()
-	}
+	spanT0 := vm.om.reg.SpanStart()
 	in := inbound{msgType: f.Type, sender: f.Sender, seq: vm.msgSeq.Add(1), sendSeq: f.SendSeq, edge: f.Edge, reply: reply}
 	err := vm.deliverInbound(rec, &in, f.Payload, chargeAtDelivery, 0)
-	if !spanT0.IsZero() {
-		// A routed initiate still owes its sender a reply frame, so the flow
-		// steps through here and ends when the reply lands back on the
-		// requesting node; plain messages end here.
-		phase := obs.FlowEnd
-		if f.ReplyID != 0 {
-			phase = obs.FlowStep
-		}
-		vm.deliverSpan(fmt.Sprintf("router/c%d<-wire", f.Dest.Cluster), f.Type, f.Edge, phase, spanT0)
+	// A routed initiate still owes its sender a reply frame, so the flow
+	// steps through here and ends when the reply lands back on the
+	// requesting node; plain messages end here.
+	kind := obs.WireDeliver
+	if f.ReplyID != 0 {
+		kind = obs.WireDeliverStep
 	}
+	vm.emit(&obs.Event{Kind: kind, Edge: f.Edge, Type: f.Type, A: int64(f.Dest.Cluster), Start: spanT0}, nil)
 	if err != nil {
 		// A remote receiver's failure cannot reach the sender: the frame is
 		// dropped here, loudly.  (A decode failure is unreachable for
@@ -441,15 +429,10 @@ func (vm *VM) DeliverWireReply(replyID uint64, id TaskID) {
 	if r == nil {
 		return
 	}
-	if r.edge != 0 && vm.spansOn() {
-		// Close the cross-node round trip: the routed initiate's flow stepped
-		// through the remote node's deliver span and ends on the reply span
-		// here, back on the requesting node.
-		t0 := vm.om.reg.Now()
-		lane := fmt.Sprintf("send/c%d", vm.homeCluster())
-		vm.om.reg.Span(lane, "reply", t0)
-		vm.om.reg.Flow(r.edge, lane, obs.FlowEnd, t0)
-	}
+	// Close the cross-node round trip: the routed initiate's flow stepped
+	// through the remote node's deliver span and ends on the reply span here,
+	// back on the requesting node.
+	vm.emit(&obs.Event{Kind: obs.WireReply, Edge: r.edge, A: int64(vm.homeCluster()), Start: vm.om.reg.SpanStart()}, nil)
 	r.deliver(id)
 }
 
@@ -459,13 +442,5 @@ func (vm *VM) DeliverWireReply(replyID uint64, id TaskID) {
 func (vm *VM) flushTransports() {
 	if vm.remote != nil {
 		vm.remote.Flush()
-	}
-}
-
-// recordRouted traces one outbound remote send.
-func (vm *VM) recordRouted(from *clusterRT, sender, to TaskID, msgType string, size int) {
-	if vm.tracing(trace.MsgSend) && from != nil {
-		vm.record(trace.MsgSend, sender, to, from.primary,
-			fmt.Sprintf("msgtype=%s routed=remote bytes=%d", msgType, size))
 	}
 }

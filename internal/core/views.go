@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/flex"
-	"repro/internal/msgcodec"
+	"repro/internal/obs"
 )
 
 // TaskInfo describes one running task for the DISPLAY RUNNING TASKS view.
@@ -72,7 +72,7 @@ func (vm *VM) Kill(id TaskID) error {
 	if rec.isController {
 		return fmt.Errorf("core: %s is a controller task and cannot be killed", id)
 	}
-	vm.om.rec.Record(id.Cluster, msgcodec.EvKill, 0, int64(id.Cluster), int64(id.Slot))
+	vm.emit(&obs.Event{Kind: obs.Kill, A: int64(id.Cluster), B: int64(id.Slot)}, nil)
 	rec.kill()
 	return nil
 }

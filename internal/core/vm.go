@@ -227,7 +227,6 @@ type VM struct {
 // boot; the handles are plain atomics after that.
 type vmObs struct {
 	reg          *obs.Registry
-	rec          *obs.Recorder  // flight recorder; nil records nothing (Record is nil-safe)
 	heapCharges  *obs.Counter   // core.heap.charge: messages charged to a shard
 	heapRecovers *obs.Counter   // core.heap.recover: message storage recovered
 	heapMsgBytes *obs.Histogram // core.heap.msg.bytes: charged message sizes
@@ -256,16 +255,13 @@ func (vm *VM) Obs() *obs.Registry { return vm.om.reg }
 // metricsOn is the hot-path guard: one atomic load.
 func (vm *VM) metricsOn() bool { return vm.om.reg.Has(obs.Metrics) }
 
-// spansOn guards span capture the same way.
-func (vm *VM) spansOn() bool { return vm.om.reg.Has(obs.Spans) }
-
 // newEdge mints a causal edge id for one routed message: the node id in the
 // high 16 bits, a per-VM sequence below.  Edge ids are never zero, so zero
 // means "unstamped" everywhere they travel.
 func (vm *VM) newEdge() uint64 { return vm.edgeBase | vm.edgeSeq.Add(1) }
 
 // FlightRecorder returns the recorder the VM was booted with, nil if none.
-func (vm *VM) FlightRecorder() *obs.Recorder { return vm.om.rec }
+func (vm *VM) FlightRecorder() *obs.Recorder { return vm.om.reg.Recorder() }
 
 // NewVM boots a virtual machine for the given configuration on a fresh
 // simulated FLEX/32 with the default hardware description.
@@ -303,12 +299,9 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 		ha:        opts.HA,
 	}
 	vm.om.init(opts.Metrics, opts.Backend)
-	if opts.FlightRecorder != nil {
-		vm.om.rec = opts.FlightRecorder
-		// Attach after init: the registry clock is already the backend's, so
-		// the recorder inherits virtual time under a deterministic backend.
-		vm.om.reg.AttachRecorder(opts.FlightRecorder)
-	}
+	// Attach after init: the registry clock is already the backend's, so the
+	// recorder inherits virtual time under a deterministic backend.
+	vm.om.reg.AttachRecorder(opts.FlightRecorder)
 	vm.edgeBase = uint64(opts.NodeID) << 48
 	vm.userTasks = vm.backend.NewWaitGroup()
 	vm.arrays = newArrayStore()
@@ -821,29 +814,6 @@ func (vm *VM) releaseMessage(msg *Message) {
 			vm.om.heapRecovers.Inc()
 		}
 	}
-}
-
-// tracing reports whether events of the given kind are currently recorded.
-// Hot paths check it before building an event (taskid rendering, Sprintf
-// info strings), so disabled tracing costs one atomic load per event.
-func (vm *VM) tracing(kind trace.Kind) bool { return vm.tracer.Wants(kind) }
-
-// record emits a trace event on behalf of a task, stamping it with the task's
-// PE clock.  Callers on hot paths guard with vm.tracing(kind) so the event's
-// info string is never formatted when the kind is disabled.
-func (vm *VM) record(kind trace.Kind, task TaskID, other TaskID, pe *flex.PE, info string) {
-	if !vm.tracing(kind) {
-		return
-	}
-	ev := trace.Event{Kind: kind, Task: task.String(), Info: info}
-	if !other.IsNil() {
-		ev.Other = other.String()
-	}
-	if pe != nil {
-		ev.PE = pe.ID()
-		ev.Ticks = pe.Ticks()
-	}
-	vm.tracer.Record(ev)
 }
 
 // timeLimitExpired enforces the configuration's execution time limit by

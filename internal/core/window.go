@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/rect"
-	"repro/internal/trace"
 )
 
 // Window is the PISCES 2 "window" data type (Section 8): "a type of
@@ -388,9 +388,9 @@ func (t *Task) chargeWindowTransfer(w Window, n int, dir string) {
 	t.Charge(int64(costSendHeader + costWindowElement*n))
 	t.vm.windowBytes.Add(int64(8 * n))
 	t.vm.windowOps.Add(1)
-	if t.vm.tracing(trace.MsgSend) {
-		t.vm.record(trace.MsgSend, t.ID(), w.Owner, t.rec.cluster.primary,
-			fmt.Sprintf("msgtype=window-%s array=%d region=%s elements=%d", dir, w.ArrayID, w.Region, n))
+	if t.vm.watching(obs.MsgWindow) {
+		t.vm.emit(&obs.Event{Kind: obs.MsgWindow, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(w.Owner),
+			Type: dir, Detail: w.Region.String(), A: int64(w.ArrayID), B: int64(n)}, t.rec.cluster.primary)
 	}
 }
 

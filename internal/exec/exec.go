@@ -54,7 +54,7 @@ func Menu() string {
  6  DISPLAY MESSAGE QUEUE  (queue <taskid>)
  7  DUMP SYSTEM STATE      (dump)
  8  DISPLAY PE LOADING     (loading)
- 9  CHANGE TRACE OPTIONS   (trace <event>|all on|off, trace show)
+ 9  CHANGE TRACE OPTIONS   (trace <event>|all on|off, trace task <taskid> on|off, trace show)
     help, figure1
 `
 }
@@ -297,17 +297,30 @@ func (e *Environment) traceOptions(args []string) error {
 		fmt.Fprint(e.out, rec.Settings())
 		return nil
 	}
-	if len(args) != 2 {
-		return fmt.Errorf("exec: usage: trace <event>|all on|off, or trace show")
+	// "trace task <taskid> on|off" is the per-task switch of Section 12; the
+	// other forms switch an event type.
+	perTask := len(args) == 3 && strings.EqualFold(args[0], "task")
+	if len(args) != 2 && !perTask {
+		return fmt.Errorf("exec: usage: trace <event>|all on|off, trace task <taskid> on|off, or trace show")
 	}
+	setting := args[len(args)-1]
 	on := false
-	switch strings.ToLower(args[1]) {
+	switch strings.ToLower(setting) {
 	case "on":
 		on = true
 	case "off":
 		on = false
 	default:
-		return fmt.Errorf("exec: trace setting must be on or off, got %q", args[1])
+		return fmt.Errorf("exec: trace setting must be on or off, got %q", setting)
+	}
+	if perTask {
+		id, err := core.ParseTaskID(args[1])
+		if err != nil {
+			return err
+		}
+		rec.EnableTask(id.String(), on)
+		fmt.Fprintf(e.out, "tracing of task %s %s\n", id, onOff(on))
+		return nil
 	}
 	if strings.EqualFold(args[0], "all") {
 		rec.EnableAll(on)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // syncBuffer is a goroutine-safe buffer for capturing output.
@@ -158,6 +159,74 @@ func TestTraceOptionsCommand(t *testing.T) {
 	}
 	if err := env.Execute("trace msg-send sideways"); err == nil {
 		t.Fatal("bad trace setting accepted")
+	}
+}
+
+// TestTraceTaskCommand drives Section 12's per-task switch from option 9:
+// with every event type on, "trace task <taskid> off" silences exactly that
+// task's lines, "trace show" lists it, and "on" brings it back.
+func TestTraceTaskCommand(t *testing.T) {
+	out := &syncBuffer{}
+	sink := &trace.MemorySink{}
+	vm, err := core.NewVM(config.Simple(2, 2), core.Options{
+		UserOutput: out, AcceptTimeout: 2 * time.Second, TraceSinks: []trace.Sink{sink},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(vm.Shutdown)
+	vm.Register("waiter", func(task *core.Task) { _, _ = task.AcceptOne("stop") })
+	env := New(vm, out)
+	if err := env.Execute("trace all on"); err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := vm.Initiate("waiter", core.OnCluster(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loud, err := vm.Initiate("waiter", core.OnCluster(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Execute("trace task " + quiet.String() + " off"); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Execute("trace show"); err != nil {
+		t.Fatal(err)
+	}
+	if want := "disabled tasks: " + quiet.String() + "\n"; !strings.Contains(out.String(), want) {
+		t.Fatalf("trace show does not list the silenced task (%q):\n%s", want, out.String())
+	}
+	sink.Reset()
+	for _, id := range []core.TaskID{quiet, loud} {
+		if err := env.Execute("send " + id.String() + " stop"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm.WaitIdle()
+	var loudLines int
+	for _, e := range sink.Events() {
+		switch e.Task {
+		case quiet.String():
+			t.Errorf("silenced task still traced: %s", e.Line())
+		case loud.String():
+			loudLines++
+		}
+	}
+	if loudLines < 2 { // its MSG-ACCEPT and its TASK-TERM
+		t.Errorf("the other task printed %d trace lines, want its accept and its termination", loudLines)
+	}
+
+	if err := env.Execute("trace task " + quiet.String() + " on"); err != nil {
+		t.Fatal(err)
+	}
+	if got := vm.Tracer().Settings(); strings.Contains(got, "disabled tasks") {
+		t.Errorf("task still listed after being switched back on:\n%s", got)
+	}
+	for _, bad := range []string{"trace task bogus on", "trace task 1.1.1 sideways", "trace task 1.1.1", "trace task 1.1.1 on off"} {
+		if err := env.Execute(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/msgcodec"
 	"repro/internal/obs"
 )
 
@@ -103,7 +102,7 @@ func (n *Node) checkpointTick() {
 		fmt.Fprintf(n.opts.Log, "node %d: shipping checkpoint %d to node %d: %v\n", n.opts.NodeID, epoch, buddy, err)
 		return
 	}
-	n.rec.Record(0, msgcodec.EvCheckpoint, 0, int64(n.opts.NodeID), int64(epoch))
+	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(n.opts.NodeID), B: int64(epoch)})
 	if n.reg.Has(obs.Metrics) {
 		n.haCkptTx.Inc()
 	}
@@ -117,7 +116,7 @@ func (n *Node) storeCheckpoint(from int, epoch uint64, blob []byte) {
 	n.ckptMu.Unlock()
 	// Record the stored epoch: a survivor's dump proves which checkpoint of a
 	// dead peer it held at the moment of failure.
-	n.rec.Record(0, msgcodec.EvCheckpoint, 0, int64(from), int64(epoch))
+	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(from), B: int64(epoch)})
 	if n.reg.Has(obs.Metrics) {
 		n.haCkptRx.Inc()
 	}
@@ -166,7 +165,7 @@ func (n *Node) nextLive(after int) int {
 // (lowest live id) issues the verdict; everyone else waits for fRebalance so
 // the mesh processes one agreed membership change, not N racing ones.
 func (n *Node) handleDeath(dead int) {
-	n.rec.Record(0, msgcodec.EvHeartbeatMiss, 0, int64(dead), 0)
+	n.reg.Emit(&obs.Event{Kind: obs.HeartbeatMiss, A: int64(dead)})
 	if n.reg.Has(obs.Metrics) {
 		n.haDeaths.Inc()
 	}

@@ -99,11 +99,11 @@ type Node struct {
 	inMu    sync.Mutex
 	inConns []net.Conn
 
-	// Observability: the registry shared with the VM plus resolved node-layer
+	// Observability: the registry shared with the VM — which also owns the
+	// always-on flight recorder (see BlackboxDump) — plus resolved node-layer
 	// histogram handles; snapMu guards the latest metric snapshot received
 	// from each follower (coordinator only).
 	reg          *obs.Registry
-	rec          *obs.Recorder  // always-on flight recorder (see BlackboxDump)
 	frameRead    *obs.Histogram // node.frame.read.ns: blocking ReadFrame time (inter-frame arrival gap + read)
 	frameDeliver *obs.Histogram // node.frame.deliver.ns: decode -> VM delivery
 	snapMu       sync.Mutex
@@ -168,13 +168,12 @@ func Start(opts Options) (*Node, error) {
 		acks:          make(chan drainAck, 4*len(opts.Addrs)),
 		shutdownCh:    make(chan struct{}),
 		reg:           reg,
-		rec:           obs.NewRecorder(opts.NodeID, 0, 0),
 		frameRead:     reg.Histogram("node.frame.read.ns", "ns"),
 		frameDeliver:  reg.Histogram("node.frame.deliver.ns", "ns"),
 		followerSnap:  make(map[int]*obs.Snapshot),
 		followerTrace: make(map[int]obs.ProcessTrace),
 	}
-	reg.AttachRecorder(n.rec)
+	reg.AttachRecorder(obs.NewRecorder(opts.NodeID, 0, 0))
 	if opts.HA {
 		if n.opts.HeartbeatInterval <= 0 {
 			n.opts.HeartbeatInterval = defaultHeartbeatInterval
@@ -230,7 +229,7 @@ func Start(opts Options) (*Node, error) {
 		Metrics:        reg,
 		HA:             opts.HA,
 		NodeID:         opts.NodeID,
-		FlightRecorder: n.rec,
+		FlightRecorder: reg.Recorder(),
 		FailureSink:    func(reason string) { n.dumpBlackbox(reason) },
 	})
 	if err != nil {
@@ -484,11 +483,11 @@ func (n *Node) FollowerSnapshots() map[int]*obs.Snapshot {
 }
 
 // Recorder returns the node's always-on flight recorder.
-func (n *Node) Recorder() *obs.Recorder { return n.rec }
+func (n *Node) Recorder() *obs.Recorder { return n.reg.Recorder() }
 
 // BlackboxDump freezes the node's flight recorder into a msgcodec blackbox
 // container (decodable offline with `pisces blackbox`).
-func (n *Node) BlackboxDump() ([]byte, error) { return n.rec.Dump() }
+func (n *Node) BlackboxDump() ([]byte, error) { return n.reg.Recorder().Dump() }
 
 // dumpBlackbox writes a flight-recorder dump into Options.BlackboxDir (a
 // no-op when unset), logging the path so operators can find the artifact.
@@ -498,7 +497,7 @@ func (n *Node) dumpBlackbox(reason string) {
 	if n.opts.BlackboxDir == "" {
 		return
 	}
-	path, err := obs.WriteDump(n.opts.BlackboxDir, n.rec)
+	path, err := obs.WriteDump(n.opts.BlackboxDir, n.reg.Recorder())
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: blackbox dump (%s) failed: %v\n", n.opts.NodeID, reason, err)
 		return
@@ -606,7 +605,6 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 // the reader.
 func (n *Node) deliverLoop(from int, work <-chan []byte, free chan<- []byte) {
 	defer n.readers.Done()
-	rxLane := fmt.Sprintf("node/%d rx<-n%d", n.opts.NodeID, from)
 	pending := 0 // delivered-but-ungranted credited frames
 	var m frame  // reused per frame; no handler retains it
 	for payload := range work {
@@ -620,7 +618,7 @@ func (n *Node) deliverLoop(from int, work <-chan []byte, free chan<- []byte) {
 			if metrics {
 				n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
 			}
-			n.reg.Span(rxLane, "rx "+m.msg.Type, deliverT0)
+			n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: m.msg.Type, A: int64(n.opts.NodeID), B: int64(from), Start: deliverT0})
 		}
 		if pending > 0 && (pending >= creditGrantChunk || len(work) == 0) {
 			n.tr.grantCredits(from, pending)

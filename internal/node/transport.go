@@ -147,7 +147,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 	if credited && !p.dead && p.credits <= 0 {
 		// A stall is a flow-control anomaly worth forensics: record which
 		// peer's window ran dry before blocking.
-		tr.reg.Recorder().Record(p.id, msgcodec.EvCreditStall, 0, int64(p.id), 0)
+		tr.reg.Emit(&obs.Event{Kind: obs.CreditStall, A: int64(p.id)})
 		var t0 time.Time
 		if metrics {
 			t0 = tr.reg.Now()

@@ -1,0 +1,184 @@
+package obs
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/msgcodec"
+	"repro/internal/trace"
+)
+
+// Kind names one thing the runtime announces.  Every announcement site in
+// internal/core and internal/node builds one Event of one Kind and hands it
+// to its layer's emission routine ((*core.VM).emit, or Registry.Emit where
+// no task is involved); which of the three streams hear about it — the
+// Section 12 trace line, the flight-recorder ring, the span/flow capture —
+// is that kind's row of the table below, never the site's business.
+type Kind uint8
+
+// The event kinds.  README's "Event catalogue" has one row per kind and
+// TestEventCatalogueMatchesKinds holds the two to each other.
+const (
+	TaskInit Kind = iota
+	TaskRestore
+	TaskTerm
+	MsgSend
+	MsgSendRemote
+	MsgInitiate
+	MsgWindow
+	MsgAccept
+	Lock
+	Unlock
+	Barrier
+	ForceSplit
+	Route
+	Deliver
+	WireDeliver
+	WireDeliverStep
+	WireReply
+	WireRx
+	Kill
+	Limit
+	CreditStall
+	Checkpoint
+	HeartbeatMiss
+	numKinds
+)
+
+// noTrace marks a kind without a Section 12 trace line.
+const noTrace trace.Kind = -1
+
+// KindRow is one kind's row of the event table: what each sink makes of it.
+// Info, Lane and Span are data, not code, so an Event never passes through
+// an indirect call and stays on its emitter's stack.
+type KindRow struct {
+	Name string
+	// Trace is the Section 12 event type the kind prints as (noTrace: none)
+	// and Info the line's "other relevant information", a format over
+	// (Type, Detail, A, B) by explicit argument index.
+	Trace trace.Kind
+	Info  string
+	// Box is the flight-recorder kind (0: not recorded).  The ring takes
+	// (A, B) as given, in shard A when ShardA is set and shard 0 otherwise;
+	// ByTask kinds record (task's cluster, peer's cluster) instead, and only
+	// for messages that carry a causal edge.
+	Box    uint8
+	ShardA bool
+	ByTask bool
+	// Lane is the span lane, a format over (A, B) ("": no span); Span is the
+	// span name's prefix before Type; Phase is the flow event bound to the
+	// span (0: none).
+	Lane  string
+	Span  string
+	Phase byte
+}
+
+var kinds = [numKinds]KindRow{
+	TaskInit:      {Name: "task-init", Trace: trace.TaskInit, Info: "type=%[1]s"},
+	TaskRestore:   {Name: "task-restore", Trace: trace.TaskInit, Info: "type=%[1]s restored"},
+	TaskTerm:      {Name: "task-term", Trace: trace.TaskTerm, Info: "%[1]s"},
+	MsgSend:       {Name: "msg-send", Trace: trace.MsgSend, Info: "msgtype=%[1]s args=%[3]d bytes=%[4]d"},
+	MsgSendRemote: {Name: "msg-send-remote", Trace: trace.MsgSend, Info: "msgtype=%[1]s routed=remote bytes=%[4]d"},
+	MsgInitiate:   {Name: "msg-initiate", Trace: trace.MsgSend, Info: "msgtype=pisces.initiate initiate=%[1]s placement=%[2]q"},
+	MsgWindow:     {Name: "msg-window", Trace: trace.MsgSend, Info: "msgtype=window-%[1]s array=%[3]d region=%[2]s elements=%[4]d"},
+	MsgAccept: {Name: "msg-accept", Trace: trace.MsgAccept, Info: "msgtype=%[1]s args=%[3]d",
+		Box: msgcodec.EvAccept, ShardA: true, ByTask: true},
+	Lock:       {Name: "lock", Trace: trace.Lock, Info: "lock=%[1]s"},
+	Unlock:     {Name: "unlock", Trace: trace.Unlock, Info: "lock=%[1]s"},
+	Barrier:    {Name: "barrier", Trace: trace.BarrierEnter, Info: "member=%[3]d"},
+	ForceSplit: {Name: "force-split", Trace: trace.ForceSplit, Info: "members=%[3]d"},
+	Route: {Name: "route", Trace: noTrace, Box: msgcodec.EvSend, ShardA: true,
+		Lane: "send/c%[1]d", Span: "send ", Phase: FlowStart},
+	Deliver:         {Name: "deliver", Trace: noTrace, Lane: "router/c%[1]d->c%[2]d", Span: "deliver ", Phase: FlowEnd},
+	WireDeliver:     {Name: "wire-deliver", Trace: noTrace, Lane: "router/c%[1]d<-wire", Span: "deliver ", Phase: FlowEnd},
+	WireDeliverStep: {Name: "wire-deliver-step", Trace: noTrace, Lane: "router/c%[1]d<-wire", Span: "deliver ", Phase: FlowStep},
+	WireReply:       {Name: "wire-reply", Trace: noTrace, Lane: "send/c%[1]d", Span: "reply", Phase: FlowEnd},
+	WireRx:          {Name: "wire-rx", Trace: noTrace, Lane: "node/%[1]d rx<-n%[2]d", Span: "rx "},
+	Kill:            {Name: "kill", Trace: noTrace, Box: msgcodec.EvKill, ShardA: true},
+	Limit:           {Name: "limit", Trace: noTrace, Box: msgcodec.EvLimit},
+	CreditStall:     {Name: "credit-stall", Trace: noTrace, Box: msgcodec.EvCreditStall, ShardA: true},
+	Checkpoint:      {Name: "checkpoint", Trace: noTrace, Box: msgcodec.EvCheckpoint},
+	HeartbeatMiss:   {Name: "heartbeat-miss", Trace: noTrace, Box: msgcodec.EvHeartbeatMiss},
+}
+
+// Kinds returns the event table, one row per kind in declaration order.
+func Kinds() []KindRow { return append([]KindRow(nil), kinds[:]...) }
+
+// String returns the kind's catalogue name.
+func (k Kind) String() string { return kinds[k].Name }
+
+// Trace returns the Section 12 event type the kind prints as, negative when
+// it has no trace line (trace.Recorder.Wants refuses a negative kind).
+func (k Kind) Trace() trace.Kind { return kinds[k].Trace }
+
+// TaskRef is a taskid as the event carries it: core.TaskID's fields, so the
+// conversion either way is free.
+type TaskRef struct{ Cluster, Slot, Unique int }
+
+// Event is one announcement: plain words, built on the emitter's stack and
+// never retained.  What A, B, Type and Detail mean is the kind's (see the
+// Info and Lane formats in the table).
+type Event struct {
+	Kind   Kind
+	Task   TaskRef // the task the event is about; zero below the task level
+	Peer   TaskRef // a second task involved (message peer, parent), or zero
+	Edge   uint64  // causal edge of the routed message concerned, or zero
+	Type   string  // message type, tasktype or lock name
+	Detail string  // a second string, for the two kinds whose trace line has one
+	A, B   int64
+	// Start is when the announced region began.  It stays zero unless spans
+	// were on then (see SpanStart), and a zero Start means no span.
+	Start time.Time
+}
+
+// Info renders the "other relevant information" of the event's trace line.
+func (e *Event) Info() string {
+	return fmt.Sprintf(kinds[e.Kind].Info, e.Type, e.Detail, e.A, e.B)
+}
+
+// SpanStart reads the clock if spans are being captured and returns the zero
+// time otherwise, so a site that may announce a span pays one mask load, not
+// a clock read, while spans are off.
+func (r *Registry) SpanStart() time.Time {
+	if !r.Has(Spans) {
+		return time.Time{}
+	}
+	return r.Now()
+}
+
+// Watching reports whether the flight recorder or the span capture would
+// take an event of kind k right now.
+func (r *Registry) Watching(k Kind) bool {
+	if r == nil {
+		return false
+	}
+	row := &kinds[k]
+	return (row.Box != 0 && r.rec.Load() != nil) || (row.Lane != "" && r.Has(Spans))
+}
+
+// Emit is the emission routine below the task level: it hands the event to
+// the attached flight recorder and to the span/flow capture, as the kind's
+// row says.  Nil-safe; allocation-free unless a span is actually captured.
+func (r *Registry) Emit(e *Event) {
+	if r == nil {
+		return
+	}
+	row := &kinds[e.Kind]
+	if row.Box != 0 && (!row.ByTask || e.Edge != 0) {
+		a, b, shard := e.A, e.B, 0
+		if row.ByTask {
+			a, b = int64(e.Task.Cluster), int64(e.Peer.Cluster)
+		}
+		if row.ShardA {
+			shard = int(a)
+		}
+		r.rec.Load().Record(shard, row.Box, e.Edge, a, b) // nil-safe
+	}
+	if row.Lane != "" && !e.Start.IsZero() && r.Has(Spans) {
+		lane := fmt.Sprintf(row.Lane, e.A, e.B)
+		r.spans.add(lane, row.Span+e.Type, e.Start, r.Now())
+		if row.Phase != 0 && e.Edge != 0 {
+			r.spans.flow(Flow{Edge: e.Edge, Lane: lane, Phase: row.Phase}, e.Start)
+		}
+	}
+}

@@ -1,0 +1,137 @@
+package obs
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/msgcodec"
+)
+
+// TestEmitFansOutByKindRow drives Emit with one event of every kind against
+// a registry that has a recorder attached and spans on, and checks each sink
+// received exactly what the kind's row promises: ring kind, shard and (A, B);
+// span lane and name; flow phase.
+func TestEmitFansOutByKindRow(t *testing.T) {
+	type ring struct {
+		kind  uint8
+		shard uint16
+		a, b  int64
+	}
+	type span struct {
+		lane, name string
+		phase      byte
+	}
+	cases := map[Kind]struct {
+		ev   Event
+		ring *ring
+		span *span
+	}{
+		MsgAccept: {ev: Event{Task: TaskRef{Cluster: 2, Slot: 1, Unique: 1}, Peer: TaskRef{Cluster: 1, Slot: 3, Unique: 9}, Edge: 7, Type: "RESULT", A: 3},
+			ring: &ring{msgcodec.EvAccept, 2, 2, 1}},
+		Route: {ev: Event{Edge: 7, Type: "RESULT", A: 1, B: 2},
+			ring: &ring{msgcodec.EvSend, 1, 1, 2}, span: &span{"send/c1", "send RESULT", FlowStart}},
+		Deliver:         {ev: Event{Edge: 7, Type: "RESULT", A: 1, B: 2}, span: &span{"router/c1->c2", "deliver RESULT", FlowEnd}},
+		WireDeliver:     {ev: Event{Edge: 7, Type: "RESULT", A: 2}, span: &span{"router/c2<-wire", "deliver RESULT", FlowEnd}},
+		WireDeliverStep: {ev: Event{Edge: 7, Type: "pisces.initiate", A: 2}, span: &span{"router/c2<-wire", "deliver pisces.initiate", FlowStep}},
+		WireReply:       {ev: Event{Edge: 7, A: 1}, span: &span{"send/c1", "reply", FlowEnd}},
+		WireRx:          {ev: Event{Edge: 7, Type: "RESULT", A: 0, B: 1}, span: &span{"node/0 rx<-n1", "rx RESULT", 0}},
+		Kill:            {ev: Event{A: 2, B: 5}, ring: &ring{msgcodec.EvKill, 2, 2, 5}},
+		Limit:           {ev: Event{A: 3, B: 4096}, ring: &ring{msgcodec.EvLimit, 0, 3, 4096}},
+		CreditStall:     {ev: Event{A: 1}, ring: &ring{msgcodec.EvCreditStall, 1, 1, 0}},
+		Checkpoint:      {ev: Event{A: 1, B: 10}, ring: &ring{msgcodec.EvCheckpoint, 0, 1, 10}},
+		HeartbeatMiss:   {ev: Event{A: 2}, ring: &ring{msgcodec.EvHeartbeatMiss, 0, 2, 0}},
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		c := cases[k] // kinds absent above are trace-only: no ring, no span
+		r := New()
+		rec := NewRecorder(0, 4, 4)
+		r.AttachRecorder(rec)
+		r.Enable(Spans)
+		if got, want := r.Watching(k), c.ring != nil || c.span != nil; got != want {
+			t.Errorf("%s: Watching = %v with a recorder and spans on, want %v", k, got, want)
+		}
+		ev := c.ev
+		ev.Kind = k
+		ev.Start = r.Now()
+		r.Emit(&ev)
+
+		evs := rec.Events()
+		switch {
+		case c.ring == nil && len(evs) != 0:
+			t.Errorf("%s: recorded %+v, want nothing in the ring", k, evs)
+		case c.ring != nil && len(evs) != 1:
+			t.Errorf("%s: ring holds %d events, want 1", k, len(evs))
+		case c.ring != nil:
+			e := evs[0]
+			if e.Kind != c.ring.kind || e.Shard != c.ring.shard || e.A != c.ring.a || e.B != c.ring.b || e.Edge != c.ev.Edge {
+				t.Errorf("%s: ring event %+v, want %+v edge %d", k, e, *c.ring, c.ev.Edge)
+			}
+		}
+		spans, _ := r.Spans()
+		flows := r.Flows()
+		switch {
+		case c.span == nil && len(spans)+len(flows) != 0:
+			t.Errorf("%s: captured %d spans and %d flows, want none", k, len(spans), len(flows))
+		case c.span != nil && (len(spans) != 1 || spans[0].Lane != c.span.lane || spans[0].Name != c.span.name):
+			t.Errorf("%s: spans %+v, want one %q on lane %q", k, spans, c.span.name, c.span.lane)
+		case c.span != nil && c.span.phase == 0 && len(flows) != 0:
+			t.Errorf("%s: flows %+v, want none", k, flows)
+		case c.span != nil && c.span.phase != 0 &&
+			(len(flows) != 1 || flows[0].Phase != c.span.phase || flows[0].Lane != c.span.lane || flows[0].Edge != c.ev.Edge):
+			t.Errorf("%s: flows %+v, want one %q on lane %q", k, flows, c.span.phase, c.span.lane)
+		}
+	}
+}
+
+// TestEmitHonoursSwitches: the span sink needs both spans on and a Start
+// taken while they were; an unrouted ACCEPT (edge 0) stays out of the ring.
+func TestEmitHonoursSwitches(t *testing.T) {
+	r := New()
+	rec := NewRecorder(0, 1, 8)
+	r.AttachRecorder(rec)
+	if !r.SpanStart().IsZero() {
+		t.Fatal("SpanStart read the clock with spans off")
+	}
+	r.Emit(&Event{Kind: Route, Edge: 1, A: 1, B: 2, Start: time.Now()}) // spans off: ring only
+	r.Enable(Spans)
+	r.Emit(&Event{Kind: Route, Edge: 2, A: 1, B: 2}) // zero Start (a broadcast): ring only
+	r.Emit(&Event{Kind: MsgAccept, Task: TaskRef{Cluster: 1}, Peer: TaskRef{Cluster: 1}, A: 2})
+	if spans, _ := r.Spans(); len(spans) != 0 || len(r.Flows()) != 0 {
+		t.Fatalf("captured %d spans, %d flows; want none", len(spans), len(r.Flows()))
+	}
+	if evs := rec.Events(); len(evs) != 2 || evs[0].Edge != 1 || evs[1].Edge != 2 {
+		t.Fatalf("ring holds %+v; want the two routed sends only", evs)
+	}
+	if r.SpanStart().IsZero() {
+		t.Fatal("SpanStart is zero with spans on")
+	}
+}
+
+// TestInfoFormats pins the Section 12 "other information" text of every
+// kind that prints a trace line.
+func TestInfoFormats(t *testing.T) {
+	for k, want := range map[Kind]string{
+		TaskInit:      "type=WORKER",
+		TaskRestore:   "type=WORKER restored",
+		TaskTerm:      "WORKER",
+		MsgSend:       "msgtype=WORKER args=3 bytes=112",
+		MsgSendRemote: "msgtype=WORKER routed=remote bytes=112",
+		MsgInitiate:   `msgtype=pisces.initiate initiate=WORKER placement="CLUSTER 2"`,
+		MsgWindow:     "msgtype=window-WORKER array=3 region=CLUSTER 2 elements=112",
+		MsgAccept:     "msgtype=WORKER args=3",
+		Lock:          "lock=WORKER",
+		Unlock:        "lock=WORKER",
+		Barrier:       "member=3",
+		ForceSplit:    "members=3",
+	} {
+		e := Event{Kind: k, Type: "WORKER", Detail: "CLUSTER 2", A: 3, B: 112}
+		if got := e.Info(); got != want {
+			t.Errorf("%s: info %q, want %q", k, got, want)
+		}
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		if row := kinds[k]; row.Name == "" || (row.Trace == noTrace) != (row.Info == "") {
+			t.Errorf("kind %d: row %+v has no name, or a trace kind without an info format (or the reverse)", k, row)
+		}
+	}
+}

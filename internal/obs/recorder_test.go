@@ -1,0 +1,137 @@
+package obs
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/msgcodec"
+)
+
+// TestRecorderRingWrapAround: a shard of n slots fed n+1 events keeps the
+// newest n, and Events returns them in sequence order whatever slot each
+// landed in.
+func TestRecorderRingWrapAround(t *testing.T) {
+	const slots = 8
+	r := NewRecorder(3, 1, slots)
+	for i := 1; i <= slots+1; i++ {
+		r.Record(0, msgcodec.EvSend, uint64(i), int64(i), int64(-i))
+	}
+	evs := r.Events()
+	if len(evs) != slots {
+		t.Fatalf("ring of %d slots retains %d events after %d records", slots, len(evs), slots+1)
+	}
+	for i, e := range evs {
+		want := uint64(i + 2) // event 1 was overwritten by event slots+1
+		if e.Seq != want || e.Edge != want || e.A != int64(want) || e.B != -int64(want) {
+			t.Errorf("event %d = seq %d edge %d (A=%d, B=%d); want the %d-th record", i, e.Seq, e.Edge, e.A, e.B, want)
+		}
+		if e.Node != 3 || e.Shard != 0 || e.Kind != msgcodec.EvSend {
+			t.Errorf("event %d stamped node %d shard %d kind %d", i, e.Node, e.Shard, e.Kind)
+		}
+	}
+
+	// Shards are independent rings merged by sequence: geometry rounds up to
+	// powers of two, and a shard id beyond the count hashes down onto one.
+	r = NewRecorder(0, 3, 3) // -> 4 shards x 4 slots
+	for i := 0; i < 12; i++ {
+		r.Record(i, msgcodec.EvAccept, 0, int64(i), 0)
+	}
+	evs = r.Events()
+	if len(evs) != 12 {
+		t.Fatalf("4x4 recorder retains %d of 12 events spread over its shards", len(evs))
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) || int(e.Shard) != i%4 {
+			t.Errorf("event %d = seq %d on shard %d; want seq %d on shard %d", i, e.Seq, e.Shard, i+1, i%4)
+		}
+	}
+}
+
+// TestRecorderNilSafe: every layer threads a possibly-absent recorder, so a
+// nil one must record nothing and still dump a decodable, empty container.
+func TestRecorderNilSafe(t *testing.T) {
+	var r *Recorder
+	r.Record(1, msgcodec.EvKill, 0, 1, 2)
+	r.SetClock(time.Now)
+	if r.NodeID() != 0 || r.Events() != nil {
+		t.Fatal("nil recorder reports a node id or events")
+	}
+	dump, err := r.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, evs, err := msgcodec.DecodeBlackbox(dump); err != nil || len(evs) != 0 {
+		t.Fatalf("nil recorder's dump decodes to %d events, err %v", len(evs), err)
+	}
+
+	// A registry without a recorder, and no registry at all, swallow events.
+	var reg *Registry
+	reg.Emit(&Event{Kind: Kill, A: 1})
+	reg.AttachRecorder(NewRecorder(0, 1, 1))
+	New().Emit(&Event{Kind: Kill, A: 1})
+	if reg.Watching(Kill) || New().Watching(Kill) {
+		t.Fatal("a registry with no recorder attached claims to watch a ring-only kind")
+	}
+}
+
+// TestRecorderRecordRacesReaders hammers Record from several goroutines while
+// others read Events and Dump.  Under -race it is the proof of the shard-lock
+// design: a reader never sees a slot mid-overwrite, every snapshot is in
+// strictly increasing sequence order, and every dump decodes.
+func TestRecorderRecordRacesReaders(t *testing.T) {
+	r := NewRecorder(1, 4, 16)
+	const writers, perWriter = 4, 2000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				// A == B on every event, so a torn slot would show as A != B.
+				r.Record(w, msgcodec.EvSend, uint64(i+1), int64(i), int64(i))
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var last uint64
+				for _, e := range r.Events() {
+					if e.Seq <= last || e.A != e.B || e.Edge != uint64(e.A)+1 {
+						t.Errorf("inconsistent event under concurrent recording: %+v after seq %d", e, last)
+						return
+					}
+					last = e.Seq
+				}
+				dump, err := r.Dump()
+				if err == nil {
+					_, _, _, err = msgcodec.DecodeBlackbox(dump)
+				}
+				if err != nil {
+					t.Errorf("dump under concurrent recording: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	evs := r.Events()
+	if len(evs) != 4*16 {
+		t.Fatalf("full rings retain %d events, want %d", len(evs), 4*16)
+	}
+	if got := evs[len(evs)-1].Seq; got != writers*perWriter {
+		t.Fatalf("newest retained event has seq %d, want %d", got, writers*perWriter)
+	}
+}

@@ -83,13 +83,10 @@ func (b *spanBuf) add(lane, name string, start, end time.Time) {
 }
 
 // Span records a completed region that began at start; its end is the
-// registry clock's current reading.  Call sites guard with Has(Spans) and an
-// untouched zero start so the disabled path never reads the clock:
-//
-//	var t0 time.Time
-//	if reg.Has(obs.Spans) { t0 = reg.Now() }
-//	... work ...
-//	if !t0.IsZero() { reg.Span(lane, name, t0) }
+// registry clock's current reading.  It is for regions that are not events
+// of the message path (a task body, a mesh handshake, a drain round) — those
+// go through Emit.  Take start from SpanStart so the disabled path never
+// reads the clock, and skip the call while it is zero.
 func (r *Registry) Span(lane, name string, start time.Time) {
 	if !r.Has(Spans) {
 		return
@@ -97,30 +94,14 @@ func (r *Registry) Span(lane, name string, start time.Time) {
 	r.spans.add(lane, name, start, r.Now())
 }
 
-// SpanAt records a completed region with explicit endpoints (for call sites
-// that already read the clock twice).
-func (r *Registry) SpanAt(lane, name string, start, end time.Time) {
-	if !r.Has(Spans) {
-		return
-	}
-	r.spans.add(lane, name, start, end)
-}
-
-// Flow records one causal flow event for edge at instant at, bound to lane.
-// Call sites emit it alongside the span the event should visually attach to
-// (same lane, at inside the span), guarded by the same Has(Spans) check.
-func (r *Registry) Flow(edge uint64, lane string, phase byte, at time.Time) {
-	if edge == 0 || !r.Has(Spans) {
-		return
-	}
-	b := &r.spans
+// flow records one causal flow event at instant at, on the lane of the span
+// the viewer should attach the arrow to.  Emit captures the two together,
+// span first, so the epoch is always set by the time a flow arrives.
+func (b *spanBuf) flow(f Flow, at time.Time) {
 	b.mu.Lock()
-	if !b.epochSet {
-		b.epoch = at
-		b.epochSet = true
-	}
 	if len(b.flows) < b.limit {
-		b.flows = append(b.flows, Flow{Edge: edge, Lane: lane, Phase: phase, TS: at.Sub(b.epoch)})
+		f.TS = at.Sub(b.epoch)
+		b.flows = append(b.flows, f)
 	} else {
 		b.dropped++
 	}

@@ -2,6 +2,7 @@ package pfi
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -29,6 +30,7 @@ type UnitCache struct {
 	weight   int64
 	ll       *list.List               // front = most recently used; values are *cacheEntry
 	entries  map[string]*list.Element // source text -> element
+	flights  map[string]*flight       // source text -> its first compile, while that runs
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -38,6 +40,15 @@ type UnitCache struct {
 type cacheEntry struct {
 	src  string
 	unit *compiledUnit
+}
+
+// flight is one source's first compile in progress.  Callers that arrive
+// while it runs wait on done and share its outcome instead of compiling the
+// same text again.
+type flight struct {
+	done chan struct{}
+	unit *compiledUnit
+	err  error
 }
 
 // NewUnitCache builds a cache bounded to maxBytes of compiled-unit weight;
@@ -50,6 +61,7 @@ func NewUnitCache(maxBytes int64) *UnitCache {
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
+		flights:  make(map[string]*flight),
 	}
 }
 
@@ -63,47 +75,66 @@ func (c *UnitCache) Compile(src string) (*Program, error) {
 
 // CompileTrace is Compile plus a report of whether the unit came from the
 // cache, so callers (the serving daemon) can attribute hit/miss traffic per
-// tenant.
+// tenant.  Concurrent first submissions of one source are single-flighted:
+// exactly one compiles (the miss), the others wait for it and count as hits.
+// Errors are not cached; those who waited on a failed compile share its error
+// and count as misses.
 func (c *UnitCache) CompileTrace(src string) (*Program, bool, error) {
-	if u := c.lookup(src); u != nil {
-		return newProgram(u), true, nil
+	c.mu.Lock()
+	if el, ok := c.entries[src]; ok {
+		c.ll.MoveToFront(el)
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return newProgram(el.Value.(*cacheEntry).unit), true, nil
 	}
-	u, err := compileUnit(src)
-	if err != nil {
-		return nil, false, err
+	f, joined := c.flights[src]
+	if !joined {
+		f = &flight{done: make(chan struct{}), err: errCompileAbandoned}
+		c.flights[src] = f
 	}
-	c.insert(src, u)
-	return newProgram(u), false, nil
+	c.mu.Unlock()
+	if joined {
+		<-f.done
+	} else {
+		c.land(src, f)
+	}
+	hit := joined && f.err == nil
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	if f.err != nil {
+		return nil, false, f.err
+	}
+	return newProgram(f.unit), hit, nil
 }
 
-// lookup returns the cached unit for src and marks it most recently used,
-// or nil on a miss.
-func (c *UnitCache) lookup(src string) *compiledUnit {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[src]
-	if !ok {
-		c.misses.Add(1)
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).unit
+// errCompileAbandoned is what waiters see if the compile they waited on
+// panicked out of compileUnit instead of returning.
+var errCompileAbandoned = errors.New("pfi: the compile this submission waited on did not finish")
+
+// land runs the flight's compile, publishes the unit and releases whoever is
+// waiting on it — also when compileUnit panics, so nobody waits forever.
+func (c *UnitCache) land(src string, f *flight) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, src)
+		if f.err == nil {
+			c.insert(src, f.unit)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	f.unit, f.err = compileUnit(src)
 }
 
 // insert stores a freshly compiled unit, evicting least-recently-used
 // entries until the cache is back under its weight bound.  The entry being
 // inserted is never evicted, so a single unit heavier than the whole bound
-// still compiles and caches (and is evicted by the next insert).
+// still compiles and caches (and is evicted by the next insert).  The caller
+// holds c.mu, and the flight it is landing guarantees src has no entry yet.
 func (c *UnitCache) insert(src string, u *compiledUnit) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[src]; ok {
-		// Two goroutines compiled the same source concurrently; keep the
-		// entry that won and let the duplicate unit be collected.
-		c.ll.MoveToFront(el)
-		return
-	}
 	el := c.ll.PushFront(&cacheEntry{src: src, unit: u})
 	c.entries[src] = el
 	c.weight += u.weight

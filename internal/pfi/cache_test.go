@@ -2,6 +2,8 @@ package pfi
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -146,5 +148,82 @@ func TestUnitCacheConcurrent(t *testing.T) {
 	}
 	if s := c.Stats(); s.Entries != 5 {
 		t.Fatalf("entries = %d; want 5", s.Entries)
+	}
+}
+
+// TestUnitCacheSingleFlight submits one never-seen source from many
+// goroutines at once.  Exactly one of them compiles it: one miss, everyone
+// else a hit over the same compiled unit — where the cache used to let every
+// early arrival miss and compile its own.  The program is long enough that
+// the first compile is still running when the others arrive.
+func TestUnitCacheSingleFlight(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("TASKTYPE MAIN\n      INTEGER X\n")
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&src, "      X = X + %d * (X - %d)\n", i, i+1)
+	}
+	src.WriteString("END TASKTYPE\n")
+
+	const n = 16
+	c := NewUnitCache(0)
+	start := make(chan struct{})
+	progs := make([]*Program, n)
+	hits := make([]bool, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			p, hit, err := c.CompileTrace(src.String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			progs[g], hits[g] = p, hit
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	reportedMisses := 0
+	for g := range progs {
+		if progs[g].unit != progs[0].unit {
+			t.Fatalf("submission %d got its own compiled unit", g)
+		}
+		if !hits[g] {
+			reportedMisses++
+		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != n-1 || s.Entries != 1 || reportedMisses != 1 {
+		t.Fatalf("stats = %+v, %d submissions told they missed; want 1 miss, %d hits, 1 entry", s, reportedMisses, n-1)
+	}
+
+	// A source that does not compile is not cached: everyone who asked while
+	// the one attempt ran shares its error, and nobody is told "hit".
+	bad := "TASKTYPE MAIN\n" + strings.Repeat("      X = 1 +\n", 2000) + "END TASKTYPE\n"
+	errs := make(chan error, n)
+	for g := 0; g < n; g++ {
+		go func() {
+			_, hit, err := c.CompileTrace(bad)
+			if hit {
+				err = fmt.Errorf("failed compile reported as a hit")
+			} else if err == nil {
+				err = fmt.Errorf("malformed program compiled")
+			} else {
+				err = nil
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < n; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Hits != n-1 {
+		t.Fatalf("stats after failed compiles = %+v; want still 1 entry and %d hits", s, n-1)
 	}
 }

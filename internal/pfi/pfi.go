@@ -56,8 +56,8 @@
 // an ACCEPT — TIMEDOUT(), NMSG('T'), and MSGI/MSGR/MSGS/MSGT/MSGW('T', i, j)
 // for the j-th argument of the i-th accepted message of type T.
 //
-// Interpreter activity is counted through a stats.Counters set (statements,
-// initiates, sends, accepts, force splits, loop iterations, ...), exposed by
+// Interpreter activity is counted in a Counters set (statements, initiates,
+// sends, accepts, force splits, loop iterations, ...), exposed by
 // Program.Counters for reports and regression tracking.
 package pfi
 
@@ -72,7 +72,6 @@ import (
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
 	"repro/internal/pfc"
-	"repro/internal/stats"
 )
 
 // Error is a compile- or run-time error with a source line number: what the
@@ -121,21 +120,39 @@ type compiledUnit struct {
 	weight int64 // estimated retained bytes, the UnitCache eviction unit
 }
 
-// counterSet holds resolved handles into the program's stats.Counters so hot
-// interpreter paths bump them without a map lookup.
-type counterSet struct {
-	tasksStarted   *stats.Counter
-	tasksCompleted *stats.Counter
-	statements     *stats.Counter
-	initiates      *stats.Counter
-	sends          *stats.Counter
-	accepts        *stats.Counter
-	acceptTimeouts *stats.Counter
-	forceSplits    *stats.Counter
-	barriers       *stats.Counter
-	criticals      *stats.Counter
-	loopIterations *stats.Counter
-	prints         *stats.Counter
+// Counters are one program's interpreter activity counters.  They count
+// whether or not a metrics registry is collecting, so they are plain
+// obs.Counter values the hot interpreter paths bump as fields, not registry
+// entries; Snapshot folds them into a run's metric snapshot for reporting.
+type Counters struct {
+	tasksStarted, tasksCompleted, statements, initiates, sends, accepts,
+	acceptTimeouts, forceSplits, barriers, criticals, loopIterations, prints obs.Counter
+}
+
+// each visits every counter with the name it reports under, in name order.
+func (c *Counters) each(visit func(name string, ctr *obs.Counter)) {
+	visit("accept.timeouts", &c.acceptTimeouts)
+	visit("accepts", &c.accepts)
+	visit("barriers", &c.barriers)
+	visit("criticals", &c.criticals)
+	visit("forcesplits", &c.forceSplits)
+	visit("initiates", &c.initiates)
+	visit("loop.iterations", &c.loopIterations)
+	visit("prints", &c.prints)
+	visit("sends", &c.sends)
+	visit("statements", &c.statements)
+	visit("tasks.completed", &c.tasksCompleted)
+	visit("tasks.started", &c.tasksStarted)
+}
+
+// Get returns the current count of the named counter (0 for an unknown name).
+func (c *Counters) Get(name string) (v int64) {
+	c.each(func(n string, ctr *obs.Counter) {
+		if n == name {
+			v = ctr.Load()
+		}
+	})
+	return v
 }
 
 // Program is a compiled Pisces Fortran program, ready to register its
@@ -144,9 +161,8 @@ type Program struct {
 	// Source is the parsed pfc program the interpreter was compiled from.
 	Source *pfc.Program
 
-	unit     *compiledUnit
-	counters *stats.Counters
-	cs       counterSet
+	unit *compiledUnit
+	cs   Counters
 
 	mu     sync.Mutex
 	runErr error
@@ -233,26 +249,7 @@ func unitWeight(src string, u *compiledUnit) int64 {
 
 // newProgram wraps a compiled unit with fresh run state.
 func newProgram(u *compiledUnit) *Program {
-	p := &Program{
-		Source:   u.source,
-		unit:     u,
-		counters: stats.NewCounters(),
-	}
-	p.cs = counterSet{
-		tasksStarted:   p.counters.Counter("tasks.started"),
-		tasksCompleted: p.counters.Counter("tasks.completed"),
-		statements:     p.counters.Counter("statements"),
-		initiates:      p.counters.Counter("initiates"),
-		sends:          p.counters.Counter("sends"),
-		accepts:        p.counters.Counter("accepts"),
-		acceptTimeouts: p.counters.Counter("accept.timeouts"),
-		forceSplits:    p.counters.Counter("forcesplits"),
-		barriers:       p.counters.Counter("barriers"),
-		criticals:      p.counters.Counter("criticals"),
-		loopIterations: p.counters.Counter("loop.iterations"),
-		prints:         p.counters.Counter("prints"),
-	}
-	return p
+	return &Program{Source: u.source, unit: u}
 }
 
 // TaskTypes returns the compiled tasktype names, sorted.
@@ -266,17 +263,16 @@ func (p *Program) TaskTypes() []string {
 }
 
 // Counters returns the interpreter's activity counters.
-func (p *Program) Counters() *stats.Counters { return p.counters }
+func (p *Program) Counters() *Counters { return &p.cs }
 
 // Snapshot returns the interpreter counters as pfi.<name> counters, ready to
 // Merge into a run's metric snapshot: they count with or without a metrics
 // registry, so they join it at snapshot time rather than living in one.
 func (p *Program) Snapshot() *obs.Snapshot {
 	s := &obs.Snapshot{}
-	for name, v := range p.counters.Snapshot() {
-		s.Counters = append(s.Counters, obs.CounterSnap{Name: "pfi." + name, Value: v})
-	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
+	p.cs.each(func(name string, ctr *obs.Counter) {
+		s.Counters = append(s.Counters, obs.CounterSnap{Name: "pfi." + name, Value: ctr.Load()})
+	})
 	return s
 }
 

@@ -2,6 +2,7 @@ package pfi
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -882,4 +883,49 @@ END TASKTYPE
 		t.Fatal(err)
 	}
 	wantLines(t, out, "ROWS 0", "COLS 0")
+}
+
+// TestCountersGetAndSnapshot covers the interpreter's counter set on its own:
+// bumps from several goroutines (tasks of one program share the set) add up
+// while snapshots are being taken, an unknown name reads zero, and Snapshot
+// lists every counter once, as pfi.<name>, in name order.
+func TestCountersGetAndSnapshot(t *testing.T) {
+	p, err := CompileUncached("TASKTYPE MAIN\n      PRINT *, 1\nEND TASKTYPE\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Counters()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.statements.Inc()
+				if i%100 == 0 {
+					p.Snapshot()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Get("statements"); got != 8000 {
+		t.Errorf("statements = %d, want 8000", got)
+	}
+	if got := c.Get("no.such.counter"); got != 0 {
+		t.Errorf("unknown counter reads %d, want 0", got)
+	}
+	snap := p.Snapshot()
+	if len(snap.Counters) != 12 {
+		t.Fatalf("snapshot lists %d counters, want 12", len(snap.Counters))
+	}
+	for i, cs := range snap.Counters {
+		name, ok := strings.CutPrefix(cs.Name, "pfi.")
+		if !ok || cs.Value != c.Get(name) {
+			t.Errorf("snapshot entry %q = %d, Get(%q) = %d", cs.Name, cs.Value, name, c.Get(name))
+		}
+		if i > 0 && snap.Counters[i-1].Name >= cs.Name {
+			t.Errorf("snapshot not in name order: %q before %q", snap.Counters[i-1].Name, cs.Name)
+		}
+	}
 }

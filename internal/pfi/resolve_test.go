@@ -202,7 +202,7 @@ func TestCompileCacheSharesUnit(t *testing.T) {
 	if p1.unit != p2.unit {
 		t.Error("cached compile did not share the compiled unit")
 	}
-	if p1.counters == p2.counters {
+	if p1.Counters() == p2.Counters() {
 		t.Error("Programs over a shared unit must have separate counters")
 	}
 	u, err := CompileUncached(src)

@@ -67,10 +67,9 @@ func soloOutputs(t *testing.T, names []string, srcs map[string]string) map[strin
 // compile cache and a wall clock must not observe each other.  Run under
 // -race this is also the isolation check on the shared compiled units.
 //
-// The first round finishes before the other two are submitted: the cache does
-// not single-flight, so only against a warm cache is "one compile per
-// distinct program" exact rather than a matter of which worker got there
-// first.
+// All three rounds go in at once, against a cold cache: the cache
+// single-flights a source's first compile, so "one compile per distinct
+// program" is exact no matter which worker got there first.
 func TestConcurrentTenantConformance(t *testing.T) {
 	names, srcs := corpusPrograms(t)
 	solo := soloOutputs(t, names, srcs)
@@ -90,37 +89,28 @@ func TestConcurrentTenantConformance(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var results []result
-	// submit sends the whole corpus once per round in [from, to), one
-	// goroutine per tenant, and returns when every submission is admitted.
-	submit := func(from, to int) {
-		var wg sync.WaitGroup
-		for round := from; round < to; round++ {
-			for _, name := range names {
-				tenant := fmt.Sprintf("t%d-%s", round, name)
-				wg.Add(1)
-				go func(name, tenant string) {
-					defer wg.Done()
-					s, err := m.Submit(Request{Tenant: tenant, Source: srcs[name]})
-					if err != nil {
-						t.Errorf("%s: submit: %v", tenant, err)
-						return
-					}
-					mu.Lock()
-					results = append(results, result{name, tenant, s})
-					mu.Unlock()
-				}(name, tenant)
-			}
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
+	var wg sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		for _, name := range names {
+			tenant := fmt.Sprintf("t%d-%s", round, name)
+			wg.Add(1)
+			go func(name, tenant string) {
+				defer wg.Done()
+				s, err := m.Submit(Request{Tenant: tenant, Source: srcs[name]})
+				if err != nil {
+					t.Errorf("%s: submit: %v", tenant, err)
+					return
+				}
+				mu.Lock()
+				results = append(results, result{name, tenant, s})
+				mu.Unlock()
+			}(name, tenant)
 		}
 	}
-	submit(0, 1)
-	for _, r := range results {
-		waitSession(t, r.session)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	submit(1, rounds)
 	if len(results) != rounds*len(names) {
 		t.Fatalf("admitted %d sessions; want %d", len(results), rounds*len(names))
 	}
@@ -136,14 +126,14 @@ func TestConcurrentTenantConformance(t *testing.T) {
 		}
 	}
 
-	// Every program compiled once, in the first round; the later rounds came
-	// from the shared cache.
+	// Every program compiled once; every other submission of it — concurrent
+	// with that compile or after it — came from the shared cache.
 	cs := m.Cache().Stats()
 	if cs.Misses != int64(len(names)) {
 		t.Errorf("cache misses = %d; want %d (one per distinct program)", cs.Misses, len(names))
 	}
 	if want := int64((rounds - 1) * len(names)); cs.Hits != want {
-		t.Errorf("cache hits = %d; want %d (later rounds share units)", cs.Hits, want)
+		t.Errorf("cache hits = %d; want %d (every other submission shares a unit)", cs.Hits, want)
 	}
 }
 

@@ -171,13 +171,11 @@ func (s *MemorySink) Reset() {
 // out to sinks.  The zero value is a recorder with everything disabled and no
 // sinks; NewRecorder returns one with all kinds disabled.
 type Recorder struct {
-	mu        sync.Mutex
-	kindOn    [numKinds]bool
-	taskOff   map[string]bool // tasks explicitly disabled
-	onlyTasks map[string]bool // if non-empty, only these tasks are traced
-	sinks     []Sink
-	seq       uint64
-	dropped   uint64
+	mu      sync.Mutex
+	kindOn  [numKinds]bool
+	taskOff map[string]bool // tasks explicitly disabled
+	sinks   []Sink
+	seq     uint64
 
 	// kindMask mirrors kindOn as an atomic bitmask so hot paths can ask
 	// Wants(kind) without taking the mutex — or building the event at all.
@@ -212,13 +210,6 @@ func NewRecorder(sinks ...Sink) *Recorder {
 	return &Recorder{sinks: sinks}
 }
 
-// AddSink attaches an additional sink.
-func (r *Recorder) AddSink(s Sink) {
-	r.mu.Lock()
-	r.sinks = append(r.sinks, s)
-	r.mu.Unlock()
-}
-
 // EnableKind turns tracing of kind k on or off ("Tracing may be turned on and
 // off for each type of event").
 func (r *Recorder) EnableKind(k Kind, on bool) {
@@ -241,16 +232,6 @@ func (r *Recorder) EnableAll(on bool) {
 	r.mu.Unlock()
 }
 
-// KindEnabled reports whether kind k is currently traced.
-func (r *Recorder) KindEnabled(k Kind) bool {
-	if k < 0 || k >= numKinds {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.kindOn[k]
-}
-
 // EnableTask turns tracing for a particular task on or off ("and each task").
 // Disabling a task suppresses its events regardless of kind settings.
 func (r *Recorder) EnableTask(task string, on bool) {
@@ -266,26 +247,10 @@ func (r *Recorder) EnableTask(task string, on bool) {
 	}
 }
 
-// RestrictToTasks limits tracing to the listed tasks.  Calling it with no
-// arguments removes the restriction.
-func (r *Recorder) RestrictToTasks(tasks ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(tasks) == 0 {
-		r.onlyTasks = nil
-		return
-	}
-	r.onlyTasks = make(map[string]bool, len(tasks))
-	for _, t := range tasks {
-		r.onlyTasks[t] = true
-	}
-}
-
 // Record emits the event to all sinks if its kind and task are enabled.
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
-	if !r.kindOn[e.Kind] || r.taskOff[e.Task] || (r.onlyTasks != nil && !r.onlyTasks[e.Task]) {
-		r.dropped++
+	if !r.kindOn[e.Kind] || r.taskOff[e.Task] {
 		r.mu.Unlock()
 		return
 	}
@@ -296,24 +261,6 @@ func (r *Recorder) Record(e Event) {
 	for _, s := range sinks {
 		s.Emit(e)
 	}
-}
-
-// Dropped returns the number of events suppressed by filters.  Emitters
-// that pre-check Wants skip building disabled-kind events entirely, so those
-// never reach the recorder and are not counted here; Dropped counts events
-// that were submitted to Record and then filtered (per-task filters, or
-// kind filters when the emitter did not pre-check).
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Emitted returns the number of events that passed the filters.
-func (r *Recorder) Emitted() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
 }
 
 // Settings describes the current trace configuration in a human-readable way,
@@ -336,14 +283,6 @@ func (r *Recorder) Settings() string {
 		}
 		sort.Strings(tasks)
 		fmt.Fprintf(&b, "disabled tasks: %s\n", strings.Join(tasks, ", "))
-	}
-	if len(r.onlyTasks) > 0 {
-		tasks := make([]string, 0, len(r.onlyTasks))
-		for t := range r.onlyTasks {
-			tasks = append(tasks, t)
-		}
-		sort.Strings(tasks)
-		fmt.Fprintf(&b, "restricted to tasks: %s\n", strings.Join(tasks, ", "))
 	}
 	return b.String()
 }

@@ -34,17 +34,14 @@ func TestRecorderKindFilter(t *testing.T) {
 	if sink.Len() != 0 {
 		t.Fatal("event recorded while kind disabled")
 	}
-	if r.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", r.Dropped())
-	}
 
 	r.EnableKind(MsgSend, true)
 	r.Record(ev)
 	if sink.Len() != 1 {
 		t.Fatal("event not recorded while kind enabled")
 	}
-	if !r.KindEnabled(MsgSend) || r.KindEnabled(Lock) {
-		t.Fatal("KindEnabled mismatch")
+	if !r.Wants(MsgSend) || r.Wants(Lock) {
+		t.Fatal("Wants mismatch")
 	}
 
 	r.EnableKind(MsgSend, false)
@@ -56,7 +53,7 @@ func TestRecorderKindFilter(t *testing.T) {
 	// Out-of-range kinds are ignored safely.
 	r.EnableKind(Kind(-1), true)
 	r.EnableKind(Kind(100), true)
-	if r.KindEnabled(Kind(-1)) || r.KindEnabled(Kind(100)) {
+	if r.Wants(Kind(-1)) || r.Wants(Kind(100)) {
 		t.Fatal("out-of-range kind reported enabled")
 	}
 }
@@ -72,28 +69,22 @@ func TestRecorderTaskFilter(t *testing.T) {
 	if sink.Len() != 1 {
 		t.Fatalf("len = %d, want 1 (disabled task filtered)", sink.Len())
 	}
+	if got := r.Settings(); !strings.Contains(got, "disabled tasks: 1.1.1\n") {
+		t.Fatalf("settings do not list the disabled task:\n%s", got)
+	}
 	r.EnableTask("1.1.1", true)
 	r.Record(Event{Kind: Lock, Task: "1.1.1"})
 	if sink.Len() != 2 {
 		t.Fatal("re-enabled task still filtered")
 	}
-
-	r.RestrictToTasks("2.1.1")
-	r.Record(Event{Kind: Lock, Task: "1.2.1"})
-	r.Record(Event{Kind: Lock, Task: "2.1.1"})
-	if sink.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (restriction)", sink.Len())
-	}
-	r.RestrictToTasks()
-	r.Record(Event{Kind: Lock, Task: "1.2.1"})
-	if sink.Len() != 4 {
-		t.Fatal("restriction not lifted")
+	if got := r.Settings(); strings.Contains(got, "disabled tasks") {
+		t.Fatalf("settings still list a disabled task:\n%s", got)
 	}
 }
 
 func TestRecorderSequenceNumbers(t *testing.T) {
-	sink := &MemorySink{}
-	r := NewRecorder(sink)
+	sink, second := &MemorySink{}, &MemorySink{}
+	r := NewRecorder(sink, second)
 	r.EnableAll(true)
 	for i := 0; i < 5; i++ {
 		r.Record(Event{Kind: TaskInit, Task: "x"})
@@ -104,8 +95,8 @@ func TestRecorderSequenceNumbers(t *testing.T) {
 			t.Fatalf("event %d has seq %d", i, e.Seq)
 		}
 	}
-	if r.Emitted() != 5 {
-		t.Fatalf("Emitted = %d", r.Emitted())
+	if len(evs) != 5 || second.Len() != 5 {
+		t.Fatalf("sinks hold %d and %d events, want 5 each", len(evs), second.Len())
 	}
 }
 
@@ -126,21 +117,6 @@ func TestWriterSinkAndSettings(t *testing.T) {
 	}
 	if !strings.Contains(settings, "TASK-INIT   off") {
 		t.Errorf("settings missing disabled kind:\n%s", settings)
-	}
-}
-
-func TestAddSink(t *testing.T) {
-	a, b := &MemorySink{}, &MemorySink{}
-	r := NewRecorder(a)
-	r.AddSink(b)
-	r.EnableAll(true)
-	r.Record(Event{Kind: Unlock, Task: "t"})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out failed: %d, %d", a.Len(), b.Len())
-	}
-	a.Reset()
-	if a.Len() != 0 {
-		t.Fatal("Reset did not clear events")
 	}
 }
 
