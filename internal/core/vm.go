@@ -902,6 +902,11 @@ func (vm *VM) Shutdown() {
 		}
 	}
 	vm.machine.Shared().FreeTable(vm.tableBytes)
+	// Every task, controller and process has been joined, so no Bytes slice
+	// of a shard's arena is live any more: hand the arenas to the next VM.
+	for _, c := range vm.clusters {
+		c.heap.Release()
+	}
 }
 
 // Stats summarises run-time activity.

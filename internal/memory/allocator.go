@@ -48,16 +48,18 @@ type block struct {
 // Allocator is safe for concurrent use; in the simulated machine many PEs
 // allocate message blocks from the single shared memory at once.
 //
-// The arena's backing bytes are materialised lazily, on the first Bytes
-// call: most allocations are pure accounting (a message charge records its
-// offset and size but the argument data lives in Go values), so an allocator
-// whose storage is never addressed — a heap shard with no wire traffic —
-// costs only its free-list.
+// The arena's backing bytes are taken lazily, on the first Bytes call: most
+// allocations are pure accounting (a message charge records its offset and
+// size but the argument data lives in Go values), so an allocator whose
+// storage is never addressed — a heap shard with no wire traffic — costs
+// only its free-list.  They come from a pool of all-zero arenas of the same
+// size and go back to it at Release.
 type Allocator struct {
-	mu     sync.Mutex
-	size   int
-	arena  []byte  // nil until the first Bytes call
-	blocks []block // ordered by offset
+	mu      sync.Mutex
+	size    int
+	arena   []byte  // nil until the first Bytes call and after Release
+	touched int     // high-water off+n Bytes has handed out: all beyond is zero
+	blocks  []block // ordered by offset
 
 	inUse     int
 	highWater int
@@ -131,8 +133,8 @@ func (a *Allocator) Alloc(n int) (int, error) {
 		}
 		if a.arena != nil {
 			// A nil arena holds no stale data to clear: bytes are only ever
-			// written through Bytes, which materialises it first.
-			zero(a.arena[off : off+n])
+			// written through Bytes, which takes an all-zero arena first.
+			clear(a.arena[off : off+n])
 		}
 		a.inUse += n + headerSize
 		if a.inUse > a.highWater {
@@ -194,15 +196,64 @@ func (a *Allocator) coalesce(i int) {
 }
 
 // Bytes returns the usable bytes of the allocation at offset off with length n.
-// The caller must not retain the slice across a Free of the same offset.
+// The caller must not retain the slice across a Free of the same offset.  The
+// slice's capacity stops at n, so an append that outgrows the allocation
+// reallocates instead of writing into a neighbour.
 func (a *Allocator) Bytes(off, n int) []byte {
 	a.mu.Lock()
 	if a.arena == nil {
-		a.arena = make([]byte, a.size)
+		a.arena = takeArena(a.size)
 	}
-	b := a.arena[off : off+n]
+	arena := a.arena
+	if end := off + n; end > a.touched && end <= len(arena) {
+		a.touched = end
+	}
 	a.mu.Unlock()
-	return b
+	// Sliced outside the lock: an out-of-range request panics in the calling
+	// task (which the run-time recovers) without leaving the shard locked.
+	return arena[off : off+n : off+n]
+}
+
+// arenas pools all-zero arenas by size (int -> *sync.Pool of *[]byte), so a
+// run of short-lived allocators — the serving daemon boots a virtual machine
+// per session — neither allocates nor zeroes a full arena each.  A sync.Pool
+// is emptied by the garbage collector, so an idle process gives the memory
+// back without a bound to tune.
+var arenas sync.Map
+
+func arenaPool(size int) *sync.Pool {
+	if p, ok := arenas.Load(size); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := arenas.LoadOrStore(size, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+func takeArena(size int) []byte {
+	if b, ok := arenaPool(size).Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, size)
+}
+
+// Release gives the arena back for the next allocator of this size.  It is
+// for the point where the allocator's last user has stopped (core.VM.Shutdown,
+// after every task has been joined); the accounting is untouched and a later
+// Bytes takes a new arena.  Bytes are only ever written through Bytes slices,
+// so zeroing the prefix Bytes has handed out makes the whole arena zero again,
+// at a cost proportional to what this tenant touched.  An arena released with
+// bytes still allocated may still be addressed through a Bytes slice; it is
+// left to the garbage collector and never reaches another tenant.
+func (a *Allocator) Release() {
+	a.mu.Lock()
+	arena, touched, live := a.arena, a.touched, a.inUse
+	a.arena, a.touched = nil, 0
+	a.mu.Unlock()
+	if arena == nil || live > 0 {
+		return
+	}
+	clear(arena[:touched])
+	arenaPool(a.size).Put(&arena)
 }
 
 // Stats is a snapshot of allocator accounting.
@@ -297,10 +348,4 @@ func roundUp(n int) int {
 		n += align - r
 	}
 	return n
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }

@@ -10,10 +10,13 @@ import (
 )
 
 // Recorder is the always-on flight recorder: a set of per-shard rings of
-// fixed-size structured events that never allocates on the record path.  It
-// exists so a failed run leaves a black box behind — the last events before
-// a deadlock, quota kill, node death, or drain timeout — dumpable as a
-// msgcodec blackbox container and decodable offline by `pisces blackbox`.
+// fixed-size structured events.  A ring starts empty and doubles on demand
+// up to the slot count the recorder was built with, then wraps; from there
+// on the record path never allocates, and a recorder that saw a few dozen
+// events holds a few dozen slots.  It exists so a failed run leaves a black
+// box behind — the last events before a deadlock, quota kill, node death, or
+// drain timeout — dumpable as a msgcodec blackbox container and decodable
+// offline by `pisces blackbox`.
 //
 // Shards decouple writers: the message path records under the sending or
 // accepting cluster's shard, so two clusters' hot paths never contend on one
@@ -33,16 +36,31 @@ type Recorder struct {
 	node   uint8
 	clock  atomic.Pointer[func() time.Time]
 	seq    atomic.Uint64
+	slots  int // per-shard cap the rings grow to
 	shards []recShard
 }
 
 // recShard is one ring.  The mutex and write position are padded onto their
-// own cache line so shards never false-share.
+// own cache line so shards never false-share.  len(slots) is zero or a power
+// of two no greater than the recorder's cap; until it reaches the cap the
+// ring has not wrapped, so slots[:pos] are the events in order.
 type recShard struct {
 	mu    sync.Mutex
 	pos   uint64
 	_     [6]uint64
 	slots []recSlot
+}
+
+// grow doubles a ring that has filled below the recorder's slot cap; at the
+// cap it does nothing and the ring wraps.
+func (s *recShard) grow(limit int) {
+	n := len(s.slots)
+	if n == limit {
+		return
+	}
+	grown := make([]recSlot, min(limit, max(2*n, minRecSlots)))
+	copy(grown, s.slots)
+	s.slots = grown
 }
 
 // recSlot is one fixed-size event slot (see msgcodec.BlackboxEvent for the
@@ -56,15 +74,18 @@ type recSlot struct {
 	b    int64
 }
 
-// Default ring geometry: 4 shards x 1024 slots keeps the last ~4k events at
-// ~50B/slot — a few hundred KiB per node, always affordable.
+// Default ring geometry: 4 shards x up to 1024 slots keeps the last ~4k events
+// at ~50B/slot — at most a few hundred KiB per node, and only for a run that
+// records that many.  A ring's first growth is to minRecSlots.
 const (
 	defaultRecShards = 4
 	defaultRecSlots  = 1024
+	minRecSlots      = 16
 )
 
 // NewRecorder builds a recorder for the given node id.  shards and slots
-// are rounded up to powers of two; zero or negative selects the defaults.
+// (the cap each shard's ring grows to) are rounded up to powers of two; zero
+// or negative selects the defaults.
 func NewRecorder(nodeID, shards, slots int) *Recorder {
 	if shards <= 0 {
 		shards = defaultRecShards
@@ -74,10 +95,7 @@ func NewRecorder(nodeID, shards, slots int) *Recorder {
 	}
 	shards = ceilPow2(shards)
 	slots = ceilPow2(slots)
-	r := &Recorder{node: uint8(nodeID), shards: make([]recShard, shards)}
-	for i := range r.shards {
-		r.shards[i].slots = make([]recSlot, slots)
-	}
+	r := &Recorder{node: uint8(nodeID), slots: slots, shards: make([]recShard, shards)}
 	clk := time.Now
 	r.clock.Store(&clk)
 	return r
@@ -109,9 +127,10 @@ func (r *Recorder) NodeID() int {
 }
 
 // Record appends one event to the ring of shard (hashed down to the shard
-// count).  Nil-safe and allocation-free: a nil recorder costs one branch,
-// and the live path is one clock read, one sequence stamp, and one shard
-// lock around plain stores.
+// count).  Nil-safe: a nil recorder costs one branch, and the live path is
+// one clock read, one sequence stamp, and one shard lock around plain stores.
+// It allocates only to grow a ring that has filled below its cap, a compare
+// that is false for ever once the ring has wrapped.
 func (r *Recorder) Record(shard int, kind uint8, edge uint64, a, b int64) {
 	if r == nil {
 		return
@@ -120,6 +139,9 @@ func (r *Recorder) Record(shard int, kind uint8, edge uint64, a, b int64) {
 	s := &r.shards[shard&(len(r.shards)-1)]
 	seq := r.seq.Add(1)
 	s.mu.Lock()
+	if s.pos == uint64(len(s.slots)) {
+		s.grow(r.slots)
+	}
 	sl := &s.slots[s.pos&uint64(len(s.slots)-1)]
 	s.pos++
 	sl.seq = seq

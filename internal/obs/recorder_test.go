@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -135,3 +136,88 @@ func TestRecorderRecordRacesReaders(t *testing.T) {
 		t.Fatalf("newest retained event has seq %d, want %d", got, writers*perWriter)
 	}
 }
+
+// TestRecorderGrowsOnDemand holds the growing ring to the ring it replaced,
+// which allocated its slots up front: after any number of records a shard
+// retains its newest `slots` events, Events merges the shards in Seq order,
+// and Dump encodes exactly those events — while a recorder that has seen a
+// handful of events holds a handful of slots, not the cap.
+func TestRecorderGrowsOnDemand(t *testing.T) {
+	const shards, slots = 2, 64
+	at := time.Unix(0, 0)
+	clock := func() time.Time { at = at.Add(time.Microsecond); return at }
+	for _, n := range []int{0, 1, 15, 16, 17, 33, 2*slots - 1, 2 * slots, 2*slots + 1, 7*slots + 5} {
+		r := NewRecorder(5, shards, slots)
+		r.SetClock(clock)
+		at = time.Unix(0, 0)
+		// The reference: each shard's events in record order, trimmed to the
+		// newest `slots`, as a pre-allocated ring of that size retains them.
+		var ref [shards][]msgcodec.BlackboxEvent
+		for i := 0; i < n; i++ {
+			shard := (i / 3) % shards // uneven runs, so the shards grow at different times
+			r.Record(shard, msgcodec.EvSend, uint64(1000+i), int64(i), int64(-i))
+			ref[shard] = append(ref[shard], msgcodec.BlackboxEvent{
+				Seq: uint64(i + 1), TS: int64(i+1) * 1000, Edge: uint64(1000 + i),
+				Kind: msgcodec.EvSend, Node: 5, Shard: uint16(shard), A: int64(i), B: int64(-i),
+			})
+			if len(ref[shard]) > slots {
+				ref[shard] = ref[shard][1:]
+			}
+		}
+		var want []msgcodec.BlackboxEvent
+		for a, b := ref[0], ref[1]; len(a)+len(b) > 0; {
+			if len(b) == 0 || (len(a) > 0 && a[0].Seq < b[0].Seq) {
+				want, a = append(want, a[0]), a[1:]
+			} else {
+				want, b = append(want, b[0]), b[1:]
+			}
+		}
+		got := r.Events()
+		if len(got) != len(want) {
+			t.Fatalf("%d records: %d events retained, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d records: event %d = %+v, want %+v", n, i, got[i], want[i])
+			}
+		}
+		dump, err := r.Dump()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDump, err := msgcodec.EncodeBlackbox(5, at.UnixNano(), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(dump) != string(wantDump) {
+			t.Fatalf("%d records: dump differs from the encoding of the reference events", n)
+		}
+		for si := range r.shards {
+			wantHeld := 0
+			if used := len(ref[si]); used > 0 {
+				wantHeld = min(slots, max(minRecSlots, ceilPow2(used)))
+			}
+			if held := len(r.shards[si].slots); held != wantHeld {
+				t.Errorf("%d records: shard %d holds %d slots for %d events, want %d", n, si, held, len(ref[si]), wantHeld)
+			}
+		}
+	}
+}
+
+// TestNewRecorderAllocatesNoRing: the serving daemon builds a recorder per
+// submission, most of which record a few dozen events; the parent's eager
+// rings cost 196,608 B each.
+func TestNewRecorderAllocatesNoRing(t *testing.T) {
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		recorderSink = NewRecorder(0, 0, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("NewRecorder allocates %d B, want < 1 KB", per)
+	}
+}
+
+var recorderSink *Recorder

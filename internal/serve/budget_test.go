@@ -1,0 +1,55 @@
+//go:build !race
+
+package serve
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestSessionStorageBudget keeps a session's storage at what its program
+// uses.  1,024 sessions of a small cross-cluster program through a daemon of
+// the default geometry, compile cache warm:
+//
+//	                          parent (PR 16)   this test   budget
+//	bytes allocated/session      2,010,756      ~48,000      200,000
+//	live heap, 512 retained    101,397,608   ~9,500,000   16,000,000
+//
+// The parent's bytes were two 864 KB heap-shard arenas zeroed per session
+// and a 192 KB flight-recorder ring, the ring pinned for as long as the
+// session was retained.  Most of what is live now is the handful of pooled
+// arenas, which a sync.Pool keeps through one collection and drops at the
+// second.  Not run under -race, whose allocator and sync.Pool behave
+// differently; GOMAXPROCS is left as found.
+func TestSessionStorageBudget(t *testing.T) {
+	const sessions, batch = 1024, 64
+	m := New(daemonShape(Config{}))
+	defer drainAll(t, m)
+	srcs := make([]string, batch)
+	for i := range srcs {
+		srcs[i] = echoSrc
+	}
+	runBatch := func() { runToDone(t, m, "t", srcs...) }
+	runBatch() // warm the compile cache and the arena pool
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for done := 0; done < sessions; done += batch {
+		runBatch()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / sessions
+	if per >= 200_000 {
+		t.Errorf("a session allocates %d B, budget 200,000 (parent: 2,010,756)", per)
+	}
+
+	if n := len(m.Sessions()); n != retainedSessions {
+		t.Fatalf("%d sessions retained, want %d", n, retainedSessions)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc >= 16_000_000 {
+		t.Errorf("live heap with %d sessions retained is %d B, budget 16,000,000 (parent: 101,397,608)", retainedSessions, after.HeapAlloc)
+	}
+	t.Logf("%d B allocated per session, %d B live with %d retained", per, after.HeapAlloc, retainedSessions)
+}

@@ -65,7 +65,7 @@ func statusOf(s *Session) StatusResponse {
 		Tenant:      s.Tenant(),
 		State:       st,
 		CacheHit:    s.CacheHit(),
-		OutputBytes: len(s.Output()),
+		OutputBytes: s.out.len(),
 	}
 	if err != nil {
 		resp.Error = err.Error()

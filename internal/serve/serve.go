@@ -473,6 +473,9 @@ func (m *Manager) runSession(s *Session) {
 	m.mQueueNS.ObserveDuration(start.Sub(s.submitted))
 
 	prog, hit, err := m.cache.CompileTrace(s.src)
+	// Read once, by this worker only: a retained session must not pin up to
+	// maxSubmitBytes of program text the compile cache's bound never sees.
+	s.src = ""
 	if err != nil {
 		m.finish(s, fmt.Errorf("compile: %w", err))
 		return
@@ -699,6 +702,12 @@ func (b *boundedBuf) bytes() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]byte(nil), b.buf.Bytes()...)
+}
+
+func (b *boundedBuf) len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Len()
 }
 
 func max64(a, b int64) int64 {
