@@ -60,6 +60,11 @@ type Allocator struct {
 	arena   []byte  // nil until the first Bytes call and after Release
 	touched int     // high-water off+n Bytes has handed out: all beyond is zero
 	blocks  []block // ordered by offset
+	// firstFree is a lower bound on the index of the first free block: every
+	// block before it is allocated.  Alloc's first-fit scan starts there
+	// instead of re-reading a receiver's queue of live messages on every
+	// charge; placement is what a scan from block 0 would choose.
+	firstFree int
 
 	inUse     int
 	highWater int
@@ -104,7 +109,10 @@ func (a *Allocator) Alloc(n int) (int, error) {
 	}
 	n = roundUp(n)
 
-	for i := range a.blocks {
+	for a.firstFree < len(a.blocks) && !a.blocks[a.firstFree].free {
+		a.firstFree++
+	}
+	for i := a.firstFree; i < len(a.blocks); i++ {
 		if !a.blocks[i].free || a.blocks[i].size < n {
 			continue
 		}
@@ -160,7 +168,9 @@ func (a *Allocator) Free(off int) error {
 	a.inUse -= a.blocks[i].size + headerSize
 	a.budget.release(int64(a.blocks[i].size + headerSize))
 	a.frees++
-	a.coalesce(i)
+	if i = a.coalesce(i); i < a.firstFree {
+		a.firstFree = i
+	}
 	return nil
 }
 
@@ -181,8 +191,9 @@ func (a *Allocator) find(off int) int {
 	return -1
 }
 
-// coalesce merges the block at index i with free neighbours.
-func (a *Allocator) coalesce(i int) {
+// coalesce merges the block at index i with free neighbours and returns the
+// merged block's index.
+func (a *Allocator) coalesce(i int) int {
 	// Merge with the following block first so the index stays valid.
 	for i+1 < len(a.blocks) && a.blocks[i+1].free {
 		a.blocks[i].size += a.blocks[i+1].size + headerSize
@@ -193,6 +204,7 @@ func (a *Allocator) coalesce(i int) {
 		a.blocks = append(a.blocks[:i], a.blocks[i+1:]...)
 		i--
 	}
+	return i
 }
 
 // Bytes returns the usable bytes of the allocation at offset off with length n.
@@ -339,6 +351,7 @@ func (a *Allocator) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.blocks = []block{{off: headerSize, size: a.size - headerSize, free: true}}
+	a.firstFree = 0
 	a.budget.release(int64(a.inUse))
 	a.inUse = 0
 }

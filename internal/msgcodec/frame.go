@@ -59,8 +59,9 @@ func WriteFrame(w io.Writer, payload []byte, max int) error {
 // helpers below are the two halves of the batch path: BeginFrame/EndFrame
 // let a sender encode a payload DIRECTLY into the batch buffer (no
 // intermediate per-frame allocation — the payload bytes are copied exactly
-// once, from their source into the batch), and NextFrame splits a batch
-// buffer back into payloads.
+// once, from their source into the batch); on the receiving side ScanFrames
+// finds the batch — the whole frames — in whatever a socket read returned,
+// and NextFrame splits it back into payloads in place.
 
 // AppendFrame appends one length-prefixed frame holding payload to the batch
 // buffer and returns the extended buffer.  Oversized payloads are rejected
@@ -128,6 +129,39 @@ func NextFrame(batch []byte, max int) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: frame length prefix %d but only %d payload bytes in batch", ErrCorrupt, n, len(batch)-frameLenBytes)
 	}
 	return batch[frameLenBytes : frameLenBytes+int(n)], batch[frameLenBytes+int(n):], nil
+}
+
+// ScanFrames measures the whole frames at the front of a stream buffer — the
+// bytes a receiver has read off a socket so far, which unlike a batch may
+// stop anywhere.  It returns how many leading bytes are whole frames (whole;
+// NextFrame splits buf[:whole] without error), how many frames that is, and
+// the room the unfinished frame after them needs, prefix included: need is 0
+// when buf ends on a frame boundary and frameLenBytes while the prefix itself
+// is incomplete.  A prefix over max (MaxFrameBytes when max <= 0) is
+// ErrCorrupt — whole and frames still describe the sound frames before it —
+// so nothing is ever sized from a length the peer is not allowed to send.
+func ScanFrames(buf []byte, max int) (whole, frames, need int, err error) {
+	if max <= 0 {
+		max = MaxFrameBytes
+	}
+	for {
+		tail := buf[whole:]
+		if len(tail) < frameLenBytes {
+			if len(tail) > 0 {
+				need = frameLenBytes
+			}
+			return whole, frames, need, nil
+		}
+		n := binary.BigEndian.Uint32(tail)
+		if n > uint32(max) {
+			return whole, frames, 0, fmt.Errorf("%w: frame length prefix %d exceeds maximum %d", ErrCorrupt, n, max)
+		}
+		if uint32(len(tail)-frameLenBytes) < n {
+			return whole, frames, frameLenBytes + int(n), nil
+		}
+		whole += frameLenBytes + int(n)
+		frames++
+	}
 }
 
 // ReadFrame reads one length-prefixed frame, reusing buf when it is large

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -222,5 +223,70 @@ func TestBatchOversizedFrame(t *testing.T) {
 	}
 	if _, _, err := NextFrame(big[:2], 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("batch ending mid-prefix: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestScanFramesBoundaries walks the receive scanner over the places a socket
+// read can stop: inside a length prefix, exactly on a frame's last byte, before
+// a frame larger than the buffer has arrived, and across zero-length frames.
+func TestScanFramesBoundaries(t *testing.T) {
+	var stream []byte
+	for _, p := range [][]byte{[]byte("abc"), {}, {}, bytes.Repeat([]byte{7}, 100)} {
+		stream, _ = AppendFrame(stream, p, 0)
+	}
+	ends := []int{7, 11, 15, len(stream)} // where each frame ends
+	for cut := 0; cut <= len(stream); cut++ {
+		whole, frames, need, err := ScanFrames(stream[:cut], 0)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		wantWhole, wantFrames := 0, 0
+		for _, e := range ends {
+			if e <= cut {
+				wantWhole, wantFrames = e, wantFrames+1
+			}
+		}
+		wantNeed := 0
+		switch tail := cut - wantWhole; {
+		case tail == 0:
+		case tail < FrameOverhead:
+			wantNeed = FrameOverhead // the prefix itself is split across two reads
+		default:
+			wantNeed = ends[wantFrames] - wantWhole
+		}
+		if whole != wantWhole || frames != wantFrames || need != wantNeed {
+			t.Fatalf("cut %d: whole %d frames %d need %d, want %d %d %d", cut, whole, frames, need, wantWhole, wantFrames, wantNeed)
+		}
+		checkScanAgainstReader(t, stream[:cut], 0)
+	}
+
+	// A frame larger than the buffer: the prefix alone says how much room it
+	// takes, long before the bytes are there.
+	big, _ := AppendFrame(nil, make([]byte, 1<<20), 0)
+	if whole, frames, need, err := ScanFrames(big[:64<<10], 0); whole != 0 || frames != 0 || need != len(big) || err != nil {
+		t.Fatalf("64 KiB of a 1 MiB frame: whole %d frames %d need %d err %v, want 0 0 %d nil", whole, frames, need, err, len(big))
+	}
+}
+
+// TestScanFramesRejectsOversizedPrefix: a prefix one past the maximum is
+// ErrCorrupt after the sound frames before it, and nothing is sized from it.
+func TestScanFramesRejectsOversizedPrefix(t *testing.T) {
+	stream, _ := AppendFrame(nil, []byte("ok"), 0)
+	stream = binary.BigEndian.AppendUint32(stream, MaxFrameBytes+1)
+	whole, frames, need, err := ScanFrames(stream, 0)
+	if !errors.Is(err, ErrCorrupt) || whole != 6 || frames != 1 || need != 0 {
+		t.Fatalf("whole %d frames %d need %d err %v, want 6 1 0 ErrCorrupt", whole, frames, need, err)
+	}
+	if _, _, _, err := ScanFrames(binary.BigEndian.AppendUint32(nil, MaxFrameBytes), 0); err != nil {
+		t.Fatalf("a prefix of exactly MaxFrameBytes: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		_, _, _, _ = ScanFrames(stream, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1024 {
+		t.Fatalf("refusing the prefix allocated %d bytes a call: something was sized from it", per)
 	}
 }

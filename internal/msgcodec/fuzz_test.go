@@ -2,6 +2,8 @@ package msgcodec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -56,7 +58,9 @@ func FuzzCodec(f *testing.F) {
 // reproduced byte-identically by re-appending the payloads with AppendFrame
 // (the framing is canonical, so split∘append is the identity on everything
 // NextFrame accepts).  The frames must also come back the same through the
-// streaming reader — a batch IS the per-frame wire bytes.
+// streaming reader — a batch IS the per-frame wire bytes.  And the receive
+// path's scanner must agree with the streaming reader wherever the bytes are
+// cut: a socket read stops anywhere (checkScanAgainstReader).
 func FuzzBatchCodec(f *testing.F) {
 	var seed []byte
 	for _, p := range [][]byte{{}, {1}, []byte("frame"), bytes.Repeat([]byte{9}, 300)} {
@@ -69,6 +73,14 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 'a'}) // prefix claims more than the batch holds
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every cut of a short input, a thousand-odd evenly spaced ones of a
+		// long one; the small maximum keeps the reference reader from
+		// allocating megabytes for a frame that never arrives.
+		for cut, step := 0, len(data)/1024+1; cut <= len(data); cut += step {
+			checkScanAgainstReader(t, data[:cut], 1<<12)
+		}
+		checkScanAgainstReader(t, data, 0)
+
 		var payloads [][]byte
 		rest := data
 		for {
@@ -104,4 +116,64 @@ func FuzzBatchCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkScanAgainstReader holds ScanFrames to the reference stream reader on
+// one byte string: ReadFrame yields exactly the frames the scanner counted,
+// in exactly the bytes it called whole, and then stops for the reason the
+// scanner gave — a clean end (need 0), a stream that ends inside a frame
+// (need = what that frame takes, more than is there) or a forbidden prefix
+// (ErrCorrupt).  NextFrame splits the whole prefix without error.
+func checkScanAgainstReader(t *testing.T, p []byte, max int) {
+	t.Helper()
+	whole, frames, need, err := ScanFrames(p, max)
+	if whole < 0 || whole > len(p) {
+		t.Fatalf("ScanFrames(%d bytes): whole = %d", len(p), whole)
+	}
+	r := bytes.NewReader(p)
+	got, read := 0, 0
+	var rerr error
+	for {
+		payload, e := ReadFrame(r, nil, max)
+		if e != nil {
+			rerr = e
+			break
+		}
+		got++
+		read += FrameOverhead + len(payload)
+	}
+	if got != frames || read != whole {
+		t.Fatalf("ScanFrames(%d bytes) = %d frames in %d bytes; ReadFrame read %d in %d", len(p), frames, whole, got, read)
+	}
+	tail := p[whole:]
+	switch {
+	case rerr == io.EOF:
+		if err != nil || need != 0 || len(tail) != 0 {
+			t.Fatalf("clean end: ScanFrames need %d, err %v, %d bytes after whole", need, err, len(tail))
+		}
+	case rerr == io.ErrUnexpectedEOF:
+		want := FrameOverhead
+		if len(tail) >= FrameOverhead {
+			want += int(binary.BigEndian.Uint32(tail))
+		}
+		if err != nil || need != want || need <= len(tail) {
+			t.Fatalf("stream ends inside a frame (%d bytes of it): ScanFrames need %d, err %v; want need %d", len(tail), need, err, want)
+		}
+	case errors.Is(rerr, ErrCorrupt):
+		if !errors.Is(err, ErrCorrupt) || need != 0 {
+			t.Fatalf("ReadFrame: %v; ScanFrames need %d, err %v, want ErrCorrupt", rerr, need, err)
+		}
+	default:
+		t.Fatalf("ReadFrame: unexpected error %v", rerr)
+	}
+	rest := p[:whole]
+	for i := 0; i < frames; i++ {
+		var e error
+		if _, rest, e = NextFrame(rest, max); e != nil {
+			t.Fatalf("NextFrame %d of the %d-frame whole prefix: %v", i, frames, e)
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes of the whole prefix left after its %d frames", len(rest), frames)
+	}
 }

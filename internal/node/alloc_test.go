@@ -1,0 +1,123 @@
+package node_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/node"
+)
+
+// TestInboundPathAllocationBudget holds the whole wire path — SEND on node 1,
+// encode, batch, socket, read, walk, decode, deliver, ACCEPT on node 0 — to
+// fewer than 4 heap objects a message, for the 8-REAL windowed fan-in the
+// benchmark's wire_fanin runs.  The parent of the batch receive path
+// (249b2b9) allocated 5.4 in this test (5.39-5.45 over three runs; 5.3 as
+// the benchmark's e2e.allocs_per_msg): a frame-length header that escaped in
+// ReadFrame and a message-type string, per frame, on top of what is left —
+// the decoded argument slice and array, the message record.  The count is of
+// the process, so it includes both nodes and the test's own tasks.
+func TestInboundPathAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const (
+		parentAllocsPerMsg = 5.4
+		budget             = 4.0
+		producers, window  = 2, 128
+		msgs               = 40 * producers * window
+	)
+	ready := make(chan core.TaskID, 1)
+	done := make(chan int, 1)
+	finished := make(chan struct{}, producers)
+	register := func(vm *core.VM) {
+		// Block for one message, then take whatever else has arrived.
+		specs := []core.AcceptSpec{
+			{Total: 1, Types: []core.TypeCount{{Type: "datum"}, {Type: "flush"}}, Delay: core.Forever},
+			{Types: []core.TypeCount{{Type: "datum", Count: core.All}, {Type: "flush", Count: core.All}}},
+		}
+		vm.Register("collector", func(task *core.Task) {
+			total := int(core.MustInt(task.Arg(0)))
+			ready <- task.ID()
+			got := 0
+			for flushes, round := 0, 0; got < total || flushes < total/window; round++ {
+				res, err := task.Accept(specs[round%2])
+				if err != nil {
+					t.Errorf("collector: %v", err)
+					break
+				}
+				for _, m := range res.Accepted {
+					if m.Type == "datum" {
+						got++
+						continue
+					}
+					flushes++
+					if err := task.Send(m.Sender, "credit"); err != nil {
+						t.Errorf("collector: %v", err)
+					}
+				}
+				task.RecycleAccept(res)
+			}
+			done <- got
+		})
+		vm.Register("producer", func(task *core.Task) {
+			to, count := core.MustID(task.Arg(0)), int(core.MustInt(task.Arg(1)))
+			payload := make([]float64, 8)
+			for sent := 0; sent < count; sent += window {
+				for i := 0; i < window; i++ {
+					if err := task.Send(to, "datum", core.Reals(payload)); err != nil {
+						t.Errorf("producer: %v", err)
+						return
+					}
+				}
+				if err := task.Send(to, "flush"); err != nil {
+					t.Errorf("producer: %v", err)
+					return
+				}
+				if _, err := task.AcceptOne("credit"); err != nil {
+					t.Errorf("producer: %v", err)
+					return
+				}
+			}
+			finished <- struct{}{}
+		})
+	}
+	nodes := startMesh(t, 2, config.Simple(2, 4), "", nil, func(_ int, o *node.Options) { o.Register = register })
+	fanin := func(n int) {
+		id, err := nodes[0].VM().Initiate("collector", core.OnCluster(1), core.Int(int64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-ready
+		for p := 0; p < producers; p++ {
+			if _, err := nodes[1].VM().Initiate("producer", core.OnCluster(2), core.ID(id), core.Int(int64(n/producers))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case got := <-done:
+			if got != n {
+				t.Fatalf("collector got %d of %d messages", got, n)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("fan-in did not finish")
+		}
+		for p := 0; p < producers; p++ {
+			<-finished
+		}
+		nodes[0].VM().WaitIdle()
+		nodes[1].VM().WaitIdle()
+	}
+	fanin(msgs / 4) // warm the pools, the rings and the read buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fanin(msgs)
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.Mallocs-before.Mallocs) / msgs
+	t.Logf("%.2f allocations a message (parent: %.1f)", perMsg, parentAllocsPerMsg)
+	if perMsg >= budget {
+		t.Fatalf("the wire path allocates %.2f objects a message, budget %.1f (parent %.1f)", perMsg, budget, parentAllocsPerMsg)
+	}
+}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -104,7 +103,7 @@ type Node struct {
 	// histogram handles; snapMu guards the latest metric snapshot received
 	// from each follower (coordinator only).
 	reg          *obs.Registry
-	frameRead    *obs.Histogram // node.frame.read.ns: blocking ReadFrame time (inter-frame arrival gap + read)
+	frameRead    *obs.Histogram // node.frame.read.ns: one blocking read (arrival gap + read), which may carry many frames
 	frameDeliver *obs.Histogram // node.frame.deliver.ns: decode -> VM delivery
 	snapMu       sync.Mutex
 	followerSnap map[int]*obs.Snapshot
@@ -531,43 +530,158 @@ func (n *Node) WriteMeshTrace(w io.Writer) error {
 // Addr returns the listener's actual address (tests bind port 0).
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// readLoop is the socket half of one peer's inbound pipeline: it pulls
-// length-prefixed frames off the connection and hands them to the lane's
-// deliverLoop through a bounded stage, recycling delivered frame buffers.
-// Splitting read from deliver pipelines decode/VM-delivery across source
-// peers (each lane's syscall wait overlaps the others' decode work) while
-// the per-lane stage keeps frames in per-sender order; when the stage fills,
-// the reader stops pulling and TCP pushes back on the sending node.  A
-// connection error from the coordinator is treated as shutdown: a follower
-// must not outlive node 0.
+// Batch receive path — the mirror of the transport's batched send path.
+//
+// A lane's reader owns a read buffer and reads the socket straight into it;
+// msgcodec.ScanFrames says how much of what has arrived is whole frames, and
+// that run of frames goes to the lane's deliver stage as ONE hand-off, which
+// walks it in place with NextFrame.  A frame's bytes are therefore copied
+// once on the way in (kernel to read buffer; a message's arguments are
+// decoded straight out of it) as they are copied once on the way out, and
+// nothing is allocated or passed through a channel per frame.  Successive
+// reads fill the same buffer and hand off successive stretches of it; the
+// reader never writes a byte it has handed off.  A buffer is retired only
+// when the frame it ends in cannot finish in it: the unfinished tail is
+// carried into the next buffer, and the deliver stage recycles the retired
+// one after walking its last hand-off.
+
+// readBufBytes is the nominal read-buffer size, matching the sender's nominal
+// batch.  A frame that cannot fit gets a buffer of exactly its own size, and
+// only nominal buffers are recycled: an outlier — an HA checkpoint blob runs
+// to megabytes — is collected once delivered instead of being kept for the
+// life of the connection, the rule the writer has for its batch buffers.
+// readBufSpares is how many retired buffers a lane keeps: a lane in step
+// needs one (the reader fills one buffer while the deliver stage walks the
+// other), a deliver stage a credit window behind has a few in flight, and
+// the hundreds that come back after a stall are left to the collector.
+const (
+	readBufBytes  = 64 << 10
+	readBufSpares = 4
+)
+
+// handoff is one item of a lane's deliver stage: a run of whole frames.
+type handoff struct {
+	frames  []byte // concatenated length-prefixed frames, aliasing the read buffer
+	retired []byte // the read buffer, when this is the last hand-off out of it
+}
+
+// laneReader is the buffer side of one lane's reader.
+type laneReader struct {
+	conn       io.Reader
+	buf        []byte      // the buffer being filled; its whole length is usable
+	start, end int         // buf[start:end] is read but not handed off: the head of an unfinished frame
+	free       chan []byte // retired nominal buffers, back from the deliver stage
+}
+
+func newLaneReader(conn io.Reader) *laneReader {
+	return &laneReader{conn: conn, buf: make([]byte, readBufBytes), free: make(chan []byte, readBufSpares)}
+}
+
+// read blocks for one read of the connection and returns the run of whole
+// frames it completed (possibly none) and how many frames that is.  On an
+// error the run still holds the sound frames that arrived with it.  A stream
+// that ends inside a frame is io.ErrUnexpectedEOF, on a frame boundary io.EOF.
+func (r *laneReader) read() (run handoff, frames int, err error) {
+	n, rerr := r.conn.Read(r.buf[r.end:])
+	r.end += n
+	whole, frames, need, err := msgcodec.ScanFrames(r.buf[r.start:r.end], 0)
+	run.frames = r.buf[r.start : r.start+whole : r.start+whole]
+	r.start += whole
+	tail := r.end - r.start
+	if err == nil {
+		if err = rerr; err == io.EOF && tail > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err == nil && r.start+max(need, 1) > len(r.buf) {
+		// The frame this buffer ends in cannot finish in it (or it is full to
+		// the last byte): carry the tail over and retire the buffer.
+		run.retired = r.buf
+		r.buf = r.take(need)
+		copy(r.buf, run.retired[r.start:r.end])
+		r.start, r.end = 0, tail
+	}
+	return run, frames, err
+}
+
+// take returns a buffer with room for a frame of need bytes.
+func (r *laneReader) take(need int) []byte {
+	if need > readBufBytes {
+		return make([]byte, need)
+	}
+	select {
+	case buf := <-r.free:
+		return buf
+	default:
+		return make([]byte, readBufBytes)
+	}
+}
+
+// recycle takes a hand-off's retired buffer (if it retired one) back from the
+// deliver stage.
+func (r *laneReader) recycle(buf []byte) {
+	if len(buf) != readBufBytes {
+		return
+	}
+	select {
+	case r.free <- buf:
+	default:
+	}
+}
+
+// readLoop is the socket half of one peer's inbound pipeline: it reads the
+// connection into the lane's read buffer and hands each run of whole frames
+// to the lane's deliverLoop through a bounded stage.  Splitting read from
+// deliver pipelines decode/VM-delivery across source peers (each lane's
+// syscall wait overlaps the others' decode work) while the per-lane stage
+// keeps frames in per-sender order; when the stage fills, the reader stops
+// pulling and TCP pushes back on the sending node.  The stage is deep in
+// hand-offs, not bytes, on purpose: answerDrain may hold the deliver stage
+// for seconds while the peer's heartbeats keep arriving one small read at a
+// time, and a reader blocked on a full stage hears none of them.  A held
+// stage therefore pins at most stageDepth+3 read buffers (one per hand-off
+// queued, one being walked, one waiting to be queued, one being filled:
+// 16 MiB a lane at the nominal size, and only if every read fills a buffer),
+// and the data frames among them are bounded by the sender's credit window
+// before that.  A connection error from the coordinator is treated as
+// shutdown: a follower must not outlive node 0.
 func (n *Node) readLoop(from int, conn net.Conn) {
 	defer n.readers.Done()
 	defer conn.Close()
-	work := make(chan []byte, stageDepth)
-	free := make(chan []byte, stageDepth)
+	r := newLaneReader(conn)
+	work := make(chan handoff, stageDepth)
 	n.readers.Add(1)
-	go n.deliverLoop(from, work, free)
+	go n.deliverLoop(from, r, work)
 	// The deliver stage drains until work is closed, so the reader can
 	// always close it on exit without stranding queued frames.
 	defer close(work)
-	br := bufio.NewReaderSize(conn, 64<<10)
 	// Per-lane inbound counters, named from the receiver's side so a merged
 	// cluster-wide snapshot shows every lane from both endpoints (tx counted
 	// by the sender, rx by the receiver) without colliding.
 	rxFrames := n.reg.Counter(fmt.Sprintf("node.rx.n%d->n%d.frames", from, n.opts.NodeID))
 	rxBytes := n.reg.Counter(fmt.Sprintf("node.rx.n%d->n%d.bytes", from, n.opts.NodeID))
 	for {
-		var buf []byte
-		select {
-		case buf = <-free:
-		default: // stage still holds every buffer; allocate a fresh one
-		}
 		metrics := n.reg.Has(obs.Metrics)
 		var readT0 time.Time
 		if metrics {
 			readT0 = n.reg.Now()
 		}
-		payload, err := msgcodec.ReadFrame(br, buf, 0)
+		run, frames, err := r.read()
+		if metrics && err == nil {
+			n.frameRead.ObserveDuration(n.reg.Now().Sub(readT0))
+		}
+		if frames > 0 {
+			if metrics {
+				rxFrames.Add(int64(frames))
+				rxBytes.Add(int64(len(run.frames)))
+			}
+			if n.det != nil {
+				// Any frame is a sign of life; the dedicated heartbeat only
+				// matters for peers that would otherwise be silent.
+				n.det.Heard(from)
+			}
+			work <- run
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !n.shuttingDown() {
 				fmt.Fprintf(n.opts.Log, "node %d: reading from node %d: %v\n", n.opts.NodeID, from, err)
@@ -577,57 +691,53 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 			}
 			return
 		}
-		if metrics {
-			n.frameRead.ObserveDuration(n.reg.Now().Sub(readT0))
-			rxFrames.Inc()
-			rxBytes.Add(int64(len(payload)) + msgcodec.FrameOverhead)
-		}
-		if n.det != nil {
-			// Any frame is a sign of life; the dedicated heartbeat only
-			// matters for peers that would otherwise be silent.
-			n.det.Heard(from)
-		}
-		if len(payload) == 0 {
-			continue
-		}
-		work <- payload
 	}
 }
 
-// deliverLoop is the VM half of one peer's inbound pipeline: it hands each
-// frame to deliver (decode + the kind's handler, proto.go), in arrival
-// (per-sender FIFO) order, returning the buffer to the reader afterwards.
-// It also runs the receiver side of the credit protocol: credits for
-// delivered data frames go back to the sender in chunks, or immediately
-// whenever the stage runs dry — so a sender whose window is smaller than the
-// chunk never stalls waiting for a grant that isn't coming.  The loop drains until the reader closes the stage; protocol
-// frames (even fShutdown) must not end it early, or a full stage would wedge
-// the reader.
-func (n *Node) deliverLoop(from int, work <-chan []byte, free chan<- []byte) {
+// deliverLoop is the VM half of one peer's inbound pipeline: it walks each
+// hand-off's frames in place and gives each to deliver (decode + the kind's
+// handler, proto.go), in arrival (per-sender FIFO) order, then returns a
+// retired read buffer to the reader.  It also runs the receiver side of the
+// credit protocol: credits for delivered data frames go back to the sender in
+// chunks, or as soon as a hand-off is finished and the stage is empty — so a
+// sender whose window is smaller than the chunk never stalls waiting for a
+// grant that isn't coming.  The loop drains until the reader closes the
+// stage; protocol frames (even fShutdown) must not end it early, or a full
+// stage would wedge the reader.
+func (n *Node) deliverLoop(from int, r *laneReader, work <-chan handoff) {
 	defer n.readers.Done()
 	pending := 0 // delivered-but-ungranted credited frames
 	var m frame  // reused per frame; no handler retains it
-	for payload := range work {
-		metrics := n.reg.Has(obs.Metrics)
-		var deliverT0 time.Time
-		if metrics || n.reg.Has(obs.Spans) {
-			deliverT0 = n.reg.Now()
-		}
-		if row, err := n.deliver(from, payload, &m); err == nil && row.credited {
-			pending++
-			if metrics {
-				n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
+	for run := range work {
+		for rest := run.frames; len(rest) > 0; {
+			// ScanFrames vouched for every frame of the run.
+			var payload []byte
+			payload, rest, _ = msgcodec.NextFrame(rest, 0)
+			if len(payload) == 0 {
+				continue
 			}
-			n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: m.msg.Type, A: int64(n.opts.NodeID), B: int64(from), Start: deliverT0})
+			metrics := n.reg.Has(obs.Metrics)
+			var deliverT0 time.Time
+			if metrics || n.reg.Has(obs.Spans) {
+				deliverT0 = n.reg.Now()
+			}
+			if row, err := n.deliver(from, payload, &m); err == nil && row.credited {
+				pending++
+				if metrics {
+					n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
+				}
+				n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: m.msg.Type, A: int64(n.opts.NodeID), B: int64(from), Start: deliverT0})
+				if pending >= creditGrantChunk {
+					n.tr.grantCredits(from, pending)
+					pending = 0
+				}
+			}
 		}
-		if pending > 0 && (pending >= creditGrantChunk || len(work) == 0) {
+		if pending > 0 && len(work) == 0 {
 			n.tr.grantCredits(from, pending)
 			pending = 0
 		}
-		select {
-		case free <- payload[:0]:
-		default:
-		}
+		r.recycle(run.retired)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Node wire protocol: every TCP frame is a length-prefixed payload
-// (msgcodec.WriteFrame/ReadFrame) whose first byte selects a row of
+// (msgcodec stream framing) whose first byte selects a row of
 // frameTable; the rest is the row's positional body.  Integers are
 // big-endian, node ids, cluster numbers and taskid fields 32-bit, strings
 // behind a u16 length (msgcodec's wire cursor reads them, its Append*
@@ -184,7 +184,10 @@ func encodeWireFrame(buf []byte, f *core.WireFrame) []byte {
 }
 
 // decodeData reverses encodeWireFrame.  Every field of m.msg is written, so
-// a reused frame carries nothing over; Payload aliases body.
+// a reused frame carries nothing over — except that a run of one message type
+// keeps one Type string: the name bytes are compared with the previous
+// frame's (a comparison that does not allocate) and converted only when they
+// differ.  Payload aliases body; Type never does.
 func decodeData(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
 	f := &m.msg
@@ -200,7 +203,9 @@ func decodeData(m *frame, body []byte) error {
 		f.ReplyID = c.U64()
 	}
 	f.Edge = c.U64()
-	f.Type = c.Str16()
+	if name := c.Bytes(int(c.U16())); string(name) != f.Type {
+		f.Type = string(name)
+	}
 	f.Payload = c.Rest()
 	return c.Err()
 }

@@ -42,8 +42,9 @@ import (
 //     bounded queue depth instead of growing an unbounded batch buffer.
 //
 // The byte stream is identical to per-frame writes (a batch is just
-// concatenated length-prefixed frames), so the receiver's framing layer is
-// unchanged; batching is invisible to the protocol apart from fCredit.
+// concatenated length-prefixed frames); batching is invisible to the protocol
+// apart from fCredit.  The receiver takes a batch the way the writer makes
+// one — one read, one hand-off, frames walked in place (node.go).
 
 // WireConfig sizes the batched wire path.  The zero value is the production
 // setting (64 KiB batches, a 1024-frame window), fixed since the batching
@@ -65,13 +66,13 @@ const (
 	defaultBatchBytes   = 64 << 10
 	defaultCreditWindow = 1024
 	// creditGrantChunk is how many delivered frames a receiver accumulates
-	// before returning credits.  Grants also go out whenever the inbound
-	// stage runs dry, so a sender whose window is smaller than the chunk
-	// (tests run windows of 1) still makes progress.
+	// before returning credits.  Grants also go out whenever a hand-off is
+	// finished and the inbound stage is empty, so a sender whose window is
+	// smaller than the chunk (tests run windows of 1) still makes progress.
 	creditGrantChunk = 64
-	// stageDepth bounds the receiver's decode/deliver stage, in frames; when
-	// it fills, the reader stops pulling from the socket and TCP pushes back
-	// on the sending node's writer.
+	// stageDepth bounds the receiver's decode/deliver stage, in hand-offs (one
+	// per read that completed a frame); when it fills, the reader stops pulling
+	// from the socket and TCP pushes back on the sending node's writer.
 	stageDepth = 256
 )
 
