@@ -140,3 +140,62 @@ func TestOneEmissionRoutinePerLayer(t *testing.T) {
 		t.Fatalf("walked %d non-test Go files; the rule is not looking at the repository", files)
 	}
 }
+
+// TestOneSendHead pins the shape of the way out of internal/core: one
+// routing decision (VM.dispatch is the only caller of wireRemote), one
+// staging encode into a heap shard (the only AppendEncode), and one enqueue
+// owning queue.put and its outcomes for every user or system message —
+// FlushUserOutput's sync token and Shutdown's unmetered shutdown message are
+// the two puts that are not messages anyone sent.  What only connected the
+// old copies stays gone: the per-VM message sequence number nothing read, the
+// in-process loopback Transport, and the inbound header struct.
+func TestOneSendHead(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, filepath.Join("internal", "core"), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs["core"]
+	if pkg == nil || len(pkg.Files) < 15 {
+		t.Fatalf("parsed %d packages from internal/core; the rule is not looking at the run-time", len(pkgs))
+	}
+	calls := map[string][]string{}
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if n.Name == "msgSeq" {
+						t.Errorf("%s: identifier msgSeq; arrival order is the in-queue's ring order", fset.Position(n.Pos()))
+					}
+				case *ast.TypeSpec:
+					if n.Name.Name == "loopback" || n.Name.Name == "inbound" {
+						t.Errorf("%s: type %s is back", fset.Position(n.Pos()), n.Name.Name)
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					name := sel.Sel.Name
+					if recv, ok := sel.X.(*ast.SelectorExpr); name == "put" && (!ok || recv.Sel.Name != "queue") {
+						return true
+					}
+					if fn != nil && name == "put" && (fn.Name.Name == "FlushUserOutput" || fn.Name.Name == "Shutdown") {
+						return true
+					}
+					calls[name] = append(calls[name], fset.Position(n.Pos()).String())
+				}
+				return true
+			})
+		}
+	}
+	for _, name := range []string{"put", "wireRemote", "AppendEncode"} {
+		if got := calls[name]; len(got) != 1 {
+			t.Errorf("%d calls of %s in internal/core, want exactly one: %v", len(got), name, got)
+		}
+	}
+}

@@ -59,6 +59,9 @@ func TestMultiProcessSmoke(t *testing.T) {
 	bin := buildPisces(t)
 	for _, prog := range []string{
 		filepath.Join("..", "..", "internal", "conformance", "corpus", "crosscluster.pf"),
+		// Every task's last statement is an INITIATE nobody waits for: the
+		// drain must not read the mesh idle while a request is in flight.
+		filepath.Join("..", "..", "internal", "conformance", "corpus", "lastinit.pf"),
 		filepath.Join("..", "..", "examples", "sumsq.pf"),
 	} {
 		prog := prog

@@ -149,3 +149,36 @@ func TestSeedsActuallyDiffer(t *testing.T) {
 		t.Fatalf("8 seeds of fanin.pf produced %d distinct schedules; the PRNG pick is inert", len(distinct))
 	}
 }
+
+// TestTrailingInitiateRuns pins what the sweeps only compare across seeds:
+// lastinit.pf — MAIN ends in ON OTHER INITIATE, CHILD in ON SAME INITIATE,
+// nobody waits for anybody — prints all three lines on every seed, plain,
+// instrumented, recorded, under the fault transport and across a kill.  The
+// run used to read idle between a parent's exit and its task controller's
+// ACCEPT and lose the child on most seeds; seeds agreeing on the loss would
+// have passed the sweeps.
+func TestTrailingInitiateRuns(t *testing.T) {
+	names, srcs := Corpus()
+	if len(names) != 15 {
+		t.Errorf("corpus has %d programs, want 15", len(names))
+	}
+	src, ok := srcs["lastinit.pf"]
+	if !ok {
+		t.Fatal("lastinit.pf is not in the corpus")
+	}
+	const want = "MAIN STARTS\nCHILD RAN 7\nLEAF RAN 8\n"
+	ref := RunFault(src, 0)
+	for seed := int64(0); seed < int64(*seedCount); seed++ {
+		killAt, ckptEvery := killSchedule(ref.VirtualElapsed, seed)
+		killed, _ := RunKill(src, seed, killAt, ckptEvery)
+		for mode, res := range map[string]Result{
+			"plain": Run(src, seed), "instrumented": RunInstrumented(src, seed), "recorded": RunRecorded(src, seed),
+			"fault": RunFault(src, seed), "kill": killed,
+		} {
+			if res.Err != nil || res.Output != want {
+				recordFailure("lastinit.pf", seed, mode+": a trailing INITIATE was lost")
+				t.Errorf("seed %d, %s: err=%v, output:\n%swant:\n%s", seed, mode, res.Err, res.Output, want)
+			}
+		}
+	}
+}

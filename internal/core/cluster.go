@@ -255,9 +255,15 @@ func (c *clusterRT) request(req pendingInit) error {
 			if c.pending[i].key == req.key {
 				// Duplicate of a request still waiting for a slot (the original
 				// came from a checkpoint, carrying no live reply): adopt the
-				// replayed requester's reply.
+				// replayed requester's reply.  A fire-and-forget original that
+				// is live here came with a hold of its own, as did the
+				// duplicate; one request keeps one.
+				old := c.pending[i].reply
 				c.pending[i].reply = req.reply
 				c.mu.Unlock()
+				if old == c.vm.hold {
+					old.deliver(NilTask)
+				}
 				return nil
 			}
 		}
@@ -359,8 +365,17 @@ func (c *clusterRT) findFreeUserSlotLocked() int {
 func (c *clusterRT) startTask(slot int, req pendingInit) error {
 	vm := c.vm
 	if vm.terminated() {
-		c.clearSlot(slot)
+		// No task will start any more, so no exit will come to take the
+		// requests parked behind this one either: refuse them with it.
+		c.mu.Lock()
+		c.slots[slot].rec = nil
+		parked := c.pending
+		c.pending = nil
+		c.mu.Unlock()
 		req.reply.deliver(NilTask)
+		for i := range parked {
+			parked[i].reply.deliver(NilTask)
+		}
 		return ErrVMTerminated
 	}
 	tt, ok := vm.taskType(req.tasktype)
@@ -489,8 +504,7 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 	// Recover shared-memory storage of unaccepted messages and of any arrays
 	// the task still owns.
 	for _, m := range rec.queue.close() {
-		vm.releaseMessage(m)
-		recycleMessage(m)
+		vm.dropMessage(m)
 	}
 	vm.arrays.dropOwner(rec.id, vm)
 

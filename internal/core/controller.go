@@ -92,8 +92,7 @@ func (vm *VM) finishController(rec *taskRec) {
 		}
 	}
 	for _, m := range rec.queue.close() {
-		vm.releaseMessage(m)
-		recycleMessage(m)
+		vm.dropMessage(m)
 	}
 	vm.unregisterTask(rec.id)
 	rec.cluster.clearSlot(rec.slot)
@@ -110,6 +109,7 @@ func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 			req, err := decodeInitRequest(m)
 			if err != nil {
 				vm.userPrintf("pisces: task controller %s: bad initiate request: %v\n", t.ID(), err)
+				m.reply.deliver(NilTask)
 				return
 			}
 			if err := cl.request(req); err != nil {
@@ -136,8 +136,13 @@ func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 	}
 }
 
-// decodeInitRequest unpacks the arguments of an initiate-request message:
+// initRequestArgs packs the arguments of an initiate-request message:
 // tasktype name, parent taskid, a reserved argument, then the user arguments.
+func initRequestArgs(tasktype string, parent TaskID, args []Value) []Value {
+	return append([]Value{Str(tasktype), ID(parent), Ints(nil)}, args...)
+}
+
+// decodeInitRequest unpacks what initRequestArgs packed.
 func decodeInitRequest(m *Message) (pendingInit, error) {
 	if m.NumArgs() < 3 {
 		return pendingInit{}, fmt.Errorf("initiate request with %d arguments", m.NumArgs())

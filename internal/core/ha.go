@@ -242,7 +242,7 @@ func (t *Task) haInject(msgs []haMsg) {
 	q := t.rec.queue
 	for i := range msgs {
 		hm := &msgs[i]
-		m := newMessage(hm.Type, hm.Sender, hm.Args, t.vm.msgSeq.Add(1))
+		m := newMessage(hm.Type, hm.Sender, hm.Args)
 		m.sendSeq = hm.SendSeq
 		_ = t.vm.chargeMessageOn(t.rec.cluster.heap, m)
 		q.mu.Lock()

@@ -25,7 +25,11 @@ const (
 // Message is one message in a task's in-queue.  "Messages consist of a header
 // and a list of packets containing the arguments" (Section 11); the heap
 // fields record the shared-memory bytes charged for the message so they can
-// be recovered when the message is accepted or deleted.
+// be recovered when the message is accepted or deleted.  It is also the only
+// header a message has inside the run-time: the one send head (VM.dispatch)
+// builds it from the SEND's fields, a routed message gets the same header
+// filled in on the destination side, and arrival order is the in-queue's ring
+// order — nothing numbers messages.
 type Message struct {
 	// Type is the message type named in the SEND statement.
 	Type string
@@ -36,8 +40,6 @@ type Message struct {
 	// Args carries the argument list.
 	Args []Value
 
-	// seq orders messages by arrival for the in-queue.
-	seq uint64
 	// edge is the causal edge id stamped on routed (cross-cluster or
 	// cross-node) messages; 0 for the intra-cluster fast path, which never
 	// pays for causal tracing.  The accept path records it in the flight
@@ -80,9 +82,9 @@ func (m *Message) NumArgs() int { return len(m.Args) }
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
 // newMessage builds a message from the pool.
-func newMessage(msgType string, sender TaskID, args []Value, seq uint64) *Message {
+func newMessage(msgType string, sender TaskID, args []Value) *Message {
 	m := messagePool.Get().(*Message)
-	*m = Message{Type: msgType, Sender: sender, Args: args, seq: seq}
+	*m = Message{Type: msgType, Sender: sender, Args: args}
 	return m
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // mkMsg builds a test message without touching the heap accounting.
-func mkMsg(typ string, seq uint64) *Message {
-	return &Message{Type: typ, seq: seq}
+func mkMsg(typ string) *Message {
+	return &Message{Type: typ}
 }
 
 // accState builds an acceptState for the given spec, failing the test on a
@@ -31,15 +31,13 @@ func accState(t *testing.T, spec AcceptSpec) *acceptState {
 // grow/drain cycles and checks arrival order is preserved throughout.
 func TestInQueueRingWraparound(t *testing.T) {
 	q := newInQueue(backend.Default().NewEvent())
-	seq := uint64(0)
 	next := 0 // next expected message number on take
 	total := 0
 	for round := 0; round < 10; round++ {
 		// Push more than the initial capacity so the ring grows and wraps.
 		for i := 0; i < initialQueueCap+5; i++ {
-			seq++
 			total++
-			if q.put(mkMsg(fmt.Sprintf("m%d", total), seq)) != putOK {
+			if q.put(mkMsg(fmt.Sprintf("m%d", total))) != putOK {
 				t.Fatal("put on open queue failed")
 			}
 		}
@@ -68,7 +66,7 @@ func TestInQueueRingWraparound(t *testing.T) {
 	if next != total {
 		t.Fatalf("drained %d messages, want %d", next, total)
 	}
-	if q.put(mkMsg("late", 1)) != putClosed {
+	if q.put(mkMsg("late")) != putClosed {
 		t.Error("put on closed queue succeeded")
 	}
 }
@@ -79,8 +77,8 @@ func TestInQueueRingWraparound(t *testing.T) {
 func TestTakeMatchingSelectivity(t *testing.T) {
 	fill := func() *inQueue {
 		q := newInQueue(backend.Default().NewEvent())
-		for i, ty := range []string{"a", "b", "a", "c", "b", "a"} {
-			q.put(mkMsg(ty, uint64(i+1)))
+		for _, ty := range []string{"a", "b", "a", "c", "b", "a"} {
+			q.put(mkMsg(ty))
 		}
 		return q
 	}
@@ -137,8 +135,8 @@ func typesOf(ms []*Message) []string {
 // arrival order (ring compaction must not shuffle).
 func TestRemoveTypeCompaction(t *testing.T) {
 	q := newInQueue(backend.Default().NewEvent())
-	for i, ty := range []string{"x", "y", "x", "z", "x", "y"} {
-		q.put(mkMsg(ty, uint64(i+1)))
+	for _, ty := range []string{"x", "y", "x", "z", "x", "y"} {
+		q.put(mkMsg(ty))
 	}
 	removed := q.removeType("x")
 	if len(removed) != 3 {

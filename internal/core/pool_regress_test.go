@@ -19,10 +19,8 @@ func TestInQueueGrowthAtPowerOfTwoBoundary(t *testing.T) {
 
 	// Fill to capacity, drain some so head != 0, then refill so the ring
 	// wraps and sits exactly full.
-	seq := uint64(0)
 	for i := 1; i <= initialQueueCap; i++ {
-		seq++
-		q.put(mkMsg(fmt.Sprintf("m%d", i), seq))
+		q.put(mkMsg(fmt.Sprintf("m%d", i)))
 	}
 	st := accState(t, AcceptSpec{Types: []TypeCount{{Type: AnyMessage, Count: 5}}})
 	taken := q.takeMatching(st, nil)
@@ -37,16 +35,14 @@ func TestInQueueGrowthAtPowerOfTwoBoundary(t *testing.T) {
 		}
 	}
 	for i := initialQueueCap + 1; i <= initialQueueCap+5; i++ {
-		seq++
-		q.put(mkMsg(fmt.Sprintf("m%d", i), seq))
+		q.put(mkMsg(fmt.Sprintf("m%d", i)))
 	}
 	if q.len() != initialQueueCap {
 		t.Fatalf("queue holds %d, want exactly capacity %d", q.len(), initialQueueCap)
 	}
 
 	// The next put crosses the power-of-two boundary and must grow.
-	seq++
-	q.put(mkMsg(fmt.Sprintf("m%d", initialQueueCap+6), seq))
+	q.put(mkMsg(fmt.Sprintf("m%d", initialQueueCap+6)))
 	if got := len(q.buf); got != 2*initialQueueCap {
 		t.Fatalf("ring grew to %d slots, want %d", got, 2*initialQueueCap)
 	}

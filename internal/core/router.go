@@ -8,20 +8,29 @@ import (
 	"repro/internal/obs"
 )
 
-// Cross-cluster message routing.
+// Message routing: the one way a message leaves its sender.
+//
+// A send is a run-time call made by the sending task (Section 6), and every
+// form of it — SEND and its TO PARENT/SELF/SENDER/USER/TCONTR variants, each
+// copy of a TO ALL broadcast, INITIATE's request to a task controller, and
+// the execution environment's SEND A MESSAGE and INITIATE A TASK — goes
+// through dispatch, which makes the one routing decision: the remote
+// Transport, the in-process cross-cluster move, or the destination's own
+// shard.  All three end in enqueue, the one place a message is admitted to an
+// in-queue.
 //
 // The message heap is sharded per cluster (see clusterRT.heap), so an
 // inter-cluster send has to move the argument bytes from the sender's shard
 // to the receiver's.  That move is the wire path of the FLEX/32 run-time —
 // "messages consist of a header and a list of packets containing the
-// arguments" (Section 11) — and, as there, it is a run-time call made by the
-// sending task, not a process of its own: the sender encodes the argument
-// list into its own shard with msgcodec, reserves the message's storage on
-// the destination shard, decodes the bytes into a fresh message that owns
-// that storage, and queues it on the receiver.  Header fields that never
-// leave the run-time (type, sender, sequence number, the initiate-reply
-// linkage) travel alongside the packet bytes, the way the original header
-// carried queue linkage next to the packets.
+// arguments" (Section 11) — and, as there, it is done by the sending task,
+// not a process of its own: the sender stages the argument list in its own
+// shard with msgcodec, reserves the message's storage on the destination
+// shard, decodes the bytes into a fresh message that owns that storage, and
+// queues it on the receiver.  Header fields that never leave the run-time
+// (type, sender, the initiate-reply linkage) travel alongside the packet
+// bytes, the way the original header carried queue linkage next to the
+// packets.
 //
 // Per-sender order needs no machinery: a task is serial, so its next send
 // cannot start before its previous one has been queued on the receiver, and
@@ -32,79 +41,158 @@ import (
 // processor — but its cost is charged to the destination cluster's primary
 // PE clock so simulated-time experiments see the transfer.
 
-// inbound is the header of one cross-cluster message at delivery: the fields
-// that travel beside the codec-encoded argument bytes.
-type inbound struct {
-	msgType string
-	sender  TaskID
-	seq     uint64
-	sendSeq uint64 // HA send sequence number (0 = unsequenced)
-	edge    uint64 // causal edge id stamped at the send site
-	// reply carries the initiate-reply linkage for routed initiate requests.
-	reply *initReply
+// dispatch sends one message: from is the sending task's cluster (nil when
+// the sender is the execution environment), to the destination task, reply
+// the initiate-reply linkage of a run-time initiate request.  It returns the
+// message's charged byte size, for the caller's send ticks, and whether the
+// message left through the remote Transport.  A destination that is hosted
+// here and not running fails with ErrNoSuchTask on every route — also under
+// InterceptWire, where delivery itself is delayed — and a destination shard
+// that cannot hold the message with ErrHeapExhausted on every route but the
+// remote one, whose receiver charges at delivery.
+func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (size int, remote bool, err error) {
+	remote = vm.wireRemote(from, to.Cluster)
+	var rec *taskRec
+	if !remote || vm.hosts(to.Cluster) {
+		var ok bool
+		if rec, ok = vm.lookupTask(to); !ok {
+			return 0, remote, fmt.Errorf("%w: %s", ErrNoSuchTask, to)
+		}
+	}
+	switch {
+	case remote:
+		size, err = vm.routeRemote(from, to, msgType, sender, args, sendSeq, reply)
+	case from != nil && rec.cluster != from:
+		size, err = vm.routeMessage(from, rec, msgType, sender, args, sendSeq, reply)
+	default:
+		// Same cluster, or a message from the execution environment: only the
+		// destination's shard is touched.
+		msg := newMessage(msgType, sender, args)
+		msg.sendSeq, msg.reply = sendSeq, reply
+		if err = vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
+			recycleMessage(msg)
+			return 0, false, err
+		}
+		// Snapshot the size before delivery: once the message is in the
+		// receiver's in-queue it may be accepted (and its heap storage
+		// released) concurrently with the rest of this send.
+		size = msg.heapBytes
+		err = vm.enqueue(rec, msg)
+	}
+	return size, remote, err
+}
+
+// enqueue admits a charged message to rec's in-queue and owns the three
+// outcomes.  A message the queue does not take — an HA duplicate of one
+// admitted in a previous life, for which the send succeeds, or one for a
+// receiver that has terminated, which is ErrNoSuchTask — has its storage
+// recovered and its initiate reply failed here.
+//
+// A fire-and-forget INITIATE has no initiator waiting on it, so once its
+// sender has exited nothing else would keep the run from reading as idle
+// while the request sits in the task controller's in-queue: such a request
+// takes a hold on the user-task count as it is queued, which whoever answers
+// the request releases in place of a reply (see VM.WaitIdle).
+func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
+	if msg.reply == nil && msg.Type == msgInitRequest && rec.id == rec.cluster.controllerID {
+		vm.userTasks.Add(1)
+		vm.holds.Add(1)
+		msg.reply = vm.hold
+	}
+	res := rec.queue.put(msg)
+	if res == putOK {
+		return nil
+	}
+	vm.dropMessage(msg)
+	if res == putDup {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrNoSuchTask, rec.id)
+}
+
+// stage puts the wire form of an argument list in the sender's heap shard:
+// size bytes — the message's packet-model size, which always bounds the wire
+// size, a packet holding more than an argument's wire overhead — are reserved
+// at off and the list is encoded straight into the shard's arena.  The
+// in-flight copy lives there only while the caller moves it on: delivered or
+// not, the caller recovers it with unstage.  The execution environment
+// (from nil) has no shard; its arguments are encoded on the Go heap and off
+// is -1.
+func (vm *VM) stage(from *clusterRT, msgType string, args []Value) (wire []byte, off, size int, err error) {
+	if size, err = encodedSize(args); err != nil {
+		return nil, -1, 0, err
+	}
+	var t0 time.Time
+	if vm.metricsOn() {
+		t0 = vm.om.reg.Now()
+	}
+	off = -1
+	if from == nil {
+		wire, err = msgcodec.Encode(args)
+	} else {
+		if off, err = from.heap.Alloc(size); err != nil {
+			return nil, -1, 0, vm.heapErr(err)
+		}
+		wire, err = msgcodec.AppendEncode(from.heap.Bytes(off, size)[:0], args)
+		if err == nil && len(wire) > size {
+			err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
+		}
+	}
+	if !t0.IsZero() {
+		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
+	}
+	if err != nil {
+		unstage(from, off)
+		return nil, -1, 0, err
+	}
+	return wire, off, size, nil
+}
+
+// unstage recovers what stage reserved.
+func unstage(from *clusterRT, off int) {
+	if off >= 0 {
+		_ = from.heap.Free(off)
+	}
 }
 
 // routeMessage sends one message across clusters, in the sending task: the
-// argument list is codec-encoded into the sender's heap shard, the message's
-// storage on the destination shard is reserved, and the wire bytes are
-// decoded into it and queued on the receiver.  Reserving the destination
-// storage before delivery keeps the pre-shard error contract: a send that the
-// receiving cluster cannot hold fails with ErrHeapExhausted at the sender.
-// It returns the charged byte size so the caller can charge send ticks.  from
-// is the sending cluster (it must differ from the destination's), dest the
-// receiving task's record.
-func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sender TaskID, args []Value, seq, sendSeq uint64, reply *initReply) (int, error) {
+// argument list is staged in the sender's heap shard, the message's storage
+// on the destination shard is reserved, and the wire bytes are decoded into
+// it and queued on the receiver.  Reserving the destination storage before
+// delivery keeps the pre-shard error contract: a send that the receiving
+// cluster cannot hold fails with ErrHeapExhausted at the sender.  It returns
+// the charged byte size.  from is the sending cluster (it must differ from
+// the destination's), dest the receiving task's record.
+func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (int, error) {
 	if vm.routeClosed.Load() {
 		reply.deliver(NilTask)
 		return 0, ErrVMTerminated
 	}
 	spanT0 := vm.om.reg.SpanStart()
-	size, err := encodedSize(args)
+	wire, off, size, err := vm.stage(from, msgType, args)
 	if err != nil {
 		return 0, err
 	}
-	off, err := from.heap.Alloc(size)
-	if err != nil {
-		return 0, vm.heapErr(err)
-	}
-	// The in-flight copy lives in the sender's shard only for the duration of
-	// this call: delivered or not, it is recovered on return.
-	defer from.heap.Free(off)
-	// Encode straight into the shard's arena: the packet-model size always
-	// bounds the wire size (a packet holds more than an argument's wire
-	// overhead), so the append never outgrows the allocation.
-	buf := from.heap.Bytes(off, size)
-	var obsT0 time.Time
-	if vm.metricsOn() {
-		obsT0 = vm.om.reg.Now()
-	}
-	wire, err := msgcodec.AppendEncode(buf[:0], args)
-	if !obsT0.IsZero() {
-		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
-	}
-	if err != nil {
-		return 0, err
-	}
-	if len(wire) > size {
-		return 0, fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
-	}
+	defer unstage(from, off)
 	destHeap := dest.cluster.heap
 	destOff, err := destHeap.Alloc(size)
 	if err != nil {
 		return 0, vm.heapErr(err)
 	}
-	in := inbound{msgType: msgType, sender: sender, seq: seq, sendSeq: sendSeq, edge: vm.newEdge(), reply: reply}
+	edge := vm.newEdge()
+	msg := newMessage(msgType, sender, nil)
+	msg.sendSeq, msg.edge, msg.reply = sendSeq, edge, reply
 	if reply != nil {
-		reply.edge = in.edge
+		reply.edge = edge
 	}
 	// The send-side half of the causal pair: a flight-recorder event and, when
 	// spans are live, a small send span the flow arrow starts inside; the
 	// arrow ends inside the deliver span below.
 	src, dst := int64(from.cfg.Number), int64(dest.cluster.cfg.Number)
-	vm.emit(&obs.Event{Kind: obs.Route, Edge: in.edge, Type: msgType, A: src, B: dst, Start: spanT0}, nil)
+	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: src, B: dst, Start: spanT0}, nil)
 	deliverT0 := vm.om.reg.SpanStart()
-	err = vm.deliverInbound(dest, &in, wire, destOff, size)
-	vm.emit(&obs.Event{Kind: obs.Deliver, Edge: in.edge, Type: msgType, A: src, B: dst, Start: deliverT0}, nil)
+	err = vm.deliverInbound(dest, msg, wire, destOff, size)
+	vm.emit(&obs.Event{Kind: obs.Deliver, Edge: edge, Type: msgType, A: src, B: dst, Start: deliverT0}, nil)
 	if err != nil {
 		// Unreachable for run-time-encoded messages (the reservation rules out
 		// the heap, so only a codec disagreement gets here): the reservation
@@ -120,8 +208,9 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 const chargeAtDelivery = -1
 
 // deliverInbound is the one delivery tail every cross-cluster message takes,
-// whether it was encoded a moment ago by a task of this VM or arrived in a
-// wire frame: decode the argument bytes, give the message its storage on the
+// whether it was staged a moment ago by a task of this VM or arrived in a
+// wire frame: decode the argument bytes into msg — a header the caller built,
+// which this call consumes on every path — give it its storage on the
 // destination shard, charge the transfer to the destination PE, and queue it
 // on the receiving task.  reserved is the offset of size bytes the sender
 // reserved on rec's shard (routeMessage), or chargeAtDelivery to charge the
@@ -129,8 +218,8 @@ const chargeAtDelivery = -1
 // counted at the moment the message takes ownership of its storage, so a
 // failure before that point — the only kind that returns an error — leaves
 // charge/recover balanced and the reservation with the caller; the reply of
-// a routed initiate is failed here on every path that drops the message.
-func (vm *VM) deliverInbound(rec *taskRec, in *inbound, payload []byte, reserved, size int) error {
+// a routed initiate is failed on every path that drops the message.
+func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte, reserved, size int) error {
 	var t0 time.Time
 	metrics := vm.metricsOn()
 	if metrics {
@@ -140,41 +229,27 @@ func (vm *VM) deliverInbound(rec *taskRec, in *inbound, payload []byte, reserved
 	if metrics {
 		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
-	if err != nil {
-		in.reply.deliver(NilTask)
-		return err
+	if err == nil {
+		msg.Args = args
+		if reserved != chargeAtDelivery {
+			vm.adoptStorage(msg, rec.cluster.heap, reserved, size)
+		} else {
+			err = vm.chargeMessageOn(rec.cluster.heap, msg)
+		}
 	}
-	msg := newMessage(in.msgType, in.sender, args, in.seq)
-	msg.sendSeq = in.sendSeq
-	msg.edge = in.edge
-	msg.reply = in.reply
-	if reserved != chargeAtDelivery {
-		vm.adoptStorage(msg, rec.cluster.heap, reserved, size)
-	} else if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
+	if err != nil {
+		msg.reply.deliver(NilTask)
 		recycleMessage(msg)
-		in.reply.deliver(NilTask)
 		return err
 	}
 	// Charge the transfer to the destination PE's clock without occupying its
 	// CPU: the inter-cluster copy is bus (or network) work, not receiver
 	// computation.
 	rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-	switch rec.queue.put(msg) {
-	case putOK:
-	case putDup:
-		// HA duplicate suppression: the receiver admitted this send sequence
-		// number in a previous life (replayed sender or re-delivered
-		// retention); the original delivery stands.
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-	case putClosed:
-		// Receiver terminated while the message was in flight (or, for an
-		// initiate request, the VM is shutting down): the send already
-		// succeeded from the sender's point of view, the message is dropped
-		// like any message queued at a task's termination.
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-		in.reply.deliver(NilTask)
-	}
+	// A receiver that terminated while the message was in flight is not an
+	// error here: the send already succeeded from the sender's point of view,
+	// and the message is dropped like any message queued at a task's
+	// termination.
+	_ = vm.enqueue(rec, msg)
 	return nil
 }

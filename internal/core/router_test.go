@@ -414,7 +414,7 @@ func TestRouteAfterShutdownAndCorruptFrameBalance(t *testing.T) {
 	vm.Shutdown()
 
 	reply := newInitReply(vm.backend)
-	_, err = vm.routeMessage(from, rec, "late", vm.userCtrl, []Value{Int(1), Str("too late")}, vm.msgSeq.Add(1), 0, reply)
+	_, err = vm.routeMessage(from, rec, "late", vm.userCtrl, []Value{Int(1), Str("too late")}, 0, reply)
 	if !errors.Is(err, ErrVMTerminated) {
 		t.Errorf("send after Shutdown: err = %v, want ErrVMTerminated", err)
 	}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
@@ -162,12 +162,9 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 	if err != nil {
 		return err
 	}
-	msg := newMessage(msgInitRequest, t.ID(),
-		append([]Value{Str(tasktype), ID(t.ID()), Ints(nil)}, args...), t.vm.msgSeq.Add(1))
-	msg.sendSeq = t.nextSendSeq()
-	msg.reply = reply
+	sendSeq := t.nextSendSeq()
 	t.Charge(costSendHeader)
-	if err := t.vm.deliverSystem(t.rec.cluster, cl.controllerID, msg); err != nil {
+	if _, _, err := t.vm.dispatch(t.rec.cluster, cl.controllerID, msgInitRequest, t.ID(), initRequestArgs(tasktype, t.ID(), args), sendSeq, reply); err != nil {
 		return err
 	}
 	if t.vm.watching(obs.MsgInitiate) {
@@ -182,7 +179,7 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 // Send executes "TO <taskid> SEND <msgtype>(<args>)".
 func (t *Task) Send(to TaskID, msgType string, args ...Value) error {
 	t.checkKilled()
-	return t.sendInternal(to, msgType, args, t.nextSendSeq())
+	return t.send(to, msgType, args, t.nextSendSeq())
 }
 
 // SendParent sends to the task's parent ("TO PARENT SEND ...").
@@ -237,28 +234,14 @@ func (t *Task) BroadcastCluster(cluster int, msgType string, args ...Value) erro
 
 func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 	t.checkKilled()
-	t.vm.mu.Lock()
-	var targets []TaskID
-	for id, rec := range t.vm.tasks {
-		if rec.isController || id == t.ID() {
-			continue
-		}
-		if cluster != 0 && id.Cluster != cluster {
-			continue
-		}
-		targets = append(targets, id)
-	}
-	t.vm.mu.Unlock()
-	// Deliver in taskid order: broadcast arrival order must not depend on
-	// map iteration, or deterministic runs would diverge between executions.
-	sort.Slice(targets, func(i, j int) bool { return targets[i].less(targets[j]) })
+	targets := t.vm.broadcastTargets(cluster, t.ID())
 	// One send sequence number covers every copy of the broadcast: a replayed
 	// broadcast regenerates one number, and each receiver's floor is per
 	// (sender, receiver), so all copies dedup consistently.
 	sendSeq := t.nextSendSeq()
 	var firstErr error
-	for _, id := range targets {
-		if err := t.sendInternal(id, msgType, args, sendSeq); err != nil && firstErr == nil {
+	for _, rec := range targets {
+		if err := t.send(rec.id, msgType, args, sendSeq); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -272,81 +255,25 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 	return firstErr
 }
 
-// sendInternal performs the shared-memory allocation, delivery, tracing, and
-// tick charging of one message send.  An intra-cluster send touches only its
-// own cluster's heap shard; a cross-cluster send is codec-encoded into the
-// sender's shard and decoded into the destination cluster's by this task.
-func (t *Task) sendInternal(to TaskID, msgType string, args []Value, sendSeq uint64) error {
-	from := t.rec.cluster
-	if t.vm.wireRemote(from, to.Cluster) {
-		// Under InterceptWire the destination is still hosted here, so keep
-		// the direct path's error contract: a send to a task that is not
-		// running fails at the sender even though delivery is delayed.
-		if t.vm.hosts(to.Cluster) {
-			if _, ok := t.vm.lookupTask(to); !ok {
-				if t.haSendSuppressed(sendSeq) {
-					// The receiver existed when this send first executed and
-					// has since terminated; the original delivery happened.
-					return nil
-				}
-				return fmt.Errorf("%w: %s", ErrNoSuchTask, to)
-			}
-		}
-		size, err := t.vm.routeRemote(from, to, msgType, t.ID(), args, sendSeq, nil)
-		if err != nil {
-			return err
-		}
-		t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-		t.vm.msgsSent.Add(1)
-		t.vm.emit(&obs.Event{Kind: obs.MsgSendRemote, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to),
-			Type: msgType, B: int64(size)}, from.primary)
-		return nil
-	}
-	rec, ok := t.vm.lookupTask(to)
-	if !ok {
-		if t.haSendSuppressed(sendSeq) {
+// send is the task's half of one message send: the run-time dispatches the
+// message (router.go), the task pays the send ticks and announces it.  A send
+// that found no receiver because it re-executes a delivery that already
+// happened (see haSendSuppressed) succeeds silently.
+func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) error {
+	size, remote, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
+	if err != nil {
+		if errors.Is(err, ErrNoSuchTask) && t.haSendSuppressed(sendSeq) {
 			return nil
 		}
-		return fmt.Errorf("%w: %s", ErrNoSuchTask, to)
+		return err
 	}
-	var size int
-	if rec.cluster != from {
-		var err error
-		size, err = t.vm.routeMessage(from, rec, msgType, t.ID(), args, t.vm.msgSeq.Add(1), sendSeq, nil)
-		if err != nil {
-			return err
-		}
-	} else {
-		msg := newMessage(msgType, t.ID(), args, t.vm.msgSeq.Add(1))
-		msg.sendSeq = sendSeq
-		if err := t.vm.chargeMessageOn(from.heap, msg); err != nil {
-			recycleMessage(msg)
-			return err
-		}
-		// Snapshot the size before delivery: once the message is in the
-		// receiver's in-queue it may be accepted (and its heap storage
-		// released) concurrently with the rest of this send.
-		size = msg.heapBytes
-		switch rec.queue.put(msg) {
-		case putOK:
-		case putDup:
-			// Already delivered in a previous life; the send succeeds.
-			t.vm.releaseMessage(msg)
-			recycleMessage(msg)
-		case putClosed:
-			t.vm.releaseMessage(msg)
-			recycleMessage(msg)
-			if t.haSendSuppressed(sendSeq) {
-				return nil
-			}
-			return fmt.Errorf("%w: %s", ErrNoSuchTask, to)
-		}
-	}
-	packets := (size - msgcodec.HeaderBytes) / msgcodec.PacketBytes
-	t.Charge(int64(costSendHeader + costSendPacket*packets))
+	t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
 	t.vm.msgsSent.Add(1)
-	t.vm.emit(&obs.Event{Kind: obs.MsgSend, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to),
-		Type: msgType, A: int64(len(args)), B: int64(size)}, from.primary)
+	ev := obs.Event{Kind: obs.MsgSend, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to), Type: msgType, A: int64(len(args)), B: int64(size)}
+	if remote {
+		ev.Kind, ev.A = obs.MsgSendRemote, 0
+	}
+	t.vm.emit(&ev, t.rec.cluster.primary)
 	return nil
 }
 

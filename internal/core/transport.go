@@ -17,11 +17,10 @@ import (
 // PISCES machine be partitioned across OS processes ("nodes", internal/node):
 // each VM hosts a subset of the configured clusters, and a frame whose
 // destination cluster is hosted elsewhere is handed to the VM's remote
-// Transport instead of being delivered in place.  The in-process delivery
-// path — decode the wire bytes, charge the destination shard, queue on the
-// destination task — is itself exposed as the loopback Transport, which is
-// both the degenerate single-process implementation and the inbound half
-// every remote transport delivers through.
+// Transport instead of being delivered in place.  The inbound half of the
+// seam is not a Transport but two calls every transport ends in: DeliverWire
+// — decode the wire bytes, charge the destination shard, queue on the
+// destination task — and DeliverWireReply for the reply to a routed initiate.
 //
 // Hosting is structural, not partial: every node boots the FULL configuration
 // (all clusters, all controllers), so system-table layout, heap shards, and —
@@ -62,9 +61,6 @@ type WireFrame struct {
 	Type string
 	// Sender is the taskid of the sending task.
 	Sender TaskID
-	// Seq is the sender-side sequence number, carried for diagnostics; the
-	// receiving VM stamps its own arrival order.
-	Seq uint64
 	// SendSeq is the sender task's HA send sequence number (0 = unsequenced);
 	// receivers use it for duplicate suppression after a recovery replay.
 	SendSeq uint64
@@ -99,41 +95,11 @@ type Transport interface {
 	// table).
 	SendReply(dst int, replyID uint64, id TaskID) error
 	// Flush blocks until every frame accepted before the call has been
-	// delivered (loopback, fault injection) or handed to the network (TCP).
+	// delivered (fault injection) or handed to the network (TCP).
 	Flush()
 	// Close stops the transport after draining.
 	Close() error
 }
-
-// loopback is the in-process Transport: frames are delivered straight into
-// the hosted destination cluster.  It is the inbound half remote transports
-// deliver through (their reader calls vm.DeliverWire, which is Send here)
-// and the delegation target of the fault-injecting transport.  Sends between
-// two locally hosted clusters encode into the sender's shard and reserve the
-// receiver's (routeMessage in router.go) instead of passing through this
-// generic entry; both end in the same deliverInbound.
-type loopback struct{ vm *VM }
-
-// Send delivers one frame to the destination cluster hosted by this VM.
-func (l *loopback) Send(f *WireFrame) error { return l.vm.DeliverWire(f) }
-
-// SendReply resolves a routed-initiate reply against this VM's pending
-// table.
-func (l *loopback) SendReply(dst int, replyID uint64, id TaskID) error {
-	l.vm.DeliverWireReply(replyID, id)
-	return nil
-}
-
-// Flush has nothing to wait for: Send delivers synchronously.
-func (l *loopback) Flush() {}
-
-// Close is a no-op: the loopback holds no resources of its own.
-func (l *loopback) Close() error { return nil }
-
-// Loopback returns the VM's in-process transport: the delivery path every
-// frame addressed to a hosted cluster takes.  Fault-injecting transports
-// wrap it; tests drive it directly.
-func (vm *VM) Loopback() Transport { return vm.loop }
 
 // hosts reports whether cluster n's tasks live in this process.  Lock-free:
 // the hosted set is an immutable snapshot, replaced wholesale on adoption.
@@ -222,18 +188,9 @@ func (vm *VM) failPendingReplies() {
 	}
 }
 
-// replyTransport returns the transport routed-initiate replies travel back
-// on: the remote transport when one is configured, the loopback otherwise.
-func (vm *VM) replyTransport() Transport {
-	if vm.remote != nil {
-		return vm.remote
-	}
-	return vm.loop
-}
-
 // routeRemote sends one cross-cluster message through the remote Transport:
-// the argument list is codec-encoded into the sender's heap shard (modelling
-// the outbound copy exactly like the in-process path) and the frame is
+// the argument list is staged in the sender's heap shard (modelling the
+// outbound copy exactly like the in-process path) and the frame is
 // handed to the transport, which must copy or transmit the payload before
 // returning; the shard bytes are then recovered.  The destination shard is
 // charged by the receiving node at delivery — a remote receiver's heap
@@ -244,59 +201,31 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 	if vm.remote == nil {
 		return 0, fmt.Errorf("core: cluster %d is not hosted by this node and no remote transport is configured", to.Cluster)
 	}
-	size, err := encodedSize(args)
+	spanT0 := vm.om.reg.SpanStart()
+	payload, off, size, err := vm.stage(from, msgType, args)
 	if err != nil {
 		return 0, err
 	}
 	src := vm.homeCluster()
-	var payload []byte
-	off := -1
-	metrics := vm.metricsOn()
-	obsT0 := vm.om.reg.SpanStart()
-	if metrics && obsT0.IsZero() {
-		obsT0 = vm.om.reg.Now()
-	}
 	if from != nil {
 		src = from.cfg.Number
-		off, err = from.heap.Alloc(size)
-		if err != nil {
-			return 0, vm.heapErr(err)
-		}
-		buf := from.heap.Bytes(off, size)
-		payload, err = msgcodec.AppendEncode(buf[:0], args)
-		if err == nil && len(payload) > size {
-			err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(payload), size)
-		}
-	} else {
-		payload, err = msgcodec.Encode(args)
-	}
-	if metrics {
-		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
-	}
-	if err != nil {
-		if off >= 0 {
-			_ = from.heap.Free(off)
-		}
-		return 0, err
 	}
 	edge := vm.newEdge()
 	f := wireFramePool.Get().(*WireFrame)
 	*f = WireFrame{
 		Kind: FrameMessage, Src: src, Dst: to.Cluster, Dest: to,
-		Type: msgType, Sender: sender, Seq: vm.msgSeq.Add(1), SendSeq: sendSeq,
+		Type: msgType, Sender: sender, SendSeq: sendSeq,
 		Edge: edge, Payload: payload,
 	}
 	if reply != nil {
 		reply.edge = edge
 		f.ReplyID = vm.addPendingReply(reply)
 	}
-	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: obsT0}, nil)
+	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: spanT0}, nil)
 	sendErr := vm.remote.Send(f)
 	replyID := f.ReplyID
 	wireFramePool.Put(f)
-	if off >= 0 {
-		_ = from.heap.Free(off)
-	}
+	unstage(from, off)
 	if sendErr != nil {
 		if replyID != 0 {
 			if r := vm.takePendingReply(replyID); r != nil {
@@ -315,7 +244,9 @@ var wireFramePool = sync.Pool{New: func() any { return new(WireFrame) }}
 
 // routeBroadcast ships one broadcast frame through the remote Transport so
 // nodes hosting other clusters fan it out to their user tasks.  cluster is
-// the TO ALL CLUSTER filter (0 = every cluster).
+// the TO ALL CLUSTER filter (0 = every cluster).  The frame is for several
+// receivers on several shards, so there is no one reservation to stage it
+// against: the payload is encoded on the Go heap.
 func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sender TaskID, args []Value, sendSeq uint64) error {
 	if vm.remote == nil {
 		return nil
@@ -331,7 +262,7 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(from.cfg.Number), B: -1}, nil)
 	f := &WireFrame{
 		Kind: FrameBroadcast, Src: from.cfg.Number, Dst: cluster,
-		Type: msgType, Sender: sender, Seq: vm.msgSeq.Add(1), SendSeq: sendSeq,
+		Type: msgType, Sender: sender, SendSeq: sendSeq,
 		Edge: edge, Payload: payload,
 	}
 	return vm.remote.Send(f)
@@ -341,7 +272,7 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 // transport.  The payload is decoded, the message charged to the hosted
 // destination cluster's heap shard, and queued on the destination task; a
 // routed initiate request (ReplyID != 0) gets a reply hook that sends the
-// new task's id back through the reply transport.  A frame for a task that
+// new task's id back toward the requesting cluster.  A frame for a task that
 // is not running here is dropped exactly like a message in flight to a
 // terminated task (the send already succeeded at the sender).  Callers must
 // preserve per-sender arrival order, which a per-peer socket reader or a
@@ -351,7 +282,11 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	if f.ReplyID != 0 {
 		rid, src := f.ReplyID, f.Src
 		reply = &initReply{fn: func(id TaskID) {
-			if err := vm.replyTransport().SendReply(src, rid, id); err != nil {
+			if vm.remote == nil {
+				// Nothing to carry it: the request can only have come from
+				// this VM's own pending table.
+				vm.DeliverWireReply(rid, id)
+			} else if err := vm.remote.SendReply(src, rid, id); err != nil {
 				vm.userPrintf("pisces: node: initiate reply to cluster %d lost: %v\n", src, err)
 			}
 		}}
@@ -368,8 +303,7 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	// delivery is for in-process traffic, so it carries the same metrics and
 	// a deliver span (trace lane "router/c<dst><-wire").
 	spanT0 := vm.om.reg.SpanStart()
-	in := inbound{msgType: f.Type, sender: f.Sender, seq: vm.msgSeq.Add(1), sendSeq: f.SendSeq, edge: f.Edge, reply: reply}
-	err := vm.deliverInbound(rec, &in, f.Payload, chargeAtDelivery, 0)
+	err := vm.deliverInbound(rec, f.message(reply), f.Payload, chargeAtDelivery, 0)
 	// A routed initiate still owes its sender a reply frame, so the flow
 	// steps through here and ends when the reply lands back on the
 	// requesting node; plain messages end here.
@@ -392,26 +326,9 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 // receiver decodes its own copy of the arguments, exactly as it would for a
 // cross-cluster broadcast inside one process.
 func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
-	vm.mu.Lock()
-	var targets []*taskRec
-	for id, rec := range vm.tasks {
-		if rec.isController || id == f.Sender {
-			continue
-		}
-		if f.Dst != 0 && id.Cluster != f.Dst {
-			continue
-		}
-		if !vm.hosts(id.Cluster) {
-			continue
-		}
-		targets = append(targets, rec)
-	}
-	vm.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].id.less(targets[j].id) })
 	var firstErr error
-	for _, rec := range targets {
-		in := inbound{msgType: f.Type, sender: f.Sender, seq: vm.msgSeq.Add(1), sendSeq: f.SendSeq, edge: f.Edge}
-		if err := vm.deliverInbound(rec, &in, f.Payload, chargeAtDelivery, 0); err != nil {
+	for _, rec := range vm.broadcastTargets(f.Dst, f.Sender) {
+		if err := vm.deliverInbound(rec, f.message(nil), f.Payload, chargeAtDelivery, 0); err != nil {
 			vm.userPrintf("pisces: node: dropping broadcast %s from %s for %s: %v\n", f.Type, f.Sender, rec.id, err)
 			if firstErr == nil {
 				firstErr = err
@@ -419,6 +336,34 @@ func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 		}
 	}
 	return firstErr
+}
+
+// message builds the in-queue header of the message the frame carries; its
+// arguments are still wire bytes (see deliverInbound).
+func (f *WireFrame) message(reply *initReply) *Message {
+	msg := newMessage(f.Type, f.Sender, nil)
+	msg.sendSeq, msg.edge, msg.reply = f.SendSeq, f.Edge, reply
+	return msg
+}
+
+// broadcastTargets returns the running user tasks a TO ALL [CLUSTER n] SEND
+// from sender reaches on this VM — hosted here, in cluster (0 = any), not the
+// sender itself — in taskid order: broadcast arrival order must not depend on
+// map iteration, or deterministic runs would diverge between executions.  The
+// sending task and a receiving node's fan-out both ask here, so the two
+// cannot disagree on who a broadcast is for.
+func (vm *VM) broadcastTargets(cluster int, sender TaskID) []*taskRec {
+	vm.mu.Lock()
+	var targets []*taskRec
+	for id, rec := range vm.tasks {
+		if rec.isController || id == sender || cluster != 0 && id.Cluster != cluster || !vm.hosts(id.Cluster) {
+			continue
+		}
+		targets = append(targets, rec)
+	}
+	vm.mu.Unlock()
+	sort.Slice(targets, func(i, j int) bool { return targets[i].id.less(targets[j].id) })
+	return targets
 }
 
 // DeliverWireReply resolves an inbound initiate-reply frame against the

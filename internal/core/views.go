@@ -84,8 +84,7 @@ func (vm *VM) SendFromUser(to TaskID, msgType string, args ...Value) error {
 	if vm.terminated() {
 		return ErrVMTerminated
 	}
-	msg := newMessage(msgType, vm.userCtrl, args, vm.msgSeq.Add(1))
-	if err := vm.deliverSystem(nil, to, msg); err != nil {
+	if _, _, err := vm.dispatch(nil, to, msgType, vm.userCtrl, args, 0, nil); err != nil {
 		return err
 	}
 	vm.msgsSent.Add(1)
@@ -128,8 +127,7 @@ func (vm *VM) DeleteMessages(id TaskID, msgType string) (int, error) {
 	}
 	removed := rec.queue.removeType(msgType)
 	for _, m := range removed {
-		vm.releaseMessage(m)
-		recycleMessage(m)
+		vm.dropMessage(m)
 	}
 	return len(removed), nil
 }

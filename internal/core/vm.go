@@ -151,15 +151,14 @@ type VM struct {
 
 	// Distributed-mode state (see transport.go): the hosted cluster set (nil
 	// hosts everything), the remote transport for clusters hosted elsewhere,
-	// the in-process loopback transport, and the pending-reply table
-	// correlating routed initiate requests with their reply frames.  hosted is
-	// read lock-free on every routing decision and replaced wholesale (under
-	// vm.mu, copy-on-write) when a buddy node adopts a dead peer's clusters.
+	// and the pending-reply table correlating routed initiate requests with
+	// their reply frames.  hosted is read lock-free on every routing decision
+	// and replaced wholesale (under vm.mu, copy-on-write) when a buddy node
+	// adopts a dead peer's clusters.
 	hosted         atomic.Pointer[map[int]bool]
 	home           int // lowest hosted cluster, resolved once at boot
 	remote         Transport
 	interceptAll   bool
-	loop           *loopback
 	pendMu         sync.Mutex
 	pendingReplies map[uint64]*initReply
 	replySeq       atomic.Uint64
@@ -185,9 +184,14 @@ type VM struct {
 	ha          bool
 	haDoneGates map[TaskID]backend.Gate
 
-	uniqueCtr  atomic.Int64
-	msgSeq     atomic.Uint64
+	uniqueCtr atomic.Int64
+	// userTasks counts running user tasks plus the holds of fire-and-forget
+	// initiate requests no task controller has answered yet; hold is the reply
+	// such a request carries, which releases its hold in place of waking an
+	// initiator, and holds counts the holds ever taken (see enqueue, WaitIdle).
 	userTasks  backend.WaitGroup
+	hold       *initReply
+	holds      atomic.Int64
 	tableBytes int
 
 	// Causal edge ids: every routed (cross-cluster or cross-node) message is
@@ -304,9 +308,9 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 	vm.om.reg.AttachRecorder(opts.FlightRecorder)
 	vm.edgeBase = uint64(opts.NodeID) << 48
 	vm.userTasks = vm.backend.NewWaitGroup()
+	vm.hold = &initReply{fn: func(TaskID) { vm.userTasks.Done() }}
 	vm.arrays = newArrayStore()
 	vm.files = newFileStore()
-	vm.loop = &loopback{vm: vm}
 	vm.pendingReplies = make(map[uint64]*initReply)
 	vm.remote = opts.Remote
 	vm.interceptAll = opts.InterceptWire
@@ -559,10 +563,7 @@ func (vm *VM) Initiate(tasktype string, placement Placement, args ...Value) (Tas
 		return NilTask, err
 	}
 	reply := newInitReply(vm.backend)
-	msg := newMessage(msgInitRequest, vm.userCtrl,
-		append([]Value{Str(tasktype), ID(vm.userCtrl), Ints(nil)}, args...), vm.msgSeq.Add(1))
-	msg.reply = reply
-	if err := vm.deliverSystem(nil, cl.controllerID, msg); err != nil {
+	if _, _, err := vm.dispatch(nil, cl.controllerID, msgInitRequest, vm.userCtrl, initRequestArgs(tasktype, vm.userCtrl, args), 0, reply); err != nil {
 		return NilTask, err
 	}
 	id := reply.wait()
@@ -638,8 +639,23 @@ func (vm *VM) WaitTask(id TaskID) error {
 	return nil
 }
 
-// WaitIdle blocks until every user task initiated so far has terminated.
-func (vm *VM) WaitIdle() { vm.userTasks.Wait() }
+// WaitIdle blocks until every user task initiated so far has terminated,
+// counting a task from the moment its INITIATE request reaches its task
+// controller's in-queue (the enqueue hold), not from the moment it starts: a
+// task whose last statement is a fire-and-forget INITIATE leaves a child
+// behind, not an idle machine.  Such a request may still be in a
+// latency-injecting transport's delay line when its sender exits, so the wait
+// lands in-flight traffic and goes round again until a flush lands no request.
+func (vm *VM) WaitIdle() {
+	for {
+		vm.userTasks.Wait()
+		held := vm.holds.Load()
+		vm.flushTransports()
+		if vm.holds.Load() == held {
+			return
+		}
+	}
+}
 
 // FlushUserOutput blocks until the user controller has processed every
 // message queued before the call, so terminal output sent with Println or
@@ -656,7 +672,7 @@ func (vm *VM) FlushUserOutput() {
 	// before the call" includes that.
 	vm.flushTransports()
 	gate := vm.backend.NewGate()
-	msg := newMessage(msgUserSync, vm.userCtrl, nil, vm.msgSeq.Add(1))
+	msg := newMessage(msgUserSync, vm.userCtrl, nil)
 	msg.sync = gate
 	if rec.queue.put(msg) != putOK {
 		recycleMessage(msg)
@@ -720,58 +736,6 @@ func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
 	return best
 }
 
-// deliverSystem delivers a run-time message to the destination task, charging
-// the destination cluster's heap shard for it like any other message.  from
-// is the sending task's cluster, or nil when the sender is the execution
-// environment; a cross-cluster system message travels through the wire codec
-// exactly like user traffic.  On failure (and on the routed path, where the
-// message is rebuilt on the destination side) the message header is recycled;
-// the caller must not reuse it.
-func (vm *VM) deliverSystem(from *clusterRT, dest TaskID, msg *Message) error {
-	if vm.wireRemote(from, dest.Cluster) {
-		// Intercepted traffic to a locally hosted task keeps the direct
-		// path's ErrNoSuchTask contract (see Task.sendInternal).
-		if vm.hosts(dest.Cluster) {
-			if _, ok := vm.lookupTask(dest); !ok {
-				recycleMessage(msg)
-				return fmt.Errorf("%w: %s", ErrNoSuchTask, dest)
-			}
-		}
-		msgType, args, sender, sendSeq, reply := msg.Type, msg.Args, msg.Sender, msg.sendSeq, msg.reply
-		recycleMessage(msg)
-		_, err := vm.routeRemote(from, dest, msgType, sender, args, sendSeq, reply)
-		return err
-	}
-	rec, ok := vm.lookupTask(dest)
-	if !ok {
-		recycleMessage(msg)
-		return fmt.Errorf("%w: %s", ErrNoSuchTask, dest)
-	}
-	if from != nil && rec.cluster != from {
-		msgType, args, sender, seq, sendSeq, reply := msg.Type, msg.Args, msg.Sender, msg.seq, msg.sendSeq, msg.reply
-		recycleMessage(msg)
-		_, err := vm.routeMessage(from, rec, msgType, sender, args, seq, sendSeq, reply)
-		return err
-	}
-	if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
-		recycleMessage(msg)
-		return err
-	}
-	switch rec.queue.put(msg) {
-	case putOK:
-	case putDup:
-		// HA duplicate: already delivered in a previous life; the send
-		// succeeds from the caller's point of view.
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-	case putClosed:
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-		return fmt.Errorf("%w: %s", ErrNoSuchTask, dest)
-	}
-	return nil
-}
-
 // chargeMessageOn allocates the message's shared-memory footprint on the
 // given heap shard (always the destination cluster's: the receiver's run-time
 // recovers the storage when the message is accepted).
@@ -814,6 +778,16 @@ func (vm *VM) releaseMessage(msg *Message) {
 			vm.om.heapRecovers.Inc()
 		}
 	}
+}
+
+// dropMessage disposes of a message no task will accept: its storage is
+// recovered, the initiate reply it may carry is failed — so neither a waiting
+// initiator nor an enqueue hold outlives the request — and its header goes
+// back to the pool.
+func (vm *VM) dropMessage(m *Message) {
+	vm.releaseMessage(m)
+	m.reply.deliver(NilTask)
+	recycleMessage(m)
 }
 
 // timeLimitExpired enforces the configuration's execution time limit by
@@ -882,7 +856,7 @@ func (vm *VM) Shutdown() {
 		if !rec.isController {
 			continue
 		}
-		msg := newMessage(msgShutdown, vm.userCtrl, nil, vm.msgSeq.Add(1))
+		msg := newMessage(msgShutdown, vm.userCtrl, nil)
 		// Shutdown must succeed even if the message heap is exhausted, so the
 		// message is delivered without charging the heap.
 		if rec.queue.put(msg) != putOK {

@@ -66,7 +66,7 @@ type laneKey struct {
 }
 
 // FaultTransport is a deterministic fault/latency-injecting core.Transport:
-// every frame is re-injected into the local VM's loopback delivery after a
+// every frame is re-injected into the local VM (core.VM.DeliverWire) after a
 // seeded delay, scheduled on the VM's backend so that under -sim the whole
 // "network" runs on the virtual clock and replays byte-identically from the
 // seed.  Ordering stays per-lane FIFO — due times within a lane are forced
@@ -198,8 +198,7 @@ func (ft *FaultTransport) schedule(key laneKey, fn func()) error {
 	return nil
 }
 
-// Send delays the frame on its lane and re-injects it through the VM's
-// loopback delivery.
+// Send delays the frame on its lane and re-injects it with DeliverWire.
 func (ft *FaultTransport) Send(f *core.WireFrame) error {
 	// The caller recovers the payload's shard bytes when Send returns: the
 	// delayed frame needs its own copy.
@@ -207,7 +206,7 @@ func (ft *FaultTransport) Send(f *core.WireFrame) error {
 	g.Payload = append([]byte(nil), f.Payload...)
 	vm := ft.vm
 	return ft.schedule(laneKey{src: f.Src, dst: f.Dst}, func() {
-		_ = vm.Loopback().Send(&g)
+		_ = vm.DeliverWire(&g)
 		ft.retain(&g)
 	})
 }
@@ -267,7 +266,7 @@ func (ft *FaultTransport) ReplayRetained(cluster int) int {
 			_ = vm.PlanRestoredInit(rf.f.Dst, rf.f.Sender, rf.f.SendSeq, rf.initID)
 		}
 		g := *rf.f
-		_ = vm.Loopback().Send(&g)
+		_ = vm.DeliverWire(&g)
 	}
 	return len(frames)
 }

@@ -16,14 +16,15 @@ import (
 // functions write them).  Message bodies are the same msgcodec argument
 // encoding the in-process routers move between heap shards.
 //
-// Version 5: fMsg and fBcast carry the sender's HA send sequence number
+// Version 6: fMsg and fBcast carry the sender's HA send sequence number
 // (duplicate suppression across a recovery replay) and 64-bit causal edge id
-// (cross-node traces), both unconditionally; data frames are credited
+// (cross-node traces), both unconditionally, and no longer a per-VM message
+// sequence number nothing read; data frames are credited
 // (fCredit); 0x09–0x0f are the fault-tolerance control frames; drain acks
 // piggyback the follower's metric snapshot and span/flow trace.  The
 // handshake refuses any other version — and, through the fingerprint, any
 // peer built from a different configuration, topology or program.
-const protoVersion = 5
+const protoVersion = 6
 
 // Frame kind bytes; frameTable describes each.
 const (
@@ -69,8 +70,8 @@ func init() {
 	frameTable = [...]frameRow{
 		0:               {"unknown", false, false, "", decodeUnknown, nil},
 		fHello:          {"hello", false, false, "i32 version, i32 node, 32-byte fingerprint, topology", decodeHello, (*Node).handleHello},
-		fMsg:            {"msg", true, true, "i32 src, i32 dst, taskid dest, taskid sender, u64 seq, u64 sendSeq, u64 replyID, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
-		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 seq, u64 sendSeq, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
+		fMsg:            {"msg", true, true, "i32 src, i32 dst, taskid dest, taskid sender, u64 sendSeq, u64 replyID, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
+		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 sendSeq, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
 		fInitReply:      {"init-reply", false, true, "u64 replyID, taskid id", decodeInitReply, (*Node).handleInitReply},
 		fDrain:          {"drain", false, false, "u32 epoch", decodeDrain, (*Node).handleDrain},
 		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, u8 idle, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
@@ -173,7 +174,6 @@ func encodeWireFrame(buf []byte, f *core.WireFrame) []byte {
 		buf = f.Dest.AppendWire(buf)
 	}
 	buf = f.Sender.AppendWire(buf)
-	buf = msgcodec.AppendU64(buf, f.Seq)
 	buf = msgcodec.AppendU64(buf, f.SendSeq)
 	if kind == fMsg {
 		buf = msgcodec.AppendU64(buf, f.ReplyID)
@@ -198,7 +198,7 @@ func decodeData(m *frame, body []byte) error {
 		f.Dest = core.ReadTaskID(&c)
 	}
 	f.Sender = core.ReadTaskID(&c)
-	f.Seq, f.SendSeq = c.U64(), c.U64()
+	f.SendSeq = c.U64()
 	if m.kind == fMsg {
 		f.ReplyID = c.U64()
 	}

@@ -209,7 +209,7 @@ func (l *lane) datum(typ string, seq int64, reals int) []byte {
 	if err != nil {
 		l.t.Fatal(err)
 	}
-	f := &core.WireFrame{Kind: core.FrameMessage, Src: 1, Dst: 2, Dest: l.sink, Sender: core.TaskID{Cluster: 1, Slot: 1, Unique: 7}, Seq: uint64(seq), Type: typ, Payload: args}
+	f := &core.WireFrame{Kind: core.FrameMessage, Src: 1, Dst: 2, Dest: l.sink, Sender: core.TaskID{Cluster: 1, Slot: 1, Unique: 7}, Type: typ, Payload: args}
 	return framed(encodeWireFrame(nil, f))
 }
 

@@ -35,7 +35,7 @@ func TestBroadcastPartialFailureKeepsDrainBalance(t *testing.T) {
 	_ = deadFar.Close()
 	tr.addPeer(2, dead)
 
-	f := &core.WireFrame{Kind: core.FrameBroadcast, Src: 1, Dst: 0, Seq: 1, Type: "tick", Payload: []byte("x")}
+	f := &core.WireFrame{Kind: core.FrameBroadcast, Src: 1, Dst: 0, Type: "tick", Payload: []byte("x")}
 	if err := tr.Send(f); err != nil {
 		t.Fatalf("first broadcast: %v; want nil (both copies handed off, the dead lane fails at the write)", err)
 	}
