@@ -58,7 +58,10 @@ type AcceptResult struct {
 	// Accepted lists the accepted messages in acceptance order (handler
 	// types included — the handler has already run for them).
 	Accepted []*Message
-	// ByType groups the accepted messages by message type.
+	// ByType groups the accepted messages by message type.  A result a task
+	// refills (RecycleAccept) may still hold, with an empty list, the types
+	// its previous ACCEPT took — no older ones — so read it by type (Count,
+	// First), not by its length.
 	ByType map[string][]*Message
 	// TimedOut reports that the DELAY expired before the requested messages
 	// all arrived.
@@ -90,7 +93,11 @@ func (t *Task) AcceptOne(types ...string) (*Message, error) {
 	if len(res.Accepted) == 0 {
 		return nil, fmt.Errorf("core: ACCEPT timed out waiting for %v", types)
 	}
-	return res.Accepted[0], nil
+	// The caller gets the message, never the result: keep it for the next
+	// ACCEPT.
+	m := res.Accepted[0]
+	t.reuseResult(res)
+	return m, nil
 }
 
 // AcceptN accepts n messages of the single listed type.
@@ -167,6 +174,21 @@ func (st *acceptState) match(msgType string) *typeReq {
 		return &st.reqs[st.wildcard]
 	}
 	return nil
+}
+
+// wants reports whether the statement could still take a message: shared
+// total left, a per-type count not yet met, or an ALL entry.  takeMatching
+// stops its scan when it turns false.
+func (st *acceptState) wants() bool {
+	if st.needTotal > 0 {
+		return true
+	}
+	for i := range st.reqs {
+		if c := st.reqs[i].count; c > 0 || c == All {
+			return true
+		}
+	}
+	return false
 }
 
 // satisfied reports whether every requirement has been met.
@@ -263,7 +285,14 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 		deadline = t.vm.backend.Now().Add(timeout)
 	}
 
-	res := &AcceptResult{ByType: make(map[string][]*Message)}
+	// The result the task's owner last handed back through RecycleAccept is
+	// filled again; a caller that keeps its results gets a new one each time.
+	res := t.accFree
+	if res != nil {
+		t.accFree = nil
+	} else {
+		res = &AcceptResult{ByType: make(map[string][]*Message)}
+	}
 	for {
 		t.checkKilled()
 		st.drain(t, res)

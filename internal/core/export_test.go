@@ -20,3 +20,29 @@ func ReencodeCheckpoint(blob []byte) ([]byte, error) {
 	}
 	return msgcodec.EncodeCheckpoint(sections)
 }
+
+// Examined returns how many in-queue slots takeMatching has looked at since
+// the queue was made (TestAcceptOneExaminesOneSlot).
+func (q *inQueue) Examined() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.examined
+}
+
+// LoggedArgs returns the argument lists the HA consumption log of a running
+// task retains, in consumption order (TestReusedStorageNeverAliasesRetainedArgs).
+func (vm *VM) LoggedArgs(id TaskID) [][]Value {
+	rec, ok := vm.lookupTask(id)
+	if !ok || rec.queue.ha == nil {
+		return nil
+	}
+	rec.queue.mu.Lock()
+	defer rec.queue.mu.Unlock()
+	var out [][]Value
+	for _, r := range rec.queue.ha.log {
+		for _, m := range r.msgs {
+			out = append(out, m.Args)
+		}
+	}
+	return out
+}

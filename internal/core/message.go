@@ -97,10 +97,10 @@ func recycleMessage(m *Message) {
 }
 
 // RecycleAccept returns the messages of an AcceptResult to the run-time's
-// message pool and empties the result.  It is an optional optimisation for
-// callers that fully own the result (the interpreter's ACCEPT statement, the
-// controllers): after the call the result and its messages must not be read
-// again.
+// message pool and hands the emptied result back to the task (reuseResult).
+// It is an optional optimisation for callers that fully own the result (the
+// interpreter's ACCEPT statement, the controllers): after the call the result
+// and its messages must not be read again.
 func (t *Task) RecycleAccept(res *AcceptResult) {
 	if res == nil {
 		return
@@ -108,14 +108,41 @@ func (t *Task) RecycleAccept(res *AcceptResult) {
 	for _, m := range res.Accepted {
 		recycleMessage(m)
 	}
-	res.Accepted = nil
-	res.ByType = nil
+	t.reuseResult(res)
+}
+
+// reuseResult empties a result nobody will read again and keeps it — the
+// struct, its Accepted and ByType slices and the map — for the task's next
+// ACCEPT to fill instead of building a new one.  Only the result's own
+// storage is reused: the messages it listed are untouched, and a message's
+// Args slice is never reused by anyone, so the argument lists the HA
+// consumption log retains stay intact.
+func (t *Task) reuseResult(res *AcceptResult) {
+	clear(res.Accepted)
+	res.Accepted = res.Accepted[:0]
+	for ty, ms := range res.ByType {
+		if len(ms) == 0 {
+			// Left over from the ACCEPT before the one just finished, which
+			// took none of this type: drop it, so the map never outgrows the
+			// last statement's types plus the one before it.
+			delete(res.ByType, ty)
+			continue
+		}
+		clear(ms)
+		res.ByType[ty] = ms[:0]
+	}
+	res.TimedOut = false
+	t.accFree = res
 }
 
 // inQueue is a task's in-queue: "Messages are queued in an in-queue for the
 // receiver in order of arrival" (Section 6).  The queue is a power-of-two
-// ring buffer so steady-state SEND/ACCEPT traffic neither appends (growing
-// the backing array) nor shifts messages.
+// ring buffer: a SEND writes one slot, and an ACCEPT pays for the messages it
+// examines up to the last one it takes, not for the queue's depth — taking
+// the oldest message moves head past it and touches nothing else, and
+// messages skipped on the way to a later one are slid up against the
+// untouched tail (see takeMatching).  Steady-state traffic never appends to
+// the backing array.
 type inQueue struct {
 	mu     sync.Mutex
 	buf    []*Message    // ring storage; len(buf) is a power of two
@@ -123,6 +150,9 @@ type inQueue struct {
 	n      int           // number of queued messages
 	wake   backend.Event // pulsed on every enqueue (and by kill)
 	closed bool
+	// examined counts the slots takeMatching has looked at, so a test can
+	// hold an ACCEPT to its cost; guarded by mu.
+	examined uint64
 	// ha holds the receiver-side fault-tolerance state (duplicate-suppression
 	// floors, the consumption log, replay state).  Nil unless the VM runs in
 	// HA mode; all fields are guarded by mu.  See ha.go.
@@ -270,40 +300,61 @@ func (q *inQueue) len() int {
 // requirements of an ACCEPT statement, in arrival order, appending them to
 // out (a scratch buffer the caller reuses).  Matching is driven by the
 // acceptState's type-request slice — no per-call allocation — and the
-// state's remaining counts and shared budget are updated in place.  Messages
-// that are not taken are compacted in place, preserving order.
+// state's remaining counts and shared budget are updated in place.
+//
+// The scan stops at the first message after which the statement can take
+// nothing more (acceptState.wants), so its cost is the number of messages
+// examined up to the last one taken, whatever the queue holds behind it: an
+// ACCEPT 1 OF T whose oldest message is a T touches one slot.  The messages
+// skipped inside the examined prefix are slid up against the untouched tail,
+// in order, and head moves past the slots the taken ones left.  Only a
+// statement with an ALL entry, or one the queue cannot satisfy, walks the
+// whole queue.
 func (q *inQueue) takeMatching(st *acceptState, out []*Message) []*Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	base := len(out)
-	kept := 0
-	for i := 0; i < q.n; i++ {
-		m := q.at(i)
+	end := 0 // messages examined
+	for wants := st.wants(); wants && end < q.n; end++ {
+		m := q.at(end)
 		r := st.match(m.Type)
-		take := false
-		if r != nil {
-			switch {
-			case r.count == All: // ALL: drain everything of this type
-				take = true
-			case r.count > 0: // per-type count not yet met
-				take = true
-				r.count--
-			case r.shared && st.needTotal > 0:
-				take = true
-				st.needTotal--
+		if r == nil {
+			continue
+		}
+		switch {
+		case r.count == All: // ALL: drain everything of this type
+		case r.count > 0: // per-type count not yet met
+			r.count--
+		case r.shared && st.needTotal > 0:
+			st.needTotal--
+		default:
+			continue
+		}
+		out = append(out, m)
+		q.set(end, nil)
+		wants = st.wants()
+	}
+	q.examined += uint64(end)
+	taken := len(out) - base
+	if taken == 0 {
+		return out
+	}
+	if taken < end {
+		// Close the gaps from the tail end of the prefix, so the skipped
+		// messages keep their order in front of the messages never examined.
+		w := end - 1
+		for i := end - 1; i >= 0; i-- {
+			if m := q.at(i); m != nil {
+				if w != i {
+					q.set(w, m)
+					q.set(i, nil)
+				}
+				w--
 			}
 		}
-		if take {
-			out = append(out, m)
-		} else {
-			q.set(kept, m)
-			kept++
-		}
 	}
-	for i := kept; i < q.n; i++ {
-		q.set(i, nil)
-	}
-	q.n = kept
+	q.head = (q.head + taken) & (len(q.buf) - 1)
+	q.n -= taken
 	// HA consumption log: record what this ACCEPT consumed, in order, so a
 	// restored task can replay the exact same intake (see ha.go).
 	if h := q.ha; h != nil && len(h.openStack) > 0 {

@@ -41,28 +41,48 @@ import (
 // processor — but its cost is charged to the destination cluster's primary
 // PE clock so simulated-time experiments see the transfer.
 
+// route names the way dispatch sent a message, which is also what became of
+// the argument list it was given.
+type route uint8
+
+const (
+	// viaSame: sender and receiver share a cluster (or the sender is the
+	// execution environment); nothing is encoded and the message keeps the
+	// caller's argument list as its own.
+	viaSame route = iota
+	// viaShard: the message crossed to another cluster's shard of this
+	// process; stage encoded the list and nothing holds it afterwards.
+	viaShard
+	// viaWire: the message left through the remote Transport, likewise
+	// encoded.
+	viaWire
+)
+
 // dispatch sends one message: from is the sending task's cluster (nil when
 // the sender is the execution environment), to the destination task, reply
 // the initiate-reply linkage of a run-time initiate request.  It returns the
-// message's charged byte size, for the caller's send ticks, and whether the
-// message left through the remote Transport.  A destination that is hosted
-// here and not running fails with ErrNoSuchTask on every route — also under
-// InterceptWire, where delivery itself is delayed — and a destination shard
-// that cannot hold the message with ErrHeapExhausted on every route but the
-// remote one, whose receiver charges at delivery.
-func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (size int, remote bool, err error) {
-	remote = vm.wireRemote(from, to.Cluster)
+// message's charged byte size, for the caller's send ticks, and the route it
+// chose — with an error the route it tried, or viaSame if it got to none, so
+// a caller may always read "not viaSame" as "nothing holds args".  A
+// destination that is hosted here and not running fails with ErrNoSuchTask on
+// every route — also under InterceptWire, where delivery itself is delayed —
+// and a destination shard that cannot hold the message with ErrHeapExhausted
+// on every route but the remote one, whose receiver charges at delivery.
+func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (size int, via route, err error) {
+	remote := vm.wireRemote(from, to.Cluster)
 	var rec *taskRec
 	if !remote || vm.hosts(to.Cluster) {
 		var ok bool
 		if rec, ok = vm.lookupTask(to); !ok {
-			return 0, remote, fmt.Errorf("%w: %s", ErrNoSuchTask, to)
+			return 0, via, fmt.Errorf("%w: %s", ErrNoSuchTask, to)
 		}
 	}
 	switch {
 	case remote:
+		via = viaWire
 		size, err = vm.routeRemote(from, to, msgType, sender, args, sendSeq, reply)
 	case from != nil && rec.cluster != from:
+		via = viaShard
 		size, err = vm.routeMessage(from, rec, msgType, sender, args, sendSeq, reply)
 	default:
 		// Same cluster, or a message from the execution environment: only the
@@ -71,7 +91,7 @@ func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID
 		msg.sendSeq, msg.reply = sendSeq, reply
 		if err = vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
 			recycleMessage(msg)
-			return 0, false, err
+			return 0, viaSame, err
 		}
 		// Snapshot the size before delivery: once the message is in the
 		// receiver's in-queue it may be accepted (and its heap storage
@@ -79,7 +99,7 @@ func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID
 		size = msg.heapBytes
 		err = vm.enqueue(rec, msg)
 	}
-	return size, remote, err
+	return size, via, err
 }
 
 // enqueue admits a charged message to rec's in-queue and owns the three

@@ -39,6 +39,13 @@ type Task struct {
 	// against re-entrant Accept calls from handlers or timeout callbacks.
 	acc       acceptState
 	accActive bool
+	// accFree is the emptied AcceptResult RecycleAccept handed back, which
+	// the next ACCEPT fills again; nil when there is none.
+	accFree *AcceptResult
+
+	// sendArgs is the argument scratch SendArgs lends out; nil once a message
+	// has kept it.
+	sendArgs []Value
 
 	arraySeq int32
 	lockSeq  int
@@ -176,6 +183,25 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 
 // --- SEND -----------------------------------------------------------------
 
+// SendArgs lends the task's argument scratch: a zeroed list of n values for
+// the next SEND (or broadcast) to fill and pass, and for nothing else.  A
+// message that stays on the sender's cluster keeps the list it was given, so
+// send then lets go of the scratch and the next call makes a new one; a
+// message that leaves the cluster was encoded by stage, and the next call
+// hands the same storage out again — as does a second call with no send in
+// between, which zeroes what the first one's caller wrote.
+func (t *Task) SendArgs(n int) []Value {
+	if n == 0 {
+		return nil
+	}
+	if cap(t.sendArgs) < n {
+		t.sendArgs = make([]Value, n)
+	}
+	args := t.sendArgs[:n]
+	clear(args)
+	return args
+}
+
 // Send executes "TO <taskid> SEND <msgtype>(<args>)".
 func (t *Task) Send(to TaskID, msgType string, args ...Value) error {
 	t.checkKilled()
@@ -260,7 +286,12 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 // that found no receiver because it re-executes a delivery that already
 // happened (see haSendSuppressed) succeeds silently.
 func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) error {
-	size, remote, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
+	size, via, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
+	if via == viaSame && len(args) > 0 && len(t.sendArgs) > 0 && &args[0] == &t.sendArgs[0] {
+		// The message carries the list SendArgs lent out to its receiver: it
+		// must not be lent again.
+		t.sendArgs = nil
+	}
 	if err != nil {
 		if errors.Is(err, ErrNoSuchTask) && t.haSendSuppressed(sendSeq) {
 			return nil
@@ -270,7 +301,7 @@ func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) err
 	t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
 	t.vm.msgsSent.Add(1)
 	ev := obs.Event{Kind: obs.MsgSend, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to), Type: msgType, A: int64(len(args)), B: int64(size)}
-	if remote {
+	if via == viaWire {
 		ev.Kind, ev.A = obs.MsgSendRemote, 0
 	}
 	t.vm.emit(&ev, t.rec.cluster.primary)

@@ -144,16 +144,11 @@ func (c *Cursor) Count(minBytes int) int {
 	return int(n)
 }
 
-// Args reads an argument list behind a u32 length (AppendArgs).  Decode
-// sizes its result from the list's own u16 count, so that count is held
-// against the blob — 5 header bytes per argument — first.
+// Args reads an argument list behind a u32 length (AppendArgs).  Decode holds
+// the list's own u16 count against the blob before it sizes anything.
 func (c *Cursor) Args() []Arg {
 	blob := c.take(c.Count(1))
 	if len(blob) == 0 {
-		return nil
-	}
-	if len(blob) >= 2 && 5*int(binary.BigEndian.Uint16(blob)) > len(blob)-2 {
-		c.Fail(fmt.Errorf("%w: argument count %d exceeds its %d-byte list", ErrCorrupt, binary.BigEndian.Uint16(blob), len(blob)))
 		return nil
 	}
 	args, err := Decode(blob)

@@ -25,6 +25,7 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, byte(KindTaskID), 0, 0, 0, 16})
+	f.Add([]byte{0xFF, 0xFF}) // a count the list cannot hold (TestDecodeRefusesForgedCountBeforeSizing)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		args, err := Decode(data)

@@ -140,8 +140,10 @@ func Ints(v []int64) Arg { return Arg{Kind: KindIntArray, IntArray: v} }
 // Reals returns a REAL array argument.
 func Reals(v []float64) Arg { return Arg{Kind: KindRealArray, RealArray: v} }
 
-// payloadBytes returns the number of payload bytes the argument needs.
-func (a Arg) payloadBytes() (int, error) {
+// payloadBytes returns the number of payload bytes the argument needs.  Like
+// every routine that walks an argument list it takes the argument's address:
+// an Arg is 144 bytes, and the send path reads it several times.
+func (a *Arg) payloadBytes() (int, error) {
 	switch a.Kind {
 	case KindInteger, KindReal:
 		return 8, nil
@@ -163,7 +165,7 @@ func (a Arg) payloadBytes() (int, error) {
 }
 
 // Packets returns the number of fixed-size packets the argument occupies.
-func (a Arg) Packets() (int, error) {
+func (a *Arg) Packets() (int, error) {
 	n, err := a.payloadBytes()
 	if err != nil {
 		return 0, err
@@ -180,8 +182,8 @@ func (a Arg) Packets() (int, error) {
 // sent and released when it is accepted.
 func EncodedSize(args []Arg) (int, error) {
 	total := HeaderBytes
-	for _, a := range args {
-		p, err := a.Packets()
+	for i := range args {
+		p, err := args[i].Packets()
 		if err != nil {
 			return 0, err
 		}
@@ -211,7 +213,8 @@ func AppendEncode(dst []byte, args []Arg) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d arguments, wire count field holds at most %d", ErrTooManyArgs, len(args), MaxArgs)
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(args)))
-	for _, a := range args {
+	for i := range args {
+		a := &args[i]
 		n, err := a.payloadBytes()
 		if err != nil {
 			return nil, err
@@ -225,7 +228,7 @@ func AppendEncode(dst []byte, args []Arg) ([]byte, error) {
 
 // appendPayload appends the argument's payload bytes.  Unknown kinds are
 // rejected by the payloadBytes call in AppendEncode before this runs.
-func (a Arg) appendPayload(dst []byte) []byte {
+func (a *Arg) appendPayload(dst []byte) []byte {
 	switch a.Kind {
 	case KindInteger:
 		return binary.BigEndian.AppendUint64(dst, uint64(a.Integer))
@@ -272,31 +275,38 @@ func appendInt32(b []byte, v int32) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(v))
 }
 
-// Decode reverses Encode.
+// argHeaderBytes is the wire overhead of one argument: uint8 kind, uint32
+// payload length.
+const argHeaderBytes = 5
+
+// Decode reverses Encode.  The list's u16 count is held against the bytes
+// that follow it — every argument has a 5-byte header — before the result is
+// sized from it, so a forged count is an ErrCorrupt, not an allocation; the
+// result is then sized once and each argument decoded into its own slot.
 func Decode(data []byte) ([]Arg, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("%w: short buffer", ErrCorrupt)
 	}
 	count := int(binary.BigEndian.Uint16(data[0:2]))
+	if argHeaderBytes*count > len(data)-2 {
+		return nil, fmt.Errorf("%w: argument count %d exceeds its %d-byte list", ErrCorrupt, count, len(data))
+	}
 	pos := 2
-	args := make([]Arg, 0, count)
-	for i := 0; i < count; i++ {
-		if pos+5 > len(data) {
+	args := make([]Arg, count)
+	for i := range args {
+		if pos+argHeaderBytes > len(data) {
 			return nil, fmt.Errorf("%w: truncated argument %d header", ErrCorrupt, i)
 		}
 		kind := ArgKind(data[pos])
-		n := int(binary.BigEndian.Uint32(data[pos+1 : pos+5]))
-		pos += 5
+		n := int(binary.BigEndian.Uint32(data[pos+1 : pos+argHeaderBytes]))
+		pos += argHeaderBytes
 		if pos+n > len(data) {
 			return nil, fmt.Errorf("%w: truncated argument %d payload", ErrCorrupt, i)
 		}
-		payload := data[pos : pos+n]
-		pos += n
-		a, err := decodePayload(kind, payload)
-		if err != nil {
+		if err := args[i].decodePayload(kind, data[pos:pos+n]); err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		pos += n
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
@@ -304,40 +314,42 @@ func Decode(data []byte) ([]Arg, error) {
 	return args, nil
 }
 
-func decodePayload(kind ArgKind, payload []byte) (Arg, error) {
+// decodePayload fills the zero Arg a from one argument's wire form.
+func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
+	a.Kind = kind
 	switch kind {
 	case KindInteger:
 		if len(payload) != 8 {
-			return Arg{}, fmt.Errorf("%w: INTEGER payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: INTEGER payload %d bytes", ErrCorrupt, len(payload))
 		}
-		return Int(int64(binary.BigEndian.Uint64(payload))), nil
+		a.Integer = int64(binary.BigEndian.Uint64(payload))
 	case KindReal:
 		if len(payload) != 8 {
-			return Arg{}, fmt.Errorf("%w: REAL payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: REAL payload %d bytes", ErrCorrupt, len(payload))
 		}
-		return Real(math.Float64frombits(binary.BigEndian.Uint64(payload))), nil
+		a.Real = math.Float64frombits(binary.BigEndian.Uint64(payload))
 	case KindLogical:
 		if len(payload) != 1 {
-			return Arg{}, fmt.Errorf("%w: LOGICAL payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: LOGICAL payload %d bytes", ErrCorrupt, len(payload))
 		}
-		return Logical(payload[0] != 0), nil
+		a.Logical = payload[0] != 0
 	case KindCharacter:
-		return Str(string(payload)), nil
+		a.Character = string(payload)
 	case KindTaskID:
 		t, err := decodeTaskID(payload)
 		if err != nil {
-			return Arg{}, err
+			return err
 		}
-		return TaskID(t), nil
+		a.TaskID = t
 	case KindWindow:
 		if len(payload) != 32 {
-			return Arg{}, fmt.Errorf("%w: WINDOW payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: WINDOW payload %d bytes", ErrCorrupt, len(payload))
 		}
 		owner, err := decodeTaskID(payload[0:12])
 		if err != nil {
-			return Arg{}, err
+			return err
 		}
-		w := WindowValue{
+		a.Window = WindowValue{
 			Owner:   owner,
 			ArrayID: int32(binary.BigEndian.Uint32(payload[12:16])),
 			Row1:    int32(binary.BigEndian.Uint32(payload[16:20])),
@@ -345,28 +357,28 @@ func decodePayload(kind ArgKind, payload []byte) (Arg, error) {
 			Col1:    int32(binary.BigEndian.Uint32(payload[24:28])),
 			Col2:    int32(binary.BigEndian.Uint32(payload[28:32])),
 		}
-		return Window(w), nil
 	case KindIntArray:
 		if len(payload)%8 != 0 {
-			return Arg{}, fmt.Errorf("%w: INTEGER array payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: INTEGER array payload %d bytes", ErrCorrupt, len(payload))
 		}
 		vals := make([]int64, len(payload)/8)
 		for i := range vals {
 			vals[i] = int64(binary.BigEndian.Uint64(payload[i*8 : i*8+8]))
 		}
-		return Ints(vals), nil
+		a.IntArray = vals
 	case KindRealArray:
 		if len(payload)%8 != 0 {
-			return Arg{}, fmt.Errorf("%w: REAL array payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: REAL array payload %d bytes", ErrCorrupt, len(payload))
 		}
 		vals := make([]float64, len(payload)/8)
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[i*8 : i*8+8]))
 		}
-		return Reals(vals), nil
+		a.RealArray = vals
 	default:
-		return Arg{}, fmt.Errorf("%w: unknown argument kind %d", ErrCorrupt, kind)
+		return fmt.Errorf("%w: unknown argument kind %d", ErrCorrupt, kind)
 	}
+	return nil
 }
 
 func decodeTaskID(payload []byte) (TaskIDValue, error) {

@@ -3,6 +3,7 @@ package msgcodec
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +129,43 @@ func TestDecodeCorruptInputs(t *testing.T) {
 	for i, data := range cases {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("case %d: corrupt input decoded without error", i)
+		}
+	}
+}
+
+// TestDecodeRefusesForgedCountBeforeSizing: Decode sizes its result from the
+// list's own u16 count, and a peer's msg frame reaches it unchecked
+// (node.decodeData -> core.deliverInbound), so the count is held against the
+// bytes that follow — 5 header bytes an argument — before anything is sized.
+// The two-byte payload FF FF used to allocate 65,535 Args (9.4 MB) on the way
+// to "truncated argument 0 header".
+func TestDecodeRefusesForgedCountBeforeSizing(t *testing.T) {
+	forged := [][]byte{
+		{0xFF, 0xFF},
+		{0xFF, 0xFF, byte(KindInteger), 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1},
+		{0, 2, byte(KindLogical), 0, 0, 0, 1, 1}, // count 2, one argument's bytes
+	}
+	for _, data := range forged {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode(% x) = %v, want ErrCorrupt", data, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1024 {
+			t.Errorf("Decode(% x) allocated %d bytes before refusing; want < 1 KiB", data, grew)
+		}
+	}
+	// The check refuses nothing Encode produces: an empty list and a list of
+	// empty strings are the tightest fits.
+	for _, args := range [][]Arg{nil, {Str(""), Str(""), Str("")}} {
+		wire, err := Encode(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := Decode(wire); err != nil || len(back) != len(args) {
+			t.Errorf("Decode(Encode(%d args)) = %d args, %v", len(args), len(back), err)
 		}
 	}
 }

@@ -127,6 +127,13 @@ type Node struct {
 	haCkptTx   *obs.Counter // node.ha.ckpt.tx: checkpoints shipped to the buddy
 	haCkptRx   *obs.Counter // node.ha.ckpt.rx: checkpoints stored for peers
 
+	// drainRound, when non-nil, is told of every completed drain round and
+	// whether the coordinator pauses after it (tests).
+	drainRound func(pause bool)
+	// dialRefused, when non-nil, is told of every failed connection attempt
+	// of dialPeer and the wait before the next one (tests).
+	dialRefused func(wait time.Duration)
+
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
 	closeOnce    sync.Once
@@ -354,15 +361,28 @@ func (n *Node) connectMesh() (map[int]net.Conn, error) {
 	return inbound, nil
 }
 
+// dialRetryCap is the longest dialPeer waits between two connection attempts.
+const dialRetryCap = 50 * time.Millisecond
+
 // dialPeer connects to one peer with retries (peers boot concurrently) and
-// completes the outbound handshake.
+// completes the outbound handshake.  A refused connection is retried after
+// 1 ms, doubling to dialRetryCap: under pisces run node 0 always dials before
+// the follower it just forked has bound its port again, so the first attempt
+// is refused on every run and the peer is there a few milliseconds later —
+// while a peer that really is slow to start still costs a handful of
+// connection attempts, not hundreds.
 func (n *Node) dialPeer(id int, deadline time.Time) (net.Conn, error) {
 	var lastErr error
+	retry := time.Millisecond
 	for time.Now().Before(deadline) {
 		conn, err := net.DialTimeout("tcp", n.opts.Addrs[id], time.Until(deadline))
 		if err != nil {
 			lastErr = err
-			time.Sleep(50 * time.Millisecond)
+			if n.dialRefused != nil {
+				n.dialRefused(retry)
+			}
+			time.Sleep(retry)
+			retry = min(2*retry, dialRetryCap)
 			continue
 		}
 		// Frames are small and latency-sensitive (a ping-pong style program
@@ -376,6 +396,9 @@ func (n *Node) dialPeer(id int, deadline time.Time) (net.Conn, error) {
 			return nil, err
 		}
 		return conn, nil
+	}
+	if lastErr == nil {
+		return nil, fmt.Errorf("node %d: dialing node %d: connect deadline passed before the first attempt", n.opts.NodeID, id)
 	}
 	return nil, fmt.Errorf("node %d: dialing node %d: %w", n.opts.NodeID, id, lastErr)
 }
@@ -820,10 +843,15 @@ func (n *Node) ServeUntilShutdown() error {
 // drainQuiesce is the coordinated shutdown drain: the coordinator repeats
 // drain rounds until every node reports idle user tasks AND the global frame
 // counts balance AND those counts were already seen one round earlier — so
-// no frame was in flight between the two observations.  It returns an error
-// when the mesh does not quiesce within the timeout (shutdown proceeds
-// anyway; undelivered traffic at that point is a program that never
-// terminates, which a single-process run would also hang on).
+// no frame was in flight between the two observations.  A balanced round is
+// followed by its confirming round at once, so a mesh that is already quiet
+// — the usual case: the program has printed its last line — is released
+// after two round trips; only a round that found work still running or a
+// frame in flight is followed by a pause, to give it time rather than spin
+// rounds against it.  It returns an error when the mesh does not quiesce
+// within the timeout (shutdown proceeds anyway; undelivered traffic at that
+// point is a program that never terminates, which a single-process run would
+// also hang on).
 func (n *Node) drainQuiesce(timeout time.Duration) error {
 	if len(n.opts.Addrs) == 1 {
 		return nil
@@ -873,15 +901,18 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 			recv += a.recv
 			allIdle = allIdle && a.idle
 		}
-		if allIdle && sent == recv {
-			if havePrev && sent == prevSent && recv == prevRecv {
-				return nil
-			}
-			prevSent, prevRecv, havePrev = sent, recv, true
-		} else {
-			havePrev = false
+		balanced := allIdle && sent == recv
+		confirmed := balanced && havePrev && sent == prevSent && recv == prevRecv
+		prevSent, prevRecv, havePrev = sent, recv, balanced
+		if n.drainRound != nil {
+			n.drainRound(!balanced)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if confirmed {
+			return nil
+		}
+		if !balanced {
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 	return fmt.Errorf("node %d: mesh did not quiesce within %s", n.opts.NodeID, timeout)
 }

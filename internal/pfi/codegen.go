@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msgcodec"
 	"repro/internal/pfc"
 )
 
@@ -20,8 +21,10 @@ type cexpr func(*execState) (value, error)
 // cstore stores a value into a compiled assignment target.
 type cstore func(*execState, value) error
 
-// csendArg produces one message/initiation argument.
-type csendArg func(*execState) (core.Value, error)
+// csendArg writes one message/initiation argument into dst, a zero Value in
+// the argument list being built: a Value is 144 bytes, so it is written where
+// it will be read rather than returned through the evaluation's frames.
+type csendArg func(st *execState, dst *core.Value) error
 
 // cstmt is one compiled, executable statement.
 type cstmt struct {
@@ -378,25 +381,25 @@ func (tc *taskCompiler) compileSendArgs(items []pfc.Operand) []csendArg {
 			slot := tc.tab.slotOf(ne.Name)
 			name := ne.Name
 			inner := tc.compileExpr(e)
-			out[i] = func(st *execState) (core.Value, error) {
+			out[i] = func(st *execState, dst *core.Value) error {
 				if a := st.f.slots[slot].arr; a != nil {
-					return arrayToCore(name, a)
+					return arrayToCore(dst, name, a)
 				}
 				v, err := inner(st)
 				if err != nil {
-					return core.Value{}, err
+					return err
 				}
-				return toCoreValue(v)
+				return toCoreValue(dst, &v)
 			}
 			continue
 		}
 		inner := tc.compileExpr(e)
-		out[i] = func(st *execState) (core.Value, error) {
+		out[i] = func(st *execState, dst *core.Value) error {
 			v, err := inner(st)
 			if err != nil {
-				return core.Value{}, err
+				return err
 			}
-			return toCoreValue(v)
+			return toCoreValue(dst, &v)
 		}
 	}
 	return out
@@ -474,39 +477,45 @@ func (st *execState) evalInt(e cexpr) (int64, error) {
 	return v.toInt()
 }
 
-// evalSendArgs evaluates compiled message/initiation arguments into a fresh
-// slice (the run-time retains it as the message's argument list).
-func (st *execState) evalSendArgs(args []csendArg) ([]core.Value, error) {
-	out := make([]core.Value, len(args))
+// evalSendArgs evaluates compiled message/initiation arguments into out, a
+// zeroed list of len(args) values.  Who owns out afterwards depends on the
+// statement: INITIATE passes a fresh slice, which the run-time retains as the
+// new task's argument list; SEND passes the list core.Task.SendArgs lent it,
+// which a message that stays on the sender's cluster keeps and one that
+// leaves it — encoded by then — gives back for the next SEND.
+func (st *execState) evalSendArgs(args []csendArg, out []core.Value) error {
 	for i, a := range args {
-		v, err := a(st)
-		if err != nil {
-			return nil, err
+		if err := a(st, &out[i]); err != nil {
+			return err
 		}
-		out[i] = v
 	}
-	return out, nil
+	return nil
 }
 
-func arrayToCore(name string, a *array) (core.Value, error) {
+// arrayToCore writes a whole array into the zero message argument dst.
+func arrayToCore(dst *core.Value, name string, a *array) error {
 	switch a.kind {
 	case kInt:
 		vs := make([]int64, len(a.data))
-		for i, v := range a.data {
-			vs[i] = v.i
+		for i := range a.data {
+			vs[i] = a.data[i].i
 		}
-		return core.Ints(vs), nil
+		dst.Kind, dst.IntArray = msgcodec.KindIntArray, vs
+		return nil
 	case kReal:
 		vs := make([]float64, len(a.data))
-		for i, v := range a.data {
-			vs[i] = v.r
+		for i := range a.data {
+			vs[i] = a.data[i].r
 		}
-		return core.Reals(vs), nil
+		dst.Kind, dst.RealArray = msgcodec.KindRealArray, vs
+		return nil
 	}
-	return core.Value{}, fmt.Errorf("array %s of kind %s cannot be a message argument", name, a.kind)
+	return fmt.Errorf("array %s of kind %s cannot be a message argument", name, a.kind)
 }
 
-// acceptSpec evaluates a compiled ACCEPT head into a core.AcceptSpec.
+// acceptSpec evaluates a compiled ACCEPT head into a core.AcceptSpec.  Its
+// type list is the execState's scratch, refilled per statement: core.Accept
+// copies what it needs out of the spec before anything can run another ACCEPT.
 func (st *execState) acceptSpec(a *caccept) (core.AcceptSpec, error) {
 	spec := core.AcceptSpec{}
 	if a.total != nil {
@@ -516,8 +525,8 @@ func (st *execState) acceptSpec(a *caccept) (core.AcceptSpec, error) {
 		}
 		spec.Total = int(total)
 	}
-	spec.Types = make([]core.TypeCount, len(a.types))
-	for i, ty := range a.types {
+	st.specTypes = st.specTypes[:0]
+	for _, ty := range a.types {
 		tycount := core.TypeCount{Type: ty.name}
 		switch {
 		case ty.all:
@@ -529,8 +538,9 @@ func (st *execState) acceptSpec(a *caccept) (core.AcceptSpec, error) {
 			}
 			tycount.Count = int(cnt)
 		}
-		spec.Types[i] = tycount
+		st.specTypes = append(st.specTypes, tycount)
 	}
+	spec.Types = st.specTypes
 	if a.delay != nil {
 		secs, err := a.delay(st)
 		if err != nil {

@@ -746,7 +746,8 @@ func minMaxFn(name string) intrinsicFn {
 
 // msgArgFn builds MSGI/MSGR/MSGS/MSGT/MSGW('TYPE', i, j): the j-th argument
 // of the i-th accepted message of the given type from the task's most recent
-// ACCEPT statement (both indices 1-based).
+// ACCEPT statement (both indices 1-based).  The argument is read where the
+// message holds it.
 func msgArgFn(name string, want valKind) intrinsicFn {
 	return func(st *execState, args []value) (value, error) {
 		if len(args) != 3 || args[0].kind != kStr {
@@ -769,7 +770,7 @@ func msgArgFn(name string, want valKind) intrinsicFn {
 		if j < 1 || j > int64(len(m.Args)) {
 			return value{}, fmt.Errorf("%s: message %s has %d arguments, asked for %d", name, msgType, len(m.Args), j)
 		}
-		v, err := fromCoreValue(m.Args[j-1])
+		v, err := fromCoreValue(&m.Args[j-1])
 		if err != nil {
 			return value{}, fmt.Errorf("%s: %v", name, err)
 		}
@@ -785,7 +786,7 @@ func msgArgFn(name string, want valKind) intrinsicFn {
 
 // fromCoreValue converts a message/initiation argument to an interpreter
 // value.  Array arguments are handled separately by bindParams.
-func fromCoreValue(v core.Value) (value, error) {
+func fromCoreValue(v *core.Value) (value, error) {
 	switch v.Kind {
 	case msgcodec.KindInteger:
 		return intVal(v.Integer), nil
@@ -796,13 +797,13 @@ func fromCoreValue(v core.Value) (value, error) {
 	case msgcodec.KindCharacter:
 		return strVal(v.Character), nil
 	case msgcodec.KindTaskID:
-		id, err := core.AsID(v)
+		id, err := core.AsID(*v)
 		if err != nil {
 			return value{}, err
 		}
 		return idVal(id), nil
 	case msgcodec.KindWindow:
-		w, err := core.AsWin(v)
+		w, err := core.AsWin(*v)
 		if err != nil {
 			return value{}, err
 		}
@@ -811,21 +812,23 @@ func fromCoreValue(v core.Value) (value, error) {
 	return value{}, fmt.Errorf("%s argument has no scalar interpreter form", v.Kind)
 }
 
-// toCoreValue converts an interpreter value to a message argument.
-func toCoreValue(v value) (core.Value, error) {
+// toCoreValue writes an interpreter value into the zero message argument dst.
+func toCoreValue(dst *core.Value, v *value) error {
 	switch v.kind {
 	case kInt:
-		return core.Int(v.i), nil
+		dst.Kind, dst.Integer = msgcodec.KindInteger, v.i
 	case kReal:
-		return core.Real(v.r), nil
+		dst.Kind, dst.Real = msgcodec.KindReal, v.r
 	case kBool:
-		return core.Bool(v.b), nil
+		dst.Kind, dst.Logical = msgcodec.KindLogical, v.b
 	case kStr:
-		return core.Str(v.s), nil
+		dst.Kind, dst.Character = msgcodec.KindCharacter, v.s
 	case kTaskID:
-		return core.ID(v.id), nil
+		*dst = core.ID(v.id)
 	case kWindow:
-		return core.Win(v.windowPayload()), nil
+		*dst = core.Win(v.windowPayload())
+	default:
+		return fmt.Errorf("internal error: unknown value kind %d", v.kind)
 	}
-	return core.Value{}, fmt.Errorf("internal error: unknown value kind %d", v.kind)
+	return nil
 }

@@ -87,9 +87,10 @@ type execState struct {
 	f          *frame
 	locks      *lockTable
 	lastAccept *core.AcceptResult
-	forceSize  int        // cached cluster force size; 0 = not yet computed
-	sticky     *stickyErr // non-nil inside a FORCESPLIT region
-	argv       []value    // intrinsic argument stack, reused across calls
+	forceSize  int              // cached cluster force size; 0 = not yet computed
+	sticky     *stickyErr       // non-nil inside a FORCESPLIT region
+	argv       []value          // intrinsic argument stack, reused across calls
+	specTypes  []core.TypeCount // acceptSpec's type list, reused across ACCEPTs
 	// yield makes every statement boundary a scheduling point.  It is set
 	// only under a deterministic backend, where per-statement yields let the
 	// seeded scheduler explore statement-level interleavings; the goroutine
@@ -385,8 +386,8 @@ func (st *execState) execInitiate(c *cinitiate) error {
 		}
 		placement = core.OnCluster(int(cl))
 	}
-	args, err := st.evalSendArgs(c.args)
-	if err != nil {
+	args := make([]core.Value, len(c.args))
+	if err := st.evalSendArgs(c.args, args); err != nil {
 		return err
 	}
 	st.p.cs.initiates.Inc()
@@ -397,8 +398,8 @@ func (st *execState) execSend(c *csend) error {
 	if err := st.requirePrimary("SEND"); err != nil {
 		return err
 	}
-	args, err := st.evalSendArgs(c.args)
-	if err != nil {
+	args := st.t.SendArgs(len(c.args))
+	if err := st.evalSendArgs(c.args, args); err != nil {
 		return err
 	}
 	st.p.cs.sends.Inc()

@@ -356,7 +356,7 @@ func (st *execState) bindParams() error {
 			return fmt.Errorf("tasktype %s takes %d parameter(s), initiated with %d argument(s)",
 				st.tp.name, len(st.tp.params), len(args))
 		}
-		v := args[i]
+		v := &args[i]
 		b := &st.f.slots[st.tp.paramSlots[i]]
 		switch v.Kind {
 		case msgcodec.KindIntArray:
