@@ -93,7 +93,7 @@ func registerHost(vm *pisces.VM, grid pisces.Window, n, workers, iters int) {
 			return
 		}
 		var maxResidual float64
-		for _, m := range res.ByType["band-done"] {
+		for _, m := range res.ByType("band-done") {
 			if r := pisces.MustReal(m.Arg(0)); r > maxResidual {
 				maxResidual = r
 			}

@@ -80,11 +80,11 @@ func registerSource(vm *pisces.VM, stages, items int) {
 			t.Printf("source accept: %v\n", err)
 			return
 		}
-		for _, m := range res.ByType["stage-ready"] {
+		for _, m := range res.ByType("stage-ready") {
 			idx := pisces.MustInt(m.Arg(0))
 			stageIDs[idx-1] = m.Sender
 		}
-		sinkID = res.ByType["sink-ready"][0].Sender
+		sinkID = res.ByType("sink-ready")[0].Sender
 
 		// Wire the topology: stage i forwards to stage i+1, the last stage to
 		// the sink.  The successor taskid travels inside an ordinary message.

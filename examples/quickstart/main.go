@@ -59,7 +59,7 @@ func main() {
 			return
 		}
 		sum := int64(0)
-		for _, m := range res.ByType["result"] {
+		for _, m := range res.ByType("result") {
 			sum += pisces.MustInt(m.Arg(0))
 		}
 		t.Printf("sum of squares 1..%d = %d (from %d workers)\n", inputs, sum, res.Count("result"))

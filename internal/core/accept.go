@@ -58,22 +58,66 @@ type AcceptResult struct {
 	// Accepted lists the accepted messages in acceptance order (handler
 	// types included — the handler has already run for them).
 	Accepted []*Message
-	// ByType groups the accepted messages by message type.  A result a task
-	// refills (RecycleAccept) may still hold, with an empty list, the types
-	// its previous ACCEPT took — no older ones — so read it by type (Count,
-	// First), not by its length.
-	ByType map[string][]*Message
 	// TimedOut reports that the DELAY expired before the requested messages
 	// all arrived.
 	TimedOut bool
+
+	// groups holds Accepted by message type, in order of each type's first
+	// message: one entry for every type this ACCEPT took and no other.  It is
+	// a small slice scanned linearly, as acceptState.reqs is.
+	groups []typeGroup
+}
+
+// typeGroup is the accepted messages of one type, in acceptance order.
+type typeGroup struct {
+	name string
+	msgs []*Message
+}
+
+// ByType returns the accepted messages of the given type, in acceptance
+// order; the list is the result's own and must not be modified.
+func (r *AcceptResult) ByType(msgType string) []*Message {
+	if g := r.group(msgType); g != nil {
+		return g.msgs
+	}
+	return nil
+}
+
+// group finds the group of a type this ACCEPT has taken, or nil.
+func (r *AcceptResult) group(msgType string) *typeGroup {
+	for i := range r.groups {
+		if r.groups[i].name == msgType {
+			return &r.groups[i]
+		}
+	}
+	return nil
+}
+
+// add lists an accepted message, last of all and last of its type.
+func (r *AcceptResult) add(m *Message) {
+	r.Accepted = append(r.Accepted, m)
+	g := r.group(m.Type)
+	if g == nil {
+		// A new type: take over the list a group of an earlier use of this
+		// result left behind the truncation (reuseResult), if there is one.
+		n := len(r.groups)
+		if n < cap(r.groups) {
+			r.groups = r.groups[:n+1]
+		} else {
+			r.groups = append(r.groups, typeGroup{})
+		}
+		g = &r.groups[n]
+		g.name, g.msgs = m.Type, g.msgs[:0]
+	}
+	g.msgs = append(g.msgs, m)
 }
 
 // Count returns the number of accepted messages of the given type.
-func (r *AcceptResult) Count(msgType string) int { return len(r.ByType[msgType]) }
+func (r *AcceptResult) Count(msgType string) int { return len(r.ByType(msgType)) }
 
 // First returns the first accepted message of the given type, or nil.
 func (r *AcceptResult) First(msgType string) *Message {
-	if ms := r.ByType[msgType]; len(ms) > 0 {
+	if ms := r.ByType(msgType); len(ms) > 0 {
 		return ms[0]
 	}
 	return nil
@@ -291,7 +335,7 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 	if res != nil {
 		t.accFree = nil
 	} else {
-		res = &AcceptResult{ByType: make(map[string][]*Message)}
+		res = new(AcceptResult)
 	}
 	for {
 		t.checkKilled()
@@ -353,7 +397,7 @@ func (t *Task) processAccepted(m *Message, res *AcceptResult) {
 		packets = (m.heapBytes - msgcodec.HeaderBytes) / msgcodec.PacketBytes
 	}
 	// Recover the shard storage before anything that can unwind on a kill:
-	// the arguments live in the Go argument slice, not the arena, so the
+	// the arguments live in the header's store, not the arena, so the
 	// handler below never reads the released bytes.
 	t.vm.releaseMessage(m)
 	t.Charge(int64(costAcceptMsg + costAcceptPacket*packets))
@@ -366,6 +410,5 @@ func (t *Task) processAccepted(m *Message, res *AcceptResult) {
 	if h, ok := t.handlers[m.Type]; ok {
 		h(t, m)
 	}
-	res.Accepted = append(res.Accepted, m)
-	res.ByType[m.Type] = append(res.ByType[m.Type], m)
+	res.add(m)
 }

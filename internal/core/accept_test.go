@@ -247,7 +247,7 @@ func TestAcceptWaitsForLateMessages(t *testing.T) {
 			panic(err)
 		}
 		var s int64
-		for _, m := range res.ByType["add"] {
+		for _, m := range res.ByType("add") {
 			s += MustInt(m.Arg(0))
 		}
 		sum <- s

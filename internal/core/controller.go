@@ -129,8 +129,9 @@ func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 				return
 			}
 			// The controller fully owns its accepted messages: the initiate
-			// handler has already run (retaining only the argument slice, never
-			// the header), so the headers go back to the pool.
+			// handler has already run, and took the argument list it retains
+			// out of the header (decodeInitRequest), so the messages go back
+			// to the pool.
 			t.RecycleAccept(res)
 		}
 	}
@@ -142,7 +143,9 @@ func initRequestArgs(tasktype string, parent TaskID, args []Value) []Value {
 	return append([]Value{Str(tasktype), ID(parent), Ints(nil)}, args...)
 }
 
-// decodeInitRequest unpacks what initRequestArgs packed.
+// decodeInitRequest unpacks what initRequestArgs packed.  The user arguments
+// become the new task's, which outlives the request: the message gives its
+// list up for them (keepArgs).
 func decodeInitRequest(m *Message) (pendingInit, error) {
 	if m.NumArgs() < 3 {
 		return pendingInit{}, fmt.Errorf("initiate request with %d arguments", m.NumArgs())
@@ -158,7 +161,7 @@ func decodeInitRequest(m *Message) (pendingInit, error) {
 	return pendingInit{
 		tasktype: tasktype,
 		parent:   parent,
-		args:     m.Args[3:],
+		args:     m.keepArgs()[3:],
 		reply:    m.reply,
 		key:      initKey{parent: parent, seq: m.sendSeq},
 	}, nil

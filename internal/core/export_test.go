@@ -46,3 +46,31 @@ func (vm *VM) LoggedArgs(id TaskID) [][]Value {
 	}
 	return out
 }
+
+// Types returns the message types the result groups its messages by, in the
+// order ByType would first find them (TestRefilledResultIgnoresStaleTypes).
+func (r *AcceptResult) Types() []string {
+	var out []string
+	for _, g := range r.groups {
+		out = append(out, g.name)
+	}
+	return out
+}
+
+// CheckpointedArgs captures a running task's checkpoint state the way
+// Checkpoint does and returns the argument lists of its queue snapshot —
+// ring, not-yet-injected tail, replay pen, in that order — together with how
+// many messages the pen held (TestReusedStorageNeverAliasesRetainedArgs).
+func (vm *VM) CheckpointedArgs(id TaskID) (queued [][]Value, penned int) {
+	rec, ok := vm.lookupTask(id)
+	if !ok || rec.queue.ha == nil {
+		return nil, 0
+	}
+	rec.queue.mu.Lock()
+	penned = len(rec.queue.ha.pen)
+	rec.queue.mu.Unlock()
+	for _, m := range rec.captureCheckpoint().queue {
+		queued = append(queued, m.Args)
+	}
+	return queued, penned
+}

@@ -242,8 +242,10 @@ func (t *Task) haInject(msgs []haMsg) {
 	q := t.rec.queue
 	for i := range msgs {
 		hm := &msgs[i]
-		m := newMessage(hm.Type, hm.Sender, hm.Args)
-		m.sendSeq = hm.SendSeq
+		m := newMessage(hm.Type, hm.Sender)
+		// The logged list itself, not a copy in the header's store: the log
+		// keeps it, and takeMatching logs it again as it is consumed.
+		m.Args, m.sendSeq = hm.Args, hm.SendSeq
 		_ = t.vm.chargeMessageOn(t.rec.cluster.heap, m)
 		q.mu.Lock()
 		q.injectLocked(m)

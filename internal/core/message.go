@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/memory"
+	"repro/internal/msgcodec"
 )
 
 // System message types used by the run-time itself.  They use a reserved
@@ -30,6 +31,14 @@ const (
 // builds it from the SEND's fields, a routed message gets the same header
 // filled in on the destination side, and arrival order is the in-queue's ring
 // order — nothing numbers messages.
+//
+// The argument list has one owner, the header: on every route Args is storage
+// private to the header (store), filled by copying the sender's list or by
+// decoding its wire form, and it goes back to messagePool with the header
+// (RecycleAccept), to carry the next message's list.  So a sender may do what
+// it likes with the list it passed once SEND has returned, and a receiver may
+// read Args until it hands the message back — and whatever must outlive the
+// message takes the list with it (keepArgs).
 type Message struct {
 	// Type is the message type named in the SEND statement.
 	Type string
@@ -39,6 +48,12 @@ type Message struct {
 	Sender TaskID
 	// Args carries the argument list.
 	Args []Value
+	// store is the header's own argument storage, which Args aliases: its
+	// length is what this message uses of it, its capacity what the header
+	// carries from message to message.  Nil once keepArgs has given the list
+	// away, and empty under an Args the run-time rebuilt from a retained list
+	// (haInject).
+	store []Value
 
 	// edge is the causal edge id stamped on routed (cross-cluster or
 	// cross-node) messages; 0 for the intra-cluster fast path, which never
@@ -76,31 +91,81 @@ func (m *Message) Arg(i int) Value {
 // NumArgs returns the number of arguments in the message.
 func (m *Message) NumArgs() int { return len(m.Args) }
 
-// messagePool recycles Message headers on the send/accept hot path.  Only the
-// header is pooled: Args always points at the sender's freshly built argument
-// slice, so a recycled header never aliases live argument data.
+// messagePool recycles messages on the send/accept hot path: the header and,
+// inside it, the argument storage (Message.store), so a steady stream of
+// messages allocates neither.  A header in the pool is zero but for that
+// storage, which is cleared and empty.
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
-// newMessage builds a message from the pool.
-func newMessage(msgType string, sender TaskID, args []Value) *Message {
+// pooledArgs is the longest argument list whose storage a header keeps across
+// messages (2.3 KB).  A longer list's storage is dropped with the message
+// instead of being pinned by the pool.
+const pooledArgs = 16
+
+// newMessage takes a header from the pool; it has no arguments until setArgs
+// or decodeArgs gives it some.
+func newMessage(msgType string, sender TaskID) *Message {
 	m := messagePool.Get().(*Message)
-	*m = Message{Type: msgType, Sender: sender, Args: args}
+	m.Type, m.Sender = msgType, sender
 	return m
 }
 
-// recycleMessage returns a message header to the pool.  The caller must be
-// the message's sole owner: messages handed out through AcceptResult must
-// never be recycled while the result is still readable.
+// setArgs copies an argument list into the header's store: the message never
+// keeps the list it was sent with.
+func (m *Message) setArgs(args []Value) {
+	if cap(m.store) < len(args) {
+		m.store = make([]Value, len(args))
+	}
+	m.store = m.store[:len(args)]
+	copy(m.store, args)
+	m.Args = m.store
+}
+
+// decodeArgs decodes an argument list's wire form into the header's store.
+// After a failure the store holds nothing (msgcodec.DecodeInto).
+func (m *Message) decodeArgs(wire []byte) error {
+	args, err := msgcodec.DecodeInto(m.store, wire)
+	if err != nil {
+		return err
+	}
+	m.store, m.Args = args, args
+	return nil
+}
+
+// keepArgs takes the argument list out of the pool's hands and returns it:
+// the header will neither clear nor reuse it, so it may be read for as long as
+// anything holds it.  It is the one rule for everything that outlives a
+// message — an in-queue in HA mode calls it on every message it admits (put),
+// since the consumption log, a checkpoint's queue snapshot and the replay pen
+// all retain lists, and the task controller on an initiate request, whose
+// tail becomes the new task's arguments (decodeInitRequest).
+func (m *Message) keepArgs() []Value {
+	m.store = nil
+	return m.Args
+}
+
+// recycleMessage returns a message to the pool, header and argument storage.
+// The caller must be the message's sole owner: messages handed out through
+// AcceptResult must never be recycled while the result is still readable.
+// The used slots of the store are cleared, so the pool pins no string or
+// array a message carried.
 func recycleMessage(m *Message) {
-	*m = Message{}
+	store := m.store
+	if cap(store) > pooledArgs {
+		store = nil
+	}
+	clear(store)
+	*m = Message{store: store[:0]}
 	messagePool.Put(m)
 }
 
-// RecycleAccept returns the messages of an AcceptResult to the run-time's
-// message pool and hands the emptied result back to the task (reuseResult).
-// It is an optional optimisation for callers that fully own the result (the
-// interpreter's ACCEPT statement, the controllers): after the call the result
-// and its messages must not be read again.
+// RecycleAccept returns the messages of an AcceptResult — headers and the
+// argument lists inside them — to the run-time's message pool and hands the
+// emptied result back to the task (reuseResult).  It is an optional
+// optimisation for callers that fully own the result (the interpreter's
+// ACCEPT statement, the controllers): after the call the result, its messages
+// and their Args must not be read again, because the next message to arrive
+// anywhere in the process may be written over them.
 func (t *Task) RecycleAccept(res *AcceptResult) {
 	if res == nil {
 		return
@@ -112,25 +177,18 @@ func (t *Task) RecycleAccept(res *AcceptResult) {
 }
 
 // reuseResult empties a result nobody will read again and keeps it — the
-// struct, its Accepted and ByType slices and the map — for the task's next
-// ACCEPT to fill instead of building a new one.  Only the result's own
-// storage is reused: the messages it listed are untouched, and a message's
-// Args slice is never reused by anyone, so the argument lists the HA
-// consumption log retains stay intact.
+// struct, its Accepted list and its type groups — for the task's next ACCEPT
+// to fill instead of building a new one.  The groups are truncated, so the
+// refilled result lists exactly the types that ACCEPT takes.  Only the
+// result's own storage is reused here: the messages it listed are untouched
+// (RecycleAccept is what returns them).
 func (t *Task) reuseResult(res *AcceptResult) {
 	clear(res.Accepted)
 	res.Accepted = res.Accepted[:0]
-	for ty, ms := range res.ByType {
-		if len(ms) == 0 {
-			// Left over from the ACCEPT before the one just finished, which
-			// took none of this type: drop it, so the map never outgrows the
-			// last statement's types plus the one before it.
-			delete(res.ByType, ty)
-			continue
-		}
-		clear(ms)
-		res.ByType[ty] = ms[:0]
+	for i := range res.groups {
+		clear(res.groups[i].msgs)
 	}
+	res.groups = res.groups[:0]
 	res.TimedOut = false
 	t.accFree = res
 }
@@ -201,13 +259,15 @@ func (q *inQueue) grow() {
 	q.head = 0
 }
 
-// put appends a message and pulses the wake channel.  In HA mode it first
-// applies the duplicate-suppression floor (a replayed sender regenerates the
-// send sequence numbers of messages the receiver has already admitted, and
-// retained wire frames may be re-delivered after a recovery; both must be
-// dropped exactly once-admitted semantics), and while the receiver itself is
-// replaying its consumption log, live messages are parked in the pen so they
-// cannot interleave with re-injected history.
+// put appends a message and pulses the wake channel.  In HA mode the message
+// keeps its argument list for good (keepArgs: the log, a checkpoint and the
+// pen retain what this queue admits), and put first applies the
+// duplicate-suppression floor (a replayed sender regenerates the send sequence
+// numbers of messages the receiver has already admitted, and retained wire
+// frames may be re-delivered after a recovery; both must be dropped exactly
+// once-admitted semantics), and while the receiver itself is replaying its
+// consumption log, live messages are parked in the pen so they cannot
+// interleave with re-injected history.
 func (q *inQueue) put(m *Message) putResult {
 	q.mu.Lock()
 	if q.closed {
@@ -215,6 +275,7 @@ func (q *inQueue) put(m *Message) putResult {
 		return putClosed
 	}
 	if h := q.ha; h != nil {
+		m.keepArgs()
 		if m.sendSeq != 0 {
 			floor := h.floors[m.Sender]
 			if m.sendSeq <= floor {
@@ -278,7 +339,9 @@ func (q *inQueue) close() []*Message {
 
 // snapshot copies the queued messages by value, oldest first, for display
 // views.  Headers are copied because a queued message may be accepted — and
-// its header recycled — while the caller is still reading the snapshot.
+// its header recycled — while the caller is still reading the snapshot.  The
+// copy's Args still points into the header's store, which is recycled with
+// it: a caller may read len(Args) and nothing behind it.
 func (q *inQueue) snapshot() []Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()

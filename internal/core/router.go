@@ -26,7 +26,7 @@ import (
 // arguments" (Section 11) — and, as there, it is done by the sending task,
 // not a process of its own: the sender stages the argument list in its own
 // shard with msgcodec, reserves the message's storage on the destination
-// shard, decodes the bytes into a fresh message that owns that storage, and
+// shard, decodes the bytes into a pooled message that owns that storage, and
 // queues it on the receiver.  Header fields that never leave the run-time
 // (type, sender, the initiate-reply linkage) travel alongside the packet
 // bytes, the way the original header carried queue linkage next to the
@@ -41,17 +41,18 @@ import (
 // processor — but its cost is charged to the destination cluster's primary
 // PE clock so simulated-time experiments see the transfer.
 
-// route names the way dispatch sent a message, which is also what became of
-// the argument list it was given.
+// route names the way dispatch sent a message.  SEND is by value on all three:
+// the queued message's argument list is the header's own (Message.store), so
+// the list the caller passed is the caller's again when dispatch returns.
 type route uint8
 
 const (
 	// viaSame: sender and receiver share a cluster (or the sender is the
-	// execution environment); nothing is encoded and the message keeps the
-	// caller's argument list as its own.
+	// execution environment); nothing is encoded, the list is copied into the
+	// header.
 	viaSame route = iota
 	// viaShard: the message crossed to another cluster's shard of this
-	// process; stage encoded the list and nothing holds it afterwards.
+	// process; stage encoded the list and the header decoded it.
 	viaShard
 	// viaWire: the message left through the remote Transport, likewise
 	// encoded.
@@ -62,8 +63,7 @@ const (
 // the sender is the execution environment), to the destination task, reply
 // the initiate-reply linkage of a run-time initiate request.  It returns the
 // message's charged byte size, for the caller's send ticks, and the route it
-// chose — with an error the route it tried, or viaSame if it got to none, so
-// a caller may always read "not viaSame" as "nothing holds args".  A
+// chose — with an error the route it tried, or viaSame if it got to none.  A
 // destination that is hosted here and not running fails with ErrNoSuchTask on
 // every route — also under InterceptWire, where delivery itself is delayed —
 // and a destination shard that cannot hold the message with ErrHeapExhausted
@@ -87,7 +87,8 @@ func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID
 	default:
 		// Same cluster, or a message from the execution environment: only the
 		// destination's shard is touched.
-		msg := newMessage(msgType, sender, args)
+		msg := newMessage(msgType, sender)
+		msg.setArgs(args)
 		msg.sendSeq, msg.reply = sendSeq, reply
 		if err = vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
 			recycleMessage(msg)
@@ -200,7 +201,7 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 		return 0, vm.heapErr(err)
 	}
 	edge := vm.newEdge()
-	msg := newMessage(msgType, sender, nil)
+	msg := newMessage(msgType, sender)
 	msg.sendSeq, msg.edge, msg.reply = sendSeq, edge, reply
 	if reply != nil {
 		reply.edge = edge
@@ -230,11 +231,12 @@ const chargeAtDelivery = -1
 // deliverInbound is the one delivery tail every cross-cluster message takes,
 // whether it was staged a moment ago by a task of this VM or arrived in a
 // wire frame: decode the argument bytes into msg — a header the caller built,
-// which this call consumes on every path — give it its storage on the
-// destination shard, charge the transfer to the destination PE, and queue it
-// on the receiving task.  reserved is the offset of size bytes the sender
-// reserved on rec's shard (routeMessage), or chargeAtDelivery to charge the
-// shard here (inbound frames, whose sender could not).  The heap charge is
+// which this call consumes on every path, and whose own store takes the list
+// — give it its storage on the destination shard, charge the transfer to the
+// destination PE, and queue it on the receiving task.  reserved is the offset
+// of size bytes the sender reserved on rec's shard (routeMessage), or
+// chargeAtDelivery to charge the shard here (inbound frames, whose sender
+// could not).  The heap charge is
 // counted at the moment the message takes ownership of its storage, so a
 // failure before that point — the only kind that returns an error — leaves
 // charge/recover balanced and the reservation with the caller; the reply of
@@ -245,12 +247,11 @@ func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte, reserve
 	if metrics {
 		t0 = vm.om.reg.Now()
 	}
-	args, err := msgcodec.Decode(payload)
+	err := msg.decodeArgs(payload)
 	if metrics {
 		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
 	if err == nil {
-		msg.Args = args
 		if reserved != chargeAtDelivery {
 			vm.adoptStorage(msg, rec.cluster.heap, reserved, size)
 		} else {

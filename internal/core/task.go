@@ -43,8 +43,7 @@ type Task struct {
 	// the next ACCEPT fills again; nil when there is none.
 	accFree *AcceptResult
 
-	// sendArgs is the argument scratch SendArgs lends out; nil once a message
-	// has kept it.
+	// sendArgs is the argument scratch SendArgs lends out.
 	sendArgs []Value
 
 	arraySeq int32
@@ -184,12 +183,10 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 // --- SEND -----------------------------------------------------------------
 
 // SendArgs lends the task's argument scratch: a zeroed list of n values for
-// the next SEND (or broadcast) to fill and pass, and for nothing else.  A
-// message that stays on the sender's cluster keeps the list it was given, so
-// send then lets go of the scratch and the next call makes a new one; a
-// message that leaves the cluster was encoded by stage, and the next call
-// hands the same storage out again — as does a second call with no send in
-// between, which zeroes what the first one's caller wrote.
+// the next SEND (or broadcast) to fill and pass.  No message keeps the list
+// it was sent with — SEND copies or encodes it on every route — so every call
+// hands out the same storage, zeroing what the last caller wrote, and the
+// list is the task's again as soon as the send returns.
 func (t *Task) SendArgs(n int) []Value {
 	if n == 0 {
 		return nil
@@ -287,11 +284,6 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 // happened (see haSendSuppressed) succeeds silently.
 func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) error {
 	size, via, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
-	if via == viaSame && len(args) > 0 && len(t.sendArgs) > 0 && &args[0] == &t.sendArgs[0] {
-		// The message carries the list SendArgs lent out to its receiver: it
-		// must not be lent again.
-		t.sendArgs = nil
-	}
 	if err != nil {
 		if errors.Is(err, ErrNoSuchTask) && t.haSendSuppressed(sendSeq) {
 			return nil

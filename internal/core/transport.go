@@ -341,7 +341,7 @@ func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 // message builds the in-queue header of the message the frame carries; its
 // arguments are still wire bytes (see deliverInbound).
 func (f *WireFrame) message(reply *initReply) *Message {
-	msg := newMessage(f.Type, f.Sender, nil)
+	msg := newMessage(f.Type, f.Sender)
 	msg.sendSeq, msg.edge, msg.reply = f.SendSeq, f.Edge, reply
 	return msg
 }

@@ -672,7 +672,7 @@ func (vm *VM) FlushUserOutput() {
 	// before the call" includes that.
 	vm.flushTransports()
 	gate := vm.backend.NewGate()
-	msg := newMessage(msgUserSync, vm.userCtrl, nil)
+	msg := newMessage(msgUserSync, vm.userCtrl)
 	msg.sync = gate
 	if rec.queue.put(msg) != putOK {
 		recycleMessage(msg)
@@ -856,7 +856,7 @@ func (vm *VM) Shutdown() {
 		if !rec.isController {
 			continue
 		}
-		msg := newMessage(msgShutdown, vm.userCtrl, nil)
+		msg := newMessage(msgShutdown, vm.userCtrl)
 		// Shutdown must succeed even if the message heap is exhausted, so the
 		// message is delivered without charging the heap.
 		if rec.queue.put(msg) != putOK {

@@ -5,15 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 )
 
 // FuzzCodec is the wire-format round-trip target: for arbitrary bytes, Decode
 // must never panic; whenever Decode succeeds, re-encoding the decoded
 // arguments and decoding again must reproduce the same argument list
-// (Decode∘Encode is the identity on everything Decode accepts).  Seeded from
-// sampleArgs so the interesting kinds — TASKID, WINDOW, arrays — are all on
-// the initial frontier.
+// (Decode∘Encode is the identity on everything Decode accepts).  And storage
+// that has carried another list changes nothing: DecodeInto over a dirty dst
+// fails with the same class of error as Decode or returns an identical list.
+// Seeded from sampleArgs so the interesting kinds — TASKID, WINDOW, arrays —
+// are all on the initial frontier.
 func FuzzCodec(f *testing.F) {
 	if seed, err := Encode(sampleArgs()); err == nil {
 		f.Add(seed)
@@ -29,8 +33,18 @@ func FuzzCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		args, err := Decode(data)
+		// Three dirty slots: a shorter list decodes in place, a longer one
+		// into a list made for it.
+		dirty := append(make([]Arg, 0, 3), sampleArgs()[6], sampleArgs()[10], sampleArgs()[11])
+		into, errInto := DecodeInto(dirty, data)
+		if errors.Is(err, ErrCorrupt) != errors.Is(errInto, ErrCorrupt) || (err == nil) != (errInto == nil) {
+			t.Fatalf("Decode = %v, DecodeInto over a dirty dst = %v", err, errInto)
+		}
 		if err != nil {
 			return // corrupt input rejected without panicking: fine
+		}
+		if !identical(into, args) {
+			t.Fatalf("DecodeInto over a dirty dst = %+v, Decode = %+v", into, args)
 		}
 		wire, err := Encode(args)
 		if err != nil {
@@ -52,6 +66,32 @@ func FuzzCodec(f *testing.F) {
 			t.Fatalf("EncodedSize of decodable args = (%d, %v)", size, err)
 		}
 	})
+}
+
+// identical reports whether two lists agree in every field of every slot — not
+// only the one Kind selects, which is all Equal reads — with REALs held bit
+// for bit, so a NaN is identical to itself.
+func identical(a, b []Arg) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.Real) != math.Float64bits(y.Real) || len(x.RealArray) != len(y.RealArray) ||
+			(x.RealArray == nil) != (y.RealArray == nil) {
+			return false
+		}
+		for j := range x.RealArray {
+			if math.Float64bits(x.RealArray[j]) != math.Float64bits(y.RealArray[j]) {
+				return false
+			}
+		}
+		x.Real, y.Real, x.RealArray, y.RealArray = 0, 0, nil, nil
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzBatchCodec is the batch-framing round-trip target: NextFrame must

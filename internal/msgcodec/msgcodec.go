@@ -279,11 +279,28 @@ func appendInt32(b []byte, v int32) []byte {
 // payload length.
 const argHeaderBytes = 5
 
-// Decode reverses Encode.  The list's u16 count is held against the bytes
-// that follow it — every argument has a 5-byte header — before the result is
-// sized from it, so a forged count is an ErrCorrupt, not an allocation; the
-// result is then sized once and each argument decoded into its own slot.
-func Decode(data []byte) ([]Arg, error) {
+// Decode reverses Encode into a list of its own.
+func Decode(data []byte) ([]Arg, error) { return DecodeInto(nil, data) }
+
+// DecodeInto reverses Encode into storage the caller owns: the list fills
+// dst[:count] when cap(dst) allows, and a list made for it otherwise.  The
+// list's u16 count is held against the bytes that follow it — every argument
+// has a 5-byte header — before anything is sized from it, so a forged count
+// is an ErrCorrupt, not an allocation.  dst may be dirty: the slots the list
+// takes are zeroed before they are filled, so each is written whole, whatever
+// it held, and a failed decode zeroes all of dst's capacity, so nothing of a
+// half-decoded list — nor of the list dst held before — stays reachable from
+// storage that is about to be used again.
+func DecodeInto(dst []Arg, data []byte) ([]Arg, error) {
+	args, err := decodeInto(dst, data)
+	if err != nil {
+		clear(dst[:cap(dst)])
+	}
+	return args, err
+}
+
+// decodeInto is DecodeInto up to what a failure leaves in dst.
+func decodeInto(dst []Arg, data []byte) ([]Arg, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("%w: short buffer", ErrCorrupt)
 	}
@@ -291,8 +308,14 @@ func Decode(data []byte) ([]Arg, error) {
 	if argHeaderBytes*count > len(data)-2 {
 		return nil, fmt.Errorf("%w: argument count %d exceeds its %d-byte list", ErrCorrupt, count, len(data))
 	}
+	var args []Arg
+	if count > cap(dst) {
+		args = make([]Arg, count)
+	} else {
+		args = dst[:count]
+		clear(args)
+	}
 	pos := 2
-	args := make([]Arg, count)
 	for i := range args {
 		if pos+argHeaderBytes > len(data) {
 			return nil, fmt.Errorf("%w: truncated argument %d header", ErrCorrupt, i)
@@ -314,7 +337,8 @@ func Decode(data []byte) ([]Arg, error) {
 	return args, nil
 }
 
-// decodePayload fills the zero Arg a from one argument's wire form.
+// decodePayload fills the zero Arg a from one argument's wire form; a slot of
+// storage that has carried another list is zeroed first (DecodeInto).
 func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
 	a.Kind = kind
 	switch kind {

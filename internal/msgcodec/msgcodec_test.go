@@ -3,6 +3,7 @@ package msgcodec
 import (
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,63 @@ func TestDecodeRefusesForgedCountBeforeSizing(t *testing.T) {
 		}
 		if back, err := Decode(wire); err != nil || len(back) != len(args) {
 			t.Errorf("Decode(Encode(%d args)) = %d args, %v", len(args), len(back), err)
+		}
+	}
+}
+
+// TestFailedDecodeLeavesNoResidue: DecodeInto's dst is storage that carries
+// one list after another (core's pooled message header), so a slot is written
+// whole whatever it held, and a decode that fails part-way leaves nothing of
+// the list it was reading — nor of the one before — reachable from dst.
+func TestFailedDecodeLeavesNoResidue(t *testing.T) {
+	encode := func(args ...Arg) []byte {
+		t.Helper()
+		wire, err := Encode(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	a := []Arg{Str("list A"), Ints([]int64{1, 2, 3}), Reals([]float64{4, 5}), Str("A's tail")}
+	dst := make([]Arg, 0, 6)
+	got, err := DecodeInto(dst, encode(a...))
+	if err != nil || !reflect.DeepEqual(got, a) {
+		t.Fatalf("DecodeInto(A) = %+v, %v", got, err)
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Fatal("a list that fits dst was decoded somewhere else")
+	}
+
+	// A dirty slot is overwritten whole: a scalar over a CHARACTER, an array
+	// over an array of the other type.
+	b := []Arg{Int(7), Reals([]float64{8}), Ints([]int64{9})}
+	wireB := encode(b...)
+	got, err = DecodeInto(dst, wireB)
+	if want, _ := Decode(wireB); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeInto(B) over A = %+v, %v; Decode(B) = %+v", got, err, want)
+	}
+
+	// The second argument's payload is cut short: the first is already in
+	// dst when the decode fails.
+	corrupt := encode(Str("the corrupt list"), Ints([]int64{10, 11}))
+	corrupt = corrupt[:len(corrupt)-4]
+	if got, err = DecodeInto(dst, corrupt); !errors.Is(err, ErrCorrupt) || got != nil {
+		t.Fatalf("DecodeInto(truncated second argument) = %+v, %v, want ErrCorrupt", got, err)
+	}
+	for i, slot := range dst[:cap(dst)] {
+		if !reflect.DeepEqual(slot, Arg{}) {
+			t.Errorf("after the failed decode slot %d of dst still holds %+v", i, slot)
+		}
+	}
+
+	wireC := encode(Logical(true), Str("C"))
+	got, err = DecodeInto(dst, wireC)
+	if want, _ := Decode(wireC); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeInto(C) after the failure = %+v, %v; Decode(C) = %+v", got, err, want)
+	}
+	for i, slot := range dst[:cap(dst)][len(got):] {
+		if slot.Character != "" || slot.IntArray != nil || slot.RealArray != nil {
+			t.Errorf("slot %d behind C still reaches %+v", len(got)+i, slot)
 		}
 	}
 }

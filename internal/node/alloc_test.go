@@ -12,15 +12,16 @@ import (
 
 // TestInboundPathAllocationBudget holds the whole wire path — SEND on node 1,
 // encode, batch, socket, read, walk, decode, deliver, ACCEPT on node 0 — to
-// 3.3 heap objects a message, for the 8-REAL windowed fan-in the benchmark's
-// wire_fanin runs; it reads 3.10-3.15.  The parent of the batch receive path
+// 1.5 heap objects a message, for the 8-REAL windowed fan-in the benchmark's
+// wire_fanin runs; it reads 1.11.  The parent of the batch receive path
 // (249b2b9) allocated 5.4 in this test (5.39-5.45 over three runs; 5.3 as
 // the benchmark's e2e.allocs_per_msg): a frame-length header that escaped in
-// ReadFrame and a message-type string, per frame; PR 19 left 3.32, and the
-// collector's AcceptResult, refilled instead of rebuilt once RecycleAccept
-// has handed it back, is the rest.  What is left is the sender's argument
-// list and array, the decoded argument slice and array, and the message
-// record.  The count is of the process, so it includes both nodes and the
+// ReadFrame and a message-type string, per frame; PR 19 left 3.32 and PR 21,
+// whose collector refills its AcceptResult, 3.11 under a budget of 3.3.  The
+// two that went since are the decoded argument list, which now lives in the
+// pooled message header, and the sender's variadic list, which no route keeps
+// and so never leaves the caller's stack.  What is left is the decoded REAL
+// array.  The count is of the process, so it includes both nodes and the
 // test's own tasks.
 func TestInboundPathAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -28,7 +29,7 @@ func TestInboundPathAllocationBudget(t *testing.T) {
 	}
 	const (
 		parentAllocsPerMsg = 5.4
-		budget             = 3.3
+		budget             = 1.5
 		producers, window  = 2, 128
 		msgs               = 40 * producers * window
 	)

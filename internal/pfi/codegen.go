@@ -478,11 +478,9 @@ func (st *execState) evalInt(e cexpr) (int64, error) {
 }
 
 // evalSendArgs evaluates compiled message/initiation arguments into out, a
-// zeroed list of len(args) values.  Who owns out afterwards depends on the
-// statement: INITIATE passes a fresh slice, which the run-time retains as the
-// new task's argument list; SEND passes the list core.Task.SendArgs lent it,
-// which a message that stays on the sender's cluster keeps and one that
-// leaves it — encoded by then — gives back for the next SEND.
+// zeroed list of len(args) values: the list core.Task.SendArgs lent the
+// statement.  The run-time copies or encodes it before SEND or INITIATE
+// returns, so the next statement fills the same storage.
 func (st *execState) evalSendArgs(args []csendArg, out []core.Value) error {
 	for i, a := range args {
 		if err := a(st, &out[i]); err != nil {

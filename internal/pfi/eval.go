@@ -762,7 +762,7 @@ func msgArgFn(name string, want valKind) intrinsicFn {
 		if st.lastAccept == nil {
 			return value{}, fmt.Errorf("%s used before any ACCEPT", name)
 		}
-		msgs := st.lastAccept.ByType[msgType]
+		msgs := st.lastAccept.ByType(msgType)
 		if i < 1 || i > int64(len(msgs)) {
 			return value{}, fmt.Errorf("%s: message %d of type %s not accepted (have %d)", name, i, msgType, len(msgs))
 		}

@@ -386,7 +386,7 @@ func (st *execState) execInitiate(c *cinitiate) error {
 		}
 		placement = core.OnCluster(int(cl))
 	}
-	args := make([]core.Value, len(c.args))
+	args := st.t.SendArgs(len(c.args))
 	if err := st.evalSendArgs(c.args, args); err != nil {
 		return err
 	}

@@ -56,18 +56,20 @@ END TASKTYPE
 
 // TestInterpretedFanInAllocBudget holds what a Pisces Fortran message
 // allocates on the user path — SEND evaluated, staged and decoded across
-// clusters, ACCEPT 1 OF, NMSG, MSGR — to half of what it did before SEND's
-// argument list, ACCEPT's spec and ACCEPT's result were reused.  PR 20
-// (cc83ccc) reads 8.18 objects and 3,097 bytes a message in this test; this
-// tree reads 1.09 and 1,296 — the one object left is the receiver's decoded
-// argument list, 8 Values of 144 bytes.
+// clusters, ACCEPT 1 OF, NMSG, MSGR — to a quarter of an object and 64 bytes.
+// PR 20 (cc83ccc) reads 8.18 objects and 3,097 bytes a message in this test;
+// PR 21, which reused SEND's argument list, ACCEPT's spec and ACCEPT's
+// result, 1.08 and 1,294 under a budget of half PR 20's — the one object left
+// was the receiver's decoded argument list, 8 Values of 144 bytes.  That list
+// now lives in the pooled message header; this tree reads 0.04-0.08 objects
+// and 5-21 bytes.
 func TestInterpretedFanInAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const (
-		parentObjects, parentBytes = 8.18, 3097.0
-		maxObjects, maxBytes       = parentObjects / 2, parentBytes / 2
+		parentObjects, parentBytes = 1.08, 1294.0
+		maxObjects, maxBytes       = 0.25, 64.0
 	)
 	run := func(rounds int) (objects, bytes float64) {
 		src, msgs := faninSource(rounds)
@@ -94,7 +96,7 @@ func TestInterpretedFanInAllocBudget(t *testing.T) {
 	objects, bytes := run(64)
 	t.Logf("%.2f objects and %.0f bytes a message (parent: %.2f and %.0f)", objects, bytes, parentObjects, parentBytes)
 	if objects > maxObjects || bytes > maxBytes {
-		t.Errorf("an interpreted fan-in message allocates %.2f objects and %.0f bytes; budget %.2f and %.0f, half the parent's", objects, bytes, maxObjects, maxBytes)
+		t.Errorf("an interpreted fan-in message allocates %.2f objects and %.0f bytes; budget %.2f and %.0f", objects, bytes, maxObjects, maxBytes)
 	}
 }
 
