@@ -175,6 +175,28 @@ func TestRunInterpretsExampleProgram(t *testing.T) {
 	}
 }
 
+// TestRunRefusesHostileArrayDeclarations: "pisces run" on an array declaration
+// too large for the process, for makeslice, or for its own extent product
+// returns the interpreter's positioned diagnostic — the process lives to
+// print it.
+func TestRunRefusesHostileArrayDeclarations(t *testing.T) {
+	for _, dims := range []string{"2000000000", "9000000000000000000", "4294967296, 4294967296"} {
+		path := filepath.Join(t.TempDir(), "hostile.pf")
+		src := "TASKTYPE MAIN\n      REAL A(" + dims + ")\n      A(1) = 1.0\n      PRINT *, 'SURVIVED'\nEND TASKTYPE\n"
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		err := runInterpreted([]string{path}, &out)
+		if want := "pfi: line 2: array A has more than 4194304 elements"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("REAL A(%s): error %v, want one containing %q", dims, err, want)
+		}
+		if !strings.Contains(out.String(), "*** PFI error in TASKTYPE MAIN: pfi: line 2: array A") || strings.Contains(out.String(), "SURVIVED") {
+			t.Errorf("REAL A(%s): terminal shows\n%s", dims, out.String())
+		}
+	}
+}
+
 // TestRunFlagRefusals pins the "refused rather than silently ignored" rule:
 // a flag combination the chosen execution path cannot honour is an error
 // naming the flag, never a successful run with the flag dropped.  The retired

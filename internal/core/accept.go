@@ -323,11 +323,10 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 	if timeout == 0 {
 		timeout = t.vm.opts.AcceptTimeout
 	}
+	// The deadline is set when the first drain comes up short: a statement
+	// whose messages are already queued never reads the clock.
 	var deadline time.Time
 	hasDeadline := timeout != Forever
-	if hasDeadline {
-		deadline = t.vm.backend.Now().Add(timeout)
-	}
 
 	// The result the task's owner last handed back through RecycleAccept is
 	// filled again; a caller that keeps its results gets a new one each time.
@@ -353,7 +352,11 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 			obsT0 = t.vm.om.reg.Now()
 		}
 		if hasDeadline {
-			remaining := deadline.Sub(t.vm.backend.Now())
+			now := t.vm.backend.Now()
+			if deadline.IsZero() {
+				deadline = now.Add(timeout)
+			}
+			remaining := deadline.Sub(now)
 			if remaining <= 0 {
 				return t.acceptTimeout(spec, st, res)
 			}

@@ -178,13 +178,13 @@ func litValue(l pfc.Lit) value {
 func valueLit(v value) pfc.Lit {
 	switch v.kind {
 	case kInt:
-		return pfc.Lit{Kind: pfc.LitInt, I: v.i}
+		return pfc.Lit{Kind: pfc.LitInt, I: v.i()}
 	case kReal:
-		return pfc.Lit{Kind: pfc.LitReal, R: v.r}
+		return pfc.Lit{Kind: pfc.LitReal, R: v.r()}
 	case kBool:
-		return pfc.Lit{Kind: pfc.LitLogical, B: v.b}
+		return pfc.Lit{Kind: pfc.LitLogical, B: v.b()}
 	}
-	return pfc.Lit{Kind: pfc.LitChar, S: v.s}
+	return pfc.Lit{Kind: pfc.LitChar, S: v.s()}
 }
 
 // foldExpr evaluates constant subtrees at compile time.  A constant subtree
@@ -389,7 +389,7 @@ func (tc *taskCompiler) compileSendArgs(items []pfc.Operand) []csendArg {
 				if err != nil {
 					return err
 				}
-				return toCoreValue(dst, &v)
+				return toCoreValue(dst, v)
 			}
 			continue
 		}
@@ -399,7 +399,7 @@ func (tc *taskCompiler) compileSendArgs(items []pfc.Operand) []csendArg {
 			if err != nil {
 				return err
 			}
-			return toCoreValue(dst, &v)
+			return toCoreValue(dst, v)
 		}
 	}
 	return out
@@ -496,14 +496,14 @@ func arrayToCore(dst *core.Value, name string, a *array) error {
 	case kInt:
 		vs := make([]int64, len(a.data))
 		for i := range a.data {
-			vs[i] = a.data[i].i
+			vs[i] = a.data[i].i()
 		}
 		dst.Kind, dst.IntArray = msgcodec.KindIntArray, vs
 		return nil
 	case kReal:
 		vs := make([]float64, len(a.data))
 		for i := range a.data {
-			vs[i] = a.data[i].r
+			vs[i] = a.data[i].r()
 		}
 		dst.Kind, dst.RealArray = msgcodec.KindRealArray, vs
 		return nil

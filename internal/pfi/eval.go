@@ -44,28 +44,48 @@ func (k valKind) String() string {
 	return "?"
 }
 
-// value is one interpreter value.  WINDOW payloads sit behind a pointer:
-// they are rare, and keeping them out of line keeps the value struct small
-// enough that the constant copying on the evaluation hot path stays cheap.
+// value is one interpreter value, three machine words: the kind, one 64-bit
+// word, and one pointer.  (value, error) is then five words, which Go's
+// register ABI returns in registers (it spills past nine), so a compiled
+// expression hands its result to its caller without touching memory.
+//
+// INTEGER, REAL and LOGICAL live in bits: the integer itself, the IEEE 754
+// bits of the real (NaN payloads and -0.0 survive), 1 for .TRUE.  CHARACTER,
+// TASKID and WINDOW payloads sit out of line behind ref and are never written
+// after construction, so copies of a value share one payload.  A nil ref reads
+// as the kind's zero — "", NilTask, the zero window — which is what zeroVal, a
+// declared-but-unassigned WINDOW and a never-assigned array element hold.
+//
+// Numeric and LOGICAL evaluation allocates nothing.  Literals are built once
+// at compile time, so the only run-time allocations are where a CHARACTER,
+// TASKID or WINDOW value is made: MSGS/MSGT/MSGW, SELF/PARENT/SENDER, and
+// binding such an INITIATE argument to a parameter.
 type value struct {
 	kind valKind
-	b    bool
-	i    int64
-	r    float64
-	s    string
-	id   core.TaskID
-	win  *core.Window
+	bits uint64
+	ref  *payload
 }
 
-func intVal(v int64) value      { return value{kind: kInt, i: v} }
-func realVal(v float64) value   { return value{kind: kReal, r: v} }
-func boolVal(v bool) value      { return value{kind: kBool, b: v} }
-func strVal(v string) value     { return value{kind: kStr, s: v} }
-func idVal(v core.TaskID) value { return value{kind: kTaskID, id: v} }
-func winVal(v core.Window) value {
-	return value{kind: kWindow, win: &v}
+// payload is the out-of-line part of a CHARACTER, TASKID or WINDOW value;
+// only the field of the value's kind is meaningful.
+type payload struct {
+	s   string
+	id  core.TaskID
+	win core.Window
 }
-func zeroVal(k valKind) value { return value{kind: k} }
+
+func intVal(v int64) value    { return value{kind: kInt, bits: uint64(v)} }
+func realVal(v float64) value { return value{kind: kReal, bits: math.Float64bits(v)} }
+func boolVal(v bool) value {
+	if v {
+		return value{kind: kBool, bits: 1}
+	}
+	return value{kind: kBool}
+}
+func strVal(v string) value      { return value{kind: kStr, ref: &payload{s: v}} }
+func idVal(v core.TaskID) value  { return value{kind: kTaskID, ref: &payload{id: v}} }
+func winVal(v core.Window) value { return value{kind: kWindow, ref: &payload{win: v}} }
+func zeroVal(k valKind) value    { return value{kind: k} }
 func implicitKind(name string) valKind {
 	if name != "" && name[0] >= 'I' && name[0] <= 'N' {
 		return kInt
@@ -73,13 +93,43 @@ func implicitKind(name string) valKind {
 	return kReal
 }
 
+// The accessors below read a value as its own kind; the caller has checked
+// v.kind.
+
+func (v value) i() int64   { return int64(v.bits) }
+func (v value) r() float64 { return math.Float64frombits(v.bits) }
+func (v value) b() bool    { return v.bits != 0 }
+
+func (v value) s() string {
+	if v.ref == nil {
+		return ""
+	}
+	return v.ref.s
+}
+
+func (v value) id() core.TaskID {
+	if v.ref == nil {
+		return core.NilTask
+	}
+	return v.ref.id
+}
+
+// windowPayload returns the WINDOW payload, treating a never-assigned WINDOW
+// variable as the zero window.
+func (v value) windowPayload() core.Window {
+	if v.ref == nil {
+		return core.Window{}
+	}
+	return v.ref.win
+}
+
 // toInt converts a numeric value to INTEGER (truncating, as Fortran does).
 func (v value) toInt() (int64, error) {
 	switch v.kind {
 	case kInt:
-		return v.i, nil
+		return v.i(), nil
 	case kReal:
-		return int64(v.r), nil
+		return int64(v.r()), nil
 	}
 	return 0, fmt.Errorf("%s value where a number is required", v.kind)
 }
@@ -88,9 +138,9 @@ func (v value) toInt() (int64, error) {
 func (v value) toReal() (float64, error) {
 	switch v.kind {
 	case kInt:
-		return float64(v.i), nil
+		return float64(v.i()), nil
 	case kReal:
-		return v.r, nil
+		return v.r(), nil
 	}
 	return 0, fmt.Errorf("%s value where a number is required", v.kind)
 }
@@ -100,38 +150,29 @@ func (v value) truth() (bool, error) {
 	if v.kind != kBool {
 		return false, fmt.Errorf("%s value where a LOGICAL is required", v.kind)
 	}
-	return v.b, nil
+	return v.b(), nil
 }
 
 // format renders the value for PRINT/WRITE output.
 func (v value) format() string {
 	switch v.kind {
 	case kInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case kReal:
-		return strconv.FormatFloat(v.r, 'g', -1, 64)
+		return strconv.FormatFloat(v.r(), 'g', -1, 64)
 	case kBool:
-		if v.b {
+		if v.b() {
 			return "T"
 		}
 		return "F"
 	case kStr:
-		return v.s
+		return v.s()
 	case kTaskID:
-		return v.id.String()
+		return v.id().String()
 	case kWindow:
 		return v.windowPayload().String()
 	}
 	return "?"
-}
-
-// windowPayload returns the WINDOW payload, treating a never-assigned WINDOW
-// variable as the zero window.
-func (v value) windowPayload() core.Window {
-	if v.win == nil {
-		return core.Window{}
-	}
-	return *v.win
 }
 
 // convert coerces a value to the declared kind of its destination.  Numeric
@@ -143,9 +184,9 @@ func convert(v value, k valKind) (value, error) {
 	}
 	switch {
 	case k == kInt && v.kind == kReal:
-		return intVal(int64(v.r)), nil
+		return intVal(int64(v.r())), nil
 	case k == kReal && v.kind == kInt:
-		return realVal(float64(v.i)), nil
+		return realVal(float64(v.i())), nil
 	}
 	return value{}, fmt.Errorf("cannot assign %s value to %s variable", v.kind, k)
 }
@@ -161,6 +202,17 @@ type array struct {
 	data []value
 }
 
+// maxArrayElems caps the elements of one declared array.  It is sized against
+// the storage a declaration takes at once: an element is a 24-byte value, so
+// the largest array is 96 MiB — room for a 2048 x 2048 grid — and a
+// declaration can neither ask the Go run-time for more than the process can
+// have (which ends every task in it, not just this one) nor overflow the
+// extent product.  No core.Limits field sees interpreter storage, so this is
+// the only bound on it.
+const maxArrayElems = 1 << 22
+
+// newArray makes a zeroed array; its extents come from arrayExtents or from
+// a message argument, both bounded.
 func newArray(kind valKind, rows, cols int) *array {
 	n := rows
 	if cols > 0 {
@@ -328,9 +380,9 @@ func opSource(op binOp) string {
 func negVal(x value) (value, error) {
 	switch x.kind {
 	case kInt:
-		return intVal(-x.i), nil
+		return intVal(-x.i()), nil
 	case kReal:
-		return realVal(-x.r), nil
+		return realVal(-x.r()), nil
 	}
 	return value{}, fmt.Errorf("unary - applied to %s value", x.kind)
 }
@@ -376,18 +428,18 @@ func applyArith(op binOp, x, y value) (value, error) {
 	if x.kind == kInt && y.kind == kInt {
 		switch op {
 		case opAdd:
-			return intVal(x.i + y.i), nil
+			return intVal(x.i() + y.i()), nil
 		case opSub:
-			return intVal(x.i - y.i), nil
+			return intVal(x.i() - y.i()), nil
 		case opMul:
-			return intVal(x.i * y.i), nil
+			return intVal(x.i() * y.i()), nil
 		case opDiv:
-			if y.i == 0 {
+			if y.i() == 0 {
 				return value{}, fmt.Errorf("INTEGER division by zero")
 			}
-			return intVal(x.i / y.i), nil
+			return intVal(x.i() / y.i()), nil
 		default:
-			return intPow(x.i, y.i)
+			return intPow(x.i(), y.i())
 		}
 	}
 	a, err := x.toReal()
@@ -450,26 +502,26 @@ func applyCompare(op binOp, x, y value) (value, error) {
 	if x.kind == kTaskID && y.kind == kTaskID {
 		switch op {
 		case opEQ:
-			return boolVal(x.id == y.id), nil
+			return boolVal(x.id() == y.id()), nil
 		case opNE:
-			return boolVal(x.id != y.id), nil
+			return boolVal(x.id() != y.id()), nil
 		}
 		return value{}, fmt.Errorf("TASKID values only compare with .EQ./.NE.")
 	}
 	if x.kind == kStr && y.kind == kStr {
 		switch op {
 		case opEQ:
-			return boolVal(x.s == y.s), nil
+			return boolVal(x.s() == y.s()), nil
 		case opNE:
-			return boolVal(x.s != y.s), nil
+			return boolVal(x.s() != y.s()), nil
 		case opLT:
-			return boolVal(x.s < y.s), nil
+			return boolVal(x.s() < y.s()), nil
 		case opLE:
-			return boolVal(x.s <= y.s), nil
+			return boolVal(x.s() <= y.s()), nil
 		case opGT:
-			return boolVal(x.s > y.s), nil
+			return boolVal(x.s() > y.s()), nil
 		default:
-			return boolVal(x.s >= y.s), nil
+			return boolVal(x.s() >= y.s()), nil
 		}
 	}
 	a, err := x.toReal()
@@ -579,7 +631,7 @@ func init() {
 			if st.lastAccept == nil {
 				return intVal(0), nil
 			}
-			return intVal(int64(st.lastAccept.Count(strings.ToUpper(args[0].s)))), nil
+			return intVal(int64(st.lastAccept.Count(strings.ToUpper(args[0].s())))), nil
 		},
 		"MSGI": msgArgFn("MSGI", kInt),
 		"MSGR": msgArgFn("MSGR", kReal),
@@ -607,8 +659,8 @@ func init() {
 				return ifail("ABS", "needs one argument")
 			}
 			if args[0].kind == kInt {
-				if args[0].i < 0 {
-					return intVal(-args[0].i), nil
+				if args[0].i() < 0 {
+					return intVal(-args[0].i()), nil
 				}
 				return args[0], nil
 			}
@@ -623,10 +675,10 @@ func init() {
 				return ifail("MOD", "needs two arguments")
 			}
 			if args[0].kind == kInt && args[1].kind == kInt {
-				if args[1].i == 0 {
+				if args[1].i() == 0 {
 					return ifail("MOD", "division by zero")
 				}
-				return intVal(args[0].i % args[1].i), nil
+				return intVal(args[0].i() % args[1].i()), nil
 			}
 			a, err1 := args[0].toReal()
 			b, err2 := args[1].toReal()
@@ -719,10 +771,10 @@ func minMaxFn(name string) intrinsicFn {
 		if allInt {
 			// Compare on int64 directly: going through float64 loses
 			// precision above 2**53.
-			best := args[0].i
+			best := args[0].i()
 			for _, a := range args[1:] {
-				if (wantMin && a.i < best) || (!wantMin && a.i > best) {
-					best = a.i
+				if (wantMin && a.i() < best) || (!wantMin && a.i() > best) {
+					best = a.i()
 				}
 			}
 			return intVal(best), nil
@@ -753,7 +805,7 @@ func msgArgFn(name string, want valKind) intrinsicFn {
 		if len(args) != 3 || args[0].kind != kStr {
 			return value{}, fmt.Errorf("%s needs ('TYPE', message, argument)", name)
 		}
-		msgType := strings.ToUpper(args[0].s)
+		msgType := strings.ToUpper(args[0].s())
 		i, err1 := args[1].toInt()
 		j, err2 := args[2].toInt()
 		if err1 != nil || err2 != nil {
@@ -813,18 +865,18 @@ func fromCoreValue(v *core.Value) (value, error) {
 }
 
 // toCoreValue writes an interpreter value into the zero message argument dst.
-func toCoreValue(dst *core.Value, v *value) error {
+func toCoreValue(dst *core.Value, v value) error {
 	switch v.kind {
 	case kInt:
-		dst.Kind, dst.Integer = msgcodec.KindInteger, v.i
+		dst.Kind, dst.Integer = msgcodec.KindInteger, v.i()
 	case kReal:
-		dst.Kind, dst.Real = msgcodec.KindReal, v.r
+		dst.Kind, dst.Real = msgcodec.KindReal, v.r()
 	case kBool:
-		dst.Kind, dst.Logical = msgcodec.KindLogical, v.b
+		dst.Kind, dst.Logical = msgcodec.KindLogical, v.b()
 	case kStr:
-		dst.Kind, dst.Character = msgcodec.KindCharacter, v.s
+		dst.Kind, dst.Character = msgcodec.KindCharacter, v.s()
 	case kTaskID:
-		*dst = core.ID(v.id)
+		*dst = core.ID(v.id())
 	case kWindow:
 		*dst = core.Win(v.windowPayload())
 	default:

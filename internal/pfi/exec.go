@@ -309,7 +309,7 @@ func (st *execState) execDecl(items []cdeclItem) error {
 			}
 			continue
 		}
-		rows, cols, err := st.arrayExtents(d)
+		rows, cols, n, err := st.arrayExtents(d)
 		if err != nil {
 			return err
 		}
@@ -320,10 +320,6 @@ func (st *execState) execDecl(items []cdeclItem) error {
 			// Fortran storage order, so every sharer sees the change and
 			// INITIATE-passed data survives — including 1-D message arrays
 			// bound to parameters declared two-dimensional.
-			n := rows
-			if cols > 0 {
-				n = rows * cols
-			}
 			if len(a.data) != n {
 				return fmt.Errorf("array %s re-declared with conflicting extents", d.name)
 			}
@@ -343,26 +339,28 @@ func (st *execState) execDecl(items []cdeclItem) error {
 	return nil
 }
 
-func (st *execState) arrayExtents(d *cdeclItem) (rows, cols int, err error) {
-	r, err := st.evalInt(d.dims[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	if r < 1 {
-		return 0, 0, fmt.Errorf("array %s has non-positive extent %d", d.name, r)
-	}
-	rows = int(r)
-	if len(d.dims) == 2 {
-		cv, err := st.evalInt(d.dims[1])
+// arrayExtents evaluates a declaration's one or two extents and returns them
+// with the element count they give, refusing an array over maxArrayElems.
+// Each extent is held to the cap before it is multiplied in, so the product
+// of two accepted extents (below 2**44) cannot overflow.
+func (st *execState) arrayExtents(d *cdeclItem) (rows, cols, n int, err error) {
+	var ext [2]int64
+	elems := int64(1)
+	for i, dim := range d.dims {
+		e, err := st.evalInt(dim)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
-		if cv < 1 {
-			return 0, 0, fmt.Errorf("array %s has non-positive extent %d", d.name, cv)
+		if e < 1 {
+			return 0, 0, 0, fmt.Errorf("array %s has non-positive extent %d", d.name, e)
 		}
-		cols = int(cv)
+		if e > maxArrayElems || elems*e > maxArrayElems {
+			return 0, 0, 0, fmt.Errorf("array %s has more than %d elements (extent %d)", d.name, maxArrayElems, e)
+		}
+		ext[i] = e
+		elems *= e
 	}
-	return rows, cols, nil
+	return int(ext[0]), int(ext[1]), int(elems), nil
 }
 
 // --- Pisces statements -------------------------------------------------------
@@ -434,7 +432,7 @@ func (st *execState) execSend(c *csend) error {
 		if v.kind != kTaskID {
 			return fmt.Errorf("SEND destination is %s, not a TASKID", v.kind)
 		}
-		return st.t.Send(v.id, c.msgType, args...)
+		return st.t.Send(v.id(), c.msgType, args...)
 	}
 }
 
@@ -698,7 +696,7 @@ func (st *execState) execSharedCommon(blockName string, items []cdeclItem) error
 			if b.kind != kNone {
 				kind = b.kind
 			}
-			rows, cols, err := st.arrayExtents(d)
+			rows, cols, _, err := st.arrayExtents(d)
 			if err != nil {
 				return err
 			}

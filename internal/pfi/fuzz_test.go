@@ -81,5 +81,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("TASKTYPE T\n      ACCEPT 1 OF\nEND TASKTYPE\n")
 	f.Add("TASKTYPE T\n      DO 10 I = 1,\n10    CONTINUE\nEND TASKTYPE\n")
 	f.Add("TASKTYPE T(")
+	for _, dims := range hostileExtents {
+		f.Add("TASKTYPE T\n      REAL A(" + dims + ")\nEND TASKTYPE\n")
+	}
 	f.Fuzz(compileNeverPanics)
 }

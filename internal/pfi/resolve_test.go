@@ -89,17 +89,17 @@ func TestMemberPrivateVsShared(t *testing.T) {
 	g := f.copyForMember()
 	// Scalars diverge.
 	g.slots[sPriv].v = intVal(99)
-	if f.slots[sPriv].v.i != 1 {
-		t.Errorf("scalar not member-private: primary sees %d", f.slots[sPriv].v.i)
+	if f.slots[sPriv].v.i() != 1 {
+		t.Errorf("scalar not member-private: primary sees %d", f.slots[sPriv].v.i())
 	}
 	// Arrays and cells are the same storage.
 	g.slots[sArr].arr.data[0] = intVal(7)
-	if f.slots[sArr].arr.data[0].i != 7 {
+	if f.slots[sArr].arr.data[0].i() != 7 {
 		t.Error("array not shared by reference between members")
 	}
 	g.slots[sCell].cell.store(realVal(2.5))
-	if got := f.slots[sCell].cell.load(); got.r != 2.5 {
-		t.Errorf("shared cell not shared: primary reads %v", got.r)
+	if got := f.slots[sCell].cell.load(); got.r() != 2.5 {
+		t.Errorf("shared cell not shared: primary reads %v", got.r())
 	}
 }
 

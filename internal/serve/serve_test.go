@@ -152,6 +152,39 @@ func TestCompileErrorFailsSession(t *testing.T) {
 	}
 }
 
+// TestHostileArrayDeclarationFailsSession: the three array declarations that
+// used to take the process down — 144 GB asked of the Go run-time, a length
+// makeslice refuses, an extent product that wraps to zero — each fail their
+// own session with the interpreter's positioned diagnostic, and a second
+// tenant submitting beside them is served as if they were not there.
+func TestHostileArrayDeclarationFailsSession(t *testing.T) {
+	m := New(Config{MaxActive: 2})
+	defer drainAll(t, m)
+	for _, dims := range []string{"2000000000", "9000000000000000000", "4294967296, 4294967296"} {
+		src := "TASKTYPE MAIN\n      REAL A(" + dims + ")\n      A(1) = 1.0\n      PRINT *, 'SURVIVED'\nEND TASKTYPE\n"
+		hostile, err := m.Submit(Request{Tenant: "mallory", Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := m.Submit(Request{Tenant: "alice", Source: helloSrc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSession(t, hostile)
+		st, serr := hostile.State()
+		if st != StateFailed || serr == nil || !strings.Contains(serr.Error(), "pfi: line 2: array A has more than") {
+			t.Errorf("REAL A(%s): state = %q err = %v; want failed with the element-cap diagnostic", dims, st, serr)
+		}
+		if out := string(hostile.Output()); strings.Contains(out, "SURVIVED") {
+			t.Errorf("REAL A(%s) ran past its declaration:\n%s", dims, out)
+		}
+		waitSession(t, good)
+		if st, serr := good.State(); st != StateDone || !strings.Contains(string(good.Output()), "HELLO SERVE") {
+			t.Errorf("beside REAL A(%s): state = %q err = %v output = %q; want done", dims, st, serr, good.Output())
+		}
+	}
+}
+
 // TestQueueFullRejects: with one worker pinned on a slow program and a
 // depth-1 queue occupied, the next submission is refused immediately and
 // leaves no trace in the session table.
