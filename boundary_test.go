@@ -87,12 +87,14 @@ func TestOneFrontEndForPiscesFortran(t *testing.T) {
 }
 
 // TestOneEmissionRoutinePerLayer pins the one-announcement-per-site rule: an
-// event reaches the flight-recorder ring and the flow capture only through
-// the emission routine — obs.Registry.Emit, which core's VM.emit forwards to
-// — so no non-test code outside internal/obs calls (*obs.Recorder).Record
-// (recognised by its five arguments; trace.Recorder.Record takes one) or a
-// Flow method, and inside internal/obs only event.go records.  bench/ is
-// the measuring harness: it times Record directly and is not walked.
+// event reaches the Section 12 trace sinks, the flight-recorder ring and the
+// flow capture only through the emission routine — obs.Registry.Emit, which
+// core's VM.emit forwards to — so no non-test code outside internal/obs calls
+// (*obs.Recorder).Record (recognised by its five arguments) or a Flow method,
+// builds a trace.Event or calls a trace sink's Emit (any .Emit( in a file
+// that imports internal/trace, or in that package), and inside internal/obs
+// only event.go does.  bench/ is the measuring harness: it times Record
+// directly and is not walked.
 func TestOneEmissionRoutinePerLayer(t *testing.T) {
 	fset := token.NewFileSet()
 	files := 0
@@ -115,19 +117,32 @@ func TestOneEmissionRoutinePerLayer(t *testing.T) {
 		}
 		files++
 		slash := filepath.ToSlash(path)
+		if slash == "internal/obs/event.go" {
+			return nil
+		}
+		knowsTrace := f.Name.Name == "trace"
+		for _, imp := range f.Imports {
+			knowsTrace = knowsTrace || imp.Path.Value == `"repro/internal/trace"`
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			announces := sel.Sel.Name == "Record" && len(call.Args) == 5 || sel.Sel.Name == "Flow"
-			if announces && slash != "internal/obs/event.go" {
-				t.Errorf("%s: calls %s directly; announce through emit (obs.Registry.Emit) instead",
-					fset.Position(call.Pos()), sel.Sel.Name)
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Event" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "trace" {
+						t.Errorf("%s: builds a trace.Event; the trace line is rendered in obs.Registry.Emit", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				announces := sel.Sel.Name == "Record" && len(n.Args) == 5 || sel.Sel.Name == "Flow" ||
+					sel.Sel.Name == "Emit" && knowsTrace
+				if announces {
+					t.Errorf("%s: calls %s directly; announce through emit (obs.Registry.Emit) instead",
+						fset.Position(n.Pos()), sel.Sel.Name)
+				}
 			}
 			return true
 		})

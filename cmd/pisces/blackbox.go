@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/msgcodec"
 )
 
@@ -125,24 +126,9 @@ func describeEvent(ev msgcodec.BlackboxEvent) string {
 	case msgcodec.EvCheckpoint:
 		return fmt.Sprintf("origin n%d epoch %d", ev.A, ev.B)
 	case msgcodec.EvLimit:
-		return fmt.Sprintf("%s limit %d exceeded", limitResourceName(ev.A), ev.B)
+		return fmt.Sprintf("%s limit %d exceeded", core.LimitResourceName(ev.A), ev.B)
 	case msgcodec.EvHeartbeatMiss:
 		return fmt.Sprintf("n%d declared dead", ev.A)
 	}
 	return fmt.Sprintf("edge=%#x a=%d b=%d", ev.Edge, ev.A, ev.B)
-}
-
-// limitResourceName inverts core's limitResourceCode mapping.
-func limitResourceName(code int64) string {
-	switch code {
-	case 1:
-		return "heap"
-	case 2:
-		return "tasks"
-	case 3:
-		return "wallclock"
-	case 4:
-		return "output"
-	}
-	return fmt.Sprintf("resource#%d", code)
 }

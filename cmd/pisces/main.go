@@ -243,7 +243,10 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		case *traceEvents != "":
 			return fmt.Errorf("-nodes does not support -trace (trace events are per node)")
 		}
-		return runDistributed(*nodes, *clusters, *slots, *forces, *mainTT, *showStats, *traceOut, *blackboxOut, *acceptTimeout, ha, fs.Arg(0), out)
+		return runDistributed(*nodes, *clusters, *slots, *forces, meshNode{
+			opts:  node.Options{Main: *mainTT, AcceptTimeout: *acceptTimeout, ConnectTimeout: 30 * time.Second, BlackboxDir: *blackboxOut},
+			stats: *showStats, traceOut: *traceOut,
+		}, ha, fs.Arg(0), out)
 	}
 	if *ha.enabled {
 		return fmt.Errorf("-ha requires -nodes (fault tolerance spans node processes)")
@@ -301,9 +304,9 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		opts.InterceptWire = true
 	}
 	if *traceEvents != "" {
-		// Enabled trace kinds display on the user's terminal (Section 12).
-		// Trace events are emitted from task goroutines concurrently with
-		// terminal output, so both go through one serialised writer.
+		// Enabled trace kinds display on the user's terminal (Section 12),
+		// concurrently with terminal output, so both go through one
+		// serialised writer.
 		sw := &syncWriter{w: out}
 		opts.UserOutput = sw
 		opts.TraceSinks = []pisces.TraceSink{pisces.WriterTraceSink{W: sw}}
@@ -369,8 +372,10 @@ func writeTraceFile(path string, reg *obs.Registry) error {
 	return f.Close()
 }
 
-// syncWriter serialises concurrent writers (trace sinks, the user
-// controller) onto one underlying writer.
+// syncWriter serialises the writers that share the terminal — the trace
+// sink, the user controller, the menu — onto one underlying writer.  The
+// registry already hands the sink one trace line at a time; what it cannot
+// know is that UserOutput is the same stream.
 type syncWriter struct {
 	mu sync.Mutex
 	w  io.Writer

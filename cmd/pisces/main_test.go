@@ -200,7 +200,8 @@ func TestRunRefusesHostileArrayDeclarations(t *testing.T) {
 // TestRunFlagRefusals pins the "refused rather than silently ignored" rule:
 // a flag combination the chosen execution path cannot honour is an error
 // naming the flag, never a successful run with the flag dropped.  The retired
-// wire-path switches are refused by the flag parser itself.
+// wire-path switches, and "serve -metrics" (a follower's -stats under another
+// name), are refused by the flag parser itself.
 func TestRunFlagRefusals(t *testing.T) {
 	example := filepath.Join("..", "..", "examples", "sumsq.pf")
 	serve := func(args []string) error { return runServe(args, io.Discard) }
@@ -219,6 +220,7 @@ func TestRunFlagRefusals(t *testing.T) {
 		{"ha without nodes", run, []string{"-ha", example}, "-ha requires -nodes"},
 		{"run wire-batch", run, []string{"-wire-batch", "off", example}, "flag provided but not defined"},
 		{"serve wire-credit-window", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-wire-credit-window", "1", example}, "flag provided but not defined"},
+		{"serve metrics", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-metrics", example}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cmd(tc.args)

@@ -94,9 +94,7 @@ func runServe(args []string, out io.Writer) error {
 	slots := fs.Int("slots", 4, "user-task slots per cluster")
 	forces := fs.String("forces", "", "comma-separated secondary PEs for cluster 1 forces")
 	mainTT := fs.String("main", "", "entry tasktype (node 0; default MAIN, else the first tasktype)")
-	showStats := fs.Bool("stats", false, "print the mesh-wide metric report after the run: counters (interpreter activity as pfi.*) and distributions, every node's snapshot summed (node 0)")
-	collectMetrics := fs.Bool("metrics", false,
-		"collect runtime metrics even without printing them, so drain acks carry this node's snapshot to the coordinator")
+	showStats := fs.Bool("stats", false, "collect runtime metrics; node 0 prints the mesh-wide report after the run — counters (interpreter activity as pfi.*) and distributions, every node's snapshot summed — and a follower's drain acks carry its snapshot there")
 	collectTrace := fs.Bool("trace-collect", false,
 		"capture runtime spans and causal flow events even without -trace-out, so drain acks carry this node's trace to the coordinator's merged file")
 	debugAddr := fs.String("debug-addr", "",
@@ -136,36 +134,57 @@ func runServe(args []string, out io.Writer) error {
 	if err := ha.validate(); err != nil {
 		return err
 	}
-	reg := obs.New()
-	if *showStats || *collectMetrics || *debugAddr != "" {
-		reg.Enable(obs.Metrics)
-	}
-	if *traceOut != "" || *collectTrace {
-		reg.Enable(obs.Spans)
-	}
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("-debug-addr: %w", err)
-		}
-		defer dln.Close()
-		go func() { _ = http.Serve(dln, obs.DebugHandler(reg)) }()
-		fmt.Fprintf(os.Stderr, "node %d: debug endpoints on http://%s/\n", *nodeID, dln.Addr())
-	}
 	o := node.Options{
 		NodeID: *nodeID, Addrs: addrs,
 		Config: cfg, Source: string(src), Main: *mainTT,
-		Out: out, Log: os.Stderr,
 		AcceptTimeout: *acceptTimeout, ConnectTimeout: *connectTimeout,
-		Metrics: reg, BlackboxDir: *blackboxOut,
+		BlackboxDir: *blackboxOut,
 	}
 	ha.apply(&o)
+	_, err = meshNode{opts: o, stats: *showStats, traceOut: *traceOut, collectTrace: *collectTrace, debugAddr: *debugAddr}.run(out)
+	return err
+}
+
+// meshNode is one node process of a mesh run: what "pisces serve -peers" is
+// told by hand, and what "pisces run -nodes" works out for its node 0.
+type meshNode struct {
+	opts         node.Options // all but Out, Log and Metrics, which run sets
+	stats        bool         // collect metrics; node 0 prints the merged report
+	traceOut     string       // write the spans here as Chrome trace-event JSON
+	collectTrace bool         // capture spans even with nowhere to write them
+	debugAddr    string       // serve the observability endpoints here
+}
+
+// run starts the node and sees the run through: a follower serves routed
+// traffic until the coordinator orders shutdown; node 0 drives the program
+// and then reports what it was asked to.  started is false if the node never
+// joined the mesh, so nobody will tell its peers to stop.
+func (m meshNode) run(out io.Writer) (started bool, err error) {
+	reg := obs.New()
+	if m.stats || m.debugAddr != "" {
+		reg.Enable(obs.Metrics)
+	}
+	if m.traceOut != "" || m.collectTrace {
+		reg.Enable(obs.Spans)
+	}
+	if m.debugAddr != "" {
+		dln, err := net.Listen("tcp", m.debugAddr)
+		if err != nil {
+			return false, fmt.Errorf("-debug-addr: %w", err)
+		}
+		defer dln.Close()
+		go func() { _ = http.Serve(dln, obs.DebugHandler(reg)) }()
+		fmt.Fprintf(os.Stderr, "node %d: debug endpoints on http://%s/\n", m.opts.NodeID, dln.Addr())
+	}
+	o := m.opts
+	o.Out, o.Log, o.Metrics = out, os.Stderr, reg
 	n, err := node.Start(o)
 	if err != nil {
-		return err
+		return false, err
 	}
+	follower := o.NodeID != 0
 	var runErr error
-	if *nodeID != 0 {
+	if follower {
 		runErr = n.ServeUntilShutdown()
 	} else {
 		runErr = n.RunMain()
@@ -175,25 +194,25 @@ func runServe(args []string, out io.Writer) error {
 		if err := n.Close(); err != nil && runErr == nil {
 			runErr = err
 		}
-		if *showStats {
+		if m.stats {
 			printMeshMetrics(out, n)
 		}
 	}
-	if *traceOut != "" {
+	if m.traceOut != "" {
 		// Node 0 merges the trace blobs the followers piggybacked on their
 		// drain acks, so its file shows every node as its own process track
 		// with cross-node flow arrows; followers write their local view.
 		var werr error
-		if *nodeID == 0 {
-			werr = writeMeshTraceFile(*traceOut, n)
+		if follower {
+			werr = writeTraceFile(m.traceOut, reg)
 		} else {
-			werr = writeTraceFile(*traceOut, reg)
+			werr = writeMeshTraceFile(m.traceOut, n)
 		}
 		if werr != nil && runErr == nil {
 			runErr = werr
 		}
 	}
-	return runErr
+	return true, runErr
 }
 
 // writeMeshTraceFile dumps the coordinator's merged multi-node trace (its own
@@ -223,7 +242,7 @@ func splitAddrs(peers string) []string {
 
 // runDistributed implements "pisces run -nodes N": fork the follower node
 // processes, run node 0 inline, and reap the children.
-func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats bool, traceOut, blackboxOut string, acceptTimeout time.Duration, ha *haFlags, file string, out io.Writer) error {
+func runDistributed(nodes, clusters, slots int, forces string, m meshNode, ha *haFlags, file string, out io.Writer) error {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		return err
@@ -271,13 +290,13 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 		args := []string{"serve",
 			"-node", strconv.Itoa(i), "-peers", peers,
 			"-clusters", strconv.Itoa(clusters), "-slots", strconv.Itoa(slots),
-			"-accept-timeout", acceptTimeout.String(),
+			"-accept-timeout", m.opts.AcceptTimeout.String(),
 		}
 		args = append(args, ha.serveArgs()...)
-		if blackboxOut != "" {
-			args = append(args, "-blackbox-out", blackboxOut)
+		if m.opts.BlackboxDir != "" {
+			args = append(args, "-blackbox-out", m.opts.BlackboxDir)
 		}
-		if traceOut != "" {
+		if m.traceOut != "" {
 			// Followers capture spans so their drain acks carry a trace blob
 			// for the coordinator's merged file; they write no file of their
 			// own (no -trace-out in the forwarded args).
@@ -286,10 +305,10 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 		if forces != "" {
 			args = append(args, "-forces", forces)
 		}
-		if showStats {
+		if m.stats {
 			// The followers collect metrics so their drain acks carry
 			// snapshots; the merged view prints on node 0 only.
-			args = append(args, "-metrics")
+			args = append(args, "-stats")
 		}
 		args = append(args, file)
 		cmd := exec.Command(exe, args...)
@@ -304,42 +323,13 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 		children = append(children, cmd)
 	}
 
-	reg := obs.New()
-	if showStats {
-		reg.Enable(obs.Metrics)
-	}
-	if traceOut != "" {
-		reg.Enable(obs.Spans)
-	}
-	o := node.Options{
-		NodeID: 0, Addrs: addrs, Listener: listeners[0],
-		Config: cfg, Source: string(src), Main: mainTT,
-		Out: out, Log: os.Stderr,
-		AcceptTimeout: acceptTimeout, ConnectTimeout: 30 * time.Second,
-		Metrics: reg, BlackboxDir: blackboxOut,
-	}
-	ha.apply(&o)
-	n, err := node.Start(o)
-	if err != nil {
+	m.opts.Addrs, m.opts.Listener = addrs, listeners[0]
+	m.opts.Config, m.opts.Source = cfg, string(src)
+	ha.apply(&m.opts)
+	started, runErr := m.run(out)
+	if !started {
 		killChildren()
-		return err
-	}
-	runErr := n.RunMain()
-	// Close before printing: the shutdown drain ships the followers' metric
-	// snapshots, so printing earlier would miss them.
-	if err := n.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if showStats {
-		printMeshMetrics(out, n)
-	}
-	if traceOut != "" {
-		// The merged file carries each node as its own process track; causal
-		// flow events connect a send span on one track to the delivery on
-		// another.
-		if err := writeMeshTraceFile(traceOut, n); err != nil && runErr == nil {
-			runErr = err
-		}
+		return runErr
 	}
 
 	// The followers exit on the shutdown frame; anything still alive after a

@@ -300,7 +300,7 @@ func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorde
 	if ft != nil {
 		ft.Bind(vm)
 	}
-	vm.Tracer().EnableAll(true)
+	vm.Obs().TraceAll(true)
 	stopKill := func() {}
 	if len(kill) > 0 && kill[0] != nil {
 		stop, kerr := kill[0].install(vm, ft)

@@ -98,20 +98,27 @@ func (vm *VM) recordLimit(e *LimitError) {
 	}
 }
 
-// limitResourceCode maps a LimitError resource name to the stable small
-// integer the flight recorder's fixed-size events carry.
+// limitResources is the one table between a LimitError's resource name and
+// the stable small integer the flight recorder's fixed-size events carry: a
+// resource's code is its index, and 0 is no resource.
+var limitResources = [...]string{1: LimitHeap, 2: LimitTasks, 3: LimitWallClock, 4: LimitOutput}
+
 func limitResourceCode(resource string) int64 {
-	switch resource {
-	case LimitHeap:
-		return 1
-	case LimitTasks:
-		return 2
-	case LimitWallClock:
-		return 3
-	case LimitOutput:
-		return 4
+	for code, name := range limitResources {
+		if name == resource {
+			return int64(code)
+		}
 	}
 	return 0
+}
+
+// LimitResourceName names the resource a flight-recorder limit event's code
+// stands for, for `pisces blackbox`.
+func LimitResourceName(code int64) string {
+	if code > 0 && code < int64(len(limitResources)) {
+		return limitResources[code]
+	}
+	return fmt.Sprintf("resource#%d", code)
 }
 
 // LimitViolation returns the first per-tenant limit this VM violated, as a

@@ -173,7 +173,7 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 	if _, _, err := t.vm.dispatch(t.rec.cluster, cl.controllerID, msgInitRequest, t.ID(), initRequestArgs(tasktype, t.ID(), args), sendSeq, reply); err != nil {
 		return err
 	}
-	if t.vm.watching(obs.MsgInitiate) {
+	if t.vm.om.reg.Watching(obs.MsgInitiate) {
 		t.vm.emit(&obs.Event{Kind: obs.MsgInitiate, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(cl.controllerID),
 			Type: tasktype, Detail: placement.String()}, t.rec.cluster.primary)
 	}

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/msgcodec"
+	"repro/internal/obs"
 )
 
 // TaskID identifies a task.  "The taskid consists of <cluster number, slot
@@ -64,7 +65,7 @@ func (t TaskID) less(o TaskID) bool {
 
 // String renders the taskid as "cluster.slot.unique".
 func (t TaskID) String() string {
-	return fmt.Sprintf("%d.%d.%d", t.Cluster, t.Slot, t.Unique)
+	return obs.TaskRef(t).String()
 }
 
 // ParseTaskID parses the "cluster.slot.unique" form produced by String.

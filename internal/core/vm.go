@@ -62,8 +62,9 @@ type Options struct {
 	// SystemLocalBytes is the per-PE local-memory footprint of the PISCES
 	// system; zero means DefaultSystemLocalBytes.
 	SystemLocalBytes int
-	// TraceSinks are attached to the trace recorder in addition to any sinks
-	// added later through Tracer().
+	// TraceSinks receive the Section 12 trace lines, in addition to any sinks
+	// added later through Obs().AddTraceSink.  Sinks and trace switches
+	// belong to the registry, so VMs handed one Metrics registry share them.
 	TraceSinks []trace.Sink
 	// Backend selects the scheduling substrate tasks run on.  Nil uses the
 	// default goroutine backend; a deterministic backend (internal/sim) makes
@@ -135,7 +136,6 @@ type VM struct {
 	kernel  *mmos.Kernel
 	cfg     *config.Configuration
 	opts    Options
-	tracer  *trace.Recorder
 	backend backend.Backend
 
 	mu        sync.Mutex
@@ -295,7 +295,6 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 		kernel:    mmos.NewKernelOn(machine, opts.Backend),
 		cfg:       cfg.Clone(),
 		opts:      opts,
-		tracer:    trace.NewRecorder(opts.TraceSinks...),
 		backend:   opts.Backend,
 		tasktypes: make(map[string]TaskType),
 		tasks:     make(map[TaskID]*taskRec),
@@ -306,6 +305,7 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 	// Attach after init: the registry clock is already the backend's, so the
 	// recorder inherits virtual time under a deterministic backend.
 	vm.om.reg.AttachRecorder(opts.FlightRecorder)
+	vm.om.reg.AddTraceSink(opts.TraceSinks...)
 	vm.edgeBase = uint64(opts.NodeID) << 48
 	vm.userTasks = vm.backend.NewWaitGroup()
 	vm.hold = &initReply{fn: func(TaskID) { vm.userTasks.Done() }}
@@ -339,7 +339,7 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 		if err != nil {
 			return nil, err
 		}
-		vm.tracer.EnableKind(k, true)
+		vm.om.reg.TraceKind(k, true)
 	}
 
 	// System tables: one VM header, one record per cluster, one per slot
@@ -443,10 +443,6 @@ func (vm *VM) Backend() backend.Backend { return vm.backend }
 
 // Configuration returns (a copy of) the configuration the VM was booted with.
 func (vm *VM) Configuration() *config.Configuration { return vm.cfg.Clone() }
-
-// Tracer returns the VM's trace recorder, for enabling events and attaching
-// sinks (the CHANGE TRACE OPTIONS menu entry).
-func (vm *VM) Tracer() *trace.Recorder { return vm.tracer }
 
 // UserControllerID returns the taskid of the user controller; it is the
 // parent of tasks initiated from the execution environment.

@@ -388,7 +388,7 @@ func (t *Task) chargeWindowTransfer(w Window, n int, dir string) {
 	t.Charge(int64(costSendHeader + costWindowElement*n))
 	t.vm.windowBytes.Add(int64(8 * n))
 	t.vm.windowOps.Add(1)
-	if t.vm.watching(obs.MsgWindow) {
+	if t.vm.om.reg.Watching(obs.MsgWindow) {
 		t.vm.emit(&obs.Event{Kind: obs.MsgWindow, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(w.Owner),
 			Type: dir, Detail: w.Region.String(), A: int64(w.ArrayID), B: int64(n)}, t.rec.cluster.primary)
 	}

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -292,9 +293,9 @@ func (e *Environment) displayLoading() error {
 
 // traceOptions: CHANGE TRACE OPTIONS.
 func (e *Environment) traceOptions(args []string) error {
-	rec := e.vm.Tracer()
+	reg := e.vm.Obs()
 	if len(args) == 0 || args[0] == "show" {
-		fmt.Fprint(e.out, rec.Settings())
+		fmt.Fprint(e.out, reg.TraceSettings())
 		return nil
 	}
 	// "trace task <taskid> on|off" is the per-task switch of Section 12; the
@@ -318,12 +319,12 @@ func (e *Environment) traceOptions(args []string) error {
 		if err != nil {
 			return err
 		}
-		rec.EnableTask(id.String(), on)
+		reg.TraceTask(obs.TaskRef(id), on)
 		fmt.Fprintf(e.out, "tracing of task %s %s\n", id, onOff(on))
 		return nil
 	}
 	if strings.EqualFold(args[0], "all") {
-		rec.EnableAll(on)
+		reg.TraceAll(on)
 		fmt.Fprintf(e.out, "all trace events %s\n", onOff(on))
 		return nil
 	}
@@ -331,7 +332,7 @@ func (e *Environment) traceOptions(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec.EnableKind(kind, on)
+	reg.TraceKind(kind, on)
 	fmt.Fprintf(e.out, "%s tracing %s\n", kind, onOff(on))
 	return nil
 }

@@ -220,7 +220,7 @@ func TestTraceTaskCommand(t *testing.T) {
 	if err := env.Execute("trace task " + quiet.String() + " on"); err != nil {
 		t.Fatal(err)
 	}
-	if got := vm.Tracer().Settings(); strings.Contains(got, "disabled tasks") {
+	if got := vm.Obs().TraceSettings(); strings.Contains(got, "disabled tasks") {
 		t.Errorf("task still listed after being switched back on:\n%s", got)
 	}
 	for _, bad := range []string{"trace task bogus on", "trace task 1.1.1 sideways", "trace task 1.1.1", "trace task 1.1.1 on off"} {

@@ -60,3 +60,26 @@ func BenchmarkSpanCapture(b *testing.B) {
 		r.Span("lane", "op", r.Now())
 	}
 }
+
+// BenchmarkEmitTraced is one enabled trace line into a sink that drops it:
+// the trace lock, two taskid renderings, the info format.
+func BenchmarkEmitTraced(b *testing.B) {
+	r := New()
+	r.AddTraceSink(&countingSink{})
+	r.TraceAll(true)
+	e := Event{Kind: MsgSend, Task: TaskRef{1, 1, 1}, Peer: TaskRef{1, 2, 1}, Type: "M"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.EmitAt(&e, 3, int64(i))
+	}
+}
+
+// BenchmarkEmitUnwatched is an announcement no sink takes: one mask load.
+func BenchmarkEmitUnwatched(b *testing.B) {
+	r := New()
+	e := Event{Kind: MsgSend, Task: TaskRef{1, 1, 1}, Type: "M"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Emit(&e)
+	}
+}

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/msgcodec"
@@ -10,10 +12,11 @@ import (
 
 // Kind names one thing the runtime announces.  Every announcement site in
 // internal/core and internal/node builds one Event of one Kind and hands it
-// to its layer's emission routine ((*core.VM).emit, or Registry.Emit where
-// no task is involved); which of the three streams hear about it — the
-// Section 12 trace line, the flight-recorder ring, the span/flow capture —
-// is that kind's row of the table below, never the site's business.
+// to its layer's emission routine ((*core.VM).emit, which reads the PE clock
+// and forwards, or Registry.Emit where no task is involved); which of the
+// three sinks hear about it — the Section 12 trace line, the flight-recorder
+// ring, the span/flow capture — is that kind's row of the table below and
+// the registry's switches, never the site's business.
 type Kind uint8
 
 // The event kinds.  README's "Event catalogue" has one row per kind and
@@ -107,13 +110,15 @@ func Kinds() []KindRow { return append([]KindRow(nil), kinds[:]...) }
 // String returns the kind's catalogue name.
 func (k Kind) String() string { return kinds[k].Name }
 
-// Trace returns the Section 12 event type the kind prints as, negative when
-// it has no trace line (trace.Recorder.Wants refuses a negative kind).
-func (k Kind) Trace() trace.Kind { return kinds[k].Trace }
-
 // TaskRef is a taskid as the event carries it: core.TaskID's fields, so the
 // conversion either way is free.
 type TaskRef struct{ Cluster, Slot, Unique int }
+
+// String renders the taskid as trace lines and displays print it,
+// "cluster.slot.unique".
+func (t TaskRef) String() string {
+	return fmt.Sprintf("%d.%d.%d", t.Cluster, t.Slot, t.Unique)
+}
 
 // Event is one announcement: plain words, built on the emitter's stack and
 // never retained.  What A, B, Type and Detail mean is the kind's (see the
@@ -146,24 +151,50 @@ func (r *Registry) SpanStart() time.Time {
 	return r.Now()
 }
 
-// Watching reports whether the flight recorder or the span capture would
-// take an event of kind k right now.
-func (r *Registry) Watching(k Kind) bool {
-	if r == nil {
-		return false
+// rewant recomputes the per-kind mask Watching loads from the three things
+// it depends on — the Section 12 type switches, whether a flight recorder is
+// attached, whether Spans is on.  Every routine that changes one of them
+// calls it with r.tmu held.
+func (r *Registry) rewant() {
+	traced, rec, spans := r.traceOn.Load(), r.rec.Load() != nil, r.Has(Spans)
+	var want uint32
+	for k := range kinds {
+		row := &kinds[k]
+		if row.Trace != noTrace && traced&(1<<row.Trace) != 0 ||
+			row.Box != 0 && rec || row.Lane != "" && spans {
+			want |= 1 << k
+		}
 	}
-	row := &kinds[k]
-	return (row.Box != 0 && r.rec.Load() != nil) || (row.Lane != "" && r.Has(Spans))
+	r.want.Store(want)
 }
 
-// Emit is the emission routine below the task level: it hands the event to
-// the attached flight recorder and to the span/flow capture, as the kind's
-// row says.  Nil-safe; allocation-free unless a span is actually captured.
-func (r *Registry) Emit(e *Event) {
-	if r == nil {
+// Watching is the one question an announcement site may ask before building
+// anything costly for an event: is any sink taking this kind right now?
+func (r *Registry) Watching(k Kind) bool {
+	return r != nil && r.want.Load()&(1<<k) != 0
+}
+
+// Emit is the emission routine for an event below the task level, which has
+// no PE clock to read.
+func (r *Registry) Emit(e *Event) { r.EmitAt(e, 0, 0) }
+
+// EmitAt is the emission routine: it hands the event to the sinks its kind's
+// row names — the Section 12 trace line, which carries the clock reading
+// (pe, ticks); the flight-recorder ring; the span/flow capture — in that
+// order.  The reading travels beside the event, not in it: Event is already
+// the largest thing in an announcing task's frame.  Nil-safe; with nothing
+// watching the kind it costs the one mask load, and it allocates only for a
+// trace line or a captured span.
+func (r *Registry) EmitAt(e *Event, pe int, ticks int64) {
+	if !r.Watching(e.Kind) {
 		return
 	}
 	row := &kinds[e.Kind]
+	// The type switch is read here, not under the trace lock: an ACCEPT the
+	// ring alone is watching must not queue behind other clusters' for it.
+	if row.Trace != noTrace && r.traceOn.Load()&(1<<row.Trace) != 0 {
+		r.traceLine(e, row.Trace, pe, ticks)
+	}
 	if row.Box != 0 && (!row.ByTask || e.Edge != 0) {
 		a, b, shard := e.A, e.B, 0
 		if row.ByTask {
@@ -181,4 +212,85 @@ func (r *Registry) Emit(e *Event) {
 			r.spans.flow(Flow{Edge: e.Edge, Lane: lane, Phase: row.Phase}, e.Start)
 		}
 	}
+}
+
+// traceLine is the Section 12 sink, for an event whose type Emit found
+// switched on: unless its task is switched off, it renders the line and
+// hands it to every trace sink.  All of it happens under r.tmu, so a sink
+// hears one event at a time, in an order all sinks agree on, and a silenced
+// task's line is never rendered.
+func (r *Registry) traceLine(e *Event, k trace.Kind, pe int, ticks int64) {
+	r.tmu.Lock()
+	defer r.tmu.Unlock()
+	if r.taskOff[e.Task] {
+		return
+	}
+	line := trace.Event{Kind: k, Task: e.Task.String(), PE: pe, Ticks: ticks, Info: e.Info()}
+	if e.Peer != (TaskRef{}) {
+		line.Other = e.Peer.String()
+	}
+	for _, s := range r.sinks {
+		s.Emit(line)
+	}
+}
+
+// traceKinds is the Section 12 list of event types, in display order.
+var traceKinds = trace.Kinds()
+
+// AddTraceSink attaches sinks to the Section 12 trace.
+func (r *Registry) AddTraceSink(sinks ...trace.Sink) {
+	r.tmu.Lock()
+	r.sinks = append(r.sinks, sinks...)
+	r.tmu.Unlock()
+}
+
+// TraceKind turns tracing of one event type on or off ("Tracing may be
+// turned on and off for each type of event").  An unknown type is ignored.
+func (r *Registry) TraceKind(k trace.Kind, on bool) {
+	if k >= 0 && int(k) < len(traceKinds) {
+		r.flip(&r.traceOn, 1<<k, on)
+	}
+}
+
+// TraceAll turns every event type on or off.
+func (r *Registry) TraceAll(on bool) { r.flip(&r.traceOn, 1<<len(traceKinds)-1, on) }
+
+// TraceTask turns tracing of one task on or off ("and each task").  A task
+// switched off is silent whatever the type switches say.
+func (r *Registry) TraceTask(t TaskRef, on bool) {
+	r.tmu.Lock()
+	defer r.tmu.Unlock()
+	if on {
+		delete(r.taskOff, t)
+		return
+	}
+	if r.taskOff == nil {
+		r.taskOff = make(map[TaskRef]bool)
+	}
+	r.taskOff[t] = true
+}
+
+// TraceSettings describes the trace switches for the execution
+// environment's "CHANGE TRACE OPTIONS" display: one row per event type, then
+// the tasks switched off, if any.
+func (r *Registry) TraceSettings() string {
+	r.tmu.Lock()
+	defer r.tmu.Unlock()
+	var b strings.Builder
+	for _, k := range traceKinds {
+		state := "off"
+		if r.traceOn.Load()&(1<<k) != 0 {
+			state = "ON"
+		}
+		fmt.Fprintf(&b, "%-11s %s\n", k, state)
+	}
+	if len(r.taskOff) > 0 {
+		tasks := make([]string, 0, len(r.taskOff))
+		for t := range r.taskOff {
+			tasks = append(tasks, t.String())
+		}
+		sort.Strings(tasks)
+		fmt.Fprintf(&b, "disabled tasks: %s\n", strings.Join(tasks, ", "))
+	}
+	return b.String()
 }

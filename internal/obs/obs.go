@@ -5,8 +5,8 @@
 // The design goals, in order:
 //
 //  1. Near-zero cost when disabled.  Every instrumented call site loads one
-//     atomic mask word (the same idiom as the VM trace kind-mask) before
-//     doing any work; a disabled registry costs one predictable branch.
+//     atomic mask word before doing any work; a disabled registry costs one
+//     predictable branch.
 //  2. Lock-free hot path when enabled.  Counters, gauges and histogram
 //     observations are plain atomic ops; call sites pre-resolve *Counter /
 //     *Histogram handles once and bump them without touching the registry.
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Mask selects which instrumentation families are live.
@@ -37,11 +38,18 @@ const (
 	Spans
 )
 
-// Registry is a named set of metrics plus a span buffer.  The zero value is
-// not ready; use New.  A nil *Registry is legal everywhere and behaves as a
-// permanently disabled registry, so callers can thread one unconditionally.
+// Registry is a named set of metrics, a span buffer, and the switches that
+// decide which sinks hear an announced event (event.go).  The zero value is
+// not ready; use New.  A nil *Registry behaves as a permanently disabled one
+// in the methods a layer calls on a registry it was merely handed — Enable,
+// Disable, Has, Any, SetClock, Now, AttachRecorder, Recorder, SpanStart,
+// Span, Watching, Emit, EmitAt, Snapshot, Spans, Flows, Trace and
+// WriteChromeTrace.
+// Counter, Gauge, Histogram and the Trace* switches dereference it: a caller
+// that may hold none guards them itself.
 type Registry struct {
 	mask  atomic.Uint32
+	want  atomic.Uint32 // bit k: some sink takes Kind k right now (rewant)
 	clock atomic.Pointer[func() time.Time]
 	rec   atomic.Pointer[Recorder]
 
@@ -49,6 +57,14 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// tmu is the trace lock.  It guards the Section 12 switches and sink
+	// list, is held while the sinks are called (so a trace.Sink hears one
+	// event at a time), and orders every change want is derived from.
+	tmu     sync.Mutex
+	traceOn atomic.Uint32 // bit per trace.Kind; written under tmu
+	taskOff map[TaskRef]bool
+	sinks   []trace.Sink
 
 	spans spanBuf
 }
@@ -68,28 +84,29 @@ func New() *Registry {
 
 // Enable turns the given instrumentation families on.
 func (r *Registry) Enable(m Mask) {
-	if r == nil {
-		return
-	}
-	for {
-		old := r.mask.Load()
-		if r.mask.CompareAndSwap(old, old|uint32(m)) {
-			return
-		}
+	if r != nil {
+		r.flip(&r.mask, uint32(m), true)
 	}
 }
 
 // Disable turns the given instrumentation families off.
 func (r *Registry) Disable(m Mask) {
-	if r == nil {
-		return
+	if r != nil {
+		r.flip(&r.mask, uint32(m), false)
 	}
-	for {
-		old := r.mask.Load()
-		if r.mask.CompareAndSwap(old, old&^uint32(m)) {
-			return
-		}
+}
+
+// flip sets or clears bits of one of the switch words (the family mask, the
+// trace types) and brings want up to date, under the trace lock.
+func (r *Registry) flip(word *atomic.Uint32, bits uint32, on bool) {
+	r.tmu.Lock()
+	if on {
+		word.Store(word.Load() | bits)
+	} else {
+		word.Store(word.Load() &^ bits)
 	}
+	r.rewant()
+	r.tmu.Unlock()
 }
 
 // Has reports whether every family in m is enabled.  This is the hot-path
@@ -125,7 +142,10 @@ func (r *Registry) AttachRecorder(rec *Recorder) {
 		return
 	}
 	rec.SetClock(*r.clock.Load())
+	r.tmu.Lock()
 	r.rec.Store(rec)
+	r.rewant()
+	r.tmu.Unlock()
 }
 
 // Recorder returns the attached flight recorder, nil if none.  Nil-safe.

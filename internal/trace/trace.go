@@ -7,15 +7,18 @@
 // number and "ticks" count), and other relevant information.  Tracing may be
 // turned on and off per event type and per task; trace files can be studied
 // off-line for timing analyses.
+//
+// This package is the facility's vocabulary — the event types, the trace
+// line and its parser, the two sinks, the off-line analysis.  The switches
+// and the sink list belong to obs.Registry, which renders a line for each
+// enabled event it is told about.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind identifies one of the traceable event types listed in Section 12.
@@ -84,7 +87,6 @@ type Event struct {
 	PE    int    // processor number of the clock reading
 	Ticks int64  // tick count of the clock reading
 	Info  string // other relevant information for the event type
-	Seq   uint64 // global sequence number assigned by the recorder
 }
 
 // Line renders the event in the trace-line layout of Section 12:
@@ -102,8 +104,9 @@ func (e Event) Line() string {
 	return b.String()
 }
 
-// Sink receives enabled trace events.  The Recorder calls Emit sequentially
-// under its own lock, so implementations need not be safe for concurrent use.
+// Sink receives enabled trace events.  obs.Registry, which owns the switches
+// and the sink list, calls Emit for one event at a time under its trace lock,
+// so implementations need not be safe for concurrent use.
 type Sink interface {
 	Emit(Event)
 }
@@ -128,9 +131,9 @@ func (s *MemorySink) Emit(e Event) {
 	s.mu.Unlock()
 }
 
-// Events returns a copy of the recorded events in emission order.  The
-// recorder stamps each event with a strictly increasing Seq under its lock,
-// so emission order is the run's total event order; under a deterministic
+// Events returns a copy of the recorded events in emission order.  A sink
+// hears one event at a time and every sink hears them in the same order, so
+// emission order is the run's total event order; under a deterministic
 // scheduling backend the whole slice is reproducible from the seed, which is
 // what the conformance harness diffs between runs.
 func (s *MemorySink) Events() []Event {
@@ -165,124 +168,4 @@ func (s *MemorySink) Reset() {
 	s.mu.Lock()
 	s.events = nil
 	s.mu.Unlock()
-}
-
-// Recorder applies the per-kind and per-task filters and fans enabled events
-// out to sinks.  The zero value is a recorder with everything disabled and no
-// sinks; NewRecorder returns one with all kinds disabled.
-type Recorder struct {
-	mu      sync.Mutex
-	kindOn  [numKinds]bool
-	taskOff map[string]bool // tasks explicitly disabled
-	sinks   []Sink
-	seq     uint64
-
-	// kindMask mirrors kindOn as an atomic bitmask so hot paths can ask
-	// Wants(kind) without taking the mutex — or building the event at all.
-	kindMask atomic.Uint64
-}
-
-// updateMaskLocked recomputes the atomic kind bitmask; callers hold r.mu.
-func (r *Recorder) updateMaskLocked() {
-	var mask uint64
-	for k, on := range r.kindOn {
-		if on {
-			mask |= 1 << uint(k)
-		}
-	}
-	r.kindMask.Store(mask)
-}
-
-// Wants reports, without locking, whether events of kind k are currently
-// traced.  Emitters use it to skip building events (taskid rendering, info
-// formatting) that the recorder would immediately drop; the authoritative
-// per-task filtering still happens in Record.
-func (r *Recorder) Wants(k Kind) bool {
-	if k < 0 || k >= numKinds {
-		return false
-	}
-	return r.kindMask.Load()&(1<<uint(k)) != 0
-}
-
-// NewRecorder returns a recorder with all event kinds disabled and the given
-// sinks attached.
-func NewRecorder(sinks ...Sink) *Recorder {
-	return &Recorder{sinks: sinks}
-}
-
-// EnableKind turns tracing of kind k on or off ("Tracing may be turned on and
-// off for each type of event").
-func (r *Recorder) EnableKind(k Kind, on bool) {
-	if k < 0 || k >= numKinds {
-		return
-	}
-	r.mu.Lock()
-	r.kindOn[k] = on
-	r.updateMaskLocked()
-	r.mu.Unlock()
-}
-
-// EnableAll turns every event kind on or off.
-func (r *Recorder) EnableAll(on bool) {
-	r.mu.Lock()
-	for i := range r.kindOn {
-		r.kindOn[i] = on
-	}
-	r.updateMaskLocked()
-	r.mu.Unlock()
-}
-
-// EnableTask turns tracing for a particular task on or off ("and each task").
-// Disabling a task suppresses its events regardless of kind settings.
-func (r *Recorder) EnableTask(task string, on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.taskOff == nil {
-		r.taskOff = make(map[string]bool)
-	}
-	if on {
-		delete(r.taskOff, task)
-	} else {
-		r.taskOff[task] = true
-	}
-}
-
-// Record emits the event to all sinks if its kind and task are enabled.
-func (r *Recorder) Record(e Event) {
-	r.mu.Lock()
-	if !r.kindOn[e.Kind] || r.taskOff[e.Task] {
-		r.mu.Unlock()
-		return
-	}
-	r.seq++
-	e.Seq = r.seq
-	sinks := r.sinks
-	r.mu.Unlock()
-	for _, s := range sinks {
-		s.Emit(e)
-	}
-}
-
-// Settings describes the current trace configuration in a human-readable way,
-// for the execution environment's "CHANGE TRACE OPTIONS" display.
-func (r *Recorder) Settings() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b strings.Builder
-	for i, on := range r.kindOn {
-		state := "off"
-		if on {
-			state = "ON"
-		}
-		fmt.Fprintf(&b, "%-11s %s\n", Kind(i), state)
-	}
-	if len(r.taskOff) > 0 {
-		tasks := make([]string, 0, len(r.taskOff))
-		for t := range r.taskOff {
-			tasks = append(tasks, t)
-		}
-		sort.Strings(tasks)
-		fmt.Fprintf(&b, "disabled tasks: %s\n", strings.Join(tasks, ", "))
-	}
-	return b.String()
 }

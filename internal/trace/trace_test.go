@@ -25,101 +25,6 @@ func TestKindStringsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecorderKindFilter(t *testing.T) {
-	sink := &MemorySink{}
-	r := NewRecorder(sink)
-	ev := Event{Kind: MsgSend, Task: "1.2.3", PE: 4, Ticks: 100}
-
-	r.Record(ev) // everything disabled by default
-	if sink.Len() != 0 {
-		t.Fatal("event recorded while kind disabled")
-	}
-
-	r.EnableKind(MsgSend, true)
-	r.Record(ev)
-	if sink.Len() != 1 {
-		t.Fatal("event not recorded while kind enabled")
-	}
-	if !r.Wants(MsgSend) || r.Wants(Lock) {
-		t.Fatal("Wants mismatch")
-	}
-
-	r.EnableKind(MsgSend, false)
-	r.Record(ev)
-	if sink.Len() != 1 {
-		t.Fatal("event recorded after kind re-disabled")
-	}
-
-	// Out-of-range kinds are ignored safely.
-	r.EnableKind(Kind(-1), true)
-	r.EnableKind(Kind(100), true)
-	if r.Wants(Kind(-1)) || r.Wants(Kind(100)) {
-		t.Fatal("out-of-range kind reported enabled")
-	}
-}
-
-func TestRecorderTaskFilter(t *testing.T) {
-	sink := &MemorySink{}
-	r := NewRecorder(sink)
-	r.EnableAll(true)
-
-	r.EnableTask("1.1.1", false)
-	r.Record(Event{Kind: Lock, Task: "1.1.1"})
-	r.Record(Event{Kind: Lock, Task: "1.2.1"})
-	if sink.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (disabled task filtered)", sink.Len())
-	}
-	if got := r.Settings(); !strings.Contains(got, "disabled tasks: 1.1.1\n") {
-		t.Fatalf("settings do not list the disabled task:\n%s", got)
-	}
-	r.EnableTask("1.1.1", true)
-	r.Record(Event{Kind: Lock, Task: "1.1.1"})
-	if sink.Len() != 2 {
-		t.Fatal("re-enabled task still filtered")
-	}
-	if got := r.Settings(); strings.Contains(got, "disabled tasks") {
-		t.Fatalf("settings still list a disabled task:\n%s", got)
-	}
-}
-
-func TestRecorderSequenceNumbers(t *testing.T) {
-	sink, second := &MemorySink{}, &MemorySink{}
-	r := NewRecorder(sink, second)
-	r.EnableAll(true)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Kind: TaskInit, Task: "x"})
-	}
-	evs := sink.Events()
-	for i, e := range evs {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
-		}
-	}
-	if len(evs) != 5 || second.Len() != 5 {
-		t.Fatalf("sinks hold %d and %d events, want 5 each", len(evs), second.Len())
-	}
-}
-
-func TestWriterSinkAndSettings(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRecorder(WriterSink{W: &buf})
-	r.EnableKind(ForceSplit, true)
-	r.Record(Event{Kind: ForceSplit, Task: "2.3.7", PE: 9, Ticks: 4242, Info: "members=5"})
-	line := strings.TrimSpace(buf.String())
-	for _, want := range []string{"FORCE-SPLIT", "task=2.3.7", "pe=9", "ticks=4242", "members=5"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("trace line %q missing %q", line, want)
-		}
-	}
-	settings := r.Settings()
-	if !strings.Contains(settings, "FORCE-SPLIT ON") {
-		t.Errorf("settings missing enabled kind:\n%s", settings)
-	}
-	if !strings.Contains(settings, "TASK-INIT   off") {
-		t.Errorf("settings missing disabled kind:\n%s", settings)
-	}
-}
-
 func TestLineParseRoundTrip(t *testing.T) {
 	events := []Event{
 		{Kind: TaskInit, Task: "1.1.1", PE: 3, Ticks: 10, Info: "type=worker"},
@@ -194,24 +99,5 @@ func TestQuickLineRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkRecordEnabled(b *testing.B) {
-	r := NewRecorder(&MemorySink{})
-	r.EnableAll(true)
-	e := Event{Kind: MsgSend, Task: "1.1.1", PE: 3, Ticks: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Record(e)
-	}
-}
-
-func BenchmarkRecordFiltered(b *testing.B) {
-	r := NewRecorder(&MemorySink{})
-	e := Event{Kind: MsgSend, Task: "1.1.1", PE: 3, Ticks: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Record(e)
 	}
 }
