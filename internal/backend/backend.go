@@ -57,8 +57,8 @@ type Backend interface {
 	// AfterFunc arranges for fn to run once after duration d (virtual time
 	// under a deterministic backend).
 	AfterFunc(d time.Duration, fn func()) Timer
-	// Now returns the current time: wall time for the goroutine backend,
-	// the virtual clock for a deterministic one.
+	// Now returns the current time: the real clock (the package's Now) for
+	// the goroutine backend, the virtual clock for a deterministic one.
 	Now() time.Time
 	// Yield offers a scheduling point: under a deterministic backend the
 	// calling task re-enters the ready set and another task may be picked;
@@ -74,6 +74,11 @@ type Backend interface {
 // task waits: a Pulse delivered while nobody waits is remembered and consumed
 // by the next Wait.  Multiple pulses collapse into one, so waiters must
 // re-check their condition in a loop, exactly as with a buffered(1) channel.
+//
+// Pulse may be called from any goroutine, but Wait and WaitTimeout are the
+// one waiter's: no two of them may run at once on the same event.  The
+// goroutine backend relies on that to keep a single timer per event for
+// WaitTimeout — the task's in-queue wake, which only the task itself waits on.
 type Event interface {
 	// Pulse wakes the waiter if there is one, else marks the event pending.
 	Pulse()
@@ -152,14 +157,35 @@ func (goroutineBackend) AfterFunc(d time.Duration, fn func()) Timer {
 	return gTimer{t: time.AfterFunc(d, fn)}
 }
 
-func (goroutineBackend) Now() time.Time { return time.Now() }
+func (goroutineBackend) Now() time.Time { return Now() }
+
+// anchor is the one wall-clock reading the real clock is built on, taken
+// when the package loads.  It carries a monotonic reading, so time.Since on
+// it reads the monotonic clock alone.
+var anchor = time.Now()
+
+// Now is the real clock every goroutine-backend VM, registry and recorder
+// reads: the wall time at anchor plus the monotonic time since.  That is one
+// vDSO clock read (monotonic) where a fresh reading of the time package is
+// two (wall and monotonic), and the result still carries both readings, so
+// Sub, Before, timers and UnixNano behave as they do on a fresh one.  Within
+// one process its readings never go backwards; they do not follow a
+// wall-clock step made after the process started.
+func Now() time.Time { return anchor.Add(time.Since(anchor)) }
 
 func (goroutineBackend) Yield() {}
 
 func (goroutineBackend) Deterministic() bool { return false }
 
-// gEvent is the buffered(1)-channel pulse the in-queue wake always was.
-type gEvent struct{ ch chan struct{} }
+// gEvent is the buffered(1)-channel pulse the in-queue wake always was.  t is
+// WaitTimeout's timer, made on the first wait that needs one and Reset for
+// every later one; the single-waiter contract (Event) makes it the waiter's
+// alone.  Go 1.23 timer semantics (go.mod is 1.24) guarantee no expiry from
+// before a Stop or Reset is received after it.
+type gEvent struct {
+	ch chan struct{}
+	t  *time.Timer
+}
 
 func (e *gEvent) Pulse() {
 	select {
@@ -181,12 +207,16 @@ func (e *gEvent) WaitTimeout(d time.Duration) bool {
 		return true
 	default:
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if e.t == nil {
+		e.t = time.NewTimer(d)
+	} else {
+		e.t.Reset(d)
+	}
 	select {
 	case <-e.ch:
+		e.t.Stop()
 		return true
-	case <-t.C:
+	case <-e.t.C:
 		return false
 	}
 }

@@ -11,17 +11,19 @@ import (
 // TestRoutedSendAcceptAllocs holds the production hot path — flight recorder
 // attached, trace, spans and metrics off — to its allocation count: a
 // ping-pong between two clusters is two routed sends and two ACCEPTs a round,
-// and half a round allocates 7.00.  It was 13.00 from PR 16's parent
+// and half a round allocates 4.00.  It was 13.00 from PR 16's parent
 // (8cc4440) to PR 20 and 8.00 at PR 21: the five that went then are the
 // AcceptResult, its map (two objects) and its two slices, which AcceptOne
-// hands back to the task for its next ACCEPT; the one that went since is
+// hands back to the task for its next ACCEPT; the one that went at PR 22 is
 // Send's variadic list, which stays on the caller's stack now that no route
 // keeps it (the message's own list — AcceptOne does not hand messages back,
-// so the header and its store are still two of the seven — replaced the
-// decoded one).  An Event that escaped to the heap at any of the four sites
-// a message passes would show up here as +1.
+// so the header and its store are still two of the four — replaced the
+// decoded one).  PR 25 took 7.00 to 4.00: each ACCEPT here blocks under a
+// finite timeout, and the timer its wait made is now made once per task
+// (backend's gEvent.WaitTimeout).  An Event that escaped to the heap at any
+// of the four sites a message passes would show up here as +1.
 func TestRoutedSendAcceptAllocs(t *testing.T) {
-	const pinned = 7.0
+	const pinned = 4.0
 
 	vm, err := NewVM(config.Simple(2, 2), Options{
 		AcceptTimeout:  30 * time.Second,

@@ -246,7 +246,9 @@ func (t *Task) haInject(msgs []haMsg) {
 		// The logged list itself, not a copy in the header's store: the log
 		// keeps it, and takeMatching logs it again as it is consumed.
 		m.Args, m.sendSeq = hm.Args, hm.SendSeq
-		_ = t.vm.chargeMessageOn(t.rec.cluster.heap, m)
+		if size, err := encodedSize(m.Args); err == nil {
+			_ = t.vm.chargeMessageOn(t.rec.cluster.heap, m, size)
+		}
 		q.mu.Lock()
 		q.injectLocked(m)
 		q.mu.Unlock()

@@ -121,15 +121,16 @@ func (m *Message) setArgs(args []Value) {
 	m.Args = m.store
 }
 
-// decodeArgs decodes an argument list's wire form into the header's store.
-// After a failure the store holds nothing (msgcodec.DecodeInto).
-func (m *Message) decodeArgs(wire []byte) error {
-	args, err := msgcodec.DecodeInto(m.store, wire)
+// decodeArgs decodes an argument list's wire form into the header's store and
+// returns the list's packet-model size.  After a failure the store holds
+// nothing (msgcodec.DecodeInto).
+func (m *Message) decodeArgs(wire []byte) (int, error) {
+	args, size, err := msgcodec.DecodeInto(m.store, wire)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	m.store, m.Args = args, args
-	return nil
+	return size, nil
 }
 
 // keepArgs takes the argument list out of the pool's hands and returns it:

@@ -87,17 +87,16 @@ func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID
 	default:
 		// Same cluster, or a message from the execution environment: only the
 		// destination's shard is touched.
+		if size, err = encodedSize(args); err != nil {
+			return 0, viaSame, err
+		}
 		msg := newMessage(msgType, sender)
 		msg.setArgs(args)
 		msg.sendSeq, msg.reply = sendSeq, reply
-		if err = vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
+		if err = vm.chargeMessageOn(rec.cluster.heap, msg, size); err != nil {
 			recycleMessage(msg)
 			return 0, viaSame, err
 		}
-		// Snapshot the size before delivery: once the message is in the
-		// receiver's in-queue it may be accepted (and its heap storage
-		// released) concurrently with the rest of this send.
-		size = msg.heapBytes
 		err = vm.enqueue(rec, msg)
 	}
 	return size, via, err
@@ -236,8 +235,8 @@ const chargeAtDelivery = -1
 // destination PE, and queue it on the receiving task.  reserved is the offset
 // of size bytes the sender reserved on rec's shard (routeMessage), or
 // chargeAtDelivery to charge the shard here (inbound frames, whose sender
-// could not).  The heap charge is
-// counted at the moment the message takes ownership of its storage, so a
+// could not) with the size the decode counted.  The heap charge is counted at
+// the moment the message takes ownership of its storage, so a
 // failure before that point — the only kind that returns an error — leaves
 // charge/recover balanced and the reservation with the caller; the reply of
 // a routed initiate is failed on every path that drops the message.
@@ -247,7 +246,7 @@ func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte, reserve
 	if metrics {
 		t0 = vm.om.reg.Now()
 	}
-	err := msg.decodeArgs(payload)
+	decoded, err := msg.decodeArgs(payload)
 	if metrics {
 		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
@@ -255,7 +254,7 @@ func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte, reserve
 		if reserved != chargeAtDelivery {
 			vm.adoptStorage(msg, rec.cluster.heap, reserved, size)
 		} else {
-			err = vm.chargeMessageOn(rec.cluster.heap, msg)
+			err = vm.chargeMessageOn(rec.cluster.heap, msg, decoded)
 		}
 	}
 	if err != nil {

@@ -732,14 +732,12 @@ func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
 	return best
 }
 
-// chargeMessageOn allocates the message's shared-memory footprint on the
-// given heap shard (always the destination cluster's: the receiver's run-time
-// recovers the storage when the message is accepted).
-func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message) error {
-	size, err := encodedSize(msg.Args)
-	if err != nil {
-		return err
-	}
+// chargeMessageOn allocates the message's shared-memory footprint, size bytes
+// (its packet-model size, which the caller already has: encodedSize of the
+// list, or what decoding it counted), on the given heap shard — always the
+// destination cluster's: the receiver's run-time recovers the storage when the
+// message is accepted.
+func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message, size int) error {
 	off, err := heap.Alloc(size)
 	if err != nil {
 		return vm.heapErr(err)

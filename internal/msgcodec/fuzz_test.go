@@ -15,7 +15,9 @@ import (
 // arguments and decoding again must reproduce the same argument list
 // (Decode∘Encode is the identity on everything Decode accepts).  And storage
 // that has carried another list changes nothing: DecodeInto over a dirty dst
-// fails with the same class of error as Decode or returns an identical list.
+// fails with the same class of error as Decode or returns an identical list,
+// and the packet-model size it returns is EncodedSize of that list (the
+// receiver charges the message with it instead of walking the list again).
 // Seeded from sampleArgs so the interesting kinds — TASKID, WINDOW, arrays —
 // are all on the initial frontier.
 func FuzzCodec(f *testing.F) {
@@ -36,7 +38,7 @@ func FuzzCodec(f *testing.F) {
 		// Three dirty slots: a shorter list decodes in place, a longer one
 		// into a list made for it.
 		dirty := append(make([]Arg, 0, 3), sampleArgs()[6], sampleArgs()[10], sampleArgs()[11])
-		into, errInto := DecodeInto(dirty, data)
+		into, intoSize, errInto := DecodeInto(dirty, data)
 		if errors.Is(err, ErrCorrupt) != errors.Is(errInto, ErrCorrupt) || (err == nil) != (errInto == nil) {
 			t.Fatalf("Decode = %v, DecodeInto over a dirty dst = %v", err, errInto)
 		}
@@ -62,8 +64,8 @@ func FuzzCodec(f *testing.F) {
 				t.Fatalf("argument %d changed across round trip: %+v -> %+v", i, args[i], back[i])
 			}
 		}
-		if size, err := EncodedSize(args); err != nil || size < HeaderBytes {
-			t.Fatalf("EncodedSize of decodable args = (%d, %v)", size, err)
+		if size, err := EncodedSize(args); err != nil || size < HeaderBytes || size != intoSize {
+			t.Fatalf("EncodedSize of decodable args = (%d, %v); DecodeInto's size %d", size, err, intoSize)
 		}
 	})
 }

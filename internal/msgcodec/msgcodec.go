@@ -170,10 +170,15 @@ func (a *Arg) Packets() (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return packets(n), nil
+}
+
+// packets returns the number of packets n payload bytes occupy: at least one.
+func packets(n int) int {
 	if n == 0 {
-		return 1, nil
+		return 1
 	}
-	return (n + packetPayload - 1) / packetPayload, nil
+	return (n + packetPayload - 1) / packetPayload
 }
 
 // EncodedSize returns the number of shared-memory bytes a message with the
@@ -280,7 +285,10 @@ func appendInt32(b []byte, v int32) []byte {
 const argHeaderBytes = 5
 
 // Decode reverses Encode into a list of its own.
-func Decode(data []byte) ([]Arg, error) { return DecodeInto(nil, data) }
+func Decode(data []byte) ([]Arg, error) {
+	args, _, err := DecodeInto(nil, data)
+	return args, err
+}
 
 // DecodeInto reverses Encode into storage the caller owns: the list fills
 // dst[:count] when cap(dst) allows, and a list made for it otherwise.  The
@@ -291,22 +299,26 @@ func Decode(data []byte) ([]Arg, error) { return DecodeInto(nil, data) }
 // it held, and a failed decode zeroes all of dst's capacity, so nothing of a
 // half-decoded list — nor of the list dst held before — stays reachable from
 // storage that is about to be used again.
-func DecodeInto(dst []Arg, data []byte) ([]Arg, error) {
-	args, err := decodeInto(dst, data)
+//
+// It also returns the list's packet-model size, EncodedSize of the decoded
+// list, counted from the payload lengths the walk reads anyway, so a receiver
+// that charges the message at delivery does not walk the list again.
+func DecodeInto(dst []Arg, data []byte) ([]Arg, int, error) {
+	args, size, err := decodeInto(dst, data)
 	if err != nil {
 		clear(dst[:cap(dst)])
 	}
-	return args, err
+	return args, size, err
 }
 
 // decodeInto is DecodeInto up to what a failure leaves in dst.
-func decodeInto(dst []Arg, data []byte) ([]Arg, error) {
+func decodeInto(dst []Arg, data []byte) ([]Arg, int, error) {
 	if len(data) < 2 {
-		return nil, fmt.Errorf("%w: short buffer", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: short buffer", ErrCorrupt)
 	}
 	count := int(binary.BigEndian.Uint16(data[0:2]))
 	if argHeaderBytes*count > len(data)-2 {
-		return nil, fmt.Errorf("%w: argument count %d exceeds its %d-byte list", ErrCorrupt, count, len(data))
+		return nil, 0, fmt.Errorf("%w: argument count %d exceeds its %d-byte list", ErrCorrupt, count, len(data))
 	}
 	var args []Arg
 	if count > cap(dst) {
@@ -315,26 +327,27 @@ func decodeInto(dst []Arg, data []byte) ([]Arg, error) {
 		args = dst[:count]
 		clear(args)
 	}
-	pos := 2
+	pos, size := 2, HeaderBytes
 	for i := range args {
 		if pos+argHeaderBytes > len(data) {
-			return nil, fmt.Errorf("%w: truncated argument %d header", ErrCorrupt, i)
+			return nil, 0, fmt.Errorf("%w: truncated argument %d header", ErrCorrupt, i)
 		}
 		kind := ArgKind(data[pos])
 		n := int(binary.BigEndian.Uint32(data[pos+1 : pos+argHeaderBytes]))
 		pos += argHeaderBytes
 		if pos+n > len(data) {
-			return nil, fmt.Errorf("%w: truncated argument %d payload", ErrCorrupt, i)
+			return nil, 0, fmt.Errorf("%w: truncated argument %d payload", ErrCorrupt, i)
 		}
 		if err := args[i].decodePayload(kind, data[pos:pos+n]); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		pos += n
+		size += packets(n) * PacketBytes
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
 	}
-	return args, nil
+	return args, size, nil
 }
 
 // decodePayload fills the zero Arg a from one argument's wire form; a slot of

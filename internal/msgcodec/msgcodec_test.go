@@ -186,7 +186,7 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	}
 	a := []Arg{Str("list A"), Ints([]int64{1, 2, 3}), Reals([]float64{4, 5}), Str("A's tail")}
 	dst := make([]Arg, 0, 6)
-	got, err := DecodeInto(dst, encode(a...))
+	got, _, err := DecodeInto(dst, encode(a...))
 	if err != nil || !reflect.DeepEqual(got, a) {
 		t.Fatalf("DecodeInto(A) = %+v, %v", got, err)
 	}
@@ -198,7 +198,7 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	// over an array of the other type.
 	b := []Arg{Int(7), Reals([]float64{8}), Ints([]int64{9})}
 	wireB := encode(b...)
-	got, err = DecodeInto(dst, wireB)
+	got, _, err = DecodeInto(dst, wireB)
 	if want, _ := Decode(wireB); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("DecodeInto(B) over A = %+v, %v; Decode(B) = %+v", got, err, want)
 	}
@@ -207,7 +207,7 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	// dst when the decode fails.
 	corrupt := encode(Str("the corrupt list"), Ints([]int64{10, 11}))
 	corrupt = corrupt[:len(corrupt)-4]
-	if got, err = DecodeInto(dst, corrupt); !errors.Is(err, ErrCorrupt) || got != nil {
+	if got, _, err = DecodeInto(dst, corrupt); !errors.Is(err, ErrCorrupt) || got != nil {
 		t.Fatalf("DecodeInto(truncated second argument) = %+v, %v, want ErrCorrupt", got, err)
 	}
 	for i, slot := range dst[:cap(dst)] {
@@ -217,7 +217,7 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	}
 
 	wireC := encode(Logical(true), Str("C"))
-	got, err = DecodeInto(dst, wireC)
+	got, _, err = DecodeInto(dst, wireC)
 	if want, _ := Decode(wireC); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("DecodeInto(C) after the failure = %+v, %v; Decode(C) = %+v", got, err, want)
 	}

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -69,7 +70,8 @@ type Registry struct {
 	spans spanBuf
 }
 
-// New returns an empty, disabled registry reading the wall clock.
+// New returns an empty, disabled registry reading the goroutine backend's
+// real clock (backend.Now) until SetClock rebinds it.
 func New() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
@@ -77,7 +79,7 @@ func New() *Registry {
 		hists:    make(map[string]*Histogram),
 	}
 	r.spans.limit = defaultSpanLimit
-	clk := time.Now
+	clk := backend.Now
 	r.clock.Store(&clk)
 	return r
 }

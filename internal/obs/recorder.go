@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/msgcodec"
 )
 
@@ -85,7 +86,8 @@ const (
 
 // NewRecorder builds a recorder for the given node id.  shards and slots
 // (the cap each shard's ring grows to) are rounded up to powers of two; zero
-// or negative selects the defaults.
+// or negative selects the defaults.  It stamps events with the goroutine
+// backend's real clock (backend.Now) until SetClock rebinds it.
 func NewRecorder(nodeID, shards, slots int) *Recorder {
 	if shards <= 0 {
 		shards = defaultRecShards
@@ -96,7 +98,7 @@ func NewRecorder(nodeID, shards, slots int) *Recorder {
 	shards = ceilPow2(shards)
 	slots = ceilPow2(slots)
 	r := &Recorder{node: uint8(nodeID), slots: slots, shards: make([]recShard, shards)}
-	clk := time.Now
+	clk := backend.Now
 	r.clock.Store(&clk)
 	return r
 }
@@ -128,7 +130,8 @@ func (r *Recorder) NodeID() int {
 
 // Record appends one event to the ring of shard (hashed down to the shard
 // count).  Nil-safe: a nil recorder costs one branch, and the live path is
-// one clock read, one sequence stamp, and one shard lock around plain stores.
+// one clock read (on the real clock, one monotonic read: backend.Now), one
+// sequence stamp, and one shard lock around plain stores.
 // It allocates only to grow a ring that has filled below its cap, a compare
 // that is false for ever once the ring has wrapped.
 func (r *Recorder) Record(shard int, kind uint8, edge uint64, a, b int64) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/msgcodec"
 )
 
@@ -54,7 +55,7 @@ func TestRecorderRingWrapAround(t *testing.T) {
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(1, msgcodec.EvKill, 0, 1, 2)
-	r.SetClock(time.Now)
+	r.SetClock(backend.Now)
 	if r.NodeID() != 0 || r.Events() != nil {
 		t.Fatal("nil recorder reports a node id or events")
 	}

@@ -61,8 +61,10 @@ END TASKTYPE
 // PR 21, which reused SEND's argument list, ACCEPT's spec and ACCEPT's
 // result, 1.08 and 1,294 under a budget of half PR 20's — the one object left
 // was the receiver's decoded argument list, 8 Values of 144 bytes.  That list
-// now lives in the pooled message header; this tree reads 0.04-0.08 objects
-// and 5-21 bytes.
+// now lives in the pooled message header, which read 0.03-0.08 objects and
+// 4-32 bytes; PR 25 made the timer an ACCEPT blocked under its finite timeout
+// waits on once per task instead of once per wait, and this tree reads
+// 0.01-0.02 objects and 3-8 bytes.
 func TestInterpretedFanInAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
