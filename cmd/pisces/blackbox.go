@@ -15,7 +15,8 @@ import (
 // runBlackbox implements "pisces blackbox [-last N] <dump> [dump ...]":
 // decode one or more flight-recorder dumps written on failure paths (or via
 // serve -blackbox-out), merge them into a single timeline, and pretty-print
-// the tail.  Dumps from different nodes merge by timestamp; causal edge ids
+// the tail.  Each node's events stay in sequence (emission) order and dumps
+// from different nodes merge by timestamp; causal edge ids
 // that appear in more than one node's dump are flagged so a cross-node
 // message can be followed from its send record to its accept record.
 func runBlackbox(args []string, out io.Writer) error {
@@ -34,10 +35,6 @@ func runBlackbox(args []string, out io.Writer) error {
 		return fmt.Errorf("usage: pisces blackbox [-last N] <dump> [dump ...]")
 	}
 
-	type nodeEvent struct {
-		msgcodec.BlackboxEvent
-		node int
-	}
 	var merged []nodeEvent
 	// edgeNodes tracks which nodes saw each causal edge; an edge present on
 	// two nodes is a message that crossed the wire.
@@ -63,18 +60,7 @@ func runBlackbox(args []string, out io.Writer) error {
 			}
 		}
 	}
-	// Merge by timestamp; ties (common under the virtual clock) break by
-	// sequence then node so the listing is stable across runs.
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.node < b.node
-	})
+	merged = mergeTimeline(merged)
 
 	crossEdges := 0
 	for _, nodes := range edgeNodes {
@@ -91,8 +77,10 @@ func runBlackbox(args []string, out io.Writer) error {
 		show = show[len(show)-*last:]
 	}
 	base := int64(0)
-	if len(merged) > 0 {
-		base = merged[0].TS
+	for i, ev := range merged {
+		if i == 0 || ev.TS < base {
+			base = ev.TS
+		}
 	}
 	for _, ev := range show {
 		mark := " "
@@ -106,6 +94,60 @@ func runBlackbox(args []string, out io.Writer) error {
 			describeEvent(ev.BlackboxEvent))
 	}
 	return nil
+}
+
+// nodeEvent is one decoded event and the node whose dump held it.
+type nodeEvent struct {
+	msgcodec.BlackboxEvent
+	node int
+}
+
+// mergeTimeline orders the events of several dumps into one listing.  A
+// node's events keep their sequence order: the accept events of one ACCEPT
+// run share the reading taken when the run's first was recorded, so a node's
+// timestamps step back wherever another task recorded in between, and sorting
+// them by time would list a run's later events before events emitted ahead of
+// them.  Only the merge across nodes goes by timestamp — the earliest head
+// first, ties (common under the virtual clock) broken by sequence then node
+// so the listing is stable across runs.
+func mergeTimeline(events []nodeEvent) []nodeEvent {
+	var nodes [][]nodeEvent
+	at := make(map[int]int) // node id -> index into nodes
+	for _, ev := range events {
+		i, ok := at[ev.node]
+		if !ok {
+			i = len(nodes)
+			at[ev.node] = i
+			nodes = append(nodes, nil)
+		}
+		nodes[i] = append(nodes[i], ev)
+	}
+	for _, evs := range nodes {
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	}
+	before := func(a, b nodeEvent) bool {
+		if a.TS != b.TS {
+			return a.TS < b.TS
+		}
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		return a.node < b.node
+	}
+	merged := make([]nodeEvent, 0, len(events))
+	for len(nodes) > 0 {
+		best := 0
+		for i := 1; i < len(nodes); i++ {
+			if before(nodes[i][0], nodes[best][0]) {
+				best = i
+			}
+		}
+		merged = append(merged, nodes[best][0])
+		if nodes[best] = nodes[best][1:]; len(nodes[best]) == 0 {
+			nodes = append(nodes[:best], nodes[best+1:]...)
+		}
+	}
+	return merged
 }
 
 // describeEvent renders the kind-specific A/B operands of one event.

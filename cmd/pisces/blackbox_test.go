@@ -1,12 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/msgcodec"
+	"repro/internal/obs"
 )
 
 // blackboxGolden is what `pisces blackbox` printed for blackboxGoldenEvents
@@ -70,5 +74,62 @@ func TestBlackboxListingGolden(t *testing.T) {
 	}
 	if got := strings.ReplaceAll(out.String(), path, "DUMP"); got != blackboxGolden {
 		t.Errorf("listing differs from the parent capture:\n%s", got)
+	}
+}
+
+// TestBlackboxKeepsEachNodesOrder: the accept events of one ACCEPT run share
+// the reading taken at its first, so where another task records between them
+// a node's timestamps step back.  The listing keeps each node's events in
+// emission order and goes by time only across nodes: a peer's event stamped
+// between the run's reading and the interleaved event's sits between them.
+func TestBlackboxKeepsEachNodesOrder(t *testing.T) {
+	var clock atomic.Int64
+	reg := obs.New()
+	reg.AttachRecorder(obs.NewRecorder(0, 0, 0))
+	reg.SetClock(func() time.Time { return time.Unix(0, clock.Add(1000)) })
+	accept := func(cluster int, edge uint64) *obs.Event {
+		return &obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef{Cluster: cluster}, Peer: obs.TaskRef{Cluster: 2}, Edge: edge}
+	}
+	var run obs.Stamp
+	reg.EmitAt(accept(1, 0x11), 0, 0, &run)
+	reg.EmitAt(accept(3, 0x21), 0, 0, nil) // another task, between the run's two
+	reg.EmitAt(accept(1, 0x12), 0, 0, &run)
+	evs := reg.Recorder().Events()
+	if len(evs) != 3 || evs[2].TS != evs[0].TS || evs[1].TS <= evs[0].TS {
+		t.Fatalf("recorded %+v; want a run's two accepts on one stamp around a later one", evs)
+	}
+
+	dir := t.TempDir()
+	n0, err := reg.Recorder().Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, err := msgcodec.EncodeBlackbox(1, evs[1].TS, []msgcodec.BlackboxEvent{
+		{Seq: 1, TS: evs[0].TS + 500, Kind: msgcodec.EvSend, Edge: 0x31, A: 2, B: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for i, dump := range [][]byte{n0, n1} {
+		path := filepath.Join(dir, fmt.Sprintf("blackbox-n%d.bin", i))
+		if err := os.WriteFile(path, dump, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	var out strings.Builder
+	if err := runBlackbox(paths, &out); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 3 && strings.HasPrefix(f[0], "n") && strings.HasPrefix(f[1], "#") {
+			order = append(order, f[0]+f[1]+" "+f[2])
+		}
+	}
+	want := []string{"n0#1 +0s", "n1#1 +500ns", "n0#2 +1µs", "n0#3 +0s"}
+	if strings.Join(order, ", ") != strings.Join(want, ", ") {
+		t.Errorf("listing order %q, want %q:\n%s", order, want, out.String())
 	}
 }

@@ -167,6 +167,7 @@ type acceptState struct {
 	wildcard  int        // index into reqs of the anyType entry, or -1
 	needTotal int        // remaining shared total
 	scratch   []*Message // reusable takeMatching output buffer
+	offs      []int      // reusable offset list of a run's release (releaseRun)
 }
 
 // reset re-arms the state for one ACCEPT statement, reusing its storage.
@@ -254,6 +255,13 @@ func (st *acceptState) satisfied() bool {
 
 // drain takes whatever matching messages are currently queued and processes
 // them; takeMatching updates the remaining requirements in place.
+//
+// The messages are processed in runs, each ending at the next message a
+// handler will see.  A run's storage is recovered in one shard round before
+// any of it is processed and its accept events share one flight-recorder
+// stamp; since a handler ends its run, it finds the heap, and the recorder
+// clock, exactly as it would had each message been released and stamped on
+// its own.
 func (st *acceptState) drain(t *Task, res *AcceptResult) {
 	taken := t.rec.queue.takeMatching(st, st.scratch[:0])
 	i := 0
@@ -262,7 +270,7 @@ func (st *acceptState) drain(t *Task, res *AcceptResult) {
 		// kill flag) or on a handler panic.  The remaining taken messages are
 		// no longer in the queue, so the termination path cannot recover
 		// their heap storage — release it here.  releaseMessage is
-		// idempotent, so the in-flight message is safe either way.
+		// idempotent, so the messages of the run already released are safe.
 		for ; i < len(taken); i++ {
 			t.vm.releaseMessage(taken[i])
 		}
@@ -274,8 +282,20 @@ func (st *acceptState) drain(t *Task, res *AcceptResult) {
 		}
 		st.scratch = taken[:0]
 	}()
-	for ; i < len(taken); i++ {
-		t.processAccepted(taken[i], res)
+	for i < len(taken) {
+		end := i
+		var h Handler
+		for h == nil && end < len(taken) {
+			h = t.handlers[taken[end].Type]
+			end++
+		}
+		st.offs = t.vm.releaseRun(taken[i:end], t.rec.cluster.heap, st.offs[:0])
+		var stamp obs.Stamp
+		for ; i < end-1; i++ {
+			t.processAccepted(taken[i], res, nil, &stamp)
+		}
+		t.processAccepted(taken[i], res, h, &stamp)
+		i++
 	}
 }
 
@@ -390,27 +410,26 @@ func (t *Task) acceptTimeout(spec AcceptSpec, st *acceptState, res *AcceptResult
 	return res, nil
 }
 
-// processAccepted runs the handler (if the type has one), updates SENDER,
-// records the trace event, charges ticks, and recovers the message's
-// shared-memory storage.
-func (t *Task) processAccepted(m *Message, res *AcceptResult) {
+// processAccepted processes one accepted message whose shared-memory storage
+// drain has already recovered — before anything that can unwind on a kill;
+// the arguments live in the header's store, not the arena, so the handler
+// never reads the released bytes.  It updates SENDER, charges ticks, records
+// the trace event, stamped from st, and runs h, the type's handler if it has
+// one.
+func (t *Task) processAccepted(m *Message, res *AcceptResult, h Handler, st *obs.Stamp) {
 	t.lastSender = m.Sender
 	packets := 0
 	if m.heapBytes > msgcodec.HeaderBytes {
 		packets = (m.heapBytes - msgcodec.HeaderBytes) / msgcodec.PacketBytes
 	}
-	// Recover the shard storage before anything that can unwind on a kill:
-	// the arguments live in the header's store, not the arena, so the
-	// handler below never reads the released bytes.
-	t.vm.releaseMessage(m)
 	t.Charge(int64(costAcceptMsg + costAcceptPacket*packets))
 	t.vm.msgsAccpt.Add(1)
 	// For a routed message (edge != 0) this also closes the causal pair in
 	// the flight recorder: the edge links the accept to the send recorded on
 	// the sender's node (possibly another process's dump).
-	t.vm.emit(&obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(m.Sender),
-		Edge: m.edge, Type: m.Type, A: int64(len(m.Args))}, t.rec.cluster.primary)
-	if h, ok := t.handlers[m.Type]; ok {
+	t.vm.emitStamped(&obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(m.Sender),
+		Edge: m.edge, Type: m.Type, A: int64(len(m.Args))}, t.rec.cluster.primary, st)
+	if h != nil {
 		h(t, m)
 	}
 	res.add(m)

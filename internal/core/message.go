@@ -68,7 +68,9 @@ type Message struct {
 	// heapOff/heapBytes record the shared-memory heap allocation backing the
 	// message while it waits in the in-queue; heapShard is the per-cluster
 	// heap shard the allocation was made from (the destination cluster's
-	// shard, since the receiver's run-time recovers the storage).
+	// shard, since the receiver's run-time recovers the storage), nil once
+	// the storage is recovered.  heapBytes outlives the recovery: it prices
+	// the accept.
 	heapOff   int
 	heapBytes int
 	heapShard *memory.Allocator

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/config"
+	"repro/internal/obs"
 )
 
 // TestInQueueGrowthAtPowerOfTwoBoundary fills the ring to exactly its
@@ -65,27 +66,46 @@ func TestInQueueGrowthAtPowerOfTwoBoundary(t *testing.T) {
 // regression guard for the PR 2 header pooling: the kill path (teardown
 // recycling queued headers while senders still run) must neither race (the
 // CI race job runs this package with -race) nor lose heap accounting — after
-// shutdown the shared-memory message heap must be fully recovered.
+// shutdown the shared-memory message heap must be fully recovered.  The
+// victim's ACCEPTs take up to eight messages each, and every fifth message
+// has a handler, so kills also land inside and between ACCEPT runs released
+// in one shard round: every charge must still be matched by one recovery, on
+// every shard.
 func TestMessagePoolRecyclingUnderKill(t *testing.T) {
 	const rounds = 5
 	const senders = 4
 
 	cfg := config.Simple(2, senders+2)
-	vm, err := NewVM(cfg, Options{AcceptTimeout: 30 * time.Second})
+	reg := obs.New()
+	reg.Enable(obs.Metrics)
+	vm, err := NewVM(cfg, Options{AcceptTimeout: 30 * time.Second, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	batched := make(chan struct{}, 1)
 	vm.Register("victim", func(task *Task) {
+		task.OnMessage("mark", func(*Task, *Message) {})
+		// The first ACCEPT finds eight messages queued, so the round's kill
+		// comes after at least one run of several.
+		for task.QueueLength() < 8 {
+			time.Sleep(time.Millisecond)
+		}
 		// Accept forever; the kill lands mid-ACCEPT with messages queued.
-		for {
+		for i := 7; ; i++ {
 			res, err := task.Accept(AcceptSpec{
-				Total: 1,
+				Total: 1 + i%8,
 				Types: []TypeCount{{Type: AnyMessage}},
 				Delay: Forever,
 			})
 			if err != nil {
 				return
+			}
+			if len(res.Accepted) > 1 {
+				select {
+				case batched <- struct{}{}:
+				default:
+				}
 			}
 			task.RecycleAccept(res)
 		}
@@ -98,7 +118,11 @@ func TestMessagePoolRecyclingUnderKill(t *testing.T) {
 			// The victim dies mid-flood: ErrNoSuchTask (and heap exhaustion,
 			// if the victim is slow to drain) are expected outcomes, not
 			// failures.  What must hold is the accounting checked below.
-			if err := task.Send(to, "blob", Int(int64(i)), Str("payload-payload-payload")); err != nil {
+			ty := "blob"
+			if i%5 == 4 {
+				ty = "mark"
+			}
+			if err := task.Send(to, ty, Int(int64(i)), Str("payload-payload-payload")); err != nil {
 				return
 			}
 		}
@@ -116,6 +140,7 @@ func TestMessagePoolRecyclingUnderKill(t *testing.T) {
 			}
 		}
 		// Kill the victim while the flood is in flight.
+		<-batched
 		if err := vm.Kill(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -129,5 +154,14 @@ func TestMessagePoolRecyclingUnderKill(t *testing.T) {
 
 	if inUse := vm.Machine().Shared().Usage().HeapInUse; inUse != 0 {
 		t.Fatalf("message heap still holds %d bytes after kills + shutdown (leaked message storage)", inUse)
+	}
+	for n, cl := range vm.clusters {
+		if inUse := cl.heap.InUse(); inUse != 0 {
+			t.Errorf("cluster %d's shard still holds %d bytes", n, inUse)
+		}
+	}
+	charged, recovered := reg.Counter("core.heap.charge").Load(), reg.Counter("core.heap.recover").Load()
+	if charged == 0 || charged != recovered {
+		t.Errorf("core.heap.charge %d, core.heap.recover %d; want them equal and nonzero", charged, recovered)
 	}
 }

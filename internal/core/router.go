@@ -133,7 +133,8 @@ func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
 // stage puts the wire form of an argument list in the sender's heap shard:
 // size bytes — the message's packet-model size, which always bounds the wire
 // size, a packet holding more than an argument's wire overhead — are reserved
-// at off and the list is encoded straight into the shard's arena.  The
+// and addressed at off in one shard round, and the list is encoded straight
+// into the shard's arena.  The
 // in-flight copy lives there only while the caller moves it on: delivered or
 // not, the caller recovers it with unstage.  The execution environment
 // (from nil) has no shard; its arguments are encoded on the Go heap and off
@@ -150,10 +151,11 @@ func (vm *VM) stage(from *clusterRT, msgType string, args []Value) (wire []byte,
 	if from == nil {
 		wire, err = msgcodec.Encode(args)
 	} else {
-		if off, err = from.heap.Alloc(size); err != nil {
+		var region []byte
+		if off, region, err = from.heap.AllocBytes(size); err != nil {
 			return nil, -1, 0, vm.heapErr(err)
 		}
-		wire, err = msgcodec.AppendEncode(from.heap.Bytes(off, size)[:0], args)
+		wire, err = msgcodec.AppendEncode(region[:0], args)
 		if err == nil && len(wire) > size {
 			err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
 		}
@@ -212,7 +214,9 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: src, B: dst, Start: spanT0}, nil)
 	deliverT0 := vm.om.reg.SpanStart()
 	err = vm.deliverInbound(dest, msg, wire, destOff, size)
-	vm.emit(&obs.Event{Kind: obs.Deliver, Edge: edge, Type: msgType, A: src, B: dst, Start: deliverT0}, nil)
+	if vm.om.reg.Watching(obs.Deliver) {
+		vm.emit(&obs.Event{Kind: obs.Deliver, Edge: edge, Type: msgType, A: src, B: dst, Start: deliverT0}, nil)
+	}
 	if err != nil {
 		// Unreachable for run-time-encoded messages (the reservation rules out
 		// the heap, so only a codec disagreement gets here): the reservation

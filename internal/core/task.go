@@ -292,11 +292,13 @@ func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) err
 	}
 	t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
 	t.vm.msgsSent.Add(1)
-	ev := obs.Event{Kind: obs.MsgSend, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to), Type: msgType, A: int64(len(args)), B: int64(size)}
+	kind, nargs := obs.MsgSend, int64(len(args))
 	if via == viaWire {
-		ev.Kind, ev.A = obs.MsgSendRemote, 0
+		kind, nargs = obs.MsgSendRemote, 0
 	}
-	t.vm.emit(&ev, t.rec.cluster.primary)
+	if t.vm.om.reg.Watching(kind) {
+		t.vm.emit(&obs.Event{Kind: kind, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(to), Type: msgType, A: nargs, B: int64(size)}, t.rec.cluster.primary)
+	}
 	return nil
 }
 

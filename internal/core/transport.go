@@ -311,7 +311,9 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	if f.ReplyID != 0 {
 		kind = obs.WireDeliverStep
 	}
-	vm.emit(&obs.Event{Kind: kind, Edge: f.Edge, Type: f.Type, A: int64(f.Dest.Cluster), Start: spanT0}, nil)
+	if vm.om.reg.Watching(kind) {
+		vm.emit(&obs.Event{Kind: kind, Edge: f.Edge, Type: f.Type, A: int64(f.Dest.Cluster), Start: spanT0}, nil)
+	}
 	if err != nil {
 		// A remote receiver's failure cannot reach the sender: the frame is
 		// dropped here, loudly.  (A decode failure is unreachable for

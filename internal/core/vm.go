@@ -762,16 +762,37 @@ func (vm *VM) adoptStorage(msg *Message, heap *memory.Allocator, off, size int) 
 }
 
 // releaseMessage frees the message's shared-memory footprint from the shard
-// it was charged to.
+// it was charged to.  The message keeps heapBytes, which prices its accept.
 func (vm *VM) releaseMessage(msg *Message) {
 	if msg.heapBytes > 0 && msg.heapShard != nil {
 		_ = msg.heapShard.Free(msg.heapOff)
-		msg.heapBytes = 0
 		msg.heapShard = nil
 		if vm.metricsOn() {
 			vm.om.heapRecovers.Inc()
 		}
 	}
+}
+
+// releaseRun frees the footprints of an ACCEPT run's messages in a single
+// FreeEach on heap — the accepting cluster's shard, which its in-queue is
+// charged to — with any message charged elsewhere released on its own.  offs
+// is scratch for the offsets, returned for reuse.
+func (vm *VM) releaseRun(run []*Message, heap *memory.Allocator, offs []int) []int {
+	for _, m := range run {
+		if m.heapShard != heap || m.heapBytes == 0 {
+			vm.releaseMessage(m)
+			continue
+		}
+		offs = append(offs, m.heapOff)
+		m.heapShard = nil
+	}
+	if len(offs) > 0 {
+		_ = heap.FreeEach(offs)
+		if vm.metricsOn() {
+			vm.om.heapRecovers.Add(int64(len(offs)))
+		}
+	}
+	return offs
 }
 
 // dropMessage disposes of a message no task will accept: its storage is

@@ -48,7 +48,8 @@ type block struct {
 // Allocator is safe for concurrent use; in the simulated machine many PEs
 // allocate message blocks from the single shared memory at once.
 //
-// The arena's backing bytes are taken lazily, on the first Bytes call: most
+// The arena's backing bytes are taken lazily, on the first call that
+// addresses them (Bytes, AllocBytes): most
 // allocations are pure accounting (a message charge records its offset and
 // size but the argument data lives in Go values), so an allocator whose
 // storage is never addressed — a heap shard with no wire traffic — costs
@@ -57,8 +58,8 @@ type block struct {
 type Allocator struct {
 	mu      sync.Mutex
 	size    int
-	arena   []byte  // nil until the first Bytes call and after Release
-	touched int     // high-water off+n Bytes has handed out: all beyond is zero
+	arena   []byte  // nil until first addressed and after Release
+	touched int     // high-water off+n handed out as bytes: all beyond is zero
 	blocks  []block // ordered by offset
 	// firstFree is a lower bound on the index of the first free block: every
 	// block before it is allocated.  Alloc's first-fit scan starts there
@@ -93,13 +94,33 @@ func (a *Allocator) Size() int { return a.size }
 // Alloc reserves n usable bytes and returns the offset of the reserved region.
 // The region is zeroed.
 func (a *Allocator) Alloc(n int) (int, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.allocLocked(n)
+}
+
+// AllocBytes is Alloc followed by Bytes(off, n) in one critical section: it
+// reserves n usable bytes and returns their offset together with the zeroed
+// region itself, capacity n.  For n <= 0 it reserves what Alloc would and
+// returns an empty slice.
+func (a *Allocator) AllocBytes(n int) (int, []byte, error) {
+	a.mu.Lock()
+	off, err := a.allocLocked(n)
+	if err != nil {
+		a.mu.Unlock()
+		return 0, nil, err
+	}
+	n = max(n, 0)
+	arena := a.bytesLocked(off, n)
+	a.mu.Unlock()
+	return off, arena[off : off+n : off+n], nil
+}
+
+// allocLocked is Alloc's body; the caller holds a.mu.
+func (a *Allocator) allocLocked(n int) (int, error) {
 	if n <= 0 {
 		n = align
 	}
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-
 	// Sizes near MaxInt would overflow roundUp into a negative request, which
 	// the first-fit scan below could accept (size < n is false for negative n)
 	// and then panic slicing the arena.  No real arena can satisfy them anyway.
@@ -141,7 +162,8 @@ func (a *Allocator) Alloc(n int) (int, error) {
 		}
 		if a.arena != nil {
 			// A nil arena holds no stale data to clear: bytes are only ever
-			// written through Bytes, which takes an all-zero arena first.
+			// written through Bytes and AllocBytes, which take an all-zero
+			// arena first.
 			clear(a.arena[off : off+n])
 		}
 		a.inUse += n + headerSize
@@ -164,14 +186,48 @@ func (a *Allocator) Free(off int) error {
 	if i < 0 || a.blocks[i].free {
 		return fmt.Errorf("%w: offset %d", ErrBadFree, off)
 	}
-	a.blocks[i].free = true
-	a.inUse -= a.blocks[i].size + headerSize
-	a.budget.release(int64(a.blocks[i].size + headerSize))
-	a.frees++
-	if i = a.coalesce(i); i < a.firstFree {
-		a.firstFree = i
-	}
+	a.budget.release(int64(a.markFree(i)))
+	a.coalesce(i, i)
 	return nil
+}
+
+// FreeEach releases the allocations at offs, in order, in one critical
+// section: the same blocks, accounting and next placements as one Free per
+// offset, with one merge over the span the freed blocks cover instead of one
+// per block.  At an offset Free would refuse it stops and returns Free's
+// error, the offsets before it freed.
+func (a *Allocator) FreeEach(offs []int) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+
+	// Marking never moves a block, so every lookup sees the list as it was;
+	// the merge below settles the neighbours once.
+	lo, hi, released := len(a.blocks), -1, 0
+	var err error
+	for _, off := range offs {
+		i := a.find(off)
+		if i < 0 || a.blocks[i].free {
+			err = fmt.Errorf("%w: offset %d", ErrBadFree, off)
+			break
+		}
+		released += a.markFree(i)
+		lo, hi = min(lo, i), max(hi, i)
+	}
+	if hi >= 0 {
+		a.budget.release(int64(released))
+		a.coalesce(lo, hi)
+	}
+	return err
+}
+
+// markFree flags block i free and counts the free; it returns the bytes
+// released, header included.  The caller coalesces.
+func (a *Allocator) markFree(i int) int {
+	n := a.blocks[i].size + headerSize
+	a.blocks[i].free = true
+	a.inUse -= n
+	a.frees++
+	return n
 }
 
 // find returns the index of the block whose usable region starts at off, or -1.
@@ -191,20 +247,39 @@ func (a *Allocator) find(off int) int {
 	return -1
 }
 
-// coalesce merges the block at index i with free neighbours and returns the
-// merged block's index.
-func (a *Allocator) coalesce(i int) int {
-	// Merge with the following block first so the index stays valid.
-	for i+1 < len(a.blocks) && a.blocks[i+1].free {
-		a.blocks[i].size += a.blocks[i+1].size + headerSize
-		a.blocks = append(a.blocks[:i+1], a.blocks[i+2:]...)
+// coalesce merges every run of adjacent free blocks in the span freed blocks
+// lo..hi touch — those blocks and one neighbour either side; a list merged
+// after every earlier free has no run reaching further — in one pass up to
+// the last block a merge removes, then moves the rest of the list down in one
+// copy, and lowers the first-free hint to the merged block that holds block
+// lo.  For a single free that copy is the one a delete of the merged-away
+// block makes: the same length and the same destination, whose alignment
+// decides the speed of the overlapping move.
+func (a *Allocator) coalesce(lo, hi int) {
+	first := max(lo-1, 0)
+	if !a.blocks[first].free {
+		first = lo
 	}
-	for i > 0 && a.blocks[i-1].free {
-		a.blocks[i-1].size += a.blocks[i].size + headerSize
-		a.blocks = append(a.blocks[:i], a.blocks[i+1:]...)
-		i--
+	// Block r merges into its predecessor exactly when both are free.
+	end := min(hi+1, len(a.blocks)-1)
+	for end > first && !(a.blocks[end].free && a.blocks[end-1].free) {
+		end--
 	}
-	return i
+	w := first
+	for r := first + 1; r <= end; r++ {
+		if a.blocks[r].free && a.blocks[w].free {
+			a.blocks[w].size += a.blocks[r].size + headerSize
+			continue
+		}
+		w++
+		a.blocks[w] = a.blocks[r]
+	}
+	if w < end {
+		a.blocks = append(a.blocks[:w+1], a.blocks[end+1:]...)
+	}
+	if first < a.firstFree {
+		a.firstFree = first
+	}
 }
 
 // Bytes returns the usable bytes of the allocation at offset off with length n.
@@ -213,17 +288,25 @@ func (a *Allocator) coalesce(i int) int {
 // reallocates instead of writing into a neighbour.
 func (a *Allocator) Bytes(off, n int) []byte {
 	a.mu.Lock()
-	if a.arena == nil {
-		a.arena = takeArena(a.size)
-	}
-	arena := a.arena
-	if end := off + n; end > a.touched && end <= len(arena) {
-		a.touched = end
-	}
+	arena := a.bytesLocked(off, n)
 	a.mu.Unlock()
 	// Sliced outside the lock: an out-of-range request panics in the calling
 	// task (which the run-time recovers) without leaving the shard locked.
 	return arena[off : off+n : off+n]
+}
+
+// bytesLocked is the bookkeeping of handing out arena[off:off+n]: it takes the
+// arena on first use and raises the touched mark Release relies on.  It
+// returns the whole arena, for the caller to slice once the lock is dropped.
+// The caller holds a.mu.
+func (a *Allocator) bytesLocked(off, n int) []byte {
+	if a.arena == nil {
+		a.arena = takeArena(a.size)
+	}
+	if end := off + n; end > a.touched && end <= len(a.arena) {
+		a.touched = end
+	}
+	return a.arena
 }
 
 // arenas pools all-zero arenas by size (int -> *sync.Pool of *[]byte), so a
@@ -251,8 +334,9 @@ func takeArena(size int) []byte {
 // Release gives the arena back for the next allocator of this size.  It is
 // for the point where the allocator's last user has stopped (core.VM.Shutdown,
 // after every task has been joined); the accounting is untouched and a later
-// Bytes takes a new arena.  Bytes are only ever written through Bytes slices,
-// so zeroing the prefix Bytes has handed out makes the whole arena zero again,
+// Bytes takes a new arena.  Bytes are only ever written through the slices
+// Bytes and AllocBytes hand out, so zeroing the prefix they have handed out
+// (touched) makes the whole arena zero again,
 // at a cost proportional to what this tenant touched.  An arena released with
 // bytes still allocated may still be addressed through a Bytes slice; it is
 // left to the garbage collector and never reaches another tenant.

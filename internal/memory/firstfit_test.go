@@ -83,6 +83,16 @@ func (r *refHeap) free(off int) error {
 	return fmt.Errorf("%w: offset %d", ErrBadFree, off)
 }
 
+// freeEach is one free per offset, stopping at the first refusal.
+func (r *refHeap) freeEach(offs []int) error {
+	for _, off := range offs {
+		if err := r.free(off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (r *refHeap) reset() {
 	r.blocks = []block{{off: headerSize, size: r.size - headerSize, free: true}}
 	r.budget.release(int64(r.inUse))
@@ -105,7 +115,8 @@ func (r *refHeap) stats() Stats {
 // scan-from-zero reference through the same 10,000 seeded operations — mixed
 // sizes that fragment the arena, a queue-like phase of many live blocks, an
 // arena and a budget that both sometimes refuse, frees of live, stale and
-// never-allocated offsets, the odd Reset — and requires the same offset, the
+// never-allocated offsets, FreeEach runs and AllocBytes reservations, the odd
+// Reset — and requires the same offset, the
 // same error and the same Stats after every step, and that the hint is a
 // true lower bound throughout.
 func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
@@ -145,6 +156,16 @@ func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 					}
 				}
 			}
+		case len(live) > 1 && op < 12:
+			// A run of live blocks, as one ACCEPT run releases them.
+			k := 2 + rng.Intn(min(len(live)-1, 8))
+			offs := make([]int, k)
+			for j := range offs {
+				i := rng.Intn(len(live))
+				offs[j] = live[i]
+				live = append(live[:i], live[i+1:]...)
+			}
+			got, want = a.FreeEach(offs), ref.freeEach(offs)
 		case len(live) > 0 && (op < 35 || (!growing && op < 70)):
 			i := rng.Intn(len(live))
 			if rng.Intn(3) == 0 {
@@ -164,7 +185,11 @@ func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				n = rng.Intn(2048)
 			}
-			goff, gerr := a.Alloc(n)
+			alloc := a.Alloc
+			if rng.Intn(3) == 0 {
+				alloc = func(n int) (int, error) { off, _, err := a.AllocBytes(n); return off, err }
+			}
+			goff, gerr := alloc(n)
 			woff, werr := ref.alloc(n)
 			if goff != woff {
 				t.Fatalf("step %d: Alloc(%d) placed at %d, first-fit from block 0 places at %d", step, n, goff, woff)

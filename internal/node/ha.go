@@ -112,9 +112,7 @@ func (p *peer) retainDeadLocked(tr *transport, counted bool, replyID uint64, enc
 // and will be recv-counted when replayed.  Idempotent, and safe after a
 // write error already set p.dead — the accounting still runs exactly once.
 func (tr *transport) markDead(node int) {
-	tr.mu.Lock()
-	p := tr.peers[node]
-	tr.mu.Unlock()
+	p := tr.peerAt(node)
 	if p == nil {
 		return
 	}
@@ -137,9 +135,7 @@ func (tr *transport) markDead(node int) {
 
 // isDead reports whether the lane toward the node has been marked dead.
 func (tr *transport) isDead(node int) bool {
-	tr.mu.Lock()
-	p := tr.peers[node]
-	tr.mu.Unlock()
+	p := tr.peerAt(node)
 	if p == nil {
 		return false
 	}
@@ -153,9 +149,7 @@ func (tr *transport) isDead(node int) bool {
 // has settled and the frames will be replayed instead (over-replay is safe,
 // under-retention is not).
 func (tr *transport) ackRetained(node int, count uint64) {
-	tr.mu.Lock()
-	p := tr.peers[node]
-	tr.mu.Unlock()
+	p := tr.peerAt(node)
 	if p == nil {
 		return
 	}
@@ -211,9 +205,7 @@ func (tr *transport) noteInitReply(replyID uint64, id core.TaskID) {
 // precedes every newly routed frame on the buddy's lane, the order the
 // restored admission floors assume.  Returns the number of frames replayed.
 func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) error) (int, error) {
-	tr.mu.Lock()
-	pd := tr.peers[dead]
-	tr.mu.Unlock()
+	pd := tr.peerAt(dead)
 	if pd == nil {
 		return 0, nil
 	}

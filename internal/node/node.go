@@ -749,7 +749,9 @@ func (n *Node) deliverLoop(from int, r *laneReader, work <-chan handoff) {
 				if metrics {
 					n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
 				}
-				n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: m.msg.Type, A: int64(n.opts.NodeID), B: int64(from), Start: deliverT0})
+				if n.reg.Watching(obs.WireRx) {
+					n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: m.msg.Type, A: int64(n.opts.NodeID), B: int64(from), Start: deliverT0})
+				}
 				if pending >= creditGrantChunk {
 					n.tr.grantCredits(from, pending)
 					pending = 0

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -312,8 +311,10 @@ type transport struct {
 	creditsTx     *obs.Counter   // node.credit.grants.tx
 	creditsRx     *obs.Counter   // node.credit.grants.rx
 
-	mu    sync.Mutex
-	peers map[int]*peer // node id -> outbound connection
+	// peers holds the outbound connection to each node, indexed by node id
+	// and sized from the topology; a slot is stored once, at addPeer, and
+	// read without a lock.
+	peers []atomic.Pointer[peer]
 
 	writers sync.WaitGroup
 
@@ -328,12 +329,14 @@ type transport struct {
 
 	// HA retention state.  haRetain is set once, before any traffic, when the
 	// node runs with fault tolerance on.  routeMu orders sends against a
-	// rebalance: Send/SendReply hold it shared across route-and-enqueue, the
-	// rebalance holds it exclusively across replay-and-retarget, so every
-	// frame replayed to a buddy lands on the buddy's lane BEFORE any newly
-	// routed frame — the ordering the receiver's admission floors assume.
-	// reroute maps a dead node to the node that adopted its clusters
-	// (consulted by ownerOf, guarded by routeMu).  pendInit indexes retained
+	// rebalance: in HA mode Send/SendReply hold it shared across
+	// route-and-enqueue, the rebalance holds it exclusively across
+	// replay-and-retarget, so every frame replayed to a buddy lands on the
+	// buddy's lane BEFORE any newly routed frame — the ordering the
+	// receiver's admission floors assume.  Outside HA there is no rebalance
+	// and reroute stays empty, so a send takes no route lock.  reroute maps a
+	// dead node to the node that adopted its clusters (consulted by ownerOf,
+	// guarded by routeMu).  pendInit indexes retained
 	// initiate-request frames by ReplyID so the observed reply can annotate
 	// them with the assigned taskid.  recvFrom counts delivered counted
 	// frames per source lane: the drain balance sums only live sources, and
@@ -362,7 +365,7 @@ func newTransport(nodeID int, topo Topology, reg *obs.Registry, cfg WireConfig) 
 		creditStalls:  reg.Counter("node.credit.stalls"),
 		creditsTx:     reg.Counter("node.credit.grants.tx"),
 		creditsRx:     reg.Counter("node.credit.grants.rx"),
-		peers:         make(map[int]*peer),
+		peers:         make([]atomic.Pointer[peer], topo.Nodes),
 		recvFrom:      make([]atomic.Uint64, topo.Nodes),
 	}
 }
@@ -377,17 +380,21 @@ func (tr *transport) addPeer(id int, conn net.Conn) {
 		txBytes:  tr.reg.Counter(fmt.Sprintf("node.tx.n%d->n%d.bytes", tr.nodeID, id)),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	tr.mu.Lock()
-	tr.peers[id] = p
-	tr.mu.Unlock()
+	tr.peers[id].Store(p)
 	tr.writers.Add(1)
 	go p.writeLoop(tr)
 }
 
+// peerAt returns the outbound connection to node, nil if there is none.
+func (tr *transport) peerAt(node int) *peer {
+	if node < 0 || node >= len(tr.peers) {
+		return nil
+	}
+	return tr.peers[node].Load()
+}
+
 func (tr *transport) peerFor(node int) (*peer, error) {
-	tr.mu.Lock()
-	p := tr.peers[node]
-	tr.mu.Unlock()
+	p := tr.peerAt(node)
 	if p == nil {
 		return nil, fmt.Errorf("node %d: no connection to node %d", tr.nodeID, node)
 	}
@@ -396,13 +403,12 @@ func (tr *transport) peerFor(node int) (*peer, error) {
 
 // allPeers snapshots the peer set in node-id order.
 func (tr *transport) allPeers() []*peer {
-	tr.mu.Lock()
 	out := make([]*peer, 0, len(tr.peers))
-	for _, p := range tr.peers {
-		out = append(out, p)
+	for i := range tr.peers {
+		if p := tr.peers[i].Load(); p != nil {
+			out = append(out, p)
+		}
 	}
-	tr.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -438,8 +444,10 @@ func (tr *transport) Send(f *core.WireFrame) error {
 	}
 	kind := wireKind(f)
 	enc := func(batch []byte) []byte { return encodeWireFrame(batch, f) }
-	tr.routeMu.RLock()
-	defer tr.routeMu.RUnlock()
+	if tr.haRetain {
+		tr.routeMu.RLock()
+		defer tr.routeMu.RUnlock()
+	}
 	if f.Kind == core.FrameBroadcast && f.Dst == 0 {
 		var firstErr error
 		for _, p := range tr.allPeers() {
@@ -478,8 +486,10 @@ func (tr *transport) Send(f *core.WireFrame) error {
 // credited (fInitReply's row): they ride the control channel so a reply can
 // never deadlock against the data window it would unblock.
 func (tr *transport) SendReply(dst int, replyID uint64, id core.TaskID) error {
-	tr.routeMu.RLock()
-	defer tr.routeMu.RUnlock()
+	if tr.haRetain {
+		tr.routeMu.RLock()
+		defer tr.routeMu.RUnlock()
+	}
 	owner, err := tr.ownerOf(dst)
 	if err != nil {
 		return err

@@ -70,7 +70,7 @@ func BenchmarkEmitTraced(b *testing.B) {
 	e := Event{Kind: MsgSend, Task: TaskRef{1, 1, 1}, Peer: TaskRef{1, 2, 1}, Type: "M"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.EmitAt(&e, 3, int64(i))
+		r.EmitAt(&e, 3, int64(i), nil)
 	}
 }
 

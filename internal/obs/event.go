@@ -176,16 +176,39 @@ func (r *Registry) Watching(k Kind) bool {
 
 // Emit is the emission routine for an event below the task level, which has
 // no PE clock to read.
-func (r *Registry) Emit(e *Event) { r.EmitAt(e, 0, 0) }
+func (r *Registry) Emit(e *Event) { r.EmitAt(e, 0, 0, nil) }
+
+// Stamp is one flight-recorder clock reading shared by a batch of events
+// taken together — the messages one ACCEPT run takes from the queue: the
+// first event of the batch the ring records reads the recorder's clock into
+// it, and the rest are stamped with that reading.  The zero Stamp is unread,
+// so a batch the ring records nothing of reads no clock.
+type Stamp struct {
+	ns   int64
+	read bool
+}
+
+// take returns the batch's reading of rec's clock, reading it on first use; a
+// nil Stamp reads the clock every time.
+func (s *Stamp) take(rec *Recorder) int64 {
+	if s == nil {
+		return rec.now()
+	}
+	if !s.read {
+		s.ns, s.read = rec.now(), true
+	}
+	return s.ns
+}
 
 // EmitAt is the emission routine: it hands the event to the sinks its kind's
 // row names — the Section 12 trace line, which carries the clock reading
-// (pe, ticks); the flight-recorder ring; the span/flow capture — in that
-// order.  The reading travels beside the event, not in it: Event is already
-// the largest thing in an announcing task's frame.  Nil-safe; with nothing
-// watching the kind it costs the one mask load, and it allocates only for a
-// trace line or a captured span.
-func (r *Registry) EmitAt(e *Event, pe int, ticks int64) {
+// (pe, ticks); the flight-recorder ring, stamped from st (nil: a reading of
+// its own); the span/flow capture — in that order.  The readings travel
+// beside the event, not in it: Event is already the largest thing in an
+// announcing task's frame.  Nil-safe; with nothing watching the kind it costs
+// the one mask load, and it allocates only for a trace line or a captured
+// span.
+func (r *Registry) EmitAt(e *Event, pe int, ticks int64, st *Stamp) {
 	if !r.Watching(e.Kind) {
 		return
 	}
@@ -196,14 +219,16 @@ func (r *Registry) EmitAt(e *Event, pe int, ticks int64) {
 		r.traceLine(e, row.Trace, pe, ticks)
 	}
 	if row.Box != 0 && (!row.ByTask || e.Edge != 0) {
-		a, b, shard := e.A, e.B, 0
-		if row.ByTask {
-			a, b = int64(e.Task.Cluster), int64(e.Peer.Cluster)
+		if rec := r.rec.Load(); rec != nil {
+			a, b, shard := e.A, e.B, 0
+			if row.ByTask {
+				a, b = int64(e.Task.Cluster), int64(e.Peer.Cluster)
+			}
+			if row.ShardA {
+				shard = int(a)
+			}
+			rec.record(shard, row.Box, e.Edge, a, b, st.take(rec))
 		}
-		if row.ShardA {
-			shard = int(a)
-		}
-		r.rec.Load().Record(shard, row.Box, e.Edge, a, b) // nil-safe
 	}
 	if row.Lane != "" && !e.Start.IsZero() && r.Has(Spans) {
 		lane := fmt.Sprintf(row.Lane, e.A, e.B)

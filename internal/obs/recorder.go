@@ -129,16 +129,23 @@ func (r *Recorder) NodeID() int {
 }
 
 // Record appends one event to the ring of shard (hashed down to the shard
-// count).  Nil-safe: a nil recorder costs one branch, and the live path is
-// one clock read (on the real clock, one monotonic read: backend.Now), one
-// sequence stamp, and one shard lock around plain stores.
-// It allocates only to grow a ring that has filled below its cap, a compare
-// that is false for ever once the ring has wrapped.
+// count), stamped with the recorder clock's current reading.  Nil-safe: a nil
+// recorder costs one branch, and the live path is one clock read (on the real
+// clock, one monotonic read: backend.Now) and record's work.
 func (r *Recorder) Record(shard int, kind uint8, edge uint64, a, b int64) {
 	if r == nil {
 		return
 	}
-	ts := (*r.clock.Load())().UnixNano()
+	r.record(shard, kind, edge, a, b, r.now())
+}
+
+// now reads the recorder clock, in the ring's nanoseconds.
+func (r *Recorder) now() int64 { return (*r.clock.Load())().UnixNano() }
+
+// record appends one event stamped ts: one sequence stamp and one shard lock
+// around plain stores.  It allocates only to grow a ring that has filled
+// below its cap, a compare that is false for ever once the ring has wrapped.
+func (r *Recorder) record(shard int, kind uint8, edge uint64, a, b, ts int64) {
 	s := &r.shards[shard&(len(r.shards)-1)]
 	seq := r.seq.Add(1)
 	s.mu.Lock()
@@ -194,6 +201,5 @@ func (r *Recorder) Dump() ([]byte, error) {
 	if r == nil {
 		return msgcodec.EncodeBlackbox(0, 0, nil)
 	}
-	now := (*r.clock.Load())().UnixNano()
-	return msgcodec.EncodeBlackbox(int(r.node), now, r.Events())
+	return msgcodec.EncodeBlackbox(int(r.node), r.now(), r.Events())
 }

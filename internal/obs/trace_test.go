@@ -23,13 +23,13 @@ func TestTraceKindFilter(t *testing.T) {
 	r := traced(sink)
 	ev := Event{Kind: MsgSend, Task: TaskRef{1, 2, 3}}
 
-	r.EmitAt(&ev, 4, 100) // everything disabled by default
+	r.EmitAt(&ev, 4, 100, nil) // everything disabled by default
 	if sink.Len() != 0 {
 		t.Fatal("event traced while its type is disabled")
 	}
 
 	r.TraceKind(trace.MsgSend, true)
-	r.EmitAt(&ev, 4, 100)
+	r.EmitAt(&ev, 4, 100, nil)
 	if sink.Len() != 1 {
 		t.Fatal("event not traced while its type is enabled")
 	}
@@ -42,7 +42,7 @@ func TestTraceKindFilter(t *testing.T) {
 	}
 
 	r.TraceKind(trace.MsgSend, false)
-	r.EmitAt(&ev, 4, 100)
+	r.EmitAt(&ev, 4, 100, nil)
 	if sink.Len() != 1 {
 		t.Fatal("event traced after its type was switched back off")
 	}
@@ -110,7 +110,7 @@ func TestTraceWriterSinkAndSettings(t *testing.T) {
 	var buf bytes.Buffer
 	r := traced(trace.WriterSink{W: &buf})
 	r.TraceKind(trace.ForceSplit, true)
-	r.EmitAt(&Event{Kind: ForceSplit, Task: TaskRef{2, 3, 7}, A: 5}, 9, 4242)
+	r.EmitAt(&Event{Kind: ForceSplit, Task: TaskRef{2, 3, 7}, A: 5}, 9, 4242, nil)
 	line := strings.TrimSpace(buf.String())
 	for _, want := range []string{"FORCE-SPLIT", "task=2.3.7", "pe=9", "ticks=4242", "members=5"} {
 		if !strings.Contains(line, want) {
