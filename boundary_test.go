@@ -88,13 +88,13 @@ func TestOneFrontEndForPiscesFortran(t *testing.T) {
 
 // TestOneEmissionRoutinePerLayer pins the one-announcement-per-site rule: an
 // event reaches the Section 12 trace sinks, the flight-recorder ring and the
-// flow capture only through the emission routine — obs.Registry.Emit, which
+// span capture only through the emission routine — obs.Registry.Emit, which
 // core's VM.emit forwards to — so no non-test code outside internal/obs calls
-// (*obs.Recorder).Record (recognised by its five arguments) or a Flow method,
-// builds a trace.Event or calls a trace sink's Emit (any .Emit( in a file
-// that imports internal/trace, or in that package), and inside internal/obs
-// only event.go does.  bench/ is the measuring harness: it times Record
-// directly and is not walked.
+// (*obs.Recorder).Record (recognised by its five arguments), builds a
+// trace.Event, calls a trace sink's Emit (any .Emit( in a file that imports
+// internal/trace, or in that package) or calls the span buffer's add
+// (spans.add), and inside internal/obs only event.go does.  bench/ is the
+// measuring harness: it times Record directly and is not walked.
 func TestOneEmissionRoutinePerLayer(t *testing.T) {
 	fset := token.NewFileSet()
 	files := 0
@@ -137,7 +137,9 @@ func TestOneEmissionRoutinePerLayer(t *testing.T) {
 				if !ok {
 					return true
 				}
-				announces := sel.Sel.Name == "Record" && len(n.Args) == 5 || sel.Sel.Name == "Flow" ||
+				buf, _ := sel.X.(*ast.SelectorExpr)
+				announces := sel.Sel.Name == "Record" && len(n.Args) == 5 ||
+					sel.Sel.Name == "add" && buf != nil && buf.Sel.Name == "spans" ||
 					sel.Sel.Name == "Emit" && knowsTrace
 				if announces {
 					t.Errorf("%s: calls %s directly; announce through emit (obs.Registry.Emit) instead",

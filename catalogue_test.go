@@ -105,7 +105,7 @@ func TestEventCatalogueMatchesKinds(t *testing.T) {
 			rows[m[1]] = cells
 		}
 	}
-	lane := strings.NewReplacer("%[1]d", "<A>", "%[2]d", "<B>")
+	lane := strings.NewReplacer("%[1]d", "<A>", "%[2]d", "<B>", "%[3]s", "<task>")
 	for _, k := range obs.Kinds() {
 		cells, ok := rows[k.Name]
 		if !ok {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -53,6 +54,44 @@ TASKTYPE STEPPER(ME)
 END TASKTYPE
 `
 
+// checkRebalanceSpan requires the Chrome trace at path to be JSON in which
+// node 0's "node/0 ha" thread holds a rebalance slice: the survivor's
+// recovery, as the uploaded artifact shows it.
+func checkRebalanceSpan(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("PISCES_HA_TRACE=%s: %v", path, err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+			Name string `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("PISCES_HA_TRACE=%s is not a Chrome trace: %v", path, err)
+	}
+	type thread struct{ pid, tid int }
+	ha := map[thread]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Args.Name == "node/0 ha" {
+			ha[thread{ev.Pid, ev.Tid}] = true
+		}
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ha[thread{ev.Pid, ev.Tid}] && strings.HasPrefix(ev.Name, "rebalance ") {
+			return
+		}
+	}
+	t.Errorf("PISCES_HA_TRACE=%s: no rebalance slice on a node/0 ha thread (%d events)", path, len(doc.TraceEvents))
+}
+
 // syncBuffer is a strings.Builder safe to share between an exec.Cmd's output
 // pipe goroutine and the test's polling loop.
 type syncBuffer struct {
@@ -78,7 +117,7 @@ func (s *syncBuffer) String() string {
 // to the single-process run.  Gated behind PISCES_HA_SMOKE because it builds
 // the binary and forks OS processes; CI runs it in the ha-smoke job.  When
 // PISCES_HA_TRACE names a file, node 0 additionally writes its span trace
-// (including the HA recovery spans) there for artifact upload.
+// there for artifact upload, and it must show node 0's rebalance.
 func TestHASmokeKillANodeProcess(t *testing.T) {
 	if os.Getenv("PISCES_HA_SMOKE") == "" {
 		t.Skip("set PISCES_HA_SMOKE=1 to build the binary and fork a killable 3-process mesh")
@@ -182,9 +221,7 @@ func TestHASmokeKillANodeProcess(t *testing.T) {
 		t.Errorf("node 0 never rebalanced; the kill landed after the run finished.\nstderr:\n%s", stderr[0].String())
 	}
 	if tr := os.Getenv("PISCES_HA_TRACE"); tr != "" {
-		if st, err := os.Stat(tr); err != nil || st.Size() == 0 {
-			t.Errorf("PISCES_HA_TRACE=%s: trace artifact missing or empty (err=%v)", tr, err)
-		}
+		checkRebalanceSpan(t, tr)
 	}
 	// Failure forensics end to end: the survivor's rebalance dumped a flight
 	// recorder into PISCES_HA_BLACKBOX, and the binary's own blackbox

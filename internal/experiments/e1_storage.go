@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
 
 // E1Result holds the Section 13 storage-overhead measurements.
@@ -102,7 +102,7 @@ func RunE1(w io.Writer) (*E1Result, error) {
 	res.HeapDuringBurst = res.HeapHighWater
 	res.HeapAfterBurst = hs.InUse
 
-	t := stats.NewTable("E1: storage overhead (paper, Section 13)",
+	t := obs.NewTable("E1: storage overhead (paper, Section 13)",
 		"quantity", "measured", "share", "paper")
 	t.AddRow("PISCES system code+data per PE",
 		fmt.Sprintf("%d bytes", res.SystemLocalBytes),
@@ -114,7 +114,7 @@ func RunE1(w io.Writer) (*E1Result, error) {
 		"< 0.3%")
 	t.AddRow(fmt.Sprintf("message heap, %d unaccepted messages", burst),
 		fmt.Sprintf("%d bytes high water", res.HeapHighWater),
-		fmt.Sprintf("%.2f%% of shared", stats.Percent(float64(res.HeapHighWater), float64(vm.Machine().Shared().Total()))),
+		fmt.Sprintf("%.2f%% of shared", percent(float64(res.HeapHighWater), float64(vm.Machine().Shared().Total()))),
 		"grows only while unaccepted")
 	t.AddRow("message heap after all accepted",
 		fmt.Sprintf("%d bytes", res.HeapAfterBurst),

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
 
 // E3Result summarises the Section 9 worked mapping example.
@@ -43,7 +43,7 @@ func RunE3(w io.Writer) (*E3Result, error) {
 
 	fmt.Fprint(w, cfg.String())
 
-	t := stats.NewTable("E3: force size and PE loading implied by the Section 9 mapping",
+	t := obs.NewTable("E3: force size and PE loading implied by the Section 9 mapping",
 		"cluster", "primary PE", "secondary PEs", "slots", "FORCESPLIT members")
 	for _, n := range cfg.ClusterNumbers() {
 		cl := cfg.Cluster(n)
@@ -51,7 +51,7 @@ func RunE3(w io.Writer) (*E3Result, error) {
 	}
 	fmt.Fprint(w, t.String())
 
-	t2 := stats.NewTable("maximum simultaneous tasks per PE (paper: \"4+4=8\" on PEs 7-15)",
+	t2 := obs.NewTable("maximum simultaneous tasks per PE (paper: \"4+4=8\" on PEs 7-15)",
 		"PEs", "max multiprogramming")
 	t2.AddRow("3-6 (cluster primaries)", fmt.Sprintf("%d", res.MaxMultiprogramming[3]))
 	t2.AddRow("7-15 (forces for clusters 3 and 4)", fmt.Sprintf("%d", res.MaxMultiprogramming[7]))
@@ -92,7 +92,7 @@ func RunE3(w io.Writer) (*E3Result, error) {
 		res.MeasuredMembers[pair[0]] = pair[1]
 	}
 
-	t3 := stats.NewTable("measured FORCESPLIT member counts (live run)",
+	t3 := obs.NewTable("measured FORCESPLIT member counts (live run)",
 		"cluster", "configured", "measured")
 	for _, cl := range []int{1, 2, 3} {
 		t3.AddRowf(cl, res.ForceSizes[cl], res.MeasuredMembers[cl])

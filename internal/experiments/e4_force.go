@@ -8,7 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/loops"
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
 
 // E4Params controls the force-performance experiment.
@@ -100,13 +100,13 @@ func RunE4(w io.Writer, p E4Params) (*E4Result, error) {
 					ticks = serial[workload]
 				}
 				row := E4Row{Members: members, Discipline: discipline, Workload: workload, Ticks: ticks}
-				row.Speedup = stats.Speedup(float64(serial[workload]), float64(ticks))
+				row.Speedup = speedup(float64(serial[workload]), float64(ticks))
 				res.Rows = append(res.Rows, row)
 			}
 		}
 	}
 
-	t := stats.NewTable("E4: force performance in simulated ticks (lower is better)",
+	t := obs.NewTable("E4: force performance in simulated ticks (lower is better)",
 		"workload", "discipline", "members", "ticks", "speedup", "efficiency")
 	for _, row := range res.Rows {
 		t.AddRowf(row.Workload, row.Discipline, row.Members, row.Ticks,

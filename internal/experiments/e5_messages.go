@@ -9,7 +9,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // E5Params controls the message-system experiment.
@@ -269,7 +268,7 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 		vm.Shutdown()
 	}
 
-	t := stats.NewTable("E5: message system behaviour (Section 6/11)",
+	t := obs.NewTable("E5: message system behaviour (Section 6/11)",
 		"measurement", "value")
 	t.AddRow("ping-pong round trip (wall clock)", res.PingPongPerRound.String())
 	t.AddRow("ping-pong round trip (simulated ticks)", fmt.Sprintf("%.1f", res.PingPongTicks))

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
 
 // E6Params controls the window-partitioning experiment.
@@ -73,7 +73,7 @@ func RunE6(w io.Writer, p E6Params) (*E6Result, error) {
 		res.Ratio = float64(res.ShippedBytes) / float64(res.WindowBytes)
 	}
 
-	t := stats.NewTable("E6: parallel data partitioning with windows (Section 8)",
+	t := obs.NewTable("E6: parallel data partitioning with windows (Section 8)",
 		"organisation", "bytes moved", "multiple of array size")
 	t.AddRow("array size", fmt.Sprintf("%d", res.ArrayBytes), "1.0")
 	t.AddRow("windows (data read+written once by workers)",

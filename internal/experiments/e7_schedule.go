@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/schedule"
-	"repro/internal/stats"
 )
 
 // E7Params controls the SCHEDULE-comparison experiment.
@@ -117,10 +117,10 @@ func RunE7(w io.Writer, p E7Params) (*E7Result, error) {
 		res.PiscesTicks = ticks
 	}
 
-	res.ScheduleSpeedup = stats.Speedup(float64(res.SerialTicks), float64(res.ScheduleTicks))
-	res.PiscesSpeedup = stats.Speedup(float64(res.SerialTicks), float64(res.PiscesTicks))
+	res.ScheduleSpeedup = speedup(float64(res.SerialTicks), float64(res.ScheduleTicks))
+	res.PiscesSpeedup = speedup(float64(res.SerialTicks), float64(res.PiscesTicks))
 
-	t := stats.NewTable(fmt.Sprintf("E7: layered task graph (%d layers x %d units, cost %d) on %d PEs",
+	t := obs.NewTable(fmt.Sprintf("E7: layered task graph (%d layers x %d units, cost %d) on %d PEs",
 		p.Layers, p.UnitsPerLayer, p.UnitCost, p.Workers),
 		"system", "mapping", "simulated ticks", "speedup vs serial")
 	t.AddRowf("serial", "single PE", res.SerialTicks, "1.00")

@@ -81,3 +81,20 @@ func Run(name string, w io.Writer) error {
 	}
 	return f(w)
 }
+
+// speedup returns serial/parallel, the conventional speedup ratio; it returns
+// 0 when parallel is 0.
+func speedup(serial, parallel float64) float64 {
+	if parallel == 0 {
+		return 0
+	}
+	return serial / parallel
+}
+
+// percent returns 100*part/whole (0 when whole is 0).
+func percent(part, whole float64) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return 100 * part / whole
+}

@@ -21,6 +21,15 @@ func TestDescribeAndRunUnknown(t *testing.T) {
 	}
 }
 
+func TestSpeedupAndPercent(t *testing.T) {
+	if speedup(100, 25) != 4 || speedup(100, 0) != 0 {
+		t.Errorf("speedup(100, 25) = %v, speedup(100, 0) = %v; want 4 and 0", speedup(100, 25), speedup(100, 0))
+	}
+	if percent(1, 8) != 12.5 || percent(1, 0) != 0 {
+		t.Errorf("percent(1, 8) = %v, percent(1, 0) = %v; want 12.5 and 0", percent(1, 8), percent(1, 0))
+	}
+}
+
 func TestE1StorageMatchesPaperBounds(t *testing.T) {
 	var buf bytes.Buffer
 	res, err := RunE1(&buf)

@@ -263,10 +263,7 @@ func (n *Node) adoptAndRestore(dead int) {
 // exclusive route lock is what keeps the replayed backlog ahead of newly
 // routed frames on the buddy's lane).
 func (n *Node) finishRebalance(dead, buddy int) {
-	var t0 time.Time
-	if n.reg.Has(obs.Spans) {
-		t0 = n.reg.Now()
-	}
+	t0 := n.reg.SpanStart()
 	// On the buddy the backlog takes the same deliver path as frames off a
 	// lane, counted received on the node's own lane so the drain balance
 	// matches the original send count.
@@ -283,14 +280,13 @@ func (n *Node) finishRebalance(dead, buddy int) {
 	if n.reg.Has(obs.Metrics) {
 		n.haReplayed.Add(int64(replayed))
 	}
-	if !t0.IsZero() {
-		n.reg.Span(fmt.Sprintf("node/%d ha", n.opts.NodeID), fmt.Sprintf("rebalance n%d->n%d", dead, buddy), t0)
-	}
+	pair := fmt.Sprintf("n%d->n%d", dead, buddy)
+	n.reg.Emit(&obs.Event{Kind: obs.Rebalance, A: int64(n.opts.NodeID), Type: pair, Start: t0})
 	fmt.Fprintf(n.opts.Log, "node %d: rerouted node %d's clusters to node %d (%d retained frames replayed)\n",
 		n.opts.NodeID, dead, buddy, replayed)
 	// A rebalance IS a failure: leave the black box behind while the events
 	// leading up to the death are still in the ring.
-	n.dumpBlackbox(fmt.Sprintf("rebalance n%d->n%d", dead, buddy))
+	n.dumpBlackbox("rebalance " + pair)
 }
 
 // Terminate tears the node down abruptly — no drain, no shutdown frames, no

@@ -70,7 +70,7 @@ func TestHAKillNodeMatchesSingleProcess(t *testing.T) {
 	}
 
 	reg := obs.New()
-	reg.Enable(obs.Metrics)
+	reg.Enable(obs.Metrics | obs.Spans)
 	var out bytes.Buffer
 	var logs [3]bytes.Buffer
 	nodes := startMesh(t, 3, cfg, haKillSource, &out, func(i int, o *node.Options) {
@@ -125,6 +125,15 @@ func TestHAKillNodeMatchesSingleProcess(t *testing.T) {
 	}
 	if !strings.Contains(logs[0].String(), "rerouted node 2's clusters to node 0") {
 		t.Errorf("node 0 never completed the rebalance; log:\n%s", logs[0].String())
+	}
+	// The rebalance is a span on the survivor's HA lane.
+	spans, _ := reg.Spans()
+	rebalanced := false
+	for _, s := range spans {
+		rebalanced = rebalanced || s.Lane == "node/0 ha" && s.Name == "rebalance n2->n0"
+	}
+	if !rebalanced {
+		t.Errorf("node 0 captured no rebalance n2->n0 span on lane node/0 ha (%d spans)", len(spans))
 	}
 	// Failure forensics: the survivor's flight recorder must hold the dead
 	// node's story — the checkpoints it stored as node 2's buddy (proving

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -107,7 +108,7 @@ type Node struct {
 	frameDeliver *obs.Histogram // node.frame.deliver.ns: decode -> VM delivery
 	snapMu       sync.Mutex
 	followerSnap map[int]*obs.Snapshot
-	// followerTrace holds the latest span/flow trace blob received from each
+	// followerTrace holds the latest span trace blob received from each
 	// follower's drain ack (coordinator only, spans enabled), decoded; it is
 	// what WriteMeshTrace merges into per-node process tracks.
 	followerTrace map[int]obs.ProcessTrace
@@ -213,19 +214,14 @@ func Start(opts Options) (*Node, error) {
 	}
 	n.ln = ln
 
-	var meshT0 time.Time
-	if reg.Has(obs.Spans) {
-		meshT0 = reg.Now()
-	}
+	meshT0 := reg.SpanStart()
 	inbound, err := n.connectMesh()
 	if err != nil {
 		_ = ln.Close()
 		_ = n.tr.Close()
 		return nil, err
 	}
-	if !meshT0.IsZero() {
-		reg.Span(fmt.Sprintf("node/%d mesh", opts.NodeID), "handshake", meshT0)
-	}
+	reg.Emit(&obs.Event{Kind: obs.MeshHandshake, A: int64(opts.NodeID), Start: meshT0})
 
 	vm, err := core.NewVM(opts.Config, core.Options{
 		UserOutput:     opts.Out,
@@ -862,10 +858,7 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 	var prevSent, prevRecv uint64
 	havePrev := false
 	for epoch := uint32(1); time.Now().Before(deadline); epoch++ {
-		var roundT0 time.Time
-		if n.reg.Has(obs.Spans) {
-			roundT0 = n.reg.Now()
-		}
+		roundT0 := n.reg.SpanStart()
 		// Dead peers (HA mode) are out of the round: their lanes drop control
 		// frames and their traffic has been settled into the survivors' counts
 		// by markDead/replay.  Re-list each round — a peer can die mid-drain.
@@ -888,9 +881,7 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 			case <-time.After(100 * time.Millisecond):
 			}
 		}
-		if !roundT0.IsZero() {
-			n.reg.Span(fmt.Sprintf("node/%d drain", n.opts.NodeID), fmt.Sprintf("round %d", epoch), roundT0)
-		}
+		n.reg.Emit(&obs.Event{Kind: obs.DrainRound, A: int64(n.opts.NodeID), Type: strconv.FormatUint(uint64(epoch), 10), Start: roundT0})
 		if len(got) < peers {
 			continue
 		}

@@ -21,7 +21,7 @@ import (
 // (cross-node traces), both unconditionally, and no longer a per-VM message
 // sequence number nothing read; data frames are credited
 // (fCredit); 0x09–0x0f are the fault-tolerance control frames; drain acks
-// piggyback the follower's metric snapshot and span/flow trace.  The
+// piggyback the follower's metric snapshot and span trace.  The
 // handshake refuses any other version — and, through the fingerprint, any
 // peer built from a different configuration, topology or program.
 const protoVersion = 6
@@ -245,7 +245,7 @@ func decodeDrain(m *frame, body []byte) error {
 // metrics enabled it piggybacks its current metric snapshot (obs wire
 // encoding) so the coordinator can merge a cluster-wide view without an extra
 // protocol round; an empty blob means metrics are off.  Spans piggyback the
-// same way: trace carries the follower's span/flow blob (obs.EncodeTrace) so
+// same way: trace carries the follower's span blob (obs.EncodeTrace) so
 // the coordinator can write one merged Chrome trace with a process track per
 // node; empty means spans are off.
 type drainAck struct {
@@ -414,7 +414,7 @@ func (n *Node) handleDrainAck(_ int, m *frame) {
 			fmt.Fprintf(n.opts.Log, "node %d: bad stats blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
 		}
 	}
-	// Same piggyback pattern for span/flow traces: keep the latest blob per
+	// Same piggyback pattern for span traces: keep the latest blob per
 	// follower for the merged mesh trace.
 	if len(m.ack.trace) > 0 {
 		if tr, err := obs.DecodeTrace(m.ack.trace); err == nil {

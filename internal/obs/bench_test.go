@@ -50,14 +50,15 @@ func BenchmarkCounterAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanCapture measures one enabled span capture (two clock reads
-// plus a mutexed buffer append).
+// BenchmarkSpanCapture measures one enabled span capture through Emit: two
+// clock reads, the lane format, the name and a mutexed buffer append.
 func BenchmarkSpanCapture(b *testing.B) {
 	r := New()
 	r.spans.limit = 1 << 30
 	r.Enable(Spans)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Span("lane", "op", r.Now())
+		r.Emit(&Event{Kind: Route, Edge: 1, Type: "op", A: 1, B: 2, Start: r.Now()})
 	}
 }
 

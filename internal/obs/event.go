@@ -11,12 +11,12 @@ import (
 )
 
 // Kind names one thing the runtime announces.  Every announcement site in
-// internal/core and internal/node builds one Event of one Kind and hands it
-// to its layer's emission routine ((*core.VM).emit, which reads the PE clock
-// and forwards, or Registry.Emit where no task is involved); which of the
-// three sinks hear about it — the Section 12 trace line, the flight-recorder
-// ring, the span/flow capture — is that kind's row of the table below and
-// the registry's switches, never the site's business.
+// internal/core, internal/node and internal/pfi builds one Event of one Kind
+// and hands it to its layer's emission routine ((*core.VM).emit, which reads
+// the PE clock and forwards, or Registry.Emit where no task is involved);
+// which of the three sinks hear about it — the Section 12 trace line, the
+// flight-recorder ring, the span capture — is that kind's row of the table
+// below and the registry's switches, never the site's business.
 type Kind uint8
 
 // The event kinds.  README's "Event catalogue" has one row per kind and
@@ -45,8 +45,16 @@ const (
 	CreditStall
 	Checkpoint
 	HeartbeatMiss
+	// Regions off the message path, spans only.
+	TaskBody
+	MeshHandshake
+	DrainRound
+	Rebalance
 	numKinds
 )
+
+// The Watching mask has one bit per kind: a 33rd kind does not build.
+const _ = uint32(1 << (numKinds - 1))
 
 // noTrace marks a kind without a Section 12 trace line.
 const noTrace trace.Kind = -1
@@ -68,9 +76,9 @@ type KindRow struct {
 	Box    uint8
 	ShardA bool
 	ByTask bool
-	// Lane is the span lane, a format over (A, B) ("": no span); Span is the
-	// span name's prefix before Type; Phase is the flow event bound to the
-	// span (0: none).
+	// Lane is the span lane, a format over (A, B, Task) by explicit argument
+	// index ("": no span); Span is the span name's prefix before Type; Phase
+	// is the flow event bound to the span (0: none).
 	Lane  string
 	Span  string
 	Phase byte
@@ -102,6 +110,10 @@ var kinds = [numKinds]KindRow{
 	CreditStall:     {Name: "credit-stall", Trace: noTrace, Box: msgcodec.EvCreditStall, ShardA: true},
 	Checkpoint:      {Name: "checkpoint", Trace: noTrace, Box: msgcodec.EvCheckpoint},
 	HeartbeatMiss:   {Name: "heartbeat-miss", Trace: noTrace, Box: msgcodec.EvHeartbeatMiss},
+	TaskBody:        {Name: "task-body", Trace: noTrace, Lane: "pfi/c%[1]d %[3]s", Span: "task "},
+	MeshHandshake:   {Name: "mesh-handshake", Trace: noTrace, Lane: "node/%[1]d mesh", Span: "handshake"},
+	DrainRound:      {Name: "drain-round", Trace: noTrace, Lane: "node/%[1]d drain", Span: "round "},
+	Rebalance:       {Name: "rebalance", Trace: noTrace, Lane: "node/%[1]d ha", Span: "rebalance "},
 }
 
 // Kinds returns the event table, one row per kind in declaration order.
@@ -203,7 +215,7 @@ func (s *Stamp) take(rec *Recorder) int64 {
 // EmitAt is the emission routine: it hands the event to the sinks its kind's
 // row names — the Section 12 trace line, which carries the clock reading
 // (pe, ticks); the flight-recorder ring, stamped from st (nil: a reading of
-// its own); the span/flow capture — in that order.  The readings travel
+// its own); the span capture — in that order.  The readings travel
 // beside the event, not in it: Event is already the largest thing in an
 // announcing task's frame.  Nil-safe; with nothing watching the kind it costs
 // the one mask load, and it allocates only for a trace line or a captured
@@ -231,11 +243,11 @@ func (r *Registry) EmitAt(e *Event, pe int, ticks int64, st *Stamp) {
 		}
 	}
 	if row.Lane != "" && !e.Start.IsZero() && r.Has(Spans) {
-		lane := fmt.Sprintf(row.Lane, e.A, e.B)
-		r.spans.add(lane, row.Span+e.Type, e.Start, r.Now())
+		s := Span{Lane: fmt.Sprintf(row.Lane, e.A, e.B, e.Task), Name: row.Span + e.Type}
 		if row.Phase != 0 && e.Edge != 0 {
-			r.spans.flow(Flow{Edge: e.Edge, Lane: lane, Phase: row.Phase}, e.Start)
+			s.Edge, s.Phase = e.Edge, row.Phase
 		}
+		r.spans.add(s, e.Start, r.Now())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestEmitFansOutByKindRow drives Emit with one event of every kind against
 // a registry that has a recorder attached and spans on, and checks each sink
 // received exactly what the kind's row promises: ring kind, shard and (A, B);
-// span lane and name; flow phase.
+// span lane and name; the flow phase and edge the span carries.
 func TestEmitFansOutByKindRow(t *testing.T) {
 	type ring struct {
 		kind  uint8
@@ -40,6 +40,10 @@ func TestEmitFansOutByKindRow(t *testing.T) {
 		CreditStall:     {ev: Event{A: 1}, ring: &ring{msgcodec.EvCreditStall, 1, 1, 0}},
 		Checkpoint:      {ev: Event{A: 1, B: 10}, ring: &ring{msgcodec.EvCheckpoint, 0, 1, 10}},
 		HeartbeatMiss:   {ev: Event{A: 2}, ring: &ring{msgcodec.EvHeartbeatMiss, 0, 2, 0}},
+		TaskBody:        {ev: Event{Task: TaskRef{Cluster: 1, Slot: 2, Unique: 7}, Type: "WORKER", A: 1}, span: &span{"pfi/c1 1.2.7", "task WORKER", 0}},
+		MeshHandshake:   {ev: Event{A: 0}, span: &span{"node/0 mesh", "handshake", 0}},
+		DrainRound:      {ev: Event{Type: "3", A: 1}, span: &span{"node/1 drain", "round 3", 0}},
+		Rebalance:       {ev: Event{Type: "n2->n0", A: 0}, span: &span{"node/0 ha", "rebalance n2->n0", 0}},
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		c := cases[k] // kinds absent above are trace-only: no ring, no span
@@ -68,17 +72,15 @@ func TestEmitFansOutByKindRow(t *testing.T) {
 			}
 		}
 		spans, _ := r.Spans()
-		flows := r.Flows()
 		switch {
-		case c.span == nil && len(spans)+len(flows) != 0:
-			t.Errorf("%s: captured %d spans and %d flows, want none", k, len(spans), len(flows))
+		case c.span == nil && len(spans) != 0:
+			t.Errorf("%s: captured %+v, want no span", k, spans)
 		case c.span != nil && (len(spans) != 1 || spans[0].Lane != c.span.lane || spans[0].Name != c.span.name):
 			t.Errorf("%s: spans %+v, want one %q on lane %q", k, spans, c.span.name, c.span.lane)
-		case c.span != nil && c.span.phase == 0 && len(flows) != 0:
-			t.Errorf("%s: flows %+v, want none", k, flows)
-		case c.span != nil && c.span.phase != 0 &&
-			(len(flows) != 1 || flows[0].Phase != c.span.phase || flows[0].Lane != c.span.lane || flows[0].Edge != c.ev.Edge):
-			t.Errorf("%s: flows %+v, want one %q on lane %q", k, flows, c.span.phase, c.span.lane)
+		case c.span != nil && c.span.phase == 0 && (spans[0].Phase != 0 || spans[0].Edge != 0):
+			t.Errorf("%s: span %+v carries a flow, want none", k, spans[0])
+		case c.span != nil && c.span.phase != 0 && (spans[0].Phase != c.span.phase || spans[0].Edge != c.ev.Edge):
+			t.Errorf("%s: span %+v, want flow %q of edge %d", k, spans[0], c.span.phase, c.ev.Edge)
 		}
 	}
 }
@@ -96,8 +98,8 @@ func TestEmitHonoursSwitches(t *testing.T) {
 	r.Enable(Spans)
 	r.Emit(&Event{Kind: Route, Edge: 2, A: 1, B: 2}) // zero Start (a broadcast): ring only
 	r.Emit(&Event{Kind: MsgAccept, Task: TaskRef{Cluster: 1}, Peer: TaskRef{Cluster: 1}, A: 2})
-	if spans, _ := r.Spans(); len(spans) != 0 || len(r.Flows()) != 0 {
-		t.Fatalf("captured %d spans, %d flows; want none", len(spans), len(r.Flows()))
+	if spans, _ := r.Spans(); len(spans) != 0 {
+		t.Fatalf("captured %+v; want no span", spans)
 	}
 	if evs := rec.Events(); len(evs) != 2 || evs[0].Edge != 1 || evs[1].Edge != 2 {
 		t.Fatalf("ring holds %+v; want the two routed sends only", evs)

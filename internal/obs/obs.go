@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -44,8 +43,7 @@ const (
 // not ready; use New.  A nil *Registry behaves as a permanently disabled one
 // in the methods a layer calls on a registry it was merely handed — Enable,
 // Disable, Has, Any, SetClock, Now, AttachRecorder, Recorder, SpanStart,
-// Span, Watching, Emit, EmitAt, Snapshot, Spans, Flows, Trace and
-// WriteChromeTrace.
+// Watching, Emit, EmitAt, Snapshot, Spans, Trace and WriteChromeTrace.
 // Counter, Gauge, Histogram and the Trace* switches dereference it: a caller
 // that may hold none guards them itself.
 type Registry struct {
@@ -358,13 +356,13 @@ func indexBy[T any](xs []T, key func(T) string) map[string]int {
 	return m
 }
 
-// Table renders the snapshot as fixed-width report tables: one for counters
+// Tables renders the snapshot as fixed-width report tables: one for counters
 // and gauges, one for histogram summaries (count, p50/p95/p99, max).  Rows
 // are in sorted name order.
-func (s *Snapshot) Tables(title string) []*stats.Table {
-	var out []*stats.Table
+func (s *Snapshot) Tables(title string) []*Table {
+	var out []*Table
 	if len(s.Counters)+len(s.Gauges) > 0 {
-		t := stats.NewTable(title, "metric", "value")
+		t := NewTable(title, "metric", "value")
 		for _, c := range s.Counters {
 			t.AddRowf(c.Name, c.Value)
 		}
@@ -374,7 +372,7 @@ func (s *Snapshot) Tables(title string) []*stats.Table {
 		out = append(out, t)
 	}
 	if len(s.Hists) > 0 {
-		t := stats.NewTable(title+" distributions", "histogram", "count", "p50", "p95", "p99", "max")
+		t := NewTable(title+" distributions", "histogram", "count", "p50", "p95", "p99", "max")
 		for _, h := range s.Hists {
 			t.AddRowf(h.Name, h.Count,
 				h.format(h.Quantile(0.50)),

@@ -215,10 +215,10 @@ func TestSpanCaptureAndChromeTrace(t *testing.T) {
 
 	start := now
 	now = now.Add(1500 * time.Nanosecond)
-	r.Span("lane/b", "work \"quoted\"", start)
+	r.Emit(&Event{Kind: WireRx, Type: "work \"quoted\"", A: 1, Start: start})
 	start = now
 	now = now.Add(2 * time.Microsecond)
-	r.Span("lane/a", "more", start)
+	r.Emit(&Event{Kind: Route, Edge: 0x2a, Type: "more", A: 1, B: 2, Start: start})
 
 	spans, dropped := r.Spans()
 	if dropped != 0 || len(spans) != 2 {
@@ -226,6 +226,9 @@ func TestSpanCaptureAndChromeTrace(t *testing.T) {
 	}
 	if spans[0].Start != 0 || spans[0].Dur != 1500*time.Nanosecond {
 		t.Fatalf("span[0] = %+v", spans[0])
+	}
+	if spans[1].Start != 1500*time.Nanosecond || spans[1].Phase != FlowStart || spans[1].Edge != 0x2a {
+		t.Fatalf("span[1] = %+v", spans[1])
 	}
 
 	var buf bytes.Buffer
@@ -238,15 +241,18 @@ func TestSpanCaptureAndChromeTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// 2 lanes x 2 metadata events + 2 spans.
-	if len(doc.TraceEvents) != 6 {
-		t.Fatalf("trace events = %d, want 6\n%s", len(doc.TraceEvents), buf.String())
+	// 2 lanes x 2 metadata events + 2 spans, then the one flow event.
+	if len(doc.TraceEvents) != 7 {
+		t.Fatalf("trace events = %d, want 7\n%s", len(doc.TraceEvents), buf.String())
+	}
+	if f := doc.TraceEvents[6]; f["ph"] != "s" || f["id"] != "0x2a" || f["ts"] != 1.5 {
+		t.Fatalf("last event %v, want the flow start of edge 0x2a at 1.5us", f)
 	}
 }
 
 func TestSpansDisabledByDefault(t *testing.T) {
 	r := New()
-	r.Span("l", "n", time.Now())
+	r.Emit(&Event{Kind: MeshHandshake, Start: time.Now()})
 	if spans, _ := r.Spans(); len(spans) != 0 {
 		t.Fatalf("disabled registry captured %d spans", len(spans))
 	}
@@ -254,7 +260,7 @@ func TestSpansDisabledByDefault(t *testing.T) {
 	if nilReg.Has(Spans) || nilReg.Any(Metrics) {
 		t.Fatalf("nil registry claims enabled families")
 	}
-	nilReg.Span("l", "n", time.Now()) // must not panic
+	nilReg.Emit(&Event{Kind: MeshHandshake, Start: time.Now()}) // must not panic
 	if s := nilReg.Snapshot(); len(s.Counters) != 0 {
 		t.Fatalf("nil registry snapshot non-empty")
 	}
@@ -265,7 +271,7 @@ func TestSpanBufferBound(t *testing.T) {
 	r.spans.limit = 4
 	r.Enable(Spans)
 	for i := 0; i < 10; i++ {
-		r.Span("l", "n", r.Now())
+		r.Emit(&Event{Kind: DrainRound, Type: "1", Start: r.Now()})
 	}
 	spans, dropped := r.Spans()
 	if len(spans) != 4 || dropped != 6 {

@@ -21,6 +21,10 @@ type Span struct {
 	Name  string // what happened ("stmt SEND", "deliver RESULT", ...)
 	Start time.Duration
 	Dur   time.Duration
+	// Edge and Phase are the causal flow event bound to the span (Phase 0:
+	// none): the message identified by Edge touched Lane at Start.
+	Edge  uint64
+	Phase byte
 }
 
 // Flow phases, mirroring the Chrome trace-event flow phases: a flow starts
@@ -34,21 +38,11 @@ const (
 	FlowEnd   byte = 'f'
 )
 
-// Flow is one causal flow event: the message identified by Edge touched Lane
-// at TS.  TS is relative to the span epoch, like Span.Start.
-type Flow struct {
-	Edge  uint64 // causal edge id; the flow id in the exported trace
-	Lane  string // lane whose enclosing span the event binds to
-	Phase byte   // FlowStart, FlowStep or FlowEnd
-	TS    time.Duration
-}
-
 type spanBuf struct {
 	mu       sync.Mutex
 	epoch    time.Time
 	epochSet bool
 	spans    []Span
-	flows    []Flow
 	dropped  int64
 	limit    int
 }
@@ -62,7 +56,8 @@ func (b *spanBuf) setEpoch(t time.Time) {
 	b.mu.Unlock()
 }
 
-func (b *spanBuf) add(lane, name string, start, end time.Time) {
+// add captures s as the region from start to end.  Emit is its one caller.
+func (b *spanBuf) add(s Span, start, end time.Time) {
 	b.mu.Lock()
 	if !b.epochSet {
 		b.epoch = start
@@ -73,50 +68,9 @@ func (b *spanBuf) add(lane, name string, start, end time.Time) {
 		b.mu.Unlock()
 		return
 	}
-	b.spans = append(b.spans, Span{
-		Lane:  lane,
-		Name:  name,
-		Start: start.Sub(b.epoch),
-		Dur:   end.Sub(start),
-	})
+	s.Start, s.Dur = start.Sub(b.epoch), end.Sub(start)
+	b.spans = append(b.spans, s)
 	b.mu.Unlock()
-}
-
-// Span records a completed region that began at start; its end is the
-// registry clock's current reading.  It is for regions that are not events
-// of the message path (a task body, a mesh handshake, a drain round) — those
-// go through Emit.  Take start from SpanStart so the disabled path never
-// reads the clock, and skip the call while it is zero.
-func (r *Registry) Span(lane, name string, start time.Time) {
-	if !r.Has(Spans) {
-		return
-	}
-	r.spans.add(lane, name, start, r.Now())
-}
-
-// flow records one causal flow event at instant at, on the lane of the span
-// the viewer should attach the arrow to.  Emit captures the two together,
-// span first, so the epoch is always set by the time a flow arrives.
-func (b *spanBuf) flow(f Flow, at time.Time) {
-	b.mu.Lock()
-	if len(b.flows) < b.limit {
-		f.TS = at.Sub(b.epoch)
-		b.flows = append(b.flows, f)
-	} else {
-		b.dropped++
-	}
-	b.mu.Unlock()
-}
-
-// Flows returns a copy of the captured flow events in capture order.
-func (r *Registry) Flows() []Flow {
-	if r == nil {
-		return nil
-	}
-	r.spans.mu.Lock()
-	flows := append([]Flow(nil), r.spans.flows...)
-	r.spans.mu.Unlock()
-	return flows
 }
 
 // Spans returns a copy of the captured spans in capture order, plus the
@@ -133,20 +87,19 @@ func (r *Registry) Spans() (spans []Span, dropped int64) {
 }
 
 // ProcessTrace is one process's worth of trace data for a merged export:
-// the coordinator of a mesh run collects the followers' spans and flows and
-// writes them all as one trace, each node on its own process track.
+// the coordinator of a mesh run collects the followers' spans and writes
+// them all as one trace, each node on its own process track.
 type ProcessTrace struct {
 	Pid     int    // trace process id (node id + 1 in mesh exports)
 	Name    string // process_name metadata ("" = no metadata row)
 	Spans   []Span
-	Flows   []Flow
 	Dropped int64
 }
 
-// Trace captures this registry's spans and flows as a single-process trace.
+// Trace captures this registry's spans as a single-process trace.
 func (r *Registry) Trace(pid int, name string) ProcessTrace {
 	spans, dropped := r.Spans()
-	return ProcessTrace{Pid: pid, Name: name, Spans: spans, Flows: r.Flows(), Dropped: dropped}
+	return ProcessTrace{Pid: pid, Name: name, Spans: spans, Dropped: dropped}
 }
 
 // WriteChromeTrace emits the captured spans as Chrome trace-event-format
@@ -159,15 +112,16 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTraceMulti(w, []ProcessTrace{r.Trace(1, "")})
 }
 
-// WriteChromeTraceMulti emits several processes' spans and flows as one
-// Chrome trace-event JSON document.  Each ProcessTrace renders under its own
-// pid (with a process_name metadata row when Name is set); lanes become
-// thread rows per process, sorted by name.  Flow events (ph "s"/"t"/"f",
-// keyed by the causal edge id) bind to the span enclosing their timestamp on
-// their lane, so a routed message draws as a connected arrow — across
-// process tracks when its endpoints live on different nodes.  Output is
-// byte-stable for deterministic runs: processes render in the given order,
-// lanes sorted, events in capture order.
+// WriteChromeTraceMulti emits several processes' spans as one Chrome
+// trace-event JSON document.  Each ProcessTrace renders under its own pid
+// (with a process_name metadata row when Name is set); lanes become thread
+// rows per process, sorted by name.  After a process's spans come the flow
+// events (ph "s"/"t"/"f", keyed by the causal edge id) of those with a Phase;
+// each binds to the span enclosing its timestamp on its lane, so a routed
+// message draws as a connected arrow — across process tracks when its
+// endpoints live on different nodes.  Output is byte-stable for
+// deterministic runs: processes render in the given order, lanes sorted,
+// events in capture order.
 func WriteChromeTraceMulti(w io.Writer, procs []ProcessTrace) error {
 	var sb strings.Builder
 	sb.WriteString("{\"traceEvents\":[")
@@ -187,12 +141,6 @@ func WriteChromeTraceMulti(w io.Writer, procs []ProcessTrace) error {
 			if _, ok := lanes[s.Lane]; !ok {
 				lanes[s.Lane] = 0
 				laneNames = append(laneNames, s.Lane)
-			}
-		}
-		for _, f := range p.Flows {
-			if _, ok := lanes[f.Lane]; !ok {
-				lanes[f.Lane] = 0
-				laneNames = append(laneNames, f.Lane)
 			}
 		}
 		sort.Strings(laneNames)
@@ -215,15 +163,18 @@ func WriteChromeTraceMulti(w io.Writer, procs []ProcessTrace) error {
 			item(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"pisces","ts":%s,"dur":%s}`,
 				p.Pid, lanes[s.Lane], quoteJSON(s.Name), micros(s.Start), micros(s.Dur)))
 		}
-		for _, f := range p.Flows {
+		for _, s := range p.Spans {
+			if s.Phase == 0 {
+				continue
+			}
 			bp := ""
-			if f.Phase != FlowStart {
+			if s.Phase != FlowStart {
 				// Bind steps and ends to the enclosing slice, so the arrow
 				// lands on the deliver span rather than the next slice.
 				bp = `,"bp":"e"`
 			}
 			item(fmt.Sprintf(`{"ph":"%c","pid":%d,"tid":%d,"name":"msg","cat":"flow","id":"%#x","ts":%s%s}`,
-				f.Phase, p.Pid, lanes[f.Lane], f.Edge, micros(f.TS), bp))
+				s.Phase, p.Pid, lanes[s.Lane], s.Edge, micros(s.Start), bp))
 		}
 		dropped += p.Dropped
 	}

@@ -66,7 +66,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/msgcodec"
@@ -320,11 +319,9 @@ func (p *Program) taskBody(tp *taskProgram) func(*core.Task) {
 			st.obsReg = reg
 			st.obsStmt = reg.Histogram("pfi.stmt.ns", "ns")
 		}
-		var spanT0 time.Time
-		if reg.Has(obs.Spans) {
-			spanT0 = reg.Now()
+		if start := reg.SpanStart(); !start.IsZero() {
 			id := t.ID()
-			defer reg.Span(fmt.Sprintf("pfi/c%d %s", id.Cluster, id), "task "+tp.name, spanT0)
+			defer reg.Emit(&obs.Event{Kind: obs.TaskBody, Task: obs.TaskRef(id), A: int64(id.Cluster), Type: tp.name, Start: start})
 		}
 		if err := st.bindParams(); err != nil {
 			p.fail(tp, t, err)
