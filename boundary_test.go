@@ -160,7 +160,8 @@ func TestOneEmissionRoutinePerLayer(t *testing.T) {
 
 // TestOneSendHead pins the shape of the way out of internal/core: one
 // routing decision (VM.dispatch is the only caller of wireRemote), one
-// staging encode into a heap shard (the only AppendEncode), and one enqueue
+// staging encode (the only AppendEncode, into a heap shard region or an
+// outbound frame's payload buffer), and one enqueue
 // owning queue.put and its outcomes for every user or system message —
 // FlushUserOutput's sync token and Shutdown's unmetered shutdown message are
 // the two puts that are not messages anyone sent.  What only connected the

@@ -65,14 +65,15 @@ var headRoutes = [...]string{routeSame: "same cluster", routeCross: "cross-clust
 type headCond int
 
 const (
-	condRunning   headCond = iota
-	condGone               // not in the task table
-	condClosed             // terminated between the sender's lookup and the enqueue
-	condExhausted          // the destination shard cannot hold one more header
-	condShutdown           // the VM has shut down
+	condRunning    headCond = iota
+	condGone                // not in the task table
+	condClosed              // terminated between the sender's lookup and the enqueue
+	condExhausted           // the destination shard cannot hold one more header
+	condSenderFull          // the sender's shard cannot hold the outbound copy
+	condShutdown            // the VM has shut down
 )
 
-var headConds = [...]string{condRunning: "receiver running", condGone: "receiver gone", condClosed: "queue closed mid-send", condExhausted: "shard exhausted", condShutdown: "after Shutdown"}
+var headConds = [...]string{condRunning: "receiver running", condGone: "receiver gone", condClosed: "queue closed mid-send", condExhausted: "shard exhausted", condSenderFull: "sender's shard exhausted", condShutdown: "after Shutdown"}
 
 // stubTransport stands in for the node hosting cluster 2: it keeps the frames
 // it is handed and answers a routed initiate at once — with a made-up taskid,
@@ -119,7 +120,10 @@ func (l *linkTransport) Send(f *WireFrame) error {
 // on the initiate reply then hears NilTask, which it reports as
 // ErrVMTerminated.  The in-process cross-cluster route reserves the
 // destination storage before it queues, so only a receiver that terminates
-// inside the send escapes its sender there.
+// inside the send escapes its sender there.  Every route out of another
+// cluster asks the sender's shard for the outbound copy first, and fails
+// when it cannot hold it — but a broadcast frame to another node is not
+// staged there.
 func wantHeadErr(e headEntry, r headRoute, c headCond) error {
 	direct := r == routeSame || r == routeCross && e.env
 	deferred := error(nil)
@@ -145,6 +149,11 @@ func wantHeadErr(e headEntry, r headRoute, c headCond) error {
 			return ErrHeapExhausted
 		}
 		return deferred
+	case condSenderFull:
+		if r == routeStub && e.name == "broadcast copy" {
+			return nil
+		}
+		return ErrHeapExhausted
 	case condShutdown:
 		return ErrVMTerminated
 	}
@@ -175,6 +184,9 @@ func TestSendHeadContract(t *testing.T) {
 			for c, cname := range headConds {
 				if headCond(c) == condShutdown && !e.env {
 					continue // Shutdown kills every user task: none is left to send
+				}
+				if headCond(c) == condSenderFull && (e.env || headRoute(r) == routeSame) {
+					continue // no shard of its own, or the destination's
 				}
 				e, r, c := e, headRoute(r), headCond(c)
 				t.Run(fmt.Sprintf("%s/%s/%s", e.name, rname, cname), func(t *testing.T) { runHeadCell(t, e, r, c) })
@@ -251,6 +263,11 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	}
 
 	undo := func() {}
+	sender, _ := vm.cluster(1)
+	if c == condSenderFull {
+		undo = exhaust(sender.heap)
+	}
+	failures := sender.heap.Stats().Failures
 	if rec != nil {
 		switch c {
 		case condGone:
@@ -287,6 +304,15 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	if want == nil && got.err != nil || want != nil && !errors.Is(got.err, want) {
 		t.Errorf("err = %v, want %v", got.err, want)
 	}
+	if c == condSenderFull {
+		refused := uint64(0)
+		if want != nil {
+			refused = 1
+		}
+		if n := sender.heap.Stats().Failures - failures; n != refused {
+			t.Errorf("the sender's shard counted %d failures, want %d", n, refused)
+		}
+	}
 	if e.wait && want == nil && (got.id.IsNil() || got.id.Cluster != destCluster) {
 		t.Errorf("the initiator was answered %s, want a task on cluster %d", got.id, destCluster)
 	}
@@ -317,7 +343,7 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	case r == routeStub:
 		// Handed to the transport whatever the far side will make of it.
 		handed := 1
-		if c == condShutdown {
+		if c == condShutdown || c == condSenderFull && want != nil {
 			handed = 0
 		}
 		if len(stub.frames) != handed {

@@ -130,51 +130,24 @@ func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
 	return fmt.Errorf("%w: %s", ErrNoSuchTask, rec.id)
 }
 
-// stage puts the wire form of an argument list in the sender's heap shard:
-// size bytes — the message's packet-model size, which always bounds the wire
-// size, a packet holding more than an argument's wire overhead — are reserved
-// and addressed at off in one shard round, and the list is encoded straight
-// into the shard's arena.  The
-// in-flight copy lives there only while the caller moves it on: delivered or
-// not, the caller recovers it with unstage.  The execution environment
-// (from nil) has no shard; its arguments are encoded on the Go heap and off
-// is -1.
-func (vm *VM) stage(from *clusterRT, msgType string, args []Value) (wire []byte, off, size int, err error) {
-	if size, err = encodedSize(args); err != nil {
-		return nil, -1, 0, err
-	}
+// stage encodes an argument list of packet-model size size — which always
+// bounds the wire size, a packet holding more than an argument's wire
+// overhead — into dst[:0] and returns the wire form.  dst is a shard region
+// of capacity size (routeMessage) or an outbound frame's payload buffer
+// (routeRemote, routeBroadcast); the encode never outgrows it.
+func (vm *VM) stage(dst []byte, msgType string, args []Value, size int) ([]byte, error) {
 	var t0 time.Time
 	if vm.metricsOn() {
 		t0 = vm.om.reg.Now()
 	}
-	off = -1
-	if from == nil {
-		wire, err = msgcodec.Encode(args)
-	} else {
-		var region []byte
-		if off, region, err = from.heap.AllocBytes(size); err != nil {
-			return nil, -1, 0, vm.heapErr(err)
-		}
-		wire, err = msgcodec.AppendEncode(region[:0], args)
-		if err == nil && len(wire) > size {
-			err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
-		}
+	wire, err := msgcodec.AppendEncode(dst[:0], args)
+	if err == nil && len(wire) > size {
+		err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
 	}
 	if !t0.IsZero() {
 		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
-	if err != nil {
-		unstage(from, off)
-		return nil, -1, 0, err
-	}
-	return wire, off, size, nil
-}
-
-// unstage recovers what stage reserved.
-func unstage(from *clusterRT, off int) {
-	if off >= 0 {
-		_ = from.heap.Free(off)
-	}
+	return wire, err
 }
 
 // routeMessage sends one message across clusters, in the sending task: the
@@ -191,11 +164,19 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 		return 0, ErrVMTerminated
 	}
 	spanT0 := vm.om.reg.SpanStart()
-	wire, off, size, err := vm.stage(from, msgType, args)
+	size, err := encodedSize(args)
 	if err != nil {
 		return 0, err
 	}
-	defer unstage(from, off)
+	off, region, err := from.heap.AllocBytes(size)
+	if err != nil {
+		return 0, vm.heapErr(err)
+	}
+	defer func() { _ = from.heap.Free(off) }()
+	wire, err := vm.stage(region, msgType, args, size)
+	if err != nil {
+		return 0, err
+	}
 	destHeap := dest.cluster.heap
 	destOff, err := destHeap.Alloc(size)
 	if err != nil {

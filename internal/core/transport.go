@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/msgcodec"
 	"repro/internal/obs"
 )
 
@@ -81,12 +80,11 @@ type WireFrame struct {
 // different VMs (or re-injects them locally with latency, for fault
 // injection).  Implementations must preserve per-sender FIFO order for
 // frames with the same (Src, Dst) pair.  The frame AND its Payload are
-// borrowed: both are valid only until Send returns (the header is pooled,
-// the payload bytes live in the sender's heap shard and are recovered at
-// that point), so a transport that defers delivery must copy what it needs
-// before returning — the batched TCP transport encodes the frame into its
-// batch buffer inside Send, a fault transport copies the payload into its
-// delay line.
+// borrowed: both are valid only until Send returns (the header and the
+// payload buffer are pooled together and reused at that point), so a
+// transport that defers delivery must copy what it needs before returning —
+// the batched TCP transport encodes the frame into its batch buffer inside
+// Send, a fault transport copies the payload into its delay line.
 type Transport interface {
 	// Send hands one frame to the transport.
 	Send(f *WireFrame) error
@@ -188,44 +186,55 @@ func (vm *VM) failPendingReplies() {
 	}
 }
 
-// routeRemote sends one cross-cluster message through the remote Transport:
-// the argument list is staged in the sender's heap shard (modelling the
-// outbound copy exactly like the in-process path) and the frame is
-// handed to the transport, which must copy or transmit the payload before
-// returning; the shard bytes are then recovered.  The destination shard is
-// charged by the receiving node at delivery — a remote receiver's heap
-// exhaustion cannot fail the sender synchronously, so an undeliverable frame
-// is dropped there like any message in flight to a terminated task.  from is
-// nil when the sender is the execution environment.
+// routeRemote sends one cross-cluster message through the remote Transport.
+// The sender's heap shard answers for the outbound copy it models — the
+// charge a send of this size would take, recovered at once, in one shard
+// round (memory.Allocator.Transit), so a shard that could not hold the copy
+// fails the send with ErrHeapExhausted — but nothing is written there: the
+// argument list is encoded into the pooled frame's payload buffer, which the
+// transport copies or transmits before Send returns.  The shard therefore
+// holds nothing while Send waits, credit stalls included.  The destination
+// shard is charged by the receiving node at delivery — a remote receiver's
+// heap exhaustion cannot fail the sender synchronously, so an undeliverable
+// frame is dropped there like any message in flight to a terminated task.
+// from is nil when the sender is the execution environment, which has no
+// shard.
 func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (int, error) {
 	if vm.remote == nil {
 		return 0, fmt.Errorf("core: cluster %d is not hosted by this node and no remote transport is configured", to.Cluster)
 	}
 	spanT0 := vm.om.reg.SpanStart()
-	payload, off, size, err := vm.stage(from, msgType, args)
+	size, err := encodedSize(args)
 	if err != nil {
 		return 0, err
 	}
 	src := vm.homeCluster()
 	if from != nil {
+		if err := from.heap.Transit(size); err != nil {
+			return 0, vm.heapErr(err)
+		}
 		src = from.cfg.Number
 	}
+	o := wireFramePool.Get().(*outFrame)
+	payload, err := vm.stage(o.payloadBuf(size), msgType, args, size)
+	if err != nil {
+		o.release()
+		return 0, err
+	}
 	edge := vm.newEdge()
-	f := wireFramePool.Get().(*WireFrame)
-	*f = WireFrame{
+	o.WireFrame = WireFrame{
 		Kind: FrameMessage, Src: src, Dst: to.Cluster, Dest: to,
 		Type: msgType, Sender: sender, SendSeq: sendSeq,
 		Edge: edge, Payload: payload,
 	}
 	if reply != nil {
 		reply.edge = edge
-		f.ReplyID = vm.addPendingReply(reply)
+		o.ReplyID = vm.addPendingReply(reply)
 	}
 	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: spanT0}, nil)
-	sendErr := vm.remote.Send(f)
-	replyID := f.ReplyID
-	wireFramePool.Put(f)
-	unstage(from, off)
+	sendErr := vm.remote.Send(&o.WireFrame)
+	replyID := o.ReplyID
+	o.release()
 	if sendErr != nil {
 		if replyID != 0 {
 			if r := vm.takePendingReply(replyID); r != nil {
@@ -237,21 +246,57 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 	return size, nil
 }
 
-// wireFramePool recycles the frame headers routeRemote hands to Send: the
-// Transport contract already makes the frame (like its Payload) valid only
-// until Send returns, so the header can be reused the moment it comes back.
-var wireFramePool = sync.Pool{New: func() any { return new(WireFrame) }}
+// outFrame is a pooled outbound frame: the header routeRemote and
+// routeBroadcast hand to Send and the payload buffer the argument list is
+// encoded into.  The Transport contract makes both valid only until Send
+// returns, so they are reused together the moment it does.
+type outFrame struct {
+	WireFrame
+	buf []byte // capacity framePayloadBytes
+}
+
+// framePayloadBytes is the nominal payload buffer of a pooled frame.  Only
+// nominal buffers are pooled, the rule the node transport has for its batch
+// buffers: a list whose packet-model size is larger is encoded into a buffer
+// of exactly that size, collected once Send has returned, so one large array
+// never pins its buffer in the pool.  It holds a 4 KiB array with room over.
+const framePayloadBytes = 8 << 10
+
+var wireFramePool = sync.Pool{New: func() any { return &outFrame{buf: make([]byte, 0, framePayloadBytes)} }}
+
+// payloadBuf returns the buffer to encode a list of packet-model size size
+// into: the frame's own when it is large enough, else a one-off.
+func (o *outFrame) payloadBuf(size int) []byte {
+	if size > cap(o.buf) {
+		return make([]byte, 0, size)
+	}
+	return o.buf
+}
+
+// release returns the frame to the pool, dropping its hold on a one-off
+// payload.
+func (o *outFrame) release() {
+	o.Payload = nil
+	wireFramePool.Put(o)
+}
 
 // routeBroadcast ships one broadcast frame through the remote Transport so
 // nodes hosting other clusters fan it out to their user tasks.  cluster is
 // the TO ALL CLUSTER filter (0 = every cluster).  The frame is for several
-// receivers on several shards, so there is no one reservation to stage it
-// against: the payload is encoded on the Go heap.
+// receivers on several shards and no one outbound copy is modelled for it:
+// the sender's shard is not asked, and the payload is encoded into the pooled
+// frame like a routed message's.
 func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sender TaskID, args []Value, sendSeq uint64) error {
 	if vm.remote == nil {
 		return nil
 	}
-	payload, err := msgcodec.Encode(args)
+	size, err := encodedSize(args)
+	if err != nil {
+		return err
+	}
+	o := wireFramePool.Get().(*outFrame)
+	defer o.release()
+	payload, err := vm.stage(o.payloadBuf(size), msgType, args, size)
 	if err != nil {
 		return err
 	}
@@ -260,12 +305,12 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	// tangle, not a path.
 	edge := vm.newEdge()
 	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(from.cfg.Number), B: -1}, nil)
-	f := &WireFrame{
+	o.WireFrame = WireFrame{
 		Kind: FrameBroadcast, Src: from.cfg.Number, Dst: cluster,
 		Type: msgType, Sender: sender, SendSeq: sendSeq,
 		Edge: edge, Payload: payload,
 	}
-	return vm.remote.Send(f)
+	return vm.remote.Send(&o.WireFrame)
 }
 
 // DeliverWire injects a wire frame into this VM: the inbound half of every

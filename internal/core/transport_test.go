@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/flex"
 )
 
 // pipeTransport connects two VMs in one process: every frame is delivered
@@ -26,8 +27,8 @@ func (p *pipeTransport) Send(f *WireFrame) error {
 	vm := p.peer
 	p.sent++
 	p.mu.Unlock()
-	// Copy the payload like a socket write would: the sender recovers its
-	// shard bytes as soon as Send returns.
+	// Copy the payload like a socket write would: the sender reuses its
+	// payload buffer as soon as Send returns.
 	g := *f
 	g.Payload = append([]byte(nil), f.Payload...)
 	return vm.DeliverWire(&g)
@@ -284,4 +285,57 @@ func TestRemoteHeapRecovered(t *testing.T) {
 	if got := vmB.Machine().Shared().Usage().HeapInUse; got != baseB {
 		t.Fatalf("node B heap in use %d, want baseline %d", got, baseB)
 	}
+}
+
+// TestLargeSendLeavesPooledFrameNominal: a remote send encodes its argument
+// list into the pooled frame's payload buffer, and only a buffer of nominal
+// size goes back to the pool — one 1 MiB REAL array is encoded into a
+// buffer of its own, which the pool never holds.
+func TestLargeSendLeavesPooledFrameNominal(t *testing.T) {
+	machineCfg := flex.DefaultConfig()
+	machineCfg.SharedBytes = 8 << 20 // room for the array's outbound copy
+	tr := &sizeTransport{}
+	vm, err := NewVMOn(flex.MustNewMachine(machineCfg), config.Simple(2, 2), Options{
+		AcceptTimeout: 5 * time.Second, Hosted: []int{1}, Remote: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Shutdown()
+	done := make(chan error, 1)
+	vm.Register("sender", func(task *Task) {
+		to := TaskID{Cluster: 2, Slot: 1, Unique: 99}
+		err := task.Send(to, "bulk", Reals(make([]float64, 1<<17)))
+		if err == nil {
+			err = task.Send(to, "small", Int(1))
+		}
+		done <- err
+	})
+	if _, err := vm.Initiate("sender", OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if tr.sent != 2 || tr.largest < 1<<20 {
+		t.Fatalf("the transport saw %d frames, the largest payload %d bytes; want 2 and at least 1 MiB", tr.sent, tr.largest)
+	}
+	o := wireFramePool.Get().(*outFrame)
+	defer wireFramePool.Put(o)
+	if cap(o.buf) != framePayloadBytes || o.Payload != nil {
+		t.Fatalf("the next pooled frame carries a %d-byte buffer and a %d-byte payload; want %d and none", cap(o.buf), cap(o.Payload), framePayloadBytes)
+	}
+}
+
+// sizeTransport counts the frames a stub transport is handed and the largest
+// payload among them.
+type sizeTransport struct {
+	stubTransport
+	sent, largest int
+}
+
+func (s *sizeTransport) Send(f *WireFrame) error {
+	s.sent++
+	s.largest = max(s.largest, len(f.Payload))
+	return s.stubTransport.Send(f)
 }

@@ -118,6 +118,38 @@ func (a *Allocator) AllocBytes(n int) (int, []byte, error) {
 
 // allocLocked is Alloc's body; the caller holds a.mu.
 func (a *Allocator) allocLocked(n int) (int, error) {
+	i, n, err := a.fitLocked(n)
+	if err != nil {
+		return 0, err
+	}
+	off := a.blocks[i].off
+	if rem := a.blocks[i].size - n; rem > 0 {
+		newBlock := block{off: off + n + headerSize, size: rem - headerSize, free: true}
+		a.blocks[i].size = n
+		a.blocks = append(a.blocks, block{})
+		copy(a.blocks[i+2:], a.blocks[i+1:])
+		a.blocks[i+1] = newBlock
+	}
+	a.blocks[i].free = false
+	if a.arena != nil {
+		// A nil arena holds no stale data to clear: bytes are only ever
+		// written through Bytes and AllocBytes, which take an all-zero
+		// arena first.
+		clear(a.arena[off : off+n])
+	}
+	a.inUse += n + headerSize
+	a.highWater = max(a.highWater, a.inUse)
+	a.allocs++
+	return off, nil
+}
+
+// fitLocked is Alloc's placement: it returns the index of the free block
+// first fit chooses for n usable bytes and the size Alloc hands out there —
+// n rounded up, or the whole block when the remainder could not hold a block
+// of its own — and charges the budget with that size plus the header, so
+// Free's release balances it.  It changes no block; a failure is counted.
+// The caller holds a.mu.
+func (a *Allocator) fitLocked(n int) (i, size int, err error) {
 	if n <= 0 {
 		n = align
 	}
@@ -126,55 +158,50 @@ func (a *Allocator) allocLocked(n int) (int, error) {
 	// and then panic slicing the arena.  No real arena can satisfy them anyway.
 	if n > math.MaxInt-align {
 		a.failures++
-		return 0, fmt.Errorf("%w: requested %d bytes overflows the allocator", ErrOutOfMemory, n)
+		return 0, 0, fmt.Errorf("%w: requested %d bytes overflows the allocator", ErrOutOfMemory, n)
 	}
 	n = roundUp(n)
 
 	for a.firstFree < len(a.blocks) && !a.blocks[a.firstFree].free {
 		a.firstFree++
 	}
-	for i := a.firstFree; i < len(a.blocks); i++ {
+	for i = a.firstFree; i < len(a.blocks); i++ {
 		if !a.blocks[i].free || a.blocks[i].size < n {
 			continue
 		}
-		off := a.blocks[i].off
-		// Decide the placement before mutating anything: the no-split branch
-		// hands out the whole block, and the budget must be charged with that
-		// actual size so Free's release (block size + header) balances it.
-		rem := a.blocks[i].size - n
-		split := rem >= headerSize+align
-		if !split {
+		if a.blocks[i].size-n < headerSize+align {
 			n = a.blocks[i].size
 		}
 		if !a.budget.tryCharge(int64(n + headerSize)) {
 			a.failures++
-			return 0, budgetErr(n, a.budget)
+			return 0, 0, budgetErr(n, a.budget)
 		}
-		if split {
-			newBlock := block{off: off + n + headerSize, size: rem - headerSize, free: true}
-			a.blocks[i].size = n
-			a.blocks[i].free = false
-			a.blocks = append(a.blocks, block{})
-			copy(a.blocks[i+2:], a.blocks[i+1:])
-			a.blocks[i+1] = newBlock
-		} else {
-			a.blocks[i].free = false
-		}
-		if a.arena != nil {
-			// A nil arena holds no stale data to clear: bytes are only ever
-			// written through Bytes and AllocBytes, which take an all-zero
-			// arena first.
-			clear(a.arena[off : off+n])
-		}
-		a.inUse += n + headerSize
-		if a.inUse > a.highWater {
-			a.highWater = a.inUse
-		}
-		a.allocs++
-		return off, nil
+		return i, n, nil
 	}
 	a.failures++
-	return 0, fmt.Errorf("%w: requested %d bytes, %d in use of %d", ErrOutOfMemory, n, a.inUse, a.size)
+	return 0, 0, fmt.Errorf("%w: requested %d bytes, %d in use of %d", ErrOutOfMemory, n, a.inUse, a.size)
+}
+
+// Transit answers, in one critical section, what Alloc(n) followed at once by
+// Free of the block it placed answers: the same error, and the same Allocs,
+// Frees, Failures and HighWater, the budget charged and released again.  It
+// leaves the block list and the arena as they were — an Alloc and its Free
+// split a free block and merge it back, and the bytes Alloc would zero are
+// never addressed — so it costs a first-fit scan and nothing else.  A remote
+// send calls it for the outbound copy its sender's shard models but never
+// holds.
+func (a *Allocator) Transit(n int) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, n, err := a.fitLocked(n)
+	if err != nil {
+		return err
+	}
+	a.budget.release(int64(n + headerSize))
+	a.highWater = max(a.highWater, a.inUse+n+headerSize)
+	a.allocs++
+	a.frees++
+	return nil
 }
 
 // Free releases the allocation at offset off, coalescing adjacent free blocks.

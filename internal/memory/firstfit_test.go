@@ -115,10 +115,10 @@ func (r *refHeap) stats() Stats {
 // scan-from-zero reference through the same 10,000 seeded operations — mixed
 // sizes that fragment the arena, a queue-like phase of many live blocks, an
 // arena and a budget that both sometimes refuse, frees of live, stale and
-// never-allocated offsets, FreeEach runs and AllocBytes reservations, the odd
-// Reset — and requires the same offset, the
-// same error and the same Stats after every step, and that the hint is a
-// true lower bound throughout.
+// never-allocated offsets, FreeEach runs, AllocBytes reservations and
+// Transits, the odd Reset — and requires the same offset, the same error and
+// the same Stats after every step, and that the hint is a true lower bound
+// throughout.
 func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 	const arena, cap = 64 << 10, 48 << 10
 	rng := rand.New(rand.NewSource(19))
@@ -184,6 +184,15 @@ func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 			n := []int{0, 1, 8, 24, 64, 100, 136, 512, 4096, 20_000}[rng.Intn(10)]
 			if rng.Intn(4) == 0 {
 				n = rng.Intn(2048)
+			}
+			if rng.Intn(8) == 0 {
+				// A remote send's outbound copy: Alloc and Free at once.
+				got = a.Transit(n)
+				woff, werr := ref.alloc(n)
+				if want = werr; werr == nil {
+					want = ref.free(woff)
+				}
+				break
 			}
 			alloc := a.Alloc
 			if rng.Intn(3) == 0 {

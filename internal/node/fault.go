@@ -200,8 +200,8 @@ func (ft *FaultTransport) schedule(key laneKey, fn func()) error {
 
 // Send delays the frame on its lane and re-injects it with DeliverWire.
 func (ft *FaultTransport) Send(f *core.WireFrame) error {
-	// The caller recovers the payload's shard bytes when Send returns: the
-	// delayed frame needs its own copy.
+	// The frame and its payload buffer go back to the sender's pool when Send
+	// returns: the delayed frame needs its own copy.
 	g := *f
 	g.Payload = append([]byte(nil), f.Payload...)
 	vm := ft.vm

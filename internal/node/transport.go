@@ -26,14 +26,13 @@ import (
 //     batch, so coalescing adapts to load with no mandatory latency: an idle
 //     lane flushes a lone frame immediately, a busy lane packs hundreds of
 //     frames per syscall.
-//  2. Zero-copy batch encode.  The frame encoder writes DIRECTLY from the
-//     sender's heap-shard arena into the batch buffer (BeginFrame/EndFrame
-//     backfill the length prefix), so payload bytes are copied exactly once.
-//     The copy happens inside Send, which is the batch-handoff point: the
-//     sender's shard storage is recoverable as soon as Send returns, even
-//     though the bytes reach the wire later.  (PR 5's "synchronous write ⇒
-//     shard recovers immediately" invariant is gone; handoff-time copy is
-//     what replaces it.)
+//  2. One copy into the batch.  The frame encoder writes the payload the
+//     sending task encoded (into its pooled frame) DIRECTLY into the batch
+//     buffer (BeginFrame/EndFrame backfill the length prefix), so payload
+//     bytes are copied exactly once on the way out.  The copy happens inside
+//     Send, which is the batch-handoff point: the sender may reuse the frame
+//     and its payload buffer as soon as Send returns, even though the bytes
+//     reach the wire later.
 //  3. Credit-based flow control.  Each lane starts with WireConfig
 //     CreditWindow credits; a data frame consumes one, and the receiver
 //     returns credits on the control-frame channel (fCredit) as it delivers
