@@ -160,13 +160,14 @@ func TestOneEmissionRoutinePerLayer(t *testing.T) {
 
 // TestOneSendHead pins the shape of the way out of internal/core: one
 // routing decision (VM.dispatch is the only caller of wireRemote), one
-// staging encode (the only AppendEncode, into a heap shard region or an
-// outbound frame's payload buffer), and one enqueue
+// staging encode (the only AppendEncode, into an outbound frame's payload
+// buffer), and one enqueue
 // owning queue.put and its outcomes for every user or system message —
 // FlushUserOutput's sync token and Shutdown's unmetered shutdown message are
-// the two puts that are not messages anyone sent.  What only connected the
-// old copies stays gone: the per-VM message sequence number nothing read, the
-// in-process loopback Transport, and the inbound header struct.
+// the two puts that are not messages anyone sent.  The heap shards only
+// count: no call addresses their bytes.  What only connected the old copies
+// stays gone: the per-VM message sequence number nothing read, the in-process
+// loopback Transport, the inbound header struct and the route enum.
 func TestOneSendHead(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, filepath.Join("internal", "core"), func(fi fs.FileInfo) bool {
@@ -190,7 +191,7 @@ func TestOneSendHead(t *testing.T) {
 						t.Errorf("%s: identifier msgSeq; arrival order is the in-queue's ring order", fset.Position(n.Pos()))
 					}
 				case *ast.TypeSpec:
-					if n.Name.Name == "loopback" || n.Name.Name == "inbound" {
+					if n.Name.Name == "loopback" || n.Name.Name == "inbound" || n.Name.Name == "route" {
 						t.Errorf("%s: type %s is back", fset.Position(n.Pos()), n.Name.Name)
 					}
 				case *ast.CallExpr:
@@ -215,5 +216,8 @@ func TestOneSendHead(t *testing.T) {
 		if got := calls[name]; len(got) != 1 {
 			t.Errorf("%d calls of %s in internal/core, want exactly one: %v", len(got), name, got)
 		}
+	}
+	if got := calls["Bytes"]; len(got) != 0 {
+		t.Errorf("internal/core addresses a heap shard's arena: %v", got)
 	}
 }

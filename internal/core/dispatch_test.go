@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/flex"
 	"repro/internal/memory"
 	"repro/internal/obs"
 )
@@ -71,9 +72,10 @@ const (
 	condExhausted           // the destination shard cannot hold one more header
 	condSenderFull          // the sender's shard cannot hold the outbound copy
 	condShutdown            // the VM has shut down
+	condOneCopy             // the tenant budget holds one copy of the message, not two
 )
 
-var headConds = [...]string{condRunning: "receiver running", condGone: "receiver gone", condClosed: "queue closed mid-send", condExhausted: "shard exhausted", condSenderFull: "sender's shard exhausted", condShutdown: "after Shutdown"}
+var headConds = [...]string{condRunning: "receiver running", condGone: "receiver gone", condClosed: "queue closed mid-send", condExhausted: "shard exhausted", condSenderFull: "sender's shard exhausted", condShutdown: "after Shutdown", condOneCopy: "budget for one copy"}
 
 // stubTransport stands in for the node hosting cluster 2: it keeps the frames
 // it is handed and answers a routed initiate at once — with a made-up taskid,
@@ -118,12 +120,13 @@ func (l *linkTransport) Send(f *WireFrame) error {
 // that defers delivery (InterceptWire, a remote node) cannot fail the sender
 // for what the receiving side finds — the send has happened; a caller waiting
 // on the initiate reply then hears NilTask, which it reports as
-// ErrVMTerminated.  The in-process cross-cluster route reserves the
-// destination storage before it queues, so only a receiver that terminates
+// ErrVMTerminated.  The in-process cross-cluster route charges the
+// destination shard inside the send, so only a receiver that terminates
 // inside the send escapes its sender there.  Every route out of another
 // cluster asks the sender's shard for the outbound copy first, and fails
 // when it cannot hold it — but a broadcast frame to another node is not
-// staged there.
+// staged there.  No route holds two copies at once, so a tenant budget with
+// room for one lets every send through.
 func wantHeadErr(e headEntry, r headRoute, c headCond) error {
 	direct := r == routeSame || r == routeCross && e.env
 	deferred := error(nil)
@@ -157,7 +160,7 @@ func wantHeadErr(e headEntry, r headRoute, c headCond) error {
 	case condShutdown:
 		return ErrVMTerminated
 	}
-	return nil
+	return nil // condRunning, condOneCopy
 }
 
 // exhaust fills a heap shard until not even a message header fits and
@@ -205,8 +208,11 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	case routeIntercept:
 		opts.Remote, opts.InterceptWire = &linkTransport{}, true
 	case routeStub:
-		stub = &stubTransport{refuse: c != condRunning}
+		stub = &stubTransport{refuse: c != condRunning && c != condOneCopy}
 		opts.Remote, opts.Hosted = stub, []int{1}
+	}
+	if c == condOneCopy {
+		opts.Limits.HeapBytes = 32 << 10
 	}
 	vm, err := NewVM(config.Simple(2, 4), opts)
 	if err != nil {
@@ -267,6 +273,9 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	if c == condSenderFull {
 		undo = exhaust(sender.heap)
 	}
+	if c == condOneCopy {
+		undo = fillBudgetToOneCopy(t, vm, sender.heap, e)
+	}
 	failures := sender.heap.Stats().Failures
 	if rec != nil {
 		switch c {
@@ -316,6 +325,16 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	if e.wait && want == nil && (got.id.IsNil() || got.id.Cluster != destCluster) {
 		t.Errorf("the initiator was answered %s, want a task on cluster %d", got.id, destCluster)
 	}
+	if c == condExhausted && r == routeCross && e.init && !e.env {
+		// The refusal is the delivery's: it fails the initiate's reply, once,
+		// and the sender hears ErrHeapExhausted.
+		var answers []TaskID
+		reply := &initReply{fn: func(id TaskID) { answers = append(answers, id) }}
+		_, _, err := vm.dispatch(sender, dest, msgInitRequest, vm.userCtrl, initRequestArgs("leaf", vm.userCtrl, nil), 0, reply)
+		if !errors.Is(err, ErrHeapExhausted) || len(answers) != 1 || !answers[0].IsNil() {
+			t.Errorf("a refused routed initiate: err %v, reply answered %v; want ErrHeapExhausted and one NilTask", err, answers)
+		}
+	}
 
 	// Delivered exactly when the contract says the receiver took it.
 	queued, sink := 0, rec != nil && !e.init && c != condShutdown
@@ -336,7 +355,7 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 		t.Fatal("WaitIdle never returned: a hold was left outstanding")
 	}
 	delivered := 0
-	if c == condRunning {
+	if c == condRunning || c == condOneCopy {
 		delivered = 1
 	}
 	switch {
@@ -378,6 +397,32 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	if c, r := counters["core.heap.charge"], counters["core.heap.recover"]; c != r {
 		t.Errorf("core.heap.charge = %d, core.heap.recover = %d; want equal", c, r)
 	}
+}
+
+// fillBudgetToOneCopy allocates one filler block on shard so that the tenant
+// budget has room for one copy of the message entry e sends, and not for two,
+// and returns the undo.
+func fillBudgetToOneCopy(t *testing.T, vm *VM, shard *memory.Allocator, e headEntry) func() {
+	t.Helper()
+	args := []Value{Int(1)}
+	if e.init {
+		args = initRequestArgs("leaf", vm.userCtrl, nil)
+	}
+	size, err := encodedSize(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 8 // memory's per-block header
+	copyBytes := int64(size + header)
+	filler := vm.heapBudget.Max() - vm.heapBudget.Used() - copyBytes - header
+	off, err := shard.Alloc(int(filler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if room := vm.heapBudget.Max() - vm.heapBudget.Used(); room < copyBytes || room >= 2*copyBytes {
+		t.Fatalf("the budget has room for %d bytes; one copy takes %d", room, copyBytes)
+	}
+	return func() { _ = shard.Free(off) }
 }
 
 // TestTrailingInitiate: a task whose last statement is a fire-and-forget
@@ -456,5 +501,60 @@ func TestShutdownRefusesParkedInitiates(t *testing.T) {
 	case <-stopped:
 	case <-time.After(20 * time.Second):
 		t.Fatal("Shutdown is waiting on initiate requests that will never get a slot")
+	}
+}
+
+// BenchmarkCrossClusterArraySend is a ping-pong of one REAL array from a task
+// on cluster 1 to one on cluster 2 and a one-integer ack back, at array sizes
+// either side of the pooled frame's 8 KiB payload buffer: a larger list is
+// encoded into a one-off buffer of its own.
+func BenchmarkCrossClusterArraySend(b *testing.B) {
+	for _, reals := range []int{256, 8 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", reals*8>>10), func(b *testing.B) {
+			machineCfg := flex.DefaultConfig()
+			machineCfg.SharedBytes = 8 << 20 // room for the array on both shards
+			vm, err := NewVMOn(flex.MustNewMachine(machineCfg), config.Simple(2, 2), Options{AcceptTimeout: 30 * time.Second})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer vm.Shutdown()
+			vm.Register("sink", func(task *Task) {
+				for {
+					m, err := task.AcceptOne("bulk")
+					if err != nil || len(m.Args) == 0 {
+						return
+					}
+					if err := task.SendSender("ack", Int(0)); err != nil {
+						return
+					}
+				}
+			})
+			done := make(chan struct{})
+			vm.Register("source", func(task *Task) {
+				defer close(done)
+				to, array := MustID(task.Arg(0)), Reals(make([]float64, reals))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := task.Send(to, "bulk", array); err != nil {
+						b.Error(err)
+						return
+					}
+					if _, err := task.AcceptOne("ack"); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				b.StopTimer()
+				_ = task.Send(to, "bulk")
+			})
+			sink, err := vm.Initiate("sink", OnCluster(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := vm.Initiate("source", OnCluster(1), ID(sink)); err != nil {
+				b.Fatal(err)
+			}
+			<-done
+		})
 	}
 }

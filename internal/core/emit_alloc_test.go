@@ -21,7 +21,9 @@ import (
 // decoded one).  PR 25 took 7.00 to 4.00: each ACCEPT here blocks under a
 // finite timeout, and the timer its wait made is now made once per task
 // (backend's gEvent.WaitTimeout).  An Event that escaped to the heap at any
-// of the four sites a message passes would show up here as +1.
+// of the four sites a message passes would show up here as +1.  Under the
+// race detector the ping-pong still runs but the count is only logged: a
+// routed send takes a pooled frame, and race-mode sync.Pool drops some puts.
 func TestRoutedSendAcceptAllocs(t *testing.T) {
 	const pinned = 4.0
 
@@ -70,7 +72,7 @@ func TestRoutedSendAcceptAllocs(t *testing.T) {
 	}
 	got := <-result
 	t.Logf("%.2f allocations a routed send + ACCEPT", got)
-	if got > pinned {
+	if !raceEnabled && got > pinned {
 		t.Errorf("a routed send + ACCEPT allocates %.2f times, more than the pinned %.2f", got, pinned)
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/memory"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
 )
@@ -20,17 +22,19 @@ import (
 // in-queue.
 //
 // The message heap is sharded per cluster (see clusterRT.heap), so an
-// inter-cluster send has to move the argument bytes from the sender's shard
-// to the receiver's.  That move is the wire path of the FLEX/32 run-time —
+// inter-cluster send moves the argument bytes from the sender to the
+// receiver's shard.  That move is the wire path of the FLEX/32 run-time —
 // "messages consist of a header and a list of packets containing the
 // arguments" (Section 11) — and, as there, it is done by the sending task,
-// not a process of its own: the sender stages the argument list in its own
-// shard with msgcodec, reserves the message's storage on the destination
-// shard, decodes the bytes into a pooled message that owns that storage, and
-// queues it on the receiver.  Header fields that never leave the run-time
-// (type, sender, the initiate-reply linkage) travel alongside the packet
-// bytes, the way the original header carried queue linkage next to the
-// packets.
+// not a process of its own.  It is one path whether the receiver is in this
+// process or on another node: the sender's shard answers for the outbound
+// copy and msgcodec encodes the list into a pooled frame (stageOut); then
+// either the remote Transport carries the frame, or the sender hands the
+// bytes straight to deliverInbound, which decodes them into a pooled message,
+// charges the destination shard and queues it on the receiver.  Header fields
+// that never leave the run-time (type, sender, the initiate-reply linkage)
+// travel alongside the packet bytes, the way the original header carried
+// queue linkage next to the packets.
 //
 // Per-sender order needs no machinery: a task is serial, so its next send
 // cannot start before its previous one has been queued on the receiver, and
@@ -41,65 +45,48 @@ import (
 // processor — but its cost is charged to the destination cluster's primary
 // PE clock so simulated-time experiments see the transfer.
 
-// route names the way dispatch sent a message.  SEND is by value on all three:
-// the queued message's argument list is the header's own (Message.store), so
-// the list the caller passed is the caller's again when dispatch returns.
-type route uint8
-
-const (
-	// viaSame: sender and receiver share a cluster (or the sender is the
-	// execution environment); nothing is encoded, the list is copied into the
-	// header.
-	viaSame route = iota
-	// viaShard: the message crossed to another cluster's shard of this
-	// process; stage encoded the list and the header decoded it.
-	viaShard
-	// viaWire: the message left through the remote Transport, likewise
-	// encoded.
-	viaWire
-)
-
 // dispatch sends one message: from is the sending task's cluster (nil when
 // the sender is the execution environment), to the destination task, reply
 // the initiate-reply linkage of a run-time initiate request.  It returns the
-// message's charged byte size, for the caller's send ticks, and the route it
-// chose — with an error the route it tried, or viaSame if it got to none.  A
+// message's charged byte size, for the caller's send ticks, and whether it
+// left through the remote Transport.  SEND is by value on every route: the
+// queued message's argument list is the header's own (Message.store), so the
+// list the caller passed is the caller's again when dispatch returns.  A
 // destination that is hosted here and not running fails with ErrNoSuchTask on
 // every route — also under InterceptWire, where delivery itself is delayed —
 // and a destination shard that cannot hold the message with ErrHeapExhausted
 // on every route but the remote one, whose receiver charges at delivery.
-func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (size int, via route, err error) {
-	remote := vm.wireRemote(from, to.Cluster)
+func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (size int, remote bool, err error) {
+	remote = vm.wireRemote(from, to.Cluster)
 	var rec *taskRec
 	if !remote || vm.hosts(to.Cluster) {
 		var ok bool
 		if rec, ok = vm.lookupTask(to); !ok {
-			return 0, via, fmt.Errorf("%w: %s", ErrNoSuchTask, to)
+			return 0, remote, fmt.Errorf("%w: %s", ErrNoSuchTask, to)
 		}
 	}
 	switch {
 	case remote:
-		via = viaWire
 		size, err = vm.routeRemote(from, to, msgType, sender, args, sendSeq, reply)
 	case from != nil && rec.cluster != from:
-		via = viaShard
 		size, err = vm.routeMessage(from, rec, msgType, sender, args, sendSeq, reply)
 	default:
-		// Same cluster, or a message from the execution environment: only the
+		// Same cluster, or a message from the execution environment: nothing
+		// is encoded, the list is copied into the header, and only the
 		// destination's shard is touched.
 		if size, err = encodedSize(args); err != nil {
-			return 0, viaSame, err
+			return 0, false, err
 		}
 		msg := newMessage(msgType, sender)
 		msg.setArgs(args)
 		msg.sendSeq, msg.reply = sendSeq, reply
 		if err = vm.chargeMessageOn(rec.cluster.heap, msg, size); err != nil {
 			recycleMessage(msg)
-			return 0, viaSame, err
+			return 0, false, err
 		}
 		err = vm.enqueue(rec, msg)
 	}
-	return size, via, err
+	return size, remote, err
 }
 
 // enqueue admits a charged message to rec's in-queue and owns the three
@@ -130,58 +117,63 @@ func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
 	return fmt.Errorf("%w: %s", ErrNoSuchTask, rec.id)
 }
 
-// stage encodes an argument list of packet-model size size — which always
-// bounds the wire size, a packet holding more than an argument's wire
-// overhead — into dst[:0] and returns the wire form.  dst is a shard region
-// of capacity size (routeMessage) or an outbound frame's payload buffer
-// (routeRemote, routeBroadcast); the encode never outgrows it.
-func (vm *VM) stage(dst []byte, msgType string, args []Value, size int) ([]byte, error) {
+// stageOut is the way out every cross-cluster send shares: the list's
+// packet-model size, the sender shard's answer for the outbound copy — the
+// charge a send of this size would take, recovered at once
+// (memory.Allocator.Transit), so a shard that could not hold the copy fails
+// the send with ErrHeapExhausted; nil asks no shard — and the encode into a
+// pooled frame, whose Payload it sets.  The packet-model size always bounds
+// the wire size, a packet holding more than an argument's wire overhead, so
+// the encode never outgrows the frame's buffer.  The caller releases the
+// frame.
+func (vm *VM) stageOut(shard *memory.Allocator, msgType string, args []Value) (*outFrame, int, error) {
+	size, err := encodedSize(args)
+	if err != nil {
+		return nil, 0, err
+	}
+	if shard != nil {
+		if err := shard.Transit(size); err != nil {
+			return nil, 0, vm.heapErr(err)
+		}
+	}
+	o := wireFramePool.Get().(*outFrame)
 	var t0 time.Time
 	if vm.metricsOn() {
 		t0 = vm.om.reg.Now()
 	}
-	wire, err := msgcodec.AppendEncode(dst[:0], args)
-	if err == nil && len(wire) > size {
-		err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
+	o.Payload, err = msgcodec.AppendEncode(o.payloadBuf(size), args)
+	if err == nil && len(o.Payload) > size {
+		err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(o.Payload), size)
 	}
 	if !t0.IsZero() {
 		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
-	return wire, err
+	if err != nil {
+		o.release()
+		return nil, 0, err
+	}
+	return o, size, nil
 }
 
-// routeMessage sends one message across clusters, in the sending task: the
-// argument list is staged in the sender's heap shard, the message's storage
-// on the destination shard is reserved, and the wire bytes are decoded into
-// it and queued on the receiver.  Reserving the destination storage before
-// delivery keeps the pre-shard error contract: a send that the receiving
-// cluster cannot hold fails with ErrHeapExhausted at the sender.  It returns
-// the charged byte size.  from is the sending cluster (it must differ from
-// the destination's), dest the receiving task's record.
+// routeMessage sends one message across clusters of this process, in the
+// sending task: it stages the list like a remote send (stageOut) and hands
+// the bytes to deliverInbound, which decodes them and charges the destination
+// shard as it does for an inbound frame.  Unlike a remote send, a destination
+// shard that cannot hold the message fails the send at the sender, with
+// ErrHeapExhausted.  It returns the charged byte size.  from is the sending
+// cluster (it must differ from the destination's), dest the receiving task's
+// record.
 func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (int, error) {
 	if vm.routeClosed.Load() {
 		reply.deliver(NilTask)
 		return 0, ErrVMTerminated
 	}
 	spanT0 := vm.om.reg.SpanStart()
-	size, err := encodedSize(args)
+	o, size, err := vm.stageOut(from.heap, msgType, args)
 	if err != nil {
 		return 0, err
 	}
-	off, region, err := from.heap.AllocBytes(size)
-	if err != nil {
-		return 0, vm.heapErr(err)
-	}
-	defer func() { _ = from.heap.Free(off) }()
-	wire, err := vm.stage(region, msgType, args, size)
-	if err != nil {
-		return 0, err
-	}
-	destHeap := dest.cluster.heap
-	destOff, err := destHeap.Alloc(size)
-	if err != nil {
-		return 0, vm.heapErr(err)
-	}
+	defer o.release()
 	edge := vm.newEdge()
 	msg := newMessage(msgType, sender)
 	msg.sendSeq, msg.edge, msg.reply = sendSeq, edge, reply
@@ -194,38 +186,31 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 	src, dst := int64(from.cfg.Number), int64(dest.cluster.cfg.Number)
 	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: src, B: dst, Start: spanT0}, nil)
 	deliverT0 := vm.om.reg.SpanStart()
-	err = vm.deliverInbound(dest, msg, wire, destOff, size)
+	err = vm.deliverInbound(dest, msg, o.Payload)
 	if vm.om.reg.Watching(obs.Deliver) {
 		vm.emit(&obs.Event{Kind: obs.Deliver, Edge: edge, Type: msgType, A: src, B: dst, Start: deliverT0}, nil)
 	}
-	if err != nil {
-		// Unreachable for run-time-encoded messages (the reservation rules out
-		// the heap, so only a codec disagreement gets here): the reservation
-		// never became a message, so it goes back uncounted.
-		_ = destHeap.Free(destOff)
+	switch {
+	case errors.Is(err, ErrHeapExhausted):
+		return 0, err
+	case err != nil:
+		// Unreachable for run-time-encoded messages: only a codec
+		// disagreement gets here.
 		return 0, fmt.Errorf("core: cluster %d: corrupt wire message %s from %s: %w", dst, msgType, sender, err)
 	}
 	return size, nil
 }
 
-// chargeAtDelivery, passed as deliverInbound's reserved offset, says no
-// destination storage was reserved for the message.
-const chargeAtDelivery = -1
-
 // deliverInbound is the one delivery tail every cross-cluster message takes,
-// whether it was staged a moment ago by a task of this VM or arrived in a
-// wire frame: decode the argument bytes into msg — a header the caller built,
+// whether a task of this VM staged it a moment ago or it arrived in a wire
+// frame: decode the argument bytes into msg — a header the caller built,
 // which this call consumes on every path, and whose own store takes the list
-// — give it its storage on the destination shard, charge the transfer to the
-// destination PE, and queue it on the receiving task.  reserved is the offset
-// of size bytes the sender reserved on rec's shard (routeMessage), or
-// chargeAtDelivery to charge the shard here (inbound frames, whose sender
-// could not) with the size the decode counted.  The heap charge is counted at
-// the moment the message takes ownership of its storage, so a
-// failure before that point — the only kind that returns an error — leaves
-// charge/recover balanced and the reservation with the caller; the reply of
-// a routed initiate is failed on every path that drops the message.
-func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte, reserved, size int) error {
+// — charge the destination shard with the size the decode counted, charge
+// the transfer to the destination PE, and queue it on the receiving task.
+// The only failures, a decode or the shard charge, return an error before
+// anything was charged, so charge/recover stay balanced; the reply of a
+// routed initiate is failed on every path that drops the message.
+func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte) error {
 	var t0 time.Time
 	metrics := vm.metricsOn()
 	if metrics {
@@ -236,11 +221,7 @@ func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte, reserve
 		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
 	if err == nil {
-		if reserved != chargeAtDelivery {
-			vm.adoptStorage(msg, rec.cluster.heap, reserved, size)
-		} else {
-			err = vm.chargeMessageOn(rec.cluster.heap, msg, decoded)
-		}
+		err = vm.chargeMessageOn(rec.cluster.heap, msg, decoded)
 	}
 	if err != nil {
 		msg.reply.deliver(NilTask)

@@ -283,7 +283,7 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 // that found no receiver because it re-executes a delivery that already
 // happened (see haSendSuppressed) succeeds silently.
 func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) error {
-	size, via, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
+	size, remote, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
 	if err != nil {
 		if errors.Is(err, ErrNoSuchTask) && t.haSendSuppressed(sendSeq) {
 			return nil
@@ -293,7 +293,7 @@ func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) err
 	t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
 	t.vm.msgsSent.Add(1)
 	kind, nargs := obs.MsgSend, int64(len(args))
-	if via == viaWire {
+	if remote {
 		kind, nargs = obs.MsgSendRemote, 0
 	}
 	if t.vm.om.reg.Watching(kind) {

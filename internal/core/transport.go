@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
+	"repro/internal/memory"
 	"repro/internal/obs"
 )
 
@@ -187,45 +189,34 @@ func (vm *VM) failPendingReplies() {
 }
 
 // routeRemote sends one cross-cluster message through the remote Transport.
-// The sender's heap shard answers for the outbound copy it models — the
-// charge a send of this size would take, recovered at once, in one shard
-// round (memory.Allocator.Transit), so a shard that could not hold the copy
-// fails the send with ErrHeapExhausted — but nothing is written there: the
-// argument list is encoded into the pooled frame's payload buffer, which the
-// transport copies or transmits before Send returns.  The shard therefore
-// holds nothing while Send waits, credit stalls included.  The destination
-// shard is charged by the receiving node at delivery — a remote receiver's
-// heap exhaustion cannot fail the sender synchronously, so an undeliverable
-// frame is dropped there like any message in flight to a terminated task.
-// from is nil when the sender is the execution environment, which has no
-// shard.
+// The sender's heap shard answers for the outbound copy it models, and the
+// argument list is encoded into the pooled frame's payload buffer (stageOut),
+// which the transport copies or transmits before Send returns.  The shard
+// therefore holds nothing while Send waits, credit stalls included.  The
+// destination shard is charged by the receiving node at delivery — a remote
+// receiver's heap exhaustion cannot fail the sender synchronously, so an
+// undeliverable frame is dropped there like any message in flight to a
+// terminated task.  from is nil when the sender is the execution environment,
+// which has no shard.
 func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (int, error) {
 	if vm.remote == nil {
 		return 0, fmt.Errorf("core: cluster %d is not hosted by this node and no remote transport is configured", to.Cluster)
 	}
 	spanT0 := vm.om.reg.SpanStart()
-	size, err := encodedSize(args)
-	if err != nil {
-		return 0, err
-	}
 	src := vm.homeCluster()
+	var shard *memory.Allocator
 	if from != nil {
-		if err := from.heap.Transit(size); err != nil {
-			return 0, vm.heapErr(err)
-		}
-		src = from.cfg.Number
+		src, shard = from.cfg.Number, from.heap
 	}
-	o := wireFramePool.Get().(*outFrame)
-	payload, err := vm.stage(o.payloadBuf(size), msgType, args, size)
+	o, size, err := vm.stageOut(shard, msgType, args)
 	if err != nil {
-		o.release()
 		return 0, err
 	}
 	edge := vm.newEdge()
 	o.WireFrame = WireFrame{
 		Kind: FrameMessage, Src: src, Dst: to.Cluster, Dest: to,
 		Type: msgType, Sender: sender, SendSeq: sendSeq,
-		Edge: edge, Payload: payload,
+		Edge: edge, Payload: o.Payload,
 	}
 	if reply != nil {
 		reply.edge = edge
@@ -248,34 +239,55 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 
 // outFrame is a pooled outbound frame: the header routeRemote and
 // routeBroadcast hand to Send and the payload buffer the argument list is
-// encoded into.  The Transport contract makes both valid only until Send
-// returns, so they are reused together the moment it does.
+// encoded into (stageOut).  The Transport contract makes both valid only
+// until Send returns — routeMessage's delivery, too, is done with the bytes
+// when it returns — so they are reused together the moment it does.
 type outFrame struct {
 	WireFrame
-	buf []byte // capacity framePayloadBytes
+	buf   []byte  // capacity framePayloadBytes
+	large *[]byte // a buffer from largePayloads, while the frame holds one
 }
 
 // framePayloadBytes is the nominal payload buffer of a pooled frame.  Only
-// nominal buffers are pooled, the rule the node transport has for its batch
-// buffers: a list whose packet-model size is larger is encoded into a buffer
-// of exactly that size, collected once Send has returned, so one large array
-// never pins its buffer in the pool.  It holds a 4 KiB array with room over.
+// nominal buffers are pooled with the frame, the rule the node transport has
+// for its batch buffers: a list whose packet-model size is larger is encoded
+// into a buffer from largePayloads, which goes back to its own pool once Send
+// has returned, so one large array never pins its buffer in a frame.  It
+// holds a 4 KiB array with room over.
 const framePayloadBytes = 8 << 10
 
 var wireFramePool = sync.Pool{New: func() any { return &outFrame{buf: make([]byte, 0, framePayloadBytes)} }}
 
+// largePayloads pools the payload buffers of lists over framePayloadBytes by
+// power-of-two capacity (index: bits.Len of the capacity less one), so a run
+// of large sends reuses one buffer rather than allocating each; like any
+// sync.Pool it lets them go at GC.
+var largePayloads [bits.UintSize]sync.Pool
+
 // payloadBuf returns the buffer to encode a list of packet-model size size
-// into: the frame's own when it is large enough, else a one-off.
+// into: the frame's own when it is large enough, else a pooled large one the
+// frame holds until release.
 func (o *outFrame) payloadBuf(size int) []byte {
-	if size > cap(o.buf) {
-		return make([]byte, 0, size)
+	if size <= cap(o.buf) {
+		return o.buf
 	}
-	return o.buf
+	class := bits.Len(uint(size - 1))
+	if b, ok := largePayloads[class].Get().(*[]byte); ok {
+		o.large = b
+	} else {
+		b := make([]byte, 0, 1<<class)
+		o.large = &b
+	}
+	return (*o.large)[:0]
 }
 
-// release returns the frame to the pool, dropping its hold on a one-off
-// payload.
+// release returns the frame to the pool and a large payload buffer to its
+// own.
 func (o *outFrame) release() {
+	if o.large != nil {
+		largePayloads[bits.Len(uint(cap(*o.large)-1))].Put(o.large)
+		o.large = nil
+	}
 	o.Payload = nil
 	wireFramePool.Put(o)
 }
@@ -290,16 +302,11 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	if vm.remote == nil {
 		return nil
 	}
-	size, err := encodedSize(args)
+	o, _, err := vm.stageOut(nil, msgType, args)
 	if err != nil {
 		return err
 	}
-	o := wireFramePool.Get().(*outFrame)
 	defer o.release()
-	payload, err := vm.stage(o.payloadBuf(size), msgType, args, size)
-	if err != nil {
-		return err
-	}
 	// Broadcasts get a real edge (so the recorder sees them, B = -1 marking
 	// the fan-out) but no flow events: a flow with several ends renders as a
 	// tangle, not a path.
@@ -308,7 +315,7 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	o.WireFrame = WireFrame{
 		Kind: FrameBroadcast, Src: from.cfg.Number, Dst: cluster,
 		Type: msgType, Sender: sender, SendSeq: sendSeq,
-		Edge: edge, Payload: payload,
+		Edge: edge, Payload: o.Payload,
 	}
 	return vm.remote.Send(&o.WireFrame)
 }
@@ -348,7 +355,7 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	// delivery is for in-process traffic, so it carries the same metrics and
 	// a deliver span (trace lane "router/c<dst><-wire").
 	spanT0 := vm.om.reg.SpanStart()
-	err := vm.deliverInbound(rec, f.message(reply), f.Payload, chargeAtDelivery, 0)
+	err := vm.deliverInbound(rec, f.message(reply), f.Payload)
 	// A routed initiate still owes its sender a reply frame, so the flow
 	// steps through here and ends when the reply lands back on the
 	// requesting node; plain messages end here.
@@ -375,7 +382,7 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 	var firstErr error
 	for _, rec := range vm.broadcastTargets(f.Dst, f.Sender) {
-		if err := vm.deliverInbound(rec, f.message(nil), f.Payload, chargeAtDelivery, 0); err != nil {
+		if err := vm.deliverInbound(rec, f.message(nil), f.Payload); err != nil {
 			vm.userPrintf("pisces: node: dropping broadcast %s from %s for %s: %v\n", f.Type, f.Sender, rec.id, err)
 			if firstErr == nil {
 				firstErr = err

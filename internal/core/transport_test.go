@@ -290,7 +290,7 @@ func TestRemoteHeapRecovered(t *testing.T) {
 // TestLargeSendLeavesPooledFrameNominal: a remote send encodes its argument
 // list into the pooled frame's payload buffer, and only a buffer of nominal
 // size goes back to the pool — one 1 MiB REAL array is encoded into a
-// buffer of its own, which the pool never holds.
+// buffer from the large-payload pool, which the frame pool never holds.
 func TestLargeSendLeavesPooledFrameNominal(t *testing.T) {
 	machineCfg := flex.DefaultConfig()
 	machineCfg.SharedBytes = 8 << 20 // room for the array's outbound copy
@@ -322,7 +322,7 @@ func TestLargeSendLeavesPooledFrameNominal(t *testing.T) {
 	}
 	o := wireFramePool.Get().(*outFrame)
 	defer wireFramePool.Put(o)
-	if cap(o.buf) != framePayloadBytes || o.Payload != nil {
+	if cap(o.buf) != framePayloadBytes || o.Payload != nil || o.large != nil {
 		t.Fatalf("the next pooled frame carries a %d-byte buffer and a %d-byte payload; want %d and none", cap(o.buf), cap(o.Payload), framePayloadBytes)
 	}
 }

@@ -736,22 +736,13 @@ func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
 // (its packet-model size, which the caller already has: encodedSize of the
 // list, or what decoding it counted), on the given heap shard — always the
 // destination cluster's: the receiver's run-time recovers the storage when the
-// message is accepted.
+// message is accepted — makes the message its owner and counts the charge;
+// releaseMessage is its inverse.
 func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message, size int) error {
 	off, err := heap.Alloc(size)
 	if err != nil {
 		return vm.heapErr(err)
 	}
-	vm.adoptStorage(msg, heap, off, size)
-	return nil
-}
-
-// adoptStorage makes the message the owner of size bytes at off on the given
-// shard and counts the charge; releaseMessage is its inverse.  Counting at
-// the transfer of ownership — not at the allocation — is what keeps
-// core.heap.charge and core.heap.recover balanced on paths that reserve
-// storage and then fail before a message exists.
-func (vm *VM) adoptStorage(msg *Message, heap *memory.Allocator, off, size int) {
 	msg.heapOff = off
 	msg.heapBytes = size
 	msg.heapShard = heap
@@ -759,6 +750,7 @@ func (vm *VM) adoptStorage(msg *Message, heap *memory.Allocator, off, size int) 
 		vm.om.heapCharges.Inc()
 		vm.om.heapMsgBytes.Observe(int64(size))
 	}
+	return nil
 }
 
 // releaseMessage frees the message's shared-memory footprint from the shard
@@ -891,11 +883,6 @@ func (vm *VM) Shutdown() {
 		}
 	}
 	vm.machine.Shared().FreeTable(vm.tableBytes)
-	// Every task, controller and process has been joined, so no Bytes slice
-	// of a shard's arena is live any more: hand the arenas to the next VM.
-	for _, c := range vm.clusters {
-		c.heap.Release()
-	}
 }
 
 // Stats summarises run-time activity.

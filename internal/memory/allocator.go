@@ -9,7 +9,9 @@
 //
 // The allocator hands out offsets into the arena rather than Go pointers so
 // that callers can treat the arena exactly the way the original system treated
-// physical shared memory: a flat array of bytes addressed by offset.
+// physical shared memory: a flat array of bytes addressed by offset.  The
+// run-time never addresses the arena: a message's arguments live in Go values
+// and its charge is an offset and a size, so the heap only counts.
 package memory
 
 import (
@@ -48,19 +50,14 @@ type block struct {
 // Allocator is safe for concurrent use; in the simulated machine many PEs
 // allocate message blocks from the single shared memory at once.
 //
-// The arena's backing bytes are taken lazily, on the first call that
-// addresses them (Bytes, AllocBytes): most
-// allocations are pure accounting (a message charge records its offset and
-// size but the argument data lives in Go values), so an allocator whose
-// storage is never addressed — a heap shard with no wire traffic — costs
-// only its free-list.  They come from a pool of all-zero arenas of the same
-// size and go back to it at Release.
+// The allocator is accounting: the run-time charges a message's offset and
+// size and never addresses the arena (the arguments live in Go values), so an
+// allocator costs only its free-list.  Bytes makes the arena on first use.
 type Allocator struct {
-	mu      sync.Mutex
-	size    int
-	arena   []byte  // nil until first addressed and after Release
-	touched int     // high-water off+n handed out as bytes: all beyond is zero
-	blocks  []block // ordered by offset
+	mu     sync.Mutex
+	size   int
+	arena  []byte  // nil until Bytes first addresses it
+	blocks []block // ordered by offset
 	// firstFree is a lower bound on the index of the first free block: every
 	// block before it is allocated.  Alloc's first-fit scan starts there
 	// instead of re-reading a receiver's queue of live messages on every
@@ -96,28 +93,6 @@ func (a *Allocator) Size() int { return a.size }
 func (a *Allocator) Alloc(n int) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.allocLocked(n)
-}
-
-// AllocBytes is Alloc followed by Bytes(off, n) in one critical section: it
-// reserves n usable bytes and returns their offset together with the zeroed
-// region itself, capacity n.  For n <= 0 it reserves what Alloc would and
-// returns an empty slice.
-func (a *Allocator) AllocBytes(n int) (int, []byte, error) {
-	a.mu.Lock()
-	off, err := a.allocLocked(n)
-	if err != nil {
-		a.mu.Unlock()
-		return 0, nil, err
-	}
-	n = max(n, 0)
-	arena := a.bytesLocked(off, n)
-	a.mu.Unlock()
-	return off, arena[off : off+n : off+n], nil
-}
-
-// allocLocked is Alloc's body; the caller holds a.mu.
-func (a *Allocator) allocLocked(n int) (int, error) {
 	i, n, err := a.fitLocked(n)
 	if err != nil {
 		return 0, err
@@ -133,8 +108,7 @@ func (a *Allocator) allocLocked(n int) (int, error) {
 	a.blocks[i].free = false
 	if a.arena != nil {
 		// A nil arena holds no stale data to clear: bytes are only ever
-		// written through Bytes and AllocBytes, which take an all-zero
-		// arena first.
+		// written through Bytes, which makes an all-zero arena first.
 		clear(a.arena[off : off+n])
 	}
 	a.inUse += n + headerSize
@@ -315,68 +289,14 @@ func (a *Allocator) coalesce(lo, hi int) {
 // reallocates instead of writing into a neighbour.
 func (a *Allocator) Bytes(off, n int) []byte {
 	a.mu.Lock()
-	arena := a.bytesLocked(off, n)
+	if a.arena == nil {
+		a.arena = make([]byte, a.size)
+	}
+	arena := a.arena
 	a.mu.Unlock()
 	// Sliced outside the lock: an out-of-range request panics in the calling
 	// task (which the run-time recovers) without leaving the shard locked.
 	return arena[off : off+n : off+n]
-}
-
-// bytesLocked is the bookkeeping of handing out arena[off:off+n]: it takes the
-// arena on first use and raises the touched mark Release relies on.  It
-// returns the whole arena, for the caller to slice once the lock is dropped.
-// The caller holds a.mu.
-func (a *Allocator) bytesLocked(off, n int) []byte {
-	if a.arena == nil {
-		a.arena = takeArena(a.size)
-	}
-	if end := off + n; end > a.touched && end <= len(a.arena) {
-		a.touched = end
-	}
-	return a.arena
-}
-
-// arenas pools all-zero arenas by size (int -> *sync.Pool of *[]byte), so a
-// run of short-lived allocators — the serving daemon boots a virtual machine
-// per session — neither allocates nor zeroes a full arena each.  A sync.Pool
-// is emptied by the garbage collector, so an idle process gives the memory
-// back without a bound to tune.
-var arenas sync.Map
-
-func arenaPool(size int) *sync.Pool {
-	if p, ok := arenas.Load(size); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := arenas.LoadOrStore(size, new(sync.Pool))
-	return p.(*sync.Pool)
-}
-
-func takeArena(size int) []byte {
-	if b, ok := arenaPool(size).Get().(*[]byte); ok {
-		return *b
-	}
-	return make([]byte, size)
-}
-
-// Release gives the arena back for the next allocator of this size.  It is
-// for the point where the allocator's last user has stopped (core.VM.Shutdown,
-// after every task has been joined); the accounting is untouched and a later
-// Bytes takes a new arena.  Bytes are only ever written through the slices
-// Bytes and AllocBytes hand out, so zeroing the prefix they have handed out
-// (touched) makes the whole arena zero again,
-// at a cost proportional to what this tenant touched.  An arena released with
-// bytes still allocated may still be addressed through a Bytes slice; it is
-// left to the garbage collector and never reaches another tenant.
-func (a *Allocator) Release() {
-	a.mu.Lock()
-	arena, touched, live := a.arena, a.touched, a.inUse
-	a.arena, a.touched = nil, 0
-	a.mu.Unlock()
-	if arena == nil || live > 0 {
-		return
-	}
-	clear(arena[:touched])
-	arenaPool(a.size).Put(&arena)
 }
 
 // Stats is a snapshot of allocator accounting.

@@ -2,7 +2,6 @@ package memory
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -109,73 +108,4 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// TestAllocBytesMatchesAllocThenBytes: one AllocBytes reserves where Alloc
-// would, accounts as Alloc does, and hands back the region Bytes would — of
-// length and capacity n, zeroed even where an earlier tenant of the offset
-// wrote, and counted in the touched mark Release zeroes up to.  A request
-// the budget or the arena refuses leaves both untouched, n <= 0 reserves the
-// minimum block and returns an empty region, and MaxInt fails as Alloc does.
-func TestAllocBytesMatchesAllocThenBytes(t *testing.T) {
-	a, ref := New(4096), New(4096)
-	a.SetBudget(NewBudget(1024))
-	ref.SetBudget(NewBudget(1024))
-
-	for _, n := range []int{100, 1, 64, 0, -5, 300} {
-		off, b, err := a.AllocBytes(n)
-		roff, rerr := ref.Alloc(n)
-		if err != nil || rerr != nil || off != roff {
-			t.Fatalf("AllocBytes(%d) = %d, %v; Alloc placed at %d, %v", n, off, err, roff, rerr)
-		}
-		want := max(n, 0)
-		if len(b) != want || cap(b) != want {
-			t.Fatalf("AllocBytes(%d) region has len %d cap %d, want %d", n, len(b), cap(b), want)
-		}
-		if want > 0 && !slices.Equal(b, ref.Bytes(roff, n)) {
-			t.Fatalf("AllocBytes(%d) region differs from Bytes", n)
-		}
-		if a.touched < off+want {
-			t.Fatalf("touched mark %d below the region's end %d", a.touched, off+want)
-		}
-		for i := range b {
-			b[i] = 0xAB
-		}
-		if a.Stats() != ref.Stats() {
-			t.Fatalf("after AllocBytes(%d): Stats %+v, Alloc %+v", n, a.Stats(), ref.Stats())
-		}
-	}
-
-	// Reuse of written storage comes back zeroed.
-	off, b, _ := a.AllocBytes(64)
-	copy(b, "stale")
-	if err := a.Free(off); err != nil {
-		t.Fatal(err)
-	}
-	off2, b2, err := a.AllocBytes(64)
-	if err != nil || off2 != off {
-		t.Fatalf("re-reservation at %d, %v; want %d", off2, err, off)
-	}
-	if slices.ContainsFunc(b2, func(c byte) bool { return c != 0 }) {
-		t.Fatalf("reused region not zeroed: %q", b2[:8])
-	}
-	if err := a.Free(off2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Refusals: the budget, then the arena, then an overflowing size.
-	before := a.Stats()
-	for _, n := range []int{2048, 8192, math.MaxInt} {
-		_, b, err := a.AllocBytes(n)
-		_, rerr := ref.Alloc(n)
-		if err == nil || b != nil || errText(err) != errText(rerr) {
-			t.Fatalf("AllocBytes(%d) = %v, %v; Alloc refused with %v", n, b, err, rerr)
-		}
-	}
-	if got := a.Stats(); got.Failures != before.Failures+3 || got.InUse != before.InUse || got.Allocs != before.Allocs {
-		t.Fatalf("refused AllocBytes moved the books: %+v, before %+v", got, before)
-	}
-	if !errors.Is(func() error { _, _, err := a.AllocBytes(2048); return err }(), ErrBudgetExceeded) {
-		t.Fatal("a reservation over the budget is not ErrBudgetExceeded")
-	}
 }

@@ -115,10 +115,9 @@ func (r *refHeap) stats() Stats {
 // scan-from-zero reference through the same 10,000 seeded operations — mixed
 // sizes that fragment the arena, a queue-like phase of many live blocks, an
 // arena and a budget that both sometimes refuse, frees of live, stale and
-// never-allocated offsets, FreeEach runs, AllocBytes reservations and
-// Transits, the odd Reset — and requires the same offset, the same error and
-// the same Stats after every step, and that the hint is a true lower bound
-// throughout.
+// never-allocated offsets, FreeEach runs and Transits, the odd Reset — and
+// requires the same offset, the same error and the same Stats after every
+// step, and that the hint is a true lower bound throughout.
 func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 	const arena, cap = 64 << 10, 48 << 10
 	rng := rand.New(rand.NewSource(19))
@@ -128,12 +127,6 @@ func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 	ref := newRefHeap(arena, rb)
 	var live []int
 	var full, overBudget int
-	errText := func(err error) string {
-		if err == nil {
-			return ""
-		}
-		return err.Error()
-	}
 	for step := 0; step < 10_000; step++ {
 		var got, want error
 		op := rng.Intn(100)
@@ -194,11 +187,7 @@ func TestFirstFreeHintChangesNothingButTheTime(t *testing.T) {
 				}
 				break
 			}
-			alloc := a.Alloc
-			if rng.Intn(3) == 0 {
-				alloc = func(n int) (int, error) { off, _, err := a.AllocBytes(n); return off, err }
-			}
-			goff, gerr := alloc(n)
+			goff, gerr := a.Alloc(n)
 			woff, werr := ref.alloc(n)
 			if goff != woff {
 				t.Fatalf("step %d: Alloc(%d) placed at %d, first-fit from block 0 places at %d", step, n, goff, woff)

@@ -164,27 +164,20 @@ func ScanFrames(buf []byte, max int) (whole, frames, need int, err error) {
 	}
 }
 
-// ReadFrame reads one length-prefixed frame, reusing buf when it is large
-// enough.  A length prefix exceeding max (MaxFrameBytes when max <= 0) is
-// rejected with ErrCorrupt before any payload-sized allocation happens.  On
-// a clean end of stream it returns io.EOF; a stream that ends mid-frame
-// returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
-	if max <= 0 {
-		max = MaxFrameBytes
-	}
+// ReadFrame reads one length-prefixed frame into a new buffer.  A length
+// prefix exceeding MaxFrameBytes is rejected with ErrCorrupt before any
+// payload-sized allocation happens.  On a clean end of stream it returns
+// io.EOF; a stream that ends mid-frame returns io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameLenBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > uint32(max) {
-		return nil, fmt.Errorf("%w: frame length prefix %d exceeds maximum %d", ErrCorrupt, n, max)
+	if n > MaxFrameBytes {
+		return nil, fmt.Errorf("%w: frame length prefix %d exceeds maximum %d", ErrCorrupt, n, MaxFrameBytes)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
+	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

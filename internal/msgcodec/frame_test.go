@@ -17,25 +17,22 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("write %d bytes: %v", len(p), err)
 		}
 	}
-	var scratch []byte
 	for i, want := range payloads {
-		got, err := ReadFrame(&buf, scratch, 0)
+		got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("read frame %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: got %d bytes, want %d", i, len(got), len(want))
 		}
-		scratch = got
 	}
-	if _, err := ReadFrame(&buf, scratch, 0); err != io.EOF {
+	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)
 	}
 }
 
-// TestFrameSizeBoundary pins the maximum exactly: a payload of max bytes
-// passes both directions, max+1 is ErrCorrupt on write and — via a forged
-// prefix — ErrCorrupt on read before any allocation.
+// TestFrameSizeBoundary pins a writer's maximum exactly: a payload of max
+// bytes is written and read back, max+1 is ErrCorrupt on write.
 func TestFrameSizeBoundary(t *testing.T) {
 	const max = 1024
 	var buf bytes.Buffer
@@ -43,7 +40,7 @@ func TestFrameSizeBoundary(t *testing.T) {
 	if err := WriteFrame(&buf, atMax, max); err != nil {
 		t.Fatalf("write at max: %v", err)
 	}
-	got, err := ReadFrame(&buf, nil, max)
+	got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatalf("read at max: %v", err)
 	}
@@ -66,16 +63,16 @@ func TestFrameSizeBoundary(t *testing.T) {
 func TestFrameRejectsOversizedPrefixBeforeAllocating(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 0xFFFF_FFF0)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]), nil, 0)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 
-	// One past the configured maximum is enough to trip it, too.
-	binary.BigEndian.PutUint32(hdr[:], 1025)
-	_, err = ReadFrame(bytes.NewReader(hdr[:]), nil, 1024)
+	// One past the maximum is enough to trip it, too.
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameBytes+1)
+	_, err = ReadFrame(bytes.NewReader(hdr[:]))
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("prefix max+1: got %v, want ErrCorrupt", err)
+		t.Fatalf("prefix MaxFrameBytes+1: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -87,7 +84,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(trunc), nil, 0); err != io.ErrUnexpectedEOF {
+	if _, err := ReadFrame(bytes.NewReader(trunc)); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated payload: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -131,7 +128,7 @@ func TestBatchFraming(t *testing.T) {
 
 	r := bytes.NewReader(batch)
 	for i, want := range payloads {
-		got, err := ReadFrame(r, nil, 0)
+		got, err := ReadFrame(r)
 		if err != nil {
 			t.Fatalf("ReadFrame %d from batch: %v", i, err)
 		}

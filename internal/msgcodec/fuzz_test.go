@@ -150,7 +150,7 @@ func FuzzBatchCodec(f *testing.F) {
 		}
 		r := bytes.NewReader(data)
 		for i, want := range payloads {
-			got, err := ReadFrame(r, nil, 0)
+			got, err := ReadFrame(r)
 			if err != nil {
 				t.Fatalf("ReadFrame %d of batch stream: %v", i, err)
 			}
@@ -166,7 +166,10 @@ func FuzzBatchCodec(f *testing.F) {
 // in exactly the bytes it called whole, and then stops for the reason the
 // scanner gave — a clean end (need 0), a stream that ends inside a frame
 // (need = what that frame takes, more than is there) or a forbidden prefix
-// (ErrCorrupt).  NextFrame splits the whole prefix without error.
+// (ErrCorrupt).  NextFrame splits the whole prefix without error.  max is
+// the scanner's and NextFrame's bound (MaxFrameBytes when max <= 0); the
+// reference loop applies a smaller one itself, before ReadFrame sizes a
+// buffer from the prefix.
 func checkScanAgainstReader(t *testing.T, p []byte, max int) {
 	t.Helper()
 	whole, frames, need, err := ScanFrames(p, max)
@@ -177,7 +180,11 @@ func checkScanAgainstReader(t *testing.T, p []byte, max int) {
 	got, read := 0, 0
 	var rerr error
 	for {
-		payload, e := ReadFrame(r, nil, max)
+		if next := p[read:]; max > 0 && len(next) >= FrameOverhead && binary.BigEndian.Uint32(next) > uint32(max) {
+			rerr = ErrCorrupt
+			break
+		}
+		payload, e := ReadFrame(r)
 		if e != nil {
 			rerr = e
 			break

@@ -434,7 +434,7 @@ func (n *Node) handshakeAccept(conn net.Conn, deadline time.Time) (int, error) {
 }
 
 func readHello(conn net.Conn) (hello, error) {
-	payload, err := msgcodec.ReadFrame(conn, nil, 0)
+	payload, err := msgcodec.ReadFrame(conn)
 	if err != nil {
 		return hello{}, err
 	}

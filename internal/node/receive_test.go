@@ -163,7 +163,7 @@ func startLane(t *testing.T, mutate func(*Options)) *lane {
 	go func() {
 		var m frame
 		for {
-			payload, err := msgcodec.ReadFrame(in, nil, 0)
+			payload, err := msgcodec.ReadFrame(in)
 			if err != nil {
 				return
 			}

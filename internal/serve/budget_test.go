@@ -12,15 +12,15 @@ import (
 // the default geometry, compile cache warm:
 //
 //	                          parent (PR 16)   this test   budget
-//	bytes allocated/session      2,010,756      ~48,000      200,000
-//	live heap, 512 retained    101,397,608   ~9,500,000   16,000,000
+//	bytes allocated/session      2,010,756      ~41,000      200,000
+//	live heap, 512 retained    101,397,608   ~1,550,000   16,000,000
 //
 // The parent's bytes were two 864 KB heap-shard arenas zeroed per session
 // and a 192 KB flight-recorder ring, the ring pinned for as long as the
-// session was retained.  Most of what is live now is the handful of pooled
-// arenas, which a sync.Pool keeps through one collection and drops at the
-// second.  Not run under -race, whose allocator and sync.Pool behave
-// differently; GOMAXPROCS is left as found.
+// session was retained.  A session's heap shards are accounting only now and
+// take no arena at all; what is live is the retained sessions' records and
+// the pooled headers and frames.  Not run under -race, whose allocator and
+// sync.Pool behave differently; GOMAXPROCS is left as found.
 func TestSessionStorageBudget(t *testing.T) {
 	const sessions, batch = 1024, 64
 	m := New(daemonShape(Config{}))
@@ -30,7 +30,7 @@ func TestSessionStorageBudget(t *testing.T) {
 		srcs[i] = echoSrc
 	}
 	runBatch := func() { runToDone(t, m, "t", srcs...) }
-	runBatch() // warm the compile cache and the arena pool
+	runBatch() // warm the compile cache and the pools
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,9 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/memory"
 	"repro/internal/msgcodec"
 )
 
@@ -147,26 +143,11 @@ func observe(t *testing.T, url string, s *Session) observed {
 	return observed{output: string(get("/output")), events: string(eventsJSON), blackbox: string(box)}
 }
 
-// shardSizes returns the heap-shard arena sizes of a session VM.
-func shardSizes(t *testing.T, cfg Config) []int {
-	t.Helper()
-	vm, err := core.NewVM(config.Simple(cfg.Clusters, cfg.Slots).WithForces(cfg.ForceCluster, cfg.ForcePEs...), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vm.Shutdown()
-	var sizes []int
-	for _, sh := range vm.Machine().Shared().HeapShards() {
-		sizes = append(sizes, sh.Size())
-	}
-	return sizes
-}
-
-// TestCrossTenantStorageRecycling: sessions run on heap-shard arenas earlier
-// sessions gave back.  Tenant B, running after and beside tenant A's
-// recognisable cross-cluster payloads on four workers, must see exactly what
-// it sees on a daemon nobody else has used — output, /events and blackbox
-// dump — and no arena the pool hands out afterwards may hold a byte of A's.
+// TestCrossTenantStorageRecycling: sessions reuse what earlier sessions gave
+// back — pooled message headers, frames and recorder storage.  Tenant B,
+// running after and beside tenant A's recognisable cross-cluster payloads on
+// four workers, must see exactly what it sees on a daemon nobody else has
+// used: output, /events and blackbox dump.
 func TestCrossTenantStorageRecycling(t *testing.T) {
 	run := func(m *Manager, tenant, src string) *Session {
 		s, err := m.Submit(Request{Tenant: tenant, Source: src})
@@ -209,23 +190,6 @@ func TestCrossTenantStorageRecycling(t *testing.T) {
 			if got := observe(t, srv.URL, s); got != want {
 				t.Fatalf("tenant B session %s on recycled storage differs from a fresh daemon's:\n got %+v\nwant %+v", s.ID(), got, want)
 			}
-		}
-	}
-
-	// Every session has shut down, so its arenas are back in the pool (or
-	// dropped).  Whatever the pool now hands out for a shard of this geometry
-	// must be all zeros; A's payload is the likeliest thing to find there.
-	for _, size := range shardSizes(t, daemonShape(Config{})) {
-		var taken []*memory.Allocator
-		for i := 0; i < 2*rounds*perRound; i++ {
-			a := memory.New(size)
-			taken = append(taken, a)
-			if dirty := bytes.TrimLeft(a.Bytes(0, size), "\x00"); len(dirty) > 0 {
-				t.Fatalf("a recycled %d-byte arena is dirty at byte %d: %q", size, size-len(dirty), dirty[:min(48, len(dirty))])
-			}
-		}
-		for _, a := range taken {
-			a.Release()
 		}
 	}
 }
