@@ -33,12 +33,13 @@ const (
 // order — nothing numbers messages.
 //
 // The argument list has one owner, the header: on every route Args is storage
-// private to the header (store), filled by copying the sender's list or by
-// decoding its wire form, and it goes back to messagePool with the header
-// (RecycleAccept), to carry the next message's list.  So a sender may do what
-// it likes with the list it passed once SEND has returned, and a receiver may
-// read Args until it hands the message back — and whatever must outlive the
-// message takes the list with it (keepArgs).
+// private to the header (store), arrays included, filled by copying the
+// sender's list or by decoding its wire form, and it goes back to messagePool
+// with the header (RecycleAccept), to carry the next message's list — a REAL
+// or INTEGER array is refilled in place.  So a sender may do what it likes
+// with the list it passed once SEND has returned, and a receiver may read Args
+// and the arrays in it until it hands the message back — and whatever must
+// outlive the message takes the list with it (keepArgs).
 type Message struct {
 	// Type is the message type named in the SEND statement.
 	Type string
@@ -49,10 +50,10 @@ type Message struct {
 	// Args carries the argument list.
 	Args []Value
 	// store is the header's own argument storage, which Args aliases: its
-	// length is what this message uses of it, its capacity what the header
-	// carries from message to message.  Nil once keepArgs has given the list
-	// away, and empty under an Args the run-time rebuilt from a retained list
-	// (haInject).
+	// length is what this message uses of it, its capacity — and the arrays
+	// of its slots — what the header carries from message to message.  Nil
+	// once keepArgs has given the list away, and empty under an Args the
+	// run-time rebuilt from a retained list (haInject).
 	store []Value
 
 	// edge is the causal edge id stamped on routed (cross-cluster or
@@ -94,14 +95,16 @@ func (m *Message) Arg(i int) Value {
 func (m *Message) NumArgs() int { return len(m.Args) }
 
 // messagePool recycles messages on the send/accept hot path: the header and,
-// inside it, the argument storage (Message.store), so a steady stream of
-// messages allocates neither.  A header in the pool is zero but for that
-// storage, which is cleared and empty.
+// inside it, the argument storage (Message.store) and its arrays, so a steady
+// stream of messages allocates none of them.  A header in the pool is zero but
+// for that storage, which is empty, its slots cleared of everything but their
+// array storage.
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
 // pooledArgs is the longest argument list whose storage a header keeps across
 // messages (2.3 KB).  A longer list's storage is dropped with the message
-// instead of being pinned by the pool.
+// instead of being pinned by the pool; so is an array longer than a pooled
+// frame's payload buffer holds (pooledArray).
 const pooledArgs = 16
 
 // newMessage takes a header from the pool; it has no arguments until setArgs
@@ -112,14 +115,11 @@ func newMessage(msgType string, sender TaskID) *Message {
 	return m
 }
 
-// setArgs copies an argument list into the header's store: the message never
-// keeps the list it was sent with.
+// setArgs copies an argument list into the header's store, arrays into the
+// store's own (msgcodec.CopyInto): the message keeps neither the list it was
+// sent with nor an array of it.
 func (m *Message) setArgs(args []Value) {
-	if cap(m.store) < len(args) {
-		m.store = make([]Value, len(args))
-	}
-	m.store = m.store[:len(args)]
-	copy(m.store, args)
+	m.store = msgcodec.CopyInto(m.store, args)
 	m.Args = m.store
 }
 
@@ -135,13 +135,13 @@ func (m *Message) decodeArgs(wire []byte) (int, error) {
 	return size, nil
 }
 
-// keepArgs takes the argument list out of the pool's hands and returns it:
-// the header will neither clear nor reuse it, so it may be read for as long as
-// anything holds it.  It is the one rule for everything that outlives a
-// message — an in-queue in HA mode calls it on every message it admits (put),
-// since the consumption log, a checkpoint's queue snapshot and the replay pen
-// all retain lists, and the task controller on an initiate request, whose
-// tail becomes the new task's arguments (decodeInitRequest).
+// keepArgs takes the argument list, arrays and all, out of the pool's hands
+// and returns it: the header will neither clear nor reuse it, so it may be
+// read for as long as anything holds it.  It is the one rule for everything
+// that outlives a message — an in-queue in HA mode calls it on every message
+// it admits (put), since the consumption log, a checkpoint's queue snapshot
+// and the replay pen all retain lists, and the task controller on an initiate
+// request, whose tail becomes the new task's arguments (decodeInitRequest).
 func (m *Message) keepArgs() []Value {
 	m.store = nil
 	return m.Args
@@ -150,25 +150,48 @@ func (m *Message) keepArgs() []Value {
 // recycleMessage returns a message to the pool, header and argument storage.
 // The caller must be the message's sole owner: messages handed out through
 // AcceptResult must never be recycled while the result is still readable.
-// The used slots of the store are cleared, so the pool pins no string or
-// array a message carried.
+// The used slots of the store are cleared of everything but their arrays,
+// which the next list's arrays refill, so the pool pins no string a message
+// carried, nor an array over pooledArray's bound.
 func recycleMessage(m *Message) {
-	store := m.store
-	if cap(store) > pooledArgs {
-		store = nil
-	}
-	clear(store)
-	*m = Message{store: store[:0]}
+	*m = Message{store: pooledStore(m.store)}
 	messagePool.Put(m)
 }
 
+// pooledStore is the argument storage a recycled header keeps of store: none
+// over pooledArgs slots, else the slots emptied, each cleared of everything
+// but its array storage (pooledArray).
+func pooledStore(store []Value) []Value {
+	if cap(store) > pooledArgs {
+		return nil
+	}
+	for i := range store {
+		a := &store[i]
+		*a = Value{IntArray: pooledArray(a.IntArray), RealArray: pooledArray(a.RealArray)}
+	}
+	return store[:0]
+}
+
+// pooledArray is the array a recycled slot keeps: its own, unless it is longer
+// than a pooled frame's payload buffer holds — the rule that keeps one large
+// list from pinning a frame buffer (framePayloadBytes) keeps it from pinning
+// a header too.
+func pooledArray[T int64 | float64](a []T) []T {
+	if cap(a) > framePayloadBytes/8 {
+		return nil
+	}
+	return a
+}
+
 // RecycleAccept returns the messages of an AcceptResult — headers and the
-// argument lists inside them — to the run-time's message pool and hands the
-// emptied result back to the task (reuseResult).  It is an optional
-// optimisation for callers that fully own the result (the interpreter's
-// ACCEPT statement, the controllers): after the call the result, its messages
-// and their Args must not be read again, because the next message to arrive
-// anywhere in the process may be written over them.
+// argument lists inside them, arrays included — to the run-time's message
+// pool and hands the emptied result back to the task (reuseResult).  It is an
+// optional optimisation for callers that fully own the result (the
+// interpreter's ACCEPT statement, the controllers): after the call the
+// result, its messages, their Args and any array read from them (AsReals,
+// AsInts) must not be read again, because the next message to arrive anywhere
+// in the process may be written over them; copy an array that must outlive
+// its message.
 func (t *Task) RecycleAccept(res *AcceptResult) {
 	if res == nil {
 		return

@@ -226,3 +226,46 @@ func TestInQueueFanInStress(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledHeaderKeepsBoundedArrays: a header goes back to the pool with
+// its argument storage and the arrays in it, which the next message's arrays
+// refill, everything else in its slots cleared — but not with an array over
+// framePayloadBytes/8 elements, the bound that keeps one large list from
+// pinning a pooled frame buffer, nor with storage over pooledArgs slots.
+func TestRecycledHeaderKeepsBoundedArrays(t *testing.T) {
+	const bound = framePayloadBytes / 8
+	m := new(Message)
+	m.setArgs([]Value{Reals(make([]float64, 512)), Ints(make([]int64, bound+1)), Str("gone"), Reals(make([]float64, bound))})
+	kept, atBound := &m.store[0].RealArray[0], &m.store[3].RealArray[0]
+
+	store := pooledStore(m.store)
+	if len(store) != 0 || cap(store) != 4 {
+		t.Fatalf("the pooled store has length %d and capacity %d, want 0 and 4", len(store), cap(store))
+	}
+	slots := store[:4]
+	if a := slots[0].RealArray; len(a) != 512 || &a[0] != kept || slots[0].Kind != 0 {
+		t.Errorf("slot 0 was pooled as %+v, want its own 512-element array and nothing else", slots[0])
+	}
+	if slots[1].IntArray != nil {
+		t.Errorf("an array of %d elements stayed with the pooled header, bound %d", len(slots[1].IntArray), bound)
+	}
+	if slots[2].Kind != 0 || slots[2].Character != "" {
+		t.Errorf("slot 2 was pooled as %+v, want it cleared", slots[2])
+	}
+	if a := slots[3].RealArray; len(a) != bound || &a[0] != atBound {
+		t.Errorf("an array of exactly %d elements was not kept", bound)
+	}
+
+	// The next message's array of the same kind refills the kept one.
+	next := &Message{store: store}
+	next.setArgs([]Value{Reals([]float64{1, 2})})
+	if a := next.Args[0].RealArray; &a[0] != kept || len(a) != 2 || a[:cap(a)][2] != 0 {
+		t.Errorf("the next message's array %v (up to cap %v) does not refill the kept one", a, a[:cap(a)])
+	}
+
+	long := new(Message)
+	long.setArgs(make([]Value, pooledArgs+1))
+	if s := pooledStore(long.store); s != nil {
+		t.Errorf("storage of %d slots was pooled, bound %d", cap(s), pooledArgs)
+	}
+}

@@ -50,8 +50,9 @@ import (
 // the initiate-reply linkage of a run-time initiate request.  It returns the
 // message's charged byte size, for the caller's send ticks, and whether it
 // left through the remote Transport.  SEND is by value on every route: the
-// queued message's argument list is the header's own (Message.store), so the
-// list the caller passed is the caller's again when dispatch returns.  A
+// queued message's argument list and its arrays are the header's own
+// (Message.store), so the list the caller passed, and every array in it, is
+// the caller's again when dispatch returns.  A
 // destination that is hosted here and not running fails with ErrNoSuchTask on
 // every route — also under InterceptWire, where delivery itself is delayed —
 // and a destination shard that cannot hold the message with ErrHeapExhausted

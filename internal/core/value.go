@@ -98,7 +98,9 @@ func AsID(v Value) (TaskID, error) {
 	return taskIDFromCodec(v.TaskID), nil
 }
 
-// AsInts extracts an INTEGER array value.
+// AsInts extracts an INTEGER array value.  An array read from a message is
+// the message's own storage: it is valid until the message is recycled
+// (Task.RecycleAccept), which hands it to the next message to refill.
 func AsInts(v Value) ([]int64, error) {
 	if v.Kind != msgcodec.KindIntArray {
 		return nil, fmt.Errorf("core: value is %s, not INTEGER array", v.Kind)
@@ -106,7 +108,8 @@ func AsInts(v Value) ([]int64, error) {
 	return v.IntArray, nil
 }
 
-// AsReals extracts a REAL array value.
+// AsReals extracts a REAL array value.  Like AsInts's, an array read from a
+// message is valid until the message is recycled.
 func AsReals(v Value) ([]float64, error) {
 	if v.Kind != msgcodec.KindRealArray {
 		return nil, fmt.Errorf("core: value is %s, not REAL array", v.Kind)
@@ -164,7 +167,8 @@ func MustID(v Value) TaskID {
 	return x
 }
 
-// MustReals is AsReals that panics on kind mismatch.
+// MustReals is AsReals that panics on kind mismatch; the array it returns
+// from a message is valid until the message is recycled.
 func MustReals(v Value) []float64 {
 	x, err := AsReals(v)
 	if err != nil {

@@ -16,7 +16,8 @@ import (
 // (Decode∘Encode is the identity on everything Decode accepts).  And storage
 // that has carried another list changes nothing: DecodeInto over a dirty dst
 // fails with the same class of error as Decode or returns an identical list,
-// and the packet-model size it returns is EncodedSize of that list (the
+// of which nothing past its end reaches the dirty lists (zeroTail), and the
+// packet-model size it returns is EncodedSize of that list (the
 // receiver charges the message with it instead of walking the list again).
 // Seeded from sampleArgs so the interesting kinds — TASKID, WINDOW, arrays —
 // are all on the initial frontier.
@@ -35,9 +36,14 @@ func FuzzCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		args, err := Decode(data)
-		// Three dirty slots: a shorter list decodes in place, a longer one
-		// into a list made for it.
-		dirty := append(make([]Arg, 0, 3), sampleArgs()[6], sampleArgs()[10], sampleArgs()[11])
+		// Four dirty slots: a shorter list decodes in place, a longer one
+		// into a list made for it.  The first holds a long REAL array, which
+		// a shorter REAL array refills.
+		long := make([]float64, 64)
+		for i := range long {
+			long[i] = float64(i + 1)
+		}
+		dirty := append(make([]Arg, 0, 4), Reals(long), sampleArgs()[6], sampleArgs()[10], sampleArgs()[11])
 		into, intoSize, errInto := DecodeInto(dirty, data)
 		if errors.Is(err, ErrCorrupt) != errors.Is(errInto, ErrCorrupt) || (err == nil) != (errInto == nil) {
 			t.Fatalf("Decode = %v, DecodeInto over a dirty dst = %v", err, errInto)
@@ -47,6 +53,9 @@ func FuzzCodec(f *testing.F) {
 		}
 		if !identical(into, args) {
 			t.Fatalf("DecodeInto over a dirty dst = %+v, Decode = %+v", into, args)
+		}
+		if slot, ok := zeroTail(into); !ok {
+			t.Fatalf("DecodeInto over a dirty dst left slot %d reaching %+v past the list", slot, into[:cap(into)][slot])
 		}
 		wire, err := Encode(args)
 		if err != nil {
@@ -94,6 +103,28 @@ func identical(a, b []Arg) bool {
 		}
 	}
 	return true
+}
+
+// zeroTail reports whether nothing past the list can be reached by
+// reslicing up to cap: every array zero past its length and every slot after
+// the list zero.  If not, it returns the first slot that reaches something.
+func zeroTail(list []Arg) (int, bool) {
+	for i, a := range list[:cap(list)] {
+		if i >= len(list) && !reflect.DeepEqual(a, Arg{}) {
+			return i, false
+		}
+		for _, v := range a.IntArray[len(a.IntArray):cap(a.IntArray)] {
+			if v != 0 {
+				return i, false
+			}
+		}
+		for _, v := range a.RealArray[len(a.RealArray):cap(a.RealArray)] {
+			if math.Float64bits(v) != 0 {
+				return i, false
+			}
+		}
+	}
+	return 0, true
 }
 
 // FuzzBatchCodec is the batch-framing round-trip target: NextFrame must

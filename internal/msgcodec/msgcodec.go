@@ -294,9 +294,15 @@ func Decode(data []byte) ([]Arg, error) {
 // dst[:count] when cap(dst) allows, and a list made for it otherwise.  The
 // list's u16 count is held against the bytes that follow it — every argument
 // has a 5-byte header — before anything is sized from it, so a forged count
-// is an ErrCorrupt, not an allocation.  dst may be dirty: the slots the list
-// takes are zeroed before they are filled, so each is written whole, whatever
-// it held, and a failed decode zeroes all of dst's capacity, so nothing of a
+// is an ErrCorrupt, not an allocation.  dst may be dirty: each slot the list
+// takes is written whole, whatever it held, and the slots after the list are
+// zeroed.  DecodeInto writes into dst's arrays: a slot whose array has the
+// kind and the room the argument needs is refilled in place, zero past the
+// new length (an array dst holds is taken to be one this package filled, zero
+// past its own length), so a message's arrays are storage that carries one
+// list after another, like the slots.  A slot that now holds a scalar or the
+// other array kind keeps no array, and an empty array decodes non-nil, as in
+// Decode.  A failed decode zeroes all of dst's capacity, so nothing of a
 // half-decoded list — nor of the list dst held before — stays reachable from
 // storage that is about to be used again.
 //
@@ -320,13 +326,7 @@ func decodeInto(dst []Arg, data []byte) ([]Arg, int, error) {
 	if argHeaderBytes*count > len(data)-2 {
 		return nil, 0, fmt.Errorf("%w: argument count %d exceeds its %d-byte list", ErrCorrupt, count, len(data))
 	}
-	var args []Arg
-	if count > cap(dst) {
-		args = make([]Arg, count)
-	} else {
-		args = dst[:count]
-		clear(args)
-	}
+	args := listInto(dst, count)
 	pos, size := 2, HeaderBytes
 	for i := range args {
 		if pos+argHeaderBytes > len(data) {
@@ -350,10 +350,64 @@ func decodeInto(dst []Arg, data []byte) ([]Arg, int, error) {
 	return args, size, nil
 }
 
-// decodePayload fills the zero Arg a from one argument's wire form; a slot of
-// storage that has carried another list is zeroed first (DecodeInto).
+// CopyInto copies args into dst the way DecodeInto decodes a list into it:
+// dst[:len(args)] when cap(dst) allows, a list made for it otherwise, the
+// slots after the list zeroed, and every array copied — into the slot's own
+// array when it has the kind and the room — so the list it returns shares no
+// storage with args.
+func CopyInto(dst, args []Arg) []Arg {
+	out := listInto(dst, len(args))
+	for i := range args {
+		out[i].copyFrom(&args[i])
+	}
+	return out
+}
+
+// listInto is the list of n slots DecodeInto and CopyInto fill: dst[:n], with
+// the slots after it zeroed, or a new list when dst has no room.
+func listInto(dst []Arg, n int) []Arg {
+	if n > cap(dst) {
+		return make([]Arg, n)
+	}
+	clear(dst[n:cap(dst)])
+	return dst[:n]
+}
+
+// refill returns an array of n elements for a slot whose array was spare:
+// spare itself when it has the room, cleared from n to its old length, so the
+// array is zero past n as it was past its old length, and a new array
+// otherwise.  The result is never nil.
+func refill[T int64 | float64](spare []T, n int) []T {
+	if spare == nil || cap(spare) < n {
+		return make([]T, n)
+	}
+	if n < len(spare) {
+		clear(spare[n:])
+	}
+	return spare[:n]
+}
+
+// copyFrom writes src whole over the slot a, its arrays copied into a's own
+// (refill).
+func (a *Arg) copyFrom(src *Arg) {
+	ints, reals := a.IntArray, a.RealArray
+	*a = *src
+	a.IntArray, a.RealArray = nil, nil
+	switch src.Kind {
+	case KindIntArray:
+		a.IntArray = refill(ints, len(src.IntArray))
+		copy(a.IntArray, src.IntArray)
+	case KindRealArray:
+		a.RealArray = refill(reals, len(src.RealArray))
+		copy(a.RealArray, src.RealArray)
+	}
+}
+
+// decodePayload writes one argument's wire form whole over the slot a, whose
+// array, when it has the argument's kind, is refilled (DecodeInto).
 func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
-	a.Kind = kind
+	ints, reals := a.IntArray, a.RealArray
+	*a = Arg{Kind: kind}
 	switch kind {
 	case KindInteger:
 		if len(payload) != 8 {
@@ -398,7 +452,7 @@ func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
 		if len(payload)%8 != 0 {
 			return fmt.Errorf("%w: INTEGER array payload %d bytes", ErrCorrupt, len(payload))
 		}
-		vals := make([]int64, len(payload)/8)
+		vals := refill(ints, len(payload)/8)
 		for i := range vals {
 			vals[i] = int64(binary.BigEndian.Uint64(payload[i*8 : i*8+8]))
 		}
@@ -407,7 +461,7 @@ func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
 		if len(payload)%8 != 0 {
 			return fmt.Errorf("%w: REAL array payload %d bytes", ErrCorrupt, len(payload))
 		}
-		vals := make([]float64, len(payload)/8)
+		vals := refill(reals, len(payload)/8)
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[i*8 : i*8+8]))
 		}

@@ -228,6 +228,73 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	}
 }
 
+// TestRefillKeepsArrayStorage: a slot's REAL or INTEGER array is storage that
+// carries one list after another, like the slot, whether the list is decoded
+// (DecodeInto) or copied (CopyInto).  A list whose array fits is written into
+// the same backing array; a shorter one leaves the array zero past its new
+// length, so reslicing up to cap reaches nothing of the list before; a slot
+// that now holds a scalar or the other array kind reaches no array; the slots
+// after the list are zeroed; an empty array is non-nil; and a copied array
+// shares no storage with the list it was copied from.
+func TestRefillKeepsArrayStorage(t *testing.T) {
+	fill := map[string]func(dst, args []Arg) []Arg{
+		"DecodeInto": func(dst, args []Arg) []Arg {
+			wire, err := Encode(args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := DecodeInto(dst, wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		},
+		"CopyInto": CopyInto,
+	}
+	for name, into := range fill {
+		reals, ints := []float64{1, 2, 3, 4, 5}, []int64{6, 7, 8, 9}
+		dst := into(make([]Arg, 0, 4), []Arg{Reals(reals), Ints(ints), Reals([]float64{10}), Str("tail")})
+		realStore, intStore := &dst[0].RealArray[0], &dst[1].IntArray[0]
+		if name == "CopyInto" && (realStore == &reals[0] || intStore == &ints[0]) {
+			t.Fatalf("%s: the list's arrays are the caller's", name)
+		}
+
+		// Shorter arrays of the same kinds, a scalar over the third slot, and
+		// nothing in the fourth.
+		got := into(dst, []Arg{Reals([]float64{11, 12}), Ints([]int64{13}), Int(14)})
+		if &got[0].RealArray[0] != realStore || &got[1].IntArray[0] != intStore {
+			t.Errorf("%s: an array that fits was not refilled in place", name)
+		}
+		if r := got[0].RealArray; !reflect.DeepEqual(r, []float64{11, 12}) || !reflect.DeepEqual(r[:cap(r)], []float64{11, 12, 0, 0, 0}) {
+			t.Errorf("%s: the refilled REAL array reads %v, up to cap %v", name, r, r[:cap(r)])
+		}
+		if i := got[1].IntArray; !reflect.DeepEqual(i, []int64{13}) || !reflect.DeepEqual(i[:cap(i)], []int64{13, 0, 0, 0}) {
+			t.Errorf("%s: the refilled INTEGER array reads %v, up to cap %v", name, i, i[:cap(i)])
+		}
+		if !reflect.DeepEqual(got[2], Int(14)) {
+			t.Errorf("%s: the slot that became a scalar holds %+v", name, got[2])
+		}
+		if tail := got[:cap(got)][3]; !reflect.DeepEqual(tail, Arg{}) {
+			t.Errorf("%s: the slot after the list holds %+v", name, tail)
+		}
+
+		// The other array kind over each array, then empty arrays.
+		got = into(got, []Arg{Ints([]int64{15}), Reals([]float64{16})})
+		if got[0].RealArray != nil || got[1].IntArray != nil {
+			t.Errorf("%s: a slot that changed array kind still reaches %v and %v", name, got[0].RealArray, got[1].IntArray)
+		}
+		got = into(got, []Arg{Ints(nil), Reals(nil), Reals([]float64{})})
+		for i, a := range got {
+			if (a.Kind == KindIntArray && a.IntArray == nil) || (a.Kind == KindRealArray && a.RealArray == nil) || len(a.IntArray)+len(a.RealArray) != 0 {
+				t.Errorf("%s: empty array %d reads %+v, want a non-nil empty array", name, i, a)
+			}
+		}
+		if a := got[0].IntArray; cap(a) > 0 && a[:cap(a)][0] != 0 {
+			t.Errorf("%s: an emptied array still holds %v", name, a[:cap(a)])
+		}
+	}
+}
+
 func TestArgKindString(t *testing.T) {
 	kinds := []ArgKind{KindInteger, KindReal, KindLogical, KindCharacter, KindTaskID, KindWindow, KindIntArray, KindRealArray}
 	seen := map[string]bool{}
