@@ -167,7 +167,6 @@ type acceptState struct {
 	wildcard  int        // index into reqs of the anyType entry, or -1
 	needTotal int        // remaining shared total
 	scratch   []*Message // reusable takeMatching output buffer
-	offs      []int      // reusable offset list of a run's release (releaseRun)
 }
 
 // reset re-arms the state for one ACCEPT statement, reusing its storage.
@@ -289,7 +288,7 @@ func (st *acceptState) drain(t *Task, res *AcceptResult) {
 			h = t.handlers[taken[end].Type]
 			end++
 		}
-		st.offs = t.vm.releaseRun(taken[i:end], t.rec.cluster.heap, st.offs[:0])
+		t.vm.releaseRun(taken[i:end], t.rec.cluster.heap)
 		var stamp obs.Stamp
 		for ; i < end-1; i++ {
 			t.processAccepted(taken[i], res, nil, &stamp)

@@ -166,17 +166,17 @@ func wantHeadErr(e headEntry, r headRoute, c headCond) error {
 // exhaust fills a heap shard until not even a message header fits and
 // returns the undo.
 func exhaust(h *memory.Allocator) func() {
-	var offs []int
+	var charges []int
 	for n := h.Size(); n >= 8; {
-		if off, err := h.Alloc(n); err == nil {
-			offs = append(offs, off)
+		if c, err := h.Alloc(n); err == nil {
+			charges = append(charges, c)
 		} else {
 			n /= 2
 		}
 	}
 	return func() {
-		for _, off := range offs {
-			_ = h.Free(off)
+		for _, c := range charges {
+			_ = h.Free(c)
 		}
 	}
 }
@@ -390,6 +390,9 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 			t.Errorf("heap shard %d holds %d bytes after shutdown", i, in)
 		}
 	}
+	if used := vm.heapBudget.Used(); used != 0 {
+		t.Errorf("the tenant budget holds %d bytes after shutdown", used)
+	}
 	counters := make(map[string]int64)
 	for _, c := range reg.Snapshot().Counters {
 		counters[c.Name] = c.Value
@@ -399,7 +402,7 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	}
 }
 
-// fillBudgetToOneCopy allocates one filler block on shard so that the tenant
+// fillBudgetToOneCopy charges one filler to shard so that the tenant
 // budget has room for one copy of the message entry e sends, and not for two,
 // and returns the undo.
 func fillBudgetToOneCopy(t *testing.T, vm *VM, shard *memory.Allocator, e headEntry) func() {
@@ -412,17 +415,17 @@ func fillBudgetToOneCopy(t *testing.T, vm *VM, shard *memory.Allocator, e headEn
 	if err != nil {
 		t.Fatal(err)
 	}
-	const header = 8 // memory's per-block header
+	const header = 8 // memory's per-charge header
 	copyBytes := int64(size + header)
 	filler := vm.heapBudget.Max() - vm.heapBudget.Used() - copyBytes - header
-	off, err := shard.Alloc(int(filler))
+	c, err := shard.Alloc(int(filler))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if room := vm.heapBudget.Max() - vm.heapBudget.Used(); room < copyBytes || room >= 2*copyBytes {
 		t.Fatalf("the budget has room for %d bytes; one copy takes %d", room, copyBytes)
 	}
-	return func() { _ = shard.Free(off) }
+	return func() { _ = shard.Free(c) }
 }
 
 // TestTrailingInitiate: a task whose last statement is a fire-and-forget

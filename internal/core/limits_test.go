@@ -65,6 +65,10 @@ func TestHeapLimitFailsTenant(t *testing.T) {
 	if le.Resource != LimitHeap {
 		t.Fatalf("violation resource = %q; want %q", le.Resource, LimitHeap)
 	}
+	vm.Shutdown()
+	if used := vm.heapBudget.Used(); used != 0 {
+		t.Fatalf("the tenant budget holds %d bytes after shutdown", used)
+	}
 }
 
 // TestHeapUnlimitedByDefault: without Limits the same flood only ever sees

@@ -66,15 +66,15 @@ type Message struct {
 	// unsequenced: the message came from the execution environment or a
 	// non-HA VM and is never deduplicated.
 	sendSeq uint64
-	// heapOff/heapBytes record the shared-memory heap allocation backing the
-	// message while it waits in the in-queue; heapShard is the per-cluster
-	// heap shard the allocation was made from (the destination cluster's
-	// shard, since the receiver's run-time recovers the storage), nil once
-	// the storage is recovered.  heapBytes outlives the recovery: it prices
-	// the accept.
-	heapOff   int
-	heapBytes int
-	heapShard *memory.Allocator
+	// heapBytes is the message's packet-model size, and heapCharge the bytes
+	// its shared-memory heap allocation holds while it waits in the in-queue
+	// (memory.Allocator.Alloc's answer for heapBytes); heapShard is the
+	// per-cluster heap shard charged (the destination cluster's shard, since
+	// the receiver's run-time recovers the storage), nil once the storage is
+	// recovered.  heapBytes outlives the recovery: it prices the accept.
+	heapBytes  int
+	heapCharge int
+	heapShard  *memory.Allocator
 	// reply, when non-nil, returns the new task's id to the initiator of the
 	// run-time's own initiate requests.
 	reply *initReply

@@ -119,14 +119,14 @@ func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
 }
 
 // stageOut is the way out every cross-cluster send shares: the list's
-// packet-model size, the sender shard's answer for the outbound copy — the
-// charge a send of this size would take, recovered at once
-// (memory.Allocator.Transit), so a shard that could not hold the copy fails
-// the send with ErrHeapExhausted; nil asks no shard — and the encode into a
-// pooled frame, whose Payload it sets.  The packet-model size always bounds
-// the wire size, a packet holding more than an argument's wire overhead, so
-// the encode never outgrows the frame's buffer.  The caller releases the
-// frame.
+// packet-model size, the sender shard's answer for the outbound copy —
+// whether its free bytes and the tenant budget could take the charge a send
+// of this size takes, a compare that keeps nothing (memory.Allocator.Transit),
+// so a shard that could not hold the copy fails the send with
+// ErrHeapExhausted; nil asks no shard — and the encode into a pooled frame,
+// whose Payload it sets.  The packet-model size always bounds the wire size,
+// a packet holding more than an argument's wire overhead, so the encode never
+// outgrows the frame's buffer.  The caller releases the frame.
 func (vm *VM) stageOut(shard *memory.Allocator, msgType string, args []Value) (*outFrame, int, error) {
 	size, err := encodedSize(args)
 	if err != nil {

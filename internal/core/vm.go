@@ -739,12 +739,12 @@ func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
 // message is accepted — makes the message its owner and counts the charge;
 // releaseMessage is its inverse.
 func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message, size int) error {
-	off, err := heap.Alloc(size)
+	c, err := heap.Alloc(size)
 	if err != nil {
 		return vm.heapErr(err)
 	}
-	msg.heapOff = off
 	msg.heapBytes = size
+	msg.heapCharge = c
 	msg.heapShard = heap
 	if vm.metricsOn() {
 		vm.om.heapCharges.Inc()
@@ -757,7 +757,7 @@ func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message, size int) er
 // it was charged to.  The message keeps heapBytes, which prices its accept.
 func (vm *VM) releaseMessage(msg *Message) {
 	if msg.heapBytes > 0 && msg.heapShard != nil {
-		_ = msg.heapShard.Free(msg.heapOff)
+		_ = msg.heapShard.Free(msg.heapCharge)
 		msg.heapShard = nil
 		if vm.metricsOn() {
 			vm.om.heapRecovers.Inc()
@@ -766,25 +766,26 @@ func (vm *VM) releaseMessage(msg *Message) {
 }
 
 // releaseRun frees the footprints of an ACCEPT run's messages in a single
-// FreeEach on heap — the accepting cluster's shard, which its in-queue is
-// charged to — with any message charged elsewhere released on its own.  offs
-// is scratch for the offsets, returned for reuse.
-func (vm *VM) releaseRun(run []*Message, heap *memory.Allocator, offs []int) []int {
+// Free of their summed charges on heap — the accepting cluster's shard, which
+// its in-queue is charged to — with any message charged elsewhere released on
+// its own.
+func (vm *VM) releaseRun(run []*Message, heap *memory.Allocator) {
+	sum, n := 0, 0
 	for _, m := range run {
 		if m.heapShard != heap || m.heapBytes == 0 {
 			vm.releaseMessage(m)
 			continue
 		}
-		offs = append(offs, m.heapOff)
+		sum += m.heapCharge
+		n++
 		m.heapShard = nil
 	}
-	if len(offs) > 0 {
-		_ = heap.FreeEach(offs)
+	if n > 0 {
+		_ = heap.Free(sum)
 		if vm.metricsOn() {
-			vm.om.heapRecovers.Add(int64(len(offs)))
+			vm.om.heapRecovers.Add(int64(n))
 		}
 	}
-	return offs
 }
 
 // dropMessage disposes of a message no task will accept: its storage is

@@ -320,7 +320,8 @@ func (s *SharedMemory) Heap() *memory.Allocator { return s.HeapShard(0) }
 // ShardHeap repartitions the message-heap region into n equal, independently
 // locked allocators.  It is called once at virtual-machine boot, before any
 // message storage is allocated; resharding a heap that still holds live
-// allocations is refused so no outstanding offset can be orphaned.
+// allocations is refused so no outstanding charge is given back to a shard
+// that never held it.
 func (s *SharedMemory) ShardHeap(n int) error {
 	if n < 1 {
 		return fmt.Errorf("flex: heap must have at least one shard, got %d", n)

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -14,41 +17,17 @@ func TestAllocBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if off < headerSize {
-		t.Fatalf("offset %d overlaps the first header", off)
+	if want := roundUp(100) + headerSize; off != want {
+		t.Fatalf("Alloc(100) charged %d, want %d", off, want)
 	}
-	if got := a.InUse(); got < 100 {
-		t.Fatalf("InUse = %d, want >= 100", got)
+	if got := a.InUse(); got != off {
+		t.Fatalf("InUse = %d, want the charge %d", got, off)
 	}
 	if err := a.Free(off); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
 	if got := a.InUse(); got != 0 {
 		t.Fatalf("InUse after free = %d, want 0", got)
-	}
-}
-
-func TestAllocZeroesMemory(t *testing.T) {
-	a := New(1024)
-	off, err := a.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := a.Bytes(off, 64)
-	for i := range b {
-		b[i] = 0xFF
-	}
-	if err := a.Free(off); err != nil {
-		t.Fatal(err)
-	}
-	off2, err := a.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.Bytes(off2, 64) {
-		if v != 0 {
-			t.Fatalf("byte %d not zeroed after reuse: %#x", i, v)
-		}
 	}
 }
 
@@ -91,8 +70,7 @@ func TestAllocExhaustion(t *testing.T) {
 			t.Fatalf("Free(%d): %v", off, err)
 		}
 	}
-	// After freeing everything, a large allocation should succeed again
-	// (coalescing restored one big block).
+	// After freeing everything, a large allocation should succeed again.
 	if _, err := a.Alloc(st.ArenaSize / 2); err != nil {
 		t.Fatalf("allocation after full free failed: %v", err)
 	}
@@ -113,32 +91,17 @@ func TestDoubleFree(t *testing.T) {
 	if err := a.Free(12345); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bogus free: got %v, want ErrBadFree", err)
 	}
-}
-
-func TestCoalescingRestoresLargestRun(t *testing.T) {
-	a := New(8192)
-	initial := a.Stats().LargestRun
-	var offs []int
-	for i := 0; i < 16; i++ {
-		off, err := a.Alloc(128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		offs = append(offs, off)
+	// No sum of charges is below the minimum or off the packet granularity.
+	if _, err := a.Alloc(100); err != nil {
+		t.Fatal(err)
 	}
-	// Free in an interleaved order to exercise both coalescing directions.
-	order := []int{1, 3, 5, 7, 9, 11, 13, 15, 0, 2, 4, 6, 8, 10, 12, 14}
-	for _, i := range order {
-		if err := a.Free(offs[i]); err != nil {
-			t.Fatal(err)
+	for _, c := range []int{0, 8, 20, 111} {
+		if err := a.Free(c); !errors.Is(err, ErrBadFree) {
+			t.Fatalf("Free(%d) with %d in use: got %v, want ErrBadFree", c, a.InUse(), err)
 		}
 	}
-	st := a.Stats()
-	if st.FreeBlocks != 1 {
-		t.Fatalf("FreeBlocks = %d, want 1 after full coalescing", st.FreeBlocks)
-	}
-	if st.LargestRun != initial {
-		t.Fatalf("LargestRun = %d, want %d", st.LargestRun, initial)
+	if got := a.InUse(); got != 112 {
+		t.Fatalf("InUse = %d after refused frees, want 112", got)
 	}
 }
 
@@ -160,26 +123,10 @@ func TestHighWaterMark(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	a := New(2048)
-	for i := 0; i < 4; i++ {
-		if _, err := a.Alloc(64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Reset()
-	if a.InUse() != 0 {
-		t.Fatalf("InUse after Reset = %d", a.InUse())
-	}
-	if _, err := a.Alloc(1024); err != nil {
-		t.Fatalf("large alloc after Reset failed: %v", err)
-	}
-}
-
-// TestStatsFreeAccounting checks the identity: arena = in-use + free + headers
-// of free blocks + leading header reserve.
+// TestStatsAccounting checks the counts: InUse is the sum of the live
+// charges, HighWater the most it ever was, Allocs and Failures the answers.
 func TestStatsAccounting(t *testing.T) {
-	a := New(4096)
+	a := New(1024)
 	var offs []int
 	for i := 0; i < 7; i++ {
 		off, err := a.Alloc(100)
@@ -188,18 +135,19 @@ func TestStatsAccounting(t *testing.T) {
 		}
 		offs = append(offs, off)
 	}
+	if _, err := a.Alloc(300); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Alloc(300) with %d of %d in use = %v, want ErrOutOfMemory", a.InUse(), a.Size(), err)
+	}
 	a.Free(offs[2])
 	a.Free(offs[4])
-	st := a.Stats()
-	total := st.InUse + st.FreeBytes + st.FreeBlocks*headerSize
-	if total != st.ArenaSize {
-		t.Fatalf("accounting mismatch: inUse %d + free %d + headers = %d, arena %d",
-			st.InUse, st.FreeBytes, total, st.ArenaSize)
+	want := Stats{ArenaSize: 1024, InUse: 5 * 112, HighWater: 7 * 112, Allocs: 7, Failures: 1}
+	if st := a.Stats(); st != want {
+		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
 }
 
 // Property: any sequence of allocations followed by freeing all of them
-// returns the allocator to zero bytes in use with a single free block.
+// returns the allocator to zero bytes in use.
 func TestQuickAllocFreeAll(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		a := New(1 << 20)
@@ -218,46 +166,43 @@ func TestQuickAllocFreeAll(t *testing.T) {
 				return false
 			}
 		}
-		st := a.Stats()
-		return st.InUse == 0 && st.FreeBlocks == 1
+		return a.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: live allocations never overlap each other.
+// Property: live allocations never overlap each other — in a byte count,
+// their charges never sum past the arena, and InUse is that sum.
 func TestQuickNoOverlap(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := New(1 << 16)
-		type alloc struct{ off, size int }
-		var live []alloc
+		a := New(1 << 12)
+		var live []int
+		sum := 0
 		for i := 0; i < int(count); i++ {
 			if len(live) > 0 && rng.Intn(3) == 0 {
 				k := rng.Intn(len(live))
-				if err := a.Free(live[k].off); err != nil {
+				if err := a.Free(live[k]); err != nil {
 					return false
 				}
+				sum -= live[k]
 				live = append(live[:k], live[k+1:]...)
 				continue
 			}
 			n := rng.Intn(512) + 1
 			off, err := a.Alloc(n)
 			if err != nil {
-				continue
-			}
-			live = append(live, alloc{off, roundUp(n)})
-		}
-		for i := range live {
-			for j := i + 1; j < len(live); j++ {
-				ai, aj := live[i], live[j]
-				if ai.off < aj.off+aj.size && aj.off < ai.off+ai.size {
+				if !errors.Is(err, ErrOutOfMemory) || sum+roundUp(n)+headerSize <= a.Size() {
 					return false
 				}
+				continue
 			}
+			live = append(live, off)
+			sum += off
 		}
-		return true
+		return sum <= a.Size() && a.InUse() == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -278,51 +223,20 @@ func BenchmarkAllocFree(b *testing.B) {
 	}
 }
 
-func BenchmarkAllocFreeFragmented(b *testing.B) {
-	a := New(1 << 20)
-	// Pre-fragment the arena.
-	var pins []int
-	for i := 0; i < 200; i++ {
-		off, err := a.Alloc(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i%2 == 0 {
-			pins = append(pins, off)
-		} else if err := a.Free(off); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off, err := a.Alloc(48)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := a.Free(off); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, off := range pins {
-		a.Free(off)
-	}
-}
-
-// TestAllocOverflowGuard covers the roundUp overflow: sizes near MaxInt used
-// to wrap into a negative request that the first-fit scan accepted and then
-// slice-panicked on.  They must fail cleanly with ErrOutOfMemory.
+// TestAllocOverflowGuard covers the roundUp overflow: sizes near MaxInt would
+// wrap into a negative request that a compare against the free bytes accepts.
+// They must fail cleanly with ErrOutOfMemory.
 func TestAllocOverflowGuard(t *testing.T) {
 	a := New(4096)
-	for _, n := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt - align + 1} {
+	for _, n := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt - align + 1, math.MaxInt - align} {
 		off, err := a.Alloc(n)
 		if !errors.Is(err, ErrOutOfMemory) {
 			t.Fatalf("Alloc(%d) = (%d, %v), want ErrOutOfMemory", n, off, err)
 		}
 	}
 	st := a.Stats()
-	if st.Failures != 3 {
-		t.Errorf("Failures = %d, want 3", st.Failures)
+	if st.Failures != 4 {
+		t.Errorf("Failures = %d, want 4", st.Failures)
 	}
 	// The arena must remain fully usable after the rejected requests.
 	off, err := a.Alloc(64)
@@ -358,13 +272,155 @@ func TestAggregate(t *testing.T) {
 	if got.HighWater != a.Stats().HighWater+b.Stats().HighWater {
 		t.Errorf("HighWater = %d, want per-shard sum", got.HighWater)
 	}
-	if got.Allocs != 2 || got.Frees != 1 {
-		t.Errorf("Allocs/Frees = %d/%d, want 2/1", got.Allocs, got.Frees)
-	}
-	if got.LargestRun != b.Stats().LargestRun {
-		t.Errorf("LargestRun = %d, want max over shards %d", got.LargestRun, b.Stats().LargestRun)
+	if got.Allocs != 2 {
+		t.Errorf("Allocs = %d, want 2", got.Allocs)
 	}
 	if empty := Aggregate(); empty != (Stats{}) {
 		t.Errorf("Aggregate() = %+v, want zero", empty)
+	}
+}
+
+// TestChargeRefusedOnlyWhenBytesSpent: a shard refuses a charge only when its
+// bytes are spent.  Free bytes split into holes, each smaller than a request
+// but together more than its charge, still take it; the last 16 bytes take a
+// minimum charge and refuse one 8 bytes larger; a full shard refuses even
+// the minimum; sizes near MaxInt are refused; every refusal is counted.
+func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
+	a := New(1024)
+	var charges []int
+	for i := 0; i < 8; i++ {
+		c, err := a.Alloc(120) // 128 bytes charged: eight fill the shard
+		if err != nil {
+			t.Fatalf("Alloc %d of 8: %v", i, err)
+		}
+		charges = append(charges, c)
+	}
+	if a.InUse() != a.Size() {
+		t.Fatalf("InUse = %d after eight 128-byte charges, want %d", a.InUse(), a.Size())
+	}
+	// Three holes of 128 bytes, none next to another.
+	for _, i := range []int{0, 2, 4} {
+		if err := a.Free(charges[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failures := a.Stats().Failures
+	refuse := func(n int, why string) {
+		t.Helper()
+		if _, err := a.Alloc(n); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("%s: Alloc(%d) = %v, want ErrOutOfMemory", why, n, err)
+		}
+		failures++
+	}
+	if c, err := a.Alloc(200); err != nil || c != 208 {
+		t.Fatalf("Alloc(200) with 384 bytes free in 128-byte holes = %d, %v; want a 208-byte charge", c, err)
+	}
+	if _, err := a.Alloc(152); err != nil {
+		t.Fatalf("Alloc(152) with 176 bytes free: %v", err)
+	}
+	if free := a.Size() - a.InUse(); free != 16 {
+		t.Fatalf("%d bytes free, want 16", free)
+	}
+	refuse(16, "a 24-byte charge in the last 16 bytes")
+	if c, err := a.Alloc(8); err != nil || c != 16 {
+		t.Fatalf("Alloc(8) in the last 16 bytes = %d, %v; want a 16-byte charge", c, err)
+	}
+	refuse(0, "the minimum charge on a full shard")
+	refuse(math.MaxInt, "a size near MaxInt")
+	refuse(math.MaxInt-align, "a size near MaxInt")
+	if st := a.Stats(); st.Failures != failures || st.InUse != st.ArenaSize || st.HighWater != st.ArenaSize {
+		t.Fatalf("Stats = %+v, want %d failures and the shard full", st, failures)
+	}
+}
+
+// TestConcurrentChargesBalance: goroutines on two shards sharing one budget
+// mix Alloc, Transit, single Frees and summed-run Frees.  No shard's high
+// water passes its size nor the budget its cap, the counters agree with the
+// answers the goroutines got, and once everything is given back both shards
+// and the budget read zero.
+func TestConcurrentChargesBalance(t *testing.T) {
+	const workers, steps = 8, 4000
+	// The small shard fills before the budget does, the large one mostly
+	// after it, so both kinds of refusal come up.
+	b := NewBudget(5 << 10)
+	shards := []*Allocator{New(2 << 10), New(8 << 10)}
+	for _, s := range shards {
+		s.SetBudget(b)
+	}
+	var oom, overBudget, granted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			s := shards[w%len(shards)]
+			var live []int
+			for step := 0; step < steps; step++ {
+				var err error
+				n := []int{0, 8, 64, 136, 512, 1500}[rng.Intn(6)]
+				switch op := rng.Intn(10); {
+				case op < 5:
+					var c int
+					if c, err = s.Alloc(n); err == nil {
+						live = append(live, c)
+					}
+				case op < 6:
+					err = s.Transit(n)
+				case op < 8 && len(live) > 0:
+					i := rng.Intn(len(live))
+					if ferr := s.Free(live[i]); ferr != nil {
+						t.Errorf("Free(%d): %v", live[i], ferr)
+					}
+					live = slices.Delete(live, i, i+1)
+					continue
+				case len(live) > 0:
+					k := 1 + rng.Intn(len(live))
+					sum := 0
+					for _, c := range live[:k] {
+						sum += c
+					}
+					if ferr := s.Free(sum); ferr != nil {
+						t.Errorf("Free of a %d-charge run (%d bytes): %v", k, sum, ferr)
+					}
+					live = live[k:]
+					continue
+				default:
+					continue
+				}
+				switch {
+				case err == nil:
+					granted.Add(1)
+				case errors.Is(err, ErrOutOfMemory):
+					oom.Add(1)
+				case errors.Is(err, ErrBudgetExceeded):
+					overBudget.Add(1)
+				default:
+					t.Errorf("unexpected refusal: %v", err)
+				}
+				if hw := s.HighWater(); hw > s.Size() {
+					t.Errorf("high water %d past the shard's %d bytes", hw, s.Size())
+				}
+				if u := b.Used(); u > b.Max() {
+					t.Errorf("budget holds %d past its cap %d", u, b.Max())
+				}
+			}
+			for _, c := range live {
+				if err := s.Free(c); err != nil {
+					t.Errorf("Free(%d) at the end: %v", c, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := Aggregate(shards[0].Stats(), shards[1].Stats())
+	if st.InUse != 0 || b.Used() != 0 {
+		t.Fatalf("after every charge was given back the shards hold %d bytes and the budget %d", st.InUse, b.Used())
+	}
+	if int64(st.Allocs) != granted.Load() || int64(st.Failures) != oom.Load()+overBudget.Load() {
+		t.Fatalf("Stats %+v; the goroutines were granted %d and refused %d", st, granted.Load(), oom.Load()+overBudget.Load())
+	}
+	if oom.Load()+overBudget.Load() == 0 {
+		t.Fatal("the run never filled a shard or the budget")
 	}
 }

@@ -65,6 +65,12 @@ func (b *Budget) tryCharge(n int64) bool {
 	}
 }
 
+// fits reports whether n more bytes would stay within the cap, reserving
+// nothing.
+func (b *Budget) fits(n int64) bool {
+	return b == nil || b.used.Load()+n <= b.max
+}
+
 // release returns n bytes to the budget.
 func (b *Budget) release(n int64) {
 	if b == nil {
@@ -77,8 +83,9 @@ func (b *Budget) release(n int64) {
 // Alloc charges the budget (with the same size the allocator's own inUse
 // accounting uses, so charges and releases balance exactly) and fails with
 // ErrBudgetExceeded when the charge would push the budget past its cap.
-// Attach before the allocator is in use: blocks already live when the budget
-// arrives were never charged, and freeing them would over-release.
+// Attach before the allocator is in use: bytes already charged when the
+// budget arrives were never charged to it, and freeing them would
+// over-release.
 func (a *Allocator) SetBudget(b *Budget) {
 	a.mu.Lock()
 	a.budget = b

@@ -8,16 +8,13 @@ import (
 	"testing"
 )
 
-// cloneAllocator copies a's block list and accounting onto a fresh allocator;
-// an attached budget is copied too, holding what a's holds, so the clone's
-// charges move nothing of a's.
+// cloneAllocator copies a's accounting onto a fresh allocator; an attached
+// budget is copied too, holding what a's holds, so the clone's charges move
+// nothing of a's.
 func cloneAllocator(a *Allocator) *Allocator {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := &Allocator{
-		size: a.size, blocks: slices.Clone(a.blocks), firstFree: a.firstFree,
-		inUse: a.inUse, highWater: a.highWater, allocs: a.allocs, frees: a.frees, failures: a.failures,
-	}
+	c := &Allocator{size: a.size, inUse: a.inUse, highWater: a.highWater, allocs: a.allocs, failures: a.failures}
 	if a.budget != nil {
 		c.budget = &Budget{max: a.budget.max}
 		c.budget.used.Store(a.budget.used.Load())
@@ -26,16 +23,17 @@ func cloneAllocator(a *Allocator) *Allocator {
 }
 
 // checkTransit runs Transit(n) on one clone of a and Alloc(n) followed by a
-// Free of what it placed on another, and requires the same error identity
-// and text, Stats, block list and budget use, then the same next ten
-// placements of sizes drawn from rng.
+// Free of its charge on another, and requires the same error identity and
+// text, Stats and budget use, a's accounting untouched, then the same answers
+// to the next ten charges of sizes drawn from rng.
 func checkTransit(t *testing.T, what string, a *Allocator, n int, rng *rand.Rand) {
 	t.Helper()
 	tr, af := cloneAllocator(a), cloneAllocator(a)
+	before := a.Stats()
 	terr := tr.Transit(n)
-	off, aerr := af.Alloc(n)
+	c, aerr := af.Alloc(n)
 	if aerr == nil {
-		if err := af.Free(off); err != nil {
+		if err := af.Free(c); err != nil {
 			t.Fatalf("%s: Free after Alloc(%d): %v", what, n, err)
 		}
 	}
@@ -50,8 +48,8 @@ func checkTransit(t *testing.T, what string, a *Allocator, n int, rng *rand.Rand
 	if ts, as := tr.Stats(), af.Stats(); ts != as {
 		t.Fatalf("%s: after Transit(%d) Stats %+v, Alloc+Free %+v", what, n, ts, as)
 	}
-	if !slices.Equal(tr.blocks, af.blocks) || !slices.Equal(tr.blocks, a.blocks) {
-		t.Fatalf("%s: after Transit(%d) blocks %v, Alloc+Free %v, before %v", what, n, tr.blocks, af.blocks, a.blocks)
+	if after := a.Stats(); after != before {
+		t.Fatalf("%s: Transit(%d) on a clone moved the original: %+v, before %+v", what, n, after, before)
 	}
 	if tr.budget.Used() != af.budget.Used() {
 		t.Fatalf("%s: after Transit(%d) the budget holds %d, Alloc+Free %d", what, n, tr.budget.Used(), af.budget.Used())
@@ -61,18 +59,18 @@ func checkTransit(t *testing.T, what string, a *Allocator, n int, rng *rand.Rand
 	}
 	for i := 0; i < 10; i++ {
 		m := []int{1, 8, 64, 136, 512, 1500, 4096}[rng.Intn(7)]
-		toff, terr := tr.Alloc(m)
-		aoff, aerr := af.Alloc(m)
-		if toff != aoff || errText(terr) != errText(aerr) {
-			t.Fatalf("%s: placement %d after Transit(%d): Alloc(%d) = %d, %v; after Alloc+Free %d, %v", what, i, n, m, toff, terr, aoff, aerr)
+		tc, terr := tr.Alloc(m)
+		ac, aerr := af.Alloc(m)
+		if tc != ac || errText(terr) != errText(aerr) {
+			t.Fatalf("%s: charge %d after Transit(%d): Alloc(%d) = %d, %v; after Alloc+Free %d, %v", what, i, n, m, tc, terr, ac, aerr)
 		}
 	}
 }
 
 // TestTransitMatchesAllocThenFree holds Transit to what it stands for — an
-// Alloc freed at once — over seeded histories of Alloc, Free and FreeEach,
-// half of them under a budget, and at the edges: n <= 0, n near MaxInt, an
-// exhausted arena and an exhausted budget.
+// Alloc freed at once — over seeded histories of Alloc, Free and summed-run
+// Frees, half of them under a budget, and at the edges: n <= 0, n near
+// MaxInt, an exhausted arena and an exhausted budget.
 func TestTransitMatchesAllocThenFree(t *testing.T) {
 	const arena, cap = 16 << 10, 12 << 10
 	sizes := []int{-3, 0, 1, 8, 24, 64, 100, 136, 512, 1500, 4096, 9000, 20_000}
@@ -96,7 +94,13 @@ func TestTransitMatchesAllocThenFree(t *testing.T) {
 			case len(live) > 1:
 				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 				k := 1 + rng.Intn(len(live))
-				_ = a.FreeEach(live[:k])
+				sum := 0
+				for _, c := range live[:k] {
+					sum += c
+				}
+				if err := a.Free(sum); err != nil {
+					t.Fatalf("seed %d: Free of a %d-charge run: %v", seed, k, err)
+				}
 				live = live[k:]
 			}
 			checkTransit(t, "seed history", a, sizes[rng.Intn(len(sizes))], rng)
@@ -109,7 +113,7 @@ func TestTransitMatchesAllocThenFree(t *testing.T) {
 		checkTransit(t, "edge", a, n, rng)
 	}
 
-	// An arena with no block left for even the minimum.
+	// An arena without room for even the minimum charge.
 	full := New(arena)
 	for n := arena; n >= align; {
 		if _, err := full.Alloc(n); err != nil {
@@ -123,7 +127,7 @@ func TestTransitMatchesAllocThenFree(t *testing.T) {
 		t.Fatalf("Transit on a full arena = %v, want ErrOutOfMemory", err)
 	}
 
-	// A budget spent to within one minimum block.
+	// A budget spent to within one minimum charge.
 	spent := New(arena)
 	b := NewBudget(1024)
 	spent.SetBudget(b)
@@ -138,4 +142,11 @@ func TestTransitMatchesAllocThenFree(t *testing.T) {
 	if err := spent.Transit(64); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Transit over the budget = %v, want ErrBudgetExceeded", err)
 	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
