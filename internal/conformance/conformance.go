@@ -24,11 +24,12 @@ import (
 	"bytes"
 	"embed"
 	"fmt"
+	"io"
 	"io/fs"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/node"
@@ -76,8 +77,9 @@ type Result struct {
 	// leak on this schedule.
 	HeapInUse int
 	// HeapShardsInUse is the same quantity per heap shard (one entry per
-	// cluster, in cluster order): the sweep asserts every shard is empty, so
-	// a leak pinned to one cluster's shard is reported as such.
+	// cluster, in cluster order; a RunKill run lists the survivor's shards,
+	// then the dead VM's): the sweep asserts every shard is empty, so a leak
+	// pinned to one cluster's shard is reported as such.
 	HeapShardsInUse []int
 	// Err is the program's compile- or run-time error, if any.
 	Err error
@@ -103,7 +105,8 @@ type Result struct {
 // KillRecovery reports what a RunKill recovery actually did, so the sweep
 // can assert the kill landed mid-run rather than on an idle cluster.
 type KillRecovery struct {
-	// Victims is the number of tasks FailClusters killed.
+	// Victims is the number of user tasks running on the killed VM at the
+	// kill.
 	Victims int
 	// Checkpoints is how many periodic checkpoints completed before the kill.
 	Checkpoints int
@@ -168,113 +171,176 @@ func RunObserved(src string, seed int64) Result {
 // while staying byte-reproducible from the seed.
 func RunFault(src string, seed int64) Result { return run(src, seed, true, nil, nil) }
 
-// killedCluster is the cluster the kill sweep fails: MAIN is placed on the
+// killedCluster is the cluster the kill sweep loses: MAIN is placed on the
 // terminal cluster 1 (whose user/file controllers anchor the run and are not
 // recoverable), so cluster 2 holds exactly the task-initiated — replayable —
 // part of the machine.
 const killedCluster = 2
 
-// RunKill is RunFault with fault tolerance switched on and a simulated node
-// failure in the schedule: cluster 2 is checkpointed every ckptEvery of
-// virtual time (the transport retaining all frames delivered to it since the
-// last checkpoint), failed at killAt, restored from the last checkpoint, and
-// fed the retained frames back.  Everything — delays, checkpoint cuts, the
-// kill — runs on the virtual clock, so the whole recovery schedule replays
-// byte-identically from (seed, killAt, ckptEvery).
-func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *KillRecovery) {
-	rec := &KillRecovery{}
-	res := run(src, seed, true, nil, nil, &killPlan{at: killAt, every: ckptEvery, rec: rec})
-	return res, rec
-}
+// RunKill runs the program on a two-VM mesh under the fault transport and
+// kills one VM mid-run the way a node dies.  Both VMs boot the configuration
+// in HA mode on one scheduler: A hosts cluster 1 and the user terminal, B
+// hosts cluster 2.  B checkpoints cluster 2 every ckptEvery of virtual time
+// (the transport retaining every frame delivered to the cluster since the
+// last cut).  At killAt B dies as a buddy sees it: the transport drops
+// everything it sends from then on and B is stopped; A adopts cluster 2,
+// restores the last checkpoint and replays the retained frames — the calls a
+// node's buddy makes.  Everything — delays, checkpoint cuts, the kill — runs
+// on the virtual clock, so the whole recovery schedule replays
+// byte-identically from (seed, killAt, ckptEvery).  Output is A's terminal;
+// B's own diagnostics go to a writer of its own.  HeapShardsInUse lists A's
+// shards, then B's.
+func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (res Result, rec *KillRecovery) {
+	rec = &KillRecovery{}
+	s := sim.New(seed)
+	var out, deadOut bytes.Buffer
+	mem := &trace.MemorySink{}
+	defer recoverDeadlock(&res, s, &out, mem)
 
-// killPlan carries the kill schedule into run.
-type killPlan struct {
-	at    time.Duration
-	every time.Duration
-	rec   *KillRecovery
-}
+	ft := node.NewFaultTransport(seed, node.DefaultFaultProfile())
+	endB := ft.Join()
+	boot := func(nodeID, hosted int, out io.Writer, remote core.Transport) (*core.VM, error) {
+		vm, err := core.NewVM(harnessConfig(), core.Options{
+			UserOutput: out, Backend: s, AcceptTimeout: 30 * time.Second, TraceSinks: []trace.Sink{mem},
+			HA: true, Hosted: []int{hosted}, Remote: remote, InterceptWire: true, NodeID: nodeID,
+		})
+		if err == nil {
+			vm.Obs().TraceAll(true)
+		}
+		return vm, err
+	}
+	a, err := boot(0, 1, &out, ft)
+	if err != nil {
+		res.Err = err
+		return res, rec
+	}
+	ft.Bind(a)
+	b, err := boot(1, killedCluster, &deadOut, endB)
+	if err != nil {
+		a.Shutdown()
+		res.Err = err
+		return res, rec
+	}
+	endB.Bind(b)
+	prog, err := harnessCache.Compile(src)
+	if err != nil {
+		b.Shutdown()
+		a.Shutdown()
+		res.Err = err
+		return res, rec
+	}
+	prog.Register(b)
 
-// install arms the periodic checkpoint chain and the kill timer on the fault
-// transport's virtual clock.  stop() disarms the chain (called when the
-// program completes, so a rearming timer cannot keep the shutdown pump
-// alive).
-func (k *killPlan) install(vm *core.VM, ft *node.FaultTransport) (stop func(), err error) {
 	// Retention and the first (empty) checkpoint start at t=0: a kill before
 	// the first periodic cut restores an empty cluster and rebuilds it
 	// entirely from replayed frames.
-	ft.MarkEpoch(killedCluster)
-	blob, err := vm.Checkpoint(killedCluster)
+	blob, err := b.Checkpoint(killedCluster)
 	if err != nil {
-		return nil, err
+		rec.Err = err
 	}
-	var mu sync.Mutex
-	stopped := false
-	var arm func(d time.Duration)
-	arm = func(d time.Duration) {
-		_ = ft.KillAt(d, func() {
-			mu.Lock()
-			if stopped {
-				mu.Unlock()
+	ft.MarkEpoch(killedCluster)
+	var ckpt backend.Timer
+	var arm func()
+	arm = func() {
+		ckpt = s.AfterFunc(ckptEvery, func() {
+			cut, err := b.Checkpoint(killedCluster)
+			if err != nil {
+				rec.Err = err
 				return
 			}
-			b, cerr := vm.Checkpoint(killedCluster)
-			if cerr != nil {
-				k.rec.Err = cerr
-				mu.Unlock()
-				return
-			}
-			blob = b
+			blob = cut
 			ft.MarkEpoch(killedCluster)
-			k.rec.Checkpoints++
-			mu.Unlock()
-			arm(d)
+			rec.Checkpoints++
+			arm()
 		})
 	}
-	arm(k.every)
-	_ = ft.KillAt(k.at, func() {
-		// Disarm checkpoints first: FailClusters pumps the scheduler while it
-		// waits for the victims' exits, and a checkpoint cut taken during the
-		// fail window would capture half-dead state.
-		mu.Lock()
-		stopped = true
-		b := blob
-		mu.Unlock()
-		k.rec.Victims = vm.FailClusters(killedCluster)
-		if rerr := vm.Restore(b); rerr != nil {
-			k.rec.Err = rerr
+	arm()
+	kill := s.AfterFunc(killAt, func() {
+		ckpt.Stop()
+		for _, ti := range b.RunningTasks() {
+			if !ti.Controller {
+				rec.Victims++
+			}
+		}
+		endB.Fail()
+		b.Shutdown()
+		a.AdoptClusters(killedCluster)
+		if err := a.Restore(blob); err != nil {
+			rec.Err = err
 			return
 		}
-		k.rec.Replayed = ft.ReplayRetained(killedCluster)
+		rec.Replayed = ft.ReplayRetained(killedCluster)
 	})
-	return func() {
-		mu.Lock()
-		stopped = true
-		mu.Unlock()
-	}, nil
+	start := s.Now()
+
+	err = prog.Run(a, pfi.Options{})
+	// MAIN's VM going idle is not the mesh going idle: B's tasks may still be
+	// running, and the frames between the two may start more work on either.
+	// Drain both until a pass delivers nothing.
+	for {
+		before, _ := ft.Stats()
+		b.WaitIdle()
+		a.WaitIdle()
+		ft.Flush()
+		if after, _ := ft.Stats(); after == before {
+			break
+		}
+	}
+	a.FlushUserOutput()
+	res.VirtualElapsed = s.Now().Sub(start)
+	// Disarm the timers before Shutdown: its drain pumps the scheduler, and a
+	// self-rearming checkpoint would keep the pump alive forever.
+	kill.Stop()
+	ckpt.Stop()
+	b.Shutdown()
+	a.Shutdown()
+
+	res.Output = out.String()
+	res.Trace = mem.Lines()
+	res.Steps = s.Steps()
+	for _, vm := range []*core.VM{a, b} {
+		res.HeapInUse += vm.Machine().Shared().Usage().HeapInUse
+		for _, shard := range vm.Machine().Shared().HeapShards() {
+			res.HeapShardsInUse = append(res.HeapShardsInUse, shard.InUse())
+		}
+	}
+	if err == nil {
+		err = prog.Err()
+	}
+	res.Err = err
+	return res, rec
 }
 
-func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorder, kill ...*killPlan) (res Result) {
+// harnessConfig is the machine every harness run boots: two clusters with a
+// three-member force on cluster 1, enough hardware that placements,
+// cross-cluster sends, and force collectives all have real scheduling
+// freedom.
+func harnessConfig() *config.Configuration { return config.Simple(2, 8).WithForces(1, 7, 8) }
+
+// recoverDeadlock, deferred, turns a deadlocked schedule into the run's
+// result, keeping the output and trace produced up to the deadlock.
+func recoverDeadlock(res *Result, s *sim.Scheduler, out *bytes.Buffer, mem *trace.MemorySink) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	d, ok := r.(*sim.Deadlock)
+	if !ok {
+		panic(r)
+	}
+	res.Deadlock = d
+	res.Err = fmt.Errorf("schedule deadlocked: %w", d)
+	res.Output = out.String()
+	res.Trace = mem.Lines()
+	res.Steps = s.Steps()
+}
+
+func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorder) (res Result) {
 	s := sim.New(seed)
 	var out bytes.Buffer
 	mem := &trace.MemorySink{}
-	defer func() {
-		if r := recover(); r != nil {
-			d, ok := r.(*sim.Deadlock)
-			if !ok {
-				panic(r)
-			}
-			res.Deadlock = d
-			res.Err = fmt.Errorf("schedule deadlocked: %w", d)
-			res.Output = out.String()
-			res.Trace = mem.Lines()
-			res.Steps = s.Steps()
-		}
-	}()
+	defer recoverDeadlock(&res, s, &out, mem)
 
-	// Two clusters with a three-member force on cluster 1: enough hardware
-	// that placements, cross-cluster sends, and force collectives all have
-	// real scheduling freedom.
-	cfg := config.Simple(2, 8).WithForces(1, 7, 8)
 	opts := core.Options{
 		UserOutput:     &out,
 		Backend:        s,
@@ -289,10 +355,7 @@ func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorde
 		opts.Remote = ft
 		opts.InterceptWire = true
 	}
-	if len(kill) > 0 && kill[0] != nil {
-		opts.HA = true // checkpoint/restore needs the HA bookkeeping on
-	}
-	vm, err := core.NewVM(cfg, opts)
+	vm, err := core.NewVM(harnessConfig(), opts)
 	if err != nil {
 		res.Err = err
 		return res
@@ -301,17 +364,6 @@ func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorde
 		ft.Bind(vm)
 	}
 	vm.Obs().TraceAll(true)
-	stopKill := func() {}
-	if len(kill) > 0 && kill[0] != nil {
-		stop, kerr := kill[0].install(vm, ft)
-		if kerr != nil {
-			vm.Shutdown()
-			res.Err = kerr
-			return res
-		}
-		stopKill = stop
-		defer stop() // the deadlock path skips the explicit call below
-	}
 	start := s.Now()
 
 	prog, err := harnessCache.Compile(src)
@@ -322,9 +374,6 @@ func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorde
 	}
 	runErr := prog.Run(vm, pfi.Options{})
 	res.VirtualElapsed = s.Now().Sub(start)
-	// Disarm the checkpoint chain before Shutdown: its drain pumps the
-	// scheduler, and a self-rearming timer would keep the pump alive forever.
-	stopKill()
 	vm.Shutdown()
 
 	res.Output = out.String()

@@ -8,10 +8,11 @@ import (
 
 // killQuiet lists programs for which the kill is expected to find cluster 2
 // idle: single-task and force/shared-memory programs place every task on
-// cluster 1 (the force cluster), so failing cluster 2 exercises the no-op
-// recovery path (checkpoint, kill, restore of an empty partition) and the
-// sweep asserts only output identity, not recovery activity.  Every corpus
-// program stays in the sweep — none needs a byte-identity exemption.
+// cluster 1 (the force cluster), so killing the VM that hosts cluster 2
+// exercises the no-op recovery path (checkpoint, kill, adoption and restore
+// of an empty partition) and the sweep asserts only output identity, not
+// recovery activity.  Every corpus program stays in the sweep — none needs a
+// byte-identity exemption.
 var killQuiet = map[string]bool{
 	"barrier-counter.pf": true,
 	"force-presched.pf":  true,
@@ -42,12 +43,14 @@ func killSchedule(elapsed time.Duration, seed int64) (killAt, ckptEvery time.Dur
 }
 
 // TestKillANodeConformance is the kill-a-node sweep: every corpus program
-// runs under the fault transport with cluster 2 checkpointed periodically,
-// failed mid-run at a seed-derived virtual time, restored from its last
-// checkpoint, and fed the retained post-checkpoint frames.  The terminal
-// output must be byte-identical to the fault-free single-process baseline on
-// every seed, no schedule may deadlock, and the heap must come back empty —
-// i.e. a node death is invisible in the program's observable behaviour.
+// runs on two VMs under the fault transport, the one hosting cluster 2
+// checkpointing it periodically and dying mid-run at a seed-derived virtual
+// time; the survivor adopts the cluster, restores its last checkpoint and
+// replays the retained post-checkpoint frames, as a node's buddy does.  The
+// terminal output must be byte-identical to the fault-free single-process
+// baseline on every seed, no schedule may deadlock, and every heap shard of
+// both machines — the dead one's included — must come back empty: a node
+// death is invisible in the program's observable behaviour.
 func TestKillANodeConformance(t *testing.T) {
 	names, srcs := corpusPrograms(t)
 	totalVictims := 0
@@ -80,10 +83,13 @@ func TestKillANodeConformance(t *testing.T) {
 					t.Fatalf("%s: output diverges (victims=%d ckpts=%d replayed=%d):\nbaseline:\n%s\nkill:\n%s",
 						ctx, rec.Victims, rec.Checkpoints, rec.Replayed, baseline.Output, res.Output)
 				}
-				for shard, in := range res.HeapShardsInUse {
+				// The survivor's shards, then the dead VM's.
+				perVM := len(res.HeapShardsInUse) / 2
+				for i, in := range res.HeapShardsInUse {
 					if in != 0 {
-						recordFailure(name, seed, fmt.Sprintf("kill heap leak: %d bytes on shard %d", in, shard))
-						t.Errorf("%s: %d heap bytes on shard %d after shutdown", ctx, in, shard)
+						machine := [2]string{"survivor", "dead VM"}[i/perVM]
+						recordFailure(name, seed, fmt.Sprintf("kill heap leak: %d bytes on the %s's shard %d", in, machine, i%perVM))
+						t.Errorf("%s: %d heap bytes on the %s's shard %d after shutdown", ctx, in, machine, i%perVM)
 					}
 				}
 				if rec.Victims > 0 || rec.Replayed > 0 {

@@ -39,22 +39,9 @@ type taskRec struct {
 
 	// HA-mode state (zero-cost otherwise; see ha.go).  initArgs retains the
 	// INITIATE argument list so a checkpoint can respawn the task; haSeq
-	// numbers the task's outbound sends for duplicate suppression; failover
-	// marks a kill performed by FailClusters, whose termination path must keep
-	// the done gate and waitgroup bookkeeping suspended for Restore; exited
-	// opens when the termination path has fully run (slot freed, task
-	// unregistered), which — unlike done — failover does not suspend.
+	// numbers the task's outbound sends for duplicate suppression.
 	initArgs []Value
 	haSeq    atomic.Uint64
-	failover atomic.Bool
-	exited   backend.Gate
-	// deathSeq, on a restored incarnation, is the send sequence number the
-	// previous incarnation had reached when it died (recorded by finishTask's
-	// failover path).  A re-executed send numbered at or below it already
-	// happened in the first life, so a missing receiver is not an error — it
-	// consumed the original and exited.  Written before the task spawns, read
-	// only by the task itself.
-	deathSeq uint64
 }
 
 // newTaskRecParts builds the wake event, queue, and done gate a task record
@@ -130,9 +117,9 @@ type clusterRT struct {
 	// (PlanRestoredInit) before replaying the retained request frame, so the
 	// parent's stored id stays valid.
 	directed map[initKey]TaskID
-	// frozen parks new task starts in pending: set between FailClusters and
-	// Restore so respawned tasks get their recorded slots' worth of capacity
-	// before live requests compete for it.
+	// frozen parks new task starts in pending: set while Restore respawns the
+	// checkpointed tasks, so they get their own slots before any request
+	// competes for them.
 	frozen bool
 }
 
@@ -214,38 +201,28 @@ func (c *clusterRT) placeController(rec *taskRec) (int, error) {
 // request handles one initiation request: start the task immediately if a
 // user slot is free, otherwise queue the request until a task terminates.
 func (c *clusterRT) request(req pendingInit) error {
-	// A request whose parent was failed by FailClusters and not yet restored
-	// (it was in flight — a transport delay line, the controller's in-queue —
-	// when the failure hit) must not hold a live reply: the dead parent's
-	// InitiateWait has to unblock so the failure can complete, and the
-	// restored parent will re-issue the request under the same key and
-	// install its own reply.
-	if req.reply != nil && c.vm.haParentFailed(req.parent) {
-		req.reply.deliver(NilTask)
-		req.reply = nil
-	}
 	c.mu.Lock()
 	if c.initMap != nil && req.key.seq != 0 {
 		if id, ok := c.initMap[req.key]; ok {
 			running := id.Slot >= 0 && id.Slot < len(c.slots) &&
 				c.slots[id.Slot].rec != nil && c.slots[id.Slot].rec.id == id
-			if running || !c.vm.hasDeadSeq(id) {
+			if _, gone := c.vm.exitRecord(id); running || !gone {
 				// A replayed duplicate of an INITIATE the controller already
-				// served, where the child is still alive — or died long enough
-				// ago that its effects predate every restorable checkpoint:
-				// answer with the assigned id instead of starting a second
-				// task.
+				// served, where the child is still alive — or exited long
+				// enough ago that its exit record is gone and its effects
+				// predate every restorable checkpoint: answer with the
+				// assigned id instead of starting a second task.
 				reply := req.reply
 				c.mu.Unlock()
 				reply.deliver(id)
 				return nil
 			}
-			// The child died recently (after the last surviving checkpoint
+			// The child exited recently (after the last surviving checkpoint
 			// cut), so a recovery may have lost its effects: re-create it
 			// under its original identity.  Its re-executed sends carry the
 			// first life's sequence numbers, so receivers that already got
-			// them drop the duplicates and receivers that exited are not
-			// errors (deathSeq suppression).
+			// them drop the duplicates, and a receiver that has exited since
+			// answers from its exit record (haSendSuppressed).
 			if c.directed == nil {
 				c.directed = make(map[initKey]TaskID)
 			}
@@ -386,7 +363,7 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 	}
 	// Only user tasks pass through here (controllers boot via
 	// startController), so the tenant's MaxTasks quota gates exactly the
-	// spawns it should.  Directed re-creations are exempt: a failover
+	// spawns it should.  Directed re-creations are exempt: a recovery
 	// re-spawn continues a life that was already admitted.  The refusal is
 	// delivered before the violation is recorded so a waiting initiator
 	// gets its answer before the fail-stop kill sweep reaches it.
@@ -410,39 +387,25 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 		slot:       slot,
 		localBytes: tt.LocalBytes,
 	}
-	var inheritedDone backend.Gate
-	if req.forced != NilTask {
-		// A directed re-creation continues a killed task's life: inherit the
-		// point its sends had reached so re-executed deliveries stay
-		// droppable, and — when the first life was a failover victim — its
-		// parked done gate, so WaitTask callers and the user-task waitgroup
-		// never observe the gap.
-		rec.deathSeq = vm.takeDeadSeq(id)
-		inheritedDone = vm.takeDoneGate(id)
-	}
 	rec.wake, rec.queue, rec.done = newTaskRecParts(vm.backend)
-	if inheritedDone != nil {
-		rec.done = inheritedDone
-	}
 	if vm.ha {
 		rec.initArgs = req.args
-		rec.exited = vm.backend.NewGate()
 		rec.queue.ha = newTaskHA(true)
 	}
 	c.mu.Lock()
 	c.slots[slot].rec = rec
 	// Record the initiation before the reply can be delivered, so a replayed
 	// duplicate of this request arriving later is answered from the map.
-	if c.initMap != nil && req.key.seq != 0 {
+	keyed := c.initMap != nil && req.key.seq != 0
+	if keyed {
 		c.initMap[req.key] = id
 	}
 	c.mu.Unlock()
-	vm.registerTask(rec)
-	if inheritedDone == nil {
-		// An inherited gate means the failed life's waitgroup registration is
-		// still outstanding; this life's exit balances it.
-		vm.userTasks.Add(1)
+	if l, ok := vm.remote.(initLogger); ok && keyed {
+		l.LogInit(c.cfg.Number, req.key.parent, req.key.seq, id)
 	}
+	vm.registerTask(rec)
+	vm.userTasks.Add(1)
 	vm.initiated.Add(1)
 
 	body := func(p *mmos.Proc) {
@@ -458,12 +421,10 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 	if err != nil {
 		// Could not create the process (local memory exhausted): undo.
 		vm.unregisterTask(id)
-		if inheritedDone == nil {
-			vm.userTasks.Done()
-		}
+		vm.userTasks.Done()
 		c.mu.Lock()
 		c.slots[slot].rec = nil
-		if c.initMap != nil && req.key.seq != 0 {
+		if keyed {
 			delete(c.initMap, req.key)
 		}
 		c.mu.Unlock()
@@ -510,22 +471,14 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 
 	vm.unregisterTask(rec.id)
 
-	// A failover kill (FailClusters) keeps the completion bookkeeping
-	// suspended: Restore hands the same done gate to the task's next
-	// incarnation, so WaitTask/WaitIdle callers never observe the failure.
-	failover := rec.failover.Load()
-	if vm.ha {
-		// Record how far the task's sends got: if a recovery replay re-creates
-		// it (a failover victim, or a task whose whole life ran after the last
-		// checkpoint and whose INITIATE is re-delivered), the new incarnation
-		// re-executes those sends, and any numbered at or below this already
-		// reached (possibly since-exited) receivers.
-		vm.recordDeadSeq(rec.id, rec.haSeq.Load())
+	if h := rec.queue.ha; h != nil {
+		// Keep what the task admitted: a recovery replay may re-execute a
+		// send to it, and only the floors tell a delivered message from one
+		// that never arrived.  The queue is closed, so they no longer move.
+		vm.recordExit(rec.id, h.floors)
 	}
-	if !failover {
-		vm.completed.Add(1)
-		rec.done.Open()
-	}
+	vm.completed.Add(1)
+	rec.done.Open()
 
 	// Free the slot and start a pending request if one is waiting.  In the
 	// FLEX implementation the task controller performed this bookkeeping; the
@@ -542,12 +495,7 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 		}
 	}
 
-	if !failover {
-		vm.userTasks.Done()
-	}
-	if rec.exited != nil {
-		rec.exited.Open()
-	}
+	vm.userTasks.Done()
 }
 
 // userPrintf writes a line to the user terminal output, if configured.  It

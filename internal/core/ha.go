@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/backend"
 	"repro/internal/mmos"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
@@ -27,9 +26,23 @@ import (
 // keeps a per-sender floor of the highest sequence number it has admitted.
 // Floors only advance, so any re-delivery — a replayed sender regenerating
 // its sends, a transport re-sending retained frames after a recovery — is
-// dropped at admission.  A replayed INITIATE is deduplicated one level up, in
-// the cluster's initMap keyed by (parent, send seq): the controller re-replies
-// with the already-assigned child id instead of starting a second task.
+// dropped at admission.  A receiver that has exited keeps answering for what
+// it admitted: its VM keeps the task's floors for two checkpoint generations
+// (recordExit), and a re-executed send to it succeeds silently when they
+// show it was admitted, and fails as any send to a gone task when not.  The
+// record lives with the receiver, so the buddy that restores the sender
+// knows it without ever having seen the sender's first life.  A replayed
+// INITIATE is deduplicated one level up, in the cluster's initMap keyed by
+// (parent, send seq): the controller re-replies with the already-assigned
+// child id instead of starting a second task.
+//
+// Recovery is one path: a node dies, and its buddy adopts the node's
+// clusters (AdoptClusters), restores their last checkpoint on top of its own
+// ghost controllers (Restore) and re-delivers the frames retained since the
+// cut.  A child started after the cut is in no checkpoint; the task
+// controller reports each initiation to a transport that keeps them
+// (initLogger), and the buddy re-creates such a child under its first id
+// when its request comes again (PlanRestoredInit).
 //
 // What is NOT recoverable: controllers (the terminal cluster's user/file
 // controllers are the run's anchor), shared arrays and windows owned by a
@@ -104,74 +117,48 @@ func (t *Task) nextSendSeq() uint64 {
 	return t.rec.haSeq.Add(1)
 }
 
-// recordDeadSeq remembers the send sequence number a finished (or
-// failover-killed) task had reached at death, keyed by its taskid, for a
-// possible re-created incarnation to inherit.  Guarded by its own mutex so it
-// can be consulted while a cluster lock is held.
-func (vm *VM) recordDeadSeq(id TaskID, seq uint64) {
-	vm.haSeqMu.Lock()
-	if vm.haDeadSeqs == nil {
-		vm.haDeadSeqs = make(map[TaskID]uint64)
+// recordExit keeps an exited task's admission floors: for each sender, the
+// highest send sequence number the task admitted.  A recovery replay
+// re-executes sends whose receiver has exited since, and the record tells a
+// re-send of an admitted message (delivered in the first life: it succeeds
+// silently) from a send that never reached the task (it fails like any send
+// to a gone task).  The receiver's VM keeps it, so a buddy that adopts the
+// sender's cluster knows it, though it never saw the sender's first life.
+// Guarded by its own mutex so it can be consulted while a cluster lock is
+// held.
+func (vm *VM) recordExit(id TaskID, floors map[TaskID]uint64) {
+	vm.haGoneMu.Lock()
+	if vm.haGone == nil {
+		vm.haGone = make(map[TaskID]map[TaskID]uint64)
 	}
-	vm.haDeadSeqs[id] = seq
-	vm.haSeqMu.Unlock()
+	vm.haGone[id] = floors
+	vm.haGoneMu.Unlock()
 }
 
-// hasDeadSeq reports whether the task's death is recent enough that its
-// send-progress record is still held (i.e. within the last two checkpoint
-// generations).  A duplicate INITIATE for a child with no record is answered
-// from the initMap instead of re-creating it: the child's effects predate the
-// previous checkpoint and are already part of every restorable state.
-func (vm *VM) hasDeadSeq(id TaskID) bool {
-	vm.haSeqMu.Lock()
-	defer vm.haSeqMu.Unlock()
-	if _, ok := vm.haDeadSeqs[id]; ok {
-		return true
-	}
-	_, ok := vm.haDeadSeqsOld[id]
-	return ok
-}
-
-// takeDeadSeq consumes the recorded death-time send sequence number for a
-// taskid being re-created, or 0 when this VM never saw the death (buddy
-// adoption — the dead node's counter died with it).
-func (vm *VM) takeDeadSeq(id TaskID) uint64 {
-	vm.haSeqMu.Lock()
-	defer vm.haSeqMu.Unlock()
-	seq, ok := vm.haDeadSeqs[id]
+// exitRecord returns the admission floors of an exited task, when it exited
+// recently enough for the record to be held (within the last two checkpoint
+// generations).  Its presence alone says a recovery may have lost the task's
+// effects (see clusterRT.request).
+func (vm *VM) exitRecord(id TaskID) (map[TaskID]uint64, bool) {
+	vm.haGoneMu.Lock()
+	defer vm.haGoneMu.Unlock()
+	floors, ok := vm.haGone[id]
 	if !ok {
-		seq = vm.haDeadSeqsOld[id]
+		floors, ok = vm.haGoneOld[id]
 	}
-	delete(vm.haDeadSeqs, id)
-	delete(vm.haDeadSeqsOld, id)
-	return seq
-}
-
-// takeDoneGate consumes the done gate FailClusters parked for a failed task,
-// or nil when this VM never saw the failure (or the gate was already handed
-// to a restored incarnation).  An incarnation that inherits a gate must NOT
-// re-register with the user-task waitgroup: the failed life's registration is
-// still outstanding and the new life's exit balances it.
-func (vm *VM) takeDoneGate(id TaskID) backend.Gate {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	g := vm.haDoneGates[id]
-	if g != nil {
-		delete(vm.haDoneGates, id)
-	}
-	return g
+	return floors, ok
 }
 
 // haSendSuppressed reports whether a send that found no receiver is really a
 // re-execution of a delivery that already happened: either the task is still
-// replaying its consumption log, or this send carries a sequence number its
-// previous incarnation had already issued before dying — the receiver got
-// the original then, and has exited since.
-func (t *Task) haSendSuppressed(sendSeq uint64) bool {
+// replaying its consumption log, or the receiver's exit record shows it
+// admitted this send before it exited.
+func (t *Task) haSendSuppressed(to TaskID, sendSeq uint64) bool {
 	if t.haReplaying() {
 		return true
 	}
-	return sendSeq != 0 && sendSeq <= t.rec.deathSeq
+	floors, ok := t.vm.exitRecord(to)
+	return ok && sendSeq != 0 && sendSeq <= floors[t.ID()]
 }
 
 // haReplaying reports whether the task is still replaying its consumption
@@ -338,15 +325,16 @@ func (vm *VM) Checkpoint(clusters ...int) ([]byte, error) {
 		}
 		sections = append(sections, sec)
 	}
-	// Rotate the dead-send-sequence generations: entries only matter while a
-	// recovery replay could re-create their task, i.e. while the task's
-	// INITIATE frame is still retained — at most back to the previous
-	// checkpoint.  Two generations keep the map bounded by task turnover per
-	// checkpoint interval instead of growing for the VM's lifetime.
-	vm.haSeqMu.Lock()
-	vm.haDeadSeqsOld = vm.haDeadSeqs
-	vm.haDeadSeqs = nil
-	vm.haSeqMu.Unlock()
+	// Rotate the exit-record generations: a record only matters while a
+	// recovery replay could re-execute a send to its task or re-create it,
+	// i.e. while the frames that would do so are still retained — at most
+	// back to the previous checkpoint.  Two generations keep the map bounded
+	// by task turnover per checkpoint interval instead of growing for the
+	// VM's lifetime.
+	vm.haGoneMu.Lock()
+	vm.haGoneOld = vm.haGone
+	vm.haGone = nil
+	vm.haGoneMu.Unlock()
 	return msgcodec.EncodeCheckpoint(sections)
 }
 
@@ -420,96 +408,7 @@ func (r *taskRec) captureCheckpoint() haCkptTask {
 	return ts
 }
 
-// --- failure and restore ----------------------------------------------------
-
-// FailClusters simulates the death of the nodes hosting the given clusters:
-// every user task there is killed through a failover path that keeps the
-// machine-wide bookkeeping (done gates, the user-task waitgroup, completion
-// counters) suspended so a subsequent Restore can hand the same identities
-// back without WaitTask/WaitIdle observing the gap.  It returns the number of
-// tasks failed.  Controllers survive — on the node runtime every node boots
-// the full configuration, so a cluster's controller is a ghost that any
-// surviving node can animate.
-func (vm *VM) FailClusters(clusters ...int) int {
-	if !vm.ha {
-		return 0
-	}
-	nums := append([]int(nil), clusters...)
-	sort.Ints(nums)
-	target := make(map[int]bool, len(nums))
-	for _, n := range nums {
-		if cl, ok := vm.cluster(n); ok {
-			target[n] = true
-			cl.mu.Lock()
-			cl.frozen = true
-			cl.mu.Unlock()
-		}
-	}
-	vm.mu.Lock()
-	var victims []*taskRec
-	for id, rec := range vm.tasks {
-		if rec.isController || !target[id.Cluster] {
-			continue
-		}
-		victims = append(victims, rec)
-	}
-	vm.mu.Unlock()
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id.less(victims[j].id) })
-
-	vm.mu.Lock()
-	if vm.haDoneGates == nil {
-		vm.haDoneGates = make(map[TaskID]backend.Gate)
-	}
-	dead := make(map[TaskID]bool, len(victims))
-	for _, rec := range victims {
-		vm.haDoneGates[rec.id] = rec.done
-		dead[rec.id] = true
-		rec.failover.Store(true)
-	}
-	vm.mu.Unlock()
-	for _, rec := range victims {
-		rec.kill()
-	}
-	// A victim blocked in InitiateWait holds a reply gate only a controller's
-	// startTask would open; fail those replies (kill flag is already set, so
-	// the task wakes straight into its unwind) or the kill would deadlock.
-	for _, n := range vm.clusterNumbers() {
-		cl, ok := vm.cluster(n)
-		if !ok {
-			continue
-		}
-		cl.mu.Lock()
-		var fail []*initReply
-		for i := range cl.pending {
-			if cl.pending[i].reply != nil && dead[cl.pending[i].parent] {
-				fail = append(fail, cl.pending[i].reply)
-				cl.pending[i].reply = nil
-			}
-		}
-		cl.mu.Unlock()
-		for _, r := range fail {
-			r.deliver(NilTask)
-		}
-	}
-	for _, rec := range victims {
-		if rec.exited != nil {
-			rec.exited.Wait()
-		}
-	}
-	return len(victims)
-}
-
-// haParentFailed reports whether id was failed by FailClusters and has not
-// been restored yet (the fail window).
-func (vm *VM) haParentFailed(id TaskID) bool {
-	if !vm.ha {
-		return false
-	}
-	vm.mu.Lock()
-	_, ok := vm.haDoneGates[id]
-	vm.mu.Unlock()
-	return ok
-}
+// --- adoption and restore ---------------------------------------------------
 
 // AdoptClusters marks the given clusters as hosted by this VM, so a buddy
 // node can take over a dead peer's partition before restoring its state.
@@ -536,13 +435,14 @@ func (vm *VM) AdoptClusters(clusters ...int) {
 	vm.hosted.Store(&next)
 }
 
-// Restore rebuilds the checkpointed clusters' state: the controllers' initMap
-// and pending requests are reinstated, and every checkpointed task is
-// respawned under its original taskid in replay mode.  Tasks failed here by
-// FailClusters get their original done gates back; tasks adopted from a dead
-// node get fresh ones.  After Restore the caller should re-deliver the
-// transport's retained post-checkpoint frames — replay plus floors make any
-// overlap harmless.
+// Restore rebuilds the checkpointed clusters' state on a VM that has just
+// adopted them (AdoptClusters): the controllers' initMap and pending requests
+// are reinstated, and every checkpointed task is respawned under its original
+// taskid in replay mode, with fresh completion bookkeeping — this VM never
+// knew the task.  The adopting VM's controller of such a cluster was a ghost
+// until now and has served nothing, so the checkpoint's initiation state is
+// the whole of it.  After Restore the caller should re-deliver the retained
+// post-checkpoint frames — replay plus floors make any overlap harmless.
 func (vm *VM) Restore(blob []byte) error {
 	if !vm.ha {
 		return fmt.Errorf("core: Restore requires a VM booted with Options.HA")
@@ -559,59 +459,21 @@ func (vm *VM) Restore(blob []byte) error {
 		}
 		cl.mu.Lock()
 		cl.frozen = true
-		// Merge, don't replace: the surviving controller's live initMap also
-		// records creations the checkpoint cut missed (post-checkpoint
-		// children).  A replayed duplicate of such an INITIATE must find the
-		// entry, so the child comes back under its original identity instead
-		// of as a second task (see clusterRT.request).
-		if cl.initMap == nil {
-			cl.initMap = make(map[initKey]TaskID, len(cs.initMap))
-		}
 		for _, e := range cs.initMap {
 			cl.initMap[e.key] = e.child
+			vm.raiseUnique(e.child.Unique)
 		}
 		for _, p := range cs.pending {
-			dup := false
-			if p.key.seq != 0 {
-				for i := range cl.pending {
-					if cl.pending[i].key == p.key {
-						dup = true
-						break
-					}
-				}
-			}
-			if dup {
-				continue
-			}
-			np := pendingInit{tasktype: p.tasktype, parent: p.parent, args: p.args, key: p.key}
-			if p.key.seq != 0 {
-				if id, ok := cl.initMap[p.key]; ok {
-					// The surviving controller served this request after the
-					// checkpoint cut.  The child is dead now (every user task
-					// on a restored cluster is); if its death is recent its
-					// effects may be lost, so re-create it under its original
-					// identity — otherwise they predate every restorable cut
-					// and the request is already fully honoured.
-					if !vm.hasDeadSeq(id) {
-						continue
-					}
-					np.forced = id
-				}
-			}
-			cl.pending = append(cl.pending, np)
+			cl.pending = append(cl.pending, pendingInit{tasktype: p.tasktype, parent: p.parent, args: p.args, key: p.key})
 		}
 		cl.mu.Unlock()
 		for i := range cs.tasks {
-			if err := cl.restoreTask(&cs.tasks[i], vm.takeDoneGate(cs.tasks[i].id)); err != nil {
+			if err := cl.restoreTask(&cs.tasks[i]); err != nil {
 				return err
 			}
 		}
 		restored = append(restored, cl)
 	}
-	// Unconsumed done gates stay parked: they belong to victims the checkpoint
-	// missed (created after the cut), whose re-creation arrives later — a
-	// replayed INITIATE frame or a restored parent's re-issued request — and
-	// must inherit the gate then, or the user-task waitgroup never drains.
 	for _, cl := range restored {
 		cl.mu.Lock()
 		cl.frozen = false
@@ -622,24 +484,29 @@ func (vm *VM) Restore(blob []byte) error {
 }
 
 // restoreTask respawns one checkpointed task in replay mode under its
-// original taskid.  done, when non-nil, is the gate handed over from the
-// failed incarnation (so waiters never observed the failure); a nil gate
-// means this VM never knew the task (buddy adoption) and gets fresh
-// bookkeeping.
-func (c *clusterRT) restoreTask(ts *haCkptTask, done backend.Gate) error {
+// original taskid.
+func (c *clusterRT) restoreTask(ts *haCkptTask) error {
 	vm := c.vm
 	tt, ok := vm.taskType(ts.tasktype)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTaskType, ts.tasktype)
 	}
+	// The task takes the slot its id names: a child re-created under a
+	// planned id waits for its own slot, which only the task that had it at
+	// the cut may hold.  Only a task started between the adoption and the
+	// restore can have taken it; then any free slot will do.
+	slot := ts.id.Slot
 	c.mu.Lock()
-	slot := c.findFreeUserSlotLocked()
+	if slot < c.userLo || slot >= len(c.slots) || c.slots[slot].rec != nil {
+		slot = c.findFreeUserSlotLocked()
+	}
 	if slot < 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("core: cluster %d has no free slot to restore %s", c.cfg.Number, ts.id)
 	}
 	c.slots[slot].rec = reservedMarker
 	c.mu.Unlock()
+	vm.raiseUnique(ts.id.Unique)
 
 	rec := &taskRec{
 		id:         ts.id,
@@ -649,14 +516,8 @@ func (c *clusterRT) restoreTask(ts *haCkptTask, done backend.Gate) error {
 		slot:       slot,
 		localBytes: tt.LocalBytes,
 		initArgs:   ts.args,
-		deathSeq:   vm.takeDeadSeq(ts.id),
 	}
 	rec.wake, rec.queue, rec.done = newTaskRecParts(vm.backend)
-	inherited := done != nil
-	if inherited {
-		rec.done = done
-	}
-	rec.exited = vm.backend.NewGate()
 	h := newTaskHA(true)
 	h.floors = ts.floors
 	if h.floors == nil {
@@ -671,9 +532,7 @@ func (c *clusterRT) restoreTask(ts *haCkptTask, done backend.Gate) error {
 	c.slots[slot].rec = rec
 	c.mu.Unlock()
 	vm.registerTask(rec)
-	if !inherited {
-		vm.userTasks.Add(1)
-	}
+	vm.userTasks.Add(1)
 	body := func(p *mmos.Proc) {
 		rec.setProc(p)
 		p.Charge(costTaskInit)
@@ -684,9 +543,7 @@ func (c *clusterRT) restoreTask(ts *haCkptTask, done backend.Gate) error {
 	}
 	if _, err := vm.kernel.Spawn(c.primary, tt.Name+"/"+rec.id.String(), tt.LocalBytes, body); err != nil {
 		vm.unregisterTask(rec.id)
-		if !inherited {
-			vm.userTasks.Done()
-		}
+		vm.userTasks.Done()
 		c.clearSlot(slot)
 		return fmt.Errorf("core: restoring task %s: %w", ts.id, err)
 	}
@@ -709,15 +566,40 @@ func (c *clusterRT) kickPending() {
 	}
 }
 
+// initLogger is a transport that keeps a node's initiation decisions where a
+// survivor can read them.  In HA mode a task controller reports every
+// sequenced initiation it starts, before the child runs: a child started
+// after the last checkpoint is in no checkpoint, and when its node dies the
+// buddy restoring the cluster must re-create it under the id it had — the id
+// its parent, its receivers' floors and the terminal's already hold — when
+// the request is replayed or re-issued.  The transport hands the logged
+// decisions to the adopter's PlanRestoredInit before it replays the retained
+// frames.
+type initLogger interface {
+	LogInit(cluster int, parent TaskID, seq uint64, id TaskID)
+}
+
+// raiseUnique lifts the unique counter to at least u, so an id this VM
+// assigns from now on cannot repeat one a dead node assigned: a buddy
+// restoring a cluster continues the dead node's numbering, not its own.
+func (vm *VM) raiseUnique(u int) {
+	for {
+		cur := vm.uniqueCtr.Load()
+		if int64(u) <= cur || vm.uniqueCtr.CompareAndSwap(cur, int64(u)) {
+			return
+		}
+	}
+}
+
 // PlanRestoredInit records that the initiation request identified by
 // (parent, seq) was answered with id before a failure: when the transport
 // re-delivers the retained request frame, the controller re-creates the task
 // under that id — in its original slot — instead of assigning a fresh one,
 // so the id the parent already holds stays valid.  A task created AFTER the
 // last checkpoint is otherwise unknown to Restore; the transport observed
-// its id in the initiate reply and plans its re-creation here before
-// replaying retained frames.  Requests already answered in the restored
-// initMap are left alone.
+// its id — in the initiate reply, or in the dead controller's initiation log
+// (initLogger) — and plans its re-creation here before replaying retained
+// frames.  Requests already answered in the restored initMap are left alone.
 func (vm *VM) PlanRestoredInit(cluster int, parent TaskID, seq uint64, id TaskID) error {
 	if !vm.ha {
 		return fmt.Errorf("core: PlanRestoredInit requires a VM booted with Options.HA")
@@ -729,6 +611,7 @@ func (vm *VM) PlanRestoredInit(cluster int, parent TaskID, seq uint64, id TaskID
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchCluster, cluster)
 	}
+	vm.raiseUnique(id.Unique)
 	key := initKey{parent: parent, seq: seq}
 	cl.mu.Lock()
 	if _, started := cl.initMap[key]; !started {

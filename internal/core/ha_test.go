@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -98,46 +100,85 @@ func haExpectedLines() []string {
 	return lines
 }
 
-// runHA runs the boss/worker program on a fresh sim-backed HA VM.  When
-// killAt >= 0, a timer at that virtual time checkpoints cluster 2, fails it,
-// and restores it from the checkpoint.  Returns raw output and the victim
-// count reported by FailClusters.
+// runHA runs the boss/worker program on two sim-backed HA VMs joined by
+// pipes, one scheduler under both: A hosts cluster 1 and the boss, B hosts
+// cluster 2 and the workers.  When killAt >= 0, a timer at that virtual time
+// kills B the way a node dies: B checkpoints cluster 2 and then sends nothing
+// more, A adopts the cluster and restores it from the checkpoint, and B is
+// stopped.  Returns A's raw output and the number of user tasks B was running
+// at the kill.
 func runHA(t *testing.T, seed int64, killAt time.Duration) (string, int) {
 	t.Helper()
 	var out bytes.Buffer
 	s := sim.New(seed)
-	vm, err := NewVM(config.Simple(2, 8), Options{
-		UserOutput:    &out,
-		AcceptTimeout: 30 * time.Second,
-		Backend:       s,
-		HA:            true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerHAProgram(t, vm)
+	vmA, vmB, pipeB := haPair(t, s, &out)
+	registerHAProgram(t, vmA)
+	registerHAProgram(t, vmB)
 
 	victims := -1
 	if killAt >= 0 {
-		vm.Backend().AfterFunc(killAt, func() {
-			blob, err := vm.Checkpoint(2)
+		s.AfterFunc(killAt, func() {
+			blob, err := vmB.Checkpoint(2)
 			if err != nil {
 				t.Errorf("checkpoint: %v", err)
 				return
 			}
-			victims = vm.FailClusters(2)
-			if err := vm.Restore(blob); err != nil {
-				t.Errorf("restore: %v", err)
-			}
+			victims = killB(t, vmA, vmB, pipeB, blob)
 		})
 	}
 
-	if _, err := vm.Initiate("boss", OnCluster(1)); err != nil {
+	if _, err := vmA.Initiate("boss", OnCluster(1)); err != nil {
 		t.Fatal(err)
 	}
-	vm.WaitIdle()
-	vm.Shutdown()
+	vmA.WaitIdle()
+	vmB.WaitIdle()
+	vmB.Shutdown()
+	vmA.Shutdown()
 	return out.String(), victims
+}
+
+// haPair boots two HA VMs over one 2-cluster configuration on one scheduler:
+// A hosts cluster 1 and writes the terminal to out, B hosts cluster 2, with
+// pipes between them.  It returns B's pipe, whose drop switch a kill throws.
+func haPair(t *testing.T, s *sim.Scheduler, out *bytes.Buffer) (*VM, *VM, *pipeTransport) {
+	t.Helper()
+	trA, trB := &pipeTransport{}, &pipeTransport{}
+	boot := func(hosted int, w io.Writer, tr *pipeTransport) *VM {
+		vm, err := NewVM(config.Simple(2, 8), Options{
+			UserOutput: w, AcceptTimeout: 30 * time.Second, Backend: s, HA: true,
+			Hosted: []int{hosted}, Remote: tr, NodeID: hosted - 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm
+	}
+	vmA, vmB := boot(1, out, trA), boot(2, io.Discard, trB)
+	trA.peer, trB.peer = vmB, vmA
+	return vmA, vmB, trB
+}
+
+// killB is B's death as A sees it, in one instant of the schedule: B's pipe
+// drops everything B sends from here on, A adopts cluster 2 and restores it
+// from blob, B's last checkpoint of it, and B is stopped.  The pipes deliver
+// synchronously, so nothing is in flight to retain and replay.  It returns
+// the number of user tasks B was running.
+func killB(t *testing.T, vmA, vmB *VM, pipeB *pipeTransport, blob []byte) int {
+	victims := 0
+	for _, ti := range vmB.RunningTasks() {
+		if !ti.Controller {
+			victims++
+		}
+	}
+	pipeB.mu.Lock()
+	pipeB.drop = true
+	pipeB.mu.Unlock()
+	vmA.AdoptClusters(2)
+	if err := vmA.Restore(blob); err != nil {
+		t.Errorf("restore: %v", err)
+	}
+	vmB.Shutdown()
+	return victims
 }
 
 func sortedLines(s string) []string {
@@ -146,8 +187,8 @@ func sortedLines(s string) []string {
 	return lines
 }
 
-// TestHACheckpointRestoreRoundTrip kills cluster 2 at several virtual times
-// and checks the program's output is the same multiset of lines as the
+// TestHACheckpointRestoreRoundTrip kills the VM hosting cluster 2 at several
+// virtual times and checks the program's output is the same multiset of lines as the
 // fault-free run (and as the semantics predict), with no duplicated or lost
 // prints: replayed sends must be deduplicated by the receiver floors and the
 // user controller's floor.
@@ -163,7 +204,7 @@ func TestHACheckpointRestoreRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("killAt=%v", killAt), func(t *testing.T) {
 			out, victims := runHA(t, 1, killAt)
 			if victims <= 0 {
-				t.Fatalf("FailClusters reported %d victims; kill did not land mid-run", victims)
+				t.Fatalf("B was running %d user tasks at the kill; it did not land mid-run", victims)
 			}
 			if got := sortedLines(out); strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Errorf("killAt=%v output lines = %q, want %q", killAt, got, want)
@@ -182,6 +223,75 @@ func TestHAKillDeterminism(t *testing.T) {
 	}
 	if v1 != v2 {
 		t.Fatalf("victim counts differ: %d vs %d", v1, v2)
+	}
+}
+
+// TestHARestoredResendOnBuddy: a task restored on the VM that adopted its
+// cluster re-executes the sends it made after the checkpoint, and the
+// adopter, which never saw the first life, answers a re-send to a task that
+// has exited since from that task's exit record.  A message the receiver
+// admitted is a send that happened and succeeds silently; one that never
+// reached it — its receiver was gone before the first life sent it — fails
+// again, because the record means "admitted", not "recently dead".
+func TestHARestoredResendOnBuddy(t *testing.T) {
+	var out bytes.Buffer
+	s := sim.New(1)
+	vmA, vmB, pipeB := haPair(t, s, &out)
+	type sends struct {
+		restored        bool
+		toTaker, toGone error
+	}
+	var lives []sends
+	for _, vm := range []*VM{vmA, vmB} {
+		vm.Register("taker", func(task *Task) { _, _ = task.AcceptOne("datum") })
+		vm.Register("gone", func(task *Task) {})
+		vm.Register("src", func(task *Task) {
+			if _, err := task.AcceptOne("go"); err != nil {
+				t.Errorf("src %s: %v", task.ID(), err)
+				return
+			}
+			life := sends{restored: task.VM() == vmA}
+			life.toTaker = task.Send(MustID(task.Arg(0)), "datum", Int(1))
+			life.toGone = task.Send(MustID(task.Arg(1)), "datum", Int(2))
+			lives = append(lives, life)
+		})
+	}
+	taker, err1 := vmA.Initiate("taker", OnCluster(1))
+	gone, err2 := vmA.Initiate("gone", OnCluster(1))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	_ = vmA.WaitTask(gone)
+	src, err := vmA.Initiate("src", OnCluster(2), ID(taker), ID(gone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "go" reaches src, and B cuts its checkpoint in the same instant: the
+	// restored src replays no ACCEPT and takes "go" from the queue tail, so
+	// its sends are live re-sends, not replay.
+	if err := vmA.SendFromUser(src, "go"); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := vmB.Checkpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = vmA.WaitTask(taker) // src's first life sends; taker admits its datum and exits
+	killB(t, vmA, vmB, pipeB, blob)
+	vmA.WaitIdle()
+	vmA.Shutdown()
+
+	if len(lives) != 2 || lives[0].restored || !lives[1].restored {
+		t.Fatalf("src lived %+v; want a first life on B and a restored one on A", lives)
+	}
+	if first := lives[0]; first.toTaker != nil || first.toGone != nil {
+		t.Fatalf("first life's sends crossed the wire and cannot fail there, got %v, %v", first.toTaker, first.toGone)
+	}
+	if err := lives[1].toTaker; err != nil {
+		t.Errorf("restored re-send of a message the exited taker admitted: %v, want success", err)
+	}
+	if err := lives[1].toGone; !errors.Is(err, ErrNoSuchTask) {
+		t.Errorf("restored send to a task that exited before the first life sent: %v, want ErrNoSuchTask", err)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/node"
-	"repro/internal/sim"
 )
 
 // TestReusedStorageNeverAliasesRetainedArgs: several things outlive a SEND and
@@ -26,10 +24,12 @@ import (
 // list, and one across the delayed wire, whose messages were encoded from it
 // and are still in flight when the list is filled again.  Each receiver
 // captures its checkpoint state before every ACCEPT, so the snapshot's
-// messages are accepted and recycled after it was taken; a quarter of the way
-// through, the far cluster is checkpointed, and half way through it is
-// failed and restored, so the far receiver runs again from its log, the
-// snapshot's tail and a pen the live and re-delivered frames collect in.
+// messages are accepted and recycled after it was taken.  The far cluster is
+// hosted by a second VM on the same simulator: a quarter of the way through
+// it is checkpointed, and half way through its VM dies the way a node does
+// and the first VM adopts the cluster, restores it and replays the retained
+// frames, so the far receiver runs again from its log, the snapshot's tail
+// and a pen the live and re-delivered frames collect in.
 // Every retained argument list and every delayed frame must be left with the
 // values of its own message.  The fault transport orders a lane by the
 // backend clock, so the run is on the simulator, over eight seeds.
@@ -40,25 +40,16 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 	)
 	snapshots, penned := 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
-		s := sim.New(seed)
-		ft := node.NewFaultTransport(seed, node.DefaultFaultProfile())
-		vm, err := core.NewVM(config.Simple(2, 4), core.Options{
-			UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true,
-			Remote: ft, InterceptWire: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ft.Bind(vm)
+		s, ft, endB, vm, vmB := faultMesh(t, seed, config.Simple(2, 4))
 		ft.MarkEpoch(far)
 
 		lists := map[*core.Value]bool{} // every list a finished receiver's log retains, by its storage
 		var captured [][][]core.Value   // every queue snapshot taken, read once the run is over
 		problems := make(chan string, 4)
-		vm.Register("receiver", func(task *core.Task) {
+		receiver := func(task *core.Task) {
 			one := core.AcceptSpec{Total: 1, Types: []core.TypeCount{{Type: "datum"}}}
 			for k := 0; k < msgs; k++ {
-				queued, pen := vm.CheckpointedArgs(task.ID())
+				queued, pen := task.VM().CheckpointedArgs(task.ID())
 				captured = append(captured, queued)
 				penned += pen
 				res, err := task.Accept(one)
@@ -74,7 +65,7 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 			}
 			// Everything consumed, every result refilled many times over: what
 			// does the log still hold?
-			logged := vm.LoggedArgs(task.ID())
+			logged := task.VM().LoggedArgs(task.ID())
 			if len(logged) != msgs {
 				problems <- fmt.Sprintf("receiver %s: consumption log retains %d argument lists, want %d", task.ID(), len(logged), msgs)
 				return
@@ -90,22 +81,23 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 				}
 				lists[&args[0]] = true
 			}
-		})
+		}
+		vm.Register("receiver", receiver)
+		vmB.Register("receiver", receiver)
 		var blob []byte
 		victims := 0
 		checkpoint := func() {
 			var err error
-			if blob, err = vm.Checkpoint(far); err != nil {
+			if blob, err = vmB.Checkpoint(far); err != nil {
 				problems <- fmt.Sprintf("checkpoint: %v", err)
 			}
 			ft.MarkEpoch(far)
 		}
 		kill := func() {
-			victims = vm.FailClusters(far)
-			if err := vm.Restore(blob); err != nil {
+			var err error
+			if victims, err = netKillB(vm, vmB, ft, endB, blob); err != nil {
 				problems <- fmt.Sprintf("restore: %v", err)
 			}
-			ft.ReplayRetained(far)
 		}
 
 		vm.Register("sender", func(task *core.Task) {
@@ -119,9 +111,9 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 			for k := 0; k < msgs; k++ {
 				switch k {
 				case msgs / 4:
-					_ = ft.KillAt(0, checkpoint)
+					s.AfterFunc(0, checkpoint)
 				case msgs / 2:
-					_ = ft.KillAt(0, kill)
+					s.AfterFunc(0, kill)
 				}
 				if k%10 == 0 {
 					// Let the virtual clock run: frames land, the receivers
@@ -146,12 +138,13 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 		}
 		vm.WaitIdle()
 		vm.Shutdown()
+		vmB.Shutdown()
 		close(problems)
 		for p := range problems {
 			t.Errorf("seed %d: %s", seed, p)
 		}
 		if victims != 1 {
-			t.Errorf("seed %d: the kill failed %d tasks, want the far receiver", seed, victims)
+			t.Errorf("seed %d: the dead VM was running %d user tasks, want the far receiver", seed, victims)
 		}
 		if len(lists) != 2*msgs && !t.Failed() {
 			t.Errorf("seed %d: checked %d retained argument lists, want %d", seed, len(lists), 2*msgs)

@@ -285,7 +285,7 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) error {
 	size, remote, err := t.vm.dispatch(t.rec.cluster, to, msgType, t.ID(), args, sendSeq, nil)
 	if err != nil {
-		if errors.Is(err, ErrNoSuchTask) && t.haSendSuppressed(sendSeq) {
+		if errors.Is(err, ErrNoSuchTask) && t.haSendSuppressed(to, sendSeq) {
 			return nil
 		}
 		return err

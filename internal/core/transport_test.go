@@ -15,18 +15,23 @@ import (
 // pipeTransport connects two VMs in one process: every frame is delivered
 // synchronously into the peer VM, the minimal faithful model of the node
 // transport's socket (per-sender order preserved, payload consumed before
-// Send returns).
+// Send returns).  drop models the sending VM's death: from then on nothing it
+// sends arrives.
 type pipeTransport struct {
 	mu   sync.Mutex
 	peer *VM
 	sent int
+	drop bool
 }
 
 func (p *pipeTransport) Send(f *WireFrame) error {
 	p.mu.Lock()
-	vm := p.peer
+	vm, drop := p.peer, p.drop
 	p.sent++
 	p.mu.Unlock()
+	if drop {
+		return nil
+	}
 	// Copy the payload like a socket write would: the sender reuses its
 	// payload buffer as soon as Send returns.
 	g := *f
@@ -36,9 +41,11 @@ func (p *pipeTransport) Send(f *WireFrame) error {
 
 func (p *pipeTransport) SendReply(dst int, replyID uint64, id TaskID) error {
 	p.mu.Lock()
-	vm := p.peer
+	vm, drop := p.peer, p.drop
 	p.mu.Unlock()
-	vm.DeliverWireReply(replyID, id)
+	if !drop {
+		vm.DeliverWireReply(replyID, id)
+	}
 	return nil
 }
 

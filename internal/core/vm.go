@@ -69,8 +69,8 @@ type Options struct {
 	// Backend selects the scheduling substrate tasks run on.  Nil uses the
 	// default goroutine backend; a deterministic backend (internal/sim) makes
 	// the whole run reproducible from its seed.  A deterministic VM must be
-	// driven from a single goroutine, and a backend must not be shared
-	// between VMs.
+	// driven from a single goroutine; the VMs of one in-process mesh may
+	// share one deterministic backend, driven from that one goroutine.
 	Backend backend.Backend
 	// Hosted restricts the clusters whose tasks actually run in this process
 	// (distributed mode, internal/node).  Nil hosts every configured cluster.
@@ -92,7 +92,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// HA enables fault tolerance: tasks number their outbound sends, receivers
 	// keep duplicate-suppression floors and an ACCEPT consumption log, and the
-	// VM exposes Checkpoint/FailClusters/Restore (see ha.go).  Costs a map
+	// VM exposes Checkpoint/AdoptClusters/Restore (see ha.go).  Costs a map
 	// append per ACCEPT-consumed message, so it is opt-in.
 	HA bool
 	// Limits is the per-tenant resource policy this VM enforces on its own
@@ -169,20 +169,15 @@ type VM struct {
 	userCtrl TaskID
 
 	// HA-mode state (ha.go): ha gates every fault-tolerance code path;
-	// haDeadSeqs records, per finished or failover-killed task, the send
-	// sequence number it had reached at death, so a re-created incarnation can
-	// recognise re-executed sends whose delivery already happened (see
-	// haSendSuppressed).  haDeadSeqsOld is the previous checkpoint interval's
-	// generation; Checkpoint rotates them so the maps stay bounded.  Guarded
-	// by haSeqMu, not vm.mu: the maps are consulted on initiate paths that
-	// hold a cluster lock.
-	haSeqMu       sync.Mutex
-	haDeadSeqs    map[TaskID]uint64
-	haDeadSeqsOld map[TaskID]uint64
-	// haDoneGates carries the done gates of tasks failed by FailClusters
-	// across to Restore, which hands them to the respawned incarnations.
-	ha          bool
-	haDoneGates map[TaskID]backend.Gate
+	// haGone keeps, per exited task, the admission floors it had at exit, so
+	// a re-executed send to it can be told from a new one (see recordExit).
+	// haGoneOld is the previous checkpoint interval's generation; Checkpoint
+	// rotates them so the maps stay bounded.  Guarded by haGoneMu, not vm.mu:
+	// the maps are consulted on initiate paths that hold a cluster lock.
+	ha        bool
+	haGoneMu  sync.Mutex
+	haGone    map[TaskID]map[TaskID]uint64
+	haGoneOld map[TaskID]map[TaskID]uint64
 
 	uniqueCtr atomic.Int64
 	// userTasks counts running user tasks plus the holds of fire-and-forget

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,24 +67,41 @@ type laneKey struct {
 }
 
 // FaultTransport is a deterministic fault/latency-injecting core.Transport:
-// every frame is re-injected into the local VM (core.VM.DeliverWire) after a
-// seeded delay, scheduled on the VM's backend so that under -sim the whole
-// "network" runs on the virtual clock and replays byte-identically from the
-// seed.  Ordering stays per-lane FIFO — due times within a lane are forced
-// monotone, modelling a link that delays but never reorders one sender's
-// traffic — while different lanes reorder freely against each other, which
-// is exactly the schedule freedom a real multi-node mesh has and a
-// single-process run never exercises.
+// every frame is delivered (core.VM.DeliverWire) after a seeded delay,
+// scheduled on the VMs' backend so that under -sim the whole "network" runs
+// on the virtual clock and replays byte-identically from the seed.  Ordering
+// stays per-lane FIFO — due times within a lane are forced monotone,
+// modelling a link that delays but never reorders one sender's traffic —
+// while different lanes reorder freely against each other, which is exactly
+// the schedule freedom a real multi-node mesh has and a single-process run
+// never exercises.
 //
 // Used with core.Options{Remote: ft, InterceptWire: true} on a VM hosting
 // every cluster: all cross-cluster traffic then pays simulated network
-// delay.  Bind must be called with the VM before tasks run.
+// delay.  Bind must be called with the VM before tasks run.  The VMs of an
+// in-process mesh share one network: each further VM is booted with an End
+// of it, and a frame is handed to the live VM that hosts its destination
+// cluster when it is delivered.
 type FaultTransport struct {
+	End // the first VM's
+}
+
+// End is one VM's attachment to a FaultTransport's network: pass it as the
+// VM's core.Options.Remote and Bind it once the VM is booted.  Fail models
+// the VM's death as its peers see it.  dead is guarded by net.mu.
+type End struct {
+	net  *faultNet
+	vm   *core.VM
+	dead bool
+}
+
+// faultNet is the delay line every end of one FaultTransport shares.
+type faultNet struct {
 	profile FaultProfile
 
 	mu          sync.Mutex
 	rng         *rand.Rand
-	vm          *core.VM
+	ends        []*End
 	be          backend.Backend
 	lanes       map[laneKey]time.Time
 	batches     map[laneKey]time.Time
@@ -93,104 +111,143 @@ type FaultTransport struct {
 	faults      int64
 
 	// retained holds, per destination cluster, copies of every message frame
-	// delivered since the cluster's last MarkEpoch.  A kill/restore harness
-	// checkpoints a cluster, calls MarkEpoch, and on failure re-injects the
-	// retained post-checkpoint traffic with ReplayRetained — the senders have
-	// moved on and will never resend it themselves.  Retention only runs for
-	// clusters that have had MarkEpoch called, so fault-only runs pay
-	// nothing.  byReply indexes the retained initiate-request frames by
-	// ReplyID, so the reply crossing back through SendReply can annotate the
-	// request with the taskid it was answered with (initID): replaying the
-	// request then re-creates the task under the same id.
-	retained map[int][]*retainedFrame
-	byReply  map[uint64]*retainedFrame
+	// delivered to it (or lost with its dead host) since the cluster's last
+	// MarkEpoch, and inits the initiations its task controller logged since
+	// (LogInit).  A kill/restore harness checkpoints a cluster, calls
+	// MarkEpoch, and on failure hands both to the adopter with ReplayRetained
+	// — the senders have moved on and will never resend the frames
+	// themselves, and the ids the dead controller assigned died with it.
+	// Retention only runs for clusters that have had MarkEpoch called, so
+	// fault-only runs pay nothing.
+	retained map[int][]*core.WireFrame
+	inits    map[int][]loggedInit
 }
 
-// retainedFrame is one delivered frame kept for post-restore re-delivery.
-type retainedFrame struct {
-	f      *core.WireFrame
-	initID core.TaskID // id assigned to a ReplyID frame, once observed
+// loggedInit is one initiation a task controller started: the request's key
+// and the id it was answered with.
+type loggedInit struct {
+	parent core.TaskID
+	seq    uint64
+	id     core.TaskID
 }
 
 // NewFaultTransport builds a fault transport with its own seeded PRNG.  The
 // same seed and the same VM schedule reproduce the same delays.
 func NewFaultTransport(seed int64, p FaultProfile) *FaultTransport {
-	return &FaultTransport{profile: p, rng: rand.New(rand.NewSource(seed)), lanes: make(map[laneKey]time.Time), batches: make(map[laneKey]time.Time)}
+	n := &faultNet{profile: p, rng: rand.New(rand.NewSource(seed)), lanes: make(map[laneKey]time.Time), batches: make(map[laneKey]time.Time)}
+	ft := &FaultTransport{End{net: n}}
+	n.ends = []*End{&ft.End}
+	return ft
 }
 
-// Bind attaches the transport to the VM it delays traffic for.
-func (ft *FaultTransport) Bind(vm *core.VM) {
-	ft.mu.Lock()
-	ft.vm = vm
-	ft.be = vm.Backend()
-	ft.mu.Unlock()
+// Join attaches one more VM to the transport's network.
+func (ft *FaultTransport) Join() *End {
+	e := &End{net: ft.net}
+	ft.net.mu.Lock()
+	ft.net.ends = append(ft.net.ends, e)
+	ft.net.mu.Unlock()
+	return e
+}
+
+// Bind attaches the end to the VM it carries traffic for.  All the VMs of a
+// network run on one backend.
+func (e *End) Bind(vm *core.VM) {
+	e.net.mu.Lock()
+	e.vm = vm
+	e.net.be = vm.Backend()
+	e.net.mu.Unlock()
+}
+
+// Fail is the death of the end's VM as its peers see it: from now on every
+// frame and reply the VM sends is dropped, no frame is delivered to it, and
+// Flush on it returns at once.  Frames lost to it are still retained for the
+// clusters it hosted, so a survivor that adopts them can ReplayRetained.
+func (e *End) Fail() {
+	e.net.mu.Lock()
+	e.dead = true
+	e.net.mu.Unlock()
 }
 
 // Stats reports how many frames were delivered and how many paid a
 // retransmission fault.
 func (ft *FaultTransport) Stats() (delivered, faults int64) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.delivered, ft.faults
+	ft.net.mu.Lock()
+	defer ft.net.mu.Unlock()
+	return ft.net.delivered, ft.net.faults
+}
+
+// hostsLocked returns the live end whose VM hosts the cluster, nil when none
+// does.  A network of one end always answers with it: its VM resolves every
+// destination itself.  Callers hold n.mu.
+func (n *faultNet) hostsLocked(cluster int) *End {
+	if len(n.ends) == 1 {
+		return n.ends[0]
+	}
+	for _, e := range n.ends {
+		if !e.dead && e.vm != nil && slices.Contains(e.vm.HostedClusters(), cluster) {
+			return e
+		}
+	}
+	return nil
 }
 
 // schedule computes the frame's due time on its lane and arranges fn to run
 // then.  Callers hold no locks.
-func (ft *FaultTransport) schedule(key laneKey, fn func()) error {
-	ft.mu.Lock()
-	if ft.vm == nil {
-		ft.mu.Unlock()
+func (n *faultNet) schedule(key laneKey, fn func()) error {
+	n.mu.Lock()
+	if n.be == nil {
+		n.mu.Unlock()
 		return fmt.Errorf("node: fault transport used before Bind")
 	}
-	delay := ft.profile.Base
-	if ft.profile.Jitter > 0 {
-		delay += time.Duration(ft.rng.Int63n(int64(ft.profile.Jitter)))
+	delay := n.profile.Base
+	if n.profile.Jitter > 0 {
+		delay += time.Duration(n.rng.Int63n(int64(n.profile.Jitter)))
 	}
 	// Drop/retry loop: each attempt is lost with DropRate, pays Retransmit,
 	// and tries again; the attempt after maxRetransmits losses always gets
 	// through.  Sampled at schedule time so the whole retry history is fixed
 	// by the seed and the send order.
-	if ft.profile.DropRate > 0 {
-		for tries := 0; tries < maxRetransmits && ft.rng.Float64() < ft.profile.DropRate; tries++ {
-			delay += ft.profile.Retransmit
-			ft.faults++
+	if n.profile.DropRate > 0 {
+		for tries := 0; tries < maxRetransmits && n.rng.Float64() < n.profile.DropRate; tries++ {
+			delay += n.profile.Retransmit
+			n.faults++
 		}
 	}
-	now := ft.be.Now()
+	now := n.be.Now()
 	// Batch coalescing: a lane's frames share the open batch window's
 	// departure time, then each pays its sampled wire delay from there.  The
 	// first frame past the close opens the next window.
 	depart := now
-	if w := ft.profile.BatchWindow; w > 0 {
-		if dl, ok := ft.batches[key]; ok && now.Before(dl) {
+	if w := n.profile.BatchWindow; w > 0 {
+		if dl, ok := n.batches[key]; ok && now.Before(dl) {
 			depart = dl
 		} else {
 			depart = now.Add(w)
-			ft.batches[key] = depart
+			n.batches[key] = depart
 		}
 	}
 	due := depart.Add(delay)
 	// Per-lane FIFO: a frame never fires before its predecessor on the same
 	// lane.  The extra nanosecond keeps due times strictly monotone so timer
 	// ties cannot reorder a lane even in principle.
-	if last, ok := ft.lanes[key]; ok && !due.After(last) {
+	if last, ok := n.lanes[key]; ok && !due.After(last) {
 		due = last.Add(time.Nanosecond)
 	}
-	ft.lanes[key] = due
-	ft.outstanding++
-	be := ft.be
-	ft.mu.Unlock()
+	n.lanes[key] = due
+	n.outstanding++
+	be := n.be
+	n.mu.Unlock()
 
 	be.AfterFunc(due.Sub(now), func() {
 		fn()
-		ft.mu.Lock()
-		ft.outstanding--
-		ft.delivered++
+		n.mu.Lock()
+		n.outstanding--
+		n.delivered++
 		var wake []backend.Gate
-		if ft.outstanding == 0 {
-			wake, ft.idleWaits = ft.idleWaits, nil
+		if n.outstanding == 0 {
+			wake, n.idleWaits = n.idleWaits, nil
 		}
-		ft.mu.Unlock()
+		n.mu.Unlock()
 		for _, g := range wake {
 			g.Open()
 		}
@@ -198,36 +255,81 @@ func (ft *FaultTransport) schedule(key laneKey, fn func()) error {
 	return nil
 }
 
-// Send delays the frame on its lane and re-injects it with DeliverWire.
-func (ft *FaultTransport) Send(f *core.WireFrame) error {
+// Send delays the frame on its lane and delivers it with DeliverWire to the
+// VM hosting its destination then — a broadcast to every other VM, each
+// fanning it out to the tasks it hosts.
+func (e *End) Send(f *core.WireFrame) error {
+	if e.isDead() {
+		return nil
+	}
+	n := e.net
 	// The frame and its payload buffer go back to the sender's pool when Send
 	// returns: the delayed frame needs its own copy.
 	g := *f
 	g.Payload = append([]byte(nil), f.Payload...)
-	vm := ft.vm
-	return ft.schedule(laneKey{src: f.Src, dst: f.Dst}, func() {
-		_ = vm.DeliverWire(&g)
-		ft.retain(&g)
+	return n.schedule(laneKey{src: f.Src, dst: f.Dst}, func() {
+		n.mu.Lock()
+		var to []*End
+		if g.Kind == core.FrameBroadcast && len(n.ends) > 1 {
+			for _, o := range n.ends {
+				if o != e && o.vm != nil {
+					to = append(to, o)
+				}
+			}
+		} else if h := n.hostsLocked(g.Dst); h != nil {
+			to = []*End{h}
+		}
+		n.mu.Unlock()
+		for _, o := range to {
+			if !o.isDead() {
+				_ = o.vm.DeliverWire(&g)
+			}
+		}
+		n.retain(&g, to)
 	})
 }
 
+func (e *End) isDead() bool {
+	e.net.mu.Lock()
+	defer e.net.mu.Unlock()
+	return e.dead
+}
+
 // retain records a delivered frame for possible ReplayRetained, when its
-// destination cluster has retention armed.
-func (ft *FaultTransport) retain(f *core.WireFrame) {
-	ft.mu.Lock()
-	if ft.retained != nil {
-		if frames, ok := ft.retained[f.Dst]; ok {
-			rf := &retainedFrame{f: f}
-			ft.retained[f.Dst] = append(frames, rf)
-			if f.ReplyID != 0 {
-				if ft.byReply == nil {
-					ft.byReply = make(map[uint64]*retainedFrame)
-				}
-				ft.byReply[f.ReplyID] = rf
+// destination cluster has retention armed.  A broadcast is kept once for
+// every armed cluster a VM it went to hosts, narrowed to that cluster, so its
+// replay reaches only the tasks the cluster's restore lost.
+func (n *faultNet) retain(f *core.WireFrame, to []*End) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if f.Kind != core.FrameBroadcast || f.Dst != 0 {
+		if frames, ok := n.retained[f.Dst]; ok {
+			n.retained[f.Dst] = append(frames, f)
+		}
+		return
+	}
+	for _, o := range to {
+		for _, c := range o.vm.HostedClusters() {
+			if frames, ok := n.retained[c]; ok {
+				g := *f
+				g.Dst = c
+				n.retained[c] = append(frames, &g)
 			}
 		}
 	}
-	ft.mu.Unlock()
+}
+
+// LogInit keeps an initiation the end's VM started on a cluster with
+// retention armed, for ReplayRetained to plan on the VM that adopts the
+// cluster.  The network takes it before the child runs, so no effect of the
+// child can reach a survivor ahead of its id.
+func (e *End) LogInit(cluster int, parent core.TaskID, seq uint64, id core.TaskID) {
+	n := e.net
+	n.mu.Lock()
+	if _, ok := n.retained[cluster]; ok && !e.dead {
+		n.inits[cluster] = append(n.inits[cluster], loggedInit{parent, seq, id})
+	}
+	n.mu.Unlock()
 }
 
 // MarkEpoch arms (or re-arms) retention for a destination cluster: frames
@@ -236,89 +338,79 @@ func (ft *FaultTransport) retain(f *core.WireFrame) {
 // the retained traffic is exactly the post-checkpoint delta a restore needs
 // re-delivered.
 func (ft *FaultTransport) MarkEpoch(cluster int) {
-	ft.mu.Lock()
-	if ft.retained == nil {
-		ft.retained = make(map[int][]*retainedFrame)
+	n := ft.net
+	n.mu.Lock()
+	if n.retained == nil {
+		n.retained = make(map[int][]*core.WireFrame)
+		n.inits = make(map[int][]loggedInit)
 	}
-	for id, rf := range ft.byReply {
-		if rf.f.Dst == cluster {
-			delete(ft.byReply, id)
-		}
-	}
-	ft.retained[cluster] = nil
-	ft.mu.Unlock()
+	n.retained[cluster] = nil
+	n.inits[cluster] = nil
+	n.mu.Unlock()
 }
 
-// ReplayRetained re-injects every frame delivered to the cluster since its
-// last MarkEpoch, in original delivery order, bypassing the delay line (the
+// ReplayRetained hands the cluster's post-checkpoint state to the VM hosting
+// it now: every initiation logged since the last MarkEpoch is planned
+// (PlanRestoredInit), so the request, replayed or re-issued, re-creates its
+// task under the logged id; then every frame delivered to the cluster is
+// re-injected in original delivery order, bypassing the delay line (the
 // frames already paid their delays once).  Called after core.Restore; the
-// restored tasks' duplicate-suppression floors admit each frame at most
-// once, and initiate requests whose reply was observed re-create their task
-// under the recorded id (PlanRestoredInit).  Returns the number of frames
-// re-injected.
+// restored tasks' duplicate-suppression floors admit each frame at most once.
+// Returns the number of frames re-injected.
 func (ft *FaultTransport) ReplayRetained(cluster int) int {
-	ft.mu.Lock()
-	frames := ft.retained[cluster]
-	vm := ft.vm
-	ft.mu.Unlock()
-	for _, rf := range frames {
-		if rf.f.ReplyID != 0 && rf.initID != core.NilTask {
-			_ = vm.PlanRestoredInit(rf.f.Dst, rf.f.Sender, rf.f.SendSeq, rf.initID)
-		}
-		g := *rf.f
-		_ = vm.DeliverWire(&g)
+	n := ft.net
+	n.mu.Lock()
+	frames, inits := n.retained[cluster], n.inits[cluster]
+	h := n.hostsLocked(cluster)
+	n.mu.Unlock()
+	if h == nil {
+		return 0
+	}
+	for _, l := range inits {
+		_ = h.vm.PlanRestoredInit(cluster, l.parent, l.seq, l.id)
+	}
+	for _, f := range frames {
+		g := *f
+		_ = h.vm.DeliverWire(&g)
 	}
 	return len(frames)
 }
 
-// KillAt schedules fn on the transport's backend clock — under -sim, at an
-// exact virtual time, making a fault-injection schedule (kill node, restore
-// from checkpoint) as reproducible as the delays.  Bind must have been
-// called.
-func (ft *FaultTransport) KillAt(d time.Duration, fn func()) error {
-	ft.mu.Lock()
-	be := ft.be
-	ft.mu.Unlock()
-	if be == nil {
-		return fmt.Errorf("node: KillAt before Bind")
+// SendReply delays an initiate reply on the destination's reply lane.
+func (e *End) SendReply(dst int, replyID uint64, id core.TaskID) error {
+	if e.isDead() {
+		return nil
 	}
-	be.AfterFunc(d, fn)
-	return nil
-}
-
-// SendReply delays an initiate reply on the destination's reply lane.  When
-// the request frame this reply answers is retained, the assigned id is
-// recorded on it so a replay can re-create the task under the same id.
-func (ft *FaultTransport) SendReply(dst int, replyID uint64, id core.TaskID) error {
-	ft.mu.Lock()
-	if rf, ok := ft.byReply[replyID]; ok {
-		rf.initID = id
-	}
-	ft.mu.Unlock()
-	vm := ft.vm
-	return ft.schedule(laneKey{dst: dst, reply: true}, func() {
-		vm.DeliverWireReply(replyID, id)
+	n := e.net
+	return n.schedule(laneKey{dst: dst, reply: true}, func() {
+		n.mu.Lock()
+		h := n.hostsLocked(dst)
+		n.mu.Unlock()
+		if h != nil && !h.isDead() {
+			h.vm.DeliverWireReply(replyID, id)
+		}
 	})
 }
 
 // Flush blocks until every frame accepted before the call has been
 // delivered.  Under -sim the wait pumps the scheduler, so the virtual clock
 // advances to the pending due times and the delay line empties
-// deterministically.
-func (ft *FaultTransport) Flush() {
-	ft.mu.Lock()
-	if ft.outstanding == 0 || ft.be == nil {
-		ft.mu.Unlock()
+// deterministically.  A failed end holds nothing: its Flush returns at once.
+func (e *End) Flush() {
+	n := e.net
+	n.mu.Lock()
+	if e.dead || n.outstanding == 0 || n.be == nil {
+		n.mu.Unlock()
 		return
 	}
-	g := ft.be.NewGate()
-	ft.idleWaits = append(ft.idleWaits, g)
-	ft.mu.Unlock()
+	g := n.be.NewGate()
+	n.idleWaits = append(n.idleWaits, g)
+	n.mu.Unlock()
 	g.Wait()
 }
 
 // Close drains the delay line.
-func (ft *FaultTransport) Close() error {
-	ft.Flush()
+func (e *End) Close() error {
+	e.Flush()
 	return nil
 }

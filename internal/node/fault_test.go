@@ -1,0 +1,96 @@
+package node_test
+
+import (
+	"io"
+	"testing"
+	"time"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/node"
+	"repro/internal/sim"
+)
+
+// TestFaultMeshBroadcastSurvivesKill: a broadcast between the VMs of one
+// fault network reaches the other VM's tasks, and is retained for the
+// clusters that VM hosts, narrowed to them.  A listener on cluster 2 takes a
+// broadcast sent after cluster 2's checkpoint; the VM hosting cluster 2 then
+// dies, and the survivor restores the listener and replays the retained
+// frames, so the restored listener takes the broadcast again.  A task on
+// cluster 1 that started after the broadcast sees nothing of the replay: it
+// was never among the broadcast's receivers.
+func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
+	s := sim.New(1)
+	ft := node.NewFaultTransport(1, node.DefaultFaultProfile())
+	endB := ft.Join()
+	boot := func(hosted int, remote core.Transport) *core.VM {
+		vm, err := core.NewVM(config.Simple(2, 4), core.Options{
+			UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true,
+			Hosted: []int{hosted}, Remote: remote, InterceptWire: true, NodeID: hosted - 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm
+	}
+	vmA, vmB := boot(1, ft), boot(2, endB)
+	ft.Bind(vmA)
+	endB.Bind(vmB)
+	heard := map[string]int{}
+	for _, vm := range []*core.VM{vmA, vmB} {
+		vm.Register("caster", func(task *core.Task) {
+			if _, err := task.AcceptOne("cast"); err != nil {
+				t.Errorf("caster: %v", err)
+				return
+			}
+			if err := task.Broadcast("news", core.Int(5)); err != nil {
+				t.Errorf("caster: %v", err)
+			}
+		})
+		listen := func(name string, delay time.Duration) func(*core.Task) {
+			return func(task *core.Task) {
+				res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "news", Count: 1}}, Delay: delay})
+				if err == nil && !res.TimedOut {
+					heard[name]++
+				}
+			}
+		}
+		vm.Register("listener", listen("listener", core.Forever))
+		vm.Register("late", listen("late", 50*time.Millisecond))
+	}
+	caster, err1 := vmA.Initiate("caster", core.OnCluster(1))
+	_, err2 := vmA.Initiate("listener", core.OnCluster(2))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	blob, err := vmB.Checkpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.MarkEpoch(2)
+	if err := vmA.SendFromUser(caster, "cast"); err != nil {
+		t.Fatal(err)
+	}
+	vmB.WaitIdle()
+	if heard["listener"] != 1 {
+		t.Fatalf("the listener on the other VM heard the broadcast %d times, want once", heard["listener"])
+	}
+	if _, err := vmA.Initiate("late", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	endB.Fail()
+	vmB.Shutdown()
+	vmA.AdoptClusters(2)
+	if err := vmA.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if n := ft.ReplayRetained(2); n != 1 {
+		t.Errorf("replayed %d frames for cluster 2, want the broadcast", n)
+	}
+	vmA.WaitIdle()
+	vmA.Shutdown()
+	if heard["listener"] != 2 || heard["late"] != 0 {
+		t.Errorf("heard %v; want the listener in both lives and nothing for the late task", heard)
+	}
+}

@@ -72,9 +72,10 @@ func (d *Deadlock) Error() string {
 		d.Seed, d.Waiting, strings.Join(d.Tasks, ", "))
 }
 
-// Scheduler is the deterministic backend.  Create one per VM with New and
-// pass it in core.Options.Backend; a Scheduler must not be shared between
-// VMs.
+// Scheduler is the deterministic backend.  Create one with New and pass it
+// in core.Options.Backend.  The VMs of one in-process mesh may share one
+// scheduler — their tasks then interleave in one seeded schedule — driven,
+// like a single VM, from one goroutine.
 type Scheduler struct {
 	mu   sync.Mutex
 	seed int64
