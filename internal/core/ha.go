@@ -632,7 +632,8 @@ const haCkptFormat = 1
 
 // The section body is positional big-endian, written with msgcodec's Append*
 // functions and read back through its wire cursor: taskids are 12 bytes,
-// strings and argument lists sit behind a u32 length, and every list behind
+// strings and argument lists (msgcodec's encoding, array elements
+// little-endian) sit behind a u32 length, and every list behind
 // a u32 count that the cursor holds against the bytes present — at least
 // the element's fixed part each — before anything is sized from it.
 

@@ -153,9 +153,12 @@ func (vm *VM) wireRemote(from *clusterRT, dst int) bool {
 }
 
 // addPendingReply registers a routed-initiate reply and returns the
-// correlation id a reply frame must carry.
+// correlation id a reply frame must carry.  The id is node-qualified like an
+// edge id (edgeBase | seq): a reply routed by cluster to a dead node's buddy
+// after adoption then finds no waiter there, where a bare counter, which
+// starts at 1 on every node, could wake one of the buddy's own.
 func (vm *VM) addPendingReply(r *initReply) uint64 {
-	id := vm.replySeq.Add(1)
+	id := vm.edgeBase | vm.replySeq.Add(1)
 	vm.pendMu.Lock()
 	vm.pendingReplies[id] = r
 	vm.pendMu.Unlock()

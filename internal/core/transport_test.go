@@ -140,6 +140,80 @@ func TestRemoteInitiateSendAndReply(t *testing.T) {
 	}
 }
 
+// holdTransport keeps every frame a VM sends and delivers none, so a routed
+// initiate's reply stays pending until the test delivers it by hand.
+type holdTransport struct{ frames chan WireFrame }
+
+func (h *holdTransport) Send(f *WireFrame) error {
+	g := *f
+	g.Payload = append([]byte(nil), f.Payload...)
+	h.frames <- g
+	return nil
+}
+func (h *holdTransport) SendReply(int, uint64, TaskID) error { return nil }
+func (h *holdTransport) Flush()                              {}
+func (h *holdTransport) Close() error                        { return nil }
+
+// TestInitiateReplyIDsAreNodeQualified: a reply is matched to its waiter by
+// id alone, and after adoption a reply meant for a dead node is routed by
+// cluster to its buddy.  Node 1's pending InitiateWait must therefore not be
+// woken by the id node 0 gave its own first routed initiate.
+func TestInitiateReplyIDsAreNodeQualified(t *testing.T) {
+	cfg := config.Simple(2, 4)
+	type waiter struct {
+		vm   *VM
+		held *holdTransport
+		got  chan TaskID
+	}
+	var nodes [2]waiter
+	for node := range nodes {
+		held := &holdTransport{frames: make(chan WireFrame, 1)}
+		vm, err := NewVM(cfg, Options{UserOutput: &bytes.Buffer{}, Hosted: []int{node + 1}, Remote: held,
+			NodeID: node, AcceptTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(vm.Shutdown)
+		got := make(chan TaskID, 1)
+		vm.Register("child", func(*Task) {})
+		vm.Register("main", func(task *Task) {
+			id, err := task.InitiateWait(OnCluster(2-node), "child")
+			if err != nil {
+				t.Errorf("node %d: InitiateWait: %v", node, err)
+			}
+			got <- id
+		})
+		if _, err := vm.Initiate("main", OnCluster(node+1)); err != nil {
+			t.Fatal(err)
+		}
+		nodes[node] = waiter{vm, held, got}
+	}
+	var replyIDs [2]uint64
+	for node, w := range nodes {
+		select {
+		case f := <-w.held.frames:
+			replyIDs[node] = f.ReplyID
+		case <-time.After(10 * time.Second):
+			t.Fatalf("node %d sent no routed initiate", node)
+		}
+	}
+	stray := TaskID{Cluster: 2, Slot: 4, Unique: 1000}
+	nodes[1].vm.DeliverWireReply(replyIDs[0], stray)
+	for node, w := range nodes {
+		want := TaskID{Cluster: 2 - node, Slot: 1, Unique: 100 + node}
+		w.vm.DeliverWireReply(replyIDs[node], want)
+		select {
+		case id := <-w.got:
+			if id != want {
+				t.Errorf("node %d's InitiateWait (reply id %#x) returned %s, want %s; node 0's reply id is %#x",
+					node, replyIDs[node], id, want, replyIDs[0])
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("node %d's InitiateWait never returned", node)
+		}
+	}
+}
+
 // TestRemoteBroadcast checks that TO ALL reaches tasks hosted on the other
 // node through a broadcast frame.
 func TestRemoteBroadcast(t *testing.T) {

@@ -19,6 +19,8 @@ import (
 // of which nothing past its end reaches the dirty lists (zeroTail), and the
 // packet-model size it returns is EncodedSize of that list (the
 // receiver charges the message with it instead of walking the list again).
+// Every array it decodes is moved the same by the word-at-a-time path of a
+// big-endian host as by this host's one copy (checkPortableWords).
 // Seeded from sampleArgs so the interesting kinds — TASKID, WINDOW, arrays —
 // are all on the initial frontier.
 func FuzzCodec(f *testing.F) {
@@ -57,6 +59,7 @@ func FuzzCodec(f *testing.F) {
 		if slot, ok := zeroTail(into); !ok {
 			t.Fatalf("DecodeInto over a dirty dst left slot %d reaching %+v past the list", slot, into[:cap(into)][slot])
 		}
+		checkPortableWords(t, args)
 		wire, err := Encode(args)
 		if err != nil {
 			t.Fatalf("Encode of decoded args failed: %v (args %+v)", err, args)

@@ -202,6 +202,12 @@ func EncodedSize(args []Arg) (int, error) {
 //	uint16 argument count
 //	for each argument: uint8 kind, uint32 payload length, payload bytes
 //
+// Every integer in it is big-endian — the count, the lengths, a scalar
+// INTEGER or REAL, the fields of a TASKID or WINDOW — except the elements of
+// an INTEGER or REAL array, which are 8-byte little-endian words: that is the
+// array's memory image on a little-endian host, so the array is encoded with
+// one append and decoded with one copy (words.go).
+//
 // Encode is used both to move argument bytes through the simulated shared
 // memory and to give messages a deterministic, testable wire form.
 func Encode(args []Arg) ([]byte, error) {
@@ -256,15 +262,9 @@ func (a *Arg) appendPayload(dst []byte) []byte {
 		dst = appendInt32(dst, a.Window.Col1)
 		return appendInt32(dst, a.Window.Col2)
 	case KindIntArray:
-		for _, v := range a.IntArray {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
-		}
-		return dst
+		return appendWords(dst, wordBytes(a.IntArray))
 	case KindRealArray:
-		for _, v := range a.RealArray {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		return dst
+		return appendWords(dst, wordBytes(a.RealArray))
 	}
 	return dst
 }
@@ -452,20 +452,14 @@ func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
 		if len(payload)%8 != 0 {
 			return fmt.Errorf("%w: INTEGER array payload %d bytes", ErrCorrupt, len(payload))
 		}
-		vals := refill(ints, len(payload)/8)
-		for i := range vals {
-			vals[i] = int64(binary.BigEndian.Uint64(payload[i*8 : i*8+8]))
-		}
-		a.IntArray = vals
+		a.IntArray = refill(ints, len(payload)/8)
+		putWords(wordBytes(a.IntArray), payload)
 	case KindRealArray:
 		if len(payload)%8 != 0 {
 			return fmt.Errorf("%w: REAL array payload %d bytes", ErrCorrupt, len(payload))
 		}
-		vals := refill(reals, len(payload)/8)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[i*8 : i*8+8]))
-		}
-		a.RealArray = vals
+		a.RealArray = refill(reals, len(payload)/8)
+		putWords(wordBytes(a.RealArray), payload)
 	default:
 		return fmt.Errorf("%w: unknown argument kind %d", ErrCorrupt, kind)
 	}

@@ -1,6 +1,9 @@
 package msgcodec
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -396,16 +399,125 @@ func TestQuickArrayRoundTripAndSize(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeDecode prices the codec on sampleArgs, every kind once, and
+// on reals512, the one 512-REAL array of a 4 KiB bulk message, encoded into
+// and decoded into reused storage the way a pooled message is.
 func BenchmarkEncodeDecode(b *testing.B) {
-	args := sampleArgs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := Encode(args)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("sample", func(b *testing.B) {
+		args := sampleArgs()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			data, err := Encode(args)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Decode(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := Decode(data); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("reals512", func(b *testing.B) {
+		vals := make([]float64, 512)
+		for i := range vals {
+			vals[i] = float64(i) + 0.5
+		}
+		args := []Arg{Reals(vals)}
+		var buf []byte
+		var dst []Arg
+		b.ReportAllocs()
+		b.SetBytes(int64(8 * len(vals)))
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = AppendEncode(buf[:0], args); err != nil {
+				b.Fatal(err)
+			}
+			if dst, _, err = DecodeInto(dst, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestArrayPayloadLayout pins an INTEGER or REAL array's payload: its
+// elements as 8-byte little-endian words, everything around them big-endian.
+// A payload walked in place out of a read buffer sits at any offset, and it
+// decodes the same at each; and the word-at-a-time path a big-endian host
+// takes writes and reads the same bytes as the one copy of this host.
+func TestArrayPayloadLayout(t *testing.T) {
+	const want = "0002" +
+		"07" + "00000010" + "0100000000000000" + "feffffffffffffff" +
+		"08" + "00000008" + "000000000000f83f"
+	args := []Arg{Ints([]int64{1, -2}), Reals([]float64{1.5})}
+	data, err := Encode(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("Encode = %s, want %s", got, want)
+	}
+	raw, _ := hex.DecodeString(want)
+	back, err := Decode(raw)
+	if err != nil || !identical(back, args) {
+		t.Fatalf("Decode(%s) = %+v, %v; want %+v", want, back, err, args)
+	}
+
+	ints := make([]int64, 37)
+	reals := make([]float64, 29)
+	for i := range ints {
+		ints[i] = int64(i-18) * 0x0102030405060708
+	}
+	for i := range reals {
+		reals[i] = math.Ldexp(float64(i)-14.25, i)
+	}
+	reals[3], reals[4] = math.NaN(), math.Copysign(0, -1)
+	big := []Arg{Int(7), Ints(ints), Str("odd"), Reals(reals), Ints([]int64{}), Logical(true)}
+	enc, err := Encode(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < 8; off++ {
+		buf := make([]byte, off+len(enc)+8)
+		copy(buf[off:], enc)
+		got, err := Decode(buf[off : off+len(enc)])
+		if err != nil || !identical(got, big) {
+			t.Fatalf("offset %d: Decode = %+v, %v; want %+v", off, got, err, big)
+		}
+	}
+	checkPortableWords(t, big)
+	checkPortableWords(t, args)
+}
+
+// checkPortableWords holds the word-at-a-time path to the one this host
+// takes, for every array in args: appendWordsPortable writes the bytes
+// appendWords does, each element little-endian, and putWordsPortable reads
+// them back into the same memory image putWords does.
+func checkPortableWords(t *testing.T, args []Arg) {
+	t.Helper()
+	for i := range args {
+		var img, ref []byte
+		switch a := &args[i]; a.Kind {
+		case KindIntArray:
+			img = wordBytes(a.IntArray)
+			for _, v := range a.IntArray {
+				ref = binary.LittleEndian.AppendUint64(ref, uint64(v))
+			}
+		case KindRealArray:
+			img = wordBytes(a.RealArray)
+			for _, v := range a.RealArray {
+				ref = binary.LittleEndian.AppendUint64(ref, math.Float64bits(v))
+			}
+		default:
+			continue
+		}
+		fast, portable := appendWords(nil, img), appendWordsPortable(nil, img)
+		if !bytes.Equal(fast, ref) || !bytes.Equal(portable, ref) {
+			t.Fatalf("argument %d: appendWords %x, appendWordsPortable %x, want %x", i, fast, portable, ref)
+		}
+		viaCopy, viaLoop := make([]byte, len(img)), make([]byte, len(img))
+		putWords(viaCopy, ref)
+		putWordsPortable(viaLoop, ref)
+		if !bytes.Equal(viaCopy, img) || !bytes.Equal(viaLoop, img) {
+			t.Fatalf("argument %d: putWords %x, putWordsPortable %x, want the image %x", i, viaCopy, viaLoop, img)
 		}
 	}
 }

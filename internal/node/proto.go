@@ -24,7 +24,11 @@ import (
 // piggyback the follower's metric snapshot and span trace.  The
 // handshake refuses any other version — and, through the fingerprint, any
 // peer built from a different configuration, topology or program.
-const protoVersion = 6
+//
+// Version 7: the elements of an INTEGER or REAL array argument in a message
+// body are little-endian words (msgcodec.Encode); nothing else moved, so a
+// version-6 peer would read every array byte-swapped and is refused instead.
+const protoVersion = 7
 
 // Frame kind bytes; frameTable describes each.
 const (

@@ -31,6 +31,9 @@ type goldenFrame struct {
 // cursor and the frame table (protocol version 5).  Version 6 re-captured
 // three rows and nothing else: msg and bcast each lost the eight bytes of the
 // u64 seq that followed the sender taskid, and hello's version field reads 6.
+// Version 7 re-captured the hello row's version field and nothing else: it
+// made array elements in a message body little-endian, and no row's body
+// carries an array.
 func goldenFrames(t testing.TB) []goldenFrame {
 	payload, err := msgcodec.Encode([]msgcodec.Arg{msgcodec.Int(42), msgcodec.Str("hi")})
 	if err != nil {
@@ -50,7 +53,7 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		Type: "ping", SendSeq: 12, Edge: 0x0102030405060708, Payload: payload}
 	ack := drainAck{from: 1, epoch: 3, sent: 10, recv: 9, idle: true, stats: []byte{1, 2, 3}, trace: []byte{4, 5}}
 	return []goldenFrame{
-		{"hello", "010000000600000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
+		{"hello", "010000000700000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
 			encodeHello(h), frame{kind: fHello, hello: h}},
 		{"msg", "020000000100000002000000020000000300000011000000010000000100000009000000000000000b000000000000007b000000deadbeef01000f7069736365732e696e69746961746500020100000008000000000000002a04000000026869",
 			encodeWireFrame(nil, &msg), frame{kind: fMsg, msg: msg}},
