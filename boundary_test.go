@@ -159,8 +159,8 @@ func TestOneEmissionRoutinePerLayer(t *testing.T) {
 }
 
 // TestOneSendHead pins the shape of the way out of internal/core: one
-// routing decision (VM.dispatch is the only caller of wireRemote), one
-// staging encode (the only AppendEncode, into an outbound frame's payload
+// routing decision (VM.dispatch is the only caller of routeRemote and of
+// routeMessage, the two cross-cluster routes), one staging encode (the only AppendEncode, into an outbound frame's payload
 // buffer), and one enqueue
 // owning queue.put and its outcomes for every user or system message —
 // FlushUserOutput's sync token and Shutdown's unmetered shutdown message are
@@ -212,7 +212,7 @@ func TestOneSendHead(t *testing.T) {
 			})
 		}
 	}
-	for _, name := range []string{"put", "wireRemote", "AppendEncode"} {
+	for _, name := range []string{"put", "routeRemote", "routeMessage", "AppendEncode"} {
 		if got := calls[name]; len(got) != 1 {
 			t.Errorf("%d calls of %s in internal/core, want exactly one: %v", len(got), name, got)
 		}

@@ -39,3 +39,37 @@ func TestStatsReportMatchesParent(t *testing.T) {
 		}
 	}
 }
+
+// TestNetfaultMatchesPlainRun: `pisces run -netfault` boots one VM per
+// cluster on a seeded fault network, so every cross-cluster message is
+// delayed, reordered against other lanes and sometimes retransmitted — and
+// the program's output must still be the plain run's.  Under -sim the fault
+// schedule replays from the seed: the same seed twice with -stats gives the
+// same bytes, metric report included.
+func TestNetfaultMatchesPlainRun(t *testing.T) {
+	progs := map[string][]string{
+		"sumsq":        {"-forces", "7,8", filepath.Join("..", "..", "examples", "sumsq.pf")},
+		"crosscluster": {filepath.Join("..", "..", "internal", "conformance", "corpus", "crosscluster.pf")},
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := runInterpreted(args, &out); err != nil {
+			t.Fatalf("pisces run %v: %v", args, err)
+		}
+		return out.String()
+	}
+	for name, tail := range progs {
+		for seed := 1; seed <= 3; seed++ {
+			sim := []string{"-sim", "-seed", fmt.Sprint(seed)}
+			plain := run(append(sim, tail...)...)
+			if got := run(append(append(sim, "-netfault"), tail...)...); got != plain {
+				t.Errorf("%s seed %d: -netfault output differs from the plain run:\n%s--- plain ---\n%s", name, seed, got, plain)
+			}
+			stats := append(append(sim, "-netfault", "-stats"), tail...)
+			if a, b := run(stats...), run(stats...); a != b {
+				t.Errorf("%s seed %d: two -netfault -stats runs differ:\n%s--- and ---\n%s", name, seed, a, b)
+			}
+		}
+	}
+}

@@ -201,7 +201,7 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	nodes := fs.Int("nodes", 1,
 		"run distributed: partition the clusters across this many OS processes (forked automatically) over loopback TCP")
 	netfault := fs.Bool("netfault", false,
-		"inject deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
+		"run one VM per cluster in this process, joined by a network injecting deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
 	acceptTimeout := fs.Duration("accept-timeout", 30*time.Second,
 		"system-provided timeout for ACCEPT statements without a DELAY clause")
 	ha := addHAFlags(fs) // fault-tolerant mesh knobs; -nodes runs only
@@ -297,12 +297,6 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	} else if *seed != 0 && !*netfault {
 		return fmt.Errorf("-seed only applies with -sim or -netfault")
 	}
-	var fault *node.FaultTransport
-	if *netfault {
-		fault = node.NewFaultTransport(*seed, node.DefaultFaultProfile())
-		opts.Remote = fault
-		opts.InterceptWire = true
-	}
 	if *traceEvents != "" {
 		// Enabled trace kinds display on the user's terminal (Section 12),
 		// concurrently with terminal output, so both go through one
@@ -311,13 +305,24 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		opts.UserOutput = sw
 		opts.TraceSinks = []pisces.TraceSink{pisces.WriterTraceSink{W: sw}}
 	}
-	vm, err := pisces.NewVM(cfg, opts)
-	if err != nil {
-		return err
-	}
-	defer vm.Shutdown()
-	if fault != nil {
-		fault.Bind(vm)
+	// -netfault runs the node runtime's hosting shape in this process: one VM
+	// per cluster, joined by the seeded fault network.
+	var run func(*pisces.InterpretedProgram) error
+	interp := pisces.InterpretOptions{Main: *mainTT}
+	if *netfault {
+		mesh, err := node.NewFaultMesh(cfg, *seed, node.DefaultFaultProfile(), func(int) pisces.Options { return opts })
+		if err != nil {
+			return err
+		}
+		defer mesh.Shutdown()
+		run = func(p *pisces.InterpretedProgram) error { return mesh.Run(p, interp) }
+	} else {
+		vm, err := pisces.NewVM(cfg, opts)
+		if err != nil {
+			return err
+		}
+		defer vm.Shutdown()
+		run = func(p *pisces.InterpretedProgram) error { return p.Run(vm, interp) }
 	}
 	// Compile once through an explicit per-invocation cache handle — the CLI
 	// never benefits from process-wide memoisation (each invocation is a new
@@ -329,7 +334,7 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		return err
 	}
 	for i := 0; i < *repeat && err == nil; i++ {
-		err = prog.Run(vm, pisces.InterpretOptions{Main: *mainTT})
+		err = run(prog)
 	}
 	if *showStats {
 		snap := reg.Snapshot()

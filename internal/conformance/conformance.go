@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"embed"
 	"fmt"
-	"io"
 	"io/fs"
 	"sort"
 	"time"
@@ -131,7 +130,7 @@ var harnessCache = pfi.NewUnitCache(0)
 // VM of a deadlocked run is deliberately not shut down: its scheduler is
 // poisoned and its parked tasks can never be resumed, so teardown would only
 // re-raise the deadlock.  The handful of parked goroutines are abandoned.)
-func Run(src string, seed int64) Result { return run(src, seed, false, nil, nil) }
+func Run(src string, seed int64) Result { return run(src, seed, nil, nil) }
 
 // RunInstrumented is Run with the full observability surface switched on:
 // metrics AND spans collected at every instrumented layer.  The sweep uses it
@@ -140,7 +139,7 @@ func Run(src string, seed int64) Result { return run(src, seed, false, nil, nil)
 func RunInstrumented(src string, seed int64) Result {
 	reg := obs.New()
 	reg.Enable(obs.Metrics | obs.Spans)
-	return run(src, seed, false, reg, nil)
+	return run(src, seed, reg, nil)
 }
 
 // RunRecorded is Run with the flight recorder attached.  The sweep uses it to
@@ -148,7 +147,7 @@ func RunInstrumented(src string, seed int64) Result {
 // output nor the step count of any schedule) and that its dump — every
 // timestamp virtual — is byte-stable per seed.
 func RunRecorded(src string, seed int64) Result {
-	return run(src, seed, false, nil, obs.NewRecorder(0, 0, 0))
+	return run(src, seed, nil, obs.NewRecorder(0, 0, 0))
 }
 
 // RunObserved is Run with every sink of the emission path on at once: the
@@ -161,15 +160,16 @@ func RunRecorded(src string, seed int64) Result {
 func RunObserved(src string, seed int64) Result {
 	reg := obs.New()
 	reg.Enable(obs.Metrics | obs.Spans)
-	return run(src, seed, false, reg, obs.NewRecorder(0, 0, 0))
+	return run(src, seed, reg, obs.NewRecorder(0, 0, 0))
 }
 
-// RunFault is Run with the node runtime's deterministic fault/latency
-// transport intercepting every cross-cluster message: frames pay seeded
-// virtual-clock delays (including retransmission faults) before delivery, so
-// the sweep exercises network schedules a single process never produces —
-// while staying byte-reproducible from the seed.
-func RunFault(src string, seed int64) Result { return run(src, seed, true, nil, nil) }
+// RunFault is Run on the node runtime's hosting shape: one VM per cluster
+// (node.FaultMesh), joined by the deterministic fault/latency network, so
+// every cross-cluster message pays seeded virtual-clock delays (including
+// retransmission faults) before delivery.  The sweep thereby exercises
+// network schedules a single process never produces, through the code a real
+// node runs — while staying byte-reproducible from the seed.
+func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, nil) }
 
 // killedCluster is the cluster the kill sweep loses: MAIN is placed on the
 // terminal cluster 1 (whose user/file controllers anchor the run and are not
@@ -177,138 +177,115 @@ func RunFault(src string, seed int64) Result { return run(src, seed, true, nil, 
 // part of the machine.
 const killedCluster = 2
 
-// RunKill runs the program on a two-VM mesh under the fault transport and
-// kills one VM mid-run the way a node dies.  Both VMs boot the configuration
-// in HA mode on one scheduler: A hosts cluster 1 and the user terminal, B
-// hosts cluster 2.  B checkpoints cluster 2 every ckptEvery of virtual time
-// (the transport retaining every frame delivered to the cluster since the
-// last cut).  At killAt B dies as a buddy sees it: the transport drops
-// everything it sends from then on and B is stopped; A adopts cluster 2,
-// restores the last checkpoint and replays the retained frames — the calls a
-// node's buddy makes.  Everything — delays, checkpoint cuts, the kill — runs
-// on the virtual clock, so the whole recovery schedule replays
-// byte-identically from (seed, killAt, ckptEvery).  Output is A's terminal;
-// B's own diagnostics go to a writer of its own.  HeapShardsInUse lists A's
-// shards, then B's.
-func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (res Result, rec *KillRecovery) {
-	rec = &KillRecovery{}
+// RunKill runs the program on RunFault's mesh and kills one VM mid-run the
+// way a node dies.  Both VMs boot the configuration in HA mode on one
+// scheduler: A hosts cluster 1 and the user terminal, B hosts cluster 2.  B
+// checkpoints cluster 2 every ckptEvery of virtual time (the network
+// retaining every frame delivered to the cluster since the last cut).  At
+// killAt B dies as a buddy sees it: the network drops everything it sends
+// from then on and B is stopped; A adopts cluster 2, restores the last
+// checkpoint and replays the retained frames — the calls a node's buddy
+// makes.  Everything — delays, checkpoint cuts, the kill — runs on the
+// virtual clock, so the whole recovery schedule replays byte-identically from
+// (seed, killAt, ckptEvery).  Output is A's terminal; B's own diagnostics go
+// to a writer of its own.  HeapShardsInUse lists A's shards, then B's.
+func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *KillRecovery) {
+	rec := &KillRecovery{}
+	res := runMesh(src, seed, nil, nil, func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
+		a, b := mesh.VMs[0], mesh.VMs[1]
+		// Retention and the first (empty) checkpoint start at t=0: a kill
+		// before the first periodic cut restores an empty cluster and rebuilds
+		// it entirely from replayed frames.
+		blob, err := b.Checkpoint(killedCluster)
+		if err != nil {
+			rec.Err = err
+		}
+		mesh.MarkEpoch(killedCluster)
+		var ckpt backend.Timer
+		var arm func()
+		arm = func() {
+			ckpt = s.AfterFunc(ckptEvery, func() {
+				cut, err := b.Checkpoint(killedCluster)
+				if err != nil {
+					rec.Err = err
+					return
+				}
+				blob = cut
+				mesh.MarkEpoch(killedCluster)
+				rec.Checkpoints++
+				arm()
+			})
+		}
+		arm()
+		kill := s.AfterFunc(killAt, func() {
+			ckpt.Stop()
+			for _, ti := range b.RunningTasks() {
+				if !ti.Controller {
+					rec.Victims++
+				}
+			}
+			mesh.Fail(1)
+			b.Shutdown()
+			a.AdoptClusters(killedCluster)
+			if err := a.Restore(blob); err != nil {
+				rec.Err = err
+				return
+			}
+			rec.Replayed = mesh.ReplayRetained(killedCluster)
+		})
+		return func() {
+			kill.Stop()
+			ckpt.Stop()
+		}
+	})
+	return res, rec
+}
+
+// runMesh runs the program on the harness configuration's fault mesh, the
+// VMs sharing reg and rec.  A kill run — kill non-nil — boots the mesh in HA
+// mode with VM 1, the victim, writing to a terminal of its own; kill sets its
+// schedule up before MAIN starts and returns the disarm, which runs before
+// Shutdown: Shutdown's drain pumps the scheduler, and a self-rearming
+// checkpoint would keep the pump alive forever.
+func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill func(*node.FaultMesh, *sim.Scheduler) func()) (res Result) {
 	s := sim.New(seed)
 	var out, deadOut bytes.Buffer
 	mem := &trace.MemorySink{}
 	defer recoverDeadlock(&res, s, &out, mem)
 
-	ft := node.NewFaultTransport(seed, node.DefaultFaultProfile())
-	endB := ft.Join()
-	boot := func(nodeID, hosted int, out io.Writer, remote core.Transport) (*core.VM, error) {
-		vm, err := core.NewVM(harnessConfig(), core.Options{
-			UserOutput: out, Backend: s, AcceptTimeout: 30 * time.Second, TraceSinks: []trace.Sink{mem},
-			HA: true, Hosted: []int{hosted}, Remote: remote, InterceptWire: true, NodeID: nodeID,
-		})
-		if err == nil {
-			vm.Obs().TraceAll(true)
-		}
-		return vm, err
-	}
-	a, err := boot(0, 1, &out, ft)
-	if err != nil {
-		res.Err = err
-		return res, rec
-	}
-	ft.Bind(a)
-	b, err := boot(1, killedCluster, &deadOut, endB)
-	if err != nil {
-		a.Shutdown()
-		res.Err = err
-		return res, rec
-	}
-	endB.Bind(b)
 	prog, err := harnessCache.Compile(src)
 	if err != nil {
-		b.Shutdown()
-		a.Shutdown()
 		res.Err = err
-		return res, rec
+		return res
 	}
-	prog.Register(b)
-
-	// Retention and the first (empty) checkpoint start at t=0: a kill before
-	// the first periodic cut restores an empty cluster and rebuilds it
-	// entirely from replayed frames.
-	blob, err := b.Checkpoint(killedCluster)
-	if err != nil {
-		rec.Err = err
-	}
-	ft.MarkEpoch(killedCluster)
-	var ckpt backend.Timer
-	var arm func()
-	arm = func() {
-		ckpt = s.AfterFunc(ckptEvery, func() {
-			cut, err := b.Checkpoint(killedCluster)
-			if err != nil {
-				rec.Err = err
-				return
-			}
-			blob = cut
-			ft.MarkEpoch(killedCluster)
-			rec.Checkpoints++
-			arm()
-		})
-	}
-	arm()
-	kill := s.AfterFunc(killAt, func() {
-		ckpt.Stop()
-		for _, ti := range b.RunningTasks() {
-			if !ti.Controller {
-				rec.Victims++
-			}
+	mesh, err := node.NewFaultMesh(harnessConfig(), seed, node.DefaultFaultProfile(), func(i int) core.Options {
+		o := core.Options{
+			UserOutput: &out, Backend: s, AcceptTimeout: 30 * time.Second, TraceSinks: []trace.Sink{mem},
+			Metrics: reg, FlightRecorder: rec, HA: kill != nil,
 		}
-		endB.Fail()
-		b.Shutdown()
-		a.AdoptClusters(killedCluster)
-		if err := a.Restore(blob); err != nil {
-			rec.Err = err
-			return
+		if kill != nil && i > 0 {
+			o.UserOutput = &deadOut
 		}
-		rec.Replayed = ft.ReplayRetained(killedCluster)
+		return o
 	})
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	mesh.VMs[0].Obs().TraceAll(true)
+	disarm := func() {}
+	if kill != nil {
+		disarm = kill(mesh, s)
+	}
 	start := s.Now()
-
-	err = prog.Run(a, pfi.Options{})
-	// MAIN's VM going idle is not the mesh going idle: B's tasks may still be
-	// running, and the frames between the two may start more work on either.
-	// Drain both until a pass delivers nothing.
-	for {
-		before, _ := ft.Stats()
-		b.WaitIdle()
-		a.WaitIdle()
-		ft.Flush()
-		if after, _ := ft.Stats(); after == before {
-			break
-		}
-	}
-	a.FlushUserOutput()
+	err = mesh.Run(prog, pfi.Options{})
 	res.VirtualElapsed = s.Now().Sub(start)
-	// Disarm the timers before Shutdown: its drain pumps the scheduler, and a
-	// self-rearming checkpoint would keep the pump alive forever.
-	kill.Stop()
-	ckpt.Stop()
-	b.Shutdown()
-	a.Shutdown()
-
-	res.Output = out.String()
-	res.Trace = mem.Lines()
-	res.Steps = s.Steps()
-	for _, vm := range []*core.VM{a, b} {
-		res.HeapInUse += vm.Machine().Shared().Usage().HeapInUse
-		for _, shard := range vm.Machine().Shared().HeapShards() {
-			res.HeapShardsInUse = append(res.HeapShardsInUse, shard.InUse())
-		}
-	}
-	if err == nil {
-		err = prog.Err()
-	}
+	disarm()
+	mesh.Shutdown()
+	collect(&res, s, &out, mem, mesh.VMs...)
 	res.Err = err
-	return res, rec
+	observe(&res, reg, rec)
+	return res
 }
 
 // harnessConfig is the machine every harness run boots: two clusters with a
@@ -335,33 +312,23 @@ func recoverDeadlock(res *Result, s *sim.Scheduler, out *bytes.Buffer, mem *trac
 	res.Steps = s.Steps()
 }
 
-func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorder) (res Result) {
+func run(src string, seed int64, reg *obs.Registry, rec *obs.Recorder) (res Result) {
 	s := sim.New(seed)
 	var out bytes.Buffer
 	mem := &trace.MemorySink{}
 	defer recoverDeadlock(&res, s, &out, mem)
 
-	opts := core.Options{
+	vm, err := core.NewVM(harnessConfig(), core.Options{
 		UserOutput:     &out,
 		Backend:        s,
 		AcceptTimeout:  30 * time.Second, // virtual: expires only at quiescence
 		TraceSinks:     []trace.Sink{mem},
 		Metrics:        reg,
 		FlightRecorder: rec,
-	}
-	var ft *node.FaultTransport
-	if fault {
-		ft = node.NewFaultTransport(seed, node.DefaultFaultProfile())
-		opts.Remote = ft
-		opts.InterceptWire = true
-	}
-	vm, err := core.NewVM(harnessConfig(), opts)
+	})
 	if err != nil {
 		res.Err = err
 		return res
-	}
-	if ft != nil {
-		ft.Bind(vm)
 	}
 	vm.Obs().TraceAll(true)
 	start := s.Now()
@@ -375,15 +342,32 @@ func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorde
 	runErr := prog.Run(vm, pfi.Options{})
 	res.VirtualElapsed = s.Now().Sub(start)
 	vm.Shutdown()
+	collect(&res, s, &out, mem, vm)
+	res.Err = runErr
+	observe(&res, reg, rec)
+	return res
+}
 
+// collect fills in what a finished run left behind: the terminal output, the
+// trace, the step count, and the heap still allocated on every shard of
+// every VM, in VM order.
+func collect(res *Result, s *sim.Scheduler, out *bytes.Buffer, mem *trace.MemorySink, vms ...*core.VM) {
 	res.Output = out.String()
 	res.Trace = mem.Lines()
 	res.Steps = s.Steps()
-	res.HeapInUse = vm.Machine().Shared().Usage().HeapInUse
-	for _, shard := range vm.Machine().Shared().HeapShards() {
-		res.HeapShardsInUse = append(res.HeapShardsInUse, shard.InUse())
+	for _, vm := range vms {
+		res.HeapInUse += vm.Machine().Shared().Usage().HeapInUse
+		for _, shard := range vm.Machine().Shared().HeapShards() {
+			res.HeapShardsInUse = append(res.HeapShardsInUse, shard.InUse())
+		}
 	}
-	res.Err = runErr
+}
+
+// observe encodes the registry's snapshot and Chrome trace and the flight
+// recorder's dump, when the run had them.  It is called after Shutdown, when
+// recording has quiesced; the dump timestamp comes from the (frozen) virtual
+// clock.
+func observe(res *Result, reg *obs.Registry, rec *obs.Recorder) {
 	if reg != nil {
 		res.ObsSnapshot = reg.Snapshot().Encode()
 		var tr bytes.Buffer
@@ -392,11 +376,8 @@ func run(src string, seed int64, fault bool, reg *obs.Registry, rec *obs.Recorde
 		}
 	}
 	if rec != nil {
-		// Dumped after Shutdown, when recording has quiesced; the dump
-		// timestamp comes from the (frozen) virtual clock.
-		if b, derr := rec.Dump(); derr == nil {
+		if b, err := rec.Dump(); err == nil {
 			res.RecorderDump = b
 		}
 	}
-	return res
 }

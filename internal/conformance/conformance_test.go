@@ -10,7 +10,7 @@ import (
 )
 
 // seedCount is how many seeds the schedule-independence sweep covers.  CI
-// raises it (go test ./internal/conformance -args -seeds=32); the acceptance
+// raises it (go test ./internal/conformance -args -seeds=128); the acceptance
 // floor is 16.
 var seedCount = flag.Int("seeds", 16, "number of PRNG seeds to sweep per corpus program")
 

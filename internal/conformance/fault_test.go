@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestFaultTransportScheduleIndependence sweeps the corpus under the
-// fault/latency-injecting transport: every cross-cluster message pays a
-// seeded virtual-network delay (some a retransmission penalty), which
-// produces interleavings no in-process schedule reaches — yet the programs'
-// output must still match the undelayed seed-0 baseline, no schedule may
-// deadlock, and every heap shard must be empty after shutdown.
+// TestFaultTransportScheduleIndependence sweeps the corpus on the fault mesh,
+// one VM per cluster: every cross-cluster message pays a seeded
+// virtual-network delay (some a retransmission penalty), which produces
+// interleavings no in-process schedule reaches — yet the programs' output
+// must still match the undelayed seed-0 baseline, no schedule may deadlock,
+// and every heap shard of every VM must be empty after shutdown.
 func TestFaultTransportScheduleIndependence(t *testing.T) {
 	names, srcs := corpusPrograms(t)
 	for _, name := range names {

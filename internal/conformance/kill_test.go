@@ -43,7 +43,7 @@ func killSchedule(elapsed time.Duration, seed int64) (killAt, ckptEvery time.Dur
 }
 
 // TestKillANodeConformance is the kill-a-node sweep: every corpus program
-// runs on two VMs under the fault transport, the one hosting cluster 2
+// runs on the fault mesh's two VMs, the one hosting cluster 2
 // checkpointing it periodically and dying mid-run at a seed-derived virtual
 // time; the survivor adopts the cluster, restores its last checkpoint and
 // replays the retained post-checkpoint frames, as a node's buddy does.  The

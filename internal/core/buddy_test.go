@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/msgcodec"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -21,7 +22,8 @@ import (
 // exit and r for x's ping until its ACCEPT timed out, and x would then find
 // r gone.
 func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
-	_, ft, endB, vmA, vmB := faultMesh(t, 1, config.Simple(2, 2))
+	_, mesh := faultMesh(t, 1, config.Simple(2, 2))
+	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
 	done := map[string]int{}
 	for _, vm := range []*core.VM{vmA, vmB} {
 		vm.Register("early", func(task *core.Task) { _, _ = task.AcceptOne("go") })
@@ -78,7 +80,7 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft.MarkEpoch(2)
+	mesh.MarkEpoch(2)
 	if err := vmA.SendFromUser(boss, "spawn", core.ID(r)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 		t.Fatalf("first lives finished %v; want r and x once each", done)
 	}
 
-	if _, err := netKillB(vmA, vmB, ft, endB, blob); err != nil {
+	if _, err := netKillB(mesh, blob); err != nil {
 		t.Fatal(err)
 	}
 	vmA.WaitIdle()
@@ -97,48 +99,121 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 	}
 }
 
-// faultMesh boots two HA VMs of one fault network on one simulator seeded
-// with seed: A hosts cluster 1, B cluster 2.  endB is B's end of the
-// network, the one a kill fails.
-func faultMesh(t *testing.T, seed int64, cfg *config.Configuration) (*sim.Scheduler, *node.FaultTransport, *node.End, *core.VM, *core.VM) {
-	t.Helper()
-	s := sim.New(seed)
-	ft := node.NewFaultTransport(seed, node.DefaultFaultProfile())
-	endB := ft.Join()
-	boot := func(hosted int, remote core.Transport) *core.VM {
-		vm, err := core.NewVM(cfg, core.Options{
-			UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true,
-			Hosted: []int{hosted}, Remote: remote, InterceptWire: true, NodeID: hosted - 1,
+// TestHAPlannedTaskKeepsItsMessages: a task whose re-creation is planned
+// owns its id's in-queue from the plan on.  After cluster 2's checkpoint a
+// spawner on cluster 1 starts a kid there; the VM hosting cluster 2 then dies,
+// and the survivor adopts the cluster, restores it and replays the retained
+// frames, which plans the kid's id.  The kid's slot is taken, so the replayed
+// request waits; meanwhile the id gets a frame off the wire and a send from a
+// task on the survivor's own cluster 1.  Neither may be refused or dropped:
+// the re-created kid takes each exactly once.
+func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
+	_, mesh := faultMesh(t, 1, config.Simple(2, 1))
+	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
+	var kid core.TaskID
+	var pokeErr error
+	lives, notes := 0, map[int64]int{}
+	for _, vm := range mesh.VMs {
+		vm.Register("spawner", func(task *core.Task) {
+			id, err := task.InitiateWait(core.OnCluster(2), "kid")
+			if err != nil {
+				t.Errorf("spawner: %v", err)
+			}
+			kid = id
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vm
+		vm.Register("kid", func(task *core.Task) {
+			lives++
+			for {
+				res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "note", Count: 1}}, Delay: 100 * time.Millisecond})
+				if err != nil || res.TimedOut {
+					return
+				}
+				notes[res.Accepted[0].Args[0].Integer]++
+			}
+		})
+		vm.Register("poker", func(task *core.Task) { pokeErr = task.Send(core.MustID(task.Arg(0)), "note", core.Int(1)) })
+		vm.Register("blocker", func(task *core.Task) { _, _ = task.AcceptOne("release") })
 	}
-	vmA, vmB := boot(1, ft), boot(2, endB)
-	ft.Bind(vmA)
-	endB.Bind(vmB)
-	return s, ft, endB, vmA, vmB
+	blob, err := vmB.Checkpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh.MarkEpoch(2)
+	spawner, err := vmA.Initiate("spawner", core.OnCluster(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = vmA.WaitTask(spawner)
+
+	mesh.Fail(1)
+	vmB.Shutdown()
+	vmA.AdoptClusters(2)
+	if err := vmA.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := vmA.Initiate("blocker", core.OnCluster(2))
+	if err != nil || blocker.Slot != kid.Slot {
+		t.Fatalf("blocker %s (%v) does not hold the kid's slot %d", blocker, err, kid.Slot)
+	}
+	mesh.ReplayRetained(2)
+	payload, err := msgcodec.AppendEncode(nil, []core.Value{core.Int(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vmA.DeliverWire(&core.WireFrame{Kind: core.FrameMessage, Src: 1, Dst: 2, Dest: kid, Type: "note", Sender: spawner, Payload: payload}); err != nil {
+		t.Errorf("a frame for the planned kid: %v", err)
+	}
+	poker, err := vmA.Initiate("poker", core.OnCluster(1), core.ID(kid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = vmA.WaitTask(poker)
+	if pokeErr != nil {
+		t.Errorf("a send to the planned kid from cluster 1: %v", pokeErr)
+	}
+	if err := vmA.SendFromUser(blocker, "release"); err != nil {
+		t.Fatal(err)
+	}
+	vmA.WaitIdle()
+	mesh.Shutdown()
+	if lives != 2 || notes[1] != 1 || notes[2] != 1 || len(notes) != 2 {
+		t.Errorf("the kid lived %d times and took notes %v; want 2 lives and notes 1 and 2 once each", lives, notes)
+	}
 }
 
-// netKillB is B's death as A sees it over the fault network: B's end fails
-// (everything B sends from now on is dropped) and B stops; A adopts cluster
-// 2, restores it from blob, B's last checkpoint of it, and replays what the
-// network retained since.  It returns the number of user tasks B was
-// running.
-func netKillB(vmA, vmB *core.VM, ft *node.FaultTransport, endB *node.End, blob []byte) (int, error) {
+// faultMesh boots a fault mesh of HA VMs on one simulator seeded with seed:
+// VM 0 hosts cluster 1, VM 1 cluster 2.
+func faultMesh(t *testing.T, seed int64, cfg *config.Configuration) (*sim.Scheduler, *node.FaultMesh) {
+	t.Helper()
+	s := sim.New(seed)
+	mesh, err := node.NewFaultMesh(cfg, seed, node.DefaultFaultProfile(), func(int) core.Options {
+		return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, mesh
+}
+
+// netKillB is VM 1's death as VM 0 sees it over the fault network: VM 1's
+// end fails (everything it sends from now on is dropped) and it stops; VM 0
+// adopts cluster 2, restores it from blob, VM 1's last checkpoint of it, and
+// replays what the network retained since.  It returns the number of user
+// tasks VM 1 was running.
+func netKillB(mesh *node.FaultMesh, blob []byte) (int, error) {
+	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
 	victims := 0
 	for _, ti := range vmB.RunningTasks() {
 		if !ti.Controller {
 			victims++
 		}
 	}
-	endB.Fail()
+	mesh.Fail(1)
 	vmB.Shutdown()
 	vmA.AdoptClusters(2)
 	if err := vmA.Restore(blob); err != nil {
 		return victims, err
 	}
-	ft.ReplayRetained(2)
+	mesh.ReplayRetained(2)
 	return victims, nil
 }

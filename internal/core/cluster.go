@@ -80,11 +80,12 @@ type pendingInit struct {
 	// starting a second task.  key.seq 0 means unsequenced (non-HA, or an
 	// execution-environment request), never deduplicated.
 	key initKey
-	// forced, when non-zero, is the taskid this request MUST produce: a
+	// forced, when non-nil, is the planned record this request starts: a
 	// recovery replay re-creates a post-checkpoint task under the id its
-	// first life was assigned (the id the parent already holds).  Set from
-	// the cluster's directed map; requires forced.Slot to be free.
-	forced TaskID
+	// first life was assigned (the id the parent already holds), in its slot
+	// and with the in-queue that has held its messages since the plan.  Set
+	// from the cluster's directed map.
+	forced *taskRec
 }
 
 // clusterRT is the run-time structure of one virtual-machine cluster.
@@ -110,13 +111,13 @@ type clusterRT struct {
 	// initMap (HA mode only) maps initiation-request keys to the child task
 	// they produced, so replayed INITIATEs are answered, not re-run.
 	initMap map[initKey]TaskID
-	// directed (HA recovery only) maps initiation-request keys to the taskid
-	// the request was answered with before a failure: a task created AFTER
-	// the last checkpoint is not in the restored state, but the transport
-	// observed its id in the initiate reply and plans its re-creation here
+	// directed (HA recovery only) maps initiation-request keys to the planned
+	// record of the task the request was answered with before a failure: a
+	// task created AFTER the last checkpoint is not in the restored state,
+	// but the transport observed its id and plans its re-creation here
 	// (PlanRestoredInit) before replaying the retained request frame, so the
-	// parent's stored id stays valid.
-	directed map[initKey]TaskID
+	// parent's stored id stays valid (see planLocked).
+	directed map[initKey]*taskRec
 	// frozen parks new task starts in pending: set while Restore respawns the
 	// checkpointed tasks, so they get their own slots before any request
 	// competes for them.
@@ -223,10 +224,7 @@ func (c *clusterRT) request(req pendingInit) error {
 			// first life's sequence numbers, so receivers that already got
 			// them drop the duplicates, and a receiver that has exited since
 			// answers from its exit record (haSendSuppressed).
-			if c.directed == nil {
-				c.directed = make(map[initKey]TaskID)
-			}
-			c.directed[req.key] = id
+			c.planLocked(req.key, id)
 		}
 		for i := range c.pending {
 			if c.pending[i].key == req.key {
@@ -245,23 +243,21 @@ func (c *clusterRT) request(req pendingInit) error {
 			}
 		}
 	}
-	if c.directed != nil && req.key.seq != 0 {
-		if id, ok := c.directed[req.key]; ok {
-			// A planned re-creation: the task must come back under its original
-			// id, so it can only start in its original slot.  If a restored
-			// task still occupies that slot (it did at the checkpoint and has
-			// not replayed its exit yet), the request waits in pending.
-			if !c.frozen && id.Slot >= c.userLo && id.Slot < len(c.slots) && c.slots[id.Slot].rec == nil {
-				delete(c.directed, req.key)
-				req.forced = id
-				c.slots[id.Slot].rec = reservedMarker
-				c.mu.Unlock()
-				return c.startTask(id.Slot, req)
-			}
-			c.pending = append(c.pending, req)
+	if p := c.directed[req.key]; p != nil {
+		// A planned re-creation: the task must come back under its original
+		// id, so it can only start in its original slot.  If a restored task
+		// still occupies that slot (it did at the checkpoint and has not
+		// replayed its exit yet), the request waits in pending.
+		if !c.frozen && c.slotOpenLocked(p) {
+			delete(c.directed, req.key)
+			req.forced = p
+			c.slots[p.slot].rec = reservedMarker
 			c.mu.Unlock()
-			return nil
+			return c.startTask(p.slot, req)
 		}
+		c.pending = append(c.pending, req)
+		c.mu.Unlock()
+		return nil
 	}
 	slot := -1
 	if !c.frozen {
@@ -281,6 +277,51 @@ func (c *clusterRT) request(req pendingInit) error {
 // reservedMarker occupies a slot between reservation and task start.
 var reservedMarker = &taskRec{}
 
+// planLocked plans the re-creation of the task that answered the request key
+// before a failure, under its id: from now on the id names a record without a
+// task.  The record owns the id's in-queue, so a message sent to the task
+// before it is re-created waits there — a send neither fails with
+// ErrNoSuchTask nor is dropped — and the id's slot as soon as that is free,
+// so no other task takes it.  The request's start takes both over
+// (startTask).  Caller holds c.mu.
+func (c *clusterRT) planLocked(key initKey, id TaskID) {
+	if _, ok := c.directed[key]; ok {
+		return
+	}
+	vm := c.vm
+	p := &taskRec{id: id, cluster: c, slot: id.Slot}
+	p.wake, p.queue, p.done = newTaskRecParts(vm.backend)
+	p.queue.ha = newTaskHA(true)
+	vm.registerTask(p)
+	if c.directed == nil {
+		c.directed = make(map[initKey]*taskRec)
+	}
+	c.directed[key] = p
+	if c.slotOpenLocked(p) {
+		c.slots[p.slot].rec = p
+	}
+}
+
+// slotOpenLocked reports whether the planned record p's slot can take its
+// task: it is a user slot, and free or already p's.  Caller holds c.mu.
+func (c *clusterRT) slotOpenLocked(p *taskRec) bool {
+	return p.slot >= c.userLo && p.slot < len(c.slots) && (c.slots[p.slot].rec == nil || c.slots[p.slot].rec == p)
+}
+
+// plannedForLocked returns the planned record waiting for the slot, nil when
+// none is.  Of two plans for one slot the task created first in its first
+// life, the lower unique id, gets it: it held the slot first then, too.
+// Caller holds c.mu.
+func (c *clusterRT) plannedForLocked(slot int) *taskRec {
+	var first *taskRec
+	for _, p := range c.directed {
+		if p.slot == slot && (first == nil || p.id.Unique < first.id.Unique) {
+			first = p
+		}
+	}
+	return first
+}
+
 // takePendingLocked removes and returns the first pending request that can
 // start now, together with its reserved slot (nil, -1 when nothing can).
 // Directed requests (planned re-creations, see PlanRestoredInit) can only
@@ -295,22 +336,13 @@ func (c *clusterRT) takePendingLocked() (*pendingInit, int) {
 	for i := 0; i < len(c.pending); i++ {
 		req := c.pending[i]
 		slot := -1
-		if req.forced != NilTask {
-			// The entry already names its task's original identity (restored
-			// post-checkpoint request): only its original slot will do.
-			if req.forced.Slot < c.userLo || req.forced.Slot >= len(c.slots) || c.slots[req.forced.Slot].rec != nil {
+		if p := c.directed[req.key]; p != nil {
+			if !c.slotOpenLocked(p) {
 				continue
 			}
-			slot = req.forced.Slot
-		} else if c.directed != nil && req.key.seq != 0 {
-			if id, ok := c.directed[req.key]; ok {
-				if id.Slot < c.userLo || id.Slot >= len(c.slots) || c.slots[id.Slot].rec != nil {
-					continue
-				}
-				delete(c.directed, req.key)
-				req.forced = id
-				slot = id.Slot
-			}
+			delete(c.directed, req.key)
+			req.forced = p
+			slot = p.slot
 		}
 		if slot < 0 {
 			if noFree {
@@ -367,7 +399,7 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 	// re-spawn continues a life that was already admitted.  The refusal is
 	// delivered before the violation is recorded so a waiting initiator
 	// gets its answer before the fail-stop kill sweep reaches it.
-	if req.forced == NilTask {
+	if req.forced == nil {
 		if le := vm.taskLimitExceeded(); le != nil {
 			c.clearSlot(slot)
 			req.reply.deliver(NilTask)
@@ -375,22 +407,28 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 			return le
 		}
 	}
-	id := req.forced
-	if id == NilTask {
-		id = TaskID{Cluster: c.cfg.Number, Slot: slot, Unique: vm.nextUnique()}
-	}
 	rec := &taskRec{
-		id:         id,
 		tasktype:   tt.Name,
 		parent:     req.parent,
 		cluster:    c,
 		slot:       slot,
 		localBytes: tt.LocalBytes,
 	}
-	rec.wake, rec.queue, rec.done = newTaskRecParts(vm.backend)
+	if p := req.forced; p != nil {
+		// The planned record's in-queue holds what was sent to the task
+		// since the plan, and its id is the one the task must have.
+		rec.id, rec.wake, rec.queue, rec.done = p.id, p.wake, p.queue, p.done
+		rec.killed.Store(p.isKilled())
+	} else {
+		rec.id = TaskID{Cluster: c.cfg.Number, Slot: slot, Unique: vm.nextUnique()}
+		rec.wake, rec.queue, rec.done = newTaskRecParts(vm.backend)
+		if vm.ha {
+			rec.queue.ha = newTaskHA(true)
+		}
+	}
+	id := rec.id
 	if vm.ha {
 		rec.initArgs = req.args
-		rec.queue.ha = newTaskHA(true)
 	}
 	c.mu.Lock()
 	c.slots[slot].rec = rec
@@ -486,7 +524,7 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 	// updates it directly here and the controller remains responsible only
 	// for fielding new INITIATE requests.
 	c.mu.Lock()
-	c.slots[rec.slot].rec = nil
+	c.slots[rec.slot].rec = c.plannedForLocked(rec.slot)
 	next, nextSlot := c.takePendingLocked()
 	c.mu.Unlock()
 	if next != nil {

@@ -16,10 +16,10 @@ import (
 )
 
 // The send head's contract, over every way in: a message enters the run-time
-// through one of six calls, leaves its sender by one of four routes, and may
-// find its receiver in one of five states.  TestInterceptWireKeepsSendError
-// Contract and TestRouteAfterShutdownAndCorruptFrameBalance sample this
-// table; TestSendHeadContract is the cross-product.
+// through one of six calls, leaves its sender by one of three routes, and may
+// find its receiver in one of five states.
+// TestRouteAfterShutdownAndCorruptFrameBalance samples this table;
+// TestSendHeadContract is the cross-product.
 
 // headEntry is one way into VM.dispatch.
 type headEntry struct {
@@ -55,13 +55,12 @@ var headEntries = []headEntry{
 type headRoute int
 
 const (
-	routeSame      headRoute = iota // receiver on the caller's cluster
-	routeCross                      // receiver on another cluster of this VM
-	routeIntercept                  // the same, every cross-cluster hop through Remote
-	routeStub                       // receiver's cluster hosted elsewhere
+	routeSame  headRoute = iota // receiver on the caller's cluster
+	routeCross                  // receiver on another cluster of this VM
+	routeStub                   // receiver's cluster hosted elsewhere
 )
 
-var headRoutes = [...]string{routeSame: "same cluster", routeCross: "cross-cluster", routeIntercept: "InterceptWire", routeStub: "remote stub"}
+var headRoutes = [...]string{routeSame: "same cluster", routeCross: "cross-cluster", routeStub: "remote stub"}
 
 type headCond int
 
@@ -107,17 +106,8 @@ func (s *stubTransport) SendReply(int, uint64, TaskID) error { return nil }
 func (s *stubTransport) Flush()                              {}
 func (s *stubTransport) Close() error                        { return nil }
 
-// linkTransport is a fault transport with no delay: like a real link, it
-// reports what it could hand over, not what the receiving side made of it.
-type linkTransport struct{ selfTransport }
-
-func (l *linkTransport) Send(f *WireFrame) error {
-	_ = l.selfTransport.Send(f)
-	return nil
-}
-
 // wantHeadErr is the contract: the error identity a caller sees.  A route
-// that defers delivery (InterceptWire, a remote node) cannot fail the sender
+// that defers delivery (a remote node) cannot fail the sender
 // for what the receiving side finds — the send has happened; a caller waiting
 // on the initiate reply then hears NilTask, which it reports as
 // ErrVMTerminated.  The in-process cross-cluster route charges the
@@ -204,10 +194,7 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	var out bytes.Buffer
 	opts := Options{AcceptTimeout: 30 * time.Second, Metrics: reg, UserOutput: &out}
 	var stub *stubTransport
-	switch r {
-	case routeIntercept:
-		opts.Remote, opts.InterceptWire = &linkTransport{}, true
-	case routeStub:
+	if r == routeStub {
 		stub = &stubTransport{refuse: c != condRunning && c != condOneCopy}
 		opts.Remote, opts.Hosted = stub, []int{1}
 	}
@@ -220,9 +207,6 @@ func runHeadCell(t *testing.T, e headEntry, r headRoute, c headCond) {
 	}
 	shutdown := sync.OnceFunc(vm.Shutdown)
 	defer shutdown()
-	if tr, ok := opts.Remote.(*linkTransport); ok {
-		tr.vm = vm
-	}
 	if stub != nil {
 		stub.vm = vm
 	}
@@ -434,40 +418,32 @@ func fillBudgetToOneCopy(t *testing.T, vm *VM, shard *memory.Allocator, e headEn
 // parent's exit and the controller's ACCEPT the VM read idle — a true race
 // on this backend, hence the repeats (and -race -count=20 in CI).
 func TestTrailingInitiate(t *testing.T) {
-	for _, intercept := range []bool{false, true} {
-		for i := 0; i < 50; i++ {
-			opts := Options{AcceptTimeout: 30 * time.Second}
-			tr := &selfTransport{}
-			if intercept {
-				opts.Remote, opts.InterceptWire = tr, true
+	for i := 0; i < 50; i++ {
+		vm, err := NewVM(config.Simple(2, 4), Options{AcceptTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ran atomic.Int32
+		vm.Register("leaf", func(*Task) { ran.Add(1) })
+		vm.Register("child", func(task *Task) {
+			ran.Add(1)
+			if err := task.Initiate(Same(), "leaf"); err != nil {
+				t.Errorf("child: %v", err)
 			}
-			vm, err := NewVM(config.Simple(2, 4), opts)
-			if err != nil {
-				t.Fatal(err)
+		})
+		vm.Register("main", func(task *Task) {
+			if err := task.Initiate(Other(), "child"); err != nil {
+				t.Errorf("main: %v", err)
 			}
-			tr.vm = vm
-			var ran atomic.Int32
-			vm.Register("leaf", func(*Task) { ran.Add(1) })
-			vm.Register("child", func(task *Task) {
-				ran.Add(1)
-				if err := task.Initiate(Same(), "leaf"); err != nil {
-					t.Errorf("child: %v", err)
-				}
-			})
-			vm.Register("main", func(task *Task) {
-				if err := task.Initiate(Other(), "child"); err != nil {
-					t.Errorf("main: %v", err)
-				}
-			})
-			if _, err := vm.Run("main", OnCluster(1)); err != nil {
-				t.Fatal(err)
-			}
-			vm.WaitIdle()
-			n := ran.Load()
-			vm.Shutdown()
-			if n != 2 {
-				t.Fatalf("intercept=%v round %d: WaitIdle returned with %d of 2 descendants run", intercept, i, n)
-			}
+		})
+		if _, err := vm.Run("main", OnCluster(1)); err != nil {
+			t.Fatal(err)
+		}
+		vm.WaitIdle()
+		n := ran.Load()
+		vm.Shutdown()
+		if n != 2 {
+			t.Fatalf("round %d: WaitIdle returned with %d of 2 descendants run", i, n)
 		}
 	}
 }

@@ -350,7 +350,8 @@ func (c *clusterRT) captureCheckpoint() haCkptCluster {
 	}
 	var recs []*taskRec
 	for i := c.userLo; i < len(c.slots); i++ {
-		if r := c.slots[i].rec; r != nil && r != reservedMarker && !r.isController {
+		// A reservation and a planned record (planLocked) have no task yet.
+		if r := c.slots[i].rec; r != nil && r.tasktype != "" {
 			recs = append(recs, r)
 		}
 	}
@@ -599,7 +600,10 @@ func (vm *VM) raiseUnique(u int) {
 // last checkpoint is otherwise unknown to Restore; the transport observed
 // its id — in the initiate reply, or in the dead controller's initiation log
 // (initLogger) — and plans its re-creation here before replaying retained
-// frames.  Requests already answered in the restored initMap are left alone.
+// frames.  From the plan on, the id's in-queue exists: a message for the task
+// — a replayed frame, or a send by a task that holds the id — waits there for
+// the re-created task.  Requests already answered in the restored initMap are
+// left alone.
 func (vm *VM) PlanRestoredInit(cluster int, parent TaskID, seq uint64, id TaskID) error {
 	if !vm.ha {
 		return fmt.Errorf("core: PlanRestoredInit requires a VM booted with Options.HA")
@@ -615,10 +619,7 @@ func (vm *VM) PlanRestoredInit(cluster int, parent TaskID, seq uint64, id TaskID
 	key := initKey{parent: parent, seq: seq}
 	cl.mu.Lock()
 	if _, started := cl.initMap[key]; !started {
-		if cl.directed == nil {
-			cl.directed = make(map[initKey]TaskID)
-		}
-		cl.directed[key] = id
+		cl.planLocked(key, id)
 	}
 	cl.mu.Unlock()
 	return nil

@@ -17,48 +17,50 @@ import (
 	"repro/internal/sim"
 )
 
-// corpusCheckpoint runs one conformance program on a sim-backed HA VM — under
-// the fault transport, whose wire latency is what makes virtual time pass —
-// and returns a checkpoint of both clusters cut halfway through the run.
-func corpusCheckpoint(t testing.TB, name string) []byte {
+// corpusCheckpoint runs one conformance program on a sim-backed fault mesh of
+// HA VMs — whose wire latency is what makes virtual time pass — and returns
+// the checkpoints of both clusters, each cut by the VM hosting it halfway
+// through the run.
+func corpusCheckpoint(t testing.TB, name string) [][]byte {
 	t.Helper()
 	_, srcs := conformance.Corpus()
 	prog, err := pfi.Compile(srcs[name])
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	run := func(cutAt time.Duration) (blob []byte, elapsed time.Duration) {
+	run := func(cutAt time.Duration) (blobs [][]byte, elapsed time.Duration) {
 		s := sim.New(1)
-		ft := node.NewFaultTransport(1, node.DefaultFaultProfile())
-		vm, err := core.NewVM(config.Simple(2, 8).WithForces(1, 7, 8), core.Options{
-			UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true,
-			Remote: ft, InterceptWire: true,
+		mesh, err := node.NewFaultMesh(config.Simple(2, 8).WithForces(1, 7, 8), 1, node.DefaultFaultProfile(), func(int) core.Options {
+			return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft.Bind(vm)
 		if cutAt > 0 {
 			s.AfterFunc(cutAt, func() {
-				if blob, err = vm.Checkpoint(1, 2); err != nil {
-					t.Errorf("%s: checkpoint: %v", name, err)
+				for i, vm := range mesh.VMs {
+					blob, err := vm.Checkpoint(i + 1)
+					if err != nil {
+						t.Errorf("%s: checkpoint: %v", name, err)
+					}
+					blobs = append(blobs, blob)
 				}
 			})
 		}
 		start := s.Now()
-		if err := prog.Run(vm, pfi.Options{}); err != nil {
+		if err := mesh.Run(prog, pfi.Options{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		elapsed = s.Now().Sub(start)
-		vm.Shutdown()
-		return blob, elapsed
+		mesh.Shutdown()
+		return blobs, elapsed
 	}
 	_, elapsed := run(0)
-	blob, _ := run(elapsed / 2)
-	if len(blob) == 0 {
+	blobs, _ := run(elapsed / 2)
+	if len(blobs) == 0 {
 		t.Fatalf("%s: no checkpoint was cut at %v of %v", name, elapsed/2, elapsed)
 	}
-	return blob
+	return blobs
 }
 
 // FuzzClusterCheckpoint: a checkpoint blob — what a buddy node stores for a
@@ -69,11 +71,12 @@ func corpusCheckpoint(t testing.TB, name string) []byte {
 // corpus programs.
 func FuzzClusterCheckpoint(f *testing.F) {
 	for _, name := range []string{"pipeline.pf", "crosscluster.pf"} {
-		blob := corpusCheckpoint(f, name)
-		if again, err := core.ReencodeCheckpoint(blob); err != nil || !bytes.Equal(again, blob) {
-			f.Fatalf("%s: a real checkpoint does not round-trip byte for byte (%v)", name, err)
+		for _, blob := range corpusCheckpoint(f, name) {
+			if again, err := core.ReencodeCheckpoint(blob); err != nil || !bytes.Equal(again, blob) {
+				f.Fatalf("%s: a real checkpoint does not round-trip byte for byte (%v)", name, err)
+			}
+			f.Add(blob)
 		}
-		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -315,3 +315,101 @@ func TestHAOffOverheadPaths(t *testing.T) {
 		t.Fatalf("non-HA output lines = %q, want %q", got, want)
 	}
 }
+
+// TestHASequencedPlacementIgnoresLoad: in HA mode an ANY or OTHER INITIATE
+// takes the clusters in turn by the initiator's send sequence number,
+// starting after its own cluster — whatever the loads, which a restored
+// initiator on another VM sees differently.  Cluster 2 is the busiest here,
+// and an unsequenced ANY (the execution environment's) avoids it; the
+// sequenced ones still go 2, 3, 1, 2, and OTHER 2, 3.
+func TestHASequencedPlacementIgnoresLoad(t *testing.T) {
+	vm, err := NewVM(config.Simple(3, 8), Options{HA: true, AcceptTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Shutdown()
+	vm.Register("sleeper", func(task *Task) { _, _ = task.AcceptOne("stop") })
+	for i := 0; i < 4; i++ {
+		if _, err := vm.Initiate("sleeper", OnCluster(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, err := vm.Initiate("sleeper", Any()); err != nil || id.Cluster == 2 {
+		t.Fatalf("an unsequenced ANY went to cluster %d (%v); want a less loaded one", id.Cluster, err)
+	}
+	var got []int
+	vm.Register("placer", func(task *Task) {
+		for _, p := range []Placement{Any(), Any(), Any(), Any(), Other(), Other()} {
+			id, err := task.InitiateWait(p, "sleeper")
+			if err != nil {
+				t.Errorf("placer: %v", err)
+				return
+			}
+			got = append(got, id.Cluster)
+		}
+	})
+	if _, err := vm.Run("placer", OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 3, 1, 2, 2, 3}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("sequenced placements went to clusters %v, want %v", got, want)
+	}
+}
+
+// TestHAPlannedTaskOwnsItsSlot: a planned re-creation holds its id's slot
+// from the plan on — at once when the slot is free, else from the moment its
+// holder exits — so a request that comes in before the planned one waits
+// for another slot instead of taking the one the re-created task needs.
+// Cluster 2 has one slot; a rival's fire-and-forget request reaches it
+// between the plan and the parent's request, and must start after the kid.
+func TestHAPlannedTaskOwnsItsSlot(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
+			cfg := config.Simple(2, 4)
+			cfg.Cluster(2).Slots = 1
+			vm, err := NewVM(cfg, Options{HA: true, Backend: sim.New(1), AcceptTimeout: 30 * time.Second, UserOutput: io.Discard})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer vm.Shutdown()
+			var order []string
+			vm.Register("holder", func(task *Task) { _, _ = task.AcceptOne("release") })
+			vm.Register("kid", func(task *Task) { order = append(order, "kid "+task.ID().String()) })
+			vm.Register("other", func(task *Task) { order = append(order, "other") })
+			vm.Register("rival", func(task *Task) { _ = task.Initiate(OnCluster(2), "other") })
+			vm.Register("parent", func(task *Task) {
+				if _, err := task.AcceptOne("go"); err == nil {
+					_ = task.Initiate(OnCluster(2), "kid") // its send number 1
+				}
+			})
+			parent, err := vm.Initiate("parent", OnCluster(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var holder TaskID
+			if held {
+				if holder, err = vm.Initiate("holder", OnCluster(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			kid := TaskID{Cluster: 2, Slot: 1, Unique: 1000}
+			if err := vm.PlanRestoredInit(2, parent, 1, kid); err != nil {
+				t.Fatal(err)
+			}
+			if held {
+				_ = vm.SendFromUser(holder, "release")
+				_ = vm.WaitTask(holder)
+			}
+			rival, err := vm.Initiate("rival", OnCluster(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = vm.WaitTask(rival)
+			_ = vm.SendFromUser(parent, "go")
+			vm.WaitIdle()
+			if want := []string{"kid " + kid.String(), "other"}; fmt.Sprint(order) != fmt.Sprint(want) {
+				t.Errorf("tasks ran %v, want %v", order, want)
+			}
+		})
+	}
+}

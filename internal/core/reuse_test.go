@@ -40,8 +40,9 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 	)
 	snapshots, penned := 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
-		s, ft, endB, vm, vmB := faultMesh(t, seed, config.Simple(2, 4))
-		ft.MarkEpoch(far)
+		s, mesh := faultMesh(t, seed, config.Simple(2, 4))
+		vm, vmB := mesh.VMs[0], mesh.VMs[1]
+		mesh.MarkEpoch(far)
 
 		lists := map[*core.Value]bool{} // every list a finished receiver's log retains, by its storage
 		var captured [][][]core.Value   // every queue snapshot taken, read once the run is over
@@ -91,11 +92,11 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 			if blob, err = vmB.Checkpoint(far); err != nil {
 				problems <- fmt.Sprintf("checkpoint: %v", err)
 			}
-			ft.MarkEpoch(far)
+			mesh.MarkEpoch(far)
 		}
 		kill := func() {
 			var err error
-			if victims, err = netKillB(vm, vmB, ft, endB, blob); err != nil {
+			if victims, err = netKillB(mesh, blob); err != nil {
 				problems <- fmt.Sprintf("restore: %v", err)
 			}
 		}

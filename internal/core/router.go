@@ -52,15 +52,16 @@ import (
 // left through the remote Transport.  SEND is by value on every route: the
 // queued message's argument list and its arrays are the header's own
 // (Message.store), so the list the caller passed, and every array in it, is
-// the caller's again when dispatch returns.  A
-// destination that is hosted here and not running fails with ErrNoSuchTask on
-// every route — also under InterceptWire, where delivery itself is delayed —
-// and a destination shard that cannot hold the message with ErrHeapExhausted
-// on every route but the remote one, whose receiver charges at delivery.
+// the caller's again when dispatch returns.  The route is the destination
+// cluster's host alone: a cluster hosted here is reached in place, any other
+// through the Transport.  A destination that is hosted here and not running
+// fails with ErrNoSuchTask, and a destination shard that cannot hold the
+// message with ErrHeapExhausted, on every route but the remote one, whose
+// receiver looks the task up and charges its shard at delivery.
 func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (size int, remote bool, err error) {
-	remote = vm.wireRemote(from, to.Cluster)
+	remote = !vm.hosts(to.Cluster)
 	var rec *taskRec
-	if !remote || vm.hosts(to.Cluster) {
+	if !remote {
 		var ok bool
 		if rec, ok = vm.lookupTask(to); !ok {
 			return 0, remote, fmt.Errorf("%w: %s", ErrNoSuchTask, to)

@@ -164,11 +164,11 @@ func (t *Task) initiate(placement Placement, tasktype string, args []Value, repl
 	if _, ok := t.vm.taskType(tasktype); !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTaskType, tasktype)
 	}
-	cl, err := t.vm.placeCluster(placement, t.Cluster())
+	sendSeq := t.nextSendSeq()
+	cl, err := t.vm.placeCluster(placement, t.Cluster(), sendSeq)
 	if err != nil {
 		return err
 	}
-	sendSeq := t.nextSendSeq()
 	t.Charge(costSendHeader)
 	if _, _, err := t.vm.dispatch(t.rec.cluster, cl.controllerID, msgInitRequest, t.ID(), initRequestArgs(tasktype, t.ID(), args), sendSeq, reply); err != nil {
 		return err

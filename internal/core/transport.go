@@ -28,8 +28,8 @@ import (
 // critically — controller taskids are identical on every node (taskids are
 // assigned from one deterministic boot sequence).  Controllers of non-hosted
 // clusters are "ghosts": they run their accept loops but nothing is ever
-// delivered to them, because the routing decision below intercepts traffic
-// for non-hosted clusters before any local lookup.  User tasks are only ever
+// delivered to them, because dispatch hands traffic for a non-hosted cluster
+// to the remote Transport before any local lookup.  User tasks are only ever
 // placed on hosted clusters by the node that hosts them, so a taskid's
 // cluster number always names the one node that can resolve it.
 
@@ -79,14 +79,16 @@ type WireFrame struct {
 }
 
 // Transport carries cross-cluster wire frames between clusters hosted by
-// different VMs (or re-injects them locally with latency, for fault
-// injection).  Implementations must preserve per-sender FIFO order for
-// frames with the same (Src, Dst) pair.  The frame AND its Payload are
-// borrowed: both are valid only until Send returns (the header and the
-// payload buffer are pooled together and reused at that point), so a
-// transport that defers delivery must copy what it needs before returning —
-// the batched TCP transport encodes the frame into its batch buffer inside
-// Send, a fault transport copies the payload into its delay line.
+// different VMs — the node runtime's sockets, or the delay line of a fault
+// network joining the VMs of one process (node.FaultMesh).  A frame between
+// two clusters of one VM never reaches a Transport.  Implementations must
+// preserve per-sender FIFO order for frames with the same (Src, Dst) pair.
+// The frame AND its Payload are borrowed: both are valid only until Send
+// returns (the header and the payload buffer are pooled together and reused
+// at that point), so a transport that defers delivery must copy what it
+// needs before returning — the batched TCP transport encodes the frame into
+// its batch buffer inside Send, a fault transport copies the payload into its
+// delay line.
 type Transport interface {
 	// Send hands one frame to the transport.
 	Send(f *WireFrame) error
@@ -122,34 +124,10 @@ func (vm *VM) HostedClusters() []int {
 	return out
 }
 
-// homeCluster returns the lowest hosted cluster number; it identifies this
-// node in frames whose sender is the execution environment rather than a
-// task.  Resolved once at boot — this sits on the per-message remote path.
-func (vm *VM) homeCluster() int { return vm.home }
-
 // partial reports whether some configured cluster is hosted elsewhere.
 func (vm *VM) partial() bool {
 	m := vm.hosted.Load()
 	return m != nil && len(*m) < len(vm.clusters)
-}
-
-// wireRemote reports whether a message from cluster `from` (nil for the
-// execution environment) to cluster dst must travel through the remote
-// Transport: always when dst is hosted by another node, and for every
-// cross-cluster hop when the VM was booted with InterceptWire (fault
-// injection under -sim).
-func (vm *VM) wireRemote(from *clusterRT, dst int) bool {
-	if !vm.hosts(dst) {
-		return true
-	}
-	if !vm.interceptAll || vm.remote == nil {
-		return false
-	}
-	src := vm.homeCluster()
-	if from != nil {
-		src = from.cfg.Number
-	}
-	return src != dst
 }
 
 // addPendingReply registers a routed-initiate reply and returns the
@@ -206,7 +184,7 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 		return 0, fmt.Errorf("core: cluster %d is not hosted by this node and no remote transport is configured", to.Cluster)
 	}
 	spanT0 := vm.om.reg.SpanStart()
-	src := vm.homeCluster()
+	src := vm.home
 	var shard *memory.Allocator
 	if from != nil {
 		src, shard = from.cfg.Number, from.heap
@@ -434,7 +412,7 @@ func (vm *VM) DeliverWireReply(replyID uint64, id TaskID) {
 	// Close the cross-node round trip: the routed initiate's flow stepped
 	// through the remote node's deliver span and ends on the reply span here,
 	// back on the requesting node.
-	vm.emit(&obs.Event{Kind: obs.WireReply, Edge: r.edge, A: int64(vm.homeCluster()), Start: vm.om.reg.SpanStart()}, nil)
+	vm.emit(&obs.Event{Kind: obs.WireReply, Edge: r.edge, A: int64(vm.home), Start: vm.om.reg.SpanStart()}, nil)
 	r.deliver(id)
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,16 +74,18 @@ type Options struct {
 	// share one deterministic backend, driven from that one goroutine.
 	Backend backend.Backend
 	// Hosted restricts the clusters whose tasks actually run in this process
-	// (distributed mode, internal/node).  Nil hosts every configured cluster.
-	// The VM still boots the full configuration — controllers of non-hosted
-	// clusters run as inert ghosts so taskid assignment stays identical on
-	// every node — but traffic for a non-hosted cluster travels through
-	// Remote instead of being delivered locally.
+	// (distributed mode: a node of internal/node, or a VM of a fault mesh).
+	// Nil hosts every configured cluster.  The VM still boots the full
+	// configuration — controllers of non-hosted clusters run as inert ghosts
+	// so taskid assignment stays identical on every node — but traffic for a
+	// non-hosted cluster travels through Remote instead of being delivered
+	// locally.
 	Hosted []int
 	// Remote carries cross-cluster messages for clusters this VM does not
-	// host.  Required when Hosted excludes a configured cluster.  Transports
-	// that need the VM (to deliver inbound frames) are constructed first and
-	// bound to it after NewVM returns; nothing routes until tasks run.
+	// host, and only those: traffic between hosted clusters never reaches it.
+	// Required when Hosted excludes a configured cluster.  Transports that
+	// need the VM (to deliver inbound frames) are constructed first and bound
+	// to it after NewVM returns; nothing routes until tasks run.
 	Remote Transport
 	// Metrics receives run-time metrics and spans.  Nil creates a private
 	// disabled registry, so instrumented paths never nil-check; callers that
@@ -101,16 +104,6 @@ type Options struct {
 	// fail-stops this VM's user tasks and is reported by LimitViolation; the
 	// process — and any sibling VM in a serving daemon — is unaffected.
 	Limits Limits
-	// InterceptWire routes EVERY cross-cluster message through Remote, even
-	// between clusters hosted here.  Fault/latency-injecting transports use
-	// it to exercise network schedules under the deterministic backend.
-	// Sends to tasks that are not running still fail at the sender
-	// (ErrNoSuchTask, as on the direct path), but the destination shard is
-	// charged at delivery rather than reserved at send time, so a receiver
-	// whose heap fills drops the delayed message instead of failing the
-	// sender with ErrHeapExhausted — the one intentional semantic difference
-	// of intercepted delivery.
-	InterceptWire bool
 	// NodeID is this process's node id in a distributed mesh (0 standalone).
 	// It seeds the high bits of causal edge ids, so edges generated by
 	// different nodes never collide when their traces and flight-recorder
@@ -156,9 +149,8 @@ type VM struct {
 	// and replaced wholesale (under vm.mu, copy-on-write) when a buddy node
 	// adopts a dead peer's clusters.
 	hosted         atomic.Pointer[map[int]bool]
-	home           int // lowest hosted cluster, resolved once at boot
+	home           int // lowest hosted cluster: the node in frames the execution environment sends
 	remote         Transport
-	interceptAll   bool
 	pendMu         sync.Mutex
 	pendingReplies map[uint64]*initReply
 	replySeq       atomic.Uint64
@@ -308,7 +300,6 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 	vm.files = newFileStore()
 	vm.pendingReplies = make(map[uint64]*initReply)
 	vm.remote = opts.Remote
-	vm.interceptAll = opts.InterceptWire
 	if opts.Hosted != nil {
 		hosted := make(map[int]bool, len(opts.Hosted))
 		for _, n := range opts.Hosted {
@@ -324,9 +315,6 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 			return nil, fmt.Errorf("core: clusters hosted elsewhere require a remote transport")
 		}
 		vm.hosted.Store(&hosted)
-	}
-	if vm.interceptAll && vm.remote == nil {
-		return nil, fmt.Errorf("core: InterceptWire requires a remote transport")
 	}
 
 	for _, ev := range cfg.TraceEvents {
@@ -549,7 +537,7 @@ func (vm *VM) Initiate(tasktype string, placement Placement, args ...Value) (Tas
 	if _, ok := vm.taskType(tasktype); !ok {
 		return NilTask, fmt.Errorf("%w: %q", ErrUnknownTaskType, tasktype)
 	}
-	cl, err := vm.placeCluster(placement, 0)
+	cl, err := vm.placeCluster(placement, 0, 0)
 	if err != nil {
 		return NilTask, err
 	}
@@ -673,8 +661,9 @@ func (vm *VM) FlushUserOutput() {
 }
 
 // placeCluster resolves a Placement to a cluster, given the initiating
-// cluster (0 when the initiator is the execution environment).
-func (vm *VM) placeCluster(p Placement, from int) (*clusterRT, error) {
+// cluster (0 when the initiator is the execution environment) and the
+// initiate's send sequence number (0 unsequenced).
+func (vm *VM) placeCluster(p Placement, from int, seq uint64) (*clusterRT, error) {
 	nums := vm.clusterNumbers()
 	switch p.kind {
 	case placeCluster:
@@ -693,13 +682,13 @@ func (vm *VM) placeCluster(p Placement, from int) (*clusterRT, error) {
 		}
 		return cl, nil
 	case placeOther:
-		best := vm.leastLoaded(nums, from)
+		best := vm.leastLoaded(nums, from, from, seq)
 		if best == nil {
 			return nil, ErrNoOtherCluster
 		}
 		return best, nil
 	default: // placeAny
-		best := vm.leastLoaded(nums, 0)
+		best := vm.leastLoaded(nums, from, 0, seq)
 		if best == nil {
 			return nil, ErrNoSuchCluster
 		}
@@ -709,8 +698,24 @@ func (vm *VM) placeCluster(p Placement, from int) (*clusterRT, error) {
 
 // leastLoaded returns the cluster with the most free user slots, excluding
 // cluster `exclude` (0 excludes nothing).  Ties go to the lowest number.
-func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
+//
+// A sequenced initiate (HA mode, seq != 0) takes the clusters in turn by its
+// send sequence number instead, starting with the one after the initiator's
+// cluster from: its placement must come out the same when a restored
+// initiator re-executes it on another VM, whose view of the loads differs —
+// on a VM that hosts part of the machine a ghost cluster always looks empty —
+// or the request reaches a controller that has not served it, and a second
+// child starts.
+func (vm *VM) leastLoaded(nums []int, from, exclude int, seq uint64) *clusterRT {
 	var best *clusterRT
+	if seq != 0 {
+		i := slices.Index(nums, from) + 1
+		turn := slices.DeleteFunc(append(slices.Clone(nums[i:]), nums[:i]...), func(n int) bool { return n == exclude })
+		if len(turn) > 0 {
+			best, _ = vm.cluster(turn[(seq-1)%uint64(len(turn))])
+		}
+		return best
+	}
 	bestFree := -1
 	for _, n := range nums {
 		if n == exclude {
@@ -841,6 +846,17 @@ func (vm *VM) Shutdown() {
 		}
 	}
 	vm.userTasks.Wait()
+	// A planned task never re-created (PlanRestoredInit) leaves its record
+	// behind, and what was sent to it: recover that.
+	for _, rec := range all {
+		if !rec.isController && rec.tasktype == "" {
+			for _, m := range rec.queue.close() {
+				vm.dropMessage(m)
+			}
+			vm.unregisterTask(rec.id)
+			rec.done.Open()
+		}
+	}
 
 	// Unblock anyone still waiting on a routed initiate reply (possibly a
 	// request another node will never answer now).

@@ -1,14 +1,17 @@
 package node
 
 import (
-	"fmt"
+	"cmp"
 	"math/rand"
 	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/pfi"
 )
 
 // FaultProfile shapes the injected network behaviour.
@@ -24,7 +27,7 @@ type FaultProfile struct {
 	// maxRetransmits so a hostile PRNG cannot stall a lane unboundedly).
 	// The LAST attempt always delivers: the run-time's send semantics (a
 	// send that returned has happened) must hold on every schedule, so loss
-	// is visible only as retry latency and in Stats().
+	// is visible only as retry latency.
 	DropRate float64
 	// Retransmit is the delay each dropped attempt adds before the retry.
 	Retransmit time.Duration
@@ -66,49 +69,31 @@ type laneKey struct {
 	reply    bool
 }
 
-// FaultTransport is a deterministic fault/latency-injecting core.Transport:
-// every frame is delivered (core.VM.DeliverWire) after a seeded delay,
-// scheduled on the VMs' backend so that under -sim the whole "network" runs
-// on the virtual clock and replays byte-identically from the seed.  Ordering
-// stays per-lane FIFO — due times within a lane are forced monotone,
-// modelling a link that delays but never reorders one sender's traffic —
-// while different lanes reorder freely against each other, which is exactly
-// the schedule freedom a real multi-node mesh has and a single-process run
-// never exercises.
+// FaultTransport is a deterministic fault/latency-injecting network between
+// the VMs of one process: every frame is delivered (core.VM.DeliverWire)
+// after a seeded delay, scheduled on the VMs' backend so that under -sim the
+// whole network runs on the virtual clock and replays byte-identically from
+// the seed.  Ordering stays per-lane FIFO — due times within a lane are
+// forced monotone, modelling a link that delays but never reorders one
+// sender's traffic — while different lanes reorder freely against each
+// other, which is exactly the schedule freedom a real multi-node mesh has
+// and a single-process run never exercises.
 //
-// Used with core.Options{Remote: ft, InterceptWire: true} on a VM hosting
-// every cluster: all cross-cluster traffic then pays simulated network
-// delay.  Bind must be called with the VM before tasks run.  The VMs of an
-// in-process mesh share one network: each further VM is booted with an End
-// of it, and a frame is handed to the live VM that hosts its destination
-// cluster when it is delivered.
+// Each VM attaches through an end of its own, its core.Options.Remote; a
+// frame is handed to the live VM that hosts its destination cluster when it
+// is delivered.  FaultMesh boots the VMs in the production hosting shape.
 type FaultTransport struct {
-	End // the first VM's
-}
-
-// End is one VM's attachment to a FaultTransport's network: pass it as the
-// VM's core.Options.Remote and Bind it once the VM is booted.  Fail models
-// the VM's death as its peers see it.  dead is guarded by net.mu.
-type End struct {
-	net  *faultNet
-	vm   *core.VM
-	dead bool
-}
-
-// faultNet is the delay line every end of one FaultTransport shares.
-type faultNet struct {
 	profile FaultProfile
 
 	mu          sync.Mutex
 	rng         *rand.Rand
-	ends        []*End
+	ends        []*end
 	be          backend.Backend
 	lanes       map[laneKey]time.Time
 	batches     map[laneKey]time.Time
 	outstanding int
 	idleWaits   []backend.Gate
 	delivered   int64
-	faults      int64
 
 	// retained holds, per destination cluster, copies of every message frame
 	// delivered to it (or lost with its dead host) since the cluster's last
@@ -121,6 +106,23 @@ type faultNet struct {
 	// fault-only runs pay nothing.
 	retained map[int][]*core.WireFrame
 	inits    map[int][]loggedInit
+	// inflight holds, by send order, the message frames on their way to a
+	// cluster with retention armed.  A frame still on its way when the VM
+	// hosting its cluster dies is handed to the adopter by ReplayRetained,
+	// ahead of anything its sender sends the adopter from then on — as a
+	// node's transport replays what a dead peer never acknowledged before it
+	// routes anew — and is not delivered again when it lands.
+	inflight map[*core.WireFrame]uint64
+	sent     uint64
+}
+
+// end is one VM's attachment to a FaultTransport: the VM's
+// core.Options.Remote, bound to it once the VM is booted.  dead is guarded by
+// net.mu.
+type end struct {
+	net  *FaultTransport
+	vm   *core.VM
+	dead bool
 }
 
 // loggedInit is one initiation a task controller started: the request's key
@@ -131,60 +133,111 @@ type loggedInit struct {
 	id     core.TaskID
 }
 
-// NewFaultTransport builds a fault transport with its own seeded PRNG.  The
-// same seed and the same VM schedule reproduce the same delays.
-func NewFaultTransport(seed int64, p FaultProfile) *FaultTransport {
-	n := &faultNet{profile: p, rng: rand.New(rand.NewSource(seed)), lanes: make(map[laneKey]time.Time), batches: make(map[laneKey]time.Time)}
-	ft := &FaultTransport{End{net: n}}
-	n.ends = []*End{&ft.End}
-	return ft
+// FaultMesh is the production hosting shape on one fault network: one VM per
+// configured cluster, VM i hosting the i-th cluster in ascending order under
+// NodeID i through its own end — the partition `pisces run -nodes N` makes
+// with one cluster per node.  Every cross-cluster message crosses the
+// network, and a message between clusters is what it is on a real mesh: a
+// send to a task that is gone is dropped by its receiver, not refused at the
+// sender.
+type FaultMesh struct {
+	*FaultTransport
+	VMs []*core.VM
 }
 
-// Join attaches one more VM to the transport's network.
-func (ft *FaultTransport) Join() *End {
-	e := &End{net: ft.net}
-	ft.net.mu.Lock()
-	ft.net.ends = append(ft.net.ends, e)
-	ft.net.mu.Unlock()
-	return e
+// NewFaultMesh boots the mesh for cfg on a fault network seeded with seed.
+// opts(i) gives VM i's options; the mesh sets their Hosted, Remote and
+// NodeID.  The VMs share one registry — VM 0's Metrics, or a new disabled one
+// — and with it VM 0's trace sinks and the trace switches, so one trace, one
+// metric snapshot and one flight recorder cover the whole mesh.  The same
+// seed and the same VM schedule reproduce the same delays.
+func NewFaultMesh(cfg *config.Configuration, seed int64, p FaultProfile, opts func(node int) core.Options) (*FaultMesh, error) {
+	m := &FaultMesh{FaultTransport: &FaultTransport{
+		profile: p, rng: rand.New(rand.NewSource(seed)),
+		lanes: make(map[laneKey]time.Time), batches: make(map[laneKey]time.Time),
+	}}
+	var reg *obs.Registry
+	for i, n := range cfg.ClusterNumbers() {
+		o := opts(i)
+		if i == 0 {
+			if o.Metrics == nil {
+				o.Metrics = obs.New()
+			}
+			reg = o.Metrics
+		} else {
+			o.Metrics, o.TraceSinks = reg, nil
+		}
+		e := &end{net: m.FaultTransport}
+		o.Hosted, o.Remote, o.NodeID = []int{n}, e, i
+		vm, err := core.NewVM(cfg, o)
+		if err != nil {
+			m.Shutdown()
+			return nil, err
+		}
+		m.mu.Lock()
+		e.vm, m.be = vm, vm.Backend()
+		m.ends = append(m.ends, e)
+		m.mu.Unlock()
+		m.VMs = append(m.VMs, vm)
+	}
+	return m, nil
 }
 
-// Bind attaches the end to the VM it carries traffic for.  All the VMs of a
-// network run on one backend.
-func (e *End) Bind(vm *core.VM) {
-	e.net.mu.Lock()
-	e.vm = vm
-	e.net.be = vm.Backend()
-	e.net.mu.Unlock()
+// Run runs the program on the mesh: registered on every VM, MAIN started on
+// VM 0, the terminal's, and the whole mesh drained before the program's error
+// is read.  MAIN's VM going idle is not the mesh going idle: another VM's
+// tasks may still be running, and the frames between them may start more
+// work on either; each VM is waited for and the network flushed, until a pass
+// delivers nothing.
+func (m *FaultMesh) Run(prog *pfi.Program, opts pfi.Options) error {
+	for _, vm := range m.VMs[1:] {
+		prog.Register(vm)
+	}
+	err := prog.Run(m.VMs[0], opts)
+	for idle := false; !idle; {
+		before := m.deliveries()
+		for i := len(m.VMs) - 1; i >= 0; i-- {
+			m.VMs[i].WaitIdle()
+		}
+		m.Flush()
+		idle = m.deliveries() == before
+	}
+	m.VMs[0].FlushUserOutput()
+	if err == nil {
+		err = prog.Err()
+	}
+	return err
 }
 
-// Fail is the death of the end's VM as its peers see it: from now on every
-// frame and reply the VM sends is dropped, no frame is delivered to it, and
-// Flush on it returns at once.  Frames lost to it are still retained for the
+// Shutdown shuts every VM down, the last booted first.
+func (m *FaultMesh) Shutdown() {
+	for i := len(m.VMs) - 1; i >= 0; i-- {
+		m.VMs[i].Shutdown()
+	}
+}
+
+// Fail is the death of VM node as its peers see it: from now on every frame
+// and reply it sends is dropped, no frame is delivered to it, and Flush on
+// its end returns at once.  Frames lost to it are still retained for the
 // clusters it hosted, so a survivor that adopts them can ReplayRetained.
-func (e *End) Fail() {
-	e.net.mu.Lock()
-	e.dead = true
-	e.net.mu.Unlock()
+func (m *FaultMesh) Fail(node int) {
+	m.mu.Lock()
+	m.ends[node].dead = true
+	m.mu.Unlock()
 }
 
-// Stats reports how many frames were delivered and how many paid a
-// retransmission fault.
-func (ft *FaultTransport) Stats() (delivered, faults int64) {
-	ft.net.mu.Lock()
-	defer ft.net.mu.Unlock()
-	return ft.net.delivered, ft.net.faults
+// deliveries counts the frames the network has delivered.
+func (n *FaultTransport) deliveries() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.delivered
 }
 
 // hostsLocked returns the live end whose VM hosts the cluster, nil when none
-// does.  A network of one end always answers with it: its VM resolves every
-// destination itself.  Callers hold n.mu.
-func (n *faultNet) hostsLocked(cluster int) *End {
-	if len(n.ends) == 1 {
-		return n.ends[0]
-	}
+// does.  Callers hold n.mu.
+func (n *FaultTransport) hostsLocked(cluster int) *end {
 	for _, e := range n.ends {
-		if !e.dead && e.vm != nil && slices.Contains(e.vm.HostedClusters(), cluster) {
+		if !e.dead && slices.Contains(e.vm.HostedClusters(), cluster) {
 			return e
 		}
 	}
@@ -193,12 +246,8 @@ func (n *faultNet) hostsLocked(cluster int) *End {
 
 // schedule computes the frame's due time on its lane and arranges fn to run
 // then.  Callers hold no locks.
-func (n *faultNet) schedule(key laneKey, fn func()) error {
+func (n *FaultTransport) schedule(key laneKey, fn func()) error {
 	n.mu.Lock()
-	if n.be == nil {
-		n.mu.Unlock()
-		return fmt.Errorf("node: fault transport used before Bind")
-	}
 	delay := n.profile.Base
 	if n.profile.Jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.profile.Jitter)))
@@ -210,7 +259,6 @@ func (n *faultNet) schedule(key laneKey, fn func()) error {
 	if n.profile.DropRate > 0 {
 		for tries := 0; tries < maxRetransmits && n.rng.Float64() < n.profile.DropRate; tries++ {
 			delay += n.profile.Retransmit
-			n.faults++
 		}
 	}
 	now := n.be.Now()
@@ -258,7 +306,7 @@ func (n *faultNet) schedule(key laneKey, fn func()) error {
 // Send delays the frame on its lane and delivers it with DeliverWire to the
 // VM hosting its destination then — a broadcast to every other VM, each
 // fanning it out to the tasks it hosts.
-func (e *End) Send(f *core.WireFrame) error {
+func (e *end) Send(f *core.WireFrame) error {
 	if e.isDead() {
 		return nil
 	}
@@ -267,17 +315,29 @@ func (e *End) Send(f *core.WireFrame) error {
 	// returns: the delayed frame needs its own copy.
 	g := *f
 	g.Payload = append([]byte(nil), f.Payload...)
+	n.mu.Lock()
+	_, tracked := n.retained[g.Dst]
+	if tracked = tracked && g.Kind == core.FrameMessage; tracked {
+		n.sent++
+		n.inflight[&g] = n.sent
+	}
+	n.mu.Unlock()
 	return n.schedule(laneKey{src: f.Src, dst: f.Dst}, func() {
 		n.mu.Lock()
-		var to []*End
-		if g.Kind == core.FrameBroadcast && len(n.ends) > 1 {
+		if _, flying := n.inflight[&g]; tracked && !flying {
+			n.mu.Unlock() // ReplayRetained delivered it
+			return
+		}
+		delete(n.inflight, &g)
+		var to []*end
+		if g.Kind == core.FrameBroadcast {
 			for _, o := range n.ends {
-				if o != e && o.vm != nil {
+				if o != e {
 					to = append(to, o)
 				}
 			}
 		} else if h := n.hostsLocked(g.Dst); h != nil {
-			to = []*End{h}
+			to = []*end{h}
 		}
 		n.mu.Unlock()
 		for _, o := range to {
@@ -289,7 +349,7 @@ func (e *End) Send(f *core.WireFrame) error {
 	})
 }
 
-func (e *End) isDead() bool {
+func (e *end) isDead() bool {
 	e.net.mu.Lock()
 	defer e.net.mu.Unlock()
 	return e.dead
@@ -299,7 +359,7 @@ func (e *End) isDead() bool {
 // destination cluster has retention armed.  A broadcast is kept once for
 // every armed cluster a VM it went to hosts, narrowed to that cluster, so its
 // replay reaches only the tasks the cluster's restore lost.
-func (n *faultNet) retain(f *core.WireFrame, to []*End) {
+func (n *FaultTransport) retain(f *core.WireFrame, to []*end) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if f.Kind != core.FrameBroadcast || f.Dst != 0 {
@@ -323,7 +383,7 @@ func (n *faultNet) retain(f *core.WireFrame, to []*End) {
 // retention armed, for ReplayRetained to plan on the VM that adopts the
 // cluster.  The network takes it before the child runs, so no effect of the
 // child can reach a survivor ahead of its id.
-func (e *End) LogInit(cluster int, parent core.TaskID, seq uint64, id core.TaskID) {
+func (e *end) LogInit(cluster int, parent core.TaskID, seq uint64, id core.TaskID) {
 	n := e.net
 	n.mu.Lock()
 	if _, ok := n.retained[cluster]; ok && !e.dead {
@@ -337,12 +397,12 @@ func (e *End) LogInit(cluster int, parent core.TaskID, seq uint64, id core.TaskI
 // harness calls it immediately after every Checkpoint of that cluster, so
 // the retained traffic is exactly the post-checkpoint delta a restore needs
 // re-delivered.
-func (ft *FaultTransport) MarkEpoch(cluster int) {
-	n := ft.net
+func (n *FaultTransport) MarkEpoch(cluster int) {
 	n.mu.Lock()
 	if n.retained == nil {
 		n.retained = make(map[int][]*core.WireFrame)
 		n.inits = make(map[int][]loggedInit)
+		n.inflight = make(map[*core.WireFrame]uint64)
 	}
 	n.retained[cluster] = nil
 	n.inits[cluster] = nil
@@ -354,18 +414,29 @@ func (ft *FaultTransport) MarkEpoch(cluster int) {
 // (PlanRestoredInit), so the request, replayed or re-issued, re-creates its
 // task under the logged id; then every frame delivered to the cluster is
 // re-injected in original delivery order, bypassing the delay line (the
-// frames already paid their delays once).  Called after core.Restore; the
+// frames already paid their delays once), and after them every frame still
+// on its way to the cluster, in send order.  Called after core.Restore; the
 // restored tasks' duplicate-suppression floors admit each frame at most once.
 // Returns the number of frames re-injected.
-func (ft *FaultTransport) ReplayRetained(cluster int) int {
-	n := ft.net
+func (n *FaultTransport) ReplayRetained(cluster int) int {
 	n.mu.Lock()
-	frames, inits := n.retained[cluster], n.inits[cluster]
 	h := n.hostsLocked(cluster)
-	n.mu.Unlock()
 	if h == nil {
+		n.mu.Unlock()
 		return 0
 	}
+	frames, inits := n.retained[cluster], n.inits[cluster]
+	var late []*core.WireFrame
+	for f := range n.inflight {
+		if f.Dst == cluster {
+			late = append(late, f)
+		}
+	}
+	slices.SortFunc(late, func(a, b *core.WireFrame) int { return cmp.Compare(n.inflight[a], n.inflight[b]) })
+	for _, f := range late {
+		delete(n.inflight, f)
+	}
+	n.mu.Unlock()
 	for _, l := range inits {
 		_ = h.vm.PlanRestoredInit(cluster, l.parent, l.seq, l.id)
 	}
@@ -373,11 +444,15 @@ func (ft *FaultTransport) ReplayRetained(cluster int) int {
 		g := *f
 		_ = h.vm.DeliverWire(&g)
 	}
-	return len(frames)
+	for _, f := range late {
+		_ = h.vm.DeliverWire(f)
+		n.retain(f, nil)
+	}
+	return len(frames) + len(late)
 }
 
 // SendReply delays an initiate reply on the destination's reply lane.
-func (e *End) SendReply(dst int, replyID uint64, id core.TaskID) error {
+func (e *end) SendReply(dst int, replyID uint64, id core.TaskID) error {
 	if e.isDead() {
 		return nil
 	}
@@ -395,11 +470,10 @@ func (e *End) SendReply(dst int, replyID uint64, id core.TaskID) error {
 // Flush blocks until every frame accepted before the call has been
 // delivered.  Under -sim the wait pumps the scheduler, so the virtual clock
 // advances to the pending due times and the delay line empties
-// deterministically.  A failed end holds nothing: its Flush returns at once.
-func (e *End) Flush() {
-	n := e.net
+// deterministically.
+func (n *FaultTransport) Flush() {
 	n.mu.Lock()
-	if e.dead || n.outstanding == 0 || n.be == nil {
+	if n.outstanding == 0 {
 		n.mu.Unlock()
 		return
 	}
@@ -409,8 +483,16 @@ func (e *End) Flush() {
 	g.Wait()
 }
 
+// Flush is the network's Flush, but a failed end holds nothing: its Flush
+// returns at once.
+func (e *end) Flush() {
+	if !e.isDead() {
+		e.net.Flush()
+	}
+}
+
 // Close drains the delay line.
-func (e *End) Close() error {
+func (e *end) Close() error {
 	e.Flush()
 	return nil
 }

@@ -21,21 +21,13 @@ import (
 // was never among the broadcast's receivers.
 func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
 	s := sim.New(1)
-	ft := node.NewFaultTransport(1, node.DefaultFaultProfile())
-	endB := ft.Join()
-	boot := func(hosted int, remote core.Transport) *core.VM {
-		vm, err := core.NewVM(config.Simple(2, 4), core.Options{
-			UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true,
-			Hosted: []int{hosted}, Remote: remote, InterceptWire: true, NodeID: hosted - 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vm
+	mesh, err := node.NewFaultMesh(config.Simple(2, 4), 1, node.DefaultFaultProfile(), func(int) core.Options {
+		return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	vmA, vmB := boot(1, ft), boot(2, endB)
-	ft.Bind(vmA)
-	endB.Bind(vmB)
+	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
 	heard := map[string]int{}
 	for _, vm := range []*core.VM{vmA, vmB} {
 		vm.Register("caster", func(task *core.Task) {
@@ -67,7 +59,7 @@ func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft.MarkEpoch(2)
+	mesh.MarkEpoch(2)
 	if err := vmA.SendFromUser(caster, "cast"); err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +71,13 @@ func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	endB.Fail()
+	mesh.Fail(1)
 	vmB.Shutdown()
 	vmA.AdoptClusters(2)
 	if err := vmA.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	if n := ft.ReplayRetained(2); n != 1 {
+	if n := mesh.ReplayRetained(2); n != 1 {
 		t.Errorf("replayed %d frames for cluster 2, want the broadcast", n)
 	}
 	vmA.WaitIdle()

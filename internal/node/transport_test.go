@@ -60,37 +60,34 @@ func TestFaultTransportBatchWindow(t *testing.T) {
 	const count = 16
 	const window = 50 * time.Millisecond
 	s := sim.New(3)
-	ft := node.NewFaultTransport(3, node.FaultProfile{BatchWindow: window})
 	var out bytes.Buffer
-	vm, err := core.NewVM(config.Simple(2, 4), core.Options{
-		UserOutput:    &out,
-		Backend:       s,
-		Remote:        ft,
-		InterceptWire: true,
-		AcceptTimeout: 30 * time.Second,
+	mesh, err := node.NewFaultMesh(config.Simple(2, 4), 3, node.FaultProfile{BatchWindow: window}, func(int) core.Options {
+		return core.Options{UserOutput: &out, Backend: s, AcceptTimeout: 30 * time.Second}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft.Bind(vm)
-	defer vm.Shutdown()
+	defer mesh.Shutdown()
+	vm := mesh.VMs[0]
 
 	var mu sync.Mutex
 	var sendStart time.Time
 	var order []int64
 	var arrivals []time.Time
 
-	vm.Register("producer", func(task *core.Task) {
-		mu.Lock()
-		sendStart = s.Now()
-		mu.Unlock()
-		for i := 0; i < count; i++ {
-			if err := task.SendParent("datum", core.Int(int64(i))); err != nil {
-				t.Errorf("producer send %d: %v", i, err)
-				return
+	for _, vm := range mesh.VMs {
+		vm.Register("producer", func(task *core.Task) {
+			mu.Lock()
+			sendStart = s.Now()
+			mu.Unlock()
+			for i := 0; i < count; i++ {
+				if err := task.SendParent("datum", core.Int(int64(i))); err != nil {
+					t.Errorf("producer send %d: %v", i, err)
+					return
+				}
 			}
-		}
-	})
+		})
+	}
 	vm.Register("sink", func(task *core.Task) {
 		if err := task.Initiate(core.OnCluster(2), "producer"); err != nil {
 			t.Errorf("initiate producer: %v", err)
