@@ -22,13 +22,7 @@ import (
 func runBlackbox(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pisces blackbox", flag.ContinueOnError)
 	last := fs.Int("last", 0, "print only the last N merged events (0 = all)")
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			fs.SetOutput(out)
-			fs.Usage()
-			return nil
-		}
+	if help, err := parseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
@@ -36,9 +30,9 @@ func runBlackbox(args []string, out io.Writer) error {
 	}
 
 	var merged []nodeEvent
-	// edgeNodes tracks which nodes saw each causal edge; an edge present on
-	// two nodes is a message that crossed the wire.
-	edgeNodes := make(map[uint64]map[int]bool)
+	// An edge seen by two nodes is a message that crossed the wire.
+	firstNode := make(map[uint64]int) // causal edge -> the first node seen with it
+	crossed := make(map[uint64]bool)
 	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -53,23 +47,18 @@ func runBlackbox(args []string, out io.Writer) error {
 		for _, ev := range events {
 			merged = append(merged, nodeEvent{BlackboxEvent: ev, node: nodeID})
 			if ev.Edge != 0 {
-				if edgeNodes[ev.Edge] == nil {
-					edgeNodes[ev.Edge] = make(map[int]bool)
+				if first, seen := firstNode[ev.Edge]; !seen {
+					firstNode[ev.Edge] = nodeID
+				} else if first != nodeID {
+					crossed[ev.Edge] = true
 				}
-				edgeNodes[ev.Edge][nodeID] = true
 			}
 		}
 	}
 	merged = mergeTimeline(merged)
 
-	crossEdges := 0
-	for _, nodes := range edgeNodes {
-		if len(nodes) > 1 {
-			crossEdges++
-		}
-	}
 	fmt.Fprintf(out, "merged: %d events, %d causal edges (%d cross-node)\n\n",
-		len(merged), len(edgeNodes), crossEdges)
+		len(merged), len(firstNode), len(crossed))
 
 	show := merged
 	if *last > 0 && len(show) > *last {
@@ -84,8 +73,8 @@ func runBlackbox(args []string, out io.Writer) error {
 	}
 	for _, ev := range show {
 		mark := " "
-		if ev.Edge != 0 && len(edgeNodes[ev.Edge]) > 1 {
-			mark = "*" // edge seen by more than one node
+		if crossed[ev.Edge] {
+			mark = "*"
 		}
 		fmt.Fprintf(out, "n%d %s #%-6d +%-12s %-14s %s\n",
 			ev.node, mark, ev.Seq,

@@ -1,44 +1,58 @@
 package main
 
 import (
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// helpGoldens names each verb's -h capture under testdata/help and the
-// arguments that print it.
+// helpGoldens names each verb's -h capture under testdata/help, the
+// function that implements the verb and the arguments that print it.
 var helpGoldens = []struct {
 	golden string
+	verb   func([]string, io.Writer) error
 	args   []string
 }{
-	{"top", []string{"-h"}},
-	{"run", []string{"run", "-h"}},
-	{"serve-peers", []string{"serve", "-peers", "a:1,b:2", "-h"}},
-	{"serve", []string{"serve", "-h"}},
-	{"loadgen", []string{"loadgen", "-h"}},
-	{"blackbox", []string{"blackbox", "-h"}},
+	{"top", runConfigure, []string{"-h"}},
+	{"run", runInterpreted, []string{"-h"}},
+	{"serve-peers", runServeVerb, []string{"-peers", "a:1,b:2", "-h"}},
+	{"serve", runServeVerb, []string{"-h"}},
+	{"loadgen", runLoadgen, []string{"-h"}},
+	{"blackbox", runBlackbox, []string{"-h"}},
 }
 
-// TestHelpGolden pins every verb's -h text: each flag's name, type, help line
-// and default.
+// TestHelpGolden pins every verb's -h text — each flag's name, type, help
+// line and default — and requires the usage block of the package comment to
+// name every flag the verbs take.
 func TestHelpGolden(t *testing.T) {
-	bin := buildPisces(t)
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "package main")
+	documented := map[string]bool{}
+	for _, w := range strings.FieldsFunc(doc, func(r rune) bool { return r != '-' && (r < 'a' || r > 'z') }) {
+		documented[w] = true
+	}
 	for _, tc := range helpGoldens {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", "help", tc.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := exec.Command(bin, tc.args...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("%v: %v\n%s", tc.args, err, out)
+			var out strings.Builder
+			if err := tc.verb(tc.args, &out); err != nil {
+				t.Fatalf("%v: %v", tc.args, err)
 			}
-			got := strings.Replace(string(out), "Usage of "+bin+":", "Usage of pisces:", 1)
-			if got != string(want) {
-				t.Errorf("pisces %s differs from testdata/help/%s.golden:\n%s", strings.Join(tc.args, " "), tc.golden, got)
+			if out.String() != string(want) {
+				t.Errorf("%v differs from testdata/help/%s.golden:\n%s", tc.args, tc.golden, out.String())
+			}
+			for _, line := range strings.Split(string(want), "\n") {
+				if f := strings.Fields(line); strings.HasPrefix(line, "  -") && !documented[f[0]] {
+					t.Errorf("the usage block of main.go's package comment does not name %s", f[0])
+				}
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,13 +45,7 @@ func runLoadgen(args []string, out io.Writer) error {
 	tenants := fs.Int("tenants", 8, "concurrent closed-loop tenants")
 	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
 	program := fs.String("program", "", "submit this .pf file instead of the built-in workload")
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			fs.SetOutput(out)
-			fs.Usage()
-			return nil
-		}
+	if help, err := parseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	if *addr == "" {
@@ -60,6 +53,9 @@ func runLoadgen(args []string, out io.Writer) error {
 	}
 	if *tenants < 1 {
 		return fmt.Errorf("-tenants must be at least 1")
+	}
+	if err := positive("duration", *duration); err != nil {
+		return err
 	}
 	src := loadgenSrc
 	if *program != "" {

@@ -7,17 +7,25 @@
 //
 // Usage:
 //
-//	pisces [-config file] [-clusters n] [-slots k] [-forces "7,8,9"]
-//	       [-trace events] [-save file] [-show] [-script file]
-//	pisces run [-clusters n] [-slots k] [-forces "7,8,9"] [-main T]
-//	       [-stats] [-sim [-seed N]] [-netfault] [-nodes N [-ha]] <program.pf>
-//	pisces serve -node K -peers addr0,addr1,... [-clusters n] [-slots k]
-//	       [-ha [-heartbeat-interval d] [-checkpoint-interval d]] <program.pf>
-//	pisces serve [-addr host:port] [-max-programs n] [-queue-depth n]
-//	       [-limit-heap-bytes n] [-limit-tasks n] [-limit-wallclock d]
-//	       [-limit-output-bytes n] [-cache-bytes n] [-tenant-metrics]
-//	pisces loadgen -addr host:port [-tenants n] [-duration d]
+//	pisces [-config file] [machine] [-trace events] [-save file] [-show] [-menu]
+//	       [-script file]
+//	pisces run [machine] [-main T] [-accept-timeout d] [-trace events] [observe]
+//	       [-repeat n] [-sim] [-seed N] [-netfault] [-nodes N [ha]] <program.pf>
+//	pisces serve -node K -peers addr0,addr1,... [machine] [-main T]
+//	       [-accept-timeout d] [observe] [-trace-collect] [-debug-addr a]
+//	       [-connect-timeout d] [ha] <program.pf>
+//	pisces serve [-addr host:port] [machine] [-accept-timeout d] [-max-programs n]
+//	       [-queue-depth n] [-cache-bytes n] [-limit-heap-bytes n] [-limit-tasks n]
+//	       [-limit-wallclock d] [-limit-output-bytes n] [-tenant-metrics]
+//	       [-drain-timeout d] [-history-file f] [-log-json]
+//	pisces loadgen -addr host:port [-tenants n] [-duration d] [-program f]
 //	pisces blackbox [-last N] <dump> [dump ...]
+//
+// where each flag group means the same on every verb that takes it:
+//
+//	machine  [-clusters n] [-slots k] [-forces "7,8,9"]
+//	observe  [-stats] [-trace-out file] [-blackbox-out dir]
+//	ha       [-ha] [-heartbeat-interval d] [-checkpoint-interval d]
 //
 // The run form interprets a Pisces Fortran program directly on the in-memory
 // virtual machine (paper, Section 10, without the Fortran compiler leg).
@@ -38,12 +46,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -54,93 +61,75 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "run" {
-		if err := runInterpreted(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pisces: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		// Two personalities share the verb: with -peers this process is one
-		// node of a distributed mesh run; without it, the multi-tenant
-		// serving daemon.
-		serveFn := runDaemon
-		if meshMode(os.Args[2:]) {
-			serveFn = runServe
-		}
-		if err := serveFn(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pisces: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "blackbox" {
-		if err := runBlackbox(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pisces: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		if err := runLoadgen(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pisces: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	configPath := flag.String("config", "", "configuration file to load, or the name \"section9\"")
-	clusters := flag.Int("clusters", 2, "number of clusters (when not loading a configuration)")
-	slots := flag.Int("slots", 4, "user-task slots per cluster")
-	forces := flag.String("forces", "", "comma-separated secondary PEs for cluster 1 forces")
-	traceEvents := flag.String("trace", "", "comma-separated trace events to enable (e.g. MSG-SEND,FORCE-SPLIT)")
-	save := flag.String("save", "", "save the configuration to this file and exit")
-	show := flag.Bool("show", false, "print the configuration summary and exit")
-	script := flag.String("script", "", "read execution-environment commands from this file instead of stdin")
-	menu := flag.Bool("menu", false, "build the configuration interactively through the configuration-environment menus")
-	flag.Parse()
+// verbs are the subcommands; any other command line configures and boots a
+// VM for the menu-driven execution environment.
+var verbs = map[string]func(args []string, out io.Writer) error{
+	"run":      runInterpreted,
+	"serve":    runServeVerb,
+	"loadgen":  runLoadgen,
+	"blackbox": runBlackbox,
+}
 
-	if err := run(*configPath, *clusters, *slots, *forces, *traceEvents, *save, *show, *menu, *script); err != nil {
+func main() {
+	cmd, args := runConfigure, os.Args[1:]
+	if len(args) > 0 && verbs[args[0]] != nil {
+		cmd, args = verbs[args[0]], args[1:]
+	}
+	if err := cmd(args, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "pisces: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(configPath string, clusters, slots int, forces, traceEvents, save string, show, menu bool, script string) error {
+// runConfigure implements "pisces [flags]": build or load a configuration,
+// then show or save it, or boot the VM and run the execution environment.
+func runConfigure(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pisces", flag.ContinueOnError)
+	configPath := fs.String("config", "", "configuration file to load, or the name \"section9\"")
+	mach, prog := meshMachine, programFlags{}
+	mach.bind(fs)
+	prog.bind(fs, "trace")
+	save := fs.String("save", "", "save the configuration to this file and exit")
+	show := fs.Bool("show", false, "print the configuration summary and exit")
+	script := fs.String("script", "", "read execution-environment commands from this file instead of stdin")
+	menu := fs.Bool("menu", false, "build the configuration interactively through the configuration-environment menus")
+	if help, err := parseFlags(fs, args, out); help || err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unknown verb %q (want run, serve, loadgen or blackbox, or flags only)", fs.Arg(0))
+	}
 	var cfg *pisces.Configuration
 	var err error
-	if menu {
-		builder := config.NewBuilder(pisces.FlexDefaultConfig(), os.Stdin, os.Stdout)
+	if *menu {
+		builder := config.NewBuilder(pisces.FlexDefaultConfig(), os.Stdin, out)
 		cfg, err = builder.Build("menu")
 	} else {
-		cfg, err = buildConfiguration(configPath, clusters, slots, forces, traceEvents)
+		cfg, err = buildConfiguration(*configPath, mach, prog.trace)
 	}
 	if err != nil {
 		return err
 	}
 
-	if show {
-		fmt.Print(cfg.String())
+	if *show {
+		fmt.Fprint(out, cfg.String())
 		return nil
 	}
-	if save != "" {
-		f, err := os.Create(save)
-		if err != nil {
-			return err
+	if *save != "" {
+		f, err := os.Create(*save)
+		if err == nil {
+			err = firstError(cfg.Save(f), f.Close())
 		}
-		defer f.Close()
-		if err := cfg.Save(f); err != nil {
-			return err
+		if err == nil {
+			fmt.Fprintf(out, "configuration saved to %s\n", *save)
 		}
-		fmt.Printf("configuration saved to %s\n", save)
-		return nil
+		return err
 	}
 
 	// Trace lines switched on from option 9 display on the terminal (Section
 	// 12); tasks emit them concurrently with the menu's own output, so all
 	// three go through one serialised writer.
-	term := &syncWriter{w: os.Stdout}
+	term := &syncWriter{w: out}
 	vm, err := pisces.NewVM(cfg, pisces.Options{
 		UserOutput: term,
 		TraceSinks: []pisces.TraceSink{pisces.WriterTraceSink{W: term}},
@@ -152,11 +141,11 @@ func run(configPath string, clusters, slots int, forces, traceEvents, save strin
 	registerDemoTasks(vm)
 
 	env := pisces.NewEnvironment(vm, term)
-	fmt.Print(cfg.String())
-	fmt.Print(pisces.ExecMenu())
+	fmt.Fprint(out, cfg.String())
+	fmt.Fprint(out, pisces.ExecMenu())
 
-	if script != "" {
-		f, err := os.Open(script)
+	if *script != "" {
+		f, err := os.Open(*script)
 		if err != nil {
 			return err
 		}
@@ -166,109 +155,93 @@ func run(configPath string, clusters, slots int, forces, traceEvents, save strin
 	return env.Repl(os.Stdin, true)
 }
 
+// runFlags is the command line of "pisces run".
+type runFlags struct {
+	fs            *flag.FlagSet
+	mach          machineFlags
+	prog          programFlags
+	seen          observeFlags
+	ha            haFlags // fault-tolerant mesh knobs; -nodes runs only
+	repeat, nodes int
+	sim, netfault bool
+	seed          int64
+}
+
+func newRunFlags() *runFlags {
+	r := &runFlags{fs: flag.NewFlagSet("pisces run", flag.ContinueOnError), mach: meshMachine, prog: meshProgram}
+	fs := r.fs
+	r.mach.bind(fs)
+	r.prog.bind(fs, "main", "accept-timeout", "trace")
+	r.seen.bind(fs)
+	r.ha.bind(fs)
+	fs.IntVar(&r.repeat, "repeat", 1, "run the program this many times on the same VM (compiled once)")
+	fs.BoolVar(&r.sim, "sim", false,
+		"run on the deterministic simulation scheduler: one task at a time, seeded interleaving, virtual clock")
+	fs.Int64Var(&r.seed, "seed", 0, "PRNG seed for -sim and -netfault; the same seed reproduces the run exactly")
+	fs.IntVar(&r.nodes, "nodes", 1,
+		"run distributed: partition the clusters across this many OS processes (forked automatically) over loopback TCP")
+	fs.BoolVar(&r.netfault, "netfault", false,
+		"run one VM per cluster in this process, joined by a network injecting deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
+	return r
+}
+
+// follower is what a follower forked by -nodes is told: every flag of the
+// run's groups that the command line set, so it cannot miss one node 0 was
+// given.
+func (r *runFlags) follower() []string {
+	return slices.Concat(r.mach.forward(r.fs), r.prog.forward(r.fs), r.seen.forward(r.fs), r.ha.forward(r.fs))
+}
+
 // runInterpreted implements "pisces run [flags] <program.pf>": boot a VM and
 // interpret the Pisces Fortran program on it.  Under -sim, a deadlocked
 // schedule surfaces as an error naming the seed instead of a panic.
 func runInterpreted(args []string, out io.Writer) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if d, ok := r.(*pisces.SimDeadlock); ok {
-				err = fmt.Errorf("deterministic run stuck: %v (replay with -sim -seed %d)", d, d.Seed)
-				return
-			}
-			panic(r)
-		}
-	}()
-	return runInterpretedInner(args, out)
-}
-
-func runInterpretedInner(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("pisces run", flag.ContinueOnError)
-	clusters := fs.Int("clusters", 2, "number of clusters")
-	slots := fs.Int("slots", 4, "user-task slots per cluster")
-	forces := fs.String("forces", "", "comma-separated secondary PEs for cluster 1 forces")
-	traceEvents := fs.String("trace", "", "comma-separated trace events to enable")
-	mainTT := fs.String("main", "", "entry tasktype (default MAIN, else the first tasktype)")
-	showStats := fs.Bool("stats", false, "print one metric report after the run: counters (interpreter activity as pfi.*) and distributions")
-	traceOut := fs.String("trace-out", "",
-		"write runtime spans (task execution, cross-cluster send and delivery, wire frames) to this file as Chrome trace-event JSON; open in Perfetto or chrome://tracing")
-	blackboxOut := fs.String("blackbox-out", "",
-		"write a flight-recorder dump into this directory when the run fails (limit violation, sim deadlock)")
-	repeat := fs.Int("repeat", 1, "run the program this many times on the same VM (compiled once)")
-	simMode := fs.Bool("sim", false,
-		"run on the deterministic simulation scheduler: one task at a time, seeded interleaving, virtual clock")
-	seed := fs.Int64("seed", 0, "PRNG seed for -sim and -netfault; the same seed reproduces the run exactly")
-	nodes := fs.Int("nodes", 1,
-		"run distributed: partition the clusters across this many OS processes (forked automatically) over loopback TCP")
-	netfault := fs.Bool("netfault", false,
-		"run one VM per cluster in this process, joined by a network injecting deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
-	acceptTimeout := fs.Duration("accept-timeout", 30*time.Second,
-		"system-provided timeout for ACCEPT statements without a DELAY clause")
-	ha := addHAFlags(fs) // fault-tolerant mesh knobs; -nodes runs only
-	// The FlagSet's own printing is suppressed so parse errors surface exactly
-	// once (through main's error path) and -h exits 0 with the usage text.
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			fs.SetOutput(out)
-			fs.Usage()
-			return nil
-		}
+	r := newRunFlags()
+	if help, err := parseFlags(r.fs, args, out); help || err != nil {
 		return err
 	}
-	if *acceptTimeout <= 0 {
-		return fmt.Errorf("-accept-timeout must be positive")
-	}
-	if *repeat < 1 {
+	if r.repeat < 1 {
 		return fmt.Errorf("-repeat must be at least 1")
 	}
-	if fs.NArg() != 1 {
+	if r.fs.NArg() != 1 {
 		return fmt.Errorf("usage: pisces run [flags] <program.pf>")
 	}
-	if *nodes < 1 {
+	if r.nodes < 1 {
 		return fmt.Errorf("-nodes must be at least 1")
 	}
-	if err := ha.validate(); err != nil {
+	if err := firstError(r.prog.check(), r.ha.check()); err != nil {
 		return err
 	}
-	if *nodes > 1 {
+	if r.seed != 0 && !r.sim && !r.netfault {
+		return fmt.Errorf("-seed only applies with -sim or -netfault")
+	}
+	cfg, err := buildConfiguration("", r.mach, r.prog.trace)
+	if err != nil {
+		return err
+	}
+	if r.nodes > 1 {
 		// Distributed mode is a different execution path: real processes and
 		// real sockets, so the single-process-only conveniences are refused
 		// rather than silently ignored.
 		switch {
-		case *simMode || *netfault:
+		case r.sim || r.netfault:
 			return fmt.Errorf("-nodes is incompatible with -sim and -netfault (they model the network in one process)")
-		case *repeat != 1:
+		case r.repeat != 1:
 			return fmt.Errorf("-nodes does not support -repeat")
-		case *traceEvents != "":
+		case r.prog.trace != "":
 			return fmt.Errorf("-nodes does not support -trace (trace events are per node)")
 		}
-		return runDistributed(*nodes, *clusters, *slots, *forces, meshNode{
-			opts:  node.Options{Main: *mainTT, AcceptTimeout: *acceptTimeout, ConnectTimeout: 30 * time.Second, BlackboxDir: *blackboxOut},
-			stats: *showStats, traceOut: *traceOut,
-		}, ha, fs.Arg(0), out)
+		m := meshNode{opts: node.Options{Config: cfg, ConnectTimeout: 30 * time.Second}, prog: r.prog, observe: r.seen, ha: r.ha}
+		return runDistributed(r.nodes, m, r.follower(), r.fs.Arg(0), out)
 	}
-	if *ha.enabled {
+	if r.ha.enabled {
 		return fmt.Errorf("-ha requires -nodes (fault tolerance spans node processes)")
 	}
-	src, err := os.ReadFile(fs.Arg(0))
+	src, err := os.ReadFile(r.fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfiguration("", *clusters, *slots, *forces, *traceEvents)
-	if err != nil {
-		return err
-	}
-	// The observability registry travels through the VM to every layer of the
-	// message path; enabling is per-concern so -stats alone pays no span cost
-	// and -trace-out alone pays no histogram cost.
-	reg := obs.New()
-	if *showStats {
-		reg.Enable(obs.Metrics)
-	}
-	if *traceOut != "" {
-		reg.Enable(obs.Spans)
-	}
+	reg := r.seen.registry(false, false)
 	// The flight recorder is always on: Record is a few atomics, and a dump
 	// only reaches disk when -blackbox-out names a directory and the run
 	// fails.  Under -sim the recorder inherits the virtual clock, so dumps
@@ -276,28 +249,27 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	rec := obs.NewRecorder(0, 0, 0)
 	opts := pisces.Options{
 		UserOutput:     out,
-		AcceptTimeout:  *acceptTimeout,
+		AcceptTimeout:  r.prog.acceptTimeout,
 		Metrics:        reg,
 		FlightRecorder: rec,
-		FailureSink:    func(reason string) { dumpRecorder(*blackboxOut, rec, out, reason) },
+		FailureSink:    func(reason string) { dumpRecorder(r.seen.blackboxOut, rec, out, reason) },
 	}
 	defer func() {
-		// A deadlocked -sim schedule panics out of prog.Run; capture the
-		// recorder's view of the stuck run before the outer handler turns
-		// the panic into an error.
-		if r := recover(); r != nil {
-			if _, ok := r.(*pisces.SimDeadlock); ok {
-				dumpRecorder(*blackboxOut, rec, out, "sim deadlock")
+		// A deadlocked -sim schedule panics out of the program's run: dump the
+		// recorder's view of the stuck run and turn the panic into an error.
+		if p := recover(); p != nil {
+			d, ok := p.(*pisces.SimDeadlock)
+			if !ok {
+				panic(p)
 			}
-			panic(r)
+			dumpRecorder(r.seen.blackboxOut, rec, out, "sim deadlock")
+			err = fmt.Errorf("deterministic run stuck: %v (replay with -sim -seed %d)", d, d.Seed)
 		}
 	}()
-	if *simMode {
-		opts.Backend = pisces.NewSimScheduler(*seed)
-	} else if *seed != 0 && !*netfault {
-		return fmt.Errorf("-seed only applies with -sim or -netfault")
+	if r.sim {
+		opts.Backend = pisces.NewSimScheduler(r.seed)
 	}
-	if *traceEvents != "" {
+	if r.prog.trace != "" {
 		// Enabled trace kinds display on the user's terminal (Section 12),
 		// concurrently with terminal output, so both go through one
 		// serialised writer.
@@ -308,9 +280,9 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	// -netfault runs the node runtime's hosting shape in this process: one VM
 	// per cluster, joined by the seeded fault network.
 	var run func(*pisces.InterpretedProgram) error
-	interp := pisces.InterpretOptions{Main: *mainTT}
-	if *netfault {
-		mesh, err := node.NewFaultMesh(cfg, *seed, node.DefaultFaultProfile(), func(int) pisces.Options { return opts })
+	interp := pisces.InterpretOptions{Main: r.prog.main}
+	if r.netfault {
+		mesh, err := node.NewFaultMesh(cfg, r.seed, node.DefaultFaultProfile(), func(int) pisces.Options { return opts })
 		if err != nil {
 			return err
 		}
@@ -333,20 +305,15 @@ func runInterpretedInner(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < *repeat && err == nil; i++ {
+	for i := 0; i < r.repeat && err == nil; i++ {
 		err = run(prog)
 	}
-	if *showStats {
+	if r.seen.stats {
 		snap := reg.Snapshot()
 		snap.Merge(prog.Snapshot())
 		printMetricsTables(out, snap, "runtime metrics")
 	}
-	if *traceOut != "" {
-		if werr := writeTraceFile(*traceOut, reg); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
+	return r.seen.writeTrace(reg.WriteChromeTrace, err)
 }
 
 // dumpRecorder writes a flight-recorder dump into dir (when set), reporting
@@ -360,21 +327,6 @@ func dumpRecorder(dir string, rec *obs.Recorder, out io.Writer, reason string) {
 	} else {
 		fmt.Fprintf(out, "pisces: blackbox dump (%s): %s\n", reason, path)
 	}
-}
-
-// writeTraceFile dumps the registry's captured spans as Chrome trace-event
-// JSON.  An existing file is never clobbered: the path rotates to path.1,
-// path.2, ... (same policy as recorder dumps).
-func writeTraceFile(path string, reg *obs.Registry) error {
-	f, err := os.Create(obs.UniquePath(path))
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteChromeTrace(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // syncWriter serialises the writers that share the terminal — the trace
@@ -392,34 +344,24 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-func buildConfiguration(configPath string, clusters, slots int, forces, traceEvents string) (*pisces.Configuration, error) {
-	var cfg *pisces.Configuration
-	switch {
-	case configPath == "section9":
+// buildConfiguration loads the configuration at configPath (or the Section 9
+// example), else builds the one the machine flags describe, and switches on
+// the trace events.
+func buildConfiguration(configPath string, mach machineFlags, traceEvents string) (cfg *pisces.Configuration, err error) {
+	switch configPath {
+	case "section9":
 		cfg = pisces.Section9Configuration()
-	case configPath != "":
-		f, err := os.Open(configPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		cfg, err = pisces.LoadConfiguration(f)
-		if err != nil {
-			return nil, err
-		}
+	case "":
+		cfg, err = mach.configuration()
 	default:
-		cfg = pisces.SimpleConfiguration(clusters, slots)
-		if forces != "" {
-			var pes []int
-			for _, s := range strings.Split(forces, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil {
-					return nil, fmt.Errorf("bad -forces value %q", s)
-				}
-				pes = append(pes, n)
-			}
-			cfg = cfg.WithForces(1, pes...)
+		var f *os.File
+		if f, err = os.Open(configPath); err == nil {
+			defer f.Close()
+			cfg, err = pisces.LoadConfiguration(f)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if traceEvents != "" {
 		for _, ev := range strings.Split(traceEvents, ",") {

@@ -13,7 +13,7 @@ import (
 
 func TestBuildConfigurationVariants(t *testing.T) {
 	// Section 9 canned configuration.
-	cfg, err := buildConfiguration("section9", 0, 0, "", "")
+	cfg, err := buildConfiguration("section9", machineFlags{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestBuildConfigurationVariants(t *testing.T) {
 	}
 
 	// Simple configuration with forces and trace events.
-	cfg, err = buildConfiguration("", 2, 3, "7, 8", "msg-send,force-split")
+	cfg, err = buildConfiguration("", machineFlags{clusters: 2, slots: 3, forces: "7, 8"}, "msg-send,force-split")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBuildConfigurationVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	loaded, err := buildConfiguration(path, 0, 0, "", "")
+	loaded, err := buildConfiguration(path, machineFlags{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func TestBuildConfigurationVariants(t *testing.T) {
 	}
 
 	// Errors: bad forces list, missing file.
-	if _, err := buildConfiguration("", 2, 3, "seven", ""); err == nil {
+	if _, err := buildConfiguration("", machineFlags{clusters: 2, slots: 3, forces: "seven"}, ""); err == nil {
 		t.Error("bad forces list accepted")
 	}
-	if _, err := buildConfiguration(filepath.Join(dir, "missing.cfg"), 0, 0, "", ""); err == nil {
+	if _, err := buildConfiguration(filepath.Join(dir, "missing.cfg"), machineFlags{}, ""); err == nil {
 		t.Error("missing configuration file accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestBuildConfigurationVariants(t *testing.T) {
 func TestRunShowAndSave(t *testing.T) {
 	dir := t.TempDir()
 	saved := filepath.Join(dir, "out.cfg")
-	if err := run("", 2, 2, "", "", saved, false, false, ""); err != nil {
+	if err := runConfigure([]string{"-clusters", "2", "-slots", "2", "-save", saved}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(saved)
@@ -75,7 +75,7 @@ func TestRunShowAndSave(t *testing.T) {
 		t.Errorf("saved file malformed: %q", string(data))
 	}
 	// -show exits before booting anything.
-	if err := run("", 3, 2, "", "", "", true, false, ""); err != nil {
+	if err := runConfigure([]string{"-clusters", "3", "-slots", "2", "-show"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid trace event surfaces as a boot error in a scripted run.
@@ -83,7 +83,7 @@ func TestRunShowAndSave(t *testing.T) {
 	if err := os.WriteFile(script, []byte("0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", 2, 2, "", "NOT-AN-EVENT", "", false, false, script); err == nil {
+	if err := runConfigure([]string{"-clusters", "2", "-slots", "2", "-trace", "NOT-AN-EVENT", "-script", script}, io.Discard); err == nil {
 		t.Error("invalid trace event accepted at boot")
 	}
 }
@@ -102,7 +102,7 @@ func TestRunScriptedSession(t *testing.T) {
 	if err := os.WriteFile(script, []byte(cmds), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", 2, 3, "7,8", "", "", false, false, script); err != nil {
+	if err := runConfigure([]string{"-clusters", "2", "-slots", "3", "-forces", "7,8", "-script", script}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -206,6 +206,10 @@ func TestRunFlagRefusals(t *testing.T) {
 	example := filepath.Join("..", "..", "examples", "sumsq.pf")
 	serve := func(args []string) error { return runServe(args, io.Discard) }
 	run := func(args []string) error { return runInterpreted(args, io.Discard) }
+	loadgen := func(args []string) error { return runLoadgen(args, io.Discard) }
+	// A refused timeout must fail before the node dials its peers; these are
+	// loopback ports nobody listens on, so a node that did start fails there.
+	loopback := "127.0.0.1:1,127.0.0.1:2"
 	for _, tc := range []struct {
 		name string
 		cmd  func([]string) error
@@ -221,6 +225,12 @@ func TestRunFlagRefusals(t *testing.T) {
 		{"run wire-batch", run, []string{"-wire-batch", "off", example}, "flag provided but not defined"},
 		{"serve wire-credit-window", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-wire-credit-window", "1", example}, "flag provided but not defined"},
 		{"serve metrics", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-metrics", example}, "flag provided but not defined"},
+		{"nodes with seed", run, []string{"-nodes", "2", "-seed", "5", example}, "-seed only applies with -sim or -netfault"},
+		{"serve accept-timeout 0", serve, []string{"-node", "1", "-peers", loopback, "-connect-timeout", "100ms", "-accept-timeout", "0", example}, "-accept-timeout must be positive"},
+		{"serve connect-timeout 0", serve, []string{"-node", "1", "-peers", loopback, "-connect-timeout", "0", example}, "-connect-timeout must be positive"},
+		{"serve connect-timeout negative", serve, []string{"-node", "1", "-peers", loopback, "-connect-timeout", "-1s", example}, "-connect-timeout must be positive"},
+		{"loadgen duration 0", loadgen, []string{"-addr", "127.0.0.1:1", "-duration", "0"}, "-duration must be positive"},
+		{"loadgen duration negative", loadgen, []string{"-addr", "127.0.0.1:1", "-duration", "-2s"}, "-duration must be positive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cmd(tc.args)
@@ -234,19 +244,22 @@ func TestRunFlagRefusals(t *testing.T) {
 	}
 }
 
-// TestDaemonFlagRefusals: a negative size or quota on "pisces serve -addr"
-// fails flag validation with a one-line diagnostic instead of starting a
-// daemon with the value silently replaced (or a default limit read as
-// unlimited).  The refusal precedes the listen, so no port is ever bound.
+// TestDaemonFlagRefusals: a negative size or quota, or a timeout that is not
+// positive, on "pisces serve -addr" fails flag validation with a one-line
+// diagnostic instead of starting a daemon with the value silently replaced
+// (or a default limit read as unlimited).  The refusal precedes the listen,
+// so no port is ever bound.
 func TestDaemonFlagRefusals(t *testing.T) {
-	for _, tc := range [][2]string{
-		{"-max-programs", "-1"}, {"-queue-depth", "-1"}, {"-cache-bytes", "-5"},
-		{"-limit-heap-bytes", "-5"}, {"-limit-tasks", "-1"}, {"-limit-output-bytes", "-1"},
-		{"-limit-wallclock", "-1s"}, {"-clusters", "-1"}, {"-slots", "-1"},
+	const negative, positive = "must not be negative", "must be positive"
+	for _, tc := range [][3]string{
+		{"-max-programs", "-1", negative}, {"-queue-depth", "-1", negative}, {"-cache-bytes", "-5", negative},
+		{"-limit-heap-bytes", "-5", negative}, {"-limit-tasks", "-1", negative}, {"-limit-output-bytes", "-1", negative},
+		{"-limit-wallclock", "-1s", negative}, {"-clusters", "-1", negative}, {"-slots", "-1", negative},
+		{"-accept-timeout", "0", positive},
 	} {
 		t.Run(tc[0], func(t *testing.T) {
 			err := runDaemon([]string{"-addr", "127.0.0.1:0", tc[0], tc[1]}, io.Discard)
-			if want := tc[0] + " must not be negative"; err == nil || err.Error() != want {
+			if want := tc[0] + " " + tc[2]; err == nil || err.Error() != want {
 				t.Fatalf("%s %s: got error %v, want %q", tc[0], tc[1], err, want)
 			}
 		})

@@ -2,19 +2,20 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -30,59 +31,16 @@ import (
 // streams to the caller's stdout unmodified, and relays the children's
 // output to stderr with a [node i] prefix.
 
-// haFlags holds the fault-tolerance knobs shared by "pisces serve" and
-// "pisces run -nodes".  Every node of a mesh must run the same settings.
-type haFlags struct {
-	enabled   *bool
-	heartbeat *time.Duration
-	ckpt      *time.Duration
-}
-
-func addHAFlags(fs *flag.FlagSet) *haFlags {
-	return &haFlags{
-		enabled: fs.Bool("ha", false,
-			"fault-tolerant mesh: peer heartbeats, periodic checkpoints streamed to a buddy node, and automatic adoption of a dead node's clusters; node 0 is not recoverable, and one failure per checkpoint interval is tolerated"),
-		heartbeat: fs.Duration("heartbeat-interval", 0,
-			"HA heartbeat and failure-detector sweep period (0 = 25ms); a peer silent for 10 intervals is declared dead"),
-		ckpt: fs.Duration("checkpoint-interval", 0,
-			"HA checkpoint period (0 = 250ms); work since the last checkpoint is recovered by replaying retained frames"),
+// runServeVerb implements "pisces serve", which has two personalities: with
+// -peers — the mesh form always requires the peer list — this process is one
+// node of a mesh run; without it, the multi-tenant serving daemon.
+func runServeVerb(args []string, out io.Writer) error {
+	for _, a := range args {
+		if name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "="); name == "peers" && strings.HasPrefix(a, "-") {
+			return runServe(args, out)
+		}
 	}
-}
-
-// validate refuses tuning knobs without -ha rather than silently ignoring
-// them.
-func (h *haFlags) validate() error {
-	if !*h.enabled && (*h.heartbeat != 0 || *h.ckpt != 0) {
-		return fmt.Errorf("-heartbeat-interval and -checkpoint-interval require -ha")
-	}
-	if *h.heartbeat < 0 || *h.ckpt < 0 {
-		return fmt.Errorf("HA intervals must be positive")
-	}
-	return nil
-}
-
-// apply copies the knobs onto the node options.  The suspicion timeout
-// follows a custom heartbeat at the default 10x ratio, so tightening the
-// heartbeat keeps the detector sound without a second flag.
-func (h *haFlags) apply(o *node.Options) {
-	o.HA = *h.enabled
-	o.HeartbeatInterval = *h.heartbeat
-	o.CheckpointInterval = *h.ckpt
-	if *h.heartbeat > 0 {
-		o.SuspicionAfter = 10 * *h.heartbeat
-	}
-}
-
-// serveArgs forwards the knobs to a forked follower.
-func (h *haFlags) serveArgs() []string {
-	if !*h.enabled {
-		return nil
-	}
-	return []string{
-		"-ha",
-		"-heartbeat-interval", h.heartbeat.String(),
-		"-checkpoint-interval", h.ckpt.String(),
-	}
+	return runDaemon(args, out)
 }
 
 // runServe implements "pisces serve -node K -peers a,b,... <program.pf>".
@@ -90,69 +48,51 @@ func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pisces serve", flag.ContinueOnError)
 	nodeID := fs.Int("node", 0, "this process's node id (index into -peers)")
 	peers := fs.String("peers", "", "comma-separated listen addresses of every node, in node-id order")
-	clusters := fs.Int("clusters", 2, "number of clusters")
-	slots := fs.Int("slots", 4, "user-task slots per cluster")
-	forces := fs.String("forces", "", "comma-separated secondary PEs for cluster 1 forces")
-	mainTT := fs.String("main", "", "entry tasktype (node 0; default MAIN, else the first tasktype)")
-	showStats := fs.Bool("stats", false, "collect runtime metrics; node 0 prints the mesh-wide report after the run — counters (interpreter activity as pfi.*) and distributions, every node's snapshot summed — and a follower's drain acks carry its snapshot there")
+	mach, prog, seen, ha := meshMachine, meshProgram, observeFlags{}, haFlags{}
+	mach.bind(fs)
+	prog.bind(fs, "main", "accept-timeout")
+	seen.bind(fs)
+	ha.bind(fs)
 	collectTrace := fs.Bool("trace-collect", false,
 		"capture runtime spans and causal flow events even without -trace-out, so drain acks carry this node's trace to the coordinator's merged file")
 	debugAddr := fs.String("debug-addr", "",
 		"serve observability endpoints (/metrics Prometheus text, /debug/vars, /debug/pprof) on this address while the node runs")
-	acceptTimeout := fs.Duration("accept-timeout", 30*time.Second,
-		"system-provided timeout for ACCEPT statements without a DELAY clause")
 	connectTimeout := fs.Duration("connect-timeout", 30*time.Second, "how long to wait for the mesh to form")
-	traceOut := fs.String("trace-out", "",
-		"write this node's runtime spans (including HA recovery) to this file as Chrome trace-event JSON")
-	blackboxOut := fs.String("blackbox-out", "",
-		"write a flight-recorder dump into this directory on failure paths (HA rebalance, drain timeout, limit violation)")
-	ha := addHAFlags(fs)
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			fs.SetOutput(out)
-			fs.Usage()
-			return nil
-		}
+	if help, err := parseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: pisces serve -node K -peers a,b,... [flags] <program.pf>")
 	}
-	addrs := splitAddrs(*peers)
+	addrs := strings.FieldsFunc(*peers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	if len(addrs) < 2 {
 		return fmt.Errorf("-peers must list at least two node addresses")
+	}
+	if err := firstError(prog.check(), ha.check(), positive("connect-timeout", *connectTimeout)); err != nil {
+		return err
 	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfiguration("", *clusters, *slots, *forces, "")
+	cfg, err := mach.configuration()
 	if err != nil {
 		return err
 	}
-	if err := ha.validate(); err != nil {
-		return err
-	}
-	o := node.Options{
-		NodeID: *nodeID, Addrs: addrs,
-		Config: cfg, Source: string(src), Main: *mainTT,
-		AcceptTimeout: *acceptTimeout, ConnectTimeout: *connectTimeout,
-		BlackboxDir: *blackboxOut,
-	}
-	ha.apply(&o)
-	_, err = meshNode{opts: o, stats: *showStats, traceOut: *traceOut, collectTrace: *collectTrace, debugAddr: *debugAddr}.run(out)
+	o := node.Options{NodeID: *nodeID, Addrs: addrs, Config: cfg, Source: string(src), ConnectTimeout: *connectTimeout}
+	_, err = meshNode{opts: o, prog: prog, observe: seen, ha: ha, collectTrace: *collectTrace, debugAddr: *debugAddr}.run(out)
 	return err
 }
 
 // meshNode is one node process of a mesh run: what "pisces serve -peers" is
 // told by hand, and what "pisces run -nodes" works out for its node 0.
 type meshNode struct {
-	opts         node.Options // all but Out, Log and Metrics, which run sets
-	stats        bool         // collect metrics; node 0 prints the merged report
-	traceOut     string       // write the spans here as Chrome trace-event JSON
-	collectTrace bool         // capture spans even with nowhere to write them
-	debugAddr    string       // serve the observability endpoints here
+	opts         node.Options // the node and its mesh; run sets the rest
+	prog         programFlags
+	observe      observeFlags // node 0 prints the merged -stats report
+	ha           haFlags
+	collectTrace bool   // capture spans even with nowhere to write them
+	debugAddr    string // serve the observability endpoints here
 }
 
 // run starts the node and sees the run through: a follower serves routed
@@ -160,13 +100,7 @@ type meshNode struct {
 // and then reports what it was asked to.  started is false if the node never
 // joined the mesh, so nobody will tell its peers to stop.
 func (m meshNode) run(out io.Writer) (started bool, err error) {
-	reg := obs.New()
-	if m.stats || m.debugAddr != "" {
-		reg.Enable(obs.Metrics)
-	}
-	if m.traceOut != "" || m.collectTrace {
-		reg.Enable(obs.Spans)
-	}
+	reg := m.observe.registry(m.debugAddr != "", m.collectTrace)
 	if m.debugAddr != "" {
 		dln, err := net.Listen("tcp", m.debugAddr)
 		if err != nil {
@@ -178,6 +112,8 @@ func (m meshNode) run(out io.Writer) (started bool, err error) {
 	}
 	o := m.opts
 	o.Out, o.Log, o.Metrics = out, os.Stderr, reg
+	o.Main, o.AcceptTimeout, o.BlackboxDir = m.prog.main, m.prog.acceptTimeout, m.observe.blackboxOut
+	m.ha.apply(&o)
 	n, err := node.Start(o)
 	if err != nil {
 		return false, err
@@ -194,65 +130,34 @@ func (m meshNode) run(out io.Writer) (started bool, err error) {
 		if err := n.Close(); err != nil && runErr == nil {
 			runErr = err
 		}
-		if m.stats {
+		if m.observe.stats {
 			printMeshMetrics(out, n)
 		}
 	}
-	if m.traceOut != "" {
-		// Node 0 merges the trace blobs the followers piggybacked on their
-		// drain acks, so its file shows every node as its own process track
-		// with cross-node flow arrows; followers write their local view.
-		var werr error
-		if follower {
-			werr = writeTraceFile(m.traceOut, reg)
-		} else {
-			werr = writeMeshTraceFile(m.traceOut, n)
-		}
-		if werr != nil && runErr == nil {
-			runErr = werr
-		}
+	// Node 0 merges the trace blobs the followers piggybacked on their drain
+	// acks, so its file shows every node as its own process track with
+	// cross-node flow arrows; followers write their local view.
+	write := n.WriteMeshTrace
+	if follower {
+		write = reg.WriteChromeTrace
 	}
-	return true, runErr
-}
-
-// writeMeshTraceFile dumps the coordinator's merged multi-node trace (its own
-// spans plus every follower's drained trace blob) as Chrome trace-event JSON,
-// rotating rather than clobbering an existing file.
-func writeMeshTraceFile(path string, n *node.Node) error {
-	f, err := os.Create(obs.UniquePath(path))
-	if err != nil {
-		return err
-	}
-	if err := n.WriteMeshTrace(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func splitAddrs(peers string) []string {
-	var addrs []string
-	for _, a := range strings.Split(peers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
+	return true, m.observe.writeTrace(write, runErr)
 }
 
 // runDistributed implements "pisces run -nodes N": fork the follower node
-// processes, run node 0 inline, and reap the children.
-func runDistributed(nodes, clusters, slots int, forces string, m meshNode, ha *haFlags, file string, out io.Writer) error {
+// processes, each given the follower flags, run node 0 inline as m, and reap
+// the children.
+func runDistributed(nodes int, m meshNode, follower []string, file string, out io.Writer) error {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfiguration("", clusters, slots, forces, "")
+	if have := len(m.opts.Config.ClusterNumbers()); have < nodes {
+		return fmt.Errorf("-nodes %d needs at least that many clusters (have %d)", nodes, have)
+	}
+	exe, err := os.Executable()
 	if err != nil {
 		return err
-	}
-	if len(cfg.ClusterNumbers()) < nodes {
-		return fmt.Errorf("-nodes %d needs at least that many clusters (have %d)", nodes, len(cfg.ClusterNumbers()))
 	}
 
 	// Reserve one loopback port per node.  Node 0 keeps its listener; the
@@ -273,11 +178,6 @@ func runDistributed(nodes, clusters, slots int, forces string, m meshNode, ha *h
 	}
 	peers := strings.Join(addrs, ",")
 
-	exe, err := os.Executable()
-	if err != nil {
-		_ = listeners[0].Close()
-		return err
-	}
 	var children []*exec.Cmd
 	killChildren := func() {
 		for _, c := range children {
@@ -287,34 +187,10 @@ func runDistributed(nodes, clusters, slots int, forces string, m meshNode, ha *h
 		}
 	}
 	for i := 1; i < nodes; i++ {
-		args := []string{"serve",
-			"-node", strconv.Itoa(i), "-peers", peers,
-			"-clusters", strconv.Itoa(clusters), "-slots", strconv.Itoa(slots),
-			"-accept-timeout", m.opts.AcceptTimeout.String(),
-		}
-		args = append(args, ha.serveArgs()...)
-		if m.opts.BlackboxDir != "" {
-			args = append(args, "-blackbox-out", m.opts.BlackboxDir)
-		}
-		if m.traceOut != "" {
-			// Followers capture spans so their drain acks carry a trace blob
-			// for the coordinator's merged file; they write no file of their
-			// own (no -trace-out in the forwarded args).
-			args = append(args, "-trace-collect")
-		}
-		if forces != "" {
-			args = append(args, "-forces", forces)
-		}
-		if m.stats {
-			// The followers collect metrics so their drain acks carry
-			// snapshots; the merged view prints on node 0 only.
-			args = append(args, "-stats")
-		}
-		args = append(args, file)
+		args := slices.Concat([]string{"serve", "-node", strconv.Itoa(i), "-peers", peers}, follower, []string{file})
 		cmd := exec.Command(exe, args...)
-		relay := &prefixWriter{w: os.Stderr, prefix: fmt.Sprintf("[node %d] ", i)}
-		cmd.Stdout = relay
-		cmd.Stderr = relay
+		cmd.Stdout = &prefixWriter{w: os.Stderr, prefix: fmt.Sprintf("[node %d] ", i)}
+		cmd.Stderr = cmd.Stdout
 		if err := cmd.Start(); err != nil {
 			killChildren()
 			_ = listeners[0].Close()
@@ -323,9 +199,7 @@ func runDistributed(nodes, clusters, slots int, forces string, m meshNode, ha *h
 		children = append(children, cmd)
 	}
 
-	m.opts.Addrs, m.opts.Listener = addrs, listeners[0]
-	m.opts.Config, m.opts.Source = cfg, string(src)
-	ha.apply(&m.opts)
+	m.opts.Addrs, m.opts.Listener, m.opts.Source = addrs, listeners[0], string(src)
 	started, runErr := m.run(out)
 	if !started {
 		killChildren()
@@ -343,7 +217,7 @@ func runDistributed(nodes, clusters, slots int, forces string, m meshNode, ha *h
 		select {
 		case err := <-done:
 			if err != nil {
-				if *ha.enabled {
+				if m.ha.enabled {
 					// Under -ha a dead follower is survivable by design: the
 					// mesh rebalanced around it and the run completed above.
 					fmt.Fprintf(os.Stderr, "pisces: node process exited abnormally (tolerated under -ha): %v\n", err)
@@ -384,12 +258,7 @@ func printMeshMetrics(w io.Writer, n *node.Node) {
 	merged := n.Snapshot()
 	labels := []string{fmt.Sprintf("node 0 (clusters %v)", topo.Clusters(0))}
 	snaps := n.FollowerSnapshots()
-	ids := make([]int, 0, len(snaps))
-	for id := range snaps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(snaps)) {
 		merged.Merge(snaps[id])
 		labels = append(labels, fmt.Sprintf("node %d (clusters %v)", id, topo.Clusters(id)))
 	}
