@@ -184,8 +184,8 @@ const killedCluster = 2
 // retaining every frame delivered to the cluster since the last cut).  At
 // killAt B dies as a buddy sees it: the network drops everything it sends
 // from then on and B is stopped; A adopts cluster 2, restores the last
-// checkpoint and replays the retained frames — the calls a node's buddy
-// makes.  Everything — delays, checkpoint cuts, the kill — runs on the
+// checkpoint with the initiations the network logged since, and replays the
+// retained frames — the calls a node's buddy makes.  Everything — delays, checkpoint cuts, the kill — runs on the
 // virtual clock, so the whole recovery schedule replays byte-identically from
 // (seed, killAt, ckptEvery).  Output is A's terminal; B's own diagnostics go
 // to a writer of its own.  HeapShardsInUse lists A's shards, then B's.
@@ -227,7 +227,7 @@ func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *
 			mesh.Fail(1)
 			b.Shutdown()
 			a.AdoptClusters(killedCluster)
-			if err := a.Restore(blob); err != nil {
+			if err := a.Restore(blob, mesh.LoggedInits(killedCluster)); err != nil {
 				rec.Err = err
 				return
 			}

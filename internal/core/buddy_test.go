@@ -102,8 +102,9 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 // TestHAPlannedTaskKeepsItsMessages: a task whose re-creation is planned
 // owns its id's in-queue from the plan on.  After cluster 2's checkpoint a
 // spawner on cluster 1 starts a kid there; the VM hosting cluster 2 then dies,
-// and the survivor adopts the cluster, restores it and replays the retained
-// frames, which plans the kid's id.  The kid's slot is taken, so the replayed
+// and the survivor adopts the cluster, where a blocker takes the kid's slot,
+// restores it with the logged initiations, which plans the kid's id, and
+// replays the retained frames.  The kid's slot is taken, so the replayed
 // request waits; meanwhile the id gets a frame off the wire and a send from a
 // task on the survivor's own cluster 1.  Neither may be refused or dropped:
 // the re-created kid takes each exactly once.
@@ -148,12 +149,12 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	mesh.Fail(1)
 	vmB.Shutdown()
 	vmA.AdoptClusters(2)
-	if err := vmA.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
 	blocker, err := vmA.Initiate("blocker", core.OnCluster(2))
 	if err != nil || blocker.Slot != kid.Slot {
 		t.Fatalf("blocker %s (%v) does not hold the kid's slot %d", blocker, err, kid.Slot)
+	}
+	if err := vmA.Restore(blob, mesh.LoggedInits(2)); err != nil {
+		t.Fatal(err)
 	}
 	mesh.ReplayRetained(2)
 	payload, err := msgcodec.AppendEncode(nil, []core.Value{core.Int(2)})
@@ -211,7 +212,7 @@ func netKillB(mesh *node.FaultMesh, blob []byte) (int, error) {
 	mesh.Fail(1)
 	vmB.Shutdown()
 	vmA.AdoptClusters(2)
-	if err := vmA.Restore(blob); err != nil {
+	if err := vmA.Restore(blob, mesh.LoggedInits(2)); err != nil {
 		return victims, err
 	}
 	mesh.ReplayRetained(2)

@@ -114,9 +114,9 @@ type clusterRT struct {
 	// directed (HA recovery only) maps initiation-request keys to the planned
 	// record of the task the request was answered with before a failure: a
 	// task created AFTER the last checkpoint is not in the restored state,
-	// but the transport observed its id and plans its re-creation here
-	// (PlanRestoredInit) before replaying the retained request frame, so the
-	// parent's stored id stays valid (see planLocked).
+	// but its controller logged the initiation (initLogger) and Restore plans
+	// its re-creation here, so the parent's stored id stays valid (see
+	// planLocked).
 	directed map[initKey]*taskRec
 	// frozen parks new task starts in pending: set while Restore respawns the
 	// checkpointed tasks, so they get their own slots before any request
@@ -199,9 +199,9 @@ func (c *clusterRT) placeController(rec *taskRec) (int, error) {
 	return 0, fmt.Errorf("core: cluster %d has no free controller slot", c.cfg.Number)
 }
 
-// request handles one initiation request: start the task immediately if a
-// user slot is free, otherwise queue the request until a task terminates.
-func (c *clusterRT) request(req pendingInit) error {
+// request handles one initiation request for the process by: start the task
+// at once if a user slot is free, else queue it until a task terminates.
+func (c *clusterRT) request(req pendingInit, by *mmos.Proc) error {
 	c.mu.Lock()
 	if c.initMap != nil && req.key.seq != 0 {
 		if id, ok := c.initMap[req.key]; ok {
@@ -243,6 +243,7 @@ func (c *clusterRT) request(req pendingInit) error {
 			}
 		}
 	}
+	slot := -1
 	if p := c.directed[req.key]; p != nil {
 		// A planned re-creation: the task must come back under its original
 		// id, so it can only start in its original slot.  If a restored task
@@ -250,17 +251,9 @@ func (c *clusterRT) request(req pendingInit) error {
 		// replayed its exit yet), the request waits in pending.
 		if !c.frozen && c.slotOpenLocked(p) {
 			delete(c.directed, req.key)
-			req.forced = p
-			c.slots[p.slot].rec = reservedMarker
-			c.mu.Unlock()
-			return c.startTask(p.slot, req)
+			req.forced, slot = p, p.slot
 		}
-		c.pending = append(c.pending, req)
-		c.mu.Unlock()
-		return nil
-	}
-	slot := -1
-	if !c.frozen {
+	} else if !c.frozen {
 		slot = c.findFreeUserSlotLocked()
 	}
 	if slot < 0 {
@@ -271,7 +264,7 @@ func (c *clusterRT) request(req pendingInit) error {
 	// Reserve the slot before releasing the lock; startTask fills it in.
 	c.slots[slot].rec = reservedMarker
 	c.mu.Unlock()
-	return c.startTask(slot, req)
+	return c.startTask(by, slot, req)
 }
 
 // reservedMarker occupies a slot between reservation and task start.
@@ -324,7 +317,7 @@ func (c *clusterRT) plannedForLocked(slot int) *taskRec {
 
 // takePendingLocked removes and returns the first pending request that can
 // start now, together with its reserved slot (nil, -1 when nothing can).
-// Directed requests (planned re-creations, see PlanRestoredInit) can only
+// Directed requests (planned re-creations, see Restore) can only
 // take their recorded slot, so one whose slot is still occupied is skipped
 // without blocking others; undirected requests start strictly in FIFO order.
 // Caller holds c.mu.
@@ -370,8 +363,9 @@ func (c *clusterRT) findFreeUserSlotLocked() int {
 	return -1
 }
 
-// startTask spawns the task's process in the given (already reserved) slot.
-func (c *clusterRT) startTask(slot int, req pendingInit) error {
+// startTask spawns the task's process in the given (already reserved) slot;
+// by, the starting process or nil, leaves its PE while initLogger waits.
+func (c *clusterRT) startTask(by *mmos.Proc, slot int, req pendingInit) error {
 	vm := c.vm
 	if vm.terminated() {
 		// No task will start any more, so no exit will come to take the
@@ -440,7 +434,7 @@ func (c *clusterRT) startTask(slot int, req pendingInit) error {
 	}
 	c.mu.Unlock()
 	if l, ok := vm.remote.(initLogger); ok && keyed {
-		l.LogInit(c.cfg.Number, req.key.parent, req.key.seq, id)
+		l.LogInit(by, LoggedInit{Cluster: c.cfg.Number, Parent: req.key.parent, Seq: req.key.seq, ID: id})
 	}
 	vm.registerTask(rec)
 	vm.userTasks.Add(1)
@@ -528,7 +522,7 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 	next, nextSlot := c.takePendingLocked()
 	c.mu.Unlock()
 	if next != nil {
-		if err := c.startTask(nextSlot, *next); err != nil {
+		if err := c.startTask(rec.getProc(), nextSlot, *next); err != nil {
 			vm.userPrintf("pisces: deferred initiate of %s failed: %v\n", next.tasktype, err)
 		}
 	}

@@ -112,7 +112,7 @@ func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 				m.reply.deliver(NilTask)
 				return
 			}
-			if err := cl.request(req); err != nil {
+			if err := cl.request(req, t.rec.getProc()); err != nil {
 				vm.userPrintf("pisces: task controller %s: %v\n", t.ID(), err)
 			}
 		})

@@ -39,10 +39,11 @@ import (
 // Recovery is one path: a node dies, and its buddy adopts the node's
 // clusters (AdoptClusters), restores their last checkpoint on top of its own
 // ghost controllers (Restore) and re-delivers the frames retained since the
-// cut.  A child started after the cut is in no checkpoint; the task
-// controller reports each initiation to a transport that keeps them
-// (initLogger), and the buddy re-creates such a child under its first id
-// when its request comes again (PlanRestoredInit).
+// cut.  A child started after the cut is in no checkpoint, so the task
+// controller logs each initiation with the transport before the child runs
+// (initLogger) — a node's buddy holds the log, the fault network keeps it —
+// and Restore plans the logged initiations: the buddy re-creates such a
+// child under its first id when its request comes again.
 //
 // What is NOT recoverable: controllers (the terminal cluster's user/file
 // controllers are the run's anchor), shared arrays and windows owned by a
@@ -442,24 +443,51 @@ func (vm *VM) AdoptClusters(clusters ...int) {
 // taskid in replay mode, with fresh completion bookkeeping — this VM never
 // knew the task.  The adopting VM's controller of such a cluster was a ghost
 // until now and has served nothing, so the checkpoint's initiation state is
-// the whole of it.  After Restore the caller should re-deliver the retained
+// the whole of it.  An empty blob is a VM that died before its first
+// checkpoint shipped.  Then each initiation the dead VM logged since the cut
+// (initLogger) and the initMap does not answer is planned (planLocked): when
+// its request comes again the task is re-created under its logged id, the
+// one its parent holds.  Every cluster the blob or the log names stays frozen
+// until its plans are in, so no request starts a logged child under a fresh
+// id.  After Restore the caller should re-deliver the retained
 // post-checkpoint frames — replay plus floors make any overlap harmless.
-func (vm *VM) Restore(blob []byte) error {
+func (vm *VM) Restore(blob []byte, inits []LoggedInit) error {
 	if !vm.ha {
 		return fmt.Errorf("core: Restore requires a VM booted with Options.HA")
 	}
-	ck, err := decodeCheckpointBlob(blob)
-	if err != nil {
-		return err
+	var ck []haCkptCluster
+	if len(blob) > 0 {
+		var err error
+		if ck, err = decodeCheckpointBlob(blob); err != nil {
+			return err
+		}
 	}
-	var restored []*clusterRT
-	for _, cs := range ck {
-		cl, ok := vm.cluster(cs.number)
+	var frozen []*clusterRT
+	defer func() {
+		for _, cl := range frozen {
+			cl.mu.Lock()
+			cl.frozen = false
+			cl.mu.Unlock()
+			cl.kickPending()
+		}
+	}()
+	freeze := func(n int) (*clusterRT, error) { // locked, and frozen until Restore returns
+		cl, ok := vm.cluster(n)
 		if !ok {
-			return fmt.Errorf("%w: checkpointed cluster %d", ErrNoSuchCluster, cs.number)
+			return nil, fmt.Errorf("%w: restored cluster %d", ErrNoSuchCluster, n)
 		}
 		cl.mu.Lock()
-		cl.frozen = true
+		if !cl.frozen {
+			cl.frozen = true
+			frozen = append(frozen, cl)
+		}
+		return cl, nil
+	}
+	for _, cs := range ck {
+		cl, err := freeze(cs.number)
+		if err != nil {
+			return err
+		}
 		for _, e := range cs.initMap {
 			cl.initMap[e.key] = e.child
 			vm.raiseUnique(e.child.Unique)
@@ -473,13 +501,18 @@ func (vm *VM) Restore(blob []byte) error {
 				return err
 			}
 		}
-		restored = append(restored, cl)
 	}
-	for _, cl := range restored {
-		cl.mu.Lock()
-		cl.frozen = false
+	for _, l := range inits {
+		cl, err := freeze(l.Cluster)
+		if err != nil {
+			return err
+		}
+		vm.raiseUnique(l.ID.Unique)
+		key := initKey{parent: l.Parent, seq: l.Seq}
+		if _, started := cl.initMap[key]; !started {
+			cl.planLocked(key, l.ID)
+		}
 		cl.mu.Unlock()
-		cl.kickPending()
 	}
 	return nil
 }
@@ -561,23 +594,30 @@ func (c *clusterRT) kickPending() {
 		if req == nil {
 			return
 		}
-		if err := c.startTask(slot, *req); err != nil {
+		if err := c.startTask(nil, slot, *req); err != nil {
 			c.vm.userPrintf("pisces: deferred initiate of %s failed: %v\n", req.tasktype, err)
 		}
 	}
 }
 
-// initLogger is a transport that keeps a node's initiation decisions where a
-// survivor can read them.  In HA mode a task controller reports every
-// sequenced initiation it starts, before the child runs: a child started
-// after the last checkpoint is in no checkpoint, and when its node dies the
-// buddy restoring the cluster must re-create it under the id it had — the id
-// its parent, its receivers' floors and the terminal's already hold — when
-// the request is replayed or re-issued.  The transport hands the logged
-// decisions to the adopter's PlanRestoredInit before it replays the retained
-// frames.
+// LoggedInit is one sequenced initiation an HA task controller started: the
+// request's key (Parent, Seq), its cluster, and the id it was answered with.
+type LoggedInit struct {
+	Cluster int
+	Parent  TaskID
+	Seq     uint64
+	ID      TaskID
+}
+
+// initLogger is a transport that keeps a VM's initiation decisions where a
+// survivor can read them, for the adopter's Restore: in HA mode a task
+// controller logs every sequenced initiation before the child runs, since a
+// child started after the last checkpoint is in no checkpoint and must come
+// back under the id its parent and its receivers' floors already hold.
+// LogInit returns once the entry is safe; a node's transport waits for its
+// buddy's ack, by's PE released meanwhile (by is nil outside a process).
 type initLogger interface {
-	LogInit(cluster int, parent TaskID, seq uint64, id TaskID)
+	LogInit(by *mmos.Proc, l LoggedInit)
 }
 
 // raiseUnique lifts the unique counter to at least u, so an id this VM
@@ -590,39 +630,6 @@ func (vm *VM) raiseUnique(u int) {
 			return
 		}
 	}
-}
-
-// PlanRestoredInit records that the initiation request identified by
-// (parent, seq) was answered with id before a failure: when the transport
-// re-delivers the retained request frame, the controller re-creates the task
-// under that id — in its original slot — instead of assigning a fresh one,
-// so the id the parent already holds stays valid.  A task created AFTER the
-// last checkpoint is otherwise unknown to Restore; the transport observed
-// its id — in the initiate reply, or in the dead controller's initiation log
-// (initLogger) — and plans its re-creation here before replaying retained
-// frames.  From the plan on, the id's in-queue exists: a message for the task
-// — a replayed frame, or a send by a task that holds the id — waits there for
-// the re-created task.  Requests already answered in the restored initMap are
-// left alone.
-func (vm *VM) PlanRestoredInit(cluster int, parent TaskID, seq uint64, id TaskID) error {
-	if !vm.ha {
-		return fmt.Errorf("core: PlanRestoredInit requires a VM booted with Options.HA")
-	}
-	if seq == 0 || id == NilTask {
-		return nil
-	}
-	cl, ok := vm.cluster(cluster)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchCluster, cluster)
-	}
-	vm.raiseUnique(id.Unique)
-	key := initKey{parent: parent, seq: seq}
-	cl.mu.Lock()
-	if _, started := cl.initMap[key]; !started {
-		cl.planLocked(key, id)
-	}
-	cl.mu.Unlock()
-	return nil
 }
 
 // --- serialization ----------------------------------------------------------

@@ -174,7 +174,7 @@ func killB(t *testing.T, vmA, vmB *VM, pipeB *pipeTransport, blob []byte) int {
 	pipeB.drop = true
 	pipeB.mu.Unlock()
 	vmA.AdoptClusters(2)
-	if err := vmA.Restore(blob); err != nil {
+	if err := vmA.Restore(blob, nil); err != nil {
 		t.Errorf("restore: %v", err)
 	}
 	vmB.Shutdown()
@@ -393,7 +393,7 @@ func TestHAPlannedTaskOwnsItsSlot(t *testing.T) {
 				}
 			}
 			kid := TaskID{Cluster: 2, Slot: 1, Unique: 1000}
-			if err := vm.PlanRestoredInit(2, parent, 1, kid); err != nil {
+			if err := vm.Restore(nil, []LoggedInit{{Cluster: 2, Parent: parent, Seq: 1, ID: kid}}); err != nil {
 				t.Fatal(err)
 			}
 			if held {

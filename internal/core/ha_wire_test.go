@@ -155,7 +155,7 @@ func TestRestoreRejectsForgedCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := target.Restore(wrapped); !errors.Is(err, msgcodec.ErrCorrupt) {
+		if err := target.Restore(wrapped, nil); !errors.Is(err, msgcodec.ErrCorrupt) {
 			t.Errorf("forged %s count: Restore = %v, want an error wrapping msgcodec.ErrCorrupt", o.name, err)
 		}
 	}

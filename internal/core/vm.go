@@ -846,7 +846,7 @@ func (vm *VM) Shutdown() {
 		}
 	}
 	vm.userTasks.Wait()
-	// A planned task never re-created (PlanRestoredInit) leaves its record
+	// A planned task never re-created (see Restore) leaves its record
 	// behind, and what was sent to it: recover that.
 	for _, rec := range all {
 		if !rec.isController && rec.tasktype == "" {

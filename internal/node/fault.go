@@ -10,6 +10,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/mmos"
 	"repro/internal/obs"
 	"repro/internal/pfi"
 )
@@ -99,13 +100,14 @@ type FaultTransport struct {
 	// delivered to it (or lost with its dead host) since the cluster's last
 	// MarkEpoch, and inits the initiations its task controller logged since
 	// (LogInit).  A kill/restore harness checkpoints a cluster, calls
-	// MarkEpoch, and on failure hands both to the adopter with ReplayRetained
-	// — the senders have moved on and will never resend the frames
-	// themselves, and the ids the dead controller assigned died with it.
+	// MarkEpoch, and on failure passes LoggedInits to the adopter's Restore
+	// and hands the frames over with ReplayRetained — the senders have moved
+	// on and will never resend the frames themselves, and the ids the dead
+	// controller assigned died with it.
 	// Retention only runs for clusters that have had MarkEpoch called, so
 	// fault-only runs pay nothing.
 	retained map[int][]*core.WireFrame
-	inits    map[int][]loggedInit
+	inits    map[int][]core.LoggedInit
 	// inflight holds, by send order, the message frames on their way to a
 	// cluster with retention armed.  A frame still on its way when the VM
 	// hosting its cluster dies is handed to the adopter by ReplayRetained,
@@ -123,14 +125,6 @@ type end struct {
 	net  *FaultTransport
 	vm   *core.VM
 	dead bool
-}
-
-// loggedInit is one initiation a task controller started: the request's key
-// and the id it was answered with.
-type loggedInit struct {
-	parent core.TaskID
-	seq    uint64
-	id     core.TaskID
 }
 
 // FaultMesh is the production hosting shape on one fault network: one VM per
@@ -380,16 +374,24 @@ func (n *FaultTransport) retain(f *core.WireFrame, to []*end) {
 }
 
 // LogInit keeps an initiation the end's VM started on a cluster with
-// retention armed, for ReplayRetained to plan on the VM that adopts the
-// cluster.  The network takes it before the child runs, so no effect of the
-// child can reach a survivor ahead of its id.
-func (e *end) LogInit(cluster int, parent core.TaskID, seq uint64, id core.TaskID) {
+// retention armed, for the Restore of the VM that adopts the cluster.  The
+// network takes it before the child runs, so no effect of the child can reach
+// a survivor ahead of its id; it never waits.
+func (e *end) LogInit(_ *mmos.Proc, l core.LoggedInit) {
 	n := e.net
 	n.mu.Lock()
-	if _, ok := n.retained[cluster]; ok && !e.dead {
-		n.inits[cluster] = append(n.inits[cluster], loggedInit{parent, seq, id})
+	if _, ok := n.retained[l.Cluster]; ok && !e.dead {
+		n.inits[l.Cluster] = append(n.inits[l.Cluster], l)
 	}
 	n.mu.Unlock()
+}
+
+// LoggedInits returns the initiations logged for the cluster since its last
+// MarkEpoch: what the adopter's Restore plans.
+func (n *FaultTransport) LoggedInits(cluster int) []core.LoggedInit {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return slices.Clone(n.inits[cluster])
 }
 
 // MarkEpoch arms (or re-arms) retention for a destination cluster: frames
@@ -401,7 +403,7 @@ func (n *FaultTransport) MarkEpoch(cluster int) {
 	n.mu.Lock()
 	if n.retained == nil {
 		n.retained = make(map[int][]*core.WireFrame)
-		n.inits = make(map[int][]loggedInit)
+		n.inits = make(map[int][]core.LoggedInit)
 		n.inflight = make(map[*core.WireFrame]uint64)
 	}
 	n.retained[cluster] = nil
@@ -409,10 +411,8 @@ func (n *FaultTransport) MarkEpoch(cluster int) {
 	n.mu.Unlock()
 }
 
-// ReplayRetained hands the cluster's post-checkpoint state to the VM hosting
-// it now: every initiation logged since the last MarkEpoch is planned
-// (PlanRestoredInit), so the request, replayed or re-issued, re-creates its
-// task under the logged id; then every frame delivered to the cluster is
+// ReplayRetained hands the cluster's post-checkpoint frames to the VM hosting
+// it now: every frame delivered to the cluster since the last MarkEpoch is
 // re-injected in original delivery order, bypassing the delay line (the
 // frames already paid their delays once), and after them every frame still
 // on its way to the cluster, in send order.  Called after core.Restore; the
@@ -425,7 +425,7 @@ func (n *FaultTransport) ReplayRetained(cluster int) int {
 		n.mu.Unlock()
 		return 0
 	}
-	frames, inits := n.retained[cluster], n.inits[cluster]
+	frames := n.retained[cluster]
 	var late []*core.WireFrame
 	for f := range n.inflight {
 		if f.Dst == cluster {
@@ -437,9 +437,6 @@ func (n *FaultTransport) ReplayRetained(cluster int) int {
 		delete(n.inflight, f)
 	}
 	n.mu.Unlock()
-	for _, l := range inits {
-		_ = h.vm.PlanRestoredInit(cluster, l.parent, l.seq, l.id)
-	}
 	for _, f := range frames {
 		g := *f
 		_ = h.vm.DeliverWire(&g)

@@ -74,7 +74,7 @@ func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
 	mesh.Fail(1)
 	vmB.Shutdown()
 	vmA.AdoptClusters(2)
-	if err := vmA.Restore(blob); err != nil {
+	if err := vmA.Restore(blob, mesh.LoggedInits(2)); err != nil {
 		t.Fatal(err)
 	}
 	if n := mesh.ReplayRetained(2); n != 1 {

@@ -1,8 +1,11 @@
 package node
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/core"
-	"repro/internal/msgcodec"
+	"repro/internal/mmos"
 )
 
 // Transport-level fault tolerance: sender-side frame retention.
@@ -16,7 +19,7 @@ import (
 //
 //	sender                       receiver X                  X's buddy B
 //	  | -- data frames  ------->  | (delivers, counts)         |
-//	  |                           | -- fCkpt{epoch,blob} ----> | (stores)
+//	  |                           | -- fCkpt{epoch,n,blob} --> | (stores)
 //	  |                           | <---- fCkptAck{epoch} ---- |
 //	  | <-- fCkptMark{count} ---  | (only after the ack)       |
 //	  | drops retained idx<=count |                            |
@@ -28,24 +31,27 @@ import (
 // rebuild its contents.  When X dies, each sender replays its retained
 // backlog onto B's lane under the route lock; B's restored admission floors
 // drop whatever the blob already covers.
+//
+// B also holds X's initiation log.  Each sequenced initiation X's controllers
+// start goes to B as one fInitLog entry before the child runs, and the child
+// starts only after B's fInitLogAck.  fCkpt's n is X's log count taken before
+// the cut; B drops the entries it covers and, when X dies, hands the rest to
+// Restore, so a child started after the cut comes back under its first id.
 
 // retFrame is one retained data frame: the encoded payload (kind byte +
-// body, no length prefix), its 1-based position in the lane's counted-frame
-// order, and — for initiate requests — the ReplyID and, once the reply was
-// observed, the taskid the request was answered with.
+// body, no length prefix) and its 1-based position in the lane's
+// counted-frame order.
 type retFrame struct {
 	idx     uint64
 	payload []byte
-	replyID uint64
-	initID  core.TaskID
 }
 
-// setHA flips the transport into retention mode.  Must be called before any
-// traffic flows.
-func (tr *transport) setHA() {
+// setHA flips the transport into retention mode; buddy names the holder of
+// its initiation log.  Must be called before any traffic flows.
+func (tr *transport) setHA(buddy func() int) {
 	tr.haRetain = true
 	tr.reroute = make(map[int]int)
-	tr.pendInit = make(map[uint64]*retFrame)
+	tr.buddy = buddy
 }
 
 // countRecv counts one delivered counted frame from the given source lane
@@ -71,38 +77,9 @@ func (tr *transport) recvSnapshot() map[int]uint64 {
 
 // retainPayloadLocked copies one counted frame into the lane's retention log.
 // Caller holds p.mu and has already counted the frame sent.
-func (p *peer) retainPayloadLocked(tr *transport, payload []byte, replyID uint64) {
+func (p *peer) retainPayloadLocked(payload []byte) {
 	p.sentIdx++
-	rf := &retFrame{idx: p.sentIdx, payload: append([]byte(nil), payload...), replyID: replyID}
-	p.retained = append(p.retained, rf)
-	if replyID != 0 {
-		tr.pendMu.Lock()
-		tr.pendInit[replyID] = rf
-		tr.pendMu.Unlock()
-	}
-}
-
-// retainDeadLocked handles an enqueue on a dead lane: counted data frames are
-// encoded into scratch space and retained for the rebalance replay (the
-// sender must not see an error — the frame happened, its delivery is the
-// buddy's), control frames are dropped, and frames arriving after the replay
-// already ran are redundant with the buddy's own lane.  Caller holds p.mu.
-func (p *peer) retainDeadLocked(tr *transport, counted bool, replyID uint64, encode func(batch []byte) []byte) error {
-	if !counted || p.replayed {
-		return nil
-	}
-	start := len(p.batch)
-	batch, payloadStart := msgcodec.BeginFrame(p.batch)
-	batch = encode(batch)
-	batch, err := msgcodec.EndFrame(batch, payloadStart, 0)
-	if err != nil {
-		p.batch = batch[:start]
-		return err
-	}
-	tr.sent.Add(1)
-	p.retainPayloadLocked(tr, batch[payloadStart:], replyID)
-	p.batch = batch[:start]
-	return nil
+	p.retained = append(p.retained, retFrame{idx: p.sentIdx, payload: append([]byte(nil), payload...)})
 }
 
 // markDead flips the lane toward a dead node into retention mode and settles
@@ -153,57 +130,77 @@ func (tr *transport) ackRetained(node int, count uint64) {
 	if p == nil {
 		return
 	}
-	var freed []uint64
 	p.mu.Lock()
 	if !p.dead && count > p.ackIdx {
-		drop := 0
-		for drop < len(p.retained) && p.retained[drop].idx <= count {
-			if id := p.retained[drop].replyID; id != 0 {
-				freed = append(freed, id)
-			}
-			drop++
-		}
-		if drop > 0 {
-			n := copy(p.retained, p.retained[drop:])
-			for i := n; i < len(p.retained); i++ {
-				p.retained[i] = nil
-			}
-			p.retained = p.retained[:n]
-		}
+		p.retained = slices.DeleteFunc(p.retained, func(rf retFrame) bool { return rf.idx <= count })
 		p.ackIdx = count
 	}
 	p.mu.Unlock()
-	if len(freed) > 0 {
-		tr.pendMu.Lock()
-		for _, id := range freed {
-			delete(tr.pendInit, id)
+}
+
+// LogInit implements core's initLogger: the initiation goes to this node's
+// checkpoint buddy as one fInitLog frame, numbered in log order, and the call
+// returns once the buddy acked it — or the lane to the buddy died, or the
+// node is shutting down — with by's PE released meanwhile.  Node 0 is not
+// recoverable and keeps no log.
+func (tr *transport) LogInit(by *mmos.Proc, l core.LoggedInit) {
+	if !tr.haRetain || tr.nodeID == 0 {
+		return
+	}
+	p := tr.peerAt(tr.buddy())
+	if p == nil {
+		return
+	}
+	// Numbered and enqueued under one lock, so the buddy's lane carries the
+	// entries in log order.
+	tr.logMu.Lock()
+	count := tr.logged.Add(1)
+	err := tr.sendControl(p.id, encodeInitLog(tr.nodeID, count, l))
+	tr.logMu.Unlock()
+	if err != nil {
+		return
+	}
+	wait := func() {
+		p.mu.Lock()
+		for p.logAcked < count && !p.dead {
+			p.cond.Wait()
 		}
-		tr.pendMu.Unlock()
+		p.mu.Unlock()
+	}
+	if by != nil {
+		by.BlockFn(wait)
+	} else {
+		wait()
 	}
 }
 
-// noteInitReply annotates the retained initiate-request frame the reply
-// answers with the assigned taskid, so a replay of the request re-creates
-// the task under the same identity (via a restore plan).
-func (tr *transport) noteInitReply(replyID uint64, id core.TaskID) {
-	if !tr.haRetain || replyID == 0 {
-		return
+// ackInitLog records a buddy's ack of the log up to count and wakes the
+// LogInit calls waiting for it.
+func (tr *transport) ackInitLog(node int, count uint64) {
+	if p := tr.peerAt(node); p != nil {
+		p.mu.Lock()
+		p.logAcked = max(p.logAcked, count)
+		p.cond.Broadcast()
+		p.mu.Unlock()
 	}
-	tr.pendMu.Lock()
-	if rf := tr.pendInit[replyID]; rf != nil {
-		rf.initID = id
+}
+
+// stopLog releases every LogInit for good, as if each buddy had acked the
+// whole log: the node is shutting down, and a controller waiting on its
+// buddy must not hold the VM's shutdown up.
+func (tr *transport) stopLog() {
+	for _, p := range tr.allPeers() {
+		tr.ackInitLog(p.id, math.MaxUint64)
 	}
-	tr.pendMu.Unlock()
 }
 
 // replayRetained hands every frame retained toward the dead node to the
 // adopting buddy — onto the buddy's lane, or through local (the node's own
 // deliver path) when this node IS the buddy — then reroutes the dead node's
-// clusters.  Each annotated initiate request is preceded by its restore plan
-// so the controller re-creates the task under its recorded id.  The caller
-// must hold routeMu exclusively: that is what guarantees the replayed backlog
-// precedes every newly routed frame on the buddy's lane, the order the
-// restored admission floors assume.  Returns the number of frames replayed.
+// clusters.  The caller must hold routeMu exclusively: that is what
+// guarantees the replayed backlog precedes every newly routed frame on the
+// buddy's lane, the order the restored admission floors assume.  Returns the
+// number of frames replayed.
 func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) error) (int, error) {
 	pd := tr.peerAt(dead)
 	if pd == nil {
@@ -226,29 +223,13 @@ func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) 
 		// and uncounted (the original enqueue already counted these frames
 		// sent; the buddy counts them received).
 		put = func(payload []byte) error {
-			return pb.enqueue(tr, false, false, 0, func(batch []byte) []byte {
+			return pb.enqueue(tr, false, false, func(batch []byte) []byte {
 				return append(batch, payload...)
 			})
 		}
 	}
 	var firstErr error
-	var m frame
 	for _, rf := range frames {
-		if rf.replyID != 0 {
-			tr.pendMu.Lock()
-			id := rf.initID
-			delete(tr.pendInit, rf.replyID)
-			tr.pendMu.Unlock()
-			if id != core.NilTask {
-				// The routing header of the retained request frame names the
-				// initiate the plan is for.
-				if _, err := decodeFrame(&m, rf.payload); err == nil {
-					if err := put(encodeRestorePlan(m.msg.Dst, m.msg.Sender, m.msg.SendSeq, id)); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
-			}
-		}
 		if err := put(rf.payload); err != nil && firstErr == nil {
 			firstErr = err
 		}

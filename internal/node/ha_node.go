@@ -2,8 +2,10 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -25,11 +27,11 @@ import (
 //     membership change at a time.  Node 0 hosts the user controller and
 //     cannot be replaced; followers that lose it shut down.
 //  3. Recovery.  The buddy adopts the dead node's clusters, restores the last
-//     checkpoint blob it stored, and broadcasts fRebalanceReady.  On that
-//     signal every node replays its retained post-checkpoint frames onto the
-//     buddy's lane (restore plans first) and reroutes the dead node's
-//     clusters there.  The restored admission floors drop whatever the blob
-//     already covered, so over-replay is harmless.
+//     checkpoint blob and the initiation log it holds, and broadcasts
+//     fRebalanceReady.  On that signal every node replays its retained
+//     post-checkpoint frames onto the buddy's lane and reroutes the dead
+//     node's clusters there.  The restored admission floors drop whatever
+//     the blob already covered, so over-replay is harmless.
 //
 // One failure per checkpoint interval is tolerated: a second node dying
 // before the first recovery completes (or taking the only copy of a blob with
@@ -62,12 +64,7 @@ func (n *Node) haLoop() {
 				}
 			}
 			for _, dead := range n.det.Check() {
-				dead := dead
-				n.readers.Add(1)
-				go func() {
-					defer n.readers.Done()
-					n.handleDeath(dead)
-				}()
+				n.spawn(func() { n.handleDeath(dead) })
 			}
 		case <-ck.C:
 			n.checkpointTick()
@@ -76,18 +73,19 @@ func (n *Node) haLoop() {
 }
 
 // checkpointTick cuts one checkpoint of the hosted clusters and streams it to
-// the buddy.  The per-source receive counts are snapshotted BEFORE the cut:
-// every frame counted there reached the VM before the checkpoint, so its
-// effect is inside the blob and the snapshot is safe to broadcast as
-// retention marks — but only once the buddy acks the blob (fCkptAck), never
-// before.  Releasing retention against an unacked blob would let the blob
-// and the frames that rebuild it die together.
+// the buddy with the initiation log's count.  The counts are snapshotted
+// BEFORE the cut: every frame counted there reached the VM before the
+// checkpoint and every initiation was in its initMap, so their effects are
+// inside the blob.  The receive counts are broadcast as retention marks —
+// but only once the buddy acks the blob (fCkptAck), never before.  Releasing
+// retention against an unacked blob would let the blob and the frames that
+// rebuild it die together.
 func (n *Node) checkpointTick() {
 	buddy := n.nextLive(n.opts.NodeID)
 	if buddy < 0 {
 		return // no live peer to hold the blob
 	}
-	snap := n.tr.recvSnapshot()
+	snap, inits := n.tr.recvSnapshot(), n.tr.logged.Load()
 	blob, err := n.vm.Checkpoint(n.vm.HostedClusters()...)
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: checkpoint failed: %v\n", n.opts.NodeID, err)
@@ -98,7 +96,7 @@ func (n *Node) checkpointTick() {
 	epoch := n.ckptEpoch
 	n.pendMark[epoch] = snap
 	n.ckptMu.Unlock()
-	if err := n.tr.sendControl(buddy, encodeCkpt(n.opts.NodeID, epoch, blob)); err != nil {
+	if err := n.tr.sendControl(buddy, encodeCkpt(n.opts.NodeID, epoch, inits, blob)); err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: shipping checkpoint %d to node %d: %v\n", n.opts.NodeID, epoch, buddy, err)
 		return
 	}
@@ -109,10 +107,12 @@ func (n *Node) checkpointTick() {
 }
 
 // storeCheckpoint is the buddy side of a checkpoint: keep the latest blob for
-// the peer and ack it, releasing the peer's retention marks.
-func (n *Node) storeCheckpoint(from int, epoch uint64, blob []byte) {
+// the peer, drop the entries of its initiation log the blob covers (the
+// first inits), and ack it, releasing the peer's retention marks.
+func (n *Node) storeCheckpoint(from int, epoch, inits uint64, blob []byte) {
 	n.ckptMu.Lock()
 	n.ckptFrom[from] = append(n.ckptFrom[from][:0], blob...)
+	n.initsFrom[from] = slices.DeleteFunc(n.initsFrom[from], func(h heldInit) bool { return h.count <= inits })
 	n.ckptMu.Unlock()
 	// Record the stored epoch: a survivor's dump proves which checkpoint of a
 	// dead peer it held at the moment of failure.
@@ -120,7 +120,7 @@ func (n *Node) storeCheckpoint(from int, epoch uint64, blob []byte) {
 	if n.reg.Has(obs.Metrics) {
 		n.haCkptRx.Inc()
 	}
-	_ = n.tr.sendControl(from, encodeCkptAck(n.opts.NodeID, epoch))
+	_ = n.tr.sendControl(from, encodeFromCount(fCkptAck, n.opts.NodeID, epoch))
 }
 
 // broadcastMarks releases the retention the acked checkpoint epoch covers:
@@ -142,8 +142,23 @@ func (n *Node) broadcastMarks(epoch uint64) {
 		if id == n.opts.NodeID || n.det.Dead(id) {
 			continue
 		}
-		_ = n.tr.sendControl(id, encodeCkptMark(n.opts.NodeID, count))
+		_ = n.tr.sendControl(id, encodeFromCount(fCkptMark, n.opts.NodeID, count))
 	}
+}
+
+// heldInit is entry count of a peer's initiation log, as its buddy holds it
+// until a checkpoint of the peer covers it.
+type heldInit struct {
+	count uint64
+	init  core.LoggedInit
+}
+
+// holdInit is the buddy side of LogInit: hold the entry and ack it.
+func (n *Node) holdInit(from int, count uint64, l core.LoggedInit) {
+	n.ckptMu.Lock()
+	n.initsFrom[from] = append(n.initsFrom[from], heldInit{count, l})
+	n.ckptMu.Unlock()
+	_ = n.tr.sendControl(from, encodeFromCount(fInitLogAck, n.opts.NodeID, count))
 }
 
 // nextLive returns the next live node after the given id, cyclically, or -1
@@ -194,15 +209,16 @@ func (n *Node) handleDeath(dead int) {
 			_ = n.tr.sendControl(id, verdict)
 		}
 	}
-	n.handleRebalance(dead, buddy)
+	n.handleRebalance(dead, buddy, false)
 }
 
-// handleRebalance applies a rebalance verdict: mark the death everywhere,
-// and — on the buddy — adopt, restore, and tell the mesh the restored state
-// is ready for replays.  Everyone else holds their retained frames until
-// fRebalanceReady; replaying into a buddy that has not restored yet would
-// race the admission floors the replay depends on.
-func (n *Node) handleRebalance(dead, buddy int) {
+// handleRebalance applies a rebalance verdict, or with ready the buddy's
+// all-clear: mark the death; on the buddy, adopt, restore and send the
+// all-clear; then replay the retained backlog and reroute.  The others wait
+// for the all-clear: replaying into a buddy that has not restored yet would
+// race the admission floors the replay depends on.  It travels on the
+// buddy's lane and the verdict on the leader's, so it can arrive FIRST.
+func (n *Node) handleRebalance(dead, buddy int, ready bool) {
 	n.rebalMu.Lock()
 	defer n.rebalMu.Unlock()
 	if n.shuttingDown() {
@@ -210,50 +226,40 @@ func (n *Node) handleRebalance(dead, buddy int) {
 	}
 	n.det.MarkDead(dead)
 	n.tr.markDead(dead)
-	if buddy != n.opts.NodeID {
-		return
-	}
-	n.adoptAndRestore(dead)
-	ready := encodeRebalance(fRebalanceReady, dead, buddy)
-	for _, id := range n.det.Alive() {
-		if id != n.opts.NodeID {
-			_ = n.tr.sendControl(id, ready)
+	if !ready {
+		if buddy != n.opts.NodeID {
+			return
+		}
+		n.adoptAndRestore(dead)
+		all := encodeRebalance(fRebalanceReady, dead, buddy)
+		for _, id := range n.det.Alive() {
+			if id != n.opts.NodeID {
+				_ = n.tr.sendControl(id, all)
+			}
 		}
 	}
 	n.finishRebalance(dead, buddy)
 }
 
-// handleRebalanceReady finishes a rebalance on a non-buddy node: replay the
-// retained backlog and reroute.  The ready frame travels on the buddy's lane
-// while the verdict travels on the leader's, so it can arrive FIRST — the
-// death marking below is not redundant, it is the frame's first effect then.
-func (n *Node) handleRebalanceReady(dead, buddy int) {
-	n.rebalMu.Lock()
-	defer n.rebalMu.Unlock()
-	if n.shuttingDown() {
-		return
-	}
-	n.det.MarkDead(dead)
-	n.tr.markDead(dead)
-	n.finishRebalance(dead, buddy)
-}
-
 // adoptAndRestore takes over the dead node's clusters and rebuilds them from
-// the last checkpoint blob this node stored for it.  No blob means the peer
-// died before its first checkpoint shipped: the clusters restart empty, and
-// the retained-frame replay alone rebuilds what it can.
+// the last checkpoint blob and the initiation log this node holds for it.  No
+// blob means the peer died before its first checkpoint shipped: the clusters
+// restart empty, and the log and the retained-frame replay rebuild them.
 func (n *Node) adoptAndRestore(dead int) {
 	clusters := n.topo.Clusters(dead)
 	n.vm.AdoptClusters(clusters...)
 	n.ckptMu.Lock()
 	blob := n.ckptFrom[dead]
+	inits := make([]core.LoggedInit, len(n.initsFrom[dead]))
+	for i, h := range n.initsFrom[dead] {
+		inits[i] = h.init
+	}
 	n.ckptMu.Unlock()
 	if len(blob) == 0 {
 		fmt.Fprintf(n.opts.Log, "node %d: no checkpoint stored for node %d; clusters %v restart empty\n",
 			n.opts.NodeID, dead, clusters)
-		return
 	}
-	if err := n.vm.Restore(blob); err != nil {
+	if err := n.vm.Restore(blob, inits); err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: restoring node %d's checkpoint: %v\n", n.opts.NodeID, dead, err)
 	}
 }
@@ -297,13 +303,6 @@ func (n *Node) finishRebalance(dead, buddy int) {
 func (n *Node) Terminate() {
 	n.closeOnce.Do(func() {
 		n.signalShutdown()
-		_ = n.ln.Close()
-		_ = n.tr.Close()
-		n.inMu.Lock()
-		for _, c := range n.inConns {
-			_ = c.Close()
-		}
-		n.inMu.Unlock()
-		n.readers.Wait()
+		n.teardown()
 	})
 }

@@ -114,12 +114,14 @@ type Node struct {
 	followerTrace map[int]obs.ProcessTrace
 
 	// Fault tolerance (HA mode only; nil/zero otherwise).  ckptMu guards the
-	// blobs this node stores as other peers' buddy plus the pre-cut receive
-	// snapshots of this node's own un-acked checkpoint epochs; rebalMu
-	// serialises rebalances (one membership change at a time).
+	// blobs and initiation logs this node holds as other peers' buddy plus
+	// the pre-cut receive snapshots of this node's own un-acked checkpoint
+	// epochs; rebalMu serialises rebalances (one membership change at a
+	// time).
 	det        *detector
 	ckptMu     sync.Mutex
 	ckptFrom   map[int][]byte
+	initsFrom  map[int][]heldInit
 	ckptEpoch  uint64
 	pendMark   map[uint64]map[int]uint64
 	rebalMu    sync.Mutex
@@ -134,6 +136,13 @@ type Node struct {
 	// dialRefused, when non-nil, is told of every failed connection attempt
 	// of dialPeer and the wait before the next one (tests).
 	dialRefused func(wait time.Duration)
+	// holdStage, when non-nil, runs on the deliver stage of every drain frame
+	// before the answer leaves it (tests hold a lane's stage with it).
+	holdStage func()
+
+	// idle is closed when the VM's one idle waiter sees it idle (idleWithin).
+	idleMu sync.Mutex
+	idle   chan struct{}
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
@@ -191,13 +200,14 @@ func Start(opts Options) (*Node, error) {
 		if n.opts.CheckpointInterval <= 0 {
 			n.opts.CheckpointInterval = defaultCheckpointInterval
 		}
-		n.tr.setHA() // before any traffic: retention must never miss a frame
+		n.tr.setHA(func() int { return n.nextLive(opts.NodeID) }) // before any traffic: retention must never miss a frame
 		ids := make([]int, len(opts.Addrs))
 		for i := range ids {
 			ids[i] = i
 		}
 		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, reg.Now)
 		n.ckptFrom = make(map[int][]byte)
+		n.initsFrom = make(map[int][]heldInit)
 		n.pendMark = make(map[uint64]map[int]uint64)
 		n.haDeaths = reg.Counter("node.ha.deaths")
 		n.haReplayed = reg.Counter("node.ha.replayed")
@@ -213,54 +223,46 @@ func Start(opts Options) (*Node, error) {
 		}
 	}
 	n.ln = ln
+	if opts.Source != "" {
+		if n.prog, err = pfi.Compile(opts.Source); err != nil {
+			n.teardown()
+			return nil, err
+		}
+	}
 
 	meshT0 := reg.SpanStart()
 	inbound, err := n.connectMesh()
 	if err != nil {
-		_ = ln.Close()
-		_ = n.tr.Close()
+		n.teardown()
 		return nil, err
 	}
 	reg.Emit(&obs.Event{Kind: obs.MeshHandshake, A: int64(opts.NodeID), Start: meshT0})
 
 	vm, err := core.NewVM(opts.Config, core.Options{
-		UserOutput:     opts.Out,
-		Hosted:         topo.Clusters(opts.NodeID),
-		Remote:         n.tr,
-		AcceptTimeout:  opts.AcceptTimeout,
-		Metrics:        reg,
-		HA:             opts.HA,
-		NodeID:         opts.NodeID,
-		FlightRecorder: reg.Recorder(),
-		FailureSink:    func(reason string) { n.dumpBlackbox(reason) },
+		UserOutput:    opts.Out,
+		Hosted:        topo.Clusters(opts.NodeID),
+		Remote:        n.tr,
+		AcceptTimeout: opts.AcceptTimeout,
+		Metrics:       reg,
+		HA:            opts.HA,
+		NodeID:        opts.NodeID,
+		FailureSink:   func(reason string) { n.dumpBlackbox(reason) },
 	})
 	if err != nil {
-		_ = ln.Close()
-		_ = n.tr.Close()
+		n.teardown()
 		return nil, err
 	}
 	n.vm = vm
 	n.tr.bind(vm)
-
-	if opts.Source != "" {
-		prog, err := pfi.Compile(opts.Source)
-		if err != nil {
-			vm.Shutdown()
-			_ = ln.Close()
-			_ = n.tr.Close()
-			return nil, err
-		}
-		n.prog = prog
-		prog.Register(vm)
+	if n.prog != nil {
+		n.prog.Register(vm)
 	}
 	if opts.Register != nil {
 		opts.Register(vm)
 	}
 
 	for from, conn := range inbound {
-		n.inMu.Lock()
-		n.inConns = append(n.inConns, conn)
-		n.inMu.Unlock()
+		n.inConns = append(n.inConns, conn) // before any reader: no lock yet
 		n.readers.Add(1)
 		go n.readLoop(from, conn)
 	}
@@ -464,10 +466,6 @@ func (n *Node) validateHello(h hello) error {
 // VM returns the node's (partial) virtual machine.
 func (n *Node) VM() *core.VM { return n.vm }
 
-// Program returns the compiled Pisces Fortran program, nil when the node was
-// started with Go tasktypes only.
-func (n *Node) Program() *pfi.Program { return n.prog }
-
 // Topology returns the cluster-to-node assignment.
 func (n *Node) Topology() Topology { return n.topo }
 
@@ -499,9 +497,6 @@ func (n *Node) FollowerSnapshots() map[int]*obs.Snapshot {
 	}
 	return out
 }
-
-// Recorder returns the node's always-on flight recorder.
-func (n *Node) Recorder() *obs.Recorder { return n.reg.Recorder() }
 
 // BlackboxDump freezes the node's flight recorder into a msgcodec blackbox
 // container (decodable offline with `pisces blackbox`).
@@ -655,7 +650,7 @@ func (r *laneReader) recycle(buf []byte) {
 // syscall wait overlaps the others' decode work) while the per-lane stage
 // keeps frames in per-sender order; when the stage fills, the reader stops
 // pulling and TCP pushes back on the sending node.  The stage is deep in
-// hand-offs, not bytes, on purpose: answerDrain may hold the deliver stage
+// hand-offs, not bytes, on purpose: a slow handler may hold the deliver stage
 // for seconds while the peer's heartbeats keep arriving one small read at a
 // time, and a reader blocked on a full stage hears none of them.  A held
 // stage therefore pins at most stageDepth+3 read buffers (one per hand-off
@@ -763,7 +758,10 @@ func (n *Node) deliverLoop(from int, r *laneReader, work <-chan handoff) {
 }
 
 func (n *Node) signalShutdown() {
-	n.shutdownOnce.Do(func() { close(n.shutdownCh) })
+	n.shutdownOnce.Do(func() {
+		close(n.shutdownCh)
+		n.tr.stopLog()
+	})
 }
 
 func (n *Node) shuttingDown() bool {
@@ -776,13 +774,23 @@ func (n *Node) shuttingDown() bool {
 }
 
 // idleWithin reports whether every locally hosted user task terminated
-// within d.
+// within d.  The node keeps one idle waiter: a call that times out leaves it
+// waiting for the next call to find.
 func (n *Node) idleWithin(d time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		n.vm.WaitIdle()
-		close(done)
-	}()
+	n.idleMu.Lock()
+	done := n.idle
+	if done == nil {
+		done = make(chan struct{})
+		n.idle = done
+		go func() {
+			n.vm.WaitIdle()
+			n.idleMu.Lock()
+			n.idle = nil
+			n.idleMu.Unlock()
+			close(done)
+		}()
+	}
+	n.idleMu.Unlock()
 	select {
 	case <-done:
 		return true
@@ -793,12 +801,9 @@ func (n *Node) idleWithin(d time.Duration) bool {
 
 // answerDrain reports this node's quiescence for one drain round: whether
 // local user tasks are idle, and the frame totals whose global balance tells
-// the coordinator nothing is in flight.  Handled inline on the coordinator's
-// deliver stage — node 0 sends nothing but control frames after its program
-// finished, so blocking here cannot starve a message the idle wait depends
-// on.  Outbound batches are flushed before the counts are read, so a frame
-// waiting in an open batch cannot be reported sent-but-unreceivable for
-// the whole round.
+// the coordinator nothing is in flight.  Outbound batches are flushed before
+// the counts are read, so a frame waiting in an open batch cannot be
+// reported sent-but-unreceivable for the whole round.
 func (n *Node) answerDrain(epoch uint32) {
 	idle := n.idleWithin(2 * time.Second)
 	n.tr.Flush()
@@ -934,16 +939,22 @@ func (n *Node) Close() error {
 		}
 		n.signalShutdown()
 		n.vm.Shutdown()
-		_ = n.ln.Close()
-		_ = n.tr.Close()
-		// Close the inbound connections too: the readers must exit even if a
-		// peer never tears its outbound side down.
-		n.inMu.Lock()
-		for _, c := range n.inConns {
-			_ = c.Close()
-		}
-		n.inMu.Unlock()
-		n.readers.Wait()
+		n.teardown()
 	})
 	return n.closeErr
+}
+
+// teardown stops the listener, the transport and the inbound connections and
+// waits for every reader: the end of Close and of Terminate.  The inbound
+// connections are closed too, so the readers exit even if a peer never tears
+// its outbound side down.
+func (n *Node) teardown() {
+	_ = n.ln.Close()
+	_ = n.tr.Close()
+	n.inMu.Lock()
+	for _, c := range n.inConns {
+		_ = c.Close()
+	}
+	n.inMu.Unlock()
+	n.readers.Wait()
 }

@@ -28,7 +28,12 @@ import (
 // Version 7: the elements of an INTEGER or REAL array argument in a message
 // body are little-endian words (msgcodec.Encode); nothing else moved, so a
 // version-6 peer would read every array byte-swapped and is refused instead.
-const protoVersion = 7
+//
+// Version 8: a node's buddy holds its initiation log.  0x0f is no longer the
+// restore plan a sender replayed ahead of a retained initiate request but
+// one init-log entry, 0x10 its ack, and fCkpt carries the log count the
+// checkpoint covers between its epoch and its blob.
+const protoVersion = 8
 
 // Frame kind bytes; frameTable describes each.
 const (
@@ -46,7 +51,8 @@ const (
 	fCkptMark       = 0x0c
 	fRebalance      = 0x0d
 	fRebalanceReady = 0x0e
-	fRestorePlan    = 0x0f
+	fInitLog        = 0x0f
+	fInitLogAck     = 0x10
 )
 
 // frameRow is everything the node knows about one frame kind.  A credited
@@ -68,7 +74,7 @@ type frameRow struct {
 // not a kind.  A new frame kind is one row here (and one in README).  Filled
 // in by init because the handlers reach back to the table through the
 // transport.
-var frameTable [fRestorePlan + 1]frameRow
+var frameTable [fInitLogAck + 1]frameRow
 
 func init() {
 	frameTable = [...]frameRow{
@@ -77,17 +83,18 @@ func init() {
 		fMsg:            {"msg", true, true, "i32 src, i32 dst, taskid dest, taskid sender, u64 sendSeq, u64 replyID, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
 		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 sendSeq, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
 		fInitReply:      {"init-reply", false, true, "u64 replyID, taskid id", decodeInitReply, (*Node).handleInitReply},
-		fDrain:          {"drain", false, false, "u32 epoch", decodeDrain, (*Node).handleDrain},
+		fDrain:          {"drain", false, false, "u32 epoch", decodeU32, (*Node).handleDrain},
 		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, u8 idle, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
 		fShutdown:       {"shutdown", false, false, "", decodeEmpty, (*Node).handleShutdown},
-		fCredit:         {"credit", false, false, "u32 count", decodeCredit, (*Node).handleCredit},
+		fCredit:         {"credit", false, false, "u32 count", decodeU32, (*Node).handleCredit},
 		fHeartbeat:      {"heartbeat", false, false, "i32 from", decodeHeartbeat, (*Node).handleHeartbeat},
-		fCkpt:           {"ckpt", false, false, "i32 from, u64 epoch, checkpoint", decodeCkpt, (*Node).handleCkpt},
-		fCkptAck:        {"ckpt-ack", false, false, "i32 from, u64 epoch", decodeCkptAck, (*Node).handleCkptAck},
-		fCkptMark:       {"ckpt-mark", false, false, "i32 from, u64 count", decodeCkptMark, (*Node).handleCkptMark},
+		fCkpt:           {"ckpt", false, false, "i32 from, u64 epoch, u64 count, checkpoint", decodeCkpt, (*Node).handleCkpt},
+		fCkptAck:        {"ckpt-ack", false, false, "i32 from, u64 epoch", decodeFromCount, (*Node).handleCkptAck},
+		fCkptMark:       {"ckpt-mark", false, false, "i32 from, u64 count", decodeFromCount, (*Node).handleCkptMark},
 		fRebalance:      {"rebalance", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
 		fRebalanceReady: {"rebalance-ready", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
-		fRestorePlan:    {"restore-plan", false, false, "i32 cluster, taskid parent, u64 seq, taskid id", decodeRestorePlan, (*Node).handleRestorePlan},
+		fInitLog:        {"init-log", false, false, "i32 from, u64 count, i32 cluster, taskid parent, u64 seq, taskid id", decodeInitLog, (*Node).handleInitLog},
+		fInitLogAck:     {"init-log-ack", false, false, "i32 from, u64 count", decodeFromCount, (*Node).handleInitLogAck},
 	}
 }
 
@@ -97,19 +104,17 @@ func init() {
 // for its whole lifetime, so fields of other kinds hold stale values.
 type frame struct {
 	kind        byte
-	msg         core.WireFrame // fMsg, fBcast
-	hello       hello          // fHello
-	ack         drainAck       // fDrainAck
-	from        int            // fHeartbeat, fCkpt, fCkptAck, fCkptMark: the sender names itself
-	epoch       uint64         // fDrain, fCkpt, fCkptAck
-	count       uint64         // fCredit, fCkptMark
-	blob        []byte         // fCkpt
-	dead, buddy int            // fRebalance, fRebalanceReady
-	replyID     uint64         // fInitReply
-	id          core.TaskID    // fInitReply, fRestorePlan
-	cluster     int            // fRestorePlan
-	parent      core.TaskID    // fRestorePlan
-	seq         uint64         // fRestorePlan
+	msg         core.WireFrame  // fMsg, fBcast
+	hello       hello           // fHello
+	ack         drainAck        // fDrainAck
+	from        int             // fHeartbeat, fCkpt, fCkptAck, fCkptMark, fInitLog, fInitLogAck: the sender names itself
+	epoch       uint64          // fCkpt
+	count       uint64          // fCredit, fCkpt, fCkptMark, fInitLog, fInitLogAck; the epoch of fDrain, fCkptAck
+	blob        []byte          // fCkpt
+	dead, buddy int             // fRebalance, fRebalanceReady
+	replyID     uint64          // fInitReply
+	id          core.TaskID     // fInitReply
+	logged      core.LoggedInit // fInitLog
 }
 
 // decodeFrame decodes a frame payload (kind byte + body) into m and returns
@@ -231,17 +236,12 @@ func decodeInitReply(m *frame, body []byte) error {
 // grant can never be blocked by the very window it replenishes.
 func encodeCredit(n uint32) []byte { return msgcodec.AppendU32([]byte{fCredit}, n) }
 
-func decodeCredit(m *frame, body []byte) error {
-	c := msgcodec.NewCursor(body)
-	m.count = uint64(c.U32())
-	return c.Done()
-}
-
 func encodeDrain(epoch uint32) []byte { return msgcodec.AppendU32([]byte{fDrain}, epoch) }
 
-func decodeDrain(m *frame, body []byte) error {
+// decodeU32 reads a credit grant's count or a drain round's epoch.
+func decodeU32(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
-	m.epoch = uint64(c.U32())
+	m.count = uint64(c.U32())
 	return c.Done()
 }
 
@@ -294,42 +294,34 @@ func decodeHeartbeat(m *frame, body []byte) error {
 	return c.Done()
 }
 
-// encodeCkpt wraps one checkpoint blob for buddy streaming.  The blob bytes
-// are the msgcodec checkpoint container produced by core.VM.Checkpoint; the
-// node layer treats them as opaque.
-func encodeCkpt(from int, epoch uint64, blob []byte) []byte {
-	return append(msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkpt}, from), epoch), blob...)
+// encodeCkpt wraps one checkpoint blob for buddy streaming, with the count of
+// the sender's initiation log the checkpoint covers.  The blob bytes are the
+// msgcodec checkpoint container produced by core.VM.Checkpoint; the node
+// layer treats them as opaque.
+func encodeCkpt(from int, epoch, count uint64, blob []byte) []byte {
+	b := msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkpt}, from), epoch)
+	return append(msgcodec.AppendU64(b, count), blob...)
 }
 
 func decodeCkpt(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
-	m.from, m.epoch, m.blob = c.I32(), c.U64(), c.Rest()
+	m.from, m.epoch, m.count, m.blob = c.I32(), c.U64(), c.U64(), c.Rest()
 	return c.Err()
 }
 
-// encodeCkptAck acknowledges that the buddy holds the given checkpoint epoch.
-// Retention marks are gated on this ack: a sender may only tell its peers to
-// drop retained frames once the blob those frames' effects live in is safely
-// held by the node that would replay them.
-func encodeCkptAck(from int, epoch uint64) []byte {
-	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkptAck}, from), epoch)
+// encodeFromCount builds a frame whose body is its sender and one u64:
+//   - fCkptAck: the buddy holds the checkpoint of that epoch.  It gates the
+//     retention marks: a sender may only tell its peers to drop retained
+//     frames once the blob those frames' effects live in is safely held.
+//   - fCkptMark: "my acked checkpoint covers the first `count` counted frames
+//     your lane delivered to me — drop them from retention"; exact because
+//     both ends number counted frames in the lane's FIFO order.
+//   - fInitLogAck: the buddy holds the initiation log up to entry `count`.
+func encodeFromCount(kind byte, from int, count uint64) []byte {
+	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{kind}, from), count)
 }
 
-func decodeCkptAck(m *frame, body []byte) error {
-	c := msgcodec.NewCursor(body)
-	m.from, m.epoch = c.I32(), c.U64()
-	return c.Done()
-}
-
-// encodeCkptMark is the retention high-water mark: "my acked checkpoint
-// covers the first `count` counted frames your lane delivered to me — drop
-// them from retention".  Counts are per-lane and exact because both ends
-// number counted frames in the lane's FIFO order.
-func encodeCkptMark(from int, count uint64) []byte {
-	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkptMark}, from), count)
-}
-
-func decodeCkptMark(m *frame, body []byte) error {
+func decodeFromCount(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
 	m.from, m.count = c.I32(), c.U64()
 	return c.Done()
@@ -348,19 +340,19 @@ func decodeRebalance(m *frame, body []byte) error {
 	return c.Done()
 }
 
-// encodeRestorePlan carries one initiate-identity plan ahead of a replayed
-// request frame: the buddy's controller must re-create the (parent, seq)
-// initiate under the recorded id, not a fresh one, or the id the parent
-// already holds would dangle.  Travels on the same lane as the replayed
-// frames, so FIFO delivers the plan first.
-func encodeRestorePlan(cluster int, parent core.TaskID, seq uint64, id core.TaskID) []byte {
-	b := parent.AppendWire(msgcodec.AppendI32([]byte{fRestorePlan}, cluster))
-	return id.AppendWire(msgcodec.AppendU64(b, seq))
+// encodeInitLog carries entry `count` of the sender's initiation log to its
+// buddy: one initiation its task controller started, logged before the child
+// runs (transport.LogInit).
+func encodeInitLog(from int, count uint64, l core.LoggedInit) []byte {
+	b := msgcodec.AppendI32(encodeFromCount(fInitLog, from, count), l.Cluster)
+	return l.ID.AppendWire(msgcodec.AppendU64(l.Parent.AppendWire(b), l.Seq))
 }
 
-func decodeRestorePlan(m *frame, body []byte) error {
+func decodeInitLog(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
-	m.cluster, m.parent, m.seq, m.id = c.I32(), core.ReadTaskID(&c), c.U64(), core.ReadTaskID(&c)
+	l := &m.logged
+	m.from, m.count = c.I32(), c.U64()
+	l.Cluster, l.Parent, l.Seq, l.ID = c.I32(), core.ReadTaskID(&c), c.U64(), core.ReadTaskID(&c)
 	return c.Done()
 }
 
@@ -391,18 +383,20 @@ func (n *Node) handleData(from int, m *frame) {
 
 func (n *Node) handleInitReply(from int, m *frame) {
 	n.tr.countRecv(from)
-	if from != n.opts.NodeID {
-		// Record the assigned taskid on the retained request frame (if it is
-		// still retained), so a post-death replay re-creates the task under
-		// the identity the parent already holds.  Not on a local replay: the
-		// reply answers the dead node's request, whose reply ids are not this
-		// node's.
-		n.tr.noteInitReply(m.replyID, m.id)
-	}
 	n.vm.DeliverWireReply(m.replyID, m.id)
 }
 
-func (n *Node) handleDrain(_ int, m *frame) { n.answerDrain(uint32(m.epoch)) }
+// handleDrain answers a drain round off the deliver stage, as
+// handleRebalanceFrame runs a rebalance: answerDrain may wait two seconds for
+// the local tasks to go idle, and a task may be waiting for what this lane
+// carries behind the drain frame — a credit grant, an init-log ack.
+func (n *Node) handleDrain(_ int, m *frame) {
+	if n.holdStage != nil {
+		n.holdStage()
+	}
+	epoch := uint32(m.count)
+	n.spawn(func() { n.answerDrain(epoch) })
+}
 
 func (n *Node) handleDrainAck(_ int, m *frame) {
 	ack := m.ack
@@ -444,9 +438,9 @@ func (n *Node) handleHeartbeat(int, *frame) {}
 
 // handleCkpt stores a peer's checkpoint (storeCheckpoint copies the blob: the
 // lane's buffer is recycled).
-func (n *Node) handleCkpt(from int, m *frame) { n.storeCheckpoint(from, m.epoch, m.blob) }
+func (n *Node) handleCkpt(from int, m *frame) { n.storeCheckpoint(from, m.epoch, m.count, m.blob) }
 
-func (n *Node) handleCkptAck(_ int, m *frame) { n.broadcastMarks(m.epoch) }
+func (n *Node) handleCkptAck(_ int, m *frame) { n.broadcastMarks(m.count) }
 
 func (n *Node) handleCkptMark(from int, m *frame) { n.tr.ackRetained(from, m.count) }
 
@@ -456,19 +450,20 @@ func (n *Node) handleCkptMark(from int, m *frame) { n.tr.ackRetained(from, m.cou
 // the deliver stage can deliver.
 func (n *Node) handleRebalanceFrame(_ int, m *frame) {
 	ready, dead, buddy := m.kind == fRebalanceReady, m.dead, m.buddy
+	n.spawn(func() { n.handleRebalance(dead, buddy, ready) })
+}
+
+// spawn runs f on a goroutine of its own, counted among the readers that
+// teardown waits for: a handler that may block runs off its lane's deliver
+// stage this way.  Only a goroutine counted there itself may call it.
+func (n *Node) spawn(f func()) {
 	n.readers.Add(1)
 	go func() {
 		defer n.readers.Done()
-		if ready {
-			n.handleRebalanceReady(dead, buddy)
-		} else {
-			n.handleRebalance(dead, buddy)
-		}
+		f()
 	}()
 }
 
-func (n *Node) handleRestorePlan(from int, m *frame) {
-	if err := n.vm.PlanRestoredInit(m.cluster, m.parent, m.seq, m.id); err != nil {
-		fmt.Fprintf(n.opts.Log, "node %d: restore plan from node %d: %v\n", n.opts.NodeID, from, err)
-	}
-}
+func (n *Node) handleInitLog(from int, m *frame) { n.holdInit(from, m.count, m.logged) }
+
+func (n *Node) handleInitLogAck(from int, m *frame) { n.tr.ackInitLog(from, m.count) }

@@ -33,7 +33,10 @@ type goldenFrame struct {
 // u64 seq that followed the sender taskid, and hello's version field reads 6.
 // Version 7 re-captured the hello row's version field and nothing else: it
 // made array elements in a message body little-endian, and no row's body
-// carries an array.
+// carries an array.  Version 8 re-captured the hello row's version field and
+// the ckpt row, which carries a u64 log count between its epoch and its
+// blob, and pinned two new rows: init-log, which took the restore-plan row's
+// kind byte, and init-log-ack.
 func goldenFrames(t testing.TB) []goldenFrame {
 	payload, err := msgcodec.Encode([]msgcodec.Arg{msgcodec.Int(42), msgcodec.Str("hi")})
 	if err != nil {
@@ -51,9 +54,10 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		Type: "pisces.initiate", SendSeq: 11, ReplyID: 123, Edge: 0xdeadbeef01, Payload: payload}
 	bcast := core.WireFrame{Kind: core.FrameBroadcast, Src: 2, Dst: 0, Sender: core.TaskID{Cluster: 2, Slot: 4, Unique: 5},
 		Type: "ping", SendSeq: 12, Edge: 0x0102030405060708, Payload: payload}
+	logged := core.LoggedInit{Cluster: 2, Parent: sender, Seq: 11, ID: dest}
 	ack := drainAck{from: 1, epoch: 3, sent: 10, recv: 9, idle: true, stats: []byte{1, 2, 3}, trace: []byte{4, 5}}
 	return []goldenFrame{
-		{"hello", "010000000700000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
+		{"hello", "010000000800000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
 			encodeHello(h), frame{kind: fHello, hello: h}},
 		{"msg", "020000000100000002000000020000000300000011000000010000000100000009000000000000000b000000000000007b000000deadbeef01000f7069736365732e696e69746961746500020100000008000000000000002a04000000026869",
 			encodeWireFrame(nil, &msg), frame{kind: fMsg, msg: msg}},
@@ -61,20 +65,21 @@ func goldenFrames(t testing.TB) []goldenFrame {
 			encodeWireFrame(nil, &bcast), frame{kind: fBcast, msg: bcast}},
 		{"init-reply", "04000000000000007b000000020000000300000011",
 			encodeInitReply(nil, 123, dest), frame{kind: fInitReply, replyID: 123, id: dest}},
-		{"drain", "0500000003", encodeDrain(3), frame{kind: fDrain, epoch: 3}},
+		{"drain", "0500000003", encodeDrain(3), frame{kind: fDrain, count: 3}},
 		{"drain-ack", "060000000100000003000000000000000a00000000000000090100000003010203000000020405",
 			encodeDrainAck(ack), frame{kind: fDrainAck, ack: ack}},
 		{"shutdown", "07", []byte{fShutdown}, frame{kind: fShutdown}},
 		{"credit", "0800000040", encodeCredit(64), frame{kind: fCredit, count: 64}},
 		{"heartbeat", "0900000002", encodeHeartbeat(2), frame{kind: fHeartbeat, from: 2}},
-		{"ckpt", "0a000000010000000000000005090807",
-			encodeCkpt(1, 5, []byte{9, 8, 7}), frame{kind: fCkpt, from: 1, epoch: 5, blob: []byte{9, 8, 7}}},
-		{"ckpt-ack", "0b000000020000000000000005", encodeCkptAck(2, 5), frame{kind: fCkptAck, from: 2, epoch: 5}},
-		{"ckpt-mark", "0c00000001000000000000004d", encodeCkptMark(1, 77), frame{kind: fCkptMark, from: 1, count: 77}},
+		{"ckpt", "0a0000000100000000000000050000000000000003090807",
+			encodeCkpt(1, 5, 3, []byte{9, 8, 7}), frame{kind: fCkpt, from: 1, epoch: 5, count: 3, blob: []byte{9, 8, 7}}},
+		{"ckpt-ack", "0b000000020000000000000005", encodeFromCount(fCkptAck, 2, 5), frame{kind: fCkptAck, from: 2, count: 5}},
+		{"ckpt-mark", "0c00000001000000000000004d", encodeFromCount(fCkptMark, 1, 77), frame{kind: fCkptMark, from: 1, count: 77}},
 		{"rebalance", "0d0000000200000001", encodeRebalance(fRebalance, 2, 1), frame{kind: fRebalance, dead: 2, buddy: 1}},
 		{"rebalance-ready", "0e0000000200000001", encodeRebalance(fRebalanceReady, 2, 1), frame{kind: fRebalanceReady, dead: 2, buddy: 1}},
-		{"restore-plan", "0f00000002000000010000000100000009000000000000000b000000020000000300000011",
-			encodeRestorePlan(2, sender, 11, dest), frame{kind: fRestorePlan, cluster: 2, parent: sender, seq: 11, id: dest}},
+		{"init-log", "0f00000001000000000000000400000002000000010000000100000009000000000000000b000000020000000300000011",
+			encodeInitLog(1, 4, logged), frame{kind: fInitLog, from: 1, count: 4, logged: logged}},
+		{"init-log-ack", "10000000020000000000000004", encodeFromCount(fInitLogAck, 2, 4), frame{kind: fInitLogAck, from: 2, count: 4}},
 	}
 }
 

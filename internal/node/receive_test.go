@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,11 +83,12 @@ type lane struct {
 	credits atomic.Int64  // sum of the grants node 1 sent back
 	grants  chan int      // each grant, for a sender that paces itself on them
 	acks    chan drainAck // drain acks node 1 sent back
+	msgs    chan int64    // the first argument of each message node 1 sent node 0
 }
 
 func startLane(t *testing.T, mutate func(*Options)) *lane {
 	t.Helper()
-	l := &lane{t: t, reg: obs.New(), log: &syncBuffer{}, got: make(chan arrival, 4096), grants: make(chan int, 4096), acks: make(chan drainAck, 4)}
+	l := &lane{t: t, reg: obs.New(), log: &syncBuffer{}, got: make(chan arrival, 4096), grants: make(chan int, 4096), acks: make(chan drainAck, 4), msgs: make(chan int64, 64)}
 	l.reg.Enable(obs.Metrics)
 	cfg := config.Simple(2, 4)
 	topo, err := Partition(cfg.ClusterNumbers(), 2)
@@ -178,6 +180,12 @@ func startLane(t *testing.T, mutate func(*Options)) *lane {
 				a := m.ack
 				a.stats, a.trace = nil, nil
 				l.acks <- a
+			case fMsg:
+				var first int64
+				if args, err := msgcodec.Decode(m.msg.Payload); err == nil && len(args) > 0 {
+					first = args[0].Integer
+				}
+				l.msgs <- first
 			}
 		}
 	}()
@@ -377,12 +385,15 @@ func TestOversizedPrefixEndsTheLane(t *testing.T) {
 	}
 }
 
-// holdDeliverStage makes the lane's deliver stage sit in answerDrain for its
-// full two seconds: a drain round while the sink is still alive.
-func (l *lane) holdDeliverStage() { l.write(framed(encodeDrain(1)), 1<<30) }
+// holdDeliverStage makes the lane's deliver stage sit for two seconds on the
+// next drain frame, through the node's test-only holder, and sends one.
+func (l *lane) holdDeliverStage() {
+	l.n.holdStage = func() { time.Sleep(2 * time.Second) }
+	l.write(framed(encodeDrain(1)), 1<<30)
+}
 
 // TestHeartbeatsHeardWhileDeliverStageHeld is the regression test for the
-// depth of the deliver stage.  answerDrain holds the stage for two seconds;
+// depth of the deliver stage.  A handler holds the stage for two seconds;
 // meanwhile node 0's heartbeats arrive 25 ms apart, each its own small read
 // and its own hand-off.  The reader must keep taking them — and so keep
 // telling the detector node 0 is alive — although nothing is being delivered:
@@ -415,10 +426,7 @@ func TestHeartbeatsHeardWhileDeliverStageHeld(t *testing.T) {
 		t.Fatalf("node 0 was declared dead while its heartbeats were arriving (stage held %v)\nnode log:\n%s", held, l.log)
 	}
 	select {
-	case ack := <-l.acks:
-		if ack.idle {
-			t.Fatal("the drain round found node 1 idle: the stage was not held for the idle wait")
-		}
+	case <-l.acks:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("no drain ack after %v\nnode log:\n%s", time.Since(t0), l.log)
 	}
@@ -522,5 +530,87 @@ func TestJumboReadBufferIsNotRecycled(t *testing.T) {
 	}
 	if next != len(payloads) || jumbo == nil {
 		t.Fatalf("walked %d of %d frames; jumbo buffer seen: %v", next, len(payloads), jumbo != nil)
+	}
+}
+
+// TestDrainAnswerLeavesTheDeliverStage: answering a drain round must not hold
+// the lane the drain frame came on.  A task on node 1 sends node 0 four
+// messages through a window of one, each after the credit grant for the last;
+// node 0's drain frame arrives with the grant for the first right behind it.
+// The task is not idle, so the answer waits up to two seconds for it — and,
+// made on the deliver stage, kept the grant and so the task waiting as long.
+func TestDrainAnswerLeavesTheDeliverStage(t *testing.T) {
+	to := core.TaskID{Cluster: 1, Slot: 1, Unique: 7}
+	l := startLane(t, func(o *Options) {
+		o.Wire = WireConfig{CreditWindow: 1}
+		sink := o.Register
+		o.Register = func(vm *core.VM) {
+			sink(vm)
+			vm.Register("pusher", func(task *core.Task) {
+				for i := int64(0); i < 4; i++ {
+					if err := task.Send(to, "datum", core.Int(i)); err != nil {
+						return
+					}
+				}
+			})
+		}
+	})
+	if _, err := l.n.VM().Initiate("pusher", core.OnCluster(2)); err != nil {
+		t.Fatal(err)
+	}
+	next := func(want int64) {
+		t.Helper()
+		select {
+		case got := <-l.msgs:
+			if got != want {
+				t.Fatalf("message %d arrived in place %d", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("message %d did not arrive\nnode log:\n%s", want, l.log)
+		}
+	}
+	next(0)
+	t0 := time.Now()
+	l.write(append(framed(encodeDrain(1)), framed(encodeCredit(1))...), 1<<30)
+	for i := int64(1); i < 4; i++ {
+		next(i)
+		l.write(framed(encodeCredit(1)), 1<<30)
+	}
+	if took := time.Since(t0); took > time.Second {
+		t.Fatalf("three messages through a window of one took %v during a drain round", took)
+	}
+	select {
+	case <-l.acks:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no drain ack\nnode log:\n%s", l.log)
+	}
+}
+
+// TestIdleWithinKeepsOneWaiter: a drain round's idle check that times out
+// leaves its waiter for the next check to find, so checks against a task
+// that stays parked add one goroutine, not one each; and the waiter still
+// reports the node idle once the task is gone.  The goroutines counted are
+// the idle waiters, found by their stacks: the package's other tests leave
+// goroutines of their own winding down.
+func TestIdleWithinKeepsOneWaiter(t *testing.T) {
+	waiters := func() int {
+		buf := make([]byte, 8<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Node).idleWithin.func")
+	}
+	l := startLane(t, nil)
+	before := waiters()
+	for i := 0; i < 50; i++ {
+		if l.n.idleWithin(time.Millisecond) {
+			t.Fatal("idle with the sink parked in its ACCEPT")
+		}
+	}
+	if after := waiters(); after > before+1 {
+		t.Fatalf("50 timed-out idle checks took the idle waiters from %d to %d", before, after)
+	}
+	if err := l.n.VM().SendFromUser(l.sink, "stop"); err != nil {
+		t.Fatal(err)
+	}
+	if !l.n.idleWithin(10 * time.Second) {
+		t.Fatal("the node is not idle after the sink stopped")
 	}
 }

@@ -113,12 +113,14 @@ type peer struct {
 	// dead flips the lane to retain-only (frames are kept, never written),
 	// and replayed marks that the retained backlog has been handed to the
 	// adopting buddy, after which new frames toward this lane are redundant.
+	// logAcked is how much of this node's initiation log the peer acked.
 	dead     bool
 	deadDone bool // markDead accounting ran (dead may be set first by a write error)
 	replayed bool
 	sentIdx  uint64
 	ackIdx   uint64
-	retained []*retFrame
+	retained []retFrame
+	logAcked uint64
 
 	// Per-lane wire counters (node.tx.n<me>->n<id>.*), resolved at addPeer;
 	// bumped only when metrics are enabled.
@@ -128,9 +130,9 @@ type peer struct {
 
 // send enqueues one frame of the given kind, credited and counted as the
 // kind's row in frameTable says.
-func (p *peer) send(tr *transport, kind byte, replyID uint64, encode func(batch []byte) []byte) error {
+func (p *peer) send(tr *transport, kind byte, encode func(batch []byte) []byte) error {
 	row := &frameTable[kind]
-	return p.enqueue(tr, row.credited, row.counted, replyID, encode)
+	return p.enqueue(tr, row.credited, row.counted, encode)
 }
 
 // enqueue appends one frame to the peer's open batch and wakes the writer.
@@ -140,7 +142,7 @@ func (p *peer) send(tr *transport, kind byte, replyID uint64, encode func(batch 
 // consumes one flow-control credit and may stall here until the receiver
 // grants more; a counted frame participates in the drain protocol's global
 // sent/recv balance.
-func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, encode func(batch []byte) []byte) error {
+func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch []byte) []byte) error {
 	metrics := tr.reg.Has(obs.Metrics)
 	p.mu.Lock()
 	if credited && !p.dead && p.credits <= 0 {
@@ -159,26 +161,26 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 			tr.creditStallNS.ObserveDuration(tr.reg.Now().Sub(t0))
 		}
 	}
-	if p.dead {
-		// The peer is dead (or the lane broke in HA mode): counted data
-		// frames go straight into retention for the rebalance replay, control
-		// frames evaporate.  Senders never see an error — the frame's effect
-		// is the adopting buddy's problem now.
-		err := p.retainDeadLocked(tr, counted, replyID, encode)
+	if p.dead && (!counted || p.replayed) {
+		// The peer is dead (or the lane broke in HA mode): control frames
+		// evaporate, and so do data frames once the retained backlog went to
+		// the adopting buddy, whose own lane carries their like from then on.
 		p.mu.Unlock()
-		return err
+		return nil
 	}
-	if p.err != nil {
-		err := p.err
-		p.mu.Unlock()
-		return err
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return net.ErrClosed
-	}
-	if credited {
-		p.credits--
+	if !p.dead {
+		if p.err != nil {
+			err := p.err
+			p.mu.Unlock()
+			return err
+		}
+		if p.closed {
+			p.mu.Unlock()
+			return net.ErrClosed
+		}
+		if credited {
+			p.credits--
+		}
 	}
 	start := len(p.batch)
 	batch, payloadStart := msgcodec.BeginFrame(p.batch)
@@ -189,13 +191,23 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.mu.Unlock()
 		return err
 	}
+	if counted {
+		tr.sent.Add(1)
+		if tr.haRetain {
+			p.retainPayloadLocked(p.batch[payloadStart:])
+		}
+	}
+	if p.dead {
+		// A data frame for a dead lane is encoded only to be retained for
+		// the rebalance replay: the sender never sees an error — the frame's
+		// effect is the adopting buddy's problem now.
+		p.batch = p.batch[:start]
+		p.mu.Unlock()
+		return nil
+	}
 	p.frames++
 	if counted {
 		p.counted++
-		tr.sent.Add(1)
-		if tr.haRetain {
-			p.retainPayloadLocked(tr, p.batch[payloadStart:], replyID)
-		}
 	}
 	nbytes := len(p.batch) - start
 	if start == 0 {
@@ -335,18 +347,20 @@ type transport struct {
 	// receiver's admission floors assume.  Outside HA there is no rebalance
 	// and reroute stays empty, so a send takes no route lock.  reroute maps a
 	// dead node to the node that adopted its clusters (consulted by ownerOf,
-	// guarded by routeMu).  pendInit indexes retained
-	// initiate-request frames by ReplyID so the observed reply can annotate
-	// them with the assigned taskid.  recvFrom counts delivered counted
-	// frames per source lane: the drain balance sums only live sources, and
-	// the pre-checkpoint snapshot of these counters is what checkpoint marks
-	// carry.
+	// guarded by routeMu).  recvFrom counts delivered counted frames per
+	// source lane: the drain balance sums only live sources, and the
+	// pre-checkpoint snapshot of these counters is what checkpoint marks
+	// carry.  buddy names the holder of the node's initiation log (LogInit),
+	// and logged counts the entries sent to it, under logMu; read before a
+	// checkpoint cut, it is the log prefix the checkpoint covers (an entry
+	// counted but not yet sent is held past its cut, which is harmless).
 	haRetain bool
 	routeMu  sync.RWMutex
 	reroute  map[int]int
-	pendMu   sync.Mutex
-	pendInit map[uint64]*retFrame
 	recvFrom []atomic.Uint64
+	buddy    func() int
+	logMu    sync.Mutex
+	logged   atomic.Uint64
 
 	vm atomic.Pointer[core.VM] // bound after the VM is booted
 }
@@ -450,7 +464,7 @@ func (tr *transport) Send(f *core.WireFrame) error {
 	if f.Kind == core.FrameBroadcast && f.Dst == 0 {
 		var firstErr error
 		for _, p := range tr.allPeers() {
-			if err := p.send(tr, kind, 0, enc); err != nil && firstErr == nil {
+			if err := p.send(tr, kind, enc); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -477,7 +491,7 @@ func (tr *transport) Send(f *core.WireFrame) error {
 	if err != nil {
 		return err
 	}
-	return p.send(tr, kind, f.ReplyID, enc)
+	return p.send(tr, kind, enc)
 }
 
 // SendReply carries a routed-initiate reply back to the node hosting the
@@ -504,7 +518,7 @@ func (tr *transport) SendReply(dst int, replyID uint64, id core.TaskID) error {
 	if err != nil {
 		return err
 	}
-	return p.send(tr, fInitReply, 0, func(batch []byte) []byte {
+	return p.send(tr, fInitReply, func(batch []byte) []byte {
 		return encodeInitReply(batch, replyID, id)
 	})
 }
@@ -517,7 +531,7 @@ func (tr *transport) sendControl(node int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return p.send(tr, payload[0], 0, func(batch []byte) []byte {
+	return p.send(tr, payload[0], func(batch []byte) []byte {
 		return append(batch, payload...)
 	})
 }
