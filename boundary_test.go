@@ -221,3 +221,74 @@ func TestOneSendHead(t *testing.T) {
 		t.Errorf("internal/core addresses a heap shard's arena: %v", got)
 	}
 }
+
+// TestSimPackagesUseTheBackend pins determinism by construction: the code a
+// -sim run executes touches time, concurrency and the network only through
+// the backend (backend.Backend: Spawn, Now, AfterFunc, gates), so the
+// simulator's seed fixes everything it does.  Non-test code of core, pfi and
+// memory, and the fault mesh (node/fault.go), may contain no go statement,
+// no wall-clock read or timer of package time, no net dial or listen, and
+// no call of math/rand's shared generator — a generator of its own, seeded
+// with rand.New, is what a seed replays.
+func TestSimPackagesUseTheBackend(t *testing.T) {
+	forbidden := map[string]func(name string) bool{
+		"time": func(name string) bool {
+			switch name {
+			case "Now", "Sleep", "After", "NewTimer", "NewTicker", "Since", "Until":
+				return true
+			}
+			return false
+		},
+		"net": func(name string) bool { return strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "Listen") },
+		"math/rand": func(name string) bool {
+			return name != "New" && name != "NewSource" && name != "Rand" && name != "Source"
+		},
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, dir := range []string{"core", "pfi", "memory"} {
+		pkgs, err := parser.ParseDir(fset, filepath.Join("internal", dir), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range pkgs[dir].Files {
+			files = append(files, f)
+		}
+	}
+	fault, err := parser.ParseFile(fset, filepath.Join("internal", "node", "fault.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files = append(files, fault); len(files) < 25 {
+		t.Fatalf("parsed %d files; the rule is not looking at the run-time", len(files))
+	}
+	for _, f := range files {
+		imported := map[string]string{} // local name -> import path, for the guarded packages
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if forbidden[path] == nil {
+				continue
+			}
+			name := filepath.Base(path)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement; spawn through the backend", fset.Position(n.Pos()))
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if path := imported[x.Name]; path != "" && forbidden[path](n.Sel.Name) {
+						t.Errorf("%s: %s.%s; the backend owns time, concurrency and the network", fset.Position(n.Pos()), path, n.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+}

@@ -104,16 +104,10 @@ type Result struct {
 // KillRecovery reports what a RunKill recovery actually did, so the sweep
 // can assert the kill landed mid-run rather than on an idle cluster.
 type KillRecovery struct {
-	// Victims is the number of user tasks running on the killed VM at the
-	// kill.
-	Victims int
-	// Checkpoints is how many periodic checkpoints completed before the kill.
-	Checkpoints int
-	// Replayed is the number of retained post-checkpoint frames re-injected
-	// after the restore.
-	Replayed int
-	// Err is a checkpoint/restore error raised inside the kill schedule.
-	Err error
+	Victims     int   // user tasks running on the killed VM at the kill
+	Checkpoints int   // periodic checkpoints completed before the kill
+	Replayed    int   // retained frames replayed after the restore
+	Err         error // a checkpoint or restore error
 }
 
 // harnessCache is the conformance harness's own compile-cache handle: sweep
@@ -164,74 +158,44 @@ func RunObserved(src string, seed int64) Result {
 }
 
 // RunFault is Run on the node runtime's hosting shape: one VM per cluster
-// (node.FaultMesh), joined by the deterministic fault/latency network, so
-// every cross-cluster message pays seeded virtual-clock delays (including
-// retransmission faults) before delivery.  The sweep thereby exercises
-// network schedules a single process never produces, through the code a real
-// node runs — while staying byte-reproducible from the seed.
+// (node.FaultMesh), every cross-cluster message paying seeded virtual-clock
+// delays, so the sweep exercises network schedules a single process never
+// produces, through the code a real node runs, reproducibly from the seed.
 func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, nil) }
 
-// killedCluster is the cluster the kill sweep loses: MAIN is placed on the
-// terminal cluster 1 (whose user/file controllers anchor the run and are not
-// recoverable), so cluster 2 holds exactly the task-initiated — replayable —
-// part of the machine.
-const killedCluster = 2
-
-// RunKill runs the program on RunFault's mesh and kills one VM mid-run the
-// way a node dies.  Both VMs boot the configuration in HA mode on one
-// scheduler: A hosts cluster 1 and the user terminal, B hosts cluster 2.  B
-// checkpoints cluster 2 every ckptEvery of virtual time (the network
-// retaining every frame delivered to the cluster since the last cut).  At
-// killAt B dies as a buddy sees it: the network drops everything it sends
-// from then on and B is stopped; A adopts cluster 2, restores the last
-// checkpoint with the initiations the network logged since, and replays the
-// retained frames — the calls a node's buddy makes.  Everything — delays, checkpoint cuts, the kill — runs on the
-// virtual clock, so the whole recovery schedule replays byte-identically from
-// (seed, killAt, ckptEvery).  Output is A's terminal; B's own diagnostics go
-// to a writer of its own.  HeapShardsInUse lists A's shards, then B's.
+// RunKill runs the program on RunFault's mesh in HA mode and kills one VM
+// mid-run the way a node dies.  A hosts cluster 1 and the terminal, whose
+// controllers anchor the run and are not recoverable; B hosts cluster 2, the
+// task-initiated part.  B checkpoints every ckptEvery (mesh.Checkpoint) and
+// dies at killAt (mesh.Kill).  It all runs on the virtual clock, so a
+// recovery replays byte-identically from (seed, killAt, ckptEvery).  Output
+// is A's terminal; B's diagnostics go to a writer of its own.
+// HeapShardsInUse lists A's shards, then B's.
 func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *KillRecovery) {
 	rec := &KillRecovery{}
 	res := runMesh(src, seed, nil, nil, func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
-		a, b := mesh.VMs[0], mesh.VMs[1]
-		// Retention and the first (empty) checkpoint start at t=0: a kill
-		// before the first periodic cut restores an empty cluster and rebuilds
-		// it entirely from replayed frames.
-		blob, err := b.Checkpoint(killedCluster)
-		if err != nil {
-			rec.Err = err
-		}
-		mesh.MarkEpoch(killedCluster)
 		var ckpt backend.Timer
-		var arm func()
-		arm = func() {
-			ckpt = s.AfterFunc(ckptEvery, func() {
-				cut, err := b.Checkpoint(killedCluster)
-				if err != nil {
-					rec.Err = err
-					return
-				}
-				blob = cut
-				mesh.MarkEpoch(killedCluster)
-				rec.Checkpoints++
-				arm()
-			})
+		var tick func()
+		tick = func() {
+			if err := mesh.Checkpoint(1); err != nil {
+				rec.Err = err
+				return
+			}
+			rec.Checkpoints++
+			ckpt = s.AfterFunc(ckptEvery, tick)
 		}
-		arm()
+		ckpt = s.AfterFunc(ckptEvery, tick)
 		kill := s.AfterFunc(killAt, func() {
 			ckpt.Stop()
-			for _, ti := range b.RunningTasks() {
+			for _, ti := range mesh.VMs[1].RunningTasks() {
 				if !ti.Controller {
 					rec.Victims++
 				}
 			}
-			mesh.Fail(1)
-			b.Shutdown()
-			a.AdoptClusters(killedCluster)
-			if err := a.Restore(blob, mesh.LoggedInits(killedCluster)); err != nil {
+			var err error
+			if rec.Replayed, err = mesh.Kill(1); err != nil {
 				rec.Err = err
-				return
 			}
-			rec.Replayed = mesh.ReplayRetained(killedCluster)
 		})
 		return func() {
 			kill.Stop()
@@ -242,11 +206,10 @@ func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *
 }
 
 // runMesh runs the program on the harness configuration's fault mesh, the
-// VMs sharing reg and rec.  A kill run — kill non-nil — boots the mesh in HA
-// mode with VM 1, the victim, writing to a terminal of its own; kill sets its
-// schedule up before MAIN starts and returns the disarm, which runs before
-// Shutdown: Shutdown's drain pumps the scheduler, and a self-rearming
-// checkpoint would keep the pump alive forever.
+// VMs sharing reg and rec.  A kill run boots it in HA mode, VM 1 writing to
+// a terminal of its own; kill arms its schedule before MAIN starts and
+// returns the disarm, run before Shutdown, whose drain pumps the scheduler a
+// self-rearming checkpoint would keep alive forever.
 func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill func(*node.FaultMesh, *sim.Scheduler) func()) (res Result) {
 	s := sim.New(seed)
 	var out, deadOut bytes.Buffer

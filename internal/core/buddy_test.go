@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/msgcodec"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -76,11 +75,9 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = vmB.WaitTask(early)
-	blob, err := vmB.Checkpoint(2)
-	if err != nil {
+	if err := mesh.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
-	mesh.MarkEpoch(2)
 	if err := vmA.SendFromUser(boss, "spawn", core.ID(r)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,96 +86,13 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 		t.Fatalf("first lives finished %v; want r and x once each", done)
 	}
 
-	if _, err := netKillB(mesh, blob); err != nil {
+	if _, err := netKillB(mesh); err != nil {
 		t.Fatal(err)
 	}
 	vmA.WaitIdle()
 	vmA.Shutdown()
 	if done["r"] != 2 || done["x"] != 2 {
 		t.Errorf("restored lives finished %v; want r and x twice each", done)
-	}
-}
-
-// TestHAPlannedTaskKeepsItsMessages: a task whose re-creation is planned
-// owns its id's in-queue from the plan on.  After cluster 2's checkpoint a
-// spawner on cluster 1 starts a kid there; the VM hosting cluster 2 then dies,
-// and the survivor adopts the cluster, where a blocker takes the kid's slot,
-// restores it with the logged initiations, which plans the kid's id, and
-// replays the retained frames.  The kid's slot is taken, so the replayed
-// request waits; meanwhile the id gets a frame off the wire and a send from a
-// task on the survivor's own cluster 1.  Neither may be refused or dropped:
-// the re-created kid takes each exactly once.
-func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
-	_, mesh := faultMesh(t, 1, config.Simple(2, 1))
-	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
-	var kid core.TaskID
-	var pokeErr error
-	lives, notes := 0, map[int64]int{}
-	for _, vm := range mesh.VMs {
-		vm.Register("spawner", func(task *core.Task) {
-			id, err := task.InitiateWait(core.OnCluster(2), "kid")
-			if err != nil {
-				t.Errorf("spawner: %v", err)
-			}
-			kid = id
-		})
-		vm.Register("kid", func(task *core.Task) {
-			lives++
-			for {
-				res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "note", Count: 1}}, Delay: 100 * time.Millisecond})
-				if err != nil || res.TimedOut {
-					return
-				}
-				notes[res.Accepted[0].Args[0].Integer]++
-			}
-		})
-		vm.Register("poker", func(task *core.Task) { pokeErr = task.Send(core.MustID(task.Arg(0)), "note", core.Int(1)) })
-		vm.Register("blocker", func(task *core.Task) { _, _ = task.AcceptOne("release") })
-	}
-	blob, err := vmB.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh.MarkEpoch(2)
-	spawner, err := vmA.Initiate("spawner", core.OnCluster(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = vmA.WaitTask(spawner)
-
-	mesh.Fail(1)
-	vmB.Shutdown()
-	vmA.AdoptClusters(2)
-	blocker, err := vmA.Initiate("blocker", core.OnCluster(2))
-	if err != nil || blocker.Slot != kid.Slot {
-		t.Fatalf("blocker %s (%v) does not hold the kid's slot %d", blocker, err, kid.Slot)
-	}
-	if err := vmA.Restore(blob, mesh.LoggedInits(2)); err != nil {
-		t.Fatal(err)
-	}
-	mesh.ReplayRetained(2)
-	payload, err := msgcodec.AppendEncode(nil, []core.Value{core.Int(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vmA.DeliverWire(&core.WireFrame{Kind: core.FrameMessage, Src: 1, Dst: 2, Dest: kid, Type: "note", Sender: spawner, Payload: payload}); err != nil {
-		t.Errorf("a frame for the planned kid: %v", err)
-	}
-	poker, err := vmA.Initiate("poker", core.OnCluster(1), core.ID(kid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = vmA.WaitTask(poker)
-	if pokeErr != nil {
-		t.Errorf("a send to the planned kid from cluster 1: %v", pokeErr)
-	}
-	if err := vmA.SendFromUser(blocker, "release"); err != nil {
-		t.Fatal(err)
-	}
-	vmA.WaitIdle()
-	mesh.Shutdown()
-	if lives != 2 || notes[1] != 1 || notes[2] != 1 || len(notes) != 2 {
-		t.Errorf("the kid lived %d times and took notes %v; want 2 lives and notes 1 and 2 once each", lives, notes)
 	}
 }
 
@@ -196,25 +110,18 @@ func faultMesh(t *testing.T, seed int64, cfg *config.Configuration) (*sim.Schedu
 	return s, mesh
 }
 
-// netKillB is VM 1's death as VM 0 sees it over the fault network: VM 1's
-// end fails (everything it sends from now on is dropped) and it stops; VM 0
-// adopts cluster 2, restores it from blob, VM 1's last checkpoint of it, and
-// replays what the network retained since.  It returns the number of user
-// tasks VM 1 was running.
-func netKillB(mesh *node.FaultMesh, blob []byte) (int, error) {
-	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
+// netKillB is VM 1's death as VM 0 sees it over the fault network
+// (FaultMesh.Kill): VM 1's end fails and it stops; VM 0, its buddy, adopts
+// cluster 2, restores it from VM 1's last checkpoint and initiation log, and
+// replays what it retained toward VM 1.  It returns the number of user tasks
+// VM 1 was running.
+func netKillB(mesh *node.FaultMesh) (int, error) {
 	victims := 0
-	for _, ti := range vmB.RunningTasks() {
+	for _, ti := range mesh.VMs[1].RunningTasks() {
 		if !ti.Controller {
 			victims++
 		}
 	}
-	mesh.Fail(1)
-	vmB.Shutdown()
-	vmA.AdoptClusters(2)
-	if err := vmA.Restore(blob, mesh.LoggedInits(2)); err != nil {
-		return victims, err
-	}
-	mesh.ReplayRetained(2)
-	return victims, nil
+	_, err := mesh.Kill(1)
+	return victims, err
 }

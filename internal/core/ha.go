@@ -41,9 +41,9 @@ import (
 // ghost controllers (Restore) and re-delivers the frames retained since the
 // cut.  A child started after the cut is in no checkpoint, so the task
 // controller logs each initiation with the transport before the child runs
-// (initLogger) — a node's buddy holds the log, the fault network keeps it —
-// and Restore plans the logged initiations: the buddy re-creates such a
-// child under its first id when its request comes again.
+// (initLogger) — a node's buddy holds the log, on a TCP mesh and on the
+// fault mesh alike — and Restore plans the logged initiations: the buddy
+// re-creates such a child under its first id when its request comes again.
 //
 // What is NOT recoverable: controllers (the terminal cluster's user/file
 // controllers are the run's anchor), shared arrays and windows owned by a

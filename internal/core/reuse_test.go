@@ -42,7 +42,6 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		s, mesh := faultMesh(t, seed, config.Simple(2, 4))
 		vm, vmB := mesh.VMs[0], mesh.VMs[1]
-		mesh.MarkEpoch(far)
 
 		lists := map[*core.Value]bool{} // every list a finished receiver's log retains, by its storage
 		var captured [][][]core.Value   // every queue snapshot taken, read once the run is over
@@ -85,18 +84,15 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 		}
 		vm.Register("receiver", receiver)
 		vmB.Register("receiver", receiver)
-		var blob []byte
 		victims := 0
 		checkpoint := func() {
-			var err error
-			if blob, err = vmB.Checkpoint(far); err != nil {
+			if err := mesh.Checkpoint(1); err != nil {
 				problems <- fmt.Sprintf("checkpoint: %v", err)
 			}
-			mesh.MarkEpoch(far)
 		}
 		kill := func() {
 			var err error
-			if victims, err = netKillB(mesh, blob); err != nil {
+			if victims, err = netKillB(mesh); err != nil {
 				problems <- fmt.Sprintf("restore: %v", err)
 			}
 		}

@@ -29,11 +29,6 @@ func (n *Node) CutCheckpoint() bool {
 // HeldInits returns the entries of the peer's initiation log this node holds
 // as the peer's buddy.
 func (n *Node) HeldInits(from int) []core.LoggedInit {
-	n.ckptMu.Lock()
-	defer n.ckptMu.Unlock()
-	var out []core.LoggedInit
-	for _, h := range n.initsFrom[from] {
-		out = append(out, h.init)
-	}
-	return out
+	_, inits := n.store.held(from)
+	return inits
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"sync"
@@ -21,31 +20,23 @@ type FaultProfile struct {
 	Base time.Duration
 	// Jitter adds a uniformly distributed extra delay in [0, Jitter).
 	Jitter time.Duration
-	// DropRate is the per-attempt probability a frame is "lost on the wire".
-	// A lost attempt is really dropped — it never delivers — and the link's
-	// retry loop sends the frame again after Retransmit, so one frame can be
-	// dropped several times in a row (geometrically, capped at
-	// maxRetransmits so a hostile PRNG cannot stall a lane unboundedly).
-	// The LAST attempt always delivers: the run-time's send semantics (a
-	// send that returned has happened) must hold on every schedule, so loss
-	// is visible only as retry latency.
+	// DropRate is the per-attempt probability a frame is lost on the wire
+	// and sent again after Retransmit, geometrically, capped at
+	// maxRetransmits.  The last attempt always delivers: a send that
+	// returned has happened on every schedule, so loss shows only as retry
+	// latency.
 	DropRate float64
 	// Retransmit is the delay each dropped attempt adds before the retry.
 	Retransmit time.Duration
-	// BatchWindow models the TCP transport's sender-side frame coalescing:
-	// every frame a lane accepts within one open window departs together at
-	// the window's close (then pays its own sampled delay on top), the way a
-	// real batch leaves in one write syscall.  Windows are tracked on the
-	// backend clock, so under -sim batching is virtual-time deterministic
-	// like every other fault.  Zero disables coalescing (frames depart as
-	// they are sent).
+	// BatchWindow models the TCP transport's sender-side coalescing: every
+	// frame a lane accepts within one open window departs at its close (then
+	// pays its own sampled delay), as a batch leaves in one write.  Windows
+	// run on the backend clock.  Zero disables coalescing.
 	BatchWindow time.Duration
 }
 
-// DefaultFaultProfile returns delays large enough to reorder traffic between
-// lanes under the sim backend's virtual clock without slowing wall-clock
-// test runs (virtual time costs nothing), with batch coalescing enabled so
-// the conformance sweep exercises the batched wire path's timing.
+// DefaultFaultProfile returns delays that reorder lanes on the virtual clock
+// (where they cost nothing), with batch coalescing on.
 func DefaultFaultProfile() FaultProfile {
 	return FaultProfile{Base: 2 * time.Millisecond, Jitter: 8 * time.Millisecond, DropRate: 0.05, Retransmit: 25 * time.Millisecond, BatchWindow: 2 * time.Millisecond}
 }
@@ -54,11 +45,9 @@ func DefaultFaultProfile() FaultProfile {
 // losses the next attempt is forced through.
 const maxRetransmits = 4
 
-// MaxDelay returns the worst-case delivery delay of a single frame under the
-// profile: full batch window, base latency, maximum jitter, and every
-// retransmit slot consumed.  The failure detector's suspicion timeout must
-// exceed one heartbeat interval plus this bound or a merely unlucky peer
-// gets declared dead.
+// MaxDelay returns the worst-case delivery delay of one frame under the
+// profile.  A failure detector's suspicion timeout must exceed one heartbeat
+// interval plus this bound, or an unlucky peer is declared dead.
 func (p FaultProfile) MaxDelay() time.Duration {
 	return p.BatchWindow + p.Base + p.Jitter + maxRetransmits*p.Retransmit
 }
@@ -70,21 +59,24 @@ type laneKey struct {
 	reply    bool
 }
 
-// FaultTransport is a deterministic fault/latency-injecting network between
-// the VMs of one process: every frame is delivered (core.VM.DeliverWire)
-// after a seeded delay, scheduled on the VMs' backend so that under -sim the
-// whole network runs on the virtual clock and replays byte-identically from
-// the seed.  Ordering stays per-lane FIFO — due times within a lane are
-// forced monotone, modelling a link that delays but never reorders one
-// sender's traffic — while different lanes reorder freely against each
-// other, which is exactly the schedule freedom a real multi-node mesh has
-// and a single-process run never exercises.
+// FaultMesh is the production hosting shape on a deterministic
+// fault/latency network in one process: one VM per configured cluster, VM i
+// hosting the i-th cluster in ascending order under NodeID i through an end
+// of its own, its core.Options.Remote — what `pisces run -nodes N` makes with
+// one cluster per node.  Every frame is delivered (core.VM.DeliverWire) after
+// a seeded delay on the VMs' backend, so under -sim the network runs on the
+// virtual clock and replays from the seed.  A lane is FIFO; lanes reorder
+// freely against each other, the schedule freedom a real mesh has.
 //
-// Each VM attaches through an end of its own, its core.Options.Remote; a
-// frame is handed to the live VM that hosts its destination cluster when it
-// is delivered.  FaultMesh boots the VMs in the production hosting shape.
-type FaultTransport struct {
+// In HA mode each end keeps what a node keeps — a retention toward each
+// other end, the count of what landed from each, a buddyStore for the end
+// before it — and Checkpoint and Kill drive them as a node's checkpoint and
+// death do.
+type FaultMesh struct {
+	VMs []*core.VM
+
 	profile FaultProfile
+	ha      bool
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -95,73 +87,67 @@ type FaultTransport struct {
 	outstanding int
 	idleWaits   []backend.Gate
 	delivered   int64
-
-	// retained holds, per destination cluster, copies of every message frame
-	// delivered to it (or lost with its dead host) since the cluster's last
-	// MarkEpoch, and inits the initiations its task controller logged since
-	// (LogInit).  A kill/restore harness checkpoints a cluster, calls
-	// MarkEpoch, and on failure passes LoggedInits to the adopter's Restore
-	// and hands the frames over with ReplayRetained — the senders have moved
-	// on and will never resend the frames themselves, and the ids the dead
-	// controller assigned died with it.
-	// Retention only runs for clusters that have had MarkEpoch called, so
-	// fault-only runs pay nothing.
-	retained map[int][]*core.WireFrame
-	inits    map[int][]core.LoggedInit
-	// inflight holds, by send order, the message frames on their way to a
-	// cluster with retention armed.  A frame still on its way when the VM
-	// hosting its cluster dies is handed to the adopter by ReplayRetained,
-	// ahead of anything its sender sends the adopter from then on — as a
-	// node's transport replays what a dead peer never acknowledged before it
-	// routes anew — and is not delivered again when it lands.
-	inflight map[*core.WireFrame]uint64
-	sent     uint64
 }
 
-// end is one VM's attachment to a FaultTransport: the VM's
-// core.Options.Remote, bound to it once the VM is booted.  dead is guarded by
-// net.mu.
+// end is one VM's attachment to the mesh.  In HA mode out[j] is its
+// retention toward end j, in[j] what landed from end j, and logged its
+// initiation log's count.  All but store are guarded by net.mu.
 type end struct {
-	net  *FaultTransport
-	vm   *core.VM
-	dead bool
+	net    *FaultMesh
+	id     int
+	vm     *core.VM
+	dead   bool
+	out    []retention
+	in     []landed
+	logged uint64
+	store  *buddyStore
 }
 
-// FaultMesh is the production hosting shape on one fault network: one VM per
-// configured cluster, VM i hosting the i-th cluster in ascending order under
-// NodeID i through its own end — the partition `pisces run -nodes N` makes
-// with one cluster per node.  Every cross-cluster message crosses the
-// network, and a message between clusters is what it is on a real mesh: a
-// send to a task that is gone is dropped by its receiver, not refused at the
-// sender.
-type FaultMesh struct {
-	*FaultTransport
-	VMs []*core.VM
+// landed counts the frames landed from one source end: n is the longest
+// prefix of its numbering landed in full — what a checkpoint releases —
+// ahead the numbers past it that landed early, off another lane.
+type landed struct {
+	n     uint64
+	ahead map[uint64]bool
+}
+
+func (l *landed) land(idx uint64) {
+	if idx != l.n+1 {
+		if l.ahead == nil {
+			l.ahead = make(map[uint64]bool)
+		}
+		l.ahead[idx] = true
+		return
+	}
+	for l.n++; l.ahead[l.n+1]; l.n++ {
+		delete(l.ahead, l.n+1)
+	}
 }
 
 // NewFaultMesh boots the mesh for cfg on a fault network seeded with seed.
-// opts(i) gives VM i's options; the mesh sets their Hosted, Remote and
-// NodeID.  The VMs share one registry — VM 0's Metrics, or a new disabled one
-// — and with it VM 0's trace sinks and the trace switches, so one trace, one
-// metric snapshot and one flight recorder cover the whole mesh.  The same
-// seed and the same VM schedule reproduce the same delays.
+// opts(i) gives VM i's options; the mesh sets Hosted, Remote and NodeID, and
+// runs HA mode when VM 0's ask for it.  The VMs share VM 0's registry (or a
+// new disabled one), trace sinks and switches, so one trace, snapshot and
+// flight recorder cover the mesh.  The same seed and VM schedule reproduce
+// the same delays.
 func NewFaultMesh(cfg *config.Configuration, seed int64, p FaultProfile, opts func(node int) core.Options) (*FaultMesh, error) {
-	m := &FaultMesh{FaultTransport: &FaultTransport{
+	m := &FaultMesh{
 		profile: p, rng: rand.New(rand.NewSource(seed)),
 		lanes: make(map[laneKey]time.Time), batches: make(map[laneKey]time.Time),
-	}}
+	}
+	clusters := cfg.ClusterNumbers()
 	var reg *obs.Registry
-	for i, n := range cfg.ClusterNumbers() {
+	for i, n := range clusters {
 		o := opts(i)
 		if i == 0 {
 			if o.Metrics == nil {
 				o.Metrics = obs.New()
 			}
-			reg = o.Metrics
+			reg, m.ha = o.Metrics, o.HA
 		} else {
 			o.Metrics, o.TraceSinks = reg, nil
 		}
-		e := &end{net: m.FaultTransport}
+		e := &end{net: m, id: i, out: make([]retention, len(clusters)), in: make([]landed, len(clusters)), store: newBuddyStore(len(clusters))}
 		o.Hosted, o.Remote, o.NodeID = []int{n}, e, i
 		vm, err := core.NewVM(cfg, o)
 		if err != nil {
@@ -178,11 +164,9 @@ func NewFaultMesh(cfg *config.Configuration, seed int64, p FaultProfile, opts fu
 }
 
 // Run runs the program on the mesh: registered on every VM, MAIN started on
-// VM 0, the terminal's, and the whole mesh drained before the program's error
-// is read.  MAIN's VM going idle is not the mesh going idle: another VM's
-// tasks may still be running, and the frames between them may start more
-// work on either; each VM is waited for and the network flushed, until a pass
-// delivers nothing.
+// VM 0, the terminal's, and the mesh drained — every VM waited for and the
+// network flushed until a pass delivers nothing, since frames between VMs
+// may start more work — before the program's error is read.
 func (m *FaultMesh) Run(prog *pfi.Program, opts pfi.Options) error {
 	for _, vm := range m.VMs[1:] {
 		prog.Register(vm)
@@ -193,7 +177,7 @@ func (m *FaultMesh) Run(prog *pfi.Program, opts pfi.Options) error {
 		for i := len(m.VMs) - 1; i >= 0; i-- {
 			m.VMs[i].WaitIdle()
 		}
-		m.Flush()
+		m.ends[0].Flush() // end 0, the terminal's, never fails
 		idle = m.deliveries() == before
 	}
 	m.VMs[0].FlushUserOutput()
@@ -210,86 +194,219 @@ func (m *FaultMesh) Shutdown() {
 	}
 }
 
-// Fail is the death of VM node as its peers see it: from now on every frame
-// and reply it sends is dropped, no frame is delivered to it, and Flush on
-// its end returns at once.  Frames lost to it are still retained for the
-// clusters it hosted, so a survivor that adopts them can ReplayRetained.
-func (m *FaultMesh) Fail(node int) {
+// Checkpoint is one checkpoint of end node — a node's checkpointTick, its
+// buddy's storeCheckpoint and its broadcastMarks in one step: count what
+// landed from each end, cut, store the blob and log count with the buddy,
+// and release each end's retention toward node up to the counts.
+func (m *FaultMesh) Checkpoint(node int) error {
+	e := m.ends[node]
 	m.mu.Lock()
-	m.ends[node].dead = true
-	m.mu.Unlock()
-}
-
-// deliveries counts the frames the network has delivered.
-func (n *FaultTransport) deliveries() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.delivered
-}
-
-// hostsLocked returns the live end whose VM hosts the cluster, nil when none
-// does.  Callers hold n.mu.
-func (n *FaultTransport) hostsLocked(cluster int) *end {
-	for _, e := range n.ends {
-		if !e.dead && slices.Contains(e.vm.HostedClusters(), cluster) {
-			return e
-		}
+	marks := make([]uint64, len(e.in))
+	for i := range e.in {
+		marks[i] = e.in[i].n
 	}
+	covered, buddy := e.logged, m.nextLiveLocked(node)
+	m.mu.Unlock()
+	if buddy < 0 {
+		return nil
+	}
+	blob, err := e.vm.Checkpoint(e.vm.HostedClusters()...)
+	if err != nil {
+		return err
+	}
+	m.ends[buddy].store.store(node, covered, blob)
+	m.mu.Lock()
+	for i, count := range marks {
+		m.ends[i].out[node].release(count)
+	}
+	m.mu.Unlock()
 	return nil
 }
 
-// schedule computes the frame's due time on its lane and arranges fn to run
-// then.  Callers hold no locks.
-func (n *FaultTransport) schedule(key laneKey, fn func()) error {
-	n.mu.Lock()
-	delay := n.profile.Base
-	if n.profile.Jitter > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(n.profile.Jitter)))
+// Kill is the death of end node and its recovery, as on a mesh: the end
+// fails — nothing it sends leaves, nothing lands on it — and its VM stops;
+// the next live end adopts its clusters, restores them from what it holds as
+// their buddy (no checkpoint: they restart empty), and takes each live end's
+// retention toward the dead one.  Returns the number of frames replayed.
+// End 0 hosts the terminal and is not recoverable.
+func (m *FaultMesh) Kill(node int) (int, error) {
+	adopter := m.stop(node)
+	if adopter == nil {
+		return 0, nil
 	}
-	// Drop/retry loop: each attempt is lost with DropRate, pays Retransmit,
-	// and tries again; the attempt after maxRetransmits losses always gets
-	// through.  Sampled at schedule time so the whole retry history is fixed
-	// by the seed and the send order.
-	if n.profile.DropRate > 0 {
-		for tries := 0; tries < maxRetransmits && n.rng.Float64() < n.profile.DropRate; tries++ {
-			delay += n.profile.Retransmit
+	return m.restore(adopter, node)
+}
+
+// stop fails end node, stops its VM and has the next live end, which it
+// returns, adopt its clusters.
+func (m *FaultMesh) stop(node int) *end {
+	m.mu.Lock()
+	m.ends[node].dead = true
+	a := m.nextLiveLocked(node)
+	m.mu.Unlock()
+	dead := m.ends[node].vm
+	dead.Shutdown()
+	if a < 0 {
+		return nil
+	}
+	m.ends[a].vm.AdoptClusters(dead.HostedClusters()...)
+	return m.ends[a]
+}
+
+// restore rebuilds the dead end's clusters on the adopter and replays each
+// live end's retention toward the dead end into it, past the delay line.
+func (m *FaultMesh) restore(adopter *end, dead int) (int, error) {
+	if err := adopter.vm.Restore(adopter.store.held(dead)); err != nil {
+		return 0, err
+	}
+	clusters, total := m.ends[dead].vm.HostedClusters(), 0
+	for _, e := range m.ends {
+		m.mu.Lock()
+		var frames [][]byte
+		if !e.dead {
+			frames = e.out[dead].take()
+		}
+		m.mu.Unlock()
+		n, _ := replay(frames, clusters, func(payload []byte) error {
+			adopter.take(payload)
+			return nil
+		})
+		total += n
+	}
+	return total, nil
+}
+
+// nextLiveLocked is nextLive over the mesh's ends.  Callers hold m.mu.
+func (m *FaultMesh) nextLiveLocked(after int) int {
+	return nextLive(after, len(m.ends), func(id int) bool { return m.ends[id].dead })
+}
+
+// deliveries counts the frames the network has delivered.
+func (m *FaultMesh) deliveries() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.delivered
+}
+
+// ownerLocked returns the end a frame for the cluster goes to: the live end
+// hosting it or, between a death and the adoption, the dead one, whose
+// retention keeps the frame for the adopter.  Callers hold m.mu.
+func (m *FaultMesh) ownerLocked(cluster int) (owner *end) {
+	for _, e := range m.ends {
+		if (owner == nil || owner.dead) && slices.Contains(e.vm.HostedClusters(), cluster) {
+			owner = e
 		}
 	}
-	now := n.be.Now()
-	// Batch coalescing: a lane's frames share the open batch window's
-	// departure time, then each pays its sampled wire delay from there.  The
-	// first frame past the close opens the next window.
+	return owner
+}
+
+// Send delays the frame on its lane and delivers it to the VM hosting its
+// destination — a broadcast to every other VM, each fanning it out to the
+// tasks it hosts.  The frame goes back to the sender's pool when Send
+// returns; the delay line keeps its wire encoding.
+func (e *end) Send(f *core.WireFrame) error {
+	if err := checkWireType(e.id, f); err != nil {
+		return err
+	}
+	return e.send(laneKey{src: f.Src, dst: f.Dst}, f.Kind == core.FrameBroadcast && f.Dst == 0, f.Dst, encodeWireFrame(nil, f))
+}
+
+// SendReply delays an initiate reply on the destination's reply lane.
+func (e *end) SendReply(dst int, replyID uint64, id core.TaskID) error {
+	return e.send(laneKey{dst: dst, reply: true}, false, dst, encodeInitReply(nil, replyID, id))
+}
+
+// hop is an end a frame goes to, and its number in the retention toward it.
+type hop struct {
+	to  *end
+	idx uint64
+}
+
+// send routes one encoded frame — to every other end when everyone, else to
+// the end hosting cluster dst — keeps it in the retention toward each in HA
+// mode, and when its seeded delay on the lane has passed hands it to those
+// still alive.  A failed end sends nothing, and a retention whose backlog
+// went to an adopter takes nothing more: the adopter's own lane carries it.
+func (e *end) send(key laneKey, everyone bool, dst int, payload []byte) error {
+	m := e.net
+	m.mu.Lock()
+	if e.dead {
+		m.mu.Unlock()
+		return nil
+	}
+	var hops []hop
+	add := func(o *end) {
+		if r := &e.out[o.id]; !r.replayed {
+			h := hop{to: o}
+			if m.ha {
+				h.idx = r.keep(payload)
+			}
+			hops = append(hops, h)
+		}
+	}
+	if everyone {
+		for _, o := range m.ends {
+			if o != e {
+				add(o)
+			}
+		}
+	} else if o := m.ownerLocked(dst); o != nil {
+		add(o)
+	}
+	delay := m.profile.Base
+	if m.profile.Jitter > 0 {
+		delay += time.Duration(m.rng.Int63n(int64(m.profile.Jitter)))
+	}
+	// Drop/retry loop, sampled now so the seed and the send order fix the
+	// whole retry history.
+	if m.profile.DropRate > 0 {
+		for tries := 0; tries < maxRetransmits && m.rng.Float64() < m.profile.DropRate; tries++ {
+			delay += m.profile.Retransmit
+		}
+	}
+	now := m.be.Now()
+	// Batch coalescing: a lane's frames share the open window's departure
+	// time; the first frame past its close opens the next window.
 	depart := now
-	if w := n.profile.BatchWindow; w > 0 {
-		if dl, ok := n.batches[key]; ok && now.Before(dl) {
+	if w := m.profile.BatchWindow; w > 0 {
+		if dl, ok := m.batches[key]; ok && now.Before(dl) {
 			depart = dl
 		} else {
 			depart = now.Add(w)
-			n.batches[key] = depart
+			m.batches[key] = depart
 		}
 	}
 	due := depart.Add(delay)
-	// Per-lane FIFO: a frame never fires before its predecessor on the same
-	// lane.  The extra nanosecond keeps due times strictly monotone so timer
-	// ties cannot reorder a lane even in principle.
-	if last, ok := n.lanes[key]; ok && !due.After(last) {
+	// Per-lane FIFO: due times strictly monotone, so not even a timer tie
+	// reorders a lane.
+	if last, ok := m.lanes[key]; ok && !due.After(last) {
 		due = last.Add(time.Nanosecond)
 	}
-	n.lanes[key] = due
-	n.outstanding++
-	be := n.be
-	n.mu.Unlock()
+	m.lanes[key] = due
+	m.outstanding++
+	be := m.be
+	m.mu.Unlock()
 
 	be.AfterFunc(due.Sub(now), func() {
-		fn()
-		n.mu.Lock()
-		n.outstanding--
-		n.delivered++
-		var wake []backend.Gate
-		if n.outstanding == 0 {
-			wake, n.idleWaits = n.idleWaits, nil
+		for _, h := range hops {
+			if h.to.isDead() {
+				continue
+			}
+			h.to.take(payload)
+			if m.ha {
+				m.mu.Lock()
+				h.to.in[e.id].land(h.idx)
+				m.mu.Unlock()
+			}
 		}
-		n.mu.Unlock()
+		m.mu.Lock()
+		m.outstanding--
+		m.delivered++
+		var wake []backend.Gate
+		if m.outstanding == 0 {
+			wake, m.idleWaits = m.idleWaits, nil
+		}
+		m.mu.Unlock()
 		for _, g := range wake {
 			g.Open()
 		}
@@ -297,50 +414,17 @@ func (n *FaultTransport) schedule(key laneKey, fn func()) error {
 	return nil
 }
 
-// Send delays the frame on its lane and delivers it with DeliverWire to the
-// VM hosting its destination then — a broadcast to every other VM, each
-// fanning it out to the tasks it hosts.
-func (e *end) Send(f *core.WireFrame) error {
-	if e.isDead() {
-		return nil
+// take decodes a frame that reached the end and hands it to the VM.
+func (e *end) take(payload []byte) {
+	var m frame
+	if _, err := decodeFrame(&m, payload); err != nil {
+		return
 	}
-	n := e.net
-	// The frame and its payload buffer go back to the sender's pool when Send
-	// returns: the delayed frame needs its own copy.
-	g := *f
-	g.Payload = append([]byte(nil), f.Payload...)
-	n.mu.Lock()
-	_, tracked := n.retained[g.Dst]
-	if tracked = tracked && g.Kind == core.FrameMessage; tracked {
-		n.sent++
-		n.inflight[&g] = n.sent
+	if m.kind == fInitReply {
+		e.vm.DeliverWireReply(m.replyID, m.id)
+		return
 	}
-	n.mu.Unlock()
-	return n.schedule(laneKey{src: f.Src, dst: f.Dst}, func() {
-		n.mu.Lock()
-		if _, flying := n.inflight[&g]; tracked && !flying {
-			n.mu.Unlock() // ReplayRetained delivered it
-			return
-		}
-		delete(n.inflight, &g)
-		var to []*end
-		if g.Kind == core.FrameBroadcast {
-			for _, o := range n.ends {
-				if o != e {
-					to = append(to, o)
-				}
-			}
-		} else if h := n.hostsLocked(g.Dst); h != nil {
-			to = []*end{h}
-		}
-		n.mu.Unlock()
-		for _, o := range to {
-			if !o.isDead() {
-				_ = o.vm.DeliverWire(&g)
-			}
-		}
-		n.retain(&g, to)
-	})
+	_ = e.vm.DeliverWire(&m.msg)
 }
 
 func (e *end) isDead() bool {
@@ -349,143 +433,34 @@ func (e *end) isDead() bool {
 	return e.dead
 }
 
-// retain records a delivered frame for possible ReplayRetained, when its
-// destination cluster has retention armed.  A broadcast is kept once for
-// every armed cluster a VM it went to hosts, narrowed to that cluster, so its
-// replay reaches only the tasks the cluster's restore lost.
-func (n *FaultTransport) retain(f *core.WireFrame, to []*end) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if f.Kind != core.FrameBroadcast || f.Dst != 0 {
-		if frames, ok := n.retained[f.Dst]; ok {
-			n.retained[f.Dst] = append(frames, f)
-		}
-		return
-	}
-	for _, o := range to {
-		for _, c := range o.vm.HostedClusters() {
-			if frames, ok := n.retained[c]; ok {
-				g := *f
-				g.Dst = c
-				n.retained[c] = append(frames, &g)
-			}
-		}
-	}
-}
-
-// LogInit keeps an initiation the end's VM started on a cluster with
-// retention armed, for the Restore of the VM that adopts the cluster.  The
-// network takes it before the child runs, so no effect of the child can reach
-// a survivor ahead of its id; it never waits.
+// LogInit hands an initiation the end's VM started to the end's buddy before
+// the child runs, as a node's transport does, without waiting.  End 0 is not
+// recoverable and keeps no log.
 func (e *end) LogInit(_ *mmos.Proc, l core.LoggedInit) {
-	n := e.net
-	n.mu.Lock()
-	if _, ok := n.retained[l.Cluster]; ok && !e.dead {
-		n.inits[l.Cluster] = append(n.inits[l.Cluster], l)
+	m := e.net
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b := m.nextLiveLocked(e.id); m.ha && !e.dead && e.id != 0 && b >= 0 {
+		e.logged++
+		m.ends[b].store.hold(e.id, e.logged, l)
 	}
-	n.mu.Unlock()
-}
-
-// LoggedInits returns the initiations logged for the cluster since its last
-// MarkEpoch: what the adopter's Restore plans.
-func (n *FaultTransport) LoggedInits(cluster int) []core.LoggedInit {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return slices.Clone(n.inits[cluster])
-}
-
-// MarkEpoch arms (or re-arms) retention for a destination cluster: frames
-// delivered to it from now on are kept until the next MarkEpoch.  A recovery
-// harness calls it immediately after every Checkpoint of that cluster, so
-// the retained traffic is exactly the post-checkpoint delta a restore needs
-// re-delivered.
-func (n *FaultTransport) MarkEpoch(cluster int) {
-	n.mu.Lock()
-	if n.retained == nil {
-		n.retained = make(map[int][]*core.WireFrame)
-		n.inits = make(map[int][]core.LoggedInit)
-		n.inflight = make(map[*core.WireFrame]uint64)
-	}
-	n.retained[cluster] = nil
-	n.inits[cluster] = nil
-	n.mu.Unlock()
-}
-
-// ReplayRetained hands the cluster's post-checkpoint frames to the VM hosting
-// it now: every frame delivered to the cluster since the last MarkEpoch is
-// re-injected in original delivery order, bypassing the delay line (the
-// frames already paid their delays once), and after them every frame still
-// on its way to the cluster, in send order.  Called after core.Restore; the
-// restored tasks' duplicate-suppression floors admit each frame at most once.
-// Returns the number of frames re-injected.
-func (n *FaultTransport) ReplayRetained(cluster int) int {
-	n.mu.Lock()
-	h := n.hostsLocked(cluster)
-	if h == nil {
-		n.mu.Unlock()
-		return 0
-	}
-	frames := n.retained[cluster]
-	var late []*core.WireFrame
-	for f := range n.inflight {
-		if f.Dst == cluster {
-			late = append(late, f)
-		}
-	}
-	slices.SortFunc(late, func(a, b *core.WireFrame) int { return cmp.Compare(n.inflight[a], n.inflight[b]) })
-	for _, f := range late {
-		delete(n.inflight, f)
-	}
-	n.mu.Unlock()
-	for _, f := range frames {
-		g := *f
-		_ = h.vm.DeliverWire(&g)
-	}
-	for _, f := range late {
-		_ = h.vm.DeliverWire(f)
-		n.retain(f, nil)
-	}
-	return len(frames) + len(late)
-}
-
-// SendReply delays an initiate reply on the destination's reply lane.
-func (e *end) SendReply(dst int, replyID uint64, id core.TaskID) error {
-	if e.isDead() {
-		return nil
-	}
-	n := e.net
-	return n.schedule(laneKey{dst: dst, reply: true}, func() {
-		n.mu.Lock()
-		h := n.hostsLocked(dst)
-		n.mu.Unlock()
-		if h != nil && !h.isDead() {
-			h.vm.DeliverWireReply(replyID, id)
-		}
-	})
 }
 
 // Flush blocks until every frame accepted before the call has been
-// delivered.  Under -sim the wait pumps the scheduler, so the virtual clock
-// advances to the pending due times and the delay line empties
-// deterministically.
-func (n *FaultTransport) Flush() {
-	n.mu.Lock()
-	if n.outstanding == 0 {
-		n.mu.Unlock()
-		return
-	}
-	g := n.be.NewGate()
-	n.idleWaits = append(n.idleWaits, g)
-	n.mu.Unlock()
-	g.Wait()
-}
-
-// Flush is the network's Flush, but a failed end holds nothing: its Flush
+// delivered; under -sim the wait pumps the scheduler, so the virtual clock
+// advances to the pending due times.  A failed end holds nothing: its Flush
 // returns at once.
 func (e *end) Flush() {
-	if !e.isDead() {
-		e.net.Flush()
+	m := e.net
+	m.mu.Lock()
+	if e.dead || m.outstanding == 0 {
+		m.mu.Unlock()
+		return
 	}
+	g := m.be.NewGate()
+	m.idleWaits = append(m.idleWaits, g)
+	m.mu.Unlock()
+	g.Wait()
 }
 
 // Close drains the delay line.

@@ -2,10 +2,8 @@ package node
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -73,13 +71,10 @@ func (n *Node) haLoop() {
 }
 
 // checkpointTick cuts one checkpoint of the hosted clusters and streams it to
-// the buddy with the initiation log's count.  The counts are snapshotted
-// BEFORE the cut: every frame counted there reached the VM before the
-// checkpoint and every initiation was in its initMap, so their effects are
-// inside the blob.  The receive counts are broadcast as retention marks —
-// but only once the buddy acks the blob (fCkptAck), never before.  Releasing
-// retention against an unacked blob would let the blob and the frames that
-// rebuild it die together.
+// the buddy with the initiation log's count.  The counts are taken BEFORE
+// the cut, so their effects are inside the blob; the receive counts go out
+// as retention marks only once the buddy acks the blob (fCkptAck), or the
+// blob and the frames that rebuild it could die together.
 func (n *Node) checkpointTick() {
 	buddy := n.nextLive(n.opts.NodeID)
 	if buddy < 0 {
@@ -110,10 +105,7 @@ func (n *Node) checkpointTick() {
 // the peer, drop the entries of its initiation log the blob covers (the
 // first inits), and ack it, releasing the peer's retention marks.
 func (n *Node) storeCheckpoint(from int, epoch, inits uint64, blob []byte) {
-	n.ckptMu.Lock()
-	n.ckptFrom[from] = append(n.ckptFrom[from][:0], blob...)
-	n.initsFrom[from] = slices.DeleteFunc(n.initsFrom[from], func(h heldInit) bool { return h.count <= inits })
-	n.ckptMu.Unlock()
+	n.store.store(from, inits, blob)
 	// Record the stored epoch: a survivor's dump proves which checkpoint of a
 	// dead peer it held at the moment of failure.
 	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(from), B: int64(epoch)})
@@ -146,34 +138,9 @@ func (n *Node) broadcastMarks(epoch uint64) {
 	}
 }
 
-// heldInit is entry count of a peer's initiation log, as its buddy holds it
-// until a checkpoint of the peer covers it.
-type heldInit struct {
-	count uint64
-	init  core.LoggedInit
-}
-
-// holdInit is the buddy side of LogInit: hold the entry and ack it.
-func (n *Node) holdInit(from int, count uint64, l core.LoggedInit) {
-	n.ckptMu.Lock()
-	n.initsFrom[from] = append(n.initsFrom[from], heldInit{count, l})
-	n.ckptMu.Unlock()
-	_ = n.tr.sendControl(from, encodeFromCount(fInitLogAck, n.opts.NodeID, count))
-}
-
-// nextLive returns the next live node after the given id, cyclically, or -1
-// when none exists.  Applied to self it picks this node's checkpoint buddy;
-// applied to a dead node it picks the adopter — the same formula, so the node
-// chosen to restore a blob is the node the blob was streamed to.
+// nextLive is nextLive over the mesh's nodes.
 func (n *Node) nextLive(after int) int {
-	total := len(n.opts.Addrs)
-	for i := 1; i < total; i++ {
-		id := (after + i) % total
-		if id != after && !n.det.Dead(id) {
-			return id
-		}
-	}
-	return -1
+	return nextLive(after, len(n.opts.Addrs), n.det.Dead)
 }
 
 // handleDeath reacts to a locally detected death.  Only the rebalance leader
@@ -248,13 +215,7 @@ func (n *Node) handleRebalance(dead, buddy int, ready bool) {
 func (n *Node) adoptAndRestore(dead int) {
 	clusters := n.topo.Clusters(dead)
 	n.vm.AdoptClusters(clusters...)
-	n.ckptMu.Lock()
-	blob := n.ckptFrom[dead]
-	inits := make([]core.LoggedInit, len(n.initsFrom[dead]))
-	for i, h := range n.initsFrom[dead] {
-		inits[i] = h.init
-	}
-	n.ckptMu.Unlock()
+	blob, inits := n.store.held(dead)
 	if len(blob) == 0 {
 		fmt.Fprintf(n.opts.Log, "node %d: no checkpoint stored for node %d; clusters %v restart empty\n",
 			n.opts.NodeID, dead, clusters)

@@ -429,3 +429,104 @@ func TestHABuddyLogHoldsOnlyEntriesAfterTheCut(t *testing.T) {
 		t.Errorf("output:\n%s", out.String())
 	}
 }
+
+// TestHAReplayedBroadcastSkipsLateTasks: a broadcast a buddy replays for a
+// dead node reaches the dead node's restored tasks and no one else.  A
+// caster on node 0's cluster 1 broadcasts after node 1's checkpoint, which a
+// listener on node 1's cluster 2 hears; then a late task starts on cluster 1
+// and node 1 is killed.  Node 0 restores the listener from the checkpoint and
+// replays the broadcast, narrowed to cluster 2, so the listener hears it in
+// both of its lives — and the late task, never among its receivers, hears
+// nothing, as in a single process.
+func TestHAReplayedBroadcastSkipsLateTasks(t *testing.T) {
+	var mu sync.Mutex
+	heard := map[string]int{}
+	listened := make(chan struct{}, 2)
+	register := func(vm *core.VM) {
+		vm.Register("caster", func(task *core.Task) {
+			if _, err := task.AcceptOne("cast"); err == nil {
+				_ = task.Broadcast("news", core.Int(5))
+			}
+		})
+		vm.Register("listener", func(task *core.Task) {
+			if _, err := task.AcceptOne("news"); err == nil {
+				mu.Lock()
+				heard["listener"]++
+				mu.Unlock()
+				listened <- struct{}{}
+			}
+		})
+		vm.Register("late", func(task *core.Task) {
+			for {
+				res, err := task.Accept(core.AcceptSpec{Total: 1, Types: []core.TypeCount{{Type: "news"}, {Type: "stop"}}})
+				if err != nil || res.TimedOut || res.Accepted[0].Type == "stop" {
+					return
+				}
+				mu.Lock()
+				heard["late"]++
+				mu.Unlock()
+			}
+		})
+	}
+	hear := func(life string) {
+		t.Helper()
+		select {
+		case <-listened:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the listener did not hear the broadcast in its %s life", life)
+		}
+	}
+
+	var log0 lockedBuffer
+	nodes := startMesh(t, 2, config.Simple(2, 4), "", nil, func(i int, o *node.Options) {
+		o.HA = true
+		o.CheckpointInterval = time.Hour // the test cuts the one checkpoint
+		o.Register = register
+		if i == 0 {
+			o.Log = &log0
+		}
+	})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = nodes[1].ServeUntilShutdown() // terminated underneath this
+	}()
+	vm := nodes[0].VM()
+	caster, err1 := vm.Initiate("caster", core.OnCluster(1))
+	_, err2 := vm.Initiate("listener", core.OnCluster(2))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if !nodes[1].CutCheckpoint() {
+		t.Fatal("node 0 did not ack node 1's checkpoint")
+	}
+	if err := vm.SendFromUser(caster, "cast"); err != nil {
+		t.Fatal(err)
+	}
+	hear("first")
+	late, err := vm.Initiate("late", core.OnCluster(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].Terminate()
+	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(log0.String(), "rerouted node 1's clusters to node 0"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node 0 never rerouted node 1's clusters; log:\n%s", log0.String())
+		}
+	}
+	hear("restored")
+	if err := vm.SendFromUser(late, "stop"); err != nil {
+		t.Fatal(err)
+	}
+	_ = vm.WaitTask(late)
+	if err := nodes[0].Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	<-served
+
+	mu.Lock()
+	defer mu.Unlock()
+	if heard["listener"] != 2 || heard["late"] != 0 {
+		t.Errorf("heard %v; want the listener in both lives and nothing for the late task", heard)
+	}
+}

@@ -113,15 +113,14 @@ type Node struct {
 	// what WriteMeshTrace merges into per-node process tracks.
 	followerTrace map[int]obs.ProcessTrace
 
-	// Fault tolerance (HA mode only; nil/zero otherwise).  ckptMu guards the
-	// blobs and initiation logs this node holds as other peers' buddy plus
-	// the pre-cut receive snapshots of this node's own un-acked checkpoint
-	// epochs; rebalMu serialises rebalances (one membership change at a
-	// time).
+	// Fault tolerance (HA mode only; nil/zero otherwise).  store holds the
+	// blobs and initiation logs this node keeps as other peers' buddy;
+	// ckptMu guards the pre-cut receive snapshots of this node's own
+	// un-acked checkpoint epochs; rebalMu serialises rebalances (one
+	// membership change at a time).
 	det        *detector
+	store      *buddyStore
 	ckptMu     sync.Mutex
-	ckptFrom   map[int][]byte
-	initsFrom  map[int][]heldInit
 	ckptEpoch  uint64
 	pendMark   map[uint64]map[int]uint64
 	rebalMu    sync.Mutex
@@ -206,8 +205,7 @@ func Start(opts Options) (*Node, error) {
 			ids[i] = i
 		}
 		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, reg.Now)
-		n.ckptFrom = make(map[int][]byte)
-		n.initsFrom = make(map[int][]heldInit)
+		n.store = newBuddyStore(len(opts.Addrs))
 		n.pendMark = make(map[uint64]map[int]uint64)
 		n.haDeaths = reg.Counter("node.ha.deaths")
 		n.haReplayed = reg.Counter("node.ha.replayed")

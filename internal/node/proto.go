@@ -173,6 +173,15 @@ func wireKind(f *core.WireFrame) byte {
 	return fMsg
 }
 
+// checkWireType refuses a type the wire's u16 length cannot carry: a longer
+// name would decode as a shorter type followed by garbage.
+func checkWireType(node int, f *core.WireFrame) error {
+	if len(f.Type) <= msgcodec.MaxStr16 {
+		return nil
+	}
+	return fmt.Errorf("node %d: message type of %d bytes exceeds the wire format's %d", node, len(f.Type), msgcodec.MaxStr16)
+}
+
 // encodeWireFrame serialises a core frame (fMsg or fBcast) into buf.
 func encodeWireFrame(buf []byte, f *core.WireFrame) []byte {
 	kind := wireKind(f)
@@ -464,6 +473,10 @@ func (n *Node) spawn(f func()) {
 	}()
 }
 
-func (n *Node) handleInitLog(from int, m *frame) { n.holdInit(from, m.count, m.logged) }
+// handleInitLog is the buddy side of LogInit: hold the entry and ack it.
+func (n *Node) handleInitLog(from int, m *frame) {
+	n.store.hold(from, m.count, m.logged)
+	_ = n.tr.sendControl(from, encodeFromCount(fInitLogAck, n.opts.NodeID, m.count))
+}
 
 func (n *Node) handleInitLogAck(from int, m *frame) { n.tr.ackInitLog(from, m.count) }

@@ -105,21 +105,14 @@ type peer struct {
 
 	credits int // remaining flow-control credits toward this peer
 
-	// HA lane state (haRetain mode only; guarded by mu).  sentIdx numbers the
-	// counted data frames enqueued on this lane, in lane order — the receiver
-	// numbers its deliveries identically (TCP FIFO, same framing), which is
-	// what makes checkpoint marks exact.  retained keeps the encoded frames
-	// whose effects are not yet covered by a peer-acknowledged checkpoint;
-	// dead flips the lane to retain-only (frames are kept, never written),
-	// and replayed marks that the retained backlog has been handed to the
-	// adopting buddy, after which new frames toward this lane are redundant.
-	// logAcked is how much of this node's initiation log the peer acked.
+	// HA lane state (haRetain mode only; guarded by mu).  ret numbers the
+	// lane's counted frames as the receiver counts its deliveries (TCP FIFO),
+	// which makes checkpoint marks exact.  dead flips the lane to retain-only
+	// until the backlog goes to the adopting buddy.  logAcked is how much of
+	// this node's initiation log the peer acked.
 	dead     bool
 	deadDone bool // markDead accounting ran (dead may be set first by a write error)
-	replayed bool
-	sentIdx  uint64
-	ackIdx   uint64
-	retained []retFrame
+	ret      retention
 	logAcked uint64
 
 	// Per-lane wire counters (node.tx.n<me>->n<id>.*), resolved at addPeer;
@@ -161,7 +154,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch 
 			tr.creditStallNS.ObserveDuration(tr.reg.Now().Sub(t0))
 		}
 	}
-	if p.dead && (!counted || p.replayed) {
+	if p.dead && (!counted || p.ret.replayed) {
 		// The peer is dead (or the lane broke in HA mode): control frames
 		// evaporate, and so do data frames once the retained backlog went to
 		// the adopting buddy, whose own lane carries their like from then on.
@@ -194,7 +187,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch 
 	if counted {
 		tr.sent.Add(1)
 		if tr.haRetain {
-			p.retainPayloadLocked(p.batch[payloadStart:])
+			p.ret.keep(p.batch[payloadStart:])
 		}
 	}
 	if p.dead {
@@ -450,10 +443,8 @@ func (tr *transport) ownerOf(cluster int) (int, error) {
 // copies actually handed to a live lane are counted sent, so a partial
 // broadcast failure leaves the drain protocol's books balanced.
 func (tr *transport) Send(f *core.WireFrame) error {
-	if len(f.Type) > msgcodec.MaxStr16 {
-		// The frame's type field has a u16 length; a longer name would wrap
-		// it and decode as a shorter type followed by garbage.
-		return fmt.Errorf("node %d: message type of %d bytes exceeds the wire format's %d", tr.nodeID, len(f.Type), msgcodec.MaxStr16)
+	if err := checkWireType(tr.nodeID, f); err != nil {
+		return err
 	}
 	kind := wireKind(f)
 	enc := func(batch []byte) []byte { return encodeWireFrame(batch, f) }
