@@ -224,12 +224,15 @@ func TestOneSendHead(t *testing.T) {
 
 // TestSimPackagesUseTheBackend pins determinism by construction: the code a
 // -sim run executes touches time, concurrency and the network only through
-// the backend (backend.Backend: Spawn, Now, AfterFunc, gates), so the
-// simulator's seed fixes everything it does.  Non-test code of core, pfi and
-// memory, and the fault mesh (node/fault.go), may contain no go statement,
-// no wall-clock read or timer of package time, no net dial or listen, and
-// no call of math/rand's shared generator — a generator of its own, seeded
-// with rand.New, is what a seed replays.
+// the backend (backend.Backend: Spawn, Now, AfterFunc, gates, conds), so the
+// simulator's seed fixes everything it does.  Non-test code of core, pfi,
+// memory and node — the TCP adapter (node/tcp.go) aside — may contain no go
+// statement, no wall-clock read or timer of package time, no net dial or
+// listen, and no call of math/rand's shared generator; a generator of its
+// own, seeded with rand.New, is what a seed replays.  Node code waits on its
+// peers, so it may also hold no select statement, channel send or receive,
+// or sync.Cond: the simulator cannot see a task blocked on one, and a run
+// would hang where it should report a deadlock.
 func TestSimPackagesUseTheBackend(t *testing.T) {
 	forbidden := map[string]func(name string) bool{
 		"time": func(name string) bool {
@@ -239,36 +242,37 @@ func TestSimPackagesUseTheBackend(t *testing.T) {
 			}
 			return false
 		},
-		"net": func(name string) bool { return strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "Listen") },
+		"net": func(name string) bool {
+			return strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "Listen") && name != "Listener"
+		},
 		"math/rand": func(name string) bool {
 			return name != "New" && name != "NewSource" && name != "Rand" && name != "Source"
 		},
+		"sync": func(name string) bool { return name == "Cond" || name == "NewCond" },
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
-	for _, dir := range []string{"core", "pfi", "memory"} {
+	nodeFiles := map[*ast.File]bool{}
+	for _, dir := range []string{"core", "pfi", "memory", "node"} {
 		pkgs, err := parser.ParseDir(fset, filepath.Join("internal", dir), func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
+			return !strings.HasSuffix(fi.Name(), "_test.go") && !(dir == "node" && fi.Name() == "tcp.go")
 		}, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range pkgs[dir].Files {
 			files = append(files, f)
+			nodeFiles[f] = dir == "node"
 		}
 	}
-	fault, err := parser.ParseFile(fset, filepath.Join("internal", "node", "fault.go"), nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files = append(files, fault); len(files) < 25 {
+	if len(files) < 35 {
 		t.Fatalf("parsed %d files; the rule is not looking at the run-time", len(files))
 	}
 	for _, f := range files {
 		imported := map[string]string{} // local name -> import path, for the guarded packages
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if forbidden[path] == nil {
+			if forbidden[path] == nil || path == "sync" && !nodeFiles[f] {
 				continue
 			}
 			name := filepath.Base(path)
@@ -286,6 +290,18 @@ func TestSimPackagesUseTheBackend(t *testing.T) {
 					if path := imported[x.Name]; path != "" && forbidden[path](n.Sel.Name) {
 						t.Errorf("%s: %s.%s; the backend owns time, concurrency and the network", fset.Position(n.Pos()), path, n.Sel.Name)
 					}
+				}
+			case *ast.SelectStmt:
+				if nodeFiles[f] {
+					t.Errorf("%s: select statement; wait on a backend primitive", fset.Position(n.Pos()))
+				}
+			case *ast.SendStmt:
+				if nodeFiles[f] {
+					t.Errorf("%s: channel send; wait on a backend primitive", fset.Position(n.Pos()))
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW && nodeFiles[f] {
+					t.Errorf("%s: channel receive; wait on a backend primitive", fset.Position(n.Pos()))
 				}
 			}
 			return true

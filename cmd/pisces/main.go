@@ -56,6 +56,7 @@ import (
 	"time"
 
 	pisces "repro"
+	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -181,7 +182,7 @@ func newRunFlags() *runFlags {
 	fs.IntVar(&r.nodes, "nodes", 1,
 		"run distributed: partition the clusters across this many OS processes (forked automatically) over loopback TCP")
 	fs.BoolVar(&r.netfault, "netfault", false,
-		"run one VM per cluster in this process, joined by a network injecting deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
+		"run one node per cluster in this process, joined by an in-memory network injecting deterministic seeded latency and retransmission faults on every connection (combine with -sim for byte-reproducible network schedules)")
 	return r
 }
 
@@ -277,12 +278,22 @@ func runInterpreted(args []string, out io.Writer) (err error) {
 		opts.UserOutput = sw
 		opts.TraceSinks = []pisces.TraceSink{pisces.WriterTraceSink{W: sw}}
 	}
-	// -netfault runs the node runtime's hosting shape in this process: one VM
-	// per cluster, joined by the seeded fault network.
+	// -netfault runs the node runtime in this process: one node per cluster,
+	// joined by the seeded fault network.
 	var run func(*pisces.InterpretedProgram) error
 	interp := pisces.InterpretOptions{Main: r.prog.main}
 	if r.netfault {
-		mesh, err := node.NewFaultMesh(cfg, r.seed, node.DefaultFaultProfile(), func(int) pisces.Options { return opts })
+		// The nodes share the registry, so -stats, -trace and the recorder
+		// cover the mesh.
+		reg.AttachRecorder(rec)
+		reg.AddTraceSink(opts.TraceSinks...)
+		be := opts.Backend
+		if be == nil {
+			be = backend.Default()
+		}
+		mesh, err := node.NewFaultMesh(cfg, be, r.seed, node.DefaultFaultProfile(), func(int) node.Options {
+			return node.Options{Out: opts.UserOutput, AcceptTimeout: opts.AcceptTimeout, Metrics: reg, BlackboxDir: r.seen.blackboxOut}
+		})
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,9 @@
 //     initiation replies);
 //   - Sem is a binary semaphore (LOCK variables, the per-PE CPU under the
 //     deterministic backend);
-//   - WaitGroup counts outstanding work (user tasks, force members).
+//   - WaitGroup counts outstanding work (user tasks, force members);
+//   - Cond is a condition variable over a Go lock (a node's lanes, stages
+//     and waits on its peers).
 //
 // A deterministic backend distinguishes two calling contexts: code running
 // inside a spawned task, and the external "driver" (the test, the CLI, the
@@ -54,6 +56,8 @@ type Backend interface {
 	NewSem() Sem
 	// NewWaitGroup returns a fresh wait group.
 	NewWaitGroup() WaitGroup
+	// NewCond returns a condition variable over l.
+	NewCond(l sync.Locker) Cond
 	// AfterFunc arranges for fn to run once after duration d (virtual time
 	// under a deterministic backend).
 	AfterFunc(d time.Duration, fn func()) Timer
@@ -119,6 +123,16 @@ type WaitGroup interface {
 	Wait()
 }
 
+// Cond is a condition variable, like sync.Cond: Wait is called with its lock
+// held, releases it while parked and re-takes it before returning.  A task
+// may hold a Go lock only while it runs, never across a park, so under a
+// deterministic backend the lock is never contended.
+type Cond interface {
+	Wait()
+	Signal()
+	Broadcast()
+}
+
 // Timer is a stoppable pending AfterFunc.
 type Timer interface {
 	// Stop cancels the timer; it reports false if the timer already fired
@@ -151,11 +165,11 @@ func (goroutineBackend) NewSem() Sem {
 	return s
 }
 
-func (goroutineBackend) NewWaitGroup() WaitGroup { return &gWaitGroup{} }
+func (goroutineBackend) NewWaitGroup() WaitGroup { return &sync.WaitGroup{} }
 
-func (goroutineBackend) AfterFunc(d time.Duration, fn func()) Timer {
-	return gTimer{t: time.AfterFunc(d, fn)}
-}
+func (goroutineBackend) NewCond(l sync.Locker) Cond { return sync.NewCond(l) }
+
+func (goroutineBackend) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
 func (goroutineBackend) Now() time.Time { return Now() }
 
@@ -270,15 +284,3 @@ func (s *gSem) Release() bool {
 		return false
 	}
 }
-
-// gWaitGroup wraps sync.WaitGroup.
-type gWaitGroup struct{ wg sync.WaitGroup }
-
-func (w *gWaitGroup) Add(delta int) { w.wg.Add(delta) }
-func (w *gWaitGroup) Done()         { w.wg.Done() }
-func (w *gWaitGroup) Wait()         { w.wg.Wait() }
-
-// gTimer wraps time.Timer from AfterFunc.
-type gTimer struct{ t *time.Timer }
-
-func (t gTimer) Stop() bool { return t.t.Stop() }

@@ -104,10 +104,10 @@ type Result struct {
 // KillRecovery reports what a RunKill recovery actually did, so the sweep
 // can assert the kill landed mid-run rather than on an idle cluster.
 type KillRecovery struct {
-	Victims     int   // user tasks running on the killed VM at the kill
-	Checkpoints int   // periodic checkpoints completed before the kill
-	Replayed    int   // retained frames replayed after the restore
-	Err         error // a checkpoint or restore error
+	Victims     int // user tasks running on the killed node at the kill
+	Checkpoints int // checkpoints the killed node shipped before the kill
+	Deaths      int // deaths the survivor's detector declared (node.ha.deaths)
+	Replayed    int // retained frames the survivor replayed after the restore
 }
 
 // harnessCache is the conformance harness's own compile-cache handle: sweep
@@ -157,60 +157,56 @@ func RunObserved(src string, seed int64) Result {
 	return run(src, seed, reg, obs.NewRecorder(0, 0, 0))
 }
 
-// RunFault is Run on the node runtime's hosting shape: one VM per cluster
-// (node.FaultMesh), every cross-cluster message paying seeded virtual-clock
+// RunFault is Run on the node runtime: one node per cluster
+// (node.FaultMesh), every write between nodes paying seeded virtual-clock
 // delays, so the sweep exercises network schedules a single process never
 // produces, through the code a real node runs, reproducibly from the seed.
-func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, nil) }
+func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, 0, nil) }
 
-// RunKill runs the program on RunFault's mesh in HA mode and kills one VM
-// mid-run the way a node dies.  A hosts cluster 1 and the terminal, whose
-// controllers anchor the run and are not recoverable; B hosts cluster 2, the
-// task-initiated part.  B checkpoints every ckptEvery (mesh.Checkpoint) and
-// dies at killAt (mesh.Kill).  It all runs on the virtual clock, so a
-// recovery replays byte-identically from (seed, killAt, ckptEvery).  Output
-// is A's terminal; B's diagnostics go to a writer of its own.
-// HeapShardsInUse lists A's shards, then B's.
+// RunKill runs the program on RunFault's mesh in HA mode and kills one node
+// mid-run.  Node 0 hosts cluster 1 and the terminal, whose controllers
+// anchor the run and are not recoverable; node 1 hosts cluster 2, the
+// task-initiated part.  Every node checkpoints every ckptEvery, and node 1
+// dies at killAt (mesh.Kill); node 0 hears the silence, declares it dead,
+// adopts and restores cluster 2 and replays what it retained, as on a TCP
+// mesh.  It all runs on the virtual clock, so a recovery replays
+// byte-identically from (seed, killAt, ckptEvery).  Output is node 0's
+// terminal; node 1's goes to a writer of its own.  HeapShardsInUse lists
+// node 0's shards, then node 1's.
 func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *KillRecovery) {
 	rec := &KillRecovery{}
-	res := runMesh(src, seed, nil, nil, func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
-		var ckpt backend.Timer
-		var tick func()
-		tick = func() {
-			if err := mesh.Checkpoint(1); err != nil {
-				rec.Err = err
-				return
-			}
-			rec.Checkpoints++
-			ckpt = s.AfterFunc(ckptEvery, tick)
-		}
-		ckpt = s.AfterFunc(ckptEvery, tick)
+	res := runMesh(src, seed, nil, nil, ckptEvery, func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
+		var killed backend.Gate
 		kill := s.AfterFunc(killAt, func() {
-			ckpt.Stop()
-			for _, ti := range mesh.VMs[1].RunningTasks() {
-				if !ti.Controller {
-					rec.Victims++
+			killed = s.NewGate()
+			s.Spawn("harness kill", func() {
+				for _, ti := range mesh.VMs[1].RunningTasks() {
+					if !ti.Controller {
+						rec.Victims++
+					}
 				}
-			}
-			var err error
-			if rec.Replayed, err = mesh.Kill(1); err != nil {
-				rec.Err = err
-			}
+				rec.Checkpoints = int(mesh.VMs[1].Obs().Counter("node.ha.ckpt.tx").Load())
+				rec.Replayed = mesh.Kill(1)
+				rec.Deaths = int(mesh.VMs[0].Obs().Counter("node.ha.deaths").Load())
+				killed.Open()
+			})
 		})
 		return func() {
-			kill.Stop()
-			ckpt.Stop()
+			if !kill.Stop() {
+				killed.Wait()
+			}
 		}
 	})
 	return res, rec
 }
 
-// runMesh runs the program on the harness configuration's fault mesh, the
-// VMs sharing reg and rec.  A kill run boots it in HA mode, VM 1 writing to
-// a terminal of its own; kill arms its schedule before MAIN starts and
-// returns the disarm, run before Shutdown, whose drain pumps the scheduler a
-// self-rearming checkpoint would keep alive forever.
-func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill func(*node.FaultMesh, *sim.Scheduler) func()) (res Result) {
+// runMesh runs the program on the harness configuration's fault mesh.  With
+// reg the nodes share it, and rec; without, each node has a registry of its
+// own.  A kill run boots the nodes in HA mode, checkpointing every ckptEvery
+// with metrics on, node 1 writing to a terminal of its own; kill arms its
+// schedule before MAIN starts and returns the wait for a kill in progress,
+// run before Shutdown.
+func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptEvery time.Duration, kill func(*node.FaultMesh, *sim.Scheduler) func()) (res Result) {
 	s := sim.New(seed)
 	var out, deadOut bytes.Buffer
 	mem := &trace.MemorySink{}
@@ -221,13 +217,27 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill 
 		res.Err = err
 		return res
 	}
-	mesh, err := node.NewFaultMesh(harnessConfig(), seed, node.DefaultFaultProfile(), func(i int) core.Options {
-		o := core.Options{
-			UserOutput: &out, Backend: s, AcceptTimeout: 30 * time.Second, TraceSinks: []trace.Sink{mem},
-			Metrics: reg, FlightRecorder: rec, HA: kill != nil,
+	if reg != nil {
+		reg.AddTraceSink(mem)
+		reg.AttachRecorder(rec)
+	}
+	mesh, err := node.NewFaultMesh(harnessConfig(), s, seed, node.DefaultFaultProfile(), func(i int) node.Options {
+		o := node.Options{Out: &out, AcceptTimeout: 30 * time.Second, Metrics: reg}
+		if reg == nil {
+			o.Metrics = obs.New()
+			o.Metrics.AddTraceSink(mem)
 		}
-		if kill != nil && i > 0 {
-			o.UserOutput = &deadOut
+		if kill != nil {
+			// Heartbeats on the program's time scale: a run that waits out an
+			// hour-long DELAY need not beat every 25ms of it.  The detector
+			// suspects after ten silent beats, well past the network's worst
+			// delay.
+			beat := max(ckptEvery/8, node.DefaultFaultProfile().MaxDelay()/4)
+			o.Metrics.Enable(obs.Metrics)
+			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter = true, ckptEvery, beat, 10*beat
+			if i > 0 {
+				o.Out = &deadOut
+			}
 		}
 		return o
 	})
@@ -235,15 +245,17 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill 
 		res.Err = err
 		return res
 	}
-	mesh.VMs[0].Obs().TraceAll(true)
-	disarm := func() {}
+	for _, vm := range mesh.VMs {
+		vm.Obs().TraceAll(true)
+	}
+	await := func() {}
 	if kill != nil {
-		disarm = kill(mesh, s)
+		await = kill(mesh, s)
 	}
 	start := s.Now()
 	err = mesh.Run(prog, pfi.Options{})
 	res.VirtualElapsed = s.Now().Sub(start)
-	disarm()
+	await()
 	mesh.Shutdown()
 	collect(&res, s, &out, mem, mesh.VMs...)
 	res.Err = err

@@ -43,17 +43,18 @@ func killSchedule(elapsed time.Duration, seed int64) (killAt, ckptEvery time.Dur
 }
 
 // TestKillANodeConformance is the kill-a-node sweep: every corpus program
-// runs on the fault mesh's two VMs, the one hosting cluster 2
-// checkpointing it periodically and dying mid-run at a seed-derived virtual
-// time; the survivor adopts the cluster, restores its last checkpoint and
-// replays the retained post-checkpoint frames, as a node's buddy does.  The
+// runs on the fault mesh's two HA nodes, each checkpointing periodically,
+// and the node hosting cluster 2 dies mid-run at a seed-derived virtual
+// time; the survivor's detector declares it dead, and as leader and buddy
+// the survivor adopts the cluster, restores its last checkpoint and
+// initiation log and replays the retained post-checkpoint frames.  The
 // terminal output must be byte-identical to the fault-free single-process
 // baseline on every seed, no schedule may deadlock, and every heap shard of
 // both machines — the dead one's included — must come back empty: a node
 // death is invisible in the program's observable behaviour.
 func TestKillANodeConformance(t *testing.T) {
 	names, srcs := corpusPrograms(t)
-	totalVictims := 0
+	totalVictims, totalDeaths := 0, 0
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -70,10 +71,6 @@ func TestKillANodeConformance(t *testing.T) {
 				killAt, ckptEvery := killSchedule(ref.VirtualElapsed, seed)
 				res, rec := RunKill(srcs[name], seed, killAt, ckptEvery)
 				ctx := fmt.Sprintf("seed %d killAt=%v ckptEvery=%v", seed, killAt, ckptEvery)
-				if rec.Err != nil {
-					recordFailure(name, seed, "kill schedule error: "+rec.Err.Error())
-					t.Fatalf("%s: checkpoint/restore: %v", ctx, rec.Err)
-				}
 				if res.Err != nil {
 					recordFailure(name, seed, "kill run error: "+res.Err.Error())
 					t.Fatalf("%s: %v", ctx, res.Err)
@@ -96,6 +93,7 @@ func TestKillANodeConformance(t *testing.T) {
 					recovered = true
 				}
 				totalVictims += rec.Victims
+				totalDeaths += rec.Deaths
 			}
 			// Guard the harness: across the seed matrix at least one kill must
 			// have caught live tasks or forced a frame replay — except for the
@@ -109,6 +107,11 @@ func TestKillANodeConformance(t *testing.T) {
 	// or the whole suite degenerated into no-op recoveries.
 	if totalVictims == 0 {
 		t.Errorf("no kill across the whole matrix caught a live task; the sweep exercises nothing")
+	}
+	// Recovery is the production one: the survivor's detector declared the
+	// death and its rebalance ran.
+	if totalDeaths == 0 {
+		t.Errorf("no kill across the whole matrix went through the detector's verdict")
 	}
 }
 
@@ -128,8 +131,8 @@ func TestKillSeedStable(t *testing.T) {
 			killAt, ckptEvery := killSchedule(ref.VirtualElapsed, seed)
 			a, ra := RunKill(src, seed, killAt, ckptEvery)
 			b, rb := RunKill(src, seed, killAt, ckptEvery)
-			if a.Err != nil || b.Err != nil || ra.Err != nil || rb.Err != nil {
-				t.Fatalf("%s seed %d: %v / %v / %v / %v", name, seed, a.Err, b.Err, ra.Err, rb.Err)
+			if a.Err != nil || b.Err != nil {
+				t.Fatalf("%s seed %d: %v / %v", name, seed, a.Err, b.Err)
 			}
 			if a.Output != b.Output || a.Steps != b.Steps {
 				t.Fatalf("%s seed %d not reproducible: %d vs %d steps", name, seed, a.Steps, b.Steps)

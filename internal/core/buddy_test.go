@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"io"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // the slot its id names, not the first free one.  Cluster 2 has two slots.
 // At the checkpoint its slot 1 is free and r waits in slot 2 for a ping;
 // after the checkpoint a task on cluster 1 starts x in slot 1, x pings r, r
-// answers and both exit.  Then the VM hosting cluster 2 dies, and the
+// answers and both exit.  Then the node hosting cluster 2 dies, and the
 // survivor restores r and re-creates x under its logged id — which needs
 // slot 1.  Had r been put in the first free slot, x would wait for r to
 // exit and r for x's ping until its ACCEPT timed out, and x would then find
@@ -86,23 +85,22 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 		t.Fatalf("first lives finished %v; want r and x once each", done)
 	}
 
-	if _, err := netKillB(mesh); err != nil {
-		t.Fatal(err)
-	}
+	netKillB(mesh)
 	vmA.WaitIdle()
-	vmA.Shutdown()
+	mesh.Shutdown()
 	if done["r"] != 2 || done["x"] != 2 {
 		t.Errorf("restored lives finished %v; want r and x twice each", done)
 	}
 }
 
-// faultMesh boots a fault mesh of HA VMs on one simulator seeded with seed:
-// VM 0 hosts cluster 1, VM 1 cluster 2.
+// faultMesh boots a fault mesh of HA nodes on one simulator seeded with
+// seed: node 0 hosts cluster 1, node 1 cluster 2.  Checkpoints are the
+// test's: the periodic one is an hour away.
 func faultMesh(t *testing.T, seed int64, cfg *config.Configuration) (*sim.Scheduler, *node.FaultMesh) {
 	t.Helper()
 	s := sim.New(seed)
-	mesh, err := node.NewFaultMesh(cfg, seed, node.DefaultFaultProfile(), func(int) core.Options {
-		return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
+	mesh, err := node.NewFaultMesh(cfg, s, seed, node.DefaultFaultProfile(), func(int) node.Options {
+		return node.Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,18 +108,18 @@ func faultMesh(t *testing.T, seed int64, cfg *config.Configuration) (*sim.Schedu
 	return s, mesh
 }
 
-// netKillB is VM 1's death as VM 0 sees it over the fault network
-// (FaultMesh.Kill): VM 1's end fails and it stops; VM 0, its buddy, adopts
-// cluster 2, restores it from VM 1's last checkpoint and initiation log, and
-// replays what it retained toward VM 1.  It returns the number of user tasks
-// VM 1 was running.
-func netKillB(mesh *node.FaultMesh) (int, error) {
+// netKillB is node 1's death as node 0 sees it (FaultMesh.Kill): node 1
+// stops; node 0's detector declares it dead, and as its buddy node 0 adopts
+// cluster 2, restores it from node 1's last checkpoint and initiation log,
+// and replays what it retained toward node 1.  It returns the number of user
+// tasks node 1 was running.
+func netKillB(mesh *node.FaultMesh) int {
 	victims := 0
 	for _, ti := range mesh.VMs[1].RunningTasks() {
 		if !ti.Controller {
 			victims++
 		}
 	}
-	_, err := mesh.Kill(1)
-	return victims, err
+	mesh.Kill(1)
+	return victims
 }

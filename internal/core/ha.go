@@ -27,8 +27,8 @@ import (
 // Floors only advance, so any re-delivery — a replayed sender regenerating
 // its sends, a transport re-sending retained frames after a recovery — is
 // dropped at admission.  A receiver that has exited keeps answering for what
-// it admitted: its VM keeps the task's floors for two checkpoint generations
-// (recordExit), and a re-executed send to it succeeds silently when they
+// it admitted: its VM keeps the task's floors for two generations
+// (recordExit, AgeExitRecords), and a re-executed send to it succeeds silently when they
 // show it was admitted, and fails as any send to a gone task when not.  The
 // record lives with the receiver, so the buddy that restores the sender
 // knows it without ever having seen the sender's first life.  A replayed
@@ -137,8 +137,8 @@ func (vm *VM) recordExit(id TaskID, floors map[TaskID]uint64) {
 }
 
 // exitRecord returns the admission floors of an exited task, when it exited
-// recently enough for the record to be held (within the last two checkpoint
-// generations).  Its presence alone says a recovery may have lost the task's
+// recently enough for the record to be held (within the last two
+// generations, see AgeExitRecords).  Its presence alone says a recovery may have lost the task's
 // effects (see clusterRT.request).
 func (vm *VM) exitRecord(id TaskID) (map[TaskID]uint64, bool) {
 	vm.haGoneMu.Lock()
@@ -326,17 +326,21 @@ func (vm *VM) Checkpoint(clusters ...int) ([]byte, error) {
 		}
 		sections = append(sections, sec)
 	}
-	// Rotate the exit-record generations: a record only matters while a
-	// recovery replay could re-execute a send to its task or re-create it,
-	// i.e. while the frames that would do so are still retained — at most
-	// back to the previous checkpoint.  Two generations keep the map bounded
-	// by task turnover per checkpoint interval instead of growing for the
-	// VM's lifetime.
+	return msgcodec.EncodeCheckpoint(sections)
+}
+
+// AgeExitRecords starts a new exit-record generation and drops the one
+// before the last.  A record only matters while a recovery could re-execute
+// a send to its task or re-create it: while some peer's last durable
+// checkpoint predates the exit.  The caller knows when none can any more
+// (a node: once every peer's checkpoint mark covers a frame it sent since
+// the last call).  Two generations keep the map bounded by task turnover
+// instead of growing for the VM's lifetime.
+func (vm *VM) AgeExitRecords() {
 	vm.haGoneMu.Lock()
 	vm.haGoneOld = vm.haGone
 	vm.haGone = nil
 	vm.haGoneMu.Unlock()
-	return msgcodec.EncodeCheckpoint(sections)
 }
 
 // captureCheckpoint snapshots one cluster's recoverable state.
@@ -350,13 +354,25 @@ func (c *clusterRT) captureCheckpoint() haCkptCluster {
 		cs.pending = append(cs.pending, haCkptPending{key: p.key, tasktype: p.tasktype, parent: p.parent, args: p.args})
 	}
 	var recs []*taskRec
-	for i := c.userLo; i < len(c.slots); i++ {
-		// A reservation and a planned record (planLocked) have no task yet.
-		if r := c.slots[i].rec; r != nil && r.tasktype != "" {
+	var ctrl *taskRec
+	for i, slot := range c.slots {
+		switch r := slot.rec; {
+		case r == nil:
+		case i < c.userLo:
+			if r.id == c.controllerID {
+				ctrl = r
+			}
+		case r.tasktype != "": // a reservation and a planned record (planLocked) have no task yet
 			recs = append(recs, r)
 		}
 	}
 	c.mu.Unlock()
+	// A request the controller was handed but has not fielded yet is in no
+	// task and no pending entry, while the transport counts it delivered and
+	// lets the sender drop it: the cut carries it as pending.
+	if ctrl != nil {
+		cs.pending = append(cs.pending, ctrl.queuedInitRequests()...)
+	}
 	// Sorted serialization keeps the blob — and therefore the restore spawn
 	// order — deterministic for a given machine state.
 	sort.Slice(cs.initMap, func(i, j int) bool {
@@ -370,6 +386,27 @@ func (c *clusterRT) captureCheckpoint() haCkptCluster {
 		cs.tasks = append(cs.tasks, rec.captureCheckpoint())
 	}
 	return cs
+}
+
+// queuedInitRequests returns the initiate requests waiting in a task
+// controller's in-queue, as pending entries.
+func (r *taskRec) queuedInitRequests() []haCkptPending {
+	q := r.queue
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var out []haCkptPending
+	for i := 0; i < q.n; i++ {
+		m := q.at(i)
+		if m.Type != msgInitRequest || m.NumArgs() < 3 {
+			continue
+		}
+		tasktype, err1 := AsStr(m.Arg(0))
+		parent, err2 := AsID(m.Arg(1))
+		if err1 == nil && err2 == nil {
+			out = append(out, haCkptPending{key: initKey{parent: parent, seq: m.sendSeq}, tasktype: tasktype, parent: parent, args: append([]Value(nil), m.Args[3:]...)})
+		}
+	}
+	return out
 }
 
 // captureCheckpoint snapshots one task's replay state under its queue lock.

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"errors"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -18,7 +17,7 @@ import (
 )
 
 // corpusCheckpoint runs one conformance program on a sim-backed fault mesh of
-// HA VMs — whose wire latency is what makes virtual time pass — and returns
+// HA nodes — whose wire latency is what makes virtual time pass — and returns
 // the checkpoints of both clusters, each cut by the VM hosting it halfway
 // through the run.
 func corpusCheckpoint(t testing.TB, name string) [][]byte {
@@ -30,8 +29,8 @@ func corpusCheckpoint(t testing.TB, name string) [][]byte {
 	}
 	run := func(cutAt time.Duration) (blobs [][]byte, elapsed time.Duration) {
 		s := sim.New(1)
-		mesh, err := node.NewFaultMesh(config.Simple(2, 8).WithForces(1, 7, 8), 1, node.DefaultFaultProfile(), func(int) core.Options {
-			return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
+		mesh, err := node.NewFaultMesh(config.Simple(2, 8).WithForces(1, 7, 8), s, 1, node.DefaultFaultProfile(), func(int) node.Options {
+			return node.Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // an ACCEPT — the HA consumption log keeps every consumed message's argument
 // list (haMsg.Args is the message's own slice), a checkpoint's queue snapshot
 // keeps the lists of the messages waiting in the ring and in the replay pen,
-// and the fault transport holds a frame for milliseconds after Send has
+// and the fault network holds a frame for milliseconds after Send has
 // returned — while the sender's argument list (Task.SendArgs), the
 // receiver's AcceptResult and the accepted messages, header and argument
 // store (RecycleAccept), are storage handed out again.  A sender alternates
@@ -25,13 +25,13 @@ import (
 // and are still in flight when the list is filled again.  Each receiver
 // captures its checkpoint state before every ACCEPT, so the snapshot's
 // messages are accepted and recycled after it was taken.  The far cluster is
-// hosted by a second VM on the same simulator: a quarter of the way through
-// it is checkpointed, and half way through its VM dies the way a node does
-// and the first VM adopts the cluster, restores it and replays the retained
+// hosted by a second node on the same simulator: a quarter of the way
+// through it is checkpointed, and half way through the node dies and the
+// first node adopts the cluster, restores it and replays the retained
 // frames, so the far receiver runs again from its log, the snapshot's tail
 // and a pen the live and re-delivered frames collect in.
 // Every retained argument list and every delayed frame must be left with the
-// values of its own message.  The fault transport orders a lane by the
+// values of its own message.  The fault network orders a connection by the
 // backend clock, so the run is on the simulator, over eight seeds.
 func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 	const (
@@ -84,17 +84,15 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 		}
 		vm.Register("receiver", receiver)
 		vmB.Register("receiver", receiver)
-		victims := 0
+		victims, killed := 0, s.NewGate()
 		checkpoint := func() {
 			if err := mesh.Checkpoint(1); err != nil {
 				problems <- fmt.Sprintf("checkpoint: %v", err)
 			}
 		}
 		kill := func() {
-			var err error
-			if victims, err = netKillB(mesh); err != nil {
-				problems <- fmt.Sprintf("restore: %v", err)
-			}
+			victims = netKillB(mesh)
+			killed.Open()
 		}
 
 		vm.Register("sender", func(task *core.Task) {
@@ -108,13 +106,13 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 			for k := 0; k < msgs; k++ {
 				switch k {
 				case msgs / 4:
-					s.AfterFunc(0, checkpoint)
+					s.Spawn("checkpoint", checkpoint)
 				case msgs / 2:
-					s.AfterFunc(0, kill)
+					s.Spawn("kill", kill)
 				}
 				if k%10 == 0 {
 					// Let the virtual clock run: frames land, the receivers
-					// take some of what is queued, the timers above fire.
+					// take some of what is queued, the tasks above run.
 					if _, err := task.Accept(pause); err != nil {
 						problems <- err.Error()
 						return
@@ -134,8 +132,8 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 			t.Fatal(err)
 		}
 		vm.WaitIdle()
-		vm.Shutdown()
-		vmB.Shutdown()
+		killed.Wait()
+		mesh.Shutdown()
 		close(problems)
 		for p := range problems {
 			t.Errorf("seed %d: %s", seed, p)

@@ -79,16 +79,15 @@ type WireFrame struct {
 }
 
 // Transport carries cross-cluster wire frames between clusters hosted by
-// different VMs — the node runtime's sockets, or the delay line of a fault
-// network joining the VMs of one process (node.FaultMesh).  A frame between
-// two clusters of one VM never reaches a Transport.  Implementations must
-// preserve per-sender FIFO order for frames with the same (Src, Dst) pair.
-// The frame AND its Payload are borrowed: both are valid only until Send
-// returns (the header and the payload buffer are pooled together and reused
-// at that point), so a transport that defers delivery must copy what it
-// needs before returning — the batched TCP transport encodes the frame into
-// its batch buffer inside Send, a fault transport copies the payload into its
-// delay line.
+// different VMs: a node's batched lanes (internal/node), whether its
+// connections are loopback TCP or the in-memory fault network a
+// node.FaultMesh runs its nodes on.  A frame between two clusters of one VM
+// never reaches a Transport.  Implementations must preserve per-sender FIFO
+// order for frames with the same (Src, Dst) pair.  The frame AND its Payload
+// are borrowed: both are valid only until Send returns (the header and the
+// payload buffer are pooled together and reused at that point), so a
+// transport that defers delivery must copy what it needs before returning —
+// the node transport encodes the frame into its batch buffer inside Send.
 type Transport interface {
 	// Send hands one frame to the transport.
 	Send(f *WireFrame) error

@@ -163,8 +163,8 @@ type VM struct {
 	// HA-mode state (ha.go): ha gates every fault-tolerance code path;
 	// haGone keeps, per exited task, the admission floors it had at exit, so
 	// a re-executed send to it can be told from a new one (see recordExit).
-	// haGoneOld is the previous checkpoint interval's generation; Checkpoint
-	// rotates them so the maps stay bounded.  Guarded by haGoneMu, not vm.mu:
+	// haGoneOld is the previous generation; AgeExitRecords rotates them so
+	// the maps stay bounded.  Guarded by haGoneMu, not vm.mu:
 	// the maps are consulted on initiate paths that hold a cluster lock.
 	ha        bool
 	haGoneMu  sync.Mutex

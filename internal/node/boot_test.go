@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/config"
 )
 
@@ -18,7 +19,7 @@ func bareNode(t *testing.T, id int, addrs []string) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Node{opts: Options{NodeID: id, Addrs: addrs}, topo: topo, fp: Fingerprint(cfg, topo, "")}
+	return &Node{opts: Options{NodeID: id, Addrs: addrs, Net: tcpNet{}}, topo: topo, fp: Fingerprint(cfg, topo, ""), be: backend.Default()}
 }
 
 // TestDialFindsLateListener is pisces run -nodes 2 in small: node 0 dials

@@ -1,29 +1,24 @@
 package node
 
-import (
-	"time"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // SetDrainRound installs the hook the coordinator's drainQuiesce reports
 // every completed round to (TestBalancedDrainTakesTwoRoundsNoPause).
 func (n *Node) SetDrainRound(f func(pause bool)) { n.drainRound = f }
 
+// WireConfig sizes the batched wire path; SetWire gives a node one other
+// than the production zero value, to reach the window-of-1 and small-batch
+// boundaries.
+type WireConfig = wireConfig
+
+func SetWire(o *Options, w WireConfig) { o.wire = w }
+
 // CutCheckpoint cuts one checkpoint of the node's clusters now and ships it
 // to the buddy, as the HA loop's checkpoint tick does, and reports whether
-// the buddy acked it within ten seconds.
+// the buddy acked it before the node shut down.
 func (n *Node) CutCheckpoint() bool {
-	n.checkpointTick()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		n.ckptMu.Lock()
-		_, unacked := n.pendMark[n.ckptEpoch]
-		n.ckptMu.Unlock()
-		if !unacked {
-			return true
-		}
-	}
-	return false
+	epoch := n.checkpointTick()
+	return epoch > 0 && n.awaitCheckpoint(epoch)
 }
 
 // HeldInits returns the entries of the peer's initiation log this node holds

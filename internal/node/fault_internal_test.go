@@ -1,30 +1,31 @@
 package node
 
 import (
-	"io"
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/msgcodec"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // TestHAPlannedTaskKeepsItsMessages: a task whose re-creation is planned
 // owns its id's in-queue from the plan on.  After cluster 2's checkpoint a
-// spawner on cluster 1 starts a kid there; the VM hosting cluster 2 then
+// spawner on cluster 1 starts a kid there; the node hosting cluster 2 then
 // dies, and the survivor adopts the cluster, where a blocker takes the kid's
-// slot before the rest of Kill's steps run: the survivor restores the
-// cluster with the logged initiations, which plans the kid's id, and replays
-// the retained frames.  The kid's slot is taken, so the replayed request
-// waits; meanwhile the id gets a frame off the wire and a send from a task on
+// slot before the rest of the rebalance runs (the afterAdopt hook): the
+// survivor restores the cluster with the logged initiations, which plans the
+// kid's id, and replays the retained frames.  The kid's slot is taken, so
+// the replayed request waits; meanwhile the id gets a frame off the wire and a send from a task on
 // the survivor's own cluster 1.  Neither may be refused or dropped: the
 // re-created kid takes each exactly once.
 func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	s := sim.New(1)
-	mesh, err := NewFaultMesh(config.Simple(2, 1), 1, DefaultFaultProfile(), func(int) core.Options {
-		return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
+	mesh, err := NewFaultMesh(config.Simple(2, 1), s, 1, DefaultFaultProfile(), func(int) Options {
+		return Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,16 +64,11 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	}
 	_ = vmA.WaitTask(spawner)
 
-	adopter := mesh.stop(1)
-	if adopter == nil || adopter.vm != vmA {
-		t.Fatal("VM 0 did not adopt VM 1's cluster")
-	}
-	blocker, err := vmA.Initiate("blocker", core.OnCluster(2))
+	var blocker core.TaskID
+	mesh.nodes[0].afterAdopt = func() { blocker, err = vmA.Initiate("blocker", core.OnCluster(2)) }
+	mesh.Kill(1)
 	if err != nil || blocker.Slot != kid.Slot {
 		t.Fatalf("blocker %s (%v) does not hold the kid's slot %d", blocker, err, kid.Slot)
-	}
-	if _, err := mesh.restore(adopter, 1); err != nil {
-		t.Fatal(err)
 	}
 	payload, err := msgcodec.AppendEncode(nil, []core.Value{core.Int(2)})
 	if err != nil {
@@ -96,5 +92,201 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	mesh.Shutdown()
 	if lives != 2 || notes[1] != 1 || notes[2] != 1 || len(notes) != 2 {
 		t.Errorf("the kid lived %d times and took notes %v; want 2 lives and notes 1 and 2 once each", lives, notes)
+	}
+}
+
+// simMesh boots a two-node HA fault mesh on a simulator seeded with seed,
+// node 0 writing the terminal to out, every node registering the tasktypes;
+// checkpoints are the test's.
+func simMesh(t *testing.T, seed int64, cfg *config.Configuration, out *bytes.Buffer, wire wireConfig, register func(*core.VM)) (*sim.Scheduler, *FaultMesh) {
+	t.Helper()
+	s := sim.New(seed)
+	mesh, err := NewFaultMesh(cfg, s, seed, DefaultFaultProfile(), func(i int) Options {
+		o := Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour, Register: register, wire: wire}
+		if i == 0 {
+			o.Out = out
+		}
+		return o
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, mesh
+}
+
+// oneVM runs the tasktype main on cluster 1 of a single simulated VM and
+// returns its terminal output: what the mesh must print too.
+func oneVM(t *testing.T, cfg *config.Configuration, register func(*core.VM)) string {
+	t.Helper()
+	var out bytes.Buffer
+	vm, err := core.NewVM(cfg, core.Options{UserOutput: &out, Backend: sim.New(1), AcceptTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(vm)
+	if _, err := vm.Run("main", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	vm.WaitIdle()
+	vm.Shutdown()
+	return out.String()
+}
+
+// TestHAKillBetweenInitLogAndAck: node 1 dies after its controller sent the
+// buddy an fInitLog entry and before the ack came back, so the child never
+// ran there.  A main on cluster 1 starts a parent on cluster 2, which starts
+// a child on cluster 2; the kill lands once node 0 holds the child's entry
+// and node 1 has not seen its ack.  Node 0 adopts cluster 2, plans the
+// logged child and replays main's request, so the parent runs again and its
+// INITIATE of the child comes back under the logged id: the child runs on
+// node 0 once, under that id, and the terminal reads as on one VM.  (The
+// dead node's controller, released at its teardown, may still start the
+// child there; what that zombie sends vanishes with the node.)
+func TestHAKillBetweenInitLogAndAck(t *testing.T) {
+	cfg := config.Simple(2, 2)
+	ranAs := map[*core.VM][]core.TaskID{}
+	register := func(vm *core.VM) {
+		vm.Register("main", func(task *core.Task) {
+			if err := task.Initiate(core.OnCluster(2), "parent", core.ID(task.ID())); err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			m, err := task.AcceptOne("hello")
+			if err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			task.Println("HELLO", core.MustInt(m.Arg(0)))
+		})
+		vm.Register("parent", func(task *core.Task) {
+			if _, err := task.InitiateWait(core.OnCluster(2), "child", task.Arg(0)); err != nil {
+				t.Errorf("parent: %v", err)
+			}
+		})
+		vm.Register("child", func(task *core.Task) {
+			ranAs[task.VM()] = append(ranAs[task.VM()], task.ID())
+			if err := task.Send(core.MustID(task.Arg(0)), "hello", core.Int(7)); err != nil {
+				t.Errorf("child: %v", err)
+			}
+		})
+	}
+	want := oneVM(t, cfg, register)
+	clear(ranAs)
+
+	var out bytes.Buffer
+	s, mesh := simMesh(t, 1, cfg, &out, wireConfig{}, register)
+	var logged core.TaskID
+	acked := uint64(0)
+	killed := s.NewGate()
+	s.Spawn("watch", func() {
+		for len(mesh.nodes[0].HeldInits(1)) < 2 {
+			sleep(s, 100*time.Microsecond)
+		}
+		logged = mesh.nodes[0].HeldInits(1)[1].ID
+		p := mesh.nodes[1].tr.peerAt(0)
+		p.mu.Lock()
+		acked = p.logAcked
+		p.mu.Unlock()
+		if len(ranAs) != 0 {
+			t.Errorf("the child ran as %v before its entry was acked", ranAs)
+		}
+		mesh.Kill(1)
+		killed.Open()
+	})
+	if _, err := mesh.VMs[0].Run("main", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	killed.Wait()
+	mesh.Shutdown()
+	if acked >= 2 {
+		t.Errorf("node 1 saw its log acked to entry %d before the kill; the kill must land before the child's ack", acked)
+	}
+	if got := ranAs[mesh.VMs[0]]; len(got) != 1 || got[0] != logged {
+		t.Errorf("the child ran on node 0 as %v; want once, as its logged id %s", got, logged)
+	}
+	if got := out.String(); got != want {
+		t.Errorf("terminal %q; one VM prints %q", got, want)
+	}
+}
+
+// TestHARebalanceWhileSenderStalledOnCredits: with a credit window of one, a
+// sender on cluster 1 streams to a receiver on cluster 2 and waits out its
+// window after every frame.  Node 1 dies while the sender is stalled on
+// credits toward it.  The stall must end (the dead lane takes the frame into
+// retention), the rebalance must take the route lock and finish, and the
+// receiver, rebuilt on node 0 from its logged initiation and the replayed
+// stream, must sum what one VM sums — with no deadlock on the simulator.
+func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
+	const msgs = 40
+	cfg := config.Simple(2, 2)
+	register := func(vm *core.VM) {
+		vm.Register("main", func(task *core.Task) {
+			rcv, err := task.InitiateWait(core.OnCluster(2), "receiver", core.ID(task.ID()))
+			if err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			for k := 1; k <= msgs; k++ {
+				if err := task.Send(rcv, "datum", core.Int(int64(k))); err != nil {
+					t.Errorf("main: send %d: %v", k, err)
+					return
+				}
+			}
+			m, err := task.AcceptOne("sum")
+			if err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			task.Println("SUM", core.MustInt(m.Arg(0)))
+		})
+		vm.Register("receiver", func(task *core.Task) {
+			sum := int64(0)
+			for k := 0; k < msgs; k++ {
+				m, err := task.AcceptOne("datum")
+				if err != nil {
+					t.Errorf("receiver: %v", err)
+					return
+				}
+				sum += core.MustInt(m.Arg(0))
+			}
+			if err := task.Send(core.MustID(task.Arg(0)), "sum", core.Int(sum)); err != nil {
+				t.Errorf("receiver: %v", err)
+			}
+		})
+	}
+	want := oneVM(t, cfg, register)
+
+	var out bytes.Buffer
+	s, mesh := simMesh(t, 3, cfg, &out, wireConfig{CreditWindow: 1}, register)
+	stalls := mesh.nodes[0].reg.Counter("node.credit.stalls")
+	mesh.nodes[0].reg.Enable(obs.Metrics)
+	killed, stalledAtKill := s.NewGate(), false
+	s.Spawn("watch", func() {
+		p := mesh.nodes[0].tr.peerAt(1)
+		for {
+			p.mu.Lock()
+			spent := p.credits <= 0
+			p.mu.Unlock()
+			if spent && stalls.Load() >= msgs/2 {
+				break
+			}
+			sleep(s, 100*time.Microsecond)
+		}
+		// The sender's next frame finds the window spent: it is in
+		// awaitCredit, holding no route lock, when the node dies.
+		stalledAtKill = true
+		mesh.Kill(1)
+		killed.Open()
+	})
+	if _, err := mesh.VMs[0].Run("main", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	killed.Wait()
+	mesh.Shutdown()
+	if !stalledAtKill {
+		t.Error("the kill did not land during a credit stall")
+	}
+	if got := out.String(); got != want {
+		t.Errorf("terminal %q; one VM prints %q", got, want)
 	}
 }

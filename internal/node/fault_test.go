@@ -1,32 +1,43 @@
 package node_test
 
 import (
-	"io"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-// TestFaultMeshBroadcastSurvivesKill: a broadcast between the VMs of one
-// fault network reaches the other VM's tasks, and is retained toward that
-// VM and replayed narrowed to the clusters it hosted.  A listener on cluster
-// 2 takes a broadcast sent after cluster 2's checkpoint; the VM hosting
-// cluster 2 then dies, and the survivor restores the listener and replays
-// the retained frames, so the restored listener takes the broadcast again.
-// A task on cluster 1 that started after the broadcast sees nothing of the
-// replay: it was never among the broadcast's receivers.
-func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
-	s := sim.New(1)
-	mesh, err := node.NewFaultMesh(config.Simple(2, 4), 1, node.DefaultFaultProfile(), func(int) core.Options {
-		return core.Options{UserOutput: io.Discard, Backend: s, AcceptTimeout: 30 * time.Second, HA: true}
+// haMesh boots a two-node HA fault mesh on a simulator seeded with seed:
+// node 0 hosts cluster 1, node 1 cluster 2.  Checkpoints are the test's:
+// the periodic one is an hour away.
+func haMesh(t *testing.T, seed int64, cfg *config.Configuration, wire node.WireConfig) (*sim.Scheduler, *node.FaultMesh) {
+	t.Helper()
+	s := sim.New(seed)
+	mesh, err := node.NewFaultMesh(cfg, s, seed, node.DefaultFaultProfile(), func(int) node.Options {
+		o := node.Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
+		node.SetWire(&o, wire)
+		return o
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, mesh
+}
+
+// TestFaultMeshBroadcastSurvivesKill: a broadcast between the nodes of one
+// fault mesh reaches the other node's tasks, and is retained toward that
+// node and replayed narrowed to the clusters it hosted.  A listener on
+// cluster 2 takes a broadcast sent after cluster 2's checkpoint; the node
+// hosting cluster 2 then dies, and the survivor restores the listener and
+// replays the retained frames, so the restored listener takes the broadcast
+// again.  A task on cluster 1 that started after the broadcast sees nothing
+// of the replay: it was never among the broadcast's receivers.
+func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
+	_, mesh := haMesh(t, 1, config.Simple(2, 4), node.WireConfig{})
 	vmA, vmB := mesh.VMs[0], mesh.VMs[1]
 	heard := map[string]int{}
 	for _, vm := range []*core.VM{vmA, vmB} {
@@ -63,18 +74,66 @@ func TestFaultMeshBroadcastSurvivesKill(t *testing.T) {
 	}
 	vmB.WaitIdle()
 	if heard["listener"] != 1 {
-		t.Fatalf("the listener on the other VM heard the broadcast %d times, want once", heard["listener"])
+		t.Fatalf("the listener on the other node heard the broadcast %d times, want once", heard["listener"])
 	}
 	if _, err := vmA.Initiate("late", core.OnCluster(1)); err != nil {
 		t.Fatal(err)
 	}
 
-	if n, err := mesh.Kill(1); err != nil || n != 1 {
-		t.Errorf("replayed %d frames for cluster 2 (%v), want the broadcast", n, err)
+	if n := mesh.Kill(1); n != 1 {
+		t.Errorf("replayed %d frames for cluster 2, want the broadcast", n)
 	}
 	vmA.WaitIdle()
-	vmA.Shutdown()
+	mesh.Shutdown()
 	if heard["listener"] != 2 || heard["late"] != 0 {
 		t.Errorf("heard %v; want the listener in both lives and nothing for the late task", heard)
+	}
+}
+
+// TestFaultMeshKeepsStreamOrderOnRealTimers runs a fault mesh on the
+// goroutine backend, as `pisces run -netfault` without -sim does.  Writes a
+// connection takes close together land a nanosecond apart, and real timers
+// that close may fire in either order; the stream must still land in write
+// order, or the receiver reads a frame's length prefix out of another
+// frame's bytes.  A producer streams numbered messages to a sink on the other
+// node, which must take every one, in order.
+func TestFaultMeshKeepsStreamOrderOnRealTimers(t *testing.T) {
+	const msgs = 3000
+	mesh, err := node.NewFaultMesh(config.Simple(2, 4), backend.Default(), 5, node.DefaultFaultProfile(), func(int) node.Options {
+		return node.Options{AcceptTimeout: 30 * time.Second}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Shutdown()
+	for _, vm := range mesh.VMs {
+		vm.Register("producer", func(task *core.Task) {
+			for k := 0; k < msgs; k++ {
+				if err := task.SendParent("datum", core.Int(int64(k))); err != nil {
+					t.Errorf("producer: send %d: %v", k, err)
+					return
+				}
+			}
+		})
+	}
+	mesh.VMs[0].Register("sink", func(task *core.Task) {
+		if err := task.Initiate(core.OnCluster(2), "producer"); err != nil {
+			t.Errorf("sink: %v", err)
+			return
+		}
+		for k := 0; k < msgs; k++ {
+			res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "datum", Count: 1}}, Delay: 20 * time.Second})
+			if err != nil || res.TimedOut {
+				t.Errorf("sink: message %d never came (%v)", k, err)
+				return
+			}
+			if got := core.MustInt(res.Accepted[0].Arg(0)); got != int64(k) {
+				t.Errorf("sink: message %d arrived as %d", k, got)
+				return
+			}
+		}
+	})
+	if _, err := mesh.VMs[0].Run("sink", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,23 +40,23 @@ import (
 // the cut; B drops the entries it covers and, when X dies, hands the rest to
 // Restore, so a child started after the cut comes back under its first id.
 //
-// The fault mesh (fault.go) keeps the same retention per lane and buddyStore.
+// A FaultMesh (fault.go) runs this same code: its nodes are real nodes on an
+// in-memory network, so the seeded sweeps drive every step above.
 
-// retention is one end's sender-side retention toward another: the counted
-// frames it sent that way, numbered from 1 and kept in wire encoding (kind
-// byte + body) until the receiver's mark covers them, so frames holds
-// numbers acked+1 on.  The owner guards it.  replayed marks that the backlog
-// went to the dead receiver's adopter; nothing more is kept for it.
+// retention is a lane's sender-side retention: the counted frames it
+// carried, numbered from 1 and kept in wire encoding (kind byte + body) until
+// the receiver's mark covers them, so frames holds numbers acked+1 on.  The
+// lane's lock guards it.  replayed marks that the backlog went to the dead
+// receiver's adopter; nothing more is kept for it.
 type retention struct {
 	acked    uint64
 	frames   [][]byte
 	replayed bool
 }
 
-// keep copies one counted frame into the log and returns its number.
-func (r *retention) keep(payload []byte) uint64 {
+// keep copies one counted frame into the log.
+func (r *retention) keep(payload []byte) {
 	r.frames = append(r.frames, append([]byte(nil), payload...))
-	return r.acked + uint64(len(r.frames))
 }
 
 // release drops the frames a receiver's checkpoint mark covers.
@@ -74,40 +74,13 @@ func (r *retention) take() [][]byte {
 	return frames
 }
 
-// replay puts retained frames, in send order, to the adopter of a dead end
-// that hosted clusters, and returns how many it put.  A node-wide broadcast
-// goes once per cluster, narrowed to it: the dead end's tasks are the
-// receivers it has not reached on the adopter, and the adopter's own tasks —
-// one started after the broadcast included — never were.
-func replay(frames [][]byte, clusters []int, put func(payload []byte) error) (n int, err error) {
-	var m frame
-	for _, f := range frames {
-		copies := [][]byte{f}
-		if _, derr := decodeFrame(&m, f); derr == nil && m.kind == fBcast && m.msg.Dst == 0 {
-			copies = copies[:0]
-			for _, c := range clusters {
-				g := m.msg
-				g.Dst = c
-				copies = append(copies, encodeWireFrame(nil, &g))
-			}
-		}
-		for _, p := range copies {
-			if perr := put(p); perr != nil && err == nil {
-				err = perr
-			}
-			n++
-		}
-	}
-	return n, err
-}
-
 // heldInit is entry count of a peer's initiation log.
 type heldInit struct {
 	count uint64
 	init  core.LoggedInit
 }
 
-// buddyStore is what an end holds as its peers' buddy, by peer id: the
+// buddyStore is what a node holds as its peers' buddy, by peer id: the
 // latest checkpoint blob and the initiation log entries it does not cover.
 type buddyStore struct {
 	mu    sync.Mutex
@@ -145,17 +118,6 @@ func (b *buddyStore) held(from int) ([]byte, []core.LoggedInit) {
 		inits[i] = h.init
 	}
 	return b.blobs[from], inits
-}
-
-// nextLive returns the next live end after the given id, cyclically, or -1:
-// an end's buddy, or a dead end's adopter — the end its blob went to.
-func nextLive(after, total int, dead func(int) bool) int {
-	for i := 1; i < total; i++ {
-		if id := (after + i) % total; !dead(id) {
-			return id
-		}
-	}
-	return -1
 }
 
 // setHA flips the transport into retention mode; buddy names the holder of
@@ -224,19 +186,55 @@ func (tr *transport) isDead(node int) bool {
 	return p.dead
 }
 
-// ackRetained drops the retained prefix a peer's checkpoint mark covers,
-// unless the peer is marked dead: its frames will be replayed instead
-// (over-replay is safe, under-retention is not).
+// ackRetained drops the retained prefix a peer's checkpoint mark covers.  A
+// mark is sent only once the buddy holds the blob, so it holds also when it
+// lands after the lane broke: the blob is what the buddy restores.  Until
+// the backlog is replayed it is released, and what markDead already settled
+// the drain balance for is written off as lost with it.  Replaying a covered
+// frame instead would deliver it twice if it carries no send sequence — a
+// user's INITIATE of a task on the dead node, say.
 func (tr *transport) ackRetained(node int, count uint64) {
 	p := tr.peerAt(node)
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	if !p.dead {
+	if !p.ret.replayed {
+		before := p.ret.acked
 		p.ret.release(count)
+		if p.deadDone {
+			tr.lost.Add(p.ret.acked - before)
+		}
 	}
 	p.mu.Unlock()
+	tr.ageExitRecords()
+}
+
+// ageExitRecords starts a new generation of the VM's exit records once
+// every peer that could still re-execute sends into this node has a durable
+// checkpoint cut after the current one began: its mark covers a frame this
+// node sent it since.  A dead peer whose backlog is not replayed yet holds
+// the generations back; one whose backlog went to its buddy no longer does.
+func (tr *transport) ageExitRecords() {
+	tr.ageMu.Lock()
+	defer tr.ageMu.Unlock()
+	peers := tr.allPeers()
+	for _, p := range peers {
+		p.mu.Lock()
+		past := p.ret.replayed || p.ret.acked > p.agedAt
+		p.mu.Unlock()
+		if !past {
+			return
+		}
+	}
+	for _, p := range peers {
+		p.mu.Lock()
+		p.agedAt = p.ret.acked + uint64(len(p.ret.frames))
+		p.mu.Unlock()
+	}
+	if vm := tr.vm.Load(); vm != nil {
+		vm.AgeExitRecords()
+	}
 }
 
 // LogInit implements core's initLogger: the initiation goes to this node's
@@ -295,11 +293,15 @@ func (tr *transport) stopLog() {
 	}
 }
 
-// replayRetained replays the frames retained toward the dead node onto the
-// buddy's lane, or through local (the node's own deliver path) when this
-// node IS the buddy, then reroutes the dead node's clusters and returns the
-// number replayed.  The caller holds routeMu exclusively, so the backlog
-// precedes every newly routed frame, as the restored floors assume.
+// replayRetained replays the frames retained toward the dead node, in send
+// order, onto the buddy's lane, or through local (the node's own deliver
+// path) when this node IS the buddy, then reroutes the dead node's clusters
+// and returns the number replayed.  A node-wide broadcast goes once per dead
+// cluster, narrowed to it: the dead node's tasks are the receivers it has
+// not reached on the buddy, and the buddy's own tasks — one started after
+// the broadcast included — never were.  The caller holds routeMu
+// exclusively, so the backlog precedes every newly routed frame, as the
+// restored floors assume.
 func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) error) (int, error) {
 	pd := tr.peerAt(dead)
 	if pd == nil {
@@ -325,7 +327,28 @@ func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) 
 			})
 		}
 	}
-	n, err := replay(frames, tr.topo.Clusters(dead), put)
+	var (
+		n   int
+		err error
+		m   frame
+	)
+	for _, f := range frames {
+		copies := [][]byte{f}
+		if _, derr := decodeFrame(&m, f); derr == nil && m.kind == fBcast && m.msg.Dst == 0 {
+			copies = copies[:0]
+			for _, c := range tr.topo.Clusters(dead) {
+				g := m.msg
+				g.Dst = c
+				copies = append(copies, encodeWireFrame(nil, &g))
+			}
+		}
+		for _, p := range copies {
+			if perr := put(p); perr != nil && err == nil {
+				err = perr
+			}
+			n++
+		}
+	}
 	// The buddy counts every narrowed copy of a broadcast received; the
 	// original enqueue counted one sent.
 	tr.sent.Add(uint64(n - len(frames)))

@@ -40,51 +40,48 @@ import (
 // serialises the hosted clusters and ships the blob to the buddy).
 const defaultCheckpointInterval = 250 * time.Millisecond
 
-// haLoop is the HA heartbeat: on every tick it beats each live peer, sweeps
-// the failure detector, and periodically cuts a checkpoint.  Deaths are
-// handled on their own goroutine so a slow restore never pauses the
-// heartbeats that keep THIS node alive in its peers' detectors.
+// haLoop is the HA heartbeat: every HeartbeatInterval on the backend clock
+// it beats each live peer and sweeps the failure detector, and on the first
+// beat CheckpointInterval after the last cut it cuts a checkpoint.  It ends
+// when shutdown pulses haWake.  Deaths are handled in tasks of their own so
+// a slow restore never pauses the heartbeats that keep THIS node alive in
+// its peers' detectors.
 func (n *Node) haLoop() {
 	defer n.readers.Done()
-	hb := time.NewTicker(n.opts.HeartbeatInterval)
-	defer hb.Stop()
-	ck := time.NewTicker(n.opts.CheckpointInterval)
-	defer ck.Stop()
 	beat := encodeHeartbeat(n.opts.NodeID)
-	for {
-		select {
-		case <-n.shutdownCh:
-			return
-		case <-hb.C:
-			for _, id := range n.det.Alive() {
-				if id != n.opts.NodeID {
-					_ = n.tr.sendControl(id, beat)
-				}
+	lastCut := n.be.Now()
+	for !n.haWake.WaitTimeout(n.opts.HeartbeatInterval) {
+		for _, id := range n.det.Alive() {
+			if id != n.opts.NodeID {
+				_ = n.tr.sendControl(id, beat)
 			}
-			for _, dead := range n.det.Check() {
-				n.spawn(func() { n.handleDeath(dead) })
-			}
-		case <-ck.C:
+		}
+		for _, dead := range n.det.Check() {
+			n.spawn(func() { n.handleDeath(dead) })
+		}
+		if now := n.be.Now(); now.Sub(lastCut) >= n.opts.CheckpointInterval {
+			lastCut = now
 			n.checkpointTick()
 		}
 	}
 }
 
 // checkpointTick cuts one checkpoint of the hosted clusters and streams it to
-// the buddy with the initiation log's count.  The counts are taken BEFORE
-// the cut, so their effects are inside the blob; the receive counts go out
-// as retention marks only once the buddy acks the blob (fCkptAck), or the
-// blob and the frames that rebuild it could die together.
-func (n *Node) checkpointTick() {
+// the buddy with the initiation log's count, and returns its epoch (0 when
+// none was shipped).  The counts are taken BEFORE the cut, so their effects
+// are inside the blob; the receive counts go out as retention marks only
+// once the buddy acks the blob (fCkptAck), or the blob and the frames that
+// rebuild it could die together.
+func (n *Node) checkpointTick() uint64 {
 	buddy := n.nextLive(n.opts.NodeID)
 	if buddy < 0 {
-		return // no live peer to hold the blob
+		return 0 // no live peer to hold the blob
 	}
 	snap, inits := n.tr.recvSnapshot(), n.tr.logged.Load()
 	blob, err := n.vm.Checkpoint(n.vm.HostedClusters()...)
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: checkpoint failed: %v\n", n.opts.NodeID, err)
-		return
+		return 0
 	}
 	n.ckptMu.Lock()
 	n.ckptEpoch++
@@ -93,12 +90,34 @@ func (n *Node) checkpointTick() {
 	n.ckptMu.Unlock()
 	if err := n.tr.sendControl(buddy, encodeCkpt(n.opts.NodeID, epoch, inits, blob)); err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: shipping checkpoint %d to node %d: %v\n", n.opts.NodeID, epoch, buddy, err)
-		return
+		return 0
 	}
 	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(n.opts.NodeID), B: int64(epoch)})
 	if n.reg.Has(obs.Metrics) {
 		n.haCkptTx.Inc()
 	}
+	return epoch
+}
+
+// awaitHA waits until done, evaluated under ckptMu, holds — after a
+// checkpoint's ack or a rebalance — or the node shuts down, and reports
+// done.
+func (n *Node) awaitHA(done func() bool) bool {
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
+	for !done() && !n.shuttingDown() {
+		n.haProgress.Wait()
+	}
+	return done()
+}
+
+// awaitCheckpoint waits until the buddy acked the checkpoint of the epoch,
+// and reports whether it did before the node shut down.
+func (n *Node) awaitCheckpoint(epoch uint64) bool {
+	return n.awaitHA(func() bool {
+		_, unacked := n.pendMark[epoch]
+		return !unacked
+	})
 }
 
 // storeCheckpoint is the buddy side of a checkpoint: keep the latest blob for
@@ -126,6 +145,7 @@ func (n *Node) broadcastMarks(epoch uint64) {
 			delete(n.pendMark, e)
 		}
 	}
+	n.haProgress.Broadcast()
 	n.ckptMu.Unlock()
 	if !ok {
 		return
@@ -138,9 +158,16 @@ func (n *Node) broadcastMarks(epoch uint64) {
 	}
 }
 
-// nextLive is nextLive over the mesh's nodes.
+// nextLive returns the next live node after the given id, cyclically, or -1:
+// a node's buddy, or a dead node's adopter — the node its blob went to.
 func (n *Node) nextLive(after int) int {
-	return nextLive(after, len(n.opts.Addrs), n.det.Dead)
+	total := len(n.opts.Addrs)
+	for i := 1; i < total; i++ {
+		if id := (after + i) % total; !n.det.Dead(id) {
+			return id
+		}
+	}
+	return -1
 }
 
 // handleDeath reacts to a locally detected death.  Only the rebalance leader
@@ -186,8 +213,8 @@ func (n *Node) handleDeath(dead int) {
 // race the admission floors the replay depends on.  It travels on the
 // buddy's lane and the verdict on the leader's, so it can arrive FIRST.
 func (n *Node) handleRebalance(dead, buddy int, ready bool) {
-	n.rebalMu.Lock()
-	defer n.rebalMu.Unlock()
+	n.rebalMu.Acquire()
+	defer n.rebalMu.Release()
 	if n.shuttingDown() {
 		return
 	}
@@ -215,6 +242,9 @@ func (n *Node) handleRebalance(dead, buddy int, ready bool) {
 func (n *Node) adoptAndRestore(dead int) {
 	clusters := n.topo.Clusters(dead)
 	n.vm.AdoptClusters(clusters...)
+	if n.afterAdopt != nil {
+		n.afterAdopt()
+	}
 	blob, inits := n.store.held(dead)
 	if len(blob) == 0 {
 		fmt.Fprintf(n.opts.Log, "node %d: no checkpoint stored for node %d; clusters %v restart empty\n",
@@ -228,7 +258,9 @@ func (n *Node) adoptAndRestore(dead int) {
 // finishRebalance replays this node's retained frames onto the buddy and
 // flips the route, atomically with respect to every concurrent send (the
 // exclusive route lock is what keeps the replayed backlog ahead of newly
-// routed frames on the buddy's lane).
+// routed frames on the buddy's lane), and records how many it replayed.  No
+// sender waits while holding the route lock, and neither does the replay,
+// so taking it never parks.
 func (n *Node) finishRebalance(dead, buddy int) {
 	t0 := n.reg.SpanStart()
 	// On the buddy the backlog takes the same deliver path as frames off a
@@ -251,6 +283,10 @@ func (n *Node) finishRebalance(dead, buddy int) {
 	n.reg.Emit(&obs.Event{Kind: obs.Rebalance, A: int64(n.opts.NodeID), Type: pair, Start: t0})
 	fmt.Fprintf(n.opts.Log, "node %d: rerouted node %d's clusters to node %d (%d retained frames replayed)\n",
 		n.opts.NodeID, dead, buddy, replayed)
+	n.ckptMu.Lock()
+	n.replayed[dead] = replayed
+	n.haProgress.Broadcast()
+	n.ckptMu.Unlock()
 	// A rebalance IS a failure: leave the black box behind while the events
 	// leading up to the death are still in the ring.
 	n.dumpBlackbox("rebalance " + pair)
@@ -259,11 +295,13 @@ func (n *Node) finishRebalance(dead, buddy int) {
 // Terminate tears the node down abruptly — no drain, no shutdown frames, no
 // VM flush — simulating a kill -9 for fault-tolerance tests.  Peers see the
 // connections drop and the heartbeats stop.  The VM's tasks are abandoned,
-// not stopped: their sends fail into the closed transport, which is exactly
-// what a killed process's in-flight work looks like from the outside.
+// not stopped: what they send from then on vanishes, with the batches not
+// yet written, which is what a killed process's in-flight work looks like
+// from the outside.
 func (n *Node) Terminate() {
-	n.closeOnce.Do(func() {
+	n.closeOnce(func() {
 		n.signalShutdown()
+		n.tr.killed = true
 		n.teardown()
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/msgcodec"
@@ -55,9 +56,11 @@ type Options struct {
 	// a metric snapshot to every drain ack, so the coordinator can print one
 	// merged cluster-wide view (FollowerSnapshots).
 	Metrics *obs.Registry
-	// Wire sizes the batched wire path (batch buffer, credit window); the
-	// zero value is the production setting, other values are for tests.
-	Wire WireConfig
+	// Net is the network the node runs on: how it listens on and dials the
+	// addresses in Addrs, and the backend its tasks, waits and clock come
+	// from.  Nil means loopback TCP on the goroutine backend (tcp.go); a
+	// FaultMesh's nodes run on an in-memory network (fault.go).
+	Net Network
 	// HA enables fault tolerance: peer heartbeats and failure detection,
 	// periodic checkpoints streamed to a buddy node, sender-side frame
 	// retention, and automatic rebalancing of a dead node's clusters (see
@@ -80,6 +83,19 @@ type Options struct {
 	// a tenant limit kill).  The recorder itself is always on; the directory
 	// only controls whether failures leave a dump file behind.
 	BlackboxDir string
+
+	// wire sizes the batched wire path; the zero value is the production
+	// setting, and only tests set another (export_test.go).
+	wire wireConfig
+}
+
+// Network is what a node runs on: the backend every spawn, wait, timer and
+// clock reading of the node goes through, and the listen and dial of its
+// mesh connections.
+type Network interface {
+	Backend() backend.Backend
+	Listen(addr string) (net.Listener, error)
+	Dial(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 // Node is one running node process: a partial VM plus the TCP mesh.
@@ -87,14 +103,22 @@ type Node struct {
 	opts Options
 	topo Topology
 	fp   [32]byte
+	be   backend.Backend
 
 	tr   *transport
 	vm   *core.VM
 	prog *pfi.Program
 	ln   net.Listener
 
-	readers sync.WaitGroup
-	acks    chan drainAck
+	// readers counts the node's tasks that teardown waits for: lane readers
+	// and deliver stages, the HA loop, and handlers run off a stage.
+	readers backend.WaitGroup
+
+	// acks collects the coordinator's drain round ackEpoch (drainQuiesce).
+	ackMu    sync.Mutex
+	ackCond  backend.Cond
+	ackEpoch uint32
+	acks     map[int]drainAck
 
 	inMu    sync.Mutex
 	inConns []net.Conn
@@ -116,14 +140,20 @@ type Node struct {
 	// Fault tolerance (HA mode only; nil/zero otherwise).  store holds the
 	// blobs and initiation logs this node keeps as other peers' buddy;
 	// ckptMu guards the pre-cut receive snapshots of this node's own
-	// un-acked checkpoint epochs; rebalMu serialises rebalances (one
-	// membership change at a time).
+	// un-acked checkpoint epochs and replayed, the frames each finished
+	// rebalance replayed, by dead peer; haProgress wakes a wait on either
+	// (awaitHA).  rebalMu serialises rebalances (one membership change at a
+	// time), a backend lock because a rebalance parks while holding it;
+	// haWake ends the HA loop at shutdown.
 	det        *detector
 	store      *buddyStore
 	ckptMu     sync.Mutex
+	haProgress backend.Cond
 	ckptEpoch  uint64
 	pendMark   map[uint64]map[int]uint64
-	rebalMu    sync.Mutex
+	replayed   map[int]int
+	rebalMu    backend.Sem
+	haWake     backend.Event
 	haDeaths   *obs.Counter // node.ha.deaths: peers this node saw die
 	haReplayed *obs.Counter // node.ha.replayed: retained frames replayed to a buddy
 	haCkptTx   *obs.Counter // node.ha.ckpt.tx: checkpoints shipped to the buddy
@@ -138,15 +168,25 @@ type Node struct {
 	// holdStage, when non-nil, runs on the deliver stage of every drain frame
 	// before the answer leaves it (tests hold a lane's stage with it).
 	holdStage func()
+	// afterAdopt, when non-nil, runs on the adopting buddy between the
+	// adoption of a dead node's clusters and their restore (tests).
+	afterAdopt func()
 
-	// idle is closed when the VM's one idle waiter sees it idle (idleWithin).
-	idleMu sync.Mutex
-	idle   chan struct{}
+	// idleRuns counts the VM idle waits finished (idleWithin); idleWaiting is
+	// set while one runs.
+	idleMu      sync.Mutex
+	idleCond    backend.Cond
+	idleRuns    uint64
+	idleWaiting bool
 
 	shutdownOnce sync.Once
-	shutdownCh   chan struct{}
-	closeOnce    sync.Once
-	closeErr     error
+	shutdown     backend.Gate
+	// closing is set by the first Close or Terminate; closed opens when it
+	// is done.
+	closeMu  sync.Mutex
+	closing  bool
+	closed   backend.Gate
+	closeErr error
 }
 
 // Start establishes the mesh (listen, dial every peer, verify the handshake
@@ -171,24 +211,34 @@ func Start(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Net == nil {
+		opts.Net = tcpNet{}
+	}
+	be := opts.Net.Backend()
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.New()
 	}
+	reg.SetClock(be.Now) // before the handshake span: on a simulator, every stamp is virtual
 	n := &Node{
 		opts:          opts,
 		topo:          topo,
 		fp:            Fingerprint(opts.Config, topo, opts.Source),
-		tr:            newTransport(opts.NodeID, topo, reg, opts.Wire),
-		acks:          make(chan drainAck, 4*len(opts.Addrs)),
-		shutdownCh:    make(chan struct{}),
+		be:            be,
+		tr:            newTransport(opts.NodeID, topo, reg, opts.wire, be),
+		readers:       be.NewWaitGroup(),
+		shutdown:      be.NewGate(),
+		closed:        be.NewGate(),
 		reg:           reg,
 		frameRead:     reg.Histogram("node.frame.read.ns", "ns"),
 		frameDeliver:  reg.Histogram("node.frame.deliver.ns", "ns"),
 		followerSnap:  make(map[int]*obs.Snapshot),
 		followerTrace: make(map[int]obs.ProcessTrace),
 	}
-	reg.AttachRecorder(obs.NewRecorder(opts.NodeID, 0, 0))
+	n.idleCond, n.ackCond = be.NewCond(&n.idleMu), be.NewCond(&n.ackMu)
+	if reg.Recorder() == nil {
+		reg.AttachRecorder(obs.NewRecorder(opts.NodeID, 0, 0))
+	}
 	if opts.HA {
 		if n.opts.HeartbeatInterval <= 0 {
 			n.opts.HeartbeatInterval = defaultHeartbeatInterval
@@ -204,9 +254,13 @@ func Start(opts Options) (*Node, error) {
 		for i := range ids {
 			ids[i] = i
 		}
-		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, reg.Now)
+		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, be.Now)
 		n.store = newBuddyStore(len(opts.Addrs))
 		n.pendMark = make(map[uint64]map[int]uint64)
+		n.haProgress = be.NewCond(&n.ckptMu)
+		n.replayed = make(map[int]int)
+		n.rebalMu = be.NewSem()
+		n.haWake = be.NewEvent()
 		n.haDeaths = reg.Counter("node.ha.deaths")
 		n.haReplayed = reg.Counter("node.ha.replayed")
 		n.haCkptTx = reg.Counter("node.ha.ckpt.tx")
@@ -215,7 +269,7 @@ func Start(opts Options) (*Node, error) {
 
 	ln := opts.Listener
 	if ln == nil {
-		ln, err = net.Listen("tcp", opts.Addrs[opts.NodeID])
+		ln, err = opts.Net.Listen(opts.Addrs[opts.NodeID])
 		if err != nil {
 			return nil, fmt.Errorf("node %d: listen: %w", opts.NodeID, err)
 		}
@@ -237,6 +291,7 @@ func Start(opts Options) (*Node, error) {
 	reg.Emit(&obs.Event{Kind: obs.MeshHandshake, A: int64(opts.NodeID), Start: meshT0})
 
 	vm, err := core.NewVM(opts.Config, core.Options{
+		Backend:       be,
 		UserOutput:    opts.Out,
 		Hosted:        topo.Clusters(opts.NodeID),
 		Remote:        n.tr,
@@ -259,14 +314,18 @@ func Start(opts Options) (*Node, error) {
 		opts.Register(vm)
 	}
 
-	for from, conn := range inbound {
-		n.inConns = append(n.inConns, conn) // before any reader: no lock yet
-		n.readers.Add(1)
-		go n.readLoop(from, conn)
+	// In node-id order, so a deterministic backend spawns the same tasks in
+	// the same order on every run.
+	for from := range opts.Addrs {
+		if conn := inbound[from]; conn != nil {
+			n.inConns = append(n.inConns, conn) // before any reader: no lock yet
+			n.readers.Add(1)
+			be.Spawn(fmt.Sprintf("node %d read %d", opts.NodeID, from), func() { n.readLoop(from, conn) })
+		}
 	}
 	if opts.HA && len(opts.Addrs) > 1 {
 		n.readers.Add(1)
-		go n.haLoop()
+		be.Spawn(fmt.Sprintf("node %d ha", opts.NodeID), n.haLoop)
 	}
 	fmt.Fprintf(opts.Log, "node %d up: hosting clusters %v of [%s]\n", opts.NodeID, topo.Clusters(opts.NodeID), topo)
 	return n, nil
@@ -278,81 +337,59 @@ func Start(opts Options) (*Node, error) {
 func (n *Node) connectMesh() (map[int]net.Conn, error) {
 	me, addrs := n.opts.NodeID, n.opts.Addrs
 	want := len(addrs) - 1
-	deadline := time.Now().Add(n.opts.ConnectTimeout)
+	deadline := n.be.Now().Add(n.opts.ConnectTimeout)
 
-	type accepted struct {
-		from int
-		conn net.Conn
-		err  error
-	}
-	acceptCh := make(chan accepted, 4*want+16)
-	stopAccept := make(chan struct{})
-	defer close(stopAccept)
+	var mu sync.Mutex
+	joined := n.be.NewCond(&mu)
+	inbound := make(map[int]net.Conn, want)
+	complete := false
 	// Accept until the mesh is complete, not a fixed count: a stray
 	// connection (a port scanner, a health probe) or a failed handshake must
 	// not use up a peer's only chance to join.  Each handshake runs in its
-	// own goroutine so one stalled dialer cannot block the others.
-	go func() {
+	// own task so one stalled dialer cannot block the others.
+	n.be.Spawn(fmt.Sprintf("node %d accept", me), func() {
 		for {
 			conn, err := n.ln.Accept()
 			if err != nil {
-				return // listener closed (mesh complete or Start failed)
+				return // listener closed (node torn down)
 			}
-			select {
-			case <-stopAccept:
-				_ = conn.Close()
-				return
-			default:
-			}
-			go func(conn net.Conn) {
+			n.be.Spawn(fmt.Sprintf("node %d handshake", me), func() {
 				from, err := n.handshakeAccept(conn, deadline)
+				mu.Lock()
+				defer mu.Unlock()
 				if err != nil {
+					fmt.Fprintf(n.opts.Log, "node %d: inbound handshake failed: %v\n", me, err)
+				}
+				if err != nil || complete || inbound[from] != nil {
 					_ = conn.Close()
+					return
 				}
-				select {
-				case acceptCh <- accepted{from: from, conn: conn, err: err}:
-				default:
-					_ = conn.Close() // collector gone or flooded; drop
-				}
-			}(conn)
+				inbound[from] = conn
+				joined.Broadcast()
+			})
 		}
-	}()
+	})
 
-	var dialErr error
 	for id := 0; id < len(addrs); id++ {
 		if id == me {
 			continue
 		}
 		conn, err := n.dialPeer(id, deadline)
 		if err != nil {
-			dialErr = err
-			break
+			mu.Lock()
+			complete = true // later handshakes close their connections
+			mu.Unlock()
+			return nil, err
 		}
 		n.tr.addPeer(id, conn)
 	}
-	if dialErr != nil {
-		return nil, dialErr
-	}
 
-	inbound := make(map[int]net.Conn, want)
-	for len(inbound) < want {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return nil, fmt.Errorf("node %d: timed out waiting for %d inbound peers", me, want-len(inbound))
-		}
-		select {
-		case a := <-acceptCh:
-			if a.err != nil {
-				fmt.Fprintf(n.opts.Log, "node %d: inbound handshake failed: %v\n", me, a.err)
-				continue
-			}
-			if _, dup := inbound[a.from]; dup {
-				_ = a.conn.Close()
-				continue
-			}
-			inbound[a.from] = a.conn
-		case <-time.After(wait):
-		}
+	mu.Lock()
+	defer mu.Unlock()
+	ok := waitWithin(n.be, &mu, joined, deadline.Sub(n.be.Now()), func() bool { return len(inbound) == want })
+	complete = true
+	if !ok {
+		return nil, fmt.Errorf("node %d: timed out waiting for %d inbound peers", me, want-len(inbound))
 	}
 	return inbound, nil
 }
@@ -370,22 +407,16 @@ const dialRetryCap = 50 * time.Millisecond
 func (n *Node) dialPeer(id int, deadline time.Time) (net.Conn, error) {
 	var lastErr error
 	retry := time.Millisecond
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", n.opts.Addrs[id], time.Until(deadline))
+	for now := n.be.Now(); now.Before(deadline); now = n.be.Now() {
+		conn, err := n.opts.Net.Dial(n.opts.Addrs[id], deadline.Sub(now))
 		if err != nil {
 			lastErr = err
 			if n.dialRefused != nil {
 				n.dialRefused(retry)
 			}
-			time.Sleep(retry)
+			sleep(n.be, retry)
 			retry = min(2*retry, dialRetryCap)
 			continue
-		}
-		// Frames are small and latency-sensitive (a ping-pong style program
-		// sends one frame per hop); Nagle coalescing would serialise the
-		// whole message path on the ACK clock.
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetNoDelay(true)
 		}
 		if err := n.handshakeDial(conn, id, deadline); err != nil {
 			_ = conn.Close()
@@ -580,13 +611,15 @@ type handoff struct {
 // laneReader is the buffer side of one lane's reader.
 type laneReader struct {
 	conn       io.Reader
-	buf        []byte      // the buffer being filled; its whole length is usable
-	start, end int         // buf[start:end] is read but not handed off: the head of an unfinished frame
-	free       chan []byte // retired nominal buffers, back from the deliver stage
+	buf        []byte // the buffer being filled; its whole length is usable
+	start, end int    // buf[start:end] is read but not handed off: the head of an unfinished frame
+
+	mu   sync.Mutex
+	free [][]byte // retired nominal buffers, back from the deliver stage
 }
 
 func newLaneReader(conn io.Reader) *laneReader {
-	return &laneReader{conn: conn, buf: make([]byte, readBufBytes), free: make(chan []byte, readBufSpares)}
+	return &laneReader{conn: conn, buf: make([]byte, readBufBytes), free: make([][]byte, 0, readBufSpares)}
 }
 
 // read blocks for one read of the connection and returns the run of whole
@@ -621,12 +654,14 @@ func (r *laneReader) take(need int) []byte {
 	if need > readBufBytes {
 		return make([]byte, need)
 	}
-	select {
-	case buf := <-r.free:
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if k := len(r.free); k > 0 {
+		buf := r.free[k-1]
+		r.free = r.free[:k-1]
 		return buf
-	default:
-		return make([]byte, readBufBytes)
 	}
+	return make([]byte, readBufBytes)
 }
 
 // recycle takes a hand-off's retired buffer (if it retired one) back from the
@@ -635,10 +670,11 @@ func (r *laneReader) recycle(buf []byte) {
 	if len(buf) != readBufBytes {
 		return
 	}
-	select {
-	case r.free <- buf:
-	default:
+	r.mu.Lock()
+	if len(r.free) < readBufSpares {
+		r.free = append(r.free, buf)
 	}
+	r.mu.Unlock()
 }
 
 // readLoop is the socket half of one peer's inbound pipeline: it reads the
@@ -661,12 +697,12 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 	defer n.readers.Done()
 	defer conn.Close()
 	r := newLaneReader(conn)
-	work := make(chan handoff, stageDepth)
+	work := newQueue[handoff](n.be, stageDepth)
 	n.readers.Add(1)
-	go n.deliverLoop(from, r, work)
+	n.be.Spawn(fmt.Sprintf("node %d deliver %d", n.opts.NodeID, from), func() { n.deliverLoop(from, r, work) })
 	// The deliver stage drains until work is closed, so the reader can
 	// always close it on exit without stranding queued frames.
-	defer close(work)
+	defer work.close()
 	// Per-lane inbound counters, named from the receiver's side so a merged
 	// cluster-wide snapshot shows every lane from both endpoints (tx counted
 	// by the sender, rx by the receiver) without colliding.
@@ -692,7 +728,7 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 				// matters for peers that would otherwise be silent.
 				n.det.Heard(from)
 			}
-			work <- run
+			work.put(run)
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !n.shuttingDown() {
@@ -716,11 +752,15 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 // grant that isn't coming.  The loop drains until the reader closes the
 // stage; protocol frames (even fShutdown) must not end it early, or a full
 // stage would wedge the reader.
-func (n *Node) deliverLoop(from int, r *laneReader, work <-chan handoff) {
+func (n *Node) deliverLoop(from int, r *laneReader, work *queue[handoff]) {
 	defer n.readers.Done()
 	pending := 0 // delivered-but-ungranted credited frames
 	var m frame  // reused per frame; no handler retains it
-	for run := range work {
+	for {
+		run, ok := work.get()
+		if !ok {
+			return
+		}
 		for rest := run.frames; len(rest) > 0; {
 			// ScanFrames vouched for every frame of the run.
 			var payload []byte
@@ -747,7 +787,7 @@ func (n *Node) deliverLoop(from int, r *laneReader, work <-chan handoff) {
 				}
 			}
 		}
-		if pending > 0 && len(work) == 0 {
+		if pending > 0 && work.len() == 0 {
 			n.tr.grantCredits(from, pending)
 			pending = 0
 		}
@@ -755,46 +795,42 @@ func (n *Node) deliverLoop(from int, r *laneReader, work <-chan handoff) {
 	}
 }
 
+// signalShutdown opens the shutdown gate and releases whatever waits on a
+// peer: init-log acks, checkpoint acks, the HA loop's next tick.
 func (n *Node) signalShutdown() {
 	n.shutdownOnce.Do(func() {
-		close(n.shutdownCh)
+		n.shutdown.Open()
 		n.tr.stopLog()
+		if n.det != nil {
+			n.ckptMu.Lock()
+			n.haProgress.Broadcast()
+			n.ckptMu.Unlock()
+			n.haWake.Pulse()
+		}
 	})
 }
 
-func (n *Node) shuttingDown() bool {
-	select {
-	case <-n.shutdownCh:
-		return true
-	default:
-		return false
-	}
-}
+func (n *Node) shuttingDown() bool { return n.shutdown.IsOpen() }
 
 // idleWithin reports whether every locally hosted user task terminated
 // within d.  The node keeps one idle waiter: a call that times out leaves it
 // waiting for the next call to find.
 func (n *Node) idleWithin(d time.Duration) bool {
 	n.idleMu.Lock()
-	done := n.idle
-	if done == nil {
-		done = make(chan struct{})
-		n.idle = done
-		go func() {
+	defer n.idleMu.Unlock()
+	target := n.idleRuns + 1
+	if !n.idleWaiting {
+		n.idleWaiting = true
+		n.be.Spawn(fmt.Sprintf("node %d idle", n.opts.NodeID), func() {
 			n.vm.WaitIdle()
 			n.idleMu.Lock()
-			n.idle = nil
+			n.idleWaiting = false
+			n.idleRuns++
+			n.idleCond.Broadcast()
 			n.idleMu.Unlock()
-			close(done)
-		}()
+		})
 	}
-	n.idleMu.Unlock()
-	select {
-	case <-done:
-		return true
-	case <-time.After(d):
-		return false
-	}
+	return waitWithin(n.be, &n.idleMu, n.idleCond, d, func() bool { return n.idleRuns >= target })
 }
 
 // answerDrain reports this node's quiescence for one drain round: whether
@@ -837,7 +873,7 @@ func (n *Node) ServeUntilShutdown() error {
 	if n.opts.NodeID == 0 {
 		return fmt.Errorf("node 0 coordinates: call RunMain and Close instead")
 	}
-	<-n.shutdownCh
+	n.shutdown.Wait()
 	return n.Close()
 }
 
@@ -857,14 +893,17 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 	if len(n.opts.Addrs) == 1 {
 		return nil
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := n.be.Now().Add(timeout)
 	var prevSent, prevRecv uint64
 	havePrev := false
-	for epoch := uint32(1); time.Now().Before(deadline); epoch++ {
+	for epoch := uint32(1); n.be.Now().Before(deadline); epoch++ {
 		roundT0 := n.reg.SpanStart()
 		// Dead peers (HA mode) are out of the round: their lanes drop control
 		// frames and their traffic has been settled into the survivors' counts
 		// by markDead/replay.  Re-list each round — a peer can die mid-drain.
+		n.ackMu.Lock()
+		n.ackEpoch, n.acks = epoch, make(map[int]drainAck)
+		n.ackMu.Unlock()
 		peers := 0
 		for id := range n.opts.Addrs {
 			if id == n.opts.NodeID || n.tr.isDead(id) {
@@ -873,17 +912,11 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 			peers++
 			_ = n.tr.sendControl(id, encodeDrain(epoch))
 		}
-		got := make(map[int]drainAck, peers)
-		roundDeadline := time.Now().Add(5 * time.Second)
-		for len(got) < peers && time.Now().Before(roundDeadline) && time.Now().Before(deadline) {
-			select {
-			case a := <-n.acks:
-				if a.epoch == epoch {
-					got[a.from] = a
-				}
-			case <-time.After(100 * time.Millisecond):
-			}
-		}
+		n.ackMu.Lock()
+		waitWithin(n.be, &n.ackMu, n.ackCond, min(5*time.Second, deadline.Sub(n.be.Now())), func() bool { return len(n.acks) >= peers })
+		got := n.acks
+		n.ackEpoch = 0 // later acks of this round find nobody collecting
+		n.ackMu.Unlock()
 		n.reg.Emit(&obs.Event{Kind: obs.DrainRound, A: int64(n.opts.NodeID), Type: strconv.FormatUint(uint64(epoch), 10), Start: roundT0})
 		if len(got) < peers {
 			continue
@@ -907,19 +940,22 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 			return nil
 		}
 		if !balanced {
-			time.Sleep(10 * time.Millisecond)
+			sleep(n.be, 10*time.Millisecond)
 		}
 	}
 	return fmt.Errorf("node %d: mesh did not quiesce within %s", n.opts.NodeID, timeout)
 }
 
+// drainTimeout bounds the coordinator's drain.
+const drainTimeout = 30 * time.Second
+
 // Close shuts the node down.  On the coordinator it first drains the mesh to
 // quiescence and orders every follower to shut down; on any node it then
 // stops the VM, the listener, and the connections.
 func (n *Node) Close() error {
-	n.closeOnce.Do(func() {
+	n.closeOnce(func() {
 		if n.opts.NodeID == 0 && len(n.opts.Addrs) > 1 {
-			if err := n.drainQuiesce(30 * time.Second); err != nil {
+			if err := n.drainQuiesce(drainTimeout); err != nil {
 				fmt.Fprintf(n.opts.Log, "pisces: %v (shutting down anyway)\n", err)
 				n.closeErr = err
 				n.dumpBlackbox("drain timeout")
@@ -940,6 +976,20 @@ func (n *Node) Close() error {
 		n.teardown()
 	})
 	return n.closeErr
+}
+
+// closeOnce runs the first Close or Terminate; a later call waits until it is
+// done.  A sync.Once would hold a Go lock across the teardown's waits.
+func (n *Node) closeOnce(fn func()) {
+	n.closeMu.Lock()
+	first := !n.closing
+	n.closing = true
+	n.closeMu.Unlock()
+	if first {
+		fn()
+		n.closed.Open()
+	}
+	n.closed.Wait()
 }
 
 // teardown stops the listener, the transport and the inbound connections and

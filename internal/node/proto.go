@@ -432,10 +432,12 @@ func (n *Node) handleDrainAck(_ int, m *frame) {
 			fmt.Fprintf(n.opts.Log, "node %d: bad trace blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
 		}
 	}
-	select {
-	case n.acks <- ack:
-	default: // a stale round's ack nobody is collecting
+	n.ackMu.Lock()
+	if ack.epoch == n.ackEpoch { // else a stale round's ack nobody is collecting
+		n.acks[ack.from] = ack
+		n.ackCond.Broadcast()
 	}
+	n.ackMu.Unlock()
 }
 
 func (n *Node) handleShutdown(int, *frame) { n.signalShutdown() }
@@ -462,15 +464,15 @@ func (n *Node) handleRebalanceFrame(_ int, m *frame) {
 	n.spawn(func() { n.handleRebalance(dead, buddy, ready) })
 }
 
-// spawn runs f on a goroutine of its own, counted among the readers that
+// spawn runs f in a task of its own, counted among the readers that
 // teardown waits for: a handler that may block runs off its lane's deliver
-// stage this way.  Only a goroutine counted there itself may call it.
+// stage this way.  Only a task counted there itself may call it.
 func (n *Node) spawn(f func()) {
 	n.readers.Add(1)
-	go func() {
+	n.be.Spawn(fmt.Sprintf("node %d handler", n.opts.NodeID), func() {
 		defer n.readers.Done()
 		f()
-	}()
+	})
 }
 
 // handleInitLog is the buddy side of LogInit: hold the entry and ack it.

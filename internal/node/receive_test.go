@@ -330,7 +330,7 @@ func TestChoppedStreamDeliversTheSameFrames(t *testing.T) {
 // the stage is empty — including for a frame larger than the read buffer,
 // and for frames arriving 7 bytes at a time.
 func TestWindowOfOneSenderProgresses(t *testing.T) {
-	l := startLane(t, func(o *Options) { o.Wire = WireConfig{CreditWindow: 1, BatchBytes: 256} })
+	l := startLane(t, func(o *Options) { o.wire = wireConfig{CreditWindow: 1, BatchBytes: 256} })
 	sizes := []int{8, 8, 0, bigReals, 8, 3, 8, 8}
 	for i, reals := range sizes {
 		l.write(l.datum("datum", int64(i), reals), 7)
@@ -514,11 +514,9 @@ func TestJumboReadBufferIsNotRecycled(t *testing.T) {
 		if jumbo != nil && (len(r.buf) != readBufBytes || &r.buf[0] == &jumbo[0]) {
 			t.Fatalf("after the 1 MiB frame the reader fills a %d-byte buffer", len(r.buf))
 		}
-		if len(r.free) > 0 {
-			if spare := <-r.free; len(spare) != readBufBytes {
+		for _, spare := range r.free {
+			if len(spare) != readBufBytes {
 				t.Fatalf("a %d-byte buffer was kept for reuse", len(spare))
-			} else {
-				r.free <- spare
 			}
 		}
 		if err != nil {
@@ -542,7 +540,7 @@ func TestJumboReadBufferIsNotRecycled(t *testing.T) {
 func TestDrainAnswerLeavesTheDeliverStage(t *testing.T) {
 	to := core.TaskID{Cluster: 1, Slot: 1, Unique: 7}
 	l := startLane(t, func(o *Options) {
-		o.Wire = WireConfig{CreditWindow: 1}
+		o.wire = wireConfig{CreditWindow: 1}
 		sink := o.Register
 		o.Register = func(vm *core.VM) {
 			sink(vm)

@@ -1,12 +1,14 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
@@ -21,7 +23,7 @@ import (
 //
 //  1. Frame coalescing.  Each peer has an open batch buffer; senders append
 //     length-prefixed frames to it (msgcodec batch framing) and a dedicated
-//     writer goroutine hands the whole batch to the kernel in ONE write.
+//     writer task hands the whole batch to the kernel in ONE write.
 //     While the writer is in the syscall, new frames accumulate in the next
 //     batch, so coalescing adapts to load with no mandatory latency: an idle
 //     lane flushes a lone frame immediately, a busy lane packs hundreds of
@@ -33,7 +35,7 @@ import (
 //     Send, which is the batch-handoff point: the sender may reuse the frame
 //     and its payload buffer as soon as Send returns, even though the bytes
 //     reach the wire later.
-//  3. Credit-based flow control.  Each lane starts with WireConfig
+//  3. Credit-based flow control.  Each lane starts with wireConfig
 //     CreditWindow credits; a data frame consumes one, and the receiver
 //     returns credits on the control-frame channel (fCredit) as it delivers
 //     frames to its VM.  A slow node therefore stalls its senders at a
@@ -44,11 +46,11 @@ import (
 // apart from fCredit.  The receiver takes a batch the way the writer makes
 // one — one read, one hand-off, frames walked in place (node.go).
 
-// WireConfig sizes the batched wire path.  The zero value is the production
+// wireConfig sizes the batched wire path.  The zero value is the production
 // setting (64 KiB batches, a 1024-frame window), fixed since the batching
 // measurement found no workload wanting another; the fields exist so tests
 // can reach the frame-larger-than-buffer and window-of-1 boundaries.
-type WireConfig struct {
+type wireConfig struct {
 	// BatchBytes is the nominal batch-buffer size: a written buffer is
 	// recycled only while its capacity stays within 4x of it.  A single
 	// frame larger than BatchBytes still travels — the batch buffer grows
@@ -74,7 +76,7 @@ const (
 	stageDepth = 256
 )
 
-func (c WireConfig) withDefaults() WireConfig {
+func (c wireConfig) withDefaults() wireConfig {
 	if c.BatchBytes <= 0 {
 		c.BatchBytes = defaultBatchBytes
 	}
@@ -86,14 +88,14 @@ func (c WireConfig) withDefaults() WireConfig {
 
 // peer is one outbound connection: this node's lane for frames toward one
 // other node.  Senders append frames to the open batch under mu; the writer
-// goroutine swaps the batch out and writes it WITHOUT holding mu, so a slow
+// task swaps the batch out and writes it WITHOUT holding mu, so a slow
 // peer's syscall never blocks the tasks filling the next batch.
 type peer struct {
 	id   int
 	conn net.Conn
 
 	mu   sync.Mutex
-	cond *sync.Cond // writer wake-ups, credit grants, flush/write completion
+	cond backend.Cond // writer wake-ups, credit grants, flush/write completion
 
 	batch   []byte // open batch: concatenated length-prefixed frames
 	spare   []byte // recycled buffer for the next batch (double buffering)
@@ -114,12 +116,18 @@ type peer struct {
 	deadDone bool // markDead accounting ran (dead may be set first by a write error)
 	ret      retention
 	logAcked uint64
+	agedAt   uint64 // counted frames sent when the exit records last aged
 
 	// Per-lane wire counters (node.tx.n<me>->n<id>.*), resolved at addPeer;
 	// bumped only when metrics are enabled.
 	txFrames *obs.Counter
 	txBytes  *obs.Counter
 }
+
+// errNoCredit is enqueue's refusal of a credited frame on a lane whose
+// window is spent: the caller lets go of the route lock, waits
+// (awaitCredit) and routes the frame again.
+var errNoCredit = errors.New("node: no credit")
 
 // send enqueues one frame of the given kind, credited and counted as the
 // kind's row in frameTable says.
@@ -132,28 +140,11 @@ func (p *peer) send(tr *transport, kind byte, encode func(batch []byte) []byte) 
 // encode appends the frame payload to the batch (the length prefix is
 // reserved and backfilled around it, so payload bytes are copied exactly
 // once, straight from their source into the batch buffer).  A credited frame
-// consumes one flow-control credit and may stall here until the receiver
-// grants more; a counted frame participates in the drain protocol's global
-// sent/recv balance.
+// consumes one flow-control credit; with none left it is refused, with
+// errNoCredit and unenqueued.  A counted frame participates in the drain
+// protocol's global sent/recv balance.
 func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch []byte) []byte) error {
-	metrics := tr.reg.Has(obs.Metrics)
 	p.mu.Lock()
-	if credited && !p.dead && p.credits <= 0 {
-		// A stall is a flow-control anomaly worth forensics: record which
-		// peer's window ran dry before blocking.
-		tr.reg.Emit(&obs.Event{Kind: obs.CreditStall, A: int64(p.id)})
-		var t0 time.Time
-		if metrics {
-			t0 = tr.reg.Now()
-			tr.creditStalls.Inc()
-		}
-		for p.credits <= 0 && p.err == nil && !p.closed && !p.dead {
-			p.cond.Wait()
-		}
-		if metrics {
-			tr.creditStallNS.ObserveDuration(tr.reg.Now().Sub(t0))
-		}
-	}
 	if p.dead && (!counted || p.ret.replayed) {
 		// The peer is dead (or the lane broke in HA mode): control frames
 		// evaporate, and so do data frames once the retained backlog went to
@@ -169,9 +160,16 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch 
 		}
 		if p.closed {
 			p.mu.Unlock()
+			if tr.killed {
+				return nil // a killed node's last sends vanish with it
+			}
 			return net.ErrClosed
 		}
 		if credited {
+			if p.credits <= 0 {
+				p.mu.Unlock()
+				return errNoCredit
+			}
 			p.credits--
 		}
 	}
@@ -207,14 +205,35 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch 
 		p.cond.Broadcast() // first frame of a batch: wake the writer
 	}
 	p.mu.Unlock()
-	if metrics {
+	if tr.reg.Has(obs.Metrics) {
 		p.txFrames.Inc()
 		p.txBytes.Add(int64(nbytes))
 	}
 	return nil
 }
 
-// writeLoop is the peer's writer goroutine: it swaps the open batch out and
+// awaitCredit waits, holding no route lock, until the lane has a credit or
+// can no longer carry frames.  A stall is a flow-control anomaly worth
+// forensics: the event records which peer's window ran dry.
+func (p *peer) awaitCredit(tr *transport) {
+	tr.reg.Emit(&obs.Event{Kind: obs.CreditStall, A: int64(p.id)})
+	metrics := tr.reg.Has(obs.Metrics)
+	var t0 time.Time
+	if metrics {
+		t0 = tr.reg.Now()
+		tr.creditStalls.Inc()
+	}
+	p.mu.Lock()
+	for p.credits <= 0 && p.err == nil && !p.closed && !p.dead {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+	if metrics {
+		tr.creditStallNS.ObserveDuration(tr.reg.Now().Sub(t0))
+	}
+}
+
+// writeLoop is the peer's writer task: it swaps the open batch out and
 // hands it to the kernel in one write, then recycles the buffer.  It holds
 // mu only across the swap, never across the syscall.  It exits on a write
 // error or once the peer is closed and drained; frames that can no longer
@@ -302,7 +321,7 @@ func (p *peer) flush() {
 type transport struct {
 	nodeID int
 	topo   Topology
-	cfg    WireConfig
+	cfg    wireConfig
 
 	// reg is the node's observability registry (never nil) plus the
 	// resolved batch/credit instruments.
@@ -320,7 +339,8 @@ type transport struct {
 	// read without a lock.
 	peers []atomic.Pointer[peer]
 
-	writers sync.WaitGroup
+	be      backend.Backend
+	writers backend.WaitGroup
 
 	// sent and recv count wire frames (messages, broadcasts, initiate
 	// replies) for the shutdown drain's global quiescence check; sent is
@@ -337,10 +357,11 @@ type transport struct {
 	// route-and-enqueue, the rebalance holds it exclusively across
 	// replay-and-retarget, so every frame replayed to a buddy lands on the
 	// buddy's lane BEFORE any newly routed frame — the ordering the
-	// receiver's admission floors assume.  Outside HA there is no rebalance
-	// and reroute stays empty, so a send takes no route lock.  reroute maps a
-	// dead node to the node that adopted its clusters (consulted by ownerOf,
-	// guarded by routeMu).  recvFrom counts delivered counted frames per
+	// receiver's admission floors assume.  Nothing waits while holding it: a
+	// send that finds its window spent lets go, waits for credits and routes
+	// again.  Outside HA there is no rebalance and reroute stays empty, so a
+	// send takes no route lock.  reroute maps a dead node to the node that
+	// adopted its clusters (consulted by ownerOf, guarded by routeMu).  recvFrom counts delivered counted frames per
 	// source lane: the drain balance sums only live sources, and the
 	// pre-checkpoint snapshot of these counters is what checkpoint marks
 	// carry.  buddy names the holder of the node's initiation log (LogInit),
@@ -348,6 +369,7 @@ type transport struct {
 	// checkpoint cut, it is the log prefix the checkpoint covers (an entry
 	// counted but not yet sent is held past its cut, which is harmless).
 	haRetain bool
+	ageMu    sync.Mutex // serialises ageExitRecords
 	routeMu  sync.RWMutex
 	reroute  map[int]int
 	recvFrom []atomic.Uint64
@@ -356,13 +378,20 @@ type transport struct {
 	logged   atomic.Uint64
 
 	vm atomic.Pointer[core.VM] // bound after the VM is booted
+
+	// killed is set by Terminate before the lanes close: a task of the
+	// killed node sending after that sees its frame vanish, as in a killed
+	// process, rather than an error its program would report.
+	killed bool
 }
 
-func newTransport(nodeID int, topo Topology, reg *obs.Registry, cfg WireConfig) *transport {
+func newTransport(nodeID int, topo Topology, reg *obs.Registry, cfg wireConfig, be backend.Backend) *transport {
 	return &transport{
 		nodeID:        nodeID,
 		topo:          topo,
 		cfg:           cfg.withDefaults(),
+		be:            be,
+		writers:       be.NewWaitGroup(),
 		reg:           reg,
 		batchWrite:    reg.Histogram("node.batch.write.ns", "ns"),
 		batchFrames:   reg.Histogram("node.batch.frames", "n"),
@@ -385,10 +414,10 @@ func (tr *transport) addPeer(id int, conn net.Conn) {
 		txFrames: tr.reg.Counter(fmt.Sprintf("node.tx.n%d->n%d.frames", tr.nodeID, id)),
 		txBytes:  tr.reg.Counter(fmt.Sprintf("node.tx.n%d->n%d.bytes", tr.nodeID, id)),
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.cond = tr.be.NewCond(&p.mu)
 	tr.peers[id].Store(p)
 	tr.writers.Add(1)
-	go p.writeLoop(tr)
+	tr.be.Spawn(fmt.Sprintf("node %d write %d", tr.nodeID, id), func() { p.writeLoop(tr) })
 }
 
 // peerAt returns the outbound connection to node, nil if there is none.
@@ -446,43 +475,65 @@ func (tr *transport) Send(f *core.WireFrame) error {
 	if err := checkWireType(tr.nodeID, f); err != nil {
 		return err
 	}
-	kind := wireKind(f)
 	enc := func(batch []byte) []byte { return encodeWireFrame(batch, f) }
-	if tr.haRetain {
-		tr.routeMu.RLock()
-		defer tr.routeMu.RUnlock()
+	if f.Kind != core.FrameBroadcast || f.Dst != 0 {
+		return tr.sendOn(nil, f, enc)
 	}
-	if f.Kind == core.FrameBroadcast && f.Dst == 0 {
-		var firstErr error
-		for _, p := range tr.allPeers() {
-			if err := p.send(tr, kind, enc); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	var firstErr error
+	for _, p := range tr.allPeers() {
+		if err := tr.sendOn(p, f, enc); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		return firstErr
 	}
+	return firstErr
+}
+
+// sendOn enqueues the frame on lane p, or with p nil on the lane of the node
+// hosting its destination, under the route lock in HA mode.  A spent window
+// is waited out with the route lock released, and the frame routed again: a
+// rebalance may have moved its destination meanwhile.  A broadcast copy that
+// reaches a lane after such a move reaches the buddy's adopted tasks twice,
+// once replayed; they drop the second by its send sequence.
+func (tr *transport) sendOn(p *peer, f *core.WireFrame, enc func([]byte) []byte) error {
+	for {
+		if tr.haRetain {
+			tr.routeMu.RLock()
+		}
+		q, err := p, error(nil)
+		if q == nil {
+			q, err = tr.route(f)
+		}
+		if q != nil {
+			err = q.send(tr, wireKind(f), enc)
+		}
+		if tr.haRetain {
+			tr.routeMu.RUnlock()
+		}
+		if err != errNoCredit {
+			return err
+		}
+		q.awaitCredit(tr)
+	}
+}
+
+// route returns the lane toward the node hosting the frame's destination
+// cluster — or delivers it here, returning no lane, when this node adopted
+// the cluster while the sender's routing decision was in flight.
+func (tr *transport) route(f *core.WireFrame) (*peer, error) {
 	owner, err := tr.ownerOf(f.Dst)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if owner == tr.nodeID {
-		if tr.haRetain {
-			// This node adopted the destination cluster while the sender's
-			// routing decision was in flight: deliver locally.  Neither side
-			// of the drain balance counts a local delivery.
-			if vm := tr.vm.Load(); vm != nil {
-				return vm.DeliverWire(f)
-			}
-		}
-		// The core only routes remotely for non-hosted clusters, so this is
-		// a topology/hosting disagreement worth failing loudly on.
-		return fmt.Errorf("node %d: frame for cluster %d routed remotely but hosted here", tr.nodeID, f.Dst)
+	if owner != tr.nodeID {
+		return tr.peerFor(owner)
 	}
-	p, err := tr.peerFor(owner)
-	if err != nil {
-		return err
+	if vm := tr.vm.Load(); tr.haRetain && vm != nil {
+		// Neither side of the drain balance counts a local delivery.
+		return nil, vm.DeliverWire(f)
 	}
-	return p.send(tr, kind, enc)
+	// The core only routes remotely for non-hosted clusters, so this is a
+	// topology/hosting disagreement worth failing loudly on.
+	return nil, fmt.Errorf("node %d: frame for cluster %d routed remotely but hosted here", tr.nodeID, f.Dst)
 }
 
 // SendReply carries a routed-initiate reply back to the node hosting the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
@@ -23,7 +24,7 @@ func TestBroadcastPartialFailureKeepsDrainBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTransport(0, topo, obs.New(), WireConfig{})
+	tr := newTransport(0, topo, obs.New(), wireConfig{}, backend.Default())
 	defer tr.Close()
 
 	live, liveFar := net.Pipe()
@@ -64,7 +65,7 @@ func TestSendRefusesOversizeType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTransport(0, topo, obs.New(), WireConfig{})
+	tr := newTransport(0, topo, obs.New(), wireConfig{}, backend.Default())
 	defer tr.Close()
 	near, far := net.Pipe()
 	go func() { _, _ = io.Copy(io.Discard, far) }()

@@ -40,7 +40,7 @@ func TestWireConfigVariantsMatchSingleProcess(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			var out bytes.Buffer
 			nodes := startMesh(t, 2, cfg, src, &out, func(i int, o *node.Options) {
-				o.Wire = v.wire
+				node.SetWire(o, v.wire)
 			})
 			runDistributed(t, nodes)
 			if got := out.String(); got != want {
@@ -50,19 +50,19 @@ func TestWireConfigVariantsMatchSingleProcess(t *testing.T) {
 	}
 }
 
-// TestFaultTransportBatchWindow pins the fault transport's model of the
-// batched wire path on the virtual clock: with a pure batch window (no
-// latency, no drops), every frame a lane accepts inside the window departs
-// together at the window's close — the first arrival is delayed by exactly
-// the window, the rest land nanoseconds behind it (the monotone per-lane
-// clamp), and per-sender FIFO order survives the shared departure time.
+// TestFaultTransportBatchWindow pins the fault network's batch window on the
+// virtual clock: with a pure window (no latency, no drops), every write a
+// connection accepts inside the window departs together at the window's
+// close — the first arrival is delayed by exactly the window, the rest land
+// nanoseconds behind it (the monotone per-connection clamp), and per-sender
+// FIFO order survives the shared departure time.
 func TestFaultTransportBatchWindow(t *testing.T) {
 	const count = 16
 	const window = 50 * time.Millisecond
 	s := sim.New(3)
 	var out bytes.Buffer
-	mesh, err := node.NewFaultMesh(config.Simple(2, 4), 3, node.FaultProfile{BatchWindow: window}, func(int) core.Options {
-		return core.Options{UserOutput: &out, Backend: s, AcceptTimeout: 30 * time.Second}
+	mesh, err := node.NewFaultMesh(config.Simple(2, 4), s, 3, node.FaultProfile{BatchWindow: window}, func(int) node.Options {
+		return node.Options{Out: &out, AcceptTimeout: 30 * time.Second}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -186,6 +186,9 @@ func (s *Scheduler) NewSem() backend.Sem { return &simSem{s: s, avail: true} }
 // NewWaitGroup returns a deterministic wait group.
 func (s *Scheduler) NewWaitGroup() backend.WaitGroup { return &simWG{s: s} }
 
+// NewCond returns a deterministic condition variable over l.
+func (s *Scheduler) NewCond(l sync.Locker) backend.Cond { return &simCond{s: s, l: l} }
+
 // AfterFunc schedules fn on the virtual clock.
 func (s *Scheduler) AfterFunc(d time.Duration, fn func()) backend.Timer {
 	s.mu.Lock()
@@ -623,4 +626,61 @@ func (w *simWG) Wait() {
 		s.parkLocked(ref.t, "waitgroup-wait")
 	}
 	s.mu.Unlock()
+}
+
+// ---------------------------------------------------------------------------
+// Cond
+
+// simCond parks its waiters on the scheduler.  The lock is released only
+// once the waiter is registered, and no other task runs until the waiter
+// parks, so no wake-up falls between the two.  A driver-side Wait pumps the
+// scheduler until a Signal or Broadcast reaches it.
+type simCond struct {
+	s       *Scheduler
+	l       sync.Locker
+	waiters []waiterRef
+	drivers []*bool
+}
+
+func (c *simCond) Wait() {
+	s := c.s
+	s.mu.Lock()
+	if s.current == nil {
+		woken := false
+		c.drivers = append(c.drivers, &woken)
+		c.l.Unlock()
+		// A deadlock panics out of the pump: the caller gets its lock back.
+		defer c.l.Lock()
+		s.runUntilLocked("cond", func() bool { return woken })
+		s.mu.Unlock()
+		return
+	}
+	ref := s.beginWaitLocked("Cond.Wait")
+	c.waiters = append(c.waiters, ref)
+	c.l.Unlock()
+	s.parkLocked(ref.t, "cond-wait")
+	s.mu.Unlock()
+	c.l.Lock()
+}
+
+func (c *simCond) Signal() { c.wake(false) }
+
+func (c *simCond) Broadcast() { c.wake(true) }
+
+// wake readies the first waiter, or every one, in arrival order.
+func (c *simCond) wake(all bool) {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(c.waiters) > 0 {
+		w := c.waiters[0]
+		c.waiters = c.waiters[1:]
+		if s.wakeLocked(w, true) && !all {
+			return
+		}
+	}
+	for _, woken := range c.drivers {
+		*woken = true
+	}
+	c.drivers = nil
 }
