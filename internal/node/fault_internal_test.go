@@ -209,21 +209,24 @@ func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 	}
 }
 
-// TestHARebalanceWhileSenderStalledOnCredits: with a credit window of one, a
-// sender on cluster 1 streams to a receiver on cluster 2 and waits out its
-// window after every frame.  Node 1 dies while the sender is stalled on
-// credits toward it.  The stall must end (the dead lane takes the frame into
-// retention), the rebalance must take the route lock and finish, and the
-// receiver, rebuilt on node 0 from its logged initiation and the replayed
-// stream, must sum what one VM sums — with no deadlock on the simulator.
+// TestHARebalanceWhileSenderStalledOnCredits: with a credit window of one,
+// main on node 0 streams to a receiver on node 1 and waits out its window
+// after every frame, while a relay on node 2 waits for the receiver's sum.
+// Node 2 dies mid-stream.  Node 0 is leader and buddy: it adopts cluster 3
+// and takes the route lock to replay and reroute while main is parked on
+// credits toward node 1 — which a sender holding the route lock across its
+// stall would turn into a hang of the simulator.  The rebalance must finish
+// with no deadlock, the relay must come back from node 2's initiation log
+// and node 0's retention, and the terminal must read as on one VM.
 func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
-	const msgs = 40
-	cfg := config.Simple(2, 2)
+	const msgs = 200
+	cfg := config.Simple(3, 2)
 	register := func(vm *core.VM) {
 		vm.Register("main", func(task *core.Task) {
-			rcv, err := task.InitiateWait(core.OnCluster(2), "receiver", core.ID(task.ID()))
-			if err != nil {
-				t.Errorf("main: %v", err)
+			relay, err1 := task.InitiateWait(core.OnCluster(3), "relay", core.ID(task.ID()))
+			rcv, err2 := task.InitiateWait(core.OnCluster(2), "receiver", core.ID(relay))
+			if err1 != nil || err2 != nil {
+				t.Errorf("main: %v, %v", err1, err2)
 				return
 			}
 			for k := 1; k <= msgs; k++ {
@@ -253,29 +256,38 @@ func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
 				t.Errorf("receiver: %v", err)
 			}
 		})
+		vm.Register("relay", func(task *core.Task) {
+			m, err := task.AcceptOne("sum")
+			if err != nil {
+				t.Errorf("relay: %v", err)
+				return
+			}
+			if err := task.Send(core.MustID(task.Arg(0)), "sum", m.Arg(0)); err != nil {
+				t.Errorf("relay: %v", err)
+			}
+		})
 	}
 	want := oneVM(t, cfg, register)
 
 	var out bytes.Buffer
-	s, mesh := simMesh(t, 3, cfg, &out, wireConfig{CreditWindow: 1}, register)
-	stalls := mesh.nodes[0].reg.Counter("node.credit.stalls")
-	mesh.nodes[0].reg.Enable(obs.Metrics)
-	killed, stalledAtKill := s.NewGate(), false
+	s, mesh := simMesh(t, 1, cfg, &out, wireConfig{CreditWindow: 1}, register)
+	n0 := mesh.nodes[0]
+	toNode1 := n0.tr.peerAt(1)
+	spent := func() bool {
+		toNode1.mu.Lock()
+		defer toNode1.mu.Unlock()
+		return toNode1.credits <= 0
+	}
+	stalledAtRebalance := false
+	n0.afterAdopt = func() { stalledAtRebalance = spent() }
+	stalls := n0.reg.Counter("node.credit.stalls")
+	n0.reg.Enable(obs.Metrics)
+	killed := s.NewGate()
 	s.Spawn("watch", func() {
-		p := mesh.nodes[0].tr.peerAt(1)
-		for {
-			p.mu.Lock()
-			spent := p.credits <= 0
-			p.mu.Unlock()
-			if spent && stalls.Load() >= msgs/2 {
-				break
-			}
+		for stalls.Load() < msgs/8 {
 			sleep(s, 100*time.Microsecond)
 		}
-		// The sender's next frame finds the window spent: it is in
-		// awaitCredit, holding no route lock, when the node dies.
-		stalledAtKill = true
-		mesh.Kill(1)
+		mesh.Kill(2)
 		killed.Open()
 	})
 	if _, err := mesh.VMs[0].Run("main", core.OnCluster(1)); err != nil {
@@ -283,8 +295,8 @@ func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
 	}
 	killed.Wait()
 	mesh.Shutdown()
-	if !stalledAtKill {
-		t.Error("the kill did not land during a credit stall")
+	if !stalledAtRebalance {
+		t.Error("main was not stalled on credits when node 0 rebalanced")
 	}
 	if got := out.String(); got != want {
 		t.Errorf("terminal %q; one VM prints %q", got, want)
