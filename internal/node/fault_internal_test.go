@@ -67,6 +67,9 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	var blocker core.TaskID
 	mesh.nodes[0].afterAdopt = func() { blocker, err = vmA.Initiate("blocker", core.OnCluster(2)) }
 	mesh.Kill(1)
+	if blocker == core.NilTask && err == nil {
+		t.Fatal("node 0 did not adopt node 1's cluster")
+	}
 	if err != nil || blocker.Slot != kid.Slot {
 		t.Fatalf("blocker %s (%v) does not hold the kid's slot %d", blocker, err, kid.Slot)
 	}
