@@ -23,9 +23,12 @@ package conformance
 import (
 	"bytes"
 	"embed"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/backend"
@@ -108,6 +111,8 @@ type KillRecovery struct {
 	Checkpoints int // checkpoints the killed node shipped before the kill
 	Deaths      int // deaths the survivor's detector declared (node.ha.deaths)
 	Replayed    int // retained frames the survivor replayed after the restore
+	// Err joins every checkpoint, restore or replay a node logged as failed.
+	Err error
 }
 
 // harnessCache is the conformance harness's own compile-cache handle: sweep
@@ -161,7 +166,7 @@ func RunObserved(src string, seed int64) Result {
 // (node.FaultMesh), every write between nodes paying seeded virtual-clock
 // delays, so the sweep exercises network schedules a single process never
 // produces, through the code a real node runs, reproducibly from the seed.
-func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, 0, nil) }
+func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, nil) }
 
 // RunKill runs the program on RunFault's mesh in HA mode and kills one node
 // mid-run.  Node 0 hosts cluster 1 and the terminal, whose controllers
@@ -175,7 +180,8 @@ func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, ni
 // node 0's shards, then node 1's.
 func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *KillRecovery) {
 	rec := &KillRecovery{}
-	res := runMesh(src, seed, nil, nil, ckptEvery, func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
+	log := &killLog{}
+	res := runMesh(src, seed, nil, nil, &killPlan{ckptEvery: ckptEvery, log: log, arm: func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
 		var killed backend.Gate
 		kill := s.AfterFunc(killAt, func() {
 			killed = s.NewGate()
@@ -196,17 +202,46 @@ func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *
 				killed.Wait()
 			}
 		}
-	})
+	}})
+	rec.Err = log.err()
 	return res, rec
+}
+
+// killPlan is what a kill run adds to runMesh: HA nodes checkpointing every
+// ckptEvery and logging to log, and arm, which schedules the kill before
+// MAIN starts and returns the wait for a kill in progress, run before
+// Shutdown.
+type killPlan struct {
+	ckptEvery time.Duration
+	log       io.Writer
+	arm       func(*node.FaultMesh, *sim.Scheduler) func()
+}
+
+// killLog is a kill run's node log.  It keeps the lines that report a
+// checkpoint, restore or replay a node could not do, which no terminal shows.
+type killLog struct{ lines []string }
+
+func (l *killLog) Write(b []byte) (int, error) {
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		if strings.Contains(line, "checkpoint failed") || strings.Contains(line, "restoring node") || strings.Contains(line, "replaying retained frames") {
+			l.lines = append(l.lines, line)
+		}
+	}
+	return len(b), nil
+}
+
+func (l *killLog) err() error {
+	if len(l.lines) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(l.lines, "; "))
 }
 
 // runMesh runs the program on the harness configuration's fault mesh.  With
 // reg the nodes share it, and rec; without, each node has a registry of its
-// own.  A kill run boots the nodes in HA mode, checkpointing every ckptEvery
-// with metrics on, node 1 writing to a terminal of its own; kill arms its
-// schedule before MAIN starts and returns the wait for a kill in progress,
-// run before Shutdown.
-func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptEvery time.Duration, kill func(*node.FaultMesh, *sim.Scheduler) func()) (res Result) {
+// own.  A kill run boots the nodes in HA mode with metrics on, node 1
+// writing to a terminal of its own.
+func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill *killPlan) (res Result) {
 	s := sim.New(seed)
 	var out, deadOut bytes.Buffer
 	mem := &trace.MemorySink{}
@@ -232,9 +267,10 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptE
 			// hour-long DELAY need not beat every 25ms of it.  The detector
 			// suspects after ten silent beats, well past the network's worst
 			// delay.
-			beat := max(ckptEvery/8, node.DefaultFaultProfile().MaxDelay()/4)
+			beat := max(kill.ckptEvery/8, node.DefaultFaultProfile().MaxDelay()/4)
 			o.Metrics.Enable(obs.Metrics)
-			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter = true, ckptEvery, beat, 10*beat
+			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter = true, kill.ckptEvery, beat, 10*beat
+			o.Log = kill.log
 			if i > 0 {
 				o.Out = &deadOut
 			}
@@ -250,7 +286,7 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptE
 	}
 	await := func() {}
 	if kill != nil {
-		await = kill(mesh, s)
+		await = kill.arm(mesh, s)
 	}
 	start := s.Now()
 	err = mesh.Run(prog, pfi.Options{})

@@ -71,6 +71,10 @@ func TestKillANodeConformance(t *testing.T) {
 				killAt, ckptEvery := killSchedule(ref.VirtualElapsed, seed)
 				res, rec := RunKill(srcs[name], seed, killAt, ckptEvery)
 				ctx := fmt.Sprintf("seed %d killAt=%v ckptEvery=%v", seed, killAt, ckptEvery)
+				if rec.Err != nil {
+					recordFailure(name, seed, "kill schedule error: "+rec.Err.Error())
+					t.Fatalf("%s: checkpoint/restore: %v", ctx, rec.Err)
+				}
 				if res.Err != nil {
 					recordFailure(name, seed, "kill run error: "+res.Err.Error())
 					t.Fatalf("%s: %v", ctx, res.Err)
@@ -131,8 +135,8 @@ func TestKillSeedStable(t *testing.T) {
 			killAt, ckptEvery := killSchedule(ref.VirtualElapsed, seed)
 			a, ra := RunKill(src, seed, killAt, ckptEvery)
 			b, rb := RunKill(src, seed, killAt, ckptEvery)
-			if a.Err != nil || b.Err != nil {
-				t.Fatalf("%s seed %d: %v / %v", name, seed, a.Err, b.Err)
+			if a.Err != nil || b.Err != nil || ra.Err != nil || rb.Err != nil {
+				t.Fatalf("%s seed %d: %v / %v / %v / %v", name, seed, a.Err, b.Err, ra.Err, rb.Err)
 			}
 			if a.Output != b.Output || a.Steps != b.Steps {
 				t.Fatalf("%s seed %d not reproducible: %d vs %d steps", name, seed, a.Steps, b.Steps)

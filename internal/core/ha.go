@@ -333,8 +333,8 @@ func (vm *VM) Checkpoint(clusters ...int) ([]byte, error) {
 // before the last.  A record only matters while a recovery could re-execute
 // a send to its task or re-create it: while some peer's last durable
 // checkpoint predates the exit.  The caller knows when none can any more
-// (a node: once every peer's checkpoint mark covers a frame it sent since
-// the last call).  Two generations keep the map bounded by task turnover
+// (a node: once every peer's checkpoint mark shows a cut made after the peer
+// heard of the last call on a heartbeat).  Two generations keep the map bounded by task turnover
 // instead of growing for the VM's lifetime.
 func (vm *VM) AgeExitRecords() {
 	vm.haGoneMu.Lock()

@@ -305,3 +305,47 @@ func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
 		t.Errorf("terminal %q; one VM prints %q", got, want)
 	}
 }
+
+// TestExitRecordsAgeWithoutFramesToAPeer: a node whose tasks keep exiting
+// while it sends a peer nothing still ages its exit records.  Node 1's
+// tasks start and exit on node 1 alone, so it never sends node 0 a counted
+// frame and node 0's checkpoint marks never release anything of node 1's;
+// they carry the generation node 0 heard on node 1's heartbeats instead.
+// With aging keyed to released frames, node 1 never aged at all.
+func TestExitRecordsAgeWithoutFramesToAPeer(t *testing.T) {
+	s := sim.New(1)
+	mesh, err := NewFaultMesh(config.Simple(2, 1), s, 1, DefaultFaultProfile(), func(int) Options {
+		return Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: 50 * time.Millisecond}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmB := mesh.VMs[1]
+	for _, vm := range mesh.VMs {
+		vm.Register("brief", func(*core.Task) {})
+	}
+	churned := s.NewGate()
+	s.Spawn("churn", func() {
+		defer churned.Open()
+		for i := 0; i < 40; i++ {
+			id, err := vmB.Initiate("brief", core.OnCluster(2))
+			if err != nil {
+				t.Errorf("initiate %d: %v", i, err)
+				return
+			}
+			_ = vmB.WaitTask(id)
+			sleep(s, 25*time.Millisecond)
+		}
+	})
+	churned.Wait()
+	n1 := mesh.nodes[1]
+	sent, gen := n1.tr.sent.Load(), n1.tr.ageGen.Load()
+	mesh.Shutdown()
+	if sent != 0 {
+		t.Fatalf("node 1 sent %d counted frames; the test needs it to send none", sent)
+	}
+	// One second of virtual time is some twenty checkpoint intervals.
+	if gen < 5 {
+		t.Errorf("node 1's exit records aged %d times in a second of churn; want at least 4", gen-1)
+	}
+}

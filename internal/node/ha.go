@@ -124,6 +124,7 @@ func (b *buddyStore) held(from int) ([]byte, []core.LoggedInit) {
 // its initiation log.  Must be called before any traffic flows.
 func (tr *transport) setHA(buddy func() int) {
 	tr.haRetain = true
+	tr.ageGen.Store(1) // a peer's first mark shows generation 0 until it hears a heartbeat
 	tr.reroute = make(map[int]int)
 	tr.buddy = buddy
 }
@@ -137,14 +138,26 @@ func (tr *transport) countRecv(from int) {
 	}
 }
 
-// recvSnapshot returns the per-source delivered counts.  Taken BEFORE a
-// checkpoint cut, they are the marks to send once the buddy acks the blob.
-func (tr *transport) recvSnapshot() map[int]uint64 {
-	out := make(map[int]uint64, len(tr.recvFrom))
+// mark is what a checkpoint mark tells one peer: how many of its counted
+// frames this node had delivered, and the latest generation of its exit
+// records this node had heard, when the checkpoint was cut.
+type mark struct{ count, gen uint64 }
+
+// recvSnapshot returns the marks for every peer.  Taken BEFORE a checkpoint
+// cut, they are sent once the buddy acks the blob.
+func (tr *transport) recvSnapshot() map[int]mark {
+	out := make(map[int]mark, len(tr.recvFrom))
 	for _, p := range tr.allPeers() {
-		out[p.id] = tr.recvFrom[p.id].Load()
+		out[p.id] = mark{tr.recvFrom[p.id].Load(), tr.heardGen[p.id].Load()}
 	}
 	return out
+}
+
+// heard records the exit-record generation a peer's heartbeat announced.
+func (tr *transport) heard(from int, gen uint64) {
+	if from >= 0 && from < len(tr.heardGen) && gen > tr.heardGen[from].Load() {
+		tr.heardGen[from].Store(gen) // one reader per lane: no lost update
+	}
 }
 
 // markDead flips the lane toward a dead node into retention mode and settles
@@ -186,19 +199,21 @@ func (tr *transport) isDead(node int) bool {
 	return p.dead
 }
 
-// ackRetained drops the retained prefix a peer's checkpoint mark covers.  A
+// ackRetained takes a peer's checkpoint mark: it notes the generation the
+// peer's durable cut followed and drops the retained prefix the mark covers.  A
 // mark is sent only once the buddy holds the blob, so it holds also when it
 // lands after the lane broke: the blob is what the buddy restores.  Until
 // the backlog is replayed it is released, and what markDead already settled
 // the drain balance for is written off as lost with it.  Replaying a covered
 // frame instead would deliver it twice if it carries no send sequence — a
 // user's INITIATE of a task on the dead node, say.
-func (tr *transport) ackRetained(node int, count uint64) {
+func (tr *transport) ackRetained(node int, count, gen uint64) {
 	p := tr.peerAt(node)
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	p.markGen = max(p.markGen, gen)
 	if !p.ret.replayed {
 		before := p.ret.acked
 		p.ret.release(count)
@@ -212,26 +227,24 @@ func (tr *transport) ackRetained(node int, count uint64) {
 
 // ageExitRecords starts a new generation of the VM's exit records once
 // every peer that could still re-execute sends into this node has a durable
-// checkpoint cut after the current one began: its mark covers a frame this
-// node sent it since.  A dead peer whose backlog is not replayed yet holds
-// the generations back; one whose backlog went to its buddy no longer does.
+// checkpoint cut after the current one began.  Every heartbeat announces the
+// current generation, and a peer's mark carries the latest it heard before
+// its cut, so the peer's mark shows it whatever traffic goes between the two.
+// A dead peer whose backlog is not replayed yet holds the generations back;
+// one whose backlog went to its buddy no longer does.
 func (tr *transport) ageExitRecords() {
 	tr.ageMu.Lock()
 	defer tr.ageMu.Unlock()
-	peers := tr.allPeers()
-	for _, p := range peers {
+	gen := tr.ageGen.Load()
+	for _, p := range tr.allPeers() {
 		p.mu.Lock()
-		past := p.ret.replayed || p.ret.acked > p.agedAt
+		past := p.ret.replayed || p.markGen >= gen
 		p.mu.Unlock()
 		if !past {
 			return
 		}
 	}
-	for _, p := range peers {
-		p.mu.Lock()
-		p.agedAt = p.ret.acked + uint64(len(p.ret.frames))
-		p.mu.Unlock()
-	}
+	tr.ageGen.Add(1)
 	if vm := tr.vm.Load(); vm != nil {
 		vm.AgeExitRecords()
 	}

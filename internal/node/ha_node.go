@@ -48,9 +48,9 @@ const defaultCheckpointInterval = 250 * time.Millisecond
 // its peers' detectors.
 func (n *Node) haLoop() {
 	defer n.readers.Done()
-	beat := encodeHeartbeat(n.opts.NodeID)
 	lastCut := n.be.Now()
 	for !n.haWake.WaitTimeout(n.opts.HeartbeatInterval) {
+		beat := encodeHeartbeat(n.opts.NodeID, n.tr.ageGen.Load())
 		for _, id := range n.det.Alive() {
 			if id != n.opts.NodeID {
 				_ = n.tr.sendControl(id, beat)
@@ -150,11 +150,11 @@ func (n *Node) broadcastMarks(epoch uint64) {
 	if !ok {
 		return
 	}
-	for id, count := range snap {
+	for id, mk := range snap {
 		if id == n.opts.NodeID || n.det.Dead(id) {
 			continue
 		}
-		_ = n.tr.sendControl(id, encodeFromCount(fCkptMark, n.opts.NodeID, count))
+		_ = n.tr.sendControl(id, encodeMark(n.opts.NodeID, mk))
 	}
 }
 

@@ -150,7 +150,7 @@ type Node struct {
 	ckptMu     sync.Mutex
 	haProgress backend.Cond
 	ckptEpoch  uint64
-	pendMark   map[uint64]map[int]uint64
+	pendMark   map[uint64]map[int]mark
 	replayed   map[int]int
 	rebalMu    backend.Sem
 	haWake     backend.Event
@@ -256,7 +256,7 @@ func Start(opts Options) (*Node, error) {
 		}
 		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, be.Now)
 		n.store = newBuddyStore(len(opts.Addrs))
-		n.pendMark = make(map[uint64]map[int]uint64)
+		n.pendMark = make(map[uint64]map[int]mark)
 		n.haProgress = be.NewCond(&n.ckptMu)
 		n.replayed = make(map[int]int)
 		n.rebalMu = be.NewSem()

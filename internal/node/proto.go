@@ -33,7 +33,11 @@ import (
 // restore plan a sender replayed ahead of a retained initiate request but
 // one init-log entry, 0x10 its ack, and fCkpt carries the log count the
 // checkpoint covers between its epoch and its blob.
-const protoVersion = 8
+//
+// Version 9: a heartbeat carries the generation of its sender's exit records
+// and a checkpoint mark the generation its sender heard before the cut, so a
+// node ages its exit records whatever traffic it sends.
+const protoVersion = 9
 
 // Frame kind bytes; frameTable describes each.
 const (
@@ -87,10 +91,10 @@ func init() {
 		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, u8 idle, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
 		fShutdown:       {"shutdown", false, false, "", decodeEmpty, (*Node).handleShutdown},
 		fCredit:         {"credit", false, false, "u32 count", decodeU32, (*Node).handleCredit},
-		fHeartbeat:      {"heartbeat", false, false, "i32 from", decodeHeartbeat, (*Node).handleHeartbeat},
+		fHeartbeat:      {"heartbeat", false, false, "i32 from, u64 gen", decodeFromCount, (*Node).handleHeartbeat},
 		fCkpt:           {"ckpt", false, false, "i32 from, u64 epoch, u64 count, checkpoint", decodeCkpt, (*Node).handleCkpt},
 		fCkptAck:        {"ckpt-ack", false, false, "i32 from, u64 epoch", decodeFromCount, (*Node).handleCkptAck},
-		fCkptMark:       {"ckpt-mark", false, false, "i32 from, u64 count", decodeFromCount, (*Node).handleCkptMark},
+		fCkptMark:       {"ckpt-mark", false, false, "i32 from, u64 count, u64 gen", decodeMark, (*Node).handleCkptMark},
 		fRebalance:      {"rebalance", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
 		fRebalanceReady: {"rebalance-ready", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
 		fInitLog:        {"init-log", false, false, "i32 from, u64 count, i32 cluster, taskid parent, u64 seq, taskid id", decodeInitLog, (*Node).handleInitLog},
@@ -108,8 +112,8 @@ type frame struct {
 	hello       hello           // fHello
 	ack         drainAck        // fDrainAck
 	from        int             // fHeartbeat, fCkpt, fCkptAck, fCkptMark, fInitLog, fInitLogAck: the sender names itself
-	epoch       uint64          // fCkpt
-	count       uint64          // fCredit, fCkpt, fCkptMark, fInitLog, fInitLogAck; the epoch of fDrain, fCkptAck
+	epoch       uint64          // fCkpt; the generation of fCkptMark
+	count       uint64          // fCredit, fCkpt, fCkptMark, fInitLog, fInitLogAck; the epoch of fDrain, fCkptAck; the generation of fHeartbeat
 	blob        []byte          // fCkpt
 	dead, buddy int             // fRebalance, fRebalanceReady
 	replyID     uint64          // fInitReply
@@ -292,16 +296,11 @@ func decodeDrainAck(m *frame, body []byte) error {
 	return c.Done()
 }
 
-// encodeHeartbeat builds the liveness beacon.  The lane already identifies
-// the sender; the id travels anyway so a heartbeat is self-describing in a
-// packet capture.
-func encodeHeartbeat(from int) []byte { return msgcodec.AppendI32([]byte{fHeartbeat}, from) }
-
-func decodeHeartbeat(m *frame, body []byte) error {
-	c := msgcodec.NewCursor(body)
-	m.from = c.I32()
-	return c.Done()
-}
+// encodeHeartbeat builds the liveness beacon, which carries the generation
+// of the sender's exit records (transport.ageExitRecords) in its count.  The
+// lane already identifies the sender; the id travels anyway so a heartbeat
+// is self-describing in a packet capture.
+func encodeHeartbeat(from int, gen uint64) []byte { return encodeFromCount(fHeartbeat, from, gen) }
 
 // encodeCkpt wraps one checkpoint blob for buddy streaming, with the count of
 // the sender's initiation log the checkpoint covers.  The blob bytes are the
@@ -322,9 +321,6 @@ func decodeCkpt(m *frame, body []byte) error {
 //   - fCkptAck: the buddy holds the checkpoint of that epoch.  It gates the
 //     retention marks: a sender may only tell its peers to drop retained
 //     frames once the blob those frames' effects live in is safely held.
-//   - fCkptMark: "my acked checkpoint covers the first `count` counted frames
-//     your lane delivered to me — drop them from retention"; exact because
-//     both ends number counted frames in the lane's FIFO order.
 //   - fInitLogAck: the buddy holds the initiation log up to entry `count`.
 func encodeFromCount(kind byte, from int, count uint64) []byte {
 	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{kind}, from), count)
@@ -333,6 +329,21 @@ func encodeFromCount(kind byte, from int, count uint64) []byte {
 func decodeFromCount(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
 	m.from, m.count = c.I32(), c.U64()
+	return c.Done()
+}
+
+// encodeMark is fCkptMark: "my acked checkpoint covers the first `count`
+// counted frames your lane delivered to me — drop them from retention", exact
+// because both ends number counted frames in the lane's FIFO order, and "I
+// cut it after hearing generation `gen` of your exit records".  The decoder
+// puts gen in epoch.
+func encodeMark(from int, mk mark) []byte {
+	return msgcodec.AppendU64(encodeFromCount(fCkptMark, from, mk.count), mk.gen)
+}
+
+func decodeMark(m *frame, body []byte) error {
+	c := msgcodec.NewCursor(body)
+	m.from, m.count, m.epoch = c.I32(), c.U64(), c.U64()
 	return c.Done()
 }
 
@@ -444,8 +455,9 @@ func (n *Node) handleShutdown(int, *frame) { n.signalShutdown() }
 
 func (n *Node) handleCredit(from int, m *frame) { n.tr.addCredits(from, uint32(m.count)) }
 
-// handleHeartbeat has nothing to do: the readLoop already fed the detector.
-func (n *Node) handleHeartbeat(int, *frame) {}
+// handleHeartbeat notes the generation the peer announced; the readLoop
+// already fed the detector.
+func (n *Node) handleHeartbeat(from int, m *frame) { n.tr.heard(from, m.count) }
 
 // handleCkpt stores a peer's checkpoint (storeCheckpoint copies the blob: the
 // lane's buffer is recycled).
@@ -453,7 +465,7 @@ func (n *Node) handleCkpt(from int, m *frame) { n.storeCheckpoint(from, m.epoch,
 
 func (n *Node) handleCkptAck(_ int, m *frame) { n.broadcastMarks(m.count) }
 
-func (n *Node) handleCkptMark(from int, m *frame) { n.tr.ackRetained(from, m.count) }
+func (n *Node) handleCkptMark(from int, m *frame) { n.tr.ackRetained(from, m.count, m.epoch) }
 
 // handleRebalanceFrame runs a rebalance verdict or all-clear off the deliver
 // stage: a rebalance blocks on the route lock and (on the buddy) the restore,

@@ -57,7 +57,7 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	logged := core.LoggedInit{Cluster: 2, Parent: sender, Seq: 11, ID: dest}
 	ack := drainAck{from: 1, epoch: 3, sent: 10, recv: 9, idle: true, stats: []byte{1, 2, 3}, trace: []byte{4, 5}}
 	return []goldenFrame{
-		{"hello", "010000000800000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
+		{"hello", "010000000900000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
 			encodeHello(h), frame{kind: fHello, hello: h}},
 		{"msg", "020000000100000002000000020000000300000011000000010000000100000009000000000000000b000000000000007b000000deadbeef01000f7069736365732e696e69746961746500020100000008000000000000002a04000000026869",
 			encodeWireFrame(nil, &msg), frame{kind: fMsg, msg: msg}},
@@ -70,11 +70,11 @@ func goldenFrames(t testing.TB) []goldenFrame {
 			encodeDrainAck(ack), frame{kind: fDrainAck, ack: ack}},
 		{"shutdown", "07", []byte{fShutdown}, frame{kind: fShutdown}},
 		{"credit", "0800000040", encodeCredit(64), frame{kind: fCredit, count: 64}},
-		{"heartbeat", "0900000002", encodeHeartbeat(2), frame{kind: fHeartbeat, from: 2}},
+		{"heartbeat", "09000000020000000000000003", encodeHeartbeat(2, 3), frame{kind: fHeartbeat, from: 2, count: 3}},
 		{"ckpt", "0a0000000100000000000000050000000000000003090807",
 			encodeCkpt(1, 5, 3, []byte{9, 8, 7}), frame{kind: fCkpt, from: 1, epoch: 5, count: 3, blob: []byte{9, 8, 7}}},
 		{"ckpt-ack", "0b000000020000000000000005", encodeFromCount(fCkptAck, 2, 5), frame{kind: fCkptAck, from: 2, count: 5}},
-		{"ckpt-mark", "0c00000001000000000000004d", encodeFromCount(fCkptMark, 1, 77), frame{kind: fCkptMark, from: 1, count: 77}},
+		{"ckpt-mark", "0c00000001000000000000004d0000000000000004", encodeMark(1, mark{77, 4}), frame{kind: fCkptMark, from: 1, count: 77, epoch: 4}},
 		{"rebalance", "0d0000000200000001", encodeRebalance(fRebalance, 2, 1), frame{kind: fRebalance, dead: 2, buddy: 1}},
 		{"rebalance-ready", "0e0000000200000001", encodeRebalance(fRebalanceReady, 2, 1), frame{kind: fRebalanceReady, dead: 2, buddy: 1}},
 		{"init-log", "0f00000001000000000000000400000002000000010000000100000009000000000000000b000000020000000300000011",

@@ -283,7 +283,7 @@ func (l *lane) choppedStream() (stream []byte, want []arrival, frames int) {
 		data("other", 3)
 		data("datum", 0)
 	}
-	add(framed(encodeHeartbeat(0)))
+	add(framed(encodeHeartbeat(0, 1)))
 	data("datum", bigReals)
 	for i := 0; i < 40; i++ {
 		data("other", 8)
@@ -408,7 +408,7 @@ func TestHeartbeatsHeardWhileDeliverStageHeld(t *testing.T) {
 	})
 	t0 := time.Now()
 	l.holdDeliverStage()
-	beat := framed(encodeHeartbeat(0))
+	beat := framed(encodeHeartbeat(0, 1))
 	sent := 0
 	for i := 0; i < 80; i++ {
 		l.write(beat, 1<<30)

@@ -116,7 +116,7 @@ type peer struct {
 	deadDone bool // markDead accounting ran (dead may be set first by a write error)
 	ret      retention
 	logAcked uint64
-	agedAt   uint64 // counted frames sent when the exit records last aged
+	markGen  uint64 // the exit-record generation the peer's last mark showed
 
 	// Per-lane wire counters (node.tx.n<me>->n<id>.*), resolved at addPeer;
 	// bumped only when metrics are enabled.
@@ -369,7 +369,9 @@ type transport struct {
 	// checkpoint cut, it is the log prefix the checkpoint covers (an entry
 	// counted but not yet sent is held past its cut, which is harmless).
 	haRetain bool
-	ageMu    sync.Mutex // serialises ageExitRecords
+	ageMu    sync.Mutex    // serialises ageExitRecords
+	ageGen   atomic.Uint64 // the exit records' generation, announced on every heartbeat
+	heardGen []atomic.Uint64
 	routeMu  sync.RWMutex
 	reroute  map[int]int
 	recvFrom []atomic.Uint64
@@ -402,6 +404,7 @@ func newTransport(nodeID int, topo Topology, reg *obs.Registry, cfg wireConfig, 
 		creditsRx:     reg.Counter("node.credit.grants.rx"),
 		peers:         make([]atomic.Pointer[peer], topo.Nodes),
 		recvFrom:      make([]atomic.Uint64, topo.Nodes),
+		heardGen:      make([]atomic.Uint64, topo.Nodes),
 	}
 }
 
