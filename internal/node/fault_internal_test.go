@@ -117,6 +117,18 @@ func simMesh(t *testing.T, seed int64, cfg *config.Configuration, out *bytes.Buf
 	return s, mesh
 }
 
+// pollFor checks cond every 100µs of virtual time, finely enough to catch a
+// window one network delay wide, and reports whether it held within ten
+// virtual seconds.
+func pollFor(s *sim.Scheduler, cond func() bool) bool {
+	for deadline := s.Now().Add(10 * time.Second); !cond(); sleep(s, 100*time.Microsecond) {
+		if s.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // oneVM runs the tasktype main on cluster 1 of a single simulated VM and
 // returns its terminal output: what the mesh must print too.
 func oneVM(t *testing.T, cfg *config.Configuration, register func(*core.VM)) string {
@@ -182,10 +194,13 @@ func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 	acked := uint64(0)
 	killed := s.NewGate()
 	s.Spawn("watch", func() {
-		for len(mesh.nodes[0].HeldInits(1)) < 2 {
-			sleep(s, 100*time.Microsecond)
+		defer killed.Open()
+		if !pollFor(s, func() bool { return len(mesh.nodes[0].HeldInits(1)) >= 2 }) {
+			return
 		}
 		logged = mesh.nodes[0].HeldInits(1)[1].ID
+		// The ack is read and node 1 terminated in one step of this task, so
+		// no frame lands between the two; Kill then waits out the recovery.
 		p := mesh.nodes[1].tr.peerAt(0)
 		p.mu.Lock()
 		acked = p.logAcked
@@ -193,14 +208,17 @@ func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 		if len(ranAs) != 0 {
 			t.Errorf("the child ran as %v before its entry was acked", ranAs)
 		}
+		mesh.nodes[1].Terminate()
 		mesh.Kill(1)
-		killed.Open()
 	})
 	if _, err := mesh.VMs[0].Run("main", core.OnCluster(1)); err != nil {
 		t.Fatal(err)
 	}
 	killed.Wait()
 	mesh.Shutdown()
+	if logged == core.NilTask {
+		t.Fatal("node 0 never held the child's init-log entry")
+	}
 	if acked >= 2 {
 		t.Errorf("node 1 saw its log acked to entry %d before the kill; the kill must land before the child's ack", acked)
 	}
@@ -286,18 +304,21 @@ func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
 	stalls := n0.reg.Counter("node.credit.stalls")
 	n0.reg.Enable(obs.Metrics)
 	killed := s.NewGate()
+	stalling := false
 	s.Spawn("watch", func() {
-		for stalls.Load() < msgs/8 {
-			sleep(s, 100*time.Microsecond)
+		defer killed.Open()
+		if stalling = pollFor(s, func() bool { return stalls.Load() >= msgs/8 }); stalling {
+			mesh.Kill(2)
 		}
-		mesh.Kill(2)
-		killed.Open()
 	})
 	if _, err := mesh.VMs[0].Run("main", core.OnCluster(1)); err != nil {
 		t.Fatal(err)
 	}
 	killed.Wait()
 	mesh.Shutdown()
+	if !stalling {
+		t.Fatal("main never stalled on credits")
+	}
 	if !stalledAtRebalance {
 		t.Error("main was not stalled on credits when node 0 rebalanced")
 	}
