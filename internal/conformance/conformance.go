@@ -166,7 +166,7 @@ func RunObserved(src string, seed int64) Result {
 // (node.FaultMesh), every write between nodes paying seeded virtual-clock
 // delays, so the sweep exercises network schedules a single process never
 // produces, through the code a real node runs, reproducibly from the seed.
-func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, nil) }
+func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, 0, nil, nil) }
 
 // RunKill runs the program on RunFault's mesh in HA mode and kills one node
 // mid-run.  Node 0 hosts cluster 1 and the terminal, whose controllers
@@ -180,8 +180,8 @@ func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, ni
 // node 0's shards, then node 1's.
 func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *KillRecovery) {
 	rec := &KillRecovery{}
-	log := &killLog{}
-	res := runMesh(src, seed, nil, nil, &killPlan{ckptEvery: ckptEvery, log: log, arm: func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
+	var log bytes.Buffer
+	res := runMesh(src, seed, nil, nil, ckptEvery, &log, func(mesh *node.FaultMesh, s *sim.Scheduler) func() {
 		var killed backend.Gate
 		kill := s.AfterFunc(killAt, func() {
 			killed = s.NewGate()
@@ -202,46 +202,26 @@ func RunKill(src string, seed int64, killAt, ckptEvery time.Duration) (Result, *
 				killed.Wait()
 			}
 		}
-	}})
-	rec.Err = log.err()
-	return res, rec
-}
-
-// killPlan is what a kill run adds to runMesh: HA nodes checkpointing every
-// ckptEvery and logging to log, and arm, which schedules the kill before
-// MAIN starts and returns the wait for a kill in progress, run before
-// Shutdown.
-type killPlan struct {
-	ckptEvery time.Duration
-	log       io.Writer
-	arm       func(*node.FaultMesh, *sim.Scheduler) func()
-}
-
-// killLog is a kill run's node log.  It keeps the lines that report a
-// checkpoint, restore or replay a node could not do, which no terminal shows.
-type killLog struct{ lines []string }
-
-func (l *killLog) Write(b []byte) (int, error) {
-	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+	})
+	// The nodes log what no terminal shows: a checkpoint, restore or replay
+	// that failed.
+	var errs []error
+	for _, line := range strings.Split(log.String(), "\n") {
 		if strings.Contains(line, "checkpoint failed") || strings.Contains(line, "restoring node") || strings.Contains(line, "replaying retained frames") {
-			l.lines = append(l.lines, line)
+			errs = append(errs, errors.New(line))
 		}
 	}
-	return len(b), nil
-}
-
-func (l *killLog) err() error {
-	if len(l.lines) == 0 {
-		return nil
-	}
-	return errors.New(strings.Join(l.lines, "; "))
+	rec.Err = errors.Join(errs...)
+	return res, rec
 }
 
 // runMesh runs the program on the harness configuration's fault mesh.  With
 // reg the nodes share it, and rec; without, each node has a registry of its
-// own.  A kill run boots the nodes in HA mode with metrics on, node 1
-// writing to a terminal of its own.
-func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill *killPlan) (res Result) {
+// own.  A kill run boots the nodes in HA mode, checkpointing every ckptEvery
+// with metrics on, logging to log, node 1 writing to a terminal of its own;
+// kill arms its schedule before MAIN starts and returns the wait for a kill
+// in progress, run before Shutdown.
+func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptEvery time.Duration, log io.Writer, kill func(*node.FaultMesh, *sim.Scheduler) func()) (res Result) {
 	s := sim.New(seed)
 	var out, deadOut bytes.Buffer
 	mem := &trace.MemorySink{}
@@ -267,10 +247,9 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill 
 			// hour-long DELAY need not beat every 25ms of it.  The detector
 			// suspects after ten silent beats, well past the network's worst
 			// delay.
-			beat := max(kill.ckptEvery/8, node.DefaultFaultProfile().MaxDelay()/4)
+			beat := max(ckptEvery/8, node.DefaultFaultProfile().MaxDelay()/4)
 			o.Metrics.Enable(obs.Metrics)
-			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter = true, kill.ckptEvery, beat, 10*beat
-			o.Log = kill.log
+			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter, o.Log = true, ckptEvery, beat, 10*beat, log
 			if i > 0 {
 				o.Out = &deadOut
 			}
@@ -286,7 +265,7 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, kill 
 	}
 	await := func() {}
 	if kill != nil {
-		await = kill.arm(mesh, s)
+		await = kill(mesh, s)
 	}
 	start := s.Now()
 	err = mesh.Run(prog, pfi.Options{})

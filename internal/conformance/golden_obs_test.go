@@ -99,7 +99,7 @@ func TestObservableBytesMatchParent(t *testing.T) {
 			// runs between the VMs of a mesh; sweep it with every sink on.
 			reg := obs.New()
 			reg.Enable(obs.Metrics | obs.Spans)
-			wire := runMesh(src, seed, reg, obs.NewRecorder(0, 0, 0), nil)
+			wire := runMesh(src, seed, reg, obs.NewRecorder(0, 0, 0), 0, nil, nil)
 			got["wire-trace"] = []byte(strings.Join(wire.Trace, "\n"))
 			got["wire-dump"] = wire.RecorderDump
 			got["wire-chrome"] = wire.ObsTrace

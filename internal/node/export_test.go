@@ -13,13 +13,10 @@ type WireConfig = wireConfig
 
 func SetWire(o *Options, w WireConfig) { o.wire = w }
 
-// CutCheckpoint cuts one checkpoint of the node's clusters now and ships it
-// to the buddy, as the HA loop's checkpoint tick does, and reports whether
-// the buddy acked it before the node shut down.
-func (n *Node) CutCheckpoint() bool {
-	epoch := n.checkpointTick()
-	return epoch > 0 && n.awaitCheckpoint(epoch)
-}
+// CutCheckpoint cuts one checkpoint of the node's clusters now, as the HA
+// loop's tick does, and reports whether the buddy acked it before the node
+// shut down.
+func (n *Node) CutCheckpoint() bool { return n.cutCheckpoint() }
 
 // HeldInits returns the entries of the peer's initiation log this node holds
 // as the peer's buddy.

@@ -374,11 +374,7 @@ func (m *FaultMesh) Checkpoint(i int) error {
 		return fmt.Errorf("node %d: checkpoints need HA mode", i)
 	}
 	acked := false
-	m.do(fmt.Sprintf("node %d checkpoint", i), func() {
-		if epoch := n.checkpointTick(); epoch > 0 {
-			acked = n.awaitCheckpoint(epoch)
-		}
-	})
+	m.do(fmt.Sprintf("node %d checkpoint", i), func() { acked = n.cutCheckpoint() })
 	if !acked {
 		return fmt.Errorf("node %d: no checkpoint was acked", i)
 	}
@@ -398,7 +394,7 @@ func (m *FaultMesh) Kill(i int) (replayed int) {
 		dead.vm.Shutdown()
 		for j, n := range m.nodes {
 			var r int
-			if j != i && n.det != nil && n.awaitHA(func() (done bool) { r, done = n.replayed[i]; return done }) {
+			if j != i && n.det != nil && n.await(-1, func() (done bool) { r, done = n.replayed[i]; return done }) {
 				replayed += r
 			}
 		}

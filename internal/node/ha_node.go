@@ -83,11 +83,11 @@ func (n *Node) checkpointTick() uint64 {
 		fmt.Fprintf(n.opts.Log, "node %d: checkpoint failed: %v\n", n.opts.NodeID, err)
 		return 0
 	}
-	n.ckptMu.Lock()
+	n.mu.Lock()
 	n.ckptEpoch++
 	epoch := n.ckptEpoch
 	n.pendMark[epoch] = snap
-	n.ckptMu.Unlock()
+	n.mu.Unlock()
 	if err := n.tr.sendControl(buddy, encodeCkpt(n.opts.NodeID, epoch, inits, blob)); err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: shipping checkpoint %d to node %d: %v\n", n.opts.NodeID, epoch, buddy, err)
 		return 0
@@ -99,22 +99,11 @@ func (n *Node) checkpointTick() uint64 {
 	return epoch
 }
 
-// awaitHA waits until done, evaluated under ckptMu, holds — after a
-// checkpoint's ack or a rebalance — or the node shuts down, and reports
-// done.
-func (n *Node) awaitHA(done func() bool) bool {
-	n.ckptMu.Lock()
-	defer n.ckptMu.Unlock()
-	for !done() && !n.shuttingDown() {
-		n.haProgress.Wait()
-	}
-	return done()
-}
-
-// awaitCheckpoint waits until the buddy acked the checkpoint of the epoch,
-// and reports whether it did before the node shut down.
-func (n *Node) awaitCheckpoint(epoch uint64) bool {
-	return n.awaitHA(func() bool {
+// cutCheckpoint is one checkpoint tick waited on until the buddy acked the
+// blob; it reports whether that happened before the node shut down.
+func (n *Node) cutCheckpoint() bool {
+	epoch := n.checkpointTick()
+	return epoch > 0 && n.await(-1, func() bool {
 		_, unacked := n.pendMark[epoch]
 		return !unacked
 	})
@@ -138,15 +127,15 @@ func (n *Node) storeCheckpoint(from int, epoch, inits uint64, blob []byte) {
 // each peer may drop its retained frames up to the count this node had
 // delivered from that peer when the checkpoint was cut.
 func (n *Node) broadcastMarks(epoch uint64) {
-	n.ckptMu.Lock()
+	n.mu.Lock()
 	snap, ok := n.pendMark[epoch]
 	for e := range n.pendMark {
 		if e <= epoch {
 			delete(n.pendMark, e)
 		}
 	}
-	n.haProgress.Broadcast()
-	n.ckptMu.Unlock()
+	n.changed.Broadcast()
+	n.mu.Unlock()
 	if !ok {
 		return
 	}
@@ -283,10 +272,7 @@ func (n *Node) finishRebalance(dead, buddy int) {
 	n.reg.Emit(&obs.Event{Kind: obs.Rebalance, A: int64(n.opts.NodeID), Type: pair, Start: t0})
 	fmt.Fprintf(n.opts.Log, "node %d: rerouted node %d's clusters to node %d (%d retained frames replayed)\n",
 		n.opts.NodeID, dead, buddy, replayed)
-	n.ckptMu.Lock()
-	n.replayed[dead] = replayed
-	n.haProgress.Broadcast()
-	n.ckptMu.Unlock()
+	n.update(func() { n.replayed[dead] = replayed })
 	// A rebalance IS a failure: leave the black box behind while the events
 	// leading up to the death are still in the ring.
 	n.dumpBlackbox("rebalance " + pair)

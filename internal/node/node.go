@@ -113,42 +113,40 @@ type Node struct {
 	// readers counts the node's tasks that teardown waits for: lane readers
 	// and deliver stages, the HA loop, and handlers run off a stage.
 	readers backend.WaitGroup
+	inConns []net.Conn // written by Start only
 
-	// acks collects the coordinator's drain round ackEpoch (drainQuiesce).
-	ackMu    sync.Mutex
-	ackCond  backend.Cond
+	// mu guards the node's shared state below, marked "mu".  A change that
+	// a wait may be waiting for broadcasts changed (update), and the node's
+	// waits wait on it (await).
+	mu      sync.Mutex
+	changed backend.Cond
+
+	// acks collects the coordinator's drain round ackEpoch (drainQuiesce; mu).
 	ackEpoch uint32
 	acks     map[int]drainAck
 
-	inMu    sync.Mutex
-	inConns []net.Conn
-
 	// Observability: the registry shared with the VM — which also owns the
 	// always-on flight recorder (see BlackboxDump) — plus resolved node-layer
-	// histogram handles; snapMu guards the latest metric snapshot received
-	// from each follower (coordinator only).
+	// histogram handles, and the latest metric snapshot received from each
+	// follower (coordinator only; mu).
 	reg          *obs.Registry
 	frameRead    *obs.Histogram // node.frame.read.ns: one blocking read (arrival gap + read), which may carry many frames
 	frameDeliver *obs.Histogram // node.frame.deliver.ns: decode -> VM delivery
-	snapMu       sync.Mutex
 	followerSnap map[int]*obs.Snapshot
 	// followerTrace holds the latest span trace blob received from each
 	// follower's drain ack (coordinator only, spans enabled), decoded; it is
-	// what WriteMeshTrace merges into per-node process tracks.
+	// what WriteMeshTrace merges into per-node process tracks (mu).
 	followerTrace map[int]obs.ProcessTrace
 
 	// Fault tolerance (HA mode only; nil/zero otherwise).  store holds the
 	// blobs and initiation logs this node keeps as other peers' buddy;
-	// ckptMu guards the pre-cut receive snapshots of this node's own
-	// un-acked checkpoint epochs and replayed, the frames each finished
-	// rebalance replayed, by dead peer; haProgress wakes a wait on either
-	// (awaitHA).  rebalMu serialises rebalances (one membership change at a
-	// time), a backend lock because a rebalance parks while holding it;
-	// haWake ends the HA loop at shutdown.
+	// pendMark holds the pre-cut marks of this node's own un-acked
+	// checkpoint epochs and replayed the frames each finished rebalance
+	// replayed, by dead peer (both mu).  rebalMu serialises rebalances (one
+	// membership change at a time), a backend lock because a rebalance parks
+	// while holding it; haWake ends the HA loop at shutdown.
 	det        *detector
 	store      *buddyStore
-	ckptMu     sync.Mutex
-	haProgress backend.Cond
 	ckptEpoch  uint64
 	pendMark   map[uint64]map[int]mark
 	replayed   map[int]int
@@ -173,17 +171,14 @@ type Node struct {
 	afterAdopt func()
 
 	// idleRuns counts the VM idle waits finished (idleWithin); idleWaiting is
-	// set while one runs.
-	idleMu      sync.Mutex
-	idleCond    backend.Cond
+	// set while one runs (mu).
 	idleRuns    uint64
 	idleWaiting bool
 
 	shutdownOnce sync.Once
 	shutdown     backend.Gate
-	// closing is set by the first Close or Terminate; closed opens when it
-	// is done.
-	closeMu  sync.Mutex
+	// closing is set by the first Close or Terminate (mu); closed opens when
+	// it is done.
 	closing  bool
 	closed   backend.Gate
 	closeErr error
@@ -235,7 +230,7 @@ func Start(opts Options) (*Node, error) {
 		followerSnap:  make(map[int]*obs.Snapshot),
 		followerTrace: make(map[int]obs.ProcessTrace),
 	}
-	n.idleCond, n.ackCond = be.NewCond(&n.idleMu), be.NewCond(&n.ackMu)
+	n.changed = be.NewCond(&n.mu)
 	if reg.Recorder() == nil {
 		reg.AttachRecorder(obs.NewRecorder(opts.NodeID, 0, 0))
 	}
@@ -257,7 +252,6 @@ func Start(opts Options) (*Node, error) {
 		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, be.Now)
 		n.store = newBuddyStore(len(opts.Addrs))
 		n.pendMark = make(map[uint64]map[int]mark)
-		n.haProgress = be.NewCond(&n.ckptMu)
 		n.replayed = make(map[int]int)
 		n.rebalMu = be.NewSem()
 		n.haWake = be.NewEvent()
@@ -318,7 +312,7 @@ func Start(opts Options) (*Node, error) {
 	// the same order on every run.
 	for from := range opts.Addrs {
 		if conn := inbound[from]; conn != nil {
-			n.inConns = append(n.inConns, conn) // before any reader: no lock yet
+			n.inConns = append(n.inConns, conn)
 			n.readers.Add(1)
 			be.Spawn(fmt.Sprintf("node %d read %d", opts.NodeID, from), func() { n.readLoop(from, conn) })
 		}
@@ -339,9 +333,7 @@ func (n *Node) connectMesh() (map[int]net.Conn, error) {
 	want := len(addrs) - 1
 	deadline := n.be.Now().Add(n.opts.ConnectTimeout)
 
-	var mu sync.Mutex
-	joined := n.be.NewCond(&mu)
-	inbound := make(map[int]net.Conn, want)
+	inbound := make(map[int]net.Conn, want) // and complete: mu
 	complete := false
 	// Accept until the mesh is complete, not a fixed count: a stray
 	// connection (a port scanner, a health probe) or a failed handshake must
@@ -355,17 +347,16 @@ func (n *Node) connectMesh() (map[int]net.Conn, error) {
 			}
 			n.be.Spawn(fmt.Sprintf("node %d handshake", me), func() {
 				from, err := n.handshakeAccept(conn, deadline)
-				mu.Lock()
-				defer mu.Unlock()
 				if err != nil {
 					fmt.Fprintf(n.opts.Log, "node %d: inbound handshake failed: %v\n", me, err)
 				}
-				if err != nil || complete || inbound[from] != nil {
-					_ = conn.Close()
-					return
-				}
-				inbound[from] = conn
-				joined.Broadcast()
+				n.update(func() {
+					if err != nil || complete || inbound[from] != nil {
+						_ = conn.Close()
+					} else {
+						inbound[from] = conn
+					}
+				})
 			})
 		}
 	})
@@ -376,18 +367,14 @@ func (n *Node) connectMesh() (map[int]net.Conn, error) {
 		}
 		conn, err := n.dialPeer(id, deadline)
 		if err != nil {
-			mu.Lock()
-			complete = true // later handshakes close their connections
-			mu.Unlock()
+			n.update(func() { complete = true }) // later handshakes close their connections
 			return nil, err
 		}
 		n.tr.addPeer(id, conn)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	ok := waitWithin(n.be, &mu, joined, deadline.Sub(n.be.Now()), func() bool { return len(inbound) == want })
-	complete = true
+	ok := n.await(deadline.Sub(n.be.Now()), func() bool { return len(inbound) == want })
+	n.update(func() { complete = true })
 	if !ok {
 		return nil, fmt.Errorf("node %d: timed out waiting for %d inbound peers", me, want-len(inbound))
 	}
@@ -518,8 +505,8 @@ func (n *Node) Snapshot() *obs.Snapshot {
 // follower during drain rounds (coordinator only; empty when metrics are off
 // or no drain has completed yet).
 func (n *Node) FollowerSnapshots() map[int]*obs.Snapshot {
-	n.snapMu.Lock()
-	defer n.snapMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	out := make(map[int]*obs.Snapshot, len(n.followerSnap))
 	for id, s := range n.followerSnap {
 		out[id] = s
@@ -554,7 +541,7 @@ func (n *Node) dumpBlackbox(reason string) {
 // edge id, so the viewer draws the arrow across process tracks.
 func (n *Node) WriteMeshTrace(w io.Writer) error {
 	procs := []obs.ProcessTrace{n.reg.Trace(n.opts.NodeID+1, fmt.Sprintf("node %d", n.opts.NodeID))}
-	n.snapMu.Lock()
+	n.mu.Lock()
 	ids := make([]int, 0, len(n.followerTrace))
 	for id := range n.followerTrace {
 		ids = append(ids, id)
@@ -566,7 +553,7 @@ func (n *Node) WriteMeshTrace(w io.Writer) error {
 		p.Name = fmt.Sprintf("node %d", id)
 		procs = append(procs, p)
 	}
-	n.snapMu.Unlock()
+	n.mu.Unlock()
 	return obs.WriteChromeTraceMulti(w, procs)
 }
 
@@ -796,15 +783,12 @@ func (n *Node) deliverLoop(from int, r *laneReader, work *queue[handoff]) {
 }
 
 // signalShutdown opens the shutdown gate and releases whatever waits on a
-// peer: init-log acks, checkpoint acks, the HA loop's next tick.
+// peer: the node's waits (await), init-log acks, the HA loop's next tick.
 func (n *Node) signalShutdown() {
 	n.shutdownOnce.Do(func() {
-		n.shutdown.Open()
+		n.update(n.shutdown.Open)
 		n.tr.stopLog()
 		if n.det != nil {
-			n.ckptMu.Lock()
-			n.haProgress.Broadcast()
-			n.ckptMu.Unlock()
 			n.haWake.Pulse()
 		}
 	})
@@ -812,25 +796,48 @@ func (n *Node) signalShutdown() {
 
 func (n *Node) shuttingDown() bool { return n.shutdown.IsOpen() }
 
+// update runs fn, a change to state under mu, and wakes every wait to check
+// for what it waits for.
+func (n *Node) update(fn func()) {
+	n.mu.Lock()
+	fn()
+	n.changed.Broadcast()
+	n.mu.Unlock()
+}
+
+// await waits until ready, evaluated under mu, holds, the node shuts down, or
+// with d >= 0 d has passed on the backend clock, and reports ready.  The
+// timer callback only takes mu, which no task holds across a wait, so it
+// never blocks.
+func (n *Node) await(d time.Duration, ready func() bool) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	expired := false
+	if d >= 0 {
+		t := n.be.AfterFunc(d, func() { n.update(func() { expired = true }) })
+		defer t.Stop()
+	}
+	for !ready() && !expired && !n.shuttingDown() {
+		n.changed.Wait()
+	}
+	return ready()
+}
+
 // idleWithin reports whether every locally hosted user task terminated
 // within d.  The node keeps one idle waiter: a call that times out leaves it
 // waiting for the next call to find.
 func (n *Node) idleWithin(d time.Duration) bool {
-	n.idleMu.Lock()
-	defer n.idleMu.Unlock()
+	n.mu.Lock()
 	target := n.idleRuns + 1
 	if !n.idleWaiting {
 		n.idleWaiting = true
 		n.be.Spawn(fmt.Sprintf("node %d idle", n.opts.NodeID), func() {
 			n.vm.WaitIdle()
-			n.idleMu.Lock()
-			n.idleWaiting = false
-			n.idleRuns++
-			n.idleCond.Broadcast()
-			n.idleMu.Unlock()
+			n.update(func() { n.idleWaiting, n.idleRuns = false, n.idleRuns+1 })
 		})
 	}
-	return waitWithin(n.be, &n.idleMu, n.idleCond, d, func() bool { return n.idleRuns >= target })
+	n.mu.Unlock()
+	return n.await(d, func() bool { return n.idleRuns >= target })
 }
 
 // answerDrain reports this node's quiescence for one drain round: whether
@@ -901,9 +908,9 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 		// Dead peers (HA mode) are out of the round: their lanes drop control
 		// frames and their traffic has been settled into the survivors' counts
 		// by markDead/replay.  Re-list each round — a peer can die mid-drain.
-		n.ackMu.Lock()
+		n.mu.Lock()
 		n.ackEpoch, n.acks = epoch, make(map[int]drainAck)
-		n.ackMu.Unlock()
+		n.mu.Unlock()
 		peers := 0
 		for id := range n.opts.Addrs {
 			if id == n.opts.NodeID || n.tr.isDead(id) {
@@ -912,11 +919,11 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 			peers++
 			_ = n.tr.sendControl(id, encodeDrain(epoch))
 		}
-		n.ackMu.Lock()
-		waitWithin(n.be, &n.ackMu, n.ackCond, min(5*time.Second, deadline.Sub(n.be.Now())), func() bool { return len(n.acks) >= peers })
+		n.await(min(5*time.Second, deadline.Sub(n.be.Now())), func() bool { return len(n.acks) >= peers })
+		n.mu.Lock()
 		got := n.acks
 		n.ackEpoch = 0 // later acks of this round find nobody collecting
-		n.ackMu.Unlock()
+		n.mu.Unlock()
 		n.reg.Emit(&obs.Event{Kind: obs.DrainRound, A: int64(n.opts.NodeID), Type: strconv.FormatUint(uint64(epoch), 10), Start: roundT0})
 		if len(got) < peers {
 			continue
@@ -981,10 +988,10 @@ func (n *Node) Close() error {
 // closeOnce runs the first Close or Terminate; a later call waits until it is
 // done.  A sync.Once would hold a Go lock across the teardown's waits.
 func (n *Node) closeOnce(fn func()) {
-	n.closeMu.Lock()
+	n.mu.Lock()
 	first := !n.closing
 	n.closing = true
-	n.closeMu.Unlock()
+	n.mu.Unlock()
 	if first {
 		fn()
 		n.closed.Open()
@@ -999,10 +1006,8 @@ func (n *Node) closeOnce(fn func()) {
 func (n *Node) teardown() {
 	_ = n.ln.Close()
 	_ = n.tr.Close()
-	n.inMu.Lock()
 	for _, c := range n.inConns {
 		_ = c.Close()
 	}
-	n.inMu.Unlock()
 	n.readers.Wait()
 }

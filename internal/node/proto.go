@@ -425,9 +425,9 @@ func (n *Node) handleDrainAck(_ int, m *frame) {
 	// keep the latest per node for the merged view.
 	if len(m.ack.stats) > 0 {
 		if snap, err := obs.DecodeSnapshot(m.ack.stats); err == nil {
-			n.snapMu.Lock()
+			n.mu.Lock()
 			n.followerSnap[ack.from] = snap
-			n.snapMu.Unlock()
+			n.mu.Unlock()
 		} else {
 			fmt.Fprintf(n.opts.Log, "node %d: bad stats blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
 		}
@@ -436,19 +436,18 @@ func (n *Node) handleDrainAck(_ int, m *frame) {
 	// follower for the merged mesh trace.
 	if len(m.ack.trace) > 0 {
 		if tr, err := obs.DecodeTrace(m.ack.trace); err == nil {
-			n.snapMu.Lock()
+			n.mu.Lock()
 			n.followerTrace[ack.from] = tr
-			n.snapMu.Unlock()
+			n.mu.Unlock()
 		} else {
 			fmt.Fprintf(n.opts.Log, "node %d: bad trace blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
 		}
 	}
-	n.ackMu.Lock()
-	if ack.epoch == n.ackEpoch { // else a stale round's ack nobody is collecting
-		n.acks[ack.from] = ack
-		n.ackCond.Broadcast()
-	}
-	n.ackMu.Unlock()
+	n.update(func() {
+		if ack.epoch == n.ackEpoch { // else a stale round's ack nobody is collecting
+			n.acks[ack.from] = ack
+		}
+	})
 }
 
 func (n *Node) handleShutdown(int, *frame) { n.signalShutdown() }

@@ -76,23 +76,5 @@ func (q *queue[T]) close() {
 	q.mu.Unlock()
 }
 
-// waitWithin waits on c, whose lock l the caller holds, until ready or until
-// d has passed on the backend clock, and reports ready.  The timer callback
-// only takes l, which no task holds across a wait, so it never blocks.
-func waitWithin(be backend.Backend, l sync.Locker, c backend.Cond, d time.Duration, ready func() bool) bool {
-	expired := false
-	t := be.AfterFunc(d, func() {
-		l.Lock()
-		expired = true
-		c.Broadcast()
-		l.Unlock()
-	})
-	for !ready() && !expired {
-		c.Wait()
-	}
-	t.Stop()
-	return ready()
-}
-
 // sleep parks the caller for d on the backend clock.
 func sleep(be backend.Backend, d time.Duration) { be.NewEvent().WaitTimeout(d) }
