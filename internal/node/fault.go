@@ -367,7 +367,7 @@ func (m *FaultMesh) Shutdown() {
 }
 
 // Checkpoint is node i's checkpoint tick in HA mode, waited on until its
-// buddy acks the blob.
+// buddy acks the blob and the marks it releases are written.
 func (m *FaultMesh) Checkpoint(i int) error {
 	n := m.nodes[i]
 	if n.det == nil {

@@ -244,10 +244,12 @@ func (tr *transport) ageExitRecords() {
 			return
 		}
 	}
-	tr.ageGen.Add(1)
+	// Rotate before announcing: a cut that follows a heartbeat carrying the
+	// new generation then follows every exit the older ones recorded.
 	if vm := tr.vm.Load(); vm != nil {
 		vm.AgeExitRecords()
 	}
+	tr.ageGen.Add(1)
 }
 
 // LogInit implements core's initLogger: the initiation goes to this node's

@@ -100,13 +100,17 @@ func (n *Node) checkpointTick() uint64 {
 }
 
 // cutCheckpoint is one checkpoint tick waited on until the buddy acked the
-// blob; it reports whether that happened before the node shut down.
+// blob and the marks it releases are written; it reports whether that
+// happened before the node shut down.  A node that dies between the ack and
+// its marks leaves its peers retaining what the blob covers, and a replayed
+// frame that carries no send sequence — a user's INITIATE — runs twice.
 func (n *Node) cutCheckpoint() bool {
 	epoch := n.checkpointTick()
-	return epoch > 0 && n.await(-1, func() bool {
-		_, unacked := n.pendMark[epoch]
-		return !unacked
-	})
+	if epoch == 0 || !n.await(-1, func() bool { return n.marked >= epoch }) {
+		return false
+	}
+	n.tr.Flush()
+	return true
 }
 
 // storeCheckpoint is the buddy side of a checkpoint: keep the latest blob for
@@ -128,23 +132,20 @@ func (n *Node) storeCheckpoint(from int, epoch, inits uint64, blob []byte) {
 // delivered from that peer when the checkpoint was cut.
 func (n *Node) broadcastMarks(epoch uint64) {
 	n.mu.Lock()
-	snap, ok := n.pendMark[epoch]
+	snap := n.pendMark[epoch]
 	for e := range n.pendMark {
 		if e <= epoch {
 			delete(n.pendMark, e)
 		}
 	}
-	n.changed.Broadcast()
 	n.mu.Unlock()
-	if !ok {
-		return
-	}
 	for id, mk := range snap {
 		if id == n.opts.NodeID || n.det.Dead(id) {
 			continue
 		}
 		_ = n.tr.sendControl(id, encodeMark(n.opts.NodeID, mk))
 	}
+	n.update(func() { n.marked = max(n.marked, epoch) })
 }
 
 // nextLive returns the next live node after the given id, cyclically, or -1:

@@ -141,13 +141,15 @@ type Node struct {
 	// Fault tolerance (HA mode only; nil/zero otherwise).  store holds the
 	// blobs and initiation logs this node keeps as other peers' buddy;
 	// pendMark holds the pre-cut marks of this node's own un-acked
-	// checkpoint epochs and replayed the frames each finished rebalance
-	// replayed, by dead peer (both mu).  rebalMu serialises rebalances (one
+	// checkpoint epochs, marked is the last epoch whose marks went out, and
+	// replayed the frames each finished rebalance replayed, by dead peer (all
+	// mu).  rebalMu serialises rebalances (one
 	// membership change at a time), a backend lock because a rebalance parks
 	// while holding it; haWake ends the HA loop at shutdown.
 	det        *detector
 	store      *buddyStore
 	ckptEpoch  uint64
+	marked     uint64
 	pendMark   map[uint64]map[int]mark
 	replayed   map[int]int
 	rebalMu    backend.Sem
