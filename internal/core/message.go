@@ -296,9 +296,43 @@ func (q *inQueue) grow() {
 // interleave with re-injected history.
 func (q *inQueue) put(m *Message) putResult {
 	q.mu.Lock()
+	res, queued := q.admitLocked(m)
+	q.mu.Unlock()
+	if queued {
+		q.wake.Pulse()
+	}
+	return res
+}
+
+// putRun is put for a run of messages, in order, in one lock round and with
+// one pulse; a nil slot is skipped.  Each admitted message's slot is cleared
+// — once the lock is released the receiver may take and recycle it — so the
+// slots left non-nil hold the messages the queue did not take, which the
+// caller owns.
+func (q *inQueue) putRun(run []*Message) {
+	q.mu.Lock()
+	pulse := false
+	for i, m := range run {
+		if m == nil {
+			continue
+		}
+		if res, queued := q.admitLocked(m); res == putOK {
+			run[i] = nil
+			pulse = pulse || queued
+		}
+	}
+	q.mu.Unlock()
+	if pulse {
+		q.wake.Pulse()
+	}
+}
+
+// admitLocked is put's admission of one message under q.mu; queued reports
+// whether it went into the ring (an admitted message may be parked in the
+// replay pen instead, which wakes nobody).
+func (q *inQueue) admitLocked(m *Message) (res putResult, queued bool) {
 	if q.closed {
-		q.mu.Unlock()
-		return putClosed
+		return putClosed, false
 	}
 	if h := q.ha; h != nil {
 		m.keepArgs()
@@ -309,8 +343,7 @@ func (q *inQueue) put(m *Message) putResult {
 				// controller again so the initMap can re-deliver the child id
 				// to the (possibly replayed) requester's reply.
 				if m.Type != msgInitRequest {
-					q.mu.Unlock()
-					return putDup
+					return putDup, false
 				}
 			} else {
 				h.floors[m.Sender] = m.sendSeq
@@ -318,18 +351,11 @@ func (q *inQueue) put(m *Message) putResult {
 		}
 		if h.replaying {
 			h.pen = append(h.pen, m)
-			q.mu.Unlock()
-			return putOK
+			return putOK, false
 		}
 	}
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.set(q.n, m)
-	q.n++
-	q.mu.Unlock()
-	q.wake.Pulse()
-	return putOK
+	q.injectLocked(m)
+	return putOK, true
 }
 
 // injectLocked appends a message to the ring bypassing floors and the replay

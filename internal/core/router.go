@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/memory"
@@ -18,8 +19,9 @@ import (
 // the execution environment's SEND A MESSAGE and INITIATE A TASK — goes
 // through dispatch, which makes the one routing decision: the remote
 // Transport, the in-process cross-cluster move, or the destination's own
-// shard.  All three end in enqueue, the one place a message is admitted to an
-// in-queue.
+// shard.  All three end in one admission to an in-queue
+// (inQueue.admitLocked): through enqueue for a message that stayed on its
+// shard, through admitRun for one that crossed clusters.
 //
 // The message heap is sharded per cluster (see clusterRT.heap), so an
 // inter-cluster send moves the argument bytes from the sender to the
@@ -30,11 +32,12 @@ import (
 // process or on another node: the sender's shard answers for the outbound
 // copy and msgcodec encodes the list into a pooled frame (stageOut); then
 // either the remote Transport carries the frame, or the sender hands the
-// bytes straight to deliverInbound, which decodes them into a pooled message,
-// charges the destination shard and queues it on the receiver.  Header fields
-// that never leave the run-time (type, sender, the initiate-reply linkage)
-// travel alongside the packet bytes, the way the original header carried
-// queue linkage next to the packets.
+// bytes straight to deliverInbound, which decodes them into a pooled message
+// and, through the delivery tail every cross-cluster message takes
+// (admitRun), charges the destination shard and queues it on the receiver.
+// Header fields that never leave the run-time (type, sender, the
+// initiate-reply linkage) travel alongside the packet bytes, the way the
+// original header carried queue linkage next to the packets.
 //
 // Per-sender order needs no machinery: a task is serial, so its next send
 // cannot start before its previous one has been queued on the receiver, and
@@ -103,11 +106,7 @@ func (vm *VM) dispatch(from *clusterRT, to TaskID, msgType string, sender TaskID
 // takes a hold on the user-task count as it is queued, which whoever answers
 // the request releases in place of a reply (see VM.WaitIdle).
 func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
-	if msg.reply == nil && msg.Type == msgInitRequest && rec.id == rec.cluster.controllerID {
-		vm.userTasks.Add(1)
-		vm.holds.Add(1)
-		msg.reply = vm.hold
-	}
+	vm.holdInitiate(rec, msg)
 	res := rec.queue.put(msg)
 	if res == putOK {
 		return nil
@@ -117,6 +116,16 @@ func (vm *VM) enqueue(rec *taskRec, msg *Message) error {
 		return nil
 	}
 	return fmt.Errorf("%w: %s", ErrNoSuchTask, rec.id)
+}
+
+// holdInitiate takes the hold on the user-task count that a fire-and-forget
+// INITIATE request for rec's task controller carries (see enqueue).
+func (vm *VM) holdInitiate(rec *taskRec, msg *Message) {
+	if msg.reply == nil && msg.Type == msgInitRequest && rec.id == rec.cluster.controllerID {
+		vm.userTasks.Add(1)
+		vm.holds.Add(1)
+		msg.reply = vm.hold
+	}
 }
 
 // stageOut is the way out every cross-cluster send shares: the list's
@@ -203,41 +212,115 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 	return size, nil
 }
 
-// deliverInbound is the one delivery tail every cross-cluster message takes,
-// whether a task of this VM staged it a moment ago or it arrived in a wire
-// frame: decode the argument bytes into msg — a header the caller built,
-// which this call consumes on every path, and whose own store takes the list
-// — charge the destination shard with the size the decode counted, charge
-// the transfer to the destination PE, and queue it on the receiving task.
-// The only failures, a decode or the shard charge, return an error before
-// anything was charged, so charge/recover stay balanced; the reply of a
-// routed initiate is failed on every path that drops the message.
+// deliverInbound is the delivery of one cross-cluster message, staged a
+// moment ago by a task of this VM or copied out of a broadcast frame: it
+// decodes the argument bytes into msg — a header the caller built, which
+// this call consumes on every path, and whose own store takes the list — and
+// admits it as a run of one (admitRun).  The only failures, a decode or the
+// shard charge, return an error before anything was charged, so
+// charge/recover stay balanced.
 func (vm *VM) deliverInbound(rec *taskRec, msg *Message, payload []byte) error {
-	var t0 time.Time
 	metrics := vm.metricsOn()
+	if err := vm.decodeInbound(msg, payload, metrics); err != nil {
+		return err
+	}
+	run, errs := [1]*Message{msg}, [1]error{}
+	vm.admitRun(rec, run[:], errs[:], metrics)
+	return errs[0]
+}
+
+// decodeInbound decodes an inbound message's wire bytes into its header and
+// keeps the packet-model size the decode counted as the header's heapBytes,
+// which its charge is for.  A header that fails is dropped here, its
+// initiate reply failed.
+func (vm *VM) decodeInbound(msg *Message, payload []byte, metrics bool) error {
+	var t0 time.Time
 	if metrics {
 		t0 = vm.om.reg.Now()
 	}
-	decoded, err := msg.decodeArgs(payload)
+	size, err := msg.decodeArgs(payload)
 	if metrics {
 		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
-	}
-	if err == nil {
-		err = vm.chargeMessageOn(rec.cluster.heap, msg, decoded)
 	}
 	if err != nil {
 		msg.reply.deliver(NilTask)
 		recycleMessage(msg)
 		return err
 	}
-	// Charge the transfer to the destination PE's clock without occupying its
-	// CPU: the inter-cluster copy is bus (or network) work, not receiver
-	// computation.
-	rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-	// A receiver that terminated while the message was in flight is not an
-	// error here: the send already succeeded from the sender's point of view,
-	// and the message is dropped like any message queued at a task's
-	// termination.
-	_ = vm.enqueue(rec, msg)
+	msg.heapBytes = size
 	return nil
+}
+
+// admitRun is the one delivery tail every cross-cluster message takes: a
+// run of decoded messages for rec's task (heapBytes set; a nil slot is a
+// message the caller already dropped) is charged to the destination shard,
+// its transfer charged to the destination PE, and queued on the receiving
+// task.  Whatever does not depend on the run's length is paid once: one
+// shard admission of the summed charges (memory.Allocator.AllocRun), one PE
+// charge, one in-queue lock round and one wake-up (inQueue.putRun).  A run
+// the shard cannot hold whole is charged message by message, in order, as
+// the messages would have been one at a time: one the shard refuses is
+// dropped, its error in errs at its index.  A message the queue does not take
+// — its receiver terminated while it was in flight, or HA duplicate
+// suppression — is not an error: the send already succeeded from the
+// sender's point of view, and the message is dropped like any message queued
+// at a task's termination.  Every slot of run is nil on return.
+func (vm *VM) admitRun(rec *taskRec, run []*Message, errs []error, metrics bool) {
+	heap := rec.cluster.heap
+	total, n := 0, 0
+	for _, m := range run {
+		if m == nil {
+			continue
+		}
+		c, ok := memory.Charge(m.heapBytes)
+		if !ok || total > math.MaxInt-c {
+			n = 0 // charged one by one: Alloc answers for a charge this large
+			break
+		}
+		m.heapCharge = c
+		total += c
+		n++
+	}
+	whole := n > 0 && heap.AllocRun(total, n)
+	var ticks, charged int64
+	for i, m := range run {
+		if m == nil {
+			continue
+		}
+		if !whole {
+			c, err := heap.Alloc(m.heapBytes)
+			if err != nil {
+				errs[i] = vm.heapErr(err)
+				m.reply.deliver(NilTask)
+				recycleMessage(m)
+				run[i] = nil
+				continue
+			}
+			m.heapCharge = c
+		}
+		m.heapShard = heap
+		if metrics {
+			vm.om.heapMsgBytes.Observe(int64(m.heapBytes))
+		}
+		charged++
+		// The transfer is charged to the destination PE's clock without
+		// occupying its CPU: the inter-cluster copy is bus (or network) work,
+		// not receiver computation.
+		ticks += int64(costRouteMsg + costSendPacket*((m.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes))
+		vm.holdInitiate(rec, m)
+	}
+	if charged == 0 {
+		return
+	}
+	if metrics {
+		vm.om.heapCharges.Add(charged)
+	}
+	rec.cluster.primary.Charge(ticks)
+	rec.queue.putRun(run)
+	for i, m := range run {
+		if m != nil {
+			vm.dropMessage(m)
+			run[i] = nil
+		}
+	}
 }

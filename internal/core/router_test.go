@@ -407,7 +407,7 @@ func TestRouteAfterShutdownAndCorruptFrameBalance(t *testing.T) {
 	from, _ := vm.cluster(1)
 
 	bad := WireFrame{Kind: FrameMessage, Src: 1, Dst: 2, Dest: id, Type: "junk", Payload: []byte{0xff, 0xff, 0xff, 0xff, 0xff}}
-	if err := vm.DeliverWire(&bad); err == nil {
+	if err := vm.DeliverWire([]WireFrame{bad}, nil); err == nil {
 		t.Error("DeliverWire accepted a corrupt payload")
 	}
 

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/memory"
 	"repro/internal/obs"
@@ -20,8 +22,9 @@ import (
 // destination cluster is hosted elsewhere is handed to the VM's remote
 // Transport instead of being delivered in place.  The inbound half of the
 // seam is not a Transport but two calls every transport ends in: DeliverWire
-// — decode the wire bytes, charge the destination shard, queue on the
-// destination task — and DeliverWireReply for the reply to a routed initiate.
+// — for each run of frames to one task, decode the wire bytes, charge the
+// destination shard, queue on the destination task — and DeliverWireReply
+// for the reply to a routed initiate.
 //
 // Hosting is structural, not partial: every node boots the FULL configuration
 // (all clusters, all controllers), so system-table layout, heap shards, and —
@@ -300,16 +303,79 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	return vm.remote.Send(&o.WireFrame)
 }
 
-// DeliverWire injects a wire frame into this VM: the inbound half of every
-// transport.  The payload is decoded, the message charged to the hosted
-// destination cluster's heap shard, and queued on the destination task; a
-// routed initiate request (ReplyID != 0) gets a reply hook that sends the
-// new task's id back toward the requesting cluster.  A frame for a task that
-// is not running here is dropped exactly like a message in flight to a
-// terminated task (the send already succeeded at the sender).  Callers must
-// preserve per-sender arrival order, which a per-peer socket reader or a
-// per-lane timer chain does naturally.
-func (vm *VM) DeliverWire(f *WireFrame) error {
+// DeliverWire injects a batch of inbound wire frames into this VM, in
+// arrival order: the inbound half of every transport.  The batch is delivered
+// run by run.  A run is the frames for one task that follow each other; a
+// routed initiate request (ReplyID != 0) and a broadcast are each a run of
+// one.  A run pays once for what does not depend on its length — one task
+// lookup, and admitRun's one shard admission, PE charge, in-queue lock round
+// and wake-up — and each of its messages is decoded, charged, timed and
+// traced as its own.  A routed initiate request gets a reply hook that sends
+// the new task's id back toward the requesting cluster.  A frame for a task
+// that is not running here is dropped exactly like a message in flight to a
+// terminated task (the send already succeeded at the sender); one the VM
+// cannot take (a full shard, a corrupt payload) is dropped loudly, and the
+// first such error is returned.  rx, when non-nil, is called with each
+// frame's index once that frame is delivered and its wire-deliver event
+// emitted, so a caller's per-frame instruments follow in frame order.
+// Callers must preserve per-sender arrival order, which a per-peer socket
+// reader does naturally.
+func (vm *VM) DeliverWire(frames []WireFrame, rx func(i int)) error {
+	var first error
+	for i := 0; i < len(frames); {
+		k := runLen(frames[i:])
+		if err := vm.deliverWireRun(frames[i:i+k], i, rx); err != nil && first == nil {
+			first = err
+		}
+		i += k
+	}
+	return first
+}
+
+// runLen returns the length of the run frames starts with.
+func runLen(frames []WireFrame) int {
+	f := &frames[0]
+	if f.Kind != FrameMessage || f.ReplyID != 0 {
+		return 1
+	}
+	k := 1
+	for k < len(frames) && frames[k].Kind == FrameMessage && frames[k].ReplyID == 0 && frames[k].Dest == f.Dest {
+		k++
+	}
+	return k
+}
+
+// wireRun is the scratch of one run's delivery, pooled: a header, an error
+// and a deliver-span start a frame.
+type wireRun struct {
+	msgs []*Message
+	errs []error
+	t0   []time.Time
+}
+
+var wireRunPool = sync.Pool{New: func() any { return new(wireRun) }}
+
+// reset sizes the scratch for a run of n frames, its headers and errors
+// cleared.
+func (s *wireRun) reset(n int) {
+	s.msgs = slices.Grow(s.msgs[:0], n)[:n]
+	s.errs = slices.Grow(s.errs[:0], n)[:n]
+	s.t0 = slices.Grow(s.t0[:0], n)[:n]
+	clear(s.msgs)
+	clear(s.errs)
+}
+
+// deliverWireRun delivers one run of DeliverWire's batch, whose first frame
+// is the batch's frame base.
+func (vm *VM) deliverWireRun(run []WireFrame, base int, rx func(i int)) error {
+	f := &run[0]
+	if f.Kind == FrameBroadcast {
+		err := vm.deliverWireBroadcast(f)
+		if rx != nil {
+			rx(base)
+		}
+		return err
+	}
 	var reply *initReply
 	if f.ReplyID != 0 {
 		rid, src := f.ReplyID, f.Src
@@ -323,19 +389,35 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 			}
 		}}
 	}
-	if f.Kind == FrameBroadcast {
-		return vm.deliverWireBroadcast(f)
-	}
 	rec, ok := vm.lookupTask(f.Dest)
 	if !ok || !vm.hosts(f.Dest.Cluster) {
 		reply.deliver(NilTask)
+		if rx != nil {
+			for i := range run {
+				rx(base + i)
+			}
+		}
 		return nil
 	}
+	s := wireRunPool.Get().(*wireRun)
+	defer wireRunPool.Put(s)
+	s.reset(len(run))
 	// An inbound frame's decode+charge+queue is the same layer routeMessage's
 	// delivery is for in-process traffic, so it carries the same metrics and
 	// a deliver span (trace lane "router/c<dst><-wire").
-	spanT0 := vm.om.reg.SpanStart()
-	err := vm.deliverInbound(rec, f.message(reply), f.Payload)
+	reg := vm.om.reg
+	metrics, spans := vm.metricsOn(), reg.Has(obs.Spans)
+	for i := range run {
+		g := &run[i]
+		if spans {
+			s.t0[i] = reg.Now()
+		}
+		msg := g.message(reply)
+		if s.errs[i] = vm.decodeInbound(msg, g.Payload, metrics); s.errs[i] == nil {
+			s.msgs[i] = msg
+		}
+	}
+	vm.admitRun(rec, s.msgs, s.errs, metrics)
 	// A routed initiate still owes its sender a reply frame, so the flow
 	// steps through here and ends when the reply lands back on the
 	// requesting node; plain messages end here.
@@ -343,16 +425,27 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	if f.ReplyID != 0 {
 		kind = obs.WireDeliverStep
 	}
-	if vm.om.reg.Watching(kind) {
-		vm.emit(&obs.Event{Kind: kind, Edge: f.Edge, Type: f.Type, A: int64(f.Dest.Cluster), Start: spanT0}, nil)
+	watching := reg.Watching(kind)
+	var first error
+	for i := range run {
+		g := &run[i]
+		if watching {
+			vm.emit(&obs.Event{Kind: kind, Edge: g.Edge, Type: g.Type, A: int64(g.Dest.Cluster), Start: s.t0[i]}, nil)
+		}
+		if err := s.errs[i]; err != nil {
+			// A remote receiver's failure cannot reach the sender: the frame
+			// is dropped here, loudly.  (A decode failure is unreachable for
+			// run-time-encoded frames.)
+			vm.userPrintf("pisces: node: dropping %s from %s for %s: %v\n", g.Type, g.Sender, g.Dest, err)
+			if first == nil {
+				first = err
+			}
+		}
+		if rx != nil {
+			rx(base + i)
+		}
 	}
-	if err != nil {
-		// A remote receiver's failure cannot reach the sender: the frame is
-		// dropped here, loudly.  (A decode failure is unreachable for
-		// run-time-encoded frames.)
-		vm.userPrintf("pisces: node: dropping %s from %s for %s: %v\n", f.Type, f.Sender, f.Dest, err)
-	}
-	return err
+	return first
 }
 
 // deliverWireBroadcast fans an inbound broadcast frame out to every hosted

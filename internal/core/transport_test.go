@@ -35,7 +35,7 @@ func (p *pipeTransport) Send(f *WireFrame) error {
 	// payload buffer as soon as Send returns.
 	g := *f
 	g.Payload = append([]byte(nil), f.Payload...)
-	return vm.DeliverWire(&g)
+	return vm.DeliverWire([]WireFrame{g}, nil)
 }
 
 func (p *pipeTransport) SendReply(dst int, replyID uint64, id TaskID) error {

@@ -75,6 +75,36 @@ func (a *Allocator) Alloc(n int) (int, error) {
 	return a.admitLocked(n, true)
 }
 
+// Charge returns the charge Alloc(n) answers with when it succeeds: n
+// rounded up to the packet granularity (at least one packet), plus the
+// header.  ok is false only for a request so near MaxInt that its charge
+// overflows; such a request goes to Alloc alone.
+func Charge(n int) (c int, ok bool) {
+	n = max(n, align)
+	if n > math.MaxInt-align-headerSize {
+		return 0, false
+	}
+	return roundUp(n) + headerSize, true
+}
+
+// AllocRun admits count requests in one charge of total, the sum of their
+// Charges.  It succeeds exactly when an Alloc of each request in turn would
+// have — the bytes in use only grow along a run, so the last request decides
+// — and then leaves the shard, its Stats and the budget as those Allocs
+// would.  A refusal changes nothing, Failures included: the caller charges
+// the run request by request, and Alloc counts the ones refused.
+func (a *Allocator) AllocRun(total, count int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if total > a.size-a.inUse || !a.budget.tryCharge(int64(total)) {
+		return false
+	}
+	a.inUse += total
+	a.highWater = max(a.highWater, a.inUse)
+	a.allocs += uint64(count)
+	return true
+}
+
 // Transit answers what Alloc(n) followed at once by Free of its charge
 // answers — the same error, Allocs, Failures and HighWater — without holding
 // the charge: the shard and the budget are asked, and neither keeps it.  A

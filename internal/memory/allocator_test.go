@@ -334,7 +334,8 @@ func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
 }
 
 // TestConcurrentChargesBalance: goroutines on two shards sharing one budget
-// mix Alloc, Transit, single Frees and summed-run Frees.  No shard's high
+// mix Alloc, Transit, runs admitted by AllocRun, single Frees and summed-run
+// Frees.  No shard's high
 // water passes its size nor the budget its cap, the counters agree with the
 // answers the goroutines got, and once everything is given back both shards
 // and the budget read zero.
@@ -359,7 +360,21 @@ func TestConcurrentChargesBalance(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				var err error
 				n := []int{0, 8, 64, 136, 512, 1500}[rng.Intn(6)]
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(11); {
+				case op == 10:
+					// A run of charges admitted at once, as an inbound run is:
+					// a refusal moves nothing, so only the grant is counted.
+					run, total := 1+rng.Intn(4), 0
+					charges := make([]int, run)
+					for i := range charges {
+						charges[i], _ = Charge([]int{0, 8, 64, 136, 512, 1500}[rng.Intn(6)])
+						total += charges[i]
+					}
+					if s.AllocRun(total, run) {
+						live = append(live, charges...)
+						granted.Add(int64(run))
+					}
+					continue
 				case op < 5:
 					var c int
 					if c, err = s.Alloc(n); err == nil {

@@ -77,7 +77,7 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vmA.DeliverWire(&core.WireFrame{Kind: core.FrameMessage, Src: 1, Dst: 2, Dest: kid, Type: "note", Sender: spawner, Payload: payload}); err != nil {
+	if err := vmA.DeliverWire([]core.WireFrame{{Kind: core.FrameMessage, Src: 1, Dst: 2, Dest: kid, Type: "note", Sender: spawner, Payload: payload}}, nil); err != nil {
 		t.Errorf("a frame for the planned kid: %v", err)
 	}
 	poker, err := vmA.Initiate("poker", core.OnCluster(1), core.ID(kid))
@@ -368,5 +368,107 @@ func TestExitRecordsAgeWithoutFramesToAPeer(t *testing.T) {
 	// One second of virtual time is some twenty checkpoint intervals.
 	if gen < 5 {
 		t.Errorf("node 1's exit records aged %d times in a second of churn; want at least 4", gen-1)
+	}
+}
+
+// TestHACheckpointMarksOnlyWhatItsBlobHolds: a checkpoint cut while a data
+// frame is on its way from the lane to its task's in-queue must not mark the
+// frame delivered.  Main on node 0 starts a receiver on node 1, which waits
+// for a "go", and sends it a note.  On node 1's deliver stage, before the
+// note's run reaches the VM (the beforeDeliver hook), node 1 cuts a
+// checkpoint, its buddy node 2 acks the blob, and node 0 takes the marks;
+// then node 1 dies before the receiver takes the note.  Node 2 restores the
+// receiver from a blob without the note, so the note must come from node 0's
+// retention: a mark that counted it would have released it, and the note
+// would vanish with node 1.
+func TestHACheckpointMarksOnlyWhatItsBlobHolds(t *testing.T) {
+	cfg := config.Simple(3, 2)
+	var mainID core.TaskID
+	register := func(vm *core.VM) {
+		vm.Register("main", func(task *core.Task) {
+			mainID = task.ID()
+			rcv, err := task.InitiateWait(core.OnCluster(2), "receiver", core.ID(task.ID()))
+			if err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			if err := task.Send(rcv, "note", core.Int(7)); err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			if _, err := task.AcceptOne("killed"); err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			if err := task.Send(rcv, "go"); err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			m, err := task.AcceptOne("done")
+			if err != nil {
+				t.Errorf("main: %v", err)
+				return
+			}
+			task.Println("NOTE", core.MustInt(m.Arg(0)))
+		})
+		vm.Register("receiver", func(task *core.Task) {
+			if _, err := task.AcceptOne("go"); err != nil {
+				t.Errorf("receiver: %v", err)
+				return
+			}
+			note := int64(-1)
+			res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "note", Count: 1}}, Delay: time.Second})
+			if err == nil && !res.TimedOut {
+				note = core.MustInt(res.Accepted[0].Arg(0))
+			}
+			if err := task.Send(core.MustID(task.Arg(0)), "done", core.Int(note)); err != nil {
+				t.Errorf("receiver: %v", err)
+			}
+		})
+	}
+	var out bytes.Buffer
+	s, mesh := simMesh(t, 1, cfg, &out, wireConfig{}, register)
+	n0, n1 := mesh.nodes[0], mesh.nodes[1]
+	cut := s.NewGate()
+	held := false
+	n1.beforeDeliver = func(run []core.WireFrame) {
+		if held || run[0].Type != "note" {
+			return
+		}
+		held = true
+		defer cut.Open()
+		marked := n1.tr.recvFrom[0].Load()
+		if !n1.cutCheckpoint() {
+			t.Error("node 1's checkpoint was not acked")
+			return
+		}
+		toNode1 := n0.tr.peerAt(1)
+		if !pollFor(s, func() bool {
+			toNode1.mu.Lock()
+			defer toNode1.mu.Unlock()
+			return toNode1.ret.acked >= marked
+		}) {
+			t.Error("node 0 never took node 1's marks")
+		}
+	}
+	killed := s.NewGate()
+	s.Spawn("kill", func() {
+		defer killed.Open()
+		cut.Wait()
+		mesh.Kill(1)
+		if err := mesh.VMs[0].SendFromUser(mainID, "killed"); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := mesh.VMs[0].Run("main", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	killed.Wait()
+	mesh.Shutdown()
+	if !held {
+		t.Fatal("the note never reached node 1's deliver stage")
+	}
+	if got, want := out.String(), "NOTE 7\n"; got != want {
+		t.Errorf("terminal %q, want %q: the note vanished with node 1", got, want)
 	}
 }

@@ -129,12 +129,31 @@ func (tr *transport) setHA(buddy func() int) {
 	tr.buddy = buddy
 }
 
-// countRecv counts one delivered counted frame from the source lane (the
-// node itself for a buddy's local replay).
-func (tr *transport) countRecv(from int) {
-	tr.recv.Add(1)
-	if tr.haRetain && from >= 0 && from < len(tr.recvFrom) {
-		tr.recvFrom[from].Add(1)
+// deliverStart opens a delivery of counted frames from a peer's lane, which
+// deliverDone closes: in HA mode the two hold cutMu shared, so a checkpoint
+// cut, which takes it exclusively around its receive snapshot
+// (checkpointTick), never falls between a frame's delivery and its count.  A
+// buddy's local replay (from is the node itself) takes no part: no mark is
+// ever sent for the node's own lane, and the replay runs under routeMu,
+// which a delivery holding cutMu may wait for to send an initiate reply.
+func (tr *transport) deliverStart(from int) {
+	if tr.haRetain && from != tr.nodeID {
+		tr.cutMu.RLock()
+	}
+}
+
+// deliverDone counts k delivered counted frames from the source lane and
+// closes the delivery.
+func (tr *transport) deliverDone(from, k int) {
+	tr.recv.Add(uint64(k))
+	if !tr.haRetain {
+		return
+	}
+	if from >= 0 && from < len(tr.recvFrom) {
+		tr.recvFrom[from].Add(uint64(k))
+	}
+	if from != tr.nodeID {
+		tr.cutMu.RUnlock()
 	}
 }
 
@@ -143,8 +162,8 @@ func (tr *transport) countRecv(from int) {
 // records this node had heard, when the checkpoint was cut.
 type mark struct{ count, gen uint64 }
 
-// recvSnapshot returns the marks for every peer.  Taken BEFORE a checkpoint
-// cut, they are sent once the buddy acks the blob.
+// recvSnapshot returns the marks for every peer.  Taken with the cut, under
+// cutMu, they are sent once the buddy acks the blob.
 func (tr *transport) recvSnapshot() map[int]mark {
 	out := make(map[int]mark, len(tr.recvFrom))
 	for _, p := range tr.allPeers() {

@@ -68,17 +68,22 @@ func (n *Node) haLoop() {
 
 // checkpointTick cuts one checkpoint of the hosted clusters and streams it to
 // the buddy with the initiation log's count, and returns its epoch (0 when
-// none was shipped).  The counts are taken BEFORE the cut, so their effects
-// are inside the blob; the receive counts go out as retention marks only
-// once the buddy acks the blob (fCkptAck), or the blob and the frames that
-// rebuild it could die together.
+// none was shipped).  The counts are taken with the cut and no delivery
+// between (cutMu): a frame the receive counts include is in the blob, and a
+// frame in the blob is counted, so its sender neither drops a frame the blob
+// lacks nor replays one the blob holds.  The log count is taken before the
+// cut, so its entries' effects are inside the blob.  The receive counts go
+// out as retention marks only once the buddy acks the blob (fCkptAck), or
+// the blob and the frames that rebuild it could die together.
 func (n *Node) checkpointTick() uint64 {
 	buddy := n.nextLive(n.opts.NodeID)
 	if buddy < 0 {
 		return 0 // no live peer to hold the blob
 	}
+	n.tr.cutMu.Lock()
 	snap, inits := n.tr.recvSnapshot(), n.tr.logged.Load()
 	blob, err := n.vm.Checkpoint(n.vm.HostedClusters()...)
+	n.tr.cutMu.Unlock()
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: checkpoint failed: %v\n", n.opts.NodeID, err)
 		return 0
@@ -256,12 +261,10 @@ func (n *Node) finishRebalance(dead, buddy int) {
 	// On the buddy the backlog takes the same deliver path as frames off a
 	// lane, counted received on the node's own lane so the drain balance
 	// matches the original send count.
-	var m frame
+	st := n.newStage(n.opts.NodeID, false)
 	n.tr.routeMu.Lock()
-	replayed, err := n.tr.replayRetained(dead, buddy, func(payload []byte) error {
-		_, err := n.deliver(n.opts.NodeID, payload, &m)
-		return err
-	})
+	replayed, err := n.tr.replayRetained(dead, buddy, st.take)
+	st.flush()
 	n.tr.routeMu.Unlock()
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: replaying retained frames for node %d: %v\n", n.opts.NodeID, dead, err)

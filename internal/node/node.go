@@ -168,6 +168,9 @@ type Node struct {
 	// holdStage, when non-nil, runs on the deliver stage of every drain frame
 	// before the answer leaves it (tests hold a lane's stage with it).
 	holdStage func()
+	// beforeDeliver, when non-nil, runs on the deliver stage before each run
+	// of data frames goes to the VM (tests cut a checkpoint there).
+	beforeDeliver func(run []core.WireFrame)
 	// afterAdopt, when non-nil, runs on the adopting buddy between the
 	// adoption of a dead node's clusters and their restore (tests).
 	afterAdopt func()
@@ -732,19 +735,21 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 }
 
 // deliverLoop is the VM half of one peer's inbound pipeline: it walks each
-// hand-off's frames in place and gives each to deliver (decode + the kind's
-// handler, proto.go), in arrival (per-sender FIFO) order, then returns a
-// retired read buffer to the reader.  It also runs the receiver side of the
-// credit protocol: credits for delivered data frames go back to the sender in
-// chunks, or as soon as a hand-off is finished and the stage is empty — so a
-// sender whose window is smaller than the chunk never stalls waiting for a
-// grant that isn't coming.  The loop drains until the reader closes the
-// stage; protocol frames (even fShutdown) must not end it early, or a full
-// stage would wedge the reader.
+// hand-off's frames in place through the lane's stage, in arrival
+// (per-sender FIFO) order, then returns a retired read buffer to the reader.
+// It also runs the receiver side of the credit protocol: credits for
+// delivered data frames go back to the sender in chunks, or as soon as a
+// hand-off is finished and the stage is empty — so a sender whose window is
+// smaller than the chunk never stalls waiting for a grant that isn't coming.
+// The loop drains until the reader closes the stage; protocol frames (even
+// fShutdown) must not end it early, or a full stage would wedge the reader.
 func (n *Node) deliverLoop(from int, r *laneReader, work *queue[handoff]) {
 	defer n.readers.Done()
-	pending := 0 // delivered-but-ungranted credited frames
-	var m frame  // reused per frame; no handler retains it
+	st := n.newStage(from, true)
+	grant := func() {
+		n.tr.grantCredits(from, st.credits)
+		st.credits = 0
+	}
 	for {
 		run, ok := work.get()
 		if !ok {
@@ -757,30 +762,115 @@ func (n *Node) deliverLoop(from int, r *laneReader, work *queue[handoff]) {
 			if len(payload) == 0 {
 				continue
 			}
-			metrics := n.reg.Has(obs.Metrics)
-			var deliverT0 time.Time
-			if metrics || n.reg.Has(obs.Spans) {
-				deliverT0 = n.reg.Now()
-			}
-			if row, err := n.deliver(from, payload, &m); err == nil && row.credited {
-				pending++
-				if metrics {
-					n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
-				}
-				if n.reg.Watching(obs.WireRx) {
-					n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: m.msg.Type, A: int64(n.opts.NodeID), B: int64(from), Start: deliverT0})
-				}
-				if pending >= creditGrantChunk {
-					n.tr.grantCredits(from, pending)
-					pending = 0
-				}
+			_ = st.take(payload)
+			if st.credits >= creditGrantChunk {
+				grant()
 			}
 		}
-		if pending > 0 && work.len() == 0 {
-			n.tr.grantCredits(from, pending)
-			pending = 0
+		// The run's payloads alias the read buffer: delivered before it goes
+		// back to the reader.
+		st.flush()
+		if st.credits >= creditGrantChunk || st.credits > 0 && work.len() == 0 {
+			grant()
 		}
 		r.recycle(run.retired)
+	}
+}
+
+// stage is the walk every frame into this node takes, off a peer's lane
+// (deliverLoop) or, on a dead node's buddy, out of retention during the local
+// replay (finishRebalance; from is then the node itself).  Data frames are
+// gathered into a run that goes to the VM as one batch (flush), which the VM
+// delivers run by run — one task lookup, shard admission, queue lock round
+// and wake-up for each run of frames for one task.  Any other frame flushes
+// the run first and then runs its row's handler, so every frame's effects
+// keep their lane order.
+type stage struct {
+	n    *Node
+	from int
+	// lane is set for a peer's lane: its data frames are credited, and timed
+	// and traced one by one (node.frame.deliver.ns, wire-rx).
+	lane bool
+	m    frame // reused per frame; no handler retains it
+	run  []core.WireFrame
+	t0   []time.Time // when each frame of run began to be delivered, if timed
+	// The registry's switches, read once per run.
+	metrics, timed, watchRx bool
+	rx                      func(i int) // delivered, bound once
+	credits                 int         // delivered data frames not granted back yet
+}
+
+func (n *Node) newStage(from int, lane bool) *stage {
+	st := &stage{n: n, from: from, lane: lane}
+	st.rx = st.delivered
+	return st
+}
+
+// take decodes one frame and delivers it, or adds it to the run.  A
+// malformed frame of any kind is dropped and logged here.
+func (st *stage) take(payload []byte) error {
+	n := st.n
+	if len(st.run) == 0 && st.lane {
+		st.metrics = n.reg.Has(obs.Metrics)
+		st.timed = st.metrics || n.reg.Has(obs.Spans)
+	}
+	var t0 time.Time
+	if st.timed {
+		t0 = n.reg.Now()
+	}
+	row, err := decodeFrame(&st.m, payload)
+	if err != nil {
+		fmt.Fprintf(n.opts.Log, "node %d: malformed %s frame from node %d: %v\n", n.opts.NodeID, row.name, st.from, err)
+		return err
+	}
+	if row.handle == nil {
+		st.run = append(st.run, st.m.msg)
+		st.t0 = append(st.t0, t0)
+		return nil
+	}
+	st.flush()
+	row.handle(n, st.from, &st.m)
+	return nil
+}
+
+// flush hands the run to the VM (core.VM.DeliverWire) and then counts its
+// frames received — after the delivery, and in HA mode inside one hold of
+// the checkpoint cut's lock (transport.deliverStart), so a cut counts
+// exactly the frames its blob holds.  A frame the VM cannot deliver is
+// dropped there, loudly (the sender's SEND already succeeded); it still
+// arrived, so it is counted.
+func (st *stage) flush() {
+	if len(st.run) == 0 {
+		return
+	}
+	n := st.n
+	if n.beforeDeliver != nil {
+		n.beforeDeliver(st.run)
+	}
+	var rx func(int)
+	if st.watchRx = st.lane && n.reg.Watching(obs.WireRx); st.metrics || st.watchRx {
+		rx = st.rx
+	}
+	n.tr.deliverStart(st.from)
+	_ = n.vm.DeliverWire(st.run, rx)
+	n.tr.deliverDone(st.from, len(st.run))
+	if st.lane {
+		st.credits += len(st.run)
+	}
+	// Let go of the payloads, which alias a read buffer or a retained frame.
+	clear(st.run)
+	st.run, st.t0 = st.run[:0], st.t0[:0]
+}
+
+// delivered is a lane frame's own tail, which the VM calls once frame i of
+// the run is delivered: its deliver time and its wire-rx span.
+func (st *stage) delivered(i int) {
+	n := st.n
+	if st.metrics {
+		n.frameDeliver.ObserveDuration(n.reg.Now().Sub(st.t0[i]))
+	}
+	if st.watchRx {
+		n.reg.Emit(&obs.Event{Kind: obs.WireRx, Type: st.run[i].Type, A: int64(n.opts.NodeID), B: int64(st.from), Start: st.t0[i]})
 	}
 }
 

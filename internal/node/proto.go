@@ -64,7 +64,8 @@ const (
 // grants back once the frame reached its VM; a counted frame takes part in
 // the drain protocol's global sent/recv balance and in HA retention.  decode
 // reads the body into the frame's fields; handle acts on them on the
-// receiving node.
+// receiving node — except for the data frames, whose handle is nil: the
+// deliver stage gathers them into runs for the VM (stage.flush).
 type frameRow struct {
 	name     string
 	credited bool
@@ -84,8 +85,8 @@ func init() {
 	frameTable = [...]frameRow{
 		0:               {"unknown", false, false, "", decodeUnknown, nil},
 		fHello:          {"hello", false, false, "i32 version, i32 node, 32-byte fingerprint, topology", decodeHello, (*Node).handleHello},
-		fMsg:            {"msg", true, true, "i32 src, i32 dst, taskid dest, taskid sender, u64 sendSeq, u64 replyID, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
-		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 sendSeq, u64 edge, str16 type, payload", decodeData, (*Node).handleData},
+		fMsg:            {"msg", true, true, "i32 src, i32 dst, taskid dest, taskid sender, u64 sendSeq, u64 replyID, u64 edge, str16 type, payload", decodeData, nil},
+		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 sendSeq, u64 edge, str16 type, payload", decodeData, nil},
 		fInitReply:      {"init-reply", false, true, "u64 replyID, taskid id", decodeInitReply, (*Node).handleInitReply},
 		fDrain:          {"drain", false, false, "u32 epoch", decodeU32, (*Node).handleDrain},
 		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, u8 idle, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
@@ -376,34 +377,14 @@ func decodeInitLog(m *frame, body []byte) error {
 	return c.Done()
 }
 
-// deliver decodes one inbound frame and runs its row's handler: the one path
-// every frame takes into this node, off a peer's lane (deliverLoop) or out of
-// retention during a buddy's local replay (from is then the node itself).
-// A malformed frame of any kind is dropped and logged here.
-func (n *Node) deliver(from int, payload []byte, m *frame) (*frameRow, error) {
-	row, err := decodeFrame(m, payload)
-	if err != nil {
-		fmt.Fprintf(n.opts.Log, "node %d: malformed %s frame from node %d: %v\n", n.opts.NodeID, row.name, from, err)
-		return row, err
-	}
-	row.handle(n, from, m)
-	return row, nil
-}
-
 func (n *Node) handleHello(from int, _ *frame) {
 	fmt.Fprintf(n.opts.Log, "node %d: hello from node %d outside the handshake\n", n.opts.NodeID, from)
 }
 
-func (n *Node) handleData(from int, m *frame) {
-	n.tr.countRecv(from)
-	// A frame the VM cannot deliver is dropped there, loudly (the sender's
-	// SEND already succeeded); it still arrived, so it stays counted.
-	_ = n.vm.DeliverWire(&m.msg)
-}
-
 func (n *Node) handleInitReply(from int, m *frame) {
-	n.tr.countRecv(from)
+	n.tr.deliverStart(from)
 	n.vm.DeliverWireReply(m.replyID, m.id)
+	n.tr.deliverDone(from, 1)
 }
 
 // handleDrain answers a drain round off the deliver stage, as

@@ -212,8 +212,7 @@ func TestMalformedFrameLogged(t *testing.T) {
 		}
 		var log bytes.Buffer
 		n := &Node{opts: Options{NodeID: 1, Log: &log}}
-		var m frame
-		if _, err := n.deliver(2, bad, &m); err == nil {
+		if err := n.newStage(2, true).take(bad); err == nil {
 			t.Errorf("%s: truncated frame delivered", g.name)
 		}
 		want := fmt.Sprintf("node 1: malformed %s frame from node 2: ", g.name)
@@ -223,8 +222,7 @@ func TestMalformedFrameLogged(t *testing.T) {
 	}
 	var log bytes.Buffer
 	n := &Node{opts: Options{NodeID: 1, Log: &log}}
-	var m frame
-	_, _ = n.deliver(2, []byte{0x7f, 1, 2}, &m)
+	_ = n.newStage(2, true).take([]byte{0x7f, 1, 2})
 	if want := "node 1: malformed unknown frame from node 2: "; !strings.HasPrefix(log.String(), want) {
 		t.Errorf("unknown kind: log %q, want prefix %q", log.String(), want)
 	}

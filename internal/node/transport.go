@@ -374,6 +374,7 @@ type transport struct {
 	heardGen []atomic.Uint64
 	routeMu  sync.RWMutex
 	reroute  map[int]int
+	cutMu    sync.RWMutex // a checkpoint cut against a delivery and its count (deliverStart)
 	recvFrom []atomic.Uint64
 	buddy    func() int
 	logMu    sync.Mutex
@@ -532,7 +533,7 @@ func (tr *transport) route(f *core.WireFrame) (*peer, error) {
 	}
 	if vm := tr.vm.Load(); tr.haRetain && vm != nil {
 		// Neither side of the drain balance counts a local delivery.
-		return nil, vm.DeliverWire(f)
+		return nil, vm.DeliverWire([]core.WireFrame{*f}, nil)
 	}
 	// The core only routes remotely for non-hosted clusters, so this is a
 	// topology/hosting disagreement worth failing loudly on.
