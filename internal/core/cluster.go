@@ -434,7 +434,10 @@ func (c *clusterRT) startTask(by *mmos.Proc, slot int, req pendingInit) error {
 	}
 	c.mu.Unlock()
 	if l, ok := vm.remote.(initLogger); ok && keyed {
-		l.LogInit(by, LoggedInit{Cluster: c.cfg.Number, Parent: req.key.parent, Seq: req.key.seq, ID: id})
+		if !l.LogInit(by, LoggedInit{Cluster: c.cfg.Number, Parent: req.key.parent, Seq: req.key.seq, ID: id}) {
+			c.undoStart(slot, req)
+			return ErrVMTerminated
+		}
 	}
 	vm.registerTask(rec)
 	vm.userTasks.Add(1)
@@ -454,16 +457,22 @@ func (c *clusterRT) startTask(by *mmos.Proc, slot int, req pendingInit) error {
 		// Could not create the process (local memory exhausted): undo.
 		vm.unregisterTask(id)
 		vm.userTasks.Done()
-		c.mu.Lock()
-		c.slots[slot].rec = nil
-		if keyed {
-			delete(c.initMap, req.key)
-		}
-		c.mu.Unlock()
-		req.reply.deliver(NilTask)
+		c.undoStart(slot, req)
 		return fmt.Errorf("core: starting task %s: %w", tt.Name, err)
 	}
 	return nil
+}
+
+// undoStart frees the slot of a start that did not happen, forgets its
+// initiation and answers the request with no task.
+func (c *clusterRT) undoStart(slot int, req pendingInit) {
+	c.mu.Lock()
+	c.slots[slot].rec = nil
+	if c.initMap != nil && req.key.seq != 0 {
+		delete(c.initMap, req.key)
+	}
+	c.mu.Unlock()
+	req.reply.deliver(NilTask)
 }
 
 func (c *clusterRT) clearSlot(slot int) {

@@ -652,9 +652,11 @@ type LoggedInit struct {
 // child started after the last checkpoint is in no checkpoint and must come
 // back under the id its parent and its receivers' floors already hold.
 // LogInit returns once the entry is safe; a node's transport waits for its
-// buddy's ack, by's PE released meanwhile (by is nil outside a process).
+// buddy's ack, by's PE released meanwhile (by is nil outside a process).  It
+// reports whether the child may run: false on a killed node, whose
+// controller its teardown released, and which must not start the child.
 type initLogger interface {
-	LogInit(by *mmos.Proc, l LoggedInit)
+	LogInit(by *mmos.Proc, l LoggedInit) bool
 }
 
 // raiseUnique lifts the unique counter to at least u, so an id this VM

@@ -1,7 +1,5 @@
 package node
 
-import "repro/internal/core"
-
 // SetDrainRound installs the hook the coordinator's drainQuiesce reports
 // every completed round to (TestBalancedDrainTakesTwoRoundsNoPause).
 func (n *Node) SetDrainRound(f func(pause bool)) { n.drainRound = f }
@@ -12,15 +10,3 @@ func (n *Node) SetDrainRound(f func(pause bool)) { n.drainRound = f }
 type WireConfig = wireConfig
 
 func SetWire(o *Options, w WireConfig) { o.wire = w }
-
-// CutCheckpoint cuts one checkpoint of the node's clusters now, as the HA
-// loop's tick does, and reports whether the buddy acked it before the node
-// shut down.
-func (n *Node) CutCheckpoint() bool { return n.cutCheckpoint() }
-
-// HeldInits returns the entries of the peer's initiation log this node holds
-// as the peer's buddy.
-func (n *Node) HeldInits(from int) []core.LoggedInit {
-	_, inits := n.store.held(from)
-	return inits
-}

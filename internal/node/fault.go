@@ -271,6 +271,7 @@ type FaultMesh struct {
 	be     backend.Backend
 	nodes  []*Node
 	served []backend.Gate // a follower's ServeUntilShutdown returned
+	errs   []error        // and what it returned, by follower
 }
 
 // NewFaultMesh boots the mesh for cfg on be, its network seeded with seed.
@@ -310,13 +311,14 @@ func NewFaultMesh(cfg *config.Configuration, be backend.Backend, seed int64, p F
 		})
 		return nil, err
 	}
+	m.errs = make([]error, len(m.nodes))
 	for i, n := range m.nodes {
 		m.VMs = append(m.VMs, n.VM())
 		if i > 0 {
 			served := be.NewGate()
 			m.served = append(m.served, served)
 			be.Spawn(fmt.Sprintf("node %d serve", i), func() {
-				_ = n.ServeUntilShutdown()
+				m.errs[i] = n.ServeUntilShutdown()
 				served.Open()
 			})
 		}
@@ -356,29 +358,44 @@ func (m *FaultMesh) Run(prog *pfi.Program, opts pfi.Options) error {
 }
 
 // Shutdown closes node 0, which drains the mesh and orders every follower
-// down, and waits until every follower has closed.
-func (m *FaultMesh) Shutdown() {
+// down, and waits until every follower has closed.  It returns node 0's
+// Close error joined with the ServeUntilShutdown error of every follower
+// that was not killed.
+func (m *FaultMesh) Shutdown() error {
+	var err error
 	m.do("mesh shutdown", func() {
-		_ = m.nodes[0].Close()
-		for _, served := range m.served {
+		err = m.nodes[0].Close()
+		for i, served := range m.served {
 			served.Wait()
+			if !m.nodes[i+1].tr.killed.Load() {
+				err = errors.Join(err, m.errs[i+1])
+			}
 		}
 	})
+	return err
 }
 
 // Checkpoint is node i's checkpoint tick in HA mode, waited on until its
-// buddy acks the blob and the marks it releases are written.
+// buddy has stored the blob and every live peer's retention toward node i is
+// released up to its mark.
 func (m *FaultMesh) Checkpoint(i int) error {
 	n := m.nodes[i]
 	if n.det == nil {
 		return fmt.Errorf("node %d: checkpoints need HA mode", i)
 	}
-	acked := false
-	m.do(fmt.Sprintf("node %d checkpoint", i), func() { acked = n.cutCheckpoint() })
-	if !acked {
-		return fmt.Errorf("node %d: no checkpoint was acked", i)
-	}
-	return nil
+	err := fmt.Errorf("node %d: no checkpoint was stored", i)
+	m.do(fmt.Sprintf("node %d checkpoint", i), func() {
+		buddy, epoch, marks := n.checkpointTick()
+		if b := m.nodes[max(buddy, 0)]; epoch > 0 && b.await(-1, func() bool { return b.store.stored(i) >= epoch }) {
+			err = nil
+			for _, mk := range marks {
+				if p := m.nodes[mk.peer]; mk.peer != i && !b.det.Dead(mk.peer) {
+					p.await(-1, func() bool { return p.tr.marked(i, mk) })
+				}
+			}
+		}
+	})
+	return err
 }
 
 // Kill is node i's death: its Terminate, then its VM's Shutdown, so the dead

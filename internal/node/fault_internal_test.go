@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -154,9 +155,10 @@ func oneVM(t *testing.T, cfg *config.Configuration, register func(*core.VM)) str
 // and node 1 has not seen its ack.  Node 0 adopts cluster 2, plans the
 // logged child and replays main's request, so the parent runs again and its
 // INITIATE of the child comes back under the logged id: the child runs on
-// node 0 once, under that id, and the terminal reads as on one VM.  (The
-// dead node's controller, released at its teardown, may still start the
-// child there; what that zombie sends vanishes with the node.)
+// node 0 once, under that id, and never on node 1: the dead node's
+// controller, released at its teardown, refuses the start (LogInit reports
+// the kill), so the child runs once on the two VMs together, and the
+// terminal reads as on one VM.
 func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 	cfg := config.Simple(2, 2)
 	ranAs := map[*core.VM][]core.TaskID{}
@@ -174,7 +176,9 @@ func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 			task.Println("HELLO", core.MustInt(m.Arg(0)))
 		})
 		vm.Register("parent", func(task *core.Task) {
-			if _, err := task.InitiateWait(core.OnCluster(2), "child", task.Arg(0)); err != nil {
+			// On the killed node the start is refused; the parent restored
+			// on node 0 initiates the child again.
+			if _, err := task.InitiateWait(core.OnCluster(2), "child", task.Arg(0)); err != nil && !errors.Is(err, core.ErrVMTerminated) {
 				t.Errorf("parent: %v", err)
 			}
 		})
@@ -195,10 +199,10 @@ func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 	killed := s.NewGate()
 	s.Spawn("watch", func() {
 		defer killed.Open()
-		if !pollFor(s, func() bool { return len(mesh.nodes[0].HeldInits(1)) >= 2 }) {
+		if !pollFor(s, func() bool { return len(heldInits(mesh.nodes[0], 1)) >= 2 }) {
 			return
 		}
-		logged = mesh.nodes[0].HeldInits(1)[1].ID
+		logged = heldInits(mesh.nodes[0], 1)[1].ID
 		// The ack is read and node 1 terminated in one step of this task, so
 		// no frame lands between the two; Kill then waits out the recovery.
 		p := mesh.nodes[1].tr.peerAt(0)
@@ -222,8 +226,8 @@ func TestHAKillBetweenInitLogAndAck(t *testing.T) {
 	if acked >= 2 {
 		t.Errorf("node 1 saw its log acked to entry %d before the kill; the kill must land before the child's ack", acked)
 	}
-	if got := ranAs[mesh.VMs[0]]; len(got) != 1 || got[0] != logged {
-		t.Errorf("the child ran on node 0 as %v; want once, as its logged id %s", got, logged)
+	if got := ranAs[mesh.VMs[0]]; len(got) != 1 || got[0] != logged || len(ranAs) != 1 {
+		t.Errorf("the child ran as %v on node 0 and %v on node 1; want once, on node 0, as its logged id %s", got, ranAs[mesh.VMs[1]], logged)
 	}
 	if got := out.String(); got != want {
 		t.Errorf("terminal %q; one VM prints %q", got, want)
@@ -376,7 +380,8 @@ func TestExitRecordsAgeWithoutFramesToAPeer(t *testing.T) {
 // frame delivered.  Main on node 0 starts a receiver on node 1, which waits
 // for a "go", and sends it a note.  On node 1's deliver stage, before the
 // note's run reaches the VM (the beforeDeliver hook), node 1 cuts a
-// checkpoint, its buddy node 2 acks the blob, and node 0 takes the marks;
+// checkpoint, its buddy node 2 stores the blob, and node 0 takes the mark
+// node 2 sends it;
 // then node 1 dies before the receiver takes the note.  Node 2 restores the
 // receiver from a blob without the note, so the note must come from node 0's
 // retention: a mark that counted it would have released it, and the note
@@ -438,8 +443,8 @@ func TestHACheckpointMarksOnlyWhatItsBlobHolds(t *testing.T) {
 		held = true
 		defer cut.Open()
 		marked := n1.tr.recvFrom[0].Load()
-		if !n1.cutCheckpoint() {
-			t.Error("node 1's checkpoint was not acked")
+		if _, epoch, _ := n1.checkpointTick(); epoch == 0 {
+			t.Error("node 1 shipped no checkpoint")
 			return
 		}
 		toNode1 := n0.tr.peerAt(1)
@@ -470,5 +475,428 @@ func TestHACheckpointMarksOnlyWhatItsBlobHolds(t *testing.T) {
 	}
 	if got, want := out.String(), "NOTE 7\n"; got != want {
 		t.Errorf("terminal %q, want %q: the note vanished with node 1", got, want)
+	}
+}
+
+// TestHAKillOnceTheBuddyStoredStartsAUserTaskOnce: a node that dies once its
+// buddy stored its checkpoint leaves no frame the blob covers to be
+// replayed.  The user on node 0 initiates main on node 1's cluster 2, an
+// INITIATE that carries no send sequence and sits in node 0's retention
+// toward node 1.  Node 1 cuts a checkpoint whose blob holds main and is
+// terminated in the task step that sees its buddy, node 2, holding the blob:
+// before node 1 could hear from node 2, so whatever node 1 would send after
+// the store never leaves it.  Node 2 restores main from the blob, and node 0
+// must have released the INITIATE, or its replay starts a second main under
+// a new id.  Every life of main has the id the user got, and the terminal
+// reads as on one VM.
+func TestHAKillOnceTheBuddyStoredStartsAUserTaskOnce(t *testing.T) {
+	cfg := config.Simple(3, 2)
+	var lives []core.TaskID
+	register := func(vm *core.VM) {
+		vm.Register("main", func(task *core.Task) {
+			lives = append(lives, task.ID())
+			_, _ = task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "never", Count: 1}}, Delay: time.Second})
+			task.Println("MAIN")
+		})
+	}
+	want := oneVM(t, cfg, register)
+	lives = nil
+
+	var out bytes.Buffer
+	s, mesh := simMesh(t, 1, cfg, &out, wireConfig{}, register)
+	n1, n2 := mesh.nodes[1], mesh.nodes[2]
+	var main core.TaskID
+	killed := s.NewGate()
+	s.Spawn("cut and kill", func() {
+		defer killed.Open()
+		var err error
+		if main, err = mesh.VMs[0].Initiate("main", core.OnCluster(2)); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, epoch, _ := n1.checkpointTick(); epoch == 0 {
+			t.Error("node 1 shipped no checkpoint")
+			return
+		}
+		if !pollFor(s, func() bool { return n2.store.stored(1) > 0 }) {
+			t.Error("node 2 never stored node 1's checkpoint")
+			return
+		}
+		n1.Terminate()
+		mesh.Kill(1)
+	})
+	killed.Wait()
+	mesh.Shutdown()
+	if len(lives) != 2 || lives[0] != main || lives[1] != main {
+		t.Errorf("main lived as %v; want two lives, the second restored, both as %s", lives, main)
+	}
+	if got := out.String(); got != want {
+		t.Errorf("terminal %q; one VM prints %q", got, want)
+	}
+}
+
+// TestHABlobAfterAdoptionReleasesNothing: a checkpoint blob the buddy reads
+// after it adopted the dead node is dropped, and its marks release nothing.
+// The user on node 0 initiates main on node 1's cluster 2, and node 1 dies
+// with no checkpoint stored.  Between node 2's adoption of the cluster and
+// its restore (the afterAdopt hook) a blob of node 1, cut before the kill
+// with a mark covering the INITIATE, reaches node 2.  The network cannot
+// order it so: a dead node's last writes land before its lanes close, and
+// the detector waits out more than the longest delay.  The restore has no
+// main, so only node 0's retained INITIATE re-creates it: node 2 must keep
+// no blob, every frame retained toward node 1 must be replayed, and the
+// terminal must read as on one VM.
+func TestHABlobAfterAdoptionReleasesNothing(t *testing.T) {
+	cfg := config.Simple(3, 2)
+	register := func(vm *core.VM) {
+		vm.Register("main", func(task *core.Task) {
+			_, _ = task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "never", Count: 1}}, Delay: time.Second})
+			task.Println("MAIN")
+		})
+	}
+	want := oneVM(t, cfg, register)
+
+	var out bytes.Buffer
+	_, mesh := simMesh(t, 1, cfg, &out, wireConfig{}, register)
+	n0, n1, n2 := mesh.nodes[0], mesh.nodes[1], mesh.nodes[2]
+	retained := func() (n int) {
+		for _, p := range []*peer{n0.tr.peerAt(1), n2.tr.peerAt(1)} {
+			p.mu.Lock()
+			n += len(p.ret.frames)
+			p.mu.Unlock()
+		}
+		return n
+	}
+	var late frame
+	var before int
+	mesh.do("late blob", func() {
+		if _, err := mesh.VMs[0].Initiate("main", core.OnCluster(2)); err != nil {
+			t.Error(err)
+			return
+		}
+		n1.tr.cutMu.Lock()
+		marks := n1.tr.recvSnapshot()
+		blob, err := n1.vm.Checkpoint(n1.vm.HostedClusters()...)
+		n1.tr.cutMu.Unlock()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := decodeFrame(&late, encodeCkpt(1, 1, n1.tr.logged.Load(), marks, blob)); err != nil {
+			t.Error(err)
+		}
+		before = retained()
+	})
+	if before == 0 || t.Failed() {
+		t.Fatal("node 0 retains no frame toward node 1; the test needs the user's INITIATE there")
+	}
+	fed := false
+	n2.afterAdopt = func() {
+		fed = true
+		n2.storeCheckpoint(1, &late)
+	}
+	replayed := mesh.Kill(1)
+	mesh.Shutdown()
+	if !fed {
+		t.Fatal("node 2 did not adopt node 1's cluster")
+	}
+	if epoch := n2.store.stored(1); epoch != 0 {
+		t.Errorf("node 2 stored node 1's checkpoint %d after adopting it", epoch)
+	}
+	if replayed != before {
+		t.Errorf("nodes 0 and 2 replayed %d frames toward node 1; they retained %d", replayed, before)
+	}
+	if got := out.String(); got != want {
+		t.Errorf("terminal %q; one VM prints %q", got, want)
+	}
+}
+
+// heldInits returns the entries of the peer's initiation log the node holds
+// as the peer's buddy.
+func heldInits(n *Node, from int) []core.LoggedInit {
+	n.store.mu.Lock()
+	defer n.store.mu.Unlock()
+	var out []core.LoggedInit
+	for _, h := range n.store.peers[from].inits {
+		out = append(out, h.init)
+	}
+	return out
+}
+
+// kidScenario is a program of Go tasktypes whose child is started on a
+// follower after a checkpoint the test cuts.  main, on cluster 1, starts four
+// short tasks there — so node 0 numbers its tasks ahead of node 1, as the
+// nodes of any mesh doing different work do, and a fresh id on node 0 cannot
+// repeat one node 1 assigned — and initiates parent on cluster 2; parent
+// waits for "start" and initiates kid on its own cluster; kid says hello to
+// main, waits for "go" and answers "done".  main prints the hello, waits for
+// "proceed", sends "go" to the id the hello came from, prints the kid's
+// answer and then any second hello that reaches it.  Its tasks run one at a
+// time on a simulator, so its fields need no lock.
+type kidScenario struct {
+	lives   []core.TaskID // the kid's id, once per life
+	hellos  []core.TaskID // the senders of the hellos main accepted
+	parent  core.TaskID   // parent's first life
+	greeted bool          // main printed the kid's hello
+}
+
+func (s *kidScenario) register(vm *core.VM) {
+	vm.Register("main", func(task *core.Task) {
+		for i := 0; i < 4; i++ {
+			_ = task.Initiate(core.OnCluster(1), "short")
+		}
+		if err := task.Initiate(core.OnCluster(2), "parent"); err != nil {
+			task.Printf("INITIATE FAILED: %v\n", err)
+			return
+		}
+		m, err := task.AcceptOne("hello")
+		if err != nil {
+			return
+		}
+		kid := m.Sender
+		s.hellos = append(s.hellos, kid)
+		task.Printf("HELLO FROM THE KID\n")
+		s.greeted = true
+		if _, err := task.AcceptOne("proceed"); err != nil {
+			return
+		}
+		if err := task.Send(kid, "go"); err != nil {
+			task.Printf("GO FAILED: %v\n", err)
+			return
+		}
+		if _, err := task.AcceptOne("done"); err == nil {
+			task.Printf("THE KID IS DONE\n")
+		}
+		res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "hello", Count: 1}}, Delay: 200 * time.Millisecond})
+		if err == nil && !res.TimedOut {
+			task.Printf("A SECOND HELLO FROM %s\n", res.Accepted[0].Sender)
+		}
+	})
+	vm.Register("short", func(*core.Task) {})
+	vm.Register("parent", func(task *core.Task) {
+		if s.parent == core.NilTask {
+			s.parent = task.ID() // a restored life keeps the first
+		}
+		if _, err := task.AcceptOne("start"); err == nil {
+			_ = task.Initiate(core.OnCluster(2), "kid", core.ID(task.Parent()))
+		}
+	})
+	vm.Register("kid", func(task *core.Task) {
+		s.lives = append(s.lives, task.ID())
+		main := core.MustID(task.Arg(0))
+		_ = task.Send(main, "hello")
+		res, err := task.Accept(core.AcceptSpec{Types: []core.TypeCount{{Type: "go", Count: 1}}, Delay: 10 * time.Second})
+		if err == nil && !res.TimedOut {
+			_ = task.Send(main, "done")
+		}
+	})
+}
+
+// drive runs the scenario on vm, one VM or node 0's of a mesh, in a task of
+// sched: cut runs once parent is running and before it gets "start",
+// kill once the kid's hello reached main and before main sends the kid
+// "go".  It returns once main is done.
+func (s *kidScenario) drive(t *testing.T, sched *sim.Scheduler, vm *core.VM, cut, kill func()) {
+	done := sched.NewGate()
+	sched.Spawn("drive", func() {
+		defer done.Open()
+		main, err := vm.Initiate("main", core.OnCluster(1))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !pollFor(sched, func() bool { return s.parent != core.NilTask }) {
+			t.Error("parent did not start")
+			return
+		}
+		cut()
+		if err := vm.SendFromUser(s.parent, "start"); err != nil {
+			t.Error(err)
+			return
+		}
+		if !pollFor(sched, func() bool { return s.greeted }) {
+			t.Error("the kid's hello did not reach main")
+			return
+		}
+		kill()
+		if err := vm.SendFromUser(main, "proceed"); err != nil {
+			t.Error(err)
+			return
+		}
+		_ = vm.WaitTask(main)
+	})
+	done.Wait()
+}
+
+// TestHALocalChildKeepsItsIDAcrossAKill: node 1 starts a child on its own
+// cluster after its last checkpoint, and the child's id reaches node 0 — in
+// the child's hello, which node 0 answers with "go" to that id.  Node 1 is
+// killed in between, by construction: the test cuts the only checkpoint
+// itself.  Node 0, node 1's buddy, holds the child's initiation in node 1's
+// log, so when the restored parent initiates the child again it comes back
+// under its first id: the "go" finds it, its second hello is dropped as a
+// duplicate, and the output is the single-process run's.
+func TestHALocalChildKeepsItsIDAcrossAKill(t *testing.T) {
+	cfg := config.Simple(2, 4)
+	ref := kidScenarioOnOneVM(t, cfg)
+	if ref != "HELLO FROM THE KID\nTHE KID IS DONE\n" {
+		t.Fatalf("reference output unexpected:\n%s", ref)
+	}
+
+	s := &kidScenario{}
+	var out bytes.Buffer
+	sched, mesh := simMesh(t, 1, cfg, &out, wireConfig{}, s.register)
+	s.drive(t, sched, mesh.VMs[0], func() {
+		if err := mesh.Checkpoint(1); err != nil {
+			t.Error(err)
+		}
+	}, func() { mesh.Kill(1) })
+	if err := mesh.Shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+
+	if got := out.String(); got != ref {
+		t.Errorf("output after node 1's kill:\n--- got ---\n%s--- want ---\n%s", got, ref)
+	}
+	if len(s.lives) != 2 || s.lives[0] != s.lives[1] {
+		t.Errorf("the kid lived as %v; want two lives under one id", s.lives)
+	}
+	if len(s.hellos) != 1 {
+		t.Errorf("main accepted hellos from %v; want one", s.hellos)
+	}
+}
+
+// kidScenarioOnOneVM runs the kid scenario on one simulated VM and returns its
+// terminal output.
+func kidScenarioOnOneVM(t *testing.T, cfg *config.Configuration) string {
+	t.Helper()
+	s := &kidScenario{}
+	var out bytes.Buffer
+	sched := sim.New(1)
+	vm, err := core.NewVM(cfg, core.Options{UserOutput: &out, Backend: sched, AcceptTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.register(vm)
+	s.drive(t, sched, vm, func() {}, func() {})
+	vm.Shutdown()
+	return out.String()
+}
+
+// TestHABuddyLogHoldsOnlyEntriesAfterTheCut: a buddy keeps the entries of a
+// peer's initiation log that no checkpoint of the peer covers.  Node 1
+// starts parent (entry 1) before the checkpoint the test cuts and kid (entry
+// 2) after it; once node 0 stored the checkpoint it holds nothing for node
+// 1, and then exactly the kid's initiation.
+func TestHABuddyLogHoldsOnlyEntriesAfterTheCut(t *testing.T) {
+	s := &kidScenario{}
+	var out bytes.Buffer
+	sched, mesh := simMesh(t, 1, config.Simple(2, 4), &out, wireConfig{}, s.register)
+	n0 := mesh.nodes[0]
+	s.drive(t, sched, mesh.VMs[0], func() {
+		if held := heldInits(n0, 1); len(held) != 1 || held[0].Parent.Cluster != 1 {
+			t.Errorf("before the cut node 0 holds %v for node 1; want parent's initiation", held)
+		}
+		if err := mesh.Checkpoint(1); err != nil {
+			t.Error(err)
+		}
+		if held := heldInits(n0, 1); len(held) != 0 {
+			t.Errorf("after the store node 0 holds %v for node 1; want nothing", held)
+		}
+	}, func() {
+		held := heldInits(n0, 1)
+		if len(held) != 1 || held[0].ID != s.lives[0] || held[0].Cluster != 2 || held[0].Seq != 1 {
+			t.Errorf("after the kid started node 0 holds %v for node 1; want the kid %s's initiation", held, s.lives[0])
+		}
+	})
+	if err := mesh.Shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if out.String() != "HELLO FROM THE KID\nTHE KID IS DONE\n" {
+		t.Errorf("output:\n%s", out.String())
+	}
+}
+
+// TestHAReplayedBroadcastSkipsLateTasks: a broadcast a buddy replays for a
+// dead node reaches the dead node's restored tasks and no one else.  A
+// caster on node 0's cluster 1 broadcasts after node 1's checkpoint, which a
+// listener on node 1's cluster 2 hears; then a late task starts on cluster 1
+// and node 1 is killed.  Node 0 restores the listener from the checkpoint and
+// replays the broadcast, narrowed to cluster 2, so the listener hears it in
+// both of its lives — and the late task, never among its receivers, hears
+// nothing, as in a single process.
+func TestHAReplayedBroadcastSkipsLateTasks(t *testing.T) {
+	heard := map[string]int{}
+	register := func(vm *core.VM) {
+		vm.Register("caster", func(task *core.Task) {
+			if _, err := task.AcceptOne("cast"); err == nil {
+				_ = task.Broadcast("news", core.Int(5))
+			}
+		})
+		vm.Register("listener", func(task *core.Task) {
+			if _, err := task.AcceptOne("news"); err == nil {
+				heard["listener"]++
+			}
+		})
+		vm.Register("late", func(task *core.Task) {
+			for {
+				res, err := task.Accept(core.AcceptSpec{Total: 1, Types: []core.TypeCount{{Type: "news"}, {Type: "stop"}}})
+				if err != nil || res.TimedOut || res.Accepted[0].Type == "stop" {
+					return
+				}
+				heard["late"]++
+			}
+		})
+	}
+	sched, mesh := simMesh(t, 1, config.Simple(2, 4), &bytes.Buffer{}, wireConfig{}, register)
+	vm := mesh.VMs[0]
+	hear := func(life string, times int) bool {
+		if !pollFor(sched, func() bool { return heard["listener"] >= times }) {
+			t.Errorf("the listener did not hear the broadcast in its %s life", life)
+			return false
+		}
+		return true
+	}
+	done := sched.NewGate()
+	sched.Spawn("drive", func() {
+		defer done.Open()
+		caster, err1 := vm.Initiate("caster", core.OnCluster(1))
+		_, err2 := vm.Initiate("listener", core.OnCluster(2))
+		if err1 != nil || err2 != nil {
+			t.Error(err1, err2)
+			return
+		}
+		if err := mesh.Checkpoint(1); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := vm.SendFromUser(caster, "cast"); err != nil {
+			t.Error(err)
+			return
+		}
+		if !hear("first", 1) {
+			return
+		}
+		late, err := vm.Initiate("late", core.OnCluster(1))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mesh.Kill(1)
+		if !hear("restored", 2) {
+			return
+		}
+		if err := vm.SendFromUser(late, "stop"); err != nil {
+			t.Error(err)
+			return
+		}
+		_ = vm.WaitTask(late)
+	})
+	done.Wait()
+	if err := mesh.Shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if heard["listener"] != 2 || heard["late"] != 0 {
+		t.Errorf("heard %v; want the listener in both lives and nothing for the late task", heard)
 	}
 }

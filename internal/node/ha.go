@@ -15,24 +15,23 @@ import (
 // streams the blob to a buddy (node.go).  A checkpoint only captures state
 // that reached the dying node's VM before the cut — everything a peer sent
 // AFTER the cut must be re-deliverable, so each sender keeps a copy of every
-// counted data frame it hands a lane until the receiving node acknowledges a
-// checkpoint covering it:
+// counted data frame it hands a lane until a stored checkpoint of the
+// receiver covers it:
 //
-//	sender                       receiver X                  X's buddy B
-//	  | -- data frames  ------->  | (delivers, counts)         |
-//	  |                           | -- fCkpt{epoch,n,blob} --> | (stores)
-//	  |                           | <---- fCkptAck{epoch} ---- |
-//	  | <-- fCkptMark{count} ---  | (only after the ack)       |
-//	  | drops retained idx<=count |                            |
+//	sender                       receiver X                        X's buddy B
+//	  | -- data frames  ------->  | (delivers, counts)               |
+//	  |                           | -- fCkpt{epoch,n,marks,blob} --> | (stores)
+//	  | <------------------- fCkptMark{from X, count} -------------- |
+//	  | drops retained idx<=count |                                  |
 //
-// The mark's count is the number of counted frames X's lane had delivered
-// when the checkpoint was CUT (a pre-cut snapshot, so over-retention is the
-// safe direction), and it is only broadcast after the buddy's ack — a blob
-// lost with a dying X can never have released the retention that would
-// rebuild its contents.  When X dies, each sender replays its retained
-// backlog onto B's lane under the route lock, a broadcast to every node
-// narrowed to X's clusters; B's restored admission floors drop whatever the
-// blob already covers.
+// X's mark for a sender counts the frames from it X had delivered at the
+// CUT, exactly those the blob holds.  The blob carries the marks and B sends
+// them as it stores it — whoever holds a receiver's checkpoint tells the
+// senders what they may discard — so no blob is durable without its marks,
+// and a blob lost with X never released the frames that rebuild it.  When X
+// dies, each sender replays its retained backlog onto B's lane under the
+// route lock, a broadcast to every node narrowed to X's clusters; B's
+// restored admission floors drop whatever the blob already covers.
 //
 // B also holds X's initiation log.  Each sequenced initiation X's controllers
 // start goes to B as one fInitLog entry before the child runs, and the child
@@ -80,44 +79,67 @@ type heldInit struct {
 	init  core.LoggedInit
 }
 
-// buddyStore is what a node holds as its peers' buddy, by peer id: the
-// latest checkpoint blob and the initiation log entries it does not cover.
+// held is what a node keeps as a peer's buddy: the epoch and blob of its
+// latest stored checkpoint, the initiation log entries the blob does not
+// cover, and whether this node adopted the peer.
+type held struct {
+	epoch   uint64
+	blob    []byte
+	inits   []heldInit
+	adopted bool
+}
+
+// buddyStore is what a node keeps as its peers' buddy, by peer id.
 type buddyStore struct {
 	mu    sync.Mutex
-	blobs [][]byte
-	inits [][]heldInit
+	peers []held
 }
 
-func newBuddyStore(peers int) *buddyStore {
-	return &buddyStore{blobs: make([][]byte, peers), inits: make([][]heldInit, peers)}
-}
-
-// store keeps the peer's latest checkpoint blob and drops the entries of its
-// log the blob covers, the first covered.
-func (b *buddyStore) store(from int, covered uint64, blob []byte) {
+// store keeps the peer's latest checkpoint blob, drops the entries of its
+// log the blob covers (the first covered) and runs release, under the lock
+// adopt takes; once the peer is adopted it keeps nothing, runs nothing and
+// reports false (the orderings storeCheckpoint states).
+func (b *buddyStore) store(from int, epoch, covered uint64, blob []byte, release func()) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.blobs[from] = append(b.blobs[from][:0], blob...)
-	b.inits[from] = slices.DeleteFunc(b.inits[from], func(h heldInit) bool { return h.count <= covered })
+	h := &b.peers[from]
+	if h.adopted {
+		return false
+	}
+	h.epoch, h.blob = epoch, append(h.blob[:0], blob...)
+	h.inits = slices.DeleteFunc(h.inits, func(e heldInit) bool { return e.count <= covered })
+	release()
+	return true
 }
 
 // hold keeps entry count of the peer's initiation log.
 func (b *buddyStore) hold(from int, count uint64, l core.LoggedInit) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.inits[from] = append(b.inits[from], heldInit{count, l})
+	b.peers[from].inits = append(b.peers[from].inits, heldInit{count, l})
 }
 
-// held returns what the adopter of a dead peer restores: its last checkpoint
-// blob, empty when none was stored, and the initiations logged since.
-func (b *buddyStore) held(from int) ([]byte, []core.LoggedInit) {
+// stored returns the epoch of the peer's checkpoint this node stored, 0 for
+// none.
+func (b *buddyStore) stored(from int) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	inits := make([]core.LoggedInit, len(b.inits[from]))
-	for i, h := range b.inits[from] {
-		inits[i] = h.init
+	return b.peers[from].epoch
+}
+
+// adopt returns what the adopter of a dead peer restores: its last
+// checkpoint blob, empty when none was stored, and the initiations logged
+// since.  Every later blob from the peer is dropped (store).
+func (b *buddyStore) adopt(from int) ([]byte, []core.LoggedInit) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	h := &b.peers[from]
+	h.adopted = true
+	inits := make([]core.LoggedInit, len(h.inits))
+	for i, e := range h.inits {
+		inits[i] = e.init
 	}
-	return b.blobs[from], inits
+	return h.blob, inits
 }
 
 // setHA flips the transport into retention mode; buddy names the holder of
@@ -160,14 +182,18 @@ func (tr *transport) deliverDone(from, k int) {
 // mark is what a checkpoint mark tells one peer: how many of its counted
 // frames this node had delivered, and the latest generation of its exit
 // records this node had heard, when the checkpoint was cut.
-type mark struct{ count, gen uint64 }
+type mark struct {
+	peer       int
+	count, gen uint64
+}
 
-// recvSnapshot returns the marks for every peer.  Taken with the cut, under
-// cutMu, they are sent once the buddy acks the blob.
-func (tr *transport) recvSnapshot() map[int]mark {
-	out := make(map[int]mark, len(tr.recvFrom))
+// recvSnapshot returns the marks for every peer, in peer order.  Taken with
+// the cut, under cutMu, they travel in the checkpoint frame, and the buddy
+// sends them when it stores the blob.
+func (tr *transport) recvSnapshot() []mark {
+	var out []mark
 	for _, p := range tr.allPeers() {
-		out[p.id] = mark{tr.recvFrom[p.id].Load(), tr.heardGen[p.id].Load()}
+		out = append(out, mark{p.id, tr.recvFrom[p.id].Load(), tr.heardGen[p.id].Load()})
 	}
 	return out
 }
@@ -218,9 +244,9 @@ func (tr *transport) isDead(node int) bool {
 	return p.dead
 }
 
-// ackRetained takes a peer's checkpoint mark: it notes the generation the
-// peer's durable cut followed and drops the retained prefix the mark covers.  A
-// mark is sent only once the buddy holds the blob, so it holds also when it
+// ackRetained takes a mark of node's checkpoint: it notes the generation the
+// node's durable cut followed and drops the retained prefix the mark covers.
+// Only the buddy that stored the blob sends a mark, so it holds also when it
 // lands after the lane broke: the blob is what the buddy restores.  Until
 // the backlog is replayed it is released, and what markDead already settled
 // the drain balance for is written off as lost with it.  Replaying a covered
@@ -242,6 +268,14 @@ func (tr *transport) ackRetained(node int, count, gen uint64) {
 	}
 	p.mu.Unlock()
 	tr.ageExitRecords()
+}
+
+// marked reports whether the lane toward node took a mark at least mk.
+func (tr *transport) marked(node int, mk mark) bool {
+	p := tr.peerAt(node)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ret.acked >= mk.count && p.markGen >= mk.gen
 }
 
 // ageExitRecords starts a new generation of the VM's exit records once
@@ -274,15 +308,16 @@ func (tr *transport) ageExitRecords() {
 // LogInit implements core's initLogger: the initiation goes to this node's
 // checkpoint buddy as one fInitLog frame, numbered in log order, and the call
 // returns once the buddy acked it — or the lane to the buddy died, or the
-// node is shutting down — with by's PE released meanwhile.  Node 0 is not
-// recoverable and keeps no log.
-func (tr *transport) LogInit(by *mmos.Proc, l core.LoggedInit) {
+// node is shutting down — with by's PE released meanwhile.  It reports
+// whether the child may run: not on a killed node, whose controller the
+// teardown released.  Node 0 is not recoverable and keeps no log.
+func (tr *transport) LogInit(by *mmos.Proc, l core.LoggedInit) bool {
 	if !tr.haRetain || tr.nodeID == 0 {
-		return
+		return true
 	}
 	p := tr.peerAt(tr.buddy())
 	if p == nil {
-		return
+		return true
 	}
 	// Numbered and enqueued under one lock, so the buddy's lane carries the
 	// entries in log order.
@@ -290,21 +325,21 @@ func (tr *transport) LogInit(by *mmos.Proc, l core.LoggedInit) {
 	count := tr.logged.Add(1)
 	err := tr.sendControl(p.id, encodeInitLog(tr.nodeID, count, l))
 	tr.logMu.Unlock()
-	if err != nil {
-		return
-	}
-	wait := func() {
-		p.mu.Lock()
-		for p.logAcked < count && !p.dead {
-			p.cond.Wait()
+	if err == nil {
+		wait := func() {
+			p.mu.Lock()
+			for p.logAcked < count && !p.dead {
+				p.cond.Wait()
+			}
+			p.mu.Unlock()
 		}
-		p.mu.Unlock()
+		if by != nil {
+			by.BlockFn(wait)
+		} else {
+			wait()
+		}
 	}
-	if by != nil {
-		by.BlockFn(wait)
-	} else {
-		wait()
-	}
+	return !tr.killed.Load()
 }
 
 // ackInitLog records a buddy's ack of the log up to count and wakes the

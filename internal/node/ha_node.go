@@ -28,8 +28,8 @@ import (
 //     checkpoint blob and the initiation log it holds, and broadcasts
 //     fRebalanceReady.  On that signal every node replays its retained
 //     post-checkpoint frames onto the buddy's lane and reroutes the dead
-//     node's clusters there.  The restored admission floors drop whatever
-//     the blob already covered, so over-replay is harmless.
+//     node's clusters there.  The restored admission floors drop what the
+//     blob covers; an unsequenced frame it covers was released, not kept.
 //
 // One failure per checkpoint interval is tolerated: a second node dying
 // before the first recovery completes (or taking the only copy of a blob with
@@ -67,90 +67,69 @@ func (n *Node) haLoop() {
 }
 
 // checkpointTick cuts one checkpoint of the hosted clusters and streams it to
-// the buddy with the initiation log's count, and returns its epoch (0 when
-// none was shipped).  The counts are taken with the cut and no delivery
-// between (cutMu): a frame the receive counts include is in the blob, and a
-// frame in the blob is counted, so its sender neither drops a frame the blob
-// lacks nor replays one the blob holds.  The log count is taken before the
-// cut, so its entries' effects are inside the blob.  The receive counts go
-// out as retention marks only once the buddy acks the blob (fCkptAck), or
-// the blob and the frames that rebuild it could die together.
-func (n *Node) checkpointTick() uint64 {
-	buddy := n.nextLive(n.opts.NodeID)
+// the buddy with the initiation log's count and the receive marks, which
+// the buddy sends on (storeCheckpoint), and returns the buddy, the epoch (0
+// when none was shipped) and the marks.  The marks are taken with the cut
+// and no delivery between (cutMu): a frame they count is in the blob, and a
+// frame in the blob is counted.  The log count is taken before the cut, so
+// its entries' effects are inside the blob.
+func (n *Node) checkpointTick() (buddy int, epoch uint64, marks []mark) {
+	buddy = n.nextLive(n.opts.NodeID)
 	if buddy < 0 {
-		return 0 // no live peer to hold the blob
+		return buddy, 0, nil // no live peer to hold the blob
 	}
 	n.tr.cutMu.Lock()
-	snap, inits := n.tr.recvSnapshot(), n.tr.logged.Load()
+	marks, inits := n.tr.recvSnapshot(), n.tr.logged.Load()
 	blob, err := n.vm.Checkpoint(n.vm.HostedClusters()...)
 	n.tr.cutMu.Unlock()
 	if err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: checkpoint failed: %v\n", n.opts.NodeID, err)
-		return 0
+		return buddy, 0, nil
 	}
-	n.mu.Lock()
-	n.ckptEpoch++
-	epoch := n.ckptEpoch
-	n.pendMark[epoch] = snap
-	n.mu.Unlock()
-	if err := n.tr.sendControl(buddy, encodeCkpt(n.opts.NodeID, epoch, inits, blob)); err != nil {
+	epoch = n.ckptEpoch.Add(1)
+	if err := n.tr.sendControl(buddy, encodeCkpt(n.opts.NodeID, epoch, inits, marks, blob)); err != nil {
 		fmt.Fprintf(n.opts.Log, "node %d: shipping checkpoint %d to node %d: %v\n", n.opts.NodeID, epoch, buddy, err)
-		return 0
+		return buddy, 0, nil
 	}
 	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(n.opts.NodeID), B: int64(epoch)})
 	if n.reg.Has(obs.Metrics) {
 		n.haCkptTx.Inc()
 	}
-	return epoch
+	return buddy, epoch, marks
 }
 
-// cutCheckpoint is one checkpoint tick waited on until the buddy acked the
-// blob and the marks it releases are written; it reports whether that
-// happened before the node shut down.  A node that dies between the ack and
-// its marks leaves its peers retaining what the blob covers, and a replayed
-// frame that carries no send sequence — a user's INITIATE — runs twice.
-func (n *Node) cutCheckpoint() bool {
-	epoch := n.checkpointTick()
-	if epoch == 0 || !n.await(-1, func() bool { return n.marked >= epoch }) {
-		return false
+// storeCheckpoint is the buddy side of a checkpoint: keep a copy of the
+// peer's blob, drop the entries of its initiation log the blob covers (the
+// first m.count), and release the retention the blob covers on the peer's
+// behalf — this node's own by ackRetained, every other live peer's by an
+// fCkptMark.  Two orderings hold by construction, buddyStore.store holding
+// the lock adopt takes:
+//
+//  1. every mark of a stored blob is enqueued before this node's
+//     fRebalanceReady for the peer, so per-lane FIFO puts it ahead of the
+//     replay, and this node's own release precedes its own replay;
+//  2. a blob read after this node adopted the peer is dropped and releases
+//     nothing: the restore lacks it, so the frames it covers must rebuild it.
+func (n *Node) storeCheckpoint(from int, m *frame) {
+	if !n.store.store(from, m.epoch, m.count, m.blob, func() {
+		for _, mk := range m.marks {
+			switch {
+			case mk.peer == n.opts.NodeID:
+				n.tr.ackRetained(from, mk.count, mk.gen)
+			case mk.peer != from && !n.det.Dead(mk.peer):
+				_ = n.tr.sendControl(mk.peer, encodeMark(from, mk))
+			}
+		}
+	}) {
+		return
 	}
-	n.tr.Flush()
-	return true
-}
-
-// storeCheckpoint is the buddy side of a checkpoint: keep the latest blob for
-// the peer, drop the entries of its initiation log the blob covers (the
-// first inits), and ack it, releasing the peer's retention marks.
-func (n *Node) storeCheckpoint(from int, epoch, inits uint64, blob []byte) {
-	n.store.store(from, inits, blob)
 	// Record the stored epoch: a survivor's dump proves which checkpoint of a
 	// dead peer it held at the moment of failure.
-	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(from), B: int64(epoch)})
+	n.reg.Emit(&obs.Event{Kind: obs.Checkpoint, A: int64(from), B: int64(m.epoch)})
 	if n.reg.Has(obs.Metrics) {
 		n.haCkptRx.Inc()
 	}
-	_ = n.tr.sendControl(from, encodeFromCount(fCkptAck, n.opts.NodeID, epoch))
-}
-
-// broadcastMarks releases the retention the acked checkpoint epoch covers:
-// each peer may drop its retained frames up to the count this node had
-// delivered from that peer when the checkpoint was cut.
-func (n *Node) broadcastMarks(epoch uint64) {
-	n.mu.Lock()
-	snap := n.pendMark[epoch]
-	for e := range n.pendMark {
-		if e <= epoch {
-			delete(n.pendMark, e)
-		}
-	}
-	n.mu.Unlock()
-	for id, mk := range snap {
-		if id == n.opts.NodeID || n.det.Dead(id) {
-			continue
-		}
-		_ = n.tr.sendControl(id, encodeMark(n.opts.NodeID, mk))
-	}
-	n.update(func() { n.marked = max(n.marked, epoch) })
+	n.update(func() {}) // wake FaultMesh.Checkpoint
 }
 
 // nextLive returns the next live node after the given id, cyclically, or -1:
@@ -235,12 +214,12 @@ func (n *Node) handleRebalance(dead, buddy int, ready bool) {
 // blob means the peer died before its first checkpoint shipped: the clusters
 // restart empty, and the log and the retained-frame replay rebuild them.
 func (n *Node) adoptAndRestore(dead int) {
+	blob, inits := n.store.adopt(dead)
 	clusters := n.topo.Clusters(dead)
 	n.vm.AdoptClusters(clusters...)
 	if n.afterAdopt != nil {
 		n.afterAdopt()
 	}
-	blob, inits := n.store.held(dead)
 	if len(blob) == 0 {
 		fmt.Fprintf(n.opts.Log, "node %d: no checkpoint stored for node %d; clusters %v restart empty\n",
 			n.opts.NodeID, dead, clusters)
@@ -290,8 +269,8 @@ func (n *Node) finishRebalance(dead, buddy int) {
 // from the outside.
 func (n *Node) Terminate() {
 	n.closeOnce(func() {
+		n.tr.killed.Store(true) // before signalShutdown releases LogInit
 		n.signalShutdown()
-		n.tr.killed = true
 		n.teardown()
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
@@ -138,19 +139,15 @@ type Node struct {
 	// what WriteMeshTrace merges into per-node process tracks (mu).
 	followerTrace map[int]obs.ProcessTrace
 
-	// Fault tolerance (HA mode only; nil/zero otherwise).  store holds the
-	// blobs and initiation logs this node keeps as other peers' buddy;
-	// pendMark holds the pre-cut marks of this node's own un-acked
-	// checkpoint epochs, marked is the last epoch whose marks went out, and
-	// replayed the frames each finished rebalance replayed, by dead peer (all
-	// mu).  rebalMu serialises rebalances (one
+	// Fault tolerance (HA mode only; nil/zero otherwise).  store holds what
+	// this node keeps as other peers' buddy; ckptEpoch numbers its own
+	// checkpoints; replayed holds the frames each finished rebalance
+	// replayed, by dead peer (mu).  rebalMu serialises rebalances (one
 	// membership change at a time), a backend lock because a rebalance parks
 	// while holding it; haWake ends the HA loop at shutdown.
 	det        *detector
 	store      *buddyStore
-	ckptEpoch  uint64
-	marked     uint64
-	pendMark   map[uint64]map[int]mark
+	ckptEpoch  atomic.Uint64
 	replayed   map[int]int
 	rebalMu    backend.Sem
 	haWake     backend.Event
@@ -255,8 +252,7 @@ func Start(opts Options) (*Node, error) {
 			ids[i] = i
 		}
 		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, be.Now)
-		n.store = newBuddyStore(len(opts.Addrs))
-		n.pendMark = make(map[uint64]map[int]mark)
+		n.store = &buddyStore{peers: make([]held, len(opts.Addrs))}
 		n.replayed = make(map[int]int)
 		n.rebalMu = be.NewSem()
 		n.haWake = be.NewEvent()

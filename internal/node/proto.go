@@ -37,7 +37,12 @@ import (
 // Version 9: a heartbeat carries the generation of its sender's exit records
 // and a checkpoint mark the generation its sender heard before the cut, so a
 // node ages its exit records whatever traffic it sends.
-const protoVersion = 9
+//
+// Version 10: the buddy that stores a checkpoint sends its marks.  fCkpt
+// carries one (peer, count, gen) row per peer before its blob, the buddy
+// sends each live peer its row as an fCkptMark whose from names the
+// checkpointed node, and 0x0b, the buddy's ack, is retired.
+const protoVersion = 10
 
 // Frame kind bytes; frameTable describes each.
 const (
@@ -51,7 +56,6 @@ const (
 	fCredit         = 0x08
 	fHeartbeat      = 0x09
 	fCkpt           = 0x0a
-	fCkptAck        = 0x0b
 	fCkptMark       = 0x0c
 	fRebalance      = 0x0d
 	fRebalanceReady = 0x0e
@@ -76,7 +80,8 @@ type frameRow struct {
 }
 
 // frameTable is indexed by kind byte; row 0 stands in for every byte that is
-// not a kind.  A new frame kind is one row here (and one in README).  Filled
+// not a kind (decodeFrame).  A new frame kind is one row here (and one in
+// README); a retired kind's byte stays unassigned.  Filled
 // in by init because the handlers reach back to the table through the
 // transport.
 var frameTable [fInitLogAck + 1]frameRow
@@ -93,8 +98,7 @@ func init() {
 		fShutdown:       {"shutdown", false, false, "", decodeEmpty, (*Node).handleShutdown},
 		fCredit:         {"credit", false, false, "u32 count", decodeU32, (*Node).handleCredit},
 		fHeartbeat:      {"heartbeat", false, false, "i32 from, u64 gen", decodeFromCount, (*Node).handleHeartbeat},
-		fCkpt:           {"ckpt", false, false, "i32 from, u64 epoch, u64 count, checkpoint", decodeCkpt, (*Node).handleCkpt},
-		fCkptAck:        {"ckpt-ack", false, false, "i32 from, u64 epoch", decodeFromCount, (*Node).handleCkptAck},
+		fCkpt:           {"ckpt", false, false, "i32 from, u64 epoch, u64 count, u32 n, n × (i32 peer, u64 count, u64 gen), checkpoint", decodeCkpt, (*Node).storeCheckpoint},
 		fCkptMark:       {"ckpt-mark", false, false, "i32 from, u64 count, u64 gen", decodeMark, (*Node).handleCkptMark},
 		fRebalance:      {"rebalance", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
 		fRebalanceReady: {"rebalance-ready", false, false, "i32 dead, i32 buddy", decodeRebalance, (*Node).handleRebalanceFrame},
@@ -112,9 +116,10 @@ type frame struct {
 	msg         core.WireFrame  // fMsg, fBcast
 	hello       hello           // fHello
 	ack         drainAck        // fDrainAck
-	from        int             // fHeartbeat, fCkpt, fCkptAck, fCkptMark, fInitLog, fInitLogAck: the sender names itself
+	from        int             // fHeartbeat, fCkpt, fInitLog, fInitLogAck: the sender names itself; fCkptMark: the node whose checkpoint it marks
 	epoch       uint64          // fCkpt; the generation of fCkptMark
-	count       uint64          // fCredit, fCkpt, fCkptMark, fInitLog, fInitLogAck; the epoch of fDrain, fCkptAck; the generation of fHeartbeat
+	count       uint64          // fCredit, fCkpt, fCkptMark, fInitLog, fInitLogAck; the epoch of fDrain; the generation of fHeartbeat
+	marks       []mark          // fCkpt
 	blob        []byte          // fCkpt
 	dead, buddy int             // fRebalance, fRebalanceReady
 	replyID     uint64          // fInitReply
@@ -131,7 +136,7 @@ func decodeFrame(m *frame, payload []byte) (*frameRow, error) {
 		return row, fmt.Errorf("%w: empty frame", msgcodec.ErrCorrupt)
 	}
 	m.kind = payload[0]
-	if int(m.kind) < len(frameTable) {
+	if int(m.kind) < len(frameTable) && frameTable[m.kind].decode != nil {
 		row = &frameTable[m.kind]
 	}
 	return row, row.decode(m, payload[1:])
@@ -304,25 +309,32 @@ func decodeDrainAck(m *frame, body []byte) error {
 func encodeHeartbeat(from int, gen uint64) []byte { return encodeFromCount(fHeartbeat, from, gen) }
 
 // encodeCkpt wraps one checkpoint blob for buddy streaming, with the count of
-// the sender's initiation log the checkpoint covers.  The blob bytes are the
-// msgcodec checkpoint container produced by core.VM.Checkpoint; the node
-// layer treats them as opaque.
-func encodeCkpt(from int, epoch, count uint64, blob []byte) []byte {
+// the sender's initiation log the checkpoint covers and the receive marks
+// taken with the cut, one row per peer, which the buddy sends on when it
+// stores the blob.  The blob bytes are the msgcodec checkpoint container
+// produced by core.VM.Checkpoint; the node layer treats them as opaque.
+func encodeCkpt(from int, epoch, count uint64, marks []mark, blob []byte) []byte {
 	b := msgcodec.AppendU64(msgcodec.AppendI32([]byte{fCkpt}, from), epoch)
-	return append(msgcodec.AppendU64(b, count), blob...)
+	b = msgcodec.AppendU32(msgcodec.AppendU64(b, count), uint32(len(marks)))
+	for _, mk := range marks {
+		b = msgcodec.AppendU64(msgcodec.AppendU64(msgcodec.AppendI32(b, mk.peer), mk.count), mk.gen)
+	}
+	return append(b, blob...)
 }
 
 func decodeCkpt(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
-	m.from, m.epoch, m.count, m.blob = c.I32(), c.U64(), c.U64(), c.Rest()
+	m.from, m.epoch, m.count = c.I32(), c.U64(), c.U64()
+	m.marks = m.marks[:0]
+	for n := c.Count(4 + 8 + 8); n > 0; n-- { // i32 peer, u64 count, u64 gen
+		m.marks = append(m.marks, mark{peer: c.I32(), count: c.U64(), gen: c.U64()})
+	}
+	m.blob = c.Rest()
 	return c.Err()
 }
 
-// encodeFromCount builds a frame whose body is its sender and one u64:
-//   - fCkptAck: the buddy holds the checkpoint of that epoch.  It gates the
-//     retention marks: a sender may only tell its peers to drop retained
-//     frames once the blob those frames' effects live in is safely held.
-//   - fInitLogAck: the buddy holds the initiation log up to entry `count`.
+// encodeFromCount builds a frame whose body is its sender and one u64, as
+// fInitLogAck is: the buddy holds the initiation log up to entry `count`.
 func encodeFromCount(kind byte, from int, count uint64) []byte {
 	return msgcodec.AppendU64(msgcodec.AppendI32([]byte{kind}, from), count)
 }
@@ -333,11 +345,11 @@ func decodeFromCount(m *frame, body []byte) error {
 	return c.Done()
 }
 
-// encodeMark is fCkptMark: "my acked checkpoint covers the first `count`
-// counted frames your lane delivered to me — drop them from retention", exact
-// because both ends number counted frames in the lane's FIFO order, and "I
-// cut it after hearing generation `gen` of your exit records".  The decoder
-// puts gen in epoch.
+// encodeMark is fCkptMark, from the buddy that stored node from's checkpoint
+// to the peer mk names: "from's checkpoint covers the first `count` counted
+// frames your lane delivered to it — drop them from retention", exact as both
+// ends number them in the lane's FIFO order, and "from cut it after hearing
+// generation `gen` of your exit records".  The decoder puts gen in epoch.
 func encodeMark(from int, mk mark) []byte {
 	return msgcodec.AppendU64(encodeFromCount(fCkptMark, from, mk.count), mk.gen)
 }
@@ -439,13 +451,12 @@ func (n *Node) handleCredit(from int, m *frame) { n.tr.addCredits(from, uint32(m
 // already fed the detector.
 func (n *Node) handleHeartbeat(from int, m *frame) { n.tr.heard(from, m.count) }
 
-// handleCkpt stores a peer's checkpoint (storeCheckpoint copies the blob: the
-// lane's buffer is recycled).
-func (n *Node) handleCkpt(from int, m *frame) { n.storeCheckpoint(from, m.epoch, m.count, m.blob) }
-
-func (n *Node) handleCkptAck(_ int, m *frame) { n.broadcastMarks(m.count) }
-
-func (n *Node) handleCkptMark(from int, m *frame) { n.tr.ackRetained(from, m.count, m.epoch) }
+// handleCkptMark takes a mark the buddy of node m.from sent on its behalf
+// (the lane is the buddy's) and wakes FaultMesh.Checkpoint, which waits on it.
+func (n *Node) handleCkptMark(_ int, m *frame) {
+	n.tr.ackRetained(m.from, m.count, m.epoch)
+	n.update(func() {})
+}
 
 // handleRebalanceFrame runs a rebalance verdict or all-clear off the deliver
 // stage: a rebalance blocks on the route lock and (on the buddy) the restore,

@@ -36,7 +36,10 @@ type goldenFrame struct {
 // carries an array.  Version 8 re-captured the hello row's version field and
 // the ckpt row, which carries a u64 log count between its epoch and its
 // blob, and pinned two new rows: init-log, which took the restore-plan row's
-// kind byte, and init-log-ack.
+// kind byte, and init-log-ack.  Version 10 re-captured the hello row's
+// version field and the ckpt row, which carries a u32 count of (peer, count,
+// gen) mark rows between its log count and its blob, and dropped the
+// ckpt-ack row: kind 0x0b is retired.
 func goldenFrames(t testing.TB) []goldenFrame {
 	payload, err := msgcodec.Encode([]msgcodec.Arg{msgcodec.Int(42), msgcodec.Str("hi")})
 	if err != nil {
@@ -56,8 +59,9 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		Type: "ping", SendSeq: 12, Edge: 0x0102030405060708, Payload: payload}
 	logged := core.LoggedInit{Cluster: 2, Parent: sender, Seq: 11, ID: dest}
 	ack := drainAck{from: 1, epoch: 3, sent: 10, recv: 9, idle: true, stats: []byte{1, 2, 3}, trace: []byte{4, 5}}
+	marks := []mark{{peer: 0, count: 77, gen: 4}, {peer: 2, count: 9, gen: 1}}
 	return []goldenFrame{
-		{"hello", "010000000900000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
+		{"hello", "010000000a00000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
 			encodeHello(h), frame{kind: fHello, hello: h}},
 		{"msg", "020000000100000002000000020000000300000011000000010000000100000009000000000000000b000000000000007b000000deadbeef01000f7069736365732e696e69746961746500020100000008000000000000002a04000000026869",
 			encodeWireFrame(nil, &msg), frame{kind: fMsg, msg: msg}},
@@ -71,16 +75,26 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		{"shutdown", "07", []byte{fShutdown}, frame{kind: fShutdown}},
 		{"credit", "0800000040", encodeCredit(64), frame{kind: fCredit, count: 64}},
 		{"heartbeat", "09000000020000000000000003", encodeHeartbeat(2, 3), frame{kind: fHeartbeat, from: 2, count: 3}},
-		{"ckpt", "0a0000000100000000000000050000000000000003090807",
-			encodeCkpt(1, 5, 3, []byte{9, 8, 7}), frame{kind: fCkpt, from: 1, epoch: 5, count: 3, blob: []byte{9, 8, 7}}},
-		{"ckpt-ack", "0b000000020000000000000005", encodeFromCount(fCkptAck, 2, 5), frame{kind: fCkptAck, from: 2, count: 5}},
-		{"ckpt-mark", "0c00000001000000000000004d0000000000000004", encodeMark(1, mark{77, 4}), frame{kind: fCkptMark, from: 1, count: 77, epoch: 4}},
+		{"ckpt", "0a00000001000000000000000500000000000000030000000200000000000000000000004d00000000000000040000000200000000000000090000000000000001090807",
+			encodeCkpt(1, 5, 3, marks, []byte{9, 8, 7}), frame{kind: fCkpt, from: 1, epoch: 5, count: 3, marks: marks, blob: []byte{9, 8, 7}}},
+		{"ckpt-mark", "0c00000001000000000000004d0000000000000004", encodeMark(1, marks[0]), frame{kind: fCkptMark, from: 1, count: 77, epoch: 4}},
 		{"rebalance", "0d0000000200000001", encodeRebalance(fRebalance, 2, 1), frame{kind: fRebalance, dead: 2, buddy: 1}},
 		{"rebalance-ready", "0e0000000200000001", encodeRebalance(fRebalanceReady, 2, 1), frame{kind: fRebalanceReady, dead: 2, buddy: 1}},
 		{"init-log", "0f00000001000000000000000400000002000000010000000100000009000000000000000b000000020000000300000011",
 			encodeInitLog(1, 4, logged), frame{kind: fInitLog, from: 1, count: 4, logged: logged}},
 		{"init-log-ack", "10000000020000000000000004", encodeFromCount(fInitLogAck, 2, 4), frame{kind: fInitLogAck, from: 2, count: 4}},
 	}
+}
+
+// assignedKinds returns the kind bytes frameTable has a row for.
+func assignedKinds() []byte {
+	var kinds []byte
+	for k := 1; k < len(frameTable); k++ {
+		if frameTable[k].decode != nil {
+			kinds = append(kinds, byte(k))
+		}
+	}
+	return kinds
 }
 
 // goldenTopology is Partition([1 2 3], 2).appendTo(nil) at the same commit.
@@ -100,8 +114,8 @@ func unhex(t testing.TB, s string) []byte {
 // reproduce the parent commit's bytes and the decoders read the values back.
 func TestGoldenFrames(t *testing.T) {
 	rows := goldenFrames(t)
-	if len(rows) != len(frameTable)-1 {
-		t.Fatalf("%d golden rows for %d frame kinds", len(rows), len(frameTable)-1)
+	if kinds := len(assignedKinds()); len(rows) != kinds {
+		t.Fatalf("%d golden rows for %d frame kinds", len(rows), kinds)
 	}
 	for _, g := range rows {
 		raw := unhex(t, g.hex)
@@ -220,13 +234,25 @@ func TestMalformedFrameLogged(t *testing.T) {
 			t.Errorf("%s: log %q, want one line starting %q", g.name, got, want)
 		}
 	}
-	var log bytes.Buffer
-	n := &Node{opts: Options{NodeID: 1, Log: &log}}
-	_ = n.newStage(2, true).take([]byte{0x7f, 1, 2})
-	if want := "node 1: malformed unknown frame from node 2: "; !strings.HasPrefix(log.String(), want) {
-		t.Errorf("unknown kind: log %q, want prefix %q", log.String(), want)
+	// A byte no row is assigned to reads as row 0, unknown: one past the
+	// table, one far past it, and 0x0b, the retired ckpt-ack, inside it.
+	for _, kind := range []byte{0x00, fckptAckRetired, fInitLogAck + 1, 0x7f} {
+		var m frame
+		if row, err := decodeFrame(&m, []byte{kind, 1, 2}); row.name != "unknown" || !errors.Is(err, msgcodec.ErrCorrupt) {
+			t.Errorf("kind 0x%02x decodes as row %q with %v; want unknown and ErrCorrupt", kind, row.name, err)
+		}
+		var log bytes.Buffer
+		n := &Node{opts: Options{NodeID: 1, Log: &log}}
+		_ = n.newStage(2, true).take([]byte{kind, 1, 2})
+		if want := "node 1: malformed unknown frame from node 2: "; !strings.HasPrefix(log.String(), want) {
+			t.Errorf("kind 0x%02x: log %q, want prefix %q", kind, log.String(), want)
+		}
 	}
 }
+
+// fckptAckRetired is the kind byte of the ckpt-ack frame protocol version
+// 10 retired; no frame kind may take it.
+const fckptAckRetired = 0x0b
 
 // TestReadmeFrameTable holds README's frame table and frameTable to each
 // other: same kinds, same names, same credited/counted classification, same
@@ -256,7 +282,7 @@ func TestReadmeFrameTable(t *testing.T) {
 			continue // header and separator
 		}
 		kind := unhex(t, mm[1])[0]
-		if int(kind) >= len(frameTable) || kind == 0 {
+		if int(kind) >= len(frameTable) || kind == 0 || frameTable[kind].decode == nil {
 			t.Errorf("README lists frame 0x%02x, which frameTable does not have", kind)
 			continue
 		}
@@ -272,8 +298,8 @@ func TestReadmeFrameTable(t *testing.T) {
 				kind, mm[2], mm[3], mm[4], layout, row.name, yes[row.credited], yes[row.counted], row.layout)
 		}
 	}
-	for kind := 1; kind < len(frameTable); kind++ {
-		if !seen[byte(kind)] {
+	for _, kind := range assignedKinds() {
+		if !seen[kind] {
 			t.Errorf("frame 0x%02x (%s) has no row in README's frame table", kind, frameTable[kind].name)
 		}
 	}
@@ -288,6 +314,7 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
+	f.Add([]byte{fckptAckRetired, 0, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m frame
 		row, err := decodeFrame(&m, data)

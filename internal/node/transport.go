@@ -160,7 +160,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch 
 		}
 		if p.closed {
 			p.mu.Unlock()
-			if tr.killed {
+			if tr.killed.Load() {
 				return nil // a killed node's last sends vanish with it
 			}
 			return net.ErrClosed
@@ -384,8 +384,9 @@ type transport struct {
 
 	// killed is set by Terminate before the lanes close: a task of the
 	// killed node sending after that sees its frame vanish, as in a killed
-	// process, rather than an error its program would report.
-	killed bool
+	// process, rather than an error its program would report, and a child
+	// whose initiation it logs does not start (LogInit).
+	killed atomic.Bool
 }
 
 func newTransport(nodeID int, topo Topology, reg *obs.Registry, cfg wireConfig, be backend.Backend) *transport {
