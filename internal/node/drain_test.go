@@ -4,20 +4,25 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/obs"
+	"repro/internal/pfi"
+	"repro/internal/sim"
 )
 
 // TestBalancedDrainTakesTwoRoundsNoPause counts the coordinator's drain
-// rounds and the pauses between them.  The two-identical-observations rule
-// needs two rounds; a mesh that is already quiet gets exactly those, back to
-// back.  A round that finds a task still running is followed by the pause,
-// and the count starts over.
+// rounds, as node 0's drain-round spans, on a simulated mesh.  The
+// two-identical-observations rule needs two rounds; a mesh that is already
+// quiet gets exactly those, back to back.  A node answers a round once its
+// tasks are idle, so a follower task still running when the drain starts
+// makes the first round last until it is done, and the second confirms the
+// first at once: two rounds again, and no pause between them.
 func TestBalancedDrainTakesTwoRoundsNoPause(t *testing.T) {
 	const src = `TASKTYPE MAIN
-      ON CLUSTER 3 INITIATE %s
+      ON CLUSTER 2 INITIATE %s
       ACCEPT 1 OF DONE
       PRINT *, 'DONE'
 END TASKTYPE
@@ -25,58 +30,74 @@ END TASKTYPE
 TASKTYPE WORK
       TO PARENT SEND DONE
 END TASKTYPE
+
+TASKTYPE LINGER
+      TO PARENT SEND DONE
+      ACCEPT 1 OF
+        NEVER
+      DELAY 4 THEN
+        CONTINUE
+      END ACCEPT
+END TASKTYPE
 `
-	drain := func(t *testing.T, child string, register func(*core.VM), onPause func()) (rounds, pauses int) {
+	drain := func(t *testing.T, child string) []obs.Span {
+		t.Helper()
+		prog, err := pfi.Compile(strings.Replace(src, "%s", child, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		reg.Enable(obs.Spans)
 		var out bytes.Buffer
-		nodes := startMesh(t, 2, config.Simple(4, 4), strings.Replace(src, "%s", child, 1), &out,
-			func(_ int, o *node.Options) { o.Register = register })
-		served := make(chan error, 1)
-		go func() { served <- nodes[1].ServeUntilShutdown() }()
-		if err := nodes[0].RunMain(); err != nil {
+		mesh, err := node.NewFaultMesh(config.Simple(2, 4), sim.New(1), 1, node.DefaultFaultProfile(), func(i int) node.Options {
+			o := node.Options{AcceptTimeout: 30 * time.Second}
+			if i == 0 {
+				o.Out, o.Metrics = &out, reg
+			}
+			return o
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mesh.Run(prog, pfi.Options{}); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		nodes[0].SetDrainRound(func(pause bool) {
-			rounds++
-			if pause {
-				pauses++
-				onPause()
-			}
-		})
-		if err := nodes[0].Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		if err := <-served; err != nil {
-			t.Fatalf("follower: %v", err)
+		spans, _ := reg.Spans()
+		if err := mesh.Shutdown(); err != nil {
+			t.Fatalf("shutdown: %v", err)
 		}
 		if out.String() != "DONE\n" {
 			t.Fatalf("printed %q", out.String())
 		}
-		return rounds, pauses
+		var rounds []obs.Span
+		for _, s := range spans {
+			if s.Lane == "node/0 drain" {
+				rounds = append(rounds, s)
+			}
+		}
+		return rounds
+	}
+	backToBack := func(t *testing.T, rounds []obs.Span) {
+		t.Helper()
+		if len(rounds) != 2 {
+			t.Fatalf("the drain took %d rounds %+v, want 2", len(rounds), rounds)
+		}
+		if gap := rounds[1].Start - (rounds[0].Start + rounds[0].Dur); gap != 0 {
+			t.Errorf("the coordinator paused %v between the two rounds", gap)
+		}
 	}
 
 	t.Run("idle mesh", func(t *testing.T) {
-		rounds, pauses := drain(t, "WORK", nil, func() {})
-		if rounds != 2 || pauses != 0 {
-			t.Errorf("an idle mesh drained in %d rounds with %d pauses, want 2 and 0", rounds, pauses)
-		}
+		backToBack(t, drain(t, "WORK"))
 	})
 
-	// LINGER reports to its parent and then stays alive on node 1 until the
-	// coordinator's first pause: round 1 waits out the follower's idle check
-	// (two seconds) and comes back unbalanced.
-	t.Run("unbalanced first round", func(t *testing.T) {
-		release := make(chan struct{})
-		register := func(vm *core.VM) {
-			vm.Register("LINGER", func(task *core.Task) {
-				if err := task.SendParent("DONE"); err != nil {
-					t.Errorf("linger: %v", err)
-				}
-				<-release
-			})
-		}
-		rounds, pauses := drain(t, "LINGER", register, func() { close(release) })
-		if rounds != 3 || pauses != 1 {
-			t.Errorf("a mesh with one task running through round 1 drained in %d rounds with %d pauses, want 3 and 1", rounds, pauses)
+	// LINGER reports to its parent and then stays alive on node 1 for four
+	// seconds: node 1 answers round 1 once it is done.
+	t.Run("follower task running", func(t *testing.T) {
+		rounds := drain(t, "LINGER")
+		backToBack(t, rounds)
+		if rounds[0].Dur < 3*time.Second {
+			t.Errorf("round 1 took %v; node 1's task runs for more than 3s of it", rounds[0].Dur)
 		}
 	})
 }

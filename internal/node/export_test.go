@@ -1,9 +1,5 @@
 package node
 
-// SetDrainRound installs the hook the coordinator's drainQuiesce reports
-// every completed round to (TestBalancedDrainTakesTwoRoundsNoPause).
-func (n *Node) SetDrainRound(f func(pause bool)) { n.drainRound = f }
-
 // WireConfig sizes the batched wire path; SetWire gives a node one other
 // than the production zero value, to reach the window-of-1 and small-batch
 // boundaries.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
+	"repro/internal/pfi"
 	"repro/internal/sim"
 )
 
@@ -607,6 +608,94 @@ func TestHABlobAfterAdoptionReleasesNothing(t *testing.T) {
 		t.Errorf("nodes 0 and 2 replayed %d frames toward node 1; they retained %d", replayed, before)
 	}
 	if got := out.String(); got != want {
+		t.Errorf("terminal %q; one VM prints %q", got, want)
+	}
+}
+
+// TestHAKillDuringDrainRound: a node that dies while a drain round waits for
+// its answer ends the round when its rebalance is done, not at a timeout.
+// MAIN on node 0 starts WORK on node 1's cluster 2 and returns; WORK prints
+// after three seconds, so the drain FaultMesh.Run starts finds it running
+// and node 1 does not answer round 1.  Once node 2 has answered, node 1 is
+// killed: node 2, its buddy, adopts cluster 2 and tells node 0,
+// whose replay of the retained INITIATE starts WORK again there.  Round 1
+// must end at the instant node 0's rebalance finishes, the drain must go on
+// to quiesce once WORK is done, and the terminal must read as on one VM.
+func TestHAKillDuringDrainRound(t *testing.T) {
+	const src = `TASKTYPE MAIN
+      ON CLUSTER 2 INITIATE WORK
+      PRINT *, 'MAIN'
+END TASKTYPE
+
+TASKTYPE WORK
+      ACCEPT 1 OF
+        NEVER
+      DELAY 3 THEN
+        PRINT *, 'WORK'
+      END ACCEPT
+END TASKTYPE
+`
+	cfg := config.Simple(3, 2)
+	prog, err := pfi.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	vm, err := core.NewVM(cfg, core.Options{UserOutput: &ref, Backend: sim.New(1), AcceptTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Run(vm, pfi.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	vm.WaitIdle()
+	vm.Shutdown()
+
+	var out bytes.Buffer
+	s, mesh := simMesh(t, 1, cfg, &out, wireConfig{}, nil)
+	n0 := mesh.nodes[0]
+	n0.reg.Enable(obs.Spans)
+	killed := s.NewGate()
+	waiting := false
+	s.Spawn("kill", func() {
+		defer killed.Open()
+		waiting = pollFor(s, func() bool {
+			n0.mu.Lock()
+			defer n0.mu.Unlock()
+			_, answered := n0.acks[2]
+			return n0.ackEpoch == 1 && answered
+		})
+		if waiting {
+			mesh.Kill(1)
+		}
+	})
+	if err := mesh.Run(prog, pfi.Options{}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	killed.Wait()
+	spans, _ := n0.reg.Spans()
+	if err := mesh.Shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if !waiting {
+		t.Fatal("round 1 never waited on node 1 alone")
+	}
+	var round1, rebalance *obs.Span
+	for i, sp := range spans {
+		switch {
+		case sp.Lane == "node/0 drain" && sp.Name == "round 1":
+			round1 = &spans[i]
+		case sp.Lane == "node/0 ha" && rebalance == nil:
+			rebalance = &spans[i]
+		}
+	}
+	if round1 == nil || rebalance == nil {
+		t.Fatalf("spans %+v: want drain round 1 and node 0's rebalance", spans)
+	}
+	if end, rebalanced := round1.Start+round1.Dur, rebalance.Start+rebalance.Dur; end != rebalanced || round1.Dur >= 5*time.Second {
+		t.Errorf("round 1 ran %v to %v; node 0's rebalance ended at %v, where the round must end", round1.Start, end, rebalanced)
+	}
+	if got, want := out.String(), ref.String(); got != want {
 		t.Errorf("terminal %q; one VM prints %q", got, want)
 	}
 }

@@ -122,7 +122,8 @@ type Node struct {
 	mu      sync.Mutex
 	changed backend.Cond
 
-	// acks collects the coordinator's drain round ackEpoch (drainQuiesce; mu).
+	// acks collects the answers to the coordinator's drain round ackEpoch,
+	// its own included (drainQuiesce; mu).
 	ackEpoch uint32
 	acks     map[int]drainAck
 
@@ -156,26 +157,12 @@ type Node struct {
 	haCkptTx   *obs.Counter // node.ha.ckpt.tx: checkpoints shipped to the buddy
 	haCkptRx   *obs.Counter // node.ha.ckpt.rx: checkpoints stored for peers
 
-	// drainRound, when non-nil, is told of every completed drain round and
-	// whether the coordinator pauses after it (tests).
-	drainRound func(pause bool)
-	// dialRefused, when non-nil, is told of every failed connection attempt
-	// of dialPeer and the wait before the next one (tests).
-	dialRefused func(wait time.Duration)
-	// holdStage, when non-nil, runs on the deliver stage of every drain frame
-	// before the answer leaves it (tests hold a lane's stage with it).
-	holdStage func()
 	// beforeDeliver, when non-nil, runs on the deliver stage before each run
 	// of data frames goes to the VM (tests cut a checkpoint there).
 	beforeDeliver func(run []core.WireFrame)
 	// afterAdopt, when non-nil, runs on the adopting buddy between the
 	// adoption of a dead node's clusters and their restore (tests).
 	afterAdopt func()
-
-	// idleRuns counts the VM idle waits finished (idleWithin); idleWaiting is
-	// set while one runs (mu).
-	idleRuns    uint64
-	idleWaiting bool
 
 	shutdownOnce sync.Once
 	shutdown     backend.Gate
@@ -399,9 +386,6 @@ func (n *Node) dialPeer(id int, deadline time.Time) (net.Conn, error) {
 		conn, err := n.opts.Net.Dial(n.opts.Addrs[id], deadline.Sub(now))
 		if err != nil {
 			lastErr = err
-			if n.dialRefused != nil {
-				n.dialRefused(retry)
-			}
 			sleep(n.be, retry)
 			retry = min(2*retry, dialRetryCap)
 			continue
@@ -911,43 +895,49 @@ func (n *Node) await(d time.Duration, ready func() bool) bool {
 	return ready()
 }
 
-// idleWithin reports whether every locally hosted user task terminated
-// within d.  The node keeps one idle waiter: a call that times out leaves it
-// waiting for the next call to find.
-func (n *Node) idleWithin(d time.Duration) bool {
-	n.mu.Lock()
-	target := n.idleRuns + 1
-	if !n.idleWaiting {
-		n.idleWaiting = true
-		n.be.Spawn(fmt.Sprintf("node %d idle", n.opts.NodeID), func() {
-			n.vm.WaitIdle()
-			n.update(func() { n.idleWaiting, n.idleRuns = false, n.idleRuns+1 })
-		})
-	}
-	n.mu.Unlock()
-	return n.await(d, func() bool { return n.idleRuns >= target })
+// answerDrain answers drain round epoch in a task of its own, once the
+// locally hosted user tasks are idle: it flushes the outbound batches, so a
+// frame waiting in an open batch is not reported sent-but-unreceivable, and
+// reports the frame totals whose global balance tells the coordinator nothing
+// is in flight.  A follower sends them in a drain ack; the coordinator enters
+// its own among the round's answers.  A node that shuts down first does not
+// answer.  The task is not among the readers: its wait ends only once the
+// VM's tasks do, which on a killed node is after the teardown.
+func (n *Node) answerDrain(epoch uint32) {
+	n.be.Spawn(fmt.Sprintf("node %d drain answer", n.opts.NodeID), func() {
+		n.vm.WaitIdle()
+		if n.shuttingDown() {
+			return
+		}
+		n.tr.Flush()
+		sent, recv := n.tr.counts()
+		ack := drainAck{from: n.opts.NodeID, epoch: epoch, sent: sent, recv: recv}
+		if n.opts.NodeID == 0 {
+			n.takeAck(ack)
+			return
+		}
+		// Piggyback this node's metric snapshot on the ack so the
+		// coordinator's final summary covers the whole mesh.  Skipped (empty
+		// blob) when metrics are off — the drain protocol itself stays
+		// snapshot-free.
+		if n.reg.Has(obs.Metrics) {
+			ack.stats = n.Snapshot().Encode()
+		}
+		if n.reg.Has(obs.Spans) {
+			ack.trace = obs.EncodeTrace(n.reg.Trace(0, ""))
+		}
+		_ = n.tr.sendControl(0, encodeDrainAck(ack))
+	})
 }
 
-// answerDrain reports this node's quiescence for one drain round: whether
-// local user tasks are idle, and the frame totals whose global balance tells
-// the coordinator nothing is in flight.  Outbound batches are flushed before
-// the counts are read, so a frame waiting in an open batch cannot be
-// reported sent-but-unreceivable for the whole round.
-func (n *Node) answerDrain(epoch uint32) {
-	idle := n.idleWithin(2 * time.Second)
-	n.tr.Flush()
-	sent, recv := n.tr.counts()
-	ack := drainAck{from: n.opts.NodeID, epoch: epoch, sent: sent, recv: recv, idle: idle}
-	// Piggyback this node's metric snapshot on the ack so the coordinator's
-	// final summary covers the whole mesh.  Skipped (empty blob) when metrics
-	// are off — the drain protocol itself stays snapshot-free.
-	if n.reg.Has(obs.Metrics) {
-		ack.stats = n.Snapshot().Encode()
-	}
-	if n.reg.Has(obs.Spans) {
-		ack.trace = obs.EncodeTrace(n.reg.Trace(0, ""))
-	}
-	_ = n.tr.sendControl(0, encodeDrainAck(ack))
+// takeAck enters a node's answer among the answers to the round being
+// collected; an answer to an earlier round finds nobody collecting it.
+func (n *Node) takeAck(ack drainAck) {
+	n.update(func() {
+		if ack.epoch == n.ackEpoch {
+			n.acks[ack.from] = ack
+		}
+	})
 }
 
 // RunMain runs the program's entry tasktype on this node (the coordinator)
@@ -972,18 +962,20 @@ func (n *Node) ServeUntilShutdown() error {
 	return n.Close()
 }
 
-// drainQuiesce is the coordinated shutdown drain: the coordinator repeats
-// drain rounds until every node reports idle user tasks AND the global frame
-// counts balance AND those counts were already seen one round earlier — so
-// no frame was in flight between the two observations.  A balanced round is
-// followed by its confirming round at once, so a mesh that is already quiet
-// — the usual case: the program has printed its last line — is released
-// after two round trips; only a round that found work still running or a
-// frame in flight is followed by a pause, to give it time rather than spin
-// rounds against it.  It returns an error when the mesh does not quiesce
-// within the timeout (shutdown proceeds anyway; undelivered traffic at that
-// point is a program that never terminates, which a single-process run would
-// also hang on).
+// drainQuiesce is the coordinated shutdown drain, by double counting: the
+// coordinator repeats drain rounds until the global frame counts balance AND
+// those counts were already seen one round earlier — so no frame was in
+// flight between the two observations.  Every live node answers a round once
+// its user tasks are idle (answerDrain), the coordinator too, after the
+// others, so a round ends when the last of them is idle or declared dead
+// (finishRebalance wakes the wait).  A balanced round is followed by its
+// confirming round at once, so a mesh that is already quiet — the usual case:
+// the program has printed its last line — is released after two round trips;
+// only a round that found a frame in flight is followed by a pause, to give
+// it time rather than spin rounds against it.  It returns an error when the
+// mesh does not quiesce within the timeout (shutdown proceeds anyway; a task
+// still running or traffic undelivered at that point is a program that never
+// terminates, which a single-process run would also hang on).
 func (n *Node) drainQuiesce(timeout time.Duration) error {
 	if len(n.opts.Addrs) == 1 {
 		return nil
@@ -993,44 +985,39 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 	havePrev := false
 	for epoch := uint32(1); n.be.Now().Before(deadline); epoch++ {
 		roundT0 := n.reg.SpanStart()
-		// Dead peers (HA mode) are out of the round: their lanes drop control
-		// frames and their traffic has been settled into the survivors' counts
-		// by markDead/replay.  Re-list each round — a peer can die mid-drain.
 		n.mu.Lock()
 		n.ackEpoch, n.acks = epoch, make(map[int]drainAck)
 		n.mu.Unlock()
-		peers := 0
+		// Dead peers (HA mode) are out of the round: their lanes drop control
+		// frames and their traffic has been settled into the survivors' counts
+		// by markDead/replay.  The wait re-lists them: a peer can die mid-round.
 		for id := range n.opts.Addrs {
-			if id == n.opts.NodeID || n.tr.isDead(id) {
-				continue
+			if id != n.opts.NodeID && !n.tr.isDead(id) {
+				_ = n.tr.sendControl(id, encodeDrain(epoch))
 			}
-			peers++
-			_ = n.tr.sendControl(id, encodeDrain(epoch))
 		}
-		n.await(min(5*time.Second, deadline.Sub(n.be.Now())), func() bool { return len(n.acks) >= peers })
+		// The coordinator answers last: its received count then takes in
+		// every frame another node sent it before answering, which that
+		// node's lane delivered ahead of the answer.
+		wait := func(self bool) bool {
+			return n.await(max(deadline.Sub(n.be.Now()), 0), func() bool { _, _, all := n.tally(self); return all })
+		}
+		answered := wait(false)
+		if answered {
+			n.answerDrain(epoch)
+			answered = wait(true)
+		}
 		n.mu.Lock()
-		got := n.acks
-		n.ackEpoch = 0 // later acks of this round find nobody collecting
+		sent, recv, _ := n.tally(true)
+		n.ackEpoch = 0 // later answers of this round find nobody collecting
 		n.mu.Unlock()
 		n.reg.Emit(&obs.Event{Kind: obs.DrainRound, A: int64(n.opts.NodeID), Type: strconv.FormatUint(uint64(epoch), 10), Start: roundT0})
-		if len(got) < peers {
-			continue
+		if !answered {
+			break
 		}
-		selfIdle := n.idleWithin(2 * time.Second)
-		n.tr.Flush()
-		sent, recv := n.tr.counts()
-		allIdle := selfIdle
-		for _, a := range got {
-			sent += a.sent
-			recv += a.recv
-			allIdle = allIdle && a.idle
-		}
-		balanced := allIdle && sent == recv
+		balanced := sent == recv
 		confirmed := balanced && havePrev && sent == prevSent && recv == prevRecv
 		prevSent, prevRecv, havePrev = sent, recv, balanced
-		if n.drainRound != nil {
-			n.drainRound(!balanced)
-		}
 		if confirmed {
 			return nil
 		}
@@ -1039,6 +1026,23 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 		}
 	}
 	return fmt.Errorf("node %d: mesh did not quiesce within %s", n.opts.NodeID, timeout)
+}
+
+// tally sums the answers to the round being collected of every node not
+// declared dead, and reports whether each of them has answered; without self
+// the coordinator's own answer is left out (mu).
+func (n *Node) tally(self bool) (sent, recv uint64, all bool) {
+	for id := range n.opts.Addrs {
+		if id == n.opts.NodeID && !self || n.tr.isDead(id) {
+			continue
+		}
+		a, ok := n.acks[id]
+		if !ok {
+			return 0, 0, false
+		}
+		sent, recv = sent+a.sent, recv+a.recv
+	}
+	return sent, recv, true
 }
 
 // drainTimeout bounds the coordinator's drain.

@@ -42,7 +42,10 @@ import (
 // carries one (peer, count, gen) row per peer before its blob, the buddy
 // sends each live peer its row as an fCkptMark whose from names the
 // checkpointed node, and 0x0b, the buddy's ack, is retired.
-const protoVersion = 10
+//
+// Version 11: a node answers a drain round once its user tasks are idle, so
+// fDrainAck no longer carries an idle byte after its totals.
+const protoVersion = 11
 
 // Frame kind bytes; frameTable describes each.
 const (
@@ -94,7 +97,7 @@ func init() {
 		fBcast:          {"bcast", true, true, "i32 src, i32 dst, taskid sender, u64 sendSeq, u64 edge, str16 type, payload", decodeData, nil},
 		fInitReply:      {"init-reply", false, true, "u64 replyID, taskid id", decodeInitReply, (*Node).handleInitReply},
 		fDrain:          {"drain", false, false, "u32 epoch", decodeU32, (*Node).handleDrain},
-		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, u8 idle, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
+		fDrainAck:       {"drain-ack", false, false, "i32 from, u32 epoch, u64 sent, u64 recv, bytes32 stats, bytes32 trace", decodeDrainAck, (*Node).handleDrainAck},
 		fShutdown:       {"shutdown", false, false, "", decodeEmpty, (*Node).handleShutdown},
 		fCredit:         {"credit", false, false, "u32 count", decodeU32, (*Node).handleCredit},
 		fHeartbeat:      {"heartbeat", false, false, "i32 from, u64 gen", decodeFromCount, (*Node).handleHeartbeat},
@@ -264,10 +267,11 @@ func decodeU32(m *frame, body []byte) error {
 	return c.Done()
 }
 
-// drainAck is a follower's answer to one drain round.  When the follower has
-// metrics enabled it piggybacks its current metric snapshot (obs wire
-// encoding) so the coordinator can merge a cluster-wide view without an extra
-// protocol round; an empty blob means metrics are off.  Spans piggyback the
+// drainAck is a node's answer to one drain round, given once its user tasks
+// are idle: its frame totals.  When a follower has metrics enabled it
+// piggybacks its current metric snapshot (obs wire encoding) so the
+// coordinator can merge a cluster-wide view without an extra protocol round;
+// an empty blob means metrics are off.  Spans piggyback the
 // same way: trace carries the follower's span blob (obs.EncodeTrace) so
 // the coordinator can write one merged Chrome trace with a process track per
 // node; empty means spans are off.
@@ -276,7 +280,6 @@ type drainAck struct {
 	epoch uint32
 	sent  uint64
 	recv  uint64
-	idle  bool
 	stats []byte
 	trace []byte
 }
@@ -286,18 +289,13 @@ func encodeDrainAck(a drainAck) []byte {
 	b = msgcodec.AppendU32(b, a.epoch)
 	b = msgcodec.AppendU64(b, a.sent)
 	b = msgcodec.AppendU64(b, a.recv)
-	if a.idle {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	return msgcodec.AppendBytes32(msgcodec.AppendBytes32(b, a.stats), a.trace)
 }
 
 func decodeDrainAck(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
 	a := &m.ack
-	a.from, a.epoch, a.sent, a.recv, a.idle = c.I32(), c.U32(), c.U64(), c.U64(), c.U8() != 0
+	a.from, a.epoch, a.sent, a.recv = c.I32(), c.U32(), c.U64(), c.U64()
 	a.stats, a.trace = c.Bytes(c.Count(1)), c.Bytes(c.Count(1))
 	return c.Done()
 }
@@ -399,17 +397,11 @@ func (n *Node) handleInitReply(from int, m *frame) {
 	n.tr.deliverDone(from, 1)
 }
 
-// handleDrain answers a drain round off the deliver stage, as
-// handleRebalanceFrame runs a rebalance: answerDrain may wait two seconds for
-// the local tasks to go idle, and a task may be waiting for what this lane
-// carries behind the drain frame — a credit grant, an init-log ack.
-func (n *Node) handleDrain(_ int, m *frame) {
-	if n.holdStage != nil {
-		n.holdStage()
-	}
-	epoch := uint32(m.count)
-	n.spawn(func() { n.answerDrain(epoch) })
-}
+// handleDrain answers a drain round off the deliver stage (answerDrain runs
+// in a task of its own): the answer waits until the local tasks are idle, and
+// a task may be waiting for what this lane carries behind the drain frame — a
+// credit grant, an init-log ack.
+func (n *Node) handleDrain(_ int, m *frame) { n.answerDrain(uint32(m.count)) }
 
 func (n *Node) handleDrainAck(_ int, m *frame) {
 	ack := m.ack
@@ -436,11 +428,7 @@ func (n *Node) handleDrainAck(_ int, m *frame) {
 			fmt.Fprintf(n.opts.Log, "node %d: bad trace blob from node %d: %v\n", n.opts.NodeID, ack.from, err)
 		}
 	}
-	n.update(func() {
-		if ack.epoch == n.ackEpoch { // else a stale round's ack nobody is collecting
-			n.acks[ack.from] = ack
-		}
-	})
+	n.takeAck(ack)
 }
 
 func (n *Node) handleShutdown(int, *frame) { n.signalShutdown() }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -385,54 +384,93 @@ func TestOversizedPrefixEndsTheLane(t *testing.T) {
 	}
 }
 
-// holdDeliverStage makes the lane's deliver stage sit for two seconds on the
-// next drain frame, through the node's test-only holder, and sends one.
-func (l *lane) holdDeliverStage() {
-	l.n.holdStage = func() { time.Sleep(2 * time.Second) }
-	l.write(framed(encodeDrain(1)), 1<<30)
+// holdDeliverStage sends the sink one datum and holds the lane's deliver
+// stage on it, before its run reaches the VM (the beforeDeliver hook), until
+// the returned release is called; the test's cleanup releases it too.
+func (l *lane) holdDeliverStage() (release func()) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	l.t.Cleanup(release)
+	l.n.beforeDeliver = func([]core.WireFrame) { <-gate }
+	l.write(l.datum("datum", 0, 8), 1<<30)
+	return release
 }
 
 // TestHeartbeatsHeardWhileDeliverStageHeld is the regression test for the
-// depth of the deliver stage.  A handler holds the stage for two seconds;
-// meanwhile node 0's heartbeats arrive 25 ms apart, each its own small read
-// and its own hand-off.  The reader must keep taking them — and so keep
-// telling the detector node 0 is alive — although nothing is being delivered:
-// a stage a few items deep fills within 100 ms, the reader blocks on it, and
-// 250 ms later a live coordinator is declared dead.  The data frames sent
-// meanwhile arrive, in order, once the handler returns.
+// depth of the deliver stage.  Node 1's stage is held for two virtual seconds
+// on node 0's first data frame; meanwhile node 0's heartbeats arrive 25 ms
+// apart, each its own small read and its own hand-off.  Node 1's reader must
+// keep taking them — and so keep telling the detector node 0 is alive —
+// although nothing is being delivered: a stage a few items deep fills within
+// 100 ms, the reader blocks on it, and 250 ms later a live coordinator is
+// declared dead.  The data frames sent meanwhile arrive, in order, once the
+// stage is released.
 func TestHeartbeatsHeardWhileDeliverStageHeld(t *testing.T) {
-	l := startLane(t, func(o *Options) {
-		o.HA = true
-		o.HeartbeatInterval = 25 * time.Millisecond
-		o.SuspicionAfter = 250 * time.Millisecond
+	const sent = 9
+	var got []int64
+	register := func(vm *core.VM) {
+		vm.Register("sink", func(task *core.Task) {
+			for len(got) < sent {
+				m, err := task.AcceptOne("datum")
+				if err != nil {
+					return
+				}
+				got = append(got, core.MustInt(m.Arg(0)))
+			}
+		})
+	}
+	s, mesh := simMesh(t, 1, config.Simple(2, 2), &bytes.Buffer{}, wireConfig{}, register)
+	n1 := mesh.nodes[1]
+	if n1.opts.HeartbeatInterval != 25*time.Millisecond || n1.opts.SuspicionAfter != 250*time.Millisecond {
+		t.Fatalf("heartbeats every %v, suspicion after %v; the test needs 25ms and 250ms", n1.opts.HeartbeatInterval, n1.opts.SuspicionAfter)
+	}
+	release := s.NewGate()
+	var heldAt time.Time
+	n1.beforeDeliver = func(run []core.WireFrame) {
+		if heldAt.IsZero() && run[0].Type == "datum" {
+			heldAt = s.Now()
+			release.Wait()
+		}
+	}
+	var held time.Duration
+	early := 0
+	done := s.NewGate()
+	s.Spawn("drive", func() {
+		defer done.Open()
+		sink, err := mesh.VMs[0].Initiate("sink", core.OnCluster(2))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// One datum every ten heartbeats, the stage held from the first.
+		for i := int64(0); i < sent; i++ {
+			if err := mesh.VMs[0].SendFromUser(sink, "datum", core.Int(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			sleep(s, 250*time.Millisecond)
+		}
+		held, early = s.Now().Sub(heldAt), len(got)
+		release.Open()
+		if !pollFor(s, func() bool { return len(got) == sent }) {
+			t.Errorf("%d of %d data arrived after the release", len(got), sent)
+		}
 	})
-	t0 := time.Now()
-	l.holdDeliverStage()
-	beat := framed(encodeHeartbeat(0, 1))
-	sent := 0
-	for i := 0; i < 80; i++ {
-		l.write(beat, 1<<30)
-		if i%10 == 0 {
-			l.write(l.datum("datum", int64(sent), 8), 1<<30)
-			sent++
-		}
-		if since := time.Since(t0); i == 40 && since < 1500*time.Millisecond && len(l.got) > 0 {
-			t.Fatalf("a message was delivered %v after the drain frame: the stage is not held", since)
-		}
-		time.Sleep(25 * time.Millisecond)
+	done.Wait()
+	dead := n1.det.Dead(0) || n1.shuttingDown()
+	if err := mesh.Shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
 	}
-	held := time.Since(t0)
-	if l.n.det.Dead(0) || l.n.shuttingDown() || strings.Contains(l.log.String(), "lost") {
-		t.Fatalf("node 0 was declared dead while its heartbeats were arriving (stage held %v)\nnode log:\n%s", held, l.log)
+	if dead {
+		t.Fatalf("node 0 was declared dead while its heartbeats were arriving (stage held %v)", held)
 	}
-	select {
-	case <-l.acks:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("no drain ack after %v\nnode log:\n%s", time.Since(t0), l.log)
+	if heldAt.IsZero() || held < 2*time.Second || early > 0 {
+		t.Fatalf("the stage was held %v from its first datum and delivered %d data meanwhile; want at least 2s and none", held, early)
 	}
-	for i, a := range l.arrivals(sent) {
-		if a.seq != int64(i) {
-			t.Fatalf("message %d arrived in place %d", a.seq, i)
+	for i, seq := range got {
+		if seq != int64(i) {
+			t.Fatalf("datum %d arrived in place %d", seq, i)
 		}
 	}
 }
@@ -445,7 +483,7 @@ func TestHeartbeatsHeardWhileDeliverStageHeld(t *testing.T) {
 // queued, being filled) has left the socket.
 func TestHeldStagePinsBoundedReadBuffers(t *testing.T) {
 	l := startLane(t, nil)
-	l.holdDeliverStage()
+	release := l.holdDeliverStage()
 	// 64 KiB of zero-length frames a write: the worst case, every read
 	// filling a buffer.
 	chunk := make([]byte, readBufBytes)
@@ -464,16 +502,15 @@ func TestHeldStagePinsBoundedReadBuffers(t *testing.T) {
 			t.Fatalf("the lane took %d bytes with the deliver stage held: the stage does not push back", taken)
 		}
 	}
+	release()
 	if limit := (stageDepth + 3) * readBufBytes; taken > limit {
 		t.Fatalf("the lane took %d bytes with the deliver stage held, over the bound of %d", taken, limit)
 	}
 	if taken < stageDepth/2*readBufBytes {
 		t.Fatalf("the lane took only %d bytes: the test did not fill the stage", taken)
 	}
-	select {
-	case <-l.acks:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("no drain ack\nnode log:\n%s", l.log)
+	if a := l.arrivals(1); a[0].seq != 0 {
+		t.Fatalf("arrived: %+v", a)
 	}
 }
 
@@ -535,8 +572,9 @@ func TestJumboReadBufferIsNotRecycled(t *testing.T) {
 // the lane the drain frame came on.  A task on node 1 sends node 0 four
 // messages through a window of one, each after the credit grant for the last;
 // node 0's drain frame arrives with the grant for the first right behind it.
-// The task is not idle, so the answer waits up to two seconds for it — and,
-// made on the deliver stage, kept the grant and so the task waiting as long.
+// The node is not idle, so the answer waits for its tasks — and, made on the
+// deliver stage, would keep the grant and so the task waiting as long.  Once
+// the sink stops too, the node is idle and answers.
 func TestDrainAnswerLeavesTheDeliverStage(t *testing.T) {
 	to := core.TaskID{Cluster: 1, Slot: 1, Unique: 7}
 	l := startLane(t, func(o *Options) {
@@ -577,38 +615,12 @@ func TestDrainAnswerLeavesTheDeliverStage(t *testing.T) {
 	if took := time.Since(t0); took > time.Second {
 		t.Fatalf("three messages through a window of one took %v during a drain round", took)
 	}
+	if err := l.n.VM().SendFromUser(l.sink, "stop"); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-l.acks:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("no drain ack\nnode log:\n%s", l.log)
-	}
-}
-
-// TestIdleWithinKeepsOneWaiter: a drain round's idle check that times out
-// leaves its waiter for the next check to find, so checks against a task
-// that stays parked add one goroutine, not one each; and the waiter still
-// reports the node idle once the task is gone.  The goroutines counted are
-// the idle waiters, found by their stacks: the package's other tests leave
-// goroutines of their own winding down.
-func TestIdleWithinKeepsOneWaiter(t *testing.T) {
-	waiters := func() int {
-		buf := make([]byte, 8<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Node).idleWithin.func")
-	}
-	l := startLane(t, nil)
-	before := waiters()
-	for i := 0; i < 50; i++ {
-		if l.n.idleWithin(time.Millisecond) {
-			t.Fatal("idle with the sink parked in its ACCEPT")
-		}
-	}
-	if after := waiters(); after > before+1 {
-		t.Fatalf("50 timed-out idle checks took the idle waiters from %d to %d", before, after)
-	}
-	if err := l.n.VM().SendFromUser(l.sink, "stop"); err != nil {
-		t.Fatal(err)
-	}
-	if !l.n.idleWithin(10 * time.Second) {
-		t.Fatal("the node is not idle after the sink stopped")
 	}
 }
