@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,16 +41,22 @@ func TestStatsReportMatchesParent(t *testing.T) {
 	}
 }
 
-// TestNetfaultMatchesPlainRun: `pisces run -netfault` boots one VM per
-// cluster on a seeded fault network, so every cross-cluster message is
+// TestSimMeshMatchesPlainRun: `pisces run -nodes N -sim` boots N nodes in
+// this process on a seeded fault network, so every cross-node message is
 // delayed, reordered against other lanes and sometimes retransmitted — and
-// the program's output must still be the plain run's.  Under -sim the fault
-// schedule replays from the seed: the same seed twice with -stats gives the
-// same bytes, metric report included.
-func TestNetfaultMatchesPlainRun(t *testing.T) {
+// the program's output must still be the plain run's on the same machine,
+// with two clusters on one node, and under -ha.  The fault schedule replays
+// from the seed: the same seed twice with -stats gives the same bytes,
+// metric report included.
+func TestSimMeshMatchesPlainRun(t *testing.T) {
 	progs := map[string][]string{
 		"sumsq":        {"-forces", "7,8", filepath.Join("..", "..", "examples", "sumsq.pf")},
 		"crosscluster": {filepath.Join("..", "..", "internal", "conformance", "corpus", "crosscluster.pf")},
+	}
+	shapes := []struct{ machine, mesh []string }{
+		{nil, []string{"-nodes", "2"}},
+		{[]string{"-clusters", "4"}, []string{"-nodes", "2"}},
+		{nil, []string{"-nodes", "2", "-ha"}},
 	}
 	run := func(args ...string) string {
 		t.Helper()
@@ -60,15 +67,18 @@ func TestNetfaultMatchesPlainRun(t *testing.T) {
 		return out.String()
 	}
 	for name, tail := range progs {
-		for seed := 1; seed <= 3; seed++ {
-			sim := []string{"-sim", "-seed", fmt.Sprint(seed)}
-			plain := run(append(sim, tail...)...)
-			if got := run(append(append(sim, "-netfault"), tail...)...); got != plain {
-				t.Errorf("%s seed %d: -netfault output differs from the plain run:\n%s--- plain ---\n%s", name, seed, got, plain)
-			}
-			stats := append(append(sim, "-netfault", "-stats"), tail...)
-			if a, b := run(stats...), run(stats...); a != b {
-				t.Errorf("%s seed %d: two -netfault -stats runs differ:\n%s--- and ---\n%s", name, seed, a, b)
+		for _, shape := range shapes {
+			for seed := 1; seed <= 3; seed++ {
+				plain := slices.Concat([]string{"-sim", "-seed", fmt.Sprint(seed)}, shape.machine)
+				want := run(slices.Concat(plain, tail)...)
+				mesh := slices.Concat(plain, shape.mesh)
+				if got := run(slices.Concat(mesh, tail)...); got != want {
+					t.Errorf("%s %v seed %d: output differs from the plain run:\n%s--- plain ---\n%s", name, mesh, seed, got, want)
+				}
+				stats := slices.Concat(mesh, []string{"-stats"}, tail)
+				if a, b := run(stats...), run(stats...); a != b {
+					t.Errorf("%s %v seed %d: two -stats runs differ:\n%s--- and ---\n%s", name, mesh, seed, a, b)
+				}
 			}
 		}
 	}

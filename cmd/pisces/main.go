@@ -10,7 +10,7 @@
 //	pisces [-config file] [machine] [-trace events] [-save file] [-show] [-menu]
 //	       [-script file]
 //	pisces run [machine] [-main T] [-accept-timeout d] [-trace events] [observe]
-//	       [-repeat n] [-sim] [-seed N] [-netfault] [-nodes N [ha]] <program.pf>
+//	       [-repeat n] [-sim] [-seed N] [-nodes N [ha]] <program.pf>
 //	pisces serve -node K -peers addr0,addr1,... [machine] [-main T]
 //	       [-accept-timeout d] [observe] [-trace-collect] [-debug-addr a]
 //	       [-connect-timeout d] [ha] <program.pf>
@@ -31,7 +31,10 @@
 // virtual machine (paper, Section 10, without the Fortran compiler leg).
 // With -nodes N the clusters are partitioned across N OS processes (forked
 // automatically) exchanging wire frames over loopback TCP; serve -peers runs
-// one such node process by hand, e.g. on separate machines.  Without -peers,
+// one such node process by hand, e.g. on separate machines.  With -sim too,
+// the same N nodes run in this process on the simulator, joined by an
+// in-memory network whose writes land after seeded delays, so a seed replays
+// the whole mesh run byte for byte.  Without -peers,
 // serve is the multi-tenant daemon: programs are POSTed to /programs over
 // HTTP and run as isolated quota-bounded sessions sharing one compile cache;
 // loadgen drives such a daemon and reports throughput and latency.
@@ -56,7 +59,6 @@ import (
 	"time"
 
 	pisces "repro"
-	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -164,7 +166,7 @@ type runFlags struct {
 	seen          observeFlags
 	ha            haFlags // fault-tolerant mesh knobs; -nodes runs only
 	repeat, nodes int
-	sim, netfault bool
+	sim           bool
 	seed          int64
 }
 
@@ -178,11 +180,9 @@ func newRunFlags() *runFlags {
 	fs.IntVar(&r.repeat, "repeat", 1, "run the program this many times on the same VM (compiled once)")
 	fs.BoolVar(&r.sim, "sim", false,
 		"run on the deterministic simulation scheduler: one task at a time, seeded interleaving, virtual clock")
-	fs.Int64Var(&r.seed, "seed", 0, "PRNG seed for -sim and -netfault; the same seed reproduces the run exactly")
+	fs.Int64Var(&r.seed, "seed", 0, "PRNG seed for -sim; the same seed reproduces the run exactly")
 	fs.IntVar(&r.nodes, "nodes", 1,
-		"run distributed: partition the clusters across this many OS processes (forked automatically) over loopback TCP")
-	fs.BoolVar(&r.netfault, "netfault", false,
-		"run one node per cluster in this process, joined by an in-memory network injecting deterministic seeded latency and retransmission faults on every connection (combine with -sim for byte-reproducible network schedules)")
+		"run distributed: partition the clusters across this many OS processes (forked automatically) over loopback TCP; with -sim, across this many nodes in this process, joined by an in-memory network whose writes land after seeded delays and retransmissions")
 	return r
 }
 
@@ -213,20 +213,22 @@ func runInterpreted(args []string, out io.Writer) (err error) {
 	if err := firstError(r.prog.check(), r.ha.check()); err != nil {
 		return err
 	}
-	if r.seed != 0 && !r.sim && !r.netfault {
-		return fmt.Errorf("-seed only applies with -sim or -netfault")
+	if r.seed != 0 && !r.sim {
+		return fmt.Errorf("-seed only applies with -sim")
 	}
 	cfg, err := buildConfiguration("", r.mach, r.prog.trace)
 	if err != nil {
 		return err
 	}
-	if r.nodes > 1 {
-		// Distributed mode is a different execution path: real processes and
-		// real sockets, so the single-process-only conveniences are refused
-		// rather than silently ignored.
+	switch have := len(cfg.ClusterNumbers()); {
+	case r.nodes > max(have, 1): // no clusters at all is the configuration's to refuse
+		return fmt.Errorf("-nodes %d needs at least that many clusters (have %d)", r.nodes, have)
+	case r.nodes == 1 && r.ha.enabled:
+		return fmt.Errorf("-ha requires -nodes (fault tolerance spans nodes)")
+	case r.nodes > 1 && !r.sim:
+		// Real processes and real sockets, so the single-process-only
+		// conveniences are refused rather than silently ignored.
 		switch {
-		case r.sim || r.netfault:
-			return fmt.Errorf("-nodes is incompatible with -sim and -netfault (they model the network in one process)")
 		case r.repeat != 1:
 			return fmt.Errorf("-nodes does not support -repeat")
 		case r.prog.trace != "":
@@ -234,9 +236,6 @@ func runInterpreted(args []string, out io.Writer) (err error) {
 		}
 		m := meshNode{opts: node.Options{Config: cfg, ConnectTimeout: 30 * time.Second}, prog: r.prog, observe: r.seen, ha: r.ha}
 		return runDistributed(r.nodes, m, r.follower(), r.fs.Arg(0), out)
-	}
-	if r.ha.enabled {
-		return fmt.Errorf("-ha requires -nodes (fault tolerance spans node processes)")
 	}
 	src, err := os.ReadFile(r.fs.Arg(0))
 	if err != nil {
@@ -267,8 +266,10 @@ func runInterpreted(args []string, out io.Writer) (err error) {
 			err = fmt.Errorf("deterministic run stuck: %v (replay with -sim -seed %d)", d, d.Seed)
 		}
 	}()
+	var s *pisces.SimScheduler
 	if r.sim {
-		opts.Backend = pisces.NewSimScheduler(r.seed)
+		s = pisces.NewSimScheduler(r.seed)
+		opts.Backend = s
 	}
 	if r.prog.trace != "" {
 		// Enabled trace kinds display on the user's terminal (Section 12),
@@ -278,21 +279,19 @@ func runInterpreted(args []string, out io.Writer) (err error) {
 		opts.UserOutput = sw
 		opts.TraceSinks = []pisces.TraceSink{pisces.WriterTraceSink{W: sw}}
 	}
-	// -netfault runs the node runtime in this process: one node per cluster,
-	// joined by the seeded fault network.
+	// -nodes N -sim runs the node runtime in this process: N nodes on the
+	// simulator, joined by its seeded fault network.
 	var run func(*pisces.InterpretedProgram) error
 	interp := pisces.InterpretOptions{Main: r.prog.main}
-	if r.netfault {
+	if r.nodes > 1 {
 		// The nodes share the registry, so -stats, -trace and the recorder
 		// cover the mesh.
 		reg.AttachRecorder(rec)
 		reg.AddTraceSink(opts.TraceSinks...)
-		be := opts.Backend
-		if be == nil {
-			be = backend.Default()
-		}
-		mesh, err := node.NewFaultMesh(cfg, be, r.seed, node.DefaultFaultProfile(), func(int) node.Options {
-			return node.Options{Out: opts.UserOutput, AcceptTimeout: opts.AcceptTimeout, Metrics: reg, BlackboxDir: r.seen.blackboxOut}
+		mesh, err := node.NewFaultMesh(cfg, s, r.nodes, func(int) node.Options {
+			o := node.Options{Out: opts.UserOutput, AcceptTimeout: opts.AcceptTimeout, Metrics: reg, BlackboxDir: r.seen.blackboxOut}
+			r.ha.apply(&o)
+			return o
 		})
 		if err != nil {
 			return err

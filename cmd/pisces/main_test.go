@@ -218,14 +218,13 @@ func TestRunFlagRefusals(t *testing.T) {
 	}{
 		{"nodes 0", run, []string{"-nodes", "0", "-heartbeat-interval", "5ms", example}, "-nodes must be at least 1"},
 		{"heartbeat without ha", run, []string{"-heartbeat-interval", "5ms", example}, "require -ha"},
-		{"nodes with sim", run, []string{"-nodes", "2", "-sim", example}, "incompatible with -sim"},
 		{"nodes with repeat", run, []string{"-nodes", "2", "-repeat", "2", example}, "does not support -repeat"},
 		{"nodes with trace", run, []string{"-nodes", "2", "-trace", "MSG-SEND", example}, "does not support -trace"},
 		{"ha without nodes", run, []string{"-ha", example}, "-ha requires -nodes"},
 		{"run wire-batch", run, []string{"-wire-batch", "off", example}, "flag provided but not defined"},
 		{"serve wire-credit-window", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-wire-credit-window", "1", example}, "flag provided but not defined"},
 		{"serve metrics", serve, []string{"-node", "1", "-peers", "a:1,b:2", "-metrics", example}, "flag provided but not defined"},
-		{"nodes with seed", run, []string{"-nodes", "2", "-seed", "5", example}, "-seed only applies with -sim or -netfault"},
+		{"nodes with seed", run, []string{"-nodes", "2", "-seed", "5", example}, "-seed only applies with -sim"},
 		{"serve accept-timeout 0", serve, []string{"-node", "1", "-peers", loopback, "-connect-timeout", "100ms", "-accept-timeout", "0", example}, "-accept-timeout must be positive"},
 		{"serve connect-timeout 0", serve, []string{"-node", "1", "-peers", loopback, "-connect-timeout", "0", example}, "-connect-timeout must be positive"},
 		{"serve connect-timeout negative", serve, []string{"-node", "1", "-peers", loopback, "-connect-timeout", "-1s", example}, "-connect-timeout must be positive"},

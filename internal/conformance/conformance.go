@@ -162,9 +162,9 @@ func RunObserved(src string, seed int64) Result {
 	return run(src, seed, reg, obs.NewRecorder(0, 0, 0))
 }
 
-// RunFault is Run on the node runtime: one node per cluster
-// (node.FaultMesh), every write between nodes paying seeded virtual-clock
-// delays, so the sweep exercises network schedules a single process never
+// RunFault is Run on the node runtime: the harness machine's two clusters
+// on two nodes (node.FaultMesh, as `pisces run -nodes 2 -sim`), every write
+// between nodes paying seeded virtual-clock delays, so the sweep exercises network schedules a single process never
 // produces, through the code a real node runs, reproducibly from the seed.
 func RunFault(src string, seed int64) Result { return runMesh(src, seed, nil, nil, 0, nil, nil) }
 
@@ -236,7 +236,7 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptE
 		reg.AddTraceSink(mem)
 		reg.AttachRecorder(rec)
 	}
-	mesh, err := node.NewFaultMesh(harnessConfig(), s, seed, node.DefaultFaultProfile(), func(i int) node.Options {
+	mesh, err := node.NewFaultMesh(harnessConfig(), s, 2, func(i int) node.Options {
 		o := node.Options{Out: &out, AcceptTimeout: 30 * time.Second, Metrics: reg}
 		if reg == nil {
 			o.Metrics = obs.New()
@@ -247,7 +247,7 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptE
 			// hour-long DELAY need not beat every 25ms of it.  The detector
 			// suspects after ten silent beats, well past the network's worst
 			// delay.
-			beat := max(ckptEvery/8, node.DefaultFaultProfile().MaxDelay()/4)
+			beat := max(ckptEvery/8, node.MaxFaultDelay/4)
 			o.Metrics.Enable(obs.Metrics)
 			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter, o.Log = true, ckptEvery, beat, 10*beat, log
 			if i > 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestFaultTransportScheduleIndependence sweeps the corpus on the fault mesh,
-// one node per cluster: every write between nodes pays a seeded
+// one cluster per node: every write between nodes pays a seeded
 // virtual-network delay (some a retransmission penalty), which produces
 // interleavings no in-process schedule reaches — yet the programs' output
 // must still match the undelayed seed-0 baseline, no schedule may deadlock,

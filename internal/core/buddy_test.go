@@ -99,7 +99,7 @@ func TestHARestoredTaskKeepsItsSlot(t *testing.T) {
 func faultMesh(t *testing.T, seed int64, cfg *config.Configuration) (*sim.Scheduler, *node.FaultMesh) {
 	t.Helper()
 	s := sim.New(seed)
-	mesh, err := node.NewFaultMesh(cfg, s, seed, node.DefaultFaultProfile(), func(int) node.Options {
+	mesh, err := node.NewFaultMesh(cfg, s, len(cfg.ClusterNumbers()), func(int) node.Options {
 		return node.Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func corpusCheckpoint(t testing.TB, name string) [][]byte {
 	}
 	run := func(cutAt time.Duration) (blobs [][]byte, elapsed time.Duration) {
 		s := sim.New(1)
-		mesh, err := node.NewFaultMesh(config.Simple(2, 8).WithForces(1, 7, 8), s, 1, node.DefaultFaultProfile(), func(int) node.Options {
+		mesh, err := node.NewFaultMesh(config.Simple(2, 8).WithForces(1, 7, 8), s, 2, func(int) node.Options {
 			return node.Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
 		})
 		if err != nil {

@@ -12,9 +12,9 @@ import (
 // the dedicated heartbeat only matters for peers that would otherwise be
 // silent.
 //
-// The clock is the node's backend's: on a FaultMesh under the simulator it
-// is virtual, so suspicion timeouts replay from the seed like every other
-// timer; the wall clock is read only by nodes on TCP.
+// The clock is the node's backend's: on a FaultMesh (`pisces run -nodes N
+// -sim`) it is virtual, so suspicion timeouts replay from the seed like
+// every other timer; the wall clock is read only by nodes on TCP.
 //
 // Death is final: once a peer is declared dead it stays dead even if frames
 // from it arrive later (a TCP segment can outlive the verdict).  Recovery
@@ -22,9 +22,9 @@ import (
 // resurrection would split ownership.
 
 // Default HA timing, on the node's backend clock.  The suspicion timeout
-// clears one heartbeat interval plus DefaultFaultProfile().MaxDelay()
-// (112ms) with a ~2x margin, so a peer on a fault mesh whose every heartbeat
-// is maximally delayed and retransmitted is never falsely suspected
+// clears one heartbeat interval plus MaxFaultDelay (112ms) with a ~2x
+// margin, so a peer on a FaultMesh whose every heartbeat is maximally
+// delayed and retransmitted is never falsely suspected
 // (TestDetectorNoFalsePositiveUnderMaxLatency), and a loopback TCP peer has
 // ten beats of slack.  The kill sweep beats on its program's time scale
 // instead (conformance.RunKill), with the same ten-beat suspicion.

@@ -36,11 +36,15 @@ func (c *fakeClock) advance(d time.Duration) {
 // default timing: a peer whose heartbeats all arrive, but each with an
 // adversarial delay up to the fault profile's worst case (full jitter plus
 // every retransmit slot), is never declared dead.  The delay schedule
-// alternates 0 and MaxDelay — the pattern that maximises the gap between
+// alternates 0 and MaxFaultDelay — the pattern that maximises the gap between
 // consecutive arrivals (one interval plus the full delay bound) — and then a
 // seeded random schedule sweeps the space in between.
 func TestDetectorNoFalsePositiveUnderMaxLatency(t *testing.T) {
-	maxDelay := DefaultFaultProfile().MaxDelay()
+	p := defaultFaultProfile
+	maxDelay := MaxFaultDelay
+	if bound := p.batchWindow + p.base + p.jitter + maxRetransmits*p.retransmit; bound != maxDelay {
+		t.Fatalf("MaxFaultDelay %v is not the fault network's worst delay %v", maxDelay, bound)
+	}
 	if defaultSuspicionAfter <= defaultHeartbeatInterval+maxDelay {
 		t.Fatalf("defaults unsound: suspicion %v must exceed heartbeat %v + max delay %v",
 			defaultSuspicionAfter, defaultHeartbeatInterval, maxDelay)

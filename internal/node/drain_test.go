@@ -49,7 +49,7 @@ END TASKTYPE
 		reg := obs.New()
 		reg.Enable(obs.Spans)
 		var out bytes.Buffer
-		mesh, err := node.NewFaultMesh(config.Simple(2, 4), sim.New(1), 1, node.DefaultFaultProfile(), func(i int) node.Options {
+		mesh, err := node.NewFaultMesh(config.Simple(2, 4), sim.New(1), 2, func(i int) node.Options {
 			o := node.Options{AcceptTimeout: 30 * time.Second}
 			if i == 0 {
 				o.Out, o.Metrics = &out, reg

@@ -13,54 +13,54 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/pfi"
+	"repro/internal/sim"
 )
 
-// FaultProfile shapes the injected network behaviour.
-type FaultProfile struct {
-	// Base is the fixed latency added to every write.
-	Base time.Duration
-	// Jitter adds a uniformly distributed extra delay in [0, Jitter).
-	Jitter time.Duration
-	// DropRate is the per-attempt probability a write is lost on the wire
-	// and sent again after Retransmit, geometrically, capped at
+// faultProfile shapes a fault network's delays.
+type faultProfile struct {
+	// base is the fixed latency added to every write.
+	base time.Duration
+	// jitter adds a uniformly distributed extra delay in [0, jitter).
+	jitter time.Duration
+	// dropRate is the per-attempt probability a write is lost on the wire
+	// and sent again after retransmit, geometrically, capped at
 	// maxRetransmits.  The last attempt always delivers: a write that
 	// returned has happened on every schedule, so loss shows only as retry
 	// latency.
-	DropRate float64
-	// Retransmit is the delay each dropped attempt adds before the retry.
-	Retransmit time.Duration
-	// BatchWindow models sender-side coalescing below the node's own: every
+	dropRate float64
+	// retransmit is the delay each dropped attempt adds before the retry.
+	retransmit time.Duration
+	// batchWindow models sender-side coalescing below the node's own: every
 	// write a connection accepts within one open window departs at its close
 	// (then pays its own sampled delay).  Windows run on the backend clock.
 	// Zero disables coalescing.
-	BatchWindow time.Duration
+	batchWindow time.Duration
 }
 
-// DefaultFaultProfile returns delays that reorder connections on the virtual
-// clock (where they cost nothing), with batch coalescing on.
-func DefaultFaultProfile() FaultProfile {
-	return FaultProfile{Base: 2 * time.Millisecond, Jitter: 8 * time.Millisecond, DropRate: 0.05, Retransmit: 25 * time.Millisecond, BatchWindow: 2 * time.Millisecond}
-}
+// defaultFaultProfile is every FaultMesh's network: delays that reorder
+// connections on the virtual clock (where they cost nothing), with batch
+// coalescing on.
+var defaultFaultProfile = faultProfile{base: 2 * time.Millisecond, jitter: 8 * time.Millisecond, dropRate: 0.05, retransmit: 25 * time.Millisecond, batchWindow: 2 * time.Millisecond}
 
 // maxRetransmits bounds the drop/retry loop per write: after this many
 // losses the next attempt is forced through.
 const maxRetransmits = 4
 
-// MaxDelay returns the worst-case delivery delay of one write under the
-// profile.  A failure detector's suspicion timeout must exceed one heartbeat
-// interval plus this bound, or an unlucky peer is declared dead.
-func (p FaultProfile) MaxDelay() time.Duration {
-	return p.BatchWindow + p.Base + p.Jitter + maxRetransmits*p.Retransmit
-}
+// MaxFaultDelay is the worst-case delivery delay of one write on a
+// FaultMesh's network: its batch window, base latency and full jitter, and
+// every retransmission.  A failure detector's suspicion timeout must exceed
+// one heartbeat interval plus this bound, or an unlucky peer is declared
+// dead.
+const MaxFaultDelay = (2 + 2 + 8 + maxRetransmits*25) * time.Millisecond
 
 // faultNet is a FaultMesh's network: in-memory connections on the mesh's
-// backend whose writes land after a delay the profile samples from the mesh
-// seed.  A connection direction is FIFO; directions reorder freely against
-// each other, the schedule freedom a real mesh has.  One lock guards every
-// listener and connection of the network.
+// simulator whose writes land after a delay the profile samples from the
+// simulator's seed.  A connection direction is FIFO; directions reorder
+// freely against each other, the schedule freedom a real mesh has.  One lock
+// guards every listener and connection of the network.
 type faultNet struct {
 	be      backend.Backend
-	profile FaultProfile
+	profile faultProfile
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -96,30 +96,29 @@ func (f *faultNet) Dial(addr string, _ time.Duration) (net.Conn, error) {
 // schedule queues a write made now on s — its bytes, or with eof the
 // writer's close — to land after the open batch window's close and the
 // sampled delay, and after every earlier write on s.  Its timer lands every
-// queued write that is due, in order, so a timer firing early (the real
-// clock's do not keep order) cannot reorder the stream.  The callback only
-// takes f.mu, which no task holds across a wait, so it never blocks.
-// Callers hold f.mu.
+// queued write that is due, in order, so the stream lands in write order
+// whatever order its timers fire in.  The callback only takes f.mu, which no
+// task holds across a wait, so it never blocks.  Callers hold f.mu.
 func (f *faultNet) schedule(s *stream, data []byte, eof bool) {
 	p := f.profile
-	delay := p.Base
-	if p.Jitter > 0 {
-		delay += time.Duration(f.rng.Int63n(int64(p.Jitter)))
+	delay := p.base
+	if p.jitter > 0 {
+		delay += time.Duration(f.rng.Int63n(int64(p.jitter)))
 	}
 	// Drop/retry loop, sampled now so the seed and the write order fix the
 	// whole retry history.
-	if p.DropRate > 0 {
-		for tries := 0; tries < maxRetransmits && f.rng.Float64() < p.DropRate; tries++ {
-			delay += p.Retransmit
+	if p.dropRate > 0 {
+		for tries := 0; tries < maxRetransmits && f.rng.Float64() < p.dropRate; tries++ {
+			delay += p.retransmit
 		}
 	}
 	now := f.be.Now()
 	depart := now
-	if p.BatchWindow > 0 {
+	if p.batchWindow > 0 {
 		if now.Before(s.window) {
 			depart = s.window
 		} else {
-			depart = now.Add(p.BatchWindow)
+			depart = now.Add(p.batchWindow)
 			s.window = depart
 		}
 	}
@@ -256,15 +255,14 @@ type faultAddr string
 func (faultAddr) Network() string  { return "fault" }
 func (a faultAddr) String() string { return string(a) }
 
-// FaultMesh is `pisces run -nodes N` with one cluster per node, in one
-// process: one real Node per configured cluster, node i hosting the i-th
-// cluster in ascending order, joined by a fault network on one backend.
-// Every byte between two nodes lands after a seeded delay, so under -sim the
-// mesh runs on the virtual clock and replays from the seed — handshake,
-// credits, drain, and with HA the heartbeats, detector, checkpoints,
-// initiation log and rebalance included.  The mesh drives its nodes in tasks
-// of the backend, since node code waits on the backend and a deterministic
-// backend parks only tasks; a driver waits for them.
+// FaultMesh is `pisces run -nodes N -sim`: N real Nodes in one process,
+// node i hosting the clusters Partition gives it as Start does, joined by a
+// fault network on one simulator.  Every byte between two nodes lands after
+// a seeded delay, so the mesh runs on the virtual clock and replays from the
+// seed — handshake, credits, drain, and with HA the heartbeats, detector,
+// checkpoints, initiation log and rebalance included.  The mesh drives its
+// nodes in tasks of the simulator, since node code waits on the backend and
+// the simulator parks only tasks; the caller waits for them.
 type FaultMesh struct {
 	VMs []*core.VM
 
@@ -274,20 +272,25 @@ type FaultMesh struct {
 	errs   []error        // and what it returned, by follower
 }
 
-// NewFaultMesh boots the mesh for cfg on be, its network seeded with seed.
-// opts(i) gives node i's options; the mesh sets NodeID, Addrs, Listener,
-// Config and Net.  The nodes boot concurrently, as tasks, since each node's
-// handshake waits for the others.  The same seed and schedule reproduce the
-// same delays.
-func NewFaultMesh(cfg *config.Configuration, be backend.Backend, seed int64, p FaultProfile, opts func(node int) Options) (*FaultMesh, error) {
-	f := &faultNet{be: be, profile: p, rng: rand.New(rand.NewSource(seed)), lns: make(map[string]faultListener)}
-	addrs := make([]string, len(cfg.ClusterNumbers()))
+// NewFaultMesh boots a mesh of nodes nodes for cfg on s, its network seeded
+// with s.Seed().  opts(i) gives node i's options; the mesh sets NodeID,
+// Addrs, Listener, Config and Net.  The nodes boot concurrently, as tasks,
+// since each node's handshake waits for the others.  The same seed and
+// schedule reproduce the same delays.
+func NewFaultMesh(cfg *config.Configuration, s *sim.Scheduler, nodes int, opts func(node int) Options) (*FaultMesh, error) {
+	return newFaultMesh(cfg, s, nodes, defaultFaultProfile, opts)
+}
+
+// newFaultMesh is NewFaultMesh on a network of profile p.
+func newFaultMesh(cfg *config.Configuration, s *sim.Scheduler, nodes int, p faultProfile, opts func(node int) Options) (*FaultMesh, error) {
+	f := &faultNet{be: s, profile: p, rng: rand.New(rand.NewSource(s.Seed())), lns: make(map[string]faultListener)}
+	addrs := make([]string, nodes)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("node%d", i)
 	}
-	m := &FaultMesh{be: be, nodes: make([]*Node, len(addrs))}
-	errs := make([]error, len(addrs))
-	booted := be.NewWaitGroup()
+	m := &FaultMesh{be: s, nodes: make([]*Node, nodes)}
+	errs := make([]error, nodes)
+	booted := s.NewWaitGroup()
 	for i := range addrs {
 		o := opts(i)
 		o.NodeID, o.Addrs, o.Config, o.Net = i, addrs, cfg, f
@@ -295,7 +298,7 @@ func NewFaultMesh(cfg *config.Configuration, be backend.Backend, seed int64, p F
 			continue
 		}
 		booted.Add(1)
-		be.Spawn(fmt.Sprintf("node %d boot", i), func() {
+		s.Spawn(fmt.Sprintf("node %d boot", i), func() {
 			defer booted.Done()
 			m.nodes[i], errs[i] = Start(o)
 		})
@@ -315,9 +318,9 @@ func NewFaultMesh(cfg *config.Configuration, be backend.Backend, seed int64, p F
 	for i, n := range m.nodes {
 		m.VMs = append(m.VMs, n.VM())
 		if i > 0 {
-			served := be.NewGate()
+			served := s.NewGate()
 			m.served = append(m.served, served)
-			be.Spawn(fmt.Sprintf("node %d serve", i), func() {
+			s.Spawn(fmt.Sprintf("node %d serve", i), func() {
 				m.errs[i] = n.ServeUntilShutdown()
 				served.Open()
 			})

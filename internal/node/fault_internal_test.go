@@ -26,7 +26,7 @@ import (
 // re-created kid takes each exactly once.
 func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	s := sim.New(1)
-	mesh, err := NewFaultMesh(config.Simple(2, 1), s, 1, DefaultFaultProfile(), func(int) Options {
+	mesh, err := NewFaultMesh(config.Simple(2, 1), s, 2, func(int) Options {
 		return Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour}
 	})
 	if err != nil {
@@ -100,13 +100,123 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 	}
 }
 
+// TestFaultTransportBatchWindow pins the fault network's batch window on the
+// virtual clock: with a pure window (no latency, no drops), every write a
+// connection accepts inside the window departs together at the window's
+// close — the first arrival is delayed by exactly the window, the rest land
+// nanoseconds behind it (the monotone per-connection clamp), and per-sender
+// FIFO order survives the shared departure time.
+func TestFaultTransportBatchWindow(t *testing.T) {
+	const count = 16
+	const window = 50 * time.Millisecond
+	s := sim.New(3)
+	var out bytes.Buffer
+	mesh, err := newFaultMesh(config.Simple(2, 4), s, 2, faultProfile{batchWindow: window}, func(int) Options {
+		return Options{Out: &out, AcceptTimeout: 30 * time.Second}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Shutdown()
+	vm := mesh.VMs[0]
+
+	var sendStart time.Time
+	var order []int64
+	var arrivals []time.Time
+
+	for _, vm := range mesh.VMs {
+		vm.Register("producer", func(task *core.Task) {
+			sendStart = s.Now()
+			for i := 0; i < count; i++ {
+				if err := task.SendParent("datum", core.Int(int64(i))); err != nil {
+					t.Errorf("producer send %d: %v", i, err)
+					return
+				}
+			}
+		})
+	}
+	vm.Register("sink", func(task *core.Task) {
+		if err := task.Initiate(core.OnCluster(2), "producer"); err != nil {
+			t.Errorf("initiate producer: %v", err)
+			return
+		}
+		for i := 0; i < count; i++ {
+			m, err := task.AcceptOne("datum")
+			if err != nil {
+				t.Errorf("accept %d: %v", i, err)
+				return
+			}
+			order = append(order, core.MustInt(m.Arg(0)))
+			arrivals = append(arrivals, s.Now())
+		}
+	})
+
+	if _, err := vm.Run("sink", core.OnCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(order) != count {
+		t.Fatalf("sink accepted %d messages, want %d", len(order), count)
+	}
+	for i, got := range order {
+		if got != int64(i) {
+			t.Fatalf("per-sender FIFO broken: position %d got seq %d (order %v)", i, got, order)
+		}
+	}
+	// All sends happen at one virtual instant, so they share a single batch
+	// window: nothing arrives before the window closes, and the whole batch
+	// lands within the nanosecond FIFO spacing once it does.
+	firstDelay := arrivals[0].Sub(sendStart)
+	if firstDelay < window {
+		t.Fatalf("first arrival after %v, want the full %v batch window", firstDelay, window)
+	}
+	if firstDelay > window+time.Millisecond {
+		t.Fatalf("first arrival after %v; delay should be the bare %v window (no latency configured)", firstDelay, window)
+	}
+	if spread := arrivals[count-1].Sub(arrivals[0]); spread > time.Microsecond {
+		t.Fatalf("batch arrivals spread over %v, want one shared departure (ns-scale spacing)", spread)
+	}
+}
+
+// TestDrainCarriesOneFollowerReport: a follower's metric snapshot and spans
+// ride only on a drain answer that can end the drain, round 2 or later, so
+// node 0 receives them once.  An idle mesh, both nodes with metrics and
+// spans on, drains in two rounds; the bytes node 0 takes from node 1 in that
+// drain hold one report (node 1's last snapshot and span blob), not one per
+// round.
+func TestDrainCarriesOneFollowerReport(t *testing.T) {
+	mesh, err := NewFaultMesh(config.Simple(2, 4), sim.New(1), 2, func(int) Options {
+		reg := obs.New()
+		reg.Enable(obs.Metrics | obs.Spans)
+		return Options{AcceptTimeout: 30 * time.Second, Metrics: reg}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := mesh.nodes[0]
+	rx := n0.reg.Counter("node.rx.n1->n0.bytes")
+	before := rx.Load()
+	mesh.do("drain", func() { err = n0.drainQuiesce(drainTimeout) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rx.Load() - before
+	if err := mesh.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	report := int64(len(n0.followerSnap[1].Encode()) + len(obs.EncodeTrace(n0.followerTrace[1])))
+	if report == 0 || got < report || got-report > report/2 {
+		t.Errorf("node 0 took %d bytes from node 1 in the drain; one report is %d bytes", got, report)
+	}
+}
+
 // simMesh boots a two-node HA fault mesh on a simulator seeded with seed,
 // node 0 writing the terminal to out, every node registering the tasktypes;
 // checkpoints are the test's.
 func simMesh(t *testing.T, seed int64, cfg *config.Configuration, out *bytes.Buffer, wire wireConfig, register func(*core.VM)) (*sim.Scheduler, *FaultMesh) {
 	t.Helper()
 	s := sim.New(seed)
-	mesh, err := NewFaultMesh(cfg, s, seed, DefaultFaultProfile(), func(i int) Options {
+	mesh, err := NewFaultMesh(cfg, s, len(cfg.ClusterNumbers()), func(i int) Options {
 		o := Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: time.Hour, Register: register, wire: wire}
 		if i == 0 {
 			o.Out = out
@@ -340,7 +450,7 @@ func TestHARebalanceWhileSenderStalledOnCredits(t *testing.T) {
 // With aging keyed to released frames, node 1 never aged at all.
 func TestExitRecordsAgeWithoutFramesToAPeer(t *testing.T) {
 	s := sim.New(1)
-	mesh, err := NewFaultMesh(config.Simple(2, 1), s, 1, DefaultFaultProfile(), func(int) Options {
+	mesh, err := NewFaultMesh(config.Simple(2, 1), s, 2, func(int) Options {
 		return Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: 50 * time.Millisecond}
 	})
 	if err != nil {

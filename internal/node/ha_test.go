@@ -3,7 +3,6 @@ package node_test
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +10,8 @@ import (
 	"repro/internal/msgcodec"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/pfi"
+	"repro/internal/sim"
 )
 
 // haKillSource spreads timed workers over all three clusters so a mid-run
@@ -58,49 +59,62 @@ END TASKTYPE
 `
 
 // TestHAKillNodeMatchesSingleProcess is the tentpole acceptance: a 3-node HA
-// mesh whose node 2 is killed mid-run (abrupt teardown, no drain) produces
-// byte-identical user output to the single-process run.  Node 2's workers die
-// with it; node 0 — its checkpoint buddy — detects the death, adopts cluster
-// 3, restores the last blob, and the restored workers finish the job.
+// mesh on the simulator whose node 2 is killed mid-run (abrupt teardown, no
+// drain) produces byte-identical user output to the single-process run.
+// Node 2's workers die with it; node 0 — its checkpoint buddy — detects the
+// death, adopts cluster 3, restores the last blob, and the restored workers
+// finish the job.
 func TestHAKillNodeMatchesSingleProcess(t *testing.T) {
 	cfg := config.Simple(3, 4)
 	want := singleProcessOutput(t, cfg, haKillSource)
 	if !strings.Contains(want, "TOTAL") {
 		t.Fatalf("reference output unexpected:\n%s", want)
 	}
+	prog, err := pfi.Compile(haKillSource)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	reg := obs.New()
 	reg.Enable(obs.Metrics | obs.Spans)
 	var out bytes.Buffer
 	var logs [3]bytes.Buffer
-	nodes := startMesh(t, 3, cfg, haKillSource, &out, func(i int, o *node.Options) {
-		o.HA = true
-		o.CheckpointInterval = 50 * time.Millisecond
-		o.Log = &logs[i]
+	s := sim.New(1)
+	mesh, err := node.NewFaultMesh(cfg, s, 3, func(i int) node.Options {
+		o := node.Options{AcceptTimeout: 30 * time.Second, HA: true, CheckpointInterval: 50 * time.Millisecond, Log: &logs[i]}
 		if i == 0 {
-			o.Metrics = reg
+			o.Out, o.Metrics = &out, reg
 		}
+		return o
 	})
-
-	var wg sync.WaitGroup
-	for _, f := range nodes[1:] {
-		wg.Add(1)
-		go func(f *node.Node) {
-			defer wg.Done()
-			_ = f.ServeUntilShutdown() // node 2 is terminated underneath this
-		}(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Kill node 2 a few checkpoints in, while its steppers are mid-loop.
-	kill := time.AfterFunc(250*time.Millisecond, nodes[2].Terminate)
-	defer kill.Stop()
 
-	if err := nodes[0].RunMain(); err != nil {
+	// Kill node 2 a few checkpoints in, while its steppers are mid-loop.
+	victims := 0
+	killed := s.NewGate()
+	s.AfterFunc(250*time.Millisecond, func() {
+		s.Spawn("kill node 2", func() {
+			for _, ti := range mesh.VMs[2].RunningTasks() {
+				if !ti.Controller {
+					victims++
+				}
+			}
+			mesh.Kill(2)
+			killed.Open()
+		})
+	})
+	if err := mesh.Run(prog, pfi.Options{}); err != nil {
 		t.Errorf("run: %v", err)
 	}
-	if err := nodes[0].Close(); err != nil {
-		t.Errorf("close: %v", err)
+	killed.Wait()
+	if err := mesh.Shutdown(); err != nil {
+		t.Errorf("shutdown: %v", err)
 	}
-	wg.Wait()
+	if victims == 0 {
+		t.Errorf("node 2 ran no stepper when it was killed")
+	}
 
 	if got := out.String(); got != want {
 		t.Fatalf("output diverges after node kill:\n--- got ---\n%s--- want ---\n%s--- node logs ---\n0:\n%s1:\n%s2:\n%s",
@@ -138,7 +152,7 @@ func TestHAKillNodeMatchesSingleProcess(t *testing.T) {
 	// Failure forensics: the survivor's flight recorder must hold the dead
 	// node's story — the checkpoints it stored as node 2's buddy (proving
 	// which epoch the restore came from) and the death declaration itself.
-	dump, err := nodes[0].BlackboxDump()
+	dump, err := reg.Recorder().Dump()
 	if err != nil {
 		t.Fatalf("blackbox dump: %v", err)
 	}

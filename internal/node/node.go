@@ -916,14 +916,14 @@ func (n *Node) answerDrain(epoch uint32) {
 			n.takeAck(ack)
 			return
 		}
-		// Piggyback this node's metric snapshot on the ack so the
-		// coordinator's final summary covers the whole mesh.  Skipped (empty
-		// blob) when metrics are off — the drain protocol itself stays
-		// snapshot-free.
-		if n.reg.Has(obs.Metrics) {
+		// Piggyback this node's metric snapshot and spans on an ack that can
+		// end the drain, so the coordinator's final summary covers the whole
+		// mesh.  Round 1 never can: confirming takes a balanced round before
+		// it.  Skipped (empty blob) when metrics or spans are off.
+		if epoch > 1 && n.reg.Has(obs.Metrics) {
 			ack.stats = n.Snapshot().Encode()
 		}
-		if n.reg.Has(obs.Spans) {
+		if epoch > 1 && n.reg.Has(obs.Spans) {
 			ack.trace = obs.EncodeTrace(n.reg.Trace(0, ""))
 		}
 		_ = n.tr.sendControl(0, encodeDrainAck(ack))

@@ -15,6 +15,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pfi"
+	"repro/internal/sim"
 )
 
 // corpusSource fetches one embedded conformance program.
@@ -29,11 +30,12 @@ func corpusSource(t testing.TB, name string) string {
 }
 
 // singleProcessOutput runs the program on one full VM, the reference the
-// distributed run must match byte for byte.
+// distributed run must match byte for byte.  The VM runs on a simulator, so
+// a program's DELAYs cost no wall time.
 func singleProcessOutput(t testing.TB, cfg *config.Configuration, src string) string {
 	t.Helper()
 	var out bytes.Buffer
-	vm, err := core.NewVM(cfg, core.Options{UserOutput: &out, AcceptTimeout: 30 * time.Second})
+	vm, err := core.NewVM(cfg, core.Options{UserOutput: &out, Backend: sim.New(1), AcceptTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("reference vm: %v", err)
 	}

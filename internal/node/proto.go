@@ -270,11 +270,13 @@ func decodeU32(m *frame, body []byte) error {
 // drainAck is a node's answer to one drain round, given once its user tasks
 // are idle: its frame totals.  When a follower has metrics enabled it
 // piggybacks its current metric snapshot (obs wire encoding) so the
-// coordinator can merge a cluster-wide view without an extra protocol round;
-// an empty blob means metrics are off.  Spans piggyback the
-// same way: trace carries the follower's span blob (obs.EncodeTrace) so
-// the coordinator can write one merged Chrome trace with a process track per
-// node; empty means spans are off.
+// coordinator can merge a cluster-wide view without an extra protocol round.
+// Spans piggyback the same way: trace carries the follower's span blob
+// (obs.EncodeTrace) so the coordinator can write one merged Chrome trace
+// with a process track per node.  Only an answer to round 2 or later carries
+// the blobs, since round 1 cannot end the drain; the price is that a drain
+// that never gets past round 1 reports no follower metrics or spans.  An
+// empty blob means round 1, or metrics or spans off.
 type drainAck struct {
 	from  int
 	epoch uint32

@@ -3,14 +3,12 @@ package node_test
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/node"
-	"repro/internal/sim"
 )
 
 // TestWireConfigVariantsMatchSingleProcess sweeps the batched wire path's
@@ -47,91 +45,6 @@ func TestWireConfigVariantsMatchSingleProcess(t *testing.T) {
 				t.Fatalf("output differs under %+v:\n--- got ---\n%s--- want ---\n%s", v.wire, got, want)
 			}
 		})
-	}
-}
-
-// TestFaultTransportBatchWindow pins the fault network's batch window on the
-// virtual clock: with a pure window (no latency, no drops), every write a
-// connection accepts inside the window departs together at the window's
-// close — the first arrival is delayed by exactly the window, the rest land
-// nanoseconds behind it (the monotone per-connection clamp), and per-sender
-// FIFO order survives the shared departure time.
-func TestFaultTransportBatchWindow(t *testing.T) {
-	const count = 16
-	const window = 50 * time.Millisecond
-	s := sim.New(3)
-	var out bytes.Buffer
-	mesh, err := node.NewFaultMesh(config.Simple(2, 4), s, 3, node.FaultProfile{BatchWindow: window}, func(int) node.Options {
-		return node.Options{Out: &out, AcceptTimeout: 30 * time.Second}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Shutdown()
-	vm := mesh.VMs[0]
-
-	var mu sync.Mutex
-	var sendStart time.Time
-	var order []int64
-	var arrivals []time.Time
-
-	for _, vm := range mesh.VMs {
-		vm.Register("producer", func(task *core.Task) {
-			mu.Lock()
-			sendStart = s.Now()
-			mu.Unlock()
-			for i := 0; i < count; i++ {
-				if err := task.SendParent("datum", core.Int(int64(i))); err != nil {
-					t.Errorf("producer send %d: %v", i, err)
-					return
-				}
-			}
-		})
-	}
-	vm.Register("sink", func(task *core.Task) {
-		if err := task.Initiate(core.OnCluster(2), "producer"); err != nil {
-			t.Errorf("initiate producer: %v", err)
-			return
-		}
-		for i := 0; i < count; i++ {
-			m, err := task.AcceptOne("datum")
-			if err != nil {
-				t.Errorf("accept %d: %v", i, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, core.MustInt(m.Arg(0)))
-			arrivals = append(arrivals, s.Now())
-			mu.Unlock()
-		}
-	})
-
-	if _, err := vm.Run("sink", core.OnCluster(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != count {
-		t.Fatalf("sink accepted %d messages, want %d", len(order), count)
-	}
-	for i, got := range order {
-		if got != int64(i) {
-			t.Fatalf("per-sender FIFO broken: position %d got seq %d (order %v)", i, got, order)
-		}
-	}
-	// All sends happen at one virtual instant, so they share a single batch
-	// window: nothing arrives before the window closes, and the whole batch
-	// lands within the nanosecond FIFO spacing once it does.
-	firstDelay := arrivals[0].Sub(sendStart)
-	if firstDelay < window {
-		t.Fatalf("first arrival after %v, want the full %v batch window", firstDelay, window)
-	}
-	if firstDelay > window+time.Millisecond {
-		t.Fatalf("first arrival after %v; delay should be the bare %v window (no latency configured)", firstDelay, window)
-	}
-	if spread := arrivals[count-1].Sub(arrivals[0]); spread > time.Microsecond {
-		t.Fatalf("batch arrivals spread over %v, want one shared departure (ns-scale spacing)", spread)
 	}
 }
 
