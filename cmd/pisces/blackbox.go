@@ -93,12 +93,13 @@ type nodeEvent struct {
 
 // mergeTimeline orders the events of several dumps into one listing.  A
 // node's events keep their sequence order: the accept events of one ACCEPT
-// run share the reading taken when the run's first was recorded, so a node's
-// timestamps step back wherever another task recorded in between, and sorting
-// them by time would list a run's later events before events emitted ahead of
-// them.  Only the merge across nodes goes by timestamp — the earliest head
-// first, ties (common under the virtual clock) broken by sequence then node
-// so the listing is stable across runs.
+// run share the reading taken when the run was recorded, and the remote
+// sends that ride one lane batch share the reading its first took, so a
+// node's timestamps step back wherever another task recorded in between, and
+// sorting them by time would list a run's or a batch's later events before
+// events emitted ahead of them.  Only the merge across nodes goes by
+// timestamp — the earliest head first, ties (common under the virtual clock)
+// broken by sequence then node so the listing is stable across runs.
 func mergeTimeline(events []nodeEvent) []nodeEvent {
 	var nodes [][]nodeEvent
 	at := make(map[int]int) // node id -> index into nodes

@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -80,6 +81,43 @@ func TestSimMeshMatchesPlainRun(t *testing.T) {
 					t.Errorf("%s %v seed %d: two -stats runs differ:\n%s--- and ---\n%s", name, mesh, seed, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestSimMeshLogsToStderr: the nodes of `pisces run -nodes N -sim` log where
+// the TCP form's do, on stderr — each node's `up:` line, and an HA verdict or
+// a failed restore when there is one — while stdout stays the plain run's.
+func TestSimMeshLogsToStderr(t *testing.T) {
+	sumsq := filepath.Join("..", "..", "examples", "sumsq.pf")
+	var plain strings.Builder
+	if err := runInterpreted([]string{"-sim", sumsq}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	var mesh strings.Builder
+	err = runInterpreted([]string{"-sim", "-nodes", "2", sumsq}, &mesh)
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mesh.String() != plain.String() {
+		t.Errorf("stdout of the mesh run differs from the plain run:\n%s--- plain ---\n%s", mesh.String(), plain.String())
+	}
+	logged, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []string{"node 0 up: ", "node 1 up: "} {
+		if !strings.Contains(string(logged), up) {
+			t.Errorf("stderr has no %q line:\n%s", up, logged)
 		}
 	}
 }

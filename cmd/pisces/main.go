@@ -289,7 +289,7 @@ func runInterpreted(args []string, out io.Writer) (err error) {
 		reg.AttachRecorder(rec)
 		reg.AddTraceSink(opts.TraceSinks...)
 		mesh, err := node.NewFaultMesh(cfg, s, r.nodes, func(int) node.Options {
-			o := node.Options{Out: opts.UserOutput, AcceptTimeout: opts.AcceptTimeout, Metrics: reg, BlackboxDir: r.seen.blackboxOut}
+			o := node.Options{Out: opts.UserOutput, Log: os.Stderr, AcceptTimeout: opts.AcceptTimeout, Metrics: reg, BlackboxDir: r.seen.blackboxOut}
 			r.ha.apply(&o)
 			return o
 		})

@@ -164,9 +164,10 @@ type typeReq struct {
 // per-call map or state allocation at all.
 type acceptState struct {
 	reqs      []typeReq
-	wildcard  int        // index into reqs of the anyType entry, or -1
-	needTotal int        // remaining shared total
-	scratch   []*Message // reusable takeMatching output buffer
+	wildcard  int             // index into reqs of the anyType entry, or -1
+	needTotal int             // remaining shared total
+	scratch   []*Message      // reusable takeMatching output buffer
+	ring      []obs.RingEvent // reusable record buffer: one run's accept events
 }
 
 // reset re-arms the state for one ACCEPT statement, reusing its storage.
@@ -257,10 +258,12 @@ func (st *acceptState) satisfied() bool {
 //
 // The messages are processed in runs, each ending at the next message a
 // handler will see.  A run's storage is recovered in one shard round before
-// any of it is processed and its accept events share one flight-recorder
-// stamp; since a handler ends its run, it finds the heap, and the recorder
-// clock, exactly as it would had each message been released and stamped on
-// its own.
+// any of it is processed, and its accept events go into the flight recorder
+// in one ring round under one stamp (obs.Registry.EmitRun) before any of it
+// is processed; since a handler ends its run, it finds the heap, the ring
+// and the recorder clock exactly as it would had each message been released
+// and recorded on its own.  A kill that unwinds mid-run leaves the accepts of
+// the run's unprocessed messages in the ring: they were taken.
 func (st *acceptState) drain(t *Task, res *AcceptResult) {
 	taken := t.rec.queue.takeMatching(st, st.scratch[:0])
 	i := 0
@@ -290,12 +293,35 @@ func (st *acceptState) drain(t *Task, res *AcceptResult) {
 		}
 		t.vm.releaseRun(taken[i:end], t.rec.cluster.heap)
 		var stamp obs.Stamp
+		each := st.record(t, taken[i:end], &stamp)
 		for ; i < end-1; i++ {
-			t.processAccepted(taken[i], res, nil, &stamp)
+			t.processAccepted(taken[i], res, nil, each)
 		}
-		t.processAccepted(taken[i], res, h, &stamp)
+		t.processAccepted(taken[i], res, h, each)
 		i++
 	}
+}
+
+// record hands the accept events of one run to the flight recorder in one
+// round, stamped from stamp, and returns stamp when another sink wants each
+// event on its own (processAccepted emits it) and nil when the ring was all.
+// The accept of a routed message (edge != 0) closes its causal pair in the
+// ring: the edge links it to the send recorded on the sender's node
+// (possibly another process's dump).
+func (st *acceptState) record(t *Task, run []*Message, stamp *obs.Stamp) *obs.Stamp {
+	reg := t.vm.om.reg
+	if !reg.Watching(obs.MsgAccept) {
+		return nil
+	}
+	ring, cluster := st.ring[:0], int64(t.ID().Cluster)
+	for _, m := range run {
+		ring = append(ring, obs.RingEvent{Edge: m.edge, A: cluster, B: int64(m.Sender.Cluster)})
+	}
+	st.ring = ring
+	if reg.EmitRun(obs.MsgAccept, ring, stamp) {
+		return stamp
+	}
+	return nil
 }
 
 // Accept executes an ACCEPT statement: messages of the listed types are taken
@@ -412,9 +438,10 @@ func (t *Task) acceptTimeout(spec AcceptSpec, st *acceptState, res *AcceptResult
 // processAccepted processes one accepted message whose shared-memory storage
 // drain has already recovered — before anything that can unwind on a kill;
 // the arguments live in the header's store, not the arena, so the handler
-// never reads the released bytes.  It updates SENDER, charges ticks, records
-// the trace event, stamped from st, and runs h, the type's handler if it has
-// one.
+// never reads the released bytes.  It updates SENDER, charges ticks, emits
+// the accept event to the sinks besides the ring, stamped from st (nil: the
+// ring was the only sink, and drain recorded the run), and runs h, the type's
+// handler if it has one.
 func (t *Task) processAccepted(m *Message, res *AcceptResult, h Handler, st *obs.Stamp) {
 	t.lastSender = m.Sender
 	packets := 0
@@ -423,11 +450,10 @@ func (t *Task) processAccepted(m *Message, res *AcceptResult, h Handler, st *obs
 	}
 	t.Charge(int64(costAcceptMsg + costAcceptPacket*packets))
 	t.vm.msgsAccpt.Add(1)
-	// For a routed message (edge != 0) this also closes the causal pair in
-	// the flight recorder: the edge links the accept to the send recorded on
-	// the sender's node (possibly another process's dump).
-	t.vm.emitStamped(&obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(m.Sender),
-		Edge: m.edge, Type: m.Type, A: int64(len(m.Args))}, t.rec.cluster.primary, st)
+	if st != nil {
+		t.vm.emitStamped(&obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(m.Sender),
+			Edge: m.edge, Type: m.Type, A: int64(len(m.Args))}, t.rec.cluster.primary, st)
+	}
 	if h != nil {
 		h(t, m)
 	}

@@ -79,6 +79,11 @@ type WireFrame struct {
 	// valid until Send returns: implementations that do not deliver
 	// synchronously must copy it.
 	Payload []byte
+	// Stamp is set by the transport on a FrameMessage: the flight-recorder
+	// stamp of the lane batch the frame joined (obs.Registry.ShareStamp),
+	// which routeRemote records the send with.  A frame that joined no batch
+	// leaves it unread, and the send reads a stamp of its own.
+	Stamp obs.Stamp
 }
 
 // Transport carries cross-cluster wire frames between clusters hosted by
@@ -176,6 +181,9 @@ func (vm *VM) failPendingReplies() {
 // argument list is encoded into the pooled frame's payload buffer (stageOut),
 // which the transport copies or transmits before Send returns.  The shard
 // therefore holds nothing while Send waits, credit stalls included.  The
+// send's Route event is emitted once Send returns, stamped with the lane
+// batch the frame joined (WireFrame.Stamp), so the sends of one batch cost
+// the recorder one clock read; a failed send is recorded too.  The
 // destination shard is charged by the receiving node at delivery — a remote
 // receiver's heap exhaustion cannot fail the sender synchronously, so an
 // undeliverable frame is dropped there like any message in flight to a
@@ -205,8 +213,11 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 		reply.edge = edge
 		o.ReplyID = vm.addPendingReply(reply)
 	}
-	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: spanT0}, nil)
 	sendErr := vm.remote.Send(&o.WireFrame)
+	ring := [1]obs.RingEvent{{Edge: edge, A: int64(src), B: int64(to.Cluster)}}
+	if vm.om.reg.EmitRun(obs.Route, ring[:], &o.Stamp) {
+		vm.emitStamped(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: spanT0}, nil, &o.Stamp)
+	}
 	replyID := o.ReplyID
 	o.release()
 	if sendErr != nil {

@@ -391,7 +391,7 @@ func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) 
 		// and uncounted (the original enqueue already counted these frames
 		// sent; the buddy counts them received).
 		put = func(payload []byte) error {
-			return pb.enqueue(tr, false, false, func(batch []byte) []byte {
+			return pb.enqueue(tr, false, false, nil, func(batch []byte) []byte {
 				return append(batch, payload...)
 			})
 		}

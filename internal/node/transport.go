@@ -97,11 +97,12 @@ type peer struct {
 	mu   sync.Mutex
 	cond backend.Cond // writer wake-ups, credit grants, flush/write completion
 
-	batch   []byte // open batch: concatenated length-prefixed frames
-	spare   []byte // recycled buffer for the next batch (double buffering)
-	frames  int    // frames in the open batch
-	counted int    // of those, frames counted in transport.sent (loss accounting)
-	writing bool   // the writer is inside conn.Write
+	batch   []byte    // open batch: concatenated length-prefixed frames
+	stamp   obs.Stamp // the open batch's flight-recorder stamp, for its routed sends
+	spare   []byte    // recycled buffer for the next batch (double buffering)
+	frames  int       // frames in the open batch
+	counted int       // of those, frames counted in transport.sent (loss accounting)
+	writing bool      // the writer is inside conn.Write
 	closed  bool
 	err     error
 
@@ -130,10 +131,10 @@ type peer struct {
 var errNoCredit = errors.New("node: no credit")
 
 // send enqueues one frame of the given kind, credited and counted as the
-// kind's row in frameTable says.
-func (p *peer) send(tr *transport, kind byte, encode func(batch []byte) []byte) error {
+// kind's row in frameTable says; st is as for enqueue.
+func (p *peer) send(tr *transport, kind byte, st *obs.Stamp, encode func(batch []byte) []byte) error {
 	row := &frameTable[kind]
-	return p.enqueue(tr, row.credited, row.counted, encode)
+	return p.enqueue(tr, row.credited, row.counted, st, encode)
 }
 
 // enqueue appends one frame to the peer's open batch and wakes the writer.
@@ -142,8 +143,11 @@ func (p *peer) send(tr *transport, kind byte, encode func(batch []byte) []byte) 
 // once, straight from their source into the batch buffer).  A credited frame
 // consumes one flow-control credit; with none left it is refused, with
 // errNoCredit and unenqueued.  A counted frame participates in the drain
-// protocol's global sent/recv balance.
-func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch []byte) []byte) error {
+// protocol's global sent/recv balance.  A frame that opens a batch resets the
+// batch's stamp; st, when non-nil (a routed send's), gets the batch's stamp
+// once the frame is in it, the first such frame reading the recorder clock
+// for the batch.  A frame that joins no batch leaves st as it was.
+func (p *peer) enqueue(tr *transport, credited, counted bool, st *obs.Stamp, encode func(batch []byte) []byte) error {
 	p.mu.Lock()
 	if p.dead && (!counted || p.ret.replayed) {
 		// The peer is dead (or the lane broke in HA mode): control frames
@@ -202,7 +206,11 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, encode func(batch 
 	}
 	nbytes := len(p.batch) - start
 	if start == 0 {
+		p.stamp = obs.Stamp{}
 		p.cond.Broadcast() // first frame of a batch: wake the writer
+	}
+	if st != nil {
+		tr.reg.ShareStamp(&p.stamp, st)
 	}
 	p.mu.Unlock()
 	if tr.reg.Has(obs.Metrics) {
@@ -500,6 +508,10 @@ func (tr *transport) Send(f *core.WireFrame) error {
 // reaches a lane after such a move reaches the buddy's adopted tasks twice,
 // once replayed; they drop the second by its send sequence.
 func (tr *transport) sendOn(p *peer, f *core.WireFrame, enc func([]byte) []byte) error {
+	var st *obs.Stamp
+	if f.Kind == core.FrameMessage {
+		st = &f.Stamp
+	}
 	for {
 		if tr.haRetain {
 			tr.routeMu.RLock()
@@ -509,7 +521,7 @@ func (tr *transport) sendOn(p *peer, f *core.WireFrame, enc func([]byte) []byte)
 			q, err = tr.route(f)
 		}
 		if q != nil {
-			err = q.send(tr, wireKind(f), enc)
+			err = q.send(tr, wireKind(f), st, enc)
 		}
 		if tr.haRetain {
 			tr.routeMu.RUnlock()
@@ -565,7 +577,7 @@ func (tr *transport) SendReply(dst int, replyID uint64, id core.TaskID) error {
 	if err != nil {
 		return err
 	}
-	return p.send(tr, fInitReply, func(batch []byte) []byte {
+	return p.send(tr, fInitReply, nil, func(batch []byte) []byte {
 		return encodeInitReply(batch, replyID, id)
 	})
 }
@@ -578,7 +590,7 @@ func (tr *transport) sendControl(node int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return p.send(tr, payload[0], func(batch []byte) []byte {
+	return p.send(tr, payload[0], nil, func(batch []byte) []byte {
 		return append(batch, payload...)
 	})
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -16,7 +17,10 @@ import (
 // the PE clock and forwards, or Registry.Emit where no task is involved);
 // which of the three sinks hear about it — the Section 12 trace line, the
 // flight-recorder ring, the span capture — is that kind's row of the table
-// below and the registry's switches, never the site's business.
+// below and the registry's switches, never the site's business.  The two
+// sites on every routed message, a remote send and an ACCEPT run, go through
+// EmitRun first, which records their ring events and tells them whether an
+// Event is wanted at all.
 type Kind uint8
 
 // The event kinds.  README's "Event catalogue" has one row per kind and
@@ -129,7 +133,13 @@ type TaskRef struct{ Cluster, Slot, Unique int }
 // String renders the taskid as trace lines and displays print it,
 // "cluster.slot.unique".
 func (t TaskRef) String() string {
-	return fmt.Sprintf("%d.%d.%d", t.Cluster, t.Slot, t.Unique)
+	var buf [3 * 21]byte // three fields of up to 20 digits and a sign each
+	b := strconv.AppendInt(buf[:0], int64(t.Cluster), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(t.Slot), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(t.Unique), 10)
+	return string(b)
 }
 
 // Event is one announcement: plain words, built on the emitter's stack and
@@ -163,21 +173,24 @@ func (r *Registry) SpanStart() time.Time {
 	return r.Now()
 }
 
-// rewant recomputes the per-kind mask Watching loads from the three things
-// it depends on — the Section 12 type switches, whether a flight recorder is
-// attached, whether Spans is on.  Every routine that changes one of them
-// calls it with r.tmu held.
+// rewant recomputes the per-kind masks Watching and EmitRun load from the
+// three things they depend on — the Section 12 type switches, whether a
+// flight recorder is attached, whether Spans is on.  Every routine that
+// changes one of them calls it with r.tmu held.
 func (r *Registry) rewant() {
 	traced, rec, spans := r.traceOn.Load(), r.rec.Load() != nil, r.Has(Spans)
-	var want uint32
+	var want, each uint32
 	for k := range kinds {
 		row := &kinds[k]
-		if row.Trace != noTrace && traced&(1<<row.Trace) != 0 ||
-			row.Box != 0 && rec || row.Lane != "" && spans {
+		if row.Trace != noTrace && traced&(1<<row.Trace) != 0 || row.Lane != "" && spans {
+			each |= 1 << k
+		}
+		if row.Box != 0 && rec {
 			want |= 1 << k
 		}
 	}
-	r.want.Store(want)
+	r.each.Store(each)
+	r.want.Store(want | each)
 }
 
 // Watching is the one question an announcement site may ask before building
@@ -191,13 +204,19 @@ func (r *Registry) Watching(k Kind) bool {
 func (r *Registry) Emit(e *Event) { r.EmitAt(e, 0, 0, nil) }
 
 // Stamp is one flight-recorder clock reading shared by a batch of events
-// taken together — the messages one ACCEPT run takes from the queue: the
-// first event of the batch the ring records reads the recorder's clock into
-// it, and the rest are stamped with that reading.  The zero Stamp is unread,
-// so a batch the ring records nothing of reads no clock.
+// taken together.  Two batches share one: the messages one ACCEPT run takes
+// from the queue, and the routed sends that ride one lane batch toward a
+// peer node (the transport keeps the batch's Stamp and hands it to each send
+// through ShareStamp).  The first event of the batch the ring records reads
+// the recorder's clock into it, and the rest are stamped with that reading.
+// The zero Stamp is unread, so a batch the ring records nothing of reads no
+// clock.  ringed marks a batch whose ring records EmitRun already made, so
+// EmitAt leaves the ring out when it hands the same events to the other
+// sinks.
 type Stamp struct {
-	ns   int64
-	read bool
+	ns     int64
+	read   bool
+	ringed bool
 }
 
 // take returns the batch's reading of rec's clock, reading it on first use; a
@@ -210,6 +229,62 @@ func (s *Stamp) take(rec *Recorder) int64 {
 		s.ns, s.read = rec.now(), true
 	}
 	return s.ns
+}
+
+// ShareStamp hands ev the stamp of the batch it joins: the first event that
+// wants it reads the flight recorder's clock into batch, and every later one
+// gets that reading back.  With no recorder attached nothing is read and ev
+// is left as it was.  Nil-safe.
+func (r *Registry) ShareStamp(batch, ev *Stamp) {
+	if rec := r.Recorder(); rec != nil {
+		batch.take(rec)
+		*ev = *batch
+	}
+}
+
+// RingEvent is one event of a run as the flight-recorder ring keeps it: the
+// causal edge and the (A, B) pair — for a ByTask kind the task's cluster and
+// the peer's.
+type RingEvent struct {
+	Edge uint64
+	A, B int64
+}
+
+// EmitRun is the emission routine for a run of kind-k events a site takes
+// together — the messages of one ACCEPT segment, or one routed send.  The
+// ring's records of the run (for a ByTask kind, the events with an edge) go
+// in first, in one round: one sequence reservation and one lock of the shard
+// the run's first event names, every record stamped from st (never nil),
+// so a reader sees the whole run or none of it.  st is then marked so EmitAt leaves the
+// ring out for these events.  EmitRun reports whether a sink that hears
+// events one at a time — the Section 12 trace line, a span — also watches
+// k: only then does the site build each Event and hand it to EmitAt with st.
+// While the ring is the only sink, a site builds no Event at all.
+func (r *Registry) EmitRun(k Kind, run []RingEvent, st *Stamp) bool {
+	if r == nil || len(run) == 0 {
+		return false
+	}
+	row := &kinds[k]
+	if rec := r.rec.Load(); rec != nil && row.Box != 0 {
+		n := len(run)
+		if row.ByTask {
+			n = 0
+			for i := range run {
+				if run[i].Edge != 0 {
+					n++
+				}
+			}
+		}
+		if n > 0 {
+			shard := 0
+			if row.ShardA {
+				shard = int(run[0].A)
+			}
+			rec.recordRun(shard, row.Box, run, n, row.ByTask, st.take(rec))
+		}
+		st.ringed = true
+	}
+	return r.each.Load()&(1<<k) != 0
 }
 
 // EmitAt is the emission routine: it hands the event to the sinks its kind's
@@ -230,7 +305,7 @@ func (r *Registry) EmitAt(e *Event, pe int, ticks int64, st *Stamp) {
 	if row.Trace != noTrace && r.traceOn.Load()&(1<<row.Trace) != 0 {
 		r.traceLine(e, row.Trace, pe, ticks)
 	}
-	if row.Box != 0 && (!row.ByTask || e.Edge != 0) {
+	if row.Box != 0 && (!row.ByTask || e.Edge != 0) && (st == nil || !st.ringed) {
 		if rec := r.rec.Load(); rec != nil {
 			a, b, shard := e.A, e.B, 0
 			if row.ByTask {

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/msgcodec"
+	"repro/internal/trace"
 )
 
 // TestEmitFansOutByKindRow drives Emit with one event of every kind against
@@ -135,5 +138,113 @@ func TestInfoFormats(t *testing.T) {
 		if row := kinds[k]; row.Name == "" || (row.Trace == noTrace) != (row.Info == "") {
 			t.Errorf("kind %d: row %+v has no name, or a trace kind without an info format (or the reverse)", k, row)
 		}
+	}
+}
+
+// taskRefFormat is the rendering TaskRef.String must match byte for byte.
+func taskRefFormat(t TaskRef) string { return fmt.Sprintf("%d.%d.%d", t.Cluster, t.Slot, t.Unique) }
+
+// TestTaskRefStringMatchesFormat holds TaskRef.String, which builds the
+// taskid without fmt, to the "%d.%d.%d" rendering it replaced.
+func TestTaskRefStringMatchesFormat(t *testing.T) {
+	for _, ref := range []TaskRef{
+		{}, {1, 1, 1}, {2, 3, 17}, {-1, 0, -42}, {10, 200, 3000},
+		{math.MaxInt, math.MaxInt, math.MaxInt},
+		{math.MinInt, math.MinInt, math.MinInt},
+		{math.MinInt, 0, math.MaxInt},
+	} {
+		if got, want := ref.String(), taskRefFormat(ref); got != want {
+			t.Errorf("TaskRef%v.String() = %q, want %q", [3]int{ref.Cluster, ref.Slot, ref.Unique}, got, want)
+		}
+	}
+}
+
+func FuzzTaskRefString(f *testing.F) {
+	f.Add(0, 0, 0)
+	f.Add(1, 2, 3)
+	f.Add(math.MinInt, -1, math.MaxInt)
+	f.Fuzz(func(t *testing.T, c, s, u int) {
+		ref := TaskRef{c, s, u}
+		if got, want := ref.String(), taskRefFormat(ref); got != want {
+			t.Errorf("TaskRef{%d, %d, %d}.String() = %q, want %q", c, s, u, got, want)
+		}
+	})
+}
+
+// TestEmitRunRecordsOneRound: EmitRun puts a run's ring records in with one
+// clock read and contiguous sequence numbers — for a ByTask kind, only the
+// events with an edge — and marks the stamp, so EmitAt hands the same events
+// to the other sinks without recording them twice.  It reports whether such
+// a sink is watching: the Section 12 switch for MsgAccept, spans for Route.
+func TestEmitRunRecordsOneRound(t *testing.T) {
+	r := New()
+	rec := NewRecorder(0, 4, 16)
+	r.AttachRecorder(rec)
+	reads := 0
+	rec.SetClock(func() time.Time { reads++; return time.Unix(0, int64(reads)) })
+
+	var st Stamp
+	run := []RingEvent{{Edge: 7, A: 2, B: 1}, {Edge: 0, A: 2, B: 2}, {Edge: 9, A: 2, B: 3}}
+	if r.EmitRun(MsgAccept, run, &st) {
+		t.Error("EmitRun reports another sink watching MsgAccept with only the ring attached")
+	}
+	r.EmitAt(&Event{Kind: MsgAccept, Task: TaskRef{Cluster: 2}, Peer: TaskRef{Cluster: 1}, Edge: 7}, 0, 0, &st)
+	evs := rec.Events()
+	if reads != 1 || len(evs) != 2 || evs[0].Edge != 7 || evs[1].Edge != 9 || evs[1].Seq != evs[0].Seq+1 ||
+		evs[0].TS != evs[1].TS || evs[0].Shard != 2 || evs[1].B != 3 {
+		t.Fatalf("%d clock reads, ring %+v; want 1 read and the two edged accepts, consecutive, one stamp, shard 2", reads, evs)
+	}
+
+	r.TraceKind(trace.MsgAccept, true)
+	if !r.EmitRun(MsgAccept, run[:1], &Stamp{}) {
+		t.Error("EmitRun does not report the Section 12 trace watching MsgAccept")
+	}
+	if r.EmitRun(Route, []RingEvent{{Edge: 11, A: 1, B: 2}}, &Stamp{}) {
+		t.Error("EmitRun reports another sink watching Route with spans off")
+	}
+	r.Enable(Spans)
+	if !r.EmitRun(Route, []RingEvent{{Edge: 12, A: 1, B: 2}}, &Stamp{}) {
+		t.Error("EmitRun does not report spans watching Route")
+	}
+	if n := len(rec.Events()); n != 5 {
+		t.Errorf("ring holds %d events, want 5", n)
+	}
+
+	// Without a recorder nothing is read or recorded.
+	bare := New()
+	if bare.EmitRun(MsgAccept, run, &st) || (*Registry)(nil).EmitRun(Route, run, &st) {
+		t.Error("EmitRun reports a sink watching on a registry with none")
+	}
+}
+
+// TestShareStampReadsOncePerBatch: the stamp a lane batch keeps is read by
+// the first send that joins it and handed unchanged to every later one;
+// without a recorder nothing is read and the send's stamp stays unread.
+func TestShareStampReadsOncePerBatch(t *testing.T) {
+	r := New()
+	rec := NewRecorder(0, 1, 16)
+	r.AttachRecorder(rec)
+	reads := 0
+	rec.SetClock(func() time.Time { reads++; return time.Unix(0, int64(100*reads)) })
+
+	var batch, a, b Stamp
+	r.ShareStamp(&batch, &a)
+	r.ShareStamp(&batch, &b)
+	if reads != 1 || a != b || !a.read || a.ns != 100 {
+		t.Fatalf("%d reads, stamps %+v and %+v; want one read shared by both", reads, a, b)
+	}
+	for _, st := range []*Stamp{&a, &b} {
+		if r.EmitRun(Route, []RingEvent{{Edge: 1, A: 0, B: 1}}, st) {
+			t.Error("EmitRun reports another sink watching Route")
+		}
+	}
+	if evs := rec.Events(); reads != 1 || len(evs) != 2 || evs[0].TS != 100 || evs[1].TS != 100 {
+		t.Fatalf("%d reads, ring %+v; want both sends stamped with the batch's one reading", reads, evs)
+	}
+
+	var unread Stamp
+	New().ShareStamp(&Stamp{}, &unread)
+	if unread != (Stamp{}) {
+		t.Errorf("ShareStamp without a recorder left %+v, want an unread stamp", unread)
 	}
 }

@@ -43,12 +43,14 @@ const (
 // not ready; use New.  A nil *Registry behaves as a permanently disabled one
 // in the methods a layer calls on a registry it was merely handed — Enable,
 // Disable, Has, Any, SetClock, Now, AttachRecorder, Recorder, SpanStart,
-// Watching, Emit, EmitAt, Snapshot, Spans, Trace and WriteChromeTrace.
+// Watching, Emit, EmitAt, EmitRun, ShareStamp, Snapshot, Spans, Trace and
+// WriteChromeTrace.
 // Counter, Gauge, Histogram and the Trace* switches dereference it: a caller
 // that may hold none guards them itself.
 type Registry struct {
 	mask  atomic.Uint32
 	want  atomic.Uint32 // bit k: some sink takes Kind k right now (rewant)
+	each  atomic.Uint32 // bit k: a sink besides the ring takes Kind k (rewant)
 	clock atomic.Pointer[func() time.Time]
 	rec   atomic.Pointer[Recorder]
 

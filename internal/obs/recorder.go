@@ -146,20 +146,37 @@ func (r *Recorder) now() int64 { return (*r.clock.Load())().UnixNano() }
 // around plain stores.  It allocates only to grow a ring that has filled
 // below its cap, a compare that is false for ever once the ring has wrapped.
 func (r *Recorder) record(shard int, kind uint8, edge uint64, a, b, ts int64) {
+	run := [1]RingEvent{{Edge: edge, A: a, B: b}}
+	r.recordRun(shard, kind, run[:], 1, false, ts)
+}
+
+// recordRun appends n events of run, all stamped ts, to one shard's ring as
+// record does one: the n sequence numbers are reserved in one add and the
+// slots filled in one lock round, so the run's numbers are contiguous and a
+// reader sees all of it or none.  edged skips the events without an edge
+// (n counts the others).
+func (r *Recorder) recordRun(shard int, kind uint8, run []RingEvent, n int, edged bool, ts int64) {
 	s := &r.shards[shard&(len(r.shards)-1)]
-	seq := r.seq.Add(1)
+	seq := r.seq.Add(uint64(n)) - uint64(n)
 	s.mu.Lock()
-	if s.pos == uint64(len(s.slots)) {
-		s.grow(r.slots)
+	for i := range run {
+		e := &run[i]
+		if edged && e.Edge == 0 {
+			continue
+		}
+		if s.pos == uint64(len(s.slots)) {
+			s.grow(r.slots)
+		}
+		sl := &s.slots[s.pos&uint64(len(s.slots)-1)]
+		s.pos++
+		seq++
+		sl.seq = seq
+		sl.ts = ts
+		sl.edge = e.Edge
+		sl.kind = uint32(kind)
+		sl.a = e.A
+		sl.b = e.B
 	}
-	sl := &s.slots[s.pos&uint64(len(s.slots)-1)]
-	s.pos++
-	sl.seq = seq
-	sl.ts = ts
-	sl.edge = edge
-	sl.kind = uint32(kind)
-	sl.a = a
-	sl.b = b
 	s.mu.Unlock()
 }
 

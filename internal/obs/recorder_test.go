@@ -138,6 +138,107 @@ func TestRecorderRecordRacesReaders(t *testing.T) {
 	}
 }
 
+// TestRecorderRunsRaceReaders is TestRecorderRecordRacesReaders for runs:
+// writers put runs of one to seven events in through EmitRun, two writers to
+// a shard, while readers call Events and Dump.  No reader may see part of a
+// run, a run's sequence numbers must be contiguous and its stamp one, and
+// Events must stay in sequence order.  The rings are sized never to wrap, so
+// every run a reader sees is whole.
+func TestRecorderRunsRaceReaders(t *testing.T) {
+	const writers, runsPerWriter, maxRun = 4, 400, 7
+	r := New()
+	rec := NewRecorder(1, 2, 4096)
+	r.AttachRecorder(rec)
+	// Edge packs the run: writer, run number, run length; B is the index in
+	// the run.
+	edge := func(w, run, n int) uint64 { return uint64(w)<<40 | uint64(run)<<8 | uint64(n) }
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]RingEvent, maxRun)
+			for i := 0; i < runsPerWriter; i++ {
+				n := 1 + (w+i)%maxRun
+				for j := range buf[:n] {
+					buf[j] = RingEvent{Edge: edge(w, i, n), A: int64(w % 2), B: int64(j)}
+				}
+				var st Stamp
+				r.EmitRun(Route, buf[:n], &st)
+			}
+		}(w)
+	}
+	check := func(evs []msgcodec.BlackboxEvent) bool {
+		for i := 0; i < len(evs); {
+			e := evs[i]
+			n := int(e.Edge & 0xff)
+			if e.B != 0 || i+n > len(evs) {
+				t.Errorf("a reader saw part of run %#x: %+v", e.Edge, evs[i:min(i+n, len(evs))])
+				return false
+			}
+			for j, f := range evs[i : i+n] {
+				if f.Edge != e.Edge {
+					t.Errorf("a reader saw part of run %#x: %+v", e.Edge, evs[i:i+j])
+					return false
+				}
+				if f.B != int64(j) || f.Seq != e.Seq+uint64(j) || f.TS != e.TS || f.Shard != e.Shard {
+					t.Errorf("run %#x is not %d contiguous events of one stamp: %+v", e.Edge, n, evs[i:i+n])
+					return false
+				}
+			}
+			if i > 0 && evs[i-1].Seq >= e.Seq {
+				t.Errorf("Events out of sequence order at %+v after %+v", e, evs[i-1])
+				return false
+			}
+			i += n
+		}
+		return true
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !check(rec.Events()) {
+					return
+				}
+				dump, err := rec.Dump()
+				var evs []msgcodec.BlackboxEvent
+				if err == nil {
+					_, _, evs, err = msgcodec.DecodeBlackbox(dump)
+				}
+				if err != nil {
+					t.Errorf("dump under concurrent recording: %v", err)
+					return
+				}
+				if !check(evs) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	evs := rec.Events()
+	want := 0
+	for w := 0; w < writers; w++ {
+		for i := 0; i < runsPerWriter; i++ {
+			want += 1 + (w+i)%maxRun
+		}
+	}
+	if len(evs) != want || !check(evs) {
+		t.Fatalf("the rings hold %d events, want every run's %d", len(evs), want)
+	}
+}
+
 // TestRecorderGrowsOnDemand holds the growing ring to the ring it replaced,
 // which allocated its slots up front: after any number of records a shard
 // retains its newest `slots` events, Events merges the shards in Seq order,
