@@ -239,14 +239,9 @@ func (h *haFlags) check() error {
 	return nil
 }
 
-// apply copies the knobs onto the node options.  The suspicion timeout
-// follows a custom heartbeat at the default 10x ratio, so tightening the
-// heartbeat keeps the detector sound without a second flag.
+// apply copies the knobs onto the node options.
 func (h *haFlags) apply(o *node.Options) {
 	o.HA, o.HeartbeatInterval, o.CheckpointInterval = h.enabled, h.heartbeat, h.ckpt
-	if h.heartbeat > 0 {
-		o.SuspicionAfter = 10 * h.heartbeat
-	}
 }
 
 func (h *haFlags) forward(fs *flag.FlagSet) []string {

@@ -86,15 +86,6 @@ func (c *Configuration) ClusterNumbers() []int {
 	return out
 }
 
-// TotalSlots returns the total number of user-task slots across clusters.
-func (c *Configuration) TotalSlots() int {
-	n := 0
-	for _, cl := range c.Clusters {
-		n += cl.Slots
-	}
-	return n
-}
-
 // Validate checks the configuration against a machine description.  It
 // enforces the FLEX/32 rules of Sections 5, 9, and 11: cluster numbers unique
 // and within 1..18, primary PEs are MMOS PEs (not the Unix front-end PEs),

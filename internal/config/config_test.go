@@ -64,7 +64,7 @@ func TestSection9Example(t *testing.T) {
 	if got := cfg.MaxMultiprogramming(3); got != 4 {
 		t.Errorf("PE 3 max multiprogramming = %d, want 4 (its own slots)", got)
 	}
-	if got := cfg.TotalSlots(); got != 16 {
+	if got := totalSlots(cfg); got != 16 {
 		t.Errorf("total slots = %d, want 16", got)
 	}
 	wantPEs := []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
@@ -269,7 +269,7 @@ func TestQuickMaxMultiprogrammingBounds(t *testing.T) {
 	f := func(peRaw uint8) bool {
 		pe := int(peRaw%25) + 1
 		mp := cfg.MaxMultiprogramming(pe)
-		if mp < 0 || mp > cfg.TotalSlots() {
+		if mp < 0 || mp > totalSlots(cfg) {
 			return false
 		}
 		used := false
@@ -286,4 +286,13 @@ func TestQuickMaxMultiprogrammingBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// totalSlots is the number of user-task slots across cfg's clusters.
+func totalSlots(cfg *Configuration) int {
+	n := 0
+	for _, cl := range cfg.Clusters {
+		n += cl.Slots
+	}
+	return n
 }

@@ -249,7 +249,7 @@ func runMesh(src string, seed int64, reg *obs.Registry, rec *obs.Recorder, ckptE
 			// delay.
 			beat := max(ckptEvery/8, node.MaxFaultDelay/4)
 			o.Metrics.Enable(obs.Metrics)
-			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.SuspicionAfter, o.Log = true, ckptEvery, beat, 10*beat, log
+			o.HA, o.CheckpointInterval, o.HeartbeatInterval, o.Log = true, ckptEvery, beat, log
 			if i > 0 {
 				o.Out = &deadOut
 			}

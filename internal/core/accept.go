@@ -115,14 +115,6 @@ func (r *AcceptResult) add(m *Message) {
 // Count returns the number of accepted messages of the given type.
 func (r *AcceptResult) Count(msgType string) int { return len(r.ByType(msgType)) }
 
-// First returns the first accepted message of the given type, or nil.
-func (r *AcceptResult) First(msgType string) *Message {
-	if ms := r.ByType(msgType); len(ms) > 0 {
-		return ms[0]
-	}
-	return nil
-}
-
 // AcceptOne accepts a single message of any of the listed types, waiting with
 // the system default timeout.  It is the most common ACCEPT form.
 func (t *Task) AcceptOne(types ...string) (*Message, error) {

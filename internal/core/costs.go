@@ -49,8 +49,7 @@ const (
 
 // DefaultSystemLocalBytes is the per-PE local-memory footprint of the PISCES
 // system code and data.  The paper reports this as "less than 2.5% of each
-// PE's local memory"; 24 KiB of a 1 MiB local memory is 2.3%.  The value is
-// configurable through Options for sensitivity studies.
+// PE's local memory"; 24 KiB of a 1 MiB local memory is 2.3%.
 const DefaultSystemLocalBytes = 24 * 1024
 
 // DefaultTaskLocalBytes is the default local-memory charge for one user task

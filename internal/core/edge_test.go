@@ -133,7 +133,7 @@ func TestSendHeapExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm.WaitIdle()
-	if in := vm.Machine().Shared().Heap().InUse(); in != 0 {
+	if in := vm.Machine().Shared().HeapShard(0).InUse(); in != 0 {
 		t.Fatalf("heap not recovered after the task terminated: %d bytes", in)
 	}
 }

@@ -119,7 +119,7 @@ func TestVMMetricsDisabledByDefault(t *testing.T) {
 	if vm.Obs() == nil {
 		t.Fatal("Obs() is nil")
 	}
-	if vm.Obs().Any(obs.Metrics | obs.Spans) {
+	if vm.Obs().Has(obs.Metrics) || vm.Obs().Has(obs.Spans) {
 		t.Fatal("default registry has families enabled")
 	}
 	done := make(chan struct{})

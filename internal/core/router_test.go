@@ -103,8 +103,8 @@ func TestIntraClusterSendsStayOnOwnShard(t *testing.T) {
 	defer vm.Shutdown()
 
 	shared := vm.Machine().Shared()
-	if n := shared.NumHeapShards(); n != 2 {
-		t.Fatalf("NumHeapShards = %d, want one per cluster (2)", n)
+	if n := len(shared.HeapShards()); n != 2 {
+		t.Fatalf("%d heap shards, want one per cluster (2)", n)
 	}
 	// Cluster numbers ascend with shard index: shard 0 belongs to cluster 1.
 	otherBefore := shared.HeapShard(0).Stats()

@@ -79,8 +79,8 @@ func twoNodeVMs(t *testing.T, outA, outB *bytes.Buffer) (*VM, *VM) {
 func TestHostedControllerIDsAgree(t *testing.T) {
 	var outA, outB bytes.Buffer
 	vmA, vmB := twoNodeVMs(t, &outA, &outB)
-	if vmA.UserControllerID() != vmB.UserControllerID() {
-		t.Fatalf("user controller ids diverge: %s vs %s", vmA.UserControllerID(), vmB.UserControllerID())
+	if vmA.userCtrl != vmB.userCtrl {
+		t.Fatalf("user controller ids diverge: %s vs %s", vmA.userCtrl, vmB.userCtrl)
 	}
 	clA, _ := vmA.cluster(2)
 	clB, _ := vmB.cluster(2)

@@ -320,8 +320,8 @@ type SystemStorage struct {
 func (vm *VM) SystemStorage() SystemStorage {
 	u := vm.machine.Shared().Usage()
 	return SystemStorage{
-		SystemLocalBytesPerPE: vm.opts.SystemLocalBytes,
-		LocalPercent:          100 * float64(vm.opts.SystemLocalBytes) / float64(vm.machine.Config().LocalBytes),
+		SystemLocalBytesPerPE: DefaultSystemLocalBytes,
+		LocalPercent:          100 * float64(DefaultSystemLocalBytes) / float64(vm.machine.Config().LocalBytes),
 		TableBytes:            vm.tableBytes,
 		TablePercent:          100 * float64(vm.tableBytes) / float64(u.Total),
 		Shared:                u,

@@ -60,9 +60,6 @@ type Options struct {
 	// AcceptTimeout is the system-provided timeout used when an ACCEPT
 	// statement has no DELAY clause.  Zero means 5 seconds.
 	AcceptTimeout time.Duration
-	// SystemLocalBytes is the per-PE local-memory footprint of the PISCES
-	// system; zero means DefaultSystemLocalBytes.
-	SystemLocalBytes int
 	// TraceSinks receive the Section 12 trace lines, in addition to any sinks
 	// added later through Obs().AddTraceSink.  Sinks and trace switches
 	// belong to the registry, so VMs handed one Metrics registry share them.
@@ -271,9 +268,6 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 	if opts.AcceptTimeout <= 0 {
 		opts.AcceptTimeout = 5 * time.Second
 	}
-	if opts.SystemLocalBytes <= 0 {
-		opts.SystemLocalBytes = DefaultSystemLocalBytes
-	}
 	if opts.Backend == nil {
 		opts.Backend = backend.Default()
 	}
@@ -338,7 +332,7 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 
 	// Charge the PISCES system's code+data to every PE the configuration uses.
 	for _, pe := range cfg.UsedPEs() {
-		if err := machine.PE(pe).AllocLocal(opts.SystemLocalBytes); err != nil {
+		if err := machine.PE(pe).AllocLocal(DefaultSystemLocalBytes); err != nil {
 			return nil, fmt.Errorf("core: loading PISCES system on PE %d: %w", pe, err)
 		}
 	}
@@ -426,14 +420,6 @@ func (vm *VM) Backend() backend.Backend { return vm.backend }
 
 // Configuration returns (a copy of) the configuration the VM was booted with.
 func (vm *VM) Configuration() *config.Configuration { return vm.cfg.Clone() }
-
-// UserControllerID returns the taskid of the user controller; it is the
-// parent of tasks initiated from the execution environment.
-func (vm *VM) UserControllerID() TaskID { return vm.userCtrl }
-
-// FileControllerID returns the taskid of the file controller, the owner of
-// file-resident arrays.
-func (vm *VM) FileControllerID() TaskID { return vm.fileCtrl }
 
 // Register makes a tasktype available for initiation.  Registering a name
 // twice replaces the previous definition; registration after tasks are

@@ -69,7 +69,7 @@ func TestBootControllers(t *testing.T) {
 	if userCtrls != 1 || fileCtrls != 1 {
 		t.Errorf("user controllers = %d, file controllers = %d, want 1 each", userCtrls, fileCtrls)
 	}
-	if vm.UserControllerID().IsNil() || vm.FileControllerID().IsNil() {
+	if vm.userCtrl.IsNil() || vm.fileCtrl.IsNil() {
 		t.Error("controller ids not recorded")
 	}
 
@@ -520,7 +520,7 @@ func TestSendFromUserAndQueueViews(t *testing.T) {
 	if len(q) != 2 || q[0].Type != "poke" || q[1].Type != "stale" {
 		t.Fatalf("queue view = %+v", q)
 	}
-	if q[0].Sender != vm.UserControllerID() {
+	if q[0].Sender != vm.userCtrl {
 		t.Fatalf("queued sender = %s, want user controller", q[0].Sender)
 	}
 	if n, err := vm.DeleteMessages(id, "stale"); err != nil || n != 1 {

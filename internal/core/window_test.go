@@ -325,8 +325,8 @@ func TestFileArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Owner != vm.FileControllerID() {
-		t.Fatalf("file array owner = %s, want file controller %s", w.Owner, vm.FileControllerID())
+	if w.Owner != vm.fileCtrl {
+		t.Fatalf("file array owner = %s, want file controller %s", w.Owner, vm.fileCtrl)
 	}
 	if _, err := vm.CreateFileArray("input.dat", 5, 5); err == nil {
 		t.Fatal("duplicate file array accepted")
@@ -378,7 +378,7 @@ func TestFileControllerDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	runTaskBodyOn(t, vm, func(task *Task) error {
-		if err := task.Send(vm.FileControllerID(), "directory"); err != nil {
+		if err := task.Send(vm.fileCtrl, "directory"); err != nil {
 			return err
 		}
 		m, err := task.Accept(AcceptSpec{Total: 1, Types: []TypeCount{{Type: "directory-reply"}}, Delay: 3 * time.Second})
@@ -389,7 +389,7 @@ func TestFileControllerDirectory(t *testing.T) {
 			t.Error("file controller never answered the directory request")
 			return nil
 		}
-		reply := MustStr(m.First("directory-reply").Arg(0))
+		reply := MustStr(m.ByType("directory-reply")[0].Arg(0))
 		if reply != "[a.dat b.dat]" {
 			t.Errorf("directory reply = %q", reply)
 		}

@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -38,9 +37,6 @@ type Environment struct {
 func New(vm *core.VM, out io.Writer) *Environment {
 	return &Environment{vm: vm, out: out}
 }
-
-// VM returns the virtual machine under control.
-func (e *Environment) VM() *core.VM { return e.vm }
 
 // Menu returns the option menu exactly as the Section 11 implementation
 // displayed it.
@@ -396,12 +392,4 @@ func looksLikeReal(s string) bool {
 	}
 	_, err := strconv.ParseFloat(s, 64)
 	return err == nil
-}
-
-// TaskTypesSummary lists the registered tasktypes, for the configuration
-// environment's pre-run display.
-func (e *Environment) TaskTypesSummary() string {
-	names := e.vm.TaskTypes()
-	sort.Strings(names)
-	return "registered tasktypes: " + strings.Join(names, ", ")
 }

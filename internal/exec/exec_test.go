@@ -134,7 +134,7 @@ func TestInitiateKillAndDisplays(t *testing.T) {
 	if err := env.Execute("kill " + id); err != nil {
 		t.Fatal(err)
 	}
-	env.VM().WaitIdle()
+	env.vm.WaitIdle()
 }
 
 func TestTraceOptionsCommand(t *testing.T) {
@@ -316,14 +316,6 @@ func TestReplAndTerminate(t *testing.T) {
 	// Further commands on a terminated VM fail cleanly.
 	if err := env.Execute("initiate echo"); err == nil {
 		t.Error("initiate after termination should fail")
-	}
-}
-
-func TestTaskTypesSummary(t *testing.T) {
-	env, _ := newEnv(t)
-	s := env.TaskTypesSummary()
-	if !strings.Contains(s, "echo") || !strings.Contains(s, "waiter") {
-		t.Fatalf("summary %q", s)
 	}
 }
 

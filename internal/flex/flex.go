@@ -49,7 +49,6 @@ type Config struct {
 	TableBytes  int // shared-memory region reserved for system tables
 	CommonBytes int // shared-memory region reserved for SHARED COMMON blocks
 	UnixPEs     int // the first UnixPEs processors run Unix only
-	TickQuantum int64
 }
 
 // DefaultConfig returns the NASA Langley FLEX/32 configuration described in
@@ -64,7 +63,6 @@ func DefaultConfig() Config {
 		TableBytes:  64 * 1024,
 		CommonBytes: 512 * 1024,
 		UnixPEs:     2,
-		TickQuantum: 1,
 	}
 }
 
@@ -87,9 +85,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.TableBytes+cfg.CommonBytes >= cfg.SharedBytes {
 		return nil, fmt.Errorf("flex: table (%d) + common (%d) regions exceed shared memory (%d)",
 			cfg.TableBytes, cfg.CommonBytes, cfg.SharedBytes)
-	}
-	if cfg.TickQuantum <= 0 {
-		cfg.TickQuantum = 1
 	}
 	m := &Machine{cfg: cfg}
 	m.pes = make([]*PE, cfg.NumPE)
@@ -122,18 +117,6 @@ func (m *Machine) PE(n int) *PE {
 		return nil
 	}
 	return m.pes[n-1]
-}
-
-// MMOSPEs returns the numbers of the PEs available to run PISCES user code
-// (those not reserved for Unix).
-func (m *Machine) MMOSPEs() []int {
-	var out []int
-	for _, pe := range m.pes {
-		if !pe.unix {
-			out = append(out, pe.id)
-		}
-	}
-	return out
 }
 
 // Shared returns the machine's shared memory.
@@ -176,8 +159,7 @@ type PE struct {
 	localUsed  int
 	localHigh  int
 
-	bound   atomic.Int32 // processes currently bound to this PE
-	running atomic.Int32 // processes currently holding the CPU (0 or 1)
+	bound atomic.Int32 // processes currently bound to this PE
 }
 
 func newPE(id, localBytes int, unix bool) *PE {
@@ -197,32 +179,16 @@ func (p *PE) IsUnix() bool { return p.unix }
 // Acquire blocks until the caller holds the PE's CPU.
 func (p *PE) Acquire() {
 	<-p.cpu
-	p.running.Store(1)
-}
-
-// TryAcquire attempts to take the CPU without blocking.
-func (p *PE) TryAcquire() bool {
-	select {
-	case <-p.cpu:
-		p.running.Store(1)
-		return true
-	default:
-		return false
-	}
 }
 
 // Release gives the CPU back.  It must only be called by the holder.
 func (p *PE) Release() {
-	p.running.Store(0)
 	select {
 	case p.cpu <- struct{}{}:
 	default:
 		panic(fmt.Sprintf("flex: PE %d released while not held", p.id))
 	}
 }
-
-// Busy reports whether some process currently holds the CPU.
-func (p *PE) Busy() bool { return p.running.Load() == 1 }
 
 // Charge advances the PE's tick clock by n ticks of simulated work.
 func (p *PE) Charge(n int64) {
@@ -313,10 +279,6 @@ func newSharedMemory(cfg Config) *SharedMemory {
 // Total returns the total shared memory size in bytes.
 func (s *SharedMemory) Total() int { return s.total }
 
-// Heap returns the first message-heap shard.  An unsharded machine (the
-// default) has exactly one, covering the whole heap region.
-func (s *SharedMemory) Heap() *memory.Allocator { return s.HeapShard(0) }
-
 // ShardHeap repartitions the message-heap region into n equal, independently
 // locked allocators.  It is called once at virtual-machine boot, before any
 // message storage is allocated; resharding a heap that still holds live
@@ -344,13 +306,6 @@ func (s *SharedMemory) ShardHeap(n int) error {
 	}
 	s.shards = shards
 	return nil
-}
-
-// NumHeapShards returns the number of message-heap shards.
-func (s *SharedMemory) NumHeapShards() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.shards)
 }
 
 // HeapShard returns shard i of the message heap, or nil if out of range.
@@ -422,16 +377,6 @@ func (s *SharedMemory) AllocCommon(n int) error {
 	return nil
 }
 
-// FreeCommon releases n bytes of the SHARED COMMON region.
-func (s *SharedMemory) FreeCommon(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commonUsed -= n
-	if s.commonUsed < 0 {
-		s.commonUsed = 0
-	}
-}
-
 // Usage is a snapshot of shared-memory consumption by region, the quantity
 // reported in Section 13 of the paper.
 type Usage struct {
@@ -479,12 +424,4 @@ func (u Usage) TablePercent() float64 {
 		return 0
 	}
 	return 100 * float64(u.TableUsed) / float64(u.Total)
-}
-
-// HeapPercent returns message-heap usage as a percentage of total shared memory.
-func (u Usage) HeapPercent() float64 {
-	if u.Total == 0 {
-		return 0
-	}
-	return 100 * float64(u.HeapInUse) / float64(u.Total)
 }

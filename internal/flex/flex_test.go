@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -21,7 +22,12 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 		t.Errorf("UnixPEs = %d, want 2", cfg.UnixPEs)
 	}
 	m := MustNewMachine(cfg)
-	mmos := m.MMOSPEs()
+	var mmos []int
+	for n := 1; n <= m.NumPE(); n++ {
+		if !m.PE(n).IsUnix() {
+			mmos = append(mmos, n)
+		}
+	}
 	if len(mmos) != 18 {
 		t.Fatalf("MMOS PEs = %d, want 18", len(mmos))
 	}
@@ -68,19 +74,18 @@ func TestCPUExclusion(t *testing.T) {
 	pe := m.PE(5)
 
 	pe.Acquire()
-	if !pe.Busy() {
-		t.Fatal("PE should be busy while held")
-	}
-	if pe.TryAcquire() {
-		t.Fatal("TryAcquire succeeded while CPU held")
+	got := make(chan struct{})
+	go func() {
+		pe.Acquire()
+		close(got)
+	}()
+	select {
+	case <-got:
+		t.Fatal("a second Acquire took the CPU while it was held")
+	case <-time.After(20 * time.Millisecond):
 	}
 	pe.Release()
-	if pe.Busy() {
-		t.Fatal("PE should be idle after release")
-	}
-	if !pe.TryAcquire() {
-		t.Fatal("TryAcquire failed on idle CPU")
-	}
+	<-got
 	pe.Release()
 }
 
@@ -157,7 +162,7 @@ func TestSharedMemoryRegions(t *testing.T) {
 	if err := sh.AllocCommon(10000); err != nil {
 		t.Fatal(err)
 	}
-	off, err := sh.Heap().Alloc(256)
+	off, err := sh.HeapShard(0).Alloc(256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +182,16 @@ func TestSharedMemoryRegions(t *testing.T) {
 	if p := u.TablePercent(); p <= 0 || p > 1 {
 		t.Errorf("TablePercent = %f, want small positive", p)
 	}
-	if err := sh.Heap().Free(off); err != nil {
+	if err := sh.HeapShard(0).Free(off); err != nil {
 		t.Fatal(err)
 	}
 	sh.FreeTable(4096)
-	sh.FreeCommon(10000)
 	u = sh.Usage()
-	if u.TableUsed != 0 || u.CommonUsed != 0 || u.HeapInUse != 0 {
+	if u.TableUsed != 0 || u.HeapInUse != 0 {
 		t.Errorf("usage not returned to zero: %+v", u)
+	}
+	if u.CommonUsed != 10000 {
+		t.Errorf("CommonUsed = %d after the other regions' frees, want the static 10000", u.CommonUsed)
 	}
 }
 
@@ -260,8 +267,8 @@ func TestShardHeap(t *testing.T) {
 	if err := sh.ShardHeap(3); err != nil {
 		t.Fatal(err)
 	}
-	if n := sh.NumHeapShards(); n != 3 {
-		t.Fatalf("NumHeapShards = %d, want 3", n)
+	if n := len(sh.HeapShards()); n != 3 {
+		t.Fatalf("%d heap shards, want 3", n)
 	}
 	total := 0
 	for i := 0; i < 3; i++ {

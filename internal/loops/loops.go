@@ -97,40 +97,13 @@ func Presched(lo, hi, step, member, members int) ([]int, error) {
 	return out, nil
 }
 
-// PreschedPosition maps the k-th local iteration of a member to its global
-// position in the iteration sequence, i.e. member + k*members.
-func PreschedPosition(member, members, k int) int {
-	return member + k*members
-}
-
 // Counter is the shared iteration counter used by SELFSCHED loops.  In the
 // real system this counter lives in shared memory and is updated under a
-// lock; implementations in internal/core provide that.  The package also
-// provides LocalCounter for tests and sequential baselines.
+// lock; internal/core provides that.
 type Counter interface {
 	// Next returns the next unclaimed position (0-based) and true, or false
 	// when all positions have been handed out.
 	Next() (int, bool)
-}
-
-// LocalCounter is a process-local Counter handing out 0..n-1.  It is not safe
-// for concurrent use; internal/core wraps the shared-memory equivalent in the
-// force's critical-section machinery.
-type LocalCounter struct {
-	next, limit int
-}
-
-// NewLocalCounter returns a counter over n positions.
-func NewLocalCounter(n int) *LocalCounter { return &LocalCounter{limit: n} }
-
-// Next implements Counter.
-func (c *LocalCounter) Next() (int, bool) {
-	if c.next >= c.limit {
-		return 0, false
-	}
-	v := c.next
-	c.next++
-	return v, true
 }
 
 // Selfsched drains iterations from the counter, translating claimed positions
@@ -214,36 +187,4 @@ func ListSchedule(costs []int64, members int, claimCost int64) ([][]int, int64, 
 		}
 	}
 	return assign, makespan, nil
-}
-
-// Block returns the contiguous [lo, hi) block of positions assigned to
-// `member` when n positions are divided into `members` near-equal blocks.
-// PISCES 2 itself uses cyclic prescheduling; block partitioning is provided
-// for the window-based data-partitioning examples (Section 8), where each
-// sub-task receives a contiguous band of an array.
-func Block(n, member, members int) (lo, hi int, err error) {
-	if members <= 0 {
-		return 0, 0, fmt.Errorf("loops: members must be positive, got %d", members)
-	}
-	if member < 0 || member >= members {
-		return 0, 0, fmt.Errorf("loops: member %d out of range [0,%d)", member, members)
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("loops: negative position count %d", n)
-	}
-	base := n / members
-	rem := n % members
-	lo = member*base + min(member, rem)
-	size := base
-	if member < rem {
-		size++
-	}
-	return lo, lo + size, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

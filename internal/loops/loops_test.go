@@ -103,9 +103,24 @@ func TestPreschedErrors(t *testing.T) {
 	}
 }
 
+// TestPreschedPosition pins where a member's iterations sit in the loop: the
+// k-th iteration member i of N takes is the one at position i + k*N.
 func TestPreschedPosition(t *testing.T) {
-	if got := PreschedPosition(2, 5, 3); got != 17 {
-		t.Fatalf("PreschedPosition = %d, want 17", got)
+	all, err := Iterations(1, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := Presched(1, 40, 2, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part) != 4 {
+		t.Fatalf("member 2 of 5 took %d of 20 iterations, want 4", len(part))
+	}
+	for k, i := range part {
+		if want := all[2+k*5]; i != want {
+			t.Fatalf("member 2 of 5: iteration %d is %d, want %d (position %d)", k, i, want, 2+k*5)
+		}
 	}
 }
 
@@ -157,7 +172,7 @@ func TestQuickPreschedPartition(t *testing.T) {
 }
 
 func TestSelfschedCoversAllIterations(t *testing.T) {
-	ctr := NewLocalCounter(10)
+	ctr := newLocalCounter(10)
 	var got []int
 	n, err := Selfsched(2, 20, 2, ctr, func(i int) { got = append(got, i) })
 	if err != nil {
@@ -175,7 +190,7 @@ func TestSelfschedCoversAllIterations(t *testing.T) {
 func TestSelfschedSharedCounterAcrossMembers(t *testing.T) {
 	// Several members draining the same counter must cover each iteration
 	// exactly once in total.
-	ctr := NewLocalCounter(23)
+	ctr := newLocalCounter(23)
 	seen := map[int]int{}
 	total := 0
 	for member := 0; member < 4; member++ {
@@ -198,7 +213,7 @@ func TestSelfschedSharedCounterAcrossMembers(t *testing.T) {
 func TestSelfschedCounterLargerThanLoop(t *testing.T) {
 	// A counter with more positions than the loop has iterations must not
 	// run the body past the end.
-	ctr := NewLocalCounter(100)
+	ctr := newLocalCounter(100)
 	count := 0
 	n, err := Selfsched(1, 5, 1, ctr, func(int) { count++ })
 	if err != nil {
@@ -210,7 +225,7 @@ func TestSelfschedCounterLargerThanLoop(t *testing.T) {
 }
 
 func TestSelfschedZeroStep(t *testing.T) {
-	if _, err := Selfsched(1, 5, 0, NewLocalCounter(5), func(int) {}); err == nil {
+	if _, err := Selfsched(1, 5, 0, newLocalCounter(5), func(int) {}); err == nil {
 		t.Fatal("zero step accepted")
 	}
 }
@@ -236,61 +251,6 @@ func TestSegments(t *testing.T) {
 	}
 	if _, err := Segments(5, 0, 0); err == nil {
 		t.Error("zero members accepted")
-	}
-}
-
-func TestBlock(t *testing.T) {
-	// 10 positions over 3 members: sizes 4,3,3.
-	bounds := [][2]int{{0, 4}, {4, 7}, {7, 10}}
-	for m, want := range bounds {
-		lo, hi, err := Block(10, m, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo != want[0] || hi != want[1] {
-			t.Errorf("Block(10,%d,3) = [%d,%d), want [%d,%d)", m, lo, hi, want[0], want[1])
-		}
-	}
-	if _, _, err := Block(10, 0, 0); err == nil {
-		t.Error("zero members accepted")
-	}
-	if _, _, err := Block(-1, 0, 1); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, _, err := Block(10, 2, 2); err == nil {
-		t.Error("member out of range accepted")
-	}
-}
-
-// Property: Block partitions [0,n) into contiguous, non-overlapping,
-// complete ranges whose sizes differ by at most one.
-func TestQuickBlockPartition(t *testing.T) {
-	f := func(nRaw uint16, membersRaw uint8) bool {
-		n := int(nRaw % 1000)
-		members := int(membersRaw%16) + 1
-		prevHi := 0
-		minSize, maxSize := 1<<30, -1
-		for m := 0; m < members; m++ {
-			lo, hi, err := Block(n, m, members)
-			if err != nil {
-				return false
-			}
-			if lo != prevHi || hi < lo {
-				return false
-			}
-			size := hi - lo
-			if size < minSize {
-				minSize = size
-			}
-			if size > maxSize {
-				maxSize = size
-			}
-			prevHi = hi
-		}
-		return prevHi == n && maxSize-minSize <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -367,4 +327,21 @@ func BenchmarkPresched(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// localCounter is a process-local Counter handing out 0..n-1, the sequential
+// stand-in for the force's shared-memory counter.
+type localCounter struct {
+	next, limit int
+}
+
+func newLocalCounter(n int) *localCounter { return &localCounter{limit: n} }
+
+func (c *localCounter) Next() (int, bool) {
+	if c.next >= c.limit {
+		return 0, false
+	}
+	v := c.next
+	c.next++
+	return v, true
 }

@@ -70,10 +70,6 @@ type Kernel struct {
 	cpuSwitches atomic.Int64
 }
 
-// NewKernel creates a kernel controlling the given machine, scheduling
-// processes on raw goroutines.
-func NewKernel(m *flex.Machine) *Kernel { return NewKernelOn(m, backend.Default()) }
-
 // NewKernelOn creates a kernel that spawns its processes through the given
 // scheduling backend.  With a deterministic backend every process becomes a
 // cooperatively scheduled task and the per-PE CPU exclusivity is enforced
@@ -126,8 +122,6 @@ type Proc struct {
 	cpu    cpuToken
 
 	state  atomic.Int32
-	done   chan struct{}
-	doneMu sync.Once
 	exited backend.Gate
 
 	localBytes int // local memory charged at spawn, released at exit
@@ -155,8 +149,7 @@ func (k *Kernel) Spawn(pe *flex.PE, name string, localBytes int, body func(*Proc
 	k.mu.Lock()
 	id := k.nextID
 	k.nextID++
-	p := &Proc{kernel: k, id: id, name: name, pe: pe, done: make(chan struct{}),
-		exited: k.backend.NewGate(), localBytes: localBytes}
+	p := &Proc{kernel: k, id: id, name: name, pe: pe, exited: k.backend.NewGate(), localBytes: localBytes}
 	p.state.Store(int32(Ready))
 	k.procs[id] = p
 	k.mu.Unlock()
@@ -188,7 +181,6 @@ func (p *Proc) exit() {
 	p.kernel.mu.Lock()
 	delete(p.kernel.procs, p.id)
 	p.kernel.mu.Unlock()
-	p.doneMu.Do(func() { close(p.done) })
 	p.exited.Open()
 }
 
@@ -203,10 +195,6 @@ func (p *Proc) PE() *flex.PE { return p.pe }
 
 // State returns the process's scheduling state.
 func (p *Proc) State() State { return State(p.state.Load()) }
-
-// Done returns a channel closed when the process has exited.  Under a
-// deterministic backend prefer WaitExited, which pumps the scheduler.
-func (p *Proc) Done() <-chan struct{} { return p.done }
 
 // WaitExited blocks until the process has exited.  It is safe in both
 // scheduling contexts: task code parks; the external driver pumps.
@@ -246,20 +234,9 @@ func (p *Proc) Yield() {
 	p.acquireCPU()
 }
 
-// Block releases the CPU, waits until wake is closed (or receives a value),
-// then re-acquires the CPU.  Every blocking PISCES primitive is built on
-// Block so that a blocked task never occupies its PE.
-func (p *Proc) Block(wake <-chan struct{}) {
-	p.state.Store(int32(Blocked))
-	p.cpu.Release()
-	<-wake
-	p.cpu.Acquire()
-	p.state.Store(int32(Running))
-	p.kernel.cpuSwitches.Add(1)
-}
-
 // BlockFn releases the CPU, runs wait (which must block until the awaited
-// condition holds), then re-acquires the CPU.
+// condition holds), then re-acquires the CPU.  Every blocking PISCES
+// primitive is built on it so that a blocked task never occupies its PE.
 func (p *Proc) BlockFn(wait func()) {
 	p.state.Store(int32(Blocked))
 	p.cpu.Release()
@@ -288,29 +265,4 @@ func (k *Kernel) Stats() Stats {
 		Exited:      k.exited.Load(),
 		CPUSwitches: k.cpuSwitches.Load(),
 	}
-}
-
-// Procs returns a snapshot of the live processes, for the execution
-// environment's displays.
-func (k *Kernel) Procs() []*Proc {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]*Proc, 0, len(k.procs))
-	for _, p := range k.procs {
-		out = append(out, p)
-	}
-	return out
-}
-
-// ProcsOnPE returns the live processes bound to PE number pe.
-func (k *Kernel) ProcsOnPE(pe int) []*Proc {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	var out []*Proc
-	for _, p := range k.procs {
-		if p.pe.ID() == pe {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/flex"
 )
 
 func newKernel(t testing.TB) *Kernel {
 	t.Helper()
-	return NewKernel(flex.MustNewMachine(flex.DefaultConfig()))
+	return NewKernelOn(flex.MustNewMachine(flex.DefaultConfig()), backend.Default())
 }
 
 func TestSpawnRunsBody(t *testing.T) {
@@ -25,7 +26,7 @@ func TestSpawnRunsBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-p.Done()
+	p.WaitExited()
 	if !ran.Load() {
 		t.Fatal("body did not run")
 	}
@@ -68,7 +69,7 @@ func TestSpawnChargesLocalMemory(t *testing.T) {
 		t.Fatalf("local used = %d, want 4096", used)
 	}
 	close(release)
-	<-p.Done()
+	p.WaitExited()
 	used, _, _ = pe.LocalStats()
 	if used != 0 {
 		t.Fatalf("local used after exit = %d, want 0", used)
@@ -154,8 +155,8 @@ func TestTwoPEsRunConcurrently(t *testing.T) {
 		t.Fatal("processes on different PEs failed to run concurrently")
 	}
 	close(barrier)
-	<-p1.Done()
-	<-p2.Done()
+	p1.WaitExited()
+	p2.WaitExited()
 }
 
 func TestBlockReleasesCPU(t *testing.T) {
@@ -163,7 +164,7 @@ func TestBlockReleasesCPU(t *testing.T) {
 	pe := k.Machine().PE(6)
 	wake := make(chan struct{})
 	blocker, err := k.Spawn(pe, "blocker", 0, func(p *Proc) {
-		p.Block(wake)
+		p.BlockFn(func() { <-wake })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,12 +178,12 @@ func TestBlockReleasesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-runner.Done()
+	runner.WaitExited()
 	if !ran.Load() {
 		t.Fatal("second process did not run while first was blocked")
 	}
 	close(wake)
-	<-blocker.Done()
+	blocker.WaitExited()
 }
 
 func TestProcsViews(t *testing.T) {
@@ -201,20 +202,17 @@ func TestProcsViews(t *testing.T) {
 	for _, p := range ps {
 		waitState(t, p, Blocked)
 	}
-	if got := len(k.Procs()); got != 3 {
+	if got := k.Stats().Live; got != 3 {
 		t.Fatalf("live procs = %d, want 3", got)
-	}
-	if got := len(k.ProcsOnPE(4)); got != 1 {
-		t.Fatalf("procs on PE 4 = %d, want 1", got)
 	}
 	if got := k.Machine().PE(4).BoundProcs(); got != 1 {
 		t.Fatalf("bound procs on PE 4 = %d, want 1", got)
 	}
 	close(release)
 	for _, p := range ps {
-		<-p.Done()
+		p.WaitExited()
 	}
-	if got := len(k.Procs()); got != 0 {
+	if got := k.Stats().Live; got != 0 {
 		t.Fatalf("live procs after exit = %d, want 0", got)
 	}
 }
@@ -237,7 +235,7 @@ func BenchmarkSpawnExit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		<-p.Done()
+		p.WaitExited()
 	}
 }
 

@@ -63,20 +63,6 @@ func WriteFrame(w io.Writer, payload []byte, max int) error {
 // finds the batch — the whole frames — in whatever a socket read returned,
 // and NextFrame splits it back into payloads in place.
 
-// AppendFrame appends one length-prefixed frame holding payload to the batch
-// buffer and returns the extended buffer.  Oversized payloads are rejected
-// with ErrCorrupt, leaving batch unmodified.
-func AppendFrame(batch, payload []byte, max int) ([]byte, error) {
-	if max <= 0 {
-		max = MaxFrameBytes
-	}
-	if len(payload) > max {
-		return batch, fmt.Errorf("%w: frame payload %d bytes exceeds maximum %d", ErrCorrupt, len(payload), max)
-	}
-	batch = binary.BigEndian.AppendUint32(batch, uint32(len(payload)))
-	return append(batch, payload...), nil
-}
-
 // BeginFrame reserves a length prefix in the batch buffer and returns the
 // extended buffer plus the payload start offset.  The caller appends the
 // payload bytes and then calls EndFrame with the same offset to backfill the

@@ -89,26 +89,27 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	}
 }
 
+// appendFrame appends one frame holding payload to batch through the
+// sender's path, BeginFrame and EndFrame.
+func appendFrame(tb testing.TB, batch, payload []byte) []byte {
+	tb.Helper()
+	batch, start := BeginFrame(batch)
+	batch, err := EndFrame(append(batch, payload...), start, 0)
+	if err != nil {
+		tb.Fatalf("EndFrame of %d payload bytes: %v", len(payload), err)
+	}
+	return batch
+}
+
 // TestBatchFraming covers the batch helpers against the streaming reader:
-// frames appended with AppendFrame and BeginFrame/EndFrame come back in
-// order through both NextFrame and ReadFrame (a batch IS the stream bytes).
+// frames written with BeginFrame/EndFrame come back in order through both
+// NextFrame and ReadFrame (a batch IS the stream bytes).
 func TestBatchFraming(t *testing.T) {
 	payloads := [][]byte{{}, {7}, []byte("batched frame"), bytes.Repeat([]byte{0xCD}, 1000)}
 	var batch []byte
 	var err error
-	for i, p := range payloads {
-		if i%2 == 0 {
-			if batch, err = AppendFrame(batch, p, 0); err != nil {
-				t.Fatalf("AppendFrame %d: %v", i, err)
-			}
-		} else {
-			var start int
-			batch, start = BeginFrame(batch)
-			batch = append(batch, p...)
-			if batch, err = EndFrame(batch, start, 0); err != nil {
-				t.Fatalf("EndFrame %d: %v", i, err)
-			}
-		}
+	for _, p := range payloads {
+		batch = appendFrame(t, batch, p)
 	}
 
 	rest := batch
@@ -150,9 +151,7 @@ func TestBatchBoundaryAtCapacity(t *testing.T) {
 	// the 256-byte buffer to the brim.
 	payload := bytes.Repeat([]byte{0x5A}, 28)
 	for len(batch) < capacity {
-		if batch, err = AppendFrame(batch, payload, 0); err != nil {
-			t.Fatal(err)
-		}
+		batch = appendFrame(t, batch, payload)
 	}
 	if len(batch) != capacity || cap(batch) != capacity {
 		t.Fatalf("batch is %d/%d bytes, want exactly %d (the append must not have grown the buffer)", len(batch), cap(batch), capacity)
@@ -181,23 +180,17 @@ func TestBatchBoundaryAtCapacity(t *testing.T) {
 // NextFrame must reject an oversized prefix without touching the payload.
 func TestBatchOversizedFrame(t *testing.T) {
 	const max = 64
-	batch, err := AppendFrame(nil, []byte("ok"), max)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := appendFrame(t, nil, []byte("ok"))
 	good := len(batch)
 
 	batch, start := BeginFrame(batch)
 	batch = append(batch, make([]byte, max+1)...)
-	batch, err = EndFrame(batch, start, max)
+	batch, err := EndFrame(batch, start, max)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("EndFrame over max: got %v, want ErrCorrupt", err)
 	}
 	if len(batch) != good {
 		t.Fatalf("EndFrame left %d bytes, want the batch truncated back to %d", len(batch), good)
-	}
-	if _, err := AppendFrame(batch, make([]byte, max+1), max); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("AppendFrame over max: got %v, want ErrCorrupt", err)
 	}
 
 	// The surviving batch still splits cleanly.
@@ -208,10 +201,7 @@ func TestBatchOversizedFrame(t *testing.T) {
 
 	// An oversized prefix inside a batch is corruption, as is a batch that
 	// ends mid-frame or mid-prefix.
-	big, err := AppendFrame(nil, make([]byte, max+1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := appendFrame(t, nil, make([]byte, max+1))
 	if _, _, err := NextFrame(big, max); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized prefix: got %v, want ErrCorrupt", err)
 	}
@@ -229,7 +219,7 @@ func TestBatchOversizedFrame(t *testing.T) {
 func TestScanFramesBoundaries(t *testing.T) {
 	var stream []byte
 	for _, p := range [][]byte{[]byte("abc"), {}, {}, bytes.Repeat([]byte{7}, 100)} {
-		stream, _ = AppendFrame(stream, p, 0)
+		stream = appendFrame(t, stream, p)
 	}
 	ends := []int{7, 11, 15, len(stream)} // where each frame ends
 	for cut := 0; cut <= len(stream); cut++ {
@@ -259,7 +249,7 @@ func TestScanFramesBoundaries(t *testing.T) {
 
 	// A frame larger than the buffer: the prefix alone says how much room it
 	// takes, long before the bytes are there.
-	big, _ := AppendFrame(nil, make([]byte, 1<<20), 0)
+	big := appendFrame(t, nil, make([]byte, 1<<20))
 	if whole, frames, need, err := ScanFrames(big[:64<<10], 0); whole != 0 || frames != 0 || need != len(big) || err != nil {
 		t.Fatalf("64 KiB of a 1 MiB frame: whole %d frames %d need %d err %v, want 0 0 %d nil", whole, frames, need, err, len(big))
 	}
@@ -268,7 +258,7 @@ func TestScanFramesBoundaries(t *testing.T) {
 // TestScanFramesRejectsOversizedPrefix: a prefix one past the maximum is
 // ErrCorrupt after the sound frames before it, and nothing is sized from it.
 func TestScanFramesRejectsOversizedPrefix(t *testing.T) {
-	stream, _ := AppendFrame(nil, []byte("ok"), 0)
+	stream := appendFrame(t, nil, []byte("ok"))
 	stream = binary.BigEndian.AppendUint32(stream, MaxFrameBytes+1)
 	whole, frames, need, err := ScanFrames(stream, 0)
 	if !errors.Is(err, ErrCorrupt) || whole != 6 || frames != 1 || need != 0 {

@@ -132,16 +132,16 @@ func zeroTail(list []Arg) (int, bool) {
 
 // FuzzBatchCodec is the batch-framing round-trip target: NextFrame must
 // never panic on arbitrary bytes, and any batch it splits completely must be
-// reproduced byte-identically by re-appending the payloads with AppendFrame
-// (the framing is canonical, so split∘append is the identity on everything
-// NextFrame accepts).  The frames must also come back the same through the
-// streaming reader — a batch IS the per-frame wire bytes.  And the receive
-// path's scanner must agree with the streaming reader wherever the bytes are
-// cut: a socket read stops anywhere (checkScanAgainstReader).
+// reproduced byte-identically by re-framing the payloads with BeginFrame and
+// EndFrame (the framing is canonical, so split∘append is the identity on
+// everything NextFrame accepts).  The frames must also come back the same
+// through the streaming reader — a batch IS the per-frame wire bytes.  And
+// the receive path's scanner must agree with the streaming reader wherever
+// the bytes are cut: a socket read stops anywhere (checkScanAgainstReader).
 func FuzzBatchCodec(f *testing.F) {
 	var seed []byte
 	for _, p := range [][]byte{{}, {1}, []byte("frame"), bytes.Repeat([]byte{9}, 300)} {
-		seed, _ = AppendFrame(seed, p, 0)
+		seed = appendFrame(f, seed, p)
 	}
 	f.Add(seed)
 	f.Add([]byte{})
@@ -173,11 +173,8 @@ func FuzzBatchCodec(f *testing.F) {
 			payloads = append(payloads, p)
 		}
 		rebuilt := make([]byte, 0, len(data))
-		var err error
-		for i, p := range payloads {
-			if rebuilt, err = AppendFrame(rebuilt, p, 0); err != nil {
-				t.Fatalf("AppendFrame of split payload %d failed: %v", i, err)
-			}
+		for _, p := range payloads {
+			rebuilt = appendFrame(t, rebuilt, p)
 		}
 		if !bytes.Equal(rebuilt, data) {
 			t.Fatalf("split+append changed the batch: %d -> %d bytes", len(data), len(rebuilt))

@@ -6,11 +6,11 @@ import (
 )
 
 // detector is the per-node failure detector: a peer that has not been heard
-// from for suspicionAfter is declared dead.  "Heard from" means any inbound
-// frame on the peer's lane — data, credit, drain, or heartbeat — so a busy
-// peer never needs to compete with its own payload traffic to stay alive;
-// the dedicated heartbeat only matters for peers that would otherwise be
-// silent.
+// from for suspicionBeats heartbeat intervals is declared dead.  "Heard
+// from" means any inbound frame on the peer's lane — data, credit, drain, or
+// heartbeat — so a busy peer never needs to compete with its own payload
+// traffic to stay alive; the dedicated heartbeat only matters for peers that
+// would otherwise be silent.
 //
 // The clock is the node's backend's: on a FaultMesh (`pisces run -nodes N
 // -sim`) it is virtual, so suspicion timeouts replay from the seed like
@@ -21,16 +21,18 @@ import (
 // reassigns the dead node's clusters rather than readmitting the node, so
 // resurrection would split ownership.
 
-// Default HA timing, on the node's backend clock.  The suspicion timeout
-// clears one heartbeat interval plus MaxFaultDelay (112ms) with a ~2x
-// margin, so a peer on a FaultMesh whose every heartbeat is maximally
-// delayed and retransmitted is never falsely suspected
-// (TestDetectorNoFalsePositiveUnderMaxLatency), and a loopback TCP peer has
-// ten beats of slack.  The kill sweep beats on its program's time scale
-// instead (conformance.RunKill), with the same ten-beat suspicion.
+// HA timing, on the node's backend clock.  A peer is suspected after
+// suspicionBeats silent heartbeat intervals, whatever the interval: a
+// -heartbeat-interval, or the kill sweep's beat on its program's time scale
+// (conformance.RunKill), keeps the detector sound without a second knob.
+// At the default interval the timeout clears one heartbeat interval plus
+// MaxFaultDelay (112ms) with a ~2x margin, so a peer on a FaultMesh whose
+// every heartbeat is maximally delayed and retransmitted is never falsely
+// suspected (TestDetectorNoFalsePositiveUnderMaxLatency), and a loopback TCP
+// peer has ten beats of slack.
 const (
 	defaultHeartbeatInterval = 25 * time.Millisecond
-	defaultSuspicionAfter    = 10 * defaultHeartbeatInterval
+	suspicionBeats           = 10
 )
 
 type detector struct {

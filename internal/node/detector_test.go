@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// defaultSuspicionAfter is the detector's timeout at the default heartbeat
+// interval.
+const defaultSuspicionAfter = suspicionBeats * defaultHeartbeatInterval
+
 // fakeClock drives the detector without wall time, the way the sim backend's
 // virtual clock does in deterministic runs.
 type fakeClock struct {

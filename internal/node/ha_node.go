@@ -16,8 +16,8 @@ import (
 //
 //  1. Detection.  Every node heartbeats every peer (uncredited control
 //     frames); any inbound frame counts as a sign of life.  A peer silent for
-//     SuspicionAfter is declared dead by the detector — finally, with no
-//     resurrection.
+//     ten heartbeat intervals is declared dead by the detector — finally,
+//     with no resurrection.
 //  2. Verdict.  The rebalance leader — the lowest live node id — picks the
 //     dead node's buddy (the next live id after it, cyclically: the node that
 //     holds its latest checkpoint) and broadcasts fRebalance.  A follower that

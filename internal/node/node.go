@@ -70,12 +70,9 @@ type Options struct {
 	// interval is tolerated.
 	HA bool
 	// HeartbeatInterval is the HA heartbeat and detector sweep period; zero
-	// means defaultHeartbeatInterval.
+	// means defaultHeartbeatInterval.  A peer silent for suspicionBeats
+	// intervals is declared dead.
 	HeartbeatInterval time.Duration
-	// SuspicionAfter declares a peer dead after this much silence; zero means
-	// defaultSuspicionAfter.  It must exceed HeartbeatInterval plus the
-	// worst-case frame delay or live peers get declared dead.
-	SuspicionAfter time.Duration
 	// CheckpointInterval is the HA checkpoint period; zero means
 	// defaultCheckpointInterval.
 	CheckpointInterval time.Duration
@@ -128,7 +125,7 @@ type Node struct {
 	acks     map[int]drainAck
 
 	// Observability: the registry shared with the VM — which also owns the
-	// always-on flight recorder (see BlackboxDump) — plus resolved node-layer
+	// always-on flight recorder (see dumpBlackbox) — plus resolved node-layer
 	// histogram handles, and the latest metric snapshot received from each
 	// follower (coordinator only; mu).
 	reg          *obs.Registry
@@ -227,9 +224,6 @@ func Start(opts Options) (*Node, error) {
 		if n.opts.HeartbeatInterval <= 0 {
 			n.opts.HeartbeatInterval = defaultHeartbeatInterval
 		}
-		if n.opts.SuspicionAfter <= 0 {
-			n.opts.SuspicionAfter = defaultSuspicionAfter
-		}
 		if n.opts.CheckpointInterval <= 0 {
 			n.opts.CheckpointInterval = defaultCheckpointInterval
 		}
@@ -238,7 +232,7 @@ func Start(opts Options) (*Node, error) {
 		for i := range ids {
 			ids[i] = i
 		}
-		n.det = newDetector(opts.NodeID, ids, n.opts.SuspicionAfter, be.Now)
+		n.det = newDetector(opts.NodeID, ids, suspicionBeats*n.opts.HeartbeatInterval, be.Now)
 		n.store = &buddyStore{peers: make([]held, len(opts.Addrs))}
 		n.replayed = make(map[int]int)
 		n.rebalMu = be.NewSem()
@@ -499,10 +493,6 @@ func (n *Node) FollowerSnapshots() map[int]*obs.Snapshot {
 	return out
 }
 
-// BlackboxDump freezes the node's flight recorder into a msgcodec blackbox
-// container (decodable offline with `pisces blackbox`).
-func (n *Node) BlackboxDump() ([]byte, error) { return n.reg.Recorder().Dump() }
-
 // dumpBlackbox writes a flight-recorder dump into Options.BlackboxDir (a
 // no-op when unset), logging the path so operators can find the artifact.
 // It is called on every node-level failure path: a limit kill, a peer death
@@ -541,9 +531,6 @@ func (n *Node) WriteMeshTrace(w io.Writer) error {
 	n.mu.Unlock()
 	return obs.WriteChromeTraceMulti(w, procs)
 }
-
-// Addr returns the listener's actual address (tests bind port 0).
-func (n *Node) Addr() string { return n.ln.Addr().String() }
 
 // Batch receive path — the mirror of the transport's batched send path.
 //

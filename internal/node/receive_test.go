@@ -202,7 +202,8 @@ func startLane(t *testing.T, mutate func(*Options)) *lane {
 
 // framed wraps one protocol payload in its length prefix.
 func framed(payload []byte) []byte {
-	b, err := msgcodec.AppendFrame(nil, payload, 0)
+	b, start := msgcodec.BeginFrame(nil)
+	b, err := msgcodec.EndFrame(append(b, payload...), start, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -422,8 +423,8 @@ func TestHeartbeatsHeardWhileDeliverStageHeld(t *testing.T) {
 	}
 	s, mesh := simMesh(t, 1, config.Simple(2, 2), &bytes.Buffer{}, wireConfig{}, register)
 	n1 := mesh.nodes[1]
-	if n1.opts.HeartbeatInterval != 25*time.Millisecond || n1.opts.SuspicionAfter != 250*time.Millisecond {
-		t.Fatalf("heartbeats every %v, suspicion after %v; the test needs 25ms and 250ms", n1.opts.HeartbeatInterval, n1.opts.SuspicionAfter)
+	if after := suspicionBeats * n1.opts.HeartbeatInterval; n1.opts.HeartbeatInterval != 25*time.Millisecond || after != 250*time.Millisecond {
+		t.Fatalf("heartbeats every %v, suspicion after %v; the test needs 25ms and 250ms", n1.opts.HeartbeatInterval, after)
 	}
 	release := s.NewGate()
 	var heldAt time.Time

@@ -73,14 +73,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.load()
-}
-
 // snap captures the histogram into a named HistSnap.
 func (h *Histogram) snap(name string) HistSnap {
 	s := HistSnap{Name: name, Unit: h.unit}

@@ -117,11 +117,6 @@ func (r *Registry) Has(m Mask) bool {
 	return r != nil && Mask(r.mask.Load())&m == m
 }
 
-// Any reports whether at least one family in m is enabled.
-func (r *Registry) Any(m Mask) bool {
-	return r != nil && Mask(r.mask.Load())&m != 0
-}
-
 // SetClock rebinds the time source (the VM points it at its backend clock so
 // simulated runs stamp virtual time).  The span epoch — the zero point of
 // exported trace timestamps — is the clock reading at the first SetClock or

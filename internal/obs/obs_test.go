@@ -257,7 +257,7 @@ func TestSpansDisabledByDefault(t *testing.T) {
 		t.Fatalf("disabled registry captured %d spans", len(spans))
 	}
 	var nilReg *Registry
-	if nilReg.Has(Spans) || nilReg.Any(Metrics) {
+	if nilReg.Has(Spans) || nilReg.Has(Metrics) {
 		t.Fatalf("nil registry claims enabled families")
 	}
 	nilReg.Emit(&Event{Kind: MeshHandshake, Start: time.Now()}) // must not panic

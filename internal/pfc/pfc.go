@@ -49,10 +49,7 @@
 // translated: malformed Pisces statements and unclosed blocks.
 package pfc
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Options tune the preprocessor output.
 type Options struct {
@@ -113,25 +110,6 @@ type Program struct {
 	// Other holds source lines outside any TASKTYPE (ordinary subroutines,
 	// handler subroutines, comments), in source order, passed through.
 	Other []Line
-}
-
-// TaskTypeNames returns the names of the declared tasktypes.
-func (p *Program) TaskTypeNames() []string {
-	out := make([]string, len(p.TaskTypes))
-	for i, tt := range p.TaskTypes {
-		out[i] = tt.Name
-	}
-	return out
-}
-
-// TaskType returns the definition of the named tasktype, or nil.
-func (p *Program) TaskType(name string) *TaskTypeDef {
-	for _, tt := range p.TaskTypes {
-		if strings.EqualFold(tt.Name, name) {
-			return tt
-		}
-	}
-	return nil
 }
 
 // TaskTypeDef is one TASKTYPE ... END TASKTYPE definition.  Names are

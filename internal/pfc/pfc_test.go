@@ -70,14 +70,11 @@ func TestParseSampleProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.TaskTypeNames(); !reflect.DeepEqual(got, []string{"HOST", "WORKER"}) {
-		t.Fatalf("tasktypes = %v", got)
+	if len(prog.TaskTypes) != 2 || prog.TaskTypes[0].Name != "HOST" || prog.TaskTypes[1].Name != "WORKER" {
+		t.Fatalf("tasktypes = %v", prog.TaskTypes)
 	}
 
-	host := prog.TaskType("host")
-	if host == nil {
-		t.Fatal("tasktype HOST not found (lookup should be case-insensitive)")
-	}
+	host := prog.TaskTypes[0]
 	if !reflect.DeepEqual(host.Params, []string{"N"}) {
 		t.Errorf("HOST params = %v", host.Params)
 	}
@@ -88,8 +85,8 @@ func TestParseSampleProgram(t *testing.T) {
 		t.Error("HOST does not use a force")
 	}
 
-	worker := prog.TaskType("WORKER")
-	if worker == nil || !worker.UsesForce {
+	worker := prog.TaskTypes[1]
+	if !worker.UsesForce {
 		t.Fatal("WORKER should use a force")
 	}
 	if !reflect.DeepEqual(worker.SharedCommons, []string{"RESULTS"}) {

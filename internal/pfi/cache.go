@@ -180,6 +180,3 @@ func (c *UnitCache) Stats() CacheStats {
 // compiled units process-wide) while bounding what used to be an unbounded
 // sync.Map.
 var defaultCache = NewUnitCache(0)
-
-// DefaultCache returns the process-wide cache used by Compile.
-func DefaultCache() *UnitCache { return defaultCache }

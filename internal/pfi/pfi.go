@@ -87,14 +87,11 @@ func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Options tune how a compiled program runs.
+// Options tune how a compiled program runs.  The main task is placed ANY.
 type Options struct {
 	// Main names the tasktype initiated as the program's entry point.  Empty
 	// selects the tasktype named MAIN, or the first tasktype in the source.
 	Main string
-	// Placement is the cluster placement of the main task; the zero value is
-	// ANY.
-	Placement core.Placement
 }
 
 // taskProgram is one compiled TASKTYPE: its slot table and closure-compiled
@@ -168,7 +165,7 @@ type Program struct {
 }
 
 // Compile parses and compiles Pisces Fortran source text.  Compiled code is
-// cached by source text in the bounded process-wide DefaultCache, so
+// cached by source text in a bounded process-wide UnitCache, so
 // compiling the same program again returns a fresh Program (own counters,
 // own error state) over the shared compiled unit without re-parsing.
 // Long-lived processes that compile untrusted or unbounded program streams
@@ -411,7 +408,7 @@ func (p *Program) Run(vm *core.VM, opts Options, args ...core.Value) error {
 	if err != nil {
 		return err
 	}
-	if _, err := vm.Run(main, opts.Placement, args...); err != nil {
+	if _, err := vm.Run(main, core.Any(), args...); err != nil {
 		return err
 	}
 	vm.WaitIdle()

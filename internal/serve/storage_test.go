@@ -125,7 +125,7 @@ func observe(t *testing.T, url string, s *Session) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := s.BlackboxDump()
+	dump, err := s.rec.Dump()
 	if err != nil {
 		t.Fatal(err)
 	}

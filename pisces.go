@@ -222,7 +222,7 @@ func Preprocess(src string) (string, error) {
 type (
 	// InterpretedProgram is a compiled Pisces Fortran program.
 	InterpretedProgram = pfi.Program
-	// InterpretOptions select the entry tasktype and its placement.
+	// InterpretOptions select the entry tasktype; it is placed ANY.
 	InterpretOptions = pfi.Options
 )
 
