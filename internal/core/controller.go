@@ -140,7 +140,7 @@ func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 // initRequestArgs packs the arguments of an initiate-request message:
 // tasktype name, parent taskid, a reserved argument, then the user arguments.
 func initRequestArgs(tasktype string, parent TaskID, args []Value) []Value {
-	return append([]Value{Str(tasktype), ID(parent), Ints(nil)}, args...)
+	return append([]Value{Str(tasktype), ID(parent), {Kind: kindIntArray}}, args...)
 }
 
 // decodeInitRequest unpacks what initRequestArgs packed.  The user arguments
@@ -233,19 +233,20 @@ func formatArgs(args []Value) string {
 func formatValue(v Value) string {
 	switch v.Kind {
 	case kindInteger:
-		return fmt.Sprintf("%d", v.Integer)
+		return fmt.Sprintf("%d", v.Integer())
 	case kindReal:
-		return fmt.Sprintf("%g", v.Real)
+		return fmt.Sprintf("%g", v.Real())
 	case kindLogical:
-		return fmt.Sprintf("%v", v.Logical)
+		return fmt.Sprintf("%v", v.Logical())
 	case kindCharacter:
-		return fmt.Sprintf("%q", v.Character)
+		return fmt.Sprintf("%q", v.Character())
 	case kindTaskID:
-		return taskIDFromCodec(v.TaskID).String()
+		return taskIDFromCodec(v.TaskID()).String()
 	case kindWindow:
-		return fmt.Sprintf("WINDOW(owner=%s array=%d)", taskIDFromCodec(v.Window.Owner), v.Window.ArrayID)
+		w := v.Window()
+		return fmt.Sprintf("WINDOW(owner=%s array=%d)", taskIDFromCodec(w.Owner), w.ArrayID)
 	case kindIntArray:
-		return fmt.Sprintf("INTEGER[%d]", len(v.IntArray))
+		return fmt.Sprintf("INTEGER[%d]", len(v.IntArray()))
 	case kindRealArray:
 		return fmt.Sprintf("REAL[%d]", len(v.RealArray))
 	}

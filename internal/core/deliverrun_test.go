@@ -98,7 +98,8 @@ func (r *deliverRig) queued() map[string][]string {
 			continue
 		}
 		for _, m := range rec.queue.snapshot() {
-			out[name] = append(out[name], fmt.Sprintf("%s from %s edge %d: %v (%d bytes, charge %d)", m.Type, m.Sender, m.edge, m.Args, m.heapBytes, m.heapCharge))
+			wire, err := msgcodec.Encode(m.Args)
+			out[name] = append(out[name], fmt.Sprintf("%s from %s edge %d: %x %v (%d bytes, charge %d)", m.Type, m.Sender, m.edge, wire, err, m.heapBytes, m.heapCharge))
 		}
 	}
 	return out

@@ -38,7 +38,7 @@ func TestRoutedSendAcceptAllocs(t *testing.T) {
 	vm.Register("echo", func(task *Task) {
 		for {
 			m, err := task.AcceptOne("ping")
-			if err != nil || m.Args[0].Integer < 0 {
+			if err != nil || m.Args[0].Integer() < 0 {
 				return
 			}
 			if err := task.SendSender("pong", Int(0)); err != nil {

@@ -102,7 +102,7 @@ func (m *Message) NumArgs() int { return len(m.Args) }
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
 // pooledArgs is the longest argument list whose storage a header keeps across
-// messages (2.3 KB).  A longer list's storage is dropped with the message
+// messages (768 bytes).  A longer list's storage is dropped with the message
 // instead of being pinned by the pool; so is an array longer than a pooled
 // frame's payload buffer holds (pooledArray).
 const pooledArgs = 16
@@ -160,14 +160,14 @@ func recycleMessage(m *Message) {
 
 // pooledStore is the argument storage a recycled header keeps of store: none
 // over pooledArgs slots, else the slots emptied, each cleared of everything
-// but its array storage (pooledArray).
+// but its array storage (pooledArray), which carries either array kind.
 func pooledStore(store []Value) []Value {
 	if cap(store) > pooledArgs {
 		return nil
 	}
 	for i := range store {
 		a := &store[i]
-		*a = Value{IntArray: pooledArray(a.IntArray), RealArray: pooledArray(a.RealArray)}
+		*a = Value{RealArray: pooledArray(a.RealArray)}
 	}
 	return store[:0]
 }
@@ -176,7 +176,7 @@ func pooledStore(store []Value) []Value {
 // than a pooled frame's payload buffer holds — the rule that keeps one large
 // list from pinning a frame buffer (framePayloadBytes) keeps it from pinning
 // a header too.
-func pooledArray[T int64 | float64](a []T) []T {
+func pooledArray(a []float64) []float64 {
 	if cap(a) > framePayloadBytes/8 {
 		return nil
 	}

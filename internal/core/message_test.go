@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -246,10 +247,10 @@ func TestRecycledHeaderKeepsBoundedArrays(t *testing.T) {
 	if a := slots[0].RealArray; len(a) != 512 || &a[0] != kept || slots[0].Kind != 0 {
 		t.Errorf("slot 0 was pooled as %+v, want its own 512-element array and nothing else", slots[0])
 	}
-	if slots[1].IntArray != nil {
-		t.Errorf("an array of %d elements stayed with the pooled header, bound %d", len(slots[1].IntArray), bound)
+	if slots[1].RealArray != nil {
+		t.Errorf("an array of %d elements stayed with the pooled header, bound %d", len(slots[1].RealArray), bound)
 	}
-	if slots[2].Kind != 0 || slots[2].Character != "" {
+	if !reflect.ValueOf(slots[2]).IsZero() {
 		t.Errorf("slot 2 was pooled as %+v, want it cleared", slots[2])
 	}
 	if a := slots[3].RealArray; len(a) != bound || &a[0] != atBound {

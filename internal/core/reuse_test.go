@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 					problems <- fmt.Sprintf("receiver %s: ACCEPT %d: %v", task.ID(), k, err)
 					return
 				}
-				if m := res.Accepted[0]; m.Args[0].Integer != int64(k) || m.Args[1].Real != float64(2*k) {
+				if m := res.Accepted[0]; m.Args[0].Integer() != int64(k) || m.Args[1].Real() != float64(2*k) {
 					problems <- fmt.Sprintf("receiver %s: message %d arrived as %+v", task.ID(), k, m.Args)
 					return
 				}
@@ -71,7 +72,7 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 				return
 			}
 			for k, args := range logged {
-				if len(args) != 2 || args[0].Integer != int64(k) || args[1].Real != float64(2*k) {
+				if len(args) != 2 || args[0].Integer() != int64(k) || args[1].Real() != float64(2*k) {
 					problems <- fmt.Sprintf("receiver %s: logged message %d retains %+v", task.ID(), k, args)
 					return
 				}
@@ -148,7 +149,7 @@ func TestReusedStorageNeverAliasesRetainedArgs(t *testing.T) {
 		// still as it was sent though all of them have been accepted since.
 		for _, queued := range captured {
 			for j, args := range queued {
-				if len(args) != 2 || args[1].Real != 2*float64(args[0].Integer) || args[0].Integer != queued[0][0].Integer+int64(j) {
+				if len(args) != 2 || args[1].Real() != 2*float64(args[0].Integer()) || args[0].Integer() != queued[0][0].Integer()+int64(j) {
 					t.Errorf("seed %d: a queue snapshot starting at message %+v holds %+v in place %d", seed, queued[0], args, j)
 					break
 				}
@@ -197,7 +198,7 @@ func TestRefilledResultIgnoresStaleTypes(t *testing.T) {
 				return
 			}
 			cur := fmt.Sprintf("t%d", k)
-			if ms := res.ByType(cur); res.Count(cur) != 1 || len(ms) != 1 || ms[0].Args[0].Integer != int64(k) || len(res.Accepted) != 1 {
+			if ms := res.ByType(cur); res.Count(cur) != 1 || len(ms) != 1 || ms[0].Args[0].Integer() != int64(k) || len(res.Accepted) != 1 {
 				problems <- fmt.Sprintf("ACCEPT %d: Count(%s) = %d, ByType = %v, %d accepted", k, cur, res.Count(cur), ms, len(res.Accepted))
 				return
 			}
@@ -248,7 +249,7 @@ func TestSendArgsDroppedOnlyWhenKept(t *testing.T) {
 		if &again[0] != &lent[0] {
 			problems <- "a same-cluster send cost the task its argument scratch"
 		}
-		if again[0].Kind != 0 || again[1].Character != "" {
+		if !reflect.ValueOf(again[0]).IsZero() || !reflect.ValueOf(again[1]).IsZero() {
 			problems <- fmt.Sprintf("the list was lent again holding %+v", again)
 		}
 		again[0], again[1] = core.Int(8), core.Str("eight")
@@ -262,7 +263,7 @@ func TestSendArgsDroppedOnlyWhenKept(t *testing.T) {
 			name string
 		}{{7, "seven"}, {8, "eight"}} {
 			m, err := task.AcceptOne("lent")
-			if err != nil || len(m.Args) != 2 || m.Args[0].Integer != want.n || m.Args[1].Character != want.name {
+			if err != nil || len(m.Args) != 2 || m.Args[0].Integer() != want.n || m.Args[1].Character() != want.name {
 				problems <- fmt.Sprintf("the message sent as (%d, %s) arrived as %+v (%v)", want.n, want.name, m, err)
 				return
 			}
@@ -311,8 +312,8 @@ func TestInitiateArgsSurviveControllerRecycle(t *testing.T) {
 				problems <- fmt.Sprintf("a child started with %d arguments: %+v", len(args), args)
 				return
 			}
-			i := args[0].Integer
-			if name, vals := args[1].Character, args[2].RealArray; name != fmt.Sprintf("child-%d", i) ||
+			i := args[0].Integer()
+			if name, vals := args[1].Character(), args[2].RealArray; name != fmt.Sprintf("child-%d", i) ||
 				len(vals) != 2 || vals[0] != float64(i) || vals[1] != float64(2*i) {
 				problems <- fmt.Sprintf("child %d started with %+v", i, args)
 				return

@@ -204,16 +204,14 @@ func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender Tas
 		return 0, err
 	}
 	edge := vm.newEdge()
-	o.WireFrame = WireFrame{
-		Kind: FrameMessage, Src: src, Dst: to.Cluster, Dest: to,
-		Type: msgType, Sender: sender, SendSeq: sendSeq,
-		Edge: edge, Payload: o.Payload,
-	}
+	f := &o.WireFrame
+	f.set(FrameMessage, src, to.Cluster, msgType, sender, sendSeq, edge)
+	f.Dest = to
 	if reply != nil {
 		reply.edge = edge
-		o.ReplyID = vm.addPendingReply(reply)
+		f.ReplyID = vm.addPendingReply(reply)
 	}
-	sendErr := vm.remote.Send(&o.WireFrame)
+	sendErr := vm.remote.Send(f)
 	ring := [1]obs.RingEvent{{Edge: edge, A: int64(src), B: int64(to.Cluster)}}
 	if vm.om.reg.EmitRun(obs.Route, ring[:], &o.Stamp) {
 		vm.emitStamped(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(src), B: int64(to.Cluster), Start: spanT0}, nil, &o.Stamp)
@@ -306,12 +304,19 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 	// tangle, not a path.
 	edge := vm.newEdge()
 	vm.emit(&obs.Event{Kind: obs.Route, Edge: edge, Type: msgType, A: int64(from.cfg.Number), B: -1}, nil)
-	o.WireFrame = WireFrame{
-		Kind: FrameBroadcast, Src: from.cfg.Number, Dst: cluster,
-		Type: msgType, Sender: sender, SendSeq: sendSeq,
-		Edge: edge, Payload: o.Payload,
-	}
-	return vm.remote.Send(&o.WireFrame)
+	f := &o.WireFrame
+	f.set(FrameBroadcast, from.cfg.Number, cluster, msgType, sender, sendSeq, edge)
+	return vm.remote.Send(f)
+}
+
+// set writes an outbound frame's header fields in place, over whatever the
+// pooled frame carried last: Dest and ReplyID are left zero, for the caller
+// to fill in, and Stamp is zero for the transport to set.  Payload is
+// stageOut's.  The frame is never copied whole: a WireFrame is 19 words.
+func (f *WireFrame) set(kind FrameKind, src, dst int, msgType string, sender TaskID, sendSeq, edge uint64) {
+	f.Kind, f.Src, f.Dst, f.Dest = kind, src, dst, NilTask
+	f.Type, f.Sender, f.SendSeq, f.ReplyID = msgType, sender, sendSeq, 0
+	f.Edge, f.Stamp = edge, obs.Stamp{}
 }
 
 // DeliverWire injects a batch of inbound wire frames into this VM, in

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/flex"
+	"repro/internal/obs"
 )
 
 // pipeTransport connects two VMs in one process: every frame is delivered
@@ -348,4 +349,104 @@ func (s *sizeTransport) Send(f *WireFrame) error {
 	s.sent++
 	s.largest = max(s.largest, len(f.Payload))
 	return s.stubTransport.Send(f)
+}
+
+// stampTransport is a pipeTransport that keeps a copy of every frame as Send
+// receives it, then stamps the frame the way the node transport stamps one
+// that joins a lane batch (obs.Registry.ShareStamp), before delivering it.
+type stampTransport struct {
+	pipeTransport
+	reg   *obs.Registry
+	batch obs.Stamp
+	at    []*WireFrame // the frame each Send was handed
+	seen  []WireFrame  // a copy of it on entry to Send
+}
+
+func (s *stampTransport) Send(f *WireFrame) error {
+	s.at, s.seen = append(s.at, f), append(s.seen, *f)
+	s.reg.ShareStamp(&s.batch, &f.Stamp)
+	return s.pipeTransport.Send(f)
+}
+
+// TestPooledFrameCarriesNoStaleFields: routeRemote and routeBroadcast write a
+// pooled frame's header in place, so whatever the frame carried on its last
+// send must not reach the next one.  After a routed INITIATE (ReplyID set) a
+// plain routed SEND reads ReplyID 0; after a routed SEND a broadcast reads
+// Dest NilTask; and no frame reaches Send with the stamp the transport gave
+// the frame before it.  The sequence runs until the pool has handed the same
+// frame to both sends of each pair several times.
+func TestPooledFrameCarriesNoStaleFields(t *testing.T) {
+	cfg := config.Simple(2, 4)
+	var outA, outB bytes.Buffer
+	rec := obs.NewRecorder(0, 1, 64)
+	tr := &stampTransport{}
+	vmA, err := NewVM(cfg, Options{UserOutput: &outA, Hosted: []int{1}, Remote: tr, AcceptTimeout: 10 * time.Second, FlightRecorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmB, err := NewVM(cfg, Options{UserOutput: &outB, Hosted: []int{2}, Remote: &pipeTransport{peer: vmA}, AcceptTimeout: 10 * time.Second})
+	if err != nil {
+		vmA.Shutdown()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { vmB.Shutdown(); vmA.Shutdown() })
+	tr.peer, tr.reg = vmB, vmA.Obs()
+
+	const rounds = 32
+	for _, vm := range []*VM{vmA, vmB} {
+		vm.Register("child", func(task *Task) { _, _ = task.AcceptOne("stop") })
+		vm.Register("main", func(task *Task) {
+			for range rounds {
+				child, err := task.InitiateWait(OnCluster(2), "child")
+				if err != nil {
+					t.Errorf("initiate: %v", err)
+					return
+				}
+				for _, send := range []func() error{
+					func() error { return task.Send(child, "ping", Int(1)) },
+					func() error { return task.Send(child, "ping", Str("two")) },
+					func() error { return task.Broadcast("hello", Int(3)) },
+					func() error { return task.Send(child, "stop") },
+				} {
+					if err := send(); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+				}
+			}
+		})
+	}
+	if _, err := vmA.Run("main", OnCluster(1)); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	var reusedAfterInitiate, reusedBeforeBroadcast int
+	for i, f := range tr.seen {
+		if f.Stamp != (obs.Stamp{}) {
+			t.Errorf("frame %d (%s) reached Send with the stamp of an earlier send", i, f.Type)
+		}
+		if i > 0 && f.Type != msgInitRequest && f.ReplyID != 0 {
+			t.Errorf("frame %d (%s) carries ReplyID %d", i, f.Type, f.ReplyID)
+		}
+		if f.Kind == FrameBroadcast && f.Dest != NilTask {
+			t.Errorf("broadcast frame %d carries Dest %s", i, f.Dest)
+		}
+		if i == 0 || tr.at[i] != tr.at[i-1] {
+			continue
+		}
+		prev := tr.seen[i-1]
+		if prev.ReplyID != 0 && f.Type != msgInitRequest {
+			reusedAfterInitiate++
+		}
+		if prev.Dest != NilTask && f.Kind == FrameBroadcast {
+			reusedBeforeBroadcast++
+		}
+	}
+	if tr.batch == (obs.Stamp{}) {
+		t.Error("the transport's stamp is zero: a stale stamp could not be seen")
+	}
+	if len(tr.seen) != 5*rounds || reusedAfterInitiate < rounds/4 || reusedBeforeBroadcast < rounds/4 {
+		t.Errorf("%d frames; the pool handed an initiate's frame to the next send %d times and a send's to a broadcast %d times, want %d frames and at least %d of each",
+			len(tr.seen), reusedAfterInitiate, reusedBeforeBroadcast, 5*rounds, rounds/4)
+	}
 }

@@ -58,44 +58,57 @@ func Win(w Window) Value {
 	})
 }
 
+// The As* and Must* readers check the kind and read the field themselves
+// rather than one calling the other: a Value is six words, more than the
+// compiler keeps in registers inside a function, so handing one on to
+// another reader copies it through memory.
+
+// kindError is an As* reader's error for a value of kind got.  It is kept out
+// of line so that the readers stay small enough to inline.
+//
+//go:noinline
+func kindError(got msgcodec.ArgKind, want string) error {
+	return fmt.Errorf("core: value is %s, not %s", got, want)
+}
+
 // AsInt extracts an INTEGER value.
 func AsInt(v Value) (int64, error) {
 	if v.Kind != msgcodec.KindInteger {
-		return 0, fmt.Errorf("core: value is %s, not INTEGER", v.Kind)
+		return 0, kindError(v.Kind, "INTEGER")
 	}
-	return v.Integer, nil
+	return v.Integer(), nil
 }
 
 // AsReal extracts a REAL value.
 func AsReal(v Value) (float64, error) {
 	if v.Kind != msgcodec.KindReal {
-		return 0, fmt.Errorf("core: value is %s, not REAL", v.Kind)
+		return 0, kindError(v.Kind, "REAL")
 	}
-	return v.Real, nil
+	return v.Real(), nil
 }
 
 // AsBool extracts a LOGICAL value.
 func AsBool(v Value) (bool, error) {
 	if v.Kind != msgcodec.KindLogical {
-		return false, fmt.Errorf("core: value is %s, not LOGICAL", v.Kind)
+		return false, kindError(v.Kind, "LOGICAL")
 	}
-	return v.Logical, nil
+	return v.Logical(), nil
 }
 
 // AsStr extracts a CHARACTER value.
 func AsStr(v Value) (string, error) {
 	if v.Kind != msgcodec.KindCharacter {
-		return "", fmt.Errorf("core: value is %s, not CHARACTER", v.Kind)
+		return "", kindError(v.Kind, "CHARACTER")
 	}
-	return v.Character, nil
+	return v.Character(), nil
 }
 
 // AsID extracts a TASKID value.
 func AsID(v Value) (TaskID, error) {
 	if v.Kind != msgcodec.KindTaskID {
-		return NilTask, fmt.Errorf("core: value is %s, not TASKID", v.Kind)
+		return NilTask, kindError(v.Kind, "TASKID")
 	}
-	return taskIDFromCodec(v.TaskID), nil
+	return taskIDFromCodec(v.TaskID()), nil
 }
 
 // AsInts extracts an INTEGER array value.  An array read from a message is
@@ -103,16 +116,16 @@ func AsID(v Value) (TaskID, error) {
 // (Task.RecycleAccept), which hands it to the next message to refill.
 func AsInts(v Value) ([]int64, error) {
 	if v.Kind != msgcodec.KindIntArray {
-		return nil, fmt.Errorf("core: value is %s, not INTEGER array", v.Kind)
+		return nil, kindError(v.Kind, "INTEGER array")
 	}
-	return v.IntArray, nil
+	return v.IntArray(), nil
 }
 
 // AsReals extracts a REAL array value.  Like AsInts's, an array read from a
 // message is valid until the message is recycled.
 func AsReals(v Value) ([]float64, error) {
 	if v.Kind != msgcodec.KindRealArray {
-		return nil, fmt.Errorf("core: value is %s, not REAL array", v.Kind)
+		return nil, kindError(v.Kind, "REAL array")
 	}
 	return v.RealArray, nil
 }
@@ -120,68 +133,66 @@ func AsReals(v Value) ([]float64, error) {
 // AsWin extracts a WINDOW value.
 func AsWin(v Value) (Window, error) {
 	if v.Kind != msgcodec.KindWindow {
-		return Window{}, fmt.Errorf("core: value is %s, not WINDOW", v.Kind)
+		return Window{}, kindError(v.Kind, "WINDOW")
 	}
-	w := v.Window
+	return winFromCodec(v.Window()), nil
+}
+
+// winFromCodec is the Window a WINDOW value carries.
+func winFromCodec(w msgcodec.WindowValue) Window {
 	return Window{
 		Owner:   taskIDFromCodec(w.Owner),
 		ArrayID: w.ArrayID,
 		Region:  rect.New(int(w.Row1), int(w.Row2), int(w.Col1), int(w.Col2)),
-	}, nil
+	}
 }
 
 // MustInt is AsInt for arguments known to be INTEGER; it panics otherwise.
 // Handlers typically use the Must form after declaring the message signature.
 func MustInt(v Value) int64 {
-	x, err := AsInt(v)
-	if err != nil {
-		panic(err)
+	if v.Kind != msgcodec.KindInteger {
+		panic(kindError(v.Kind, "INTEGER"))
 	}
-	return x
+	return v.Integer()
 }
 
 // MustReal is AsReal that panics on kind mismatch.
 func MustReal(v Value) float64 {
-	x, err := AsReal(v)
-	if err != nil {
-		panic(err)
+	if v.Kind != msgcodec.KindReal {
+		panic(kindError(v.Kind, "REAL"))
 	}
-	return x
+	return v.Real()
 }
 
 // MustStr is AsStr that panics on kind mismatch.
 func MustStr(v Value) string {
-	x, err := AsStr(v)
-	if err != nil {
-		panic(err)
+	if v.Kind != msgcodec.KindCharacter {
+		panic(kindError(v.Kind, "CHARACTER"))
 	}
-	return x
+	return v.Character()
 }
 
 // MustID is AsID that panics on kind mismatch.
 func MustID(v Value) TaskID {
-	x, err := AsID(v)
-	if err != nil {
-		panic(err)
+	if v.Kind != msgcodec.KindTaskID {
+		panic(kindError(v.Kind, "TASKID"))
 	}
-	return x
+	return taskIDFromCodec(v.TaskID())
 }
 
 // MustReals is AsReals that panics on kind mismatch; the array it returns
 // from a message is valid until the message is recycled.
 func MustReals(v Value) []float64 {
-	x, err := AsReals(v)
-	if err != nil {
-		panic(err)
+	if v.Kind != msgcodec.KindRealArray {
+		panic(kindError(v.Kind, "REAL array"))
 	}
-	return x
+	return v.RealArray
 }
 
 // MustWin is AsWin that panics on kind mismatch.
 func MustWin(v Value) Window {
-	x, err := AsWin(v)
-	if err != nil {
-		panic(err)
+	if v.Kind != msgcodec.KindWindow {
+		panic(kindError(v.Kind, "WINDOW"))
 	}
-	return x
+	return winFromCodec(v.Window())
 }

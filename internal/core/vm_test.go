@@ -383,9 +383,11 @@ func TestShutdownStopsEverything(t *testing.T) {
 	if u := vm.Machine().Shared().Usage(); u.TableUsed != 0 {
 		t.Fatalf("system tables not released: %d bytes", u.TableUsed)
 	}
-	st := vm.Kernel().Stats()
-	if st.Live != 0 {
-		t.Fatalf("%d kernel processes still live after shutdown", st.Live)
+	// Every live kernel process is bound to a PE until it exits.
+	for _, pl := range vm.PELoading() {
+		if pl.BoundProcs != 0 {
+			t.Fatalf("%d kernel processes still bound to PE %d after shutdown", pl.BoundProcs, pl.PE)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func TestTraceTaskCommand(t *testing.T) {
 	if want := "disabled tasks: " + quiet.String() + "\n"; !strings.Contains(out.String(), want) {
 		t.Fatalf("trace show does not list the silenced task (%q):\n%s", want, out.String())
 	}
-	sink.Reset()
+	before := len(sink.Events())
 	for _, id := range []core.TaskID{quiet, loud} {
 		if err := env.Execute("send " + id.String() + " stop"); err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestTraceTaskCommand(t *testing.T) {
 	}
 	vm.WaitIdle()
 	var loudLines int
-	for _, e := range sink.Events() {
+	for _, e := range sink.Events()[before:] {
 		switch e.Task {
 		case quiet.String():
 			t.Errorf("silenced task still traced: %s", e.Line())

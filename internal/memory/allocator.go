@@ -223,13 +223,6 @@ func (a *Allocator) InUse() int {
 	return a.inUse
 }
 
-// HighWater returns the maximum number of bytes ever simultaneously charged.
-func (a *Allocator) HighWater() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.highWater
-}
-
 func roundUp(n int) int {
 	if r := n % align; r != 0 {
 		n += align - r

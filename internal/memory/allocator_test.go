@@ -109,14 +109,14 @@ func TestHighWaterMark(t *testing.T) {
 	a := New(4096)
 	o1, _ := a.Alloc(512)
 	o2, _ := a.Alloc(512)
-	hw := a.HighWater()
+	hw := a.Stats().HighWater
 	if hw < 1024 {
 		t.Fatalf("high water %d, want >= 1024", hw)
 	}
 	a.Free(o1)
 	a.Free(o2)
-	if a.HighWater() != hw {
-		t.Fatalf("high water changed after frees: %d != %d", a.HighWater(), hw)
+	if a.Stats().HighWater != hw {
+		t.Fatalf("high water changed after frees: %d != %d", a.Stats().HighWater, hw)
 	}
 	if a.InUse() != 0 {
 		t.Fatalf("in use %d after freeing everything", a.InUse())
@@ -413,7 +413,7 @@ func TestConcurrentChargesBalance(t *testing.T) {
 				default:
 					t.Errorf("unexpected refusal: %v", err)
 				}
-				if hw := s.HighWater(); hw > s.Size() {
+				if hw := s.Stats().HighWater; hw > s.Size() {
 					t.Errorf("high water %d past the shard's %d bytes", hw, s.Size())
 				}
 				if u := b.Used(); u > b.Max() {

@@ -64,10 +64,6 @@ type Kernel struct {
 	// where the PE's own channel token would block invisibly to the
 	// scheduler.  Keyed by PE number, created lazily.
 	cpus map[int]backend.Sem
-
-	spawned     atomic.Int64
-	exited      atomic.Int64
-	cpuSwitches atomic.Int64
 }
 
 // NewKernelOn creates a kernel that spawns its processes through the given
@@ -110,14 +106,10 @@ func (k *Kernel) cpuFor(pe *flex.PE) cpuToken {
 	return semCPU{sem: s}
 }
 
-// Machine returns the machine this kernel controls.
-func (k *Kernel) Machine() *flex.Machine { return k.machine }
-
 // Proc is one MMOS process.
 type Proc struct {
 	kernel *Kernel
 	id     int
-	name   string
 	pe     *flex.PE
 	cpu    cpuToken
 
@@ -149,14 +141,13 @@ func (k *Kernel) Spawn(pe *flex.PE, name string, localBytes int, body func(*Proc
 	k.mu.Lock()
 	id := k.nextID
 	k.nextID++
-	p := &Proc{kernel: k, id: id, name: name, pe: pe, exited: k.backend.NewGate(), localBytes: localBytes}
+	p := &Proc{kernel: k, id: id, pe: pe, exited: k.backend.NewGate(), localBytes: localBytes}
 	p.state.Store(int32(Ready))
 	k.procs[id] = p
 	k.mu.Unlock()
 	p.cpu = k.cpuFor(pe)
 
 	pe.BindProc()
-	k.spawned.Add(1)
 
 	k.backend.Spawn(name, func() {
 		p.acquireCPU()
@@ -177,21 +168,11 @@ func (p *Proc) exit() {
 		p.pe.FreeLocal(p.localBytes)
 	}
 	p.pe.UnbindProc()
-	p.kernel.exited.Add(1)
 	p.kernel.mu.Lock()
 	delete(p.kernel.procs, p.id)
 	p.kernel.mu.Unlock()
 	p.exited.Open()
 }
-
-// ID returns the kernel-assigned process id.
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// PE returns the processor the process is bound to.
-func (p *Proc) PE() *flex.PE { return p.pe }
 
 // State returns the process's scheduling state.
 func (p *Proc) State() State { return State(p.state.Load()) }
@@ -203,7 +184,6 @@ func (p *Proc) WaitExited() { p.exited.Wait() }
 func (p *Proc) acquireCPU() {
 	p.cpu.Acquire()
 	p.state.Store(int32(Running))
-	p.kernel.cpuSwitches.Add(1)
 }
 
 func (p *Proc) releaseCPU() {
@@ -243,26 +223,4 @@ func (p *Proc) BlockFn(wait func()) {
 	wait()
 	p.cpu.Acquire()
 	p.state.Store(int32(Running))
-	p.kernel.cpuSwitches.Add(1)
-}
-
-// Stats is a snapshot of kernel-wide counters.
-type Stats struct {
-	Live        int
-	Spawned     int64
-	Exited      int64
-	CPUSwitches int64
-}
-
-// Stats returns kernel counters.
-func (k *Kernel) Stats() Stats {
-	k.mu.Lock()
-	live := len(k.procs)
-	k.mu.Unlock()
-	return Stats{
-		Live:        live,
-		Spawned:     k.spawned.Load(),
-		Exited:      k.exited.Load(),
-		CPUSwitches: k.cpuSwitches.Load(),
-	}
 }

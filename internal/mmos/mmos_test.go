@@ -17,7 +17,7 @@ func newKernel(t testing.TB) *Kernel {
 
 func TestSpawnRunsBody(t *testing.T) {
 	k := newKernel(t)
-	pe := k.Machine().PE(3)
+	pe := k.machine.PE(3)
 	var ran atomic.Bool
 	p, err := k.Spawn(pe, "worker", 0, func(p *Proc) {
 		ran.Store(true)
@@ -36,15 +36,14 @@ func TestSpawnRunsBody(t *testing.T) {
 	if pe.Ticks() < 5 {
 		t.Fatalf("ticks = %d, want >= 5", pe.Ticks())
 	}
-	st := k.Stats()
-	if st.Spawned != 1 || st.Exited != 1 || st.Live != 0 {
-		t.Fatalf("stats = %+v", st)
+	if n := live(k); n != 0 {
+		t.Fatalf("%d procs live after the only one exited", n)
 	}
 }
 
 func TestSpawnOnUnixPERejected(t *testing.T) {
 	k := newKernel(t)
-	if _, err := k.Spawn(k.Machine().PE(1), "bad", 0, func(*Proc) {}); err == nil {
+	if _, err := k.Spawn(k.machine.PE(1), "bad", 0, func(*Proc) {}); err == nil {
 		t.Fatal("spawn on Unix PE should fail")
 	}
 	if _, err := k.Spawn(nil, "bad", 0, func(*Proc) {}); err == nil {
@@ -54,7 +53,7 @@ func TestSpawnOnUnixPERejected(t *testing.T) {
 
 func TestSpawnChargesLocalMemory(t *testing.T) {
 	k := newKernel(t)
-	pe := k.Machine().PE(4)
+	pe := k.machine.PE(4)
 	release := make(chan struct{})
 	p, err := k.Spawn(pe, "holder", 4096, func(p *Proc) {
 		p.BlockFn(func() { <-release })
@@ -90,7 +89,7 @@ func waitState(t *testing.T, p *Proc, want State) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("process %q never reached state %v (now %v)", p.Name(), want, p.State())
+	t.Fatalf("process %d never reached state %v (now %v)", p.id, want, p.State())
 }
 
 // TestSinglePEMultiprogramming verifies that two processes bound to the same
@@ -98,7 +97,7 @@ func waitState(t *testing.T, p *Proc, want State) {
 // critical body is always 1.
 func TestSinglePEMultiprogramming(t *testing.T) {
 	k := newKernel(t)
-	pe := k.Machine().PE(5)
+	pe := k.machine.PE(5)
 	var inside, maxInside atomic.Int32
 	var wg sync.WaitGroup
 	body := func(p *Proc) {
@@ -139,11 +138,11 @@ func TestTwoPEsRunConcurrently(t *testing.T) {
 		both.Done()
 		p.BlockFn(func() { <-barrier })
 	}
-	p1, err := k.Spawn(k.Machine().PE(3), "a", 0, meet)
+	p1, err := k.Spawn(k.machine.PE(3), "a", 0, meet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := k.Spawn(k.Machine().PE(4), "b", 0, meet)
+	p2, err := k.Spawn(k.machine.PE(4), "b", 0, meet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestTwoPEsRunConcurrently(t *testing.T) {
 
 func TestBlockReleasesCPU(t *testing.T) {
 	k := newKernel(t)
-	pe := k.Machine().PE(6)
+	pe := k.machine.PE(6)
 	wake := make(chan struct{})
 	blocker, err := k.Spawn(pe, "blocker", 0, func(p *Proc) {
 		p.BlockFn(func() { <-wake })
@@ -191,7 +190,7 @@ func TestProcsViews(t *testing.T) {
 	release := make(chan struct{})
 	var ps []*Proc
 	for i := 0; i < 3; i++ {
-		p, err := k.Spawn(k.Machine().PE(3+i), "view", 0, func(p *Proc) {
+		p, err := k.Spawn(k.machine.PE(3+i), "view", 0, func(p *Proc) {
 			p.BlockFn(func() { <-release })
 		})
 		if err != nil {
@@ -202,17 +201,17 @@ func TestProcsViews(t *testing.T) {
 	for _, p := range ps {
 		waitState(t, p, Blocked)
 	}
-	if got := k.Stats().Live; got != 3 {
+	if got := live(k); got != 3 {
 		t.Fatalf("live procs = %d, want 3", got)
 	}
-	if got := k.Machine().PE(4).BoundProcs(); got != 1 {
+	if got := k.machine.PE(4).BoundProcs(); got != 1 {
 		t.Fatalf("bound procs on PE 4 = %d, want 1", got)
 	}
 	close(release)
 	for _, p := range ps {
 		p.WaitExited()
 	}
-	if got := k.Stats().Live; got != 0 {
+	if got := live(k); got != 0 {
 		t.Fatalf("live procs after exit = %d, want 0", got)
 	}
 }
@@ -228,7 +227,7 @@ func TestStateString(t *testing.T) {
 
 func BenchmarkSpawnExit(b *testing.B) {
 	k := newKernel(b)
-	pe := k.Machine().PE(3)
+	pe := k.machine.PE(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p, err := k.Spawn(pe, "bench", 0, func(*Proc) {})
@@ -241,7 +240,7 @@ func BenchmarkSpawnExit(b *testing.B) {
 
 func BenchmarkYield(b *testing.B) {
 	k := newKernel(b)
-	pe := k.Machine().PE(3)
+	pe := k.machine.PE(3)
 	done := make(chan struct{})
 	_, err := k.Spawn(pe, "bench", 0, func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -253,4 +252,12 @@ func BenchmarkYield(b *testing.B) {
 		b.Fatal(err)
 	}
 	<-done
+}
+
+// live returns the number of processes the kernel has spawned that have not
+// exited.
+func live(k *Kernel) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.procs)
 }

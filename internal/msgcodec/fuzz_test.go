@@ -5,8 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -83,46 +82,52 @@ func FuzzCodec(f *testing.F) {
 }
 
 // identical reports whether two lists agree in every field of every slot — not
-// only the one Kind selects, which is all Equal reads — with REALs held bit
-// for bit, so a NaN is identical to itself.
+// only what Kind selects, which is all Equal reads — with words and REALs held
+// bit for bit, so a NaN is identical to itself, and an array's nil-ness held
+// too.  The pointer field is held by what it points at: a CHARACTER's bytes,
+// a WINDOW's fields, and nothing for every other kind.
 func identical(a, b []Arg) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		x, y := a[i], b[i]
-		if math.Float64bits(x.Real) != math.Float64bits(y.Real) || len(x.RealArray) != len(y.RealArray) ||
+		x, y := &a[i], &b[i]
+		if x.Kind != y.Kind || x.unique != y.unique || x.word != y.word || !slices.Equal(intsOf(x.RealArray), intsOf(y.RealArray)) ||
 			(x.RealArray == nil) != (y.RealArray == nil) {
 			return false
 		}
-		for j := range x.RealArray {
-			if math.Float64bits(x.RealArray[j]) != math.Float64bits(y.RealArray[j]) {
+		switch {
+		case x.Kind == KindCharacter:
+			if x.Character() != y.Character() {
 				return false
 			}
-		}
-		x.Real, y.Real, x.RealArray, y.RealArray = 0, 0, nil, nil
-		if !reflect.DeepEqual(x, y) {
+		case x.Kind == KindWindow:
+			if x.ptr == nil || y.ptr == nil || x.Window() != y.Window() {
+				return false
+			}
+		case x.ptr != nil || y.ptr != nil:
 			return false
 		}
 	}
 	return true
 }
 
+// isZero reports whether a is Arg{}, every field of it.
+func isZero(a *Arg) bool {
+	return a.Kind == 0 && a.unique == 0 && a.word == 0 && a.ptr == nil && a.RealArray == nil
+}
+
 // zeroTail reports whether nothing past the list can be reached by
 // reslicing up to cap: every array zero past its length and every slot after
 // the list zero.  If not, it returns the first slot that reaches something.
 func zeroTail(list []Arg) (int, bool) {
-	for i, a := range list[:cap(list)] {
-		if i >= len(list) && !reflect.DeepEqual(a, Arg{}) {
+	for i := range list[:cap(list)] {
+		a := &list[:cap(list)][i]
+		if i >= len(list) && !isZero(a) {
 			return i, false
 		}
-		for _, v := range a.IntArray[len(a.IntArray):cap(a.IntArray)] {
+		for _, v := range intsOf(a.RealArray[len(a.RealArray):cap(a.RealArray)]) {
 			if v != 0 {
-				return i, false
-			}
-		}
-		for _, v := range a.RealArray[len(a.RealArray):cap(a.RealArray)] {
-			if math.Float64bits(v) != 0 {
 				return i, false
 			}
 		}

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 )
 
 // ArgKind identifies the type of one message argument.
@@ -103,46 +105,120 @@ var ErrTooManyArgs = errors.New("msgcodec: too many arguments for the wire forma
 // MaxArgs is the largest argument count the wire format can carry.
 const MaxArgs = math.MaxUint16
 
-// Arg is one argument value.  Exactly one field is meaningful, selected by Kind.
+// Arg is one argument value, six words: the kind, with a TASKID's Unique in
+// its padding, one word of scalar, one pointer and the array.  Which of them
+// a kind uses is private to this file; the other kinds are read through the
+// accessors (Integer, Real, Logical, Character, TaskID, Window, IntArray),
+// which answer the zero value for an argument of another kind.  RealArray is
+// a REAL array's elements, and an INTEGER array's words share it: the two
+// element types are one size and hold no pointers, so an array is one
+// allocation whichever kind it carries (words.go), and a slot that carried an
+// INTEGER array refills the same storage with a REAL one.  An Arg passes in
+// registers, and a copy of one is a few moves, not a runtime.duffcopy.
 type Arg struct {
-	Kind      ArgKind
-	Integer   int64
-	Real      float64
-	Logical   bool
-	Character string
-	TaskID    TaskIDValue
-	Window    WindowValue
-	IntArray  []int64
+	Kind ArgKind
+	// unique is a TASKID's Unique.
+	unique int32
+	// word is an INTEGER, a REAL's bits, a LOGICAL (0 or 1), a TASKID's
+	// Cluster (high half) and Slot (low half), or a CHARACTER's length.
+	word uint64
+	// ptr is a CHARACTER's bytes (unsafe.StringData) or a WINDOW's
+	// *WindowValue, which nothing writes once the Arg is made.
+	ptr unsafe.Pointer
+	// RealArray is a REAL array's elements, or an INTEGER array's words as
+	// REALs (IntArray reads them back).
 	RealArray []float64
 }
 
 // Int returns an INTEGER argument.
-func Int(v int64) Arg { return Arg{Kind: KindInteger, Integer: v} }
+func Int(v int64) Arg { return Arg{Kind: KindInteger, word: uint64(v)} }
 
 // Real returns a REAL argument.
-func Real(v float64) Arg { return Arg{Kind: KindReal, Real: v} }
+func Real(v float64) Arg { return Arg{Kind: KindReal, word: math.Float64bits(v)} }
 
 // Logical returns a LOGICAL argument.
-func Logical(v bool) Arg { return Arg{Kind: KindLogical, Logical: v} }
+func Logical(v bool) Arg {
+	a := Arg{Kind: KindLogical}
+	if v {
+		a.word = 1
+	}
+	return a
+}
 
 // Str returns a CHARACTER argument.
-func Str(v string) Arg { return Arg{Kind: KindCharacter, Character: v} }
+func Str(v string) Arg {
+	return Arg{Kind: KindCharacter, word: uint64(len(v)), ptr: unsafe.Pointer(unsafe.StringData(v))}
+}
 
 // TaskID returns a TASKID argument.
-func TaskID(v TaskIDValue) Arg { return Arg{Kind: KindTaskID, TaskID: v} }
+func TaskID(v TaskIDValue) Arg {
+	return Arg{Kind: KindTaskID, unique: v.Unique, word: uint64(uint32(v.Cluster))<<32 | uint64(uint32(v.Slot))}
+}
 
 // Window returns a WINDOW argument.
-func Window(v WindowValue) Arg { return Arg{Kind: KindWindow, Window: v} }
+func Window(v WindowValue) Arg { return Arg{Kind: KindWindow, ptr: unsafe.Pointer(&v)} }
 
-// Ints returns an INTEGER array argument.
-func Ints(v []int64) Arg { return Arg{Kind: KindIntArray, IntArray: v} }
+// Ints returns an INTEGER array argument.  It shares v's storage, as Reals
+// does.
+func Ints(v []int64) Arg { return Arg{Kind: KindIntArray, RealArray: realsOf(v)} }
 
 // Reals returns a REAL array argument.
 func Reals(v []float64) Arg { return Arg{Kind: KindRealArray, RealArray: v} }
 
-// payloadBytes returns the number of payload bytes the argument needs.  Like
-// every routine that walks an argument list it takes the argument's address:
-// an Arg is 144 bytes, and the send path reads it several times.
+// Integer returns an INTEGER argument's value, 0 for another kind.
+func (a Arg) Integer() int64 {
+	if a.Kind != KindInteger {
+		return 0
+	}
+	return int64(a.word)
+}
+
+// Real returns a REAL argument's value, 0 for another kind.
+func (a Arg) Real() float64 {
+	if a.Kind != KindReal {
+		return 0
+	}
+	return math.Float64frombits(a.word)
+}
+
+// Logical returns a LOGICAL argument's value, false for another kind.
+func (a Arg) Logical() bool { return a.Kind == KindLogical && a.word != 0 }
+
+// Character returns a CHARACTER argument's value, "" for another kind.
+func (a Arg) Character() string {
+	if a.Kind != KindCharacter {
+		return ""
+	}
+	return unsafe.String((*byte)(a.ptr), int(a.word))
+}
+
+// TaskID returns a TASKID argument's value, the zero taskid for another kind.
+func (a Arg) TaskID() TaskIDValue {
+	if a.Kind != KindTaskID {
+		return TaskIDValue{}
+	}
+	return TaskIDValue{Cluster: int32(a.word >> 32), Slot: int32(uint32(a.word)), Unique: a.unique}
+}
+
+// Window returns a WINDOW argument's value, the zero window for another kind
+// and for an Arg{Kind: KindWindow} made without Window.
+func (a Arg) Window() WindowValue {
+	if a.Kind != KindWindow || a.ptr == nil {
+		return WindowValue{}
+	}
+	return *(*WindowValue)(a.ptr)
+}
+
+// IntArray returns an INTEGER array argument's elements, nil for another
+// kind.  They are the argument's own storage, as RealArray is a REAL array's.
+func (a Arg) IntArray() []int64 {
+	if a.Kind != KindIntArray {
+		return nil
+	}
+	return intsOf(a.RealArray)
+}
+
+// payloadBytes returns the number of payload bytes the argument needs.
 func (a *Arg) payloadBytes() (int, error) {
 	switch a.Kind {
 	case KindInteger, KindReal:
@@ -150,14 +226,12 @@ func (a *Arg) payloadBytes() (int, error) {
 	case KindLogical:
 		return 1, nil
 	case KindCharacter:
-		return len(a.Character), nil
+		return int(a.word), nil
 	case KindTaskID:
 		return 12, nil
 	case KindWindow:
 		return 12 + 4 + 16, nil
-	case KindIntArray:
-		return 8 * len(a.IntArray), nil
-	case KindRealArray:
+	case KindIntArray, KindRealArray:
 		return 8 * len(a.RealArray), nil
 	default:
 		return 0, fmt.Errorf("msgcodec: unknown argument kind %d", a.Kind)
@@ -241,29 +315,23 @@ func AppendEncode(dst []byte, args []Arg) ([]byte, error) {
 // rejected by the payloadBytes call in AppendEncode before this runs.
 func (a *Arg) appendPayload(dst []byte) []byte {
 	switch a.Kind {
-	case KindInteger:
-		return binary.BigEndian.AppendUint64(dst, uint64(a.Integer))
-	case KindReal:
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(a.Real))
+	case KindInteger, KindReal:
+		return binary.BigEndian.AppendUint64(dst, a.word)
 	case KindLogical:
-		if a.Logical {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
+		return append(dst, byte(a.word))
 	case KindCharacter:
-		return append(dst, a.Character...)
+		return append(dst, a.Character()...)
 	case KindTaskID:
-		return AppendTaskID(dst, a.TaskID)
+		return AppendTaskID(dst, a.TaskID())
 	case KindWindow:
-		dst = AppendTaskID(dst, a.Window.Owner)
-		dst = appendInt32(dst, a.Window.ArrayID)
-		dst = appendInt32(dst, a.Window.Row1)
-		dst = appendInt32(dst, a.Window.Row2)
-		dst = appendInt32(dst, a.Window.Col1)
-		return appendInt32(dst, a.Window.Col2)
-	case KindIntArray:
-		return appendWords(dst, wordBytes(a.IntArray))
-	case KindRealArray:
+		w := a.Window()
+		dst = AppendTaskID(dst, w.Owner)
+		dst = appendInt32(dst, w.ArrayID)
+		dst = appendInt32(dst, w.Row1)
+		dst = appendInt32(dst, w.Row2)
+		dst = appendInt32(dst, w.Col1)
+		return appendInt32(dst, w.Col2)
+	case KindIntArray, KindRealArray:
 		return appendWords(dst, wordBytes(a.RealArray))
 	}
 	return dst
@@ -297,14 +365,14 @@ func Decode(data []byte) ([]Arg, error) {
 // is an ErrCorrupt, not an allocation.  dst may be dirty: each slot the list
 // takes is written whole, whatever it held, and the slots after the list are
 // zeroed.  DecodeInto writes into dst's arrays: a slot whose array has the
-// kind and the room the argument needs is refilled in place, zero past the
-// new length (an array dst holds is taken to be one this package filled, zero
-// past its own length), so a message's arrays are storage that carries one
-// list after another, like the slots.  A slot that now holds a scalar or the
-// other array kind keeps no array, and an empty array decodes non-nil, as in
-// Decode.  A failed decode zeroes all of dst's capacity, so nothing of a
-// half-decoded list — nor of the list dst held before — stays reachable from
-// storage that is about to be used again.
+// room an array argument needs is refilled in place, whichever of the two
+// array kinds either is, zero past the new length (an array dst holds is
+// taken to be one this package filled, zero past its own length), so a
+// message's arrays are storage that carries one list after another, like the
+// slots.  A slot that now holds a scalar keeps no array, and an empty array
+// decodes non-nil, as in Decode.  A failed decode zeroes all of dst's
+// capacity, so nothing of a half-decoded list — nor of the list dst held
+// before — stays reachable from storage that is about to be used again.
 //
 // It also returns the list's packet-model size, EncodedSize of the decoded
 // list, counted from the payload lengths the walk reads anyway, so a receiver
@@ -377,9 +445,9 @@ func listInto(dst []Arg, n int) []Arg {
 // spare itself when it has the room, cleared from n to its old length, so the
 // array is zero past n as it was past its old length, and a new array
 // otherwise.  The result is never nil.
-func refill[T int64 | float64](spare []T, n int) []T {
+func refill(spare []float64, n int) []float64 {
 	if spare == nil || cap(spare) < n {
-		return make([]T, n)
+		return make([]float64, n)
 	}
 	if n < len(spare) {
 		clear(spare[n:])
@@ -387,51 +455,45 @@ func refill[T int64 | float64](spare []T, n int) []T {
 	return spare[:n]
 }
 
-// copyFrom writes src whole over the slot a, its arrays copied into a's own
+// copyFrom writes src whole over the slot a, an array copied into a's own
 // (refill).
 func (a *Arg) copyFrom(src *Arg) {
-	ints, reals := a.IntArray, a.RealArray
+	spare := a.RealArray
 	*a = *src
-	a.IntArray, a.RealArray = nil, nil
-	switch src.Kind {
-	case KindIntArray:
-		a.IntArray = refill(ints, len(src.IntArray))
-		copy(a.IntArray, src.IntArray)
-	case KindRealArray:
-		a.RealArray = refill(reals, len(src.RealArray))
+	if src.Kind == KindIntArray || src.Kind == KindRealArray {
+		a.RealArray = refill(spare, len(src.RealArray))
 		copy(a.RealArray, src.RealArray)
+	} else {
+		a.RealArray = nil
 	}
 }
 
 // decodePayload writes one argument's wire form whole over the slot a, whose
-// array, when it has the argument's kind, is refilled (DecodeInto).
+// array an array argument refills (DecodeInto).
 func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
-	ints, reals := a.IntArray, a.RealArray
+	spare := a.RealArray
 	*a = Arg{Kind: kind}
 	switch kind {
-	case KindInteger:
+	case KindInteger, KindReal:
 		if len(payload) != 8 {
-			return fmt.Errorf("%w: INTEGER payload %d bytes", ErrCorrupt, len(payload))
+			return fmt.Errorf("%w: %s payload %d bytes", ErrCorrupt, kind, len(payload))
 		}
-		a.Integer = int64(binary.BigEndian.Uint64(payload))
-	case KindReal:
-		if len(payload) != 8 {
-			return fmt.Errorf("%w: REAL payload %d bytes", ErrCorrupt, len(payload))
-		}
-		a.Real = math.Float64frombits(binary.BigEndian.Uint64(payload))
+		a.word = binary.BigEndian.Uint64(payload)
 	case KindLogical:
 		if len(payload) != 1 {
 			return fmt.Errorf("%w: LOGICAL payload %d bytes", ErrCorrupt, len(payload))
 		}
-		a.Logical = payload[0] != 0
+		if payload[0] != 0 {
+			a.word = 1
+		}
 	case KindCharacter:
-		a.Character = string(payload)
+		*a = Str(string(payload))
 	case KindTaskID:
 		t, err := decodeTaskID(payload)
 		if err != nil {
 			return err
 		}
-		a.TaskID = t
+		*a = TaskID(t)
 	case KindWindow:
 		if len(payload) != 32 {
 			return fmt.Errorf("%w: WINDOW payload %d bytes", ErrCorrupt, len(payload))
@@ -440,25 +502,23 @@ func (a *Arg) decodePayload(kind ArgKind, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		a.Window = WindowValue{
+		*a = Window(WindowValue{
 			Owner:   owner,
 			ArrayID: int32(binary.BigEndian.Uint32(payload[12:16])),
 			Row1:    int32(binary.BigEndian.Uint32(payload[16:20])),
 			Row2:    int32(binary.BigEndian.Uint32(payload[20:24])),
 			Col1:    int32(binary.BigEndian.Uint32(payload[24:28])),
 			Col2:    int32(binary.BigEndian.Uint32(payload[28:32])),
-		}
-	case KindIntArray:
+		})
+	case KindIntArray, KindRealArray:
 		if len(payload)%8 != 0 {
-			return fmt.Errorf("%w: INTEGER array payload %d bytes", ErrCorrupt, len(payload))
+			elem := "INTEGER"
+			if kind == KindRealArray {
+				elem = "REAL"
+			}
+			return fmt.Errorf("%w: %s array payload %d bytes", ErrCorrupt, elem, len(payload))
 		}
-		a.IntArray = refill(ints, len(payload)/8)
-		putWords(wordBytes(a.IntArray), payload)
-	case KindRealArray:
-		if len(payload)%8 != 0 {
-			return fmt.Errorf("%w: REAL array payload %d bytes", ErrCorrupt, len(payload))
-		}
-		a.RealArray = refill(reals, len(payload)/8)
+		a.RealArray = refill(spare, len(payload)/8)
 		putWords(wordBytes(a.RealArray), payload)
 	default:
 		return fmt.Errorf("%w: unknown argument kind %d", ErrCorrupt, kind)
@@ -480,45 +540,31 @@ func decodeTaskID(payload []byte) (TaskIDValue, error) {
 	}, nil
 }
 
-// Equal reports whether two arguments have the same kind and value.
+// Equal reports whether two arguments have the same kind and value.  REALs
+// compare as numbers, a NaN equal to any NaN, and an INTEGER array's words
+// as integers.
 func Equal(a, b Arg) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
 	switch a.Kind {
-	case KindInteger:
-		return a.Integer == b.Integer
+	case KindInteger, KindLogical:
+		return a.word == b.word
 	case KindReal:
-		return a.Real == b.Real || (math.IsNaN(a.Real) && math.IsNaN(b.Real))
-	case KindLogical:
-		return a.Logical == b.Logical
+		return sameReal(a.Real(), b.Real())
 	case KindCharacter:
-		return a.Character == b.Character
+		return a.Character() == b.Character()
 	case KindTaskID:
-		return a.TaskID == b.TaskID
+		return a.TaskID() == b.TaskID()
 	case KindWindow:
-		return a.Window == b.Window
+		return a.Window() == b.Window()
 	case KindIntArray:
-		if len(a.IntArray) != len(b.IntArray) {
-			return false
-		}
-		for i := range a.IntArray {
-			if a.IntArray[i] != b.IntArray[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(a.IntArray(), b.IntArray())
 	case KindRealArray:
-		if len(a.RealArray) != len(b.RealArray) {
-			return false
-		}
-		for i := range a.RealArray {
-			av, bv := a.RealArray[i], b.RealArray[i]
-			if av != bv && !(math.IsNaN(av) && math.IsNaN(bv)) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(a.RealArray, b.RealArray, sameReal)
 	}
 	return false
 }
+
+// sameReal is REAL equality with every NaN equal.
+func sameReal(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }

@@ -6,10 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
-	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleArgs() []Arg {
@@ -198,7 +199,7 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	a := []Arg{Str("list A"), Ints([]int64{1, 2, 3}), Reals([]float64{4, 5}), Str("A's tail")}
 	dst := make([]Arg, 0, 6)
 	got, _, err := DecodeInto(dst, encode(a...))
-	if err != nil || !reflect.DeepEqual(got, a) {
+	if err != nil || !identical(got, a) {
 		t.Fatalf("DecodeInto(A) = %+v, %v", got, err)
 	}
 	if &got[0] != &dst[:1][0] {
@@ -210,7 +211,7 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 	b := []Arg{Int(7), Reals([]float64{8}), Ints([]int64{9})}
 	wireB := encode(b...)
 	got, _, err = DecodeInto(dst, wireB)
-	if want, _ := Decode(wireB); err != nil || !reflect.DeepEqual(got, want) {
+	if want, _ := Decode(wireB); err != nil || !identical(got, want) {
 		t.Fatalf("DecodeInto(B) over A = %+v, %v; Decode(B) = %+v", got, err, want)
 	}
 
@@ -222,18 +223,18 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 		t.Fatalf("DecodeInto(truncated second argument) = %+v, %v, want ErrCorrupt", got, err)
 	}
 	for i, slot := range dst[:cap(dst)] {
-		if !reflect.DeepEqual(slot, Arg{}) {
+		if !isZero(&slot) {
 			t.Errorf("after the failed decode slot %d of dst still holds %+v", i, slot)
 		}
 	}
 
 	wireC := encode(Logical(true), Str("C"))
 	got, _, err = DecodeInto(dst, wireC)
-	if want, _ := Decode(wireC); err != nil || !reflect.DeepEqual(got, want) {
+	if want, _ := Decode(wireC); err != nil || !identical(got, want) {
 		t.Fatalf("DecodeInto(C) after the failure = %+v, %v; Decode(C) = %+v", got, err, want)
 	}
 	for i, slot := range dst[:cap(dst)][len(got):] {
-		if slot.Character != "" || slot.IntArray != nil || slot.RealArray != nil {
+		if !isZero(&slot) {
 			t.Errorf("slot %d behind C still reaches %+v", len(got)+i, slot)
 		}
 	}
@@ -242,11 +243,11 @@ func TestFailedDecodeLeavesNoResidue(t *testing.T) {
 // TestRefillKeepsArrayStorage: a slot's REAL or INTEGER array is storage that
 // carries one list after another, like the slot, whether the list is decoded
 // (DecodeInto) or copied (CopyInto).  A list whose array fits is written into
-// the same backing array; a shorter one leaves the array zero past its new
-// length, so reslicing up to cap reaches nothing of the list before; a slot
-// that now holds a scalar or the other array kind reaches no array; the slots
-// after the list are zeroed; an empty array is non-nil; and a copied array
-// shares no storage with the list it was copied from.
+// the same backing array, whichever array kind either is; a shorter one leaves
+// the array zero past its new length, so reslicing up to cap reaches nothing
+// of the list before; a slot that now holds a scalar reaches no array; the
+// slots after the list are zeroed; an empty array is non-nil; and a copied
+// array shares no storage with the list it was copied from.
 func TestRefillKeepsArrayStorage(t *testing.T) {
 	fill := map[string]func(dst, args []Arg) []Arg{
 		"DecodeInto": func(dst, args []Arg) []Arg {
@@ -265,7 +266,7 @@ func TestRefillKeepsArrayStorage(t *testing.T) {
 	for name, into := range fill {
 		reals, ints := []float64{1, 2, 3, 4, 5}, []int64{6, 7, 8, 9}
 		dst := into(make([]Arg, 0, 4), []Arg{Reals(reals), Ints(ints), Reals([]float64{10}), Str("tail")})
-		realStore, intStore := &dst[0].RealArray[0], &dst[1].IntArray[0]
+		realStore, intStore := &dst[0].RealArray[0], &dst[1].IntArray()[0]
 		if name == "CopyInto" && (realStore == &reals[0] || intStore == &ints[0]) {
 			t.Fatalf("%s: the list's arrays are the caller's", name)
 		}
@@ -273,34 +274,40 @@ func TestRefillKeepsArrayStorage(t *testing.T) {
 		// Shorter arrays of the same kinds, a scalar over the third slot, and
 		// nothing in the fourth.
 		got := into(dst, []Arg{Reals([]float64{11, 12}), Ints([]int64{13}), Int(14)})
-		if &got[0].RealArray[0] != realStore || &got[1].IntArray[0] != intStore {
+		if &got[0].RealArray[0] != realStore || &got[1].IntArray()[0] != intStore {
 			t.Errorf("%s: an array that fits was not refilled in place", name)
 		}
-		if r := got[0].RealArray; !reflect.DeepEqual(r, []float64{11, 12}) || !reflect.DeepEqual(r[:cap(r)], []float64{11, 12, 0, 0, 0}) {
+		if r := got[0].RealArray; !slices.Equal(r, []float64{11, 12}) || !slices.Equal(r[:cap(r)], []float64{11, 12, 0, 0, 0}) {
 			t.Errorf("%s: the refilled REAL array reads %v, up to cap %v", name, r, r[:cap(r)])
 		}
-		if i := got[1].IntArray; !reflect.DeepEqual(i, []int64{13}) || !reflect.DeepEqual(i[:cap(i)], []int64{13, 0, 0, 0}) {
+		if i := got[1].IntArray(); !slices.Equal(i, []int64{13}) || !slices.Equal(i[:cap(i)], []int64{13, 0, 0, 0}) {
 			t.Errorf("%s: the refilled INTEGER array reads %v, up to cap %v", name, i, i[:cap(i)])
 		}
-		if !reflect.DeepEqual(got[2], Int(14)) {
+		if !identical(got[2:3], []Arg{Int(14)}) {
 			t.Errorf("%s: the slot that became a scalar holds %+v", name, got[2])
 		}
-		if tail := got[:cap(got)][3]; !reflect.DeepEqual(tail, Arg{}) {
+		if tail := got[:cap(got)][3]; !isZero(&tail) {
 			t.Errorf("%s: the slot after the list holds %+v", name, tail)
 		}
 
-		// The other array kind over each array, then empty arrays.
+		// The other array kind over each array is refilled in the same
+		// storage, zero past its new length.
 		got = into(got, []Arg{Ints([]int64{15}), Reals([]float64{16})})
-		if got[0].RealArray != nil || got[1].IntArray != nil {
-			t.Errorf("%s: a slot that changed array kind still reaches %v and %v", name, got[0].RealArray, got[1].IntArray)
+		if i := got[0].IntArray(); &i[0] != (*int64)(unsafe.Pointer(realStore)) || !slices.Equal(i[:cap(i)], []int64{15, 0, 0, 0, 0}) {
+			t.Errorf("%s: an INTEGER array over a REAL one reads %v up to cap, at %p, want storage %p", name, i[:cap(i)], &i[0], realStore)
 		}
+		if r := got[1].RealArray; &r[0] != (*float64)(unsafe.Pointer(intStore)) || !slices.Equal(r[:cap(r)], []float64{16, 0, 0, 0}) {
+			t.Errorf("%s: a REAL array over an INTEGER one reads %v up to cap, at %p, want storage %p", name, r[:cap(r)], &r[0], intStore)
+		}
+
+		// Then empty arrays.
 		got = into(got, []Arg{Ints(nil), Reals(nil), Reals([]float64{})})
 		for i, a := range got {
-			if (a.Kind == KindIntArray && a.IntArray == nil) || (a.Kind == KindRealArray && a.RealArray == nil) || len(a.IntArray)+len(a.RealArray) != 0 {
+			if a.RealArray == nil || len(a.RealArray) != 0 {
 				t.Errorf("%s: empty array %d reads %+v, want a non-nil empty array", name, i, a)
 			}
 		}
-		if a := got[0].IntArray; cap(a) > 0 && a[:cap(a)][0] != 0 {
+		if a := got[0].IntArray(); cap(a) > 0 && a[:cap(a)][0] != 0 {
 			t.Errorf("%s: an emptied array still holds %v", name, a[:cap(a)])
 		}
 	}
@@ -505,8 +512,8 @@ func checkPortableWords(t *testing.T, args []Arg) {
 		var img, ref []byte
 		switch a := &args[i]; a.Kind {
 		case KindIntArray:
-			img = wordBytes(a.IntArray)
-			for _, v := range a.IntArray {
+			img = wordBytes(a.RealArray)
+			for _, v := range a.IntArray() {
 				ref = binary.LittleEndian.AppendUint64(ref, uint64(v))
 			}
 		case KindRealArray:

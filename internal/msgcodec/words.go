@@ -16,12 +16,28 @@ import (
 // little-endian wire form.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
+// The package views memory through unsafe in three ways, each over one
+// allocation and nothing else: an array's words as bytes (wordBytes), an
+// INTEGER array's words as the REALs an Arg holds them as and back (realsOf,
+// intsOf), and a CHARACTER's bytes as the string they are (Str, Character).
+// A payload is never viewed as words, so one walked in place out of a read
+// buffer may sit at any offset.
+
 // wordBytes is the memory image of an array: its 8*len(v) bytes, in the
-// host's byte order.  It is the package's only view through unsafe, and it
-// goes one way, words as bytes: a payload is never viewed as words, so one
-// walked in place out of a read buffer may sit at any offset.
-func wordBytes[T int64 | float64](v []T) []byte {
+// host's byte order.
+func wordBytes(v []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// realsOf is an INTEGER array's storage as an Arg's RealArray holds it: the
+// same words, length and capacity, nil for nil.
+func realsOf(v []int64) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(v))), cap(v))[:len(v)]
+}
+
+// intsOf is realsOf the way back.
+func intsOf(v []float64) []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(v))), cap(v))[:len(v)]
 }
 
 // appendWords appends the array whose memory image is img as little-endian

@@ -51,7 +51,7 @@ func TestHAPlannedTaskKeepsItsMessages(t *testing.T) {
 				if err != nil || res.TimedOut {
 					return
 				}
-				notes[res.Accepted[0].Args[0].Integer]++
+				notes[res.Accepted[0].Args[0].Integer()]++
 			}
 		})
 		vm.Register("poker", func(task *core.Task) { pokeErr = task.Send(core.MustID(task.Arg(0)), "note", core.Int(1)) })

@@ -406,7 +406,7 @@ func (tr *transport) replayRetained(dead, buddy int, local func(payload []byte) 
 		if _, derr := decodeFrame(&m, f); derr == nil && m.kind == fBcast && m.msg.Dst == 0 {
 			copies = copies[:0]
 			for _, c := range tr.topo.Clusters(dead) {
-				g := m.msg
+				g := *m.msg
 				g.Dst = c
 				copies = append(copies, encodeWireFrame(nil, &g))
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -760,6 +761,7 @@ type stage struct {
 	lane bool
 	m    frame // reused per frame; no handler retains it
 	run  []core.WireFrame
+	typ  string      // the Type of the last data frame taken
 	t0   []time.Time // when each frame of run began to be delivered, if timed
 	// The registry's switches, read once per run.
 	metrics, timed, watchRx bool
@@ -785,13 +787,22 @@ func (st *stage) take(payload []byte) error {
 	if st.timed {
 		t0 = n.reg.Now()
 	}
+	// A data frame is decoded straight into the run's next slot, which the
+	// run takes only if it is one.  The slot starts from the last data
+	// frame's Type, which decodeData keeps when the name is the same, so
+	// every frame of one type shares one string.
+	i := len(st.run)
+	st.run = slices.Grow(st.run, 1)
+	f := &st.run[:i+1][i]
+	f.Type, st.m.msg = st.typ, f
 	row, err := decodeFrame(&st.m, payload)
 	if err != nil {
+		f.Payload = nil
 		fmt.Fprintf(n.opts.Log, "node %d: malformed %s frame from node %d: %v\n", n.opts.NodeID, row.name, st.from, err)
 		return err
 	}
 	if row.handle == nil {
-		st.run = append(st.run, st.m.msg)
+		st.run, st.typ = st.run[:i+1], f.Type
 		st.t0 = append(st.t0, t0)
 		return nil
 	}

@@ -115,8 +115,11 @@ func init() {
 // message payload alias the decoded buffer.  A delivery loop reuses one frame
 // for its whole lifetime, so fields of other kinds hold stale values.
 type frame struct {
-	kind        byte
-	msg         core.WireFrame  // fMsg, fBcast
+	kind byte
+	// msg is where an fMsg or fBcast frame is decoded to: the stage points it
+	// at its run's next slot, so a data frame is written once, in place
+	// (stage.take).  decodeData gives a frame that has none one of its own.
+	msg         *core.WireFrame
 	hello       hello           // fHello
 	ack         drainAck        // fDrainAck
 	from        int             // fHeartbeat, fCkpt, fInitLog, fInitLogAck: the sender names itself; fCkptMark: the node whose checkpoint it marks
@@ -214,14 +217,18 @@ func encodeWireFrame(buf []byte, f *core.WireFrame) []byte {
 	return append(buf, f.Payload...)
 }
 
-// decodeData reverses encodeWireFrame.  Every field of m.msg is written, so
-// a reused frame carries nothing over — except that a run of one message type
-// keeps one Type string: the name bytes are compared with the previous
-// frame's (a comparison that does not allocate) and converted only when they
-// differ.  Payload aliases body; Type never does.
+// decodeData reverses encodeWireFrame into *m.msg.  Every field but Stamp,
+// which no receiver reads, is written, so a reused WireFrame carries nothing
+// over — except that a run of one message type keeps one Type string: the
+// name bytes are compared with the Type the WireFrame held (a comparison that
+// does not allocate) and converted only when they differ.  Payload aliases
+// body; Type never does.
 func decodeData(m *frame, body []byte) error {
 	c := msgcodec.NewCursor(body)
-	f := &m.msg
+	if m.msg == nil {
+		m.msg = new(core.WireFrame)
+	}
+	f := m.msg
 	f.Kind, f.Dest, f.ReplyID = core.FrameBroadcast, core.NilTask, 0
 	f.Src, f.Dst = c.I32(), c.I32()
 	if m.kind == fMsg {

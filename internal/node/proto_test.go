@@ -66,9 +66,9 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		{"hello", "010000000b00000001000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000000200000003000000010000000000000002000000000000000300000001",
 			encodeHello(h), frame{kind: fHello, hello: h}},
 		{"msg", "020000000100000002000000020000000300000011000000010000000100000009000000000000000b000000000000007b000000deadbeef01000f7069736365732e696e69746961746500020100000008000000000000002a04000000026869",
-			encodeWireFrame(nil, &msg), frame{kind: fMsg, msg: msg}},
+			encodeWireFrame(nil, &msg), frame{kind: fMsg, msg: &msg}},
 		{"bcast", "030000000200000000000000020000000400000005000000000000000c0102030405060708000470696e6700020100000008000000000000002a04000000026869",
-			encodeWireFrame(nil, &bcast), frame{kind: fBcast, msg: bcast}},
+			encodeWireFrame(nil, &bcast), frame{kind: fBcast, msg: &bcast}},
 		{"init-reply", "04000000000000007b000000020000000300000011",
 			encodeInitReply(nil, 123, dest), frame{kind: fInitReply, replyID: 123, id: dest}},
 		{"drain", "0500000003", encodeDrain(3), frame{kind: fDrain, count: 3}},
@@ -154,7 +154,7 @@ func TestGoldenFrames(t *testing.T) {
 // payload survive encode/decode for both data kinds.
 func TestWireFrameRoundTrip(t *testing.T) {
 	for _, g := range goldenFrames(t)[1:3] {
-		f := g.want.msg
+		f := *g.want.msg
 		var got frame
 		if _, err := decodeFrame(&got, encodeWireFrame(nil, &f)); err != nil {
 			t.Fatalf("%v: decode: %v", f.Kind, err)
@@ -162,7 +162,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		if f.SendSeq == 0 || f.Edge == 0 {
 			t.Fatalf("%s: SendSeq/Edge unset in the sample; the comparison would be vacuous", g.name)
 		}
-		if !reflect.DeepEqual(got.msg, f) {
+		if !reflect.DeepEqual(*got.msg, f) {
 			t.Fatalf("frame mismatch:\ngot  %+v\nwant %+v", got.msg, f)
 		}
 	}
@@ -176,7 +176,10 @@ func TestWireFrameRoundTrip(t *testing.T) {
 func TestProtoRejectsTruncation(t *testing.T) {
 	for _, g := range goldenFrames(t) {
 		raw := unhex(t, g.hex)
-		opaqueTail := len(g.want.msg.Payload) + len(g.want.blob)
+		opaqueTail := len(g.want.blob)
+		if g.want.msg != nil {
+			opaqueTail += len(g.want.msg.Payload)
+		}
 		for n := 0; n < len(raw)-opaqueTail; n++ {
 			var m frame
 			_, err := decodeFrame(&m, raw[:n])
@@ -327,7 +330,7 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("%s: error %v does not wrap ErrCorrupt", row.name, err)
 		}
 		if err == nil && (m.kind == fMsg || m.kind == fBcast) {
-			if again := encodeWireFrame(nil, &m.msg); !bytes.Equal(again, data) {
+			if again := encodeWireFrame(nil, m.msg); !bytes.Equal(again, data) {
 				t.Fatalf("%s: decoded frame re-encodes to %x, input %x", row.name, again, data)
 			}
 		}

@@ -182,7 +182,7 @@ func startLane(t *testing.T, mutate func(*Options)) *lane {
 			case fMsg:
 				var first int64
 				if args, err := msgcodec.Decode(m.msg.Payload); err == nil && len(args) > 0 {
-					first = args[0].Integer
+					first = args[0].Integer()
 				}
 				l.msgs <- first
 			}

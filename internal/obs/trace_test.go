@@ -24,13 +24,13 @@ func TestTraceKindFilter(t *testing.T) {
 	ev := Event{Kind: MsgSend, Task: TaskRef{1, 2, 3}}
 
 	r.EmitAt(&ev, 4, 100, nil) // everything disabled by default
-	if sink.Len() != 0 {
+	if len(sink.Events()) != 0 {
 		t.Fatal("event traced while its type is disabled")
 	}
 
 	r.TraceKind(trace.MsgSend, true)
 	r.EmitAt(&ev, 4, 100, nil)
-	if sink.Len() != 1 {
+	if len(sink.Events()) != 1 {
 		t.Fatal("event not traced while its type is enabled")
 	}
 	if got := sink.Events()[0]; got.Task != "1.2.3" || got.PE != 4 || got.Ticks != 100 || got.Other != "" {
@@ -43,7 +43,7 @@ func TestTraceKindFilter(t *testing.T) {
 
 	r.TraceKind(trace.MsgSend, false)
 	r.EmitAt(&ev, 4, 100, nil)
-	if sink.Len() != 1 {
+	if len(sink.Events()) != 1 {
 		t.Fatal("event traced after its type was switched back off")
 	}
 
@@ -71,15 +71,15 @@ func TestTraceTaskFilter(t *testing.T) {
 	r.TraceTask(quiet, false)
 	r.Emit(&Event{Kind: Lock, Task: quiet})
 	r.Emit(&Event{Kind: Lock, Task: loud})
-	if sink.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (disabled task filtered)", sink.Len())
+	if len(sink.Events()) != 1 {
+		t.Fatalf("len = %d, want 1 (disabled task filtered)", len(sink.Events()))
 	}
 	if got := r.TraceSettings(); !strings.Contains(got, "disabled tasks: 1.1.1\n") {
 		t.Fatalf("settings do not list the disabled task:\n%s", got)
 	}
 	r.TraceTask(quiet, true)
 	r.Emit(&Event{Kind: Lock, Task: quiet})
-	if sink.Len() != 2 {
+	if len(sink.Events()) != 2 {
 		t.Fatal("re-enabled task still filtered")
 	}
 	if got := r.TraceSettings(); strings.Contains(got, "disabled tasks") {

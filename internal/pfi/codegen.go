@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/msgcodec"
 	"repro/internal/pfc"
 )
 
@@ -21,9 +20,9 @@ type cexpr func(*execState) (value, error)
 // cstore stores a value into a compiled assignment target.
 type cstore func(*execState, value) error
 
-// csendArg writes one message/initiation argument into dst, a zero Value in
-// the argument list being built: a Value is 144 bytes, so it is written where
-// it will be read rather than returned through the evaluation's frames.
+// csendArg writes one message/initiation argument into dst, its zero slot in
+// the argument list being built: the list core.Task.SendArgs lent the
+// statement, which the run-time reads once the last argument is in.
 type csendArg func(st *execState, dst *core.Value) error
 
 // cstmt is one compiled, executable statement.
@@ -498,14 +497,14 @@ func arrayToCore(dst *core.Value, name string, a *array) error {
 		for i := range a.data {
 			vs[i] = a.data[i].i()
 		}
-		dst.Kind, dst.IntArray = msgcodec.KindIntArray, vs
+		*dst = core.Ints(vs)
 		return nil
 	case kReal:
 		vs := make([]float64, len(a.data))
 		for i := range a.data {
 			vs[i] = a.data[i].r()
 		}
-		dst.Kind, dst.RealArray = msgcodec.KindRealArray, vs
+		*dst = core.Reals(vs)
 		return nil
 	}
 	return fmt.Errorf("array %s of kind %s cannot be a message argument", name, a.kind)

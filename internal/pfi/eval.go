@@ -841,13 +841,13 @@ func msgArgFn(name string, want valKind) intrinsicFn {
 func fromCoreValue(v *core.Value) (value, error) {
 	switch v.Kind {
 	case msgcodec.KindInteger:
-		return intVal(v.Integer), nil
+		return intVal(v.Integer()), nil
 	case msgcodec.KindReal:
-		return realVal(v.Real), nil
+		return realVal(v.Real()), nil
 	case msgcodec.KindLogical:
-		return boolVal(v.Logical), nil
+		return boolVal(v.Logical()), nil
 	case msgcodec.KindCharacter:
-		return strVal(v.Character), nil
+		return strVal(v.Character()), nil
 	case msgcodec.KindTaskID:
 		id, err := core.AsID(*v)
 		if err != nil {
@@ -868,13 +868,13 @@ func fromCoreValue(v *core.Value) (value, error) {
 func toCoreValue(dst *core.Value, v value) error {
 	switch v.kind {
 	case kInt:
-		dst.Kind, dst.Integer = msgcodec.KindInteger, v.i()
+		*dst = core.Int(v.i())
 	case kReal:
-		dst.Kind, dst.Real = msgcodec.KindReal, v.r()
+		*dst = core.Real(v.r())
 	case kBool:
-		dst.Kind, dst.Logical = msgcodec.KindLogical, v.b()
+		*dst = core.Bool(v.b())
 	case kStr:
-		dst.Kind, dst.Character = msgcodec.KindCharacter, v.s()
+		*dst = core.Str(v.s())
 	case kTaskID:
 		*dst = core.ID(v.id())
 	case kWindow:

@@ -354,8 +354,9 @@ func (st *execState) bindParams() error {
 		b := &st.f.slots[st.tp.paramSlots[i]]
 		switch v.Kind {
 		case msgcodec.KindIntArray:
-			a := newArray(kInt, len(v.IntArray), 0)
-			for j, x := range v.IntArray {
+			ints := v.IntArray()
+			a := newArray(kInt, len(ints), 0)
+			for j, x := range ints {
 				a.data[j] = intVal(x)
 			}
 			b.arr = a

@@ -1,6 +1,7 @@
 package pfi
 
 import (
+	"bytes"
 	"math"
 	"math/big"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/msgcodec"
 	"repro/internal/pfc"
 	"repro/internal/rect"
 )
@@ -104,10 +106,14 @@ func TestValueRoundTrip(t *testing.T) {
 			t.Errorf("toCoreValue(%s): %v", v.kind, err)
 			continue
 		}
-		// Real by bits (NaN is not equal to itself); no scalar sets the arrays.
-		same := back.Kind == cv.Kind && back.Integer == cv.Integer && back.Logical == cv.Logical &&
-			math.Float64bits(back.Real) == math.Float64bits(cv.Real) && back.Character == cv.Character &&
-			back.TaskID == cv.TaskID && back.Window == cv.Window && back.IntArray == nil && back.RealArray == nil
+		// Every accessor, Real by bits (NaN is not equal to itself), and the
+		// wire form byte for byte; no scalar sets the array.
+		wantWire, err1 := msgcodec.Encode([]core.Value{cv})
+		gotWire, err2 := msgcodec.Encode([]core.Value{back})
+		same := back.Kind == cv.Kind && back.Integer() == cv.Integer() && back.Logical() == cv.Logical() &&
+			math.Float64bits(back.Real()) == math.Float64bits(cv.Real()) && back.Character() == cv.Character() &&
+			back.TaskID() == cv.TaskID() && back.Window() == cv.Window() && back.RealArray == nil &&
+			err1 == nil && err2 == nil && bytes.Equal(gotWire, wantWire)
 		if !same {
 			t.Errorf("%s argument came back changed: %+v, want %+v", cv.Kind, back, cv)
 		}

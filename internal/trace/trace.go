@@ -155,17 +155,3 @@ func (s *MemorySink) Lines() []string {
 	}
 	return out
 }
-
-// Len returns the number of recorded events.
-func (s *MemorySink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events)
-}
-
-// Reset discards all recorded events.
-func (s *MemorySink) Reset() {
-	s.mu.Lock()
-	s.events = nil
-	s.mu.Unlock()
-}
