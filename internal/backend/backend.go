@@ -9,8 +9,9 @@
 //
 //   - the goroutine backend in this package (the default), which maps every
 //     primitive onto the same channel constructions the run-time used before
-//     the backend existed — one goroutine per MMOS process, buffered-channel
-//     pulse events, closed-channel gates, real timers;
+//     the backend existed — buffered-channel pulse events, closed-channel
+//     gates, real timers — and runs each MMOS process on a goroutine of its
+//     own, where a finished process's goroutine runs the next one;
 //   - the cooperative single-threaded scheduler in internal/sim, which runs
 //     at most one task at a time, picks the next runnable task with a seeded
 //     PRNG, and replaces wall-clock timeouts with a virtual clock, making
@@ -145,33 +146,83 @@ type Timer interface {
 // pre-backend run-time.
 
 // goroutineBackend implements Backend over raw goroutines, channels, and real
-// timers.  It is stateless; all instances are equivalent.
-type goroutineBackend struct{}
+// timers.  Its one state is the list of idle workers: goroutines whose
+// process finished and that wait, each on its own channel, to run a later
+// Spawn's fn.  Go frees a goroutine's grown stack when it exits, so a fresh
+// goroutine per process would grow every session's stacks again; a worker
+// keeps the stack its last process grew.
+type goroutineBackend struct {
+	mu   sync.Mutex
+	idle []chan func() // most recently parked last: its stack is the warmest
+}
 
-var defaultBackend Backend = goroutineBackend{}
+// maxIdleWorkers caps the idle list; a worker that finds it full exits.  A
+// serving daemon runs at most 4 sessions at once, each of at most 9
+// processes (the large serve template), so 36 goroutines finish together in
+// the worst steady case; the cap leaves room for a few times that.
+const maxIdleWorkers = 128
+
+var defaultBackend Backend = &goroutineBackend{}
 
 // Default returns the goroutine backend.
 func Default() Backend { return defaultBackend }
 
-func (goroutineBackend) Spawn(name string, fn func()) { go fn() }
+// Spawn hands fn to the most recently parked idle worker, or starts a
+// goroutine when none is idle.  The name is unused: a goroutine has none.
+func (b *goroutineBackend) Spawn(name string, fn func()) {
+	b.mu.Lock()
+	if n := len(b.idle); n > 0 {
+		w := b.idle[n-1]
+		b.idle[n-1] = nil
+		b.idle = b.idle[:n-1]
+		b.mu.Unlock()
+		w <- fn // buffered: the worker may not be receiving yet
+		return
+	}
+	b.mu.Unlock()
+	go b.work(fn)
+}
 
-func (goroutineBackend) NewEvent() Event { return &gEvent{ch: make(chan struct{}, 1)} }
+// work runs fn, then parks in the idle list until Spawn hands it the next,
+// or exits when the list is full.
+func (b *goroutineBackend) work(fn func()) {
+	var next chan func()
+	for {
+		// fn is dead once it returns (the receive below overwrites it), so a
+		// parked worker pins nothing its finished process captured; a
+		// session's tasks close over its whole VM.
+		fn()
+		if next == nil {
+			next = make(chan func(), 1)
+		}
+		b.mu.Lock()
+		if len(b.idle) >= maxIdleWorkers {
+			b.mu.Unlock()
+			return
+		}
+		b.idle = append(b.idle, next)
+		b.mu.Unlock()
+		fn = <-next
+	}
+}
 
-func (goroutineBackend) NewGate() Gate { return &gGate{ch: make(chan struct{})} }
+func (*goroutineBackend) NewEvent() Event { return &gEvent{ch: make(chan struct{}, 1)} }
 
-func (goroutineBackend) NewSem() Sem {
+func (*goroutineBackend) NewGate() Gate { return &gGate{ch: make(chan struct{})} }
+
+func (*goroutineBackend) NewSem() Sem {
 	s := &gSem{ch: make(chan struct{}, 1)}
 	s.ch <- struct{}{}
 	return s
 }
 
-func (goroutineBackend) NewWaitGroup() WaitGroup { return &sync.WaitGroup{} }
+func (*goroutineBackend) NewWaitGroup() WaitGroup { return &sync.WaitGroup{} }
 
-func (goroutineBackend) NewCond(l sync.Locker) Cond { return sync.NewCond(l) }
+func (*goroutineBackend) NewCond(l sync.Locker) Cond { return sync.NewCond(l) }
 
-func (goroutineBackend) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
+func (*goroutineBackend) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
-func (goroutineBackend) Now() time.Time { return Now() }
+func (*goroutineBackend) Now() time.Time { return Now() }
 
 // anchor is the one wall-clock reading the real clock is built on, taken
 // when the package loads.  It carries a monotonic reading, so time.Since on
@@ -187,9 +238,9 @@ var anchor = time.Now()
 // wall-clock step made after the process started.
 func Now() time.Time { return anchor.Add(time.Since(anchor)) }
 
-func (goroutineBackend) Yield() {}
+func (*goroutineBackend) Yield() {}
 
-func (goroutineBackend) Deterministic() bool { return false }
+func (*goroutineBackend) Deterministic() bool { return false }
 
 // gEvent is the buffered(1)-channel pulse the in-queue wake always was.  t is
 // WaitTimeout's timer, made on the first wait that needs one and Reset for

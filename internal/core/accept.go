@@ -402,7 +402,7 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 			t.blockFn(func() { t.rec.wake.Wait() })
 		}
 		if !obsT0.IsZero() {
-			t.vm.om.acceptWait.ObserveDuration(t.vm.om.reg.Now().Sub(obsT0))
+			t.vm.om.hists().acceptWait.ObserveDuration(t.vm.om.reg.Now().Sub(obsT0))
 		}
 		if !signaled {
 			// One final drain before reporting the timeout, in case messages

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,54 @@ func TestAcceptSignalAndSenderTracking(t *testing.T) {
 		// Out-of-range arg is the zero Value.
 		if m.Arg(5).Kind != 0 || m.Arg(-1).Kind != 0 {
 			t.Error("out-of-range Arg should be zero Value")
+		}
+		return nil
+	})
+}
+
+// TestDeclarationsLastOneWins: a message type's HANDLER or SIGNAL
+// declaration is the task's last one for that type, however often it is
+// re-declared, and a type the task never declared is accepted as a signal.
+func TestDeclarationsLastOneWins(t *testing.T) {
+	runTaskBody(t, func(task *Task) error {
+		var ran []string
+		handler := func(name string) Handler {
+			return func(*Task, *Message) { ran = append(ran, name) }
+		}
+		accept := func(step, want string) error {
+			ran = ran[:0]
+			if err := task.SendSelf("T", Int(1)); err != nil {
+				return err
+			}
+			if _, err := task.AcceptOne("T"); err != nil {
+				return err
+			}
+			got := "signal"
+			if len(ran) > 0 {
+				got = strings.Join(ran, ",")
+			}
+			if got != want {
+				t.Errorf("%s: T was accepted by %s, want %s", step, got, want)
+			}
+			return nil
+		}
+		steps := []struct {
+			step    string
+			declare func()
+			want    string
+		}{
+			{"undeclared", func() {}, "signal"},
+			{"SIGNAL", func() { task.Signal("T") }, "signal"},
+			{"SIGNAL then HANDLER h1", func() { task.OnMessage("T", handler("h1")) }, "h1"},
+			{"HANDLER h1 then SIGNAL", func() { task.Signal("T") }, "signal"},
+			{"SIGNAL then HANDLER h2", func() { task.OnMessage("T", handler("h2")) }, "h2"},
+			{"HANDLER h2 then HANDLER h3", func() { task.OnMessage("T", handler("h3")) }, "h3"},
+		}
+		for _, s := range steps {
+			s.declare()
+			if err := accept(s.step, s.want); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

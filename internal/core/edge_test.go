@@ -32,8 +32,8 @@ func TestTaskIDParseAndString(t *testing.T) {
 }
 
 func TestValueAccessorsRejectWrongKinds(t *testing.T) {
-	if _, err := AsInt(Real(1.5)); err == nil {
-		t.Error("AsInt of REAL accepted")
+	if _, err := AsInt(Real(1.5)); err == nil || err.Error() != "core: value is REAL, not INTEGER" {
+		t.Errorf("AsInt of REAL: %v", err)
 	}
 	if _, err := AsReal(Int(1)); err == nil {
 		t.Error("AsReal of INTEGER accepted")
@@ -47,8 +47,8 @@ func TestValueAccessorsRejectWrongKinds(t *testing.T) {
 	if _, err := AsID(Int(1)); err == nil {
 		t.Error("AsID of INTEGER accepted")
 	}
-	if _, err := AsInts(Int(1)); err == nil {
-		t.Error("AsInts of INTEGER accepted")
+	if _, err := AsInts(Int(1)); err == nil || err.Error() != "core: value is INTEGER, not INTEGER array" {
+		t.Errorf("AsInts of INTEGER: %v", err)
 	}
 	if _, err := AsReals(Int(1)); err == nil {
 		t.Error("AsReals of INTEGER accepted")

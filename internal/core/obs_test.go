@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,7 +115,7 @@ func laneSet(spans []obs.Span) []string {
 }
 
 // TestVMMetricsDisabledByDefault pins that a VM booted without a registry
-// creates a private disabled one and leaves it empty.
+// creates a private disabled one and leaves it empty, with no histogram made.
 func TestVMMetricsDisabledByDefault(t *testing.T) {
 	vm := newTestVM(t, config.Simple(2, 2), Options{})
 	if vm.Obs() == nil {
@@ -136,8 +138,85 @@ func TestVMMetricsDisabledByDefault(t *testing.T) {
 		}
 	}
 	for _, h := range s.Hists {
-		if h.Count != 0 {
-			t.Errorf("disabled histogram %s count = %d", h.Name, h.Count)
+		t.Errorf("histogram %s made with metrics off", h.Name)
+	}
+}
+
+// TestHistogramsMadeWhenMetricsTurnOn: metrics turned on while three
+// cross-cluster ping-pongs run make the VM's histograms on first use, from
+// whichever tasks observe first, and every later observation lands in them.
+func TestHistogramsMadeWhenMetricsTurnOn(t *testing.T) {
+	reg := obs.New()
+	vm := newTestVM(t, config.Simple(2, 4), Options{Metrics: reg})
+	var rounds atomic.Int64
+	stop := make(chan struct{})
+	vm.Register("echo", func(task *Task) {
+		for {
+			m, err := task.AcceptOne("probe", "stop")
+			if err != nil || m.Type == "stop" {
+				return
+			}
+			_ = task.SendSender("reply")
+		}
+	})
+	var probers sync.WaitGroup
+	vm.Register("prober", func(task *Task) {
+		defer probers.Done()
+		to := MustID(task.Arg(0))
+		defer task.Send(to, "stop")
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := task.Send(to, "probe"); err != nil {
+				t.Errorf("send: %v", err)
+				return
+			}
+			if _, err := task.AcceptOne("reply"); err != nil {
+				t.Errorf("reply: %v", err)
+				return
+			}
+			rounds.Add(1)
+		}
+	})
+	const pairs = 3
+	probers.Add(pairs)
+	for i := 0; i < pairs; i++ {
+		echo, err := vm.Initiate("echo", OnCluster(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.Initiate("prober", OnCluster(1), ID(echo)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitRounds := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); rounds.Load() < n; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d ping-pong rounds after 10s, want %d", rounds.Load(), n)
+			}
+		}
+	}
+	waitRounds(30)
+	if n := len(reg.Snapshot().Hists); n != 0 {
+		t.Errorf("%d histograms made with metrics off", n)
+	}
+	reg.Enable(obs.Metrics)
+	waitRounds(rounds.Load() + 60)
+	close(stop)
+	probers.Wait()
+	vm.WaitIdle()
+
+	hists := make(map[string]int64)
+	for _, h := range reg.Snapshot().Hists {
+		hists[h.Name] = h.Count
+	}
+	for _, name := range []string{"core.heap.msg.bytes", "codec.encode.ns", "codec.decode.ns", "core.accept.wait.ns"} {
+		if hists[name] == 0 {
+			t.Errorf("%s: no observations after metrics turned on (histograms: %v)", name, hists)
 		}
 	}
 }

@@ -32,8 +32,9 @@ type Task struct {
 
 	args       []Value
 	lastSender TaskID
-	handlers   map[string]Handler
-	signals    map[string]bool
+	// handlers holds the HANDLER declarations, made on the first one; a
+	// type without one is a SIGNAL type, declared or not.
+	handlers map[string]Handler
 
 	// acc is the task's reusable ACCEPT matching state; accActive guards it
 	// against re-entrant Accept calls from handlers or timeout callbacks.
@@ -51,13 +52,7 @@ type Task struct {
 }
 
 func newTask(vm *VM, rec *taskRec, args []Value) *Task {
-	return &Task{
-		vm:       vm,
-		rec:      rec,
-		args:     args,
-		handlers: make(map[string]Handler),
-		signals:  make(map[string]bool),
-	}
+	return &Task{vm: vm, rec: rec, args: args}
 }
 
 // VM returns the virtual machine the task runs on.
@@ -320,17 +315,16 @@ func (t *Task) blockFn(wait func()) {
 // type is accepted, the handler runs with the message (and thus its
 // arguments) before the message is deleted from the in-queue.
 func (t *Task) OnMessage(msgType string, h Handler) {
+	if t.handlers == nil {
+		t.handlers = make(map[string]Handler)
+	}
 	t.handlers[msgType] = h
-	delete(t.signals, msgType)
 }
 
 // Signal declares a message type as a SIGNAL type: accepted messages of this
 // type are simply counted and deleted.  Declaring a type neither way treats
 // it as a signal by default.
-func (t *Task) Signal(msgType string) {
-	t.signals[msgType] = true
-	delete(t.handlers, msgType)
-}
+func (t *Task) Signal(msgType string) { delete(t.handlers, msgType) }
 
 // QueueLength returns the number of messages currently waiting in the task's
 // in-queue.

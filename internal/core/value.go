@@ -61,20 +61,25 @@ func Win(w Window) Value {
 // The As* and Must* readers check the kind and read the field themselves
 // rather than one calling the other: a Value is six words, more than the
 // compiler keeps in registers inside a function, so handing one on to
-// another reader copies it through memory.
+// another reader copies it through memory.  Their mismatch is a kindError
+// value, formatted only when read, so that no reader makes a call and every
+// one stays small enough to inline.
 
-// kindError is an As* reader's error for a value of kind got.  It is kept out
-// of line so that the readers stay small enough to inline.
-//
-//go:noinline
-func kindError(got msgcodec.ArgKind, want string) error {
-	return fmt.Errorf("core: value is %s, not %s", got, want)
+// kindError is an As* reader's error, and a Must* reader's panic, for a
+// value of kind got.
+type kindError struct {
+	got  msgcodec.ArgKind
+	want string
+}
+
+func (e kindError) Error() string {
+	return fmt.Sprintf("core: value is %s, not %s", e.got, e.want)
 }
 
 // AsInt extracts an INTEGER value.
 func AsInt(v Value) (int64, error) {
 	if v.Kind != msgcodec.KindInteger {
-		return 0, kindError(v.Kind, "INTEGER")
+		return 0, kindError{v.Kind, "INTEGER"}
 	}
 	return v.Integer(), nil
 }
@@ -82,7 +87,7 @@ func AsInt(v Value) (int64, error) {
 // AsReal extracts a REAL value.
 func AsReal(v Value) (float64, error) {
 	if v.Kind != msgcodec.KindReal {
-		return 0, kindError(v.Kind, "REAL")
+		return 0, kindError{v.Kind, "REAL"}
 	}
 	return v.Real(), nil
 }
@@ -90,7 +95,7 @@ func AsReal(v Value) (float64, error) {
 // AsBool extracts a LOGICAL value.
 func AsBool(v Value) (bool, error) {
 	if v.Kind != msgcodec.KindLogical {
-		return false, kindError(v.Kind, "LOGICAL")
+		return false, kindError{v.Kind, "LOGICAL"}
 	}
 	return v.Logical(), nil
 }
@@ -98,7 +103,7 @@ func AsBool(v Value) (bool, error) {
 // AsStr extracts a CHARACTER value.
 func AsStr(v Value) (string, error) {
 	if v.Kind != msgcodec.KindCharacter {
-		return "", kindError(v.Kind, "CHARACTER")
+		return "", kindError{v.Kind, "CHARACTER"}
 	}
 	return v.Character(), nil
 }
@@ -106,7 +111,7 @@ func AsStr(v Value) (string, error) {
 // AsID extracts a TASKID value.
 func AsID(v Value) (TaskID, error) {
 	if v.Kind != msgcodec.KindTaskID {
-		return NilTask, kindError(v.Kind, "TASKID")
+		return NilTask, kindError{v.Kind, "TASKID"}
 	}
 	return taskIDFromCodec(v.TaskID()), nil
 }
@@ -116,7 +121,7 @@ func AsID(v Value) (TaskID, error) {
 // (Task.RecycleAccept), which hands it to the next message to refill.
 func AsInts(v Value) ([]int64, error) {
 	if v.Kind != msgcodec.KindIntArray {
-		return nil, kindError(v.Kind, "INTEGER array")
+		return nil, kindError{v.Kind, "INTEGER array"}
 	}
 	return v.IntArray(), nil
 }
@@ -125,7 +130,7 @@ func AsInts(v Value) ([]int64, error) {
 // message is valid until the message is recycled.
 func AsReals(v Value) ([]float64, error) {
 	if v.Kind != msgcodec.KindRealArray {
-		return nil, kindError(v.Kind, "REAL array")
+		return nil, kindError{v.Kind, "REAL array"}
 	}
 	return v.RealArray, nil
 }
@@ -133,17 +138,19 @@ func AsReals(v Value) ([]float64, error) {
 // AsWin extracts a WINDOW value.
 func AsWin(v Value) (Window, error) {
 	if v.Kind != msgcodec.KindWindow {
-		return Window{}, kindError(v.Kind, "WINDOW")
+		return Window{}, kindError{v.Kind, "WINDOW"}
 	}
 	return winFromCodec(v.Window()), nil
 }
 
-// winFromCodec is the Window a WINDOW value carries.
+// winFromCodec is the Window a WINDOW value carries.  Its Region is a
+// literal, not rect.New, which keeps AsWin and MustWin within the inliner's
+// budget.
 func winFromCodec(w msgcodec.WindowValue) Window {
 	return Window{
 		Owner:   taskIDFromCodec(w.Owner),
 		ArrayID: w.ArrayID,
-		Region:  rect.New(int(w.Row1), int(w.Row2), int(w.Col1), int(w.Col2)),
+		Region:  rect.Rect{Row1: int(w.Row1), Row2: int(w.Row2), Col1: int(w.Col1), Col2: int(w.Col2)},
 	}
 }
 
@@ -151,7 +158,7 @@ func winFromCodec(w msgcodec.WindowValue) Window {
 // Handlers typically use the Must form after declaring the message signature.
 func MustInt(v Value) int64 {
 	if v.Kind != msgcodec.KindInteger {
-		panic(kindError(v.Kind, "INTEGER"))
+		panic(kindError{v.Kind, "INTEGER"})
 	}
 	return v.Integer()
 }
@@ -159,7 +166,7 @@ func MustInt(v Value) int64 {
 // MustReal is AsReal that panics on kind mismatch.
 func MustReal(v Value) float64 {
 	if v.Kind != msgcodec.KindReal {
-		panic(kindError(v.Kind, "REAL"))
+		panic(kindError{v.Kind, "REAL"})
 	}
 	return v.Real()
 }
@@ -167,7 +174,7 @@ func MustReal(v Value) float64 {
 // MustStr is AsStr that panics on kind mismatch.
 func MustStr(v Value) string {
 	if v.Kind != msgcodec.KindCharacter {
-		panic(kindError(v.Kind, "CHARACTER"))
+		panic(kindError{v.Kind, "CHARACTER"})
 	}
 	return v.Character()
 }
@@ -175,7 +182,7 @@ func MustStr(v Value) string {
 // MustID is AsID that panics on kind mismatch.
 func MustID(v Value) TaskID {
 	if v.Kind != msgcodec.KindTaskID {
-		panic(kindError(v.Kind, "TASKID"))
+		panic(kindError{v.Kind, "TASKID"})
 	}
 	return taskIDFromCodec(v.TaskID())
 }
@@ -184,7 +191,7 @@ func MustID(v Value) TaskID {
 // from a message is valid until the message is recycled.
 func MustReals(v Value) []float64 {
 	if v.Kind != msgcodec.KindRealArray {
-		panic(kindError(v.Kind, "REAL array"))
+		panic(kindError{v.Kind, "REAL array"})
 	}
 	return v.RealArray
 }
@@ -192,7 +199,7 @@ func MustReals(v Value) []float64 {
 // MustWin is AsWin that panics on kind mismatch.
 func MustWin(v Value) Window {
 	if v.Kind != msgcodec.KindWindow {
-		panic(kindError(v.Kind, "WINDOW"))
+		panic(kindError{v.Kind, "WINDOW"})
 	}
 	return winFromCodec(v.Window())
 }

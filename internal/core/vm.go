@@ -211,12 +211,19 @@ type VM struct {
 }
 
 // vmObs bundles the observability registry with pre-resolved handles for
-// every metric the core bumps on hot paths.  Resolution happens once at
-// boot; the handles are plain atomics after that.
+// every metric the core bumps on hot paths.  The counters are resolved at
+// boot; the histograms, four of 256 buckets each, on the first observation
+// with metrics on, so a session that runs with metrics off never builds
+// them.  The handles are plain atomics after that.
 type vmObs struct {
 	reg          *obs.Registry
-	heapCharges  *obs.Counter   // core.heap.charge: messages charged to a shard
-	heapRecovers *obs.Counter   // core.heap.recover: message storage recovered
+	heapCharges  *obs.Counter // core.heap.charge: messages charged to a shard
+	heapRecovers *obs.Counter // core.heap.recover: message storage recovered
+	h            atomic.Pointer[vmHists]
+}
+
+// vmHists are a VM's histogram handles.
+type vmHists struct {
 	heapMsgBytes *obs.Histogram // core.heap.msg.bytes: charged message sizes
 	acceptWait   *obs.Histogram // core.accept.wait.ns: time blocked in ACCEPT
 	encodeNS     *obs.Histogram // codec.encode.ns: argument packet encode time
@@ -231,10 +238,28 @@ func (o *vmObs) init(reg *obs.Registry, b backend.Backend) {
 	o.reg = reg
 	o.heapCharges = reg.Counter("core.heap.charge")
 	o.heapRecovers = reg.Counter("core.heap.recover")
-	o.heapMsgBytes = reg.Histogram("core.heap.msg.bytes", "B")
-	o.acceptWait = reg.Histogram("core.accept.wait.ns", "ns")
-	o.encodeNS = reg.Histogram("codec.encode.ns", "ns")
-	o.decodeNS = reg.Histogram("codec.decode.ns", "ns")
+	// A registry with metrics on at boot lists the histograms from the
+	// start, empty or not, as -stats and /metrics always have.
+	if reg.Has(obs.Metrics) {
+		o.hists()
+	}
+}
+
+// hists returns the VM's histograms, registering them on the first call.
+// Metrics can be turned on while tasks emit (option 9), so two tasks may
+// make the first call at once: the registry hands both the same histograms.
+func (o *vmObs) hists() *vmHists {
+	if h := o.h.Load(); h != nil {
+		return h
+	}
+	h := &vmHists{
+		heapMsgBytes: o.reg.Histogram("core.heap.msg.bytes", "B"),
+		acceptWait:   o.reg.Histogram("core.accept.wait.ns", "ns"),
+		encodeNS:     o.reg.Histogram("codec.encode.ns", "ns"),
+		decodeNS:     o.reg.Histogram("codec.decode.ns", "ns"),
+	}
+	o.h.Store(h)
+	return h
 }
 
 // Obs returns the VM's observability registry (never nil after boot).
@@ -734,7 +759,7 @@ func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message, size int) er
 	msg.heapShard = heap
 	if vm.metricsOn() {
 		vm.om.heapCharges.Inc()
-		vm.om.heapMsgBytes.Observe(int64(size))
+		vm.om.hists().heapMsgBytes.Observe(int64(size))
 	}
 	return nil
 }
