@@ -19,8 +19,8 @@ import (
 //
 // "pisces serve" without -peers is the multi-tenant daemon: one long-running
 // process that accepts Pisces Fortran programs over HTTP, runs each as an
-// isolated session (own VM, own heap shards, own resource quota) on a shared
-// worker pool, compiles through one cache shared across tenants, and exposes
+// isolated session (own VM, own heap shards, own resource quota) as one
+// backend process, compiles through one cache shared across tenants, and exposes
 // the daemon-wide metric view — its own serve.* series plus every session's
 // registry under a tenant.<id>. prefix — on the same listener.  With -peers
 // it remains one node of a distributed mesh run (see serve.go).
@@ -37,7 +37,7 @@ func runDaemon(args []string, out io.Writer) error {
 	prog.bind(fs, "accept-timeout")
 	var cfg serve.Config
 	lim := &cfg.DefaultLimits
-	fs.IntVar(&cfg.MaxActive, "max-programs", 4, "sessions running concurrently (worker-pool size)")
+	fs.IntVar(&cfg.MaxActive, "max-programs", 4, "sessions running concurrently, each one backend process; more wait in the queue")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", 64, "admission queue bound; submissions past it get HTTP 429")
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "compile cache weight bound in bytes shared by all tenants (0 = 16MiB)")
 	fs.Int64Var(&lim.HeapBytes, "limit-heap-bytes", 0, "default per-session heap quota in bytes (0 = unlimited)")

@@ -7,11 +7,13 @@
 // terminal fails alone while its neighbours run on.
 //
 // The lifecycle is submit -> queue -> compile (shared cache) -> boot VM ->
-// run -> reap.  Admission control is a bounded queue in front of a fixed
-// worker pool: when the queue is full, Submit refuses immediately
-// (ErrQueueFull) instead of letting latency grow without bound.  Drain stops
-// admission, lets queued and running sessions finish, and bounds the wait —
-// the daemon's SIGTERM path.
+// run -> reap.  Each admitted session is one backend process, at most
+// MaxActive at once, then a bounded queue: when the queue is full, Submit
+// refuses immediately (ErrQueueFull) instead of letting latency grow without
+// bound.  Drain stops admission, lets queued and running sessions finish,
+// and bounds the wait — the daemon's SIGTERM path.  Sessions, their VMs and
+// every time the manager records run on one backend.Backend, so under a
+// sim.Scheduler N tenants sharing a daemon replay byte for byte.
 package serve
 
 import (
@@ -21,9 +23,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/msgcodec"
@@ -51,8 +53,8 @@ var (
 type State string
 
 const (
-	StateQueued    State = "queued"    // admitted, waiting for a worker
-	StateCompiling State = "compiling" // worker compiling (or fetching from cache)
+	StateQueued    State = "queued"    // admitted, waiting for a running session to finish
+	StateCompiling State = "compiling" // compiling (or fetching from cache)
 	StateRunning   State = "running"   // VM booted, program executing
 	StateDone      State = "done"      // completed without error
 	StateFailed    State = "failed"    // compile error, run error, or quota violation
@@ -80,8 +82,8 @@ type Config struct {
 	// constructs have members to split across (0 = no forces).
 	ForceCluster int
 	ForcePEs     []int
-	// MaxActive is the worker-pool size: sessions running concurrently.
-	// Zero selects 4.
+	// MaxActive bounds the sessions running concurrently, each one backend
+	// process.  Zero selects 4.
 	MaxActive int
 	// QueueDepth bounds the admission queue. Zero selects 64.
 	QueueDepth int
@@ -191,23 +193,21 @@ func (s *Session) setState(st State) {
 	s.mu.Unlock()
 }
 
-// Manager owns the session table, admission queue and worker pool of one
-// serving daemon.
+// Manager owns the session table and admission queue of one serving daemon.
 type Manager struct {
 	cfg   Config
-	cache *pfi.UnitCache // the compile cache every tenant shares
-	reg   *obs.Registry  // the manager's own series; per-tenant ones are in Snapshot
-
-	queue    chan *Session
-	quit     chan struct{}
-	quitOnce sync.Once
-	draining atomic.Bool
-	workers  sync.WaitGroup
+	b     backend.Backend // runs every session and tells every time
+	cache *pfi.UnitCache  // the compile cache every tenant shares
+	reg   *obs.Registry   // the manager's own series; per-tenant ones are in Snapshot
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 	order    []string // admission order, for deterministic listing and reaping
 	seq      int64
+	queued   []*Session   // admitted while MaxActive sessions run, oldest first
+	running  int          // session processes alive
+	draining bool         // Drain has begun: Submit refuses
+	drained  backend.Gate // opened once draining with no session process alive
 
 	logMu sync.Mutex // serialises History and Log line writes
 
@@ -223,8 +223,10 @@ type Manager struct {
 	mE2ENS     *obs.Histogram
 }
 
-// New builds a Manager and starts its worker pool.
-func New(cfg Config) *Manager {
+// New builds a Manager whose sessions run on the real backend.
+func New(cfg Config) *Manager { return newManager(cfg, backend.Default()) }
+
+func newManager(cfg Config, b backend.Backend) *Manager {
 	if cfg.Clusters <= 0 {
 		cfg.Clusters = 2
 	}
@@ -239,12 +241,13 @@ func New(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:      cfg,
+		b:        b,
 		cache:    pfi.NewUnitCache(cfg.CacheBytes),
 		reg:      obs.New(),
-		queue:    make(chan *Session, cfg.QueueDepth),
-		quit:     make(chan struct{}),
 		sessions: make(map[string]*Session),
+		drained:  b.NewGate(),
 	}
+	m.reg.SetClock(b.Now)
 	m.reg.Enable(obs.Metrics)
 	m.mSubmitted = m.reg.Counter("serve.sessions.submitted")
 	m.mRejected = m.reg.Counter("serve.sessions.rejected")
@@ -256,10 +259,6 @@ func New(cfg Config) *Manager {
 	m.mQueueNS = m.reg.Histogram("serve.queue.wait.ns", "ns")
 	m.mRunNS = m.reg.Histogram("serve.run.ns", "ns")
 	m.mE2ENS = m.reg.Histogram("serve.e2e.ns", "ns")
-	for i := 0; i < cfg.MaxActive; i++ {
-		m.workers.Add(1)
-		go m.worker()
-	}
 	return m
 }
 
@@ -296,9 +295,10 @@ func (m *Manager) mergeLimits(l core.Limits) (core.Limits, error) {
 	return l, nil
 }
 
-// Submit admits one program submission: on success the session is queued
-// and its id allocated.  Fails fast with ErrQueueFull or ErrDraining; a
-// malformed request (ErrNoSource, ErrInvalidLimit) admits nothing.
+// Submit admits one program submission: on success the session's process is
+// spawned, or the session queued behind MaxActive running ones, and its id
+// allocated.  Fails fast with ErrQueueFull or ErrDraining; a malformed
+// request (ErrNoSource, ErrInvalidLimit) admits nothing.
 func (m *Manager) Submit(req Request) (*Session, error) {
 	if req.Source == "" {
 		return nil, ErrNoSource
@@ -306,10 +306,6 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 	limits, err := m.mergeLimits(req.Limits)
 	if err != nil {
 		return nil, err
-	}
-	if m.draining.Load() {
-		m.mRejected.Inc()
-		return nil, ErrDraining
 	}
 	outCap := maxOutputBytes
 	if limits.OutputBytes > 0 && limits.OutputBytes+1024 < outCap {
@@ -323,7 +319,7 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 		main:      req.Main,
 		limits:    limits,
 		state:     StateQueued,
-		submitted: time.Now(),
+		submitted: m.b.Now(),
 		out:       &boundedBuf{max: outCap},
 		rec:       obs.NewRecorder(0, 0, 0),
 		done:      make(chan struct{}),
@@ -333,27 +329,59 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 		s.reg.Enable(obs.Metrics)
 	}
 
-	// The queue send is tried under m.mu and the session listed only once it
-	// is in, so a refused submission never touches the table.  The send never
-	// blocks, and workers do not take m.mu.
+	// Admission is decided under m.mu, the lock Drain and a finishing
+	// session's process take: a session admitted before Drain runs before it
+	// returns, and one after it is refused.  A refused submission never
+	// touches the table.
 	m.mu.Lock()
+	if m.draining {
+		m.mu.Unlock()
+		m.mRejected.Inc()
+		return nil, ErrDraining
+	}
 	m.seq++
 	s.id = fmt.Sprintf("p%d", m.seq)
-	select {
-	case m.queue <- s:
-		m.sessions[s.id] = s
-		m.order = append(m.order, s.id)
-		m.reapLocked()
-		m.mu.Unlock()
+	switch {
+	case m.running < m.cfg.MaxActive:
+		m.running++
+		m.b.Spawn("session "+s.id, func() { m.serveFrom(s) })
+	case len(m.queued) < m.cfg.QueueDepth:
+		m.queued = append(m.queued, s)
 	default:
 		m.mu.Unlock()
 		m.mRejected.Inc()
-		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(m.queue))
+		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
 	}
+	m.sessions[s.id] = s
+	m.order = append(m.order, s.id)
+	m.reapLocked()
+	m.mQueued.Set(int64(len(m.queued)))
+	m.mu.Unlock()
 	m.mSubmitted.Inc()
-	m.mQueued.Set(int64(len(m.queue)))
 	m.logJSON("submitted", map[string]any{"id": s.id, "tenant": s.tenant})
 	return s, nil
+}
+
+// serveFrom is one session process: it runs s, then each session queued
+// behind it, and ends when the queue is empty.
+func (m *Manager) serveFrom(s *Session) {
+	for s != nil {
+		m.runSession(s)
+		m.mu.Lock()
+		s = nil
+		if len(m.queued) > 0 {
+			s = m.queued[0]
+			m.queued[0] = nil
+			m.queued = m.queued[1:]
+		} else {
+			m.running--
+			if m.draining && m.running == 0 {
+				m.drained.Open()
+			}
+		}
+		m.mQueued.Set(int64(len(m.queued)))
+		m.mu.Unlock()
+	}
 }
 
 // Session looks a session up by id.
@@ -396,54 +424,33 @@ func (m *Manager) reapLocked() {
 }
 
 // Drain stops admission, lets queued and running sessions finish, and waits
-// up to timeout for the pool to empty.  It is idempotent; later calls just
-// wait again.  A timeout leaves the stragglers running and returns an error
-// (the daemon exits anyway; the OS reaps).
+// up to timeout (on the backend's clock) for the last session process to
+// end.  It is idempotent; later calls just wait again.  A timeout leaves the
+// stragglers running and returns an error (the daemon exits anyway; the OS
+// reaps).
 func (m *Manager) Drain(timeout time.Duration) error {
-	m.draining.Store(true)
-	m.quitOnce.Do(func() { close(m.quit) })
-	done := make(chan struct{})
-	go func() {
-		m.workers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-time.After(timeout):
+	m.mu.Lock()
+	m.draining = true
+	if m.running == 0 {
+		m.drained.Open()
+	}
+	m.mu.Unlock()
+	expired := m.b.NewGate()
+	defer m.b.AfterFunc(timeout, expired.Open).Stop()
+	m.drained.WaitOr(expired)
+	if !m.drained.IsOpen() {
 		return fmt.Errorf("serve: drain timed out after %v with sessions still running", timeout)
 	}
-}
-
-// worker runs sessions from the queue until told to quit, then drains what
-// is already queued and exits.
-func (m *Manager) worker() {
-	defer m.workers.Done()
-	for {
-		select {
-		case s := <-m.queue:
-			m.runSession(s)
-		case <-m.quit:
-			for {
-				select {
-				case s := <-m.queue:
-					m.runSession(s)
-				default:
-					return
-				}
-			}
-		}
-	}
+	return nil
 }
 
 // runSession executes one session end to end: compile via the shared cache,
 // boot an isolated VM under the session's limits, run, and reap.
 func (m *Manager) runSession(s *Session) {
 	m.mActive.Add(1)
-	m.mQueued.Set(int64(len(m.queue)))
 	defer m.mActive.Add(-1)
 
-	start := time.Now()
+	start := m.b.Now()
 	s.mu.Lock()
 	s.started = start
 	s.state = StateCompiling
@@ -451,7 +458,7 @@ func (m *Manager) runSession(s *Session) {
 	m.mQueueNS.ObserveDuration(start.Sub(s.submitted))
 
 	prog, hit, err := m.cache.CompileTrace(s.src)
-	// Read once, by this worker only: a retained session must not pin up to
+	// Read once, by this session's process only: a retained session must not pin up to
 	// maxSubmitBytes of program text the compile cache's bound never sees.
 	s.src = ""
 	if err != nil {
@@ -477,6 +484,7 @@ func (m *Manager) runSession(s *Session) {
 		UserOutput:     s.out,
 		AcceptTimeout:  m.cfg.AcceptTimeout,
 		Limits:         s.limits,
+		Backend:        m.b,
 		Metrics:        s.reg,
 		FlightRecorder: s.rec,
 		FailureSink: func(reason string) {
@@ -488,8 +496,8 @@ func (m *Manager) runSession(s *Session) {
 		return
 	}
 	s.setState(StateRunning)
-	// A panicking session must not take the worker (and with it the daemon)
-	// down: recover, fail the session alone, and leave its flight recorder
+	// A panicking session must not take its process (and with it the
+	// daemon) down: recover, fail the session alone, and leave its flight recorder
 	// holding the events leading up to the panic.
 	runErr := func() (err error) {
 		defer func() {
@@ -523,7 +531,7 @@ func (m *Manager) runSession(s *Session) {
 
 // finish moves the session to its terminal state and publishes timings.
 func (m *Manager) finish(s *Session, err error) {
-	now := time.Now()
+	now := m.b.Now()
 	s.mu.Lock()
 	s.finished = now
 	s.err = err
@@ -603,7 +611,7 @@ func (m *Manager) logJSON(event string, fields map[string]any) {
 	if m.cfg.Log == nil {
 		return
 	}
-	fields["time"] = time.Now().UTC().Format(time.RFC3339Nano)
+	fields["time"] = m.b.Now().UTC().Format(time.RFC3339Nano)
 	fields["event"] = event
 	line, err := json.Marshal(fields)
 	if err != nil {
@@ -654,13 +662,12 @@ func clone(s *obs.Snapshot) *obs.Snapshot {
 }
 
 // boundedBuf is a goroutine-safe output buffer with a retention cap: writes
-// past the cap are counted but dropped, keeping a hostile tenant's terminal
-// from growing the daemon's memory without bound.
+// past the cap are dropped, keeping a hostile tenant's terminal from growing
+// the daemon's memory without bound.
 type boundedBuf struct {
-	mu      sync.Mutex
-	buf     bytes.Buffer
-	max     int64
-	dropped int64
+	mu  sync.Mutex
+	buf bytes.Buffer
+	max int64
 }
 
 func (b *boundedBuf) Write(p []byte) (int, error) {
@@ -670,7 +677,6 @@ func (b *boundedBuf) Write(p []byte) (int, error) {
 		if room > 0 {
 			b.buf.Write(p[:room])
 		}
-		b.dropped += int64(len(p)) - max64(room, 0)
 		return len(p), nil
 	}
 	return b.buf.Write(p)
@@ -686,13 +692,6 @@ func (b *boundedBuf) len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.Len()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var _ io.Writer = (*boundedBuf)(nil)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 const helloSrc = `TASKTYPE MAIN
@@ -22,8 +23,8 @@ const helloSrc = `TASKTYPE MAIN
 END TASKTYPE
 `
 
-// slowSrc parks its worker in an ACCEPT nobody satisfies for ~1.5 real
-// seconds (goroutine backend), long enough to observe queue behaviour.
+// slowSrc parks its session in an ACCEPT nobody satisfies for 1.5 seconds,
+// virtual ones under a sim.Scheduler.
 const slowSrc = `TASKTYPE MAIN
       SIGNAL NEVER
       ACCEPT 1 OF
@@ -45,9 +46,25 @@ func waitSession(t *testing.T, s *Session) {
 	}
 }
 
+// submit admits req or fails the test.
+func submit(t *testing.T, m *Manager, req Request) *Session {
+	t.Helper()
+	s, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// drainAll drains m, which under a sim.Scheduler is what runs its sessions.
+// The virtual bound outlasts timeout.pf's hour-long DELAY at no cost.
 func drainAll(t *testing.T, m *Manager) {
 	t.Helper()
-	if err := m.Drain(60 * time.Second); err != nil {
+	bound := 60 * time.Second
+	if m.b.Deterministic() {
+		bound = 48 * time.Hour
+	}
+	if err := m.Drain(bound); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,10 +73,7 @@ func TestSessionLifecycle(t *testing.T) {
 	m := New(Config{MaxActive: 2})
 	defer drainAll(t, m)
 
-	s1, err := m.Submit(Request{Tenant: "alice", Source: helloSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := submit(t, m, Request{Tenant: "alice", Source: helloSrc})
 	if s1.ID() != "p1" || s1.Tenant() != "alice" {
 		t.Fatalf("session = %s/%s; want p1/alice", s1.ID(), s1.Tenant())
 	}
@@ -81,10 +95,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 	// The identical program resubmitted by another tenant shares the
 	// compiled unit through the cache.
-	s2, err := m.Submit(Request{Tenant: "bob", Source: helloSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := submit(t, m, Request{Tenant: "bob", Source: helloSrc})
 	waitSession(t, s2)
 	if !s2.CacheHit() {
 		t.Fatal("second submission missed the shared compile cache")
@@ -110,7 +121,7 @@ func TestSubmitValidation(t *testing.T) {
 	// core reads any limit <= 0 as unlimited, so a negative field would
 	// override the daemon default that 0 inherits: each is refused, typed,
 	// and leaves nothing in the session table.
-	_, corpus := corpusPrograms(t)
+	_, corpus := corpusPrograms(backend.Default())
 	for name, l := range map[string]core.Limits{
 		"heap":   {HeapBytes: -1},
 		"tasks":  {MaxTasks: -1},
@@ -126,10 +137,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	// The escape the check closes: fanin initiates six workers, so under the
 	// default of 3 tasks it must fail on quota however the field is spelled.
-	s, err := m.Submit(Request{Source: corpus["fanin.pf"]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, m, Request{Source: corpus["fanin.pf"]})
 	waitSession(t, s)
 	if st, serr := s.State(); st != StateFailed || !strings.Contains(fmt.Sprint(serr), "tasks") {
 		t.Fatalf("fanin under DefaultLimits{MaxTasks: 3}: state = %q err = %v; want failed on the tasks quota", st, serr)
@@ -139,10 +147,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestCompileErrorFailsSession(t *testing.T) {
 	m := New(Config{MaxActive: 1})
 	defer drainAll(t, m)
-	s, err := m.Submit(Request{Source: "THIS IS NOT PISCES FORTRAN"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, m, Request{Source: "THIS IS NOT PISCES FORTRAN"})
 	waitSession(t, s)
 	st, serr := s.State()
 	if st != StateFailed || serr == nil {
@@ -163,14 +168,8 @@ func TestHostileArrayDeclarationFailsSession(t *testing.T) {
 	defer drainAll(t, m)
 	for _, dims := range []string{"2000000000", "9000000000000000000", "4294967296, 4294967296"} {
 		src := "TASKTYPE MAIN\n      REAL A(" + dims + ")\n      A(1) = 1.0\n      PRINT *, 'SURVIVED'\nEND TASKTYPE\n"
-		hostile, err := m.Submit(Request{Tenant: "mallory", Source: src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		good, err := m.Submit(Request{Tenant: "alice", Source: helloSrc})
-		if err != nil {
-			t.Fatal(err)
-		}
+		hostile := submit(t, m, Request{Tenant: "mallory", Source: src})
+		good := submit(t, m, Request{Tenant: "alice", Source: helloSrc})
 		waitSession(t, hostile)
 		st, serr := hostile.State()
 		if st != StateFailed || serr == nil || !strings.Contains(serr.Error(), "pfi: line 2: array A has more than") {
@@ -186,33 +185,14 @@ func TestHostileArrayDeclarationFailsSession(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejects: with one worker pinned on a slow program and a
+// TestQueueFullRejects: with one session running a slow program and a
 // depth-1 queue occupied, the next submission is refused immediately and
-// leaves no trace in the session table.
+// leaves no trace in the session table.  The queued session starts the
+// virtual instant the running one finishes.
 func TestQueueFullRejects(t *testing.T) {
-	m := New(Config{MaxActive: 1, QueueDepth: 1})
-	defer drainAll(t, m)
-
-	running, err := m.Submit(Request{Source: slowSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the worker to pick it up so the queue slot is truly free.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st, _ := running.State(); st != StateQueued {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("slow session never left the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	queued, err := m.Submit(Request{Source: slowSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	m := newManager(Config{MaxActive: 1, QueueDepth: 1}, sim.New(1))
+	running := submit(t, m, Request{Source: slowSrc})
+	queued := submit(t, m, Request{Source: slowSrc})
 	if _, err := m.Submit(Request{Source: helloSrc}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit into a full queue = %v; want ErrQueueFull", err)
 	}
@@ -222,12 +202,15 @@ func TestQueueFullRejects(t *testing.T) {
 	if m.mRejected.Load() == 0 {
 		t.Fatal("rejection not counted")
 	}
-	waitSession(t, running)
-	waitSession(t, queued)
+	drainAll(t, m)
+	_, _, ranUntil := running.Times()
+	if _, started, _ := queued.Times(); !started.Equal(ranUntil) || string(queued.Output()) != "SLOW DONE\n" {
+		t.Fatalf("queued session started at %v, the running one finished at %v; output %q", started, ranUntil, queued.Output())
+	}
 }
 
-// TestConcurrentRejectionsKeepTheTable: many submissions race for one worker
-// and a one-deep queue, so most are refused while others are admitted
+// TestConcurrentRejectionsKeepTheTable: many submissions race for one running
+// slot and a one-deep queue, so most are refused while others are admitted
 // between them.  A refusal must leave the table as it was: every admitted
 // session is listed once and found by id, and no refused id is anywhere.
 func TestConcurrentRejectionsKeepTheTable(t *testing.T) {
@@ -282,16 +265,12 @@ func TestConcurrentRejectionsKeepTheTable(t *testing.T) {
 }
 
 // TestDrain: queued sessions finish, new submissions are refused, and the
-// worker pool exits within the bound.
+// last session process ends within the bound.
 func TestDrain(t *testing.T) {
 	m := New(Config{MaxActive: 1, QueueDepth: 8})
 	var sessions []*Session
 	for i := 0; i < 3; i++ {
-		s, err := m.Submit(Request{Source: helloSrc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, s)
+		sessions = append(sessions, submit(t, m, Request{Source: helloSrc}))
 	}
 	if err := m.Drain(60 * time.Second); err != nil {
 		t.Fatal(err)
@@ -311,13 +290,57 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestSubmitRacingDrainRunsOrRefuses: four submissions and a Drain start at
+// once on a fresh daemon.  Each submission is refused or admitted, and once
+// Drain returns nil every admitted session has finished.  Admission and
+// Drain must decide under one lock: a submission that passed a draining
+// check made outside it can be admitted after the last session process
+// ended, and a 202 then never runs.
+func TestSubmitRacingDrainRunsOrRefuses(t *testing.T) {
+	const rounds, submitters = 2000, 4
+	for round := 0; round < rounds; round++ {
+		m := New(Config{MaxActive: 1})
+		start := make(chan struct{})
+		admitted := make([]*Session, submitters)
+		var drainErr error
+		var wg sync.WaitGroup
+		wg.Add(submitters + 1)
+		for i := range admitted {
+			go func() {
+				defer wg.Done()
+				<-start
+				s, err := m.Submit(Request{Source: helloSrc})
+				if err != nil && !errors.Is(err, ErrDraining) {
+					t.Error(err)
+				}
+				admitted[i] = s
+			}()
+		}
+		go func() {
+			defer wg.Done()
+			<-start
+			drainErr = m.Drain(10 * time.Second)
+		}()
+		close(start)
+		wg.Wait()
+		if drainErr != nil {
+			t.Fatal(drainErr)
+		}
+		for _, s := range admitted {
+			if s == nil {
+				continue
+			}
+			if st, err := s.State(); st != StateDone {
+				t.Fatalf("round %d: session %s admitted beside Drain is %q (err %v) after Drain returned", round, s.ID(), st, err)
+			}
+		}
+	}
+}
+
 func TestManagerSnapshotMetrics(t *testing.T) {
 	m := New(Config{MaxActive: 1, TenantMetrics: true})
 	defer drainAll(t, m)
-	s, err := m.Submit(Request{Tenant: "alice", Source: helloSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, m, Request{Tenant: "alice", Source: helloSrc})
 	waitSession(t, s)
 
 	snap := m.Snapshot()
@@ -347,116 +370,93 @@ func TestManagerSnapshotMetrics(t *testing.T) {
 
 // --- HTTP API ---
 
-func postProgram(t *testing.T, url string, body SubmitRequest) (*http.Response, StatusResponse) {
+// serveHTTP answers one request through h, with no socket in between.
+func serveHTTP(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// getJSON decodes a 200 answer to GET path into v.
+func getJSON(t *testing.T, h http.Handler, path string, v any) {
 	t.Helper()
-	raw, _ := json.Marshal(body)
-	resp, err := http.Post(url+"/programs", "application/json", bytes.NewReader(raw))
-	if err != nil {
+	rec := serveHTTP(h, http.MethodGet, path, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d", path, rec.Code)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+}
+
+func postProgram(t *testing.T, h http.Handler, body SubmitRequest) (int, StatusResponse) {
+	t.Helper()
+	raw, _ := json.Marshal(body)
+	rec := serveHTTP(h, http.MethodPost, "/programs", raw)
 	var st StatusResponse
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if rec.Code == http.StatusAccepted {
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return resp, st
+	return rec.Code, st
 }
 
 func TestHTTPSubmitStatusOutput(t *testing.T) {
 	m := New(Config{MaxActive: 2})
 	defer drainAll(t, m)
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
+	h := m.Handler()
 
-	resp, st := postProgram(t, srv.URL, SubmitRequest{Tenant: "alice", Source: helloSrc})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /programs = %d; want 202", resp.StatusCode)
+	code, st := postProgram(t, h, SubmitRequest{Tenant: "alice", Source: helloSrc})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /programs = %d; want 202", code)
 	}
 	if st.ID == "" || st.Tenant != "alice" {
 		t.Fatalf("submit response = %+v", st)
 	}
 
 	// ?wait=1 blocks until completion, then serves the terminal output.
-	out, err := http.Get(srv.URL + "/programs/" + st.ID + "/output?wait=1")
-	if err != nil {
-		t.Fatal(err)
+	out := serveHTTP(h, http.MethodGet, "/programs/"+st.ID+"/output?wait=1", nil)
+	if !strings.Contains(out.Body.String(), "HELLO SERVE") {
+		t.Fatalf("output body = %q; want HELLO SERVE", out.Body)
 	}
-	body, _ := io.ReadAll(out.Body)
-	out.Body.Close()
-	if !strings.Contains(string(body), "HELLO SERVE") {
-		t.Fatalf("output body = %q; want HELLO SERVE", body)
-	}
-	if ct := out.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+	if ct := out.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("output content-type = %q", ct)
 	}
 
-	stResp, err := http.Get(srv.URL + "/programs/" + st.ID + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got StatusResponse
-	if err := json.NewDecoder(stResp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	stResp.Body.Close()
+	getJSON(t, h, "/programs/"+st.ID+"/status", &got)
 	if got.State != StateDone || got.OutputBytes == 0 {
 		t.Fatalf("status = %+v; want done with output", got)
 	}
 
-	listResp, err := http.Get(srv.URL + "/programs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var list []StatusResponse
-	if err := json.NewDecoder(listResp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	listResp.Body.Close()
+	getJSON(t, h, "/programs", &list)
 	if len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("list = %+v; want the one session", list)
 	}
 
-	if r404, err := http.Get(srv.URL + "/programs/nope/status"); err != nil {
-		t.Fatal(err)
-	} else {
-		r404.Body.Close()
-		if r404.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown id = %d; want 404", r404.StatusCode)
-		}
+	if code := serveHTTP(h, http.MethodGet, "/programs/nope/status", nil).Code; code != http.StatusNotFound {
+		t.Fatalf("unknown id = %d; want 404", code)
 	}
 }
 
 func TestHTTPQuotaViolationSurfaces(t *testing.T) {
-	m := New(Config{MaxActive: 1})
-	defer drainAll(t, m)
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
+	m := newManager(Config{MaxActive: 1}, sim.New(1))
+	h := m.Handler()
 
 	// fanin initiates six workers; a MaxTasks of 3 fails it on quota.
-	_, corpus := corpusPrograms(t)
-	resp, st := postProgram(t, srv.URL, SubmitRequest{
+	_, corpus := corpusPrograms(backend.Default())
+	code, st := postProgram(t, h, SubmitRequest{
 		Source: corpus["fanin.pf"],
 		Limits: LimitsSpec{MaxTasks: 3},
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST = %d; want 202", resp.StatusCode)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d; want 202", code)
 	}
-	s, ok := m.Session(st.ID)
-	if !ok {
-		t.Fatal("submitted session not found")
-	}
-	waitSession(t, s)
-	stResp, err := http.Get(srv.URL + "/programs/" + st.ID + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
+	drainAll(t, m)
 	var got StatusResponse
-	if err := json.NewDecoder(stResp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	stResp.Body.Close()
+	getJSON(t, h, "/programs/"+st.ID+"/status", &got)
 	if got.State != StateFailed || got.Quota != "tasks" {
 		t.Fatalf("status = %+v; want failed with quota_violation=tasks", got)
 	}
@@ -465,37 +465,22 @@ func TestHTTPQuotaViolationSurfaces(t *testing.T) {
 	}
 }
 
+// TestHTTPAdmissionStatusCodes: one session running and one queued, then
+// every refusal's status code.  Admission is decided in Submit, so nothing
+// has to run before the queue is full.
 func TestHTTPAdmissionStatusCodes(t *testing.T) {
-	m := New(Config{MaxActive: 1, QueueDepth: 1})
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-
-	resp, st := postProgram(t, srv.URL, SubmitRequest{Source: slowSrc})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST = %d; want 202", resp.StatusCode)
-	}
-	running, _ := m.Session(st.ID)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if s, _ := running.State(); s != StateQueued {
-			break
+	m := newManager(Config{MaxActive: 1, QueueDepth: 1}, sim.New(1))
+	h := m.Handler()
+	for i, want := range []int{http.StatusAccepted, http.StatusAccepted, http.StatusTooManyRequests} {
+		if code, _ := postProgram(t, h, SubmitRequest{Source: slowSrc}); code != want {
+			t.Fatalf("POST %d = %d; want %d", i+1, code, want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("slow session never left the queue")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: slowSrc}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("queued POST = %d; want 202", resp.StatusCode)
+	if code, _ := postProgram(t, h, SubmitRequest{Source: ""}); code != http.StatusBadRequest {
+		t.Fatalf("empty POST = %d; want 400", code)
 	}
-	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: helloSrc}); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-capacity POST = %d; want 429", resp.StatusCode)
-	}
-	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: ""}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty POST = %d; want 400", resp.StatusCode)
-	}
-	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: "C" + strings.Repeat(" ", maxSubmitBytes)}); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized POST = %d; want 413", resp.StatusCode)
+	if code, _ := postProgram(t, h, SubmitRequest{Source: "C" + strings.Repeat(" ", maxSubmitBytes)}); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST = %d; want 413", code)
 	}
 	// Negative limits — and a wall clock that would wrap time.Duration into
 	// one — are malformed requests, answered before the queue is consulted.
@@ -505,8 +490,8 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 		{WallClockMS: math.MaxInt64/int64(time.Millisecond) + 1},
 		{WallClockMS: math.MaxInt64}, {WallClockMS: math.MinInt64},
 	} {
-		if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: helloSrc, Limits: l}); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST with limits %+v = %d; want 400", l, resp.StatusCode)
+		if code, _ := postProgram(t, h, SubmitRequest{Source: helloSrc, Limits: l}); code != http.StatusBadRequest {
+			t.Errorf("POST with limits %+v = %d; want 400", l, code)
 		}
 	}
 	if n := len(m.Sessions()); n != before {
@@ -514,7 +499,7 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 	}
 
 	drainAll(t, m)
-	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: helloSrc}); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining POST = %d; want 503", resp.StatusCode)
+	if code, _ := postProgram(t, h, SubmitRequest{Source: helloSrc}); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining POST = %d; want 503", code)
 	}
 }

@@ -3,9 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,11 +26,7 @@ func runToDone(t *testing.T, m *Manager, tenant string, srcs ...string) {
 	t.Helper()
 	batch := make([]*Session, len(srcs))
 	for i, src := range srcs {
-		s, err := m.Submit(Request{Tenant: tenant, Source: src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch[i] = s
+		batch[i] = submit(t, m, Request{Tenant: tenant, Source: src})
 	}
 	for _, s := range batch {
 		waitSession(t, s)
@@ -100,24 +94,10 @@ type observed struct {
 	output, events, blackbox string
 }
 
-func observe(t *testing.T, url string, s *Session) observed {
+func observe(t *testing.T, h http.Handler, s *Session) observed {
 	t.Helper()
-	get := func(path string) []byte {
-		resp, err := http.Get(url + "/programs/" + s.ID() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
-		}
-		return body
-	}
 	var events []EventResponse
-	if err := json.Unmarshal(get("/events"), &events); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, h, "/programs/"+s.ID()+"/events", &events)
 	for i := range events {
 		events[i].TSNS = 0
 	}
@@ -140,29 +120,20 @@ func observe(t *testing.T, url string, s *Session) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return observed{output: string(get("/output")), events: string(eventsJSON), blackbox: string(box)}
+	output := serveHTTP(h, http.MethodGet, "/programs/"+s.ID()+"/output", nil).Body.String()
+	return observed{output: output, events: string(eventsJSON), blackbox: string(box)}
 }
 
 // TestCrossTenantStorageRecycling: sessions reuse what earlier sessions gave
 // back — pooled message headers, frames and recorder storage.  Tenant B,
-// running after and beside tenant A's recognisable cross-cluster payloads on
-// four workers, must see exactly what it sees on a daemon nobody else has
-// used: output, /events and blackbox dump.
+// running after and beside tenant A's recognisable cross-cluster payloads,
+// four sessions at once, must see exactly what it sees on a daemon nobody
+// else has used: output, /events and blackbox dump.
 func TestCrossTenantStorageRecycling(t *testing.T) {
-	run := func(m *Manager, tenant, src string) *Session {
-		s, err := m.Submit(Request{Tenant: tenant, Source: src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
 	fresh := New(daemonShape(Config{}))
-	freshSrv := httptest.NewServer(fresh.Handler())
-	solo := run(fresh, "b", echoSrc)
+	solo := submit(t, fresh, Request{Tenant: "b", Source: echoSrc})
 	waitSession(t, solo)
-	want := observe(t, freshSrv.URL, solo)
-	freshSrv.Close()
+	want := observe(t, fresh.Handler(), solo)
 	drainAll(t, fresh)
 	if want.output != "ECHO  B 4.5\n" || !strings.Contains(want.events, `"kind":"send"`) {
 		t.Fatalf("tenant B alone: output %q, events %s", want.output, want.events)
@@ -170,14 +141,13 @@ func TestCrossTenantStorageRecycling(t *testing.T) {
 
 	m := New(daemonShape(Config{}))
 	defer drainAll(t, m)
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
+	h := m.Handler()
 	const rounds, perRound = 4, 8
 	for round := 0; round < rounds; round++ {
 		var as, bs []*Session
 		for i := 0; i < perRound; i++ {
-			as = append(as, run(m, "a", secretSrc))
-			bs = append(bs, run(m, "b", echoSrc))
+			as = append(as, submit(t, m, Request{Tenant: "a", Source: secretSrc}))
+			bs = append(bs, submit(t, m, Request{Tenant: "b", Source: echoSrc}))
 		}
 		for _, s := range as {
 			waitSession(t, s)
@@ -187,7 +157,7 @@ func TestCrossTenantStorageRecycling(t *testing.T) {
 		}
 		for _, s := range bs {
 			waitSession(t, s)
-			if got := observe(t, srv.URL, s); got != want {
+			if got := observe(t, h, s); got != want {
 				t.Fatalf("tenant B session %s on recycled storage differs from a fresh daemon's:\n got %+v\nwant %+v", s.ID(), got, want)
 			}
 		}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,22 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/conformance"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
-// corpusPrograms returns the conformance corpus minus timeout.pf, whose
-// hour-long DELAY is virtual-clock only: the daemon runs programs on the
-// real-time goroutine backend, where that delay would sleep for real.
-func corpusPrograms(t *testing.T) ([]string, map[string]string) {
-	t.Helper()
+// corpusPrograms returns the conformance corpus a daemon on b can run.  On
+// the real backend that is all of it but timeout.pf, whose hour-long DELAY
+// would sleep for real; under a sim.Scheduler the delay is virtual.
+func corpusPrograms(b backend.Backend) ([]string, map[string]string) {
 	names, srcs := conformance.Corpus()
 	out := names[:0:0]
 	for _, n := range names {
-		if n == "timeout.pf" {
-			continue
+		if n != "timeout.pf" || b.Deterministic() {
+			out = append(out, n)
 		}
-		out = append(out, n)
 	}
 	return out, srcs
 }
@@ -39,97 +41,84 @@ func harnessShape(cfg Config) Config {
 	return cfg
 }
 
-// soloOutputs runs every corpus program alone — one worker, empty daemon —
-// and returns the reference output per program.
-func soloOutputs(t *testing.T, names []string, srcs map[string]string) map[string]string {
+// soloOutputs runs every corpus program alone — one session at a time on an
+// otherwise empty daemon on b — and returns the reference output per program.
+func soloOutputs(t *testing.T, b backend.Backend) map[string]string {
 	t.Helper()
-	m := New(harnessShape(Config{MaxActive: 1}))
-	defer drainAll(t, m)
+	names, srcs := corpusPrograms(b)
+	m := newManager(harnessShape(Config{MaxActive: 1}), b)
+	sessions := make([]*Session, len(names))
+	for i, name := range names {
+		sessions[i] = submit(t, m, Request{Tenant: "solo", Source: srcs[name]})
+	}
+	drainAll(t, m)
 	out := make(map[string]string, len(names))
-	for _, name := range names {
-		s, err := m.Submit(Request{Tenant: "solo", Source: srcs[name]})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		waitSession(t, s)
+	for i, s := range sessions {
 		if st, serr := s.State(); st != StateDone {
-			t.Fatalf("%s solo run failed: state=%q err=%v", name, st, serr)
+			t.Fatalf("%s solo run failed: state=%q err=%v", names[i], st, serr)
 		}
-		out[name] = string(s.Output())
+		out[names[i]] = string(s.Output())
 	}
 	return out
 }
 
-// TestConcurrentTenantConformance is the multi-tenant conformance sweep: the
-// whole corpus submitted three times over by concurrent tenants into one
-// daemon with eight active workers.  Every tenant's output must be
-// byte-identical to the program's solo run — sessions sharing a process, a
-// compile cache and a wall clock must not observe each other.  Run under
-// -race this is also the isolation check on the shared compiled units.
+// tenantSweep is the multi-tenant conformance sweep: the corpus submitted
+// three times over by as many tenants into one daemon on b that runs eight
+// sessions at once.  Every tenant's output must be byte-identical to the
+// program's solo run — sessions sharing a process, a compile cache and a
+// clock must not observe each other.  On the real backend the tenants submit
+// from goroutines of their own; a sim.Scheduler takes them from the one
+// driver goroutine.
 //
 // All three rounds go in at once, against a cold cache: the cache
 // single-flights a source's first compile, so "one compile per distinct
-// program" is exact no matter which worker got there first.
-func TestConcurrentTenantConformance(t *testing.T) {
-	names, srcs := corpusPrograms(t)
-	solo := soloOutputs(t, names, srcs)
-	// The one row whose reference needs pinning, not just comparing: on this
-	// backend a session whose tasks end in fire-and-forget INITIATEs used to
-	// race its own shutdown, and solo and concurrent runs could lose the same
-	// child.
-	if got, want := solo["lastinit.pf"], "MAIN STARTS\nCHILD RAN 7\nLEAF RAN 8\n"; got != want {
-		t.Errorf("lastinit.pf solo session printed:\n%swant:\n%s", got, want)
-	}
-
+// program" is exact no matter which session got there first.
+// It returns what the daemon wrote to its History and Log writers.
+func tenantSweep(t *testing.T, b backend.Backend, solo map[string]string) (history, log string) {
+	t.Helper()
 	const rounds = 3
-	m := New(harnessShape(Config{
+	names, srcs := corpusPrograms(b)
+	var hist, logs bytes.Buffer
+	m := newManager(harnessShape(Config{
 		MaxActive:     8,
 		QueueDepth:    2 * rounds * len(names),
 		TenantMetrics: true,
-	}))
-	defer drainAll(t, m)
+		History:       &hist,
+		Log:           &logs,
+	}), b)
 
-	type result struct {
-		name    string
-		tenant  string
-		session *Session
-	}
-	var mu sync.Mutex
-	var results []result
+	sessions := make([]*Session, rounds*len(names))
 	var wg sync.WaitGroup
-	for round := 0; round < rounds; round++ {
-		for _, name := range names {
-			tenant := fmt.Sprintf("t%d-%s", round, name)
-			wg.Add(1)
-			go func(name, tenant string) {
-				defer wg.Done()
-				s, err := m.Submit(Request{Tenant: tenant, Source: srcs[name]})
-				if err != nil {
-					t.Errorf("%s: submit: %v", tenant, err)
-					return
-				}
-				mu.Lock()
-				results = append(results, result{name, tenant, s})
-				mu.Unlock()
-			}(name, tenant)
+	for i := range sessions {
+		submit := func() {
+			s, err := m.Submit(Request{Tenant: fmt.Sprintf("t%d", i), Source: srcs[names[i%len(names)]]})
+			if err != nil {
+				t.Errorf("t%d: submit: %v", i, err)
+			}
+			sessions[i] = s
 		}
+		if b.Deterministic() {
+			submit()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			submit()
+		}()
 	}
 	wg.Wait()
+	drainAll(t, m)
 	if t.Failed() {
 		t.FailNow()
 	}
-	if len(results) != rounds*len(names) {
-		t.Fatalf("admitted %d sessions; want %d", len(results), rounds*len(names))
-	}
-	for _, r := range results {
-		waitSession(t, r.session)
-		if st, serr := r.session.State(); st != StateDone {
-			t.Errorf("%s: state=%q err=%v; want done", r.tenant, st, serr)
-			continue
-		}
-		if got := string(r.session.Output()); got != solo[r.name] {
-			t.Errorf("%s: concurrent output differs from solo run\n--- solo ---\n%s--- concurrent ---\n%s",
-				r.tenant, solo[r.name], got)
+	for i, s := range sessions {
+		name := names[i%len(names)]
+		if st, serr := s.State(); st != StateDone {
+			t.Errorf("t%d (%s): state=%q err=%v; want done", i, name, st, serr)
+		} else if got := string(s.Output()); got != solo[name] {
+			t.Errorf("t%d (%s): concurrent output differs from solo run\n--- solo ---\n%s--- concurrent ---\n%s",
+				i, name, solo[name], got)
 		}
 	}
 
@@ -141,6 +130,49 @@ func TestConcurrentTenantConformance(t *testing.T) {
 	}
 	if want := int64((rounds - 1) * len(names)); cs.Hits != want {
 		t.Errorf("cache hits = %d; want %d (every other submission shares a unit)", cs.Hits, want)
+	}
+	return hist.String(), logs.String()
+}
+
+// TestConcurrentTenantConformance runs the tenant sweep on the real backend.
+// Run under -race this is the isolation check on the compiled units that
+// truly concurrent sessions share.
+func TestConcurrentTenantConformance(t *testing.T) {
+	solo := soloOutputs(t, backend.Default())
+	// The one row whose reference needs pinning, not just comparing: on this
+	// backend a session whose tasks end in fire-and-forget INITIATEs used to
+	// race its own shutdown, and solo and concurrent runs could lose the same
+	// child.
+	if got, want := solo["lastinit.pf"], "MAIN STARTS\nCHILD RAN 7\nLEAF RAN 8\n"; got != want {
+		t.Errorf("lastinit.pf solo session printed:\n%swant:\n%s", got, want)
+	}
+	tenantSweep(t, backend.Default(), solo)
+}
+
+// TestSimTenantConformance runs the tenant sweep, timeout.pf included, under
+// seeds 1..8, twice per seed.  The journal is the seed's artefact: both runs
+// of a seed write the same History and Log bytes, virtual times included,
+// and the seeds do not all finish the sessions in one order.
+func TestSimTenantConformance(t *testing.T) {
+	orders := map[string]bool{}
+	for seed := int64(1); seed <= 8; seed++ {
+		solo := soloOutputs(t, sim.New(seed))
+		history, log := tenantSweep(t, sim.New(seed), solo)
+		if history2, log2 := tenantSweep(t, sim.New(seed), solo); history2+log2 != history+log {
+			t.Fatalf("seed %d: two runs wrote different journals\n--- first ---\n%s%s--- again ---\n%s%s",
+				seed, history, log, history2, log2)
+		}
+		var order []string
+		for _, line := range strings.Split(history, "\n") {
+			var rec historyRecord
+			if json.Unmarshal([]byte(line), &rec) == nil {
+				order = append(order, rec.ID)
+			}
+		}
+		orders[strings.Join(order, " ")] = true
+	}
+	if len(orders) < 2 {
+		t.Error("every seed finished the sessions in the same order")
 	}
 }
 
@@ -167,65 +199,49 @@ TASKTYPE WORKER(ME)
 END TASKTYPE
 `
 
-// TestQuotaIsolation: one tenant with a deliberately tiny heap quota
-// overflows it; the violation fails that tenant alone, and eight good
-// tenants running alongside produce byte-identical output to their solo
-// runs.
-func TestQuotaIsolation(t *testing.T) {
-	names, srcs := corpusPrograms(t)
-	solo := soloOutputs(t, names, srcs)
+// quotaIsolation: one tenant with a deliberately tiny heap quota overflows
+// it; the violation fails that tenant alone, and eight good tenants running
+// alongside on b produce byte-identical output to their solo runs.
+func quotaIsolation(t *testing.T, newBackend func() backend.Backend) {
+	names, srcs := corpusPrograms(newBackend())
+	solo := soloOutputs(t, newBackend())
+	m := newManager(harnessShape(Config{MaxActive: 9, QueueDepth: 32}), newBackend())
 
-	m := New(harnessShape(Config{MaxActive: 9, QueueDepth: 32}))
-	defer drainAll(t, m)
+	hog := submit(t, m, Request{Tenant: "hog", Source: hogSrc, Limits: core.Limits{HeapBytes: 8 << 10}})
+	good := make([]*Session, 8)
+	for i := range good {
+		good[i] = submit(t, m, Request{Tenant: fmt.Sprintf("good%d", i), Source: srcs[names[i]]})
+	}
+	drainAll(t, m)
 
-	hog, err := m.Submit(Request{
-		Tenant: "hog",
-		Source: hogSrc,
-		Limits: core.Limits{HeapBytes: 8 << 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := make([]*Session, 0, 8)
-	goodNames := make([]string, 0, 8)
-	for i := 0; i < 8; i++ {
-		name := names[i%len(names)]
-		s, err := m.Submit(Request{Tenant: fmt.Sprintf("good%d", i), Source: srcs[name]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		good = append(good, s)
-		goodNames = append(goodNames, name)
-	}
-
-	waitSession(t, hog)
-	st, herr := hog.State()
-	if st != StateFailed {
-		t.Fatalf("hog state = %q (err=%v); want failed", st, herr)
-	}
-	if !errors.Is(herr, core.ErrLimitExceeded) {
-		t.Fatalf("hog error = %v; want ErrLimitExceeded", herr)
-	}
 	var le *core.LimitError
-	if !errors.As(herr, &le) || le.Resource != core.LimitHeap {
-		t.Fatalf("hog violation = %v; want heap", herr)
+	if st, herr := hog.State(); st != StateFailed || !errors.Is(herr, core.ErrLimitExceeded) || !errors.As(herr, &le) || le.Resource != core.LimitHeap {
+		t.Fatalf("hog state = %q (err=%v); want failed on the heap limit", st, herr)
 	}
 	if out := string(hog.Output()); strings.Contains(out, "HOG SURVIVED") {
 		t.Fatalf("hog printed its success line past a heap violation:\n%s", out)
 	}
 
 	for i, s := range good {
-		waitSession(t, s)
 		if st, serr := s.State(); st != StateDone {
-			t.Errorf("good%d (%s): state=%q err=%v; want done", i, goodNames[i], st, serr)
+			t.Errorf("good%d (%s): state=%q err=%v; want done", i, names[i], st, serr)
 			continue
 		}
-		if got := string(s.Output()); got != solo[goodNames[i]] {
+		if got := string(s.Output()); got != solo[names[i]] {
 			t.Errorf("good%d (%s): output perturbed by the hog's violation\n--- solo ---\n%s--- shared ---\n%s",
-				i, goodNames[i], solo[goodNames[i]], got)
+				i, names[i], solo[names[i]], got)
 		}
 	}
 	if m.mQuota.Load() != 1 {
 		t.Errorf("quota counter = %d; want 1", m.mQuota.Load())
+	}
+}
+
+func TestQuotaIsolation(t *testing.T) { quotaIsolation(t, backend.Default) }
+
+// TestSimQuotaIsolation is TestQuotaIsolation under seeds 1..8.
+func TestSimQuotaIsolation(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		quotaIsolation(t, func() backend.Backend { return sim.New(seed) })
 	}
 }
