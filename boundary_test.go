@@ -226,13 +226,14 @@ func TestOneSendHead(t *testing.T) {
 // -sim run executes touches time, concurrency and the network only through
 // the backend (backend.Backend: Spawn, Now, AfterFunc, gates, conds), so the
 // simulator's seed fixes everything it does.  Non-test code of core, pfi,
-// memory, node and serve — the TCP adapter (node/tcp.go) and the HTTP API
-// (serve/http.go) aside — may contain no go statement, no wall-clock read or timer of package time, no net dial or
-// listen, and no call of math/rand's shared generator; a generator of its
-// own, seeded with rand.New, is what a seed replays.  Node code waits on its
-// peers, so it may also hold no select statement, channel send or receive,
-// or sync.Cond: the simulator cannot see a task blocked on one, and a run
-// would hang where it should report a deadlock.
+// memory, node, serve, flex and mmos — the TCP adapter (node/tcp.go) and the
+// HTTP API (serve/http.go) aside — may contain no go statement, no wall-clock
+// read or timer of package time, no net dial or listen, and no call of
+// math/rand's shared generator; a generator of its own, seeded with rand.New,
+// is what a seed replays.  Node code waits on its peers, and MMOS's processes
+// on each PE's CPU, so node, flex and mmos may also hold no select statement,
+// channel send or receive, or sync.Cond: the simulator cannot see a task
+// blocked on one, and a run would hang where it should report a deadlock.
 func TestSimPackagesUseTheBackend(t *testing.T) {
 	forbidden := map[string]func(name string) bool{
 		"time": func(name string) bool {
@@ -252,8 +253,8 @@ func TestSimPackagesUseTheBackend(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
-	nodeFiles := map[*ast.File]bool{}
-	for _, dir := range []string{"core", "pfi", "memory", "node", "serve"} {
+	strict := map[*ast.File]bool{} // files that may not wait outside the backend
+	for _, dir := range []string{"core", "pfi", "memory", "node", "serve", "flex", "mmos"} {
 		pkgs, err := parser.ParseDir(fset, filepath.Join("internal", dir), func(fi fs.FileInfo) bool {
 			name := fi.Name()
 			return !strings.HasSuffix(name, "_test.go") && !(dir == "node" && name == "tcp.go") && !(dir == "serve" && name == "http.go")
@@ -263,7 +264,7 @@ func TestSimPackagesUseTheBackend(t *testing.T) {
 		}
 		for _, f := range pkgs[dir].Files {
 			files = append(files, f)
-			nodeFiles[f] = dir == "node"
+			strict[f] = dir == "node" || dir == "flex" || dir == "mmos"
 		}
 	}
 	if len(files) < 35 {
@@ -273,7 +274,7 @@ func TestSimPackagesUseTheBackend(t *testing.T) {
 		imported := map[string]string{} // local name -> import path, for the guarded packages
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if forbidden[path] == nil || path == "sync" && !nodeFiles[f] {
+			if forbidden[path] == nil || path == "sync" && !strict[f] {
 				continue
 			}
 			name := filepath.Base(path)
@@ -293,15 +294,15 @@ func TestSimPackagesUseTheBackend(t *testing.T) {
 					}
 				}
 			case *ast.SelectStmt:
-				if nodeFiles[f] {
+				if strict[f] {
 					t.Errorf("%s: select statement; wait on a backend primitive", fset.Position(n.Pos()))
 				}
 			case *ast.SendStmt:
-				if nodeFiles[f] {
+				if strict[f] {
 					t.Errorf("%s: channel send; wait on a backend primitive", fset.Position(n.Pos()))
 				}
 			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && nodeFiles[f] {
+				if n.Op == token.ARROW && strict[f] {
 					t.Errorf("%s: channel receive; wait on a backend primitive", fset.Position(n.Pos()))
 				}
 			}

@@ -24,8 +24,7 @@
 //     notification of one task);
 //   - Gate is a one-shot broadcast (task done, barrier phases, force abort,
 //     initiation replies);
-//   - Sem is a binary semaphore (LOCK variables, the per-PE CPU under the
-//     deterministic backend);
+//   - Sem is a binary semaphore (LOCK variables, the per-PE CPU);
 //   - WaitGroup counts outstanding work (user tasks, force members);
 //   - Cond is a condition variable over a Go lock (a node's lanes, stages
 //     and waits on its peers).
@@ -70,8 +69,9 @@ type Backend interface {
 	// the goroutine backend lets the Go scheduler decide.
 	Yield()
 	// Deterministic reports whether this backend serialises execution and
-	// virtualises time (the sim backend) — run-time code uses it to choose
-	// scheduler-visible constructions over raw OS facilities.
+	// virtualises time (the sim backend).  The one run-time path that asks
+	// is the interpreter's per-statement yield, which only a serialising
+	// backend needs.
 	Deterministic() bool
 }
 

@@ -145,9 +145,6 @@ func newClusterRT(vm *VM, cfg config.Cluster, terminal bool) (*clusterRT, error)
 	return rt, nil
 }
 
-// Number returns the cluster number.
-func (c *clusterRT) Number() int { return c.cfg.Number }
-
 // forceSize returns the number of members a FORCESPLIT in this cluster
 // produces.
 func (c *clusterRT) forceSize() int { return 1 + len(c.secondaries) }

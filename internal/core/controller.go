@@ -105,17 +105,6 @@ func (vm *VM) finishController(rec *taskRec) {
 // the task when a slot is free and holding the request otherwise.
 func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 	return func(t *Task) {
-		t.OnMessage(msgInitRequest, func(t *Task, m *Message) {
-			req, err := decodeInitRequest(m)
-			if err != nil {
-				vm.userPrintf("pisces: task controller %s: bad initiate request: %v\n", t.ID(), err)
-				m.reply.deliver(NilTask)
-				return
-			}
-			if err := cl.request(req, t.rec.getProc()); err != nil {
-				vm.userPrintf("pisces: task controller %s: %v\n", t.ID(), err)
-			}
-		})
 		for {
 			res, err := t.Accept(AcceptSpec{
 				Total: 1,
@@ -128,10 +117,20 @@ func (vm *VM) taskControllerBody(cl *clusterRT) func(*Task) {
 			if res.Count(msgShutdown) > 0 {
 				return
 			}
-			// The controller fully owns its accepted messages: the initiate
-			// handler has already run, and took the argument list it retains
-			// out of the header (decodeInitRequest), so the messages go back
-			// to the pool.
+			for _, m := range res.ByType(msgInitRequest) {
+				req, err := decodeInitRequest(m)
+				if err != nil {
+					vm.userPrintf("pisces: task controller %s: bad initiate request: %v\n", t.ID(), err)
+					m.reply.deliver(NilTask)
+					continue
+				}
+				if err := cl.request(req, t.rec.getProc()); err != nil {
+					vm.userPrintf("pisces: task controller %s: %v\n", t.ID(), err)
+				}
+			}
+			// The controller fully owns its accepted messages: a request
+			// took the argument list it retains out of the header
+			// (decodeInitRequest), so the messages go back to the pool.
 			t.RecycleAccept(res)
 		}
 	}
@@ -262,10 +261,6 @@ func formatValue(v Value) string {
 // shutdown.
 func (vm *VM) fileControllerBody() func(*Task) {
 	return func(t *Task) {
-		t.OnMessage("directory", func(t *Task, m *Message) {
-			names := vm.files.names()
-			_ = t.SendSender("directory-reply", Str(fmt.Sprintf("%v", names)))
-		})
 		for {
 			res, err := t.Accept(AcceptSpec{
 				Total: 1,
@@ -277,6 +272,9 @@ func (vm *VM) fileControllerBody() func(*Task) {
 			}
 			if res.Count(msgShutdown) > 0 {
 				return
+			}
+			if len(res.ByType("directory")) > 0 {
+				_ = t.SendSender("directory-reply", Str(fmt.Sprintf("%v", vm.files.names())))
 			}
 			t.RecycleAccept(res)
 		}

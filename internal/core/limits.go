@@ -34,9 +34,6 @@ type Limits struct {
 	OutputBytes int64
 }
 
-// active reports whether any limit is set.
-func (l Limits) active() bool { return l != Limits{} }
-
 // Limit resource names, the Resource field of LimitError.
 const (
 	LimitHeap      = "heap"

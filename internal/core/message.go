@@ -14,7 +14,6 @@ const (
 	msgInitRequest = "pisces.initiate"
 	msgTaskDone    = "pisces.task-done"
 	msgShutdown    = "pisces.shutdown"
-	msgUserOutput  = "pisces.user-output"
 	msgUserSync    = "pisces.user-sync"
 
 	// anyType is the wildcard message type usable in ACCEPT statements; it

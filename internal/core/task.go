@@ -48,7 +48,6 @@ type Task struct {
 	sendArgs []Value
 
 	arraySeq int32
-	lockSeq  int
 }
 
 func newTask(vm *VM, rec *taskRec, args []Value) *Task {

@@ -36,9 +36,6 @@ var (
 	ErrVMTerminated = errors.New("core: virtual machine terminated")
 	// ErrHeapExhausted wraps message-heap allocation failures.
 	ErrHeapExhausted = errors.New("core: shared-memory message heap exhausted")
-	// ErrKilled is reported for tasks terminated by KILL A TASK or by the
-	// run's time limit.
-	ErrKilled = errors.New("core: task killed")
 )
 
 // TaskType is a registered task type: a name and the Go function that serves
@@ -298,7 +295,7 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 	}
 	vm := &VM{
 		machine:   machine,
-		kernel:    mmos.NewKernelOn(machine, opts.Backend),
+		kernel:    mmos.NewKernelOn(opts.Backend),
 		cfg:       cfg.Clone(),
 		opts:      opts,
 		backend:   opts.Backend,

@@ -10,11 +10,11 @@
 //
 // The simulator models the properties PISCES 2 actually relies on rather than
 // the NS32032 instruction set: each PE executes at most one process at a time
-// (an exclusive CPU token), each PE has a tick clock used for trace
-// timestamps, local memory consumption is metered per PE, and the single
-// shared memory is partitioned the same three ways the paper describes —
-// a system-table region, a message heap with explicit allocate/free, and a
-// region for SHARED COMMON blocks.
+// (the MMOS kernel in internal/mmos holds each PE's CPU token), each PE has a
+// tick clock used for trace timestamps, local memory consumption is metered
+// per PE, and the single shared memory is partitioned the same three ways the
+// paper describes — a system-table region, a message heap with explicit
+// allocate/free, and a region for SHARED COMMON blocks.
 package flex
 
 import (
@@ -36,8 +36,6 @@ const (
 	// FirstMMOSPE is the lowest-numbered PE running MMOS; PEs 1 and 2 run
 	// Unix only and are not available for PISCES user tasks.
 	FirstMMOSPE = 3
-	// LastMMOSPE is the highest-numbered PE.
-	LastMMOSPE = 20
 )
 
 // Config describes a simulated machine.  The zero value is not useful; use
@@ -144,13 +142,11 @@ func (m *Machine) TotalTicks() int64 {
 	return sum
 }
 
-// PE is one simulated processor: an exclusive CPU, a tick clock, and a local
-// memory meter.
+// PE is one simulated processor: a tick clock and a local memory meter.  Its
+// CPU, which one process at a time holds, is the MMOS kernel's.
 type PE struct {
 	id   int
 	unix bool
-
-	cpu chan struct{} // capacity-1 token; holding it means "running on this PE"
 
 	ticks atomic.Int64
 
@@ -163,10 +159,7 @@ type PE struct {
 }
 
 func newPE(id, localBytes int, unix bool) *PE {
-	pe := &PE{id: id, unix: unix, localTotal: localBytes}
-	pe.cpu = make(chan struct{}, 1)
-	pe.cpu <- struct{}{}
-	return pe
+	return &PE{id: id, unix: unix, localTotal: localBytes}
 }
 
 // ID returns the 1-based processor number.
@@ -175,20 +168,6 @@ func (p *PE) ID() int { return p.id }
 // IsUnix reports whether the PE is reserved for the Unix front end and thus
 // unavailable for PISCES user tasks.
 func (p *PE) IsUnix() bool { return p.unix }
-
-// Acquire blocks until the caller holds the PE's CPU.
-func (p *PE) Acquire() {
-	<-p.cpu
-}
-
-// Release gives the CPU back.  It must only be called by the holder.
-func (p *PE) Release() {
-	select {
-	case p.cpu <- struct{}{}:
-	default:
-		panic(fmt.Sprintf("flex: PE %d released while not held", p.id))
-	}
-}
 
 // Charge advances the PE's tick clock by n ticks of simulated work.
 func (p *PE) Charge(n int64) {

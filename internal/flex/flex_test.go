@@ -1,10 +1,8 @@
 package flex
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -67,65 +65,6 @@ func TestPEOutOfRange(t *testing.T) {
 	if m.PE(7).ID() != 7 {
 		t.Fatalf("PE(7).ID() = %d", m.PE(7).ID())
 	}
-}
-
-func TestCPUExclusion(t *testing.T) {
-	m := MustNewMachine(DefaultConfig())
-	pe := m.PE(5)
-
-	pe.Acquire()
-	got := make(chan struct{})
-	go func() {
-		pe.Acquire()
-		close(got)
-	}()
-	select {
-	case <-got:
-		t.Fatal("a second Acquire took the CPU while it was held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	pe.Release()
-	<-got
-	pe.Release()
-}
-
-func TestCPUMutualExclusionConcurrent(t *testing.T) {
-	m := MustNewMachine(DefaultConfig())
-	pe := m.PE(3)
-	const workers = 8
-	const iters = 200
-	var counter int // protected only by the PE CPU token
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				pe.Acquire()
-				counter++
-				pe.Charge(1)
-				pe.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d (CPU token did not provide mutual exclusion)", counter, workers*iters)
-	}
-	if pe.Ticks() != int64(workers*iters) {
-		t.Fatalf("ticks = %d, want %d", pe.Ticks(), workers*iters)
-	}
-}
-
-func TestReleaseWithoutHoldPanics(t *testing.T) {
-	m := MustNewMachine(DefaultConfig())
-	pe := m.PE(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double release")
-		}
-	}()
-	pe.Release()
 }
 
 func TestLocalMemoryAccounting(t *testing.T) {

@@ -6,10 +6,12 @@
 // simulated machine in internal/flex.
 //
 // A Proc is the kernel's view of one running program: it is bound to a PE,
-// and it must hold the PE's CPU to execute.  All PISCES blocking operations
-// (ACCEPT waits, barriers, critical regions, waiting for a free slot) release
-// the CPU while the process is blocked, which is what bounds the degree of
-// multiprogramming on each PE to the slot counts chosen in the configuration.
+// and it must hold the PE's CPU to execute.  The kernel holds that CPU, one
+// backend semaphore per PE, on the goroutine backend and the deterministic
+// one alike.  All PISCES blocking operations (ACCEPT waits, barriers,
+// critical regions, waiting for a free slot) release the CPU while the
+// process is blocked, which is what bounds the degree of multiprogramming on
+// each PE to the slot counts chosen in the configuration.
 package mmos
 
 import (
@@ -52,66 +54,39 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int32(s))
 }
 
-// Kernel is the per-machine MMOS instance.
+// Kernel is the per-machine MMOS instance.  It holds each PE's CPU: a
+// backend semaphore, made on the first Spawn onto the PE, which a process
+// holds while it runs.
 type Kernel struct {
-	machine *flex.Machine
 	backend backend.Backend
 
-	mu     sync.Mutex
-	nextID int
-	procs  map[int]*Proc
-	// cpus holds the per-PE CPU tokens used under a deterministic backend,
-	// where the PE's own channel token would block invisibly to the
-	// scheduler.  Keyed by PE number, created lazily.
-	cpus map[int]backend.Sem
+	mu   sync.Mutex
+	cpus map[*flex.PE]backend.Sem
 }
 
 // NewKernelOn creates a kernel that spawns its processes through the given
-// scheduling backend.  With a deterministic backend every process becomes a
-// cooperatively scheduled task and the per-PE CPU exclusivity is enforced
-// with backend semaphores instead of the PE's channel token.
-func NewKernelOn(m *flex.Machine, b backend.Backend) *Kernel {
-	return &Kernel{machine: m, backend: b, procs: make(map[int]*Proc), nextID: 1}
+// scheduling backend.
+func NewKernelOn(b backend.Backend) *Kernel {
+	return &Kernel{backend: b, cpus: make(map[*flex.PE]backend.Sem)}
 }
 
-// cpuToken is the exclusive-CPU interface a process acquires to run.  The
-// flex.PE itself satisfies it (the goroutine path); deterministic backends
-// substitute a scheduler-visible semaphore.
-type cpuToken interface {
-	Acquire()
-	Release()
-}
-
-// semCPU adapts a backend semaphore to the cpuToken interface.
-type semCPU struct{ sem backend.Sem }
-
-func (c semCPU) Acquire() { c.sem.Acquire() }
-func (c semCPU) Release() { c.sem.Release() }
-
-// cpuFor returns the CPU token processes on pe must hold to execute.
-func (k *Kernel) cpuFor(pe *flex.PE) cpuToken {
-	if !k.backend.Deterministic() {
-		return pe
-	}
+// cpuFor returns the CPU processes on pe must hold to execute.
+func (k *Kernel) cpuFor(pe *flex.PE) backend.Sem {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.cpus == nil {
-		k.cpus = make(map[int]backend.Sem)
-	}
-	s, ok := k.cpus[pe.ID()]
+	s, ok := k.cpus[pe]
 	if !ok {
 		s = k.backend.NewSem()
-		k.cpus[pe.ID()] = s
+		k.cpus[pe] = s
 	}
-	return semCPU{sem: s}
+	return s
 }
 
 // Proc is one MMOS process.
 type Proc struct {
 	kernel *Kernel
-	id     int
 	pe     *flex.PE
-	cpu    cpuToken
+	cpu    backend.Sem
 
 	state  atomic.Int32
 	exited backend.Gate
@@ -119,8 +94,8 @@ type Proc struct {
 	localBytes int // local memory charged at spawn, released at exit
 }
 
-// Spawn creates a process named name on PE pe and runs body in a new
-// goroutine.  localBytes of the PE's local memory are charged to the process
+// Spawn creates a process named name on PE pe and runs body as a new
+// backend task.  localBytes of the PE's local memory are charged to the process
 // for its lifetime (program text + data, as in the paper's storage
 // measurements).  The body receives the Proc and runs with the CPU already
 // held; it must use Yield/Block for scheduling points and must not return
@@ -138,13 +113,8 @@ func (k *Kernel) Spawn(pe *flex.PE, name string, localBytes int, body func(*Proc
 		}
 	}
 
-	k.mu.Lock()
-	id := k.nextID
-	k.nextID++
-	p := &Proc{kernel: k, id: id, pe: pe, exited: k.backend.NewGate(), localBytes: localBytes}
+	p := &Proc{kernel: k, pe: pe, exited: k.backend.NewGate(), localBytes: localBytes}
 	p.state.Store(int32(Ready))
-	k.procs[id] = p
-	k.mu.Unlock()
 	p.cpu = k.cpuFor(pe)
 
 	pe.BindProc()
@@ -168,9 +138,6 @@ func (p *Proc) exit() {
 		p.pe.FreeLocal(p.localBytes)
 	}
 	p.pe.UnbindProc()
-	p.kernel.mu.Lock()
-	delete(p.kernel.procs, p.id)
-	p.kernel.mu.Unlock()
 	p.exited.Open()
 }
 
@@ -188,7 +155,16 @@ func (p *Proc) acquireCPU() {
 
 func (p *Proc) releaseCPU() {
 	p.state.Store(int32(Ready))
-	p.cpu.Release()
+	p.giveCPU()
+}
+
+// giveCPU hands the PE's CPU back.  Only its holder may: a release of a CPU
+// nobody holds is a run-time fault, reported with the PE, as LOCK reports an
+// unlock of a lock which is not locked.
+func (p *Proc) giveCPU() {
+	if !p.cpu.Release() {
+		panic(fmt.Sprintf("mmos: PE %d released while not held", p.pe.ID()))
+	}
 }
 
 // Charge advances the PE clock by n ticks on behalf of this process.  The
@@ -219,7 +195,7 @@ func (p *Proc) Yield() {
 // primitive is built on it so that a blocked task never occupies its PE.
 func (p *Proc) BlockFn(wait func()) {
 	p.state.Store(int32(Blocked))
-	p.cpu.Release()
+	p.giveCPU()
 	wait()
 	p.cpu.Acquire()
 	p.state.Store(int32(Running))

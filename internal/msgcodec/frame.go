@@ -27,11 +27,6 @@ const MaxFrameBytes = 8 << 20
 // frameLenBytes is the size of the length prefix.
 const frameLenBytes = 4
 
-// FrameOverhead is the number of wire bytes a frame adds beyond its payload
-// (the length prefix); per-lane byte counters include it so they report what
-// actually crossed the socket.
-const FrameOverhead = frameLenBytes
-
 // WriteFrame writes one length-prefixed frame.  Payloads larger than max
 // (MaxFrameBytes when max <= 0) are rejected with ErrCorrupt: a frame the
 // peer is guaranteed to refuse must fail at the sender, where the bug is.

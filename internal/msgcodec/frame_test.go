@@ -236,8 +236,8 @@ func TestScanFramesBoundaries(t *testing.T) {
 		wantNeed := 0
 		switch tail := cut - wantWhole; {
 		case tail == 0:
-		case tail < FrameOverhead:
-			wantNeed = FrameOverhead // the prefix itself is split across two reads
+		case tail < frameLenBytes:
+			wantNeed = frameLenBytes // the prefix itself is split across two reads
 		default:
 			wantNeed = ends[wantFrames] - wantWhole
 		}

@@ -216,7 +216,7 @@ func checkScanAgainstReader(t *testing.T, p []byte, max int) {
 	got, read := 0, 0
 	var rerr error
 	for {
-		if next := p[read:]; max > 0 && len(next) >= FrameOverhead && binary.BigEndian.Uint32(next) > uint32(max) {
+		if next := p[read:]; max > 0 && len(next) >= frameLenBytes && binary.BigEndian.Uint32(next) > uint32(max) {
 			rerr = ErrCorrupt
 			break
 		}
@@ -226,7 +226,7 @@ func checkScanAgainstReader(t *testing.T, p []byte, max int) {
 			break
 		}
 		got++
-		read += FrameOverhead + len(payload)
+		read += frameLenBytes + len(payload)
 	}
 	if got != frames || read != whole {
 		t.Fatalf("ScanFrames(%d bytes) = %d frames in %d bytes; ReadFrame read %d in %d", len(p), frames, whole, got, read)
@@ -238,8 +238,8 @@ func checkScanAgainstReader(t *testing.T, p []byte, max int) {
 			t.Fatalf("clean end: ScanFrames need %d, err %v, %d bytes after whole", need, err, len(tail))
 		}
 	case rerr == io.ErrUnexpectedEOF:
-		want := FrameOverhead
-		if len(tail) >= FrameOverhead {
+		want := frameLenBytes
+		if len(tail) >= frameLenBytes {
 			want += int(binary.BigEndian.Uint32(tail))
 		}
 		if err != nil || need != want || need <= len(tail) {

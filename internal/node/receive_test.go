@@ -542,7 +542,7 @@ func TestJumboReadBufferIsNotRecycled(t *testing.T) {
 		}
 		if run.retired != nil {
 			if len(run.retired) > readBufBytes {
-				if jumbo != nil || len(run.retired) != 1<<20+msgcodec.FrameOverhead {
+				if jumbo != nil || len(run.retired) != 1<<20+len(framed(nil)) {
 					t.Fatalf("retired a second outsize buffer, of %d bytes", len(run.retired))
 				}
 				jumbo = run.retired

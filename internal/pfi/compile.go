@@ -340,22 +340,11 @@ func (c *compiler) compile(st *pfc.Stmt) (cstmt, error) {
 			return ctlOK, nil
 		}
 
-	case pfc.StmtSignalDecl:
-		name := st.Name
-		s.run = func(st *execState) (ctl, error) {
-			// Task.Signal mutates task-level state; inside a force only the
-			// primary (the member that may ACCEPT) registers the declaration —
-			// concurrent members would race on the task's signal table.
-			if st.m == nil || st.m.IsPrimary() {
-				st.t.Signal(name)
-			}
-			return ctlOK, nil
-		}
-
-	case pfc.StmtHandlerDecl:
-		// The interpreter has no Fortran handler subroutines; handler-declared
-		// message types are counted like signals and their arguments remain
-		// readable through the MSG* intrinsics after an ACCEPT.
+	case pfc.StmtSignalDecl, pfc.StmtHandlerDecl:
+		// The interpreter has no Fortran handler subroutines, so it declares
+		// no handler: every message type is counted like a signal, and a
+		// handler-declared type's arguments remain readable through the MSG*
+		// intrinsics after an ACCEPT.
 		s.run = runContinue
 
 	case pfc.StmtForceSplit:

@@ -312,8 +312,8 @@ func interpretWithTimeout(t *testing.T, cfg *config.Configuration, src string) (
 	}
 }
 
-// TestSignalDeclInsideForce: SIGNAL executed by every member of a force must
-// not race on the task's signal table (primary-only registration).
+// TestSignalDeclInsideForce: SIGNAL executed by every member of a force
+// declares nothing at run time, so no member touches the task's state.
 func TestSignalDeclInsideForce(t *testing.T) {
 	src := `TASKTYPE MAIN
       FORCESPLIT

@@ -39,12 +39,6 @@ func (tab *slotTable) slotOf(name string) int {
 	return i
 }
 
-// lookup reports the slot of a name without assigning one.
-func (tab *slotTable) lookup(name string) (int, bool) {
-	i, ok := tab.index[name]
-	return i, ok
-}
-
 // size returns the number of resolved slots (the frame length).
 func (tab *slotTable) size() int { return len(tab.names) }
 

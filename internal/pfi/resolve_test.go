@@ -9,6 +9,12 @@ import (
 	"repro/internal/pfc"
 )
 
+// lookup reports the slot of a name without assigning one.
+func (tab *slotTable) lookup(name string) (int, bool) {
+	i, ok := tab.index[name]
+	return i, ok
+}
+
 // TestSlotTableAssignment drives the resolver directly: slots are dense,
 // stable, and carry the Fortran implicit kinds.
 func TestSlotTableAssignment(t *testing.T) {

@@ -69,10 +69,6 @@ const retainedSessions = 512
 // session's own OutputBytes limit is unlimited.
 const maxOutputBytes int64 = 1 << 20
 
-// Limits re-exports the per-tenant resource policy so daemon frontends can
-// configure quotas without importing the runtime core directly.
-type Limits = core.Limits
-
 // Config tunes a Manager.
 type Config struct {
 	// Clusters and Slots shape each session's VM (config.Simple); zero
@@ -332,7 +328,12 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 	// Admission is decided under m.mu, the lock Drain and a finishing
 	// session's process take: a session admitted before Drain runs before it
 	// returns, and one after it is refused.  A refused submission never
-	// touches the table.
+	// touches the table.  The log's lock is held from before the decision
+	// until the submitted line is written, so no line of the session's own
+	// process can come first; the order is logMu, then m.mu, and no line is
+	// written under m.mu.
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
@@ -358,7 +359,7 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 	m.mQueued.Set(int64(len(m.queued)))
 	m.mu.Unlock()
 	m.mSubmitted.Inc()
-	m.logJSON("submitted", map[string]any{"id": s.id, "tenant": s.tenant})
+	m.logLocked("submitted", map[string]any{"id": s.id, "tenant": s.tenant})
 	return s, nil
 }
 
@@ -608,6 +609,13 @@ func (m *Manager) journal(s *Session, err error, submitted, started, finished ti
 // logJSON writes one structured log line ({"time":..., "event":..., fields})
 // to the configured Log writer.  Keys marshal sorted, so lines are stable.
 func (m *Manager) logJSON(event string, fields map[string]any) {
+	m.logMu.Lock()
+	defer m.logMu.Unlock()
+	m.logLocked(event, fields)
+}
+
+// logLocked is logJSON for a caller that holds m.logMu.
+func (m *Manager) logLocked(event string, fields map[string]any) {
 	if m.cfg.Log == nil {
 		return
 	}
@@ -617,9 +625,7 @@ func (m *Manager) logJSON(event string, fields map[string]any) {
 	if err != nil {
 		return
 	}
-	m.logMu.Lock()
 	_, _ = m.cfg.Log.Write(append(line, '\n'))
-	m.logMu.Unlock()
 }
 
 // Snapshot assembles the daemon-wide metrics view: the manager's own series,

@@ -337,6 +337,39 @@ func TestSubmitRacingDrainRunsOrRefuses(t *testing.T) {
 	}
 }
 
+// TestSubmittedLineComesFirst runs sessions on the real backend, where a
+// session's process can finish before Submit returns: every session's
+// submitted log line still precedes each other line of that session.
+func TestSubmittedLineComesFirst(t *testing.T) {
+	const rounds, sessions = 200, 8
+	for round := 0; round < rounds; round++ {
+		var log bytes.Buffer
+		m := New(Config{MaxActive: 4, Log: &log})
+		for i := 0; i < sessions; i++ {
+			submit(t, m, Request{Source: helloSrc})
+		}
+		drainAll(t, m)
+		first := make(map[string]string) // id -> its first line's event
+		for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+			var rec struct{ ID, Event string }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("round %d: log line %q: %v", round, line, err)
+			}
+			if _, seen := first[rec.ID]; !seen {
+				first[rec.ID] = rec.Event
+			}
+		}
+		if len(first) != sessions {
+			t.Fatalf("round %d: log names %d sessions, want %d:\n%s", round, len(first), sessions, log.String())
+		}
+		for id, event := range first {
+			if event != "submitted" {
+				t.Fatalf("round %d: session %s logged %q before submitted:\n%s", round, id, event, log.String())
+			}
+		}
+	}
+}
+
 func TestManagerSnapshotMetrics(t *testing.T) {
 	m := New(Config{MaxActive: 1, TenantMetrics: true})
 	defer drainAll(t, m)

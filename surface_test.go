@@ -1,24 +1,28 @@
 package pisces_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// surfaceAllowed names the exported functions and methods under internal/
-// that no non-test code of the module or of bench/ calls, each with the
-// reason it stays.  A key is the package directory's last element, then the
-// receiver's type name for a method, then the function's name.  Some
-// entries name a method whose name happens to be used elsewhere, so the
-// name check below would pass without them; they are listed because the
-// decision to keep them was made by hand.
+// surfaceAllowed names the declarations under internal/ that no non-test
+// code of the module or of bench/ refers to, each with the reason it stays.
+// A key is the package directory's last element, then the receiver's type
+// name for a method (the struct type's name for a field), then the
+// declared name.  An entry for a declaration that has a reference fails.
 var surfaceAllowed = map[string]string{
 	// Go forms of the paper's statements, reached through the types
 	// pisces.go re-exports.
@@ -40,6 +44,8 @@ var surfaceAllowed = map[string]string{
 	"core.ForceMember.Task":       "accessor of the re-exported ForceMember",
 	"core.Lock.Name":              "accessor of the re-exported Lock",
 	"core.Task.Println":           "Section 6 output TO USER, beside the Printf the examples use",
+	"core.Task.OnMessage":         "Section 6: the Go form of a HANDLER declaration",
+	"core.Task.Signal":            "Section 6: the Go form of a SIGNAL declaration",
 	"core.Task.TaskType":          "accessor of the re-exported Task",
 	"core.VM.Backend":             "accessor of the re-exported VM",
 	"core.VM.FlightRecorder":      "accessor of the re-exported VM",
@@ -64,88 +70,294 @@ var surfaceAllowed = map[string]string{
 	"experiments.E4Result.Best": "E4's speedup at the largest force, for the root benchmark and experiments' tests",
 }
 
-// TestEveryExportHasAProductionCaller is the ratchet that keeps test-only
-// exports from coming back: every exported function, and every exported
-// method of an exported type, declared in a non-test file under internal/
-// must be named somewhere in the non-test code of the module or of bench/
-// (its own declaration aside), or have an entry in surfaceAllowed.  An
-// exported method of an unexported type is left out: outside its package it
-// is reachable only through an interface it implements.  The check compares
-// names, not objects, so that it needs only go/parser and stays well under a
-// second; a method that shares its name with another function or method
-// used anywhere passes even when nothing calls it, so the check
-// under-reports and never over-reports.
+// TestEveryExportHasAProductionCaller is the ratchet that keeps unused and
+// test-only declarations from coming back.  It type-checks the non-test code
+// of the module and of bench/ and collects every object a non-test file
+// refers to.  Every package-level declaration under internal/ (function,
+// method, type, variable, constant, unexported ones included) and every
+// field of a struct type declared there must be among them, or have an entry
+// in surfaceAllowed.  A reference is to an object, not a name: a use of an
+// instantiated generic method or field counts for its origin, and a struct
+// literal without keys refers to every field it sets.  Three kinds are
+// exempt: a method that satisfies an interface type present in the checked
+// code (net.Conn, backend.Backend, a marker interface) or one the standard
+// library asserts an any to (fmt.Stringer, errors.Is's Is), as the call goes
+// through the interface; an embedded field, whose uses are its promoted
+// fields and methods; and a blank name.
 func TestEveryExportHasAProductionCaller(t *testing.T) {
-	used := make(map[string]bool)
-	type decl struct {
-		key string
-		pos token.Position
-	}
-	var decls []decl
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	pkgs := typeCheck(t, fset)
+
+	used := make(map[types.Object]bool)
+	ifaces := make(map[*types.Interface]bool)
+	for _, it := range implicitIfaces() {
+		ifaces[it] = true
+	}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+	}
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			used[origin(obj)] = true
+			if tn, ok := obj.(*types.TypeName); ok {
+				addIface(tn.Type())
 			}
-			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		declared := make(map[*ast.Ident]bool)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
-				continue
-			}
-			key := filepath.Base(filepath.Dir(path)) + "."
-			if fd.Recv != nil {
-				recv := recvTypeName(fd.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
-					continue
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+			if sig, ok := tv.Type.(*types.Signature); ok {
+				for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+					for i := 0; i < tuple.Len(); i++ {
+						addIface(tuple.At(i).Type())
+					}
 				}
-				key += recv + "."
 			}
-			decls = append(decls, decl{key + fd.Name.Name, fset.Position(fd.Name.Pos())})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok || len(lit.Elts) == 0 {
+					return true
+				}
+				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
+					return true
+				}
+				if st, ok := p.info.Types[lit].Type.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						used[origin(st.Field(i))] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	satisfiesIface := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() &&
+					(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
 			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
+		return false
 	}
-	if len(decls) < 100 {
-		t.Fatalf("found %d exported functions under internal/; is the test running at the module root?", len(decls))
-	}
+
 	seen := make(map[string]bool)
-	for _, d := range decls {
-		seen[d.key] = true
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		if !used[name] && surfaceAllowed[d.key] == "" {
-			t.Errorf("%s: %s has no caller outside tests; give it one, move it into the test file that uses it, or delete it", d.pos, d.key)
+	declared := 0
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.path, "repro/internal/") {
+			continue
 		}
+		pkgName := p.path[strings.LastIndex(p.path, "/")+1:]
+		for _, f := range p.files {
+			check := func(id *ast.Ident, key string) {
+				obj := p.info.Defs[id]
+				if obj == nil || id.Name == "_" {
+					return
+				}
+				declared++
+				seen[key] = true
+				if used[obj] {
+					if surfaceAllowed[key] != "" {
+						t.Errorf("%s: surfaceAllowed lists %s, which has a reference outside tests; drop the entry", fset.Position(id.Pos()), key)
+					}
+					return
+				}
+				if surfaceAllowed[key] != "" {
+					return
+				}
+				if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil && satisfiesIface(fn) {
+					return
+				}
+				t.Errorf("%s: %s has no reference outside tests; give it one, move it into the test file that uses it, or delete it", fset.Position(id.Pos()), key)
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Name == "init" {
+						continue
+					}
+					key := pkgName + "."
+					if d.Recv != nil {
+						key += recvTypeName(d.Recv.List[0].Type) + "."
+					}
+					check(d.Name, key+d.Name.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								check(id, pkgName+"."+id.Name)
+							}
+						case *ast.TypeSpec:
+							check(spec.Name, pkgName+"."+spec.Name.Name)
+						}
+					}
+				}
+			}
+			// Fields of every struct type, keyed by the innermost type
+			// declaration (or function) around them.
+			var scope []string
+			var walk func(n ast.Node) bool
+			walk = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					scope = append(scope, n.Name.Name)
+					ast.Inspect(n.Type, walk)
+					scope = scope[:len(scope)-1]
+					return false
+				case *ast.FuncDecl:
+					scope = append(scope, n.Name.Name)
+					if n.Body != nil {
+						ast.Inspect(n.Body, walk)
+					}
+					scope = scope[:len(scope)-1]
+					return false
+				case *ast.Field:
+					if len(n.Names) == 0 {
+						return true // embedded
+					}
+					if v, ok := p.info.Defs[n.Names[0]].(*types.Var); !ok || !v.IsField() {
+						return true // a parameter or result
+					}
+					owner := "?"
+					if len(scope) > 0 {
+						owner = scope[len(scope)-1]
+					}
+					for _, id := range n.Names {
+						check(id, pkgName+"."+owner+"."+id.Name)
+					}
+				}
+				return true
+			}
+			ast.Inspect(f, walk)
+		}
+	}
+	if declared < 1000 {
+		t.Fatalf("checked %d declarations under internal/; is the test running at the module root?", declared)
 	}
 	for key := range surfaceAllowed {
 		if !seen[key] {
-			t.Errorf("surfaceAllowed names %s, which is not an exported function under internal/", key)
+			t.Errorf("surfaceAllowed names %s, which is not a declaration under internal/", key)
 		}
+	}
+}
+
+// checkedPackage is one type-checked package of the module or of bench/.
+type checkedPackage struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+}
+
+// typeCheck type-checks the non-test files of every package of the module
+// and of bench/ from source, in dependency order, and imports the standard
+// library from the export data go list names.
+func typeCheck(t *testing.T, fset *token.FileSet) []*checkedPackage {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...", "repro/...")
+	cmd.Dir = "bench" // its module requires this one, so both are in view
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	exports := make(map[string]string)
+	var order []listed
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var l listed
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Standard {
+			exports[l.ImportPath] = l.Export
+		} else {
+			order = append(order, l)
+		}
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	var pkgs []*checkedPackage
+	for _, l := range order {
+		if checked[l.ImportPath] != nil {
+			continue
+		}
+		p := &checkedPackage{path: l.ImportPath, info: &types.Info{
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+		}}
+		for _, name := range l.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(l.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.files = append(p.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(l.ImportPath, fset, p.files, p.info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", l.ImportPath, err)
+		}
+		checked[l.ImportPath] = tp
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin maps an instantiated generic method or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// implicitIfaces are the interfaces the standard library asserts a value of
+// type any to: fmt.Stringer, which fmt's verbs call, and the Is method
+// errors.Is looks for.
+func implicitIfaces() []*types.Interface {
+	method := func(name string, param, result types.Type) *types.Interface {
+		var params *types.Tuple
+		if param != nil {
+			params = types.NewTuple(types.NewVar(token.NoPos, nil, "", param))
+		}
+		sig := types.NewSignatureType(nil, nil, nil, params, types.NewTuple(types.NewVar(token.NoPos, nil, "", result)), false)
+		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+	}
+	errType := types.Universe.Lookup("error").Type()
+	return []*types.Interface{
+		method("String", nil, types.Typ[types.String]),
+		method("Is", errType, types.Typ[types.Bool]),
 	}
 }
 
