@@ -12,8 +12,9 @@
 //     even though the underlying interleavings differ.
 //
 // A third invariant rides along: after Shutdown the shared-memory message
-// heap must be fully recovered on every schedule, which turns the seed sweep
-// into a leak hunt over interleavings.
+// heap, system tables and SHARED COMMON region must be fully recovered, and
+// each PE hold no local memory beyond the PISCES system's own, on every
+// schedule, which turns the seed sweep into a leak hunt over interleavings.
 //
 // The corpus lives in corpus/*.pf (embedded).  Each program keeps to
 // schedule-independent output; see the README section "Deterministic mode"
@@ -83,6 +84,13 @@ type Result struct {
 	// then the dead VM's): the sweep asserts every shard is empty, so a leak
 	// pinned to one cluster's shard is reported as such.
 	HeapShardsInUse []int
+	// Tables and Common are each VM's system-table and SHARED COMMON bytes
+	// still allocated after Shutdown, and Local each VM's local bytes per PE
+	// (PE 1 first), in VM order: the sweeps assert that tables and common
+	// are 0 and that a PE holds 0 bytes or core.DefaultSystemLocalBytes.
+	Tables []int
+	Common []int
+	Local  [][]int
 	// Err is the program's compile- or run-time error, if any.
 	Err error
 	// Deadlock is non-nil when the schedule wedged (it is also wrapped in
@@ -339,17 +347,27 @@ func run(src string, seed int64, reg *obs.Registry, rec *obs.Recorder) (res Resu
 }
 
 // collect fills in what a finished run left behind: the terminal output, the
-// trace, the step count, and the heap still allocated on every shard of
-// every VM, in VM order.
+// trace, the step count, and the memory still allocated on every heap shard,
+// in the system tables, in SHARED COMMON and on every PE of every VM, in VM
+// order.
 func collect(res *Result, s *sim.Scheduler, out *bytes.Buffer, mem *trace.MemorySink, vms ...*core.VM) {
 	res.Output = out.String()
 	res.Trace = mem.Lines()
 	res.Steps = s.Steps()
 	for _, vm := range vms {
-		res.HeapInUse += vm.Machine().Shared().Usage().HeapInUse
-		for _, shard := range vm.Machine().Shared().HeapShards() {
+		m := vm.Machine()
+		u := m.Shared().Usage()
+		res.HeapInUse += u.HeapInUse
+		for _, shard := range m.Shared().HeapShards() {
 			res.HeapShardsInUse = append(res.HeapShardsInUse, shard.InUse())
 		}
+		res.Tables = append(res.Tables, u.TableUsed)
+		res.Common = append(res.Common, u.CommonUsed)
+		local := make([]int, m.NumPE())
+		for i := range local {
+			local[i], _ = m.PE(i + 1).LocalStats()
+		}
+		res.Local = append(res.Local, local)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // seedCount is how many seeds the schedule-independence sweep covers.  CI
@@ -95,9 +97,36 @@ func TestSeedStability(t *testing.T) {
 	}
 }
 
+// checkBalanced fails the test when a VM of res still holds system tables
+// or SHARED COMMON after Shutdown, or a PE holds local memory other than
+// none or the PISCES system's own: every region balances on every schedule.
+// mode prefixes the failure log's lines ("" for the plain sweep).
+func checkBalanced(t *testing.T, name, mode string, seed int64, res Result) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		recordFailure(name, seed, strings.TrimSpace(mode+" "+msg))
+		t.Errorf("%s: %s after shutdown", strings.TrimSpace(fmt.Sprintf("%s seed %d", mode, seed)), msg)
+	}
+	for vm := range res.Tables {
+		if res.Tables[vm] != 0 {
+			fail("%d system-table bytes on VM %d", res.Tables[vm], vm)
+		}
+		if res.Common[vm] != 0 {
+			fail("%d SHARED COMMON bytes on VM %d", res.Common[vm], vm)
+		}
+		for pe, b := range res.Local[vm] {
+			if b != 0 && b != core.DefaultSystemLocalBytes {
+				fail("%d local bytes on VM %d's PE %d", b, vm, pe+1)
+			}
+		}
+	}
+}
+
 // TestScheduleIndependence: corpus programs print schedule-independent
 // results, so every seed must produce the same terminal output, no schedule
-// may deadlock, and every schedule must fully recover the message heap.
+// may deadlock, and every schedule must fully recover the message heap and
+// balance every other region of memory.
 func TestScheduleIndependence(t *testing.T) {
 	names, srcs := corpusPrograms(t)
 	for _, name := range names {
@@ -108,6 +137,7 @@ func TestScheduleIndependence(t *testing.T) {
 				recordFailure(name, 0, "run error: "+baseline.Err.Error())
 				t.Fatalf("seed 0: %v", baseline.Err)
 			}
+			checkBalanced(t, name, "", 0, baseline)
 			for seed := int64(1); seed < int64(*seedCount); seed++ {
 				res := Run(srcs[name], seed)
 				if res.Err != nil {
@@ -125,6 +155,7 @@ func TestScheduleIndependence(t *testing.T) {
 						t.Errorf("seed %d: %d heap bytes still allocated on shard %d after shutdown", seed, in, shard)
 					}
 				}
+				checkBalanced(t, name, "", seed, res)
 			}
 			t.Logf("%s: %d seeds, output stable (%d bytes)", name, *seedCount, len(baseline.Output))
 		})

@@ -11,7 +11,8 @@ import (
 // virtual-network delay (some a retransmission penalty), which produces
 // interleavings no in-process schedule reaches — yet the programs' output
 // must still match the undelayed seed-0 baseline, no schedule may deadlock,
-// and every heap shard of every VM must be empty after shutdown.
+// every heap shard of every VM must be empty after shutdown, and every other
+// region of memory must balance.
 func TestFaultTransportScheduleIndependence(t *testing.T) {
 	names, srcs := corpusPrograms(t)
 	for _, name := range names {
@@ -38,6 +39,7 @@ func TestFaultTransportScheduleIndependence(t *testing.T) {
 						t.Errorf("fault seed %d: %d heap bytes on shard %d after shutdown", seed, in, shard)
 					}
 				}
+				checkBalanced(t, name, "fault-transport", seed, res)
 			}
 		})
 	}

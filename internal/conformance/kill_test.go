@@ -50,8 +50,9 @@ func killSchedule(elapsed time.Duration, seed int64) (killAt, ckptEvery time.Dur
 // initiation log and replays the retained post-checkpoint frames.  The
 // terminal output must be byte-identical to the fault-free single-process
 // baseline on every seed, no schedule may deadlock, and every heap shard of
-// both machines — the dead one's included — must come back empty: a node
-// death is invisible in the program's observable behaviour.
+// both machines — the dead one's included — must come back empty, with every
+// other region of memory balanced: a node death is invisible in the
+// program's observable behaviour.
 func TestKillANodeConformance(t *testing.T) {
 	names, srcs := corpusPrograms(t)
 	totalVictims, totalDeaths := 0, 0
@@ -93,6 +94,7 @@ func TestKillANodeConformance(t *testing.T) {
 						t.Errorf("%s: %d heap bytes on the %s's shard %d after shutdown", ctx, in, machine, i%perVM)
 					}
 				}
+				checkBalanced(t, name, "kill", seed, res)
 				if rec.Victims > 0 || rec.Replayed > 0 {
 					recovered = true
 				}

@@ -395,7 +395,7 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 			}
 			remaining := deadline.Sub(now)
 			if remaining <= 0 {
-				return t.acceptTimeout(spec, st, res)
+				return t.acceptTimeout(spec, res)
 			}
 			t.blockFn(func() { signaled = t.rec.wake.WaitTimeout(remaining) })
 		} else {
@@ -411,7 +411,7 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 			if st.satisfied() {
 				return res, nil
 			}
-			return t.acceptTimeout(spec, st, res)
+			return t.acceptTimeout(spec, res)
 		}
 	}
 }
@@ -419,7 +419,7 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 // acceptTimeout finishes an ACCEPT whose DELAY expired: "the task continues
 // execution, starting with the statement sequence given in the DELAY clause
 // (or with a system-generated 'timeout' message)".
-func (t *Task) acceptTimeout(spec AcceptSpec, st *acceptState, res *AcceptResult) (*AcceptResult, error) {
+func (t *Task) acceptTimeout(spec AcceptSpec, res *AcceptResult) (*AcceptResult, error) {
 	res.TimedOut = true
 	if spec.OnTimeout != nil {
 		spec.OnTimeout(t)

@@ -33,6 +33,9 @@ type taskRec struct {
 	done         backend.Gate  // opened when the task has terminated
 	isController bool
 	localBytes   int
+	// common is the SHARED COMMON region the task's blocks and LOCKs hold,
+	// given back when it terminates.
+	common atomic.Int64
 
 	proc   atomic.Pointer[mmos.Proc]
 	killed atomic.Bool
@@ -445,9 +448,8 @@ func (c *clusterRT) startTask(by *mmos.Proc, slot int, req pendingInit) error {
 		p.Charge(costTaskInit)
 		vm.emit(&obs.Event{Kind: obs.TaskInit, Task: obs.TaskRef(id), Peer: obs.TaskRef(req.parent), Type: tt.Name}, c.primary)
 		req.reply.deliver(id)
-		ctx := newTask(vm, rec, req.args)
-		defer vm.finishTask(rec, ctx)
-		tt.Body(ctx)
+		defer vm.finishTask(rec)
+		tt.Body(newTask(vm, rec, req.args))
 	}
 	_, err := vm.kernel.Spawn(c.primary, tt.Name+"/"+id.String(), tt.LocalBytes, body)
 	if err != nil {
@@ -481,7 +483,7 @@ func (c *clusterRT) clearSlot(slot int) {
 // finishTask is the common termination path for user tasks: it recovers from
 // kill panics and user panics, recovers queued message storage, frees the
 // slot, and starts a pending initiation if one is waiting.
-func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
+func (vm *VM) finishTask(rec *taskRec) {
 	c := rec.cluster
 
 	r := recover()
@@ -500,12 +502,13 @@ func (vm *VM) finishTask(rec *taskRec, ctx *Task) {
 	}
 	vm.emit(&obs.Event{Kind: obs.TaskTerm, Task: obs.TaskRef(rec.id), Type: info}, c.primary)
 
-	// Recover shared-memory storage of unaccepted messages and of any arrays
-	// the task still owns.
+	// Recover shared-memory storage of unaccepted messages, of any arrays
+	// the task still owns, and of its SHARED COMMON blocks and LOCKs.
 	for _, m := range rec.queue.close() {
 		vm.dropMessage(m)
 	}
 	vm.arrays.dropOwner(rec.id, vm)
+	vm.machine.Shared().FreeCommon(int(rec.common.Load()))
 
 	vm.unregisterTask(rec.id)
 

@@ -53,12 +53,13 @@ func (l *Lock) unlockOn(p *mmos.Proc, holder TaskID, pe *flex.PE) {
 }
 
 // NewLock creates a LOCK variable.  Its small shared-memory footprint is
-// charged to the SHARED COMMON region.
+// charged to the SHARED COMMON region until the task terminates.
 func (t *Task) NewLock(name string) (*Lock, error) {
 	t.checkKilled()
 	if err := t.vm.machine.Shared().AllocCommon(8); err != nil {
 		return nil, fmt.Errorf("core: allocating LOCK %q: %w", name, err)
 	}
+	t.rec.common.Add(8)
 	return &Lock{vm: t.vm, name: name, sem: t.vm.backend.NewSem()}, nil
 }
 
@@ -71,7 +72,6 @@ type Common struct {
 	name  string
 	reals []float64
 	ints  []int64
-	bytes int
 }
 
 // Name returns the COMMON block's name.
@@ -98,7 +98,7 @@ func (c *Common) SetInt(i int, v int64) { c.ints[i] = v }
 // NewSharedCommon allocates a SHARED COMMON block with nReals REAL and nInts
 // INTEGER elements.  The storage is charged statically to the shared-memory
 // SHARED COMMON region (Section 11: "SHARED COMMON blocks are allocated
-// statically in shared memory").
+// statically in shared memory") until the task terminates.
 func (t *Task) NewSharedCommon(name string, nReals, nInts int) (*Common, error) {
 	t.checkKilled()
 	if nReals < 0 || nInts < 0 {
@@ -108,7 +108,8 @@ func (t *Task) NewSharedCommon(name string, nReals, nInts int) (*Common, error) 
 	if err := t.vm.machine.Shared().AllocCommon(bytes); err != nil {
 		return nil, fmt.Errorf("core: allocating SHARED COMMON %q: %w", name, err)
 	}
-	return &Common{name: name, reals: make([]float64, nReals), ints: make([]int64, nInts), bytes: bytes}, nil
+	t.rec.common.Add(int64(bytes))
+	return &Common{name: name, reals: make([]float64, nReals), ints: make([]int64, nInts)}, nil
 }
 
 // Force represents one executed FORCESPLIT: the set of members running the

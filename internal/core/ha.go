@@ -608,9 +608,8 @@ func (c *clusterRT) restoreTask(ts *haCkptTask) error {
 		rec.setProc(p)
 		p.Charge(costTaskInit)
 		vm.emit(&obs.Event{Kind: obs.TaskRestore, Task: obs.TaskRef(rec.id), Peer: obs.TaskRef(rec.parent), Type: tt.Name}, c.primary)
-		ctx := newTask(vm, rec, ts.args)
-		defer vm.finishTask(rec, ctx)
-		tt.Body(ctx)
+		defer vm.finishTask(rec)
+		tt.Body(newTask(vm, rec, ts.args))
 	}
 	if _, err := vm.kernel.Spawn(c.primary, tt.Name+"/"+rec.id.String(), tt.LocalBytes, body); err != nil {
 		vm.unregisterTask(rec.id)

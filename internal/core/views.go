@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/flex"
 	"repro/internal/obs"
 )
 
@@ -14,7 +13,6 @@ import (
 type TaskInfo struct {
 	ID         TaskID
 	TaskType   string
-	Parent     TaskID
 	Cluster    int
 	Slot       int
 	PE         int
@@ -38,7 +36,6 @@ func (vm *VM) RunningTasks() []TaskInfo {
 		info := TaskInfo{
 			ID:         rec.id,
 			TaskType:   rec.tasktype,
-			Parent:     rec.parent,
 			Cluster:    rec.cluster.cfg.Number,
 			Slot:       rec.slot,
 			PE:         rec.cluster.primary.ID(),
@@ -139,7 +136,6 @@ type PELoad struct {
 	BoundProcs   int
 	Ticks        int64
 	LocalUsed    int
-	LocalHigh    int
 	LocalTotal   int
 	MaxMultiprog int // configuration bound from Section 9's arithmetic
 }
@@ -149,14 +145,13 @@ func (vm *VM) PELoading() []PELoad {
 	out := make([]PELoad, 0, vm.machine.NumPE())
 	for n := 1; n <= vm.machine.NumPE(); n++ {
 		pe := vm.machine.PE(n)
-		used, high, total := pe.LocalStats()
+		used, total := pe.LocalStats()
 		out = append(out, PELoad{
 			PE:           n,
 			Unix:         pe.IsUnix(),
 			BoundProcs:   pe.BoundProcs(),
 			Ticks:        pe.Ticks(),
 			LocalUsed:    used,
-			LocalHigh:    high,
 			LocalTotal:   total,
 			MaxMultiprog: vm.cfg.MaxMultiprogramming(n),
 		})
@@ -310,20 +305,15 @@ type SystemStorage struct {
 	// TablePercent its share of total shared memory.
 	TableBytes   int
 	TablePercent float64
-	// Shared is the full shared-memory usage snapshot (message heap, SHARED
-	// COMMON, tables).
-	Shared flex.Usage
 }
 
 // SystemStorage returns the Section 13 storage-overhead measurements for this
 // VM.
 func (vm *VM) SystemStorage() SystemStorage {
-	u := vm.machine.Shared().Usage()
 	return SystemStorage{
 		SystemLocalBytesPerPE: DefaultSystemLocalBytes,
 		LocalPercent:          100 * float64(DefaultSystemLocalBytes) / float64(vm.machine.Config().LocalBytes),
 		TableBytes:            vm.tableBytes,
-		TablePercent:          100 * float64(vm.tableBytes) / float64(u.Total),
-		Shared:                u,
+		TablePercent:          100 * float64(vm.tableBytes) / float64(vm.machine.Shared().Total()),
 	}
 }

@@ -129,7 +129,6 @@ type VM struct {
 	tasktypes map[string]TaskType
 	tasks     map[TaskID]*taskRec
 	clusters  map[int]*clusterRT
-	started   bool
 	stopped   bool
 
 	// routeClosed refuses cross-cluster sends once Shutdown has landed all
@@ -402,10 +401,6 @@ func NewVMOn(machine *flex.Machine, cfg *config.Configuration, opts Options) (*V
 	if err := vm.startControllers(); err != nil {
 		return nil, err
 	}
-	vm.mu.Lock()
-	vm.started = true
-	vm.mu.Unlock()
-
 	if cfg.TimeLimit > 0 {
 		vm.timeLimitTimer = vm.backend.AfterFunc(cfg.TimeLimit, vm.timeLimitExpired)
 	}

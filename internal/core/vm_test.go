@@ -457,7 +457,7 @@ func TestSystemStorageMatchesSection13(t *testing.T) {
 	}
 	// The used PEs really carry the local-memory charge.
 	for _, pe := range vm.Configuration().UsedPEs() {
-		used, _, _ := vm.Machine().PE(pe).LocalStats()
+		used, _ := vm.Machine().PE(pe).LocalStats()
 		if used < s.SystemLocalBytesPerPE {
 			t.Errorf("PE %d local used = %d, want >= %d", pe, used, s.SystemLocalBytesPerPE)
 		}

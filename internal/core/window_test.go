@@ -49,11 +49,11 @@ func TestArrayChargesLocalMemory(t *testing.T) {
 		if _, err := task.NewArray("big", 100, 100); err != nil {
 			return err
 		}
-		during, _, _ = pe.LocalStats()
+		during, _ = pe.LocalStats()
 		return nil
 	})
 	vm.WaitIdle()
-	after, _, _ := pe.LocalStats()
+	after, _ := pe.LocalStats()
 	if during-after < 8*100*100 {
 		t.Errorf("array storage not recovered at task termination: during=%d after=%d", during, after)
 	}

@@ -20,14 +20,12 @@ type E1Result struct {
 	// paper reports "less than 0.3% of shared memory".
 	TableBytes   int
 	TablePercent float64
-	// Message-heap behaviour: bytes in use while messages sit unaccepted,
-	// the high-water mark, and bytes in use after every message is accepted
+	// Message-heap behaviour: the high-water mark while messages sit
+	// unaccepted, and bytes in use after every message is accepted
 	// ("Storage used for message passing is dynamically recovered and
 	// reused").
-	HeapDuringBurst int
-	HeapHighWater   int
-	HeapAfterBurst  int
-	BurstMessages   int
+	HeapHighWater  int
+	HeapAfterBurst int
 }
 
 // RunE1 measures the storage overhead of the running system, reproducing the
@@ -50,7 +48,6 @@ func RunE1(w io.Writer) (*E1Result, error) {
 	// until told to; the heap grows while the messages wait in the in-queue
 	// and returns to its baseline once they are accepted.
 	const burst = 200
-	res.BurstMessages = burst
 	// The heap is sharded per cluster; the Section 13 numbers are the
 	// machine-wide roll-up over every shard (memory.Aggregate via HeapStats).
 	heap := vm.Machine().Shared()
@@ -99,7 +96,6 @@ func RunE1(w io.Writer) (*E1Result, error) {
 	// waiting in a task's in-queue without being accepted."
 	hs := heap.HeapStats()
 	res.HeapHighWater = hs.HighWater
-	res.HeapDuringBurst = res.HeapHighWater
 	res.HeapAfterBurst = hs.InUse
 
 	t := obs.NewTable("E1: storage overhead (paper, Section 13)",

@@ -51,15 +51,12 @@ type E5Result struct {
 	PingPongPerRound time.Duration
 	PingPongTicks    float64
 	// FanInMessagesPerSec is the median per-window wall-clock delivery rate
-	// of the fan-in; FanInRateMin/Max bound the spread across the windows
-	// and FanInWindowRates holds every window's rate, delivery order.
-	// FanInRateP50/P95 summarise the window-rate distribution through the
-	// runtime histogram type, which is what the printed report shows — a
-	// median/p95 pair is comparable across runs in a way min..max (one
-	// scheduling hiccup wide) never was.
+	// of the fan-in, and FanInWindowRates holds every window's rate,
+	// delivery order.  FanInRateP50/P95 summarise the window-rate
+	// distribution through the runtime histogram type, which is what the
+	// printed report shows — a median/p95 pair is comparable across runs in
+	// a way min..max (one scheduling hiccup wide) never was.
 	FanInMessagesPerSec float64
-	FanInRateMin        float64
-	FanInRateMax        float64
 	FanInRateP50        float64
 	FanInRateP95        float64
 	FanInWindowRates    []float64
@@ -204,8 +201,6 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 		if len(rates) > 0 {
 			sorted := append([]float64(nil), rates...)
 			sort.Float64s(sorted)
-			res.FanInRateMin = sorted[0]
-			res.FanInRateMax = sorted[len(sorted)-1]
 			mid := len(sorted) / 2
 			if len(sorted)%2 == 0 {
 				res.FanInMessagesPerSec = (sorted[mid-1] + sorted[mid]) / 2

@@ -153,7 +153,6 @@ type PE struct {
 	mu         sync.Mutex
 	localTotal int
 	localUsed  int
-	localHigh  int
 
 	bound atomic.Int32 // processes currently bound to this PE
 }
@@ -200,9 +199,6 @@ func (p *PE) AllocLocal(n int) error {
 			p.id, p.localUsed, n, p.localTotal)
 	}
 	p.localUsed += n
-	if p.localUsed > p.localHigh {
-		p.localHigh = p.localUsed
-	}
 	return nil
 }
 
@@ -216,11 +212,11 @@ func (p *PE) FreeLocal(n int) {
 	}
 }
 
-// LocalStats returns (used, high-water, total) bytes of local memory.
-func (p *PE) LocalStats() (used, high, total int) {
+// LocalStats returns the bytes of local memory in use and the PE's total.
+func (p *PE) LocalStats() (used, total int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.localUsed, p.localHigh, p.localTotal
+	return p.localUsed, p.localTotal
 }
 
 // SharedMemory models the FLEX/32 shared memory partitioned into the three
@@ -236,10 +232,8 @@ type SharedMemory struct {
 	mu          sync.Mutex
 	tableTotal  int
 	tableUsed   int
-	tableHigh   int
 	commonTotal int
 	commonUsed  int
-	commonHigh  int
 
 	shards []*memory.Allocator
 }
@@ -317,7 +311,7 @@ func (s *SharedMemory) HeapStats() memory.Stats {
 
 // AllocTable reserves n bytes of the system-table region.  Table entries
 // (cluster and slot records) are allocated once at boot and persist for the
-// run, so there is no corresponding free.
+// run; FreeTable gives them back at Shutdown.
 func (s *SharedMemory) AllocTable(n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -325,9 +319,6 @@ func (s *SharedMemory) AllocTable(n int) error {
 		return fmt.Errorf("flex: system-table region exhausted (%d + %d > %d)", s.tableUsed, n, s.tableTotal)
 	}
 	s.tableUsed += n
-	if s.tableUsed > s.tableHigh {
-		s.tableHigh = s.tableUsed
-	}
 	return nil
 }
 
@@ -342,7 +333,8 @@ func (s *SharedMemory) FreeTable(n int) {
 	}
 }
 
-// AllocCommon statically reserves n bytes of the SHARED COMMON region.
+// AllocCommon reserves n bytes of the SHARED COMMON region: a task's
+// SHARED COMMON block or LOCK, held until the task terminates.
 func (s *SharedMemory) AllocCommon(n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -350,48 +342,51 @@ func (s *SharedMemory) AllocCommon(n int) error {
 		return fmt.Errorf("flex: SHARED COMMON region exhausted (%d + %d > %d)", s.commonUsed, n, s.commonTotal)
 	}
 	s.commonUsed += n
-	if s.commonUsed > s.commonHigh {
-		s.commonHigh = s.commonUsed
-	}
 	return nil
 }
 
+// FreeCommon releases n bytes of the SHARED COMMON region (used when the task
+// that declared a block or LOCK terminates).
+func (s *SharedMemory) FreeCommon(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.commonUsed -= n
+	if s.commonUsed < 0 {
+		s.commonUsed = 0
+	}
+}
+
 // Usage is a snapshot of shared-memory consumption by region, the quantity
-// reported in Section 13 of the paper.
+// reported in Section 13 of the paper: bytes in use and each region's size,
+// and the message heap's high-water mark, the one mark Section 13 discusses.
 type Usage struct {
 	Total int
 
 	TableUsed  int
-	TableHigh  int
 	TableTotal int
 
 	CommonUsed  int
-	CommonHigh  int
 	CommonTotal int
 
 	HeapInUse     int
 	HeapHighWater int
-	HeapTotal     int
 }
 
 // Usage returns a snapshot of all three shared-memory regions.
 func (s *SharedMemory) Usage() Usage {
 	s.mu.Lock()
-	tu, th, tt := s.tableUsed, s.tableHigh, s.tableTotal
-	cu, ch, ct := s.commonUsed, s.commonHigh, s.commonTotal
+	tu, tt := s.tableUsed, s.tableTotal
+	cu, ct := s.commonUsed, s.commonTotal
 	s.mu.Unlock()
 	hs := s.HeapStats()
 	return Usage{
 		Total:         s.total,
 		TableUsed:     tu,
-		TableHigh:     th,
 		TableTotal:    tt,
 		CommonUsed:    cu,
-		CommonHigh:    ch,
 		CommonTotal:   ct,
 		HeapInUse:     hs.InUse,
 		HeapHighWater: hs.HighWater,
-		HeapTotal:     hs.ArenaSize,
 	}
 }
 

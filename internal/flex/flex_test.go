@@ -76,17 +76,17 @@ func TestLocalMemoryAccounting(t *testing.T) {
 	if err := pe.AllocLocal(LocalMemoryBytes); err == nil {
 		t.Fatal("expected local memory exhaustion")
 	}
-	used, high, total := pe.LocalStats()
-	if used != 1000 || high != 1000 || total != LocalMemoryBytes {
-		t.Fatalf("stats = (%d,%d,%d)", used, high, total)
+	used, total := pe.LocalStats()
+	if used != 1000 || total != LocalMemoryBytes {
+		t.Fatalf("stats = (%d,%d)", used, total)
 	}
 	pe.FreeLocal(1000)
-	used, high, _ = pe.LocalStats()
-	if used != 0 || high != 1000 {
-		t.Fatalf("after free: used %d high %d", used, high)
+	used, _ = pe.LocalStats()
+	if used != 0 {
+		t.Fatalf("after free: used %d", used)
 	}
 	pe.FreeLocal(999999) // over-free clamps to zero
-	used, _, _ = pe.LocalStats()
+	used, _ = pe.LocalStats()
 	if used != 0 {
 		t.Fatalf("over-free left used = %d", used)
 	}
@@ -130,7 +130,15 @@ func TestSharedMemoryRegions(t *testing.T) {
 		t.Errorf("usage not returned to zero: %+v", u)
 	}
 	if u.CommonUsed != 10000 {
-		t.Errorf("CommonUsed = %d after the other regions' frees, want the static 10000", u.CommonUsed)
+		t.Errorf("CommonUsed = %d after the other regions' frees, want 10000 until FreeCommon", u.CommonUsed)
+	}
+	sh.FreeCommon(10000)
+	if u = sh.Usage(); u.CommonUsed != 0 {
+		t.Errorf("CommonUsed = %d after FreeCommon, want 0", u.CommonUsed)
+	}
+	sh.FreeCommon(1) // over-free clamps to zero
+	if u = sh.Usage(); u.CommonUsed != 0 {
+		t.Errorf("over-free left CommonUsed = %d", u.CommonUsed)
 	}
 }
 

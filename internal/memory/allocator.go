@@ -3,8 +3,9 @@
 // system tables, a message heap with explicit allocation and deallocation,
 // and statically allocated SHARED COMMON blocks (paper, Section 11, "Shared
 // Memory Use").  This package is the message-heap part as the Section 13
-// storage-overhead experiment measures it: bytes in use, a high-water mark and
-// allocation counts.
+// storage-overhead experiment measures it: bytes in use and a high-water mark,
+// the one peak Section 13 discusses (internal/flex keeps only bytes in use for
+// the system tables and SHARED COMMON), plus allocation counts.
 //
 // A heap shard is a byte count.  A message's arguments live in Go values, so
 // no run-time path addresses the heap; what the model keeps of an allocation

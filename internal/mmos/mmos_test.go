@@ -76,13 +76,13 @@ func TestSpawnChargesLocalMemory(t *testing.T) {
 	}
 	// Wait for the process to block so memory is definitely charged.
 	waitState(t, p, Blocked)
-	used, _, _ := pe.LocalStats()
+	used, _ := pe.LocalStats()
 	if used != 4096 {
 		t.Fatalf("local used = %d, want 4096", used)
 	}
 	close(release)
 	p.WaitExited()
-	used, _, _ = pe.LocalStats()
+	used, _ = pe.LocalStats()
 	if used != 0 {
 		t.Fatalf("local used after exit = %d, want 0", used)
 	}

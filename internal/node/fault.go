@@ -349,7 +349,7 @@ func (m *FaultMesh) Run(prog *pfi.Program, opts pfi.Options) error {
 	}
 	err := prog.Run(m.VMs[0], opts)
 	var drainErr error
-	m.do("mesh drain", func() { drainErr = m.nodes[0].drainQuiesce(drainTimeout) })
+	m.do("mesh drain", func() { drainErr = m.nodes[0].drainQuiesce() })
 	m.VMs[0].FlushUserOutput()
 	if err == nil {
 		err = prog.Err()

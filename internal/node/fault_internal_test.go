@@ -196,7 +196,7 @@ func TestDrainCarriesOneFollowerReport(t *testing.T) {
 	n0 := mesh.nodes[0]
 	rx := n0.reg.Counter("node.rx.n1->n0.bytes")
 	before := rx.Load()
-	mesh.do("drain", func() { err = n0.drainQuiesce(drainTimeout) })
+	mesh.do("drain", func() { err = n0.drainQuiesce() })
 	if err != nil {
 		t.Fatal(err)
 	}

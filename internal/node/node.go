@@ -971,14 +971,14 @@ func (n *Node) ServeUntilShutdown() error {
 // the program has printed its last line — is released after two round trips;
 // only a round that found a frame in flight is followed by a pause, to give
 // it time rather than spin rounds against it.  It returns an error when the
-// mesh does not quiesce within the timeout (shutdown proceeds anyway; a task
+// mesh does not quiesce within drainTimeout (shutdown proceeds anyway; a task
 // still running or traffic undelivered at that point is a program that never
 // terminates, which a single-process run would also hang on).
-func (n *Node) drainQuiesce(timeout time.Duration) error {
+func (n *Node) drainQuiesce() error {
 	if len(n.opts.Addrs) == 1 {
 		return nil
 	}
-	deadline := n.be.Now().Add(timeout)
+	deadline := n.be.Now().Add(drainTimeout)
 	var prevSent, prevRecv uint64
 	havePrev := false
 	for epoch := uint32(1); n.be.Now().Before(deadline); epoch++ {
@@ -1023,7 +1023,7 @@ func (n *Node) drainQuiesce(timeout time.Duration) error {
 			sleep(n.be, 10*time.Millisecond)
 		}
 	}
-	return fmt.Errorf("node %d: mesh did not quiesce within %s", n.opts.NodeID, timeout)
+	return fmt.Errorf("node %d: mesh did not quiesce within %s", n.opts.NodeID, drainTimeout)
 }
 
 // tally sums the answers to the round being collected of every node not
@@ -1052,7 +1052,7 @@ const drainTimeout = 30 * time.Second
 func (n *Node) Close() error {
 	n.closeOnce(func() {
 		if n.opts.NodeID == 0 && len(n.opts.Addrs) > 1 {
-			if err := n.drainQuiesce(drainTimeout); err != nil {
+			if err := n.drainQuiesce(); err != nil {
 				fmt.Fprintf(n.opts.Log, "pisces: %v (shutting down anyway)\n", err)
 				n.closeErr = err
 				n.dumpBlackbox("drain timeout")

@@ -20,10 +20,10 @@ func Emit(prog *Program, opts Options) (string, error) {
 		}
 	}
 	for _, l := range prog.Other {
-		if IsComment(l.Text) && !opts.KeepComments {
+		if IsComment(l) && !opts.KeepComments {
 			continue
 		}
-		e.raw(l.Text)
+		e.raw(l)
 	}
 	e.emitRegistration(prog)
 	return e.String(), nil

@@ -197,7 +197,7 @@ func (p *parser) parseProgram() (*Program, error) {
 				return nil, p.errf("END TASKTYPE without a matching TASKTYPE")
 			}
 		}
-		prog.Other = append(prog.Other, Line{Number: p.lineNo, Text: p.text})
+		prog.Other = append(prog.Other, p.text)
 	}
 	return prog, nil
 }

@@ -109,7 +109,7 @@ type Program struct {
 	TaskTypes []*TaskTypeDef
 	// Other holds source lines outside any TASKTYPE (ordinary subroutines,
 	// handler subroutines, comments), in source order, passed through.
-	Other []Line
+	Other []string
 }
 
 // TaskTypeDef is one TASKTYPE ... END TASKTYPE definition.  Names are
@@ -127,12 +127,6 @@ type TaskTypeDef struct {
 	SharedCommons []string
 	// UsesForce reports whether the body contains a FORCESPLIT.
 	UsesForce bool
-}
-
-// Line is one passed-through source line.
-type Line struct {
-	Number int
-	Text   string
 }
 
 // StmtKind identifies the kind of a parsed statement.

@@ -157,7 +157,7 @@ func TestParseSampleProgram(t *testing.T) {
 	// The ordinary handler subroutine passes through outside tasktypes.
 	foundSub := false
 	for _, l := range prog.Other {
-		if strings.Contains(l.Text, "SUBROUTINE RESULT") {
+		if strings.Contains(l, "SUBROUTINE RESULT") {
 			foundSub = true
 		}
 	}

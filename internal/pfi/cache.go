@@ -152,10 +152,9 @@ func (c *UnitCache) insert(src string, u *compiledUnit) {
 type CacheStats struct {
 	Hits      int64 // lookups that found a compiled unit
 	Misses    int64 // lookups that had to compile
-	Evictions int64 // units dropped to stay under MaxBytes
+	Evictions int64 // units dropped to stay under the weight bound
 	Entries   int   // compiled units currently cached
 	Weight    int64 // summed weight of cached units, in bytes
-	MaxBytes  int64 // configured weight bound
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -163,7 +162,6 @@ func (c *UnitCache) Stats() CacheStats {
 	c.mu.Lock()
 	entries := c.ll.Len()
 	weight := c.weight
-	maxBytes := c.maxBytes
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
@@ -171,7 +169,6 @@ func (c *UnitCache) Stats() CacheStats {
 		Evictions: c.evictions.Load(),
 		Entries:   entries,
 		Weight:    weight,
-		MaxBytes:  maxBytes,
 	}
 }
 

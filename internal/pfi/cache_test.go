@@ -52,7 +52,8 @@ func TestUnitCacheEvicts(t *testing.T) {
 	if per <= 0 {
 		t.Fatalf("unit weight = %d; want positive", per)
 	}
-	c := NewUnitCache(3*per + per/2)
+	bound := 3*per + per/2
+	c := NewUnitCache(bound)
 
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -64,8 +65,8 @@ func TestUnitCacheEvicts(t *testing.T) {
 	if s.Entries > 3 {
 		t.Fatalf("cache holds %d entries after %d inserts; want <= 3", s.Entries, n)
 	}
-	if s.Weight > s.MaxBytes {
-		t.Fatalf("cache weight %d exceeds bound %d", s.Weight, s.MaxBytes)
+	if s.Weight > bound {
+		t.Fatalf("cache weight %d exceeds bound %d", s.Weight, bound)
 	}
 	if s.Evictions != int64(n-s.Entries) {
 		t.Fatalf("evictions = %d; want %d", s.Evictions, n-s.Entries)

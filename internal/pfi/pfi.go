@@ -103,14 +103,12 @@ type taskProgram struct {
 	paramSlots []int
 	tab        *slotTable
 	body       []cstmt
-	line       int
 }
 
-// compiledUnit is the immutable product of compiling one source text: the
-// parsed program plus its slot-compiled tasktypes.  Units are cached and
-// shared between Programs; all mutable run state lives on the Program.
+// compiledUnit is the immutable product of compiling one source text: its
+// slot-compiled tasktypes.  Units are cached and shared between Programs;
+// all mutable run state lives on the Program.
 type compiledUnit struct {
-	source *pfc.Program
 	tasks  []*taskProgram
 	byName map[string]*taskProgram
 	weight int64 // estimated retained bytes, the UnitCache eviction unit
@@ -154,9 +152,6 @@ func (c *Counters) Get(name string) (v int64) {
 // Program is a compiled Pisces Fortran program, ready to register its
 // tasktypes on a VM and run.
 type Program struct {
-	// Source is the parsed pfc program the interpreter was compiled from.
-	Source *pfc.Program
-
 	unit *compiledUnit
 	cs   Counters
 
@@ -195,10 +190,7 @@ func compileUnit(src string) (*compiledUnit, error) {
 	if len(parsed.TaskTypes) == 0 {
 		return nil, errf(1, "program declares no TASKTYPE")
 	}
-	u := &compiledUnit{
-		source: parsed,
-		byName: make(map[string]*taskProgram),
-	}
+	u := &compiledUnit{byName: make(map[string]*taskProgram)}
 	for _, tt := range parsed.TaskTypes {
 		tc := &taskCompiler{tab: newSlotTable()}
 		paramSlots := make([]int, len(tt.Params))
@@ -215,7 +207,6 @@ func compileUnit(src string) (*compiledUnit, error) {
 			paramSlots: paramSlots,
 			tab:        tc.tab,
 			body:       body,
-			line:       tt.Line,
 		}
 		if _, dup := u.byName[tp.name]; dup {
 			return nil, errf(tt.Line, "tasktype %s defined twice", tt.Name)
@@ -227,9 +218,10 @@ func compileUnit(src string) (*compiledUnit, error) {
 	return u, nil
 }
 
-// unitWeight estimates the retained size of a compiled unit in bytes: the
-// source text (which the cache interns as its key) plus the parsed AST and
-// a fixed cost per compiled statement and slot.  Nested statements compile
+// unitWeight estimates the retained size of a compiled unit in bytes: twice
+// the source text (the cache's key, and the names and constants the compiled
+// code keeps from the parse) plus a fixed cost per compiled statement and
+// slot.  Nested statements compile
 // into closures reachable from their parent cstmt, so the per-statement
 // charge is deliberately generous.  An estimate is all the eviction policy
 // needs; exact retained size is not observable in Go anyway.
@@ -245,7 +237,7 @@ func unitWeight(src string, u *compiledUnit) int64 {
 
 // newProgram wraps a compiled unit with fresh run state.
 func newProgram(u *compiledUnit) *Program {
-	return &Program{Source: u.source, unit: u}
+	return &Program{unit: u}
 }
 
 // TaskTypes returns the compiled tasktype names, sorted.

@@ -1,6 +1,7 @@
 package pfi
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // interpret compiles and runs src on a VM booted for cfg, returning the user
@@ -927,5 +929,40 @@ func TestCountersGetAndSnapshot(t *testing.T) {
 		if i > 0 && snap.Counters[i-1].Name >= cs.Name {
 			t.Errorf("snapshot not in name order: %q before %q", snap.Counters[i-1].Name, cs.Name)
 		}
+	}
+}
+
+// TestLocksReleasedEachRun runs program.pf, whose four WORKERs each declare
+// LOCK SUMLK, again and again on one VM: a task's LOCKs go back to the SHARED
+// COMMON region when it terminates, so after every run the region holds what
+// it held before the first.  A VM that kept them grew by 32 bytes a run and
+// ran out of SHARED COMMON on run 16,385.
+func TestLocksReleasedEachRun(t *testing.T) {
+	src, err := os.ReadFile("../../examples/piscesfortran/program.pf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	vm, err := core.NewVM(config.Simple(2, 8).WithForces(1, 7, 8), core.Options{UserOutput: &out, Backend: sim.New(1), AcceptTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Shutdown()
+	p, err := Compile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := vm.Machine().Shared()
+	before := shared.Usage().CommonUsed
+	for run := 1; run <= 4; run++ {
+		if err := p.Run(vm, Options{}); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if got := shared.Usage().CommonUsed; got != before {
+			t.Fatalf("after run %d SHARED COMMON holds %d bytes, want %d as before the first", run, got, before)
+		}
+	}
+	if n := strings.Count(out.String(), "WORKERS DONE"); n != 4 {
+		t.Errorf("%d runs printed WORKERS DONE, want 4:\n%s", n, out.String())
 	}
 }

@@ -359,7 +359,6 @@ type timerEntry struct {
 	// ones run user callbacks with the lock released.
 	locked bool
 	fn     func()
-	index  int
 }
 
 type timerHeap []*timerEntry
@@ -371,15 +370,8 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *timerHeap) Push(x any) {
-	e := x.(*timerEntry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timerEntry)) }
 func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)

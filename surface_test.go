@@ -19,10 +19,12 @@ import (
 )
 
 // surfaceAllowed names the declarations under internal/ that no non-test
-// code of the module or of bench/ refers to, each with the reason it stays.
-// A key is the package directory's last element, then the receiver's type
-// name for a method (the struct type's name for a field), then the
-// declared name.  An entry for a declaration that has a reference fails.
+// code of the module or of bench/ refers to, and the struct fields it writes
+// but never reads, each with the reason it stays (for a field a test reads,
+// the test).  A key is the package directory's last element, then the
+// receiver's type name for a method (the struct type's name for a field),
+// then the declared name.  An entry for a declaration that has a reference
+// fails, and so does one for a field that non-test code reads.
 var surfaceAllowed = map[string]string{
 	// Go forms of the paper's statements, reached through the types
 	// pisces.go re-exports.
@@ -62,6 +64,28 @@ var surfaceAllowed = map[string]string{
 	"conformance.RunFault":        "the fault-network sweep",
 	"conformance.RunKill":         "the kill-a-node sweep",
 
+	// What a sweep run observed, which the sweeps compare.
+	"conformance.Result.Output":            "read by TestScheduleIndependence",
+	"conformance.Result.Trace":             "read by TestSeedStability",
+	"conformance.Result.Steps":             "read by TestSeedStability",
+	"conformance.Result.HeapInUse":         "read by FuzzSchedule",
+	"conformance.Result.Err":               "read by TestScheduleIndependence",
+	"conformance.Result.Deadlock":          "read by FuzzSchedule",
+	"conformance.Result.ObsSnapshot":       "read by TestObservableBytesMatchParent",
+	"conformance.Result.ObsTrace":          "read by TestObservableBytesMatchParent",
+	"conformance.Result.RecorderDump":      "read by TestObservableBytesMatchParent",
+	"conformance.Result.VirtualElapsed":    "read by TestKillANodeConformance",
+	"conformance.KillRecovery.Victims":     "read by TestKillANodeConformance",
+	"conformance.KillRecovery.Checkpoints": "read by TestKillANodeConformance",
+	"conformance.KillRecovery.Deaths":      "read by TestKillANodeConformance",
+	"conformance.KillRecovery.Replayed":    "read by TestKillANodeConformance",
+	"conformance.KillRecovery.Err":         "read by TestKillANodeConformance",
+
+	// Values only a test reads.
+	"core.inQueue.examined":               "read by TestAcceptOneExaminesOneSlot",
+	"experiments.E5Result.FanInDelivered": "read by TestE5MessageSystem",
+	"experiments.E8Result.Events":         "read by BenchmarkE8Trace",
+
 	// Test drivers that other packages' tests share.
 	"node.FaultMesh.Checkpoint": "cuts node i's checkpoint for core's and node's HA tests",
 	"msgcodec.Equal":            "compares decoded argument lists in several packages' tests",
@@ -84,11 +108,18 @@ var surfaceAllowed = map[string]string{
 // library asserts an any to (fmt.Stringer, errors.Is's Is), as the call goes
 // through the interface; an embedded field, whose uses are its promoted
 // fields and methods; and a blank name.
+//
+// A field must also be read, not only written (markReads says which uses
+// read), so that no high-water mark, copy or result field is kept up on
+// every run for nobody.  A field with a struct tag (encoding/json reads it)
+// and an obs.Counter, Gauge or Histogram handle (Registry.Snapshot reads it)
+// count as read.
 func TestEveryExportHasAProductionCaller(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := typeCheck(t, fset)
 
 	used := make(map[types.Object]bool)
+	read := make(map[types.Object]bool)
 	ifaces := make(map[*types.Interface]bool)
 	for _, it := range implicitIfaces() {
 		ifaces[it] = true
@@ -127,11 +158,13 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 				if st, ok := p.info.Types[lit].Type.Underlying().(*types.Struct); ok {
 					for i := 0; i < st.NumFields(); i++ {
 						used[origin(st.Field(i))] = true
+						read[origin(st.Field(i))] = true
 					}
 				}
 				return true
 			})
 		}
+		markReads(p, read)
 	}
 	satisfiesIface := func(fn *types.Func) bool {
 		recv := fn.Signature().Recv().Type()
@@ -157,13 +190,19 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		}
 		pkgName := p.path[strings.LastIndex(p.path, "/")+1:]
 		for _, f := range p.files {
-			check := func(id *ast.Ident, key string) {
+			check := func(id *ast.Ident, key string, field *ast.Field) {
 				obj := p.info.Defs[id]
 				if obj == nil || id.Name == "_" {
 					return
 				}
 				declared++
 				seen[key] = true
+				if used[obj] && field != nil && !read[obj] && !readElsewhere(field, obj) {
+					if surfaceAllowed[key] == "" {
+						t.Errorf("%s: %s is written but never read outside tests; read it, or delete it and what only it fed", fset.Position(id.Pos()), key)
+					}
+					return
+				}
 				if used[obj] {
 					if surfaceAllowed[key] != "" {
 						t.Errorf("%s: surfaceAllowed lists %s, which has a reference outside tests; drop the entry", fset.Position(id.Pos()), key)
@@ -188,16 +227,16 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 					if d.Recv != nil {
 						key += recvTypeName(d.Recv.List[0].Type) + "."
 					}
-					check(d.Name, key+d.Name.Name)
+					check(d.Name, key+d.Name.Name, nil)
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch spec := spec.(type) {
 						case *ast.ValueSpec:
 							for _, id := range spec.Names {
-								check(id, pkgName+"."+id.Name)
+								check(id, pkgName+"."+id.Name, nil)
 							}
 						case *ast.TypeSpec:
-							check(spec.Name, pkgName+"."+spec.Name.Name)
+							check(spec.Name, pkgName+"."+spec.Name.Name, nil)
 						}
 					}
 				}
@@ -232,7 +271,7 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 						owner = scope[len(scope)-1]
 					}
 					for _, id := range n.Names {
-						check(id, pkgName+"."+owner+"."+id.Name)
+						check(id, pkgName+"."+owner+"."+id.Name, n)
 					}
 				}
 				return true
@@ -248,6 +287,100 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 			t.Errorf("surfaceAllowed names %s, which is not a declaration under internal/", key)
 		}
 	}
+}
+
+// discardedWrites are the methods whose call, as a statement of its own,
+// writes its receiver and reads nothing of it: an atomic's or an
+// instrument's update.
+var discardedWrites = map[string]bool{"Add": true, "Inc": true, "Store": true, "Set": true, "Observe": true}
+
+// markReads adds to read every struct field a file of p reads.  A use of a
+// field reads it unless it is the left side of = or an op-assign, the
+// operand of ++ or --, the key of a keyed literal, or the receiver of a
+// discardedWrites call whose result is dropped; == and != on a struct value
+// read every field of it.
+func markReads(p *checkedPackage, read map[types.Object]bool) {
+	written := make(map[*ast.Ident]bool)
+	write := func(x ast.Expr) {
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	var readAll func(typ types.Type)
+	readAll = func(typ types.Type) {
+		if typ == nil {
+			return
+		}
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				f := origin(u.Field(i))
+				read[f] = true
+				readAll(f.Type())
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && discardedWrites[sel.Sel.Name] {
+						if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.Signature().Recv() != nil {
+							write(sel.X)
+						}
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					readAll(p.info.TypeOf(n.X))
+					readAll(p.info.TypeOf(n.Y))
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range p.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[origin(v)] = true
+		}
+	}
+}
+
+// readElsewhere reports whether a field is read by code the type checker
+// does not see: a tagged field by encoding/json, and an obs instrument
+// handle by Registry.Snapshot.
+func readElsewhere(field *ast.Field, obj types.Object) bool {
+	if field.Tag != nil {
+		return true
+	}
+	ptr, ok := obj.Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "repro/internal/obs" {
+		return false
+	}
+	switch named.Obj().Name() {
+	case "Counter", "Gauge", "Histogram":
+		return true
+	}
+	return false
 }
 
 // checkedPackage is one type-checked package of the module or of bench/.
