@@ -12,14 +12,18 @@ import (
 
 // statsGolden pins the whole output of `pisces run -sim -seed N -stats` —
 // the program's lines and the one metric report — as sha256 sums captured at
-// PR 16's parent (8cc4440), beside internal/conformance's obsGolden.
+// PR 16's parent (8cc4440), beside internal/conformance's obsGolden.  All six
+// were re-captured when the core's activity became registry counters: each
+// report gained the rows core.msg.accept 8, core.msg.send 8,
+// core.task.complete and .initiate (5 for sumsq, 3 for crosscluster),
+// core.window.bytes 0 and core.window.op 0.
 var statsGolden = map[string]string{
-	"crosscluster/1": "63dd1325018ec677cbb736fbd2a90ac92d585b680827129377939ef93820e18f",
-	"crosscluster/2": "3fc3d02b62e0c8babd081d1cd762dd0567b5c51b03cb265720b6682ca7ba456e",
-	"crosscluster/3": "3a907fca675074f2cc7e16e0d7bd6490fc4c2f8081608977fdfeb09dac061511",
-	"sumsq/1":        "127cbcbd372ae3e344c28557ea448cb0a4db80debe02511615998cd6330cc57c",
-	"sumsq/2":        "127cbcbd372ae3e344c28557ea448cb0a4db80debe02511615998cd6330cc57c",
-	"sumsq/3":        "a98e043ab474753bdafc344d73d038ee3ff1298e29365510e9ef284f3604ba37",
+	"crosscluster/1": "e269835acdfa0f58a0ed7453fcb9b50147ac81edc3bc336f357ea09dca5e47ba",
+	"crosscluster/2": "592cb80522831bf956a589f3ae5620a7b2eedcdb835fff04740be811a370e08d",
+	"crosscluster/3": "6d10e65ed484f0a797742a495efa2274ae0282073dd52eec2c2b4bbffa1730d6",
+	"sumsq/1":        "fa270b668f33a881904471c5448594fea00c180acb2ffe151da6980812693fbb",
+	"sumsq/2":        "fa270b668f33a881904471c5448594fea00c180acb2ffe151da6980812693fbb",
+	"sumsq/3":        "65e0107f5858109539283f996c7fab45576956251253e2e18dcd8f122c5ad4a2",
 }
 
 func TestStatsReportMatchesParent(t *testing.T) {

@@ -131,11 +131,15 @@ func runConfigure(args []string, out io.Writer) error {
 
 	// Trace lines switched on from option 9 display on the terminal (Section
 	// 12); tasks emit them concurrently with the menu's own output, so all
-	// three go through one serialised writer.
+	// three go through one serialised writer.  Metrics are on, so the run
+	// counts the activity DUMP SYSTEM STATE (option 7) reports.
 	term := &syncWriter{w: out}
+	reg := pisces.NewObsRegistry()
+	reg.Enable(pisces.ObsMetrics)
 	vm, err := pisces.NewVM(cfg, pisces.Options{
 		UserOutput: term,
 		TraceSinks: []pisces.TraceSink{pisces.WriterTraceSink{W: term}},
+		Metrics:    reg,
 	})
 	if err != nil {
 		return err

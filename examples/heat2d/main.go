@@ -31,7 +31,9 @@ func main() {
 	flag.Parse()
 
 	cfg := pisces.SimpleConfiguration(4, 4)
-	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout})
+	reg := pisces.NewObsRegistry()
+	reg.Enable(pisces.ObsMetrics) // counts the window traffic reported below
+	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout, Metrics: reg})
 	if err != nil {
 		log.Fatalf("boot: %v", err)
 	}
@@ -59,7 +61,7 @@ func main() {
 
 	// Report the final centre temperature and the window traffic.
 	centre, _ := arr.Get(*n/2, *n/2)
-	ops, bytes := vm.WindowTraffic()
+	ops, bytes := reg.Counter("core.window.op").Load(), reg.Counter("core.window.bytes").Load()
 	fmt.Printf("grid %dx%d, %d workers, %d iterations\n", *n, *n, *workers, *iters)
 	fmt.Printf("centre temperature %.4f\n", centre)
 	fmt.Printf("window traffic: %d operations, %d bytes moved\n", ops, bytes)

@@ -31,7 +31,9 @@ func main() {
 	flag.Parse()
 
 	cfg := pisces.SimpleConfiguration(3, 4)
-	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout})
+	reg := pisces.NewObsRegistry()
+	reg.Enable(pisces.ObsMetrics) // counts the tasks and messages reported below
+	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout, Metrics: reg})
 	if err != nil {
 		log.Fatalf("boot: %v", err)
 	}
@@ -47,9 +49,8 @@ func main() {
 	vm.WaitIdle()
 	vm.FlushUserOutput()
 
-	st := vm.Stats()
 	fmt.Printf("pipeline of %d stages processed %d items: %d tasks, %d messages\n",
-		*stages, *items, st.TasksInitiated, st.MessagesSent)
+		*stages, *items, reg.Counter("core.task.initiate").Load(), reg.Counter("core.msg.send").Load())
 }
 
 // registerSource builds the pipeline and pushes the work items through it.

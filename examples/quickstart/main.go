@@ -25,8 +25,11 @@ func main() {
 	//    programmer controls before each run.)
 	cfg := pisces.SimpleConfiguration(2, 4)
 
-	// 2. Boot the virtual machine on the simulated FLEX/32.
-	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout})
+	// 2. Boot the virtual machine on the simulated FLEX/32, with metrics on
+	//    so the run-time counts what it does.
+	reg := pisces.NewObsRegistry()
+	reg.Enable(pisces.ObsMetrics)
+	vm, err := pisces.NewVM(cfg, pisces.Options{UserOutput: os.Stdout, Metrics: reg})
 	if err != nil {
 		log.Fatalf("boot: %v", err)
 	}
@@ -73,9 +76,8 @@ func main() {
 	vm.FlushUserOutput()
 
 	// 5. Show what the run did.
-	st := vm.Stats()
 	fmt.Printf("\ntasks initiated: %d   messages sent: %d   accepted: %d\n",
-		st.TasksInitiated, st.MessagesSent, st.MessagesAccepted)
+		reg.Counter("core.task.initiate").Load(), reg.Counter("core.msg.send").Load(), reg.Counter("core.msg.accept").Load())
 	storage := vm.SystemStorage()
 	fmt.Printf("PISCES system uses %.2f%% of each PE's local memory and %.3f%% of shared memory for tables\n",
 		storage.LocalPercent, storage.TablePercent)

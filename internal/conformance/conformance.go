@@ -359,7 +359,8 @@ func collect(res *Result, s *sim.Scheduler, out *bytes.Buffer, mem *trace.Memory
 		u := m.Shared().Usage()
 		res.HeapInUse += u.HeapInUse
 		for _, shard := range m.Shared().HeapShards() {
-			res.HeapShardsInUse = append(res.HeapShardsInUse, shard.InUse())
+			in, _ := shard.Usage()
+			res.HeapShardsInUse = append(res.HeapShardsInUse, in)
 		}
 		res.Tables = append(res.Tables, u.TableUsed)
 		res.Common = append(res.Common, u.CommonUsed)

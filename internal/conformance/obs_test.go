@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestInstrumentationTransparent: running a corpus program with the full
@@ -156,5 +158,70 @@ func TestAllSinksTransparentAndSeedStable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// activitySeries are the core's activity counters, each a registry series.
+var activitySeries = []string{"core.task.initiate", "core.task.complete", "core.msg.send", "core.msg.accept", "core.window.op", "core.window.bytes"}
+
+// broadcastSrc sends one broadcast from cluster 1 to a task on each cluster,
+// so on the mesh one copy crosses to the other node as a broadcast frame.
+const broadcastSrc = `TASKTYPE MAIN
+      SIGNAL HELLO
+      SIGNAL DONE
+      ON CLUSTER 1 INITIATE W
+      ON CLUSTER 2 INITIATE W
+      ACCEPT 2 OF HELLO
+      TO ALL SEND GO
+      ACCEPT 2 OF DONE
+      PRINT *, 'DONE', NMSG('DONE')
+END TASKTYPE
+
+TASKTYPE W
+      SIGNAL GO
+      TO PARENT SEND HELLO
+      ACCEPT 1 OF GO
+      TO PARENT SEND DONE
+END TASKTYPE
+`
+
+// TestActivityCountsMatchAcrossMeshForms: a run counts what it did once, in
+// whichever form it runs.  For each corpus program, and a broadcast, at seeds
+// 1-3, the activity series of a metrics-on single-VM run equal those of the
+// metrics-on two-node fault mesh, whose nodes share one registry.  Two
+// findings shaped the series.  Every node boots its own controllers, so the
+// mesh's run-time exchanges more of its own messages than one VM does: each
+// node's four controllers accept a pisces.shutdown and each node's user
+// controller a pisces.user-sync.  Their sends were never counted, and
+// core.msg.accept does not count their accepts either.  And a broadcast's
+// copies for another node travel as one frame: the receiving node counts a
+// send for each copy it delivers, as one VM counts each copy it sends.
+func TestActivityCountsMatchAcrossMeshForms(t *testing.T) {
+	names, srcs := Corpus()
+	names = append(names, "broadcast")
+	srcs["broadcast"] = broadcastSrc
+	for _, name := range names {
+		for seed := int64(1); seed <= 3; seed++ {
+			single, mesh := obs.New(), obs.New()
+			single.Enable(obs.Metrics)
+			mesh.Enable(obs.Metrics)
+			if res := run(srcs[name], seed, single, nil); res.Deadlock != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, res.Err)
+			}
+			if res := runMesh(srcs[name], seed, mesh, nil, 0, nil, nil); res.Deadlock != nil {
+				t.Fatalf("%s seed %d on the mesh: %v", name, seed, res.Err)
+			}
+			total := int64(0)
+			for _, series := range activitySeries {
+				one, two := single.Counter(series).Load(), mesh.Counter(series).Load()
+				total += one
+				if one != two {
+					t.Errorf("%s seed %d: %s is %d on one VM, %d on the mesh", name, seed, series, one, two)
+				}
+			}
+			if total == 0 {
+				t.Errorf("%s seed %d: the single-VM run counted nothing", name, seed)
+			}
+		}
 	}
 }

@@ -402,7 +402,7 @@ func (t *Task) acceptLoop(spec AcceptSpec, st *acceptState) (*AcceptResult, erro
 			t.blockFn(func() { t.rec.wake.Wait() })
 		}
 		if !obsT0.IsZero() {
-			t.vm.om.hists().acceptWait.ObserveDuration(t.vm.om.reg.Now().Sub(obsT0))
+			t.vm.om.metrics().acceptWait.ObserveDuration(t.vm.om.reg.Now().Sub(obsT0))
 		}
 		if !signaled {
 			// One final drain before reporting the timeout, in case messages
@@ -441,7 +441,11 @@ func (t *Task) processAccepted(m *Message, res *AcceptResult, h Handler, st *obs
 		packets = (m.heapBytes - msgcodec.HeaderBytes) / msgcodec.PacketBytes
 	}
 	t.Charge(int64(costAcceptMsg + costAcceptPacket*packets))
-	t.vm.msgsAccpt.Add(1)
+	// The run-time's own messages are not counted, on send or on accept: how
+	// many a run exchanges depends on how many nodes boot controllers.
+	if t.vm.metricsOn() && !reserved(m.Type) {
+		t.vm.om.metrics().accepts.Inc()
+	}
 	if st != nil {
 		t.vm.emitStamped(&obs.Event{Kind: obs.MsgAccept, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(m.Sender),
 			Edge: m.edge, Type: m.Type, A: int64(len(m.Args))}, t.rec.cluster.primary, st)

@@ -123,16 +123,16 @@ func TestAcceptRunReleasesBeforeHandlers(t *testing.T) {
 	vm.Register("receiver", func(task *Task) {
 		defer close(done)
 		heap := task.rec.cluster.heap
-		base := heap.InUse()
+		base := heapInUse(heap)
 		close(start)
 		<-queued
 		queue := task.rec.queue.snapshot()
-		full := heap.InUse()
+		full := heapInUse(heap)
 		each := (full - base) / len(queue)
 
 		inHandler := -1
 		task.OnMessage("h", func(task *Task, _ *Message) {
-			inHandler = heap.InUse()
+			inHandler = heapInUse(heap)
 			if err := task.Send(task.ID(), "self", Str("payload")); err != nil {
 				t.Errorf("send to self: %v", err)
 			}
@@ -147,7 +147,7 @@ func TestAcceptRunReleasesBeforeHandlers(t *testing.T) {
 		if _, err := task.AcceptOne("self"); err != nil {
 			t.Errorf("accept self: %v", err)
 		}
-		if got := heap.InUse(); got != base {
+		if got := heapInUse(heap); got != base {
 			t.Errorf("shard holds %d bytes after every message was accepted, want %d", got, base)
 		}
 	})

@@ -441,7 +441,15 @@ func (c *clusterRT) startTask(by *mmos.Proc, slot int, req pendingInit) error {
 	}
 	vm.registerTask(rec)
 	vm.userTasks.Add(1)
-	vm.initiated.Add(1)
+	// A directed re-creation continues a task already counted.
+	if req.forced == nil {
+		if vm.opts.Limits.MaxTasks > 0 {
+			vm.initiated.Add(1)
+		}
+		if vm.metricsOn() {
+			vm.om.metrics().initiates.Inc()
+		}
+	}
 
 	body := func(p *mmos.Proc) {
 		rec.setProc(p)
@@ -518,7 +526,9 @@ func (vm *VM) finishTask(rec *taskRec) {
 		// that never arrived.  The queue is closed, so they no longer move.
 		vm.recordExit(rec.id, h.floors)
 	}
-	vm.completed.Add(1)
+	if vm.metricsOn() {
+		vm.om.metrics().completes.Inc()
+	}
 	rec.done.Open()
 
 	// Free the slot and start a pending request if one is waiting.  In the

@@ -133,7 +133,7 @@ func TestSendHeapExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm.WaitIdle()
-	if in := vm.Machine().Shared().HeapShard(0).InUse(); in != 0 {
+	if in := heapInUse(vm.Machine().Shared().HeapShard(0)); in != 0 {
 		t.Fatalf("heap not recovered after the task terminated: %d bytes", in)
 	}
 }
@@ -190,9 +190,9 @@ func TestUserControllerFormatsArbitraryMessages(t *testing.T) {
 	}
 }
 
-// TestStatsCountersAdvance covers VM.Stats across a small run.
+// TestStatsCountersAdvance covers the activity counters across a small run.
 func TestStatsCountersAdvance(t *testing.T) {
-	vm := newTestVM(t, config.Simple(2, 2), Options{})
+	vm := newTestVM(t, config.Simple(2, 2), Options{Metrics: metricsOn()})
 	vm.Register("chatty", func(task *Task) {
 		_ = task.SendSelf("note")
 		_, _ = task.AcceptOne("note")
@@ -202,12 +202,11 @@ func TestStatsCountersAdvance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := vm.Stats()
-	if st.TasksInitiated != 3 || st.TasksCompleted != 3 {
-		t.Errorf("task counters %+v", st)
+	if in, done := counted(vm, "core.task.initiate"), counted(vm, "core.task.complete"); in != 3 || done != 3 {
+		t.Errorf("%d tasks initiated, %d completed; want 3 and 3", in, done)
 	}
-	if st.MessagesSent < 3 || st.MessagesAccepted < 3 {
-		t.Errorf("message counters %+v", st)
+	if sent, accepted := counted(vm, "core.msg.send"), counted(vm, "core.msg.accept"); sent < 3 || accepted < 3 {
+		t.Errorf("%d messages sent, %d accepted; want at least 3 each", sent, accepted)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -96,20 +97,32 @@ func (c *Common) Int(i int) int64 { return c.ints[i] }
 func (c *Common) SetInt(i int, v int64) { c.ints[i] = v }
 
 // NewSharedCommon allocates a SHARED COMMON block with nReals REAL and nInts
-// INTEGER elements.  The storage is charged statically to the shared-memory
-// SHARED COMMON region (Section 11: "SHARED COMMON blocks are allocated
-// statically in shared memory") until the task terminates.
+// INTEGER elements, charged as ChargeSharedCommon charges them.
 func (t *Task) NewSharedCommon(name string, nReals, nInts int) (*Common, error) {
-	t.checkKilled()
 	if nReals < 0 || nInts < 0 {
 		return nil, fmt.Errorf("core: SHARED COMMON %q with negative extent", name)
 	}
-	bytes := 8*nReals + 8*nInts
-	if err := t.vm.machine.Shared().AllocCommon(bytes); err != nil {
-		return nil, fmt.Errorf("core: allocating SHARED COMMON %q: %w", name, err)
+	if err := t.ChargeSharedCommon(name, nReals+nInts); err != nil {
+		return nil, err
 	}
-	t.rec.common.Add(int64(bytes))
 	return &Common{name: name, reals: make([]float64, nReals), ints: make([]int64, nInts)}, nil
+}
+
+// ChargeSharedCommon charges elems elements of SHARED COMMON block name, 8
+// bytes each, statically to the shared-memory SHARED COMMON region (Section
+// 11: "SHARED COMMON blocks are allocated statically in shared memory") until
+// the task terminates.  The Go form (NewSharedCommon) and the interpreter's
+// SHARED COMMON statement both charge through it.
+func (t *Task) ChargeSharedCommon(name string, elems int) error {
+	t.checkKilled()
+	if elems < 0 || elems > math.MaxInt/8 {
+		return fmt.Errorf("core: SHARED COMMON %q with extent %d", name, elems)
+	}
+	if err := t.vm.machine.Shared().AllocCommon(8 * elems); err != nil {
+		return fmt.Errorf("core: allocating SHARED COMMON %q: %w", name, err)
+	}
+	t.rec.common.Add(int64(8 * elems))
+	return nil
 }
 
 // Force represents one executed FORCESPLIT: the set of members running the

@@ -295,6 +295,54 @@ func TestHARestoredResendOnBuddy(t *testing.T) {
 	}
 }
 
+// TestHARecreationIsNotAnInitiation: a planned re-creation continues a life
+// that was already counted, so it advances neither core.task.initiate nor
+// the MaxTasks count.  With a quota of two, the parent and one fresh task
+// still fit after the parent's kid is re-created.
+func TestHARecreationIsNotAnInitiation(t *testing.T) {
+	reg := metricsOn()
+	vm, err := NewVM(config.Simple(2, 4), Options{HA: true, Backend: sim.New(1), AcceptTimeout: 30 * time.Second,
+		UserOutput: io.Discard, Metrics: reg, Limits: Limits{MaxTasks: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Shutdown()
+	var ran []string
+	vm.Register("kid", func(task *Task) { ran = append(ran, "kid "+task.ID().String()) })
+	vm.Register("fresh", func(task *Task) { ran = append(ran, "fresh") })
+	vm.Register("parent", func(task *Task) {
+		if _, err := task.AcceptOne("go"); err == nil {
+			_ = task.Initiate(OnCluster(2), "kid") // its send number 1
+		}
+	})
+	parent, err := vm.Initiate("parent", OnCluster(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kid := TaskID{Cluster: 2, Slot: 1, Unique: 1000}
+	if err := vm.Restore(nil, []LoggedInit{{Cluster: 2, Parent: parent, Seq: 1, ID: kid}}); err != nil {
+		t.Fatal(err)
+	}
+	_ = vm.SendFromUser(parent, "go")
+	vm.WaitIdle()
+	if got := reg.Counter("core.task.initiate").Load(); got != 1 {
+		t.Errorf("core.task.initiate = %d after the kid's re-creation, want 1 (the parent)", got)
+	}
+	if got := vm.initiated.Load(); got != 1 {
+		t.Errorf("the MaxTasks count is %d after the kid's re-creation, want 1 (the parent)", got)
+	}
+	if _, err := vm.Initiate("fresh", OnCluster(2)); err != nil {
+		t.Fatalf("the quota's second task was refused: %v", err)
+	}
+	vm.WaitIdle()
+	if want := []string{"kid " + kid.String(), "fresh"}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("tasks ran %v, want %v", ran, want)
+	}
+	if le := vm.LimitViolation(); le != nil {
+		t.Errorf("limit violated: %v", le)
+	}
+}
+
 // TestHAOffOverheadPaths checks a non-HA VM still runs the same program
 // (the HA hooks must be inert when Options.HA is false).
 func TestHAOffOverheadPaths(t *testing.T) {

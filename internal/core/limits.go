@@ -146,11 +146,11 @@ func (vm *VM) heapErr(err error) error {
 }
 
 // taskLimitExceeded reports whether admitting one more user task would
-// violate MaxTasks.  The counter is the VM's cumulative initiate count, so
-// the cap bounds total work, not just concurrency — a fork bomb trips it
-// even if tasks exit fast.  The caller records the violation (after
-// answering the initiator, so the refusal reaches it before the kill sweep
-// can unwind it).
+// violate MaxTasks.  The count is of every user task admitted so far (a
+// recovery's re-creation is not a new one), so the cap bounds total work,
+// not just concurrency — a fork bomb trips it even if tasks exit fast.  The
+// caller records the violation (after answering the initiator, so the
+// refusal reaches it before the kill sweep can unwind it).
 func (vm *VM) taskLimitExceeded() *LimitError {
 	max := vm.opts.Limits.MaxTasks
 	if max <= 0 {

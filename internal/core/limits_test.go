@@ -133,7 +133,7 @@ func TestMaxTasksLimit(t *testing.T) {
 		t.Fatalf("violation resource = %q; want %q", le.Resource, LimitTasks)
 	}
 	// The spawner itself plus at most two admitted children.
-	if got := vm.Stats().TasksInitiated; got > 3 {
+	if got := vm.initiated.Load(); got > 3 {
 		t.Fatalf("initiated %d tasks; want <= 3", got)
 	}
 }

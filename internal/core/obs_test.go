@@ -10,8 +10,26 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/memory"
 	"repro/internal/obs"
 )
+
+// metricsOn returns a registry with metrics on, for a test that reads a VM's
+// activity counters.
+func metricsOn() *obs.Registry {
+	reg := obs.New()
+	reg.Enable(obs.Metrics)
+	return reg
+}
+
+// counted reads the VM's counter name.
+func counted(vm *VM, name string) int64 { return vm.Obs().Counter(name).Load() }
+
+// heapInUse is a heap shard's bytes in use.
+func heapInUse(a *memory.Allocator) int {
+	in, _ := a.Usage()
+	return in
+}
 
 // TestVMMetricsAndSpans boots a two-cluster VM with full instrumentation on
 // and pins that every core-layer metric family is populated by a simple

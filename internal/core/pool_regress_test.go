@@ -156,7 +156,7 @@ func TestMessagePoolRecyclingUnderKill(t *testing.T) {
 		t.Fatalf("message heap still holds %d bytes after kills + shutdown (leaked message storage)", inUse)
 	}
 	for n, cl := range vm.clusters {
-		if inUse := cl.heap.InUse(); inUse != 0 {
+		if inUse := heapInUse(cl.heap); inUse != 0 {
 			t.Errorf("cluster %d's shard still holds %d bytes", n, inUse)
 		}
 	}

@@ -157,7 +157,7 @@ func (vm *VM) stageOut(shard *memory.Allocator, msgType string, args []Value) (*
 		err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(o.Payload), size)
 	}
 	if !t0.IsZero() {
-		vm.om.hists().encodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
+		vm.om.metrics().encodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
 	if err != nil {
 		o.release()
@@ -240,7 +240,7 @@ func (vm *VM) decodeInbound(msg *Message, payload []byte, metrics bool) error {
 	}
 	size, err := msg.decodeArgs(payload)
 	if metrics {
-		vm.om.hists().decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
+		vm.om.metrics().decodeNS.ObserveDuration(vm.om.reg.Now().Sub(t0))
 	}
 	if err != nil {
 		msg.reply.deliver(NilTask)
@@ -300,7 +300,7 @@ func (vm *VM) admitRun(rec *taskRec, run []*Message, errs []error, metrics bool)
 		}
 		m.heapShard = heap
 		if metrics {
-			vm.om.hists().heapMsgBytes.Observe(int64(m.heapBytes))
+			vm.om.metrics().heapMsgBytes.Observe(int64(m.heapBytes))
 		}
 		charged++
 		// The transfer is charged to the destination PE's clock without

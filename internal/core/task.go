@@ -285,7 +285,9 @@ func (t *Task) send(to TaskID, msgType string, args []Value, sendSeq uint64) err
 		return err
 	}
 	t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-	t.vm.msgsSent.Add(1)
+	if t.vm.metricsOn() {
+		t.vm.om.metrics().sends.Inc()
+	}
 	kind, nargs := obs.MsgSend, int64(len(args))
 	if remote {
 		kind, nargs = obs.MsgSendRemote, 0

@@ -467,7 +467,8 @@ func (vm *VM) deliverWireRun(run []WireFrame, base int, rx func(i int)) error {
 // deliverWireBroadcast fans an inbound broadcast frame out to every hosted
 // user task, in taskid order so deterministic backends replay it.  Each
 // receiver decodes its own copy of the arguments, exactly as it would for a
-// cross-cluster broadcast inside one process.
+// cross-cluster broadcast inside one process, and each copy delivered counts
+// as one send here, as each copy sent inside one process does there.
 func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 	var firstErr error
 	for _, rec := range vm.broadcastTargets(f.Dst, f.Sender) {
@@ -476,6 +477,8 @@ func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 			if firstErr == nil {
 				firstErr = err
 			}
+		} else if vm.metricsOn() {
+			vm.om.metrics().sends.Inc()
 		}
 	}
 	return firstErr

@@ -84,7 +84,9 @@ func (vm *VM) SendFromUser(to TaskID, msgType string, args ...Value) error {
 	if _, _, err := vm.dispatch(nil, to, msgType, vm.userCtrl, args, 0, nil); err != nil {
 		return err
 	}
-	vm.msgsSent.Add(1)
+	if vm.metricsOn() {
+		vm.om.metrics().sends.Inc()
+	}
 	return nil
 }
 
@@ -245,9 +247,13 @@ func (vm *VM) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "\nshared memory: tables %d/%d bytes (%.3f%%), heap %d in use (high %d), common %d/%d\n",
 		u.TableUsed, u.TableTotal, u.TablePercent(), u.HeapInUse, u.HeapHighWater, u.CommonUsed, u.CommonTotal)
 
-	st := vm.Stats()
+	if !vm.metricsOn() {
+		fmt.Fprintln(w, "activity: not counted (metrics are off)")
+		return
+	}
+	m := vm.om.metrics()
 	fmt.Fprintf(w, "activity: %d tasks initiated, %d completed, %d messages sent, %d accepted\n",
-		st.TasksInitiated, st.TasksCompleted, st.MessagesSent, st.MessagesAccepted)
+		m.initiates.Load(), m.completes.Load(), m.sends.Load(), m.accepts.Load())
 }
 
 // RenderFigure1 renders the virtual-machine organisation diagram of Figure 1
@@ -263,7 +269,7 @@ func (vm *VM) RenderFigure1(w io.Writer) {
 		for s := 0; s < ci.ReservedSlots+ci.Slots; s++ {
 			label, ok := ci.Occupants[s]
 			switch {
-			case ok && isControllerName(label):
+			case ok && reserved(label):
 				fmt.Fprintf(w, "  | %-22s | <-- intra-cluster network\n", controllerLabel(label))
 			case ok:
 				fmt.Fprintf(w, "  | User task: %-11s|\n", label)
@@ -279,7 +285,10 @@ func (vm *VM) RenderFigure1(w io.Writer) {
 	fmt.Fprintln(w, "  Message-passing network connects all clusters")
 }
 
-func isControllerName(name string) bool {
+// reserved reports whether a tasktype or message type name carries the
+// run-time's reserved prefix: a controller's, or a message the run-time sends
+// itself.
+func reserved(name string) bool {
 	return strings.HasPrefix(name, "pisces.")
 }
 

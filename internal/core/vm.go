@@ -197,29 +197,31 @@ type VM struct {
 	// enabled (see internal/obs).
 	om vmObs
 
-	// statistics
-	initiated   atomic.Int64
-	completed   atomic.Int64
-	msgsSent    atomic.Int64
-	msgsAccpt   atomic.Int64
-	windowOps   atomic.Int64
-	windowBytes atomic.Int64
+	// initiated is MaxTasks's enforcement state: the user tasks admitted so
+	// far, advanced only while a quota is set (see taskLimitExceeded).
+	initiated atomic.Int64
 }
 
 // vmObs bundles the observability registry with pre-resolved handles for
-// every metric the core bumps on hot paths.  The counters are resolved at
-// boot; the histograms, four of 256 buckets each, on the first observation
-// with metrics on, so a session that runs with metrics off never builds
-// them.  The handles are plain atomics after that.
+// every metric the core bumps on hot paths.  The heap counters are resolved
+// at boot; the activity counters and the histograms, four of 256 buckets
+// each, on the first bump with metrics on, so a session that runs with
+// metrics off never builds them.  The handles are plain atomics after that.
 type vmObs struct {
 	reg          *obs.Registry
 	heapCharges  *obs.Counter // core.heap.charge: messages charged to a shard
 	heapRecovers *obs.Counter // core.heap.recover: message storage recovered
-	h            atomic.Pointer[vmHists]
+	m            atomic.Pointer[vmMetrics]
 }
 
-// vmHists are a VM's histogram handles.
-type vmHists struct {
+// vmMetrics are a VM's lazily made counter and histogram handles.
+type vmMetrics struct {
+	initiates    *obs.Counter   // core.task.initiate: user tasks started, re-creations not
+	completes    *obs.Counter   // core.task.complete: user tasks terminated
+	sends        *obs.Counter   // core.msg.send: SENDs by tasks and the user
+	accepts      *obs.Counter   // core.msg.accept: messages accepted, the run-time's own not
+	windowOps    *obs.Counter   // core.window.op: window reads and writes
+	windowBytes  *obs.Counter   // core.window.bytes: bytes moved through windows
 	heapMsgBytes *obs.Histogram // core.heap.msg.bytes: charged message sizes
 	acceptWait   *obs.Histogram // core.accept.wait.ns: time blocked in ACCEPT
 	encodeNS     *obs.Histogram // codec.encode.ns: argument packet encode time
@@ -234,28 +236,35 @@ func (o *vmObs) init(reg *obs.Registry, b backend.Backend) {
 	o.reg = reg
 	o.heapCharges = reg.Counter("core.heap.charge")
 	o.heapRecovers = reg.Counter("core.heap.recover")
-	// A registry with metrics on at boot lists the histograms from the
-	// start, empty or not, as -stats and /metrics always have.
+	// A registry with metrics on at boot lists the metrics from the start,
+	// zero or not, as -stats and /metrics always have.
 	if reg.Has(obs.Metrics) {
-		o.hists()
+		o.metrics()
 	}
 }
 
-// hists returns the VM's histograms, registering them on the first call.
-// Metrics can be turned on while tasks emit (option 9), so two tasks may
-// make the first call at once: the registry hands both the same histograms.
-func (o *vmObs) hists() *vmHists {
-	if h := o.h.Load(); h != nil {
-		return h
+// metrics returns the VM's lazily made metrics, registering them on the
+// first call.  Metrics can be turned on while tasks emit (Registry.Enable),
+// so two tasks may make the first call at once: the registry hands both the
+// same handles.
+func (o *vmObs) metrics() *vmMetrics {
+	if m := o.m.Load(); m != nil {
+		return m
 	}
-	h := &vmHists{
+	m := &vmMetrics{
+		initiates:    o.reg.Counter("core.task.initiate"),
+		completes:    o.reg.Counter("core.task.complete"),
+		sends:        o.reg.Counter("core.msg.send"),
+		accepts:      o.reg.Counter("core.msg.accept"),
+		windowOps:    o.reg.Counter("core.window.op"),
+		windowBytes:  o.reg.Counter("core.window.bytes"),
 		heapMsgBytes: o.reg.Histogram("core.heap.msg.bytes", "B"),
 		acceptWait:   o.reg.Histogram("core.accept.wait.ns", "ns"),
 		encodeNS:     o.reg.Histogram("codec.encode.ns", "ns"),
 		decodeNS:     o.reg.Histogram("codec.decode.ns", "ns"),
 	}
-	o.h.Store(h)
-	return h
+	o.m.Store(m)
+	return m
 }
 
 // Obs returns the VM's observability registry (never nil after boot).
@@ -751,7 +760,7 @@ func (vm *VM) chargeMessageOn(heap *memory.Allocator, msg *Message, size int) er
 	msg.heapShard = heap
 	if vm.metricsOn() {
 		vm.om.heapCharges.Inc()
-		vm.om.hists().heapMsgBytes.Observe(int64(size))
+		vm.om.metrics().heapMsgBytes.Observe(int64(size))
 	}
 	return nil
 }
@@ -898,24 +907,6 @@ func (vm *VM) Shutdown() {
 		}
 	}
 	vm.machine.Shared().FreeTable(vm.tableBytes)
-}
-
-// Stats summarises run-time activity.
-type Stats struct {
-	TasksInitiated   int64
-	TasksCompleted   int64
-	MessagesSent     int64
-	MessagesAccepted int64
-}
-
-// Stats returns run-time counters.
-func (vm *VM) Stats() Stats {
-	return Stats{
-		TasksInitiated:   vm.initiated.Load(),
-		TasksCompleted:   vm.completed.Load(),
-		MessagesSent:     vm.msgsSent.Load(),
-		MessagesAccepted: vm.msgsAccpt.Load(),
-	}
 }
 
 // Placement is the <cluster> part of an INITIATE statement.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -91,7 +92,7 @@ func TestBootRejectsInvalidConfiguration(t *testing.T) {
 
 func TestRunSimpleTask(t *testing.T) {
 	var out syncBuffer
-	vm := newTestVM(t, config.Simple(2, 2), Options{UserOutput: &out})
+	vm := newTestVM(t, config.Simple(2, 2), Options{UserOutput: &out, Metrics: metricsOn()})
 	ran := make(chan TaskID, 1)
 	vm.Register("hello", func(t *Task) {
 		ran <- t.ID()
@@ -117,9 +118,8 @@ func TestRunSimpleTask(t *testing.T) {
 	if !strings.Contains(out.String(), "hello from") {
 		t.Fatalf("user output missing task print: %q", out.String())
 	}
-	st := vm.Stats()
-	if st.TasksInitiated != 1 || st.TasksCompleted != 1 {
-		t.Fatalf("stats = %+v", st)
+	if in, done := counted(vm, "core.task.initiate"), counted(vm, "core.task.complete"); in != 1 || done != 1 {
+		t.Fatalf("%d tasks initiated, %d completed; want 1 and 1", in, done)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestPlacementKinds(t *testing.T) {
 }
 
 func TestTaskInitiatesChildren(t *testing.T) {
-	vm := newTestVM(t, config.Simple(3, 3), Options{})
+	vm := newTestVM(t, config.Simple(3, 3), Options{Metrics: metricsOn()})
 
 	childClusters := make(chan int, 16)
 	vm.Register("child", func(t *Task) {
@@ -216,9 +216,8 @@ func TestTaskInitiatesChildren(t *testing.T) {
 	if !same || !other {
 		t.Fatal("SAME and OTHER placements did not both occur")
 	}
-	st := vm.Stats()
-	if st.TasksInitiated != 4 || st.TasksCompleted != 4 {
-		t.Fatalf("stats = %+v", st)
+	if in, done := counted(vm, "core.task.initiate"), counted(vm, "core.task.complete"); in != 4 || done != 4 {
+		t.Fatalf("%d tasks initiated, %d completed; want 4 and 4", in, done)
 	}
 }
 
@@ -394,7 +393,7 @@ func TestShutdownStopsEverything(t *testing.T) {
 func TestViewsAndFigure1(t *testing.T) {
 	vm := newTestVM(t, config.Section9Example(), Options{})
 	vm.Register("worker", func(t *Task) {
-		_, _ = t.Accept(AcceptSpec{Total: 1, Types: []TypeCount{{Type: "go"}}, Delay: 500 * time.Millisecond})
+		_, _ = t.Accept(AcceptSpec{Total: 1, Types: []TypeCount{{Type: "go"}}, Delay: Forever})
 	})
 	id, err := vm.Initiate("worker", OnCluster(3))
 	if err != nil {
@@ -421,7 +420,7 @@ func TestViewsAndFigure1(t *testing.T) {
 	var dump bytes.Buffer
 	vm.DumpState(&dump)
 	dumpStr := dump.String()
-	for _, want := range []string{"system state dump", "clusters:", "running tasks:", "PE loading:", "shared memory:", "worker"} {
+	for _, want := range []string{"system state dump", "clusters:", "running tasks:", "PE loading:", "shared memory:", "worker", "activity: not counted"} {
 		if !strings.Contains(dumpStr, want) {
 			t.Errorf("state dump missing %q", want)
 		}
@@ -438,8 +437,18 @@ func TestViewsAndFigure1(t *testing.T) {
 		t.Errorf("PE 7 max multiprogramming = %d, want 8", loads[6].MaxMultiprog)
 	}
 
+	// With metrics turned on, the dump counts what happens from then on.
+	vm.Obs().Enable(obs.Metrics)
+	if err := vm.SendFromUser(id, "go"); err != nil {
+		t.Fatal(err)
+	}
 	if err := vm.WaitTask(id); err != nil {
 		t.Fatal(err)
+	}
+	dump.Reset()
+	vm.DumpState(&dump)
+	if want := "activity: 0 tasks initiated, 1 completed, 1 messages sent, 1 accepted"; !strings.Contains(dump.String(), want) {
+		t.Errorf("state dump with metrics on missing %q:\n%s", want, dump.String())
 	}
 }
 

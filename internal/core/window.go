@@ -386,17 +386,13 @@ func (t *Task) WriteWindow(w Window, data []float64) error {
 // with the owner.
 func (t *Task) chargeWindowTransfer(w Window, n int, dir string) {
 	t.Charge(int64(costSendHeader + costWindowElement*n))
-	t.vm.windowBytes.Add(int64(8 * n))
-	t.vm.windowOps.Add(1)
+	if t.vm.metricsOn() {
+		m := t.vm.om.metrics()
+		m.windowOps.Inc()
+		m.windowBytes.Add(int64(8 * n))
+	}
 	if t.vm.om.reg.Watching(obs.MsgWindow) {
 		t.vm.emit(&obs.Event{Kind: obs.MsgWindow, Task: obs.TaskRef(t.ID()), Peer: obs.TaskRef(w.Owner),
 			Type: dir, Detail: w.Region.String(), A: int64(w.ArrayID), B: int64(n)}, t.rec.cluster.primary)
 	}
-}
-
-// WindowTraffic reports the cumulative number of window transfer operations
-// and bytes moved through windows, used by the Section 8 experiment to
-// compare window-based partitioning against shipping whole arrays.
-func (vm *VM) WindowTraffic() (ops, bytes int64) {
-	return vm.windowOps.Load(), vm.windowBytes.Load()
 }

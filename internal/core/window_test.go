@@ -238,7 +238,7 @@ func TestWindowValueThroughMessages(t *testing.T) {
 	// The full Section 8 pattern: the owner partitions its array into window
 	// values and sends them to worker tasks; each worker reads its partition,
 	// processes it, and writes the result back through the window.
-	vm := newTestVM(t, config.Simple(2, 4), Options{})
+	vm := newTestVM(t, config.Simple(2, 4), Options{Metrics: metricsOn()})
 	const rows, cols, workers = 8, 6, 4
 
 	vm.Register("worker", func(task *Task) {
@@ -310,7 +310,7 @@ func TestWindowValueThroughMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm.WaitIdle()
-	ops, bytes := vm.WindowTraffic()
+	ops, bytes := counted(vm, "core.window.op"), counted(vm, "core.window.bytes")
 	if ops < int64(2*workers) {
 		t.Errorf("window ops = %d, want at least %d", ops, 2*workers)
 	}

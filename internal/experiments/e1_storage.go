@@ -49,7 +49,7 @@ func RunE1(w io.Writer) (*E1Result, error) {
 	// and returns to its baseline once they are accepted.
 	const burst = 200
 	// The heap is sharded per cluster; the Section 13 numbers are the
-	// machine-wide roll-up over every shard (memory.Aggregate via HeapStats).
+	// machine-wide sum over every shard (flex.Usage).
 	heap := vm.Machine().Shared()
 
 	ready := make(chan core.TaskID, 1)
@@ -94,9 +94,9 @@ func RunE1(w io.Writer) (*E1Result, error) {
 	// "the amount of shared memory used for message passing only becomes
 	// significant when large numbers of messages ... are sent and left
 	// waiting in a task's in-queue without being accepted."
-	hs := heap.HeapStats()
-	res.HeapHighWater = hs.HighWater
-	res.HeapAfterBurst = hs.InUse
+	u := heap.Usage()
+	res.HeapHighWater = u.HeapHighWater
+	res.HeapAfterBurst = u.HeapInUse
 
 	t := obs.NewTable("E1: storage overhead (paper, Section 13)",
 		"quantity", "measured", "share", "paper")

@@ -146,6 +146,10 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 		}
 		collectorReady := make(chan core.TaskID, 1)
 		collected := make(chan []float64, 1)
+		// The collector counts what it accepted itself: the VM's
+		// core.msg.accept series would need metrics on, which skews the
+		// rates measured here.  The send on collected publishes it.
+		delivered := 0
 		vm.Register("collector", func(t *core.Task) {
 			collectorReady <- t.ID()
 			// Accept the stream in fixed-count windows, timing each: the
@@ -159,10 +163,12 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 					continue
 				}
 				start := time.Now()
-				if _, err := t.AcceptN(count, "datum"); err != nil {
+				r, err := t.AcceptN(count, "datum")
+				if err != nil {
 					t.Printf("collector: %v\n", err)
 					break
 				}
+				delivered += len(r.Accepted)
 				if elapsed := time.Since(start); elapsed > 0 {
 					rates = append(rates, float64(count)/elapsed.Seconds())
 				}
@@ -194,9 +200,8 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 		}
 		rates := <-collected
 		vm.WaitIdle()
-		st := vm.Stats()
 		vm.Shutdown()
-		res.FanInDelivered = int(st.MessagesAccepted)
+		res.FanInDelivered = delivered
 		res.FanInWindowRates = rates
 		if len(rates) > 0 {
 			sorted := append([]float64(nil), rates...)
@@ -229,7 +234,7 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 		}
 		// Machine-wide heap usage is the per-cluster shard roll-up.
 		heap := vm.Machine().Shared()
-		baseline := heap.HeapStats().InUse
+		baseline := heap.Usage().HeapInUse
 		hoardReady := make(chan core.TaskID, 1)
 		vm.Register("hoard", func(t *core.Task) {
 			hoardReady <- t.ID()
@@ -251,14 +256,14 @@ func RunE5(w io.Writer, p E5Params) (*E5Result, error) {
 				return nil, err
 			}
 		}
-		grown := heap.HeapStats().InUse
+		grown := heap.Usage().HeapInUse
 		res.BytesPerQueuedMessage = float64(grown-baseline) / float64(p.QueueGrowthMessages)
 		if err := vm.SendFromUser(id, "drain"); err != nil {
 			vm.Shutdown()
 			return nil, err
 		}
 		vm.WaitIdle()
-		after := heap.HeapStats().InUse
+		after := heap.Usage().HeapInUse
 		res.HeapRecovered = after <= baseline
 		vm.Shutdown()
 	}

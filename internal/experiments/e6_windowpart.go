@@ -90,9 +90,13 @@ func RunE6(w io.Writer, p E6Params) (*E6Result, error) {
 }
 
 // runE6Windows runs the two-level window partitioning on the virtual machine
-// and returns the bytes that actually moved through windows.
+// and returns the bytes that actually moved through windows, as the VM's
+// core.window.bytes counter reads them.  Metrics are on for that count; the
+// result is bytes, not time, so what they cost does not move it.
 func runE6Windows(p E6Params) (int64, error) {
-	vm, err := core.NewVM(config.Simple(4, 6), core.Options{AcceptTimeout: 60 * time.Second})
+	reg := obs.New()
+	reg.Enable(obs.Metrics)
+	vm, err := core.NewVM(config.Simple(4, 6), core.Options{AcceptTimeout: 60 * time.Second, Metrics: reg})
 	if err != nil {
 		return 0, err
 	}
@@ -177,6 +181,5 @@ func runE6Windows(p E6Params) (int64, error) {
 			}
 		}
 	}
-	_, bytes := vm.WindowTraffic()
-	return bytes, nil
+	return reg.Counter("core.window.bytes").Load(), nil
 }

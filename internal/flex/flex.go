@@ -264,8 +264,8 @@ func (s *SharedMemory) ShardHeap(n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sh := range s.shards {
-		if sh.InUse() > 0 {
-			return fmt.Errorf("flex: cannot reshard message heap with %d bytes live", sh.InUse())
+		if live, _ := sh.Usage(); live > 0 {
+			return fmt.Errorf("flex: cannot reshard message heap with %d bytes live", live)
 		}
 	}
 	per := s.heapBytes / n
@@ -296,17 +296,6 @@ func (s *SharedMemory) HeapShards() []*memory.Allocator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*memory.Allocator(nil), s.shards...)
-}
-
-// HeapStats returns the message-heap accounting rolled up over every shard —
-// the machine-wide quantity the Section 13 storage report uses.
-func (s *SharedMemory) HeapStats() memory.Stats {
-	shards := s.HeapShards()
-	stats := make([]memory.Stats, len(shards))
-	for i, sh := range shards {
-		stats[i] = sh.Stats()
-	}
-	return memory.Aggregate(stats...)
 }
 
 // AllocTable reserves n bytes of the system-table region.  Table entries
@@ -359,6 +348,9 @@ func (s *SharedMemory) FreeCommon(n int) {
 // Usage is a snapshot of shared-memory consumption by region, the quantity
 // reported in Section 13 of the paper: bytes in use and each region's size,
 // and the message heap's high-water mark, the one mark Section 13 discusses.
+// The heap figures sum over every shard, so the high-water mark is the sum of
+// the shards' peaks: an upper bound on the true simultaneous peak, as the
+// shards need not have peaked at the same instant.
 type Usage struct {
 	Total int
 
@@ -375,19 +367,14 @@ type Usage struct {
 // Usage returns a snapshot of all three shared-memory regions.
 func (s *SharedMemory) Usage() Usage {
 	s.mu.Lock()
-	tu, tt := s.tableUsed, s.tableTotal
-	cu, ct := s.commonUsed, s.commonTotal
-	s.mu.Unlock()
-	hs := s.HeapStats()
-	return Usage{
-		Total:         s.total,
-		TableUsed:     tu,
-		TableTotal:    tt,
-		CommonUsed:    cu,
-		CommonTotal:   ct,
-		HeapInUse:     hs.InUse,
-		HeapHighWater: hs.HighWater,
+	defer s.mu.Unlock()
+	u := Usage{Total: s.total, TableUsed: s.tableUsed, TableTotal: s.tableTotal, CommonUsed: s.commonUsed, CommonTotal: s.commonTotal}
+	for _, sh := range s.shards {
+		in, high := sh.Usage()
+		u.HeapInUse += in
+		u.HeapHighWater += high
 	}
+	return u
 }
 
 // TablePercent returns the system-table usage as a percentage of total shared

@@ -204,12 +204,13 @@ func TestQuickTablePercentBounds(t *testing.T) {
 }
 
 // TestShardHeap covers the per-cluster heap partitioning: shards cover the
-// whole heap region, allocate independently, roll up into the machine-wide
-// usage, and resharding is refused while storage is live.
+// whole heap region, allocate independently, sum into the machine-wide
+// usage (bytes in use, and the high-water mark as the sum of the shards'
+// peaks), and resharding is refused while storage is live.
 func TestShardHeap(t *testing.T) {
 	m := MustNewMachine(DefaultConfig())
 	sh := m.Shared()
-	heapBytes := sh.HeapStats().ArenaSize
+	heapBytes := sh.HeapShard(0).Size()
 
 	if err := sh.ShardHeap(3); err != nil {
 		t.Fatal(err)
@@ -232,8 +233,17 @@ func TestShardHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sh.Usage().HeapInUse; got != sh.HeapShard(1).InUse() {
-		t.Errorf("Usage().HeapInUse = %d, want shard roll-up %d", got, sh.HeapShard(1).InUse())
+	off0, err := sh.HeapShard(0).Alloc(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.HeapShard(0).Free(off0); err != nil {
+		t.Fatal(err)
+	}
+	in1, high1 := sh.HeapShard(1).Usage()
+	_, high0 := sh.HeapShard(0).Usage()
+	if u := sh.Usage(); u.HeapInUse != in1 || u.HeapHighWater != high0+high1 {
+		t.Errorf("Usage() heap %d in use (high %d), want shard 1's %d and the peaks' sum %d", u.HeapInUse, u.HeapHighWater, in1, high0+high1)
 	}
 	if err := sh.ShardHeap(2); err == nil {
 		t.Error("resharding with live allocations was not refused")
@@ -244,7 +254,7 @@ func TestShardHeap(t *testing.T) {
 	if err := sh.ShardHeap(1); err != nil {
 		t.Errorf("resharding an all-free heap: %v", err)
 	}
-	if got := sh.HeapStats().ArenaSize; got != heapBytes {
+	if got := sh.HeapShard(0).Size(); got != heapBytes {
 		t.Errorf("arena size after unsharding = %d, want %d", got, heapBytes)
 	}
 	if err := sh.ShardHeap(0); err == nil {

@@ -5,7 +5,8 @@
 // Memory Use").  This package is the message-heap part as the Section 13
 // storage-overhead experiment measures it: bytes in use and a high-water mark,
 // the one peak Section 13 discusses (internal/flex keeps only bytes in use for
-// the system tables and SHARED COMMON), plus allocation counts.
+// the system tables and SHARED COMMON).  What the run-time did with the heap
+// is counted once, in the VM's registry (core.heap.charge and .recover).
 //
 // A heap shard is a byte count.  A message's arguments live in Go values, so
 // no run-time path addresses the heap; what the model keeps of an allocation
@@ -49,8 +50,6 @@ type Allocator struct {
 	size      int
 	inUse     int
 	highWater int
-	allocs    uint64
-	failures  uint64
 
 	// budget, when non-nil, caps this allocator's live bytes as part of a
 	// tenant-wide total shared with sibling shards.  See SetBudget.
@@ -91,9 +90,8 @@ func Charge(n int) (c int, ok bool) {
 // AllocRun admits count requests in one charge of total, the sum of their
 // Charges.  It succeeds exactly when an Alloc of each request in turn would
 // have — the bytes in use only grow along a run, so the last request decides
-// — and then leaves the shard, its Stats and the budget as those Allocs
-// would.  A refusal changes nothing, Failures included: the caller charges
-// the run request by request, and Alloc counts the ones refused.
+// — and then leaves the shard and the budget as those Allocs would.  A
+// refusal changes nothing: the caller charges the run request by request.
 func (a *Allocator) AllocRun(total, count int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -102,12 +100,11 @@ func (a *Allocator) AllocRun(total, count int) bool {
 	}
 	a.inUse += total
 	a.highWater = max(a.highWater, a.inUse)
-	a.allocs += uint64(count)
 	return true
 }
 
 // Transit answers what Alloc(n) followed at once by Free of its charge
-// answers — the same error, Allocs, Failures and HighWater — without holding
+// answers — the same error and high-water mark — without holding
 // the charge: the shard and the budget are asked, and neither keeps it.  A
 // remote send calls it for the outbound copy its sender's shard models but
 // never holds.
@@ -119,8 +116,8 @@ func (a *Allocator) Transit(n int) error {
 }
 
 // admitLocked is the compare Alloc and Transit share.  It returns the charge
-// for n, counted in Allocs and HighWater, or the refusal, counted in
-// Failures: ErrOutOfMemory when the shard cannot hold the charge, else
+// for n, counted in the high-water mark, or the refusal:
+// ErrOutOfMemory when the shard cannot hold the charge, else
 // ErrBudgetExceeded when the budget cannot.  With keep the shard and the
 // budget hold the charge; without, both are only asked.  The caller holds
 // a.mu.
@@ -128,21 +125,17 @@ func (a *Allocator) admitLocked(n int, keep bool) (int, error) {
 	n = max(n, align)
 	// Sizes near MaxInt would overflow roundUp; no real arena holds them.
 	if n > math.MaxInt-align {
-		a.failures++
 		return 0, fmt.Errorf("%w: requested %d bytes overflows the allocator", ErrOutOfMemory, n)
 	}
 	n = roundUp(n)
 	if n > a.size-a.inUse-headerSize {
-		a.failures++
 		return 0, fmt.Errorf("%w: requested %d bytes, %d in use of %d", ErrOutOfMemory, n, a.inUse, a.size)
 	}
 	c := n + headerSize
 	if keep && !a.budget.tryCharge(int64(c)) || !keep && !a.budget.fits(int64(c)) {
-		a.failures++
 		return 0, budgetErr(n, a.budget)
 	}
 	a.highWater = max(a.highWater, a.inUse+c)
-	a.allocs++
 	if keep {
 		a.inUse += c
 	}
@@ -178,50 +171,12 @@ func (a *Allocator) Bytes(off, n int) []byte {
 	return arena[off : off+n : off+n]
 }
 
-// Stats is a snapshot of allocator accounting.
-type Stats struct {
-	ArenaSize int    // total bytes managed
-	InUse     int    // bytes currently charged, including headers
-	HighWater int    // maximum of InUse over the allocator's lifetime
-	Allocs    uint64 // successful Alloc and Transit calls
-	Failures  uint64 // refused Alloc and Transit calls
-}
-
-// Stats returns a snapshot of the allocator's accounting counters.
-func (a *Allocator) Stats() Stats {
+// Usage returns the bytes currently charged, headers included, and the most
+// that were ever charged at once, read under one lock.
+func (a *Allocator) Usage() (inUse, highWater int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return Stats{
-		ArenaSize: a.size,
-		InUse:     a.inUse,
-		HighWater: a.highWater,
-		Allocs:    a.allocs,
-		Failures:  a.failures,
-	}
-}
-
-// Aggregate rolls per-shard snapshots up into one combined snapshot, for
-// reporting on a heap that has been partitioned into several independent
-// allocators (one per cluster).  Every field sums.  The combined HighWater is
-// the sum of per-shard high-water marks, which upper-bounds the true
-// simultaneous peak (the shards need not have peaked at the same instant).
-func Aggregate(stats ...Stats) Stats {
-	var out Stats
-	for _, s := range stats {
-		out.ArenaSize += s.ArenaSize
-		out.InUse += s.InUse
-		out.HighWater += s.HighWater
-		out.Allocs += s.Allocs
-		out.Failures += s.Failures
-	}
-	return out
-}
-
-// InUse returns the number of bytes currently charged, including headers.
-func (a *Allocator) InUse() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inUse
+	return a.inUse, a.highWater
 }
 
 func roundUp(n int) int {

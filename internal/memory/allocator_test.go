@@ -11,6 +11,17 @@ import (
 	"testing/quick"
 )
 
+// use is a shard's Usage as one comparable value.
+type use struct{ inUse, highWater int }
+
+func useOf(a *Allocator) use {
+	in, high := a.Usage()
+	return use{in, high}
+}
+
+// inUse is a shard's bytes in use.
+func inUse(a *Allocator) int { return useOf(a).inUse }
+
 func TestAllocBasic(t *testing.T) {
 	a := New(4096)
 	off, err := a.Alloc(100)
@@ -20,13 +31,13 @@ func TestAllocBasic(t *testing.T) {
 	if want := roundUp(100) + headerSize; off != want {
 		t.Fatalf("Alloc(100) charged %d, want %d", off, want)
 	}
-	if got := a.InUse(); got != off {
+	if got := inUse(a); got != off {
 		t.Fatalf("InUse = %d, want the charge %d", got, off)
 	}
 	if err := a.Free(off); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
-	if got := a.InUse(); got != 0 {
+	if got := inUse(a); got != 0 {
 		t.Fatalf("InUse after free = %d, want 0", got)
 	}
 }
@@ -37,7 +48,7 @@ func TestAllocRoundsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.InUse(); got != align+headerSize {
+	if got := inUse(a); got != align+headerSize {
 		t.Fatalf("InUse = %d, want %d", got, align+headerSize)
 	}
 	if err := a.Free(off); err != nil {
@@ -61,17 +72,13 @@ func TestAllocExhaustion(t *testing.T) {
 	if len(offs) == 0 {
 		t.Fatal("no allocations succeeded at all")
 	}
-	st := a.Stats()
-	if st.Failures == 0 {
-		t.Fatal("expected at least one recorded failure")
-	}
 	for _, off := range offs {
 		if err := a.Free(off); err != nil {
 			t.Fatalf("Free(%d): %v", off, err)
 		}
 	}
 	// After freeing everything, a large allocation should succeed again.
-	if _, err := a.Alloc(st.ArenaSize / 2); err != nil {
+	if _, err := a.Alloc(a.Size() / 2); err != nil {
 		t.Fatalf("allocation after full free failed: %v", err)
 	}
 }
@@ -97,10 +104,10 @@ func TestDoubleFree(t *testing.T) {
 	}
 	for _, c := range []int{0, 8, 20, 111} {
 		if err := a.Free(c); !errors.Is(err, ErrBadFree) {
-			t.Fatalf("Free(%d) with %d in use: got %v, want ErrBadFree", c, a.InUse(), err)
+			t.Fatalf("Free(%d) with %d in use: got %v, want ErrBadFree", c, inUse(a), err)
 		}
 	}
-	if got := a.InUse(); got != 112 {
+	if got := inUse(a); got != 112 {
 		t.Fatalf("InUse = %d after refused frees, want 112", got)
 	}
 }
@@ -109,23 +116,23 @@ func TestHighWaterMark(t *testing.T) {
 	a := New(4096)
 	o1, _ := a.Alloc(512)
 	o2, _ := a.Alloc(512)
-	hw := a.Stats().HighWater
+	hw := useOf(a).highWater
 	if hw < 1024 {
 		t.Fatalf("high water %d, want >= 1024", hw)
 	}
 	a.Free(o1)
 	a.Free(o2)
-	if a.Stats().HighWater != hw {
-		t.Fatalf("high water changed after frees: %d != %d", a.Stats().HighWater, hw)
+	if got := useOf(a).highWater; got != hw {
+		t.Fatalf("high water changed after frees: %d != %d", got, hw)
 	}
-	if a.InUse() != 0 {
-		t.Fatalf("in use %d after freeing everything", a.InUse())
+	if inUse(a) != 0 {
+		t.Fatalf("in use %d after freeing everything", inUse(a))
 	}
 }
 
-// TestStatsAccounting checks the counts: InUse is the sum of the live
-// charges, HighWater the most it ever was, Allocs and Failures the answers.
-func TestStatsAccounting(t *testing.T) {
+// TestUsageAccounting checks the counts: bytes in use are the sum of the
+// live charges, the high-water mark the most they ever were.
+func TestUsageAccounting(t *testing.T) {
 	a := New(1024)
 	var offs []int
 	for i := 0; i < 7; i++ {
@@ -136,13 +143,12 @@ func TestStatsAccounting(t *testing.T) {
 		offs = append(offs, off)
 	}
 	if _, err := a.Alloc(300); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("Alloc(300) with %d of %d in use = %v, want ErrOutOfMemory", a.InUse(), a.Size(), err)
+		t.Fatalf("Alloc(300) with %d of %d in use = %v, want ErrOutOfMemory", inUse(a), a.Size(), err)
 	}
 	a.Free(offs[2])
 	a.Free(offs[4])
-	want := Stats{ArenaSize: 1024, InUse: 5 * 112, HighWater: 7 * 112, Allocs: 7, Failures: 1}
-	if st := a.Stats(); st != want {
-		t.Fatalf("Stats = %+v, want %+v", st, want)
+	if got, want := useOf(a), (use{5 * 112, 7 * 112}); got != want {
+		t.Fatalf("Usage = %+v, want %+v", got, want)
 	}
 }
 
@@ -166,7 +172,7 @@ func TestQuickAllocFreeAll(t *testing.T) {
 				return false
 			}
 		}
-		return a.InUse() == 0
+		return inUse(a) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -202,7 +208,7 @@ func TestQuickNoOverlap(t *testing.T) {
 			live = append(live, off)
 			sum += off
 		}
-		return sum <= a.Size() && a.InUse() == sum
+		return sum <= a.Size() && inUse(a) == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -234,9 +240,8 @@ func TestAllocOverflowGuard(t *testing.T) {
 			t.Fatalf("Alloc(%d) = (%d, %v), want ErrOutOfMemory", n, off, err)
 		}
 	}
-	st := a.Stats()
-	if st.Failures != 4 {
-		t.Errorf("Failures = %d, want 4", st.Failures)
+	if got := useOf(a); got != (use{}) {
+		t.Errorf("Usage = %+v after refused requests, want zero", got)
 	}
 	// The arena must remain fully usable after the rejected requests.
 	off, err := a.Alloc(64)
@@ -248,43 +253,11 @@ func TestAllocOverflowGuard(t *testing.T) {
 	}
 }
 
-// TestAggregate checks the multi-shard stats roll-up used by the per-cluster
-// message-heap shards.
-func TestAggregate(t *testing.T) {
-	a, b := New(4096), New(8192)
-	offA, err := a.Alloc(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Alloc(200); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Free(offA); err != nil {
-		t.Fatal(err)
-	}
-	got := Aggregate(a.Stats(), b.Stats())
-	if got.ArenaSize != 4096+8192 {
-		t.Errorf("ArenaSize = %d, want %d", got.ArenaSize, 4096+8192)
-	}
-	if got.InUse != b.Stats().InUse {
-		t.Errorf("InUse = %d, want %d (only shard b holds storage)", got.InUse, b.Stats().InUse)
-	}
-	if got.HighWater != a.Stats().HighWater+b.Stats().HighWater {
-		t.Errorf("HighWater = %d, want per-shard sum", got.HighWater)
-	}
-	if got.Allocs != 2 {
-		t.Errorf("Allocs = %d, want 2", got.Allocs)
-	}
-	if empty := Aggregate(); empty != (Stats{}) {
-		t.Errorf("Aggregate() = %+v, want zero", empty)
-	}
-}
-
 // TestChargeRefusedOnlyWhenBytesSpent: a shard refuses a charge only when its
 // bytes are spent.  Free bytes split into holes, each smaller than a request
 // but together more than its charge, still take it; the last 16 bytes take a
 // minimum charge and refuse one 8 bytes larger; a full shard refuses even
-// the minimum; sizes near MaxInt are refused; every refusal is counted.
+// the minimum; sizes near MaxInt are refused.
 func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
 	a := New(1024)
 	var charges []int
@@ -295,8 +268,8 @@ func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
 		}
 		charges = append(charges, c)
 	}
-	if a.InUse() != a.Size() {
-		t.Fatalf("InUse = %d after eight 128-byte charges, want %d", a.InUse(), a.Size())
+	if inUse(a) != a.Size() {
+		t.Fatalf("InUse = %d after eight 128-byte charges, want %d", inUse(a), a.Size())
 	}
 	// Three holes of 128 bytes, none next to another.
 	for _, i := range []int{0, 2, 4} {
@@ -304,13 +277,11 @@ func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	failures := a.Stats().Failures
 	refuse := func(n int, why string) {
 		t.Helper()
 		if _, err := a.Alloc(n); !errors.Is(err, ErrOutOfMemory) {
 			t.Fatalf("%s: Alloc(%d) = %v, want ErrOutOfMemory", why, n, err)
 		}
-		failures++
 	}
 	if c, err := a.Alloc(200); err != nil || c != 208 {
 		t.Fatalf("Alloc(200) with 384 bytes free in 128-byte holes = %d, %v; want a 208-byte charge", c, err)
@@ -318,7 +289,7 @@ func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
 	if _, err := a.Alloc(152); err != nil {
 		t.Fatalf("Alloc(152) with 176 bytes free: %v", err)
 	}
-	if free := a.Size() - a.InUse(); free != 16 {
+	if free := a.Size() - inUse(a); free != 16 {
 		t.Fatalf("%d bytes free, want 16", free)
 	}
 	refuse(16, "a 24-byte charge in the last 16 bytes")
@@ -328,17 +299,15 @@ func TestChargeRefusedOnlyWhenBytesSpent(t *testing.T) {
 	refuse(0, "the minimum charge on a full shard")
 	refuse(math.MaxInt, "a size near MaxInt")
 	refuse(math.MaxInt-align, "a size near MaxInt")
-	if st := a.Stats(); st.Failures != failures || st.InUse != st.ArenaSize || st.HighWater != st.ArenaSize {
-		t.Fatalf("Stats = %+v, want %d failures and the shard full", st, failures)
+	if got, want := useOf(a), (use{a.Size(), a.Size()}); got != want {
+		t.Fatalf("Usage = %+v, want the shard full: %+v", got, want)
 	}
 }
 
 // TestConcurrentChargesBalance: goroutines on two shards sharing one budget
 // mix Alloc, Transit, runs admitted by AllocRun, single Frees and summed-run
-// Frees.  No shard's high
-// water passes its size nor the budget its cap, the counters agree with the
-// answers the goroutines got, and once everything is given back both shards
-// and the budget read zero.
+// Frees.  No shard's high water passes its size nor the budget its cap, and
+// once everything is given back both shards and the budget read zero.
 func TestConcurrentChargesBalance(t *testing.T) {
 	const workers, steps = 8, 4000
 	// The small shard fills before the budget does, the large one mostly
@@ -413,7 +382,7 @@ func TestConcurrentChargesBalance(t *testing.T) {
 				default:
 					t.Errorf("unexpected refusal: %v", err)
 				}
-				if hw := s.Stats().HighWater; hw > s.Size() {
+				if hw := useOf(s).highWater; hw > s.Size() {
 					t.Errorf("high water %d past the shard's %d bytes", hw, s.Size())
 				}
 				if u := b.Used(); u > b.Max() {
@@ -428,12 +397,11 @@ func TestConcurrentChargesBalance(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := Aggregate(shards[0].Stats(), shards[1].Stats())
-	if st.InUse != 0 || b.Used() != 0 {
-		t.Fatalf("after every charge was given back the shards hold %d bytes and the budget %d", st.InUse, b.Used())
+	if held := inUse(shards[0]) + inUse(shards[1]); held != 0 || b.Used() != 0 {
+		t.Fatalf("after every charge was given back the shards hold %d bytes and the budget %d", held, b.Used())
 	}
-	if int64(st.Allocs) != granted.Load() || int64(st.Failures) != oom.Load()+overBudget.Load() {
-		t.Fatalf("Stats %+v; the goroutines were granted %d and refused %d", st, granted.Load(), oom.Load()+overBudget.Load())
+	if granted.Load() == 0 {
+		t.Fatal("the goroutines were granted no charge")
 	}
 	if oom.Load()+overBudget.Load() == 0 {
 		t.Fatal("the run never filled a shard or the budget")

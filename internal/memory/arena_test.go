@@ -7,7 +7,7 @@ import (
 
 // TestBytesOutOfRangeLeavesAllocatorUsable: the run-time recovers a task's
 // panic, so an out-of-range Bytes must not leave the shard's mutex held for
-// the next InUse/Stats to block on.
+// the next Usage to block on.
 func TestBytesOutOfRangeLeavesAllocatorUsable(t *testing.T) {
 	a := New(1024)
 	func() {
@@ -20,8 +20,7 @@ func TestBytesOutOfRangeLeavesAllocatorUsable(t *testing.T) {
 	}()
 	done := make(chan int, 1)
 	go func() {
-		_ = a.Stats()
-		done <- a.InUse()
+		done <- inUse(a)
 	}()
 	select {
 	case n := <-done:

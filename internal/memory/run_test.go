@@ -8,8 +8,8 @@ import (
 
 // TestAllocRunMatchesSequentialAllocs holds AllocRun to what it stands for —
 // one Alloc per request, in order — over seeded size lists, shard sizes,
-// histories and budgets: a run admitted leaves the same charges, InUse,
-// HighWater, Allocs and budget use as the Allocs, and a run refused changes
+// histories and budgets: a run admitted leaves the same charges, bytes in
+// use, high-water mark and budget use as the Allocs, and a run refused changes
 // nothing and is refused only where one of the Allocs would be.
 func TestAllocRunMatchesSequentialAllocs(t *testing.T) {
 	sizes := []int{-5, 0, 1, 7, 8, 9, 24, 64, 100, 136, 512, 1500, 4096, 9000}
@@ -63,9 +63,9 @@ func TestAllocRunMatchesSequentialAllocs(t *testing.T) {
 		if !r.AllocRun(total, len(run)) {
 			refused++
 			if !seqRefused {
-				t.Fatalf("seed %d: AllocRun(%d, %d) refused a run every Alloc of which succeeded (%+v)", seed, total, len(run), a.Stats())
+				t.Fatalf("seed %d: AllocRun(%d, %d) refused a run every Alloc of which succeeded (%+v)", seed, total, len(run), useOf(a))
 			}
-			if rs, as := r.Stats(), a.Stats(); rs != as || r.budget.Used() != a.budget.Used() {
+			if rs, as := useOf(r), useOf(a); rs != as || r.budget.Used() != a.budget.Used() {
 				t.Fatalf("seed %d: a refused run moved the shard: %+v (budget %d), before %+v (budget %d)", seed, rs, r.budget.Used(), as, a.budget.Used())
 			}
 			continue
@@ -79,7 +79,7 @@ func TestAllocRunMatchesSequentialAllocs(t *testing.T) {
 				t.Fatalf("seed %d: Charge(%d) = %d, Alloc charged %d", seed, n, c, charges[i])
 			}
 		}
-		if rs, ss := r.Stats(), seq.Stats(); rs != ss || r.budget.Used() != seq.budget.Used() {
+		if rs, ss := useOf(r), useOf(seq); rs != ss || r.budget.Used() != seq.budget.Used() {
 			t.Fatalf("seed %d: after the run %+v (budget %d), after the Allocs %+v (budget %d)", seed, rs, r.budget.Used(), ss, seq.budget.Used())
 		}
 	}

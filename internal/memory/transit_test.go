@@ -14,7 +14,7 @@ import (
 func cloneAllocator(a *Allocator) *Allocator {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := &Allocator{size: a.size, inUse: a.inUse, highWater: a.highWater, allocs: a.allocs, failures: a.failures}
+	c := &Allocator{size: a.size, inUse: a.inUse, highWater: a.highWater}
 	if a.budget != nil {
 		c.budget = &Budget{max: a.budget.max}
 		c.budget.used.Store(a.budget.used.Load())
@@ -24,12 +24,12 @@ func cloneAllocator(a *Allocator) *Allocator {
 
 // checkTransit runs Transit(n) on one clone of a and Alloc(n) followed by a
 // Free of its charge on another, and requires the same error identity and
-// text, Stats and budget use, a's accounting untouched, then the same answers
+// text, Usage and budget use, a's accounting untouched, then the same answers
 // to the next ten charges of sizes drawn from rng.
 func checkTransit(t *testing.T, what string, a *Allocator, n int, rng *rand.Rand) {
 	t.Helper()
 	tr, af := cloneAllocator(a), cloneAllocator(a)
-	before := a.Stats()
+	before := useOf(a)
 	terr := tr.Transit(n)
 	c, aerr := af.Alloc(n)
 	if aerr == nil {
@@ -45,10 +45,10 @@ func checkTransit(t *testing.T, what string, a *Allocator, n int, rng *rand.Rand
 	if errText(terr) != errText(aerr) {
 		t.Fatalf("%s: Transit(%d) = %q, Alloc+Free %q", what, n, errText(terr), errText(aerr))
 	}
-	if ts, as := tr.Stats(), af.Stats(); ts != as {
-		t.Fatalf("%s: after Transit(%d) Stats %+v, Alloc+Free %+v", what, n, ts, as)
+	if ts, as := useOf(tr), useOf(af); ts != as {
+		t.Fatalf("%s: after Transit(%d) Usage %+v, Alloc+Free %+v", what, n, ts, as)
 	}
-	if after := a.Stats(); after != before {
+	if after := useOf(a); after != before {
 		t.Fatalf("%s: Transit(%d) on a clone moved the original: %+v, before %+v", what, n, after, before)
 	}
 	if tr.budget.Used() != af.budget.Used() {

@@ -678,7 +678,9 @@ func (st *execState) execParseg(segments [][]cstmt) (ctl, error) {
 
 // execSharedCommon declares the block's variables as shared storage: arrays
 // become frame arrays (shared by reference between members), scalars become
-// mutex-protected shared cells.
+// mutex-protected shared cells.  Each is charged to the FLEX/32 SHARED
+// COMMON region when it is made, so a re-executed declaration charges
+// nothing more.
 func (st *execState) execSharedCommon(blockName string, items []cdeclItem) error {
 	if st.m != nil {
 		// Member frames were copied at the split; storage created now would be
@@ -696,8 +698,11 @@ func (st *execState) execSharedCommon(blockName string, items []cdeclItem) error
 			if b.kind != kNone {
 				kind = b.kind
 			}
-			rows, cols, _, err := st.arrayExtents(d)
+			rows, cols, n, err := st.arrayExtents(d)
 			if err != nil {
+				return err
+			}
+			if err := st.t.ChargeSharedCommon(blockName, n); err != nil {
 				return err
 			}
 			b.arr = newArray(kind, rows, cols)
@@ -705,6 +710,9 @@ func (st *execState) execSharedCommon(blockName string, items []cdeclItem) error
 		}
 		if b.cell != nil {
 			continue
+		}
+		if err := st.t.ChargeSharedCommon(blockName, 1); err != nil {
+			return err
 		}
 		kind := st.f.declaredKind(d.slot)
 		cell := &sharedCell{v: zeroVal(kind)}

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/flex"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // interpret compiles and runs src on a VM booted for cfg, returning the user
@@ -933,36 +935,63 @@ func TestCountersGetAndSnapshot(t *testing.T) {
 }
 
 // TestLocksReleasedEachRun runs program.pf, whose four WORKERs each declare
-// LOCK SUMLK, again and again on one VM: a task's LOCKs go back to the SHARED
-// COMMON region when it terminates, so after every run the region holds what
-// it held before the first.  A VM that kept them grew by 32 bytes a run and
-// ran out of SHARED COMMON on run 16,385.
+// LOCK SUMLK and SHARED COMMON /RESULTS/ TOTAL, again and again on one VM.
+// Both are charged to the SHARED COMMON region, 8 bytes each: when a WORKER
+// sends DONE the region holds its LOCK and its block, and those of every
+// other WORKER still running.  They go back when the task terminates, so
+// after every run the region is empty.  A VM that kept the LOCKs grew by 32
+// bytes a run and ran out of SHARED COMMON on run 16,385.
 func TestLocksReleasedEachRun(t *testing.T) {
 	src, err := os.ReadFile("../../examples/piscesfortran/program.pf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	vm, err := core.NewVM(config.Simple(2, 8).WithForces(1, 7, 8), core.Options{UserOutput: &out, Backend: sim.New(1), AcceptTimeout: 30 * time.Second})
+	probe := &commonAtDone{}
+	vm, err := core.NewVM(config.Simple(2, 8).WithForces(1, 7, 8), core.Options{UserOutput: &out, Backend: sim.New(1), AcceptTimeout: 30 * time.Second, TraceSinks: []trace.Sink{probe}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer vm.Shutdown()
+	vm.Obs().TraceKind(trace.MsgSend, true)
 	p, err := Compile(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := vm.Machine().Shared()
-	before := shared.Usage().CommonUsed
+	probe.shared = shared
+	const perWorker = 8 + 8 // LOCK SUMLK and the one REAL of /RESULTS/
 	for run := 1; run <= 4; run++ {
+		probe.used = nil
 		if err := p.Run(vm, Options{}); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if got := shared.Usage().CommonUsed; got != before {
-			t.Fatalf("after run %d SHARED COMMON holds %d bytes, want %d as before the first", run, got, before)
+		if len(probe.used) != 4 {
+			t.Fatalf("run %d: %d WORKERs sent DONE, want 4", run, len(probe.used))
+		}
+		for i, used := range probe.used {
+			if used < perWorker || used > 4*perWorker || used%perWorker != 0 {
+				t.Fatalf("run %d: SHARED COMMON held %d bytes at DONE %d, want 1 to 4 WORKERs' %d bytes", run, used, i+1, perWorker)
+			}
+		}
+		if got := shared.Usage().CommonUsed; got != 0 {
+			t.Fatalf("after run %d SHARED COMMON holds %d bytes, want 0", run, got)
 		}
 	}
 	if n := strings.Count(out.String(), "WORKERS DONE"); n != 4 {
 		t.Errorf("%d runs printed WORKERS DONE, want 4:\n%s", n, out.String())
+	}
+}
+
+// commonAtDone is a trace sink that reads the SHARED COMMON region's bytes in
+// use as each DONE message is sent.
+type commonAtDone struct {
+	shared *flex.SharedMemory
+	used   []int
+}
+
+func (c *commonAtDone) Emit(e trace.Event) {
+	if e.Kind == trace.MsgSend && strings.HasPrefix(e.Info, "msgtype=DONE ") {
+		c.used = append(c.used, c.shared.Usage().CommonUsed)
 	}
 }

@@ -93,8 +93,6 @@ type (
 	PELoad = core.PELoad
 	// SystemStorage reports the Section 13 storage-overhead quantities.
 	SystemStorage = core.SystemStorage
-	// Stats reports run-time activity counters.
-	Stats = core.Stats
 	// Limits is the per-tenant resource policy a VM enforces on its own
 	// program (Options.Limits): heap bytes, cumulative tasks, wall-clock
 	// time, terminal output.  Zero fields are unlimited.
@@ -298,7 +296,11 @@ func AnalyzeTrace(events []TraceEvent) trace.Analysis { return trace.Analyze(eve
 // gauges, and log-scale histograms) plus lightweight span capture, threaded
 // through every layer of the message path.  Pass a registry through
 // Options.Metrics and enable the concerns you want; disabled instrumentation
-// costs one atomic load per site.
+// costs one atomic load per site.  The registry is also where a VM counts
+// what it did — tasks initiated and completed, messages sent and accepted,
+// window traffic — as core.task.*, core.msg.* and core.window.* counters
+// (read with ObsRegistry.Counter), so those are counted only with
+// ObsMetrics on.
 type (
 	// ObsRegistry collects runtime metrics and spans (Options.Metrics).
 	ObsRegistry = obs.Registry

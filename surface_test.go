@@ -80,6 +80,10 @@ var surfaceAllowed = map[string]string{
 	"conformance.KillRecovery.Deaths":      "read by TestKillANodeConformance",
 	"conformance.KillRecovery.Replayed":    "read by TestKillANodeConformance",
 	"conformance.KillRecovery.Err":         "read by TestKillANodeConformance",
+	"conformance.Result.HeapShardsInUse":   "read by TestScheduleIndependence",
+	"conformance.Result.Tables":            "read by checkBalanced, in TestScheduleIndependence",
+	"conformance.Result.Common":            "read by checkBalanced, in TestScheduleIndependence",
+	"conformance.Result.Local":             "read by checkBalanced, in TestScheduleIndependence",
 
 	// Values only a test reads.
 	"core.inQueue.examined":               "read by TestAcceptOneExaminesOneSlot",
@@ -295,10 +299,11 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 var discardedWrites = map[string]bool{"Add": true, "Inc": true, "Store": true, "Set": true, "Observe": true}
 
 // markReads adds to read every struct field a file of p reads.  A use of a
-// field reads it unless it is the left side of = or an op-assign, the
-// operand of ++ or --, the key of a keyed literal, or the receiver of a
-// discardedWrites call whose result is dropped; == and != on a struct value
-// read every field of it.
+// field reads it unless it is the left side of = or an op-assign, the first
+// argument of an append assigned back to the same field (x.f = append(x.f,
+// v) only grows f), the operand of ++ or --, the key of a keyed literal, or
+// the receiver of a discardedWrites call whose result is dropped; == and !=
+// on a struct value read every field of it.
 func markReads(p *checkedPackage, read map[types.Object]bool) {
 	written := make(map[*ast.Ident]bool)
 	write := func(x ast.Expr) {
@@ -327,8 +332,13 @@ func markReads(p *checkedPackage, read map[types.Object]bool) {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				if n.Tok != token.DEFINE {
-					for _, lhs := range n.Lhs {
+					for i, lhs := range n.Lhs {
 						write(lhs)
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							if grown := appendedTo(p, n.Rhs[i]); grown != nil && sameField(p, lhs, grown) {
+								write(grown)
+							}
+						}
 					}
 				}
 			case *ast.IncDecStmt:
@@ -359,6 +369,34 @@ func markReads(p *checkedPackage, read map[types.Object]bool) {
 			read[origin(v)] = true
 		}
 	}
+}
+
+// appendedTo returns the slice a call of the builtin append grows, nil when x
+// is no such call.
+func appendedTo(p *checkedPackage, x ast.Expr) ast.Expr {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if b, ok := p.info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
+		return nil
+	}
+	return call.Args[0]
+}
+
+// sameField reports whether a and b are one selector expression of a field,
+// x.f and x.f, not x.f and y.f.
+func sameField(p *checkedPackage, a, b ast.Expr) bool {
+	sa, ok := ast.Unparen(a).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	sb, ok := ast.Unparen(b).(*ast.SelectorExpr)
+	return ok && p.info.Uses[sa.Sel] == p.info.Uses[sb.Sel] && types.ExprString(sa) == types.ExprString(sb)
 }
 
 // readElsewhere reports whether a field is read by code the type checker
